@@ -268,3 +268,13 @@ sort "$tmp/word.journal" >"$tmp/word.sorted"
 cmp "$tmp/scalar.sorted" "$tmp/word.sorted"
 ./target/release/amsfi list | grep -q "cpu.*word"
 rm -rf "$tmp"
+
+# PR 13 benchmark gate: the stand-alone benchmark crate's self-test
+# (workload names == BENCHMARK.json, exact counts repeat, a corrupted
+# verdict is caught), then a short cpu-seu-word run that must agree with
+# the committed reference digest — the oracle every word-kernel speedup
+# is measured under.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload cpu-seu-word --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+    | grep -q '"correct": true'

@@ -19,13 +19,15 @@ const SOLVER_METRICS_STRIDE: u32 = 64;
 /// N-th proposal (including the first) instead of all of them.
 const DT_SAMPLE_STRIDE: u64 = 16;
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, SimBudget, SimObserver,
-    Time, Trace,
+    AnalogSlot, Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, SimBudget,
+    SimObserver, Time, Trace,
 };
 
 #[derive(Debug, Clone)]
 struct Monitor {
     node: NodeId,
+    /// The node's slot in the solver's trace.
+    slot: AnalogSlot,
     last_value: f64,
     last_time: Time,
     has_sample: bool,
@@ -79,8 +81,10 @@ impl AnalogSolver {
     /// Marks a node for tracing. Samples are recorded when the value moves
     /// by more than the recording epsilon or the recording interval elapses.
     pub fn monitor(&mut self, node: NodeId) {
+        let slot = self.trace.analog_slot(self.circuit.node_name(node));
         self.monitors.push(Monitor {
             node,
+            slot,
             last_value: 0.0,
             last_time: Time::ZERO,
             has_sample: false,
@@ -390,9 +394,8 @@ impl AnalogSolver {
                 || (v - m.last_value).abs() > self.record_epsilon
                 || self.now - m.last_time >= self.record_interval;
             if due {
-                let name = self.circuit.node_name(m.node).to_owned();
                 self.trace
-                    .record_analog(&name, self.now, v)
+                    .push_analog(m.slot, self.now, v)
                     .expect("solver time is monotonic");
                 m.last_value = v;
                 m.last_time = self.now;

@@ -227,6 +227,10 @@ impl Component for TinyCpu {
             ram: [self.ram; LANES],
             out: [self.out; LANES],
             prev_clk: LogicPlanes::splat(self.prev_clk),
+            out_planes: pack(&[self.out; LANES]),
+            pc_planes: pack(&[self.pc; LANES]),
+            out_stale: false,
+            pc_stale: false,
         }))
     }
 }
@@ -239,6 +243,11 @@ impl Component for TinyCpu {
 /// expensive parts of the cloned-mode path — 64 event wheels, 64
 /// `LogicVector` port drives per edge, 64 input stagings — collapse into
 /// masked plane operations.
+///
+/// Both ports are driven on every evaluation (either clock edge), but the
+/// registers behind them only move when a lane executes, resets or is
+/// struck, so the port planes are state: re-packed from the per-lane
+/// registers when stale, lent to the drive otherwise.
 #[derive(Clone)]
 struct WordTinyCpu {
     program: Vec<Insn>,
@@ -249,6 +258,11 @@ struct WordTinyCpu {
     ram: [[u8; RAM_SIZE]; LANES],
     out: [u8; LANES],
     prev_clk: LogicPlanes,
+    /// `out` / `pc` as port planes, valid unless the matching flag is set.
+    out_planes: [LogicPlanes; 8],
+    pc_planes: [LogicPlanes; 8],
+    out_stale: bool,
+    pc_stale: bool,
 }
 
 impl fmt::Debug for WordTinyCpu {
@@ -294,23 +308,47 @@ impl WordTinyCpu {
                     next_pc = a;
                 }
             }
-            Insn::Out => self.out[lane] = self.acc[lane],
+            Insn::Out => {
+                self.out[lane] = self.acc[lane];
+                self.out_stale = true;
+            }
         }
         self.pc[lane] = next_pc;
+        self.pc_stale = true;
     }
+}
 
-    /// Packs one per-lane register into output planes, bit by bit.
-    fn pack(values: &[u8; LANES], width: usize) -> Vec<LogicPlanes> {
-        let mut planes = Vec::with_capacity(width);
-        for bit in 0..width {
-            let mut ones = 0u64;
-            for (lane, v) in values.iter().enumerate() {
-                ones |= u64::from((v >> bit) & 1) << lane;
-            }
-            planes.push(LogicPlanes::from_bool_mask(ones));
+/// Transposes an 8×8 bit matrix held row-major in a `u64` (row `i` is byte
+/// `i`, column `j` its bit `j`): three masked swap rounds of 1×1, 2×2 and
+/// 4×4 blocks across the diagonal.
+fn transpose8(mut x: u64) -> u64 {
+    let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Bit masks of one per-lane register: bit `lane` of `ones[b]` is bit `b`
+/// of `values[lane]`. Eight lanes at a time are one 8×8 transposition,
+/// whose byte `b` then is bit `b` of those eight lanes.
+fn pack_ones(values: &[u8; LANES]) -> [u64; 8] {
+    let mut ones = [0u64; 8];
+    for (group, lanes) in values.chunks_exact(8).enumerate() {
+        let rows = u64::from_le_bytes(lanes.try_into().expect("chunk of eight"));
+        let columns = transpose8(rows);
+        for (bit, ones) in ones.iter_mut().enumerate() {
+            *ones |= ((columns >> (8 * bit)) & 0xFF) << (8 * group);
         }
-        planes
     }
+    ones
+}
+
+/// Packs one per-lane register into port planes (a port narrower than
+/// eight bits drives a prefix).
+fn pack(values: &[u8; LANES]) -> [LogicPlanes; 8] {
+    pack_ones(values).map(LogicPlanes::from_bool_mask)
 }
 
 impl WordComponent for WordTinyCpu {
@@ -329,6 +367,8 @@ impl WordComponent for WordTinyCpu {
                 self.pc[lane] = 0;
                 self.nonzero &= !(1 << lane);
                 self.out[lane] = 0;
+                self.out_stale = true;
+                self.pc_stale = true;
             }
             while exec != 0 {
                 let lane = exec.trailing_zeros() as usize;
@@ -337,8 +377,14 @@ impl WordComponent for WordTinyCpu {
             }
         }
         self.prev_clk = self.prev_clk.select(mask, clk);
-        ctx.drive(0, Self::pack(&self.out, 8), self.delay);
-        ctx.drive(1, Self::pack(&self.pc, PC_BITS), self.delay);
+        if std::mem::take(&mut self.out_stale) {
+            self.out_planes = pack(&self.out);
+        }
+        if std::mem::take(&mut self.pc_stale) {
+            self.pc_planes = pack(&self.pc);
+        }
+        ctx.drive(0, &self.out_planes, self.delay);
+        ctx.drive(1, &self.pc_planes[..PC_BITS], self.delay);
     }
 
     fn flip_state_bit(&mut self, lane: usize, bit: usize) {
@@ -346,6 +392,7 @@ impl WordComponent for WordTinyCpu {
             self.acc[lane] ^= 1 << bit;
         } else if bit < 8 + PC_BITS {
             self.pc[lane] ^= 1 << (bit - 8);
+            self.pc_stale = true;
         } else if bit == 8 + PC_BITS {
             self.nonzero ^= 1 << lane;
         } else {
@@ -356,15 +403,25 @@ impl WordComponent for WordTinyCpu {
 
     fn force_state(&mut self, lane: usize, value: u64) {
         self.pc[lane] = (value as u8) % self.program.len() as u8;
+        self.pc_stale = true;
     }
 
-    fn lanes_equal(&self, a: usize, b: usize) -> bool {
-        self.acc[a] == self.acc[b]
-            && self.pc[a] == self.pc[b]
-            && (self.nonzero >> a) & 1 == (self.nonzero >> b) & 1
-            && self.ram[a] == self.ram[b]
-            && self.out[a] == self.out[b]
-            && self.prev_clk.lane(a) == self.prev_clk.lane(b)
+    fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
+        let b = reference;
+        let mut equal = 0u64;
+        let mut m = candidates;
+        while m != 0 {
+            let a = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let same = self.acc[a] == self.acc[b]
+                && self.pc[a] == self.pc[b]
+                && (self.nonzero >> a) & 1 == (self.nonzero >> b) & 1
+                && self.ram[a] == self.ram[b]
+                && self.out[a] == self.out[b]
+                && self.prev_clk.lane(a) == self.prev_clk.lane(b);
+            equal |= u64::from(same) << a;
+        }
+        equal
     }
 }
 
@@ -596,6 +653,48 @@ mod tests {
                     assert_eq!(trace, &scalar_trace, "lane {lane} (bit {bit} @ {at})");
                 }
                 LaneOutcome::Failed { error } => panic!("lane {lane}: {error}"),
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_pack_equals_the_bit_by_bit_one() {
+        /// The definition: plane `bit` collects bit `bit` of every lane.
+        fn naive(values: &[u8; LANES], width: usize) -> Vec<LogicPlanes> {
+            (0..width)
+                .map(|bit| {
+                    let mut ones = 0u64;
+                    for (lane, v) in values.iter().enumerate() {
+                        ones |= u64::from((v >> bit) & 1) << lane;
+                    }
+                    LogicPlanes::from_bool_mask(ones)
+                })
+                .collect()
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut inputs = vec![[0u8; LANES], [0xFF; LANES]];
+        // One lane, then one bit, set alone: every row and column position.
+        for lane in 0..LANES {
+            let mut v = [0u8; LANES];
+            v[lane] = 0xFF;
+            inputs.push(v);
+        }
+        for bit in 0..8 {
+            inputs.push([1 << bit; LANES]);
+        }
+        for _ in 0..500 {
+            inputs.push(std::array::from_fn(|_| next() as u8));
+        }
+        for values in &inputs {
+            let packed = pack(values);
+            for width in 1..=8 {
+                assert_eq!(&packed[..width], naive(values, width), "{values:?}");
             }
         }
     }

@@ -27,11 +27,11 @@
 //! golden values with one plane-XOR per signal bit. Only lanes whose mask
 //! bit is clear — observably identical to golden — pay for the full seal
 //! comparison, and a digest pre-filter ([`Simulator::state_digest`]) keeps
-//! even that cheap; the exact comparison ([`Simulator::lockstep_state_eq`])
+//! even that cheap; the exact comparison (`Simulator::lockstep_state_eq`)
 //! confirms every seal, so a digest collision can not produce a wrong
 //! verdict.
 
-use crate::sim::{SimError, Simulator};
+use crate::sim::{ComponentStates, SimError, Simulator};
 use amsfi_waves::{KernelMetrics, LogicPlanes, Time, Trace, LANES};
 use std::sync::Arc;
 
@@ -137,6 +137,9 @@ pub struct BatchSimulator {
     seal_stride: Option<Time>,
     lanes: Vec<Lane>,
     metrics: Option<Arc<KernelMetrics>>,
+    /// The golden machine's rendered component states, reused by every
+    /// seal probe.
+    golden_states: ComponentStates,
 }
 
 impl std::fmt::Debug for BatchSimulator {
@@ -161,6 +164,7 @@ impl BatchSimulator {
             seal_stride: None,
             lanes: Vec::new(),
             metrics: None,
+            golden_states: ComponentStates::default(),
         }
     }
 
@@ -344,8 +348,13 @@ impl BatchSimulator {
             let LaneState::Running(sim) = &self.lanes[lane_id].state else {
                 continue;
             };
-            let digest = *golden_digest.get_or_insert_with(|| self.golden.state_digest());
-            if sim.state_digest() != digest || !sim.lockstep_state_eq(&self.golden) {
+            let digest = *golden_digest.get_or_insert_with(|| {
+                self.golden.render_component_states(&mut self.golden_states);
+                self.golden.state_digest()
+            });
+            if sim.state_digest() != digest
+                || !sim.lockstep_state_eq(&self.golden, &self.golden_states)
+            {
                 continue;
             }
             let LaneState::Running(sim) =

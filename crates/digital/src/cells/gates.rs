@@ -28,8 +28,8 @@ impl WordComponent for WordNaryGate {
         ctx.drive_bit(0, acc, self.delay);
     }
 
-    fn lanes_equal(&self, _a: usize, _b: usize) -> bool {
-        true
+    fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+        candidates
     }
 }
 
@@ -169,8 +169,8 @@ impl WordComponent for WordNot {
         ctx.drive_bit(0, v, self.delay);
     }
 
-    fn lanes_equal(&self, _a: usize, _b: usize) -> bool {
-        true
+    fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+        candidates
     }
 }
 
@@ -216,12 +216,11 @@ struct WordBuf {
 
 impl WordComponent for WordBuf {
     fn eval(&mut self, ctx: &mut WordEvalContext<'_>) {
-        let v = ctx.input(0).to_vec();
-        ctx.drive(0, v, self.delay);
+        ctx.drive(0, ctx.input(0), self.delay);
     }
 
-    fn lanes_equal(&self, _a: usize, _b: usize) -> bool {
-        true
+    fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+        candidates
     }
 }
 
@@ -265,8 +264,8 @@ impl Component for Mux2 {
 
     fn word_component(&self) -> Option<Box<dyn WordComponent>> {
         Some(Box::new(WordMux2 {
-            width: self.width,
             delay: self.delay,
+            out: Vec::with_capacity(self.width),
         }))
     }
 }
@@ -276,8 +275,9 @@ impl Component for Mux2 {
 /// scalar `to_bool` three-way match.
 #[derive(Debug)]
 struct WordMux2 {
-    width: usize,
     delay: Time,
+    /// The output planes under construction (kept for its capacity).
+    out: Vec<LogicPlanes>,
 }
 
 impl WordComponent for WordMux2 {
@@ -285,18 +285,18 @@ impl WordComponent for WordMux2 {
         let sel = ctx.input_bit(0);
         let low = sel.is_low_mask();
         let high = sel.is_high_mask();
-        let mut out = Vec::with_capacity(self.width);
-        for bit in 0..self.width {
-            let v = LogicPlanes::splat(Logic::Unknown)
-                .select(low, ctx.input(1)[bit])
-                .select(high, ctx.input(2)[bit]);
-            out.push(v);
-        }
-        ctx.drive(0, out, self.delay);
+        self.out.clear();
+        self.out
+            .extend(ctx.input(1).iter().zip(ctx.input(2)).map(|(a, b)| {
+                LogicPlanes::splat(Logic::Unknown)
+                    .select(low, *a)
+                    .select(high, *b)
+            }));
+        ctx.drive(0, &self.out, self.delay);
     }
 
-    fn lanes_equal(&self, _a: usize, _b: usize) -> bool {
-        true
+    fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+        candidates
     }
 }
 

@@ -94,6 +94,15 @@ impl Component for ClockGen {
     }
 }
 
+/// The lanes whose bit of `flags` equals lane `reference`'s.
+fn same_bit_as(flags: u64, reference: usize) -> u64 {
+    if (flags >> reference) & 1 != 0 {
+        flags
+    } else {
+        !flags
+    }
+}
+
 /// Word-parallel clock: per-lane `fired` mask and a plane-valued level.
 /// Lanes stay in lock step in practice (the clock has no inputs and no
 /// mutant surface), but the masks keep per-lane semantics exact anyway.
@@ -128,8 +137,12 @@ impl WordComponent for WordClockGen {
         }
     }
 
-    fn lanes_equal(&self, a: usize, b: usize) -> bool {
-        (self.fired >> a) & 1 == (self.fired >> b) & 1 && self.value.lane(a) == self.value.lane(b)
+    fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
+        candidates
+            & same_bit_as(self.fired, reference)
+            & !self
+                .value
+                .diverged_mask(self.value.broadcast_lane(reference))
     }
 }
 
@@ -177,11 +190,11 @@ struct WordConstVector {
 
 impl WordComponent for WordConstVector {
     fn eval(&mut self, ctx: &mut WordEvalContext<'_>) {
-        ctx.drive(0, self.value.clone(), Time::ZERO);
+        ctx.drive(0, &self.value, Time::ZERO);
     }
 
-    fn lanes_equal(&self, _a: usize, _b: usize) -> bool {
-        true
+    fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+        candidates
     }
 }
 
@@ -253,7 +266,11 @@ impl Component for Stimulus {
 
     fn word_component(&self) -> Option<Box<dyn WordComponent>> {
         Some(Box::new(WordStimulus {
-            schedule: self.schedule.clone(),
+            schedule: self
+                .schedule
+                .iter()
+                .map(|(t, v)| (*t, v.iter().map(LogicPlanes::splat).collect()))
+                .collect(),
             fired: if self.fired { u64::MAX } else { 0 },
         }))
     }
@@ -263,7 +280,7 @@ impl Component for Stimulus {
 /// lane's first evaluation.
 #[derive(Debug)]
 struct WordStimulus {
-    schedule: Vec<(Time, LogicVector)>,
+    schedule: Vec<(Time, Vec<LogicPlanes>)>,
     fired: u64,
 }
 
@@ -274,14 +291,13 @@ impl WordComponent for WordStimulus {
             return;
         }
         self.fired |= newly;
-        for (t, v) in &self.schedule {
-            let planes: Vec<LogicPlanes> = v.iter().map(LogicPlanes::splat).collect();
+        for (t, planes) in &self.schedule {
             ctx.drive_transport_masked(0, planes, *t, newly);
         }
     }
 
-    fn lanes_equal(&self, a: usize, b: usize) -> bool {
-        (self.fired >> a) & 1 == (self.fired >> b) & 1
+    fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
+        candidates & same_bit_as(self.fired, reference)
     }
 }
 

@@ -10,8 +10,8 @@
 use crate::component::{Action, EvalContext};
 use crate::netlist::{ComponentDecl, ComponentId, Netlist, SignalDecl, SignalId};
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, LogicVector, SimBudget,
-    SimObserver, Time, Trace,
+    Checkpoint, CheckpointMismatch, DigitalSlot, Fnv1a, ForkableSim, GuardViolation, LogicVector,
+    SimBudget, SimObserver, Time, Trace,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -132,7 +132,9 @@ struct SignalState {
     width: usize,
     value: LogicVector,
     readers: Vec<usize>,
-    monitored: bool,
+    /// Trace slot of each bit, resolved when the signal was monitored;
+    /// empty while it is not.
+    slots: Vec<DigitalSlot>,
 }
 
 #[derive(Debug, Clone)]
@@ -185,13 +187,45 @@ fn bitset_drain(words: &mut [u64], mut visit: impl FnMut(usize)) {
     }
 }
 
+/// A sink that checks what is written against an expected text instead of
+/// storing it; the first mismatch aborts the formatting.
+struct Expect<'a> {
+    rest: &'a str,
+}
+
+impl fmt::Write for Expect<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.rest = self.rest.strip_prefix(s).ok_or(fmt::Error)?;
+        Ok(())
+    }
+}
+
+/// True when `value`'s `Debug` rendering is exactly `expected` — the seal
+/// comparisons' `format!("{a:?}") == format!("{b:?}")` with one side
+/// rendered beforehand and the other never materialised.
+pub(crate) fn debug_renders_as(value: &dyn fmt::Debug, expected: &str) -> bool {
+    use fmt::Write as _;
+    let mut sink = Expect { rest: expected };
+    write!(sink, "{value:?}").is_ok() && sink.rest.is_empty()
+}
+
+/// The `Debug` rendering of every component of one simulator: the golden
+/// side of [`Simulator::lockstep_state_eq`], rendered once per seal probe
+/// and compared against every candidate lane.
+#[derive(Debug, Default)]
+pub(crate) struct ComponentStates {
+    text: String,
+    /// End offset in `text` of each component's rendering.
+    ends: Vec<usize>,
+}
+
 /// One signal of a simulator torn down into [`WordSeed`] form.
 pub(crate) struct WordSeedSignal {
     pub(crate) name: String,
     pub(crate) width: usize,
     pub(crate) value: LogicVector,
     pub(crate) readers: Vec<usize>,
-    pub(crate) monitored: bool,
+    pub(crate) slots: Vec<DigitalSlot>,
 }
 
 /// One component of a simulator torn down into [`WordSeed`] form.
@@ -211,6 +245,8 @@ pub(crate) struct WordSeed {
     pub(crate) delta_limit: usize,
     pub(crate) budget: SimBudget,
     pub(crate) observer: Option<SimObserver>,
+    /// The (still silent) trace the signals' slots index into.
+    pub(crate) trace: Trace,
     pub(crate) signals: Vec<WordSeedSignal>,
     pub(crate) components: Vec<WordSeedComponent>,
 }
@@ -272,7 +308,7 @@ impl Simulator {
                     width: *width,
                     value: LogicVector::new(*width),
                     readers: readers.iter().map(|r| r.0).collect(),
-                    monitored: false,
+                    slots: Vec::new(),
                 }
             })
             .collect();
@@ -347,7 +383,17 @@ impl Simulator {
     /// Scalars are recorded under the signal name; each bit of a bus is
     /// recorded as `"name[i]"`.
     pub fn monitor(&mut self, signal: SignalId) {
-        self.signals[signal.0].monitored = true;
+        let state = &mut self.signals[signal.0];
+        if !state.slots.is_empty() {
+            return;
+        }
+        state.slots = if state.width == 1 {
+            vec![self.trace.digital_slot(&state.name)]
+        } else {
+            (0..state.width)
+                .map(|bit| self.trace.digital_slot(&format!("{}[{bit}]", state.name)))
+                .collect()
+        };
     }
 
     /// Like [`Simulator::monitor`], resolving the signal by name.
@@ -375,7 +421,7 @@ impl Simulator {
         self.signals
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.monitored)
+            .filter(|(_, s)| !s.slots.is_empty())
             .map(|(i, _)| SignalId(i))
             .collect()
     }
@@ -600,10 +646,10 @@ impl Simulator {
 
     /// A digest of all future-relevant run state: current time, signal
     /// values, component state (via `Debug`) and the normalised pending
-    /// event queue. Two simulators with equal digests and equal
-    /// [`Simulator::lockstep_state_eq`] produce identical behaviour from
-    /// here on (given equally non-constraining budgets), which is the
-    /// reconvergence-seal criterion of the batch simulator.
+    /// event queue. Two simulators with equal digests that also pass the
+    /// batch simulator's exact comparison (`lockstep_state_eq`) produce
+    /// identical behaviour from here on (given equally non-constraining
+    /// budgets), which is its reconvergence-seal criterion.
     ///
     /// Trace history, throughput counters, budgets and observers are
     /// deliberately excluded: they do not influence future transitions.
@@ -637,11 +683,28 @@ impl Simulator {
         h.finish()
     }
 
+    /// Renders every component's state into `into`, replacing what it held.
+    pub(crate) fn render_component_states(&self, into: &mut ComponentStates) {
+        use fmt::Write as _;
+        into.text.clear();
+        into.ends.clear();
+        for c in &self.components {
+            let _ = write!(into.text, "{:?}", c.comp);
+            into.ends.push(into.text.len());
+        }
+    }
+
     /// Exact equality of future-relevant run state (same criterion as
     /// [`Simulator::state_digest`], without hashing). The batch simulator
     /// confirms a digest match with this before sealing a lane, so a hash
-    /// collision can never produce a wrong verdict.
-    pub fn lockstep_state_eq(&self, other: &Simulator) -> bool {
+    /// collision can never produce a wrong verdict. `other_states` is
+    /// `other`'s [`Simulator::render_component_states`].
+    pub(crate) fn lockstep_state_eq(
+        &self,
+        other: &Simulator,
+        other_states: &ComponentStates,
+    ) -> bool {
+        let mut start = 0;
         self.now == other.now
             && self.signals.len() == other.signals.len()
             && self
@@ -649,12 +712,16 @@ impl Simulator {
                 .iter()
                 .zip(&other.signals)
                 .all(|(a, b)| a.value == b.value)
-            && self.components.len() == other.components.len()
+            && self.components.len() == other_states.ends.len()
             && self
                 .components
                 .iter()
-                .zip(&other.components)
-                .all(|(a, b)| format!("{:?}", a.comp) == format!("{:?}", b.comp))
+                .zip(&other_states.ends)
+                .all(|(a, &end)| {
+                    let expected = &other_states.text[start..end];
+                    start = end;
+                    debug_renders_as(&a.comp, expected)
+                })
             && {
                 let a = self.pending_events();
                 let b = other.pending_events();
@@ -696,6 +763,7 @@ impl Simulator {
             delta_limit: self.delta_limit,
             budget: self.budget,
             observer: self.observer,
+            trace: self.trace,
             signals: self
                 .signals
                 .into_iter()
@@ -704,7 +772,7 @@ impl Simulator {
                     width: s.width,
                     value: s.value,
                     readers: s.readers,
-                    monitored: s.monitored,
+                    slots: s.slots,
                 })
                 .collect(),
             components: self
@@ -848,20 +916,10 @@ impl Simulator {
         let mut changed_words = std::mem::take(&mut self.scratch.changed);
         bitset_drain(&mut changed_words, |sig| {
             let state = &self.signals[sig];
-            if !state.monitored {
-                return;
-            }
-            if state.width == 1 {
+            for (bit, &slot) in state.slots.iter().enumerate() {
                 self.trace
-                    .record_digital(&state.name, t, state.value[0])
+                    .push_digital(slot, t, state.value[bit])
                     .expect("time is monotonic");
-            } else {
-                for bit in 0..state.width {
-                    let bit_name = format!("{}[{bit}]", state.name);
-                    self.trace
-                        .record_digital(&bit_name, t, state.value[bit])
-                        .expect("time is monotonic");
-                }
             }
         });
         self.scratch.changed = changed_words;

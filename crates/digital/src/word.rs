@@ -43,12 +43,14 @@
 use crate::batch::{BatchReport, LaneOutcome};
 use crate::component::{Action, Component, EvalContext};
 use crate::netlist::{ComponentId, SignalId};
-use crate::sim::{SimError, Simulator, WordSeed};
+use crate::sim::{debug_renders_as, SimError, Simulator, WordSeed};
 use amsfi_waves::{
-    KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace, LANES,
+    DigitalSlot, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace,
+    LANES,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The lane index reserved for the golden (fault-free) machine.
@@ -73,9 +75,10 @@ pub trait WordComponent: Send + std::fmt::Debug {
         let _ = (lane, value);
     }
 
-    /// True when lanes `a` and `b` hold exactly the same component state —
-    /// the per-component leg of the reconvergence-seal comparison.
-    fn lanes_equal(&self, a: usize, b: usize) -> bool;
+    /// The lanes of `candidates` that hold exactly the same component state
+    /// as lane `reference` — the per-component leg of the
+    /// reconvergence-seal comparison, one call per seal probe.
+    fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64;
 
     /// The scalar component instance backing one lane, if this word
     /// component is a [`LaneFarm`] of clones. Native plane implementations
@@ -88,7 +91,8 @@ pub trait WordComponent: Send + std::fmt::Debug {
 }
 
 /// One action requested by a word evaluation: the word-level mirror of
-/// [`Action`] with an explicit participating-lane mask.
+/// [`Action`] with an explicit participating-lane mask. Drive values live
+/// in pooled vectors that return to the pool when the event is applied.
 #[derive(Debug)]
 enum WordAction {
     Drive {
@@ -104,14 +108,18 @@ enum WordAction {
     },
 }
 
-/// The evaluation context handed to [`WordComponent::eval`]: plane-valued
-/// inputs, the lanes being evaluated, and a queue of masked actions.
+/// The evaluation context handed to [`WordComponent::eval`]: the
+/// plane-valued signal store seen through the component's input ports, the
+/// lanes being evaluated, and a queue of masked actions.
 #[derive(Debug)]
 pub struct WordEvalContext<'a> {
     now: Time,
     eval_mask: u64,
-    inputs: &'a [Vec<LogicPlanes>],
+    signals: &'a [WordSignal],
+    ports: &'a [SignalId],
     actions: Vec<WordAction>,
+    /// Recycled drive-value vectors (see [`WordScratch::pool`]).
+    pool: &'a mut Vec<Vec<LogicPlanes>>,
 }
 
 impl<'a> WordEvalContext<'a> {
@@ -126,63 +134,70 @@ impl<'a> WordEvalContext<'a> {
         self.eval_mask
     }
 
-    /// The planes of input port `index`, one [`LogicPlanes`] per bit.
-    pub fn input(&self, index: usize) -> &[LogicPlanes] {
-        &self.inputs[index]
+    /// The planes of input port `index`, one [`LogicPlanes`] per bit, lent
+    /// straight from the signal store.
+    pub fn input(&self, index: usize) -> &'a [LogicPlanes] {
+        &self.signals[self.ports[index].0].planes
     }
 
     /// The first (and for scalars, only) bit of input port `index`.
     pub fn input_bit(&self, index: usize) -> LogicPlanes {
-        self.inputs[index][0]
+        self.input(index)[0]
     }
 
     /// Number of input ports.
     pub fn input_count(&self) -> usize {
-        self.inputs.len()
+        self.ports.len()
     }
 
     /// Drives output `output` for every evaluated lane with inertial
     /// semantics.
-    pub fn drive(&mut self, output: usize, value: Vec<LogicPlanes>, delay: Time) {
+    pub fn drive(&mut self, output: usize, value: &[LogicPlanes], delay: Time) {
         let mask = self.eval_mask;
         self.drive_masked(output, value, delay, mask);
     }
 
     /// Single-bit convenience for [`WordEvalContext::drive`].
     pub fn drive_bit(&mut self, output: usize, value: LogicPlanes, delay: Time) {
-        self.drive(output, vec![value], delay);
+        self.drive(output, &[value], delay);
     }
 
     /// Drives output `output` for the lanes in `mask` (a subset of the eval
     /// mask) with inertial semantics: each masked lane's pending
     /// transactions on this output are cancelled.
-    pub fn drive_masked(&mut self, output: usize, value: Vec<LogicPlanes>, delay: Time, mask: u64) {
-        debug_assert_eq!(
-            mask & !self.eval_mask,
-            0,
-            "drive mask must be a subset of the eval mask"
-        );
-        if mask == 0 {
-            return;
-        }
-        self.actions.push(WordAction::Drive {
-            transport: false,
-            output,
-            value,
-            delay,
-            mask,
-        });
+    pub fn drive_masked(&mut self, output: usize, value: &[LogicPlanes], delay: Time, mask: u64) {
+        let mut owned = self.pooled();
+        owned.extend_from_slice(value);
+        self.push_drive(false, output, owned, delay, mask);
     }
 
     /// Single-bit convenience for [`WordEvalContext::drive_masked`].
     pub fn drive_bit_masked(&mut self, output: usize, value: LogicPlanes, delay: Time, mask: u64) {
-        self.drive_masked(output, vec![value], delay, mask);
+        self.drive_masked(output, &[value], delay, mask);
     }
 
     /// Drives with transport semantics (pending transactions survive) for
     /// the lanes in `mask`.
     pub fn drive_transport_masked(
         &mut self,
+        output: usize,
+        value: &[LogicPlanes],
+        delay: Time,
+        mask: u64,
+    ) {
+        let mut owned = self.pooled();
+        owned.extend_from_slice(value);
+        self.push_drive(true, output, owned, delay, mask);
+    }
+
+    /// An empty drive-value vector, recycled when the pool has one.
+    fn pooled(&mut self) -> Vec<LogicPlanes> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    fn push_drive(
+        &mut self,
+        transport: bool,
         output: usize,
         value: Vec<LogicPlanes>,
         delay: Time,
@@ -194,10 +209,11 @@ impl<'a> WordEvalContext<'a> {
             "drive mask must be a subset of the eval mask"
         );
         if mask == 0 {
+            recycle(self.pool, value);
             return;
         }
         self.actions.push(WordAction::Drive {
-            transport: true,
+            transport,
             output,
             value,
             delay,
@@ -225,6 +241,12 @@ impl<'a> WordEvalContext<'a> {
     }
 }
 
+/// Returns a drive-value vector to `pool` for the next drive to take.
+fn recycle(pool: &mut Vec<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
+    value.clear();
+    pool.push(value);
+}
+
 /// The universal [`WordComponent`] fallback: 64 scalar clones of one
 /// component, evaluated per masked lane and their actions merged back into
 /// masked word actions.
@@ -240,6 +262,10 @@ struct LaneFarm {
     lanes: Vec<Box<dyn Component>>,
     staged: Vec<LogicVector>,
     lane_actions: Vec<Vec<Action>>,
+    /// The merge groups of the round in flight (kept for its capacity).
+    groups: Vec<FarmGroup>,
+    /// The reference lane's `Debug` rendering during a seal probe.
+    rendered: String,
 }
 
 impl std::fmt::Debug for LaneFarm {
@@ -256,6 +282,8 @@ impl LaneFarm {
             lanes: (0..LANES).map(|_| prototype.clone_box()).collect(),
             staged: Vec::new(),
             lane_actions: (0..LANES).map(|_| Vec::new()).collect(),
+            groups: Vec::new(),
+            rendered: String::new(),
         }
     }
 }
@@ -279,14 +307,19 @@ impl WordComponent for LaneFarm {
     fn eval(&mut self, ctx: &mut WordEvalContext<'_>) {
         let mask = ctx.eval_mask();
         let ports = ctx.input_count();
+        if self.staged.len() != ports {
+            self.staged = (0..ports)
+                .map(|port| LogicVector::new(ctx.input(port).len()))
+                .collect();
+        }
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.staged.clear();
-            for port in 0..ports {
-                self.staged
-                    .push(ctx.input(port).iter().map(|p| p.lane(lane)).collect());
+            for (port, staged) in self.staged.iter_mut().enumerate() {
+                for (bit, planes) in ctx.input(port).iter().enumerate() {
+                    staged[bit] = planes.lane(lane);
+                }
             }
             let recycled = std::mem::take(&mut self.lane_actions[lane]);
             let mut sctx = EvalContext::reuse(ctx.now(), &self.staged, recycled);
@@ -294,7 +327,7 @@ impl WordComponent for LaneFarm {
             self.lane_actions[lane] = std::mem::take(&mut sctx.actions);
         }
 
-        let mut groups: Vec<FarmGroup> = Vec::new();
+        let mut groups = std::mem::take(&mut self.groups);
         let mut round = 0usize;
         loop {
             groups.clear();
@@ -334,12 +367,14 @@ impl WordComponent for LaneFarm {
                         let (group_mask, group_value) = match slot {
                             Some(found) => found,
                             None => {
+                                let mut planes = ctx.pooled();
+                                planes.resize(value.width(), LogicPlanes::new());
                                 groups.push(FarmGroup::Drive {
                                     transport,
                                     output: *output,
                                     delay: *delay,
                                     mask: 0,
-                                    value: vec![LogicPlanes::new(); value.width()],
+                                    value: planes,
                                 });
                                 let Some(FarmGroup::Drive { mask, value, .. }) = groups.last_mut()
                                 else {
@@ -374,24 +409,18 @@ impl WordComponent for LaneFarm {
             for group in groups.drain(..) {
                 match group {
                     FarmGroup::Drive {
-                        transport: false,
+                        transport,
                         output,
                         delay,
                         mask,
                         value,
-                    } => ctx.drive_masked(output, value, delay, mask),
-                    FarmGroup::Drive {
-                        transport: true,
-                        output,
-                        delay,
-                        mask,
-                        value,
-                    } => ctx.drive_transport_masked(output, value, delay, mask),
+                    } => ctx.push_drive(transport, output, value, delay, mask),
                     FarmGroup::Wake { delay, mask } => ctx.wake_masked(delay, mask),
                 }
             }
             round += 1;
         }
+        self.groups = groups;
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
@@ -408,10 +437,23 @@ impl WordComponent for LaneFarm {
         self.lanes[lane].force_state(value);
     }
 
-    fn lanes_equal(&self, a: usize, b: usize) -> bool {
+    fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
         // Same criterion as the scalar seal comparison
         // (`Simulator::lockstep_state_eq`): `Debug`-rendered state equality.
-        format!("{:?}", self.lanes[a]) == format!("{:?}", self.lanes[b])
+        // The reference lane is rendered once; each candidate is compared
+        // against that text as it renders.
+        self.rendered.clear();
+        let _ = write!(self.rendered, "{:?}", self.lanes[reference]);
+        let mut equal = 0u64;
+        let mut m = candidates;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if debug_renders_as(&self.lanes[lane], &self.rendered) {
+                equal |= 1 << lane;
+            }
+        }
+        equal
     }
 
     fn lane_component_mut(&mut self, lane: usize) -> Option<&mut dyn Component> {
@@ -419,14 +461,63 @@ impl WordComponent for LaneFarm {
     }
 }
 
-/// Per-lane inertial generations attached to a pending drive event.
+/// Inertial-cancellation bookkeeping of one output port, per lane.
+///
+/// A pending drive is identified by its event sequence number. An inertial
+/// drive cancels, on its lanes, every transaction scheduled before it, so a
+/// pending drive with sequence `s` is still valid on a lane exactly when no
+/// inertial drive with a larger sequence has covered that lane since — the
+/// scalar kernel's generation match, without a generation stored per event.
 #[derive(Debug)]
-enum GenSet {
-    /// All participating lanes were scheduled at the same generation (the
-    /// lock-step common case).
-    Uniform(u64),
-    /// Per-lane generations, indexed by lane.
-    PerLane(Box<[u64; LANES]>),
+struct LaneGens {
+    /// Sequence of the newest inertial drive per lane, except on the lanes
+    /// of `recent_mask`, whose entry is `recent_seq`.
+    latest: [u64; LANES],
+    /// The newest inertial drive on any lane, held back from `latest`:
+    /// lanes in lock step re-drive with the same mask every time, and then
+    /// a drive costs one store instead of one per lane.
+    recent_seq: u64,
+    recent_mask: u64,
+}
+
+impl LaneGens {
+    fn new() -> Self {
+        LaneGens {
+            latest: [0; LANES],
+            recent_seq: 0,
+            recent_mask: 0,
+        }
+    }
+
+    /// Notes an inertial drive with sequence `seq` on the lanes of `mask`.
+    fn bump(&mut self, seq: u64, mask: u64) {
+        let mut spill = self.recent_mask & !mask;
+        while spill != 0 {
+            let lane = spill.trailing_zeros() as usize;
+            spill &= spill - 1;
+            self.latest[lane] = self.recent_seq;
+        }
+        self.recent_seq = seq;
+        self.recent_mask = mask;
+    }
+
+    /// The lanes of `mask` on which a drive with sequence `seq` is still
+    /// valid.
+    fn valid(&self, seq: u64, mask: u64) -> u64 {
+        if self.recent_seq <= seq {
+            return mask; // nothing newer on any lane
+        }
+        let mut ok = mask & !self.recent_mask;
+        let mut m = ok;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.latest[lane] > seq {
+                ok &= !(1 << lane);
+            }
+        }
+        ok
+    }
 }
 
 #[derive(Debug)]
@@ -436,7 +527,6 @@ enum WordEventKind {
         output: usize,
         value: Vec<LogicPlanes>,
         mask: u64,
-        gens: GenSet,
     },
     Wake {
         component: usize,
@@ -472,12 +562,15 @@ impl Ord for WordEvent {
     }
 }
 
+#[derive(Debug)]
 struct WordSignal {
     name: String,
     width: usize,
     planes: Vec<LogicPlanes>,
     readers: Vec<usize>,
-    monitored: bool,
+    /// Trace slot of each bit (valid in every lane's trace, all clones of
+    /// the golden one); empty when the signal is not monitored.
+    slots: Vec<DigitalSlot>,
 }
 
 struct WordSlot {
@@ -485,8 +578,8 @@ struct WordSlot {
     comp: Box<dyn WordComponent>,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
-    /// Per-output, per-lane driver generation for inertial cancellation.
-    out_gens: Vec<Vec<u64>>,
+    /// Per-output inertial-cancellation bookkeeping.
+    out_gens: Vec<LaneGens>,
 }
 
 /// Reusable hot-loop buffers of the word kernel, mirroring the scalar
@@ -499,10 +592,12 @@ struct WordScratch {
     /// Per-component eval-lane mask for the current delta cycle.
     eval: Vec<u64>,
     eval_list: Vec<usize>,
-    /// Input planes staged for the component being evaluated.
-    inputs: Vec<Vec<LogicPlanes>>,
     /// Recycled action list handed to each [`WordEvalContext`].
     actions: Vec<WordAction>,
+    /// Drive-value vectors between uses: an applied event returns its
+    /// vector here and the next drive takes it, so the steady state
+    /// allocates nothing per event.
+    pool: Vec<Vec<LogicPlanes>>,
 }
 
 /// The 64-lane word machine: plane-valued signals, one event wheel, one
@@ -555,7 +650,7 @@ impl WordSimulator {
                 name: s.name,
                 width: s.width,
                 readers: s.readers,
-                monitored: s.monitored,
+                slots: s.slots,
             })
             .collect();
         let components: Vec<WordSlot> = seed
@@ -569,12 +664,17 @@ impl WordSimulator {
                 WordSlot {
                     name: c.name,
                     comp,
-                    out_gens: c.outputs.iter().map(|_| vec![0u64; LANES]).collect(),
+                    out_gens: c.outputs.iter().map(|_| LaneGens::new()).collect(),
                     inputs: c.inputs,
                     outputs: c.outputs,
                 }
             })
             .collect();
+        // The golden lane records into the scalar simulator's trace and a
+        // mutant lane's trace is cloned from it at activation, so the
+        // signals' slots index into every trace that is ever recorded to.
+        let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new()).collect();
+        traces[GOLDEN_LANE] = seed.trace;
         let mut sim = WordSimulator {
             signals,
             components,
@@ -586,7 +686,7 @@ impl WordSimulator {
             live: u64::MAX,
             recording: 1 << GOLDEN_LANE,
             injected: 0,
-            traces: (0..LANES).map(|_| Trace::new()).collect(),
+            traces,
             budget: seed.budget,
             golden_observer: seed.observer,
             lane_budgets: (0..LANES).map(|_| None).collect(),
@@ -708,35 +808,6 @@ impl WordSimulator {
         self.scratch.eval[comp] |= lanes;
     }
 
-    /// The lanes of a pending drive whose generation still matches the
-    /// driver's current per-lane counter.
-    fn gen_match_mask(&self, component: usize, output: usize, gens: &GenSet, mask: u64) -> u64 {
-        let current = &self.components[component].out_gens[output];
-        let mut ok = 0u64;
-        let mut m = mask;
-        match gens {
-            GenSet::Uniform(g) => {
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if current[lane] == *g {
-                        ok |= 1 << lane;
-                    }
-                }
-            }
-            GenSet::PerLane(v) => {
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if current[lane] == v[lane] {
-                        ok |= 1 << lane;
-                    }
-                }
-            }
-        }
-        ok
-    }
-
     /// Processes every event and delta cycle at time `t` for all live
     /// lanes, then records per-lane transitions of monitored signals.
     fn advance_time_point(&mut self, t: Time) -> Result<(), SimError> {
@@ -756,10 +827,12 @@ impl WordSimulator {
                         output,
                         value,
                         mask,
-                        gens,
                     } => {
-                        let valid = self.gen_match_mask(component, output, &gens, mask) & self.live;
+                        let valid = self.components[component].out_gens[output]
+                            .valid(event.seq, mask)
+                            & self.live;
                         if valid == 0 {
+                            recycle(&mut self.scratch.pool, value);
                             continue;
                         }
                         let sig = self.components[component].outputs[output].0;
@@ -782,6 +855,7 @@ impl WordSimulator {
                                 state.planes[bit] = new;
                             }
                         }
+                        recycle(&mut self.scratch.pool, value);
                         if changed_lanes != 0 {
                             self.mark_changed(sig, changed_lanes);
                             for i in 0..self.signals[sig].readers.len() {
@@ -832,24 +906,18 @@ impl WordSimulator {
             let lanes = std::mem::replace(&mut self.scratch.changed[sig], 0);
             let rec = lanes & self.recording & self.live;
             let state = &self.signals[sig];
-            if rec == 0 || !state.monitored {
+            if state.slots.is_empty() {
                 continue;
             }
             let mut m = rec;
             while m != 0 {
                 let lane = m.trailing_zeros() as usize;
                 m &= m - 1;
-                if state.width == 1 {
-                    self.traces[lane]
-                        .record_digital(&state.name, t, state.planes[0].lane(lane))
+                let trace = &mut self.traces[lane];
+                for (&slot, planes) in state.slots.iter().zip(&state.planes) {
+                    trace
+                        .push_digital(slot, t, planes.lane(lane))
                         .expect("time is monotonic");
-                } else {
-                    for bit in 0..state.width {
-                        let bit_name = format!("{}[{bit}]", state.name);
-                        self.traces[lane]
-                            .record_digital(&bit_name, t, state.planes[bit].lane(lane))
-                            .expect("time is monotonic");
-                    }
                 }
             }
         }
@@ -859,27 +927,19 @@ impl WordSimulator {
     }
 
     /// Evaluates component `c` for the lanes in `mask` and schedules its
-    /// masked actions with per-lane generation bookkeeping.
+    /// masked actions with per-lane inertial bookkeeping.
     fn eval_component(&mut self, c: usize, t: Time, mask: u64) {
         let mut actions = {
-            let slot = &self.components[c];
-            let ports = slot.inputs.len();
-            let inputs = &mut self.scratch.inputs;
-            if inputs.len() < ports {
-                inputs.resize_with(ports, Vec::new);
-            }
-            for (port, &sig) in slot.inputs.iter().enumerate() {
-                inputs[port].clear();
-                inputs[port].extend_from_slice(&self.signals[sig.0].planes);
-            }
-            let recycled = std::mem::take(&mut self.scratch.actions);
+            let slot = &mut self.components[c];
             let mut ctx = WordEvalContext {
                 now: t,
                 eval_mask: mask,
-                inputs: &inputs[..ports],
-                actions: recycled,
+                signals: &self.signals,
+                ports: &slot.inputs,
+                actions: std::mem::take(&mut self.scratch.actions),
+                pool: &mut self.scratch.pool,
             };
-            self.components[c].comp.eval(&mut ctx);
+            slot.comp.eval(&mut ctx);
             ctx.actions
         };
         for action in actions.drain(..) {
@@ -891,18 +951,9 @@ impl WordSimulator {
                     delay,
                     mask: lanes,
                 } => {
-                    let gens = {
-                        let current = &mut self.components[c].out_gens[output];
-                        if !transport {
-                            let mut m = lanes;
-                            while m != 0 {
-                                let lane = m.trailing_zeros() as usize;
-                                m &= m - 1;
-                                current[lane] += 1;
-                            }
-                        }
-                        snapshot_gens(current, lanes)
-                    };
+                    if !transport {
+                        self.components[c].out_gens[output].bump(self.seq, lanes);
+                    }
                     self.push_event(
                         t + delay,
                         WordEventKind::Drive {
@@ -910,7 +961,6 @@ impl WordSimulator {
                             output,
                             value,
                             mask: lanes,
-                            gens,
                         },
                     );
                 }
@@ -928,62 +978,53 @@ impl WordSimulator {
         self.scratch.actions = actions;
     }
 
-    /// True when lane `lane`'s complete future-relevant machine state equals
-    /// the golden lane's: every component's per-lane state matches and every
-    /// pending event shows equal (valid) participation with equal values.
-    /// Signal equality is checked by the caller's plane probe. Conservative:
-    /// equivalent-but-differently-scheduled futures are not recognised,
-    /// which can only delay a seal, never corrupt one.
-    fn lane_state_eq_golden(&self, lane: usize) -> bool {
-        for slot in &self.components {
-            if !slot.comp.lanes_equal(lane, GOLDEN_LANE) {
-                return false;
+    /// The lanes of `candidates` whose complete future-relevant machine
+    /// state equals the golden lane's: every component's per-lane state
+    /// matches and every pending event shows equal (valid) participation
+    /// with equal values. Signal equality is checked by the caller's plane
+    /// probe. Conservative: equivalent-but-differently-scheduled futures
+    /// are not recognised, which can only delay a seal, never corrupt one.
+    fn lanes_eq_golden(&mut self, candidates: u64) -> u64 {
+        let mut equal = candidates;
+        for slot in &mut self.components {
+            if equal == 0 {
+                return 0;
             }
+            equal &= slot.comp.lanes_equal_to(GOLDEN_LANE, equal);
         }
         for event in &self.queue {
-            match &event.kind {
-                WordEventKind::Wake { mask, .. } => {
-                    if (mask >> lane) & 1 != (mask >> GOLDEN_LANE) & 1 {
-                        return false;
-                    }
-                }
+            if equal == 0 {
+                return 0;
+            }
+            // A lane matches when it takes part exactly if the golden lane
+            // does, and then with the golden lane's values.
+            let (taking_part, golden_does) = match &event.kind {
+                WordEventKind::Wake { mask, .. } => (*mask, (mask >> GOLDEN_LANE) & 1 != 0),
                 WordEventKind::Drive {
                     component,
                     output,
                     value,
                     mask,
-                    gens,
                 } => {
-                    let valid = self.gen_match_mask(*component, *output, gens, *mask);
-                    let in_lane = (valid >> lane) & 1 != 0;
-                    if in_lane != ((valid >> GOLDEN_LANE) & 1 != 0) {
-                        return false;
+                    let valid =
+                        self.components[*component].out_gens[*output].valid(event.seq, *mask);
+                    let golden_does = (valid >> GOLDEN_LANE) & 1 != 0;
+                    if golden_does {
+                        for planes in value {
+                            equal &= !planes.diverged_mask(planes.broadcast_lane(GOLDEN_LANE));
+                        }
                     }
-                    if in_lane && value.iter().any(|p| p.lane(lane) != p.lane(GOLDEN_LANE)) {
-                        return false;
-                    }
+                    (valid, golden_does)
                 }
-            }
+            };
+            equal &= if golden_does {
+                taking_part
+            } else {
+                !taking_part
+            };
         }
-        true
+        equal
     }
-}
-
-/// Snapshots the per-lane generations of `lanes`, collapsing to
-/// [`GenSet::Uniform`] when they agree (the lock-step common case).
-fn snapshot_gens(current: &[u64], lanes: u64) -> GenSet {
-    let mut m = lanes;
-    let first = current[m.trailing_zeros() as usize];
-    while m != 0 {
-        let lane = m.trailing_zeros() as usize;
-        m &= m - 1;
-        if current[lane] != first {
-            let mut all = [0u64; LANES];
-            all.copy_from_slice(current);
-            return GenSet::PerLane(Box::new(all));
-        }
-    }
-    GenSet::Uniform(first)
 }
 
 /// A mid-run fault-injection surface shared by the scalar [`Simulator`]
@@ -1433,13 +1474,10 @@ impl WordBatchSimulator {
                 diverged |= plane.diverged_mask(plane.broadcast_lane(GOLDEN_LANE));
             }
         }
-        let mut m = candidates & !diverged;
+        let mut m = self.sim.lanes_eq_golden(candidates & !diverged);
         while m != 0 {
             let lane_id = m.trailing_zeros() as usize;
             m &= m - 1;
-            if !self.sim.lane_state_eq_golden(lane_id) {
-                continue;
-            }
             let trace = std::mem::take(&mut self.sim.traces[lane_id]);
             self.lanes[lane_id].state = WordLaneState::Sealed { trace, at: t };
             self.sim.live &= !(1 << lane_id);

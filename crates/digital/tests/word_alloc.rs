@@ -1,0 +1,202 @@
+//! Allocation regression test for the simulation kernels' steady state.
+//!
+//! A simulated time point must not touch the allocator: drive values come
+//! from a pool, inertial bookkeeping is in place, and trace recording is an
+//! index into a vector of waves. The only heap traffic left is a wave
+//! growing (`realloc`), which is bounded by doubling.
+
+use amsfi_circuits::cpu::{checksum_program, TinyCpu};
+use amsfi_digital::{cells, ComponentId, LaneOutcome, Netlist, Simulator, WordBatchSimulator};
+use amsfi_waves::{Logic, Time, LANES};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts this thread's fresh allocations and its reallocations, so that
+/// tests running side by side do not see each other.
+struct Counting;
+
+thread_local! {
+    static FRESH: Cell<u64> = const { Cell::new(0) };
+    static GROWN: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // Not available while the thread is being torn down: nothing to count.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// cells with constant initialisers, so touching them never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&FRESH);
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(&FRESH);
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(&GROWN);
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(fresh allocations, reallocations)` of this thread so far.
+fn counts() -> (u64, u64) {
+    (FRESH.with(Cell::get), GROWN.with(Cell::get))
+}
+
+const CLOCK: Time = Time::from_ns(10);
+/// 1000 clock edges (the processor evaluates on both).
+const PHASE: Time = Time::from_ns(5_000);
+
+/// The TinyCpu checksum bench: clock, idle reset, processor.
+fn cpu_bench(monitor: bool) -> (Simulator, ComponentId) {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let out = net.signal("out", 8);
+    let pc = net.signal("pc", 6);
+    net.add("ck", cells::ClockGen::new(CLOCK), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    let cpu = net.add(
+        "cpu",
+        TinyCpu::new(checksum_program(), Time::ZERO),
+        &[clk, rst],
+        &[out, pc],
+    );
+    let mut sim = Simulator::new(net);
+    if monitor {
+        sim.monitor_name("out");
+        sim.monitor_name("pc");
+    }
+    (sim, cpu)
+}
+
+#[test]
+fn word_machine_steady_state_does_not_allocate() {
+    // The word machine only hands control back inside a lane's setup and
+    // inject closures, so phases are bracketed by *probe* lanes whose
+    // injection fails (a failed lane is retired on the spot and perturbs
+    // nothing). Between the setups of two probes lie: the first probe's
+    // failure handling, the simulation, and the second probe's trace clone.
+    // Two probes at one instant have no simulation between them, so the
+    // difference of the two intervals is the simulation alone.
+    let warm_up = Time::from_us(2);
+    let lock_step_end = warm_up + PHASE;
+    let diverged_start = lock_step_end + Time::from_us(1);
+    let diverged_end = diverged_start + PHASE;
+    let t_end = diverged_end + Time::from_us(1);
+
+    let (golden, cpu) = cpu_bench(true);
+    let first_ram_bit = golden
+        .mutant_targets()
+        .iter()
+        .position(|t| t.label == "ram[0][0]")
+        .expect("the RAM is part of the mutant surface");
+    let mut word = WordBatchSimulator::new(golden, t_end);
+    let mut probes = Vec::new();
+    let mut mutants = Vec::new();
+    for at in [warm_up, lock_step_end, lock_step_end] {
+        probes.push(word.add_lane(at));
+    }
+    // RAM words 0..=7, every bit: table, loop counter and dead words. None
+    // is ever rewritten, so none of these lanes reconverges and seals.
+    for _ in 0..WordBatchSimulator::MAX_LANES - 6 {
+        mutants.push(word.add_lane(lock_step_end));
+    }
+    for at in [diverged_start, diverged_end, diverged_end] {
+        probes.push(word.add_lane(at));
+    }
+    assert_eq!(probes.len() + mutants.len(), LANES - 1, "a full word");
+
+    let mut at_setup = vec![(0, 0); probes.len()];
+    let report = word
+        .run(
+            |lane, target| match mutants.iter().position(|&m| m == lane) {
+                Some(nth) => {
+                    target.flip_state(cpu, first_ram_bit + nth);
+                    Ok(())
+                }
+                None => Err("probe".to_owned()),
+            },
+            |lane, _| {
+                if let Some(nth) = probes.iter().position(|&p| p == lane) {
+                    at_setup[nth] = counts();
+                }
+            },
+        )
+        .expect("the golden lane runs to the horizon");
+
+    for &lane in &mutants {
+        assert!(
+            matches!(
+                report.outcomes[lane],
+                LaneOutcome::Completed {
+                    sealed_at: None,
+                    ..
+                }
+            ),
+            "lane {lane} must stay diverged to the horizon"
+        );
+    }
+    let simulation = |start: usize| {
+        let between =
+            |a: usize, b: usize| (at_setup[b].0 - at_setup[a].0, at_setup[b].1 - at_setup[a].1);
+        let (with_sim, bare) = (between(start, start + 1), between(start + 1, start + 2));
+        (with_sim.0 - bare.0, with_sim.1 - bare.1)
+    };
+    // Lock step: every lane still is the golden machine; only the golden
+    // trace grows.
+    let (fresh, grown) = simulation(0);
+    assert_eq!(fresh, 0, "lock-step phase allocated");
+    assert!(grown <= 14 * 2, "lock-step phase: {grown} reallocations");
+    // Diverged: every mutant lane records its own `out` and `pc`.
+    let (fresh, grown) = simulation(3);
+    assert_eq!(fresh, 0, "diverged phase allocated");
+    let waves = (mutants.len() as u64 + 1) * 14;
+    assert!(
+        grown <= waves * 2,
+        "diverged phase: {grown} reallocations for {waves} waves"
+    );
+}
+
+#[test]
+fn scalar_recording_does_not_allocate() {
+    // The scalar kernel's drive values are heap vectors, so a run as a
+    // whole allocates; what must cost nothing is *recording*. The same run
+    // with and without monitors therefore makes the same fresh
+    // allocations, and differs only by the monitored waves growing.
+    let run = |monitor: bool| {
+        let (mut sim, _) = cpu_bench(monitor);
+        sim.run_until(Time::from_us(2)).expect("warm-up");
+        let before = counts();
+        sim.run_until(Time::from_us(2) + PHASE).expect("phase");
+        let after = counts();
+        assert_eq!(sim.trace().len(), if monitor { 14 } else { 0 });
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let (plain_fresh, plain_grown) = run(false);
+    let (fresh, grown) = run(true);
+    assert!(plain_fresh > 0, "the run itself is expected to allocate");
+    assert_eq!(fresh, plain_fresh, "recording allocated");
+    assert!(
+        grown <= plain_grown + 14 * 2,
+        "recording: {grown} reallocations against {plain_grown} without monitors"
+    );
+}

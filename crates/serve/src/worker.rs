@@ -47,6 +47,7 @@ use std::fmt;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -560,11 +561,12 @@ fn run_lease(
 
     // Keep the lease alive through cases that simulate longer than the
     // coordinator's lease timeout. Each beat carries a fresh cumulative
-    // metrics snapshot, so the fleet view tracks a long shard live.
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // metrics snapshot, so the fleet view tracks a long shard live. The
+    // thread waits on a channel, not a sleep: dropping `hb_stop` ends it at
+    // once, so joining it does not round the lease up to a whole period.
+    let (hb_stop, stop) = mpsc::channel::<()>();
     let hb = {
         let writer = Arc::clone(writer);
-        let stop = Arc::clone(&hb_stop);
         let interval = cfg.heartbeat;
         let telemetry = cfg.telemetry.clone();
         let ship = cfg.ship_metrics;
@@ -574,11 +576,7 @@ fn run_lease(
         let shards_done = report.shards_completed as u64;
         let cases_base = report.cases_executed as u64;
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
                 let metrics = ship_snapshot(
                     ship,
                     &telemetry,
@@ -602,7 +600,7 @@ fn run_lease(
         .with_completed(completed);
     let outcome = Engine::new(engine_cfg).run(&campaign);
 
-    hb_stop.store(true, Ordering::Relaxed);
+    drop(hb_stop);
     hb.join().ok();
     report.records_streamed += streamed.load(Ordering::Relaxed);
 

@@ -977,3 +977,91 @@ fn drain_frame_stops_leasing_and_shuts_down_cleanly() {
     drop(zombie);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The heartbeat thread must not hold a finished lease open: with the
+/// CLI-default 1 s period, eight short shards used to take eight seconds
+/// (each `join` waited out the thread's sleep). Now the distributed run
+/// costs about what the same cases cost in one process.
+#[test]
+fn heartbeat_period_does_not_round_up_shard_time() {
+    const CASES: usize = 64;
+    let started = Instant::now();
+    let (_, reference_csv) = single_process_reference(CASES);
+    let in_process = started.elapsed();
+
+    let dir = unique_dir("hb-latency");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(CASES));
+    cfg.until_drained = true;
+    cfg.lease_timeout = Duration::from_secs(5);
+    cfg.reap_interval = Duration::from_millis(10);
+    let cluster = start_cluster(cfg);
+    let info = cluster
+        .coordinator
+        .submit("toy", 8, None, false, false)
+        .expect("submit toy campaign");
+
+    let started = Instant::now();
+    let mut cfg = worker_config(&cluster.addr, "w0", CASES);
+    cfg.heartbeat = Duration::from_secs(1);
+    let report = amsfi_serve::worker::run(cfg).expect("worker runs cleanly");
+    let distributed = started.elapsed();
+    assert_eq!(report.shards_completed, 8);
+    cluster.run.join().unwrap().expect("coordinator drains");
+
+    assert_eq!(merged_csv(&info.journal, CASES), reference_csv);
+    assert!(
+        distributed < in_process + Duration::from_millis(300),
+        "8 shards took {distributed:?} against {in_process:?} in one process"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The other half of the heartbeat contract survives the fix: a shard
+/// that simulates for longer than the lease timeout is kept alive by its
+/// beats (every record-free period sends one), so it is never resharded.
+#[test]
+fn long_shard_keeps_its_lease_alive_with_heartbeats() {
+    const CASES: usize = 4;
+    let (_, reference_csv) = single_process_reference(CASES);
+    let (source, simulated, gate) = gated_counting_source(CASES);
+
+    let dir = unique_dir("hb-alive");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(CASES));
+    cfg.until_drained = true;
+    cfg.lease_timeout = Duration::from_millis(600);
+    cfg.reap_interval = Duration::from_millis(25);
+    let cluster = start_cluster(cfg);
+    let info = cluster
+        .coordinator
+        .submit("toy", 1, None, false, false)
+        .expect("submit toy campaign");
+
+    // Freeze the shard inside its first faulty case for well over the
+    // lease timeout; only heartbeats reach the coordinator meanwhile.
+    gate.store(true, Ordering::SeqCst);
+    let worker = {
+        let mut cfg = WorkerConfig::new(&cluster.addr, source);
+        cfg.name = "slow".to_owned();
+        cfg.threads = 1;
+        cfg.poll = Duration::from_millis(20);
+        cfg.heartbeat = Duration::from_millis(200);
+        cfg.exit_when_done = true;
+        std::thread::spawn(move || amsfi_serve::worker::run(cfg))
+    };
+    wait_until("the shard to start", Duration::from_secs(10), || {
+        simulated.load(Ordering::SeqCst) >= 1
+    });
+    std::thread::sleep(Duration::from_millis(1500));
+    gate.store(false, Ordering::SeqCst);
+
+    let report = worker.join().unwrap().expect("worker runs cleanly");
+    assert_eq!(report.shards_completed, 1);
+    cluster.run.join().unwrap().expect("coordinator drains");
+
+    let metrics = cluster.coordinator.metrics();
+    assert_eq!(metrics.lease_timeouts.get(), 0, "beats kept the lease");
+    assert_eq!(metrics.shards_resharded.get(), 0);
+    assert_eq!(simulated.load(Ordering::SeqCst), CASES, "no case re-run");
+    assert_eq!(merged_csv(&info.journal, CASES), reference_csv);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,7 +8,10 @@
 //! * [`Logic`] and [`LogicVector`] — IEEE 1164-style nine-valued logic with
 //!   driver resolution, the value system of the digital simulator;
 //! * [`DigitalWave`], [`AnalogWave`] and [`Trace`] — recorded waveforms, the
-//!   raw material of fault classification;
+//!   raw material of fault classification. Readers look signals up by
+//!   name; kernels resolve each monitored name to a [`DigitalSlot`] /
+//!   [`AnalogSlot`] once and record through it, so a simulated time point
+//!   builds no name and touches no allocator (see [`Trace`]);
 //! * [`measure`] — periods, frequencies, threshold crossings, deviation and
 //!   perturbation-duration metrics (the quantities read off the paper's
 //!   figures);
@@ -68,6 +71,6 @@ pub use guard::{CancelToken, GuardViolation, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
 pub use stream::{AnalogStream, DigitalStream, SimObserver, TraceView, OBSERVER_STRIDE};
 pub use time::Time;
-pub use trace::Trace;
+pub use trace::{AnalogSlot, DigitalSlot, Trace};
 pub use vector::{LogicVector, ParseLogicVectorError};
 pub use wave::{AnalogWave, DigitalWave, PushOutOfOrderError};

@@ -1,9 +1,156 @@
 //! A named collection of monitored waveforms — the output of one simulation
 //! run, digital and analog signals together.
+//!
+//! Readers address signals by name; simulation kernels record through
+//! *slots*. A slot is the index a name resolves to, once, when the signal
+//! is monitored ([`Trace::digital_slot`] / [`Trace::analog_slot`]); every
+//! recorded transition after that is [`Trace::push_digital`] /
+//! [`Trace::push_analog`] — an index into a vector of waves, with no
+//! string built, compared or hashed per time point.
 
 use crate::{AnalogWave, DigitalWave, Logic, PushOutOfOrderError, Time};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Handle to one digital signal of a [`Trace`], from
+/// [`Trace::digital_slot`]. Valid for that trace and every clone of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DigitalSlot(u32);
+
+/// Handle to one analog signal of a [`Trace`], from
+/// [`Trace::analog_slot`]. Valid for that trace and every clone of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AnalogSlot(u32);
+
+/// What the slot table needs of a waveform, digital or analog alike.
+trait Wave: Default {
+    type Value: Copy;
+
+    /// The `(time, value)` records, sorted by time.
+    fn records(&self) -> &[(Time, Self::Value)];
+
+    fn append(&mut self, time: Time, value: Self::Value) -> Result<(), PushOutOfOrderError>;
+
+    /// A slot whose wave never recorded is invisible to every reader.
+    fn is_silent(&self) -> bool {
+        self.records().is_empty()
+    }
+}
+
+impl Wave for DigitalWave {
+    type Value = Logic;
+
+    fn records(&self) -> &[(Time, Logic)] {
+        self.transitions()
+    }
+
+    fn append(&mut self, time: Time, value: Logic) -> Result<(), PushOutOfOrderError> {
+        self.push(time, value)
+    }
+}
+
+impl Wave for AnalogWave {
+    type Value = f64;
+
+    fn records(&self) -> &[(Time, f64)] {
+        self.samples()
+    }
+
+    fn append(&mut self, time: Time, value: f64) -> Result<(), PushOutOfOrderError> {
+        self.push(time, value)
+    }
+}
+
+/// Waves of one kind: slot-indexed for recording, name-sorted for reading.
+#[derive(Debug, Clone, Default)]
+struct Table<W> {
+    /// `(name, wave)` in registration order; a slot is an index here.
+    slots: Vec<(String, W)>,
+    /// Slot indices sorted by name.
+    by_name: Vec<u32>,
+}
+
+impl<W: Wave> Table<W> {
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|&slot| self.slots[slot as usize].0.as_str().cmp(name))
+    }
+
+    /// The slot of `name`, registering it (silent) if new.
+    fn slot(&mut self, name: &str) -> u32 {
+        match self.position(name) {
+            Ok(at) => self.by_name[at],
+            Err(at) => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 signals");
+                self.slots.push((name.to_owned(), W::default()));
+                self.by_name.insert(at, slot);
+                slot
+            }
+        }
+    }
+
+    fn wave_mut(&mut self, slot: u32) -> &mut W {
+        &mut self.slots[slot as usize].1
+    }
+
+    fn get(&self, name: &str) -> Option<&W> {
+        let at = self.position(name).ok()?;
+        let wave = &self.slots[self.by_name[at] as usize].1;
+        (!wave.is_silent()).then_some(wave)
+    }
+
+    /// `(name, wave)` of every signal that recorded, sorted by name.
+    fn recorded(&self) -> impl Iterator<Item = (&str, &W)> {
+        self.by_name.iter().filter_map(|&slot| {
+            let (name, wave) = &self.slots[slot as usize];
+            (!wave.is_silent()).then_some((name.as_str(), wave))
+        })
+    }
+
+    /// Appends `golden`'s records strictly after `at` to the same-named
+    /// waves. A lane's table is a clone of the golden one, so the golden
+    /// slot index is tried before the name.
+    fn splice_suffix(&mut self, golden: &Table<W>, at: Time) {
+        for (hint, (name, wave)) in golden.slots.iter().enumerate() {
+            let all = wave.records();
+            let suffix = &all[all.partition_point(|&(t, _)| t <= at)..];
+            if suffix.is_empty() {
+                continue;
+            }
+            let slot = match self.slots.get(hint) {
+                Some((known, _)) if known == name => hint as u32,
+                _ => self.slot(name),
+            };
+            let lane = self.wave_mut(slot);
+            for &(t, v) in suffix {
+                lane.append(t, v)
+                    .expect("golden suffix record precedes lane prefix end");
+            }
+        }
+    }
+
+    /// Payload vectors plus names of the signals that recorded.
+    fn approx_bytes(&self) -> usize {
+        self.recorded()
+            .map(|(name, w)| name.len() + std::mem::size_of_val(w.records()))
+            .sum()
+    }
+
+    /// Replaces same-named waves by `other`'s and adopts the rest.
+    fn absorb(&mut self, other: Table<W>) {
+        for (name, wave) in other.slots {
+            if !wave.is_silent() {
+                let slot = self.slot(&name);
+                *self.wave_mut(slot) = wave;
+            }
+        }
+    }
+}
+
+impl<W: Wave + PartialEq> PartialEq for Table<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.recorded().eq(other.recorded())
+    }
+}
 
 /// The waveforms recorded by one simulation run.
 ///
@@ -12,6 +159,8 @@ use std::fmt::Write as _;
 /// injection run.
 ///
 /// # Examples
+///
+/// Cold callers record by name:
 ///
 /// ```
 /// use amsfi_waves::{Logic, Time, Trace};
@@ -22,16 +171,88 @@ use std::fmt::Write as _;
 /// assert_eq!(trace.digital("clk").unwrap().value_at(Time::ZERO), Logic::Zero);
 /// # Ok::<(), amsfi_waves::PushOutOfOrderError>(())
 /// ```
+///
+/// A simulation kernel resolves each monitored name to a slot once and
+/// records through it. Slots survive [`Clone`] (a mutant lane's trace is a
+/// clone of the golden one), and a slot that never recorded is invisible:
+/// it is not listed, not counted, not compared and not exported.
+///
+/// ```
+/// use amsfi_waves::{Logic, Time, Trace};
+///
+/// let mut trace = Trace::new();
+/// let clk = trace.digital_slot("clk");
+/// let idle = trace.digital_slot("idle");
+/// trace.push_digital(clk, Time::ZERO, Logic::Zero)?;
+///
+/// let mut lane = trace.clone();
+/// lane.push_digital(clk, Time::from_ns(5), Logic::One)?;
+/// assert_eq!(lane.digital("clk").unwrap().len(), 2);
+/// assert_eq!(trace.digital_names().collect::<Vec<_>>(), ["clk"]);
+/// assert!(trace.digital("idle").is_none());
+/// # let _ = idle;
+/// # Ok::<(), amsfi_waves::PushOutOfOrderError>(())
+/// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
-    digital: BTreeMap<String, DigitalWave>,
-    analog: BTreeMap<String, AnalogWave>,
+    digital: Table<DigitalWave>,
+    analog: Table<AnalogWave>,
 }
 
 impl Trace {
     /// An empty trace.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Resolves a digital signal name to its slot, registering the name if
+    /// it is new. Registration alone records nothing.
+    pub fn digital_slot(&mut self, name: &str) -> DigitalSlot {
+        DigitalSlot(self.digital.slot(name))
+    }
+
+    /// Resolves an analog signal name to its slot, registering the name if
+    /// it is new. Registration alone records nothing.
+    pub fn analog_slot(&mut self, name: &str) -> AnalogSlot {
+        AnalogSlot(self.analog.slot(name))
+    }
+
+    /// Appends a transition to the digital signal behind `slot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PushOutOfOrderError`] if `time` precedes the signal's last
+    /// recorded transition.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `slot` comes from an unrelated trace.
+    pub fn push_digital(
+        &mut self,
+        slot: DigitalSlot,
+        time: Time,
+        value: Logic,
+    ) -> Result<(), PushOutOfOrderError> {
+        self.digital.wave_mut(slot.0).push(time, value)
+    }
+
+    /// Appends a sample to the analog signal behind `slot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PushOutOfOrderError`] if `time` precedes the signal's last
+    /// recorded sample.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `slot` comes from an unrelated trace.
+    pub fn push_analog(
+        &mut self,
+        slot: AnalogSlot,
+        time: Time,
+        value: f64,
+    ) -> Result<(), PushOutOfOrderError> {
+        self.analog.wave_mut(slot.0).push(time, value)
     }
 
     /// Appends a transition to the named digital signal, creating it if
@@ -47,14 +268,8 @@ impl Trace {
         time: Time,
         value: Logic,
     ) -> Result<(), PushOutOfOrderError> {
-        if let Some(wave) = self.digital.get_mut(name) {
-            wave.push(time, value)
-        } else {
-            let mut wave = DigitalWave::new();
-            wave.push(time, value)?;
-            self.digital.insert(name.to_owned(), wave);
-            Ok(())
-        }
+        let slot = self.digital_slot(name);
+        self.push_digital(slot, time, value)
     }
 
     /// Appends a sample to the named analog signal, creating it if needed.
@@ -69,14 +284,8 @@ impl Trace {
         time: Time,
         value: f64,
     ) -> Result<(), PushOutOfOrderError> {
-        if let Some(wave) = self.analog.get_mut(name) {
-            wave.push(time, value)
-        } else {
-            let mut wave = AnalogWave::new();
-            wave.push(time, value)?;
-            self.analog.insert(name.to_owned(), wave);
-            Ok(())
-        }
+        let slot = self.analog_slot(name);
+        self.push_analog(slot, time, value)
     }
 
     /// The named digital waveform, if recorded.
@@ -91,38 +300,39 @@ impl Trace {
 
     /// Names of all recorded digital signals, sorted.
     pub fn digital_names(&self) -> impl Iterator<Item = &str> {
-        self.digital.keys().map(String::as_str)
+        self.digital.recorded().map(|(name, _)| name)
     }
 
     /// Names of all recorded analog signals, sorted.
     pub fn analog_names(&self) -> impl Iterator<Item = &str> {
-        self.analog.keys().map(String::as_str)
+        self.analog.recorded().map(|(name, _)| name)
     }
 
     /// Number of recorded signals (digital + analog).
     pub fn len(&self) -> usize {
-        self.digital.len() + self.analog.len()
+        self.digital.recorded().count() + self.analog.recorded().count()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.digital.is_empty() && self.analog.is_empty()
+        self.len() == 0
     }
 
     /// The latest time appearing in any waveform.
     pub fn end_time(&self) -> Option<Time> {
         self.digital
-            .values()
-            .filter_map(DigitalWave::end_time)
-            .chain(self.analog.values().filter_map(AnalogWave::end_time))
+            .recorded()
+            .filter_map(|(_, w)| w.end_time())
+            .chain(self.analog.recorded().filter_map(|(_, w)| w.end_time()))
             .max()
     }
 
     /// Merges another trace into this one. Signals with the same name are
-    /// replaced by `other`'s waveform.
+    /// replaced by `other`'s waveform. Slots of `self` stay valid; slots of
+    /// `other` do not carry over.
     pub fn absorb(&mut self, other: Trace) {
-        self.digital.extend(other.digital);
-        self.analog.extend(other.analog);
+        self.digital.absorb(other.digital);
+        self.analog.absorb(other.analog);
     }
 
     /// Completes this trace (recorded up to time `at`) with `golden`'s
@@ -135,22 +345,8 @@ impl Trace {
     /// only value *changes* and the values at `at` agree, the spliced trace
     /// is identical to what simulating the lane to the end would record.
     pub fn splice_golden_suffix(&mut self, golden: &Trace, at: Time) {
-        for (name, wave) in &golden.digital {
-            for &(t, v) in wave.transitions() {
-                if t > at {
-                    self.record_digital(name, t, v)
-                        .expect("golden suffix transition precedes lane prefix end");
-                }
-            }
-        }
-        for (name, wave) in &golden.analog {
-            for &(t, v) in wave.samples() {
-                if t > at {
-                    self.record_analog(name, t, v)
-                        .expect("golden suffix sample precedes lane prefix end");
-                }
-            }
-        }
+        self.digital.splice_suffix(&golden.digital, at);
+        self.analog.splice_suffix(&golden.analog, at);
     }
 
     /// Approximate resident size of the recorded data in bytes: payload
@@ -158,17 +354,7 @@ impl Trace {
     /// for memory-telemetry counters such as the engine's shared
     /// golden-trace gauge.
     pub fn approx_bytes(&self) -> u64 {
-        let digital: usize = self
-            .digital
-            .iter()
-            .map(|(name, w)| name.len() + std::mem::size_of_val(w.transitions()))
-            .sum();
-        let analog: usize = self
-            .analog
-            .iter()
-            .map(|(name, w)| name.len() + std::mem::size_of_val(w.samples()))
-            .sum();
-        (digital + analog) as u64
+        (self.digital.approx_bytes() + self.analog.approx_bytes()) as u64
     }
 
     /// Renders the analog signals as CSV sampled every `step` over
@@ -181,14 +367,14 @@ impl Trace {
     pub fn analog_csv(&self, from: Time, to: Time, step: Time) -> String {
         assert!(step > Time::ZERO, "step must be positive");
         let mut out = String::from("time_s");
-        for name in self.analog.keys() {
+        for (name, _) in self.analog.recorded() {
             let _ = write!(out, ",{name}");
         }
         out.push('\n');
         let mut t = from;
         while t <= to {
             let _ = write!(out, "{}", t.as_secs_f64());
-            for wave in self.analog.values() {
+            for (_, wave) in self.analog.recorded() {
                 let _ = write!(out, ",{}", wave.value_at(t));
             }
             out.push('\n');

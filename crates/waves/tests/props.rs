@@ -1,10 +1,124 @@
 //! Property-based tests for the waveform and logic primitives.
 
 use amsfi_waves::{
-    baseline, compare_analog, compare_digital_with_skew, measure, AnalogStream, AnalogWave,
-    DigitalStream, DigitalWave, Logic, LogicVector, Time, Tolerance,
+    baseline, compare_analog, compare_digital_with_skew, measure, vcd, AnalogStream, AnalogWave,
+    DigitalStream, DigitalWave, Logic, LogicVector, Time, Tolerance, Trace,
 };
 use proptest::prelude::*;
+
+/// One step of a recording script: advance time by `dt_ns`, then record on
+/// signal `signal` — digital (a `Logic` by index) or analog.
+#[derive(Debug, Clone)]
+struct Record {
+    analog: bool,
+    signal: usize,
+    dt_ns: i64,
+    level: usize,
+}
+
+const SIGNALS: usize = 4;
+const DIGITAL_NAMES: [&str; SIGNALS] = ["clk", "out[0]", "out[1]", "a.b"];
+const ANALOG_NAMES: [&str; SIGNALS] = ["vctrl", "i(x)", "out[0]", "z"];
+
+fn arb_script() -> impl Strategy<Value = Vec<Record>> {
+    let record = (any::<bool>(), 0..SIGNALS, 0i64..4, 0usize..9).prop_map(
+        |(analog, signal, dt_ns, level)| Record {
+            analog,
+            signal,
+            dt_ns,
+            level,
+        },
+    );
+    prop::collection::vec(record, 0..40)
+}
+
+/// The script with absolute times.
+fn timed(script: &[Record]) -> Vec<(Time, &Record)> {
+    let mut now = Time::ZERO;
+    script
+        .iter()
+        .map(|r| {
+            now += Time::from_ns(r.dt_ns);
+            (now, r)
+        })
+        .collect()
+}
+
+/// A recorder over one trace: by name, or through slots resolved up front
+/// in the order `registration` gives (every name gets a slot, recorded to
+/// or not).
+struct Recorder {
+    trace: Trace,
+    slots: Option<(Vec<amsfi_waves::DigitalSlot>, Vec<amsfi_waves::AnalogSlot>)>,
+}
+
+impl Recorder {
+    fn by_name() -> Self {
+        Recorder {
+            trace: Trace::new(),
+            slots: None,
+        }
+    }
+
+    fn by_slot(registration: &[usize]) -> Self {
+        let mut trace = Trace::new();
+        let mut digital = vec![None; SIGNALS];
+        let mut analog = vec![None; SIGNALS];
+        for &i in registration {
+            analog[i] = Some(trace.analog_slot(ANALOG_NAMES[i]));
+            digital[i] = Some(trace.digital_slot(DIGITAL_NAMES[i]));
+        }
+        for i in 0..SIGNALS {
+            digital[i].get_or_insert_with(|| trace.digital_slot(DIGITAL_NAMES[i]));
+            analog[i].get_or_insert_with(|| trace.analog_slot(ANALOG_NAMES[i]));
+        }
+        Recorder {
+            trace,
+            slots: Some((
+                digital.into_iter().flatten().collect(),
+                analog.into_iter().flatten().collect(),
+            )),
+        }
+    }
+
+    fn record(&mut self, t: Time, r: &Record) {
+        let level = Logic::ALL[r.level];
+        let volts = r.level as f64 * 0.25 - 1.0;
+        match (&self.slots, r.analog) {
+            (None, false) => self.trace.record_digital(DIGITAL_NAMES[r.signal], t, level),
+            (None, true) => self.trace.record_analog(ANALOG_NAMES[r.signal], t, volts),
+            (Some((d, _)), false) => self.trace.push_digital(d[r.signal], t, level),
+            (Some((_, a)), true) => self.trace.push_analog(a[r.signal], t, volts),
+        }
+        .expect("script time is monotonic");
+    }
+}
+
+/// Everything a reader can see of a trace.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    digital_names: Vec<String>,
+    analog_names: Vec<String>,
+    len: usize,
+    is_empty: bool,
+    approx_bytes: u64,
+    end_time: Option<Time>,
+    vcd: String,
+    csv: String,
+}
+
+fn observe(trace: &Trace) -> Seen {
+    Seen {
+        digital_names: trace.digital_names().map(str::to_owned).collect(),
+        analog_names: trace.analog_names().map(str::to_owned).collect(),
+        len: trace.len(),
+        is_empty: trace.is_empty(),
+        approx_bytes: trace.approx_bytes(),
+        end_time: trace.end_time(),
+        vcd: vcd::to_vcd(trace, "props"),
+        csv: trace.analog_csv(Time::ZERO, Time::from_ns(20), Time::from_ns(5)),
+    }
+}
 
 fn arb_logic() -> impl Strategy<Value = Logic> {
     prop::sample::select(Logic::ALL.to_vec())
@@ -213,6 +327,97 @@ proptest! {
             s.advance(&g, &f, Time::from_ns(b));
         }
         prop_assert_eq!(&s.finish(&g, &f), &base);
+    }
+
+    #[test]
+    fn slot_recorded_trace_equals_name_recorded_trace(
+        script in arb_script(),
+        registration in prop::collection::vec(0..SIGNALS, 0..6),
+        cut in 0usize..40,
+    ) {
+        let steps = timed(&script);
+        let mut named = Recorder::by_name();
+        let mut slotted = Recorder::by_slot(&registration);
+        let cut = cut.min(steps.len());
+        for &(t, r) in &steps[..cut] {
+            named.record(t, r);
+            slotted.record(t, r);
+        }
+        // A clone keeps the slots valid: the original and the clone go on
+        // recording through the same handles.
+        let mut named_lane = Recorder { trace: named.trace.clone(), slots: None };
+        let mut slotted_lane = Recorder {
+            trace: slotted.trace.clone(),
+            slots: slotted.slots.clone(),
+        };
+        for &(t, r) in &steps[cut..] {
+            named.record(t, r);
+            slotted.record(t, r);
+        }
+        prop_assert_eq!(&slotted.trace, &named.trace);
+        prop_assert_eq!(&named.trace, &slotted.trace);
+        prop_assert_eq!(observe(&slotted.trace), observe(&named.trace));
+        // Registered but silent: not there for any reader.
+        for i in 0..SIGNALS {
+            let recorded = |analog: bool| steps.iter().any(|(_, r)| r.analog == analog && r.signal == i);
+            prop_assert_eq!(slotted.trace.digital(DIGITAL_NAMES[i]).is_some(), recorded(false));
+            prop_assert_eq!(slotted.trace.analog(ANALOG_NAMES[i]).is_some(), recorded(true));
+        }
+        prop_assert_eq!(slotted.trace.is_empty(), steps.is_empty());
+
+        // The lanes hold the prefix; splicing the full run's suffix in
+        // after the last prefix instant completes them to the full run.
+        prop_assert_eq!(&slotted_lane.trace, &named_lane.trace);
+        let at = steps[..cut].last().map_or(Time::from_ns(-1), |&(t, _)| t);
+        if steps[cut..].first().is_none_or(|&(t, _)| t > at) {
+            let mut spliced = slotted_lane.trace.clone();
+            spliced.splice_golden_suffix(&slotted.trace, at);
+            prop_assert_eq!(&spliced, &named.trace);
+            let mut spliced = named_lane.trace.clone();
+            spliced.splice_golden_suffix(&slotted.trace, at);
+            prop_assert_eq!(&spliced, &named.trace);
+        }
+        // ... and recording the suffix through the cloned slots does too.
+        for &(t, r) in &steps[cut..] {
+            named_lane.record(t, r);
+            slotted_lane.record(t, r);
+        }
+        prop_assert_eq!(&slotted_lane.trace, &named.trace);
+        prop_assert_eq!(&named_lane.trace, &named.trace);
+    }
+
+    #[test]
+    fn absorb_is_the_same_by_slot_and_by_name(
+        ours in arb_script(),
+        theirs in arb_script(),
+        registration in prop::collection::vec(0..SIGNALS, 0..6),
+        after in arb_script(),
+    ) {
+        let mut named = Recorder::by_name();
+        let mut slotted = Recorder::by_slot(&registration);
+        let mut last = Time::ZERO;
+        for (t, r) in timed(&ours) {
+            named.record(t, r);
+            slotted.record(t, r);
+            last = t;
+        }
+        let mut named_other = Recorder::by_name();
+        let mut slotted_other = Recorder::by_slot(&[3, 1]);
+        for (t, r) in timed(&theirs) {
+            named_other.record(t, r);
+            slotted_other.record(t, r);
+            last = last.max(t);
+        }
+        named.trace.absorb(named_other.trace);
+        slotted.trace.absorb(slotted_other.trace);
+        prop_assert_eq!(&slotted.trace, &named.trace);
+        prop_assert_eq!(observe(&slotted.trace), observe(&named.trace));
+        // The absorbing trace's slots still name the same signals.
+        for (t, r) in timed(&after) {
+            named.record(last + t, r);
+            slotted.record(last + t, r);
+        }
+        prop_assert_eq!(&slotted.trace, &named.trace);
     }
 
     #[test]
