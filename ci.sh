@@ -118,7 +118,10 @@ cargo build --release -p amsfi-bench --bin pr7_batch_bench
 # PR 7/PR 10 differential fuzzer, widened-window run: random netlists +
 # fault lists (clock-line saboteurs, edge-snapped SET pulses, stuck-ats,
 # mutant flips) run through the three-way oracle — scalar, lane-cloned
-# batch, and word-parallel at 1 and 3 workers; any byte difference fails.
+# batch, and word-parallel at 1 and 3 workers — and the kernel-level fourth
+# leg (the word machine handed a scalar cursor advanced to the first
+# injection instant and to a random instant before it); any byte
+# difference fails.
 AMSFI_FUZZ_SEEDS=300 cargo test -q -p amsfi-bench --release --test batch_diff
 
 # PR 7 CLI e2e: `amsfi run --batch` journal matches the scalar journal
@@ -271,10 +274,13 @@ rm -rf "$tmp"
 
 # PR 13 benchmark gate: the stand-alone benchmark crate's self-test
 # (workload names == BENCHMARK.json, exact counts repeat, a corrupted
-# verdict is caught), then a short cpu-seu-word run that must agree with
-# the committed reference digest — the oracle every word-kernel speedup
-# is measured under.
+# verdict is caught), then short cpu-seu-word and cpu-set-word runs that
+# must agree with the committed reference digests — the oracle every
+# word-kernel speedup is measured under. cpu-set-word is the late, dense
+# SET list whose groups fork from the worker's golden cursor (PR 14).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload cpu-seu-word --seed 1 --seconds 2 --trace 0 | tail -n 1 \
-    | grep -q '"correct": true'
+for workload in cpu-seu-word cpu-set-word; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1 \
+        | grep -q '"correct": true'
+done

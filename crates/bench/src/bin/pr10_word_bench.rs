@@ -22,9 +22,11 @@
 //! The `cpu-set` numbers are recorded but *not* gated at 3×: its lanes
 //! are mostly logically masked and seal within a stop or two of the
 //! pulse retiring, so both batch paths spend their time on the shared
-//! golden machine and the word win is structurally bounded — the honest
-//! ratio lands near 1×. (That campaign's gate is the lane-cloned ≥10×
-//! vs scalar in `pr7_batch_bench`, which this bench must not regress.)
+//! golden machine — the cloned path once per group, the word path once
+//! per worker since its groups fork from a rolling scalar cursor — and
+//! the ratio depends on how many groups a worker gets. (That campaign's
+//! gate is the lane-cloned ≥10× vs scalar in `pr7_batch_bench`, which
+//! this bench must not regress.)
 //!
 //! ```text
 //! cargo run --release -p amsfi-bench --bin pr10_word_bench
@@ -206,10 +208,11 @@ fn main() {
          \"note\": \"the >=3x gate holds on cpu, the SEU campaign: corrupted-register \
          lanes need the whole observation window, so the cloned path pays ~64 event \
          wheels and per-lane vector allocations per group while the word machine turns \
-         one wheel of masked plane operations. cpu-set lanes seal early on both paths \
-         (both mostly simulate the shared golden machine), so its honest ratio near 1x \
-         is recorded but not gated; its own gate is the cloned-vs-scalar >=10x in \
-         pr7_batch_bench\",\n  \
+         one wheel of masked plane operations. cpu-set lanes seal early on both paths, \
+         so both mostly simulate the shared golden machine: the cloned path once per \
+         group, the word path once per worker (its groups fork from a rolling scalar \
+         cursor). That ratio is recorded but not gated; cpu-set's own gate is the \
+         cloned-vs-scalar >=10x in pr7_batch_bench\",\n  \
          \"campaigns\": [\n{entries}  ]\n}}\n"
     );
     let path: std::path::PathBuf = std::env::var_os("AMSFI_BENCH_JSON")

@@ -1,6 +1,8 @@
 //! PR 7/PR 10 differential fuzz harness: the batch machines as standing
-//! oracles against the scalar path — a **three-way** oracle since the
-//! word-parallel kernel landed.
+//! oracles against the scalar path — a three-way oracle at engine level
+//! since the word-parallel kernel landed, plus a **fourth leg** at kernel
+//! level since word groups fork from a golden scalar cursor: the word
+//! machine handed a simulator settled anywhere in `[0, first injection]`.
 //!
 //! Each seed deterministically generates a random netlist (a DAG of
 //! n-ary gates over clock/constant/stimulus bits, a D flip-flop, a
@@ -14,7 +16,11 @@
 //! golden trace or any `CaseResult` is a bug in one of the three paths.
 //! The word runs exercise the native plane cells (gates, clock,
 //! stimulus, constants) and the lane-farm fallback (flip-flop, counter,
-//! saboteurs) in one machine.
+//! saboteurs) in one machine. The fourth leg then runs the seed's cases
+//! as one word group straight on the kernel, from an unstarted simulator
+//! and from ones advanced to the first injection instant and to a random
+//! instant before it, against per-case scalar traces: golden and every
+//! lane byte-equal, seal instants equal between the word runs.
 //!
 //! Every divergence this harness has found gets a minimized regression
 //! test committed next to the fix (see `seed_regressions` below); the
@@ -24,10 +30,13 @@
 //! cheap.
 
 use amsfi_core::{ClassifySpec, FaultCase};
-use amsfi_digital::{cells, ComponentId, DigitalSaboteur, InjectTarget, Netlist, Simulator};
+use amsfi_digital::{
+    cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist,
+    Simulator, WordBatchSimulator,
+};
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig};
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
-use amsfi_waves::{Logic, LogicVector, Time};
+use amsfi_waves::{Logic, LogicVector, Time, Trace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
@@ -199,60 +208,162 @@ fn build_cases(
     (cases, injects)
 }
 
+/// Arms one fuzz case on whichever kernel `sim` is, positioned at the
+/// case's injection instant.
+fn apply(
+    sim: &mut dyn InjectTarget,
+    inject: &FuzzInject,
+    targets: &[(ComponentId, usize)],
+) -> Result<(), String> {
+    match inject {
+        FuzzInject::Flip(ti) => {
+            let (component, bit) = targets[*ti];
+            sim.flip_state(component, bit);
+        }
+        FuzzInject::Sab(name, fault) => {
+            let id = sim
+                .component_id(name)
+                .ok_or_else(|| format!("{name} missing"))?;
+            sim.component_mut(id)
+                .as_any_mut()
+                .downcast_mut::<DigitalSaboteur>()
+                .ok_or_else(|| format!("{name} is not a saboteur"))?
+                .arm(fault.clone());
+            sim.wake_component(id, fault.at);
+        }
+    }
+    Ok(())
+}
+
+/// The seed's mutant targets, fault list and how to arm each fault.
+fn fuzz_faults(seed: u64) -> (Vec<(ComponentId, usize)>, Vec<FaultCase>, Vec<FuzzInject>) {
+    let (probe, shape) = build_sim(seed);
+    let targets: Vec<(ComponentId, usize)> = probe
+        .mutant_targets()
+        .iter()
+        .map(|t| (t.component, t.bit))
+        .collect();
+    let (cases, injects) = build_cases(seed, &shape, targets.len());
+    (targets, cases, injects)
+}
+
 /// Builds the seed's campaign: same `build`/`inject` closure pair on the
 /// scalar, lane-cloned and word-parallel paths, via
 /// [`Campaign::forked_batch`].
 fn fuzz_campaign(seed: u64) -> Campaign {
-    let (probe, shape) = build_sim(seed);
-    let targets: Arc<Vec<(ComponentId, usize)>> = Arc::new(
-        probe
-            .mutant_targets()
-            .iter()
-            .map(|t| (t.component, t.bit))
-            .collect(),
-    );
-    let (cases, injects) = build_cases(seed, &shape, targets.len());
+    let (targets, cases, injects) = fuzz_faults(seed);
 
     let mut outputs: Vec<String> = (0..4).map(|i| format!("q[{i}]")).collect();
     outputs.push("dq".to_owned());
     let spec = ClassifySpec::new((Time::ZERO, T_END), outputs);
 
-    let injects = Arc::new(injects);
+    let (targets, injects) = (Arc::new(targets), Arc::new(injects));
     Campaign::forked_batch(
         format!("batch-diff-{seed}"),
         spec,
         cases,
         T_END,
         move |_ctx: &CaseCtx| Ok(build_sim(seed).0),
-        move |sim: &mut dyn InjectTarget, i| {
-            match &injects[i] {
-                FuzzInject::Flip(ti) => {
-                    let (component, bit) = targets[*ti];
-                    sim.flip_state(component, bit);
-                }
-                FuzzInject::Sab(name, fault) => {
-                    let id = sim
-                        .component_id(name)
-                        .ok_or_else(|| format!("{name} missing"))?;
-                    let at = fault.at;
-                    sim.component_mut(id)
-                        .as_any_mut()
-                        .downcast_mut::<DigitalSaboteur>()
-                        .ok_or_else(|| format!("{name} is not a saboteur"))?
-                        .arm(fault.clone());
-                    sim.wake_component(id, at);
-                }
-            }
-            Ok(())
-        },
+        move |sim: &mut dyn InjectTarget, i| Ok(apply(sim, &injects[i], &targets)?),
     )
+}
+
+/// How one lane of a kernel-level word group is armed.
+type Arm<'a> = Box<dyn Fn(&mut dyn InjectTarget) -> Result<(), String> + 'a>;
+
+/// Runs `lanes` as one word group on top of `golden`, wherever that
+/// simulator currently is.
+fn word_group(golden: Simulator, lanes: &[(Time, Arm<'_>)]) -> BatchReport {
+    let mut word = WordBatchSimulator::new(golden, T_END);
+    for (at, _) in lanes {
+        word.add_lane(*at);
+    }
+    word.run(|lane, target| (lanes[lane].1)(target), |_, _| {})
+        .expect("the golden lane runs to the horizon")
+}
+
+/// The kernel-level leg: the word group `lanes` handed an unstarted
+/// simulator and ones advanced to each of `starts` (all at or before the
+/// first injection) must reproduce the scalar golden trace and every
+/// lane's scalar trace byte for byte, and seal every lane at one instant.
+fn check_word_group(
+    what: &str,
+    build: &dyn Fn() -> Simulator,
+    lanes: &[(Time, Arm<'_>)],
+    starts: &[Time],
+) {
+    let mut golden = build();
+    golden.run_until(T_END).expect("scalar golden");
+    let golden = golden.into_trace();
+    let scalar: Vec<Trace> = lanes
+        .iter()
+        .map(|(at, arm)| {
+            let mut sim = build();
+            sim.run_until(*at).expect("scalar prefix");
+            arm(&mut sim).expect("scalar injection");
+            sim.run_until(T_END).expect("scalar suffix");
+            sim.into_trace()
+        })
+        .collect();
+
+    let from_power_on = word_group(build(), lanes);
+    let seeded = starts.iter().map(|&start| {
+        let mut sim = build();
+        sim.run_until(start).expect("cursor prefix");
+        (format!("seeded at {start}"), word_group(sim, lanes))
+    });
+    let reports = std::iter::once(("from power-on".to_owned(), from_power_on)).chain(seeded);
+    let mut sealed: Option<Vec<Option<Time>>> = None;
+    for (leg, report) in reports {
+        assert_eq!(report.golden, golden, "{what}, {leg}: golden trace");
+        let mut seals = Vec::new();
+        for (lane, outcome) in report.outcomes.iter().enumerate() {
+            match outcome {
+                LaneOutcome::Completed { trace, sealed_at } => {
+                    assert_eq!(trace, &scalar[lane], "{what}, {leg}: lane {lane} trace");
+                    seals.push(*sealed_at);
+                }
+                LaneOutcome::Failed { error } => panic!("{what}, {leg}: lane {lane}: {error}"),
+            }
+        }
+        let expected = sealed.get_or_insert_with(|| seals.clone());
+        assert_eq!(&seals, expected, "{what}, {leg}: seal instants");
+    }
+}
+
+/// The fourth leg for one fuzz seed: all of its cases as one word group,
+/// seeded exactly at the first injection instant and at a random instant
+/// before it.
+fn check_seeded_word(seed: u64) {
+    let (targets, cases, injects) = fuzz_faults(seed);
+    assert!(cases.len() <= WordBatchSimulator::MAX_LANES);
+    let targets = &targets;
+    let lanes: Vec<(Time, Arm<'_>)> = cases
+        .iter()
+        .zip(&injects)
+        .map(|(case, inject)| {
+            let arm: Arm<'_> = Box::new(move |sim| apply(sim, inject, targets));
+            (case.injected_at, arm)
+        })
+        .collect();
+    let first = lanes.iter().map(|(at, _)| *at).min().expect("cases");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_ed5e_ed5e_ed5e);
+    let before = Time::from_fs(rng.random_range(0..first.as_fs() + 1));
+    check_word_group(
+        &format!("seed {seed}"),
+        &|| build_sim(seed).0,
+        &lanes,
+        &[first, before],
+    );
 }
 
 /// The three-way oracle: scalar vs lane-cloned batch vs word-parallel,
 /// byte-identical everything, at worker counts that produce different
 /// lane groupings. Both batch kernels are compared against the scalar
-/// reference, so all three paths are transitively byte-identical.
+/// reference, so all three paths are transitively byte-identical. Then
+/// the fourth, kernel-level leg ([`check_seeded_word`]).
 fn check_seed(seed: u64) {
+    check_seeded_word(seed);
     let campaign = fuzz_campaign(seed);
     let scalar = Engine::new(EngineConfig::default().with_workers(1))
         .run(&campaign)
@@ -324,4 +435,125 @@ fn seed_regressions() {
     for seed in [3, 7, 11, 19, 23, 42] {
         check_seed(seed);
     }
+}
+
+/// The bench of the pinned seed-point regressions: a stimulus whose 2 ns
+/// glitch an inverter's 5 ns inertial delay filters out, a flip-flop and a
+/// counter behind the lane farm, and a saboteur spliced into the enable.
+fn seed_point_bench() -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let en = net.signal("en", 1);
+    let stim = net.signal("stim", 1);
+    let n = net.signal("n", 1);
+    let dq = net.signal("dq", 1);
+    let q = net.signal("q", 4);
+    net.add("ck", cells::ClockGen::new(Time::from_ns(20)), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    net.add("e", cells::ConstVector::bit(Logic::One), &[], &[en]);
+    net.add(
+        "st",
+        cells::Stimulus::bits([
+            (Time::ZERO, false),
+            (Time::from_ns(100), true),
+            (Time::from_ns(102), false),
+            (Time::from_ns(300), true),
+            (Time::from_ns(420), false),
+        ]),
+        &[],
+        &[stim],
+    );
+    net.add("inv", cells::Not::new(Time::from_ns(5)), &[stim], &[n]);
+    net.add("ff", cells::Dff::new(1, Time::from_ns(1)), &[clk, n], &[dq]);
+    net.add(
+        "ctr",
+        cells::Counter::new(4, Time::from_ns(1)),
+        &[clk, rst, en],
+        &[q],
+    );
+    net.insert_saboteur(en, Box::new(DigitalSaboteur::new(1)));
+    let mut sim = Simulator::new(net);
+    for name in ["n", "dq", "q", "en__sab"] {
+        sim.monitor_name(name);
+    }
+    sim
+}
+
+/// Seed points that straddle each kind of state the word machine takes
+/// over from the scalar cursor. The machine is lifted to 64 lanes at the
+/// group's first injection instant, so that instant is what sits inside
+/// the straddled window; `starts` vary where the scalar cursor was when
+/// the group got it.
+#[test]
+fn seed_point_regressions() {
+    let ns = Time::from_ns;
+    let probe = seed_point_bench();
+    let targets: Vec<(ComponentId, usize)> = probe
+        .mutant_targets()
+        .iter()
+        .map(|t| (t.component, t.bit))
+        .collect();
+    let target = |name: &str, bit: usize| {
+        let id = probe.component_id(name).expect("component");
+        targets
+            .iter()
+            .position(|&t| t == (id, bit))
+            .expect("mutant target")
+    };
+    let (ctr0, ctr3, ff) = (target("ctr", 0), target("ctr", 3), target("ff", 0));
+    let targets = &targets;
+    let flip = |at: Time, ti: usize| -> (Time, Arm<'_>) {
+        (
+            at,
+            Box::new(move |sim| apply(sim, &FuzzInject::Flip(ti), targets)),
+        )
+    };
+    let sab = |at: Time, kind: DigitalFaultKind| -> (Time, Arm<'_>) {
+        let inject = FuzzInject::Sab("saboteur(en)".to_owned(), DigitalFault::new(kind, at));
+        (at, Box::new(move |sim| apply(sim, &inject, targets)))
+    };
+    let set = |width: Time| DigitalFaultKind::SetPulse { width };
+
+    // (a) 101 ns: the inverter's drive for 105 ns is pending and valid; the
+    // stimulus falling at 102 ns cancels it. (b) The stimulus' transport
+    // waveform for 102, 300 and 420 ns is pending too, and none of it may
+    // be cancelled or lost.
+    check_word_group(
+        "pending inertial drive cancelled after the seed point",
+        &seed_point_bench,
+        &[flip(ns(101), ctr0), flip(ns(101), ff), flip(ns(250), ctr3)],
+        &[ns(50), ns(100), ns(101)],
+    );
+    // 104 ns: that drive is still in the scalar queue but already
+    // cancelled — it must not come back to life in the word machine.
+    check_word_group(
+        "stale inertial drive at the seed point",
+        &seed_point_bench,
+        &[flip(ns(104), ff), flip(ns(106), ctr0)],
+        &[ns(103), ns(104)],
+    );
+    // (c) 500 ns: flip-flop and counter (lane-farm clones of the cursor's
+    // instances) hold run-time state, and a cursor handed over at 250 ns
+    // still has stimulus edges ahead of it.
+    check_word_group(
+        "lane-farm cells with run-time state",
+        &seed_point_bench,
+        &[flip(ns(500), ctr3), flip(ns(510), ff), flip(ns(500), ctr0)],
+        &[ns(250), ns(490), ns(500)],
+    );
+    // (d) Saboteur lanes armed after the machine was seeded at 600 ns: a
+    // pulse over a clock edge, a masked one, one exactly on the seed point.
+    check_word_group(
+        "saboteur armed after the seed point",
+        &seed_point_bench,
+        &[
+            flip(ns(600), ctr0),
+            sab(ns(600), set(ns(3))),
+            sab(ns(625), set(ns(10))),
+            sab(ns(612), set(ns(2))),
+            sab(ns(700), DigitalFaultKind::StuckAt(Logic::Zero)),
+        ],
+        &[ns(300), ns(600)],
+    );
 }

@@ -31,6 +31,10 @@ pub enum SimError {
     /// The installed [`SimBudget`] tripped: step budget exhausted, deadline
     /// passed, cooperative cancellation, or a numerical guard.
     Guard(GuardViolation),
+    /// The word-parallel kernel cannot take this simulator over: it holds
+    /// state that has no 64-lane form (see
+    /// [`WordBatchSimulator::new`](crate::WordBatchSimulator::new)).
+    Unseedable(String),
 }
 
 impl fmt::Display for SimError {
@@ -41,6 +45,7 @@ impl fmt::Display for SimError {
                 "delta cycles exceeded {limit} at {time}: probable zero-delay combinational loop"
             ),
             SimError::Guard(v) => write!(f, "{v}"),
+            SimError::Unseedable(why) => write!(f, "cannot seed the word machine: {why}"),
         }
     }
 }
@@ -49,7 +54,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Guard(v) => Some(v),
-            SimError::DeltaOverflow { .. } => None,
+            SimError::DeltaOverflow { .. } | SimError::Unseedable(_) => None,
         }
     }
 }
@@ -83,7 +88,7 @@ enum EventKind {
 /// drives lose their absolute generation number (only validity matters for
 /// future behaviour — see [`Simulator::state_digest`]).
 #[derive(Debug, Clone, PartialEq)]
-enum NormalEvent {
+pub(crate) enum NormalEvent {
     Drive {
         component: usize,
         output: usize,
@@ -236,19 +241,21 @@ pub(crate) struct WordSeedComponent {
     pub(crate) outputs: Vec<SignalId>,
 }
 
-/// The raw pieces of an unstarted [`Simulator`], handed to the
+/// The raw pieces of a [`Simulator`] settled at `now`, handed to the
 /// word-parallel kernel so it can build its plane-valued store without
 /// reaching into the scalar simulator's private fields.
 pub(crate) struct WordSeed {
-    pub(crate) started: bool,
     pub(crate) now: Time,
     pub(crate) delta_limit: usize,
     pub(crate) budget: SimBudget,
     pub(crate) observer: Option<SimObserver>,
-    /// The (still silent) trace the signals' slots index into.
+    /// The trace recorded up to `now`, which the signals' slots index into.
     pub(crate) trace: Trace,
     pub(crate) signals: Vec<WordSeedSignal>,
     pub(crate) components: Vec<WordSeedComponent>,
+    /// The still-valid pending events in firing order — `(time, seq)`,
+    /// which is also the order inertial cancellation depends on.
+    pub(crate) pending: Vec<(Time, NormalEvent)>,
 }
 
 /// An event-driven simulator executing one [`Netlist`].
@@ -276,7 +283,6 @@ pub struct Simulator {
     queue: BinaryHeap<Event>,
     seq: u64,
     now: Time,
-    started: bool,
     trace: Trace,
     delta_limit: usize,
     events_processed: u64,
@@ -338,7 +344,6 @@ impl Simulator {
             queue: BinaryHeap::new(),
             seq: 0,
             now: Time::ZERO,
-            started: false,
             trace: Trace::new(),
             delta_limit: 10_000,
             events_processed: 0,
@@ -757,8 +762,12 @@ impl Simulator {
     /// Tears the simulator down into the pieces the word-parallel kernel
     /// is built from (crate-internal; see [`crate::WordBatchSimulator`]).
     pub(crate) fn into_word_seed(self) -> WordSeed {
+        let pending = self
+            .pending_events()
+            .into_iter()
+            .map(|(time, _, kind)| (time, kind))
+            .collect();
         WordSeed {
-            started: self.started,
             now: self.now,
             delta_limit: self.delta_limit,
             budget: self.budget,
@@ -785,6 +794,7 @@ impl Simulator {
                     outputs: c.outputs,
                 })
                 .collect(),
+            pending,
         }
     }
 
@@ -797,7 +807,6 @@ impl Simulator {
     /// (zero-delay combinational loop), or [`SimError::Guard`] if the
     /// installed [`SimBudget`] trips (step budget, deadline, cancellation).
     pub fn run_until(&mut self, t_end: Time) -> Result<(), SimError> {
-        self.started = true;
         let before = self.events_processed;
         let result = self.drain_until(t_end);
         if let Some(metrics) = self.budget.metrics() {

@@ -10,8 +10,15 @@
 //! * **Plane-valued signal store** — each signal bit holds a
 //!   [`LogicPlanes`] word: lane `l` of the planes is lane `l` of the batch,
 //!   with the golden (fault-free) machine occupying lane
-//!   [`GOLDEN_LANE`] (63). All lanes start identical at time zero, so a
-//!   mutant lane *is* the golden machine until its injection instant.
+//!   [`GOLDEN_LANE`] (63). All lanes start identical, so a mutant lane
+//!   *is* the golden machine until its injection instant.
+//! * **Scalar prefix** — until the first injection there is nothing for 64
+//!   lanes to disagree on, so the scalar kernel simulates that stretch and
+//!   the word machine is seeded from it there: signal values splatted,
+//!   component state handed over, still-valid pending events re-queued in
+//!   firing order. A caller running many batches (the campaign engine's
+//!   per-worker golden cursor) hands each one a clone already advanced, and
+//!   the prefix is simulated once rather than once per batch.
 //! * **One shared event wheel** — events carry `(planes value, lane mask)`.
 //!   A drive applies to exactly the lanes whose mask bit is set *and*
 //!   whose per-lane inertial generation still matches, so one event
@@ -33,17 +40,18 @@
 //!   golden suffix exactly like the lane-cloned kernel, so traces stay
 //!   byte-identical to scalar runs.
 //!
-//! Per-lane traces are maintained incrementally: the golden lane records
-//! from time zero, a mutant lane clones the golden trace at activation
-//! (mirroring the lane-cloned `golden.clone()`) and records its own lanes'
-//! changes from then on. Per-lane budgets and observers ride along; a
-//! budget trip retires only that lane ([`LaneOutcome::Failed`]) and the
-//! campaign engine re-runs the case scalar, preserving byte identity.
+//! Per-lane traces are maintained incrementally: the golden lane extends
+//! the trace the scalar simulator recorded, a mutant lane clones the golden
+//! trace at activation (mirroring the lane-cloned `golden.clone()`) and
+//! records its own lanes' changes from then on. Per-lane budgets and
+//! observers ride along; a budget trip retires only that lane
+//! ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
+//! scalar, preserving byte identity.
 
 use crate::batch::{BatchReport, LaneOutcome};
 use crate::component::{Action, Component, EvalContext};
 use crate::netlist::{ComponentId, SignalId};
-use crate::sim::{debug_renders_as, SimError, Simulator, WordSeed};
+use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use amsfi_waves::{
     DigitalSlot, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace,
     LANES,
@@ -629,19 +637,18 @@ struct WordSimulator {
 }
 
 impl WordSimulator {
-    /// Builds the word machine from an unstarted scalar simulator.
+    /// Builds the word machine from a scalar simulator settled at any
+    /// instant of the golden run (power-on included): all 64 lanes take
+    /// over its signal values, component state and pending events, so a
+    /// mutant lane equals the golden machine until its injection instant,
+    /// and the golden lane carries on the scalar trace.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the simulator has already run: all 64 lanes must share the
-    /// power-on state so a mutant lane equals the golden machine until its
-    /// injection instant.
-    fn from_scalar(sim: Simulator) -> Self {
+    /// [`SimError::Unseedable`] on a pending external drive: those bypass
+    /// the per-output driver bookkeeping lanes are told apart by.
+    fn from_scalar(sim: Simulator) -> Result<Self, SimError> {
         let seed: WordSeed = sim.into_word_seed();
-        assert!(
-            !seed.started && seed.now == Time::ZERO,
-            "word-parallel conversion requires an unstarted simulator"
-        );
         let signals = seed
             .signals
             .into_iter()
@@ -680,7 +687,7 @@ impl WordSimulator {
             components,
             queue: BinaryHeap::new(),
             seq: 0,
-            now: Time::ZERO,
+            now: seed.now,
             delta_limit: seed.delta_limit,
             events_processed: 0,
             live: u64::MAX,
@@ -694,16 +701,38 @@ impl WordSimulator {
             lane_failures: (0..LANES).map(|_| None).collect(),
             scratch: WordScratch::default(),
         };
-        for c in 0..sim.components.len() {
-            sim.push_event(
-                Time::ZERO,
-                WordEventKind::Wake {
-                    component: c,
+        // The wheel takes the still-valid pending events in firing order,
+        // on every lane. Renumbering them from zero keeps `LaneGens` exact:
+        // all of them are valid now, and the next inertial drive on an
+        // output gets a larger sequence and so cancels them, as it would
+        // in the scalar kernel. An unstarted simulator holds exactly its
+        // components' power-on wakes.
+        for (time, event) in seed.pending {
+            let kind = match event {
+                NormalEvent::Drive {
+                    component,
+                    output,
+                    value,
+                } => WordEventKind::Drive {
+                    component,
+                    output,
+                    value: value.iter().map(LogicPlanes::splat).collect(),
                     mask: u64::MAX,
                 },
-            );
+                NormalEvent::Wake { component } => WordEventKind::Wake {
+                    component,
+                    mask: u64::MAX,
+                },
+                NormalEvent::External { signal, .. } => {
+                    return Err(SimError::Unseedable(format!(
+                        "signal {:?} has an external drive pending at {time}",
+                        sim.signals[signal].name
+                    )));
+                }
+            };
+            sim.push_event(time, kind);
         }
-        sim
+        Ok(sim)
     }
 
     fn push_event(&mut self, time: Time, kind: WordEventKind) {
@@ -1224,7 +1253,10 @@ struct WordLane {
 /// # Ok::<(), amsfi_digital::SimError>(())
 /// ```
 pub struct WordBatchSimulator {
-    sim: WordSimulator,
+    /// The fault-free scalar machine: it simulates the prefix all lanes
+    /// share, and [`WordBatchSimulator::run`] lifts it to 64 lanes at the
+    /// first injection instant.
+    golden: Simulator,
     t_end: Time,
     seal_stride: Option<Time>,
     lanes: Vec<WordLane>,
@@ -1244,16 +1276,16 @@ impl WordBatchSimulator {
     /// Mutant lanes per word: lane [`GOLDEN_LANE`] is the golden machine.
     pub const MAX_LANES: usize = LANES - 1;
 
-    /// Wraps a fault-free, *unstarted* simulator (monitoring already
-    /// attached, budget already installed) as a word batch to `t_end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator has already run (see the word kernel's
-    /// shared-prefix requirement).
+    /// Wraps a fault-free simulator (monitoring already attached, budget
+    /// already installed) as a word batch to `t_end`. The simulator may be
+    /// unstarted or settled anywhere along the golden run, as long as no
+    /// lane injects before that instant: a caller running many batches
+    /// simulates their shared prefix once and hands each batch a clone.
+    /// Lanes and golden come out byte-identical wherever it starts, and
+    /// the installed budget counts steps from there.
     pub fn new(golden: Simulator, t_end: Time) -> Self {
         WordBatchSimulator {
-            sim: WordSimulator::from_scalar(golden),
+            golden,
             t_end,
             seal_stride: None,
             lanes: Vec::new(),
@@ -1278,7 +1310,9 @@ impl WordBatchSimulator {
     }
 
     /// Adds a mutant lane injected at `inject_at` (clamped to the horizon)
-    /// and returns its lane id.
+    /// and returns its lane id. A lane whose instant the simulator has
+    /// already passed cannot be positioned: it ends as
+    /// [`LaneOutcome::Failed`] without simulating.
     ///
     /// # Panics
     ///
@@ -1290,23 +1324,35 @@ impl WordBatchSimulator {
             "a word batch holds at most {} mutant lanes",
             Self::MAX_LANES
         );
-        self.lanes.push(WordLane {
-            inject_at: inject_at.min(self.t_end),
-            state: WordLaneState::Pending,
-        });
+        let inject_at = inject_at.min(self.t_end);
+        let now = self.golden.now();
+        let state = if inject_at < now {
+            WordLaneState::Failed(format!(
+                "injection instant {inject_at} precedes the simulator's position {now}"
+            ))
+        } else {
+            WordLaneState::Pending
+        };
+        self.lanes.push(WordLane { inject_at, state });
         self.lanes.len() - 1
     }
 
-    /// The lock-step stop grid: every injection instant, seal-check
-    /// points, and the horizon. Ascending and deduplicated.
-    fn stops(&self) -> Vec<Time> {
-        let mut stops: Vec<Time> = self.lanes.iter().map(|l| l.inject_at).collect();
-        let start = self.sim.now;
-        let stride = self.seal_stride.unwrap_or_else(|| {
-            let span = self.t_end - start;
-            (span / 64).max(Time::from_fs(1))
-        });
-        let mut t = start + stride;
+    /// The lock-step stop grid from `start` on: every injection instant,
+    /// seal-check points, and the horizon. Ascending and deduplicated.
+    /// Seal checks sit on multiples of the stride counted from time zero,
+    /// not from `start`, so lanes seal at the same instants wherever the
+    /// golden simulator was handed over.
+    fn stops(&self, start: Time) -> Vec<Time> {
+        let mut stops: Vec<Time> = self
+            .lanes
+            .iter()
+            .filter(|l| matches!(l.state, WordLaneState::Pending))
+            .map(|l| l.inject_at)
+            .collect();
+        let stride = self
+            .seal_stride
+            .unwrap_or_else(|| (self.t_end / 64).max(Time::from_fs(1)));
+        let mut t = start - start % stride + stride;
         while t < self.t_end {
             stops.push(t);
             t += stride;
@@ -1314,20 +1360,7 @@ impl WordBatchSimulator {
         stops.push(self.t_end);
         stops.sort_unstable();
         stops.dedup();
-        stops.retain(|&t| t >= start);
         stops
-    }
-
-    /// Moves per-lane failures recorded inside the word machine (budget
-    /// trips) into the lane table.
-    fn collect_failures(&mut self) {
-        for (lane_id, lane) in self.lanes.iter_mut().enumerate() {
-            if matches!(lane.state, WordLaneState::Running) {
-                if let Some(error) = self.sim.lane_failures[lane_id].take() {
-                    lane.state = WordLaneState::Failed(error);
-                }
-            }
-        }
     }
 
     /// Runs the batch to the horizon. Same contract as
@@ -1338,53 +1371,70 @@ impl WordBatchSimulator {
     ///
     /// # Errors
     ///
-    /// A machine-wide failure: golden budget trip or word delta overflow
-    /// (a word delta cycle's non-convergence cannot be attributed to one
-    /// lane). The campaign engine falls back to scalar for the whole group.
+    /// A machine-wide failure: golden budget trip, word delta overflow (a
+    /// word delta cycle's non-convergence cannot be attributed to one
+    /// lane), or [`SimError::Unseedable`] when the simulator holds state
+    /// with no 64-lane form (an external drive pending from
+    /// [`Simulator::inject_value`]). The campaign engine falls back to
+    /// scalar for the whole group.
     pub fn run(
         mut self,
         mut inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
         mut setup: impl FnMut(usize, &mut dyn InjectTarget),
     ) -> Result<BatchReport, SimError> {
-        // Freeze the unused lanes: only added mutants and golden simulate.
+        // Only added mutants and golden simulate; the other lanes freeze.
         let mut used = 1u64 << GOLDEN_LANE;
-        for lane_id in 0..self.lanes.len() {
-            used |= 1 << lane_id;
+        let mut first = self.t_end;
+        for (lane_id, lane) in self.lanes.iter().enumerate() {
+            if matches!(lane.state, WordLaneState::Pending) {
+                used |= 1 << lane_id;
+                first = first.min(lane.inject_at);
+            }
         }
-        self.sim.live = used;
+        // Up to the first injection every lane is the golden machine: the
+        // scalar kernel simulates that stretch once, at scalar cost, and
+        // the word machine takes over where lanes can start to differ.
+        self.golden.run_until(first)?;
+        let stops = self.stops(self.golden.now());
+        let WordBatchSimulator {
+            golden,
+            t_end,
+            mut lanes,
+            metrics,
+            ..
+        } = self;
+        let mut sim = WordSimulator::from_scalar(golden)?;
+        sim.live = used;
 
-        let stops = self.stops();
         for &t in &stops {
-            self.sim.run_until(t)?;
-            self.collect_failures();
+            sim.run_until(t)?;
+            collect_failures(&mut sim, &mut lanes);
 
             // Activate lanes whose injection instant this stop is: clone
             // the golden trace prefix (the in-word equivalent of cloning
             // the golden machine), then run setup + inject on the lane.
             let mut activated = false;
-            for lane_id in 0..self.lanes.len() {
-                if !matches!(self.lanes[lane_id].state, WordLaneState::Pending)
-                    || self.lanes[lane_id].inject_at != t
-                {
+            for (lane_id, lane) in lanes.iter_mut().enumerate() {
+                if !matches!(lane.state, WordLaneState::Pending) || lane.inject_at != t {
                     continue;
                 }
-                self.sim.traces[lane_id] = self.sim.traces[GOLDEN_LANE].clone();
-                self.sim.recording |= 1 << lane_id;
-                self.sim.injected |= 1 << lane_id;
+                sim.traces[lane_id] = sim.traces[GOLDEN_LANE].clone();
+                sim.recording |= 1 << lane_id;
+                sim.injected |= 1 << lane_id;
                 let mut ctx = WordLaneCtx {
-                    sim: &mut self.sim,
+                    sim: &mut sim,
                     lane: lane_id,
                 };
                 setup(lane_id, &mut ctx);
                 match inject(lane_id, &mut ctx) {
                     Ok(()) => {
-                        self.lanes[lane_id].state = WordLaneState::Running;
+                        lane.state = WordLaneState::Running;
                         activated = true;
                     }
                     Err(e) => {
-                        self.sim.fail_lane(lane_id, e.clone());
-                        self.sim.lane_failures[lane_id] = None;
-                        self.lanes[lane_id].state = WordLaneState::Failed(e);
+                        sim.fail_lane(lane_id, e.clone());
+                        sim.lane_failures[lane_id] = None;
+                        lane.state = WordLaneState::Failed(e);
                     }
                 }
             }
@@ -1392,18 +1442,17 @@ impl WordBatchSimulator {
             // the corrupted state propagates before the seal probe — the
             // same re-opened time point a cloned lane processes.
             if activated {
-                self.sim.run_until(t)?;
-                self.collect_failures();
+                sim.run_until(t)?;
+                collect_failures(&mut sim, &mut lanes);
             }
 
-            self.seal_reconverged(t);
+            seal_reconverged(&mut sim, &mut lanes, metrics.as_deref(), t);
 
-            let active = self
-                .lanes
+            let active = lanes
                 .iter()
                 .filter(|l| matches!(l.state, WordLaneState::Running | WordLaneState::Pending))
                 .count();
-            if let Some(metrics) = &self.metrics {
+            if let Some(metrics) = &metrics {
                 metrics.lanes_active.observe(active as u64);
                 // Mutant lanes only: the golden lane is live by
                 // construction, and excluding it keeps every observation
@@ -1411,7 +1460,7 @@ impl WordBatchSimulator {
                 // never reads past the word width).
                 metrics
                     .lane_occupancy
-                    .observe(u64::from(self.sim.live.count_ones().saturating_sub(1)));
+                    .observe(u64::from(sim.live.count_ones().saturating_sub(1)));
             }
             if active == 0 {
                 break;
@@ -1419,32 +1468,31 @@ impl WordBatchSimulator {
         }
         // The golden lane must reach the horizon even if every mutant lane
         // retired early: sealed traces splice in its suffix.
-        self.sim.run_until(self.t_end)?;
-        self.collect_failures();
+        sim.run_until(t_end)?;
+        collect_failures(&mut sim, &mut lanes);
 
-        let golden_trace = std::mem::take(&mut self.sim.traces[GOLDEN_LANE]);
-        let outcomes = self
-            .lanes
-            .iter_mut()
+        let golden_trace = std::mem::take(&mut sim.traces[GOLDEN_LANE]);
+        let outcomes = lanes
+            .into_iter()
             .enumerate()
-            .map(|(lane_id, lane)| {
-                match std::mem::replace(&mut lane.state, WordLaneState::Pending) {
-                    WordLaneState::Pending => {
-                        unreachable!("stop grid covers every injection instant")
+            .map(|(lane_id, lane)| match lane.state {
+                // Every pending lane's instant is a stop of the grid, so
+                // none is left; the arm reports instead of panicking.
+                WordLaneState::Pending => LaneOutcome::Failed {
+                    error: "the lane never reached its injection instant".to_owned(),
+                },
+                WordLaneState::Running => LaneOutcome::Completed {
+                    trace: std::mem::take(&mut sim.traces[lane_id]),
+                    sealed_at: None,
+                },
+                WordLaneState::Sealed { mut trace, at } => {
+                    trace.splice_golden_suffix(&golden_trace, at);
+                    LaneOutcome::Completed {
+                        trace,
+                        sealed_at: Some(at),
                     }
-                    WordLaneState::Running => LaneOutcome::Completed {
-                        trace: std::mem::take(&mut self.sim.traces[lane_id]),
-                        sealed_at: None,
-                    },
-                    WordLaneState::Sealed { mut trace, at } => {
-                        trace.splice_golden_suffix(&golden_trace, at);
-                        LaneOutcome::Completed {
-                            trace,
-                            sealed_at: Some(at),
-                        }
-                    }
-                    WordLaneState::Failed(error) => LaneOutcome::Failed { error },
                 }
+                WordLaneState::Failed(error) => LaneOutcome::Failed { error },
             })
             .collect();
         Ok(BatchReport {
@@ -1452,39 +1500,55 @@ impl WordBatchSimulator {
             outcomes,
         })
     }
+}
 
-    /// Seals every running lane whose machine state has reconverged with
-    /// the golden lane's at stop `t`: plane-XOR probe over *all* signals
-    /// first (one `diverged_mask` per signal bit covers every lane at
-    /// once), then per-component and pending-event confirmation for the
-    /// clean candidates.
-    fn seal_reconverged(&mut self, t: Time) {
-        let mut candidates = 0u64;
-        for (lane_id, lane) in self.lanes.iter().enumerate() {
-            if matches!(lane.state, WordLaneState::Running) {
-                candidates |= 1 << lane_id;
+/// Moves per-lane failures recorded inside the word machine (budget trips)
+/// into the lane table.
+fn collect_failures(sim: &mut WordSimulator, lanes: &mut [WordLane]) {
+    for (lane_id, lane) in lanes.iter_mut().enumerate() {
+        if matches!(lane.state, WordLaneState::Running) {
+            if let Some(error) = sim.lane_failures[lane_id].take() {
+                lane.state = WordLaneState::Failed(error);
             }
         }
-        if candidates == 0 {
-            return;
+    }
+}
+
+/// Seals every running lane whose machine state has reconverged with the
+/// golden lane's at stop `t`: plane-XOR probe over *all* signals first (one
+/// `diverged_mask` per signal bit covers every lane at once), then
+/// per-component and pending-event confirmation for the clean candidates.
+fn seal_reconverged(
+    sim: &mut WordSimulator,
+    lanes: &mut [WordLane],
+    metrics: Option<&KernelMetrics>,
+    t: Time,
+) {
+    let mut candidates = 0u64;
+    for (lane_id, lane) in lanes.iter().enumerate() {
+        if matches!(lane.state, WordLaneState::Running) {
+            candidates |= 1 << lane_id;
         }
-        let mut diverged = 0u64;
-        for sig in &self.sim.signals {
-            for plane in &sig.planes {
-                diverged |= plane.diverged_mask(plane.broadcast_lane(GOLDEN_LANE));
-            }
+    }
+    if candidates == 0 {
+        return;
+    }
+    let mut diverged = 0u64;
+    for sig in &sim.signals {
+        for plane in &sig.planes {
+            diverged |= plane.diverged_mask(plane.broadcast_lane(GOLDEN_LANE));
         }
-        let mut m = self.sim.lanes_eq_golden(candidates & !diverged);
-        while m != 0 {
-            let lane_id = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let trace = std::mem::take(&mut self.sim.traces[lane_id]);
-            self.lanes[lane_id].state = WordLaneState::Sealed { trace, at: t };
-            self.sim.live &= !(1 << lane_id);
-            self.sim.recording &= !(1 << lane_id);
-            if let Some(metrics) = &self.metrics {
-                metrics.lane_seals.inc();
-            }
+    }
+    let mut m = sim.lanes_eq_golden(candidates & !diverged);
+    while m != 0 {
+        let lane_id = m.trailing_zeros() as usize;
+        m &= m - 1;
+        let trace = std::mem::take(&mut sim.traces[lane_id]);
+        lanes[lane_id].state = WordLaneState::Sealed { trace, at: t };
+        sim.live &= !(1 << lane_id);
+        sim.recording &= !(1 << lane_id);
+        if let Some(metrics) = metrics {
+            metrics.lane_seals.inc();
         }
     }
 }
@@ -1621,32 +1685,98 @@ mod tests {
         scalar.run_until(T_END).unwrap();
         let scalar_trace = scalar.into_trace();
 
-        let mut batch =
-            WordBatchSimulator::new(build_sab(None), T_END).with_seal_stride(Time::from_ns(50));
-        let lane = batch.add_lane(Time::ZERO);
+        // Armed at power-on, and armed at 37 ns, where the word machine
+        // then takes over from the scalar kernel: seal checks stay on the
+        // 50 ns grid counted from time zero, so both seal at one instant.
+        let mut seals = Vec::new();
+        for armed_at in [Time::ZERO, Time::from_ns(37)] {
+            let mut batch =
+                WordBatchSimulator::new(build_sab(None), T_END).with_seal_stride(Time::from_ns(50));
+            let lane = batch.add_lane(armed_at);
+            let report = batch
+                .run(
+                    |_, sim| {
+                        let sab = sim.component_id("saboteur(en)").expect("saboteur present");
+                        sim.component_mut(sab)
+                            .as_any_mut()
+                            .downcast_mut::<DigitalSaboteur>()
+                            .expect("saboteur type")
+                            .arm(fault.clone());
+                        sim.wake_component(sab, fault.at);
+                        Ok(())
+                    },
+                    |_, _| {},
+                )
+                .unwrap();
+
+            match &report.outcomes[lane] {
+                LaneOutcome::Completed { trace, sealed_at } => {
+                    assert_eq!(trace, &scalar_trace);
+                    let sealed = sealed_at.expect("washed-out pulse must seal");
+                    assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
+                    seals.push(sealed);
+                }
+                LaneOutcome::Failed { error } => panic!("{error}"),
+            }
+        }
+        assert_eq!(seals[0], seals[1]);
+        assert_eq!(seals[0] % Time::from_ns(50), Time::ZERO);
+    }
+
+    #[test]
+    fn lane_behind_the_simulator_fails_alone() {
+        const T_END: Time = Time::from_us(2);
+        let target = counter_target(&build());
+        let mut golden = build();
+        golden.run_until(Time::from_ns(500)).unwrap();
+        let mut batch = WordBatchSimulator::new(golden, T_END);
+        let late = batch.add_lane(Time::from_ns(700));
+        let behind = batch.add_lane(Time::from_ns(499));
         let report = batch
             .run(
                 |_, sim| {
-                    let sab = sim.component_id("saboteur(en)").expect("saboteur present");
-                    sim.component_mut(sab)
-                        .as_any_mut()
-                        .downcast_mut::<DigitalSaboteur>()
-                        .expect("saboteur type")
-                        .arm(fault.clone());
-                    sim.wake_component(sab, fault.at);
+                    sim.flip_state(target.component, 2);
                     Ok(())
                 },
                 |_, _| {},
             )
             .unwrap();
-
-        match &report.outcomes[lane] {
-            LaneOutcome::Completed { trace, sealed_at } => {
-                assert_eq!(trace, &scalar_trace);
-                let sealed = sealed_at.expect("washed-out pulse must seal");
-                assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
+        assert!(
+            matches!(&report.outcomes[behind], LaneOutcome::Failed { error } if error.contains("precedes")),
+            "{:?}",
+            report.outcomes[behind]
+        );
+        match &report.outcomes[late] {
+            LaneOutcome::Completed { trace, .. } => {
+                assert_eq!(trace, &scalar_flip(Time::from_ns(700), 2, T_END));
             }
             LaneOutcome::Failed { error } => panic!("{error}"),
+        }
+    }
+
+    #[test]
+    fn external_drive_past_the_first_injection_is_an_error_not_a_panic() {
+        const T_END: Time = Time::from_us(2);
+        let target = counter_target(&build());
+        let run = |external_at: Time| {
+            let mut golden = build();
+            let en = golden.signal_id("en").unwrap();
+            golden.inject_value(en, LogicVector::filled(Logic::Zero, 1), external_at);
+            let mut batch = WordBatchSimulator::new(golden, T_END);
+            batch.add_lane(Time::from_ns(300));
+            batch.run(
+                |_, sim| {
+                    sim.flip_state(target.component, 1);
+                    Ok(())
+                },
+                |_, _| {},
+            )
+        };
+        // Before the first injection the scalar kernel applies it itself.
+        assert!(run(Time::from_ns(200)).is_ok());
+        match run(Time::from_ns(900)) {
+            Err(SimError::Unseedable(why)) => assert!(why.contains("\"en\""), "{why}"),
+            other => panic!("expected an unseedable error, got {other:?}"),
         }
     }
 

@@ -9,7 +9,9 @@
 //! (`fig8_parameter_sweep`, `ext_digital_campaign`, `ext_adc_sensitivity`,
 //! `ext_cpu_campaign`) so engine runs are comparable with the legacy path.
 
-use crate::executor::{BatchCaseOutcome, BatchSpec, Campaign, CaseCtx, LaneHooks};
+use crate::executor::{
+    BatchCaseOutcome, BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork, WorkerSlot,
+};
 use crate::stats::Stage;
 use crate::BoxError;
 use amsfi_circuits::adc::{self, AdcInput};
@@ -38,6 +40,13 @@ impl Campaign {
     /// invariant, so only the closure pair determines the result. The
     /// inject closure sees the machine through [`InjectTarget`], the
     /// mid-run mutation surface both kernels implement.
+    ///
+    /// The word spec keeps one golden scalar cursor per engine worker (in
+    /// the worker's [`WorkerSlot`]): groups arrive in ascending injection
+    /// order, the cursor rolls forward to each group's first injection
+    /// instant and the group's machine is built from a clone of it, so a
+    /// worker simulates the fault-free prefix once per campaign instead of
+    /// once per group.
     pub fn forked_batch<B, I>(
         name: impl Into<String>,
         spec: ClassifySpec,
@@ -62,7 +71,8 @@ impl Campaign {
             Arc::new(
                 move |ctx: &CaseCtx,
                       group: &[usize],
-                      hooks: LaneHooks<'_>|
+                      hooks: LaneHooks<'_>,
+                      _slot: &mut WorkerSlot|
                       -> Result<Vec<BatchCaseOutcome>, BoxError> {
                     let mut golden = build(ctx)?;
                     golden.install_budget(ctx.budget().clone());
@@ -107,11 +117,35 @@ impl Campaign {
             Arc::new(
                 move |ctx: &CaseCtx,
                       group: &[usize],
-                      hooks: LaneHooks<'_>|
+                      hooks: LaneHooks<'_>,
+                      slot: &mut WorkerSlot|
                       -> Result<Vec<BatchCaseOutcome>, BoxError> {
-                    let mut golden = build(ctx)?;
-                    golden.install_budget(ctx.budget().clone());
+                    // Reuse the worker's cursor unless it is already past
+                    // this group's first instant: it only runs forwards,
+                    // so a group behind it gets a new one from `build`.
+                    let first = group.iter().map(|&i| case_stops[i]).min().unwrap_or(t_end);
+                    let parked = slot
+                        .state
+                        .take()
+                        .and_then(|s| s.downcast::<Simulator>().ok());
+                    let (mut cursor, reused) = match parked {
+                        Some(cursor) if cursor.current_time() <= first => (cursor, true),
+                        _ => {
+                            let mut cursor = build(ctx)?;
+                            cursor.install_budget(ctx.budget().clone());
+                            (Box::new(cursor), false)
+                        }
+                    };
                     ctx.stage(Stage::Simulate);
+                    cursor
+                        .advance_to(first)
+                        .map_err(|e| Box::new(e) as BoxError)?;
+                    let mut golden = (*cursor).clone();
+                    slot.state = Some(cursor);
+                    slot.fork = Some(PrefixFork { at: first, reused });
+                    // A fresh budget: the group's steps count from the fork
+                    // instant, as a checkpoint fork's do.
+                    golden.install_budget(ctx.budget().clone());
                     let mut word = WordBatchSimulator::new(golden, t_end);
                     if let Some(metrics) = ctx.budget().metrics() {
                         word.set_metrics(Arc::clone(metrics));

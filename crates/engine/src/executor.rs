@@ -546,13 +546,41 @@ pub enum BatchCaseOutcome {
 /// classification) for that lane.
 pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObserver>);
 
+/// What one engine worker thread keeps for a [`BatchSpec`] between the
+/// groups it claims. Each worker owns one, starts with it empty, claims its
+/// groups in ascending injection order, and empties it again whenever a
+/// group errs or panics — so whatever a spec parks here is never seen
+/// after a failure and never by another thread.
+#[derive(Debug, Default)]
+pub struct WorkerSlot {
+    /// Spec-owned state carried to the worker's next group (the word spec
+    /// of [`Campaign::forked_batch`](crate::campaigns): its golden cursor).
+    pub state: Option<Box<dyn Any>>,
+    /// Set by a spec that forks its groups off a shared golden prefix:
+    /// where the last group forked. Telemetry only (the `span`/`batch`
+    /// event's `from_fs` and `cursor` fields).
+    pub fork: Option<PrefixFork>,
+}
+
+/// Where one group's machine left its worker's shared golden prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefixFork {
+    /// The instant the group forked at: the golden run up to here was not
+    /// simulated again for this group.
+    pub at: Time,
+    /// Whether the prefix came from the worker's previous group (`true`)
+    /// or had to be rebuilt from power-on (`false`).
+    pub reused: bool,
+}
+
 /// How a campaign supports bit-parallel group execution (enabled per run
 /// with [`EngineConfig::with_batch`]).
 ///
-/// `run(ctx, group, hooks)` simulates all cases in `group` (at most
+/// `run(ctx, group, hooks, slot)` simulates all cases in `group` (at most
 /// [`amsfi_waves::LANES`] indices into [`Campaign::cases`]) lock-step
 /// against one golden machine and returns one [`BatchCaseOutcome`] per
-/// index, in order. Campaigns should not build this by hand:
+/// index, in order; `slot` is the calling worker's [`WorkerSlot`].
+/// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
 /// build/inject closures as the scalar paths, which is what guarantees
 /// batch and scalar traces are byte-identical.
@@ -561,7 +589,12 @@ pub struct BatchSpec {
     /// Runs one case group lock-step; see [`BatchSpec`].
     #[allow(clippy::type_complexity)]
     pub run: Arc<
-        dyn Fn(&CaseCtx, &[usize], LaneHooks<'_>) -> Result<Vec<BatchCaseOutcome>, BoxError>
+        dyn Fn(
+                &CaseCtx,
+                &[usize],
+                LaneHooks<'_>,
+                &mut WorkerSlot,
+            ) -> Result<Vec<BatchCaseOutcome>, BoxError>
             + Send
             + Sync,
     >,
@@ -1118,6 +1151,7 @@ impl Engine {
                         });
                         let mut claimed = 0usize;
                         if let Some(spec) = batch_spec {
+                            let mut worker_slot = WorkerSlot::default();
                             loop {
                                 if stop.load(Ordering::Relaxed) {
                                     break;
@@ -1131,6 +1165,7 @@ impl Engine {
                                     campaign,
                                     spec,
                                     group,
+                                    &mut worker_slot,
                                     golden_ref,
                                     &stats,
                                     journal.as_ref(),
@@ -1545,17 +1580,20 @@ impl Engine {
     /// fails without a sealed verdict falls back to the scalar path for
     /// that case alone — which re-derives guard-trip verdicts, retry
     /// accounting and quarantine exactly as a scalar run would.
+    #[allow(clippy::too_many_arguments)]
     fn execute_batch(
         &self,
         campaign: &Campaign,
         spec: &BatchSpec,
         group: &[usize],
+        slot: &mut WorkerSlot,
         golden: &Arc<Trace>,
         stats: &Arc<EngineStats>,
         journal: Option<&Journal>,
     ) -> Result<Vec<(usize, JournalEntry)>, EngineError> {
         let tele = &self.config.telemetry;
         let group_t0 = Instant::now();
+        slot.fork = None;
         let mut lane_classifiers: Vec<Option<Arc<Mutex<OnlineClassifier>>>> =
             (0..group.len()).map(|_| None).collect();
         let mut group_budget = self.case_budget();
@@ -1590,26 +1628,28 @@ impl Engine {
                 }
                 (budget, observer)
             };
-            let out = catch_unwind(AssertUnwindSafe(|| (spec.run)(&ctx, group, &mut hooks)));
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                (spec.run)(&ctx, group, &mut hooks, slot)
+            }));
             ctx.finish();
             out
         };
         let outcomes = match outcomes {
-            Ok(Ok(v)) if v.len() == group.len() => v,
-            Ok(Ok(v)) => {
-                let reason = format!(
-                    "batch returned {} outcomes for {} lanes",
-                    v.len(),
-                    group.len()
-                );
-                return self.batch_group_fallback(campaign, group, golden, stats, journal, &reason);
-            }
-            Ok(Err(e)) => {
-                let reason = e.to_string();
-                return self.batch_group_fallback(campaign, group, golden, stats, journal, &reason);
-            }
-            Err(payload) => {
-                let reason = panic_message(payload);
+            Ok(Ok(v)) if v.len() == group.len() => Ok(v),
+            Ok(Ok(v)) => Err(format!(
+                "batch returned {} outcomes for {} lanes",
+                v.len(),
+                group.len()
+            )),
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(payload) => Err(panic_message(payload)),
+        };
+        let outcomes = match outcomes {
+            Ok(v) => v,
+            Err(reason) => {
+                // Whatever the spec parked in the slot may be half-updated:
+                // the worker's next group starts from nothing.
+                *slot = WorkerSlot::default();
                 return self.batch_group_fallback(campaign, group, golden, stats, journal, &reason);
             }
         };
@@ -1645,9 +1685,16 @@ impl Engine {
             entries.push((index, entry));
         }
         tele.emit_with(|| {
-            Event::new("span", "batch")
+            let mut event = Event::new("span", "batch")
                 .with_dur_us(group_t0.elapsed().as_micros() as u64)
-                .with_field("lanes", group.len())
+                .with_field("lanes", group.len());
+            if let Some(fork) = slot.fork {
+                let cursor = if fork.reused { "reused" } else { "rebuilt" };
+                event = event
+                    .with_field("from_fs", fork.at.as_fs())
+                    .with_field("cursor", cursor);
+            }
+            event
         });
         Ok(entries)
     }

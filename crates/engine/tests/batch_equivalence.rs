@@ -7,12 +7,20 @@
 //!   `--quarantine`) *alone*: every other lane's verdict still matches
 //!   the scalar run;
 //! * batch + `--early-abort` seals the same verdict classes the full
-//!   post-hoc run derives.
+//!   post-hoc run derives;
+//! * word groups fork from one golden scalar cursor per worker: the
+//!   answers stay byte-identical on whole, sharded and partly completed
+//!   case lists, the prefix is paid per worker and not per group, and a
+//!   cursor is never run backwards or kept after a failure.
 
-use amsfi_core::{plan, ClassifySpec, FaultCase};
+use amsfi_core::{plan, report, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, InjectTarget, Netlist, Simulator};
-use amsfi_engine::{campaigns, Campaign, CaseCtx, Engine, EngineConfig};
-use amsfi_waves::{Logic, Time};
+use amsfi_engine::{
+    campaigns, BatchCaseOutcome, Campaign, CaseCtx, Engine, EngineConfig, PrefixFork, Shard,
+    Telemetry, WorkerSlot,
+};
+use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const T_END: Time = Time::from_us(2);
@@ -341,4 +349,250 @@ fn cpu_set_campaign_word_runs_byte_identically() {
     for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
         assert_eq!(a, b, "cpu-set case {} diverged between paths", a.case);
     }
+}
+
+// ---- The worker's golden cursor: word groups fork from one scalar prefix ----
+
+fn word_config(workers: usize) -> EngineConfig {
+    EngineConfig::default()
+        .with_workers(workers)
+        .with_batch(true)
+        .with_word(true)
+}
+
+#[test]
+fn word_cases_csv_is_byte_identical_on_whole_sharded_and_resumed_lists() {
+    for (name, limit) in [("cpu", 160), ("cpu-set", 200)] {
+        let campaign = campaigns::build(name, Some(limit)).expect("catalog campaign");
+        // The later half only: every group starts late, on a cursor that
+        // has the whole first half of the golden run to cover at once.
+        let first_half: Vec<usize> = (0..limit / 2).collect();
+        let shard = Shard::new(1, 3).expect("shard 1/3");
+        type Subset = fn(EngineConfig, &[usize], Shard) -> EngineConfig;
+        let subsets: [(&str, Subset); 3] = [
+            ("whole list", |cfg, _, _| cfg),
+            ("shard 1/3", |cfg, _, shard| cfg.with_shard(shard)),
+            ("later half", |cfg, done, _| {
+                cfg.with_completed(done.to_vec())
+            }),
+        ];
+        for (what, subset) in subsets {
+            let scalar = Engine::new(subset(
+                EngineConfig::default().with_workers(2),
+                &first_half,
+                shard,
+            ))
+            .run(&campaign)
+            .expect("scalar run");
+            let expected = report::cases_csv(&scalar.result);
+            assert!(expected.lines().count() > 1, "{name}, {what}: no cases ran");
+            for workers in [1, 3] {
+                let word = Engine::new(subset(word_config(workers), &first_half, shard))
+                    .run(&campaign)
+                    .expect("word run");
+                assert_eq!(scalar.result.golden, word.result.golden);
+                assert_eq!(
+                    expected,
+                    report::cases_csv(&word.result),
+                    "{name}, {what}, {workers} worker(s): cases.csv differs from scalar"
+                );
+            }
+        }
+    }
+}
+
+/// `digital_events` of one engine run of `campaign` under `cfg`.
+fn digital_events(campaign: &Campaign, cfg: EngineConfig) -> u64 {
+    let tele = Telemetry::builder()
+        .build()
+        .expect("metrics-only telemetry");
+    Engine::new(cfg.with_telemetry(tele.clone()))
+        .run(campaign)
+        .expect("engine run");
+    tele.metrics().expect("enabled").digital_events.get()
+}
+
+#[test]
+fn word_prefix_cost_is_paid_per_worker_not_per_group() {
+    // Not a wall-clock test: kernel events are counted. A word run that
+    // re-simulated the golden prefix for every group would process at
+    // least one golden horizon per group; the cursor pays one per worker,
+    // and each group only its own suffix.
+    let campaign = campaigns::build("cpu-set", None).expect("cpu-set campaign");
+    let groups = campaign.cases.len().div_ceil(63) as u64;
+    assert!(groups >= 8, "need a campaign of many groups, got {groups}");
+    let golden_only = campaigns::build("cpu-set", Some(0)).expect("empty cpu-set");
+    let horizon = digital_events(&golden_only, EngineConfig::default().with_workers(1));
+    assert!(horizon > 0);
+
+    let word = digital_events(&campaign, word_config(1)) - horizon;
+    assert!(
+        word * 10 < groups * horizon * 4,
+        "{word} events over {groups} groups is not under 40 % of {groups} x {horizon}"
+    );
+}
+
+/// An 8-bit x `times` counter SEU campaign over the simulator `build`
+/// makes (which must hold a counter "ctr"), plus how often the engine
+/// called `build`.
+fn counted_campaign(times: &[Time], build: fn() -> Simulator) -> (Campaign, Arc<AtomicUsize>) {
+    let bits: Vec<usize> = (0..8).collect();
+    let base = counter_campaign(&bits, times, None);
+    let ctr = build().component_id("ctr").expect("counter instance");
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&builds);
+    let campaign = Campaign::forked_batch(
+        "counted-builds",
+        base.spec,
+        base.cases,
+        T_END,
+        move |_ctx: &CaseCtx| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(build())
+        },
+        move |sim: &mut dyn InjectTarget, i| {
+            sim.flip_state(ctr, i % 8);
+            Ok(())
+        },
+    );
+    (campaign, builds)
+}
+
+#[test]
+fn word_builds_once_per_worker_and_says_so_in_the_events() {
+    // 8 bits x 63 instants = 8 full groups on one worker.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 63);
+    let (campaign, builds) = counted_campaign(&times, build_counter);
+    let dir = std::env::temp_dir().join(format!("amsfi-cursor-events-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let events = dir.join("events.jsonl");
+    let tele = Telemetry::builder()
+        .events_path(&events)
+        .capacity(1 << 16)
+        .build()
+        .expect("telemetry");
+    let report = Engine::new(word_config(1).with_telemetry(tele.clone()))
+        .run(&campaign)
+        .expect("word run");
+    tele.close();
+    assert_eq!(report.result.cases.len(), 504);
+    assert_eq!(
+        builds.load(Ordering::Relaxed),
+        2,
+        "one build for the golden run, one for the worker's cursor"
+    );
+
+    let text = std::fs::read_to_string(&events).expect("events readable");
+    let spans: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"span\"") && l.contains("\"name\":\"batch\""))
+        .collect();
+    assert_eq!(spans.len(), 8, "one batch span per group:\n{text}");
+    assert!(spans.iter().all(|l| l.contains("\"from_fs\":")));
+    let rebuilt = spans
+        .iter()
+        .filter(|l| l.contains("\"cursor\":\"rebuilt\""));
+    let reused = spans.iter().filter(|l| l.contains("\"cursor\":\"reused\""));
+    assert_eq!((rebuilt.count(), reused.count()), (1, 7));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `group` through the campaign's word spec on `slot`, as one engine
+/// worker would, and returns the lanes' traces.
+fn run_word_group(
+    campaign: &Campaign,
+    group: &[usize],
+    slot: &mut WorkerSlot,
+) -> Vec<amsfi_waves::Trace> {
+    let spec = campaign.word.as_ref().expect("word spec");
+    let mut hooks = |_lane: usize| (SimBudget::unlimited(), None);
+    (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot)
+        .expect("word group")
+        .into_iter()
+        .map(|outcome| match outcome {
+            BatchCaseOutcome::Done { trace, .. } => trace,
+            BatchCaseOutcome::Error(e) => panic!("lane failed: {e}"),
+        })
+        .collect()
+}
+
+#[test]
+fn worker_cursor_rolls_forward_and_is_rebuilt_rather_than_run_backwards() {
+    let times = [Time::from_ns(300), Time::from_ns(700), Time::from_ns(1100)];
+    let campaign = counter_campaign(&[0, 5], &times, None);
+    let (early, middle, late) = ([0usize, 1], [2usize, 3], [4usize, 5]);
+    let fresh = |group: &[usize]| run_word_group(&campaign, group, &mut WorkerSlot::default());
+
+    let mut slot = WorkerSlot::default();
+    assert_eq!(
+        run_word_group(&campaign, &middle, &mut slot),
+        fresh(&middle)
+    );
+    let at = |t: Time, reused: bool| Some(PrefixFork { at: t, reused });
+    assert_eq!(slot.fork, at(times[1], false));
+    // Forward: the parked cursor is advanced and cloned.
+    assert_eq!(run_word_group(&campaign, &late, &mut slot), fresh(&late));
+    assert_eq!(slot.fork, at(times[2], true));
+    // Behind the cursor: a new one is built, the old one is not rewound.
+    assert_eq!(run_word_group(&campaign, &early, &mut slot), fresh(&early));
+    assert_eq!(slot.fork, at(times[0], false));
+    // A slot holding something that is not this campaign's cursor is
+    // treated as empty.
+    slot.state = Some(Box::new("not a simulator"));
+    assert_eq!(run_word_group(&campaign, &late, &mut slot), fresh(&late));
+    assert_eq!(slot.fork, at(times[2], false));
+}
+
+#[test]
+fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
+    // An external drive pending past the first injection has no 64-lane
+    // form: every group must degrade to the scalar path (which honours
+    // the drive) instead of panicking or dropping it.
+    fn build_with_external() -> Simulator {
+        let mut net = Netlist::new();
+        let clk = net.signal("clk", 1);
+        let rst = net.signal("rst", 1);
+        let en = net.signal("en", 1);
+        let q = net.signal("q", 8);
+        net.add("ck", cells::ClockGen::new(Time::from_ns(20)), &[], &[clk]);
+        net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+        net.add(
+            "ctr",
+            cells::Counter::new(8, Time::ZERO),
+            &[clk, rst, en],
+            &[q],
+        );
+        let mut sim = Simulator::new(net);
+        sim.monitor_name("q");
+        // `en` has no driver: it is enabled from outside, late in the run.
+        sim.inject_value(en, LogicVector::filled(Logic::One, 1), Time::from_ns(1500));
+        sim
+    }
+    // 8 bits x 16 instants = 128 cases: groups of 63, 63 and 2 on one
+    // worker, which would reuse its cursor if a failure did not clear it.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(900), 16);
+    let (campaign, builds) = counted_campaign(&times, build_with_external);
+    let scalar = Engine::new(EngineConfig::default().with_workers(1))
+        .run(&campaign)
+        .expect("scalar run");
+    assert!(
+        scalar
+            .result
+            .golden
+            .digital("q[0]")
+            .is_some_and(|w| w.len() > 2),
+        "the external enable must make the counter count"
+    );
+
+    builds.store(0, Ordering::Relaxed);
+    let word = Engine::new(word_config(1))
+        .run(&campaign)
+        .expect("word run");
+    assert_eq!(
+        report::cases_csv(&scalar.result),
+        report::cases_csv(&word.result)
+    );
+    // The golden run, one cursor per group (none is kept after its group
+    // failed), and every case again on the scalar path.
+    assert_eq!(builds.load(Ordering::Relaxed), 1 + 3 + 128);
 }
