@@ -277,9 +277,11 @@ rm -rf "$tmp"
 # verdict is caught), then short cpu-seu-word and cpu-set-word runs that
 # must agree with the committed reference digests — the oracle every
 # word-kernel speedup is measured under. cpu-set-word is the late, dense
-# SET list whose groups fork from the worker's golden cursor (PR 14).
+# SET list whose groups fork from the worker's golden cursor (PR 14);
+# cpu-seu-scalar is the scalar kernel on its own — event wheel, lent
+# inputs, pooled drive values (PR 15).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in cpu-seu-word cpu-set-word; do
+for workload in cpu-seu-word cpu-set-word cpu-seu-scalar; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1 \
         | grep -q '"correct": true'

@@ -25,7 +25,7 @@ use amsfi_analog::{
 use amsfi_digital::{cells, Component, ComponentId, EvalContext, Netlist, PortSpec, Simulator};
 use amsfi_faults::PulseShape;
 use amsfi_mixed::MixedSimulator;
-use amsfi_waves::{Logic, LogicVector, Time};
+use amsfi_waves::{Logic, Time};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -128,12 +128,11 @@ impl Component for ThermometerEncoder {
                 None => any_meta = true,
             }
         }
-        let out = if any_meta {
-            LogicVector::filled(Logic::Unknown, self.out_width)
+        if any_meta {
+            ctx.drive_filled(0, Logic::Unknown, self.out_width, self.delay);
         } else {
-            LogicVector::from_u64(count, self.out_width)
-        };
-        ctx.drive(0, out, self.delay);
+            ctx.drive_u64(0, count, self.out_width, self.delay);
+        }
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -212,8 +211,8 @@ impl Component for SarController {
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, LogicVector::from_u64(self.acc, self.bits), self.delay);
-        ctx.drive(1, LogicVector::from_u64(self.result, self.bits), self.delay);
+        ctx.drive_u64(0, self.acc, self.bits, self.delay);
+        ctx.drive_u64(1, self.result, self.bits, self.delay);
         ctx.drive_bit(2, Logic::from_bool(done), self.delay);
     }
 

@@ -9,7 +9,7 @@
 //! overwrites, and failures that corrupt the output stream.
 
 use amsfi_digital::{Component, EvalContext, PortSpec, WordComponent, WordEvalContext};
-use amsfi_waves::{Logic, LogicPlanes, LogicVector, Time, LANES};
+use amsfi_waves::{Logic, LogicPlanes, Time, LANES};
 use std::fmt;
 
 /// One instruction of the tiny ISA.
@@ -167,12 +167,8 @@ impl Component for TinyCpu {
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, LogicVector::from_u64(self.out as u64, 8), self.delay);
-        ctx.drive(
-            1,
-            LogicVector::from_u64(self.pc as u64, PC_BITS),
-            self.delay,
-        );
+        ctx.drive_u64(0, self.out as u64, 8, self.delay);
+        ctx.drive_u64(1, self.pc as u64, PC_BITS, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {

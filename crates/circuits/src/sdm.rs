@@ -18,7 +18,7 @@ use amsfi_analog::{
 use amsfi_digital::{cells, Component, ComponentId, EvalContext, Netlist, PortSpec, Simulator};
 use amsfi_faults::PulseShape;
 use amsfi_mixed::MixedSimulator;
-use amsfi_waves::{Logic, LogicVector, Time};
+use amsfi_waves::{Logic, Time};
 use std::sync::Arc;
 
 use crate::adc::AdcInput;
@@ -101,11 +101,7 @@ impl Component for SincDecimator {
             }
         }
         self.prev_clk = clk;
-        ctx.drive(
-            0,
-            LogicVector::from_u64(self.code, self.code_width()),
-            self.delay,
-        );
+        ctx.drive_u64(0, self.code, self.code_width(), self.delay);
         ctx.drive_bit(1, Logic::from_bool(valid), self.delay);
     }
 

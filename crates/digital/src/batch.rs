@@ -25,11 +25,9 @@
 //! monitored signal values of all lanes are packed bit-sliced (lane `l` of
 //! the planes word is lane `l` of the batch) and compared against the
 //! golden values with one plane-XOR per signal bit. Only lanes whose mask
-//! bit is clear — observably identical to golden — pay for the full seal
-//! comparison, and a digest pre-filter ([`Simulator::state_digest`]) keeps
-//! even that cheap; the exact comparison (`Simulator::lockstep_state_eq`)
-//! confirms every seal, so a digest collision can not produce a wrong
-//! verdict.
+//! bit is clear — observably identical to golden — pay for the exact seal
+//! comparison (`Simulator::lockstep_state_eq`), which checks its cheap
+//! legs first and stops at the first difference.
 
 use crate::sim::{ComponentStates, SimError, Simulator};
 use amsfi_waves::{KernelMetrics, LogicPlanes, Time, Trace, LANES};
@@ -340,7 +338,7 @@ impl BatchSimulator {
             }
         }
 
-        let mut golden_digest = None;
+        let mut golden_rendered = false;
         for lane_id in 0..self.lanes.len() {
             if diverged & (1 << lane_id) != 0 {
                 continue;
@@ -348,13 +346,11 @@ impl BatchSimulator {
             let LaneState::Running(sim) = &self.lanes[lane_id].state else {
                 continue;
             };
-            let digest = *golden_digest.get_or_insert_with(|| {
+            if !golden_rendered {
                 self.golden.render_component_states(&mut self.golden_states);
-                self.golden.state_digest()
-            });
-            if sim.state_digest() != digest
-                || !sim.lockstep_state_eq(&self.golden, &self.golden_states)
-            {
+                golden_rendered = true;
+            }
+            if !sim.lockstep_state_eq(&self.golden, &self.golden_states) {
                 continue;
             }
             let LaneState::Running(sim) =

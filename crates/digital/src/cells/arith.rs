@@ -37,7 +37,7 @@ impl Component for Adder {
             sum.set(i, ai ^ bi ^ carry);
             carry = (ai & bi) | (carry & (ai ^ bi));
         }
-        ctx.drive(0, sum, self.delay);
+        ctx.drive(0, &sum, self.delay);
         ctx.drive_bit(1, carry, self.delay);
     }
 

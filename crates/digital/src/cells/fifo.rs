@@ -81,19 +81,19 @@ impl Component for Fifo {
                 let do_write = ctx.input_bit(2).is_high() && !full;
                 let do_read = ctx.input_bit(4).is_high() && !empty;
                 if do_write {
-                    self.words[self.wr as usize] = ctx.input(3).clone();
+                    self.words[self.wr as usize].clone_from(ctx.input(3));
                     self.wr = (self.wr + 1) & self.mask();
                     self.count += 1;
                 }
                 if do_read {
-                    self.dout = self.words[self.rd as usize].clone();
+                    self.dout.clone_from(&self.words[self.rd as usize]);
                     self.rd = (self.rd + 1) & self.mask();
                     self.count -= 1;
                 }
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.dout.clone(), self.delay);
+        ctx.drive(0, &self.dout, self.delay);
         ctx.drive_bit(1, Logic::from_bool(self.count == 0), self.delay);
         ctx.drive_bit(
             2,

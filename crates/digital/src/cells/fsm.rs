@@ -8,7 +8,7 @@
 
 use crate::component::{Component, EvalContext};
 use crate::netlist::PortSpec;
-use amsfi_waves::{Logic, LogicVector, Time};
+use amsfi_waves::{Logic, Time};
 use std::fmt;
 
 /// Error returned when an FSM description is malformed.
@@ -148,17 +148,13 @@ impl Fsm {
         // A corrupted state may address outside the table: unreachable states
         // produce an all-X output, exactly what a synthesised one-hot or
         // sparse encoding would do.
-        let out = if self.state < self.n_states {
-            LogicVector::from_u64(self.output[self.state as usize], self.output_width)
+        if self.state < self.n_states {
+            let out = self.output[self.state as usize];
+            ctx.drive_u64(0, out, self.output_width, self.delay);
         } else {
-            LogicVector::filled(Logic::Unknown, self.output_width)
-        };
-        ctx.drive(0, out, self.delay);
-        ctx.drive(
-            1,
-            LogicVector::from_u64(self.state, self.state_width),
-            self.delay,
-        );
+            ctx.drive_filled(0, Logic::Unknown, self.output_width, self.delay);
+        }
+        ctx.drive_u64(1, self.state, self.state_width, self.delay);
     }
 }
 

@@ -195,8 +195,7 @@ impl Buf {
 
 impl Component for Buf {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-        let v = ctx.input(0).clone();
-        ctx.drive(0, v, self.delay);
+        ctx.drive(0, ctx.input(0), self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -247,12 +246,11 @@ impl Mux2 {
 
 impl Component for Mux2 {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-        let out = match ctx.input_bit(0).to_bool() {
-            Some(false) => ctx.input(1).clone(),
-            Some(true) => ctx.input(2).clone(),
-            None => amsfi_waves::LogicVector::filled(Logic::Unknown, self.width),
-        };
-        ctx.drive(0, out, self.delay);
+        match ctx.input_bit(0).to_bool() {
+            Some(false) => ctx.drive(0, ctx.input(1), self.delay),
+            Some(true) => ctx.drive(0, ctx.input(2), self.delay),
+            None => ctx.drive_filled(0, Logic::Unknown, self.width, self.delay),
+        }
     }
 
     fn port_spec(&self) -> PortSpec {

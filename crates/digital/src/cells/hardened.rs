@@ -56,7 +56,7 @@ impl Component for MajorityVoter {
         let out: LogicVector = (0..self.width)
             .map(|i| Self::vote(ctx.input(0)[i], ctx.input(1)[i], ctx.input(2)[i]))
             .collect();
-        ctx.drive(0, out, self.delay);
+        ctx.drive(0, &out, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -131,7 +131,7 @@ impl Component for TmrRegister {
             self.replicas = [next.clone(), next.clone(), next];
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.voted(), self.delay);
+        ctx.drive(0, &self.voted(), self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -203,11 +203,10 @@ impl HammingEncoder {
 
 impl Component for HammingEncoder {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-        let out = match ctx.input(0).to_u64() {
-            Some(d) => LogicVector::from_u64(Self::encode(d), 7),
-            None => LogicVector::filled(Logic::Unknown, 7),
-        };
-        ctx.drive(0, out, self.delay);
+        match ctx.input(0).to_u64() {
+            Some(d) => ctx.drive_u64(0, Self::encode(d), 7, self.delay),
+            None => ctx.drive_filled(0, Logic::Unknown, 7, self.delay),
+        }
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -265,11 +264,11 @@ impl Component for HammingDecoder {
         match ctx.input(0).to_u64() {
             Some(code) => {
                 let (data, fixed) = Self::decode(code);
-                ctx.drive(0, LogicVector::from_u64(data, 4), self.delay);
+                ctx.drive_u64(0, data, 4, self.delay);
                 ctx.drive_bit(1, Logic::from_bool(fixed.is_some()), self.delay);
             }
             None => {
-                ctx.drive(0, LogicVector::filled(Logic::Unknown, 4), self.delay);
+                ctx.drive_filled(0, Logic::Unknown, 4, self.delay);
                 ctx.drive_bit(1, Logic::Unknown, self.delay);
             }
         }

@@ -74,17 +74,17 @@ impl Component for Ram {
                 Some(addr) => {
                     let addr = addr as usize;
                     if ctx.input_bit(1).is_high() {
-                        self.words[addr] = ctx.input(3).clone();
+                        self.words[addr].clone_from(ctx.input(3));
                     }
-                    self.dout = self.words[addr].clone();
+                    self.dout.clone_from(&self.words[addr]);
                 }
                 None => {
-                    self.dout = LogicVector::filled(Logic::Unknown, self.data_width);
+                    self.dout.assign_filled(Logic::Unknown, self.data_width);
                 }
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.dout.clone(), self.delay);
+        ctx.drive(0, &self.dout, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {

@@ -68,13 +68,13 @@ impl Component for Register {
         let clk = ctx.input_bit(CLK);
         if rising(self.prev_clk, clk) {
             if ctx.input_bit(1).is_high() {
-                self.state = LogicVector::zeros(self.width);
+                self.state.assign_filled(Logic::Zero, self.width);
             } else {
-                self.state = ctx.input(2).clone();
+                self.state.clone_from(ctx.input(2));
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.state.clone(), self.delay);
+        ctx.drive(0, &self.state, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -135,10 +135,10 @@ impl Component for Dff {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
         let clk = ctx.input_bit(CLK);
         if rising(self.prev_clk, clk) {
-            self.state = ctx.input(1).clone();
+            self.state.clone_from(ctx.input(1));
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.state.clone(), self.delay);
+        ctx.drive(0, &self.state, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -198,9 +198,9 @@ impl Latch {
 impl Component for Latch {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
         if ctx.input_bit(0).is_high() {
-            self.state = ctx.input(1).clone();
+            self.state.clone_from(ctx.input(1));
         }
-        ctx.drive(0, self.state.clone(), self.delay);
+        ctx.drive(0, &self.state, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -276,7 +276,7 @@ impl Component for Counter {
             }
         }
         self.prev_clk = clk;
-        ctx.drive(0, LogicVector::from_u64(self.count, self.width), self.delay);
+        ctx.drive_u64(0, self.count, self.width, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -347,7 +347,7 @@ impl Component for ShiftReg {
             self.state = next;
         }
         self.prev_clk = clk;
-        ctx.drive(0, self.state.clone(), self.delay);
+        ctx.drive(0, &self.state, self.delay);
         ctx.drive_bit(1, evicted, self.delay);
     }
 
@@ -429,7 +429,7 @@ impl Component for Lfsr {
                 };
         }
         self.prev_clk = clk;
-        ctx.drive(0, LogicVector::from_u64(self.state, self.width), self.delay);
+        ctx.drive_u64(0, self.state, self.width, self.delay);
     }
 
     fn port_spec(&self) -> PortSpec {

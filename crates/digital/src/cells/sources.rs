@@ -168,7 +168,7 @@ impl ConstVector {
 
 impl Component for ConstVector {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-        ctx.drive(0, self.value.clone(), Time::ZERO);
+        ctx.drive(0, &self.value, Time::ZERO);
     }
 
     fn port_spec(&self) -> PortSpec {
@@ -256,7 +256,7 @@ impl Component for Stimulus {
         }
         self.fired = true;
         for (t, v) in &self.schedule {
-            ctx.drive_transport(0, v.clone(), *t);
+            ctx.drive_transport(0, v, *t);
         }
     }
 

@@ -10,26 +10,21 @@
 //! Section 3.2 instrumentation that lets the fault-injection flow flip the
 //! value of "memorised signals or variables" inside a block.
 
+use crate::netlist::SignalId;
 use amsfi_waves::{Logic, LogicVector, Time};
 
 /// One action requested by a component evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Action {
-    /// Drive output port `output` with `value` after `delay`, with inertial
-    /// semantics (cancels this driver's pending transactions).
-    DriveInertial {
+    /// Drive output port `output` with `value` after `delay`.
+    Drive {
+        /// Transport semantics (pending transactions survive) instead of
+        /// inertial ones (this driver's pending transactions are
+        /// cancelled).
+        transport: bool,
         /// Output port index.
         output: usize,
-        /// New value.
-        value: LogicVector,
-        /// Delay from now.
-        delay: Time,
-    },
-    /// Drive with transport semantics (pending transactions survive).
-    DriveTransport {
-        /// Output port index.
-        output: usize,
-        /// New value.
+        /// New value, in a pooled vector.
         value: LogicVector,
         /// Delay from now.
         delay: Time,
@@ -41,29 +36,70 @@ pub(crate) enum Action {
     },
 }
 
-/// The evaluation context handed to [`Component::eval`]: read-only access to
-/// the current input values and a queue of requested actions.
+/// Recycled heap-backed values: a consumer hands back the vector it is
+/// done with and the next producer refills it, so a kernel's steady state
+/// never asks the allocator for a drive value. Bounded, because values can
+/// also arrive from outside a pool (externally injected drives).
+#[derive(Debug)]
+pub(crate) struct Pool<V>(Vec<V>);
+
+impl<V> Default for Pool<V> {
+    fn default() -> Self {
+        Pool(Vec::new())
+    }
+}
+
+impl<V: Default> Pool<V> {
+    /// More values than this are never outstanding in one time point of
+    /// the circuits at hand; anything beyond is simply dropped.
+    const CAPACITY: usize = 64;
+
+    /// A value to overwrite: recycled (contents unspecified) when there is
+    /// one, otherwise fresh and empty.
+    pub(crate) fn take(&mut self) -> V {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Hands `value`'s storage back for the next [`Pool::take`].
+    pub(crate) fn give(&mut self, value: V) {
+        if self.0.len() < Self::CAPACITY {
+            self.0.push(value);
+        }
+    }
+}
+
+/// The evaluation context handed to [`Component::eval`]: the signal store
+/// seen through the component's input ports, and a queue of requested
+/// actions whose drive values live in pooled vectors.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     now: Time,
-    inputs: &'a [LogicVector],
+    /// The signal values `ports` index into.
+    values: &'a [LogicVector],
+    /// The component's input ports, in port order.
+    ports: &'a [SignalId],
     pub(crate) actions: Vec<Action>,
+    pool: &'a mut Pool<LogicVector>,
 }
 
 impl<'a> EvalContext<'a> {
-    #[cfg(test)]
-    pub(crate) fn new(now: Time, inputs: &'a [LogicVector]) -> Self {
-        Self::reuse(now, inputs, Vec::new())
-    }
-
-    /// Builds a context, recycling a previously drained action list so the
-    /// simulators' hot loops do not allocate one per eval.
-    pub(crate) fn reuse(now: Time, inputs: &'a [LogicVector], actions: Vec<Action>) -> Self {
+    /// Builds a context over `values` seen through `ports`, recycling a
+    /// previously drained action list so the simulators' hot loops do not
+    /// allocate one per eval.
+    pub(crate) fn new(
+        now: Time,
+        values: &'a [LogicVector],
+        ports: &'a [SignalId],
+        actions: Vec<Action>,
+        pool: &'a mut Pool<LogicVector>,
+    ) -> Self {
         debug_assert!(actions.is_empty(), "recycled action list must be drained");
         EvalContext {
             now,
-            inputs,
+            values,
+            ports,
             actions,
+            pool,
         }
     }
 
@@ -72,13 +108,14 @@ impl<'a> EvalContext<'a> {
         self.now
     }
 
-    /// The value of input port `index`.
+    /// The value of input port `index`, lent straight from the signal
+    /// store.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range for this component's inputs.
-    pub fn input(&self, index: usize) -> &LogicVector {
-        &self.inputs[index]
+    pub fn input(&self, index: usize) -> &'a LogicVector {
+        &self.values[self.ports[index].0]
     }
 
     /// The first (and for scalars, only) bit of input port `index`.
@@ -87,39 +124,60 @@ impl<'a> EvalContext<'a> {
     ///
     /// Panics if `index` is out of range or the input has zero width.
     pub fn input_bit(&self, index: usize) -> Logic {
-        self.inputs[index][0]
+        self.input(index)[0]
     }
 
-    /// Drives output port `output` with `value` after `delay`, cancelling any
-    /// pending transaction from this driver (inertial delay, the VHDL
-    /// default).
-    pub fn drive(&mut self, output: usize, value: LogicVector, delay: Time) {
-        self.actions.push(Action::DriveInertial {
-            output,
-            value,
-            delay,
-        });
+    /// Drives output port `output` with a copy of `value` after `delay`,
+    /// cancelling any pending transaction from this driver (inertial delay,
+    /// the VHDL default).
+    pub fn drive(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        self.push_drive(false, output, delay, |v| v.clone_from(value));
     }
 
     /// Scalar convenience for [`EvalContext::drive`].
     pub fn drive_bit(&mut self, output: usize, value: Logic, delay: Time) {
-        self.drive(output, LogicVector::filled(value, 1), delay);
+        self.drive_filled(output, value, 1, delay);
+    }
+
+    /// [`EvalContext::drive`] with `width` bits of `value`.
+    pub fn drive_filled(&mut self, output: usize, value: Logic, width: usize, delay: Time) {
+        self.push_drive(false, output, delay, |v| v.assign_filled(value, width));
+    }
+
+    /// [`EvalContext::drive`] with the low `width` bits of `value`, LSB at
+    /// index 0.
+    pub fn drive_u64(&mut self, output: usize, value: u64, width: usize, delay: Time) {
+        self.push_drive(false, output, delay, |v| v.assign_u64(value, width));
     }
 
     /// Drives with transport semantics: earlier pending transactions from
     /// this driver are preserved (used by stimulus sources that pre-schedule
     /// a whole waveform).
-    pub fn drive_transport(&mut self, output: usize, value: LogicVector, delay: Time) {
-        self.actions.push(Action::DriveTransport {
-            output,
-            value,
-            delay,
-        });
+    pub fn drive_transport(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        self.push_drive(true, output, delay, |v| v.clone_from(value));
     }
 
     /// Scalar convenience for [`EvalContext::drive_transport`].
     pub fn drive_transport_bit(&mut self, output: usize, value: Logic, delay: Time) {
-        self.drive_transport(output, LogicVector::filled(value, 1), delay);
+        self.push_drive(true, output, delay, |v| v.assign_filled(value, 1));
+    }
+
+    /// Queues a drive whose value `write` puts into a pooled vector.
+    fn push_drive(
+        &mut self,
+        transport: bool,
+        output: usize,
+        delay: Time,
+        write: impl FnOnce(&mut LogicVector),
+    ) {
+        let mut value = self.pool.take();
+        write(&mut value);
+        self.actions.push(Action::Drive {
+            transport,
+            output,
+            value,
+            delay,
+        });
     }
 
     /// Requests a re-evaluation of this component after `delay` even if no
@@ -237,18 +295,28 @@ mod tests {
 
     #[test]
     fn context_collects_actions() {
-        let inputs = vec![LogicVector::filled(Logic::One, 1)];
-        let mut ctx = EvalContext::new(Time::from_ns(5), &inputs);
+        // The port list picks the component's input out of the store.
+        let store = vec![LogicVector::new(4), LogicVector::filled(Logic::One, 1)];
+        let mut pool = Pool::default();
+        let mut ctx = EvalContext::new(
+            Time::from_ns(5),
+            &store,
+            &[SignalId(1)],
+            Vec::new(),
+            &mut pool,
+        );
         let mut p = Probe;
         p.eval(&mut ctx);
         assert_eq!(ctx.actions.len(), 1);
         assert_eq!(ctx.now(), Time::from_ns(5));
         match &ctx.actions[0] {
-            Action::DriveInertial {
+            Action::Drive {
+                transport,
                 output,
                 value,
                 delay,
             } => {
+                assert!(!transport);
                 assert_eq!(*output, 0);
                 assert_eq!(value[0], Logic::Zero);
                 assert_eq!(*delay, Time::from_ns(1));

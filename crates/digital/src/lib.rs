@@ -52,6 +52,7 @@ mod component;
 mod netlist;
 mod saboteur;
 mod sim;
+mod wheel;
 pub mod word;
 
 pub use batch::{BatchReport, BatchSimulator, LaneOutcome};

@@ -330,8 +330,7 @@ mod tests {
 
     impl Component for Pass {
         fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-            let v = ctx.input(0).clone();
-            ctx.drive(0, v, Time::ZERO);
+            ctx.drive(0, ctx.input(0), Time::ZERO);
         }
     }
 

@@ -112,7 +112,7 @@ impl DigitalSaboteur {
 
 impl Component for DigitalSaboteur {
     fn eval(&mut self, ctx: &mut EvalContext<'_>) {
-        let input = ctx.input(0).clone();
+        let input = ctx.input(0);
         let Some(fault) = self.fault.clone() else {
             ctx.drive(0, input, Time::ZERO);
             return;
@@ -133,33 +133,33 @@ impl Component for DigitalSaboteur {
                 match fault.kind {
                     DigitalFaultKind::StuckAt(level) => {
                         self.phase = Phase::Active;
-                        ctx.drive(0, LogicVector::filled(level, self.width), Time::ZERO);
+                        ctx.drive_filled(0, level, self.width, Time::ZERO);
                     }
                     DigitalFaultKind::SetPulse { width } => {
                         self.phase = Phase::Active;
-                        ctx.drive(0, self.inverted(&input), Time::ZERO);
+                        ctx.drive(0, &self.inverted(input), Time::ZERO);
                         ctx.wake(width);
                     }
                     DigitalFaultKind::BitFlip => {
-                        ctx.drive(0, self.inverted(&input), Time::ZERO);
+                        ctx.drive(0, &self.inverted(input), Time::ZERO);
                         self.retire();
                     }
                     DigitalFaultKind::ForceState { value } => {
-                        ctx.drive(0, LogicVector::from_u64(value, self.width), Time::ZERO);
+                        ctx.drive_u64(0, value, self.width, Time::ZERO);
                         self.retire();
                     }
                 }
             }
             Phase::Active => match fault.kind {
                 DigitalFaultKind::StuckAt(level) => {
-                    ctx.drive(0, LogicVector::filled(level, self.width), Time::ZERO);
+                    ctx.drive_filled(0, level, self.width, Time::ZERO);
                 }
                 DigitalFaultKind::SetPulse { .. } => {
                     if ctx.now() >= fault.end() {
                         ctx.drive(0, input, Time::ZERO);
                         self.retire();
                     } else {
-                        ctx.drive(0, self.inverted(&input), Time::ZERO);
+                        ctx.drive(0, &self.inverted(input), Time::ZERO);
                     }
                 }
                 _ => unreachable!("point faults never stay active"),

@@ -7,15 +7,15 @@
 //! engine strike an SEU at an exact simulation instant and have the corrupted
 //! state propagate on the next delta.
 
-use crate::component::{Action, EvalContext};
+use crate::component::{Action, EvalContext, Pool};
 use crate::netlist::{ComponentDecl, ComponentId, Netlist, SignalDecl, SignalId};
+use crate::wheel::Wheel;
 use amsfi_waves::{
     Checkpoint, CheckpointMismatch, DigitalSlot, Fnv1a, ForkableSim, GuardViolation, LogicVector,
     SimBudget, SimObserver, Time, Trace,
 };
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while simulating.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,38 +104,9 @@ pub(crate) enum NormalEvent {
 }
 
 #[derive(Debug, Clone)]
-struct Event {
-    time: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    /// Reversed so the `BinaryHeap` becomes a min-heap on `(time, seq)`.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-#[derive(Debug, Clone)]
 struct SignalState {
     name: String,
     width: usize,
-    value: LogicVector,
     readers: Vec<usize>,
     /// Trace slot of each bit, resolved when the signal was monitored;
     /// empty while it is not.
@@ -144,29 +115,39 @@ struct SignalState {
 
 #[derive(Debug, Clone)]
 struct ComponentSlot {
-    name: String,
+    /// Name and port lists never change: clones share them.
+    name: Arc<str>,
     comp: Box<dyn crate::Component>,
-    inputs: Vec<SignalId>,
-    outputs: Vec<SignalId>,
+    inputs: Arc<[SignalId]>,
+    outputs: Arc<[SignalId]>,
     /// Per-output driver generation for inertial cancellation.
     out_generation: Vec<u64>,
 }
 
 /// Reusable hot-loop buffers. A time point historically allocated a fresh
-/// eval set, changed set, input stage and action list per delta cycle;
-/// keeping them on the simulator turns the per-delta cost into a handful of
-/// clears. The contents are transient (always cleared before use), so
-/// cloning or checkpointing a simulator mid-flight carries no meaning.
-#[derive(Debug, Clone, Default)]
+/// eval set, changed set and action list per delta cycle and a vector per
+/// drive value; keeping them on the simulator turns the per-delta cost into
+/// a handful of clears. The contents are transient (empty between time
+/// points, or storage without meaning), so a clone — a checkpoint fork, a
+/// word-group cursor, a batch lane — starts with an empty scratch.
+#[derive(Debug, Default)]
 struct SimScratch {
     /// One bit per component: the eval set of the current delta cycle.
     eval: Vec<u64>,
     /// One bit per signal: signals that changed at the current time point.
     changed: Vec<u64>,
-    /// Input values staged for the component being evaluated.
-    inputs: Vec<LogicVector>,
     /// Recycled action list handed to each [`EvalContext`].
     actions: Vec<Action>,
+    /// Drive-value vectors between uses: an applied or cancelled event
+    /// returns its vector (on a change, the signal's displaced old value)
+    /// here and the next drive takes it.
+    pool: Pool<LogicVector>,
+}
+
+impl Clone for SimScratch {
+    fn clone(&self) -> Self {
+        SimScratch::default()
+    }
 }
 
 impl SimScratch {
@@ -278,15 +259,19 @@ pub(crate) struct WordSeed {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    signals: Vec<SignalState>,
+    /// Shared by clones: fixed once monitoring is attached, and a lane, a
+    /// fork or a cursor clone is taken long after.
+    signals: Arc<Vec<SignalState>>,
+    /// The current value of each signal: the store evaluations read their
+    /// inputs from, kept apart from `signals` so it can be lent as a slice.
+    values: Vec<LogicVector>,
     components: Vec<ComponentSlot>,
-    queue: BinaryHeap<Event>,
-    seq: u64,
-    now: Time,
+    /// Pending events and the simulation clock.
+    wheel: Wheel<EventKind>,
     trace: Trace,
     delta_limit: usize,
     events_processed: u64,
-    netlist_names: std::collections::HashMap<String, SignalId>,
+    netlist_names: Arc<std::collections::HashMap<String, SignalId>>,
     budget: SimBudget,
     observer: Option<SimObserver>,
     scratch: SimScratch,
@@ -297,6 +282,11 @@ impl Simulator {
     /// power-on evaluation at time zero.
     pub fn new(netlist: Netlist) -> Self {
         let mut names = std::collections::HashMap::new();
+        let values = netlist
+            .signals
+            .iter()
+            .map(|decl| LogicVector::new(decl.width))
+            .collect();
         let signals = netlist
             .signals
             .iter()
@@ -312,7 +302,6 @@ impl Simulator {
                 SignalState {
                     name: name.clone(),
                     width: *width,
-                    value: LogicVector::new(*width),
                     readers: readers.iter().map(|r| r.0).collect(),
                     slots: Vec::new(),
                 }
@@ -330,30 +319,29 @@ impl Simulator {
                 } = decl;
                 let out_generation = vec![0; outputs.len()];
                 ComponentSlot {
-                    name,
+                    name: name.into(),
                     comp,
-                    inputs,
-                    outputs,
+                    inputs: inputs.into(),
+                    outputs: outputs.into(),
                     out_generation,
                 }
             })
             .collect();
         let mut sim = Simulator {
-            signals,
+            signals: Arc::new(signals),
+            values,
             components,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            now: Time::ZERO,
+            wheel: Wheel::new(Time::ZERO),
             trace: Trace::new(),
             delta_limit: 10_000,
             events_processed: 0,
-            netlist_names: names,
+            netlist_names: Arc::new(names),
             budget: SimBudget::unlimited(),
             observer: None,
             scratch: SimScratch::default(),
         };
         for c in 0..sim.components.len() {
-            sim.push_event(Time::ZERO, EventKind::Wake { component: c });
+            sim.wheel.push(Time::ZERO, EventKind::Wake { component: c });
         }
         sim
     }
@@ -388,7 +376,7 @@ impl Simulator {
     /// Scalars are recorded under the signal name; each bit of a bus is
     /// recorded as `"name[i]"`.
     pub fn monitor(&mut self, signal: SignalId) {
-        let state = &mut self.signals[signal.0];
+        let state = &mut Arc::make_mut(&mut self.signals)[signal.0];
         if !state.slots.is_empty() {
             return;
         }
@@ -442,12 +430,12 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.now
+        self.wheel.now()
     }
 
     /// The current value of a signal.
     pub fn value(&self, signal: SignalId) -> &LogicVector {
-        &self.signals[signal.0].value
+        &self.values[signal.0]
     }
 
     /// The trace of monitored signals recorded so far.
@@ -469,24 +457,14 @@ impl Simulator {
     /// re-evaluation so the corrupted state propagates immediately.
     pub fn flip_state(&mut self, component: ComponentId, bit: usize) {
         self.components[component.0].comp.flip_state_bit(bit);
-        self.push_event(
-            self.now,
-            EventKind::Wake {
-                component: component.0,
-            },
-        );
+        self.wake_component(component, self.now());
     }
 
     /// Forces the encoded state of `component` (an erroneous FSM transition)
     /// and schedules a re-evaluation.
     pub fn force_state(&mut self, component: ComponentId, value: u64) {
         self.components[component.0].comp.force_state(value);
-        self.push_event(
-            self.now,
-            EventKind::Wake {
-                component: component.0,
-            },
-        );
+        self.wake_component(component, self.now());
     }
 
     /// Forces `signal` to `value` at time `at` (which must not precede the
@@ -502,11 +480,11 @@ impl Simulator {
     /// Panics if `at` is earlier than [`Simulator::now`].
     pub fn inject_value(&mut self, signal: SignalId, value: LogicVector, at: Time) {
         assert!(
-            at >= self.now,
+            at >= self.now(),
             "cannot inject at {at}: simulator already at {}",
-            self.now
+            self.now()
         );
-        self.push_event(
+        self.wheel.push(
             at,
             EventKind::External {
                 signal: signal.0,
@@ -519,7 +497,7 @@ impl Simulator {
     /// uses this to clamp analog integration steps so that digital activity
     /// lands exactly on analog step boundaries.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.queue.peek().map(|e| e.time)
+        self.wheel.next_time()
     }
 
     /// The encoded state of `component`, if it exposes one.
@@ -538,7 +516,7 @@ impl Simulator {
             for bit in 0..slot.comp.state_bits() {
                 out.push(crate::MutantTarget {
                     component: ComponentId(idx),
-                    component_name: slot.name.clone(),
+                    component_name: slot.name.to_string(),
                     bit,
                     label: slot.comp.state_label(bit),
                 });
@@ -561,7 +539,7 @@ impl Simulator {
     pub fn component_id(&self, name: &str) -> Option<ComponentId> {
         self.components
             .iter()
-            .position(|slot| slot.name == name)
+            .position(|slot| &*slot.name == name)
             .map(ComponentId)
     }
 
@@ -571,8 +549,8 @@ impl Simulator {
     /// [`DigitalSaboteur::arm`](crate::DigitalSaboteur::arm) to inject a
     /// wire fault into an already-running simulator.
     pub fn wake_component(&mut self, component: ComponentId, at: Time) {
-        let at = at.max(self.now);
-        self.push_event(
+        let at = at.max(self.now());
+        self.wheel.push(
             at,
             EventKind::Wake {
                 component: component.0,
@@ -590,7 +568,7 @@ impl Simulator {
         h.eat();
         h.write_u64(self.signals.len() as u64);
         h.eat();
-        for s in &self.signals {
+        for s in self.signals.iter() {
             h.write_str(&s.name);
             h.eat();
             h.write_u64(s.width as u64);
@@ -608,17 +586,18 @@ impl Simulator {
         h.finish()
     }
 
-    /// The pending event queue normalised to future-relevant form: stale
+    /// The pending events of both wheel levels normalised to
+    /// future-relevant form: stale
     /// inertial drives (whose generation no longer matches the output's
     /// counter) are dropped, events are ordered by `(time, seq)`, and
     /// surviving drives keep only their target/value (the absolute
     /// generation number never matters once a drive is known valid).
     fn pending_events(&self) -> Vec<(Time, u64, NormalEvent)> {
         let mut out: Vec<(Time, u64, NormalEvent)> = self
-            .queue
+            .wheel
             .iter()
-            .filter_map(|e| {
-                let kind = match &e.kind {
+            .filter_map(|(time, seq, kind)| {
+                let kind = match kind {
                     EventKind::Drive {
                         component,
                         output,
@@ -642,7 +621,7 @@ impl Simulator {
                         value: value.clone(),
                     },
                 };
-                Some((e.time, e.seq, kind))
+                Some((time, seq, kind))
             })
             .collect();
         out.sort_by_key(|(t, seq, _)| (*t, *seq));
@@ -651,22 +630,23 @@ impl Simulator {
 
     /// A digest of all future-relevant run state: current time, signal
     /// values, component state (via `Debug`) and the normalised pending
-    /// event queue. Two simulators with equal digests that also pass the
-    /// batch simulator's exact comparison (`lockstep_state_eq`) produce
-    /// identical behaviour from here on (given equally non-constraining
-    /// budgets), which is its reconvergence-seal criterion.
+    /// event queue. Two simulators equal in all of these (the batch
+    /// simulator's exact comparison, `lockstep_state_eq`, decides it
+    /// without hashing) produce identical behaviour from here on (given
+    /// equally non-constraining budgets), which is its reconvergence-seal
+    /// criterion.
     ///
     /// Trace history, throughput counters, budgets and observers are
     /// deliberately excluded: they do not influence future transitions.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
         let mut h = Fnv1a::new();
-        h.write_u64(self.now.as_fs() as u64);
+        h.write_u64(self.now().as_fs() as u64);
         h.eat();
         let mut buf = String::new();
-        for s in &self.signals {
+        for value in &self.values {
             buf.clear();
-            for bit in s.value.iter() {
+            for bit in value.iter() {
                 buf.push(bit.to_char());
             }
             h.write_str(&buf);
@@ -699,24 +679,28 @@ impl Simulator {
         }
     }
 
-    /// Exact equality of future-relevant run state (same criterion as
-    /// [`Simulator::state_digest`], without hashing). The batch simulator
-    /// confirms a digest match with this before sealing a lane, so a hash
-    /// collision can never produce a wrong verdict. `other_states` is
-    /// `other`'s [`Simulator::render_component_states`].
+    /// Exact equality of future-relevant run state: the criterion of
+    /// [`Simulator::state_digest`], decided without hashing. The batch
+    /// simulator seals a lane on this alone. `other_states` is `other`'s
+    /// [`Simulator::render_component_states`]. Cheapest legs first: a
+    /// mutant still carrying its fault mostly shows it in a signal or in a
+    /// pending event, before any component has to be rendered.
     pub(crate) fn lockstep_state_eq(
         &self,
         other: &Simulator,
         other_states: &ComponentStates,
     ) -> bool {
         let mut start = 0;
-        self.now == other.now
-            && self.signals.len() == other.signals.len()
-            && self
-                .signals
-                .iter()
-                .zip(&other.signals)
-                .all(|(a, b)| a.value == b.value)
+        self.now() == other.now()
+            && self.values == other.values
+            && {
+                let a = self.pending_events();
+                let b = other.pending_events();
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(&b)
+                        .all(|((ta, _, ka), (tb, _, kb))| ta == tb && ka == kb)
+            }
             && self.components.len() == other_states.ends.len()
             && self
                 .components
@@ -727,14 +711,6 @@ impl Simulator {
                     start = end;
                     debug_renders_as(&a.comp, expected)
                 })
-            && {
-                let a = self.pending_events();
-                let b = other.pending_events();
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(&b)
-                        .all(|((ta, _, ka), (tb, _, kb))| ta == tb && ka == kb)
-            }
     }
 
     /// Snapshots the complete simulator — pending event queue, component
@@ -768,18 +744,18 @@ impl Simulator {
             .map(|(time, _, kind)| (time, kind))
             .collect();
         WordSeed {
-            now: self.now,
+            now: self.wheel.now(),
             delta_limit: self.delta_limit,
             budget: self.budget,
             observer: self.observer,
             trace: self.trace,
-            signals: self
-                .signals
+            signals: Arc::unwrap_or_clone(self.signals)
                 .into_iter()
-                .map(|s| WordSeedSignal {
+                .zip(self.values)
+                .map(|(s, value)| WordSeedSignal {
                     name: s.name,
                     width: s.width,
-                    value: s.value,
+                    value,
                     readers: s.readers,
                     slots: s.slots,
                 })
@@ -788,10 +764,10 @@ impl Simulator {
                 .components
                 .into_iter()
                 .map(|c| WordSeedComponent {
-                    name: c.name,
+                    name: c.name.to_string(),
                     comp: c.comp,
-                    inputs: c.inputs,
-                    outputs: c.outputs,
+                    inputs: c.inputs.to_vec(),
+                    outputs: c.outputs.to_vec(),
                 })
                 .collect(),
             pending,
@@ -809,15 +785,19 @@ impl Simulator {
     pub fn run_until(&mut self, t_end: Time) -> Result<(), SimError> {
         let before = self.events_processed;
         let result = self.drain_until(t_end);
-        if let Some(metrics) = self.budget.metrics() {
-            metrics.digital_events.add(self.events_processed - before);
+        // The mixed kernel calls once per sync step, mostly to find nothing
+        // due: no shared-counter traffic for those.
+        let processed = self.events_processed - before;
+        if processed != 0 {
+            if let Some(metrics) = self.budget.metrics() {
+                metrics.digital_events.add(processed);
+            }
         }
         result
     }
 
     fn drain_until(&mut self, t_end: Time) -> Result<(), SimError> {
-        while let Some(event) = self.queue.peek() {
-            let t = event.time;
+        while let Some(t) = self.wheel.next_time() {
             if t > t_end {
                 break;
             }
@@ -827,24 +807,32 @@ impl Simulator {
                 observer.poll(t, &[&self.trace]);
             }
         }
-        if t_end > self.now {
-            self.now = t_end;
+        if t_end > self.now() {
+            self.wheel.advance(t_end);
         }
         if let Some(observer) = self.observer.as_mut() {
-            observer.flush(self.now, &[&self.trace]);
+            observer.flush(self.wheel.now(), &[&self.trace]);
         }
         Ok(())
     }
 
-    fn push_event(&mut self, time: Time, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event { time, seq, kind });
+    /// Applies `value` to signal `sig`, marking it and its readers when the
+    /// signal changes; the vector that is left over goes to the pool.
+    fn apply_value(&mut self, sig: usize, mut value: LogicVector) {
+        let current = &mut self.values[sig];
+        if *current != value {
+            std::mem::swap(current, &mut value);
+            bitset_insert(&mut self.scratch.changed, sig);
+            for &r in &self.signals[sig].readers {
+                bitset_insert(&mut self.scratch.eval, r);
+            }
+        }
+        self.scratch.pool.give(value);
     }
 
     /// Processes every event and delta cycle at time `t`.
     fn advance_time_point(&mut self, t: Time) -> Result<(), SimError> {
-        self.now = t;
+        self.wheel.advance(t);
         self.scratch
             .ensure(self.signals.len(), self.components.len());
         self.scratch.changed.fill(0);
@@ -852,11 +840,10 @@ impl Simulator {
         loop {
             // Apply the current batch of events at time t.
             let mut any_event = false;
-            while self.queue.peek().is_some_and(|e| e.time == t) {
-                let event = self.queue.pop().expect("peeked");
+            while let Some((_, kind)) = self.wheel.pop_current() {
                 any_event = true;
                 self.events_processed += 1;
-                match event.kind {
+                match kind {
                     EventKind::Drive {
                         component,
                         output,
@@ -865,40 +852,26 @@ impl Simulator {
                     } => {
                         let slot = &self.components[component];
                         if slot.out_generation[output] != generation {
-                            continue; // cancelled by a later inertial drive
+                            // Cancelled by a later inertial drive.
+                            self.scratch.pool.give(value);
+                            continue;
                         }
                         let sig = slot.outputs[output].0;
-                        let state = &mut self.signals[sig];
                         debug_assert_eq!(
-                            state.width,
+                            self.signals[sig].width,
                             value.width(),
                             "component {:?} drove width {} onto signal {:?} of width {}",
                             slot.name,
                             value.width(),
-                            state.name,
-                            state.width
+                            self.signals[sig].name,
+                            self.signals[sig].width
                         );
-                        if state.value != value {
-                            state.value = value;
-                            bitset_insert(&mut self.scratch.changed, sig);
-                            for &r in &state.readers {
-                                bitset_insert(&mut self.scratch.eval, r);
-                            }
-                        }
+                        self.apply_value(sig, value);
                     }
                     EventKind::Wake { component } => {
                         bitset_insert(&mut self.scratch.eval, component);
                     }
-                    EventKind::External { signal, value } => {
-                        let state = &mut self.signals[signal];
-                        if state.value != value {
-                            state.value = value;
-                            bitset_insert(&mut self.scratch.changed, signal);
-                            for &r in &state.readers {
-                                bitset_insert(&mut self.scratch.eval, r);
-                            }
-                        }
-                    }
+                    EventKind::External { signal, value } => self.apply_value(signal, value),
                 }
             }
             if !any_event && self.scratch.eval.iter().all(|w| *w == 0) {
@@ -917,17 +890,17 @@ impl Simulator {
                     limit: self.delta_limit,
                 });
             }
-            if self.queue.peek().is_none_or(|e| e.time != t) {
+            if !self.wheel.has_current() {
                 break;
             }
         }
         // Record monitored signals that settled to a new value at t.
         let mut changed_words = std::mem::take(&mut self.scratch.changed);
         bitset_drain(&mut changed_words, |sig| {
-            let state = &self.signals[sig];
-            for (bit, &slot) in state.slots.iter().enumerate() {
+            let value = &self.values[sig];
+            for (bit, &slot) in self.signals[sig].slots.iter().enumerate() {
                 self.trace
-                    .push_digital(slot, t, state.value[bit])
+                    .push_digital(slot, t, value[bit])
                     .expect("time is monotonic");
             }
         });
@@ -935,61 +908,42 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates component `c` at time `t` and schedules its actions,
-    /// staging inputs and the action list in the reusable scratch buffers.
+    /// Evaluates component `c` at time `t`, its inputs lent from the signal
+    /// store, and schedules its actions.
     fn eval_component(&mut self, c: usize, t: Time) {
-        let mut actions = {
-            let inputs = &mut self.scratch.inputs;
-            inputs.clear();
-            inputs.extend(
-                self.components[c]
-                    .inputs
-                    .iter()
-                    .map(|sig| self.signals[sig.0].value.clone()),
-            );
-            let recycled = std::mem::take(&mut self.scratch.actions);
-            let mut ctx = EvalContext::reuse(t, inputs, recycled);
-            self.components[c].comp.eval(&mut ctx);
-            std::mem::take(&mut ctx.actions)
-        };
+        let slot = &mut self.components[c];
+        let mut ctx = EvalContext::new(
+            t,
+            &self.values,
+            &slot.inputs,
+            std::mem::take(&mut self.scratch.actions),
+            &mut self.scratch.pool,
+        );
+        slot.comp.eval(&mut ctx);
+        let mut actions = ctx.actions;
         for action in actions.drain(..) {
             match action {
-                Action::DriveInertial {
+                Action::Drive {
+                    transport,
                     output,
                     value,
                     delay,
                 } => {
-                    let slot = &mut self.components[c];
-                    slot.out_generation[output] += 1;
-                    let generation = slot.out_generation[output];
-                    self.push_event(
+                    if !transport {
+                        slot.out_generation[output] += 1;
+                    }
+                    self.wheel.push(
                         t + delay,
                         EventKind::Drive {
                             component: c,
                             output,
                             value,
-                            generation,
-                        },
-                    );
-                }
-                Action::DriveTransport {
-                    output,
-                    value,
-                    delay,
-                } => {
-                    let generation = self.components[c].out_generation[output];
-                    self.push_event(
-                        t + delay,
-                        EventKind::Drive {
-                            component: c,
-                            output,
-                            value,
-                            generation,
+                            generation: slot.out_generation[output],
                         },
                     );
                 }
                 Action::Wake { delay } => {
-                    self.push_event(t + delay, EventKind::Wake { component: c });
+                    self.wheel.push(t + delay, EventKind::Wake { component: c });
                 }
             }
         }
@@ -1005,7 +959,7 @@ impl ForkableSim for Simulator {
     }
 
     fn current_time(&self) -> Time {
-        self.now
+        self.now()
     }
 
     fn snapshot_trace(&self) -> Trace {
@@ -1283,6 +1237,69 @@ mod tests {
         assert_eq!(fork.trace(), golden.trace());
         let q = fork.signal_id("q").unwrap();
         assert_eq!(fork.value(q), scratch.value(q));
+    }
+
+    /// Simulators stopped at 205 ns with a delta event pending in the
+    /// wheel's FIFO: an SEU wake, an external drive at the current instant.
+    fn with_fifo_pending() -> Vec<Simulator> {
+        let mut flipped = clocked_counter();
+        flipped.run_until(Time::from_ns(205)).unwrap();
+        let ctr = flipped.component_id("ctr").unwrap();
+        flipped.flip_state(ctr, 6);
+
+        let mut injected = clocked_counter();
+        injected.run_until(Time::from_ns(205)).unwrap();
+        let en = injected.signal_id("en").unwrap();
+        injected.inject_value(en, LogicVector::filled(Logic::Zero, 1), Time::from_ns(205));
+        vec![flipped, injected]
+    }
+
+    #[test]
+    fn pending_delta_events_are_visible_to_every_reader() {
+        for sim in with_fifo_pending() {
+            let at = Time::from_ns(205);
+            assert_eq!(sim.now(), at);
+            // The event sits in the FIFO, ahead of the clock's wake in the
+            // heap: both levels are read.
+            assert_eq!(sim.next_event_time(), Some(at));
+            let pending = sim.pending_events();
+            assert_eq!(pending.len(), 2, "{pending:?}");
+            assert_eq!(pending[0].0, at);
+            assert!(pending[1].0 > at);
+
+            // A clone carries it: equal digest, equal exact state — and
+            // both differ from a simulator without the event.
+            let twin = sim.clone();
+            assert_eq!(sim.state_digest(), twin.state_digest());
+            let mut states = ComponentStates::default();
+            twin.render_component_states(&mut states);
+            assert!(sim.lockstep_state_eq(&twin, &states));
+            let mut drained = sim.clone();
+            drained.run_until(at).unwrap();
+            assert_eq!(drained.next_event_time(), Some(Time::from_ns(210)));
+            assert_ne!(sim.state_digest(), drained.state_digest());
+        }
+    }
+
+    #[test]
+    fn checkpoint_with_pending_delta_events_forks_to_an_identical_trace() {
+        for mut sim in with_fifo_pending() {
+            let cp = sim.checkpoint();
+            let mut fork = cp.fork();
+            let mut restored = clocked_counter();
+            restored.restore(&cp).unwrap();
+            sim.run_until(Time::from_us(1)).unwrap();
+            fork.run_until(Time::from_us(1)).unwrap();
+            restored.run_until(Time::from_us(1)).unwrap();
+            assert_eq!(fork.trace(), sim.trace());
+            assert_eq!(restored.trace(), sim.trace());
+            assert_eq!(fork.events_processed(), sim.events_processed());
+            assert_eq!(fork.state_digest(), sim.state_digest());
+            // The fault took effect: the run differs from the golden one.
+            let mut golden = clocked_counter();
+            golden.run_until(Time::from_us(1)).unwrap();
+            assert_ne!(golden.trace(), sim.trace());
+        }
     }
 
     #[test]

@@ -49,15 +49,14 @@
 //! scalar, preserving byte identity.
 
 use crate::batch::{BatchReport, LaneOutcome};
-use crate::component::{Action, Component, EvalContext};
+use crate::component::{Action, Component, EvalContext, Pool};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
+use crate::wheel::Wheel;
 use amsfi_waves::{
     DigitalSlot, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace,
     LANES,
 };
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -127,7 +126,7 @@ pub struct WordEvalContext<'a> {
     ports: &'a [SignalId],
     actions: Vec<WordAction>,
     /// Recycled drive-value vectors (see [`WordScratch::pool`]).
-    pool: &'a mut Vec<Vec<LogicPlanes>>,
+    pool: &'a mut Pool<Vec<LogicPlanes>>,
 }
 
 impl<'a> WordEvalContext<'a> {
@@ -200,7 +199,7 @@ impl<'a> WordEvalContext<'a> {
 
     /// An empty drive-value vector, recycled when the pool has one.
     fn pooled(&mut self) -> Vec<LogicPlanes> {
-        self.pool.pop().unwrap_or_default()
+        self.pool.take()
     }
 
     fn push_drive(
@@ -250,9 +249,9 @@ impl<'a> WordEvalContext<'a> {
 }
 
 /// Returns a drive-value vector to `pool` for the next drive to take.
-fn recycle(pool: &mut Vec<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
+fn recycle(pool: &mut Pool<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
     value.clear();
-    pool.push(value);
+    pool.give(value);
 }
 
 /// The universal [`WordComponent`] fallback: 64 scalar clones of one
@@ -268,8 +267,13 @@ fn recycle(pool: &mut Vec<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
 /// independent.
 struct LaneFarm {
     lanes: Vec<Box<dyn Component>>,
+    /// The evaluated lane's input values, one per port, and the identity
+    /// port list a scalar context reads them through.
     staged: Vec<LogicVector>,
+    staged_ports: Vec<SignalId>,
     lane_actions: Vec<Vec<Action>>,
+    /// The scalar drive values of all lanes' contexts, between uses.
+    pool: Pool<LogicVector>,
     /// The merge groups of the round in flight (kept for its capacity).
     groups: Vec<FarmGroup>,
     /// The reference lane's `Debug` rendering during a seal probe.
@@ -289,7 +293,9 @@ impl LaneFarm {
         LaneFarm {
             lanes: (0..LANES).map(|_| prototype.clone_box()).collect(),
             staged: Vec::new(),
+            staged_ports: Vec::new(),
             lane_actions: (0..LANES).map(|_| Vec::new()).collect(),
+            pool: Pool::default(),
             groups: Vec::new(),
             rendered: String::new(),
         }
@@ -319,6 +325,7 @@ impl WordComponent for LaneFarm {
             self.staged = (0..ports)
                 .map(|port| LogicVector::new(ctx.input(port).len()))
                 .collect();
+            self.staged_ports = (0..ports).map(SignalId).collect();
         }
         let mut m = mask;
         while m != 0 {
@@ -330,9 +337,15 @@ impl WordComponent for LaneFarm {
                 }
             }
             let recycled = std::mem::take(&mut self.lane_actions[lane]);
-            let mut sctx = EvalContext::reuse(ctx.now(), &self.staged, recycled);
+            let mut sctx = EvalContext::new(
+                ctx.now(),
+                &self.staged,
+                &self.staged_ports,
+                recycled,
+                &mut self.pool,
+            );
             self.lanes[lane].eval(&mut sctx);
-            self.lane_actions[lane] = std::mem::take(&mut sctx.actions);
+            self.lane_actions[lane] = sctx.actions;
         }
 
         let mut groups = std::mem::take(&mut self.groups);
@@ -349,17 +362,12 @@ impl WordComponent for LaneFarm {
                 };
                 progressed = true;
                 match action {
-                    Action::DriveInertial {
-                        output,
-                        value,
-                        delay,
-                    }
-                    | Action::DriveTransport {
+                    Action::Drive {
+                        transport,
                         output,
                         value,
                         delay,
                     } => {
-                        let transport = matches!(action, Action::DriveTransport { .. });
                         let slot = groups.iter_mut().find_map(|g| match g {
                             FarmGroup::Drive {
                                 transport: tr,
@@ -367,7 +375,7 @@ impl WordComponent for LaneFarm {
                                 delay: d,
                                 mask,
                                 value,
-                            } if *tr == transport && *o == *output && *d == *delay => {
+                            } if *tr == *transport && *o == *output && *d == *delay => {
                                 Some((mask, value))
                             }
                             _ => None,
@@ -378,7 +386,7 @@ impl WordComponent for LaneFarm {
                                 let mut planes = ctx.pooled();
                                 planes.resize(value.width(), LogicPlanes::new());
                                 groups.push(FarmGroup::Drive {
-                                    transport,
+                                    transport: *transport,
                                     output: *output,
                                     delay: *delay,
                                     mask: 0,
@@ -433,7 +441,11 @@ impl WordComponent for LaneFarm {
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.lane_actions[lane].clear();
+            for action in self.lane_actions[lane].drain(..) {
+                if let Action::Drive { value, .. } = action {
+                    self.pool.give(value);
+                }
+            }
         }
     }
 
@@ -543,34 +555,6 @@ enum WordEventKind {
 }
 
 #[derive(Debug)]
-struct WordEvent {
-    time: Time,
-    seq: u64,
-    kind: WordEventKind,
-}
-
-impl PartialEq for WordEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for WordEvent {}
-
-impl PartialOrd for WordEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for WordEvent {
-    /// Reversed so the `BinaryHeap` becomes a min-heap on `(time, seq)`.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-#[derive(Debug)]
 struct WordSignal {
     name: String,
     width: usize,
@@ -605,7 +589,7 @@ struct WordScratch {
     /// Drive-value vectors between uses: an applied event returns its
     /// vector here and the next drive takes it, so the steady state
     /// allocates nothing per event.
-    pool: Vec<Vec<LogicPlanes>>,
+    pool: Pool<Vec<LogicPlanes>>,
 }
 
 /// The 64-lane word machine: plane-valued signals, one event wheel, one
@@ -614,9 +598,8 @@ struct WordScratch {
 struct WordSimulator {
     signals: Vec<WordSignal>,
     components: Vec<WordSlot>,
-    queue: BinaryHeap<WordEvent>,
-    seq: u64,
-    now: Time,
+    /// Pending events and the simulation clock.
+    wheel: Wheel<WordEventKind>,
     delta_limit: usize,
     events_processed: u64,
     /// Lanes still simulating (sealed/failed/unused lanes are frozen).
@@ -685,9 +668,7 @@ impl WordSimulator {
         let mut sim = WordSimulator {
             signals,
             components,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            now: seed.now,
+            wheel: Wheel::new(seed.now),
             delta_limit: seed.delta_limit,
             events_processed: 0,
             live: u64::MAX,
@@ -730,15 +711,9 @@ impl WordSimulator {
                     )));
                 }
             };
-            sim.push_event(time, kind);
+            sim.wheel.push(time, kind);
         }
         Ok(sim)
-    }
-
-    fn push_event(&mut self, time: Time, kind: WordEventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(WordEvent { time, seq, kind });
     }
 
     /// Retires lane `lane` with an error: frozen, no longer recorded.
@@ -768,8 +743,7 @@ impl WordSimulator {
     }
 
     fn drain_until(&mut self, t_end: Time) -> Result<(), SimError> {
-        while let Some(event) = self.queue.peek() {
-            let t = event.time;
+        while let Some(t) = self.wheel.next_time() {
             if t > t_end {
                 break;
             }
@@ -778,10 +752,10 @@ impl WordSimulator {
             self.advance_time_point(t)?;
             self.poll_observers(t);
         }
-        if t_end > self.now {
-            self.now = t_end;
+        if t_end > self.wheel.now() {
+            self.wheel.advance(t_end);
         }
-        let now = self.now;
+        let now = self.wheel.now();
         if let Some(observer) = self.golden_observer.as_mut() {
             observer.flush(now, &[&self.traces[GOLDEN_LANE]]);
         }
@@ -840,25 +814,23 @@ impl WordSimulator {
     /// Processes every event and delta cycle at time `t` for all live
     /// lanes, then records per-lane transitions of monitored signals.
     fn advance_time_point(&mut self, t: Time) -> Result<(), SimError> {
-        self.now = t;
+        self.wheel.advance(t);
         self.scratch.changed.resize(self.signals.len(), 0);
         self.scratch.eval.resize(self.components.len(), 0);
         let mut delta = 0usize;
         loop {
             let mut any_event = false;
-            while self.queue.peek().is_some_and(|e| e.time == t) {
-                let event = self.queue.pop().expect("peeked");
+            while let Some((seq, kind)) = self.wheel.pop_current() {
                 any_event = true;
                 self.events_processed += 1;
-                match event.kind {
+                match kind {
                     WordEventKind::Drive {
                         component,
                         output,
                         value,
                         mask,
                     } => {
-                        let valid = self.components[component].out_gens[output]
-                            .valid(event.seq, mask)
+                        let valid = self.components[component].out_gens[output].valid(seq, mask)
                             & self.live;
                         if valid == 0 {
                             recycle(&mut self.scratch.pool, value);
@@ -923,7 +895,7 @@ impl WordSimulator {
                     limit: self.delta_limit,
                 });
             }
-            if self.queue.peek().is_none_or(|e| e.time != t) {
+            if !self.wheel.has_current() {
                 break;
             }
         }
@@ -980,10 +952,7 @@ impl WordSimulator {
                     delay,
                     mask: lanes,
                 } => {
-                    if !transport {
-                        self.components[c].out_gens[output].bump(self.seq, lanes);
-                    }
-                    self.push_event(
+                    let seq = self.wheel.push(
                         t + delay,
                         WordEventKind::Drive {
                             component: c,
@@ -992,9 +961,12 @@ impl WordSimulator {
                             mask: lanes,
                         },
                     );
+                    if !transport {
+                        self.components[c].out_gens[output].bump(seq, lanes);
+                    }
                 }
                 WordAction::Wake { delay, mask: lanes } => {
-                    self.push_event(
+                    self.wheel.push(
                         t + delay,
                         WordEventKind::Wake {
                             component: c,
@@ -1021,13 +993,13 @@ impl WordSimulator {
             }
             equal &= slot.comp.lanes_equal_to(GOLDEN_LANE, equal);
         }
-        for event in &self.queue {
+        for (_, seq, kind) in self.wheel.iter() {
             if equal == 0 {
                 return 0;
             }
             // A lane matches when it takes part exactly if the golden lane
             // does, and then with the golden lane's values.
-            let (taking_part, golden_does) = match &event.kind {
+            let (taking_part, golden_does) = match kind {
                 WordEventKind::Wake { mask, .. } => (*mask, (mask >> GOLDEN_LANE) & 1 != 0),
                 WordEventKind::Drive {
                     component,
@@ -1035,8 +1007,7 @@ impl WordSimulator {
                     value,
                     mask,
                 } => {
-                    let valid =
-                        self.components[*component].out_gens[*output].valid(event.seq, *mask);
+                    let valid = self.components[*component].out_gens[*output].valid(seq, *mask);
                     let golden_does = (valid >> GOLDEN_LANE) & 1 != 0;
                     if golden_does {
                         for planes in value {
@@ -1133,28 +1104,14 @@ impl InjectTarget for WordLaneCtx<'_> {
         self.sim.components[component.0]
             .comp
             .flip_state_bit(self.lane, bit);
-        let now = self.sim.now;
-        self.sim.push_event(
-            now,
-            WordEventKind::Wake {
-                component: component.0,
-                mask: 1 << self.lane,
-            },
-        );
+        self.wake_component(component, self.sim.wheel.now());
     }
 
     fn force_state(&mut self, component: ComponentId, value: u64) {
         self.sim.components[component.0]
             .comp
             .force_state(self.lane, value);
-        let now = self.sim.now;
-        self.sim.push_event(
-            now,
-            WordEventKind::Wake {
-                component: component.0,
-                mask: 1 << self.lane,
-            },
-        );
+        self.wake_component(component, self.sim.wheel.now());
     }
 
     fn component_id(&self, name: &str) -> Option<ComponentId> {
@@ -1176,8 +1133,8 @@ impl InjectTarget for WordLaneCtx<'_> {
     }
 
     fn wake_component(&mut self, component: ComponentId, at: Time) {
-        let at = at.max(self.sim.now);
-        self.sim.push_event(
+        let at = at.max(self.sim.wheel.now());
+        self.sim.wheel.push(
             at,
             WordEventKind::Wake {
                 component: component.0,
@@ -1625,6 +1582,37 @@ mod tests {
                     assert_eq!(trace, &scalar, "lane {lane} (flip bit {bit} @ {at})");
                 }
                 LaneOutcome::Failed { error } => panic!("lane {lane}: {error}"),
+            }
+        }
+    }
+
+    #[test]
+    fn word_machine_seeded_with_a_delta_event_pending_matches_scalar() {
+        // The flip leaves a wake at the current instant in the scalar
+        // wheel's FIFO; the word machine must take it over with the rest.
+        const T_END: Time = Time::from_us(2);
+        let mut scalar = build();
+        let target = counter_target(&scalar);
+        scalar.run_until(Time::from_ns(105)).unwrap();
+        scalar.flip_state(target.component, 3);
+        assert_eq!(scalar.next_event_time(), Some(Time::from_ns(105)));
+
+        let mut word = WordSimulator::from_scalar(scalar.clone()).unwrap();
+        assert_eq!(word.wheel.next_time(), Some(Time::from_ns(105)));
+        assert_eq!(word.wheel.iter().count(), 2, "the wake and the clock");
+        scalar.run_until(T_END).unwrap();
+        word.run_until(T_END).unwrap();
+
+        assert_eq!(&word.traces[GOLDEN_LANE], scalar.trace());
+        for sig in &word.signals {
+            let id = scalar.signal_id(&sig.name).unwrap();
+            for (bit, planes) in sig.planes.iter().enumerate() {
+                assert_eq!(
+                    *planes,
+                    LogicPlanes::splat(scalar.value(id)[bit]),
+                    "{}[{bit}]",
+                    sig.name
+                );
             }
         }
     }

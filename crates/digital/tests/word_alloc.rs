@@ -180,27 +180,61 @@ fn word_machine_steady_state_does_not_allocate() {
     );
 }
 
+/// A counter feeding a flip-flop: library cells whose drive values are
+/// a state vector (`Dff`) and an encoded integer (`Counter`).
+fn counter_bench(monitor: bool) -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let en = net.signal("en", 1);
+    let q = net.signal("q", 8);
+    let d = net.signal("d", 8);
+    net.add("ck", cells::ClockGen::new(CLOCK), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    net.add("e", cells::ConstVector::bit(Logic::One), &[], &[en]);
+    net.add(
+        "ctr",
+        cells::Counter::new(8, Time::ZERO),
+        &[clk, rst, en],
+        &[q],
+    );
+    net.add("ff", cells::Dff::new(8, Time::from_ns(1)), &[clk, q], &[d]);
+    let mut sim = Simulator::new(net);
+    if monitor {
+        sim.monitor_name("q");
+        sim.monitor_name("d");
+    }
+    sim
+}
+
 #[test]
-fn scalar_recording_does_not_allocate() {
-    // The scalar kernel's drive values are heap vectors, so a run as a
-    // whole allocates; what must cost nothing is *recording*. The same run
-    // with and without monitors therefore makes the same fresh
-    // allocations, and differs only by the monitored waves growing.
-    let run = |monitor: bool| {
-        let (mut sim, _) = cpu_bench(monitor);
+fn scalar_machine_steady_state_does_not_allocate() {
+    // The scalar twin of the word test: inputs are lent from the signal
+    // store, drive values circulate through the pool, delta events through
+    // the wheel's FIFO. After a warm-up that fills pool, wheel and scratch
+    // buffers, 1000 clock edges touch the allocator only to grow a
+    // monitored wave.
+    let phase = |mut sim: Simulator, waves: u64| {
         sim.run_until(Time::from_us(2)).expect("warm-up");
         let before = counts();
         sim.run_until(Time::from_us(2) + PHASE).expect("phase");
         let after = counts();
-        assert_eq!(sim.trace().len(), if monitor { 14 } else { 0 });
+        assert_eq!(sim.trace().len() as u64, waves);
+        assert!(sim.events_processed() > 4_000, "the phase simulated");
         (after.0 - before.0, after.1 - before.1)
     };
-    let (plain_fresh, plain_grown) = run(false);
-    let (fresh, grown) = run(true);
-    assert!(plain_fresh > 0, "the run itself is expected to allocate");
-    assert_eq!(fresh, plain_fresh, "recording allocated");
-    assert!(
-        grown <= plain_grown + 14 * 2,
-        "recording: {grown} reallocations against {plain_grown} without monitors"
-    );
+    for (bench, waves) in [("cpu", 14), ("counter + dff", 16)] {
+        let build = |monitor: bool| match bench {
+            "cpu" => cpu_bench(monitor).0,
+            _ => counter_bench(monitor),
+        };
+        let (fresh, grown) = phase(build(false), 0);
+        assert_eq!((fresh, grown), (0, 0), "{bench}, no monitors");
+        let (fresh, grown) = phase(build(true), waves);
+        assert_eq!(fresh, 0, "{bench}, monitored: allocated");
+        assert!(
+            grown <= waves * 2,
+            "{bench}, monitored: {grown} reallocations for {waves} waves"
+        );
+    }
 }

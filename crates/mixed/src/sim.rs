@@ -74,6 +74,9 @@ pub struct MixedSimulator {
     seeded: bool,
     budget: SimBudget,
     observer: Option<SimObserver>,
+    /// Each digitized node's value at the start of the sync step in flight
+    /// (scratch: refilled every step).
+    prev: Vec<f64>,
 }
 
 impl MixedSimulator {
@@ -89,6 +92,7 @@ impl MixedSimulator {
             seeded: false,
             budget: SimBudget::unlimited(),
             observer: None,
+            prev: Vec::new(),
         }
     }
 
@@ -391,11 +395,9 @@ impl MixedSimulator {
             }
             // Snapshot digitized nodes, integrate, then look for crossings.
             let t0 = self.now;
-            let prev: Vec<f64> = self
-                .digitizers
-                .iter()
-                .map(|dz| self.analog.value(dz.node))
-                .collect();
+            self.prev.clear();
+            self.prev
+                .extend(self.digitizers.iter().map(|dz| self.analog.value(dz.node)));
             self.analog.step(t_next - t0);
             if self.budget.is_limited() {
                 if let Some((signal, _)) = self.analog.first_non_finite() {
@@ -406,7 +408,7 @@ impl MixedSimulator {
                     .into());
                 }
             }
-            for (dz, &v0) in self.digitizers.iter_mut().zip(&prev) {
+            for (dz, &v0) in self.digitizers.iter_mut().zip(&self.prev) {
                 let v1 = self.analog.value(dz.node);
                 if let Some(edge) = dz.check(t0, v0, t_next, v1) {
                     // A hysteresis-delayed detection can interpolate to an

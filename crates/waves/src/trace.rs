@@ -10,6 +10,7 @@
 
 use crate::{AnalogWave, DigitalWave, Logic, PushOutOfOrderError, Time};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Handle to one digital signal of a [`Trace`], from
 /// [`Trace::digital_slot`]. Valid for that trace and every clone of it.
@@ -64,7 +65,9 @@ impl Wave for AnalogWave {
 #[derive(Debug, Clone, Default)]
 struct Table<W> {
     /// `(name, wave)` in registration order; a slot is an index here.
-    slots: Vec<(String, W)>,
+    /// Names are shared with clones: a lane's or a fork's trace copies the
+    /// golden waves, not the strings.
+    slots: Vec<(Arc<str>, W)>,
     /// Slot indices sorted by name.
     by_name: Vec<u32>,
 }
@@ -72,7 +75,7 @@ struct Table<W> {
 impl<W: Wave> Table<W> {
     fn position(&self, name: &str) -> Result<usize, usize> {
         self.by_name
-            .binary_search_by(|&slot| self.slots[slot as usize].0.as_str().cmp(name))
+            .binary_search_by(|&slot| (*self.slots[slot as usize].0).cmp(name))
     }
 
     /// The slot of `name`, registering it (silent) if new.
@@ -81,7 +84,7 @@ impl<W: Wave> Table<W> {
             Ok(at) => self.by_name[at],
             Err(at) => {
                 let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 signals");
-                self.slots.push((name.to_owned(), W::default()));
+                self.slots.push((name.into(), W::default()));
                 self.by_name.insert(at, slot);
                 slot
             }
@@ -102,7 +105,7 @@ impl<W: Wave> Table<W> {
     fn recorded(&self) -> impl Iterator<Item = (&str, &W)> {
         self.by_name.iter().filter_map(|&slot| {
             let (name, wave) = &self.slots[slot as usize];
-            (!wave.is_silent()).then_some((name.as_str(), wave))
+            (!wave.is_silent()).then_some((&**name, wave))
         })
     }
 

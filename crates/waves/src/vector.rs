@@ -25,9 +25,23 @@ use std::str::FromStr;
 /// };
 /// assert_eq!(flipped.to_u64(), Some(11));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct LogicVector {
     bits: Vec<Logic>,
+}
+
+impl Clone for LogicVector {
+    fn clone(&self) -> Self {
+        LogicVector {
+            bits: self.bits.clone(),
+        }
+    }
+
+    /// Overwrites `self` in its existing storage: the simulation kernels
+    /// refill recycled vectors with this instead of allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl LogicVector {
@@ -52,11 +66,24 @@ impl LogicVector {
 
     /// Encodes the low `width` bits of `value`, LSB at index 0.
     pub fn from_u64(value: u64, width: usize) -> Self {
-        LogicVector {
-            bits: (0..width)
-                .map(|i| Logic::from_bool(value >> i & 1 == 1))
-                .collect(),
-        }
+        let mut v = LogicVector::default();
+        v.assign_u64(value, width);
+        v
+    }
+
+    /// In-place [`LogicVector::filled`]: becomes `width` bits of `value`,
+    /// reusing the storage it already owns.
+    pub fn assign_filled(&mut self, value: Logic, width: usize) {
+        self.bits.clear();
+        self.bits.resize(width, value);
+    }
+
+    /// In-place [`LogicVector::from_u64`]: becomes the low `width` bits of
+    /// `value`, reusing the storage it already owns.
+    pub fn assign_u64(&mut self, value: u64, width: usize) {
+        self.bits.clear();
+        self.bits
+            .extend((0..width).map(|i| Logic::from_bool(value >> i & 1 == 1)));
     }
 
     /// Builds from a slice of booleans, index 0 = LSB.
@@ -300,6 +327,17 @@ mod tests {
             let v = LogicVector::from_u64(value, 16);
             assert_eq!(v.to_u64(), Some(value));
         }
+    }
+
+    #[test]
+    fn in_place_forms_equal_the_constructors() {
+        let mut v = LogicVector::from_u64(0xFFFF, 16);
+        v.assign_u64(0b1010, 4);
+        assert_eq!(v, LogicVector::from_u64(0b1010, 4));
+        v.assign_filled(Logic::Unknown, 7);
+        assert_eq!(v, LogicVector::filled(Logic::Unknown, 7));
+        v.clone_from(&LogicVector::from_u64(5, 3));
+        assert_eq!(v, LogicVector::from_u64(5, 3));
     }
 
     #[test]
