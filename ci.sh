@@ -2,6 +2,22 @@
 # Local CI gate: formatting, lints as errors, full test suite, bench smoke.
 set -eux
 
+# Polls `amsfi status` until the coordinator started last ($serve_pid)
+# answers on 127.0.0.1:<port>; after 10 s it is killed and the gate fails.
+# Usage: wait_for_coordinator <port> <what came up, for the message>
+wait_for_coordinator() {
+    i=0
+    until ./target/release/amsfi status "127.0.0.1:$1" >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -gt 50 ]; then
+            echo "$2 never came up on 127.0.0.1:$1" >&2
+            kill "$serve_pid" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.2
+    done
+}
+
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
@@ -77,16 +93,7 @@ port=17171
     --shards 3 --until-drained --journal-dir "$tmp/journals" \
     --metrics "$tmp/serve.prom" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_coordinator $port "amsfi serve"
 ./target/release/amsfi status 127.0.0.1:$port
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-w1 &
 w1=$!
@@ -161,16 +168,7 @@ test "$rc" -eq 5
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-sweep \
     --shards 3 --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_coordinator $port "amsfi serve"
 ./target/release/amsfi worker 127.0.0.1:$port --max-shards 1 --name ci-pre-crash
 kill -9 $serve_pid
 wait $serve_pid || true
@@ -178,16 +176,7 @@ wait $serve_pid || true
 ./target/release/amsfi serve --bind 127.0.0.1:$port --until-drained \
     --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "recovering amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_coordinator $port "recovering amsfi serve"
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-post-crash
 wait $serve_pid
 ./target/release/amsfi run pll-sweep --out "$tmp/single" --progress-secs 0
@@ -197,16 +186,7 @@ cmp "$tmp/single/cases.csv" "$tmp/merged/cases.csv"
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-digital \
     --limit 4 --journal-dir "$tmp/drain-journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "drain-test amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_coordinator $port "drain-test amsfi serve"
 ./target/release/amsfi drain 127.0.0.1:$port
 wait $serve_pid
 rm -rf "$tmp"
@@ -230,16 +210,7 @@ port=17191
 ./target/release/amsfi serve --bind 127.0.0.1:$port --campaign pll-digital \
     --limit 6 --shards 2 --until-drained --journal-dir "$tmp/journals" &
 serve_pid=$!
-i=0
-until ./target/release/amsfi status 127.0.0.1:$port >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "fleet-test amsfi serve never came up on 127.0.0.1:$port" >&2
-        kill $serve_pid 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_for_coordinator $port "fleet-test amsfi serve"
 ./target/release/amsfi top 127.0.0.1:$port --once | grep -q "amsfi top"
 ./target/release/amsfi worker 127.0.0.1:$port --exit-when-done --name ci-fleet \
     --events "$tmp/worker-events.jsonl"
@@ -261,7 +232,10 @@ cargo build --release -p amsfi-bench --bin pr10_word_bench
 
 # PR 10 CLI e2e: `amsfi run --batch --word` journal matches the scalar
 # journal case-for-case on the SEU campaign, and `amsfi list` advertises
-# the word path on the campaigns that carry a word spec.
+# the word path on the campaigns that carry a word spec. The guarded leg
+# (PR 16) repeats the pair under a step cap no case reaches: every lane's
+# budget is then armed, so the word machine's shared step counter runs,
+# and arming must change no record.
 tmp=$(mktemp -d)
 ./target/release/amsfi run cpu --journal "$tmp/scalar.journal" --progress-secs 0
 ./target/release/amsfi run cpu --batch --word --journal "$tmp/word.journal" \
@@ -269,6 +243,13 @@ tmp=$(mktemp -d)
 sort "$tmp/scalar.journal" >"$tmp/scalar.sorted"
 sort "$tmp/word.journal" >"$tmp/word.sorted"
 cmp "$tmp/scalar.sorted" "$tmp/word.sorted"
+./target/release/amsfi run cpu --max-steps 100000000 \
+    --journal "$tmp/scalar-guarded.journal" --progress-secs 0
+./target/release/amsfi run cpu --batch --word --max-steps 100000000 \
+    --journal "$tmp/word-guarded.journal" --progress-secs 0
+sort "$tmp/scalar-guarded.journal" >"$tmp/scalar-guarded.sorted"
+sort "$tmp/word-guarded.journal" >"$tmp/word-guarded.sorted"
+cmp "$tmp/scalar-guarded.sorted" "$tmp/word-guarded.sorted"
 ./target/release/amsfi list | grep -q "cpu.*word"
 rm -rf "$tmp"
 

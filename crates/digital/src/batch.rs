@@ -46,6 +46,15 @@ pub enum LaneOutcome {
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
     },
+    /// The lane produced a full-horizon trace that is the golden trace
+    /// ([`BatchReport::golden`]), transition for transition: its fault never
+    /// showed on a monitored signal, so no trace was built for it. Only the
+    /// word-parallel kernel reports this; the lane-cloned kernel hands such a
+    /// lane back as [`LaneOutcome::Completed`] with an equal trace.
+    Clean {
+        /// Reconvergence-seal instant, `None` if the lane ran to the end.
+        sealed_at: Option<Time>,
+    },
     /// The lane's simulation failed: guard trip, cooperative cancellation
     /// (early abort), delta overflow, or injection error. Other lanes are
     /// unaffected.
@@ -62,6 +71,19 @@ pub struct BatchReport {
     pub golden: Trace,
     /// Per-lane outcomes, indexed like the `add_lane` calls.
     pub outcomes: Vec<LaneOutcome>,
+}
+
+impl BatchReport {
+    /// The full-horizon trace of lane `lane` — for a
+    /// [`LaneOutcome::Clean`] lane that is the golden trace — or `None`
+    /// if the lane failed.
+    pub fn lane_trace(&self, lane: usize) -> Option<&Trace> {
+        match &self.outcomes[lane] {
+            LaneOutcome::Completed { trace, .. } => Some(trace),
+            LaneOutcome::Clean { .. } => Some(&self.golden),
+            LaneOutcome::Failed { .. } => None,
+        }
+    }
 }
 
 enum LaneState {
@@ -123,10 +145,8 @@ struct Lane {
 ///     },
 ///     |_lane, _sim| {},
 /// )?;
-/// match &report.outcomes[0] {
-///     LaneOutcome::Completed { trace, .. } => assert_eq!(trace, &scalar_trace),
-///     LaneOutcome::Failed { error } => panic!("{error}"),
-/// }
+/// assert!(matches!(report.outcomes[0], LaneOutcome::Completed { .. }));
+/// assert_eq!(report.lane_trace(0), Some(&scalar_trace));
 /// # Ok::<(), amsfi_digital::SimError>(())
 /// ```
 pub struct BatchSimulator {
@@ -438,12 +458,11 @@ mod tests {
 
         for (lane, &(at, bit)) in cases.iter().enumerate() {
             let scalar = scalar_flip(at, bit, T_END);
-            match &report.outcomes[lane] {
-                LaneOutcome::Completed { trace, .. } => {
-                    assert_eq!(trace, &scalar, "lane {lane} (flip bit {bit} @ {at})");
-                }
-                LaneOutcome::Failed { error } => panic!("lane {lane}: {error}"),
-            }
+            assert_eq!(
+                report.lane_trace(lane),
+                Some(&scalar),
+                "lane {lane} (flip bit {bit} @ {at})"
+            );
         }
     }
 
@@ -514,7 +533,7 @@ mod tests {
                 let sealed = sealed_at.expect("washed-out pulse must seal");
                 assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
             }
-            LaneOutcome::Failed { error } => panic!("{error}"),
+            other => panic!("{other:?}"),
         }
     }
 
@@ -543,9 +562,6 @@ mod tests {
             "strict lane must trip its budget"
         );
         let scalar = scalar_flip(Time::from_ns(100), 7, T_END);
-        match &report.outcomes[free] {
-            LaneOutcome::Completed { trace, .. } => assert_eq!(trace, &scalar),
-            LaneOutcome::Failed { error } => panic!("free lane failed: {error}"),
-        }
+        assert_eq!(report.lane_trace(free), Some(&scalar));
     }
 }

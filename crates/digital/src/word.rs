@@ -40,11 +40,20 @@
 //!   golden suffix exactly like the lane-cloned kernel, so traces stay
 //!   byte-identical to scalar runs.
 //!
-//! Per-lane traces are maintained incrementally: the golden lane extends
-//! the trace the scalar simulator recorded, a mutant lane clones the golden
-//! trace at activation (mirroring the lane-cloned `golden.clone()`) and
-//! records its own lanes' changes from then on. Per-lane budgets and
-//! observers ride along; a budget trip retires only that lane
+//! A lane costs what it differs. The golden lane extends the trace the
+//! scalar simulator recorded. A mutant lane records nothing of its own
+//! while it *follows* golden: per monitored bit, until the time point its
+//! settled value first differs from the golden lane's, its wave would be a
+//! copy of the golden one, so it takes that copy only then (golden is
+//! pushed last in a time point, so the copy is the wave as the lane's own
+//! recording would have left it) and records its own changes from there.
+//! At the horizon the bits it still follows take the finished golden wave,
+//! and a lane that never left golden anywhere has no trace at all
+//! ([`LaneOutcome::Clean`]). Per-lane budgets are sorted once, when
+//! installed, into those that can never trip (no work), step caps (one
+//! shared step counter, one compare per time point against the earliest
+//! trip) and cancellable ones (asked every time point); observers sit
+//! behind a lane mask. A budget trip retires only that lane
 //! ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
 //! scalar, preserving byte identity.
 
@@ -54,8 +63,8 @@ use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
 use amsfi_waves::{
-    DigitalSlot, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver, Time, Trace,
-    LANES,
+    DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver,
+    Time, Trace, LANES,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -560,9 +569,14 @@ struct WordSignal {
     width: usize,
     planes: Vec<LogicPlanes>,
     readers: Vec<usize>,
-    /// Trace slot of each bit (valid in every lane's trace, all clones of
-    /// the golden one); empty when the signal is not monitored.
+    /// Trace slot of each bit (valid in every lane's trace, which all share
+    /// the golden one's slots); empty when the signal is not monitored.
     slots: Vec<DigitalSlot>,
+    /// Per slot, the lanes that record that bit in a wave of their own: the
+    /// golden lane always, a mutant lane from the time point its settled
+    /// value first differs from golden's. Every other recording lane
+    /// *follows* golden there — its wave would be a copy of the golden one.
+    own: Vec<u64>,
 }
 
 struct WordSlot {
@@ -606,17 +620,46 @@ struct WordSimulator {
     live: u64,
     /// Lanes whose trace is being recorded (golden + activated mutants).
     recording: u64,
-    /// Mutant lanes that have been activated (injected).
-    injected: u64,
+    /// Mutant lanes that own at least one slot (see [`WordSignal::own`]),
+    /// and so a trace with the golden trace's slots. The trace of any other
+    /// lane is empty: all it would hold is the golden trace.
+    diverged: u64,
     /// Per-lane traces; index [`GOLDEN_LANE`] is the golden trace.
     traces: Vec<Trace>,
     /// Machine-wide (golden) budget: a trip here aborts the whole word run.
     budget: SimBudget,
     golden_observer: Option<SimObserver>,
+    /// Time points processed: the one step counter every step-capped lane
+    /// is measured against.
+    steps: u64,
+    /// Lanes whose budget is a step cap and nothing else, and the smallest
+    /// `trip_at` among them (`u64::MAX` when there is none): one compare
+    /// per time point covers them all.
+    step_caps: Vec<StepCap>,
+    next_trip: u64,
+    /// Lanes whose budget carries a cancel token: only those need
+    /// [`SimBudget::note_step`] called on them, one by one.
+    polled: u64,
     lane_budgets: Vec<Option<SimBudget>>,
+    /// Lanes with an observer installed.
+    observed: u64,
     lane_observers: Vec<Option<SimObserver>>,
+    /// Lanes with an entry in `lane_failures` not yet collected.
+    failed: u64,
     lane_failures: Vec<Option<String>>,
     scratch: WordScratch,
+}
+
+/// A lane budget that can only trip on its step cap, reduced to the count
+/// of the machine's step counter at which it does.
+#[derive(Debug, Clone, Copy)]
+struct StepCap {
+    lane: usize,
+    /// The lane trips in the time point that raises the machine's step
+    /// counter to this.
+    trip_at: u64,
+    /// What the lane's own count reads then.
+    steps: u64,
 }
 
 impl WordSimulator {
@@ -640,6 +683,7 @@ impl WordSimulator {
                 name: s.name,
                 width: s.width,
                 readers: s.readers,
+                own: vec![1 << GOLDEN_LANE; s.slots.len()],
                 slots: s.slots,
             })
             .collect();
@@ -661,8 +705,8 @@ impl WordSimulator {
             })
             .collect();
         // The golden lane records into the scalar simulator's trace and a
-        // mutant lane's trace is cloned from it at activation, so the
-        // signals' slots index into every trace that is ever recorded to.
+        // mutant lane's trace takes its slots from it, so the signals'
+        // slots index into every trace that is ever recorded to.
         let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new()).collect();
         traces[GOLDEN_LANE] = seed.trace;
         let mut sim = WordSimulator {
@@ -673,12 +717,18 @@ impl WordSimulator {
             events_processed: 0,
             live: u64::MAX,
             recording: 1 << GOLDEN_LANE,
-            injected: 0,
+            diverged: 0,
             traces,
             budget: seed.budget,
             golden_observer: seed.observer,
+            steps: 0,
+            step_caps: Vec::new(),
+            next_trip: u64::MAX,
+            polled: 0,
             lane_budgets: (0..LANES).map(|_| None).collect(),
+            observed: 0,
             lane_observers: (0..LANES).map(|_| None).collect(),
+            failed: 0,
             lane_failures: (0..LANES).map(|_| None).collect(),
             scratch: WordScratch::default(),
         };
@@ -719,6 +769,7 @@ impl WordSimulator {
     /// Retires lane `lane` with an error: frozen, no longer recorded.
     fn fail_lane(&mut self, lane: usize, error: String) {
         self.lane_failures[lane] = Some(error);
+        self.failed |= 1 << lane;
         self.live &= !(1 << lane);
         self.recording &= !(1 << lane);
     }
@@ -748,7 +799,13 @@ impl WordSimulator {
                 break;
             }
             self.budget.note_step(t)?;
-            self.note_lane_budgets(t);
+            self.steps += 1;
+            if self.steps >= self.next_trip {
+                self.trip_step_caps(t);
+            }
+            if self.polled & self.live != 0 {
+                self.note_polled_budgets(t);
+            }
             self.advance_time_point(t)?;
             self.poll_observers(t);
         }
@@ -759,20 +816,77 @@ impl WordSimulator {
         if let Some(observer) = self.golden_observer.as_mut() {
             observer.flush(now, &[&self.traces[GOLDEN_LANE]]);
         }
-        for lane in 0..LANES {
-            if lane != GOLDEN_LANE && self.recording & (1 << lane) != 0 {
-                if let Some(observer) = self.lane_observers[lane].as_mut() {
-                    observer.flush(now, &[&self.traces[lane]]);
-                }
+        let mut m = self.observed & self.recording;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let Some(observer) = self.lane_observers[lane].as_mut() {
+                observer.flush(now, &[&self.traces[lane]]);
             }
         }
         Ok(())
     }
 
-    /// Charges one step to every activated live lane's budget; a trip
-    /// retires that lane only.
-    fn note_lane_budgets(&mut self, t: Time) {
-        let mut m = self.injected & self.live;
+    /// Installs lane `lane`'s budget, sorted once into what it can cost per
+    /// time point. An unarmed budget, or one whose only guard is a timestep
+    /// floor (this kernel proposes no timesteps), can never trip: nothing is
+    /// kept of it. A step cap without a cancel token depends on the count
+    /// alone, and the lane's count is the machine's from here on, so the
+    /// cap becomes a value of [`WordSimulator::steps`] to watch for. Only a
+    /// budget somebody else can cancel has to be asked every time point.
+    fn set_lane_budget(&mut self, lane: usize, budget: SimBudget) {
+        self.polled &= !(1 << lane);
+        self.step_caps.retain(|cap| cap.lane != lane);
+        if budget.is_cancellable() {
+            self.polled |= 1 << lane;
+            self.lane_budgets[lane] = Some(budget);
+        } else if let Some(max) = budget.max_steps() {
+            // `note_step` counts first and trips on `count > max`.
+            let left = max.saturating_sub(budget.steps_used()).saturating_add(1);
+            self.step_caps.push(StepCap {
+                lane,
+                trip_at: self.steps.saturating_add(left),
+                steps: budget.steps_used().saturating_add(left),
+            });
+        }
+        self.next_trip = self.earliest_trip();
+    }
+
+    fn earliest_trip(&self) -> u64 {
+        self.step_caps
+            .iter()
+            .map(|cap| cap.trip_at)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Retires every live step-capped lane whose cap the current time point
+    /// exceeds — with the violation its own [`SimBudget::note_step`] would
+    /// have raised — and forgets the lanes that retired some other way.
+    fn trip_step_caps(&mut self, t: Time) {
+        let mut caps = std::mem::take(&mut self.step_caps);
+        caps.retain(|cap| {
+            if self.live & (1 << cap.lane) == 0 {
+                return false;
+            }
+            if cap.trip_at > self.steps {
+                return true;
+            }
+            let violation = GuardViolation::StepBudgetExhausted {
+                steps: cap.steps,
+                t,
+            };
+            self.fail_lane(cap.lane, SimError::from(violation).to_string());
+            false
+        });
+        self.step_caps = caps;
+        self.next_trip = self.earliest_trip();
+    }
+
+    /// Charges one step to every live lane whose budget carries a cancel
+    /// token; a trip retires that lane only.
+    fn note_polled_budgets(&mut self, t: Time) {
+        let mut m = self.polled & self.live;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -788,11 +902,12 @@ impl WordSimulator {
         if let Some(observer) = self.golden_observer.as_mut() {
             observer.poll(t, &[&self.traces[GOLDEN_LANE]]);
         }
-        for lane in 0..LANES {
-            if lane != GOLDEN_LANE && self.recording & (1 << lane) != 0 {
-                if let Some(observer) = self.lane_observers[lane].as_mut() {
-                    observer.poll(t, &[&self.traces[lane]]);
-                }
+        let mut m = self.observed & self.recording;
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let Some(observer) = self.lane_observers[lane].as_mut() {
+                observer.poll(t, &[&self.traces[lane]]);
             }
         }
     }
@@ -900,22 +1015,41 @@ impl WordSimulator {
             }
         }
         // Record per-lane transitions of monitored signals that settled to
-        // a new value at t, ascending signal id like the scalar kernel.
+        // a new value at t, ascending signal id like the scalar kernel. A
+        // lane that owns the slot pushes its value when it changed; a lane
+        // that follows golden there pushes nothing, unless its settled
+        // value now differs from golden's: then it first takes a copy of
+        // the golden wave. The golden lane is the last of a word, so it is
+        // pushed last, and that copy is the golden wave as it stood when
+        // this pass over `t` began — what the lane's own recording would
+        // have produced up to here, including the transition at `t` itself
+        // when `t` is a time point re-opened by an injection.
+        let rec = self.recording & self.live;
+        let (mutants, golden) = self.traces.split_at_mut(GOLDEN_LANE);
         let mut changed_list = std::mem::take(&mut self.scratch.changed_list);
         changed_list.sort_unstable();
         for &sig in &changed_list {
             let lanes = std::mem::replace(&mut self.scratch.changed[sig], 0);
-            let rec = lanes & self.recording & self.live;
-            let state = &self.signals[sig];
-            if state.slots.is_empty() {
-                continue;
-            }
-            let mut m = rec;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let trace = &mut self.traces[lane];
-                for (&slot, planes) in state.slots.iter().zip(&state.planes) {
+            let state = &mut self.signals[sig];
+            for ((&slot, planes), own) in state.slots.iter().zip(&state.planes).zip(&mut state.own)
+            {
+                let differs = planes.diverged_mask(planes.broadcast_lane(GOLDEN_LANE));
+                let mut leaving = differs & rec & !*own;
+                *own |= leaving;
+                while leaving != 0 {
+                    let lane = leaving.trailing_zeros() as usize;
+                    leaving &= leaving - 1;
+                    if self.diverged & (1 << lane) == 0 {
+                        self.diverged |= 1 << lane;
+                        mutants[lane] = golden[0].same_slots();
+                    }
+                    mutants[lane].copy_digital(slot, &golden[0]);
+                }
+                let mut m = lanes & rec & *own;
+                while m != 0 {
+                    let lane = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let trace = mutants.get_mut(lane).unwrap_or(&mut golden[0]);
                     trace
                         .push_digital(slot, t, planes.lane(lane))
                         .expect("time is monotonic");
@@ -977,6 +1111,45 @@ impl WordSimulator {
             }
         }
         self.scratch.actions = actions;
+    }
+
+    /// Gives lane `lane` a wave of its own behind every slot: a copy of the
+    /// golden trace as it stands.
+    fn own_every_slot(&mut self, lane: usize) {
+        self.traces[lane] = self.traces[GOLDEN_LANE].clone();
+        self.diverged |= 1 << lane;
+        for signal in &mut self.signals {
+            for own in &mut signal.own {
+                *own |= 1 << lane;
+            }
+        }
+    }
+
+    /// Completes lane `lane`'s trace over the full horizon, once the golden
+    /// lane has reached it: a slot the lane owns is spliced with the golden
+    /// suffix if the lane sealed, a slot it followed golden on to the end
+    /// takes the whole golden wave. A lane that followed on every slot has
+    /// no trace to complete — it is the golden one.
+    fn lane_outcome(
+        &self,
+        lane: usize,
+        mut trace: Trace,
+        sealed_at: Option<Time>,
+        golden: &Trace,
+    ) -> LaneOutcome {
+        if self.diverged & (1 << lane) == 0 {
+            return LaneOutcome::Clean { sealed_at };
+        }
+        for signal in &self.signals {
+            for (&slot, own) in signal.slots.iter().zip(&signal.own) {
+                if own & (1 << lane) == 0 {
+                    trace.copy_digital(slot, golden);
+                } else if let Some(at) = sealed_at {
+                    trace.splice_digital_suffix(slot, golden, at);
+                }
+            }
+        }
+        LaneOutcome::Completed { trace, sealed_at }
     }
 
     /// The lanes of `candidates` whose complete future-relevant machine
@@ -1123,13 +1296,14 @@ impl InjectTarget for WordLaneCtx<'_> {
     }
 
     fn component_mut(&mut self, component: ComponentId) -> &mut dyn Component {
-        let name = self.sim.components[component.0].name.clone();
-        self.sim.components[component.0]
-            .comp
-            .lane_component_mut(self.lane)
-            .unwrap_or_else(|| {
-                panic!("component {name:?} has a native word implementation; no per-lane scalar instance to configure")
-            })
+        let slot = &mut self.sim.components[component.0];
+        match slot.comp.lane_component_mut(self.lane) {
+            Some(instance) => instance,
+            None => panic!(
+                "component {:?} has a native word implementation; no per-lane scalar instance to configure",
+                slot.name
+            ),
+        }
     }
 
     fn wake_component(&mut self, component: ComponentId, at: Time) {
@@ -1144,10 +1318,14 @@ impl InjectTarget for WordLaneCtx<'_> {
     }
 
     fn set_budget(&mut self, budget: SimBudget) {
-        self.sim.lane_budgets[self.lane] = Some(budget);
+        self.sim.set_lane_budget(self.lane, budget);
     }
 
     fn set_observer(&mut self, observer: SimObserver) {
+        // An observer is shown the lane's whole trace at every time point,
+        // so an observed lane owns every slot from here on.
+        self.sim.own_every_slot(self.lane);
+        self.sim.observed |= 1 << self.lane;
         self.sim.lane_observers[self.lane] = Some(observer);
     }
 }
@@ -1341,13 +1519,20 @@ impl WordBatchSimulator {
     ) -> Result<BatchReport, SimError> {
         // Only added mutants and golden simulate; the other lanes freeze.
         let mut used = 1u64 << GOLDEN_LANE;
-        let mut first = self.t_end;
+        // The lanes still to activate, in injection order (lane order
+        // within one instant): every instant is a stop of the grid, so the
+        // run walks this list once, front to back.
+        let mut order: Vec<usize> = Vec::with_capacity(self.lanes.len());
         for (lane_id, lane) in self.lanes.iter().enumerate() {
             if matches!(lane.state, WordLaneState::Pending) {
                 used |= 1 << lane_id;
-                first = first.min(lane.inject_at);
+                order.push(lane_id);
             }
         }
+        order.sort_by_key(|&lane_id| self.lanes[lane_id].inject_at);
+        let first = order
+            .first()
+            .map_or(self.t_end, |&lane_id| self.lanes[lane_id].inject_at);
         // Up to the first injection every lane is the golden machine: the
         // scalar kernel simulates that stretch once, at scalar cost, and
         // the word machine takes over where lanes can start to differ.
@@ -1362,22 +1547,19 @@ impl WordBatchSimulator {
         } = self;
         let mut sim = WordSimulator::from_scalar(golden)?;
         sim.live = used;
+        let mut due = order.into_iter().peekable();
 
         for &t in &stops {
             sim.run_until(t)?;
             collect_failures(&mut sim, &mut lanes);
 
-            // Activate lanes whose injection instant this stop is: clone
-            // the golden trace prefix (the in-word equivalent of cloning
-            // the golden machine), then run setup + inject on the lane.
+            // Activate the lanes whose injection instant this stop is: from
+            // here on the lane is recorded (following golden, slot by slot,
+            // until it differs), and setup + inject run on it.
             let mut activated = false;
-            for (lane_id, lane) in lanes.iter_mut().enumerate() {
-                if !matches!(lane.state, WordLaneState::Pending) || lane.inject_at != t {
-                    continue;
-                }
-                sim.traces[lane_id] = sim.traces[GOLDEN_LANE].clone();
+            while let Some(lane_id) = due.next_if(|&lane_id| lanes[lane_id].inject_at == t) {
+                let lane = &mut lanes[lane_id];
                 sim.recording |= 1 << lane_id;
-                sim.injected |= 1 << lane_id;
                 let mut ctx = WordLaneCtx {
                     sim: &mut sim,
                     lane: lane_id,
@@ -1438,16 +1620,12 @@ impl WordBatchSimulator {
                 WordLaneState::Pending => LaneOutcome::Failed {
                     error: "the lane never reached its injection instant".to_owned(),
                 },
-                WordLaneState::Running => LaneOutcome::Completed {
-                    trace: std::mem::take(&mut sim.traces[lane_id]),
-                    sealed_at: None,
-                },
-                WordLaneState::Sealed { mut trace, at } => {
-                    trace.splice_golden_suffix(&golden_trace, at);
-                    LaneOutcome::Completed {
-                        trace,
-                        sealed_at: Some(at),
-                    }
+                WordLaneState::Running => {
+                    let trace = std::mem::take(&mut sim.traces[lane_id]);
+                    sim.lane_outcome(lane_id, trace, None, &golden_trace)
+                }
+                WordLaneState::Sealed { trace, at } => {
+                    sim.lane_outcome(lane_id, trace, Some(at), &golden_trace)
                 }
                 WordLaneState::Failed(error) => LaneOutcome::Failed { error },
             })
@@ -1462,11 +1640,12 @@ impl WordBatchSimulator {
 /// Moves per-lane failures recorded inside the word machine (budget trips)
 /// into the lane table.
 fn collect_failures(sim: &mut WordSimulator, lanes: &mut [WordLane]) {
-    for (lane_id, lane) in lanes.iter_mut().enumerate() {
-        if matches!(lane.state, WordLaneState::Running) {
-            if let Some(error) = sim.lane_failures[lane_id].take() {
-                lane.state = WordLaneState::Failed(error);
-            }
+    let mut m = std::mem::take(&mut sim.failed);
+    while m != 0 {
+        let lane_id = m.trailing_zeros() as usize;
+        m &= m - 1;
+        if let Some(error) = sim.lane_failures[lane_id].take() {
+            lanes[lane_id].state = WordLaneState::Failed(error);
         }
     }
 }
@@ -1541,6 +1720,22 @@ mod tests {
             .expect("counter present")
     }
 
+    /// The lane's full-horizon trace; panics with the lane's error.
+    fn lane_trace(report: &BatchReport, lane: usize) -> &Trace {
+        report
+            .lane_trace(lane)
+            .unwrap_or_else(|| panic!("lane {lane}: {:?}", report.outcomes[lane]))
+    }
+
+    fn sealed_at(outcome: &LaneOutcome) -> Option<Time> {
+        match outcome {
+            LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
+                *sealed_at
+            }
+            LaneOutcome::Failed { error } => panic!("{error}"),
+        }
+    }
+
     fn scalar_flip(at: Time, bit: usize, t_end: Time) -> Trace {
         let mut sim = build();
         let target = counter_target(&sim);
@@ -1577,12 +1772,11 @@ mod tests {
 
         for (lane, &(at, bit)) in cases.iter().enumerate() {
             let scalar = scalar_flip(at, bit, T_END);
-            match &report.outcomes[lane] {
-                LaneOutcome::Completed { trace, .. } => {
-                    assert_eq!(trace, &scalar, "lane {lane} (flip bit {bit} @ {at})");
-                }
-                LaneOutcome::Failed { error } => panic!("lane {lane}: {error}"),
-            }
+            assert_eq!(
+                lane_trace(&report, lane),
+                &scalar,
+                "lane {lane} (flip bit {bit} @ {at})"
+            );
         }
     }
 
@@ -1697,15 +1891,10 @@ mod tests {
                 )
                 .unwrap();
 
-            match &report.outcomes[lane] {
-                LaneOutcome::Completed { trace, sealed_at } => {
-                    assert_eq!(trace, &scalar_trace);
-                    let sealed = sealed_at.expect("washed-out pulse must seal");
-                    assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
-                    seals.push(sealed);
-                }
-                LaneOutcome::Failed { error } => panic!("{error}"),
-            }
+            assert_eq!(lane_trace(&report, lane), &scalar_trace);
+            let sealed = sealed_at(&report.outcomes[lane]).expect("washed-out pulse must seal");
+            assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
+            seals.push(sealed);
         }
         assert_eq!(seals[0], seals[1]);
         assert_eq!(seals[0] % Time::from_ns(50), Time::ZERO);
@@ -1734,12 +1923,10 @@ mod tests {
             "{:?}",
             report.outcomes[behind]
         );
-        match &report.outcomes[late] {
-            LaneOutcome::Completed { trace, .. } => {
-                assert_eq!(trace, &scalar_flip(Time::from_ns(700), 2, T_END));
-            }
-            LaneOutcome::Failed { error } => panic!("{error}"),
-        }
+        assert_eq!(
+            lane_trace(&report, late),
+            &scalar_flip(Time::from_ns(700), 2, T_END)
+        );
     }
 
     #[test]
@@ -1771,10 +1958,20 @@ mod tests {
     #[test]
     fn word_guard_trip_retires_only_that_lane() {
         const T_END: Time = Time::from_us(2);
+        let ns = Time::from_ns;
         let target = counter_target(&build());
         let mut batch = WordBatchSimulator::new(build(), T_END);
-        let strict = batch.add_lane(Time::from_ns(100));
-        let free = batch.add_lane(Time::from_ns(100));
+        let strict = batch.add_lane(ns(100));
+        let free = batch.add_lane(ns(100));
+        // A cap no lane reaches, one that starts part-used, a floor-only
+        // budget (armed, but nothing this kernel does can trip it), and a
+        // cancellable lane that a later lane's setup cancels.
+        let roomy = batch.add_lane(ns(100));
+        let part_used = batch.add_lane(ns(300));
+        let floor_only = batch.add_lane(ns(300));
+        let cancellable = batch.add_lane(ns(100));
+        let canceller = batch.add_lane(ns(500));
+        let token = amsfi_waves::CancelToken::new();
         let report = batch
             .run(
                 |_, sim| {
@@ -1784,19 +1981,62 @@ mod tests {
                 |lane, sim| {
                     if lane == strict {
                         sim.set_budget(SimBudget::unlimited().with_max_steps(3));
+                    } else if lane == roomy {
+                        sim.set_budget(SimBudget::unlimited().with_max_steps(1_000));
+                    } else if lane == part_used {
+                        let mut budget = SimBudget::unlimited().with_max_steps(5);
+                        budget.note_step(Time::ZERO).unwrap();
+                        budget.note_step(Time::ZERO).unwrap();
+                        sim.set_budget(budget);
+                    } else if lane == floor_only {
+                        sim.set_budget(SimBudget::unlimited().with_min_dt(ns(1)));
+                    } else if lane == cancellable {
+                        sim.set_budget(
+                            SimBudget::unlimited()
+                                .with_max_steps(1_000)
+                                .with_cancel(token.clone()),
+                        );
+                    } else if lane == canceller {
+                        token.cancel();
                     }
                 },
             )
             .unwrap();
-        assert!(
-            matches!(&report.outcomes[strict], LaneOutcome::Failed { error } if error.contains("step-budget-exhausted")),
-            "strict lane must trip its budget: {:?}",
-            report.outcomes[strict]
+        let error = |lane: usize| match &report.outcomes[lane] {
+            LaneOutcome::Failed { error } => error.clone(),
+            other => panic!("lane {lane} must fail: {other:?}"),
+        };
+        // The re-opened 100 ns time point is the strict lane's first step,
+        // the clock toggles at 110 and 120 ns use up the cap, 130 ns trips
+        // it: the time point and count its own `note_step` reported before
+        // the lanes shared one counter.
+        assert_eq!(
+            error(strict),
+            format!("step-budget-exhausted steps=4 t={}", ns(130).as_fs())
         );
-        let scalar = scalar_flip(Time::from_ns(100), 7, T_END);
-        match &report.outcomes[free] {
-            LaneOutcome::Completed { trace, .. } => assert_eq!(trace, &scalar),
-            LaneOutcome::Failed { error } => panic!("free lane failed: {error}"),
+        // Two of five steps were gone at 300 ns: 300 (re-opened), 310, 320
+        // fit, 330 ns is the sixth.
+        assert_eq!(
+            error(part_used),
+            format!("step-budget-exhausted steps=6 t={}", ns(330).as_fs())
+        );
+        // Cancelled while the word sat at the 500 ns stop: the lane goes at
+        // the very next time point, the one the canceller's flip re-opens.
+        assert_eq!(
+            error(cancellable),
+            format!("cancelled t={}", ns(500).as_fs())
+        );
+        for (lane, at) in [
+            (free, 100),
+            (roomy, 100),
+            (floor_only, 300),
+            (canceller, 500),
+        ] {
+            assert_eq!(
+                lane_trace(&report, lane),
+                &scalar_flip(ns(at), 7, T_END),
+                "lane {lane} beside the tripped ones"
+            );
         }
     }
 
@@ -1842,28 +2082,17 @@ mod tests {
             .unwrap();
 
         assert_eq!(cloned_report.golden, word_report.golden);
-        for (lane, (c, w)) in cloned_report
-            .outcomes
-            .iter()
-            .zip(&word_report.outcomes)
-            .enumerate()
-        {
-            match (c, w) {
-                (
-                    LaneOutcome::Completed {
-                        trace: ct,
-                        sealed_at: cs,
-                    },
-                    LaneOutcome::Completed {
-                        trace: wt,
-                        sealed_at: ws,
-                    },
-                ) => {
-                    assert_eq!(ct, wt, "lane {lane} trace");
-                    assert_eq!(cs, ws, "lane {lane} seal instant");
-                }
-                other => panic!("lane {lane}: outcome mismatch {other:?}"),
-            }
+        for lane in 0..cases.len() {
+            assert_eq!(
+                lane_trace(&cloned_report, lane),
+                lane_trace(&word_report, lane),
+                "lane {lane} trace"
+            );
+            assert_eq!(
+                sealed_at(&cloned_report.outcomes[lane]),
+                sealed_at(&word_report.outcomes[lane]),
+                "lane {lane} seal instant"
+            );
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_digital::{cells, ComponentId, LaneOutcome, Netlist, Simulator, WordBatchSimulator};
-use amsfi_waves::{Logic, Time, LANES};
+use amsfi_waves::{Logic, SimObserver, Time, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -94,9 +94,15 @@ fn word_machine_steady_state_does_not_allocate() {
     // inject closures, so phases are bracketed by *probe* lanes whose
     // injection fails (a failed lane is retired on the spot and perturbs
     // nothing). Between the setups of two probes lie: the first probe's
-    // failure handling, the simulation, and the second probe's trace clone.
-    // Two probes at one instant have no simulation between them, so the
-    // difference of the two intervals is the simulation alone.
+    // failure handling and the simulation. Two probes at one instant have
+    // no simulation between them, so the difference of the two intervals is
+    // the simulation alone.
+    //
+    // The mutant lanes carry an observer, so each owns a whole trace from
+    // its activation on (the `--early-abort` shape, and the one in which a
+    // lane records the most): what the diverged phase pins is that *owning*
+    // a wave costs no allocation per time point. Lanes that own nothing are
+    // the next test's.
     let warm_up = Time::from_us(2);
     let lock_step_end = warm_up + PHASE;
     let diverged_start = lock_step_end + Time::from_us(1);
@@ -139,9 +145,11 @@ fn word_machine_steady_state_does_not_allocate() {
                 }
                 None => Err("probe".to_owned()),
             },
-            |lane, _| {
+            |lane, target| {
                 if let Some(nth) = probes.iter().position(|&p| p == lane) {
                     at_setup[nth] = counts();
+                } else if mutants.contains(&lane) {
+                    target.set_observer(SimObserver::new(|_, _| {}));
                 }
             },
         )
@@ -178,6 +186,70 @@ fn word_machine_steady_state_does_not_allocate() {
         grown <= waves * 2,
         "diverged phase: {grown} reallocations for {waves} waves"
     );
+}
+
+#[test]
+fn lanes_that_never_leave_golden_do_not_allocate() {
+    // A full word of upsets in RAM words the program never reads: the
+    // lanes stay apart from golden to the horizon (nothing rewrites the
+    // word, so none seals) yet never differ on a monitored bit. Activating
+    // them, the re-opened time point and 1000 clock edges touch the
+    // allocator only to grow a golden wave — no lane takes a copy of the
+    // golden trace, at activation or later — and every one of them ends
+    // without a trace of its own.
+    let activate = Time::from_us(2);
+    let (golden, cpu) = cpu_bench(true);
+    let first_dead_bit = golden
+        .mutant_targets()
+        .iter()
+        .position(|t| t.label == "ram[5][0]")
+        .expect("the RAM is part of the mutant surface");
+    let mut word = WordBatchSimulator::new(golden, activate + PHASE + Time::from_us(1));
+    // As above: a failing lane ahead of the phase, so that the word machine
+    // has taken over and filled its pools before the first sample.
+    word.add_lane(Time::from_us(1));
+    let clean: Vec<usize> = (0..WordBatchSimulator::MAX_LANES - 2)
+        .map(|_| word.add_lane(activate))
+        .collect();
+    let closing = word.add_lane(activate + PHASE);
+
+    let (mut before, mut after) = ((0, 0), (0, 0));
+    let report = word
+        .run(
+            |lane, target| {
+                if lane == 0 {
+                    return Err("warm-up".to_owned());
+                }
+                // 61 + 1 distinct bits of the 88 in words 5..=15.
+                target.flip_state(cpu, first_dead_bit + lane);
+                Ok(())
+            },
+            |lane, _| {
+                if lane == clean[0] {
+                    before = counts();
+                } else if lane == closing {
+                    after = counts();
+                }
+            },
+        )
+        .expect("the golden lane runs to the horizon");
+
+    assert_eq!(after.0 - before.0, 0, "clean lanes allocated");
+    assert!(
+        after.1 - before.1 <= 14 * 2,
+        "{} reallocations with only the golden trace growing",
+        after.1 - before.1
+    );
+    for &lane in clean.iter().chain([&closing]) {
+        assert!(
+            matches!(
+                report.outcomes[lane],
+                LaneOutcome::Clean { sealed_at: None }
+            ),
+            "lane {lane}: {:?}",
+            report.outcomes[lane]
+        );
+    }
 }
 
 /// A counter feeding a flip-flop: library cells whose drive values are

@@ -10,7 +10,8 @@
 //! `ext_cpu_campaign`) so engine runs are comparable with the legacy path.
 
 use crate::executor::{
-    BatchCaseOutcome, BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork, WorkerSlot,
+    BatchCaseOutcome, BatchGroupRun, BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork,
+    WorkerSlot,
 };
 use crate::stats::Stage;
 use crate::BoxError;
@@ -19,8 +20,8 @@ use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::pll::{self, names};
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchSimulator, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist,
-    Simulator, WordBatchSimulator,
+    cells, BatchReport, BatchSimulator, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome,
+    Netlist, Simulator, WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
 use amsfi_waves::{ForkableSim, Logic, Time, Tolerance};
@@ -73,7 +74,7 @@ impl Campaign {
                       group: &[usize],
                       hooks: LaneHooks<'_>,
                       _slot: &mut WorkerSlot|
-                      -> Result<Vec<BatchCaseOutcome>, BoxError> {
+                      -> Result<BatchGroupRun, BoxError> {
                     let mut golden = build(ctx)?;
                     golden.install_budget(ctx.budget().clone());
                     ctx.stage(Stage::Simulate);
@@ -96,16 +97,7 @@ impl Campaign {
                             },
                         )
                         .map_err(|e| Box::new(e) as BoxError)?;
-                    Ok(report
-                        .outcomes
-                        .into_iter()
-                        .map(|outcome| match outcome {
-                            LaneOutcome::Completed { trace, sealed_at } => {
-                                BatchCaseOutcome::Done { trace, sealed_at }
-                            }
-                            LaneOutcome::Failed { error } => BatchCaseOutcome::Error(error),
-                        })
-                        .collect())
+                    Ok(group_run(report))
                 },
             )
         };
@@ -119,7 +111,7 @@ impl Campaign {
                       group: &[usize],
                       hooks: LaneHooks<'_>,
                       slot: &mut WorkerSlot|
-                      -> Result<Vec<BatchCaseOutcome>, BoxError> {
+                      -> Result<BatchGroupRun, BoxError> {
                     // Reuse the worker's cursor unless it is already past
                     // this group's first instant: it only runs forwards,
                     // so a group behind it gets a new one from `build`.
@@ -165,16 +157,7 @@ impl Campaign {
                             },
                         )
                         .map_err(|e| Box::new(e) as BoxError)?;
-                    Ok(report
-                        .outcomes
-                        .into_iter()
-                        .map(|outcome| match outcome {
-                            LaneOutcome::Completed { trace, sealed_at } => {
-                                BatchCaseOutcome::Done { trace, sealed_at }
-                            }
-                            LaneOutcome::Failed { error } => BatchCaseOutcome::Error(error),
-                        })
-                        .collect())
+                    Ok(group_run(report))
                 },
             )
         };
@@ -196,6 +179,24 @@ impl Campaign {
         campaign.batch = Some(BatchSpec { run: batch_run });
         campaign.word = Some(BatchSpec { run: word_run });
         campaign
+    }
+}
+
+/// A kernel's group report in the engine's terms.
+fn group_run(report: BatchReport) -> BatchGroupRun {
+    BatchGroupRun {
+        golden: report.golden,
+        outcomes: report
+            .outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                LaneOutcome::Completed { trace, sealed_at } => {
+                    BatchCaseOutcome::Done { trace, sealed_at }
+                }
+                LaneOutcome::Clean { sealed_at } => BatchCaseOutcome::Clean { sealed_at },
+                LaneOutcome::Failed { error } => BatchCaseOutcome::Error(error),
+            })
+            .collect(),
     }
 }
 

@@ -29,7 +29,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What the engine does when a case exhausts its retry budget.
@@ -534,10 +534,32 @@ pub enum BatchCaseOutcome {
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
     },
+    /// The lane's full-horizon trace is the group's golden-lane trace
+    /// ([`BatchGroupRun::golden`]), so none was built. The engine checks
+    /// that trace against the campaign's golden run once per group and
+    /// gives every such lane the verdict of golden against itself, computed
+    /// once per run.
+    Clean {
+        /// Reconvergence-seal instant, `None` if the lane ran to the end.
+        sealed_at: Option<Time>,
+    },
     /// The lane failed in isolation (guard trip, cooperative cancellation,
     /// injection error). The engine consults the lane's online classifier
     /// and otherwise falls back to the scalar path for this case alone.
     Error(String),
+}
+
+/// What one [`BatchSpec`] group run hands back.
+#[derive(Debug)]
+pub struct BatchGroupRun {
+    /// The trace the group's own golden machine recorded over the full
+    /// horizon. It has to equal the campaign's golden run — lanes are
+    /// compared against the one, [`BatchCaseOutcome::Clean`] stands for the
+    /// other — and the engine degrades the group to the scalar path when it
+    /// does not.
+    pub golden: Trace,
+    /// One outcome per case of the group, in order.
+    pub outcomes: Vec<BatchCaseOutcome>,
 }
 
 /// Installs per-lane plumbing on a freshly cloned lane simulator: called
@@ -578,8 +600,9 @@ pub struct PrefixFork {
 ///
 /// `run(ctx, group, hooks, slot)` simulates all cases in `group` (at most
 /// [`amsfi_waves::LANES`] indices into [`Campaign::cases`]) lock-step
-/// against one golden machine and returns one [`BatchCaseOutcome`] per
-/// index, in order; `slot` is the calling worker's [`WorkerSlot`].
+/// against one golden machine and returns that machine's trace with one
+/// [`BatchCaseOutcome`] per index, in order ([`BatchGroupRun`]); `slot` is
+/// the calling worker's [`WorkerSlot`].
 /// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
 /// build/inject closures as the scalar paths, which is what guarantees
@@ -594,7 +617,7 @@ pub struct BatchSpec {
                 &[usize],
                 LaneHooks<'_>,
                 &mut WorkerSlot,
-            ) -> Result<Vec<BatchCaseOutcome>, BoxError>
+            ) -> Result<BatchGroupRun, BoxError>
             + Send
             + Sync,
     >,
@@ -1046,6 +1069,9 @@ impl Engine {
         });
 
         let golden_ref = &golden;
+        // What golden classifies as against itself: the verdict of every
+        // lane a batch group reports as `Clean`, worked out by the first.
+        let clean_verdict: OnceLock<CaseOutcome> = OnceLock::new();
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let fatal: Mutex<Option<EngineError>> = Mutex::new(None);
@@ -1141,6 +1167,7 @@ impl Engine {
                 .map(|(worker_id, cache)| {
                     let stats = Arc::clone(&stats);
                     let (next, stop, fatal, fresh) = (&next, &stop, &fatal, &fresh);
+                    let clean_verdict = &clean_verdict;
                     let (pending, journal) = (&pending, &journal);
                     scope.spawn(move || {
                         tele.emit_with(|| {
@@ -1167,6 +1194,7 @@ impl Engine {
                                     group,
                                     &mut worker_slot,
                                     golden_ref,
+                                    clean_verdict,
                                     &stats,
                                     journal.as_ref(),
                                 ) {
@@ -1498,6 +1526,20 @@ impl Engine {
         let t0 = Instant::now();
         let outcome = classify(&campaign.spec, golden, &trace);
         stats.record_stage(Stage::Classify, t0.elapsed());
+        self.book_verdict(campaign, index, stats, journal, outcome, forked_at)
+    }
+
+    /// Counts and journals a case's verdict: what follows classification,
+    /// however the verdict was come by.
+    fn book_verdict(
+        &self,
+        campaign: &Campaign,
+        index: usize,
+        stats: &Arc<EngineStats>,
+        journal: Option<&Journal>,
+        outcome: CaseOutcome,
+        forked_at: Option<Time>,
+    ) -> Result<CaseResult, EngineError> {
         stats.record_class(outcome.class);
         let result = CaseResult {
             case: campaign.cases[index].clone(),
@@ -1580,6 +1622,12 @@ impl Engine {
     /// fails without a sealed verdict falls back to the scalar path for
     /// that case alone — which re-derives guard-trip verdicts, retry
     /// accounting and quarantine exactly as a scalar run would.
+    ///
+    /// The group's golden-lane trace must equal the campaign's golden run:
+    /// lanes were simulated against the former and are classified against
+    /// the latter, and a [`BatchCaseOutcome::Clean`] lane is booked with
+    /// `clean_verdict`, golden classified against itself. A group whose
+    /// golden lane differs is re-run scalar instead.
     #[allow(clippy::too_many_arguments)]
     fn execute_batch(
         &self,
@@ -1588,6 +1636,7 @@ impl Engine {
         group: &[usize],
         slot: &mut WorkerSlot,
         golden: &Arc<Trace>,
+        clean_verdict: &OnceLock<CaseOutcome>,
         stats: &Arc<EngineStats>,
         journal: Option<&Journal>,
     ) -> Result<Vec<(usize, JournalEntry)>, EngineError> {
@@ -1635,12 +1684,15 @@ impl Engine {
             out
         };
         let outcomes = match outcomes {
-            Ok(Ok(v)) if v.len() == group.len() => Ok(v),
-            Ok(Ok(v)) => Err(format!(
+            Ok(Ok(run)) if run.outcomes.len() != group.len() => Err(format!(
                 "batch returned {} outcomes for {} lanes",
-                v.len(),
+                run.outcomes.len(),
                 group.len()
             )),
+            Ok(Ok(run)) if run.golden != **golden => {
+                Err("golden lane differs from the golden run".to_owned())
+            }
+            Ok(Ok(run)) => Ok(run.outcomes),
             Ok(Err(e)) => Err(e.to_string()),
             Err(payload) => Err(panic_message(payload)),
         };
@@ -1661,6 +1713,22 @@ impl Engine {
                     BatchCaseOutcome::Done { trace, .. } => JournalEntry::Done(
                         self.finalize_done(campaign, index, golden, stats, journal, trace, None)?,
                     ),
+                    BatchCaseOutcome::Clean { .. } => {
+                        let outcome = clean_verdict.get_or_init(|| {
+                            let t0 = Instant::now();
+                            let outcome = classify(&campaign.spec, golden, golden);
+                            stats.record_stage(Stage::Classify, t0.elapsed());
+                            outcome
+                        });
+                        JournalEntry::Done(self.book_verdict(
+                            campaign,
+                            index,
+                            stats,
+                            journal,
+                            outcome.clone(),
+                            None,
+                        )?)
+                    }
                     BatchCaseOutcome::Error(error) => {
                         // A sealed verdict wins over the cancelled lane's
                         // error, mirroring the scalar attempt path.

@@ -11,13 +11,18 @@
 //! * word groups fork from one golden scalar cursor per worker: the
 //!   answers stay byte-identical on whole, sharded and partly completed
 //!   case lists, the prefix is paid per worker and not per group, and a
-//!   cursor is never run backwards or kept after a failure.
+//!   cursor is never run backwards or kept after a failure;
+//! * lane guards: a step cap on every lane leaves the word answers equal
+//!   to the equally capped scalar ones, and inside a group trips exactly
+//!   the lanes that run longer than the cap;
+//! * a group whose golden lane is not the campaign's golden run is re-run
+//!   scalar: the verdict of a lane reported trace-free rests on that.
 
 use amsfi_core::{plan, report, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, InjectTarget, Netlist, Simulator};
 use amsfi_engine::{
-    campaigns, BatchCaseOutcome, Campaign, CaseCtx, Engine, EngineConfig, PrefixFork, Shard,
-    Telemetry, WorkerSlot,
+    campaigns, BatchCaseOutcome, BatchGroupRun, Campaign, CaseCtx, Engine, EngineConfig,
+    PrefixFork, Shard, Telemetry, WorkerSlot,
 };
 use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -401,6 +406,171 @@ fn word_cases_csv_is_byte_identical_on_whole_sharded_and_resumed_lists() {
     }
 }
 
+// ---- Lane guards: step caps measured against the word's one counter ----
+
+#[test]
+fn step_capped_word_runs_equal_the_equally_capped_scalar_runs() {
+    // Every lane budget is armed with a step cap and nothing else, so all
+    // of them ride on the word machine's own step counter. The cap has to
+    // cover the fault-free run from power-on (under it the golden run
+    // fails, which is fatal on every path) and a lane counts from its
+    // injection only, so none trips: what is pinned is that armed lanes
+    // change no answer, at either lane grouping.
+    let cap = 100_000;
+    for (name, limit) in [("cpu", 160), ("cpu-set", 200)] {
+        let campaign = campaigns::build(name, Some(limit)).expect("catalog campaign");
+        let scalar = Engine::new(EngineConfig::default().with_workers(2).with_max_steps(cap))
+            .run(&campaign)
+            .expect("scalar run");
+        let expected = report::cases_csv(&scalar.result);
+        for workers in [1, 3] {
+            let word = Engine::new(word_config(workers).with_max_steps(cap))
+                .run(&campaign)
+                .expect("word run");
+            assert_eq!(
+                expected,
+                report::cases_csv(&word.result),
+                "{name}, {workers} worker(s): cases.csv differs from scalar under a step cap"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
+    // Both benches have a time point every 5 ns (the processor evaluates on
+    // both clock edges), so a lane lives `(end - injection) / 5 ns` steps,
+    // its end being its seal instant or the horizon. Lanes well over the
+    // cap must trip exactly one step past it; lanes well under must come
+    // out as if unguarded. (A few steps either side are left open: pulse
+    // edges and the re-opened injection instant are time points too.)
+    let tick = Time::from_ns(5);
+    let horizon = Time::from_us(20);
+    for (name, cap, stride) in [("cpu", 3_500u64, 71), ("cpu-set", 600, 11)] {
+        let campaign = campaigns::build(name, None).expect("catalog campaign");
+        // Early and late injections in one word.
+        let group: Vec<usize> = (0..campaign.cases.len()).step_by(stride).take(63).collect();
+        let fresh = &mut WorkerSlot::default();
+        let free = run_word_spec(&campaign, &group, fresh, &SimBudget::unlimited);
+        let capped = run_word_spec(&campaign, &group, fresh, &|| {
+            SimBudget::unlimited().with_max_steps(cap)
+        });
+        assert_eq!(free.golden, capped.golden);
+
+        let (mut tripped, mut spared) = (0, 0);
+        for (lane, (free, capped)) in free.outcomes.iter().zip(&capped.outcomes).enumerate() {
+            let at = campaign.cases[group[lane]].injected_at;
+            let end = match free {
+                BatchCaseOutcome::Done { sealed_at, .. }
+                | BatchCaseOutcome::Clean { sealed_at } => sealed_at.unwrap_or(horizon),
+                BatchCaseOutcome::Error(e) => panic!("{name}, unguarded lane {lane}: {e}"),
+            };
+            let lived = ((end - at).as_fs() / tick.as_fs()) as u64;
+            if lived > cap + 8 {
+                let expected = format!("step-budget-exhausted steps={} t=", cap + 1);
+                assert!(
+                    matches!(capped, BatchCaseOutcome::Error(e) if e.starts_with(&expected)),
+                    "{name}, lane {lane} ({lived} steps from {at}): {capped:?}"
+                );
+                tripped += 1;
+            } else if lived + 8 < cap {
+                match (free, capped) {
+                    (
+                        BatchCaseOutcome::Done { trace, sealed_at },
+                        BatchCaseOutcome::Done {
+                            trace: t,
+                            sealed_at: s,
+                        },
+                    ) => assert!(trace == t && sealed_at == s, "{name}, lane {lane}"),
+                    (
+                        BatchCaseOutcome::Clean { sealed_at },
+                        BatchCaseOutcome::Clean { sealed_at: s },
+                    ) => assert_eq!(sealed_at, s, "{name}, lane {lane}"),
+                    other => panic!("{name}, lane {lane} under the cap: {other:?}"),
+                }
+                spared += 1;
+            }
+        }
+        assert!(
+            tripped > 0 && spared > 0,
+            "{name}: {tripped} lanes tripped, {spared} spared"
+        );
+    }
+}
+
+// ---- The golden lane must be the campaign's golden run ----
+
+#[test]
+fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
+    // `build` monitors one signal more on its second call. With one worker
+    // the first call is the golden run and the second the worker's cursor,
+    // so the first group's golden lane carries a wave the campaign's golden
+    // run has not. Lanes of that group were compared against the wrong
+    // golden; the engine must notice, say why, and run the group scalar.
+    fn build_nth(call: usize) -> Simulator {
+        let mut sim = build_counter();
+        if call == 1 {
+            sim.monitor_name("clk");
+        }
+        sim
+    }
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 16);
+    let bits: Vec<usize> = (0..8).collect();
+    let base = counter_campaign(&bits, &times, None);
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(1))
+            .run(&base)
+            .expect("scalar run")
+            .result,
+    );
+
+    let ctr = build_counter().component_id("ctr").expect("counter");
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let campaign = Campaign::forked_batch(
+        "golden-lane-check",
+        base.spec.clone(),
+        base.cases.clone(),
+        T_END,
+        move |_ctx: &CaseCtx| Ok(build_nth(counter.fetch_add(1, Ordering::Relaxed))),
+        move |sim: &mut dyn InjectTarget, i| {
+            sim.flip_state(ctr, i % 8);
+            Ok(())
+        },
+    );
+
+    let dir = std::env::temp_dir().join(format!("amsfi-golden-lane-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let events = dir.join("events.jsonl");
+    let tele = Telemetry::builder()
+        .events_path(&events)
+        .capacity(1 << 16)
+        .build()
+        .expect("telemetry");
+    let report = Engine::new(word_config(1).with_telemetry(tele.clone()))
+        .run(&campaign)
+        .expect("word run");
+    tele.close();
+    assert_eq!(expected, report::cases_csv(&report.result));
+    // 128 cases in groups of 63, 63 and 2: the golden run, the odd cursor,
+    // the first group's 63 cases scalar, and one sound cursor for the rest
+    // (the slot is emptied with the fallback).
+    assert_eq!(calls.load(Ordering::Relaxed), 1 + 1 + 63 + 1);
+
+    let text = std::fs::read_to_string(&events).expect("events readable");
+    let fallbacks: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"batch\"") && l.contains("\"name\":\"fallback\""))
+        .collect();
+    assert_eq!(fallbacks.len(), 1, "one group falls back:\n{text}");
+    assert!(
+        fallbacks[0].contains("golden lane differs from the golden run"),
+        "{}",
+        fallbacks[0]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `digital_events` of one engine run of `campaign` under `cfg`.
 fn digital_events(campaign: &Campaign, cfg: EngineConfig) -> u64 {
     let tele = Telemetry::builder()
@@ -498,19 +668,31 @@ fn word_builds_once_per_worker_and_says_so_in_the_events() {
 }
 
 /// Runs `group` through the campaign's word spec on `slot`, as one engine
-/// worker would, and returns the lanes' traces.
+/// worker would, with `budget()` installed on every lane (the machine
+/// itself unguarded).
+fn run_word_spec(
+    campaign: &Campaign,
+    group: &[usize],
+    slot: &mut WorkerSlot,
+    budget: &dyn Fn() -> SimBudget,
+) -> BatchGroupRun {
+    let spec = campaign.word.as_ref().expect("word spec");
+    let mut hooks = |_lane: usize| (budget(), None);
+    (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot).expect("word group")
+}
+
+/// The lanes' traces of `group` run unguarded on `slot`.
 fn run_word_group(
     campaign: &Campaign,
     group: &[usize],
     slot: &mut WorkerSlot,
 ) -> Vec<amsfi_waves::Trace> {
-    let spec = campaign.word.as_ref().expect("word spec");
-    let mut hooks = |_lane: usize| (SimBudget::unlimited(), None);
-    (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot)
-        .expect("word group")
+    let run = run_word_spec(campaign, group, slot, &SimBudget::unlimited);
+    run.outcomes
         .into_iter()
         .map(|outcome| match outcome {
             BatchCaseOutcome::Done { trace, .. } => trace,
+            BatchCaseOutcome::Clean { .. } => run.golden.clone(),
             BatchCaseOutcome::Error(e) => panic!("lane failed: {e}"),
         })
         .collect()

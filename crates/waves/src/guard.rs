@@ -173,6 +173,9 @@ pub struct SimBudget {
     max_steps: Option<u64>,
     min_dt: Option<Time>,
     cancel: CancelToken,
+    /// Whether `cancel` came from [`SimBudget::with_cancel`]: only then can
+    /// anyone else hold a clone of it, or can it carry a deadline.
+    cancellable: bool,
     steps: u64,
     probe: u32,
     armed: bool,
@@ -196,6 +199,7 @@ impl Clone for SimBudget {
             max_steps: self.max_steps,
             min_dt: self.min_dt,
             cancel: self.cancel.clone(),
+            cancellable: self.cancellable,
             steps: self.steps,
             probe: self.probe,
             armed: self.armed,
@@ -242,6 +246,7 @@ impl SimBudget {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
+        self.cancellable = true;
         self.armed = true;
         self
     }
@@ -278,6 +283,15 @@ impl SimBudget {
     /// (per-value) checks when running unguarded.
     pub fn is_limited(&self) -> bool {
         self.armed
+    }
+
+    /// Whether a cancellation token was attached
+    /// ([`SimBudget::with_cancel`]). Without one, [`SimBudget::note_step`]
+    /// can only ever trip on the step cap, which depends on nothing but the
+    /// count — a kernel stepping many budgets at once may then keep that
+    /// count itself instead of calling `note_step` on each.
+    pub fn is_cancellable(&self) -> bool {
+        self.cancellable
     }
 
     /// The configured step cap, if any.
@@ -425,6 +439,8 @@ mod tests {
     fn cancellation_is_shared_across_clones() {
         let token = CancelToken::new();
         let mut b = SimBudget::unlimited().with_cancel(token.clone());
+        assert!(b.is_cancellable() && b.clone().is_cancellable());
+        assert!(!SimBudget::unlimited().with_max_steps(1).is_cancellable());
         b.note_step(Time::ZERO).unwrap();
         token.cancel();
         assert!(matches!(

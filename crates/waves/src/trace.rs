@@ -109,25 +109,41 @@ impl<W: Wave> Table<W> {
         })
     }
 
+    /// The same slots under the same names, none of which has recorded.
+    fn same_slots(&self) -> Self {
+        Table {
+            slots: self
+                .slots
+                .iter()
+                .map(|(name, _)| (Arc::clone(name), W::default()))
+                .collect(),
+            by_name: self.by_name.clone(),
+        }
+    }
+
+    /// Appends `golden`'s records strictly after `at` to the wave of `slot`.
+    fn splice_slot_suffix(&mut self, slot: u32, golden: &W, at: Time) {
+        let all = golden.records();
+        let lane = self.wave_mut(slot);
+        for &(t, v) in &all[all.partition_point(|&(t, _)| t <= at)..] {
+            lane.append(t, v)
+                .expect("golden suffix record precedes lane prefix end");
+        }
+    }
+
     /// Appends `golden`'s records strictly after `at` to the same-named
     /// waves. A lane's table is a clone of the golden one, so the golden
     /// slot index is tried before the name.
     fn splice_suffix(&mut self, golden: &Table<W>, at: Time) {
         for (hint, (name, wave)) in golden.slots.iter().enumerate() {
-            let all = wave.records();
-            let suffix = &all[all.partition_point(|&(t, _)| t <= at)..];
-            if suffix.is_empty() {
+            if wave.records().last().is_none_or(|&(t, _)| t <= at) {
                 continue;
             }
             let slot = match self.slots.get(hint) {
                 Some((known, _)) if known == name => hint as u32,
                 _ => self.slot(name),
             };
-            let lane = self.wave_mut(slot);
-            for &(t, v) in suffix {
-                lane.append(t, v)
-                    .expect("golden suffix record precedes lane prefix end");
-            }
+            self.splice_slot_suffix(slot, wave, at);
         }
     }
 
@@ -352,6 +368,36 @@ impl Trace {
         self.analog.splice_suffix(&golden.analog, at);
     }
 
+    /// A trace with this one's slots — every [`DigitalSlot`] and
+    /// [`AnalogSlot`] of `self` is valid for it — none of which has
+    /// recorded yet. A word-kernel lane that follows the golden machine
+    /// starts from this when it first leaves it, and takes over from the
+    /// golden trace only the waves it needs
+    /// ([`Trace::copy_digital`]).
+    #[must_use]
+    pub fn same_slots(&self) -> Trace {
+        Trace {
+            digital: self.digital.same_slots(),
+            analog: self.analog.same_slots(),
+        }
+    }
+
+    /// Replaces the wave behind `slot` by `from`'s wave behind the same
+    /// slot, transitions and all. `from` must share this trace's slots
+    /// (a clone, or [`Trace::same_slots`]).
+    pub fn copy_digital(&mut self, slot: DigitalSlot, from: &Trace) {
+        self.digital
+            .wave_mut(slot.0)
+            .clone_from(&from.digital.slots[slot.0 as usize].1);
+    }
+
+    /// [`Trace::splice_golden_suffix`] for the one wave behind `slot`.
+    /// `golden` must share this trace's slots.
+    pub fn splice_digital_suffix(&mut self, slot: DigitalSlot, golden: &Trace, at: Time) {
+        self.digital
+            .splice_slot_suffix(slot.0, &golden.digital.slots[slot.0 as usize].1, at);
+    }
+
     /// Approximate resident size of the recorded data in bytes: payload
     /// vectors plus signal names (map/allocator overhead excluded). Used
     /// for memory-telemetry counters such as the engine's shared
@@ -432,6 +478,46 @@ mod tests {
         tr.record_digital("s", Time::from_ns(5), Logic::One)
             .unwrap();
         assert!(tr.record_digital("s", Time::ZERO, Logic::Zero).is_err());
+    }
+
+    #[test]
+    fn a_lane_trace_assembled_slot_by_slot_equals_the_spliced_clone() {
+        let mut golden = Trace::new();
+        let a = golden.digital_slot("a");
+        let b = golden.digital_slot("b");
+        let idle = golden.digital_slot("idle");
+        for (t, v) in [(0, Logic::Zero), (10, Logic::One), (20, Logic::Zero)] {
+            golden.push_digital(a, Time::from_ns(t), v).unwrap();
+            golden
+                .push_digital(b, Time::from_ns(t), v.flipped())
+                .unwrap();
+        }
+        let at = Time::from_ns(10);
+
+        // Today's lane: a clone cut at `at`, diverged on `a`, spliced.
+        let mut cloned = Trace::new();
+        for name in ["a", "b", "idle"] {
+            cloned.digital_slot(name);
+        }
+        cloned.push_digital(a, Time::ZERO, Logic::Zero).unwrap();
+        cloned
+            .push_digital(a, Time::from_ns(5), Logic::One)
+            .unwrap();
+        cloned.push_digital(b, Time::ZERO, Logic::One).unwrap();
+        cloned.push_digital(b, at, Logic::Zero).unwrap();
+        cloned.splice_golden_suffix(&golden, at);
+
+        // The same lane following golden on `b`: only `a` is its own.
+        let mut lane = golden.same_slots();
+        assert!(lane.is_empty() && lane.digital("a").is_none());
+        lane.push_digital(a, Time::ZERO, Logic::Zero).unwrap();
+        lane.push_digital(a, Time::from_ns(5), Logic::One).unwrap();
+        lane.splice_digital_suffix(a, &golden, at);
+        lane.copy_digital(b, &golden);
+        lane.copy_digital(idle, &golden);
+        assert_eq!(lane, cloned);
+        assert_eq!(lane.digital("b"), golden.digital("b"));
+        assert_eq!(lane.digital_names().collect::<Vec<_>>(), ["a", "b"]);
     }
 
     #[test]
