@@ -113,32 +113,49 @@ set -e
 test "$rc" -eq 4
 rm -rf "$tmp"
 
-# PR 7 batch bench: scalar vs --batch at 8 workers on the digital catalog
-# campaigns, emitting results/bench/BENCH_pr7.json. Two hard gates: full
-# CaseResult byte-identity on every campaign (pll-digital as the
-# mixed-signal scalar fallback), and >= 10x wall-clock on cpu-set — the
-# SET campaign whose logically-masked lanes reconverge and seal. The cpu
-# SEU campaign's honest (ungated) ratio is recorded alongside.
-cargo build --release -p amsfi-bench --bin pr7_batch_bench
-./target/release/pr7_batch_bench
-
-# PR 7/PR 10 differential fuzzer, widened-window run: random netlists +
-# fault lists (clock-line saboteurs, edge-snapped SET pulses, stuck-ats,
-# mutant flips) run through the three-way oracle — scalar, lane-cloned
-# batch, and word-parallel at 1 and 3 workers — and the kernel-level fourth
-# leg (the word machine handed a scalar cursor advanced to the first
-# injection instant and to a random instant before it); any byte
+# Differential fuzzer, widened-window run: random netlists (gate DAGs plus
+# the sequential cell library) + fault lists (clock-line saboteurs,
+# edge-snapped SET pulses, stuck-ats, mutant flips inside every cell) run
+# scalar and with --batch at 1 and 3 workers, then as word groups straight
+# on the kernel (the word machine handed a scalar cursor advanced to the
+# first injection instant and to a random instant before it); any byte
 # difference fails.
-AMSFI_FUZZ_SEEDS=300 cargo test -q -p amsfi-bench --release --test batch_diff
+AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-bench --release --test batch_diff
 
-# PR 7 CLI e2e: `amsfi run --batch` journal matches the scalar journal
-# case-for-case on the SET campaign.
+# --batch CLI e2e. Both batch campaigns journal case-for-case what the
+# scalar run journals, and so does cpu under a step cap no case reaches
+# (every lane's budget is then armed, so the word machine's shared step
+# counter runs). The cpu run must really have taken the batch path: a
+# silent fall-back to scalar is a 30x slowdown that byte identity cannot
+# see, so its event stream has to hold batch spans and no fallback. A
+# campaign without a batch spec falls back whole, says so once, and
+# journals what the plain run does. `--word` is gone (exit 64: usage).
 tmp=$(mktemp -d)
-./target/release/amsfi run cpu-set --journal "$tmp/scalar.journal" --progress-secs 0
-./target/release/amsfi run cpu-set --batch --journal "$tmp/batch.journal" --progress-secs 0
-sort "$tmp/scalar.journal" >"$tmp/scalar.sorted"
-sort "$tmp/batch.journal" >"$tmp/batch.sorted"
-cmp "$tmp/scalar.sorted" "$tmp/batch.sorted"
+batch_equals_plain() { # <tag> <campaign and options...>
+    tag=$1
+    shift
+    ./target/release/amsfi run "$@" --journal "$tmp/$tag.plain" --progress-secs 0
+    ./target/release/amsfi run "$@" --batch --journal "$tmp/$tag.batch" \
+        --events "$tmp/$tag.jsonl" --progress-secs 0
+    sort "$tmp/$tag.plain" >"$tmp/$tag.plain.sorted"
+    sort "$tmp/$tag.batch" >"$tmp/$tag.batch.sorted"
+    cmp "$tmp/$tag.plain.sorted" "$tmp/$tag.batch.sorted"
+}
+batch_equals_plain cpu cpu
+batch_equals_plain cpu-set cpu-set
+batch_equals_plain cpu-guarded cpu --max-steps 100000000
+grep -q '"kind":"span","name":"batch"' "$tmp/cpu.jsonl"
+test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/cpu.jsonl")" -eq 0
+batch_equals_plain pll pll-digital --limit 6
+test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/pll.jsonl")" -eq 1
+grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"
+set +e
+./target/release/amsfi run cpu --batch --word --progress-secs 0
+rc=$?
+set -e
+test "$rc" -eq 64
+./target/release/amsfi list >"$tmp/list.txt"
+grep -q "cpu.*batch" "$tmp/list.txt"
 rm -rf "$tmp"
 
 # PR 8 chaos-net smoke: clean distributed baseline, the kill-and-restart
@@ -217,40 +234,6 @@ wait_for_coordinator $port "fleet-test amsfi serve"
 wait $serve_pid
 ./target/release/amsfi report --distributed "$tmp/journals" \
     --events "$tmp/worker-events.jsonl" | grep -q "cases by worker: ci-fleet"
-rm -rf "$tmp"
-
-# PR 10 word bench: lane-cloned --batch vs --batch --word at 8 workers on
-# the digital catalog campaigns, emitting results/bench/BENCH_pr10.json.
-# Gates: the word run's CaseResults byte-identical to both the scalar and
-# the lane-cloned run on cpu and cpu-set, and >= 3x wall-clock on cpu —
-# the SEU campaign whose corrupted-register lanes live to the horizon, so
-# the word machine turns one plane-valued event wheel where the cloned
-# path turns ~64. cpu-set's honest (ungated) ratio rides along; its own
-# gate stays the cloned-vs-scalar >= 10x in pr7_batch_bench above.
-cargo build --release -p amsfi-bench --bin pr10_word_bench
-./target/release/pr10_word_bench
-
-# PR 10 CLI e2e: `amsfi run --batch --word` journal matches the scalar
-# journal case-for-case on the SEU campaign, and `amsfi list` advertises
-# the word path on the campaigns that carry a word spec. The guarded leg
-# (PR 16) repeats the pair under a step cap no case reaches: every lane's
-# budget is then armed, so the word machine's shared step counter runs,
-# and arming must change no record.
-tmp=$(mktemp -d)
-./target/release/amsfi run cpu --journal "$tmp/scalar.journal" --progress-secs 0
-./target/release/amsfi run cpu --batch --word --journal "$tmp/word.journal" \
-    --progress-secs 0
-sort "$tmp/scalar.journal" >"$tmp/scalar.sorted"
-sort "$tmp/word.journal" >"$tmp/word.sorted"
-cmp "$tmp/scalar.sorted" "$tmp/word.sorted"
-./target/release/amsfi run cpu --max-steps 100000000 \
-    --journal "$tmp/scalar-guarded.journal" --progress-secs 0
-./target/release/amsfi run cpu --batch --word --max-steps 100000000 \
-    --journal "$tmp/word-guarded.journal" --progress-secs 0
-sort "$tmp/scalar-guarded.journal" >"$tmp/scalar-guarded.sorted"
-sort "$tmp/word-guarded.journal" >"$tmp/word-guarded.sorted"
-cmp "$tmp/scalar-guarded.sorted" "$tmp/word-guarded.sorted"
-./target/release/amsfi list | grep -q "cpu.*word"
 rm -rf "$tmp"
 
 # PR 13 benchmark gate: the stand-alone benchmark crate's self-test

@@ -86,7 +86,6 @@ fn counter_campaign() -> Campaign {
         }),
         fork: None,
         batch: None,
-        word: None,
     }
 }
 

@@ -1,31 +1,33 @@
-//! PR 7/PR 10 differential fuzz harness: the batch machines as standing
-//! oracles against the scalar path — a three-way oracle at engine level
-//! since the word-parallel kernel landed, plus a **fourth leg** at kernel
-//! level since word groups fork from a golden scalar cursor: the word
-//! machine handed a simulator settled anywhere in `[0, first injection]`.
+//! Differential fuzz harness: the batch (word-parallel) machine against
+//! the scalar kernel, its standing oracle — through the engine at worker
+//! counts that group the lanes differently, and at kernel level, where
+//! word groups fork from a golden scalar cursor: the word machine handed a
+//! simulator settled anywhere in `[0, first injection]`.
 //!
 //! Each seed deterministically generates a random netlist (a DAG of
 //! n-ary gates over clock/constant/stimulus bits, a D flip-flop, a
-//! counter, and one or two spliced saboteurs), a random non-empty subset
-//! of its signals to monitor (so a lane follows golden on some slots and
-//! leaves it on others, or on none) plus a random fault list mixing mutant
-//! bit-flips with saboteur faults — SET pulses (including zero-width and
-//! clock-edge-aligned ones), stuck-ats and wire bit-flips — a quarter of
-//! them at instants where a monitored signal of the golden run itself
-//! changes (a lane's first divergence then falls inside the time point its
-//! injection re-opens). The campaign then runs through the engine scalar, with
-//! `--batch` (64 cloned lock-step machines) and with `--batch --word`
-//! (one plane-valued event wheel) at several worker counts (worker
-//! count changes the lane grouping), and **any** difference in the
-//! golden trace or any `CaseResult` is a bug in one of the three paths.
-//! The word runs exercise the native plane cells (gates, clock,
-//! stimulus, constants) and the lane-farm fallback (flip-flop, counter,
-//! saboteurs) in one machine. The fourth leg then runs the seed's cases
-//! as one word group straight on the kernel, from an unstarted simulator
-//! and from ones advanced to the first injection instant and to a random
-//! instant before it, against per-case scalar traces: golden and every
-//! lane byte-equal (a lane reported `Clean` only where the scalar trace
-//! *is* the golden one), seal instants equal between the word runs.
+//! counter, up to three more cells of the sequential library — register,
+//! latch, shift register, LFSR, clock divider, TMR register behind a
+//! majority voter — and one or two spliced saboteurs), a random non-empty
+//! subset of its signals to monitor (so a lane follows golden on some
+//! slots and leaves it on others, or on none) plus a random fault list
+//! mixing mutant bit-flips (SEUs inside any of those cells) with saboteur
+//! faults — SET pulses (including zero-width and clock-edge-aligned ones),
+//! stuck-ats and wire bit-flips — a quarter of them at instants where a
+//! monitored signal of the golden run itself changes (a lane's first
+//! divergence then falls inside the time point its injection re-opens).
+//! The campaign then runs through the engine scalar and with `--batch` at
+//! several worker counts (worker count changes the lane grouping), and
+//! **any** difference in the golden trace or any `CaseResult` is a bug in
+//! the word kernel. The batch runs exercise the native plane cells (gates,
+//! clock, stimulus, constants) and the lane-farm fallback (every
+//! sequential cell, the voter, saboteurs) in one machine. The kernel-level
+//! leg then runs the seed's cases as one word group straight on the
+//! kernel, from an unstarted simulator and from ones advanced to the first
+//! injection instant and to a random instant before it, against per-case
+//! scalar traces: golden and every lane byte-equal (a lane reported
+//! `Clean` only where the scalar trace *is* the golden one), seal instants
+//! equal between the word runs.
 //!
 //! Every divergence this harness has found gets a minimized regression
 //! test committed next to the fix (see `seed_regressions` below); the
@@ -36,7 +38,7 @@
 
 use amsfi_core::{ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist,
+    cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist, SignalId,
     Simulator, WordBatchSimulator,
 };
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig};
@@ -55,7 +57,17 @@ struct FuzzShape {
     /// `saboteur(<sig>)` component names, in insertion order.
     saboteurs: Vec<String>,
     /// The monitored bits, by trace name: what the campaign classifies on.
+    /// The first `base_monitored` belong to the signals the seed's main
+    /// stream chose; the extra cells' outputs follow.
     monitored: Vec<String>,
+    base_monitored: usize,
+    /// How many mutant targets (the first ones) sit in `ff` and `ctr`; the
+    /// rest are state bits of the extra cells.
+    base_targets: usize,
+}
+
+fn pick(rng: &mut StdRng, pool: &[SignalId]) -> SignalId {
+    pool[rng.random_range(0..pool.len())]
 }
 
 /// Deterministically generates the seed's netlist. Called once per case
@@ -120,6 +132,74 @@ fn build_sim(seed: u64) -> (Simulator, FuzzShape) {
         &[q],
     );
 
+    // The rest of the sequential cell library — what the word machine runs
+    // through its lane farm — zero to three instances over pool nets.
+    // Decided by a stream of its own and placed after `ctr`, so the main
+    // stream draws what it always drew (the pinned seeds keep the shapes
+    // they were pinned for) and the mutant targets of `ff` and `ctr` keep
+    // their indices. Their outputs stay out of `pool` for the same reason.
+    let base_targets = net.mutant_targets().len();
+    let mut extra = StdRng::seed_from_u64(seed ^ 0xce11_11b2_a27e_5eed);
+    let mut extra_outputs = Vec::new();
+    for x in 0..extra.random_range(0..4usize) {
+        // Mostly on the clock; now and then clocked (reset) by a data net.
+        let or_pool = |usual: SignalId, extra: &mut StdRng| match extra.random_range(0..4u32) {
+            0 => pick(extra, &pool),
+            _ => usual,
+        };
+        let ck = or_pool(clk, &mut extra);
+        let delay = Time::from_ns(extra.random_range(0..3i64));
+        let name = format!("x{x}");
+        let mut output = |net: &mut Netlist, suffix: &str, width: usize| {
+            let out = format!("{name}{suffix}");
+            extra_outputs.push((out.clone(), width));
+            net.signal(&out, width)
+        };
+        match extra.random_range(0..6u32) {
+            0 => {
+                let ports = [ck, or_pool(rst, &mut extra), pick(&mut extra, &pool)];
+                let q = output(&mut net, "", 1);
+                net.add(&name, cells::Register::new(1, delay), &ports, &[q]);
+            }
+            1 => {
+                let ports = [pick(&mut extra, &pool), pick(&mut extra, &pool)];
+                let q = output(&mut net, "", 1);
+                net.add(&name, cells::Latch::new(1, delay), &ports, &[q]);
+            }
+            2 => {
+                let width = extra.random_range(2..6usize);
+                let ports = [ck, pick(&mut extra, &pool)];
+                let outs = [output(&mut net, "", width), output(&mut net, "_so", 1)];
+                net.add(&name, cells::ShiftReg::new(width, delay), &ports, &outs);
+            }
+            3 => {
+                let width = extra.random_range(3..9usize);
+                let mask = (1u64 << width) - 1;
+                let taps = extra.random_range(1..=mask);
+                let state = extra.random_range(1..=mask);
+                let q = output(&mut net, "", width);
+                let lfsr = cells::Lfsr::new(width, taps, state, delay);
+                net.add(&name, lfsr, &[ck], &[q]);
+            }
+            4 => {
+                let n = [2, 4, 6, 10][extra.random_range(0..4usize)];
+                let out = output(&mut net, "", 1);
+                net.add(&name, cells::ClockDivider::new(n, delay), &[ck], &[out]);
+            }
+            _ => {
+                // One replica upset is outvoted inside the register; the
+                // voter behind it mixes its output with two data nets.
+                let ports = [ck, or_pool(rst, &mut extra), pick(&mut extra, &pool)];
+                let tq = output(&mut net, "_tq", 1);
+                net.add(&name, cells::TmrRegister::new(1, delay), &ports, &[tq]);
+                let votes = [tq, pick(&mut extra, &pool), pick(&mut extra, &pool)];
+                let y = output(&mut net, "", 1);
+                let voter = cells::MajorityVoter::new(1, Time::from_ns(1));
+                net.add(&format!("{name}_vote"), voter, &votes, &[y]);
+            }
+        }
+    }
+
     // Saboteurs go in last (splicing re-points existing readers). The
     // clock itself is a candidate target — pulses on `clk` are the
     // nastiest edge-alignment fuzz there is.
@@ -148,14 +228,23 @@ fn build_sim(seed: u64) -> (Simulator, FuzzShape) {
     let always = rng.random_range(0..candidates.len());
     let mut sim = Simulator::new(net);
     let mut monitored = Vec::new();
-    for (i, (name, width)) in candidates.iter().enumerate() {
-        if i != always && rng.random_range(0..2u32) == 0 {
-            continue;
-        }
+    let mut monitor = |monitored: &mut Vec<String>, name: &str, width: usize| {
         sim.monitor_name(name);
         match width {
-            1 => monitored.push(name.clone()),
-            _ => monitored.extend((0..*width).map(|bit| format!("{name}[{bit}]"))),
+            1 => monitored.push(name.to_owned()),
+            _ => monitored.extend((0..width).map(|bit| format!("{name}[{bit}]"))),
+        }
+    };
+    for (i, (name, width)) in candidates.iter().enumerate() {
+        if i == always || rng.random_range(0..2u32) != 0 {
+            monitor(&mut monitored, name, *width);
+        }
+    }
+    let base_monitored = monitored.len();
+    // The extra cells' outputs, each with probability 2/3.
+    for (name, width) in &extra_outputs {
+        if extra.random_range(0..3u32) != 0 {
+            monitor(&mut monitored, name, *width);
         }
     }
     (
@@ -164,16 +253,19 @@ fn build_sim(seed: u64) -> (Simulator, FuzzShape) {
             half_period,
             saboteurs,
             monitored,
+            base_monitored,
+            base_targets,
         },
     )
 }
 
-/// Every instant in the injection range at which a monitored signal of the
-/// seed's golden run changes, ascending.
-fn golden_transitions(golden: &Trace) -> Vec<Time> {
-    let mut times: Vec<Time> = golden
-        .digital_names()
-        .flat_map(|name| golden.digital(name).expect("listed").transitions())
+/// Every instant in the injection range at which one of the monitored bits
+/// `names` of the seed's golden run changes, ascending.
+fn golden_transitions(golden: &Trace, names: &[String]) -> Vec<Time> {
+    let mut times: Vec<Time> = names
+        .iter()
+        .filter_map(|name| golden.digital(name))
+        .flat_map(|wave| wave.transitions())
         .map(|&(t, _)| t)
         .filter(|t| (Time::from_ns(100)..Time::from_ns(1800)).contains(t))
         .collect();
@@ -204,6 +296,8 @@ fn build_cases(
     // Drawn apart from the rest, so that what else a seed decides about its
     // cases is what it decided before instants could land on transitions.
     let mut on_golden = StdRng::seed_from_u64(seed ^ 0x7ea5_e7e0_90de_11ed);
+    // So is which flips strike inside the extra cells.
+    let mut in_extra = StdRng::seed_from_u64(seed ^ 0x1f51_dece_115e_ed5e);
     let hp = shape.half_period.as_fs();
     let mut cases = Vec::new();
     let mut injects = Vec::new();
@@ -245,7 +339,10 @@ fn build_cases(
             cases.push(FaultCase::new(format!("{name} {kind} @ {at}"), at));
             injects.push(FuzzInject::Sab(name, DigitalFault::new(kind, at)));
         } else {
-            let ti = rng.random_range(0..n_targets);
+            let mut ti = rng.random_range(0..shape.base_targets);
+            if n_targets > shape.base_targets && in_extra.random_range(0..3u32) == 0 {
+                ti = in_extra.random_range(shape.base_targets..n_targets);
+            }
             cases.push(FaultCase::new(format!("flip target {ti} @ {at}"), at));
             injects.push(FuzzInject::Flip(ti));
         }
@@ -299,7 +396,9 @@ fn fuzz_faults(seed: u64) -> FuzzFaults {
         .map(|t| (t.component, t.bit))
         .collect();
     probe.run_until(T_END).expect("scalar golden");
-    let transitions = golden_transitions(probe.trace());
+    // Off the main stream's signals only: the instants the pinned seeds
+    // were pinned for do not move with what the extra cells add.
+    let transitions = golden_transitions(probe.trace(), &shape.monitored[..shape.base_monitored]);
     let (cases, injects) = build_cases(seed, &shape, targets.len(), &transitions);
     FuzzFaults {
         targets,
@@ -310,8 +409,7 @@ fn fuzz_faults(seed: u64) -> FuzzFaults {
 }
 
 /// Builds the seed's campaign: same `build`/`inject` closure pair on the
-/// scalar, lane-cloned and word-parallel paths, via
-/// [`Campaign::forked_batch`].
+/// scalar and batch paths, via [`Campaign::forked_batch`].
 fn fuzz_campaign(seed: u64) -> Campaign {
     let FuzzFaults {
         targets,
@@ -400,7 +498,7 @@ fn check_word_group(
     }
 }
 
-/// The fourth leg for one fuzz seed: all of its cases as one word group,
+/// The kernel-level leg for one fuzz seed: all of its cases as one word group,
 /// seeded exactly at the first injection instant and at a random instant
 /// before it.
 fn check_seeded_word(seed: u64) {
@@ -431,11 +529,9 @@ fn check_seeded_word(seed: u64) {
     );
 }
 
-/// The three-way oracle: scalar vs lane-cloned batch vs word-parallel,
-/// byte-identical everything, at worker counts that produce different
-/// lane groupings. Both batch kernels are compared against the scalar
-/// reference, so all three paths are transitively byte-identical. Then
-/// the fourth, kernel-level leg ([`check_seeded_word`]).
+/// The engine-level oracle: scalar vs `--batch`, byte-identical
+/// everything, at worker counts that produce different lane groupings.
+/// Before it, the kernel-level leg ([`check_seeded_word`]).
 fn check_seed(seed: u64) {
     check_seeded_word(seed);
     let campaign = fuzz_campaign(seed);
@@ -443,32 +539,28 @@ fn check_seed(seed: u64) {
         .run(&campaign)
         .unwrap_or_else(|e| panic!("seed {seed}: scalar run failed: {e}"));
     for workers in [1usize, 3] {
-        for word in [false, true] {
-            let path = if word { "word" } else { "batch" };
-            let batch = Engine::new(
-                EngineConfig::default()
-                    .with_workers(workers)
-                    .with_batch(true)
-                    .with_word(word),
-            )
-            .run(&campaign)
-            .unwrap_or_else(|e| panic!("seed {seed}: {path} run failed: {e}"));
+        let batch = Engine::new(
+            EngineConfig::default()
+                .with_workers(workers)
+                .with_batch(true),
+        )
+        .run(&campaign)
+        .unwrap_or_else(|e| panic!("seed {seed}: batch run failed: {e}"));
+        assert_eq!(
+            scalar.result.golden, batch.result.golden,
+            "seed {seed}, {workers} workers: golden trace diverged on the batch path"
+        );
+        assert_eq!(
+            scalar.result.cases.len(),
+            batch.result.cases.len(),
+            "seed {seed}, {workers} workers: case count diverged on the batch path"
+        );
+        for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
             assert_eq!(
-                scalar.result.golden, batch.result.golden,
-                "seed {seed}, {workers} workers: golden trace diverged on the {path} path"
+                a, b,
+                "seed {seed}, {workers} workers: case {} diverged between scalar and batch",
+                a.case.label
             );
-            assert_eq!(
-                scalar.result.cases.len(),
-                batch.result.cases.len(),
-                "seed {seed}, {workers} workers: case count diverged on the {path} path"
-            );
-            for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
-                assert_eq!(
-                    a, b,
-                    "seed {seed}, {workers} workers: case {} diverged between scalar and {path}",
-                    a.case.label
-                );
-            }
         }
     }
 }
@@ -480,6 +572,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// Scalar against the engine's `--batch` runs and against word groups
+/// straight on the kernel, over the `AMSFI_FUZZ_*` seed window.
 #[test]
 fn differential_fuzz_scalar_vs_batch_vs_word() {
     let base = env_u64("AMSFI_FUZZ_BASE", 0);
@@ -503,7 +597,7 @@ fn differential_fuzz_scalar_vs_batch_vs_word() {
 /// edge-snapped injections. Seeds 23 and 42 were the word-parallel
 /// bring-up's hardest shapes — clock saboteurs through the lane farm
 /// next to native plane gates, with edge-snapped pulses — pinned when
-/// the three-way oracle first went green over them. Seeds 1 and 13 (and 3
+/// the oracle first went green over them. Seeds 1 and 13 (and 3
 /// again) are the first whose lanes leave golden *inside the time point
 /// their injection re-opens*, on a slot the golden run has just recorded a
 /// transition on: the lane's copy of the golden wave must include that

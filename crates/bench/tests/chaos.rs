@@ -80,7 +80,6 @@ fn toy_campaign(name: &str, n: usize, panic_at: Option<usize>) -> Campaign {
         }),
         fork: None,
         batch: None,
-        word: None,
     }
 }
 

@@ -235,10 +235,9 @@ impl Component for TinyCpu {
 /// shared program ROM, one evaluation per clock event for all lanes.
 ///
 /// Instruction execution stays a per-lane scalar loop (the ISA semantics do
-/// not plane-vectorize), but it only runs for lanes on a rising edge; the
-/// expensive parts of the cloned-mode path — 64 event wheels, 64
-/// `LogicVector` port drives per edge, 64 input stagings — collapse into
-/// masked plane operations.
+/// not plane-vectorize), but it only runs for lanes on a rising edge; what
+/// 64 scalar instances would pay around it — 64 `LogicVector` port drives
+/// per edge, 64 input stagings — collapses into masked plane operations.
 ///
 /// Both ports are driven on every evaluation (either clock edge), but the
 /// registers behind them only move when a lane executes, resets or is

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 pub mod cells;
 mod component;
 mod netlist;
@@ -55,9 +54,11 @@ mod sim;
 mod wheel;
 pub mod word;
 
-pub use batch::{BatchReport, BatchSimulator, LaneOutcome};
 pub use component::{Component, ComponentClone, EvalContext};
 pub use netlist::{ComponentId, MutantTarget, Netlist, PortSpec, SignalId};
 pub use saboteur::DigitalSaboteur;
 pub use sim::{SimError, Simulator};
-pub use word::{InjectTarget, WordBatchSimulator, WordComponent, WordEvalContext, GOLDEN_LANE};
+pub use word::{
+    BatchReport, InjectTarget, LaneOutcome, WordBatchSimulator, WordComponent, WordEvalContext,
+    GOLDEN_LANE,
+};

@@ -129,7 +129,7 @@ struct ComponentSlot {
 /// drive value; keeping them on the simulator turns the per-delta cost into
 /// a handful of clears. The contents are transient (empty between time
 /// points, or storage without meaning), so a clone — a checkpoint fork, a
-/// word-group cursor, a batch lane — starts with an empty scratch.
+/// word-group cursor — starts with an empty scratch.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// One bit per component: the eval set of the current delta cycle.
@@ -187,22 +187,12 @@ impl fmt::Write for Expect<'_> {
 }
 
 /// True when `value`'s `Debug` rendering is exactly `expected` — the seal
-/// comparisons' `format!("{a:?}") == format!("{b:?}")` with one side
+/// comparison's `format!("{a:?}") == format!("{b:?}")` with one side
 /// rendered beforehand and the other never materialised.
 pub(crate) fn debug_renders_as(value: &dyn fmt::Debug, expected: &str) -> bool {
     use fmt::Write as _;
     let mut sink = Expect { rest: expected };
     write!(sink, "{value:?}").is_ok() && sink.rest.is_empty()
-}
-
-/// The `Debug` rendering of every component of one simulator: the golden
-/// side of [`Simulator::lockstep_state_eq`], rendered once per seal probe
-/// and compared against every candidate lane.
-#[derive(Debug, Default)]
-pub(crate) struct ComponentStates {
-    text: String,
-    /// End offset in `text` of each component's rendering.
-    ends: Vec<usize>,
 }
 
 /// One signal of a simulator torn down into [`WordSeed`] form.
@@ -404,19 +394,6 @@ impl Simulator {
     /// Looks up a signal by name.
     pub fn signal_id(&self, name: &str) -> Option<SignalId> {
         self.netlist_names.get(name).copied()
-    }
-
-    /// Ids of all monitored signals, ascending. The batch simulator uses
-    /// this set as its cheap per-stop divergence probe: a mutant lane whose
-    /// monitored values all match the golden machine's is a candidate for
-    /// the (more expensive) full reconvergence-seal comparison.
-    pub fn monitored_signals(&self) -> Vec<SignalId> {
-        self.signals
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.slots.is_empty())
-            .map(|(i, _)| SignalId(i))
-            .collect()
     }
 
     /// The name of a signal.
@@ -630,11 +607,10 @@ impl Simulator {
 
     /// A digest of all future-relevant run state: current time, signal
     /// values, component state (via `Debug`) and the normalised pending
-    /// event queue. Two simulators equal in all of these (the batch
-    /// simulator's exact comparison, `lockstep_state_eq`, decides it
-    /// without hashing) produce identical behaviour from here on (given
-    /// equally non-constraining budgets), which is its reconvergence-seal
-    /// criterion.
+    /// event queue. Two simulators equal in all of these produce identical
+    /// behaviour from here on (given equally non-constraining budgets):
+    /// the batch kernel's reconvergence-seal criterion, which it decides
+    /// lane-wise on planes and which tests check against this digest.
     ///
     /// Trace history, throughput counters, budgets and observers are
     /// deliberately excluded: they do not influence future transitions.
@@ -666,51 +642,6 @@ impl Simulator {
             h.eat();
         }
         h.finish()
-    }
-
-    /// Renders every component's state into `into`, replacing what it held.
-    pub(crate) fn render_component_states(&self, into: &mut ComponentStates) {
-        use fmt::Write as _;
-        into.text.clear();
-        into.ends.clear();
-        for c in &self.components {
-            let _ = write!(into.text, "{:?}", c.comp);
-            into.ends.push(into.text.len());
-        }
-    }
-
-    /// Exact equality of future-relevant run state: the criterion of
-    /// [`Simulator::state_digest`], decided without hashing. The batch
-    /// simulator seals a lane on this alone. `other_states` is `other`'s
-    /// [`Simulator::render_component_states`]. Cheapest legs first: a
-    /// mutant still carrying its fault mostly shows it in a signal or in a
-    /// pending event, before any component has to be rendered.
-    pub(crate) fn lockstep_state_eq(
-        &self,
-        other: &Simulator,
-        other_states: &ComponentStates,
-    ) -> bool {
-        let mut start = 0;
-        self.now() == other.now()
-            && self.values == other.values
-            && {
-                let a = self.pending_events();
-                let b = other.pending_events();
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(&b)
-                        .all(|((ta, _, ka), (tb, _, kb))| ta == tb && ka == kb)
-            }
-            && self.components.len() == other_states.ends.len()
-            && self
-                .components
-                .iter()
-                .zip(&other_states.ends)
-                .all(|(a, &end)| {
-                    let expected = &other_states.text[start..end];
-                    start = end;
-                    debug_renders_as(&a.comp, expected)
-                })
     }
 
     /// Snapshots the complete simulator — pending event queue, component
@@ -1267,13 +1198,10 @@ mod tests {
             assert_eq!(pending[0].0, at);
             assert!(pending[1].0 > at);
 
-            // A clone carries it: equal digest, equal exact state — and
-            // both differ from a simulator without the event.
+            // A clone carries it: equal digest — and it differs from a
+            // simulator without the event.
             let twin = sim.clone();
             assert_eq!(sim.state_digest(), twin.state_digest());
-            let mut states = ComponentStates::default();
-            twin.render_component_states(&mut states);
-            assert!(sim.lockstep_state_eq(&twin, &states));
             let mut drained = sim.clone();
             drained.run_until(at).unwrap();
             assert_eq!(drained.next_event_time(), Some(Time::from_ns(210)));

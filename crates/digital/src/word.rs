@@ -1,11 +1,10 @@
 //! Word-parallel digital fault simulation: one event wheel, 64 lanes per
 //! gate evaluation.
 //!
-//! The lane-cloned [`BatchSimulator`](crate::BatchSimulator) advances up to
-//! 64 *separate* scalar simulators in lock step — 64 event wheels, 64
-//! `LogicVector` stores, 64 component evaluations per logical gate event.
-//! This module is the PPSFP-style kernel that collapses all of that into
-//! one machine:
+//! A batch of fault cases runs as one PPSFP-style machine — the golden
+//! (fault-free) run plus up to 63 mutant lanes, advancing together along a
+//! common stop grid (every injection instant, seal-check points, the
+//! horizon) — instead of one scalar simulation per case:
 //!
 //! * **Plane-valued signal store** — each signal bit holds a
 //!   [`LogicPlanes`] word: lane `l` of the planes is lane `l` of the batch,
@@ -33,12 +32,16 @@
 //!   correctness requirement, not an optimisation: a spurious evaluation
 //!   would bump that lane's inertial generations and cancel pending
 //!   transactions the scalar reference would have kept.
-//! * **Seal by mask** — reconvergence retires a lane by clearing its bit
-//!   from the live mask: signals diverged from golden fall out of a
+//! * **Seal by mask** — when a lane's *complete* machine state (every
+//!   signal value, every component's memorised state, the valid pending
+//!   events) equals the golden lane's at a stop, its future is the golden
+//!   future. Reconvergence retires the lane by clearing its bit from the
+//!   live mask: signals diverged from golden fall out of a
 //!   one-XOR-per-bit plane probe, components compare per-lane state, and
-//!   pending events must show equal participation. Sealed lanes splice the
-//!   golden suffix exactly like the lane-cloned kernel, so traces stay
-//!   byte-identical to scalar runs.
+//!   pending events must show equal participation. A sealed lane's trace
+//!   is completed with the golden suffix
+//!   ([`Trace::splice_digital_suffix`]), which reproduces byte for byte
+//!   what simulating to the horizon would have recorded.
 //!
 //! A lane costs what it differs. The golden lane extends the trace the
 //! scalar simulator recorded. A mutant lane records nothing of its own
@@ -57,7 +60,6 @@
 //! ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
 //! scalar, preserving byte identity.
 
-use crate::batch::{BatchReport, LaneOutcome};
 use crate::component::{Action, Component, EvalContext, Pool};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
@@ -467,10 +469,9 @@ impl WordComponent for LaneFarm {
     }
 
     fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
-        // Same criterion as the scalar seal comparison
-        // (`Simulator::lockstep_state_eq`): `Debug`-rendered state equality.
-        // The reference lane is rendered once; each candidate is compared
-        // against that text as it renders.
+        // Same criterion as `Simulator::state_digest`: `Debug`-rendered
+        // state equality. The reference lane is rendered once; each
+        // candidate is compared against that text as it renders.
         self.rendered.clear();
         let _ = write!(self.rendered, "{:?}", self.lanes[reference]);
         let mut equal = 0u64;
@@ -1330,6 +1331,56 @@ impl InjectTarget for WordLaneCtx<'_> {
     }
 }
 
+/// How one mutant lane ended.
+#[derive(Debug)]
+pub enum LaneOutcome {
+    /// The lane produced a full-horizon trace. `sealed_at` is the instant
+    /// its state reconverged with the golden machine's, if it did; the
+    /// trace is then the lane prefix spliced with the golden suffix and is
+    /// byte-identical to a full scalar run of the same fault case.
+    Completed {
+        /// The lane's full-length trace.
+        trace: Trace,
+        /// Reconvergence-seal instant, `None` if the lane ran to the end.
+        sealed_at: Option<Time>,
+    },
+    /// The lane produced a full-horizon trace that is the golden trace
+    /// ([`BatchReport::golden`]), transition for transition: its fault never
+    /// showed on a monitored signal, so no trace was built for it.
+    Clean {
+        /// Reconvergence-seal instant, `None` if the lane ran to the end.
+        sealed_at: Option<Time>,
+    },
+    /// The lane's simulation failed: guard trip, cooperative cancellation
+    /// (early abort), or injection error. Other lanes are unaffected.
+    Failed {
+        /// Display form of the lane's error.
+        error: String,
+    },
+}
+
+/// What [`WordBatchSimulator::run`] returns.
+#[derive(Debug)]
+pub struct BatchReport {
+    /// The golden machine's trace over the full horizon.
+    pub golden: Trace,
+    /// Per-lane outcomes, indexed like the `add_lane` calls.
+    pub outcomes: Vec<LaneOutcome>,
+}
+
+impl BatchReport {
+    /// The full-horizon trace of lane `lane` — for a
+    /// [`LaneOutcome::Clean`] lane that is the golden trace — or `None`
+    /// if the lane failed.
+    pub fn lane_trace(&self, lane: usize) -> Option<&Trace> {
+        match &self.outcomes[lane] {
+            LaneOutcome::Completed { trace, .. } => Some(trace),
+            LaneOutcome::Clean { .. } => Some(&self.golden),
+            LaneOutcome::Failed { .. } => None,
+        }
+    }
+}
+
 enum WordLaneState {
     Pending,
     Running,
@@ -1342,14 +1393,14 @@ struct WordLane {
     state: WordLaneState,
 }
 
-/// Word-parallel counterpart of [`BatchSimulator`](crate::BatchSimulator):
-/// up to [`WordBatchSimulator::MAX_LANES`] mutant lanes plus the golden
-/// machine in one 64-lane word, sharing a single event wheel.
+/// The batch kernel: up to [`WordBatchSimulator::MAX_LANES`] mutant lanes
+/// plus the golden machine in one 64-lane word, sharing a single event
+/// wheel.
 ///
-/// The run contract (stop grid, injection positioning, per-lane outcomes,
-/// golden-suffix splicing) matches the lane-cloned kernel, so it produces
-/// the same [`BatchReport`] and byte-identical traces — the closures just
-/// take [`InjectTarget`] instead of `&mut Simulator`.
+/// A lane is the golden machine until its injection instant, where the
+/// `inject` closure arms its fault through [`InjectTarget`] — positioned
+/// exactly where the scalar forked runner injects, which is what makes a
+/// lane's trace byte-identical to a scalar run of the same case.
 ///
 /// # Examples
 ///
@@ -1429,8 +1480,9 @@ impl WordBatchSimulator {
     }
 
     /// Sets the spacing of intermediate lock-step stops (divergence probes
-    /// and seal checks), like
-    /// [`BatchSimulator::with_seal_stride`](crate::BatchSimulator::with_seal_stride).
+    /// and seal checks); the default is `t_end / 64`. Digital simulation is
+    /// call-granularity invariant, so the stride affects only how early
+    /// seals are *detected*, never simulation results.
     #[must_use]
     pub fn with_seal_stride(mut self, stride: Time) -> Self {
         assert!(stride > Time::ZERO, "seal stride must be positive");
@@ -1498,11 +1550,13 @@ impl WordBatchSimulator {
         stops
     }
 
-    /// Runs the batch to the horizon. Same contract as
-    /// [`BatchSimulator::run`](crate::BatchSimulator::run): `inject` arms a
-    /// lane's fault positioned exactly at its injection instant, `setup`
-    /// runs first (budgets, observers); only a golden/machine-wide failure
-    /// is an error, per-lane failures land in the lane's [`LaneOutcome`].
+    /// Runs the batch to the horizon. `inject(lane, target)` arms lane
+    /// `lane`'s fault on a machine positioned exactly at its injection
+    /// instant — the same contract as the scalar forked runner's inject
+    /// closure. `setup(lane, target)` runs first and is where per-lane
+    /// budgets and observers are installed. Only a golden/machine-wide
+    /// failure is an error; per-lane failures land in the lane's
+    /// [`LaneOutcome`] and never abort the batch.
     ///
     /// # Errors
     ///
@@ -1579,7 +1633,7 @@ impl WordBatchSimulator {
             }
             // Drain the injection wakes scheduled at the stop itself, so
             // the corrupted state propagates before the seal probe — the
-            // same re-opened time point a cloned lane processes.
+            // same re-opened time point a scalar run processes.
             if activated {
                 sim.run_until(t)?;
                 collect_failures(&mut sim, &mut lanes);
@@ -1697,8 +1751,10 @@ mod tests {
     use amsfi_faults::{DigitalFault, DigitalFaultKind};
     use amsfi_waves::Logic;
 
-    /// Same circuit as the lane-cloned batch tests: a clocked 8-bit counter.
-    fn build() -> Simulator {
+    /// A clocked 8-bit counter, optionally with a saboteur on `en`: SET
+    /// pulses on the enable either suppress a count (sampled) or wash out
+    /// (unsampled), giving permanently diverged and reconverging lanes.
+    fn build_with(saboteur: Option<DigitalSaboteur>) -> Simulator {
         let mut net = Netlist::new();
         let clk = net.signal("clk", 1);
         let rst = net.signal("rst", 1);
@@ -1708,9 +1764,41 @@ mod tests {
         net.add("r", ConstVector::bit(Logic::Zero), &[], &[rst]);
         net.add("e", ConstVector::bit(Logic::One), &[], &[en]);
         net.add("ctr", Counter::new(8, Time::ZERO), &[clk, rst, en], &[q]);
+        if let Some(saboteur) = saboteur {
+            net.insert_saboteur(en, Box::new(saboteur));
+        }
         let mut sim = Simulator::new(net);
         sim.monitor_name("q");
         sim
+    }
+
+    fn build() -> Simulator {
+        build_with(None)
+    }
+
+    /// The counter with a transparent saboteur on `en`, or one armed with
+    /// `fault` from power-on (the scalar reference of a SET case).
+    fn build_sab(fault: Option<DigitalFault>) -> Simulator {
+        let saboteur = DigitalSaboteur::new(1);
+        build_with(Some(match fault {
+            Some(fault) => saboteur.with_fault(fault),
+            None => saboteur,
+        }))
+    }
+
+    /// Arms the `en` saboteur of one lane in place, as a campaign's inject
+    /// closure does.
+    fn arm_en(target: &mut dyn InjectTarget, fault: &DigitalFault) {
+        let sab = target
+            .component_id("saboteur(en)")
+            .expect("saboteur present");
+        target
+            .component_mut(sab)
+            .as_any_mut()
+            .downcast_mut::<DigitalSaboteur>()
+            .expect("saboteur type")
+            .arm(fault.clone());
+        target.wake_component(sab, fault.at);
     }
 
     fn counter_target(sim: &Simulator) -> crate::MutantTarget {
@@ -1843,26 +1931,6 @@ mod tests {
             Time::from_ns(42),
         );
 
-        fn build_sab(fault: Option<DigitalFault>) -> Simulator {
-            let mut net = Netlist::new();
-            let clk = net.signal("clk", 1);
-            let rst = net.signal("rst", 1);
-            let en = net.signal("en", 1);
-            let q = net.signal("q", 8);
-            net.add("ck", ClockGen::new(Time::from_ns(20)), &[], &[clk]);
-            net.add("r", ConstVector::bit(Logic::Zero), &[], &[rst]);
-            net.add("e", ConstVector::bit(Logic::One), &[], &[en]);
-            net.add("ctr", Counter::new(8, Time::ZERO), &[clk, rst, en], &[q]);
-            let mut sab = DigitalSaboteur::new(1);
-            if let Some(f) = fault {
-                sab = sab.with_fault(f);
-            }
-            net.insert_saboteur(en, Box::new(sab));
-            let mut sim = Simulator::new(net);
-            sim.monitor_name("q");
-            sim
-        }
-
         let mut scalar = build_sab(Some(fault.clone()));
         scalar.run_until(T_END).unwrap();
         let scalar_trace = scalar.into_trace();
@@ -1878,13 +1946,7 @@ mod tests {
             let report = batch
                 .run(
                     |_, sim| {
-                        let sab = sim.component_id("saboteur(en)").expect("saboteur present");
-                        sim.component_mut(sab)
-                            .as_any_mut()
-                            .downcast_mut::<DigitalSaboteur>()
-                            .expect("saboteur type")
-                            .arm(fault.clone());
-                        sim.wake_component(sab, fault.at);
+                        arm_en(sim, &fault);
                         Ok(())
                     },
                     |_, _| {},
@@ -2041,58 +2103,89 @@ mod tests {
     }
 
     #[test]
-    fn word_report_matches_lane_cloned_report() {
-        // The word kernel and the lane-cloned kernel must agree outcome for
-        // outcome on the same batch: traces, seal instants and all.
+    fn word_lanes_seal_where_a_scalar_pair_reconverges() {
+        // The seal instant against an oracle that is not a word run: per
+        // lane, a scalar golden and a scalar faulty simulator walk the
+        // group's stop grid, and the lane must seal at the first stop at or
+        // after its injection where their complete state agrees — never, if
+        // it never does. SET pulses on `en` of mixed fate: washed out
+        // within a stop or two, spanning a stride point, sampled by the
+        // clock (the count stays behind for good).
         const T_END: Time = Time::from_us(4);
-        let times = [Time::from_ns(105), Time::from_ns(330), Time::from_us(1)];
-        let bits = [0usize, 3, 7];
+        let ns = Time::from_ns;
+        let pulses = [
+            (42, 4),
+            (57, 9),
+            (118, 3),
+            (133, 30),
+            (260, 1),
+            (395, 12),
+            (1003, 2),
+        ];
+        let faults: Vec<DigitalFault> = pulses
+            .iter()
+            .map(|&(at, width)| {
+                DigitalFault::new(DigitalFaultKind::SetPulse { width: ns(width) }, ns(at))
+            })
+            .collect();
 
-        let target = counter_target(&build());
-        let mut cases = Vec::new();
-        for &at in &times {
-            for &bit in &bits {
-                cases.push((at, bit));
+        let mut word = WordBatchSimulator::new(build_sab(None), T_END).with_seal_stride(ns(50));
+        for fault in &faults {
+            word.add_lane(fault.at);
+        }
+        let stops = word.stops(Time::ZERO);
+        let report = word
+            .run(
+                |lane, target| {
+                    arm_en(target, &faults[lane]);
+                    Ok(())
+                },
+                |_, _| {},
+            )
+            .unwrap();
+
+        let mut seals = Vec::new();
+        for (lane, fault) in faults.iter().enumerate() {
+            let mut golden = build_sab(None);
+            let mut faulty = build_sab(None);
+            let mut expected = None;
+            for &t in &stops {
+                golden.run_until(t).unwrap();
+                faulty.run_until(t).unwrap();
+                if t == fault.at {
+                    arm_en(&mut faulty, fault);
+                    faulty.run_until(t).unwrap();
+                }
+                if t >= fault.at && golden.state_digest() == faulty.state_digest() {
+                    expected = Some(t);
+                    break;
+                }
             }
-        }
-
-        let mut cloned = crate::BatchSimulator::new(build(), T_END);
-        let mut word = WordBatchSimulator::new(build(), T_END);
-        for &(at, _) in &cases {
-            cloned.add_lane(at);
-            word.add_lane(at);
-        }
-        let cloned_report = cloned
-            .run(
-                |lane, sim| {
-                    sim.flip_state(target.component, cases[lane].1);
-                    Ok(())
-                },
-                |_, _| {},
-            )
-            .unwrap();
-        let word_report = word
-            .run(
-                |lane, sim| {
-                    sim.flip_state(target.component, cases[lane].1);
-                    Ok(())
-                },
-                |_, _| {},
-            )
-            .unwrap();
-
-        assert_eq!(cloned_report.golden, word_report.golden);
-        for lane in 0..cases.len() {
             assert_eq!(
-                lane_trace(&cloned_report, lane),
-                lane_trace(&word_report, lane),
-                "lane {lane} trace"
+                sealed_at(&report.outcomes[lane]),
+                expected,
+                "lane {lane} (SET on en @ {}, {:?})",
+                fault.at,
+                fault.kind
             );
-            assert_eq!(
-                sealed_at(&cloned_report.outcomes[lane]),
-                sealed_at(&word_report.outcomes[lane]),
-                "lane {lane} seal instant"
-            );
+            let mut scalar = build_sab(Some(fault.clone()));
+            scalar.run_until(T_END).unwrap();
+            assert_eq!(lane_trace(&report, lane), scalar.trace(), "lane {lane}");
+            seals.push(expected);
         }
+        // The oracle is not vacuous: on and off the stride grid (133 ns is
+        // another lane's injection stop), and one lane that never seals.
+        assert_eq!(
+            seals,
+            [
+                Some(ns(50)),
+                Some(ns(100)),
+                Some(ns(133)),
+                None,
+                Some(ns(300)),
+                Some(ns(450)),
+                Some(ns(1050)),
+            ]
+        );
     }
 }

@@ -20,8 +20,8 @@ use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::pll::{self, names};
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchReport, BatchSimulator, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome,
-    Netlist, Simulator, WordBatchSimulator,
+    cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist,
+    Simulator, WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
 use amsfi_waves::{ForkableSim, Logic, Time, Tolerance};
@@ -30,19 +30,18 @@ use std::sync::Arc;
 impl Campaign {
     /// [`Campaign::forked`] for pure-digital campaigns, plus a
     /// [`BatchSpec`] so `--batch` runs case groups bit-parallel through
-    /// one [`BatchSimulator`], plus a word spec so `--batch --word` runs
-    /// them through one plane-valued [`WordBatchSimulator`].
+    /// one plane-valued [`WordBatchSimulator`].
     ///
-    /// All four execution paths (scalar from-scratch, checkpoint fork,
-    /// lane-cloned batch, word-parallel batch) share the same
-    /// `build`/`inject` closures and position the simulator at exactly the
-    /// case's injection instant before injecting, which is what keeps
-    /// their traces byte-identical: the digital kernel is call-granularity
-    /// invariant, so only the closure pair determines the result. The
-    /// inject closure sees the machine through [`InjectTarget`], the
-    /// mid-run mutation surface both kernels implement.
+    /// All three execution paths (scalar from-scratch, checkpoint fork,
+    /// batch) share the same `build`/`inject` closures and position the
+    /// simulator at exactly the case's injection instant before injecting,
+    /// which is what keeps their traces byte-identical: the digital kernel
+    /// is call-granularity invariant, so only the closure pair determines
+    /// the result. The inject closure sees the machine through
+    /// [`InjectTarget`], the mid-run mutation surface both kernels
+    /// implement.
     ///
-    /// The word spec keeps one golden scalar cursor per engine worker (in
+    /// The batch spec keeps one golden scalar cursor per engine worker (in
     /// the worker's [`WorkerSlot`]): groups arrive in ascending injection
     /// order, the cursor rolls forward to each group's first injection
     /// instant and the group's machine is built from a clone of it, so a
@@ -62,50 +61,11 @@ impl Campaign {
     {
         let build = Arc::new(build);
         let inject = Arc::new(inject);
-        let case_stops: Arc<Vec<Time>> =
-            Arc::new(cases.iter().map(|c| c.injected_at.min(t_end)).collect());
+        let case_stops: Vec<Time> = cases.iter().map(|c| c.injected_at.min(t_end)).collect();
 
         let batch_run = {
             let build = Arc::clone(&build);
             let inject = Arc::clone(&inject);
-            let case_stops = Arc::clone(&case_stops);
-            Arc::new(
-                move |ctx: &CaseCtx,
-                      group: &[usize],
-                      hooks: LaneHooks<'_>,
-                      _slot: &mut WorkerSlot|
-                      -> Result<BatchGroupRun, BoxError> {
-                    let mut golden = build(ctx)?;
-                    golden.install_budget(ctx.budget().clone());
-                    ctx.stage(Stage::Simulate);
-                    let mut batch = BatchSimulator::new(golden, t_end);
-                    if let Some(metrics) = ctx.budget().metrics() {
-                        batch.set_metrics(Arc::clone(metrics));
-                    }
-                    for &i in group {
-                        batch.add_lane(case_stops[i]);
-                    }
-                    let report = batch
-                        .run(
-                            |lane, sim| inject(sim, group[lane]).map_err(|e| e.to_string()),
-                            |lane, sim| {
-                                let (budget, observer) = hooks(lane);
-                                sim.set_budget(budget);
-                                if let Some(observer) = observer {
-                                    sim.set_observer(observer);
-                                }
-                            },
-                        )
-                        .map_err(|e| Box::new(e) as BoxError)?;
-                    Ok(group_run(report))
-                },
-            )
-        };
-
-        let word_run = {
-            let build = Arc::clone(&build);
-            let inject = Arc::clone(&inject);
-            let case_stops = Arc::clone(&case_stops);
             Arc::new(
                 move |ctx: &CaseCtx,
                       group: &[usize],
@@ -177,7 +137,6 @@ impl Campaign {
             },
         );
         campaign.batch = Some(BatchSpec { run: batch_run });
-        campaign.word = Some(BatchSpec { run: word_run });
         campaign
     }
 }
@@ -442,7 +401,6 @@ fn adc_flash() -> Campaign {
         // falls back to the from-scratch runner.
         fork: None,
         batch: None,
-        word: None,
     }
 }
 
@@ -521,10 +479,10 @@ fn cpu() -> Campaign {
 /// That makes this the `--batch` showcase: a masked lane reconverges and
 /// seals within a stop or two of the pulse retiring, so the batch path
 /// simulates ~hundreds of steps per case where the scalar path simulates
-/// the full horizon — the ≥10× regime gated by `pr7_batch_bench`. (The
-/// SEU `cpu` campaign's corrupted-register lanes genuinely need the whole
-/// observation window for their verdicts, so batch gains there are
-/// bounded; see DESIGN.md "Bit-parallel simulation".)
+/// the full horizon — three lanes in four seal early (the benchmark's
+/// `cpu-set-word` workload). The SEU `cpu` campaign's corrupted-register
+/// lanes genuinely need the whole observation window for their verdicts
+/// (`cpu-seu-word`); see DESIGN.md "Bit-parallel simulation".
 fn cpu_set() -> Campaign {
     const T_END: Time = Time::from_us(20);
     fn build_sim() -> Simulator {

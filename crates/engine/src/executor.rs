@@ -107,21 +107,16 @@ pub struct EngineConfig {
     /// re-running (and double-reporting) finished cases.
     pub completed: Vec<usize>,
     /// Run cases bit-parallel: workers claim *groups* of up to
-    /// [`amsfi_waves::LANES`] cases and simulate them lock-step against one
-    /// golden machine (see [`BatchSpec`]). Per-lane verdicts stay
-    /// byte-identical to scalar runs; a lane that fails in isolation falls
-    /// back to the scalar path for that case alone. Campaigns without a
-    /// [`Campaign::batch`] spec fall back to the scalar path entirely.
+    /// [`amsfi_waves::LANES`]` - 1` cases and simulate them as the mutant
+    /// lanes of one word machine — one event wheel evaluating all lanes as
+    /// plane arithmetic, the last lane of the word carrying the golden
+    /// machine (see [`BatchSpec`]). Per-lane verdicts stay byte-identical
+    /// to scalar runs; a lane that fails in isolation falls back to the
+    /// scalar path for that case alone. Campaigns without a
+    /// [`Campaign::batch`] spec fall back to the scalar path entirely, and
+    /// with one, [`EngineConfig::checkpoint`] is moot: a group forks off
+    /// its worker's golden cursor, not off a snapshot.
     pub batch: bool,
-    /// With [`EngineConfig::batch`], run each group through the campaign's
-    /// *word-parallel* spec ([`Campaign::word`]): one event wheel evaluating
-    /// all lanes of a group as plane arithmetic, instead of 64 cloned
-    /// scalar machines stepped in lock step. Groups shrink to
-    /// [`amsfi_waves::LANES`]` - 1` cases because one in-word lane carries
-    /// the golden machine. Campaigns without a word spec fall back to the
-    /// lane-cloned batch spec (and failing that, the scalar path). Ignored
-    /// without `batch`.
-    pub word: bool,
 }
 
 type RecordFn = dyn Fn(usize, &str) + Send + Sync;
@@ -171,7 +166,6 @@ impl Default for EngineConfig {
             record_sink: None,
             completed: Vec::new(),
             batch: false,
-            word: false,
         }
     }
 }
@@ -314,11 +308,13 @@ impl EngineConfig {
         self
     }
 
-    /// Runs batch groups through the word-parallel kernel (see
-    /// [`EngineConfig::word`]).
+    /// No-op: `--batch` *is* the word-parallel kernel. Kept only because
+    /// the frozen `benchmark/src/adapter/campaigns.rs` still calls
+    /// `.with_batch(true).with_word(true)`; the next PR that may edit
+    /// `benchmark/` drops that call and this shim together.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_word(mut self, word: bool) -> Self {
-        self.word = word;
+    pub fn with_word(self, _: bool) -> Self {
         self
     }
 
@@ -562,8 +558,8 @@ pub struct BatchGroupRun {
     pub outcomes: Vec<BatchCaseOutcome>,
 }
 
-/// Installs per-lane plumbing on a freshly cloned lane simulator: called
-/// with the lane's position in the group, returns the [`SimBudget`] (guards,
+/// Per-lane plumbing for a mutant lane about to be activated: called with
+/// the lane's position in the group, returns the [`SimBudget`] (guards,
 /// cancellation token, metrics) and optional [`SimObserver`] (streaming
 /// classification) for that lane.
 pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObserver>);
@@ -575,8 +571,8 @@ pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObser
 /// after a failure and never by another thread.
 #[derive(Debug, Default)]
 pub struct WorkerSlot {
-    /// Spec-owned state carried to the worker's next group (the word spec
-    /// of [`Campaign::forked_batch`](crate::campaigns): its golden cursor).
+    /// Spec-owned state carried to the worker's next group (the spec of
+    /// [`Campaign::forked_batch`](crate::campaigns): its golden cursor).
     pub state: Option<Box<dyn Any>>,
     /// Set by a spec that forks its groups off a shared golden prefix:
     /// where the last group forked. Telemetry only (the `span`/`batch`
@@ -599,10 +595,11 @@ pub struct PrefixFork {
 /// with [`EngineConfig::with_batch`]).
 ///
 /// `run(ctx, group, hooks, slot)` simulates all cases in `group` (at most
-/// [`amsfi_waves::LANES`] indices into [`Campaign::cases`]) lock-step
-/// against one golden machine and returns that machine's trace with one
-/// [`BatchCaseOutcome`] per index, in order ([`BatchGroupRun`]); `slot` is
-/// the calling worker's [`WorkerSlot`].
+/// [`amsfi_waves::LANES`]` - 1` indices into [`Campaign::cases`]: 63 mutant
+/// lanes beside the in-word golden lane) lock-step against one golden
+/// machine and returns that machine's trace with one [`BatchCaseOutcome`]
+/// per index, in order ([`BatchGroupRun`]); `slot` is the calling worker's
+/// [`WorkerSlot`].
 /// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
 /// build/inject closures as the scalar paths, which is what guarantees
@@ -647,12 +644,6 @@ pub struct Campaign {
     /// Bit-parallel group support; `None` means `--batch` falls back to
     /// the scalar runner.
     pub batch: Option<BatchSpec>,
-    /// Word-parallel group support (one event wheel, plane-valued
-    /// signals); `None` means `--batch --word` falls back to the
-    /// lane-cloned [`Campaign::batch`] spec. Same contract as
-    /// [`BatchSpec`], but groups hold at most [`amsfi_waves::LANES`]` - 1`
-    /// cases (one in-word lane is the golden machine).
-    pub word: Option<BatchSpec>,
 }
 
 impl fmt::Debug for Campaign {
@@ -794,7 +785,6 @@ impl Campaign {
                 fork,
             }),
             batch: None,
-            word: None,
         }
     }
 }
@@ -1005,11 +995,21 @@ impl Engine {
                 .with_field("shards", cfg.shard.count)
         });
 
-        let fork_spec = if cfg.checkpoint {
-            campaign.fork.as_ref()
-        } else {
-            None
-        };
+        // Bit-parallel mode: workers claim *groups* of cases and run each
+        // group lock-step through the campaign's batch spec.
+        let batch_spec = campaign.batch.as_ref().filter(|_| cfg.batch);
+        if cfg.batch && batch_spec.is_none() {
+            tele.emit_with(|| {
+                Event::new("batch", "fallback").with_field("reason", "campaign has no batch spec")
+            });
+        }
+        // Batch groups never fork off a snapshot (nor do their scalar
+        // fallbacks), so the snapshot ladder is built only for a run that
+        // will read it.
+        let fork_spec = campaign
+            .fork
+            .as_ref()
+            .filter(|_| cfg.checkpoint && batch_spec.is_none());
 
         // The golden run is mandatory even when everything is resumed —
         // the report's golden trace is not journaled (it can be huge). In
@@ -1078,45 +1078,14 @@ impl Engine {
         let fresh: Mutex<Vec<(usize, JournalEntry)>> = Mutex::new(Vec::new());
         let workers = cfg.effective_workers().min(pending.len()).max(1);
 
-        // Bit-parallel mode: workers claim *groups* of cases and run each
-        // group lock-step through the campaign's batch spec. Cases are
-        // grouped by ascending injection instant so lanes in one group
-        // activate off a shared golden prefix.
-        let word_spec = if cfg.batch && cfg.word {
-            let spec = campaign.word.as_ref();
-            if spec.is_none() {
-                tele.emit_with(|| {
-                    Event::new("batch", "fallback")
-                        .with_field("reason", "campaign has no word spec")
-                });
-            }
-            spec
-        } else {
-            None
-        };
-        let batch_spec = if cfg.batch {
-            let spec = word_spec.or(campaign.batch.as_ref());
-            if spec.is_none() {
-                tele.emit_with(|| {
-                    Event::new("batch", "fallback")
-                        .with_field("reason", "campaign has no batch spec")
-                });
-            }
-            spec
-        } else {
-            None
-        };
-        // Word groups hold one lane fewer: lane LANES-1 carries the golden
-        // machine inside the word.
-        let lanes_cap = if word_spec.is_some() {
-            LANES - 1
-        } else {
-            LANES
-        };
+        // Batch cases are grouped by ascending injection instant, so the
+        // lanes of one group activate off a shared golden prefix. A group
+        // holds one case fewer than the word has lanes: the last lane
+        // carries the golden machine.
         let groups: Vec<Vec<usize>> = if batch_spec.is_some() {
             let mut sorted = pending.clone();
             sorted.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
-            let per = sorted.len().div_ceil(workers).clamp(1, lanes_cap);
+            let per = sorted.len().div_ceil(workers).clamp(1, LANES - 1);
             sorted.chunks(per).map(<[usize]>::to_vec).collect()
         } else {
             Vec::new()
@@ -2085,7 +2054,6 @@ mod tests {
             }),
             fork: None,
             batch: None,
-            word: None,
         }
     }
 

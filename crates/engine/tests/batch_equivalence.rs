@@ -1,4 +1,5 @@
-//! PR 7 acceptance properties for bit-parallel (`--batch`) execution:
+//! Acceptance properties for bit-parallel (`--batch`) execution, i.e. the
+//! word-parallel kernel driven through the engine:
 //!
 //! * a batch engine run produces case results **byte-identical** to the
 //!   scalar run of the same campaign — same classes, onsets, affected
@@ -16,13 +17,15 @@
 //!   to the equally capped scalar ones, and inside a group trips exactly
 //!   the lanes that run longer than the cap;
 //! * a group whose golden lane is not the campaign's golden run is re-run
-//!   scalar: the verdict of a lane reported trace-free rests on that.
+//!   scalar: the verdict of a lane reported trace-free rests on that;
+//! * `--batch --checkpoint` captures no snapshots when the batch spec
+//!   engages, and still forks when the campaign has none.
 
 use amsfi_core::{plan, report, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, InjectTarget, Netlist, Simulator};
 use amsfi_engine::{
     campaigns, BatchCaseOutcome, BatchGroupRun, Campaign, CaseCtx, Engine, EngineConfig,
-    PrefixFork, Shard, Telemetry, WorkerSlot,
+    EngineReport, PrefixFork, Shard, Telemetry, WorkerSlot,
 };
 use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,13 +96,50 @@ fn times() -> Vec<Time> {
     plan::uniform_times(Time::from_ns(100), Time::from_ns(900), 3)
 }
 
+/// Runs `campaign` under `cfg` with an event stream attached and returns
+/// the report with the stream's JSONL text.
+fn run_with_events(tag: &str, cfg: EngineConfig, campaign: &Campaign) -> (EngineReport, String) {
+    let dir = std::env::temp_dir().join(format!("amsfi-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let events = dir.join("events.jsonl");
+    let tele = Telemetry::builder()
+        .events_path(&events)
+        .capacity(1 << 16)
+        .build()
+        .expect("telemetry");
+    let report = Engine::new(cfg.with_telemetry(tele.clone()))
+        .run(campaign)
+        .expect("engine run");
+    tele.close();
+    let text = std::fs::read_to_string(&events).expect("events readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    (report, text)
+}
+
+/// The lines of an event stream with the given `kind` and `name`.
+fn events_of<'a>(text: &'a str, kind: &str, name: &str) -> Vec<&'a str> {
+    let (kind, name) = (
+        format!("\"kind\":\"{kind}\""),
+        format!("\"name\":\"{name}\""),
+    );
+    text.lines()
+        .filter(|l| l.contains(&kind) && l.contains(&name))
+        .collect()
+}
+
+fn batch_config(workers: usize) -> EngineConfig {
+    EngineConfig::default()
+        .with_workers(workers)
+        .with_batch(true)
+}
+
 #[test]
 fn batch_run_equals_scalar_run_byte_for_byte() {
     let campaign = counter_campaign(&[0, 3, 7], &times(), None);
     let scalar = Engine::new(EngineConfig::default().with_workers(2))
         .run(&campaign)
         .expect("scalar run");
-    let batch = Engine::new(EngineConfig::default().with_workers(2).with_batch(true))
+    let batch = Engine::new(batch_config(2))
         .run(&campaign)
         .expect("batch run");
     assert_eq!(scalar.result.golden, batch.result.golden);
@@ -130,6 +170,44 @@ fn batch_flag_without_batch_spec_falls_back_to_scalar() {
 }
 
 #[test]
+fn batch_with_checkpoint_builds_no_snapshot_ladder() {
+    // Batch groups fork off their worker's golden cursor and their scalar
+    // fallbacks run from scratch: with a batch spec engaged, `--checkpoint`
+    // must not make the golden run capture (and every worker clone) a
+    // snapshot per injection instant that nothing reads.
+    let snapshots = |text: &str| -> usize {
+        let golden = events_of(text, "span", "golden");
+        assert_eq!(golden.len(), 1, "one golden span:\n{text}");
+        let (_, rest) = golden[0]
+            .split_once("\"snapshots\":\"")
+            .expect("golden span counts snapshots");
+        rest.split('"').next().unwrap().parse().expect("a count")
+    };
+    let campaign = counter_campaign(&[0, 3, 7], &times(), None);
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(2))
+            .run(&campaign)
+            .expect("scalar run")
+            .result,
+    );
+    let cfg = || batch_config(2).with_checkpoint(true);
+
+    let (batch, text) = run_with_events("batch-checkpoint", cfg(), &campaign);
+    assert_eq!(expected, report::cases_csv(&batch.result));
+    assert_eq!(snapshots(&text), 0);
+    assert!(!events_of(&text, "span", "batch").is_empty(), "{text}");
+
+    // Without a batch spec the same flags are a checkpointed scalar run.
+    let plain = Campaign {
+        batch: None,
+        ..campaign
+    };
+    let (forked, text) = run_with_events("batch-checkpoint-plain", cfg(), &plain);
+    assert_eq!(expected, report::cases_csv(&forked.result));
+    assert_eq!(snapshots(&text), times().len());
+}
+
+#[test]
 fn chaos_lane_is_quarantined_alone() {
     let poison = 4;
     let clean = counter_campaign(&[0, 3, 7], &times(), None);
@@ -142,15 +220,9 @@ fn chaos_lane_is_quarantined_alone() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let journal = dir.join("chaos.journal");
     let _ = std::fs::remove_file(&journal);
-    let report = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_quarantine(true)
-            .with_journal(&journal),
-    )
-    .run(&chaotic)
-    .expect("chaotic batch run");
+    let report = Engine::new(batch_config(2).with_quarantine(true).with_journal(&journal))
+        .run(&chaotic)
+        .expect("chaotic batch run");
 
     // The poison lane alone is quarantined, with a journal poison marker.
     assert_eq!(report.quarantined.len(), 1, "exactly one poison case");
@@ -183,14 +255,9 @@ fn batch_early_abort_seals_scalar_classes() {
     let scalar = Engine::new(EngineConfig::default().with_workers(2))
         .run(&campaign)
         .expect("scalar run");
-    let batch = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_early_abort(true),
-    )
-    .run(&campaign)
-    .expect("batch early-abort run");
+    let batch = Engine::new(batch_config(2).with_early_abort(true))
+        .run(&campaign)
+        .expect("batch early-abort run");
     assert_eq!(scalar.result.cases.len(), batch.result.cases.len());
     for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
         assert_eq!(
@@ -207,130 +274,12 @@ fn cpu_campaign_batches_byte_identically() {
     let scalar = Engine::new(EngineConfig::default().with_workers(2))
         .run(&campaign)
         .expect("scalar run");
-    let batch = Engine::new(EngineConfig::default().with_workers(2).with_batch(true))
+    let batch = Engine::new(batch_config(2))
         .run(&campaign)
         .expect("batch run");
     assert_eq!(scalar.result.golden, batch.result.golden);
     for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
         assert_eq!(a, b, "cpu case {} diverged between paths", a.case);
-    }
-}
-
-#[test]
-fn word_run_equals_scalar_run_byte_for_byte() {
-    let campaign = counter_campaign(&[0, 3, 7], &times(), None);
-    let scalar = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&campaign)
-        .expect("scalar run");
-    let word = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_word(true),
-    )
-    .run(&campaign)
-    .expect("word run");
-    assert_eq!(scalar.result.golden, word.result.golden);
-    assert_eq!(scalar.result.cases.len(), word.result.cases.len());
-    for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
-        assert_eq!(a, b, "case {} diverged between scalar and word", a.case);
-    }
-}
-
-#[test]
-fn word_flag_without_word_spec_falls_back_to_batch() {
-    // Dropping the word spec must degrade to the lane-cloned batch path,
-    // not error out.
-    let with_spec = counter_campaign(&[1, 5], &times(), None);
-    let campaign = Campaign {
-        word: None,
-        ..with_spec.clone()
-    };
-    let scalar = Engine::new(EngineConfig::default())
-        .run(&with_spec)
-        .expect("scalar run");
-    let fallback = Engine::new(EngineConfig::default().with_batch(true).with_word(true))
-        .run(&campaign)
-        .expect("fallback run");
-    for (a, b) in scalar.result.cases.iter().zip(&fallback.result.cases) {
-        assert_eq!(a, b);
-    }
-}
-
-#[test]
-fn word_chaos_lane_is_quarantined_alone() {
-    let poison = 4;
-    let clean = counter_campaign(&[0, 3, 7], &times(), None);
-    let chaotic = counter_campaign(&[0, 3, 7], &times(), Some(poison));
-    let scalar = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&clean)
-        .expect("scalar reference");
-    let report = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_word(true)
-            .with_quarantine(true),
-    )
-    .run(&chaotic)
-    .expect("chaotic word run");
-    assert_eq!(report.quarantined.len(), 1, "exactly one poison case");
-    assert_eq!(report.quarantined[0].index, poison);
-    let surviving: Vec<_> = scalar
-        .result
-        .cases
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != poison)
-        .map(|(_, c)| c)
-        .collect();
-    for (a, b) in surviving.iter().zip(&report.result.cases) {
-        assert_eq!(*a, b, "case {} diverged around the word chaos lane", a.case);
-    }
-}
-
-#[test]
-fn word_early_abort_seals_scalar_classes() {
-    let campaign = counter_campaign(&[0, 3, 7], &times(), None);
-    let scalar = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&campaign)
-        .expect("scalar run");
-    let word = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_word(true)
-            .with_early_abort(true),
-    )
-    .run(&campaign)
-    .expect("word early-abort run");
-    assert_eq!(scalar.result.cases.len(), word.result.cases.len());
-    for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
-        assert_eq!(
-            a.outcome.class, b.outcome.class,
-            "case {} class diverged under word early abort",
-            a.case
-        );
-    }
-}
-
-#[test]
-fn cpu_campaign_word_runs_byte_identically() {
-    let campaign = campaigns::build("cpu", Some(8)).expect("cpu campaign");
-    let scalar = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&campaign)
-        .expect("scalar run");
-    let word = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_word(true),
-    )
-    .run(&campaign)
-    .expect("word run");
-    assert_eq!(scalar.result.golden, word.result.golden);
-    for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
-        assert_eq!(a, b, "cpu case {} diverged between scalar and word", a.case);
     }
 }
 
@@ -342,14 +291,9 @@ fn cpu_set_campaign_word_runs_byte_identically() {
     let scalar = Engine::new(EngineConfig::default().with_workers(2))
         .run(&campaign)
         .expect("scalar run");
-    let word = Engine::new(
-        EngineConfig::default()
-            .with_workers(2)
-            .with_batch(true)
-            .with_word(true),
-    )
-    .run(&campaign)
-    .expect("word run");
+    let word = Engine::new(batch_config(2))
+        .run(&campaign)
+        .expect("word run");
     assert_eq!(scalar.result.golden, word.result.golden);
     for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
         assert_eq!(a, b, "cpu-set case {} diverged between paths", a.case);
@@ -357,13 +301,6 @@ fn cpu_set_campaign_word_runs_byte_identically() {
 }
 
 // ---- The worker's golden cursor: word groups fork from one scalar prefix ----
-
-fn word_config(workers: usize) -> EngineConfig {
-    EngineConfig::default()
-        .with_workers(workers)
-        .with_batch(true)
-        .with_word(true)
-}
 
 #[test]
 fn word_cases_csv_is_byte_identical_on_whole_sharded_and_resumed_lists() {
@@ -392,7 +329,7 @@ fn word_cases_csv_is_byte_identical_on_whole_sharded_and_resumed_lists() {
             let expected = report::cases_csv(&scalar.result);
             assert!(expected.lines().count() > 1, "{name}, {what}: no cases ran");
             for workers in [1, 3] {
-                let word = Engine::new(subset(word_config(workers), &first_half, shard))
+                let word = Engine::new(subset(batch_config(workers), &first_half, shard))
                     .run(&campaign)
                     .expect("word run");
                 assert_eq!(scalar.result.golden, word.result.golden);
@@ -424,7 +361,7 @@ fn step_capped_word_runs_equal_the_equally_capped_scalar_runs() {
             .expect("scalar run");
         let expected = report::cases_csv(&scalar.result);
         for workers in [1, 3] {
-            let word = Engine::new(word_config(workers).with_max_steps(cap))
+            let word = Engine::new(batch_config(workers).with_max_steps(cap))
                 .run(&campaign)
                 .expect("word run");
             assert_eq!(
@@ -539,36 +476,20 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
         },
     );
 
-    let dir = std::env::temp_dir().join(format!("amsfi-golden-lane-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let events = dir.join("events.jsonl");
-    let tele = Telemetry::builder()
-        .events_path(&events)
-        .capacity(1 << 16)
-        .build()
-        .expect("telemetry");
-    let report = Engine::new(word_config(1).with_telemetry(tele.clone()))
-        .run(&campaign)
-        .expect("word run");
-    tele.close();
+    let (report, text) = run_with_events("golden-lane", batch_config(1), &campaign);
     assert_eq!(expected, report::cases_csv(&report.result));
     // 128 cases in groups of 63, 63 and 2: the golden run, the odd cursor,
     // the first group's 63 cases scalar, and one sound cursor for the rest
     // (the slot is emptied with the fallback).
     assert_eq!(calls.load(Ordering::Relaxed), 1 + 1 + 63 + 1);
 
-    let text = std::fs::read_to_string(&events).expect("events readable");
-    let fallbacks: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"kind\":\"batch\"") && l.contains("\"name\":\"fallback\""))
-        .collect();
+    let fallbacks = events_of(&text, "batch", "fallback");
     assert_eq!(fallbacks.len(), 1, "one group falls back:\n{text}");
     assert!(
         fallbacks[0].contains("golden lane differs from the golden run"),
         "{}",
         fallbacks[0]
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `digital_events` of one engine run of `campaign` under `cfg`.
@@ -595,7 +516,7 @@ fn word_prefix_cost_is_paid_per_worker_not_per_group() {
     let horizon = digital_events(&golden_only, EngineConfig::default().with_workers(1));
     assert!(horizon > 0);
 
-    let word = digital_events(&campaign, word_config(1)) - horizon;
+    let word = digital_events(&campaign, batch_config(1)) - horizon;
     assert!(
         word * 10 < groups * horizon * 4,
         "{word} events over {groups} groups is not under 40 % of {groups} x {horizon}"
@@ -633,18 +554,7 @@ fn word_builds_once_per_worker_and_says_so_in_the_events() {
     // 8 bits x 63 instants = 8 full groups on one worker.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 63);
     let (campaign, builds) = counted_campaign(&times, build_counter);
-    let dir = std::env::temp_dir().join(format!("amsfi-cursor-events-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let events = dir.join("events.jsonl");
-    let tele = Telemetry::builder()
-        .events_path(&events)
-        .capacity(1 << 16)
-        .build()
-        .expect("telemetry");
-    let report = Engine::new(word_config(1).with_telemetry(tele.clone()))
-        .run(&campaign)
-        .expect("word run");
-    tele.close();
+    let (report, text) = run_with_events("cursor-events", batch_config(1), &campaign);
     assert_eq!(report.result.cases.len(), 504);
     assert_eq!(
         builds.load(Ordering::Relaxed),
@@ -652,11 +562,7 @@ fn word_builds_once_per_worker_and_says_so_in_the_events() {
         "one build for the golden run, one for the worker's cursor"
     );
 
-    let text = std::fs::read_to_string(&events).expect("events readable");
-    let spans: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"kind\":\"span\"") && l.contains("\"name\":\"batch\""))
-        .collect();
+    let spans = events_of(&text, "span", "batch");
     assert_eq!(spans.len(), 8, "one batch span per group:\n{text}");
     assert!(spans.iter().all(|l| l.contains("\"from_fs\":")));
     let rebuilt = spans
@@ -664,10 +570,9 @@ fn word_builds_once_per_worker_and_says_so_in_the_events() {
         .filter(|l| l.contains("\"cursor\":\"rebuilt\""));
     let reused = spans.iter().filter(|l| l.contains("\"cursor\":\"reused\""));
     assert_eq!((rebuilt.count(), reused.count()), (1, 7));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `group` through the campaign's word spec on `slot`, as one engine
+/// Runs `group` through the campaign's batch spec on `slot`, as one engine
 /// worker would, with `budget()` installed on every lane (the machine
 /// itself unguarded).
 fn run_word_spec(
@@ -676,7 +581,7 @@ fn run_word_spec(
     slot: &mut WorkerSlot,
     budget: &dyn Fn() -> SimBudget,
 ) -> BatchGroupRun {
-    let spec = campaign.word.as_ref().expect("word spec");
+    let spec = campaign.batch.as_ref().expect("batch spec");
     let mut hooks = |_lane: usize| (budget(), None);
     (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot).expect("word group")
 }
@@ -767,7 +672,7 @@ fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
     );
 
     builds.store(0, Ordering::Relaxed);
-    let word = Engine::new(word_config(1))
+    let word = Engine::new(batch_config(1))
         .run(&campaign)
         .expect("word run");
     assert_eq!(

@@ -50,7 +50,6 @@ fn toy_campaign(n: usize, calls: Arc<AtomicUsize>) -> Campaign {
         }),
         fork: None,
         batch: None,
-        word: None,
     }
 }
 
@@ -455,7 +454,6 @@ fn fail_fast_leaves_a_resumable_journal() {
         }),
         fork: None,
         batch: None,
-        word: None,
     };
 
     // Sequential fail-fast run: cases 0..=4 are journaled, 5 aborts.

@@ -3,7 +3,7 @@
 //! ```text
 //! amsfi list
 //! amsfi run <campaign> [--workers N] [--shard I/C] [--journal PATH]
-//!           [--resume] [--checkpoint] [--batch] [--word] [--early-abort] [--settle-ns N]
+//!           [--resume] [--checkpoint] [--batch] [--early-abort] [--settle-ns N]
 //!           [--timeout-ms N] [--retries N]
 //!           [--backoff-ms N] [--policy fail-fast|skip] [--progress-secs N]
 //!           [--max-steps N] [--min-dt-fs N] [--quarantine]
@@ -67,17 +67,13 @@ USAGE:
                              (campaigns without fork support fall back
                              to from-scratch runs)
           --batch            bit-parallel digital simulation: workers
-                             claim groups of up to 64 cases and run them
-                             lock-step against one golden machine, with
-                             per-lane verdicts byte-identical to scalar
-                             runs (campaigns without batch support fall
-                             back to scalar runs)
-          --word             with --batch: evaluate each group through
-                             one word-parallel event wheel (plane-valued
-                             signals, 63 mutant lanes + an in-word golden
-                             lane) instead of 64 cloned scalar machines;
-                             verdicts stay byte-identical (campaigns
-                             without word support fall back to --batch)
+                             claim groups of up to 63 cases and run them
+                             through one word-parallel event wheel
+                             (plane-valued signals, 63 mutant lanes + an
+                             in-word golden lane), with per-lane verdicts
+                             byte-identical to scalar runs (campaigns
+                             without batch support fall back to scalar
+                             runs)
           --early-abort      classify each case while it simulates and
                              abort it the moment its verdict is sealed;
                              journal records gain sealed_at=<t_fs>
@@ -247,7 +243,7 @@ fn list() {
     for (name, description) in campaigns::catalog() {
         // Execution paths this campaign supports beyond the always-available
         // scalar runner, so operators can see which flags will engage
-        // (--checkpoint / --batch / --batch --word) before launching.
+        // (--checkpoint / --batch) before launching.
         let paths = campaigns::build(name, None).map_or_else(String::new, |c| {
             let mut paths = vec!["scalar"];
             if c.fork.is_some() {
@@ -255,9 +251,6 @@ fn list() {
             }
             if c.batch.is_some() {
                 paths.push("batch");
-            }
-            if c.word.is_some() {
-                paths.push("word");
             }
             format!("[{}]", paths.join(", "))
         });
@@ -321,7 +314,6 @@ fn run(args: &[String]) -> ExitCode {
                 "--resume" => config.resume = true,
                 "--checkpoint" => config.checkpoint = true,
                 "--batch" => config.batch = true,
-                "--word" => config.word = true,
                 "--early-abort" => config.early_abort = true,
                 "--settle-ns" => {
                     config.settle = Some(Time::from_ns(opts.parse(arg)?));
@@ -1261,7 +1253,7 @@ fn render_top(view: &amsfi_serve::view::TopView) -> String {
     );
     for w in &view.workers {
         // Word-parallel lane utilization only renders once the worker has
-        // reported `--batch --word` activity.
+        // reported `--batch` activity.
         let lanes = if w.lane_p50 > 0 {
             format!(", ~{}/63 mutant lanes live", w.lane_p50)
         } else {

@@ -72,9 +72,9 @@ pub struct TopWorker {
     /// Reconnects the worker reports having survived.
     pub reconnects: u64,
     /// Median live mutant lanes per word (log₂-bucket upper bound, golden
-    /// lane excluded) across the worker's word-parallel lock-step stops —
-    /// how full its 63 mutant slots actually run. Zero until the worker
-    /// ships a snapshot with `--batch --word` activity.
+    /// lane excluded) across the worker's batch lock-step stops — how full
+    /// its 63 mutant slots actually run. Zero until the worker ships a
+    /// snapshot with `--batch` activity.
     pub lane_p50: u64,
 }
 

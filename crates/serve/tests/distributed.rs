@@ -49,7 +49,6 @@ fn toy_campaign(n: usize) -> Campaign {
         }),
         fork: None,
         batch: None,
-        word: None,
     }
 }
 

@@ -280,7 +280,7 @@ pub struct KernelMetrics {
     /// reconverged with the golden machine's (batch reconvergence seal).
     pub lane_seals: Counter,
     /// Distribution of live *mutant* lanes per word observed at each
-    /// word-parallel lock-step stop (`amsfi run --batch --word`): how full
+    /// batch lock-step stop (`amsfi run --batch`): how full
     /// the 63 mutant slots actually are, the utilization the word kernel's
     /// speedup rides on. The in-word golden lane is excluded — it is live
     /// by construction, and excluding it keeps every observation ≤ 63, one
