@@ -29,25 +29,16 @@ cargo test -q
 cargo build --release -p amsfi-bench --bin pr2_checkpoint_bench
 ./target/release/pr2_checkpoint_bench
 
-# PR 3 chaos smoke: forced solver divergence, poison-case quarantine and
-# kill-and-resume recovery from a torn journal tail; asserts every failure
-# mode is contained instead of killing the campaign.
-cargo build --release -p amsfi-bench --bin pr3_chaos_smoke
-./target/release/pr3_chaos_smoke
-
 # PR 3 guard-overhead bench: guarded vs unguarded fast-PLL sweep, emitting
 # results/bench/BENCH_pr3.json; asserts the robustness layer costs <= 5%
 # on the hot path.
 cargo build --release -p amsfi-bench --bin pr3_guard_bench
 ./target/release/pr3_guard_bench
 
-# PR 4 telemetry smoke: in-process validation (every JSONL record parses,
-# one case span per executed case, Prometheus dump line-parseable), then
-# the CLI surface — a guarded run with --events/--metrics and an
-# `amsfi report` journal+events join.
-cargo build --release -p amsfi-bench --bin pr4_telemetry_smoke
-./target/release/pr4_telemetry_smoke
-
+# PR 4 telemetry CLI e2e: a guarded run with --events/--metrics and an
+# `amsfi report` journal+events join (the event stream and the Prometheus
+# dump themselves are checked in-process by the tier-1 test
+# `event_stream_accounts_for_every_case`).
 cargo build --release -p amsfi-serve --bin amsfi
 tmp=$(mktemp -d)
 ./target/release/amsfi run pll-digital --limit 6 --checkpoint \

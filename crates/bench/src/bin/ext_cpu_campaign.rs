@@ -2,53 +2,33 @@
 //! the case-study genre of the paper's reference \[2\] (Cardarilli et al.):
 //! an exhaustive SEU campaign over every architectural bit of a tiny
 //! accumulator CPU running a self-checking checksum program, with the
-//! classification broken down by architectural resource.
+//! classification broken down by architectural resource. The campaign is
+//! the catalog's `cpu` (`amsfi run cpu`), run once through the engine.
 //!
 //! ```text
 //! cargo run --release -p amsfi-bench --bin ext_cpu_campaign
 //! ```
 
 use amsfi_bench::{banner, write_result};
-use amsfi_circuits::cpu::{checksum_program, TinyCpu};
-use amsfi_core::{plan, report, run_campaign_parallel, ClassifySpec, FaultCase, FaultClass};
-use amsfi_digital::{cells, ComponentId, Netlist, Simulator};
+use amsfi_circuits::cpu::checksum_program;
+use amsfi_core::{report, FaultClass};
 use amsfi_engine::{campaigns, Engine, EngineConfig};
-use amsfi_waves::{Logic, Time};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-const T_END: Time = Time::from_us(20);
-
-fn build() -> (Simulator, ComponentId) {
-    let mut net = Netlist::new();
-    let clk = net.signal("clk", 1);
-    let rst = net.signal("rst", 1);
-    let out = net.signal("out", 8);
-    let pc = net.signal("pc", 6);
-    net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
-    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
-    let cpu = net.add(
-        "cpu",
-        TinyCpu::new(checksum_program(), Time::ZERO),
-        &[clk, rst],
-        &[out, pc],
-    );
-    let mut sim = Simulator::new(net);
-    sim.monitor_name("out");
-    (sim, cpu)
-}
-
-/// Architectural resource of a mutant label (`acc[i]`, `pc[i]`, `flag_nz`,
-/// `ram[w][b]` with live words 0..=4).
+/// Architectural resource of a case label, `cpu.<bit> @ <time>` with
+/// `<bit>` one of `acc[i]`, `pc[i]`, `flag_nz`, `ram[w][b]` (live words
+/// 0..=4).
 fn resource(label: &str) -> &'static str {
-    if label.starts_with("acc") {
+    let bit = label.strip_prefix("cpu.").unwrap_or(label);
+    if bit.starts_with("acc") {
         "accumulator"
-    } else if label.starts_with("pc") {
+    } else if bit.starts_with("pc") {
         "program counter"
-    } else if label.starts_with("flag") {
+    } else if bit.starts_with("flag") {
         "flag"
     } else {
         // ram[w][b]
-        let word: usize = label["ram[".len()..]
+        let word: usize = bit["ram[".len()..]
             .split(']')
             .next()
             .and_then(|w| w.parse().ok())
@@ -63,55 +43,36 @@ fn resource(label: &str) -> &'static str {
 
 fn main() {
     banner("Extension H — SEU campaign over a processor architecture");
-    let (probe, _) = build();
-    let targets = probe.mutant_targets();
-    let times = plan::uniform_times(Time::from_us(2), Time::from_us(4), 3);
+    let campaign = campaigns::build("cpu", None).expect("cpu is a named campaign");
+    let runs = campaign.cases.len();
+    let times: BTreeSet<_> = campaign.cases.iter().map(|c| c.injected_at).collect();
     println!(
         "  program: counter-mixed checksum ({} instructions/loop), 100 MHz;\n\
-         \x20 targets: {} architectural bits x {} injection times = {} runs\n",
+         \x20 targets: {} architectural bits x {} injection times = {runs} runs\n",
         checksum_program().len(),
-        targets.len(),
+        runs / times.len(),
         times.len(),
-        targets.len() * times.len()
     );
 
-    let mut cases = Vec::new();
-    let mut setup = Vec::new();
-    for (ti, &at) in times.iter().enumerate() {
-        for (gi, t) in targets.iter().enumerate() {
-            cases.push(FaultCase::new(format!("{t} @ {at}"), at));
-            setup.push((gi, ti));
-        }
-    }
-    let spec = ClassifySpec::new(
-        (Time::from_us(2), T_END),
-        (0..8).map(|i| format!("out[{i}]")).collect(),
+    let run = Engine::new(EngineConfig::default())
+        .run(&campaign)
+        .expect("campaign");
+    assert!(run.skipped.is_empty(), "no case may fail to simulate");
+    println!(
+        "  completed in {:?} ({:.1} cases/s)\n",
+        run.stats.elapsed,
+        run.stats.rate()
     );
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let started = std::time::Instant::now();
-    let result = run_campaign_parallel(&spec, cases, workers, |case| {
-        let (mut sim, cpu) = build();
-        if let Some(i) = case {
-            let (gi, ti) = setup[i];
-            sim.run_until(times[ti])?;
-            let t = &targets[gi];
-            sim.flip_state(t.component, t.bit);
-            let _ = cpu;
-        }
-        sim.run_until(T_END)?;
-        Ok(sim.into_trace())
-    })
-    .expect("campaign");
-    println!("  completed in {:?}\n", started.elapsed());
+    print!("{}", run.stats.stage_table());
+    let result = &run.result;
 
     banner("Classification summary");
-    print!("{}", report::summary_table(&result));
+    print!("{}", report::summary_table(result));
 
     banner("By architectural resource");
     let mut per: BTreeMap<&str, [usize; 4]> = BTreeMap::new();
-    for (c, (gi, _)) in result.cases.iter().zip(&setup) {
-        let res = resource(&targets[*gi].label);
-        let counts = per.entry(res).or_default();
+    for c in &result.cases {
+        let counts = per.entry(resource(&c.case.label)).or_default();
         let idx = match c.outcome.class {
             FaultClass::NoEffect => 0,
             FaultClass::Latent => 1,
@@ -142,56 +103,6 @@ fn main() {
         csv.push_str(&format!("{res},{ne},{la},{tr},{fa}\n"));
     }
     write_result("ext_cpu_campaign.csv", &csv);
-
-    banner("Engine path (amsfi-engine) vs legacy runner");
-    let engine_campaign = campaigns::build("cpu", None).expect("cpu is a named campaign");
-    assert_eq!(
-        engine_campaign.cases.len(),
-        result.cases.len(),
-        "engine campaign must mirror the legacy fault list"
-    );
-    let engine_start = std::time::Instant::now();
-    let engine_report = Engine::new(EngineConfig::default().with_workers(workers))
-        .run(&engine_campaign)
-        .expect("engine campaign");
-    let engine_elapsed = engine_start.elapsed();
-    assert_eq!(
-        engine_report.result.summary(),
-        result.summary(),
-        "engine and legacy classifications must agree"
-    );
-    println!(
-        "  legacy runner: {:?}; engine: {:?} ({:.1} cases/s), classifications identical",
-        started.elapsed(),
-        engine_elapsed,
-        engine_report.stats.rate()
-    );
-    print!("{}", engine_report.stats.stage_table());
-
-    banner("Checkpoint & fork path (amsfi run cpu --checkpoint)");
-    let ckpt_start = std::time::Instant::now();
-    let ckpt_report = Engine::new(
-        EngineConfig::default()
-            .with_workers(workers)
-            .with_checkpoint(true),
-    )
-    .run(&engine_campaign)
-    .expect("checkpointed campaign");
-    let ckpt_elapsed = ckpt_start.elapsed();
-    assert_eq!(
-        ckpt_report.result.golden, engine_report.result.golden,
-        "checkpointed golden trace must be byte-identical to from-scratch"
-    );
-    assert_eq!(
-        ckpt_report.result.cases, engine_report.result.cases,
-        "checkpoint-forked cases must be byte-identical to from-scratch"
-    );
-    println!(
-        "  from-scratch: {engine_elapsed:?}; checkpointed: {ckpt_elapsed:?} \
-         ({:.2}x, {:.1} cases/s), traces byte-identical",
-        engine_elapsed.as_secs_f64() / ckpt_elapsed.as_secs_f64(),
-        ckpt_report.stats.rate()
-    );
 
     banner("Reading");
     println!(

@@ -1,153 +1,50 @@
 //! **Extension A** — the digital-flow results implied by the paper's
 //! Section 3: an exhaustive SEU (bit-flip) campaign over every memorised bit
 //! of the PLL's digital blocks and its payload, with the classification
-//! table the flow's "Failure report / Classification" box produces.
+//! table the flow's "Failure report / Classification" box produces. The
+//! campaign is the catalog's `pll-digital` (`amsfi run pll-digital`), run
+//! once through the engine.
 //!
 //! ```text
 //! cargo run --release -p amsfi-bench --bin ext_digital_campaign
 //! ```
 
 use amsfi_bench::{banner, write_result};
-use amsfi_circuits::pll::{self, names};
-use amsfi_core::{injection_stops, plan, report, run_campaign_parallel, ClassifySpec, FaultCase};
+use amsfi_core::report;
 use amsfi_engine::{campaigns, Engine, EngineConfig};
-use amsfi_waves::{Time, Tolerance};
-
-const T_END: Time = Time::from_us(30);
+use std::collections::BTreeSet;
 
 fn main() {
     banner("Extension A — exhaustive digital SEU campaign (PLL + payload)");
-    let mut config = pll::PllConfig::fast();
-    config.payload = true;
+    let campaign = campaigns::build("pll-digital", None).expect("pll-digital is a named campaign");
 
-    // Enumerate the mutant fault list from a throwaway build.
-    let probe = pll::build(&config);
-    let targets = probe.mixed.digital().mutant_targets();
-    println!("  mutant targets: {}", targets.len());
-    for t in &targets {
-        println!("    {t}");
-    }
-
-    // Injection times: after lock, spread across reference cycles.
-    let times = plan::uniform_times(Time::from_us(12), Time::from_us(16), 4);
-    let mut cases = Vec::new();
-    let mut plan_index = Vec::new();
-    for (ti, &at) in times.iter().enumerate() {
-        for (gi, target) in targets.iter().enumerate() {
-            cases.push(FaultCase::new(format!("{target} @ {at}"), at));
-            plan_index.push((gi, ti));
-        }
-    }
+    let runs = campaign.cases.len();
+    let times: BTreeSet<_> = campaign.cases.iter().map(|c| c.injected_at).collect();
     println!(
-        "\n  campaign: {} targets x {} injection times = {} runs",
-        targets.len(),
-        times.len(),
-        cases.len()
+        "  campaign: {} mutant targets x {} injection times = {runs} runs",
+        runs / times.len(),
+        times.len()
     );
 
-    // Outputs: the payload's visible buses; internals: loop state signals.
-    let mut outputs: Vec<String> = (0..8).map(|i| format!("{}[{i}]", names::COUNT)).collect();
-    outputs.push(names::SHIFT_OUT.to_owned());
-    let spec = ClassifySpec::new((Time::from_us(12), T_END), outputs)
-        .with_internals(vec![names::FB.to_owned(), names::VCTRL.to_owned()])
-        .with_tolerance(Tolerance::new(0.05, 0.01))
-        // Forgive sub-2-ns residual clock-phase skew; a lost/gained count
-        // cycle shifts edges by a full 20 ns period and still registers.
-        .with_digital_skew(Time::from_ns(2));
-
-    // Every run — golden included — pauses at the same distinct injection
-    // instants, matching the engine's checkpoint/fork stop sequence: the
-    // adaptive-step analog kernel's step grid depends on where `run_until`
-    // stops, so sharing the stops is what makes the legacy, engine and
-    // checkpointed paths byte-comparable.
-    let stops = injection_stops(&cases, T_END);
-    let start = std::time::Instant::now();
-    let result = run_campaign_parallel(&spec, cases, workers(), |case| {
-        let mut bench = pll::build(&config);
-        bench.monitor_standard();
-        match case {
-            None => {
-                for &stop in &stops {
-                    bench.run_until(stop)?;
-                }
-            }
-            Some(i) => {
-                let (gi, ti) = plan_index[i];
-                let at = times[ti];
-                for &stop in stops.iter().take_while(|&&s| s <= at) {
-                    bench.run_until(stop)?;
-                }
-                let target = &targets[gi];
-                bench
-                    .mixed
-                    .digital_mut()
-                    .flip_state(target.component, target.bit);
-            }
-        }
-        bench.run_until(T_END)?;
-        Ok(bench.trace())
-    })
-    .expect("campaign");
-    println!("  completed in {:?}\n", start.elapsed());
+    let run = Engine::new(EngineConfig::default())
+        .run(&campaign)
+        .expect("campaign");
+    assert!(run.skipped.is_empty(), "no case may fail to simulate");
+    println!(
+        "  completed in {:?} ({:.1} cases/s)\n",
+        run.stats.elapsed,
+        run.stats.rate()
+    );
+    print!("{}", run.stats.stage_table());
+    let result = &run.result;
 
     banner("Classification summary");
-    print!("{}", report::summary_table(&result));
+    print!("{}", report::summary_table(result));
 
     banner("Per-target sensitivity (which nodes need protection)");
-    print!("{}", report::per_target_table(&result));
+    print!("{}", report::per_target_table(result));
 
-    write_result("ext_digital_campaign.csv", &report::cases_csv(&result));
-
-    banner("Engine path (amsfi-engine) vs legacy runner");
-    let engine_campaign =
-        campaigns::build("pll-digital", None).expect("pll-digital is a named campaign");
-    assert_eq!(
-        engine_campaign.cases.len(),
-        result.cases.len(),
-        "engine campaign must mirror the legacy fault list"
-    );
-    let engine_start = std::time::Instant::now();
-    let engine_report = Engine::new(EngineConfig::default().with_workers(workers()))
-        .run(&engine_campaign)
-        .expect("engine campaign");
-    let engine_elapsed = engine_start.elapsed();
-    assert_eq!(
-        engine_report.result.summary(),
-        result.summary(),
-        "engine and legacy classifications must agree"
-    );
-    println!(
-        "  legacy runner: {:?}; engine: {:?} ({:.1} cases/s), classifications identical",
-        start.elapsed(),
-        engine_elapsed,
-        engine_report.stats.rate()
-    );
-    print!("{}", engine_report.stats.stage_table());
-
-    banner("Checkpoint & fork path (amsfi run pll-digital --checkpoint)");
-    let ckpt_start = std::time::Instant::now();
-    let ckpt_report = Engine::new(
-        EngineConfig::default()
-            .with_workers(workers())
-            .with_checkpoint(true),
-    )
-    .run(&engine_campaign)
-    .expect("checkpointed campaign");
-    let ckpt_elapsed = ckpt_start.elapsed();
-    assert_eq!(
-        ckpt_report.result.golden, engine_report.result.golden,
-        "checkpointed golden trace must be byte-identical to from-scratch"
-    );
-    assert_eq!(
-        ckpt_report.result.cases, engine_report.result.cases,
-        "checkpoint-forked cases must be byte-identical to from-scratch"
-    );
-    println!(
-        "  from-scratch: {engine_elapsed:?}; checkpointed: {ckpt_elapsed:?} \
-         ({:.2}x, {:.1} cases/s), traces byte-identical",
-        engine_elapsed.as_secs_f64() / ckpt_elapsed.as_secs_f64(),
-        ckpt_report.stats.rate()
-    );
+    write_result("ext_digital_campaign.csv", &report::cases_csv(result));
 
     banner("Reading");
     println!(
@@ -159,10 +56,4 @@ fn main() {
          \x20 paper's 'identify the significant nodes that should be protected,\n\
          \x20 so that overheads are kept to a minimum' output."
     );
-}
-
-fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }

@@ -18,8 +18,6 @@
 
 use amsfi_bench::{ascii_plot, banner, write_result};
 use amsfi_circuits::pll::{self, names};
-use amsfi_core::report;
-use amsfi_engine::{campaigns, Engine, EngineConfig};
 use amsfi_faults::{PulseShape, TrapezoidPulse};
 use amsfi_waves::{measure, Time, Trace};
 use std::fmt::Write as _;
@@ -190,57 +188,5 @@ fn main() {
     assert!(
         corr > 0.9,
         "cumulative-effect correlation should be strong, got {corr}"
-    );
-
-    // The same pulse list as a *classification* campaign through the
-    // engine: where the raw sweep above measures deviations, the engine
-    // path reports the paper's no-effect/latent/transient/failure verdicts
-    // (and demonstrates the resumable path the `amsfi` CLI drives).
-    banner("Engine path — the sweep as a classified campaign (amsfi run pll-sweep)");
-    let campaign = campaigns::build("pll-sweep", None).expect("pll-sweep is a named campaign");
-    assert_eq!(
-        campaign.cases.len(),
-        all.len(),
-        "engine campaign must cover the same pulse sets"
-    );
-    let engine_start = std::time::Instant::now();
-    let engine_report = Engine::new(EngineConfig::default())
-        .run(&campaign)
-        .expect("engine campaign");
-    assert!(
-        engine_report.skipped.is_empty(),
-        "no pulse set may fail to simulate"
-    );
-    print!("{}", report::summary_table(&engine_report.result));
-    let engine_elapsed = engine_start.elapsed();
-    println!(
-        "  engine: {engine_elapsed:?} ({:.1} cases/s)",
-        engine_report.stats.rate()
-    );
-    print!("{}", engine_report.stats.stage_table());
-
-    // The tentpole acceptance check: all 24 pulses inject at the same
-    // instant (170 of 200 µs), so `--checkpoint` forks every case from one
-    // snapshot and replays only the last 30 µs — and must nonetheless be
-    // byte-identical to the from-scratch engine run.
-    banner("Checkpoint & fork path (amsfi run pll-sweep --checkpoint)");
-    let ckpt_start = std::time::Instant::now();
-    let ckpt_report = Engine::new(EngineConfig::default().with_checkpoint(true))
-        .run(&campaign)
-        .expect("checkpointed campaign");
-    let ckpt_elapsed = ckpt_start.elapsed();
-    assert_eq!(
-        ckpt_report.result.golden, engine_report.result.golden,
-        "checkpointed golden trace must be byte-identical to from-scratch"
-    );
-    assert_eq!(
-        ckpt_report.result.cases, engine_report.result.cases,
-        "checkpoint-forked cases must be byte-identical to from-scratch"
-    );
-    println!(
-        "  from-scratch: {engine_elapsed:?}; checkpointed: {ckpt_elapsed:?} \
-         ({:.2}x, {:.1} cases/s), traces byte-identical",
-        engine_elapsed.as_secs_f64() / ckpt_elapsed.as_secs_f64(),
-        ckpt_report.stats.rate()
     );
 }

@@ -222,6 +222,17 @@ fn temp_journal(tag: &str) -> PathBuf {
     path
 }
 
+/// Replaces the journal's final record with what a kill mid-write leaves of
+/// it: a partial line (with stray non-UTF-8 bytes for good measure). The
+/// record is lost, not merely followed by garbage.
+fn tear_last_record(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+    bytes.truncate(ends[ends.len() - 2] + 1);
+    bytes.extend_from_slice(b"case 5 at=10000000 cla\xFF\xFE");
+    std::fs::write(path, &bytes).unwrap();
+}
+
 #[test]
 fn forced_divergence_is_classified_not_fatal() {
     let campaign = pll_chaos_campaign(4, &[1]);
@@ -287,8 +298,9 @@ fn mid_campaign_panic_is_quarantined_and_never_rerun() {
         campaign
     };
     let path = temp_journal("panic");
+    // One worker: the journal ends with case 4, not with the quarantine.
     let config = EngineConfig::default()
-        .with_workers(2)
+        .with_workers(1)
         .with_retries(1)
         .with_backoff(std::time::Duration::from_millis(1))
         .with_error_policy(ErrorPolicy::SkipAndRecord)
@@ -302,13 +314,16 @@ fn mid_campaign_panic_is_quarantined_and_never_rerun() {
     assert!(report.quarantined[0].reason.contains("panicked"));
     assert_eq!(attempts.load(Ordering::SeqCst), 2); // first try + one retry
 
-    // Resume: the poison case stays quarantined, nothing re-runs.
+    // Resume from a torn tail: the case whose record was destroyed re-runs,
+    // the quarantine record before it survives and the poison case does not.
+    tear_last_record(&path);
     let resumed = Engine::new(config.with_resume(true))
         .run(&campaign)
         .unwrap();
     assert_eq!(attempts.load(Ordering::SeqCst), 2, "poison case re-ran");
     assert_eq!(resumed.quarantined.len(), 1);
-    assert_eq!(resumed.resumed, 4);
+    assert_eq!(resumed.resumed, 3);
+    assert_eq!(resumed.result.cases.len(), 4);
     std::fs::remove_file(&path).ok();
 }
 
@@ -319,21 +334,14 @@ fn torn_journal_tail_recovers_on_resume() {
     let config = EngineConfig::default().with_workers(1).with_journal(&path);
     Engine::new(config.clone()).run(&campaign).unwrap();
 
-    // A kill mid-write leaves a partial final record (here with stray
-    // non-UTF-8 bytes for good measure). Resume must absorb it and re-run
-    // only whatever the torn record covered.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let keep = bytes
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map_or(bytes.len(), |p| p + 1);
-    bytes.truncate(keep);
-    bytes.extend_from_slice(b"case 5 at=10000000 cla\xFF\xFE");
-    std::fs::write(&path, &bytes).unwrap();
-
+    // Resume must absorb the torn tail, take exactly the intact records
+    // from the journal and re-run only the case whose record was destroyed.
+    tear_last_record(&path);
     let resumed = Engine::new(config.with_resume(true))
         .run(&campaign)
         .unwrap();
+    assert_eq!(resumed.resumed, 5);
+    assert_eq!(resumed.stats.done - resumed.stats.seeded, 1);
     assert_eq!(resumed.result.cases.len(), 6);
     assert!(resumed.skipped.is_empty());
     std::fs::remove_file(&path).ok();

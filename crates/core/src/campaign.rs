@@ -64,7 +64,7 @@ impl std::error::Error for RunError {
 }
 
 /// Converts a panic payload (from `catch_unwind`) into a printable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("run closure panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {

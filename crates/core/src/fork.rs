@@ -1,29 +1,17 @@
-//! The checkpointed campaign runner: golden-prefix checkpoint & fork.
+//! The stop sequence of golden-prefix checkpoint & fork execution.
 //!
-//! [`run_campaign`](crate::run_campaign) re-simulates the fault-free prefix
-//! `[0, tᵢ)` of every case from scratch — N·T simulated time for N cases
-//! over a horizon T. A fault injected at tᵢ cannot perturb anything before
-//! tᵢ, so [`run_campaign_forked`] runs the golden simulation *once*, takes a
-//! [`Checkpoint`] at each distinct injection instant, and forks every faulty
-//! run from its snapshot: T + Σ(T − tᵢ) total. Because a checkpoint clones
-//! the whole simulator including its recorded trace, each fork's trace
-//! already carries the golden prefix — no explicit stitching.
-//!
-//! Byte-identity with from-scratch runs is guaranteed by construction, not
-//! luck: adaptive-step solvers clamp their final partial step at every
-//! `advance_to` stop, which shifts the subsequent step grid, so a fork at t
-//! only equals a scratch run that paused at the same stops. Callers who need
-//! a scratch reference (tests, the `amsfi-engine` equivalence asserts) must
-//! drive it through [`injection_stops`] up to its own injection time.
+//! A fault injected at tᵢ cannot perturb anything before tᵢ, so a campaign
+//! can run the golden simulation once, snapshot it at each distinct
+//! injection instant and fork every faulty run from its snapshot (the
+//! `amsfi-engine` crate's `--checkpoint` mode). Byte-identity with
+//! from-scratch runs holds by construction, not luck: adaptive-step solvers
+//! clamp their final partial step at every `advance_to` stop, which shifts
+//! the subsequent step grid, so a fork at t only equals a scratch run that
+//! paused at the same stops — every path drives its simulator through
+//! [`injection_stops`] up to the case's own injection time.
 
-use crate::campaign::{panic_message, CampaignResult, CaseResult, FaultCase, RunError};
-use crate::classify::{classify, CaseOutcome, ClassifySpec};
-use amsfi_waves::{Checkpoint, ForkableSim, Time, Trace};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-type BoxError = Box<dyn std::error::Error + Send + Sync>;
+use crate::campaign::FaultCase;
+use amsfi_waves::Time;
 
 /// The sorted, distinct injection instants of a case list, clamped to the
 /// horizon — the stop sequence the golden run snapshots at, and the one a
@@ -35,196 +23,9 @@ pub fn injection_stops(cases: &[FaultCase], t_end: Time) -> Vec<Time> {
     stops
 }
 
-/// Runs a campaign with golden-prefix checkpointing on `workers` threads.
-///
-/// `build` constructs the fault-free simulator (called once, for the golden
-/// run). `inject(sim, i)` arms fault case `i` on a fork positioned at the
-/// case's injection instant; the runner then advances the fork to `t_end`
-/// and classifies its trace against the golden one.
-///
-/// Each worker owns a clone of the checkpoint cache (simulators are `Send`
-/// but their component trait objects are not `Sync`), so forking is
-/// lock-free after the initial per-worker clone.
-///
-/// # Errors
-///
-/// Returns the first [`RunError`] reported by `build`, `inject` or the
-/// simulator itself; worker panics are caught and surfaced as the
-/// corresponding case's error.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn run_campaign_forked<S, B, I>(
-    spec: &ClassifySpec,
-    cases: Vec<FaultCase>,
-    workers: usize,
-    t_end: Time,
-    build: B,
-    inject: I,
-) -> Result<CampaignResult, RunError>
-where
-    S: ForkableSim,
-    B: Fn() -> Result<S, BoxError>,
-    I: Fn(&mut S, usize) -> Result<(), BoxError> + Sync,
-{
-    assert!(workers > 0, "need at least one worker");
-    let stops = injection_stops(&cases, t_end);
-
-    // Golden pass: advance stop to stop, snapshotting at each.
-    let mut golden_sim = build().map_err(|source| RunError { case: None, source })?;
-    let mut snaps: BTreeMap<Time, Checkpoint<S>> = BTreeMap::new();
-    for &stop in &stops {
-        golden_sim.advance_to(stop).map_err(|e| RunError {
-            case: None,
-            source: Box::new(e),
-        })?;
-        snaps.insert(stop, Checkpoint::capture(&golden_sim));
-    }
-    golden_sim.advance_to(t_end).map_err(|e| RunError {
-        case: None,
-        source: Box::new(e),
-    })?;
-    let golden = golden_sim.snapshot_trace();
-
-    let n = cases.len();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<CaseOutcome, RunError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let golden_ref = &golden;
-    let inject_ref = &inject;
-    let cases_ref = &cases;
-    let next_ref = &next;
-    let slots_ref = &slots;
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            let cache = snaps.clone();
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let stop = cases_ref[i].injected_at.min(t_end);
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let cp = cache.get(&stop).expect("every case stop was snapshotted");
-                    let mut sim = cp.fork();
-                    inject_ref(&mut sim, i)?;
-                    sim.advance_to(t_end)
-                        .map_err(|e| -> BoxError { Box::new(e) })?;
-                    Ok::<Trace, BoxError>(sim.snapshot_trace())
-                }));
-                let result = match unwound {
-                    Ok(Ok(trace)) => Ok(classify(spec, golden_ref, &trace)),
-                    Ok(Err(source)) => Err(RunError {
-                        case: Some(i),
-                        source,
-                    }),
-                    Err(payload) => Err(RunError {
-                        case: Some(i),
-                        source: panic_message(payload).into(),
-                    }),
-                };
-                *slots_ref[i].lock().expect("slot poisoned") = Some(result);
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(n);
-    for (case, slot) in cases.into_iter().zip(slots) {
-        let outcome = slot
-            .into_inner()
-            .expect("slot poisoned")
-            .expect("all cases visited")?;
-        results.push(CaseResult { case, outcome });
-    }
-    Ok(CampaignResult {
-        golden,
-        cases: results,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use amsfi_waves::Logic;
-
-    /// A deterministic toy kernel: one tick per nanosecond, "out" is the
-    /// tick parity. Injection sticks the output high from the next tick on
-    /// (even case index) or inverts a single tick (odd case index).
-    #[derive(Debug, Clone)]
-    struct Toy {
-        now: Time,
-        ticks: u64,
-        stuck: bool,
-        invert_next: bool,
-        trace: Trace,
-    }
-
-    impl Toy {
-        fn new() -> Self {
-            Toy {
-                now: Time::ZERO,
-                ticks: 0,
-                stuck: false,
-                invert_next: false,
-                trace: Trace::new(),
-            }
-        }
-    }
-
-    impl ForkableSim for Toy {
-        type Error = std::convert::Infallible;
-
-        fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
-            while self.now + Time::from_ns(1) <= t {
-                self.now += Time::from_ns(1);
-                self.ticks += 1;
-                let mut bit = if self.stuck {
-                    true
-                } else {
-                    self.ticks % 2 == 1
-                };
-                if std::mem::take(&mut self.invert_next) {
-                    bit = !bit;
-                }
-                self.trace
-                    .record_digital("out", self.now, Logic::from_bool(bit))
-                    .unwrap();
-            }
-            Ok(())
-        }
-
-        fn current_time(&self) -> Time {
-            self.now
-        }
-
-        fn snapshot_trace(&self) -> Trace {
-            self.trace.clone()
-        }
-
-        fn structural_fingerprint(&self) -> u64 {
-            0xA11CE
-        }
-    }
-
-    fn spec(t_end: Time) -> ClassifySpec {
-        ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()])
-    }
-
-    fn inject(sim: &mut Toy, i: usize) -> Result<(), BoxError> {
-        if i.is_multiple_of(2) {
-            sim.stuck = true;
-        } else {
-            sim.invert_next = true;
-        }
-        Ok(())
-    }
-
-    fn mixed_time_cases(n: usize) -> Vec<FaultCase> {
-        (0..n)
-            .map(|i| FaultCase::new(format!("case{i}"), Time::from_ns(3 + (i as i64 % 4) * 5)))
-            .collect()
-    }
 
     #[test]
     fn injection_stops_are_sorted_distinct_and_clamped() {
@@ -238,105 +39,5 @@ mod tests {
             injection_stops(&cases, Time::from_ns(40)),
             vec![Time::from_ns(10), Time::from_ns(30), Time::from_ns(40)]
         );
-    }
-
-    #[test]
-    fn forked_campaign_matches_scratch_campaign() {
-        let t_end = Time::from_ns(25);
-        let cases = mixed_time_cases(12);
-        let forked = run_campaign_forked(
-            &spec(t_end),
-            cases.clone(),
-            4,
-            t_end,
-            || Ok(Toy::new()),
-            inject,
-        )
-        .unwrap();
-        // Scratch reference: same stop sequence per case (trivially shared
-        // here — the toy ticks on a fixed grid).
-        let scratch = run_campaign(&spec(t_end), cases, |case| {
-            let mut sim = Toy::new();
-            if let Some(i) = case {
-                sim.advance_to(Time::from_ns(3 + (i as i64 % 4) * 5))?;
-                inject(&mut sim, i)?;
-            }
-            sim.advance_to(t_end)?;
-            Ok(sim.snapshot_trace())
-        })
-        .unwrap();
-        assert_eq!(forked.golden, scratch.golden);
-        assert_eq!(forked.cases.len(), scratch.cases.len());
-        for (a, b) in forked.cases.iter().zip(&scratch.cases) {
-            assert_eq!(a, b, "case {}", a.case);
-        }
-    }
-
-    #[test]
-    fn injection_past_the_horizon_is_clamped_to_no_effect() {
-        let t_end = Time::from_ns(10);
-        let cases = vec![FaultCase::new("late", Time::from_ns(50))];
-        let result =
-            run_campaign_forked(&spec(t_end), cases, 1, t_end, || Ok(Toy::new()), inject).unwrap();
-        // The fork is taken at the horizon; injecting there changes nothing
-        // observable because no further ticks run.
-        assert_eq!(
-            result.cases[0].outcome.class,
-            crate::classify::FaultClass::NoEffect
-        );
-    }
-
-    #[test]
-    fn golden_build_failure_is_reported_without_a_case() {
-        let err = run_campaign_forked(
-            &spec(Time::from_ns(10)),
-            mixed_time_cases(2),
-            2,
-            Time::from_ns(10),
-            || Err::<Toy, BoxError>("no netlist".into()),
-            inject,
-        )
-        .unwrap_err();
-        assert_eq!(err.case, None);
-        assert!(err.to_string().contains("golden"));
-    }
-
-    #[test]
-    fn inject_failure_carries_the_case_index() {
-        let err = run_campaign_forked(
-            &spec(Time::from_ns(10)),
-            mixed_time_cases(4),
-            2,
-            Time::from_ns(10),
-            || Ok(Toy::new()),
-            |sim, i| {
-                if i == 2 {
-                    return Err("bad target".into());
-                }
-                inject(sim, i)
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.case, Some(2));
-    }
-
-    #[test]
-    fn worker_panic_is_surfaced_as_a_run_error() {
-        let err = run_campaign_forked(
-            &spec(Time::from_ns(10)),
-            mixed_time_cases(4),
-            2,
-            Time::from_ns(10),
-            || Ok(Toy::new()),
-            |sim, i| {
-                if i == 3 {
-                    panic!("simulated diverging fork");
-                }
-                inject(sim, i)
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.case, Some(3));
-        assert!(err.to_string().contains("diverging fork"), "{err}");
     }
 }

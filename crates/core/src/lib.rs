@@ -85,7 +85,7 @@ pub use campaign::{
 };
 pub use classify::{classify, CaseOutcome, ClassifySpec, FaultClass, ParseFaultClassError};
 pub use failure::{ParseSimFailureError, SimFailure};
-pub use fork::{injection_stops, run_campaign_forked};
+pub use fork::injection_stops;
 pub use identity::{fingerprint, CampaignTag};
 pub use online::OnlineClassifier;
 pub use propagation::{PropagationEdge, PropagationModel};

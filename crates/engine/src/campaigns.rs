@@ -5,14 +5,12 @@
 //! case (simulator state is not shareable across threads, and rebuilding is
 //! what the engine's build/simulate stage split measures).
 //!
-//! The definitions mirror the standalone study binaries in `crates/bench`
-//! (`fig8_parameter_sweep`, `ext_digital_campaign`, `ext_adc_sensitivity`,
-//! `ext_cpu_campaign`) so engine runs are comparable with the legacy path.
+//! `cpu` and `pll-digital` are also what the `ext_cpu_campaign` and
+//! `ext_digital_campaign` study binaries in `crates/bench` run: their case
+//! labels are `"<target> @ <time>"`, which those binaries' per-resource and
+//! per-target tables are grouped by.
 
-use crate::executor::{
-    BatchCaseOutcome, BatchGroupRun, BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork,
-    WorkerSlot,
-};
+use crate::executor::{BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork, WorkerSlot};
 use crate::stats::Stage;
 use crate::BoxError;
 use amsfi_circuits::adc::{self, AdcInput};
@@ -20,8 +18,8 @@ use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::pll::{self, names};
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist,
-    Simulator, WordBatchSimulator,
+    cells, BatchReport, DigitalSaboteur, InjectTarget, MutantTarget, Netlist, Simulator,
+    WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
 use amsfi_waves::{ForkableSim, Logic, Time, Tolerance};
@@ -71,7 +69,7 @@ impl Campaign {
                       group: &[usize],
                       hooks: LaneHooks<'_>,
                       slot: &mut WorkerSlot|
-                      -> Result<BatchGroupRun, BoxError> {
+                      -> Result<BatchReport, BoxError> {
                     // Reuse the worker's cursor unless it is already past
                     // this group's first instant: it only runs forwards,
                     // so a group behind it gets a new one from `build`.
@@ -82,12 +80,11 @@ impl Campaign {
                         .and_then(|s| s.downcast::<Simulator>().ok());
                     let (mut cursor, reused) = match parked {
                         Some(cursor) if cursor.current_time() <= first => (cursor, true),
-                        _ => {
-                            let mut cursor = build(ctx)?;
-                            cursor.install_budget(ctx.budget().clone());
-                            (Box::new(cursor), false)
-                        }
+                        _ => (Box::new(build(ctx)?), false),
                     };
+                    // This group's budget, on a kept cursor too: the
+                    // deadline it carries otherwise is an earlier group's.
+                    cursor.install_budget(ctx.budget().clone());
                     ctx.stage(Stage::Simulate);
                     cursor
                         .advance_to(first)
@@ -105,19 +102,17 @@ impl Campaign {
                     for &i in group {
                         word.add_lane(case_stops[i]);
                     }
-                    let report = word
-                        .run(
-                            |lane, target| inject(target, group[lane]).map_err(|e| e.to_string()),
-                            |lane, target| {
-                                let (budget, observer) = hooks(lane);
-                                target.set_budget(budget);
-                                if let Some(observer) = observer {
-                                    target.set_observer(observer);
-                                }
-                            },
-                        )
-                        .map_err(|e| Box::new(e) as BoxError)?;
-                    Ok(group_run(report))
+                    word.run(
+                        |lane, target| inject(target, group[lane]).map_err(|e| e.to_string()),
+                        |lane, target| {
+                            let (budget, observer) = hooks(lane);
+                            target.set_budget(budget);
+                            if let Some(observer) = observer {
+                                target.set_observer(observer);
+                            }
+                        },
+                    )
+                    .map_err(|e| Box::new(e) as BoxError)
                 },
             )
         };
@@ -138,24 +133,6 @@ impl Campaign {
         );
         campaign.batch = Some(BatchSpec { run: batch_run });
         campaign
-    }
-}
-
-/// A kernel's group report in the engine's terms.
-fn group_run(report: BatchReport) -> BatchGroupRun {
-    BatchGroupRun {
-        golden: report.golden,
-        outcomes: report
-            .outcomes
-            .into_iter()
-            .map(|outcome| match outcome {
-                LaneOutcome::Completed { trace, sealed_at } => {
-                    BatchCaseOutcome::Done { trace, sealed_at }
-                }
-                LaneOutcome::Clean { sealed_at } => BatchCaseOutcome::Clean { sealed_at },
-                LaneOutcome::Failed { error } => BatchCaseOutcome::Error(error),
-            })
-            .collect(),
     }
 }
 
@@ -207,6 +184,19 @@ pub fn build(name: &str, limit: Option<usize>) -> Option<Campaign> {
         campaign.cases.truncate(limit);
     }
     Some(campaign)
+}
+
+/// The exhaustive SEU fault list `targets x times`, injection-time major:
+/// case `i` flips `targets[i % targets.len()]` and is labelled
+/// `"<target> @ <time>"`.
+fn seu_cases(targets: &[MutantTarget], times: &[Time]) -> Vec<FaultCase> {
+    let mut cases = Vec::with_capacity(targets.len() * times.len());
+    for &at in times {
+        for target in targets {
+            cases.push(FaultCase::new(format!("{target} @ {at}"), at));
+        }
+    }
+    cases
 }
 
 /// The Fig. 8 pulse list: the paper's four `(PA, RT, FT, PW)` sets plus the
@@ -281,14 +271,7 @@ fn pll_digital() -> Campaign {
     let targets = probe.mixed.digital().mutant_targets();
     let times = plan::uniform_times(Time::from_us(12), Time::from_us(16), 4);
 
-    let mut cases = Vec::new();
-    let mut index = Vec::new();
-    for (ti, &at) in times.iter().enumerate() {
-        for (gi, target) in targets.iter().enumerate() {
-            cases.push(FaultCase::new(format!("{target} @ {at}"), at));
-            index.push((gi, ti));
-        }
-    }
+    let cases = seu_cases(&targets, &times);
 
     let mut outputs: Vec<String> = (0..8).map(|i| format!("{}[{i}]", names::COUNT)).collect();
     outputs.push(names::SHIFT_OUT.to_owned());
@@ -298,7 +281,6 @@ fn pll_digital() -> Campaign {
         .with_digital_skew(Time::from_ns(2));
 
     let targets = Arc::new(targets);
-    let index = Arc::new(index);
     Campaign::forked(
         "pll-digital",
         spec,
@@ -311,8 +293,7 @@ fn pll_digital() -> Campaign {
             Ok(bench)
         },
         move |bench: &mut pll::PllBench, i| {
-            let (gi, _ti) = index[i];
-            let target = &targets[gi];
+            let target = &targets[i % targets.len()];
             bench
                 .mixed
                 .digital_mut()
@@ -413,44 +394,42 @@ enum AdcCase {
     Flip(usize, usize),
 }
 
+/// The CPU bench of `cpu` and `cpu-set`: a 100 MHz clock, reset tied low —
+/// through a [`DigitalSaboteur`] when `saboteur` — and the processor running
+/// its checksum program, `out` monitored.
+fn cpu_bench(saboteur: bool) -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let out = net.signal("out", 8);
+    let pc = net.signal("pc", 6);
+    net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    net.add(
+        "cpu",
+        TinyCpu::new(checksum_program(), Time::ZERO),
+        &[clk, rst],
+        &[out, pc],
+    );
+    if saboteur {
+        net.insert_saboteur(rst, Box::new(DigitalSaboteur::new(1)));
+    }
+    let mut sim = Simulator::new(net);
+    sim.monitor_name("out");
+    sim
+}
+
 fn cpu() -> Campaign {
     const T_END: Time = Time::from_us(20);
-    fn build_sim() -> Simulator {
-        let mut net = Netlist::new();
-        let clk = net.signal("clk", 1);
-        let rst = net.signal("rst", 1);
-        let out = net.signal("out", 8);
-        let pc = net.signal("pc", 6);
-        net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
-        net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
-        let _cpu: ComponentId = net.add(
-            "cpu",
-            TinyCpu::new(checksum_program(), Time::ZERO),
-            &[clk, rst],
-            &[out, pc],
-        );
-        let mut sim = Simulator::new(net);
-        sim.monitor_name("out");
-        sim
-    }
-
-    let targets = build_sim().mutant_targets();
+    let targets = cpu_bench(false).mutant_targets();
     let times = plan::uniform_times(Time::from_us(2), Time::from_us(4), 3);
-    let mut cases = Vec::new();
-    let mut index = Vec::new();
-    for (ti, &at) in times.iter().enumerate() {
-        for (gi, t) in targets.iter().enumerate() {
-            cases.push(FaultCase::new(format!("{t} @ {at}"), at));
-            index.push((gi, ti));
-        }
-    }
+    let cases = seu_cases(&targets, &times);
     let spec = ClassifySpec::new(
         (Time::from_us(2), T_END),
         (0..8).map(|i| format!("out[{i}]")).collect(),
     );
 
     let targets = Arc::new(targets);
-    let index = Arc::new(index);
     Campaign::forked_batch(
         "cpu",
         spec,
@@ -458,11 +437,10 @@ fn cpu() -> Campaign {
         T_END,
         |ctx: &CaseCtx| {
             ctx.stage(Stage::Build);
-            Ok(build_sim())
+            Ok(cpu_bench(false))
         },
         move |sim: &mut dyn InjectTarget, i| {
-            let (gi, _ti) = index[i];
-            let t = &targets[gi];
+            let t = &targets[i % targets.len()];
             sim.flip_state(t.component, t.bit);
             Ok(())
         },
@@ -485,26 +463,6 @@ fn cpu() -> Campaign {
 /// (`cpu-seu-word`); see DESIGN.md "Bit-parallel simulation".
 fn cpu_set() -> Campaign {
     const T_END: Time = Time::from_us(20);
-    fn build_sim() -> Simulator {
-        let mut net = Netlist::new();
-        let clk = net.signal("clk", 1);
-        let rst = net.signal("rst", 1);
-        let out = net.signal("out", 8);
-        let pc = net.signal("pc", 6);
-        net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
-        net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
-        let _cpu: ComponentId = net.add(
-            "cpu",
-            TinyCpu::new(checksum_program(), Time::ZERO),
-            &[clk, rst],
-            &[out, pc],
-        );
-        net.insert_saboteur(rst, Box::new(DigitalSaboteur::new(1)));
-        let mut sim = Simulator::new(net);
-        sim.monitor_name("out");
-        sim
-    }
-
     // 160 instants stepping ~40.9 ns sweep the pulse phase across the 20 ns
     // clock period; widths 1–4 ns keep the expected unmasked fraction
     // around w/20 ≈ 12%.
@@ -536,7 +494,7 @@ fn cpu_set() -> Campaign {
         T_END,
         |ctx: &CaseCtx| {
             ctx.stage(Stage::Build);
-            Ok(build_sim())
+            Ok(cpu_bench(true))
         },
         move |sim: &mut dyn InjectTarget, i| {
             let fault = faults[i].clone();

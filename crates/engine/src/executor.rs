@@ -1,13 +1,16 @@
 //! The work-stealing campaign executor.
 //!
-//! Workers pull case indices from a shared atomic cursor (work stealing by
-//! construction: a worker stuck on a slow mixed-signal simulation simply
-//! stops claiming work while the others drain the queue). Each case gets a
-//! bounded retry budget with exponential backoff, an optional wall-clock
-//! timeout, and panic isolation — one diverging solver no longer kills a
-//! million-case campaign. Completed cases stream to the results
-//! [`journal`](crate::journal) as they finish, so a run can be killed at
-//! any instant and resumed.
+//! One run is one driver: the execution path is resolved once into a plan
+//! (scalar, checkpoint fork or bit-parallel batch), the golden run follows,
+//! and workers then pull *units* of pending cases — one case, or one batch
+//! group — from a shared atomic cursor (work stealing by construction: a
+//! worker stuck on a slow mixed-signal simulation simply stops claiming
+//! work while the others drain the queue). Each case gets a bounded retry
+//! budget with exponential backoff, an optional wall-clock timeout, and
+//! panic isolation — one diverging solver no longer kills a million-case
+//! campaign. Every route to a verdict ends in one booking step that counts
+//! the case and streams it to the results [`journal`](crate::journal), so a
+//! run can be killed at any instant and resumed.
 
 use crate::journal::{
     self, Journal, JournalEntry, JournalError, JournalMeta, QuarantinedCase, SkippedCase,
@@ -19,6 +22,7 @@ use amsfi_core::{
     classify, injection_stops, CampaignResult, CaseOutcome, CaseResult, ClassifySpec, FaultCase,
     OnlineClassifier, SimFailure,
 };
+use amsfi_digital::{BatchReport, LaneOutcome};
 use amsfi_telemetry::{Event, GuardKind, KernelMetrics, Telemetry};
 use amsfi_waves::{
     CancelToken, Checkpoint, ForkableSim, SimBudget, SimObserver, Time, Trace, LANES,
@@ -363,9 +367,10 @@ impl CaseCtx {
         }
     }
 
-    /// A context with no stats sink, for driving an engine-style runner
-    /// through the legacy [`amsfi_core::run_campaign_parallel`] path (the
-    /// old-vs-new comparisons in `crates/bench`).
+    /// A context with no stats sink, an unlimited budget and no telemetry,
+    /// for calling a campaign's runner or [`BatchSpec`] outside an engine
+    /// run (`batch_equivalence.rs` drives one word group on a
+    /// [`WorkerSlot`] with it).
     pub fn detached(index: Option<usize>) -> Self {
         CaseCtx {
             index,
@@ -517,47 +522,6 @@ impl fmt::Debug for ForkSpec {
     }
 }
 
-/// One case's outcome inside a bit-parallel group run (see [`BatchSpec`]).
-#[derive(Debug)]
-pub enum BatchCaseOutcome {
-    /// The lane produced a full-horizon trace, byte-identical to what a
-    /// scalar run of the same case would record. `sealed_at` is the
-    /// reconvergence-seal instant when the lane was retired early because
-    /// its machine state rejoined the golden machine's.
-    Done {
-        /// The lane's full-length trace.
-        trace: Trace,
-        /// Reconvergence-seal instant, `None` if the lane ran to the end.
-        sealed_at: Option<Time>,
-    },
-    /// The lane's full-horizon trace is the group's golden-lane trace
-    /// ([`BatchGroupRun::golden`]), so none was built. The engine checks
-    /// that trace against the campaign's golden run once per group and
-    /// gives every such lane the verdict of golden against itself, computed
-    /// once per run.
-    Clean {
-        /// Reconvergence-seal instant, `None` if the lane ran to the end.
-        sealed_at: Option<Time>,
-    },
-    /// The lane failed in isolation (guard trip, cooperative cancellation,
-    /// injection error). The engine consults the lane's online classifier
-    /// and otherwise falls back to the scalar path for this case alone.
-    Error(String),
-}
-
-/// What one [`BatchSpec`] group run hands back.
-#[derive(Debug)]
-pub struct BatchGroupRun {
-    /// The trace the group's own golden machine recorded over the full
-    /// horizon. It has to equal the campaign's golden run — lanes are
-    /// compared against the one, [`BatchCaseOutcome::Clean`] stands for the
-    /// other — and the engine degrades the group to the scalar path when it
-    /// does not.
-    pub golden: Trace,
-    /// One outcome per case of the group, in order.
-    pub outcomes: Vec<BatchCaseOutcome>,
-}
-
 /// Per-lane plumbing for a mutant lane about to be activated: called with
 /// the lane's position in the group, returns the [`SimBudget`] (guards,
 /// cancellation token, metrics) and optional [`SimObserver`] (streaming
@@ -597,9 +561,12 @@ pub struct PrefixFork {
 /// `run(ctx, group, hooks, slot)` simulates all cases in `group` (at most
 /// [`amsfi_waves::LANES`]` - 1` indices into [`Campaign::cases`]: 63 mutant
 /// lanes beside the in-word golden lane) lock-step against one golden
-/// machine and returns that machine's trace with one [`BatchCaseOutcome`]
-/// per index, in order ([`BatchGroupRun`]); `slot` is the calling worker's
-/// [`WorkerSlot`].
+/// machine and returns the kernel's own [`BatchReport`]: that machine's
+/// trace with one [`LaneOutcome`] per index, in order. The engine checks the
+/// golden-lane trace against the campaign's golden run once per group —
+/// lanes are compared against the one, [`LaneOutcome::Clean`] stands for the
+/// other — and degrades the group to the scalar path when they differ.
+/// `slot` is the calling worker's [`WorkerSlot`].
 /// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
 /// build/inject closures as the scalar paths, which is what guarantees
@@ -609,12 +576,7 @@ pub struct BatchSpec {
     /// Runs one case group lock-step; see [`BatchSpec`].
     #[allow(clippy::type_complexity)]
     pub run: Arc<
-        dyn Fn(
-                &CaseCtx,
-                &[usize],
-                LaneHooks<'_>,
-                &mut WorkerSlot,
-            ) -> Result<BatchGroupRun, BoxError>
+        dyn Fn(&CaseCtx, &[usize], LaneHooks<'_>, &mut WorkerSlot) -> Result<BatchReport, BoxError>
             + Send
             + Sync,
     >,
@@ -820,6 +782,10 @@ pub struct EngineReport {
     pub stats: StatsSnapshot,
     /// How many cases were taken from the journal instead of re-run.
     pub resumed: usize,
+    /// The execution path the run resolved its flags and the campaign's
+    /// capabilities to: `"scalar"`, `"fork"` or `"batch"`. Cases that did
+    /// not finish on it are counted in [`StatsSnapshot::fallbacks`].
+    pub path: &'static str,
 }
 
 /// Fatal engine errors. Per-case trouble is only fatal under
@@ -877,14 +843,32 @@ impl From<JournalError> for EngineError {
     }
 }
 
-/// Everything one attempt needs to arm an online classifier under
-/// [`EngineConfig::with_early_abort`]: the campaign's classification spec,
-/// a shared handle on the golden trace (the attempt thread is `'static`,
-/// so it cannot borrow the engine's copy) and the case's injection instant.
-struct EarlyAbort {
-    spec: ClassifySpec,
-    golden: Arc<Trace>,
+/// What arming an online classifier for one case takes under
+/// [`EngineConfig::with_early_abort`]: how the campaign classifies, the
+/// run's shared golden trace and the case's injection instant.
+#[derive(Clone, Copy)]
+struct EarlyAbort<'a> {
+    spec: &'a ClassifySpec,
+    golden: &'a Arc<Trace>,
     injected_at: Time,
+}
+
+/// A streaming classifier wired up for one scalar attempt or one batch
+/// lane (see [`Engine::arm`]): the observer goes to the kernel and shows the
+/// classifier the trace as it grows, the token goes into the simulation's
+/// budget, and the classifier is asked for its sealed verdict afterwards.
+struct Armed {
+    classifier: Arc<Mutex<OnlineClassifier>>,
+    observer: SimObserver,
+    token: CancelToken,
+}
+
+/// The verdict `classifier` sealed mid-simulation, if it did.
+fn sealed_verdict(classifier: &Arc<Mutex<OnlineClassifier>>) -> Option<CaseOutcome> {
+    classifier
+        .lock()
+        .ok()
+        .and_then(|guard| guard.sealed().cloned())
 }
 
 /// How one attempt ended (before retry/policy handling).
@@ -908,6 +892,61 @@ enum Attempt {
     RestoreFailed(String),
     TimedOut,
 }
+
+impl Attempt {
+    /// How a panic-isolated runner call ended.
+    fn of(out: std::thread::Result<Result<Trace, BoxError>>) -> Attempt {
+        match out {
+            Ok(Ok(trace)) => Attempt::Ok(trace),
+            Ok(Err(e)) if e.is::<SnapshotRestoreError>() => Attempt::RestoreFailed(e.to_string()),
+            Ok(Err(e)) => match SimFailure::from_error(e.as_ref()) {
+                Some(failure) => Attempt::SimFailed(failure),
+                None => Attempt::Failed(e.to_string()),
+            },
+            Err(payload) => Attempt::Failed(panic_message(payload)),
+        }
+    }
+}
+
+/// The path the cases of one run take, resolved once from the config flags
+/// and what the campaign supports. Batch wins over fork: a group forks off
+/// its worker's golden cursor and its scalar fallbacks run from scratch, so
+/// under a batch plan nothing would read a snapshot ladder.
+#[derive(Clone, Copy)]
+enum Plan<'a> {
+    /// Every case from scratch through [`Campaign::runner`].
+    Scalar,
+    /// Every case forked off a golden-prefix snapshot.
+    Fork(&'a ForkSpec),
+    /// Groups of cases as the lanes of one word machine.
+    Batch(&'a BatchSpec),
+}
+
+impl<'a> Plan<'a> {
+    fn resolve(config: &EngineConfig, campaign: &'a Campaign) -> Self {
+        match (&campaign.batch, &campaign.fork) {
+            (Some(spec), _) if config.batch => Plan::Batch(spec),
+            (_, Some(spec)) if config.checkpoint => Plan::Fork(spec),
+            _ => Plan::Scalar,
+        }
+    }
+
+    /// The `campaign` event's `path` field and [`EngineReport::path`].
+    fn name(self) -> &'static str {
+        match self {
+            Plan::Scalar => "scalar",
+            Plan::Fork(_) => "fork",
+            Plan::Batch(_) => "batch",
+        }
+    }
+}
+
+/// One worker's deep clone of the golden run's snapshot ladder (empty
+/// unless the plan is [`Plan::Fork`]). Snapshots are `Send` but not `Sync`
+/// (simulator internals hold `Send`-only trait objects), so workers cannot
+/// share references; the per-stop `Arc<Mutex<..>>` lets the per-case fork
+/// runner be `'static` for the timeout machinery.
+type SnapshotCache = BTreeMap<Time, Arc<Mutex<Snapshot>>>;
 
 /// The campaign-execution engine. Construct with a config, then call
 /// [`Engine::run`] per campaign.
@@ -952,15 +991,11 @@ impl Engine {
             .values()
             .filter(|e| matches!(e, JournalEntry::Done(_)))
             .count();
-        let pending = {
-            let mut pending = journal::pending(&entries, total, cfg.shard);
-            if !cfg.completed.is_empty() {
-                let done: std::collections::BTreeSet<usize> =
-                    cfg.completed.iter().copied().collect();
-                pending.retain(|i| !done.contains(i));
-            }
-            pending
-        };
+        let mut pending = journal::pending(&entries, total, cfg.shard);
+        if !cfg.completed.is_empty() {
+            let done: std::collections::BTreeSet<usize> = cfg.completed.iter().copied().collect();
+            pending.retain(|i| !done.contains(i));
+        }
 
         // Resumed completions and previously-quarantined cases both count
         // exactly once in the summary denominator.
@@ -977,87 +1012,33 @@ impl Engine {
         let stats = Arc::new(EngineStats::with_metrics(pending.len(), metrics));
         stats.seed_resumed(resumed + prior_quarantined, prior_quarantined);
 
+        let plan = Plan::resolve(cfg, campaign);
         tele.emit_with(|| {
             // Fingerprint and shard identify this run's slice of the
             // campaign across processes: a distributed report joins
-            // worker event streams on exactly these fields.
+            // worker event streams on exactly these fields. `checkpoint`
+            // echoes the flag; `path` is what the run resolved it to.
             Event::new("campaign", &campaign.name)
                 .with_field("cases", pending.len())
                 .with_field("resumed", resumed)
                 .with_field("prior_quarantined", prior_quarantined)
                 .with_field("workers", cfg.effective_workers())
                 .with_field("checkpoint", cfg.checkpoint)
-                .with_field(
-                    "fingerprint",
-                    format!("{:016x}", campaign.meta().fingerprint),
-                )
+                .with_field("path", plan.name())
+                .with_field("fingerprint", format!("{:016x}", meta.fingerprint))
                 .with_field("shard", cfg.shard.index)
                 .with_field("shards", cfg.shard.count)
         });
-
-        // Bit-parallel mode: workers claim *groups* of cases and run each
-        // group lock-step through the campaign's batch spec.
-        let batch_spec = campaign.batch.as_ref().filter(|_| cfg.batch);
-        if cfg.batch && batch_spec.is_none() {
+        if cfg.batch && !matches!(plan, Plan::Batch(_)) {
             tele.emit_with(|| {
                 Event::new("batch", "fallback").with_field("reason", "campaign has no batch spec")
             });
         }
-        // Batch groups never fork off a snapshot (nor do their scalar
-        // fallbacks), so the snapshot ladder is built only for a run that
-        // will read it.
-        let fork_spec = campaign
-            .fork
-            .as_ref()
-            .filter(|_| cfg.checkpoint && batch_spec.is_none());
 
         // The golden run is mandatory even when everything is resumed —
-        // the report's golden trace is not journaled (it can be huge). In
-        // checkpoint mode it also fills the snapshot cache, so it runs
-        // inline (panic-isolated but without retry/timeout: a failing
-        // golden run is fatal under any policy).
-        let mut snaps: BTreeMap<Time, Snapshot> = BTreeMap::new();
+        // the report's golden trace is not journaled (it can be huge).
         let golden_t0 = Instant::now();
-        let golden = match fork_spec {
-            Some(spec) => {
-                let ctx = CaseCtx::attached(
-                    None,
-                    0,
-                    Arc::clone(&stats),
-                    self.case_budget(),
-                    tele.clone(),
-                    None,
-                );
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    (spec.golden)(&ctx, &mut |t, snap| {
-                        snaps.insert(t, snap);
-                    })
-                }));
-                ctx.finish();
-                match outcome {
-                    Ok(Ok(trace)) => trace,
-                    Ok(Err(e)) => return Err(EngineError::Golden(e.to_string())),
-                    Err(payload) => return Err(EngineError::Golden(panic_message(payload))),
-                }
-            }
-            None => match self.attempt_case(&campaign.runner, None, &stats, None).0 {
-                Attempt::Ok(trace) => trace,
-                Attempt::Failed(e) | Attempt::RestoreFailed(e) => {
-                    return Err(EngineError::Golden(e))
-                }
-                // A guard trip on the fault-free run means the budget (or
-                // the model) cannot cover the horizon: fatal, nothing can
-                // be classified against it.
-                Attempt::SimFailed(f) => return Err(EngineError::Golden(f.to_string())),
-                Attempt::TimedOut => return Err(EngineError::Golden("timed out".to_owned())),
-                Attempt::Sealed { .. } => {
-                    unreachable!("the golden run never arms an online classifier")
-                }
-            },
-        };
-        // One shared golden trace for the whole run: the online classifiers
-        // on every worker hold `Arc` clones instead of deep copies.
-        let golden = Arc::new(golden);
+        let (golden, snaps) = self.golden_run(campaign, plan, &stats)?;
         if let Some(metrics) = tele.metrics() {
             metrics.golden_trace_bytes.add(golden.approx_bytes());
         }
@@ -1065,39 +1046,23 @@ impl Engine {
             Event::new("span", "golden")
                 .with_dur_us(golden_t0.elapsed().as_micros() as u64)
                 .with_field("snapshots", snaps.len())
-                .with_field("checkpoint", fork_spec.is_some())
+                .with_field("checkpoint", matches!(plan, Plan::Fork(_)))
         });
 
-        let golden_ref = &golden;
-        // What golden classifies as against itself: the verdict of every
-        // lane a batch group reports as `Clean`, worked out by the first.
-        let clean_verdict: OnceLock<CaseOutcome> = OnceLock::new();
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let fatal: Mutex<Option<EngineError>> = Mutex::new(None);
-        let fresh: Mutex<Vec<(usize, JournalEntry)>> = Mutex::new(Vec::new());
+        // Workers claim *units* of `per` pending cases: one case, or when
+        // batching one group. Groups are cut from the list sorted by
+        // ascending injection instant, so the lanes of one group activate
+        // off a shared golden prefix, and hold one case fewer than the word
+        // has lanes: the last lane carries the golden machine.
         let workers = cfg.effective_workers().min(pending.len()).max(1);
-
-        // Batch cases are grouped by ascending injection instant, so the
-        // lanes of one group activate off a shared golden prefix. A group
-        // holds one case fewer than the word has lanes: the last lane
-        // carries the golden machine.
-        let groups: Vec<Vec<usize>> = if batch_spec.is_some() {
-            let mut sorted = pending.clone();
-            sorted.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
-            let per = sorted.len().div_ceil(workers).clamp(1, LANES - 1);
-            sorted.chunks(per).map(<[usize]>::to_vec).collect()
-        } else {
-            Vec::new()
+        let per = match plan {
+            Plan::Batch(_) => {
+                pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
+                pending.len().div_ceil(workers).clamp(1, LANES - 1)
+            }
+            Plan::Scalar | Plan::Fork(_) => 1,
         };
-        let groups = &groups;
-
-        // Per-worker checkpoint caches: snapshots are `Send` but not
-        // `Sync` (simulator internals hold `Send`-only trait objects), so
-        // every worker owns a deep clone of the cache instead of sharing
-        // references. The per-stop `Arc<Mutex<..>>` lets the per-case fork
-        // runner be `'static` for the timeout machinery.
-        let worker_caches: Vec<BTreeMap<Time, Arc<Mutex<Snapshot>>>> = (0..workers)
+        let worker_caches: Vec<SnapshotCache> = (0..workers)
             .map(|_| {
                 snaps
                     .iter()
@@ -1106,9 +1071,24 @@ impl Engine {
             })
             .collect();
 
+        // One shared golden trace for the whole run: the online classifiers
+        // on every worker hold `Arc` clones instead of deep copies.
+        let run = Run {
+            engine: self,
+            campaign,
+            golden: Arc::new(golden),
+            stats,
+            journal,
+            clean_verdict: OnceLock::new(),
+        };
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let fatal: OnceLock<EngineError> = OnceLock::new();
+        let fresh: Mutex<Vec<(usize, JournalEntry)>> = Mutex::new(Vec::new());
+
         std::thread::scope(|scope| {
             let progress = cfg.progress.map(|interval| {
-                let stats = Arc::clone(&stats);
+                let stats = Arc::clone(&run.stats);
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut last = Instant::now();
@@ -1134,10 +1114,8 @@ impl Engine {
                 .into_iter()
                 .enumerate()
                 .map(|(worker_id, cache)| {
-                    let stats = Arc::clone(&stats);
+                    let (run, pending) = (&run, &pending);
                     let (next, stop, fatal, fresh) = (&next, &stop, &fatal, &fresh);
-                    let clean_verdict = &clean_verdict;
-                    let (pending, journal) = (&pending, &journal);
                     scope.spawn(move || {
                         tele.emit_with(|| {
                             // "thread", not "worker": the worker key is
@@ -1145,106 +1123,32 @@ impl Engine {
                             // stamped by distributed trace context.
                             Event::new("worker", "start").with_field("thread", worker_id)
                         });
+                        let mut slot = WorkerSlot::default();
+                        // The entries of the unit in hand.
+                        let mut done = Vec::new();
                         let mut claimed = 0usize;
-                        if let Some(spec) = batch_spec {
-                            let mut worker_slot = WorkerSlot::default();
-                            loop {
-                                if stop.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let slot = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(group) = groups.get(slot) else {
-                                    break;
-                                };
-                                claimed += group.len();
-                                match self.execute_batch(
-                                    campaign,
-                                    spec,
-                                    group,
-                                    &mut worker_slot,
-                                    golden_ref,
-                                    clean_verdict,
-                                    &stats,
-                                    journal.as_ref(),
-                                ) {
-                                    Ok(batch_entries) => fresh
-                                        .lock()
-                                        .expect("results poisoned")
-                                        .extend(batch_entries),
-                                    Err(error) => {
-                                        stop.store(true, Ordering::Relaxed);
-                                        let mut fatal = fatal.lock().expect("fatal slot poisoned");
-                                        if fatal.is_none() {
-                                            *fatal = Some(error);
-                                        }
-                                        break;
-                                    }
-                                }
-                            }
-                            tele.emit_with(|| {
-                                Event::new("worker", "exit")
-                                    .with_field("thread", worker_id)
-                                    .with_field("claimed", claimed)
-                            });
-                            return;
-                        }
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&index) = pending.get(slot) else {
+                        while !stop.load(Ordering::Relaxed) {
+                            let claim = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(unit) = pending.chunks(per).nth(claim) else {
                                 break;
                             };
-                            claimed += 1;
-                            // In checkpoint mode, wrap the fork closure and this
-                            // case's snapshot (taken at the largest stop not
-                            // after its injection instant) into a runner.
-                            let forked = fork_spec.and_then(|spec| {
-                                let at = campaign.cases[index].injected_at.min(spec.t_end);
-                                let hit = cache.range(..=at).next_back().map(|(t, snap)| {
-                                    let snap = Arc::clone(snap);
-                                    let fork = Arc::clone(&spec.fork);
-                                    let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
-                                        // Deep-clone under a short lock so a
-                                        // timed-out (abandoned) attempt cannot
-                                        // wedge later retries of the same case.
-                                        let owned = snap
-                                            .lock()
-                                            .expect("snapshot poisoned")
-                                            .clone_snapshot();
-                                        fork(ctx, &owned)
-                                    });
-                                    (runner, *t)
-                                });
-                                if let Some(metrics) = tele.metrics() {
-                                    if hit.is_some() {
-                                        metrics.snapshot_hits.inc();
-                                    } else {
-                                        metrics.snapshot_misses.inc();
-                                    }
-                                }
-                                hit
-                            });
-                            let outcome = self.execute_one(
-                                campaign,
-                                index,
-                                golden_ref,
-                                &stats,
-                                journal.as_ref(),
-                                forked,
-                            );
+                            claimed += unit.len();
+                            let mut one = |forked| {
+                                let entry = run.execute_one(unit[0], forked)?;
+                                done.push((unit[0], entry));
+                                Ok(())
+                            };
+                            let outcome = match plan {
+                                Plan::Batch(s) => run.execute_batch(s, unit, &mut slot, &mut done),
+                                Plan::Fork(spec) => one(run.fork_runner(spec, &cache, unit[0])),
+                                Plan::Scalar => one(None),
+                            };
                             match outcome {
-                                Ok(entry) => {
-                                    fresh.lock().expect("results poisoned").push((index, entry));
-                                }
+                                Ok(()) => fresh.lock().expect("results poisoned").append(&mut done),
                                 Err(error) => {
                                     stop.store(true, Ordering::Relaxed);
-                                    let mut fatal = fatal.lock().expect("fatal slot poisoned");
-                                    if fatal.is_none() {
-                                        *fatal = Some(error);
-                                    }
-                                    break;
+                                    // The first fatal error is the run's.
+                                    let _ = fatal.set(error);
                                 }
                             }
                         }
@@ -1267,7 +1171,7 @@ impl Engine {
 
         // Fold journal I/O tallies into the metrics before any early
         // return, so a fatal run still dumps accurate counters.
-        if let Some(journal) = &journal {
+        if let Some(journal) = &run.journal {
             if let Some(metrics) = tele.metrics() {
                 metrics.journal_records.add(journal.records_written());
                 metrics.journal_bytes.add(journal.bytes_written());
@@ -1279,7 +1183,7 @@ impl Engine {
             });
         }
 
-        if let Some(error) = fatal.into_inner().expect("fatal slot poisoned") {
+        if let Some(error) = fatal.into_inner() {
             return Err(error);
         }
 
@@ -1289,8 +1193,8 @@ impl Engine {
             entries.insert(index, entry);
         }
         let (mut result, skipped, quarantined) = journal::assemble(&entries);
-        result.golden = Arc::try_unwrap(golden).unwrap_or_else(|shared| (*shared).clone());
-        let stats = stats.snapshot();
+        result.golden = Arc::try_unwrap(run.golden).unwrap_or_else(|shared| (*shared).clone());
+        let stats = run.stats.snapshot();
         tele.emit_with(|| {
             Event::new("campaign", "end")
                 .with_field("done", stats.done)
@@ -1304,461 +1208,51 @@ impl Engine {
             quarantined,
             stats,
             resumed,
+            path: plan.name(),
         })
     }
 
-    /// Writes one finished case's record line to the journal (when
-    /// configured) and streams it to the record sink (when configured).
-    /// `format` runs only if at least one of the two is present, so runs
-    /// with neither pay nothing.
-    fn emit_record(
-        &self,
-        journal: Option<&Journal>,
-        index: usize,
-        format: impl FnOnce() -> String,
-    ) -> Result<(), EngineError> {
-        if journal.is_none() && self.config.record_sink.is_none() {
-            return Ok(());
-        }
-        let line = format();
-        if let Some(journal) = journal {
-            journal.append_line(&line)?;
-        }
-        if let Some(sink) = &self.config.record_sink {
-            sink.deliver(index, &line);
-        }
-        Ok(())
-    }
-
-    /// Runs one case end-to-end: attempts (with retries), classification,
-    /// journaling, counter updates. `Err` only under [`ErrorPolicy::FailFast`].
-    ///
-    /// `forked` carries the checkpoint-fork runner and the snapshot instant
-    /// when the case runs in checkpoint mode; `None` uses the campaign's
-    /// from-scratch runner.
-    fn execute_one(
+    /// The fault-free run every case is classified against, plus — under
+    /// [`Plan::Fork`] — a snapshot at every injection stop. A failure is
+    /// fatal under any policy: nothing can be classified without it.
+    fn golden_run(
         &self,
         campaign: &Campaign,
-        index: usize,
-        golden: &Arc<Trace>,
+        plan: Plan<'_>,
         stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-        forked: Option<(CaseRunner, Time)>,
-    ) -> Result<JournalEntry, EngineError> {
-        let case = &campaign.cases[index];
-        let tele = &self.config.telemetry;
-        let case_t0 = Instant::now();
-        let (runner, mut forked_at) = match forked {
-            Some((runner, at)) => (runner, Some(at)),
-            None => (Arc::clone(&campaign.runner), None),
-        };
-        let early = self.config.early_abort.then(|| EarlyAbort {
-            spec: campaign.spec.clone(),
-            golden: Arc::clone(golden),
-            injected_at: case.injected_at,
-        });
-        let (mut attempt, mut attempts) =
-            self.attempt_case(&runner, Some(index), stats, early.as_ref());
-        // Graceful degradation: a snapshot that cannot be restored fails
-        // deterministically, so instead of burning the retry budget on the
-        // fork path the case re-runs from scratch.
-        if matches!(attempt, Attempt::RestoreFailed(_)) && forked_at.is_some() {
-            forked_at = None;
-            if let Some(metrics) = tele.metrics() {
-                metrics.restore_fallbacks.inc();
+    ) -> Result<(Trace, BTreeMap<Time, Snapshot>), EngineError> {
+        let mut snaps = BTreeMap::new();
+        let attempt = match plan {
+            // The snapshot sink borrows this stack, so the checkpointed
+            // golden run is inline: panic-isolated, but without retry,
+            // timeout or step metering.
+            Plan::Fork(spec) => {
+                let telemetry = self.config.telemetry.clone();
+                let budget = self.case_budget();
+                let ctx = CaseCtx::attached(None, 0, Arc::clone(stats), budget, telemetry, None);
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    (spec.golden)(&ctx, &mut |t, snap| {
+                        snaps.insert(t, snap);
+                    })
+                }));
+                ctx.finish();
+                Attempt::of(out)
             }
-            tele.emit_with(|| Event::new("checkpoint", "fallback").with_case(index));
-            let (fallback, n) =
-                self.attempt_case(&campaign.runner, Some(index), stats, early.as_ref());
-            attempt = fallback;
-            attempts += n;
+            Plan::Scalar | Plan::Batch(_) => {
+                self.attempt_case(&campaign.runner, None, stats, None).0
+            }
+        };
+        match attempt {
+            Attempt::Ok(trace) => Ok((trace, snaps)),
+            Attempt::Failed(e) | Attempt::RestoreFailed(e) => Err(EngineError::Golden(e)),
+            // A guard trip on the fault-free run means the budget (or the
+            // model) cannot cover the horizon.
+            Attempt::SimFailed(f) => Err(EngineError::Golden(f.to_string())),
+            Attempt::TimedOut => Err(EngineError::Golden("timed out".to_owned())),
+            Attempt::Sealed { .. } => {
+                unreachable!("the golden run never arms an online classifier")
+            }
         }
-        let outcome = match attempt {
-            Attempt::Ok(trace) => self
-                .finalize_done(campaign, index, golden, stats, journal, trace, forked_at)
-                .map(JournalEntry::Done),
-            Attempt::Sealed { outcome, steps } => self
-                .finalize_sealed(campaign, index, stats, journal, *outcome, steps, forked_at)
-                .map(JournalEntry::Done),
-            Attempt::SimFailed(failure) => {
-                // A guard trip is a verdict, not an infrastructure error:
-                // the case is done, classified as a simulation failure.
-                let kind = guard_kind(&failure);
-                if let Some(metrics) = tele.metrics() {
-                    metrics.guard_trip(kind);
-                }
-                tele.emit_with(|| {
-                    Event::new("guard", kind.label())
-                        .with_case(index)
-                        .with_field("detail", &failure)
-                });
-                let outcome = CaseOutcome::from_sim_failure(failure);
-                stats.record_class(outcome.class);
-                let result = CaseResult {
-                    case: case.clone(),
-                    outcome,
-                };
-                self.emit_record(journal, index, || {
-                    journal::case_line(index, &result, forked_at)
-                })?;
-                Ok(JournalEntry::Done(result))
-            }
-            Attempt::Failed(_) | Attempt::RestoreFailed(_) | Attempt::TimedOut => {
-                let error = match attempt {
-                    Attempt::TimedOut => format!(
-                        "timed out after {:?}",
-                        self.config.timeout.unwrap_or_default()
-                    ),
-                    Attempt::Failed(e) | Attempt::RestoreFailed(e) => e,
-                    Attempt::Ok(_) | Attempt::SimFailed(_) | Attempt::Sealed { .. } => {
-                        unreachable!()
-                    }
-                };
-                match self.config.error_policy {
-                    ErrorPolicy::FailFast => Err(EngineError::Case {
-                        index,
-                        label: case.label.clone(),
-                        attempts,
-                        error,
-                    }),
-                    ErrorPolicy::SkipAndRecord if self.config.quarantine => {
-                        let q = QuarantinedCase {
-                            index,
-                            case: case.clone(),
-                            attempts,
-                            reason: error,
-                        };
-                        self.emit_record(journal, index, || journal::quarantine_line(&q))?;
-                        stats.record_quarantine();
-                        tele.emit_with(|| {
-                            Event::new("quarantine", "case")
-                                .with_case(index)
-                                .with_field("attempts", q.attempts)
-                                .with_field("reason", &q.reason)
-                        });
-                        Ok(JournalEntry::Quarantined(q))
-                    }
-                    ErrorPolicy::SkipAndRecord => {
-                        let skip = SkippedCase {
-                            index,
-                            case: case.clone(),
-                            attempts,
-                            error,
-                        };
-                        self.emit_record(journal, index, || journal::skip_line(&skip))?;
-                        stats.record_skip();
-                        tele.emit_with(|| {
-                            Event::new("skip", "case")
-                                .with_case(index)
-                                .with_field("attempts", skip.attempts)
-                                .with_field("reason", &skip.error)
-                        });
-                        Ok(JournalEntry::Skipped(skip))
-                    }
-                }
-            }
-        };
-        let dur_us = case_t0.elapsed().as_micros() as u64;
-        if let Some(metrics) = tele.metrics() {
-            metrics.case_latency_us.observe(dur_us);
-        }
-        tele.emit_with(|| {
-            let mut event = Event::new("span", "case")
-                .with_case(index)
-                .with_dur_us(dur_us)
-                .with_field("label", &case.label)
-                .with_field("attempts", attempts);
-            event = match &outcome {
-                Ok(JournalEntry::Done(result)) => event.with_field("class", result.outcome.class),
-                Ok(JournalEntry::Skipped(_)) => event.with_field("outcome", "skipped"),
-                Ok(JournalEntry::Quarantined(_)) => event.with_field("outcome", "quarantined"),
-                Err(_) => event.with_field("outcome", "fatal"),
-            };
-            event
-        });
-        outcome
-    }
-
-    /// Classifies a completed trace and journals the case: the shared tail
-    /// of [`Attempt::Ok`] handling for the scalar and batch paths.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_done(
-        &self,
-        campaign: &Campaign,
-        index: usize,
-        golden: &Arc<Trace>,
-        stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-        trace: Trace,
-        forked_at: Option<Time>,
-    ) -> Result<CaseResult, EngineError> {
-        let t0 = Instant::now();
-        let outcome = classify(&campaign.spec, golden, &trace);
-        stats.record_stage(Stage::Classify, t0.elapsed());
-        self.book_verdict(campaign, index, stats, journal, outcome, forked_at)
-    }
-
-    /// Counts and journals a case's verdict: what follows classification,
-    /// however the verdict was come by.
-    fn book_verdict(
-        &self,
-        campaign: &Campaign,
-        index: usize,
-        stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-        outcome: CaseOutcome,
-        forked_at: Option<Time>,
-    ) -> Result<CaseResult, EngineError> {
-        stats.record_class(outcome.class);
-        let result = CaseResult {
-            case: campaign.cases[index].clone(),
-            outcome,
-        };
-        self.emit_record(journal, index, || {
-            journal::case_line(index, &result, forked_at)
-        })?;
-        Ok(result)
-    }
-
-    /// Books a sealed early-abort verdict: class counters, saved-work
-    /// estimation, journaling. Shared by the scalar attempt path and the
-    /// per-lane batch path.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_sealed(
-        &self,
-        campaign: &Campaign,
-        index: usize,
-        stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-        outcome: CaseOutcome,
-        steps: u64,
-        forked_at: Option<Time>,
-    ) -> Result<CaseResult, EngineError> {
-        let tele = &self.config.telemetry;
-        let class = outcome.class;
-        let sealed_at = outcome.sealed_at.unwrap_or(campaign.spec.window.1);
-        // The simulation time the abort skipped. Runs advance to
-        // the fork spec's horizon when there is one; campaigns
-        // without a fork spec stop at the observation window's end.
-        let horizon = campaign
-            .fork
-            .as_ref()
-            .map_or(campaign.spec.window.1, |f| f.t_end);
-        let saved = if horizon > sealed_at {
-            horizon - sealed_at
-        } else {
-            Time::ZERO
-        };
-        // Extrapolate saved steps from the attempt's measured step
-        // density over the simulated span (fork instant → seal).
-        let covered = sealed_at - forked_at.unwrap_or(Time::ZERO);
-        let saved_steps = if covered > Time::ZERO {
-            ((i128::from(steps) * i128::from(saved.as_fs())) / i128::from(covered.as_fs())) as u64
-        } else {
-            0
-        };
-        stats.record_class(class);
-        if let Some(metrics) = tele.metrics() {
-            metrics.early_aborts.inc();
-            metrics.saved_sim_fs.add(saved.as_fs().max(0) as u64);
-            metrics.saved_steps.add(saved_steps);
-        }
-        tele.emit_with(|| {
-            Event::new("early_abort", "sealed")
-                .with_case(index)
-                .with_field("class", class)
-                .with_field("sealed_at_fs", sealed_at.as_fs())
-                .with_field("saved_fs", saved.as_fs())
-                .with_field("saved_steps", saved_steps)
-        });
-        let result = CaseResult {
-            case: campaign.cases[index].clone(),
-            outcome,
-        };
-        self.emit_record(journal, index, || {
-            journal::case_line(index, &result, forked_at)
-        })?;
-        Ok(result)
-    }
-
-    /// Runs one case group bit-parallel through the campaign's
-    /// [`BatchSpec`] and finalizes every lane.
-    ///
-    /// Lane plumbing mirrors [`Engine::run_attempt`] exactly: with
-    /// `--early-abort` each lane gets its own [`CancelToken`] +
-    /// [`OnlineClassifier`] + [`SimObserver`], and a sealed verdict wins
-    /// over whatever the cancelled lane simulation reported. A lane that
-    /// fails without a sealed verdict falls back to the scalar path for
-    /// that case alone — which re-derives guard-trip verdicts, retry
-    /// accounting and quarantine exactly as a scalar run would.
-    ///
-    /// The group's golden-lane trace must equal the campaign's golden run:
-    /// lanes were simulated against the former and are classified against
-    /// the latter, and a [`BatchCaseOutcome::Clean`] lane is booked with
-    /// `clean_verdict`, golden classified against itself. A group whose
-    /// golden lane differs is re-run scalar instead.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_batch(
-        &self,
-        campaign: &Campaign,
-        spec: &BatchSpec,
-        group: &[usize],
-        slot: &mut WorkerSlot,
-        golden: &Arc<Trace>,
-        clean_verdict: &OnceLock<CaseOutcome>,
-        stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-    ) -> Result<Vec<(usize, JournalEntry)>, EngineError> {
-        let tele = &self.config.telemetry;
-        let group_t0 = Instant::now();
-        slot.fork = None;
-        let mut lane_classifiers: Vec<Option<Arc<Mutex<OnlineClassifier>>>> =
-            (0..group.len()).map(|_| None).collect();
-        let mut group_budget = self.case_budget();
-        if let Some(metrics) = tele.metrics() {
-            group_budget = group_budget.with_metrics(Arc::clone(metrics));
-        }
-        let ctx = CaseCtx::attached(None, 0, Arc::clone(stats), group_budget, tele.clone(), None);
-        let outcomes = {
-            let classifiers = &mut lane_classifiers;
-            let mut hooks = |lane: usize| -> (SimBudget, Option<SimObserver>) {
-                let mut budget = self.case_budget();
-                if let Some(metrics) = tele.metrics() {
-                    budget = budget.with_metrics(Arc::clone(metrics));
-                }
-                let mut observer = None;
-                if self.config.early_abort {
-                    let token = CancelToken::new();
-                    let classifier = Arc::new(Mutex::new(OnlineClassifier::new(
-                        &campaign.spec,
-                        Arc::clone(golden),
-                        campaign.cases[group[lane]].injected_at,
-                        self.config.settle,
-                        token.clone(),
-                    )));
-                    classifiers[lane] = Some(Arc::clone(&classifier));
-                    observer = Some(SimObserver::new(move |t, view| {
-                        if let Ok(mut classifier) = classifier.lock() {
-                            classifier.observe(t, view);
-                        }
-                    }));
-                    budget = budget.with_cancel(token);
-                }
-                (budget, observer)
-            };
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                (spec.run)(&ctx, group, &mut hooks, slot)
-            }));
-            ctx.finish();
-            out
-        };
-        let outcomes = match outcomes {
-            Ok(Ok(run)) if run.outcomes.len() != group.len() => Err(format!(
-                "batch returned {} outcomes for {} lanes",
-                run.outcomes.len(),
-                group.len()
-            )),
-            Ok(Ok(run)) if run.golden != **golden => {
-                Err("golden lane differs from the golden run".to_owned())
-            }
-            Ok(Ok(run)) => Ok(run.outcomes),
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => Err(panic_message(payload)),
-        };
-        let outcomes = match outcomes {
-            Ok(v) => v,
-            Err(reason) => {
-                // Whatever the spec parked in the slot may be half-updated:
-                // the worker's next group starts from nothing.
-                *slot = WorkerSlot::default();
-                return self.batch_group_fallback(campaign, group, golden, stats, journal, &reason);
-            }
-        };
-        let mut entries = Vec::with_capacity(group.len());
-        for (lane, outcome) in outcomes.into_iter().enumerate() {
-            let index = group[lane];
-            let entry =
-                match outcome {
-                    BatchCaseOutcome::Done { trace, .. } => JournalEntry::Done(
-                        self.finalize_done(campaign, index, golden, stats, journal, trace, None)?,
-                    ),
-                    BatchCaseOutcome::Clean { .. } => {
-                        let outcome = clean_verdict.get_or_init(|| {
-                            let t0 = Instant::now();
-                            let outcome = classify(&campaign.spec, golden, golden);
-                            stats.record_stage(Stage::Classify, t0.elapsed());
-                            outcome
-                        });
-                        JournalEntry::Done(self.book_verdict(
-                            campaign,
-                            index,
-                            stats,
-                            journal,
-                            outcome.clone(),
-                            None,
-                        )?)
-                    }
-                    BatchCaseOutcome::Error(error) => {
-                        // A sealed verdict wins over the cancelled lane's
-                        // error, mirroring the scalar attempt path.
-                        let sealed = lane_classifiers[lane]
-                            .as_ref()
-                            .and_then(|c| c.lock().ok().and_then(|guard| guard.sealed().cloned()));
-                        match sealed {
-                            Some(outcome) => JournalEntry::Done(self.finalize_sealed(
-                                campaign, index, stats, journal, outcome, 0, None,
-                            )?),
-                            None => {
-                                tele.emit_with(|| {
-                                    Event::new("batch", "lane_fallback")
-                                        .with_case(index)
-                                        .with_field("reason", &error)
-                                });
-                                self.execute_one(campaign, index, golden, stats, journal, None)?
-                            }
-                        }
-                    }
-                };
-            entries.push((index, entry));
-        }
-        tele.emit_with(|| {
-            let mut event = Event::new("span", "batch")
-                .with_dur_us(group_t0.elapsed().as_micros() as u64)
-                .with_field("lanes", group.len());
-            if let Some(fork) = slot.fork {
-                let cursor = if fork.reused { "reused" } else { "rebuilt" };
-                event = event
-                    .with_field("from_fs", fork.at.as_fs())
-                    .with_field("cursor", cursor);
-            }
-            event
-        });
-        Ok(entries)
-    }
-
-    /// Degrades a whole group to the scalar path (batch runner failed or
-    /// panicked before producing per-lane outcomes).
-    fn batch_group_fallback(
-        &self,
-        campaign: &Campaign,
-        group: &[usize],
-        golden: &Arc<Trace>,
-        stats: &Arc<EngineStats>,
-        journal: Option<&Journal>,
-        reason: &str,
-    ) -> Result<Vec<(usize, JournalEntry)>, EngineError> {
-        self.config.telemetry.emit_with(|| {
-            Event::new("batch", "fallback")
-                .with_field("lanes", group.len())
-                .with_field("reason", reason)
-        });
-        group
-            .iter()
-            .map(|&index| {
-                self.execute_one(campaign, index, golden, stats, journal, None)
-                    .map(|entry| (index, entry))
-            })
-            .collect()
     }
 
     /// The retry loop around [`Engine::run_attempt`]. Returns the final
@@ -1768,20 +1262,22 @@ impl Engine {
         runner: &CaseRunner,
         index: Option<usize>,
         stats: &Arc<EngineStats>,
-        early: Option<&EarlyAbort>,
+        early: Option<EarlyAbort<'_>>,
     ) -> (Attempt, u32) {
-        let tele = &self.config.telemetry;
+        let note = |kind: &str, attempt: u32| {
+            self.config.telemetry.emit_with(|| {
+                let event = Event::new(kind, "attempt").with_field("attempt", attempt);
+                match index {
+                    Some(index) => event.with_case(index),
+                    None => event,
+                }
+            });
+        };
         let mut last = Attempt::Failed("no attempt made".to_owned());
         for attempt in 0..=self.config.retries {
             if attempt > 0 {
                 stats.record_retry();
-                tele.emit_with(|| {
-                    let mut event = Event::new("retry", "attempt").with_field("attempt", attempt);
-                    if let Some(index) = index {
-                        event = event.with_case(index);
-                    }
-                    event
-                });
+                note("retry", attempt);
                 let backoff = self.config.backoff * 2u32.saturating_pow(attempt - 1);
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
@@ -1790,13 +1286,7 @@ impl Engine {
             last = self.run_attempt(runner, index, attempt, stats, early);
             if let Attempt::TimedOut = last {
                 stats.record_timeout();
-                tele.emit_with(|| {
-                    let mut event = Event::new("timeout", "attempt").with_field("attempt", attempt);
-                    if let Some(index) = index {
-                        event = event.with_case(index);
-                    }
-                    event
-                });
+                note("timeout", attempt);
             }
             if matches!(
                 last,
@@ -1814,9 +1304,9 @@ impl Engine {
         (last, self.config.retries + 1)
     }
 
-    /// The per-attempt [`SimBudget`] from the engine knobs, without a
-    /// deadline token — [`Engine::run_attempt`] attaches a fresh one per
-    /// attempt when a timeout is configured.
+    /// The simulation budget from the engine knobs, without a cancel token:
+    /// whoever runs under it attaches a fresh one where a deadline or an
+    /// online classifier calls for it.
     fn case_budget(&self) -> SimBudget {
         let mut budget = SimBudget::unlimited();
         if let Some(max_steps) = self.config.max_steps {
@@ -1828,6 +1318,43 @@ impl Engine {
         budget
     }
 
+    /// [`Engine::case_budget`] reporting into the run's metric registry.
+    fn metered_budget(&self) -> SimBudget {
+        match self.config.telemetry.metrics() {
+            Some(metrics) => self.case_budget().with_metrics(Arc::clone(metrics)),
+            None => self.case_budget(),
+        }
+    }
+
+    /// Builds the `--early-abort` streaming classifier of one simulation —
+    /// a scalar attempt or a batch lane alike. It cancels `token` (which
+    /// expires on its own after `deadline`, if given) the moment the
+    /// verdict seals: early abort rides the cooperative-stop plumbing the
+    /// timeout watchdog uses.
+    fn arm(&self, early: EarlyAbort<'_>, deadline: Option<Duration>) -> Armed {
+        let token = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+        let classifier = Arc::new(Mutex::new(OnlineClassifier::new(
+            early.spec,
+            Arc::clone(early.golden),
+            early.injected_at,
+            self.config.settle,
+            token.clone(),
+        )));
+        let observer = {
+            let classifier = Arc::clone(&classifier);
+            SimObserver::new(move |t, view| {
+                if let Ok(mut classifier) = classifier.lock() {
+                    classifier.observe(t, view);
+                }
+            })
+        };
+        Armed {
+            classifier,
+            observer,
+            token,
+        }
+    }
+
     /// One attempt: panic-isolated, optionally under a wall-clock timeout.
     fn run_attempt(
         &self,
@@ -1835,46 +1362,19 @@ impl Engine {
         index: Option<usize>,
         attempt: u32,
         stats: &Arc<EngineStats>,
-        early: Option<&EarlyAbort>,
+        early: Option<EarlyAbort<'_>>,
     ) -> Attempt {
         let runner = Arc::clone(runner);
-        // Early abort rides the existing cooperative-stop plumbing: the
-        // classifier cancels the attempt's budget token, exactly like the
-        // timeout watchdog does, so a token is armed even with no timeout.
-        let token = if early.is_some() {
-            Some(
-                self.config
-                    .timeout
-                    .map_or_else(CancelToken::new, CancelToken::with_deadline),
-            )
-        } else {
-            self.config.timeout.map(CancelToken::with_deadline)
+        let armed = early.map(|early| self.arm(early, self.config.timeout));
+        let token = match &armed {
+            Some(armed) => Some(armed.token.clone()),
+            None => self.config.timeout.map(CancelToken::with_deadline),
         };
-        let classifier = match (early, &token) {
-            (Some(ea), Some(token)) => Some(Arc::new(Mutex::new(OnlineClassifier::new(
-                &ea.spec,
-                Arc::clone(&ea.golden),
-                ea.injected_at,
-                self.config.settle,
-                token.clone(),
-            )))),
-            _ => None,
+        let (classifier, observer) = armed.map(|a| (a.classifier, a.observer)).unzip();
+        let budget = match &token {
+            Some(token) => self.metered_budget().with_cancel(token.clone()),
+            None => self.metered_budget(),
         };
-        let observer = classifier.as_ref().map(|classifier| {
-            let classifier = Arc::clone(classifier);
-            SimObserver::new(move |t, view| {
-                if let Ok(mut classifier) = classifier.lock() {
-                    classifier.observe(t, view);
-                }
-            })
-        });
-        let mut budget = match &token {
-            Some(token) => self.case_budget().with_cancel(token.clone()),
-            None => self.case_budget(),
-        };
-        if let Some(metrics) = self.config.telemetry.metrics() {
-            budget = budget.with_metrics(Arc::clone(metrics));
-        }
         // The probe shares the attempt's step tally (it is behind an `Arc`),
         // so the engine can observe steps even when the attempt thread is
         // abandoned after a timeout.
@@ -1886,19 +1386,7 @@ impl Engine {
                 let ctx = CaseCtx::attached(index, attempt, stats, budget, telemetry, observer);
                 let out = catch_unwind(AssertUnwindSafe(|| runner(&ctx)));
                 ctx.finish();
-                match out {
-                    Ok(Ok(trace)) => Attempt::Ok(trace),
-                    Ok(Err(e)) => {
-                        if e.is::<SnapshotRestoreError>() {
-                            Attempt::RestoreFailed(e.to_string())
-                        } else if let Some(failure) = SimFailure::from_error(e.as_ref()) {
-                            Attempt::SimFailed(failure)
-                        } else {
-                            Attempt::Failed(e.to_string())
-                        }
-                    }
-                    Err(payload) => Attempt::Failed(panic_message(payload)),
-                }
+                Attempt::of(out)
             }
         };
         let outcome = self.drive_attempt(call, &token);
@@ -1911,19 +1399,13 @@ impl Engine {
         // guard trip (normalised to a timeout above), and with a fast
         // solver the run may even have finished `Ok` in the race window.
         // Either way the sealed outcome is the verdict.
-        if let Some(classifier) = &classifier {
-            let sealed = classifier
-                .lock()
-                .ok()
-                .and_then(|guard| guard.sealed().cloned());
-            if let Some(sealed) = sealed {
-                return Attempt::Sealed {
-                    outcome: Box::new(sealed),
-                    steps,
-                };
-            }
+        match classifier.as_ref().and_then(sealed_verdict) {
+            Some(sealed) => Attempt::Sealed {
+                outcome: Box::new(sealed),
+                steps,
+            },
+            None => outcome,
         }
-        outcome
     }
 
     /// Runs `call` inline, or on a watchdog thread when a timeout is set.
@@ -1990,6 +1472,421 @@ impl Engine {
                 Attempt::Failed("attempt thread died without reporting".to_owned())
             }
         }
+    }
+}
+
+/// What every step of one [`Engine::run`] reads once the golden run is in:
+/// shared by reference between the worker threads.
+struct Run<'a> {
+    engine: &'a Engine,
+    campaign: &'a Campaign,
+    golden: Arc<Trace>,
+    stats: Arc<EngineStats>,
+    journal: Option<Journal>,
+    /// What golden classifies as against itself: the verdict of every lane
+    /// a batch group reports as [`LaneOutcome::Clean`], worked out by the
+    /// first.
+    clean_verdict: OnceLock<CaseOutcome>,
+}
+
+impl Run<'_> {
+    /// Writes one finished case's record line to the journal (when
+    /// configured) and streams it to the record sink (when configured).
+    /// `format` runs only if at least one of the two is present, so runs
+    /// with neither pay nothing.
+    fn emit_record(
+        &self,
+        index: usize,
+        format: impl FnOnce() -> String,
+    ) -> Result<(), EngineError> {
+        let sink = &self.engine.config.record_sink;
+        if self.journal.is_none() && sink.is_none() {
+            return Ok(());
+        }
+        let line = format();
+        if let Some(journal) = &self.journal {
+            journal.append_line(&line)?;
+        }
+        if let Some(sink) = sink {
+            sink.deliver(index, &line);
+        }
+        Ok(())
+    }
+
+    /// Counts and journals a case's verdict, however it was come by: every
+    /// route to a classified case ends here.
+    fn book(
+        &self,
+        index: usize,
+        outcome: CaseOutcome,
+        forked_at: Option<Time>,
+    ) -> Result<JournalEntry, EngineError> {
+        self.stats.record_class(outcome.class);
+        let result = CaseResult {
+            case: self.campaign.cases[index].clone(),
+            outcome,
+        };
+        self.emit_record(index, || journal::case_line(index, &result, forked_at))?;
+        Ok(JournalEntry::Done(result))
+    }
+
+    /// Classifies a full-horizon trace against the golden run, on the
+    /// classify stage's clock.
+    fn classify(&self, trace: &Trace) -> CaseOutcome {
+        let t0 = Instant::now();
+        let outcome = classify(&self.campaign.spec, &self.golden, trace);
+        self.stats.record_stage(Stage::Classify, t0.elapsed());
+        outcome
+    }
+
+    /// Books a verdict an online classifier sealed mid-simulation, with an
+    /// estimate of the work the abort saved.
+    fn book_sealed(
+        &self,
+        index: usize,
+        outcome: CaseOutcome,
+        steps: u64,
+        forked_at: Option<Time>,
+    ) -> Result<JournalEntry, EngineError> {
+        let tele = &self.engine.config.telemetry;
+        let window_end = self.campaign.spec.window.1;
+        let class = outcome.class;
+        let sealed_at = outcome.sealed_at.unwrap_or(window_end);
+        // The simulation time the abort skipped. Runs advance to
+        // the fork spec's horizon when there is one; campaigns
+        // without a fork spec stop at the observation window's end.
+        let horizon = self.campaign.fork.as_ref().map_or(window_end, |f| f.t_end);
+        let saved = if horizon > sealed_at {
+            horizon - sealed_at
+        } else {
+            Time::ZERO
+        };
+        // Extrapolate saved steps from the attempt's measured step
+        // density over the simulated span (fork instant → seal).
+        let covered = sealed_at - forked_at.unwrap_or(Time::ZERO);
+        let saved_steps = if covered > Time::ZERO {
+            ((i128::from(steps) * i128::from(saved.as_fs())) / i128::from(covered.as_fs())) as u64
+        } else {
+            0
+        };
+        if let Some(metrics) = tele.metrics() {
+            metrics.early_aborts.inc();
+            metrics.saved_sim_fs.add(saved.as_fs().max(0) as u64);
+            metrics.saved_steps.add(saved_steps);
+        }
+        tele.emit_with(|| {
+            Event::new("early_abort", "sealed")
+                .with_case(index)
+                .with_field("class", class)
+                .with_field("sealed_at_fs", sealed_at.as_fs())
+                .with_field("saved_fs", saved.as_fs())
+                .with_field("saved_steps", saved_steps)
+        });
+        self.book(index, outcome, forked_at)
+    }
+
+    /// The fate of a case whose retry budget ran out without a verdict:
+    /// fatal under [`ErrorPolicy::FailFast`], otherwise journaled as
+    /// quarantined or skipped.
+    fn give_up(
+        &self,
+        index: usize,
+        attempts: u32,
+        error: String,
+    ) -> Result<JournalEntry, EngineError> {
+        let config = &self.engine.config;
+        let case = self.campaign.cases[index].clone();
+        match config.error_policy {
+            ErrorPolicy::FailFast => Err(EngineError::Case {
+                index,
+                label: case.label,
+                attempts,
+                error,
+            }),
+            ErrorPolicy::SkipAndRecord if config.quarantine => {
+                let q = QuarantinedCase {
+                    index,
+                    case,
+                    attempts,
+                    reason: error,
+                };
+                self.emit_record(index, || journal::quarantine_line(&q))?;
+                self.stats.record_quarantine();
+                config.telemetry.emit_with(|| {
+                    Event::new("quarantine", "case")
+                        .with_case(index)
+                        .with_field("attempts", q.attempts)
+                        .with_field("reason", &q.reason)
+                });
+                Ok(JournalEntry::Quarantined(q))
+            }
+            ErrorPolicy::SkipAndRecord => {
+                let skip = SkippedCase {
+                    index,
+                    case,
+                    attempts,
+                    error,
+                };
+                self.emit_record(index, || journal::skip_line(&skip))?;
+                self.stats.record_skip();
+                config.telemetry.emit_with(|| {
+                    Event::new("skip", "case")
+                        .with_case(index)
+                        .with_field("attempts", skip.attempts)
+                        .with_field("reason", &skip.error)
+                });
+                Ok(JournalEntry::Skipped(skip))
+            }
+        }
+    }
+
+    /// What an online classifier for case `index` is armed with; `None`
+    /// without [`EngineConfig::with_early_abort`].
+    fn early(&self, index: usize) -> Option<EarlyAbort<'_>> {
+        self.engine.config.early_abort.then(|| EarlyAbort {
+            spec: &self.campaign.spec,
+            golden: &self.golden,
+            injected_at: self.campaign.cases[index].injected_at,
+        })
+    }
+
+    /// Wraps the fork closure and case `index`'s snapshot — the one taken
+    /// at the largest stop not after its injection instant — into a runner,
+    /// returned with that stop. `None` when the cache holds no such
+    /// snapshot: the case then runs from scratch.
+    fn fork_runner(
+        &self,
+        spec: &ForkSpec,
+        cache: &SnapshotCache,
+        index: usize,
+    ) -> Option<(CaseRunner, Time)> {
+        let at = self.campaign.cases[index].injected_at.min(spec.t_end);
+        let hit = cache.range(..=at).next_back().map(|(t, snap)| {
+            let snap = Arc::clone(snap);
+            let fork = Arc::clone(&spec.fork);
+            let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
+                // Deep-clone under a short lock so a timed-out (abandoned)
+                // attempt cannot wedge later retries of the same case.
+                let owned = snap.lock().expect("snapshot poisoned").clone_snapshot();
+                fork(ctx, &owned)
+            });
+            (runner, *t)
+        });
+        if let Some(metrics) = self.engine.config.telemetry.metrics() {
+            if hit.is_some() {
+                metrics.snapshot_hits.inc();
+            } else {
+                metrics.snapshot_misses.inc();
+            }
+        }
+        hit
+    }
+
+    /// Runs one case end-to-end: attempts (with retries), classification,
+    /// journaling, counter updates. `Err` only under [`ErrorPolicy::FailFast`].
+    ///
+    /// `forked` carries the checkpoint-fork runner and the snapshot instant
+    /// (see [`Run::fork_runner`]); `None` uses the campaign's from-scratch
+    /// runner.
+    fn execute_one(
+        &self,
+        index: usize,
+        forked: Option<(CaseRunner, Time)>,
+    ) -> Result<JournalEntry, EngineError> {
+        let (engine, campaign, stats) = (self.engine, self.campaign, &self.stats);
+        let tele = &engine.config.telemetry;
+        let case_t0 = Instant::now();
+        let (runner, mut forked_at) = match forked {
+            Some((runner, at)) => (runner, Some(at)),
+            None => (Arc::clone(&campaign.runner), None),
+        };
+        let early = self.early(index);
+        let (mut attempt, mut attempts) = engine.attempt_case(&runner, Some(index), stats, early);
+        // Graceful degradation: a snapshot that cannot be restored fails
+        // deterministically, so instead of burning the retry budget on the
+        // fork path the case re-runs from scratch.
+        if matches!(attempt, Attempt::RestoreFailed(_)) && forked_at.is_some() {
+            forked_at = None;
+            stats.record_fallbacks(1);
+            if let Some(metrics) = tele.metrics() {
+                metrics.restore_fallbacks.inc();
+            }
+            tele.emit_with(|| Event::new("checkpoint", "fallback").with_case(index));
+            let (fallback, n) = engine.attempt_case(&campaign.runner, Some(index), stats, early);
+            attempt = fallback;
+            attempts += n;
+        }
+        let outcome = match attempt {
+            Attempt::Ok(trace) => self.book(index, self.classify(&trace), forked_at),
+            Attempt::Sealed { outcome, steps } => {
+                self.book_sealed(index, *outcome, steps, forked_at)
+            }
+            Attempt::SimFailed(failure) => {
+                // A guard trip is a verdict, not an infrastructure error:
+                // the case is done, classified as a simulation failure.
+                let kind = guard_kind(&failure);
+                if let Some(metrics) = tele.metrics() {
+                    metrics.guard_trip(kind);
+                }
+                tele.emit_with(|| {
+                    Event::new("guard", kind.label())
+                        .with_case(index)
+                        .with_field("detail", &failure)
+                });
+                self.book(index, CaseOutcome::from_sim_failure(failure), forked_at)
+            }
+            Attempt::Failed(error) | Attempt::RestoreFailed(error) => {
+                self.give_up(index, attempts, error)
+            }
+            Attempt::TimedOut => {
+                let timeout = engine.config.timeout.unwrap_or_default();
+                self.give_up(index, attempts, format!("timed out after {timeout:?}"))
+            }
+        };
+        let dur_us = case_t0.elapsed().as_micros() as u64;
+        if let Some(metrics) = tele.metrics() {
+            metrics.case_latency_us.observe(dur_us);
+        }
+        tele.emit_with(|| {
+            let mut event = Event::new("span", "case")
+                .with_case(index)
+                .with_dur_us(dur_us)
+                .with_field("label", &campaign.cases[index].label)
+                .with_field("attempts", attempts);
+            event = match &outcome {
+                Ok(JournalEntry::Done(result)) => event.with_field("class", result.outcome.class),
+                Ok(JournalEntry::Skipped(_)) => event.with_field("outcome", "skipped"),
+                Ok(JournalEntry::Quarantined(_)) => event.with_field("outcome", "quarantined"),
+                Err(_) => event.with_field("outcome", "fatal"),
+            };
+            event
+        });
+        outcome
+    }
+
+    /// Runs one case group bit-parallel through the campaign's
+    /// [`BatchSpec`] and books every lane, pushing the entries onto `done`.
+    ///
+    /// Lanes are armed like scalar attempts ([`Engine::arm`]): with
+    /// `--early-abort` a sealed verdict wins over whatever the cancelled
+    /// lane reported. A lane that fails without one falls back to the
+    /// scalar path for that case alone — which re-derives guard-trip
+    /// verdicts, retry accounting and quarantine exactly as a scalar run
+    /// would.
+    ///
+    /// The group's golden-lane trace must equal the campaign's golden run:
+    /// lanes were simulated against the former and are classified against
+    /// the latter, and a [`LaneOutcome::Clean`] lane is booked with
+    /// `clean_verdict`, golden classified against itself. A group whose
+    /// golden lane differs, or whose machine fails as a whole — its own
+    /// error, a panic, or under [`EngineConfig::with_timeout`] the wall
+    /// clock its cases would have had one by one — is re-run scalar instead.
+    fn execute_batch(
+        &self,
+        spec: &BatchSpec,
+        group: &[usize],
+        slot: &mut WorkerSlot,
+        done: &mut Vec<(usize, JournalEntry)>,
+    ) -> Result<(), EngineError> {
+        let engine = self.engine;
+        let tele = &engine.config.telemetry;
+        let group_t0 = Instant::now();
+        slot.fork = None;
+        let mut classifiers: Vec<Option<Arc<Mutex<OnlineClassifier>>>> = vec![None; group.len()];
+        // The machine-wide budget: a trip here fails the whole group. Its
+        // deadline can never expire where the scalar path would not time
+        // out, and with no timeout there is no token for the kernel to poll.
+        let mut budget = engine.metered_budget();
+        if let Some(timeout) = engine.config.timeout {
+            let lanes = u32::try_from(group.len()).unwrap_or(u32::MAX);
+            budget = budget.with_cancel(CancelToken::with_deadline(timeout.saturating_mul(lanes)));
+        }
+        let ctx = CaseCtx::attached(None, 0, Arc::clone(&self.stats), budget, tele.clone(), None);
+        let mut hooks = |lane: usize| match self.early(group[lane]) {
+            Some(early) => {
+                let armed = engine.arm(early, None);
+                classifiers[lane] = Some(armed.classifier);
+                let budget = engine.metered_budget().with_cancel(armed.token);
+                (budget, Some(armed.observer))
+            }
+            None => (engine.metered_budget(), None),
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            (spec.run)(&ctx, group, &mut hooks, slot)
+        }));
+        ctx.finish();
+        let outcomes = match out {
+            Ok(Ok(report)) if report.outcomes.len() != group.len() => Err(format!(
+                "batch returned {} outcomes for {} lanes",
+                report.outcomes.len(),
+                group.len()
+            )),
+            Ok(Ok(report)) if report.golden != *self.golden => {
+                Err("golden lane differs from the golden run".to_owned())
+            }
+            Ok(Ok(report)) => Ok(report.outcomes),
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(payload) => Err(panic_message(payload)),
+        };
+        let outcomes = match outcomes {
+            Ok(outcomes) => outcomes,
+            Err(reason) => {
+                // Whatever the spec parked in the slot may be half-updated:
+                // the worker's next group starts from nothing.
+                *slot = WorkerSlot::default();
+                self.stats.record_fallbacks(group.len());
+                tele.emit_with(|| {
+                    Event::new("batch", "fallback")
+                        .with_field("lanes", group.len())
+                        .with_field("reason", &reason)
+                });
+                for &index in group {
+                    done.push((index, self.execute_one(index, None)?));
+                }
+                return Ok(());
+            }
+        };
+        for ((&index, outcome), classifier) in group.iter().zip(outcomes).zip(&classifiers) {
+            let entry = match outcome {
+                LaneOutcome::Completed { trace, .. } => {
+                    self.book(index, self.classify(&trace), None)?
+                }
+                LaneOutcome::Clean { .. } => {
+                    let verdict = self
+                        .clean_verdict
+                        .get_or_init(|| self.classify(&self.golden));
+                    self.book(index, verdict.clone(), None)?
+                }
+                LaneOutcome::Failed { error } => {
+                    match classifier.as_ref().and_then(sealed_verdict) {
+                        Some(sealed) => self.book_sealed(index, sealed, 0, None)?,
+                        None => {
+                            self.stats.record_fallbacks(1);
+                            tele.emit_with(|| {
+                                Event::new("batch", "lane_fallback")
+                                    .with_case(index)
+                                    .with_field("reason", &error)
+                            });
+                            self.execute_one(index, None)?
+                        }
+                    }
+                }
+            };
+            done.push((index, entry));
+        }
+        tele.emit_with(|| {
+            let mut event = Event::new("span", "batch")
+                .with_dur_us(group_t0.elapsed().as_micros() as u64)
+                .with_field("lanes", group.len());
+            if let Some(fork) = slot.fork {
+                let cursor = if fork.reused { "reused" } else { "rebuilt" };
+                event = event
+                    .with_field("from_fs", fork.at.as_fs())
+                    .with_field("cursor", cursor);
+            }
+            event
+        });
+        Ok(())
     }
 }
 
@@ -2105,11 +2002,15 @@ mod tests {
     }
 
     fn forked_campaign(name: &str, n: usize) -> Campaign {
-        let t_end = Time::from_ns(40);
-        let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]);
         let cases = (0..n)
             .map(|i| FaultCase::new(format!("tick{i}"), Time::from_ns(5 + (i as i64 % 3) * 9)))
             .collect();
+        forked_cases(name, cases)
+    }
+
+    fn forked_cases(name: &str, cases: Vec<FaultCase>) -> Campaign {
+        let t_end = Time::from_ns(40);
+        let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]);
         Campaign::forked(
             name,
             spec,
@@ -2152,6 +2053,25 @@ mod tests {
         assert_eq!(scratch.result.cases.len(), forked.result.cases.len());
         for (a, b) in scratch.result.cases.iter().zip(&forked.result.cases) {
             assert_eq!(a, b, "case {}", a.case);
+        }
+    }
+
+    #[test]
+    fn injection_past_the_horizon_is_clamped_to_no_effect() {
+        // The case's stop — and under `--checkpoint` its snapshot — is taken
+        // at the horizon; sticking the output there shows nowhere, because
+        // no further tick runs.
+        let late = vec![FaultCase::new("late", Time::from_ns(90))];
+        let campaign = forked_cases("toy-late", late);
+        for checkpoint in [false, true] {
+            let report = Engine::new(EngineConfig::default().with_checkpoint(checkpoint))
+                .run(&campaign)
+                .unwrap();
+            assert_eq!(
+                report.result.cases[0].outcome.class,
+                amsfi_core::FaultClass::NoEffect,
+                "checkpoint: {checkpoint}"
+            );
         }
     }
 
@@ -2503,8 +2423,10 @@ mod tests {
         )
         .run(&campaign)
         .unwrap();
-        // Every case degraded to its from-scratch runner: same verdicts,
-        // nothing skipped, no retries burned on the deterministic failure.
+        // Every case degraded to its from-scratch runner, and the report
+        // says so: same verdicts, nothing skipped, no retries burned on the
+        // deterministic failure.
+        assert_eq!((report.path, report.stats.fallbacks), ("fork", 6));
         assert!(report.skipped.is_empty());
         assert_eq!(report.stats.retries, 0);
         assert_eq!(scratch.result.cases.len(), report.result.cases.len());

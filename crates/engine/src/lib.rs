@@ -39,9 +39,9 @@ pub mod shard;
 pub mod stats;
 
 pub use executor::{
-    AnySnapshot, BatchCaseOutcome, BatchGroupRun, BatchSpec, Campaign, CaseCtx, CaseRunner, Engine,
-    EngineConfig, EngineError, EngineReport, ErrorPolicy, ForkSpec, LaneHooks, PrefixFork,
-    RecordSink, Snapshot, SnapshotRestoreError, SnapshotSink, WorkerSlot,
+    AnySnapshot, BatchSpec, Campaign, CaseCtx, CaseRunner, Engine, EngineConfig, EngineError,
+    EngineReport, ErrorPolicy, ForkSpec, LaneHooks, PrefixFork, RecordSink, Snapshot,
+    SnapshotRestoreError, SnapshotSink, WorkerSlot,
 };
 pub use journal::{Journal, JournalEntry, JournalError, JournalMeta, QuarantinedCase, SkippedCase};
 pub use shard::Shard;

@@ -64,6 +64,8 @@ pub struct EngineStats {
     skipped: AtomicUsize,
     /// Cases quarantined after exhausting the retry budget.
     quarantined: AtomicUsize,
+    /// Cases that did not finish on the run's planned execution path.
+    fallbacks: AtomicUsize,
     /// Cases pre-counted into `done`/`total` because a previous run already
     /// settled them (resumed `Done` + previously quarantined). They are part
     /// of the summary denominator but must not inflate the live rate.
@@ -94,6 +96,7 @@ impl EngineStats {
             timeouts: AtomicUsize::new(0),
             skipped: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
+            fallbacks: AtomicUsize::new(0),
             seeded: AtomicUsize::new(0),
             stage_ns: Default::default(),
             metrics,
@@ -137,6 +140,10 @@ impl EngineStats {
         self.done.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_fallbacks(&self, cases: usize) {
+        self.fallbacks.fetch_add(cases, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -163,6 +170,7 @@ impl EngineStats {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             skipped: self.skipped.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.load(Ordering::Relaxed),
             seeded: self.seeded.load(Ordering::Relaxed),
             stage_ns: [
                 self.stage_ns[0].load(Ordering::Relaxed),
@@ -203,6 +211,10 @@ pub struct StatsSnapshot {
     /// a *previous* run of the same journal, so resumed summaries count
     /// every case exactly once.
     pub quarantined: usize,
+    /// Cases that did not finish on the run's planned execution path
+    /// ([`EngineReport::path`](crate::EngineReport)): those of a batch group
+    /// or a lane re-run scalar, and forks whose snapshot would not restore.
+    pub fallbacks: usize,
     /// Of `done`, how many were settled by a previous run (resumed
     /// completions and prior quarantines). Excluded from [`rate`](Self::rate).
     pub seeded: usize,

@@ -19,17 +19,22 @@
 //! * a group whose golden lane is not the campaign's golden run is re-run
 //!   scalar: the verdict of a lane reported trace-free rests on that;
 //! * `--batch --checkpoint` captures no snapshots when the batch spec
-//!   engages, and still forks when the campaign has none.
+//!   engages, and still forks when the campaign has none;
+//! * under `--timeout` a word machine that never returns is cut off after
+//!   the wall clock its cases would have had one by one, and re-run scalar;
+//! * on every plan (scalar, fork, batch) every pending case is booked
+//!   exactly once, and the report names the plan and counts who left it.
 
-use amsfi_core::{plan, report, ClassifySpec, FaultCase};
-use amsfi_digital::{cells, InjectTarget, Netlist, Simulator};
+use amsfi_core::{plan, report, CaseResult, ClassifySpec, FaultCase};
+use amsfi_digital::{cells, BatchReport, InjectTarget, LaneOutcome, Netlist, Simulator};
 use amsfi_engine::{
-    campaigns, BatchCaseOutcome, BatchGroupRun, Campaign, CaseCtx, Engine, EngineConfig,
-    EngineReport, PrefixFork, Shard, Telemetry, WorkerSlot,
+    campaigns, BatchSpec, Campaign, CaseCtx, Engine, EngineConfig, EngineReport, PrefixFork,
+    RecordSink, Shard, Telemetry, WorkerSlot,
 };
 use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const T_END: Time = Time::from_us(2);
 
@@ -224,7 +229,9 @@ fn chaos_lane_is_quarantined_alone() {
         .run(&chaotic)
         .expect("chaotic batch run");
 
-    // The poison lane alone is quarantined, with a journal poison marker.
+    // The poison lane alone left the batch path and is quarantined, with a
+    // journal poison marker.
+    assert_eq!((report.path, report.stats.fallbacks), ("batch", 1));
     assert_eq!(report.quarantined.len(), 1, "exactly one poison case");
     assert_eq!(report.quarantined[0].index, poison);
     let text = std::fs::read_to_string(&journal).expect("journal readable");
@@ -277,6 +284,8 @@ fn cpu_campaign_batches_byte_identically() {
     let batch = Engine::new(batch_config(2))
         .run(&campaign)
         .expect("batch run");
+    assert_eq!((scalar.path, scalar.stats.fallbacks), ("scalar", 0));
+    assert_eq!((batch.path, batch.stats.fallbacks), ("batch", 0));
     assert_eq!(scalar.result.golden, batch.result.golden);
     for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
         assert_eq!(a, b, "cpu case {} diverged between paths", a.case);
@@ -297,6 +306,126 @@ fn cpu_set_campaign_word_runs_byte_identically() {
     assert_eq!(scalar.result.golden, word.result.golden);
     for (a, b) in scalar.result.cases.iter().zip(&word.result.cases) {
         assert_eq!(a, b, "cpu-set case {} diverged between paths", a.case);
+    }
+}
+
+#[test]
+fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
+    // A word machine that never returns on its own: it spins until its
+    // group's budget says stop — capped, so that a budget without a
+    // deadline fails this test instead of hanging it.
+    let campaign = counter_campaign(&[0, 5], &times(), None);
+    let scalar = Engine::new(EngineConfig::default().with_workers(1))
+        .run(&campaign)
+        .expect("scalar run");
+    let wedged = Campaign {
+        batch: Some(BatchSpec {
+            run: Arc::new(|ctx, _group, _hooks, _slot| {
+                let t0 = Instant::now();
+                while !ctx.budget().cancel_token().should_stop()
+                    && t0.elapsed() < Duration::from_secs(4)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err("wedged word machine stopped".into())
+            }),
+        }),
+        ..campaign
+    };
+
+    // Six lanes x 100 ms: the group gets what its cases would have had.
+    let cfg = batch_config(1).with_timeout(Duration::from_millis(100));
+    let t0 = Instant::now();
+    let (report, text) = run_with_events("batch-timeout", cfg, &wedged);
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(3), "group ran for {took:?}");
+    assert_eq!(
+        report::cases_csv(&scalar.result),
+        report::cases_csv(&report.result)
+    );
+    assert_eq!((report.path, report.stats.fallbacks), ("batch", 6));
+    let fallbacks = events_of(&text, "batch", "fallback");
+    assert_eq!(fallbacks.len(), 1, "one group falls back:\n{text}");
+    assert!(
+        fallbacks[0].contains("wedged word machine stopped"),
+        "{}",
+        fallbacks[0]
+    );
+}
+
+#[test]
+fn a_kept_cursor_runs_on_its_current_groups_deadline() {
+    // 128 cases are groups of 63, 63 and 2 for one worker. The sink holds
+    // the first record up until the first group's deadline (63 x 10 ms) has
+    // passed: the worker's cursor, kept for the second group, must by then
+    // run under that group's budget, not trip the expired one.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 16);
+    let (campaign, _) = counted_campaign(&times, build_counter);
+    let held = AtomicUsize::new(0);
+    let sink = RecordSink::new(move |_, _| {
+        if held.fetch_add(1, Ordering::Relaxed) == 0 {
+            std::thread::sleep(Duration::from_millis(700));
+        }
+    });
+    let cfg = batch_config(1)
+        .with_timeout(Duration::from_millis(10))
+        .with_retries(5)
+        .with_record_sink(sink);
+    let report = Engine::new(cfg).run(&campaign).expect("word run");
+    assert_eq!((report.path, report.stats.fallbacks), ("batch", 0));
+}
+
+// ---- One claim loop: every pending case exactly once, on every plan ----
+
+#[test]
+fn every_pending_case_is_booked_exactly_once_on_every_plan() {
+    let campaign = counter_campaign(&[0, 3, 7], &times(), None);
+    let full = Engine::new(EngineConfig::default().with_workers(1))
+        .run(&campaign)
+        .expect("full scalar run")
+        .result
+        .cases;
+    // Half the list, of which the first two cases were finished elsewhere.
+    let shard = Shard::new(1, 2).expect("shard 1/2");
+    let owned: Vec<usize> = shard.case_indices(full.len()).collect();
+    let (completed, left) = owned.split_at(2);
+
+    type Plan = fn(EngineConfig) -> EngineConfig;
+    let plans: [(&str, Plan); 3] = [
+        ("scalar", |cfg| cfg),
+        ("fork", |cfg| cfg.with_checkpoint(true)),
+        ("batch", |cfg| cfg.with_batch(true)),
+    ];
+    for (path, plan) in plans {
+        for workers in [1, 3] {
+            for sharded in [false, true] {
+                let what = format!("{path}, {workers} worker(s), sharded: {sharded}");
+                let booked = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&booked);
+                let mut cfg = plan(EngineConfig::default().with_workers(workers)).with_record_sink(
+                    RecordSink::new(move |index, _| sink.lock().unwrap().push(index)),
+                );
+                let pending: Vec<usize> = if sharded {
+                    cfg = cfg.with_shard(shard).with_completed(completed.to_vec());
+                    left.to_vec()
+                } else {
+                    (0..full.len()).collect()
+                };
+                let report = Engine::new(cfg).run(&campaign).expect("engine run");
+                assert_eq!((report.path, report.stats.fallbacks), (path, 0), "{what}");
+
+                let mut booked = booked.lock().unwrap().clone();
+                booked.sort_unstable();
+                assert_eq!(booked, pending, "{what}: indices the sink saw");
+                // In index order, each row the full scalar run's.
+                let rows: Vec<&CaseResult> = pending.iter().map(|&i| &full[i]).collect();
+                assert_eq!(
+                    report.result.cases.iter().collect::<Vec<_>>(),
+                    rows,
+                    "{what}"
+                );
+            }
+        }
     }
 }
 
@@ -398,31 +527,31 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
         for (lane, (free, capped)) in free.outcomes.iter().zip(&capped.outcomes).enumerate() {
             let at = campaign.cases[group[lane]].injected_at;
             let end = match free {
-                BatchCaseOutcome::Done { sealed_at, .. }
-                | BatchCaseOutcome::Clean { sealed_at } => sealed_at.unwrap_or(horizon),
-                BatchCaseOutcome::Error(e) => panic!("{name}, unguarded lane {lane}: {e}"),
+                LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
+                    sealed_at.unwrap_or(horizon)
+                }
+                LaneOutcome::Failed { error } => panic!("{name}, unguarded lane {lane}: {error}"),
             };
             let lived = ((end - at).as_fs() / tick.as_fs()) as u64;
             if lived > cap + 8 {
                 let expected = format!("step-budget-exhausted steps={} t=", cap + 1);
                 assert!(
-                    matches!(capped, BatchCaseOutcome::Error(e) if e.starts_with(&expected)),
+                    matches!(capped, LaneOutcome::Failed { error } if error.starts_with(&expected)),
                     "{name}, lane {lane} ({lived} steps from {at}): {capped:?}"
                 );
                 tripped += 1;
             } else if lived + 8 < cap {
                 match (free, capped) {
                     (
-                        BatchCaseOutcome::Done { trace, sealed_at },
-                        BatchCaseOutcome::Done {
+                        LaneOutcome::Completed { trace, sealed_at },
+                        LaneOutcome::Completed {
                             trace: t,
                             sealed_at: s,
                         },
                     ) => assert!(trace == t && sealed_at == s, "{name}, lane {lane}"),
-                    (
-                        BatchCaseOutcome::Clean { sealed_at },
-                        BatchCaseOutcome::Clean { sealed_at: s },
-                    ) => assert_eq!(sealed_at, s, "{name}, lane {lane}"),
+                    (LaneOutcome::Clean { sealed_at }, LaneOutcome::Clean { sealed_at: s }) => {
+                        assert_eq!(sealed_at, s, "{name}, lane {lane}")
+                    }
                     other => panic!("{name}, lane {lane} under the cap: {other:?}"),
                 }
                 spared += 1;
@@ -580,7 +709,7 @@ fn run_word_spec(
     group: &[usize],
     slot: &mut WorkerSlot,
     budget: &dyn Fn() -> SimBudget,
-) -> BatchGroupRun {
+) -> BatchReport {
     let spec = campaign.batch.as_ref().expect("batch spec");
     let mut hooks = |_lane: usize| (budget(), None);
     (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot).expect("word group")
@@ -593,13 +722,8 @@ fn run_word_group(
     slot: &mut WorkerSlot,
 ) -> Vec<amsfi_waves::Trace> {
     let run = run_word_spec(campaign, group, slot, &SimBudget::unlimited);
-    run.outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            BatchCaseOutcome::Done { trace, .. } => trace,
-            BatchCaseOutcome::Clean { .. } => run.golden.clone(),
-            BatchCaseOutcome::Error(e) => panic!("lane failed: {e}"),
-        })
+    (0..group.len())
+        .map(|lane| run.lane_trace(lane).expect("lane failed").clone())
         .collect()
 }
 

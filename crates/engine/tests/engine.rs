@@ -1,12 +1,15 @@
 //! End-to-end engine behaviour: checkpoint/resume after a kill, shard-merge
-//! determinism, and fail-fast runs leaving a resumable journal.
+//! determinism, fail-fast runs leaving a resumable journal, and the event
+//! stream and metric dumps a run leaves behind.
 
 use amsfi_core::report;
 use amsfi_core::{ClassifySpec, FaultCase};
 use amsfi_engine::{
-    campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, ErrorPolicy, Shard,
+    campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, ErrorPolicy, Event,
+    Shard, Telemetry,
 };
 use amsfi_waves::{ForkableSim, Logic, SimObserver, Time, Trace};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -596,4 +599,132 @@ fn resumed_summary_counts_quarantined_cases_exactly_once() {
     assert_eq!(resumed.stats.quarantined, 1);
     assert_eq!(resumed.stats.seeded, 5);
     std::fs::remove_file(&path).ok();
+}
+
+/// What a run leaves behind for `amsfi report`, `amsfi top` and `ci.sh` to
+/// read, on each execution plan: every JSONL record parses, every executed
+/// case is accounted for (a `span`/`case`, or a lane of a `span`/`batch`),
+/// the stream's `(kind, name)` vocabulary is exactly the expected one, and
+/// the Prometheus dumps are line-parseable with the metric families there.
+#[test]
+fn event_stream_accounts_for_every_case() {
+    type Flags = fn(EngineConfig) -> EngineConfig;
+    // 66 cases are two groups (63 + 3) for the batch run's one worker.
+    let plans: [(&str, Flags, usize); 3] = [
+        ("scalar", |cfg| cfg, 6),
+        ("fork", |cfg| cfg.with_checkpoint(true), 6),
+        ("batch", |cfg| cfg.with_batch(true), 66),
+    ];
+    for (path, flags, n) in plans {
+        let events_path = unique_path(path).with_extension("jsonl");
+        let telemetry = Telemetry::builder()
+            .events_path(&events_path)
+            .capacity(1 << 16)
+            .build()
+            .expect("open events stream");
+        let campaign = campaigns::build("cpu", Some(n)).expect("catalog campaign");
+        let cfg = EngineConfig::default()
+            .with_workers(1)
+            .with_max_steps(100_000_000)
+            .with_telemetry(telemetry.clone());
+        let report = Engine::new(flags(cfg)).run(&campaign).expect("engine run");
+        telemetry.close();
+        assert_eq!((report.path, report.stats.done), (path, n));
+
+        let text = std::fs::read_to_string(&events_path).expect("read events stream");
+        std::fs::remove_file(&events_path).ok();
+        let field = |event: &Event, key: &str| -> Option<String> {
+            let (_, value) = event.fields.iter().find(|(k, _)| k == key)?;
+            Some(value.clone())
+        };
+        let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+        let mut case_spans: BTreeSet<u64> = BTreeSet::new();
+        let mut lanes = 0usize;
+        for line in text.lines() {
+            let event = Event::parse(line)
+                .unwrap_or_else(|e| panic!("{path}: malformed event record {line:?}: {e}"));
+            match (event.kind.as_str(), event.name.as_str()) {
+                ("span", "case") => {
+                    assert!(case_spans.insert(event.case.expect("case span without an index")));
+                }
+                ("span", "batch") => {
+                    let group = field(&event, "lanes").expect("batch span without lanes");
+                    lanes += group.parse::<usize>().expect("a lane count");
+                }
+                ("campaign", "cpu") => assert_eq!(field(&event, "path").as_deref(), Some(path)),
+                _ => {}
+            }
+            *seen
+                .entry(format!("{} {}", event.kind, event.name))
+                .or_default() += 1;
+        }
+
+        // The run's frame, then the spans of what each plan's runner
+        // reports: a scratch case builds and simulates, a fork only
+        // simulates, a group advances its worker's golden cursor (built
+        // once) and runs the word machine.
+        let groups = n.div_ceil(63);
+        let mut expected = vec![
+            ("campaign cpu", 1),
+            ("campaign end", 1),
+            ("span golden", 1),
+            ("worker start", 1),
+            ("worker exit", 1),
+        ];
+        expected.extend(match path {
+            "scalar" => vec![
+                ("span golden/build", 1),
+                ("span golden/simulate", 1),
+                ("span case", n),
+                ("span case/build", n),
+                ("span case/simulate", n),
+            ],
+            "fork" => vec![
+                ("span golden/build", 1),
+                ("span golden/simulate", 1),
+                ("span case", n),
+                ("span case/simulate", n),
+            ],
+            _ => vec![
+                ("span golden/build", 2),
+                ("span golden/simulate", 1 + groups),
+                ("span batch", groups),
+            ],
+        });
+        let expected: BTreeMap<String, usize> = expected
+            .into_iter()
+            .map(|(event, count)| (event.to_owned(), count))
+            .collect();
+        assert_eq!(seen, expected, "{path}: (kind, name) multiset");
+        if path == "batch" {
+            assert_eq!((case_spans.len(), lanes), (0, n));
+        } else {
+            assert!(case_spans.into_iter().eq(0..n as u64), "{path}: case spans");
+        }
+
+        let metrics = telemetry.metrics().expect("enabled telemetry has metrics");
+        let dump = format!("{}{}", report.stats.prometheus(), metrics.to_prometheus());
+        // A sample line is `name[{labels}] value`.
+        for line in dump.lines().filter(|l| !l.starts_with('#')) {
+            let (name, value) = line.rsplit_once(' ').expect("a metric value");
+            let name = name.split('{').next().unwrap_or(name);
+            let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+            assert!(!name.is_empty() && name.chars().all(is_name), "{line:?}");
+            assert!(value.parse::<f64>().is_ok(), "{line:?}");
+        }
+        for family in [
+            "amsfi_solver_steps_total",
+            "amsfi_guard_trips_total",
+            "amsfi_stage_latency_microseconds",
+            "amsfi_case_latency_microseconds",
+            "amsfi_proposed_dt_femtoseconds",
+            "amsfi_snapshot_cache_total",
+            "amsfi_budget_steps_used",
+        ] {
+            assert!(
+                dump.contains(family),
+                "{path}: metrics dump missing {family}"
+            );
+        }
+    }
 }

@@ -499,6 +499,8 @@ fn print_report(report: &EngineReport) {
     }
     println!("{}", report.stats);
     print!("{}", report.stats.stage_table());
+    let fallbacks = report.stats.fallbacks;
+    println!("path: {}, fallbacks: {fallbacks}", report.path);
 }
 
 fn print_skips(skipped: &[amsfi_engine::SkippedCase]) {
