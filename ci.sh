@@ -22,13 +22,6 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q
 
-# PR 2 bench smoke: checkpoint-vs-scratch speedup on the PLL injection-time
-# sweep, emitting results/bench/BENCH_pr2.json (cases/sec + speedup at
-# 1/4/8 workers). The binary also asserts forked runs are byte-identical
-# to from-scratch.
-cargo build --release -p amsfi-bench --bin pr2_checkpoint_bench
-./target/release/pr2_checkpoint_bench
-
 # PR 3 guard-overhead bench: guarded vs unguarded fast-PLL sweep, emitting
 # results/bench/BENCH_pr3.json; asserts the robustness layer costs <= 5%
 # on the hot path.
@@ -65,14 +58,6 @@ cargo build --release -p amsfi-bench --bin pr4_telemetry_bench
 # are byte-identical and early abort is never slower.
 cargo build --release -p amsfi-bench --bin pr5_early_abort_bench
 ./target/release/pr5_early_abort_bench
-
-# PR 6 distributed-serve smoke: in-process coordinator + 2 loopback
-# workers run the full pll-sweep, one worker is forcibly killed mid-shard
-# (lease timeout -> reshard -> journal-resume), and the live-merged
-# journal must yield a cases.csv byte-identical to a single-process run.
-# Emits results/bench/BENCH_pr6.json with the wall-clock comparison.
-cargo build --release -p amsfi-bench --bin pr6_serve_smoke
-./target/release/pr6_serve_smoke
 
 # PR 6 CLI e2e: a real `amsfi serve` coordinator on 127.0.0.1 drains
 # pll-sweep through two `amsfi worker` processes, `amsfi status` answers
@@ -148,16 +133,6 @@ test "$rc" -eq 64
 ./target/release/amsfi list >"$tmp/list.txt"
 grep -q "cpu.*batch" "$tmp/list.txt"
 rm -rf "$tmp"
-
-# PR 8 chaos-net smoke: clean distributed baseline, the kill-and-restart
-# drill (coordinator SIGKILLed mid-stream, replacement recovers the
-# journal dir, worker reconnects with backoff and replays its cache) and
-# a campaign driven through the fault-injecting TCP proxy. Gates:
-# byte-identical cases.csv everywhere, one journal record per case, no
-# case simulated twice. Emits results/bench/BENCH_pr8.json with the
-# recovery-overhead numbers.
-cargo build --release -p amsfi-bench --bin pr8_chaos_net
-./target/release/pr8_chaos_net
 
 # PR 8 CLI e2e: crash-safe serve with real processes. `amsfi status`
 # against a dead address exits with the dedicated code 5; a coordinator

@@ -5,14 +5,20 @@
 //! cargo run --release -p amsfi-bench --bin fig1_pulse_fit
 //! ```
 
+use amsfi_bench::figures::{self, Fig1};
 use amsfi_bench::{ascii_plot, banner, write_result};
-use amsfi_faults::{DoubleExponential, PulseShape, TrapezoidPulse};
+use amsfi_faults::PulseShape;
 use amsfi_waves::Time;
-use std::fmt::Write as _;
 
 fn main() {
+    let fig = figures::fig1();
+    let Fig1 {
+        reference,
+        de,
+        fitted,
+        ..
+    } = &fig;
     banner("Fig. 1a — the proposed trapezoid model (paper reference pulse)");
-    let reference = TrapezoidPulse::from_ma_ps(10.0, 100, 300, 500).expect("valid paper pulse");
     println!("  {reference}");
     println!(
         "  peak = {:.2} mA, charge = {:.2} pC, support = {}",
@@ -35,42 +41,27 @@ fn main() {
     );
 
     banner("Fig. 1b — fit of the trapezoid to the double-exponential model");
-    let de = DoubleExponential::from_peak(10e-3, Time::from_ps(50), Time::from_ps(200))
-        .expect("valid double exponential");
-    let fitted = TrapezoidPulse::fit(&de);
     println!("  source : {de}");
     println!("  fitted : {fitted}");
     println!(
         "  peak   : de {:.4} mA vs trapezoid {:.4} mA (rel err {:.2e})",
         de.peak() * 1e3,
         fitted.peak() * 1e3,
-        (de.peak() - fitted.peak()).abs() / de.peak()
+        fig.peak_error()
     );
     println!(
         "  charge : de {:.4} pC vs trapezoid {:.4} pC (rel err {:.2e})",
         de.charge() * 1e12,
         fitted.charge() * 1e12,
-        (de.charge() - fitted.charge()).abs() / de.charge()
+        fig.charge_error()
     );
-
-    // Overlay both shapes numerically: CSV with both columns.
-    let support = de.support().max(fitted.support());
-    let mut csv = String::from("time_ps,double_exp_ma,trapezoid_ma\n");
-    let steps = 400;
-    let mut max_diff: f64 = 0.0;
-    for i in 0..=steps {
-        let t = Time::from_fs(support.as_fs() * i / steps);
-        let a = de.current(t);
-        let b = fitted.current(t);
-        max_diff = max_diff.max((a - b).abs());
-        let _ = writeln!(csv, "{},{},{}", t.as_ps_f64(), a * 1e3, b * 1e3);
-    }
     println!(
         "  max pointwise difference: {:.3} mA ({:.1} % of peak)",
-        max_diff * 1e3,
-        100.0 * max_diff / de.peak()
+        fig.max_diff * 1e3,
+        100.0 * fig.max_diff / de.peak()
     );
     println!();
+    let support = de.support().max(fitted.support());
     print!(
         "{}",
         ascii_plot(
@@ -93,13 +84,13 @@ fn main() {
             "I(t) [A], fitted trapezoid"
         )
     );
-    write_result("fig1_pulse_fit.csv", &csv);
+    write_result("fig1_pulse_fit.csv", &fig.csv);
 
     println!();
     println!(
         "Paper claim check: the trapezoid parameters (PA, RT, FT, PW) can be \
          derived from the double-exponential model — peak matched exactly, \
          charge to {:.2e} relative error.",
-        (de.charge() - fitted.charge()).abs() / de.charge()
+        fig.charge_error()
     );
 }

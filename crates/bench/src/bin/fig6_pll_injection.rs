@@ -14,24 +14,15 @@
 //! cargo run --release -p amsfi-bench --bin fig6_pll_injection
 //! ```
 
+use amsfi_bench::figures::{self, T_INJECT};
 use amsfi_bench::{ascii_plot, banner, write_result};
-use amsfi_circuits::pll::{self, names};
-use amsfi_faults::{PulseShape, TrapezoidPulse};
-use amsfi_waves::{measure, Time, Trace};
-use std::fmt::Write as _;
-
-const T_END: Time = Time::from_us(200);
-const T_INJECT: Time = Time::from_us(170);
-
-fn run(config: &pll::PllConfig) -> Trace {
-    let mut bench = pll::build(config);
-    bench.monitor_standard();
-    bench.run_until(T_END).expect("simulation");
-    bench.trace()
-}
+use amsfi_circuits::pll::names;
+use amsfi_faults::PulseShape;
+use amsfi_waves::Time;
 
 fn main() {
-    let pulse = TrapezoidPulse::from_ma_ps(10.0, 100, 300, 500).expect("paper pulse");
+    let fig = figures::fig6();
+    let (pulse, dev) = (&fig.pulse, &fig.deviation);
     banner("Fig. 6 — fault injection in the PLL block");
     println!("  operating point : 500 kHz reference, /100, 50 MHz (20 ns) F_out");
     println!("  injection       : {pulse} at {T_INJECT} (after lock)");
@@ -41,18 +32,11 @@ fn main() {
         100.0 * pulse.width().as_secs_f64() / 20e-9
     );
 
-    let config = pll::PllConfig::default();
-    let golden = run(&config);
-    let faulty = run(&config.clone().with_fault(pulse, T_INJECT));
-
-    let g_vctrl = golden.analog(names::VCTRL).expect("monitored");
-    let f_vctrl = faulty.analog(names::VCTRL).expect("monitored");
-
     banner("Nominal input voltage of VCO (locked)");
     print!(
         "{}",
         ascii_plot(
-            g_vctrl,
+            fig.golden.analog(names::VCTRL).expect("monitored"),
             Time::from_us(165),
             Time::from_us(185),
             72,
@@ -64,7 +48,7 @@ fn main() {
     print!(
         "{}",
         ascii_plot(
-            f_vctrl,
+            fig.faulty.analog(names::VCTRL).expect("monitored"),
             Time::from_us(165),
             Time::from_us(185),
             72,
@@ -73,7 +57,6 @@ fn main() {
         )
     );
 
-    let dev = measure::deviation(g_vctrl, f_vctrl, Time::from_us(165), T_END, 0.01);
     banner("Quantitative comparison (paper reads these off the waveforms)");
     println!(
         "  peak VCO-input deviation : {:.1} mV at {}",
@@ -87,59 +70,32 @@ fn main() {
     println!("  perturbation duration    : {}", dev.duration());
     println!(
         "  duration / pulse support : {:.0}x",
-        dev.duration().as_secs_f64() / pulse.support().as_secs_f64()
+        fig.duration_over_support()
     );
 
-    let f_out = faulty.digital(names::F_OUT).expect("monitored");
-    let (n_cycles, worst) = measure::perturbed_cycles(
-        f_out,
-        Time::from_us(165),
-        T_END,
-        Time::from_ns(20),
-        Time::from_ps(100),
-    );
     println!();
     println!("  generated clock F_out:");
-    println!("    perturbed cycles (> 100 ps period error): {n_cycles}");
-    if let Some(w) = worst {
+    println!(
+        "    perturbed cycles (> 100 ps period error): {}",
+        fig.perturbed_cycles
+    );
+    if let Some(w) = fig.worst_period {
         println!(
             "    worst period: {w} (nominal 20 ns, {:+.1} % error)",
             100.0 * ((w - Time::from_ns(20)).as_secs_f64() / 20e-9)
         );
     }
-    let f_golden = measure::mean_frequency(
-        golden.digital(names::F_OUT).expect("monitored"),
-        Time::from_us(150),
-        Time::from_us(169),
-    )
-    .expect("locked");
-    println!("    locked frequency before injection: {f_golden:.4e} Hz");
-
-    // Per-cycle period series around the injection, the clock-frequency
-    // perturbation the figure shows on F_out.
-    let mut csv = String::from("cycle_start_s,period_ns_golden,period_ns_faulty\n");
-    let golden_periods = measure::periods(golden.digital(names::F_OUT).expect("monitored"));
-    let faulty_periods = measure::periods(f_out);
-    for ((gs, gp), (_, fp)) in golden_periods.iter().zip(&faulty_periods) {
-        if *gs >= Time::from_us(169) && *gs <= Time::from_us(185) {
-            let _ = writeln!(
-                csv,
-                "{},{},{}",
-                gs.as_secs_f64(),
-                gp.as_ns_f64(),
-                fp.as_ns_f64()
-            );
-        }
-    }
-    write_result("fig6_fout_periods.csv", &csv);
-    write_result(
-        "fig6_vctrl.csv",
-        &faulty.analog_csv(Time::from_us(165), Time::from_us(190), Time::from_ns(20)),
+    println!(
+        "    locked frequency before injection: {:.4e} Hz",
+        fig.locked_hz
     );
+
+    write_result("fig6_fout_periods.csv", &fig.periods_csv);
+    write_result("fig6_vctrl.csv", &fig.vctrl_csv);
     // Full faulty trace as VCD, for GTKWave inspection of the figure.
     write_result(
         "fig6_faulty.vcd",
-        &amsfi_waves::vcd::to_vcd(&faulty, "Fig. 6 faulty PLL run, strike at 170 us"),
+        &amsfi_waves::vcd::to_vcd(&fig.faulty, "Fig. 6 faulty PLL run, strike at 170 us"),
     );
 
     banner("Paper-vs-measured");
@@ -153,6 +109,6 @@ fn main() {
         "  Measured: {} of perturbation ({}x the pulse) and {} perturbed cycles.",
         dev.duration(),
         dev.duration() / pulse.support(),
-        n_cycles
+        fig.perturbed_cycles
     );
 }

@@ -8,83 +8,29 @@
 //! cargo run --release -p amsfi-bench --bin fig7_model_comparison
 //! ```
 
+use amsfi_bench::figures;
 use amsfi_bench::{ascii_plot, banner, write_result};
-use amsfi_circuits::pll::{self, names};
-use amsfi_faults::{DoubleExponential, PulseShape, TrapezoidPulse};
-use amsfi_waves::{measure, Time, Trace};
-use std::fmt::Write as _;
-
-const T_END: Time = Time::from_us(200);
-const T_INJECT: Time = Time::from_us(170);
-
-fn run(config: pll::PllConfig) -> Trace {
-    let mut bench = pll::build(&config);
-    bench.monitor_standard();
-    bench.run_until(T_END).expect("simulation");
-    bench.trace()
-}
-
-struct Metrics {
-    peak: f64,
-    duration: Time,
-    area: f64,
-    perturbed_cycles: usize,
-}
-
-fn metrics(golden: &Trace, faulty: &Trace) -> Metrics {
-    let dev = measure::deviation(
-        golden.analog(names::VCTRL).expect("monitored"),
-        faulty.analog(names::VCTRL).expect("monitored"),
-        Time::from_us(165),
-        T_END,
-        0.02,
-    );
-    // 200 ps period tolerance: counts the clearly perturbed cycles and is
-    // insensitive to the marginal ring-down tail flickering at the bound.
-    let (n, _) = measure::perturbed_cycles(
-        faulty.digital(names::F_OUT).expect("monitored"),
-        Time::from_us(165),
-        T_END,
-        Time::from_ns(20),
-        Time::from_ps(200),
-    );
-    Metrics {
-        peak: dev.peak,
-        duration: dev.duration(),
-        area: dev.area,
-        perturbed_cycles: n,
-    }
-}
+use amsfi_circuits::pll::names;
+use amsfi_waves::Time;
 
 fn main() {
+    let fig = figures::fig7();
+    let (m_de, m_trap) = (&fig.with_de, &fig.with_trapezoid);
     banner("Fig. 7 — double-exponential vs. proposed trapezoid pulse");
-    // The double-exponential strike...
-    let de = DoubleExponential::from_peak(10e-3, Time::from_ps(50), Time::from_ps(200))
-        .expect("valid spike");
-    // ...and the trapezoid derived from it (the Fig. 1b procedure).
-    let trap = TrapezoidPulse::fit(&de);
     println!(
-        "  double exponential : {de} (charge {:.3} pC)",
-        de.charge() * 1e12
+        "  double exponential : {} (charge {:.3} pC)",
+        m_de.label, m_de.charge_pc
     );
     println!(
-        "  fitted trapezoid   : {trap} (charge {:.3} pC)",
-        trap.charge() * 1e12
+        "  fitted trapezoid   : {} (charge {:.3} pC)",
+        m_trap.label, m_trap.charge_pc
     );
-
-    let config = pll::PllConfig::default();
-    let golden = run(config.clone());
-    let faulty_de = run(config.clone().with_fault(de, T_INJECT));
-    let faulty_trap = run(config.clone().with_fault(trap, T_INJECT));
-
-    let m_de = metrics(&golden, &faulty_de);
-    let m_trap = metrics(&golden, &faulty_trap);
 
     banner("VCO input with the double-exponential injection (Fig. 7a)");
     print!(
         "{}",
         ascii_plot(
-            faulty_de.analog(names::VCTRL).expect("monitored"),
+            m_de.faulty.analog(names::VCTRL).expect("monitored"),
             Time::from_us(168),
             Time::from_us(182),
             72,
@@ -96,7 +42,7 @@ fn main() {
     print!(
         "{}",
         ascii_plot(
-            faulty_trap.analog(names::VCTRL).expect("monitored"),
+            m_trap.faulty.analog(names::VCTRL).expect("monitored"),
             Time::from_us(168),
             Time::from_us(182),
             72,
@@ -141,43 +87,20 @@ fn main() {
     println!(
         "  {:<28} {:>14} {:>14} {:>9.1}%",
         "perturbed F_out cycles",
-        m_de.perturbed_cycles,
-        m_trap.perturbed_cycles,
-        rel(m_de.perturbed_cycles as f64, m_trap.perturbed_cycles as f64)
+        m_de.cycles,
+        m_trap.cycles,
+        rel(m_de.cycles as f64, m_trap.cycles as f64)
     );
 
-    // Direct trace similarity between the two faulty runs.
-    let cross = measure::deviation(
-        faulty_de.analog(names::VCTRL).expect("monitored"),
-        faulty_trap.analog(names::VCTRL).expect("monitored"),
-        Time::from_us(165),
-        T_END,
-        0.01,
-    );
     println!();
     println!(
         "  max difference between the two faulty vctrl traces: {:.2} mV \
          ({:.1} % of the {:.1} mV fault effect)",
-        cross.peak * 1e3,
-        100.0 * cross.peak / m_de.peak,
+        fig.cross_peak * 1e3,
+        100.0 * fig.cross_peak / m_de.peak,
         m_de.peak * 1e3
     );
-
-    let mut csv = String::from("metric,double_exp,trapezoid\n");
-    let _ = writeln!(csv, "peak_v,{},{}", m_de.peak, m_trap.peak);
-    let _ = writeln!(
-        csv,
-        "duration_s,{},{}",
-        m_de.duration.as_secs_f64(),
-        m_trap.duration.as_secs_f64()
-    );
-    let _ = writeln!(csv, "area_vs,{},{}", m_de.area, m_trap.area);
-    let _ = writeln!(
-        csv,
-        "perturbed_cycles,{},{}",
-        m_de.perturbed_cycles, m_trap.perturbed_cycles
-    );
-    write_result("fig7_model_comparison.csv", &csv);
+    write_result("fig7_model_comparison.csv", &fig.csv);
 
     banner("Paper-vs-measured");
     println!(
@@ -188,6 +111,6 @@ fn main() {
         "  Measured: system-level metrics agree within {:.1} % (peak) and the\n\
          \x20 faulty traces differ by at most {:.1} % of the fault effect.",
         rel(m_de.peak, m_trap.peak),
-        100.0 * cross.peak / m_de.peak
+        100.0 * fig.cross_peak / m_de.peak
     );
 }

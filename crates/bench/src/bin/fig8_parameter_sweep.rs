@@ -16,89 +16,28 @@
 //! cargo run --release -p amsfi-bench --bin fig8_parameter_sweep
 //! ```
 
+use amsfi_bench::figures;
 use amsfi_bench::{ascii_plot, banner, write_result};
-use amsfi_circuits::pll::{self, names};
-use amsfi_faults::{PulseShape, TrapezoidPulse};
-use amsfi_waves::{measure, Time, Trace};
-use std::fmt::Write as _;
-
-const T_END: Time = Time::from_us(200);
-const T_INJECT: Time = Time::from_us(170);
-
-fn run(config: pll::PllConfig) -> Trace {
-    let mut bench = pll::build(&config);
-    bench.monitor_standard();
-    bench.run_until(T_END).expect("simulation");
-    bench.trace()
-}
-
-struct Row {
-    label: String,
-    charge_pc: f64,
-    peak_mv: f64,
-    duration: Time,
-    area: f64,
-    cycles: usize,
-}
-
-fn measure_pulse(golden: &Trace, pulse: TrapezoidPulse, label: &str) -> Row {
-    let faulty = run(pll::PllConfig::default().with_fault(pulse, T_INJECT));
-    // 20 mV deviation threshold: above the comparison noise of the golden
-    // ripple, so the duration column reflects the true ring-down.
-    let dev = measure::deviation(
-        golden.analog(names::VCTRL).expect("monitored"),
-        faulty.analog(names::VCTRL).expect("monitored"),
-        Time::from_us(165),
-        T_END,
-        0.02,
-    );
-    let (cycles, _) = measure::perturbed_cycles(
-        faulty.digital(names::F_OUT).expect("monitored"),
-        Time::from_us(165),
-        T_END,
-        Time::from_ns(20),
-        Time::from_ps(200),
-    );
-    Row {
-        label: label.to_owned(),
-        charge_pc: pulse.charge() * 1e12,
-        peak_mv: dev.peak * 1e3,
-        duration: dev.duration(),
-        area: dev.area,
-        cycles,
-    }
-}
+use amsfi_circuits::pll::names;
+use amsfi_waves::Time;
 
 fn main() {
     banner("Fig. 8 — VCO input for several pulse parameter sets (PA, RT, FT, PW)");
-    let golden = run(pll::PllConfig::default());
-
-    let paper_sets: [(f64, i64, i64, i64); 4] = [
-        (2.0, 100, 100, 300),
-        (8.0, 100, 100, 300),
-        (10.0, 40, 40, 120),
-        (10.0, 180, 180, 540),
-    ];
-
-    let mut rows = Vec::new();
-    for &(pa, rt, ft, pw) in &paper_sets {
-        let pulse = TrapezoidPulse::from_ma_ps(pa, rt, ft, pw).expect("paper set");
-        let label = format!("({pa} mA, {rt} ps, {ft} ps, {pw} ps)");
-        // Show the waveform for each paper set, like the four panes of Fig. 8.
-        let faulty = run(pll::PllConfig::default().with_fault(pulse, T_INJECT));
+    let fig = figures::fig8();
+    // The waveform for each paper set, like the four panes of Fig. 8.
+    for r in &fig.paper_sets {
         print!(
             "{}",
             ascii_plot(
-                faulty.analog(names::VCTRL).expect("monitored"),
+                r.faulty.analog(names::VCTRL).expect("monitored"),
                 Time::from_us(168),
                 Time::from_us(182),
                 72,
                 8,
-                &format!("vctrl [V], pulse {label}")
+                &format!("vctrl [V], pulse {}", r.label)
             )
         );
         println!();
-        rows.push(measure_pulse(&golden, pulse, &label));
     }
 
     banner("Disturbance vs. pulse parameters (paper's four sets)");
@@ -106,72 +45,34 @@ fn main() {
         "  {:<36} {:>9} {:>9} {:>12} {:>11} {:>7}",
         "(PA, RT, FT, PW)", "Q [pC]", "peak[mV]", "duration", "area[V*s]", "cycles"
     );
-    for r in &rows {
+    for r in &fig.paper_sets {
         println!(
             "  {:<36} {:>9.3} {:>9.2} {:>12} {:>11.3e} {:>7}",
             r.label,
             r.charge_pc,
-            r.peak_mv,
+            r.peak * 1e3,
             r.duration.to_string(),
             r.area,
             r.cycles
         );
     }
 
-    // Extended grid: amplitude x width sweep at fixed edges, to expose the
-    // cumulative (charge-driven) trend the paper notes.
     banner("Extended sweep — amplitude x width grid (RT = FT = 100 ps)");
-    let mut grid_rows = Vec::new();
-    for &pa in &[1.0, 2.0, 5.0, 10.0, 20.0] {
-        for &pw in &[150i64, 300, 600, 1200] {
-            let pulse = TrapezoidPulse::from_ma_ps(pa, 100, 100, pw).expect("grid set");
-            let label = format!("({pa} mA, PW {pw} ps)");
-            grid_rows.push(measure_pulse(&golden, pulse, &label));
-        }
-    }
     println!(
         "  {:<24} {:>9} {:>9} {:>12} {:>7}",
         "(PA, PW)", "Q [pC]", "peak[mV]", "duration", "cycles"
     );
-    for r in &grid_rows {
+    for r in &fig.grid {
         println!(
             "  {:<24} {:>9.3} {:>9.2} {:>12} {:>7}",
             r.label,
             r.charge_pc,
-            r.peak_mv,
+            r.peak * 1e3,
             r.duration.to_string(),
             r.cycles
         );
     }
-
-    // Correlation of peak deviation with charge (the cumulative effect).
-    let all: Vec<&Row> = rows.iter().chain(&grid_rows).collect();
-    let corr = {
-        let xs: Vec<f64> = all.iter().map(|r| r.charge_pc).collect();
-        let ys: Vec<f64> = all.iter().map(|r| r.peak_mv).collect();
-        let n = xs.len() as f64;
-        let mx = xs.iter().sum::<f64>() / n;
-        let my = ys.iter().sum::<f64>() / n;
-        let cov: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-        let sx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum::<f64>().sqrt();
-        let sy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum::<f64>().sqrt();
-        cov / (sx * sy)
-    };
-
-    let mut csv = String::from("label,charge_pc,peak_mv,duration_s,area_vs,perturbed_cycles\n");
-    for r in &all {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{}",
-            r.label.replace(',', ";"),
-            r.charge_pc,
-            r.peak_mv,
-            r.duration.as_secs_f64(),
-            r.area,
-            r.cycles
-        );
-    }
-    write_result("fig8_parameter_sweep.csv", &csv);
+    write_result("fig8_parameter_sweep.csv", &fig.csv);
 
     banner("Paper-vs-measured");
     println!(
@@ -181,12 +82,9 @@ fn main() {
     );
     println!(
         "  Measured: peak VCO-input deviation correlates with injected charge\n\
-         \x20 (amplitude x effective width) with Pearson r = {corr:.3} over \
+         \x20 (amplitude x effective width) with Pearson r = {:.3} over \
          {} parameter sets.",
-        all.len()
-    );
-    assert!(
-        corr > 0.9,
-        "cumulative-effect correlation should be strong, got {corr}"
+        fig.charge_correlation,
+        fig.paper_sets.len() + fig.grid.len()
     );
 }

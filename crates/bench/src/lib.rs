@@ -3,6 +3,8 @@
 
 #![warn(missing_docs)]
 
+pub mod figures;
+
 use amsfi_faults::PulseShape;
 use amsfi_waves::{AnalogWave, Time};
 use std::fmt::Write as _;

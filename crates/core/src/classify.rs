@@ -10,7 +10,8 @@
 
 use crate::failure::SimFailure;
 use amsfi_waves::{
-    compare_analog, compare_digital_with_skew, AnalogWave, SignalComparison, Time, Tolerance, Trace,
+    AnalogStream, AnalogWave, DigitalStream, DigitalWave, StreamState, Time, Tolerance, Trace,
+    TraceView,
 };
 use std::fmt;
 
@@ -160,6 +161,28 @@ impl ClassifySpec {
         self.settle = Some(settle);
         self
     }
+
+    /// Every monitored name with its is-output flag, outputs first: the
+    /// order verdicts are folded in.
+    pub(crate) fn signals(&self) -> impl Iterator<Item = (&str, bool)> {
+        let outputs = self.outputs.iter().map(|n| (n.as_str(), true));
+        outputs.chain(self.internals.iter().map(|n| (n.as_str(), false)))
+    }
+
+    /// The recovery horizon: a divergence reaching it is unrecovered.
+    pub(crate) fn recovered_by(&self) -> Time {
+        self.window.1 - self.recovery
+    }
+
+    pub(crate) fn digital_stream(&self) -> DigitalStream {
+        let (from, to) = self.window;
+        DigitalStream::new(from, to, self.merge_gap, self.digital_skew)
+    }
+
+    pub(crate) fn analog_stream(&self) -> AnalogStream {
+        let (from, to) = self.window;
+        AnalogStream::new(from, to, self.analog_tolerance, self.merge_gap)
+    }
 }
 
 /// Everything measured about one fault-injection run.
@@ -215,15 +238,80 @@ impl CaseOutcome {
     }
 }
 
-/// The result of checking one monitored signal: an ordinary comparison, or
-/// the discovery that a trace is not comparable at all.
-enum SignalCheck {
-    Cmp(SignalComparison),
-    /// A NaN/Inf sample at `t` — IEEE comparison semantics must never be
-    /// allowed to decide this case (`NaN <= x` is false, so a NaN sample
-    /// would read as an ordinary mismatch and quietly inflate `failure`
-    /// counts).
-    NonFinite(Time),
+/// What the verdict reads off one diverged signal — from a finished
+/// comparison, or from a stream still running.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divergence {
+    /// Start of the first mismatch.
+    pub(crate) first: Time,
+    /// End of the last mismatch; for one still open, the finality bound it
+    /// has been held through (a lower bound).
+    pub(crate) last: Time,
+    /// Summed mismatch duration (a lower bound while a mismatch is open).
+    pub(crate) total: Time,
+    /// Still wrong at the recovery horizon `window.1 - recovery`.
+    pub(crate) unrecovered: bool,
+}
+
+impl Divergence {
+    /// The summary of `state` as of its finality bound; `None` while the
+    /// signal has not mismatched. Observations only occur where a wave
+    /// changes, so a mismatch open at the bound has persisted through it.
+    pub(crate) fn as_of(spec: &ClassifySpec, state: &StreamState) -> Option<Divergence> {
+        let (closed, open) = (state.intervals(), state.open_since());
+        let first = closed.first().map(|iv| iv.from).or(open)?;
+        let mut total = closed.iter().map(|iv| iv.duration()).sum();
+        let last = match open {
+            Some(open) => {
+                let held = state.processed_to().max(open);
+                total += held - open;
+                held
+            }
+            None => closed.last().map_or(first, |iv| iv.to),
+        };
+        Some(Divergence {
+            first,
+            last,
+            total,
+            unrecovered: last >= spec.recovered_by(),
+        })
+    }
+
+    /// The one rule for a signal no typed comparison can handle — missing
+    /// from one trace, missing from *both* (a typo'd monitor name, a signal
+    /// that never transitioned into the trace), or recorded in different
+    /// domains: a mismatch over the whole window. Silently reporting a match
+    /// would let a misspelled `ClassifySpec` output turn every case into a
+    /// false no-effect verdict.
+    pub(crate) fn full_window(spec: &ClassifySpec) -> Divergence {
+        let (first, last) = spec.window;
+        Divergence {
+            first,
+            last,
+            total: last - first,
+            unrecovered: last >= spec.recovered_by(),
+        }
+    }
+}
+
+/// What a monitored name resolves to: a pair of waves in one domain, or
+/// nothing the typed comparisons can handle.
+pub(crate) enum Resolved<'a> {
+    Digital(&'a DigitalWave, &'a DigitalWave),
+    Analog(&'a AnalogWave, &'a AnalogWave),
+    Uncomparable,
+}
+
+/// Resolves `name` against the golden trace and what the faulty run has
+/// recorded.
+pub(crate) fn resolve<'a>(golden: &'a Trace, faulty: &TraceView<'a>, name: &str) -> Resolved<'a> {
+    if let (Some(g), Some(f)) = (golden.digital(name), faulty.digital(name)) {
+        Resolved::Digital(g, f)
+    } else if let (Some(g), Some(f)) = (golden.analog(name), faulty.analog(name)) {
+        Resolved::Analog(g, f)
+    } else {
+        Resolved::Uncomparable
+    }
 }
 
 /// First non-finite sample of `wave` within `[from, to]`.
@@ -235,100 +323,72 @@ pub(crate) fn first_non_finite(wave: &AnalogWave, from: Time, to: Time) -> Optio
         .map(|&(t, _)| t)
 }
 
-fn compare_signal(spec: &ClassifySpec, golden: &Trace, faulty: &Trace, name: &str) -> SignalCheck {
-    let (from, to) = spec.window;
-    if let (Some(g), Some(f)) = (golden.digital(name), faulty.digital(name)) {
-        return SignalCheck::Cmp(compare_digital_with_skew(
-            g,
-            f,
-            from,
-            to,
-            spec.merge_gap,
-            spec.digital_skew,
-        ));
-    }
-    if let (Some(g), Some(f)) = (golden.analog(name), faulty.analog(name)) {
-        // The faulty trace is checked first: it is the one a diverging
-        // kernel poisons, so its (earlier or equal) timestamp is the one
-        // worth reporting.
-        if let Some(t) = first_non_finite(f, from, to).or_else(|| first_non_finite(g, from, to)) {
-            return SignalCheck::NonFinite(t);
+/// Compares one monitored signal over the whole window. `Err` is a NaN/Inf
+/// sample at that time — IEEE comparison semantics must never be allowed to
+/// decide such a case (`NaN <= x` is false, so a NaN sample would read as
+/// an ordinary mismatch and quietly inflate `failure` counts).
+fn compare_signal(
+    spec: &ClassifySpec,
+    golden: &Trace,
+    faulty: &TraceView<'_>,
+    name: &str,
+) -> Result<Option<Divergence>, Time> {
+    match resolve(golden, faulty, name) {
+        Resolved::Digital(g, f) => {
+            let mut stream = spec.digital_stream();
+            stream.finish(g, f);
+            Ok(Divergence::as_of(spec, stream.state()))
         }
-        return SignalCheck::Cmp(compare_analog(
-            g,
-            f,
-            from,
-            to,
-            spec.analog_tolerance,
-            spec.merge_gap,
-        ));
+        Resolved::Analog(g, f) => {
+            let (from, to) = spec.window;
+            // The faulty trace is checked first: it is the one a diverging
+            // kernel poisons, so its (earlier or equal) timestamp is the one
+            // worth reporting.
+            if let Some(t) = first_non_finite(f, from, to).or_else(|| first_non_finite(g, from, to))
+            {
+                return Err(t);
+            }
+            let mut stream = spec.analog_stream();
+            stream.finish(g, f);
+            Ok(Divergence::as_of(spec, stream.state()))
+        }
+        Resolved::Uncomparable => Ok(Some(Divergence::full_window(spec))),
     }
-    // Anything the typed comparisons above could not handle — the signal is
-    // missing from one trace, missing from *both* (a typo'd monitor name, a
-    // signal that never transitioned into the trace), or recorded in
-    // different domains — is a permanent full-window mismatch. Silently
-    // reporting a match here would let a misspelled `ClassifySpec` output
-    // turn every case into a false no-effect verdict.
-    SignalCheck::Cmp(SignalComparison {
-        mismatches: vec![amsfi_waves::MismatchInterval { from, to }],
-    })
 }
 
-/// Classifies one faulty trace against the golden trace.
-pub fn classify(spec: &ClassifySpec, golden: &Trace, faulty: &Trace) -> CaseOutcome {
-    let recovered_by = spec.window.1 - spec.recovery;
+/// The verdict lattice: folds each monitored signal's divergence (`None` =
+/// clean), in spec order, into the outcome. Every classification — post-hoc
+/// and each online seal — ends here.
+pub(crate) fn fold<'a>(
+    signals: impl Iterator<Item = (&'a str, bool, Option<Divergence>)>,
+) -> CaseOutcome {
     let mut affected = Vec::new();
     let mut onset: Option<Time> = None;
     let mut end: Option<Time> = None;
     let mut total = Time::ZERO;
-    let mut output_failed = false;
-    let mut output_diverged = false;
+    let mut output_unrecovered = false;
     let mut internal_unrecovered = false;
-
-    for name in &spec.outputs {
-        let cmp = match compare_signal(spec, golden, faulty, name) {
-            SignalCheck::NonFinite(t) => return sim_failure_outcome(name, t),
-            SignalCheck::Cmp(cmp) => cmp,
-        };
-        if cmp.is_match() {
-            continue;
-        }
-        output_diverged = true;
-        affected.push(name.clone());
-        total += cmp.total_mismatch();
-        let first = cmp.first_divergence().expect("has mismatches");
-        let last = cmp.last_divergence().expect("has mismatches");
-        onset = Some(onset.map_or(first, |t| t.min(first)));
-        end = Some(end.map_or(last, |t| t.max(last)));
-        if last >= recovered_by {
-            output_failed = true;
-        }
-    }
-    for name in &spec.internals {
-        let cmp = match compare_signal(spec, golden, faulty, name) {
-            SignalCheck::NonFinite(t) => return sim_failure_outcome(name, t),
-            SignalCheck::Cmp(cmp) => cmp,
-        };
-        if cmp.is_match() {
-            continue;
-        }
-        affected.push(name.clone());
-        if cmp.last_divergence().expect("has mismatches") >= recovered_by {
-            internal_unrecovered = true;
+    for (name, is_output, divergence) in signals {
+        let Some(d) = divergence else { continue };
+        affected.push(name.to_owned());
+        if is_output {
+            onset = Some(onset.map_or(d.first, |t| t.min(d.first)));
+            end = Some(end.map_or(d.last, |t| t.max(d.last)));
+            total += d.total;
+            output_unrecovered |= d.unrecovered;
+        } else {
+            internal_unrecovered |= d.unrecovered;
         }
     }
     affected.sort();
-
-    let class = if output_failed {
+    let class = if output_unrecovered {
         FaultClass::Failure
-    } else if output_diverged || !affected.is_empty() {
-        if internal_unrecovered {
-            FaultClass::Latent
-        } else {
-            FaultClass::Transient
-        }
-    } else {
+    } else if internal_unrecovered {
+        FaultClass::Latent
+    } else if affected.is_empty() {
         FaultClass::NoEffect
+    } else {
+        FaultClass::Transient
     };
     CaseOutcome {
         class,
@@ -338,6 +398,26 @@ pub fn classify(spec: &ClassifySpec, golden: &Trace, faulty: &Trace) -> CaseOutc
         affected,
         failure: None,
         sealed_at: None,
+    }
+}
+
+/// Classifies one faulty trace against the golden trace.
+pub fn classify(spec: &ClassifySpec, golden: &Trace, faulty: &Trace) -> CaseOutcome {
+    let parts = [faulty];
+    let faulty = TraceView::new(&parts);
+    let mut poisoned = None;
+    let outcome = fold(spec.signals().map_while(|(name, is_output)| {
+        match compare_signal(spec, golden, &faulty, name) {
+            Ok(divergence) => Some((name, is_output, divergence)),
+            Err(t) => {
+                poisoned = Some((name, t));
+                None
+            }
+        }
+    }));
+    match poisoned {
+        Some((name, t)) => sim_failure_outcome(name, t),
+        None => outcome,
     }
 }
 

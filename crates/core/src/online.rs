@@ -8,7 +8,9 @@
 //! nothing else happens. [`OnlineClassifier`] consumes the faulty trace
 //! incrementally — fed by a [`SimObserver`](amsfi_waves::SimObserver)
 //! polling from the kernel step loops — and *seals* the verdict as soon as
-//! one of three conditions holds:
+//! one of three conditions holds. Each seal is an early exit of the one
+//! fold [`classify`](crate::classify) ends in: every signal's divergence
+//! as of now, through the same lattice.
 //!
 //! 1. **Permanent** — every monitored signal has already diverged and at
 //!    least one output's divergence reaches the recovery horizon
@@ -55,18 +57,15 @@
 //! sealed outcome (with [`CaseOutcome::sealed_at`] set) instead of
 //! classifying post-hoc.
 
-use crate::classify::{first_non_finite, CaseOutcome, ClassifySpec, FaultClass};
-use amsfi_waves::{
-    AnalogStream, CancelToken, DigitalStream, MismatchInterval, Time, Trace, TraceView,
+use crate::classify::{
+    first_non_finite, fold, resolve, CaseOutcome, ClassifySpec, Divergence, FaultClass, Resolved,
 };
+use amsfi_waves::{AnalogStream, CancelToken, DigitalStream, StreamState, Time, Trace, TraceView};
 use std::sync::Arc;
 
 /// Streaming comparison state for one monitored signal.
 #[derive(Debug)]
 enum SigStream {
-    /// The faulty trace has not yet recorded this signal in the domain the
-    /// golden trace uses, so comparison cannot start. Blocks every seal.
-    Unresolved,
     /// Digital golden-vs-faulty merge cursor.
     Digital(DigitalStream),
     /// Analog golden-vs-faulty merge cursor.
@@ -78,46 +77,41 @@ enum SigStream {
     MissingInGolden,
 }
 
-/// `(closed intervals, open-mismatch start, last mismatch observation,
-/// finality bound)` of a comparing stream.
-type CursorState<'a> = (&'a [MismatchInterval], Option<Time>, Option<Time>, Time);
-
-impl SigStream {
-    /// The comparison-state snapshot of a live stream; `None` for signals
-    /// that are missing from the golden trace or not yet resolved.
-    fn cursor(&self) -> Option<CursorState<'_>> {
-        match self {
-            SigStream::Digital(s) => Some((
-                s.intervals(),
-                s.open_since(),
-                s.last_mismatch_obs(),
-                s.processed_to(),
-            )),
-            SigStream::Analog(s) => Some((
-                s.intervals(),
-                s.open_since(),
-                s.last_mismatch_obs(),
-                s.processed_to(),
-            )),
-            SigStream::MissingInGolden | SigStream::Unresolved => None,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct SigState {
     name: String,
     /// True for functional outputs, false for internals.
     output: bool,
-    stream: SigStream,
+    /// `None` until the faulty trace records this signal in the domain the
+    /// golden trace uses: comparison cannot start, which blocks every seal.
+    stream: Option<SigStream>,
     /// Number of faulty analog samples already scanned for non-finite
     /// values (samples are append-only, so the scan never re-reads).
     scanned: usize,
 }
 
-/// Incremental golden-vs-faulty classifier that mirrors
-/// [`classify`](crate::classify::classify)'s verdict lattice and seals the
-/// outcome as soon as no future observation can change it.
+impl SigState {
+    /// The comparison state of a live stream; `None` for a signal missing
+    /// from the golden trace.
+    fn state(&self) -> Option<&StreamState> {
+        match self.stream.as_ref()? {
+            SigStream::Digital(s) => Some(s.state()),
+            SigStream::Analog(s) => Some(s.state()),
+            SigStream::MissingInGolden => None,
+        }
+    }
+
+    /// True once the signal has mismatched at all.
+    fn diverged(&self) -> bool {
+        self.state()
+            .is_none_or(|st| st.open_since().is_some() || !st.intervals().is_empty())
+    }
+}
+
+/// Incremental golden-vs-faulty classifier that reaches
+/// [`classify`](crate::classify::classify)'s verdict through the same
+/// lattice and seals the outcome as soon as no future observation can
+/// change it.
 ///
 /// Feed it watermarks from a kernel observer via
 /// [`OnlineClassifier::observe`]; once [`OnlineClassifier::sealed`] returns
@@ -167,14 +161,11 @@ impl OnlineClassifier {
             .max(Time::RESOLUTION);
         let (from, to) = spec.window;
         let signals: Vec<SigState> = spec
-            .outputs
-            .iter()
-            .map(|n| (n, true))
-            .chain(spec.internals.iter().map(|n| (n, false)))
+            .signals()
             .map(|(name, output)| SigState {
-                name: name.clone(),
+                name: name.to_owned(),
                 output,
-                stream: SigStream::Unresolved,
+                stream: None,
                 scanned: 0,
             })
             .collect();
@@ -239,62 +230,47 @@ impl OnlineClassifier {
         }
         self.next_check = watermark.saturating_add(self.settle / 8);
         for sig in &mut self.signals {
-            if matches!(sig.stream, SigStream::Unresolved) {
-                let g_dig = self.golden.digital(&sig.name);
-                let g_ana = self.golden.analog(&sig.name);
-                if g_dig.is_some() && view.digital(&sig.name).is_some() {
-                    sig.stream = SigStream::Digital(DigitalStream::new(
-                        from,
-                        to,
-                        self.spec.merge_gap,
-                        self.spec.digital_skew,
-                    ));
-                } else if g_ana.is_some() && view.analog(&sig.name).is_some() {
-                    sig.stream = SigStream::Analog(AnalogStream::new(
-                        from,
-                        to,
-                        self.spec.analog_tolerance,
-                        self.spec.merge_gap,
-                    ));
-                } else if g_dig.is_none() && g_ana.is_none() {
-                    sig.stream = SigStream::MissingInGolden;
-                }
+            let resolved = resolve(&self.golden, view, &sig.name);
+            if sig.stream.is_none() {
+                sig.stream = match resolved {
+                    Resolved::Digital(..) => Some(SigStream::Digital(self.spec.digital_stream())),
+                    Resolved::Analog(..) => Some(SigStream::Analog(self.spec.analog_stream())),
+                    Resolved::Uncomparable => {
+                        let in_golden = self.golden.digital(&sig.name).is_some()
+                            || self.golden.analog(&sig.name).is_some();
+                        (!in_golden).then_some(SigStream::MissingInGolden)
+                    }
+                };
             }
-            match &mut sig.stream {
-                SigStream::Digital(stream) => {
-                    let golden = self.golden.digital(&sig.name).expect("resolved digital");
-                    if let Some(faulty) = view.digital(&sig.name) {
-                        let upto = watermark - self.spec.digital_skew - Time::RESOLUTION;
-                        stream.advance(golden, faulty, upto);
-                    }
+            match (&mut sig.stream, resolved) {
+                (Some(SigStream::Digital(stream)), Resolved::Digital(golden, faulty)) => {
+                    let upto = watermark - self.spec.digital_skew - Time::RESOLUTION;
+                    stream.advance(golden, faulty, upto);
                 }
-                SigStream::Analog(stream) => {
-                    let golden = self.golden.analog(&sig.name).expect("resolved analog");
-                    if let Some(faulty) = view.analog(&sig.name) {
-                        // Only samples strictly below the watermark are
-                        // frozen: a sample *at* the watermark may still be
-                        // overwritten (same-time pushes replace the value),
-                        // which would retroactively change interpolated
-                        // values below it. Scan and advance up to the last
-                        // frozen sample only.
-                        let samples = faulty.samples();
-                        let frozen = samples.partition_point(|&(t, _)| t < watermark);
-                        while sig.scanned < frozen {
-                            let (t, v) = samples[sig.scanned];
-                            sig.scanned += 1;
-                            if t >= from && t <= to && !v.is_finite() {
-                                self.inert = true;
-                            }
-                        }
-                        if frozen > 0 {
-                            stream.advance(golden, faulty, samples[frozen - 1].0);
+                (Some(SigStream::Analog(stream)), Resolved::Analog(golden, faulty)) => {
+                    // Only samples strictly below the watermark are
+                    // frozen: a sample *at* the watermark may still be
+                    // overwritten (same-time pushes replace the value),
+                    // which would retroactively change interpolated
+                    // values below it. Scan and advance up to the last
+                    // frozen sample only.
+                    let samples = faulty.samples();
+                    let frozen = samples.partition_point(|&(t, _)| t < watermark);
+                    while sig.scanned < frozen {
+                        let (t, v) = samples[sig.scanned];
+                        sig.scanned += 1;
+                        if t >= from && t <= to && !v.is_finite() {
+                            self.inert = true;
                         }
                     }
+                    if frozen > 0 {
+                        stream.advance(golden, faulty, samples[frozen - 1].0);
+                    }
                 }
-                SigStream::Unresolved | SigStream::MissingInGolden => {}
+                _ => {}
             }
         }
-        if self.inert {
+        if self.inert || self.signals.iter().any(|s| s.stream.is_none()) {
             return;
         }
         let outcome = self
@@ -308,87 +284,53 @@ impl OnlineClassifier {
         }
     }
 
-    /// Seal 3: every stream has processed the whole window — the verdict is
-    /// the post-hoc one by construction.
+    /// The lattice's verdict on every signal's divergence as of now.
+    /// `settled` counts a mismatch still open as unrecovered: held through a
+    /// full settle window, it is predicted to persist to the window end.
+    fn verdict(&self, settled: bool) -> CaseOutcome {
+        fold(self.signals.iter().map(|sig| {
+            let divergence = match sig.state() {
+                Some(st) => Divergence::as_of(&self.spec, st).map(|d| Divergence {
+                    unrecovered: d.unrecovered || (settled && st.open_since().is_some()),
+                    ..d
+                }),
+                None => Some(Divergence::full_window(&self.spec)),
+            };
+            (sig.name.as_str(), sig.output, divergence)
+        }))
+    }
+
+    /// Seal 3: every stream has processed the whole window — finish them
+    /// all, and the verdict is the post-hoc one by construction.
     fn try_seal_complete(&mut self, view: &TraceView<'_>) -> Option<CaseOutcome> {
-        let (from, to) = self.spec.window;
-        let complete = self.signals.iter().all(|s| match &s.stream {
-            SigStream::Digital(stream) => stream.processed_to() >= to,
-            SigStream::Analog(stream) => stream.processed_to() >= to,
-            SigStream::MissingInGolden => true,
-            SigStream::Unresolved => false,
-        });
-        if !complete {
+        let to = self.spec.window.1;
+        let behind = |s: &SigState| s.state().is_some_and(|st| st.processed_to() < to);
+        if self.signals.iter().any(behind) {
             return None;
         }
-        let per_signal: Vec<(String, bool, Vec<MismatchInterval>)> = self
-            .signals
-            .iter_mut()
-            .map(|sig| {
-                let intervals = match &mut sig.stream {
-                    SigStream::Digital(stream) => {
-                        let golden = self.golden.digital(&sig.name).expect("resolved digital");
-                        let faulty = view.digital(&sig.name).expect("resolved digital");
-                        stream.finish(golden, faulty).mismatches
-                    }
-                    SigStream::Analog(stream) => {
-                        let golden = self.golden.analog(&sig.name).expect("resolved analog");
-                        let faulty = view.analog(&sig.name).expect("resolved analog");
-                        stream.finish(golden, faulty).mismatches
-                    }
-                    SigStream::MissingInGolden => vec![MismatchInterval { from, to }],
-                    SigStream::Unresolved => unreachable!("complete implies resolved"),
-                };
-                (sig.name.clone(), sig.output, intervals)
-            })
-            .collect();
-        Some(aggregate(&self.spec, &per_signal))
+        for sig in &mut self.signals {
+            match (&mut sig.stream, resolve(&self.golden, view, &sig.name)) {
+                (Some(SigStream::Digital(stream)), Resolved::Digital(golden, faulty)) => {
+                    stream.finish(golden, faulty);
+                }
+                (Some(SigStream::Analog(stream)), Resolved::Analog(golden, faulty)) => {
+                    stream.finish(golden, faulty);
+                }
+                _ => {}
+            }
+        }
+        Some(self.verdict(false))
     }
 
     /// Seal 1: all monitored signals have diverged (so the affected set is
-    /// complete) and at least one output's divergence reaches the recovery
-    /// horizon (so no future observation can downgrade `Failure`).
+    /// complete) and the lattice already says `Failure` — an output's
+    /// divergence reaches the recovery horizon, so no future observation
+    /// can downgrade it.
     fn try_seal_permanent(&self) -> Option<CaseOutcome> {
-        let (from, to) = self.spec.window;
-        let recovered_by = to - self.spec.recovery;
-        let mut onset: Option<Time> = None;
-        let mut end: Option<Time> = None;
-        let mut total = Time::ZERO;
-        let mut any_output_failed = false;
-        for sig in &self.signals {
-            // (first divergence, definitively past the horizon, as-of-seal
-            // last divergence, as-of-seal mismatch total) — or bail if this
-            // signal has not diverged yet.
-            let (first, failed, last, mismatch) = match &sig.stream {
-                SigStream::MissingInGolden => (from, to >= recovered_by, to, to - from),
-                SigStream::Unresolved => return None,
-                stream => {
-                    let (intervals, open, last_obs, limit) =
-                        stream.cursor().expect("digital or analog");
-                    divergence_summary(intervals, open, last_obs, limit, recovered_by)?
-                }
-            };
-            if sig.output {
-                onset = Some(onset.map_or(first, |t| t.min(first)));
-                end = Some(end.map_or(last, |t| t.max(last)));
-                total += mismatch;
-                any_output_failed |= failed;
-            }
-        }
-        if !any_output_failed {
+        if !self.signals.iter().all(SigState::diverged) {
             return None;
         }
-        let mut affected: Vec<String> = self.signals.iter().map(|s| s.name.clone()).collect();
-        affected.sort();
-        Some(CaseOutcome {
-            class: FaultClass::Failure,
-            error_onset: onset,
-            error_end: end,
-            total_mismatch: total,
-            affected,
-            failure: None,
-            sealed_at: None,
-        })
+        Some(self.verdict(false)).filter(|outcome| outcome.class == FaultClass::Failure)
     }
 
     /// Seal 2: every signal's comparison state has held unchanged through
@@ -405,36 +347,25 @@ impl OnlineClassifier {
     /// seal instead of a wrong one. `error_end` / `total_mismatch` for
     /// still-open divergences are as-of-seal lower bounds.
     fn try_seal_quiescent(&self) -> Option<CaseOutcome> {
-        let (from, to) = self.spec.window;
-        let recovered_by = to - self.spec.recovery;
         // The quiescence clock is global: every signal must have held its
         // state since the *latest* state change across all signals. A
         // recent recovery on one signal delays the whole seal, because
         // cross-coupled dynamics (one loop's re-lock) can disturb another
-        // signal that currently looks settled.
-        let mut quiet_since = self.injected_at.max(from);
+        // signal that currently looks settled. A signal missing from golden
+        // is definitively diverged: it neither blocks nor delays quiescence.
+        let mut quiet_since = self.injected_at.max(self.spec.window.0);
         let mut min_limit = Time::MAX;
         let mut any_open = false;
-        let mut all_diverged = true;
-        for sig in &self.signals {
-            match &sig.stream {
-                // Definitively diverged over the full window; neither
-                // blocks nor delays quiescence.
-                SigStream::MissingInGolden => continue,
-                SigStream::Unresolved => return None,
-                stream => {
-                    let (intervals, open, _, limit) = stream.cursor().expect("digital or analog");
-                    // The comparison state last changed when the current
-                    // open mismatch opened, or when the last closed
-                    // interval re-converged.
-                    if let Some(t) = open.max(intervals.last().map(|iv| iv.to)) {
-                        quiet_since = quiet_since.max(t);
-                    }
-                    any_open |= open.is_some();
-                    all_diverged &= open.is_some() || !intervals.is_empty();
-                    min_limit = min_limit.min(limit);
-                }
+        for st in self.signals.iter().filter_map(SigState::state) {
+            // The comparison state last changed when the current open
+            // mismatch opened, or when the last closed interval
+            // re-converged.
+            let open = st.open_since();
+            if let Some(t) = open.max(st.intervals().last().map(|iv| iv.to)) {
+                quiet_since = quiet_since.max(t);
             }
+            any_open |= open.is_some();
+            min_limit = min_limit.min(st.processed_to());
         }
         if min_limit < quiet_since.saturating_add(self.settle) {
             return None;
@@ -446,165 +377,10 @@ impl OnlineClassifier {
         // exposes its high bits only when later carries reach them), so the
         // seal then also requires every signal to have already diverged —
         // making the affected set complete, as the permanent seal does.
-        if any_open && !all_diverged {
+        if any_open && !self.signals.iter().all(SigState::diverged) {
             return None;
         }
-        let mut affected = Vec::new();
-        let mut onset: Option<Time> = None;
-        let mut end: Option<Time> = None;
-        let mut total = Time::ZERO;
-        let mut output_failed = false;
-        let mut output_diverged = false;
-        let mut internal_unrecovered = false;
-        for sig in &self.signals {
-            let (first, failed, last, mismatch) = match &sig.stream {
-                SigStream::MissingInGolden => (from, to >= recovered_by, to, to - from),
-                SigStream::Unresolved => unreachable!("checked above"),
-                stream => {
-                    let (intervals, open, last_obs, limit) =
-                        stream.cursor().expect("digital or analog");
-                    match divergence_summary(intervals, open, last_obs, limit, recovered_by) {
-                        // A mismatch that has stayed open through the
-                        // settle window is predicted permanent.
-                        Some((first, failed, last, mismatch)) => {
-                            (first, failed || open.is_some(), last, mismatch)
-                        }
-                        None => continue, // clean signal
-                    }
-                }
-            };
-            affected.push(sig.name.clone());
-            if sig.output {
-                output_diverged = true;
-                onset = Some(onset.map_or(first, |t| t.min(first)));
-                end = Some(end.map_or(last, |t| t.max(last)));
-                total += mismatch;
-                output_failed |= failed;
-            } else if failed {
-                internal_unrecovered = true;
-            }
-        }
-        affected.sort();
-        let class = if output_failed {
-            FaultClass::Failure
-        } else if output_diverged || !affected.is_empty() {
-            if internal_unrecovered {
-                FaultClass::Latent
-            } else {
-                FaultClass::Transient
-            }
-        } else {
-            FaultClass::NoEffect
-        };
-        Some(CaseOutcome {
-            class,
-            error_onset: onset,
-            error_end: end,
-            total_mismatch: total,
-            affected,
-            failure: None,
-            sealed_at: None,
-        })
-    }
-}
-
-/// Divergence summary — `(first divergence, definitively past the recovery
-/// horizon, as-of-seal last divergence, as-of-seal mismatch total)` — for a
-/// digital/analog stream; `None` when the signal has not mismatched at all
-/// (blocking the permanent seal, whose affected set would be incomplete,
-/// and marking the signal clean for the quiescent one).
-fn divergence_summary(
-    intervals: &[MismatchInterval],
-    open_since: Option<Time>,
-    last_mismatch_obs: Option<Time>,
-    limit: Time,
-    recovered_by: Time,
-) -> Option<(Time, bool, Time, Time)> {
-    let first = match (intervals.first().map(|iv| iv.from), open_since) {
-        (Some(f), _) => f,
-        (None, Some(open)) => open,
-        (None, None) => return None,
-    };
-    // Three ways a divergence is definitively past the horizon: a mismatch
-    // *observed* at or past it (the interval extends at least to the next
-    // observation), a closed interval ending past it, or an open mismatch
-    // *held* through a finality bound past it — observations only occur
-    // where a wave changes, so no observation between the last mismatch and
-    // `limit` means the mismatch persists through `limit` and beyond.
-    let failed = last_mismatch_obs.is_some_and(|t| t >= recovered_by)
-        || intervals.last().is_some_and(|iv| iv.to >= recovered_by)
-        || (open_since.is_some() && limit >= recovered_by);
-    // As-of-seal lower bounds: an open mismatch held through `limit` will
-    // close no earlier than `limit`.
-    let closed_total: Time = intervals.iter().map(MismatchInterval::duration).sum();
-    let (last, total) = match open_since {
-        Some(open) => {
-            let held = limit.max(open);
-            (held, closed_total + (held - open))
-        }
-        None => (
-            intervals.last().map(|iv| iv.to).unwrap_or(first),
-            closed_total,
-        ),
-    };
-    Some((first, failed, last, total))
-}
-
-/// Replicates [`classify`](crate::classify::classify)'s aggregation lattice
-/// over per-signal mismatch intervals (signals in spec order, outputs
-/// flagged).
-fn aggregate(
-    spec: &ClassifySpec,
-    per_signal: &[(String, bool, Vec<MismatchInterval>)],
-) -> CaseOutcome {
-    let recovered_by = spec.window.1 - spec.recovery;
-    let mut affected = Vec::new();
-    let mut onset: Option<Time> = None;
-    let mut end: Option<Time> = None;
-    let mut total = Time::ZERO;
-    let mut output_failed = false;
-    let mut output_diverged = false;
-    let mut internal_unrecovered = false;
-    for (name, output, intervals) in per_signal {
-        let Some((first_iv, last_iv)) = intervals.first().zip(intervals.last()) else {
-            continue;
-        };
-        affected.push(name.clone());
-        if *output {
-            output_diverged = true;
-            total += intervals
-                .iter()
-                .map(MismatchInterval::duration)
-                .sum::<Time>();
-            onset = Some(onset.map_or(first_iv.from, |t| t.min(first_iv.from)));
-            end = Some(end.map_or(last_iv.to, |t| t.max(last_iv.to)));
-            if last_iv.to >= recovered_by {
-                output_failed = true;
-            }
-        } else if last_iv.to >= recovered_by {
-            internal_unrecovered = true;
-        }
-    }
-    affected.sort();
-    let class = if output_failed {
-        FaultClass::Failure
-    } else if output_diverged || !affected.is_empty() {
-        if internal_unrecovered {
-            FaultClass::Latent
-        } else {
-            FaultClass::Transient
-        }
-    } else {
-        FaultClass::NoEffect
-    };
-    CaseOutcome {
-        class,
-        error_onset: onset,
-        error_end: end,
-        total_mismatch: total,
-        affected,
-        failure: None,
-        sealed_at: None,
+        Some(self.verdict(true))
     }
 }
 

@@ -42,6 +42,20 @@ pub fn summary_table(result: &CampaignResult) -> String {
     out
 }
 
+/// Appends `text` as (part of) one CSV field: whatever would end the field
+/// or the row early is replaced — `,`, line breaks and `"` always, and `|`
+/// too inside the `|`-joined affected list. Labels reach this from journals
+/// written by other processes, so they are outside input.
+fn push_field(out: &mut String, text: &str, in_list: bool) {
+    out.extend(text.chars().map(|c| match c {
+        ',' => ';',
+        '\n' | '\r' => ' ',
+        '"' => '\'',
+        '|' if in_list => '/',
+        c => c,
+    }));
+}
+
 /// Renders one CSV row per case: label, injection time, class, onset, end,
 /// total mismatch, affected signals.
 pub fn cases_csv(result: &CampaignResult) -> String {
@@ -50,17 +64,23 @@ pub fn cases_csv(result: &CampaignResult) -> String {
     for c in &result.cases {
         let fmt_opt =
             |t: Option<amsfi_waves::Time>| t.map_or(String::new(), |t| t.as_secs_f64().to_string());
-        let _ = writeln!(
+        push_field(&mut out, &c.case.label, false);
+        let _ = write!(
             out,
-            "{},{},{},{},{},{},{}",
-            c.case.label.replace(',', ";"),
+            ",{},{},{},{},{},",
             c.case.injected_at.as_secs_f64(),
             c.outcome.class,
             fmt_opt(c.outcome.error_onset),
             fmt_opt(c.outcome.error_end),
             c.outcome.total_mismatch.as_secs_f64(),
-            c.outcome.affected.join("|"),
         );
+        for (i, name) in c.outcome.affected.iter().enumerate() {
+            if i > 0 {
+                out.push('|');
+            }
+            push_field(&mut out, name, true);
+        }
+        out.push('\n');
     }
     out
 }
@@ -169,6 +189,23 @@ mod tests {
         let csv = cases_csv(&sample_result());
         assert_eq!(csv.lines().count(), 4); // header + 3 cases
         assert!(csv.lines().nth(2).unwrap().contains("failure"));
+    }
+
+    /// Regression: only `,` in the label used to be replaced, so a label
+    /// with a line break split its row and a signal name with a `,` grew
+    /// the `affected` column into two.
+    #[test]
+    fn csv_neutralises_labels_and_names_that_would_break_the_table() {
+        let spec = ClassifySpec::new((Time::ZERO, Time::from_us(1)), vec!["a,b|c\r".to_owned()]);
+        let cases = vec![FaultCase::new("x\ny,\"z\" | w", Time::ZERO)];
+        let result = run_campaign(&spec, cases, |_| Ok(Trace::new())).unwrap();
+        let csv = cases_csv(&result);
+        let rows: Vec<&str> = csv.lines().collect();
+        assert_eq!(rows.len(), 2, "{csv:?}");
+        let fields: Vec<&str> = rows[1].split(',').collect();
+        assert_eq!(fields.len(), rows[0].split(',').count(), "{csv:?}");
+        assert_eq!(fields[0], "x y;'z' | w");
+        assert_eq!(fields[6], "a;b/c ");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the campaign engine.
 
 use amsfi_core::{classify, plan, report, ClassifySpec, FaultClass, OnlineClassifier};
-use amsfi_waves::{CancelToken, DigitalWave, Logic, Time, Trace, TraceView};
+use amsfi_waves::{CancelToken, DigitalWave, Logic, Time, Tolerance, Trace, TraceView};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn arb_trace(seed: Vec<(i64, bool)>) -> Trace {
@@ -48,12 +49,32 @@ fn perturbed(golden: &DigitalWave, e0: Time, e1: Time) -> DigitalWave {
     f
 }
 
+/// A flat analog wave at `base` sampled every 25 ns up to `horizon`, with a
+/// bump of `amp` over `[e0, e1)` whose ramps stay within 1 ns of the episode.
+fn bumped(base: f64, amp: f64, e0: Time, e1: Time, horizon: Time) -> BTreeMap<Time, f64> {
+    let mut samples = BTreeMap::new();
+    let mut t = Time::ZERO;
+    while t <= horizon {
+        samples.insert(t, if t >= e0 && t < e1 { base + amp } else { base });
+        t += Time::from_ns(25);
+    }
+    samples.insert((e0 - Time::from_ns(1)).max(Time::ZERO), base);
+    samples.insert(e0, base + amp);
+    samples.insert(e1, base);
+    samples
+}
+
 proptest! {
     /// The tentpole invariant: whenever the online classifier seals a
     /// verdict, its class, onset and affected set equal the post-hoc
-    /// classifier's — over random injection episodes, windows, settle
-    /// values and observation cadences. The settle window is drawn to
-    /// exceed the injected episode, per the classifier's soundness
+    /// classifier's and its `error_end` / `total_mismatch` are lower bounds
+    /// of the post-hoc ones (the `sealed_at` contract) — over random
+    /// injection episodes, windows, settle values and observation cadences,
+    /// on a digital output whose faulty edges are displaced within a
+    /// non-zero `digital_skew`, a digital and an analog internal (the bump
+    /// lands on either side of `analog_tolerance`) and, in half the cases,
+    /// an output name the golden trace never recorded. The settle window is
+    /// drawn to exceed the injected episode, per the classifier's soundness
     /// contract: settle must be longer than any diverged episode (and any
     /// clean gap) of a pattern that is not yet final.
     #[test]
@@ -65,6 +86,10 @@ proptest! {
         span_ns in 4_000i64..12_000,
         extra_settle_ns in 50i64..2_000,
         step_ns in 17i64..900,
+        skew_ns in 0i64..6,
+        displaced in any::<bool>(),
+        amp in 0.0f64..0.2,
+        ghost in any::<bool>(),
     ) {
         let settle_ns = dur_ns + extra_settle_ns;
         let horizon = Time::from_ns(16_000);
@@ -73,6 +98,9 @@ proptest! {
         let e0 = Time::from_ns(e0_ns);
         let e1 = e0 + Time::from_ns(dur_ns);
         let f_out = perturbed(&g_out, e0, e1);
+        // Every faulty edge after time zero arrives late by the full skew
+        // tolerance: forgiven, but it exercises the ±skew observations.
+        let late = if displaced { Time::from_ns(skew_ns) } else { Time::ZERO };
 
         let mut golden = Trace::new();
         let mut faulty = Trace::new();
@@ -84,14 +112,27 @@ proptest! {
             faulty.record_digital("state", t, v).unwrap();
         }
         for &(t, v) in f_out.transitions() {
+            let t = if t > Time::ZERO { t + late } else { t };
             faulty.record_digital("out", t, v).unwrap();
         }
+        for (t, v) in bumped(1.0, 0.0, e0, e1, horizon) {
+            golden.record_analog("vctrl", t, v).unwrap();
+        }
+        for (t, v) in bumped(1.0, amp, e0, e1, horizon) {
+            faulty.record_analog("vctrl", t, v).unwrap();
+        }
 
+        let mut outputs = vec!["out".to_owned()];
+        if ghost {
+            outputs.push("ghost".to_owned());
+        }
         let spec = ClassifySpec::new(
             (Time::from_ns(w0_ns), Time::from_ns(w0_ns + span_ns)),
-            vec!["out".to_owned()],
+            outputs,
         )
-        .with_internals(vec!["state".to_owned()]);
+        .with_internals(vec!["state".to_owned(), "vctrl".to_owned()])
+        .with_tolerance(Tolerance::new(0.05, 0.01))
+        .with_digital_skew(Time::from_ns(skew_ns));
         let post_hoc = classify(&spec, &golden, &faulty);
 
         let mut cl = OnlineClassifier::new(
@@ -115,6 +156,8 @@ proptest! {
         prop_assert_eq!(sealed.error_onset, post_hoc.error_onset);
         prop_assert_eq!(&sealed.affected, &post_hoc.affected);
         prop_assert!(sealed.sealed_at.is_some());
+        prop_assert!(sealed.error_end <= post_hoc.error_end);
+        prop_assert!(sealed.total_mismatch <= post_hoc.total_mismatch);
     }
 
     #[test]

@@ -2039,20 +2039,18 @@ mod tests {
     #[test]
     fn checkpoint_mode_matches_from_scratch_mode() {
         let campaign = forked_campaign("toy-fork", 9);
-        let scratch = Engine::new(EngineConfig::default().with_workers(3))
-            .run(&campaign)
-            .unwrap();
-        let forked = Engine::new(
-            EngineConfig::default()
-                .with_workers(3)
-                .with_checkpoint(true),
-        )
-        .run(&campaign)
-        .unwrap();
-        assert_eq!(scratch.result.golden, forked.result.golden);
-        assert_eq!(scratch.result.cases.len(), forked.result.cases.len());
-        for (a, b) in scratch.result.cases.iter().zip(&forked.result.cases) {
-            assert_eq!(a, b, "case {}", a.case);
+        // Auto, one, and more workers than the host has cores.
+        for workers in [0, 1, 3, 8] {
+            let config = EngineConfig::default().with_workers(workers);
+            let scratch = Engine::new(config.clone()).run(&campaign).unwrap();
+            let forked = Engine::new(config.with_checkpoint(true))
+                .run(&campaign)
+                .unwrap();
+            assert_eq!(scratch.result.golden, forked.result.golden);
+            assert_eq!(scratch.result.cases.len(), forked.result.cases.len());
+            for (a, b) in scratch.result.cases.iter().zip(&forked.result.cases) {
+                assert_eq!(a, b, "case {}, {workers} worker(s)", a.case);
+            }
         }
     }
 

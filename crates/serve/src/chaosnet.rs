@@ -19,8 +19,7 @@
 //! This is the distributed analog of PR 7's scalar-vs-batch
 //! differential oracle: tests drive full campaigns through the proxy
 //! under many fault schedules and require the final merged report to
-//! be byte-identical to an undisturbed run. It lives in `src/` (not
-//! the test tree) so the `pr8_chaos_net` CI bench can reuse it.
+//! be byte-identical to an undisturbed run (`tests/chaos_net.rs`).
 //!
 //! The proxy is deliberately dumb about *content*: it never parses a
 //! payload, only the 4-byte length prefix, so it can never "helpfully"

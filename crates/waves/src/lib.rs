@@ -69,7 +69,9 @@ pub use compare::{
 pub use fork::{Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim};
 pub use guard::{CancelToken, GuardViolation, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
-pub use stream::{AnalogStream, DigitalStream, SimObserver, TraceView, OBSERVER_STRIDE};
+pub use stream::{
+    AnalogStream, DigitalStream, SimObserver, StreamState, TraceView, OBSERVER_STRIDE,
+};
 pub use time::Time;
 pub use trace::{AnalogSlot, DigitalSlot, Trace};
 pub use vector::{LogicVector, ParseLogicVectorError};

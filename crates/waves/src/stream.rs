@@ -91,26 +91,42 @@ impl AnalogValueCursor {
     }
 }
 
-/// Incremental equivalent of the batch interval builder: mismatch
-/// observations extend to the next observation, and intervals closer than
-/// `merge_gap` fuse. Feeding the same `(time, matched)` sequence produces
-/// byte-identical intervals.
-#[derive(Debug, Clone, Default)]
-struct IntervalBuilder {
+/// Sentinel for "nothing observed yet" — below every representable time.
+const UNSET: Time = Time::from_fs(i64::MIN);
+
+/// The domain-independent half of a streaming comparison, embedded in
+/// [`DigitalStream`] and [`AnalogStream`]: the window, the incremental
+/// interval builder and the finality bound.
+///
+/// The builder is the incremental equivalent of the batch one: a
+/// mismatching observation extends to the next observation, and intervals
+/// closer than `merge_gap` fuse. Feeding the same `(time, matched)`
+/// sequence produces byte-identical intervals.
+#[derive(Debug, Clone)]
+pub struct StreamState {
+    from: Time,
+    to: Time,
     merge_gap: Time,
     intervals: Vec<MismatchInterval>,
     /// The previous observation mismatched at this time; its interval stays
     /// open until the next observation closes (and bounds) it.
     open: Option<Time>,
-    /// Most recent mismatching observation time.
-    last_mismatch: Option<Time>,
+    last_obs: Time,
+    limit: Time,
+    finished: bool,
 }
 
-impl IntervalBuilder {
-    fn new(merge_gap: Time) -> Self {
-        IntervalBuilder {
+impl StreamState {
+    fn new(from: Time, to: Time, merge_gap: Time) -> Self {
+        StreamState {
+            from,
+            to,
             merge_gap,
-            ..IntervalBuilder::default()
+            intervals: Vec::new(),
+            open: None,
+            last_obs: UNSET,
+            limit: UNSET,
+            finished: false,
         }
     }
 
@@ -120,8 +136,8 @@ impl IntervalBuilder {
         }
         if !matched {
             self.open = Some(t);
-            self.last_mismatch = Some(t);
         }
+        self.last_obs = t;
     }
 
     fn push(&mut self, from: Time, end: Time) {
@@ -131,12 +147,55 @@ impl IntervalBuilder {
         }
     }
 
+    /// Raises the finality bound to `upto` (clamped to the window end) and
+    /// returns it, or `None` when there is nothing to process below it: the
+    /// stream is finished or the bound is still before the window.
+    fn raise(&mut self, upto: Time) -> Option<Time> {
+        if self.finished {
+            return None;
+        }
+        let cap = upto.min(self.to);
+        self.limit = self.limit.max(cap);
+        (cap >= self.from).then_some(cap)
+    }
+
+    /// The window-closing observations still owed once everything up to
+    /// `to` is processed: `to` itself unless already observed — or, for a
+    /// degenerate inverted window (nothing observed, `from > to`), `to`
+    /// then `from`, the order the batch path's sorted sentinels give.
+    fn sentinels(&self) -> [Option<Time>; 2] {
+        [self.to, self.from].map(|t| (!self.finished && t > self.last_obs).then_some(t))
+    }
+
     /// Closes a still-open mismatch at its own time (it was the final
-    /// observation, so it extends no further).
-    fn finalize(&mut self) {
+    /// observation, so it extends no further) and returns the completed
+    /// comparison.
+    fn seal(&mut self) -> SignalComparison {
         if let Some(from) = self.open.take() {
             self.push(from, from);
         }
+        self.finished = true;
+        SignalComparison {
+            mismatches: self.intervals.clone(),
+        }
+    }
+
+    /// Mismatch intervals closed so far (an open mismatch is not included
+    /// until the observation that bounds it — see
+    /// [`StreamState::open_since`]).
+    pub fn intervals(&self) -> &[MismatchInterval] {
+        &self.intervals
+    }
+
+    /// Start of the currently open (still mismatching) interval, if any.
+    pub fn open_since(&self) -> Option<Time> {
+        self.open
+    }
+
+    /// The highest finality bound processed so far, clamped to the window
+    /// end.
+    pub fn processed_to(&self) -> Time {
+        self.limit
     }
 }
 
@@ -150,20 +209,16 @@ struct ObsSource {
     idx: usize,
 }
 
-/// Sentinel for "nothing processed yet" — below every representable time.
-const UNSET: Time = Time::from_fs(i64::MIN);
-
 /// A streaming digital comparator: equivalent to the batch
 /// `compare_digital_with_skew`, but incremental and O(n).
 ///
 /// Feed it monotonically increasing finality bounds with
-/// [`DigitalStream::advance`]; read partial state any time; obtain the
-/// exact batch result with [`DigitalStream::finish`] once both waves are
-/// complete.
+/// [`DigitalStream::advance`]; read partial state any time through
+/// [`DigitalStream::state`]; obtain the exact batch result with
+/// [`DigitalStream::finish`] once both waves are complete.
 #[derive(Debug, Clone)]
 pub struct DigitalStream {
-    from: Time,
-    to: Time,
+    state: StreamState,
     skew: Time,
     sources: [ObsSource; 6],
     nsources: usize,
@@ -171,11 +226,6 @@ pub struct DigitalStream {
     g_at: DigitalValueCursor,
     g_minus: DigitalValueCursor,
     g_plus: DigitalValueCursor,
-    build: IntervalBuilder,
-    emitted_from: bool,
-    last_obs: Time,
-    limit: Time,
-    finished: bool,
 }
 
 impl DigitalStream {
@@ -204,8 +254,7 @@ impl DigitalStream {
             }
         }
         DigitalStream {
-            from,
-            to,
+            state: StreamState::new(from, to, merge_gap),
             skew,
             sources,
             nsources: n,
@@ -213,11 +262,6 @@ impl DigitalStream {
             g_at: DigitalValueCursor::default(),
             g_minus: DigitalValueCursor::default(),
             g_plus: DigitalValueCursor::default(),
-            build: IntervalBuilder::new(merge_gap),
-            emitted_from: false,
-            last_obs: UNSET,
-            limit: UNSET,
-            finished: false,
         }
     }
 
@@ -230,27 +274,18 @@ impl DigitalStream {
                 && (self.g_minus.value_at(golden, t - self.skew).to_x01() == f
                     || self.g_plus.value_at(golden, t + self.skew).to_x01() == f)
         };
-        self.build.observe(t, matched);
-        self.last_obs = t;
+        self.state.observe(t, matched);
     }
 
     /// Processes every observation at `t <= min(upto, to)` not yet
     /// processed. Both waves must be final up to `upto + skew` (see the
     /// module-level finality contract).
     pub fn advance(&mut self, golden: &DigitalWave, faulty: &DigitalWave, upto: Time) {
-        if self.finished {
+        let Some(cap) = self.state.raise(upto) else {
             return;
-        }
-        let cap = upto.min(self.to);
-        if cap > self.limit {
-            self.limit = cap;
-        }
-        if cap < self.from {
-            return;
-        }
-        if !self.emitted_from {
-            self.emitted_from = true;
-            self.observe(golden, faulty, self.from);
+        };
+        if self.state.last_obs == UNSET {
+            self.observe(golden, faulty, self.state.from);
         }
         loop {
             let mut best: Option<Time> = None;
@@ -261,7 +296,7 @@ impl DigitalStream {
                 } else {
                     faulty.transitions()
                 };
-                while src.idx < tr.len() && tr[src.idx].0 + src.offset <= self.last_obs {
+                while src.idx < tr.len() && tr[src.idx].0 + src.offset <= self.state.last_obs {
                     src.idx += 1;
                 }
                 if src.idx < tr.len() {
@@ -282,57 +317,16 @@ impl DigitalStream {
     /// sentinel observation and returns the completed comparison. Requires
     /// both waves to be fully recorded. Idempotent.
     pub fn finish(&mut self, golden: &DigitalWave, faulty: &DigitalWave) -> SignalComparison {
-        if !self.finished {
-            if self.from <= self.to {
-                self.advance(golden, faulty, self.to);
-                if self.last_obs < self.to {
-                    self.observe(golden, faulty, self.to);
-                }
-            } else {
-                // Degenerate inverted window: the batch path sorts the two
-                // sentinels, observing `to` then `from`.
-                self.observe(golden, faulty, self.to);
-                self.observe(golden, faulty, self.from);
-            }
-            self.build.finalize();
-            self.finished = true;
+        self.advance(golden, faulty, self.state.to);
+        for t in self.state.sentinels().into_iter().flatten() {
+            self.observe(golden, faulty, t);
         }
-        SignalComparison {
-            mismatches: self.build.intervals.clone(),
-        }
+        self.state.seal()
     }
 
-    /// Mismatch intervals closed so far (an open mismatch is not included
-    /// until the observation that bounds it — see
-    /// [`DigitalStream::open_since`]).
-    pub fn intervals(&self) -> &[MismatchInterval] {
-        &self.build.intervals
-    }
-
-    /// Start of the currently open (still mismatching) interval, if any.
-    pub fn open_since(&self) -> Option<Time> {
-        self.build.open
-    }
-
-    /// Time of the most recent mismatching observation, if any.
-    pub fn last_mismatch_obs(&self) -> Option<Time> {
-        self.build.last_mismatch
-    }
-
-    /// True if any mismatch (closed or open) has been observed.
-    pub fn any_mismatch(&self) -> bool {
-        !self.build.intervals.is_empty() || self.build.open.is_some()
-    }
-
-    /// The highest finality bound processed so far, clamped to the window
-    /// end.
-    pub fn processed_to(&self) -> Time {
-        self.limit
-    }
-
-    /// True once [`DigitalStream::finish`] has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
+    /// The comparison state as of the last finality bound.
+    pub fn state(&self) -> &StreamState {
+        &self.state
     }
 }
 
@@ -340,18 +334,12 @@ impl DigitalStream {
 /// `compare_analog`, but incremental and O(n).
 #[derive(Debug, Clone)]
 pub struct AnalogStream {
-    from: Time,
-    to: Time,
+    state: StreamState,
     tolerance: Tolerance,
     g_idx: usize,
     f_idx: usize,
     g_val: AnalogValueCursor,
     f_val: AnalogValueCursor,
-    build: IntervalBuilder,
-    emitted_from: bool,
-    last_obs: Time,
-    limit: Time,
-    finished: bool,
 }
 
 impl AnalogStream {
@@ -359,18 +347,12 @@ impl AnalogStream {
     /// merge gap (the exact parameters of the batch path).
     pub fn new(from: Time, to: Time, tolerance: Tolerance, merge_gap: Time) -> Self {
         AnalogStream {
-            from,
-            to,
+            state: StreamState::new(from, to, merge_gap),
             tolerance,
             g_idx: 0,
             f_idx: 0,
             g_val: AnalogValueCursor::default(),
             f_val: AnalogValueCursor::default(),
-            build: IntervalBuilder::new(merge_gap),
-            emitted_from: false,
-            last_obs: UNSET,
-            limit: UNSET,
-            finished: false,
         }
     }
 
@@ -379,8 +361,7 @@ impl AnalogStream {
             self.g_val.value_at(golden, t),
             self.f_val.value_at(faulty, t),
         );
-        self.build.observe(t, matched);
-        self.last_obs = t;
+        self.state.observe(t, matched);
     }
 
     /// Processes every observation at `t <= min(upto, to)` not yet
@@ -388,27 +369,19 @@ impl AnalogStream {
     /// wave still being recorded that means
     /// `upto <= min(watermark - 1 fs, last faulty sample)`.
     pub fn advance(&mut self, golden: &AnalogWave, faulty: &AnalogWave, upto: Time) {
-        if self.finished {
+        let Some(cap) = self.state.raise(upto) else {
             return;
-        }
-        let cap = upto.min(self.to);
-        if cap > self.limit {
-            self.limit = cap;
-        }
-        if cap < self.from {
-            return;
-        }
-        if !self.emitted_from {
-            self.emitted_from = true;
-            self.observe(golden, faulty, self.from);
+        };
+        if self.state.last_obs == UNSET {
+            self.observe(golden, faulty, self.state.from);
         }
         loop {
             let gs = golden.samples();
-            while self.g_idx < gs.len() && gs[self.g_idx].0 <= self.last_obs {
+            while self.g_idx < gs.len() && gs[self.g_idx].0 <= self.state.last_obs {
                 self.g_idx += 1;
             }
             let fs = faulty.samples();
-            while self.f_idx < fs.len() && fs[self.f_idx].0 <= self.last_obs {
+            while self.f_idx < fs.len() && fs[self.f_idx].0 <= self.state.last_obs {
                 self.f_idx += 1;
             }
             let g_head = gs.get(self.g_idx).map(|&(t, _)| t).filter(|&t| t <= cap);
@@ -427,53 +400,16 @@ impl AnalogStream {
     /// sentinel observation and returns the completed comparison. Requires
     /// both waves to be fully recorded. Idempotent.
     pub fn finish(&mut self, golden: &AnalogWave, faulty: &AnalogWave) -> SignalComparison {
-        if !self.finished {
-            if self.from <= self.to {
-                self.advance(golden, faulty, self.to);
-                if self.last_obs < self.to {
-                    self.observe(golden, faulty, self.to);
-                }
-            } else {
-                self.observe(golden, faulty, self.to);
-                self.observe(golden, faulty, self.from);
-            }
-            self.build.finalize();
-            self.finished = true;
+        self.advance(golden, faulty, self.state.to);
+        for t in self.state.sentinels().into_iter().flatten() {
+            self.observe(golden, faulty, t);
         }
-        SignalComparison {
-            mismatches: self.build.intervals.clone(),
-        }
+        self.state.seal()
     }
 
-    /// Mismatch intervals closed so far.
-    pub fn intervals(&self) -> &[MismatchInterval] {
-        &self.build.intervals
-    }
-
-    /// Start of the currently open (still mismatching) interval, if any.
-    pub fn open_since(&self) -> Option<Time> {
-        self.build.open
-    }
-
-    /// Time of the most recent mismatching observation, if any.
-    pub fn last_mismatch_obs(&self) -> Option<Time> {
-        self.build.last_mismatch
-    }
-
-    /// True if any mismatch (closed or open) has been observed.
-    pub fn any_mismatch(&self) -> bool {
-        !self.build.intervals.is_empty() || self.build.open.is_some()
-    }
-
-    /// The highest finality bound processed so far, clamped to the window
-    /// end.
-    pub fn processed_to(&self) -> Time {
-        self.limit
-    }
-
-    /// True once [`AnalogStream::finish`] has run.
-    pub fn is_finished(&self) -> bool {
-        self.finished
+    /// The comparison state as of the last finality bound.
+    pub fn state(&self) -> &StreamState {
+        &self.state
     }
 }
 
@@ -684,26 +620,32 @@ mod tests {
         let f = dwave(&[(0, Logic::Zero), (100, Logic::One)]);
         let mut s = DigitalStream::new(Time::ZERO, Time::from_ns(1000), Time::ZERO, Time::ZERO);
         s.advance(&g, &f, Time::from_ns(500));
-        assert!(s.any_mismatch());
-        assert_eq!(s.open_since(), Some(Time::from_ns(100)));
-        assert_eq!(s.last_mismatch_obs(), Some(Time::from_ns(100)));
-        assert!(s.intervals().is_empty(), "not closed yet");
+        assert_eq!(s.state().open_since(), Some(Time::from_ns(100)));
+        assert_eq!(s.state().processed_to(), Time::from_ns(500));
+        assert!(s.state().intervals().is_empty(), "not closed yet");
         let cmp = s.finish(&g, &f);
         assert_eq!(cmp.first_divergence(), Some(Time::from_ns(100)));
         assert_eq!(cmp.last_divergence(), Some(Time::from_ns(1000)));
     }
 
+    /// An empty window is one observation; an inverted one observes its two
+    /// sentinels, `to` first.
     #[test]
     fn empty_window_single_observation() {
-        let g = dwave(&[(0, Logic::Zero)]);
+        let g = dwave(&[(0, Logic::Zero), (15, Logic::One)]);
         let f = dwave(&[(0, Logic::One)]);
         let t = Time::from_ns(10);
-        let cmp = DigitalStream::new(t, t, Time::ZERO, Time::ZERO).finish(&g, &f);
-        assert_eq!(
-            cmp,
-            baseline::compare_digital_with_skew(&g, &f, t, t, Time::ZERO, Time::ZERO)
-        );
-        assert!(!cmp.is_match());
+        for (from, to) in [(t, t), (Time::from_ns(20), t)] {
+            let mut s = DigitalStream::new(from, to, Time::ZERO, Time::ZERO);
+            s.advance(&g, &f, Time::from_ns(12));
+            let cmp = s.finish(&g, &f);
+            assert_eq!(
+                cmp,
+                baseline::compare_digital_with_skew(&g, &f, from, to, Time::ZERO, Time::ZERO)
+            );
+            assert_eq!(cmp, s.finish(&g, &f), "idempotent");
+            assert_eq!(cmp.first_divergence(), Some(t));
+        }
     }
 
     #[test]
