@@ -125,6 +125,17 @@ test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/cpu.jsonl")" -eq 0
 batch_equals_plain pll pll-digital --limit 6
 test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/pll.jsonl")" -eq 1
 grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"
+# Mixed cut (--checkpoint on a mixed bench): an SEU that cannot reach the
+# analog half follows the tape of the first such fork of its snapshot and
+# must report what the from-scratch run reports (journals differ by
+# design: `forked=<t_fs>`). The run has to say that cases followed and
+# none fell back: a refactor that silently stops following is a slowdown
+# byte identity cannot see.
+./target/release/amsfi run pll-digital --out "$tmp/cut.plain" --progress-secs 0
+./target/release/amsfi run pll-digital --checkpoint --out "$tmp/cut.fork" \
+    --progress-secs 0 >"$tmp/cut.txt"
+cmp "$tmp/cut.plain/cases.csv" "$tmp/cut.fork/cases.csv"
+grep -Eq '^path: fork, followed: [1-9][0-9]*, fallbacks: 0$' "$tmp/cut.txt"
 set +e
 ./target/release/amsfi run cpu --batch --word --progress-secs 0
 rc=$?

@@ -50,6 +50,8 @@ pub struct AnalogSolver {
     steps_taken: u64,
     budget: SimBudget,
     observer: Option<SimObserver>,
+    /// Set once a block was reconfigured from outside the circuit.
+    touched: bool,
 }
 
 impl AnalogSolver {
@@ -75,7 +77,17 @@ impl AnalogSolver {
             steps_taken: 0,
             budget: SimBudget::unlimited(),
             observer: None,
+            touched: false,
         }
+    }
+
+    /// Whether a block was reconfigured from outside since the solver was
+    /// built — [`set_param`](AnalogSolver::set_param), or a block handed
+    /// out by [`block_mut`](AnalogSolver::block_mut) (an armed saboteur).
+    /// `false` means the circuit still is the one it was built as: the
+    /// mixed kernel shares its integration between forks only then.
+    pub fn touched(&self) -> bool {
+        self.touched
     }
 
     /// Marks a node for tracing. Samples are recorded when the value moves
@@ -179,6 +191,7 @@ impl AnalogSolver {
         param: &str,
         value: f64,
     ) -> Result<(), UnknownParamError> {
+        self.touched = true;
         self.circuit.blocks[block.0].block.set_param(param, value)
     }
 
@@ -190,6 +203,7 @@ impl AnalogSolver {
     ///
     /// Panics if the id is out of range.
     pub fn block_mut(&mut self, block: BlockId) -> &mut dyn AnalogBlock {
+        self.touched = true;
         &mut *self.circuit.blocks[block.0].block
     }
 

@@ -585,6 +585,34 @@ mod tests {
     }
 
     #[test]
+    fn the_sar_loop_reaches_its_dac_and_the_flash_back_end_reaches_nothing() {
+        // SAR: the controller's register drives the DAC legs, so every SEU
+        // in it is an analog fault too.
+        let golden = build_sar(&SarAdcConfig::default());
+        assert!(golden.mixed.analog_is_clean());
+        let targets = golden.mixed.digital().mutant_targets();
+        assert!(targets.iter().any(|t| t.component == golden.controller));
+        for target in &targets {
+            let mut mixed = golden.mixed.clone();
+            mixed.digital_mut().flip_state(target.component, target.bit);
+            assert!(!mixed.analog_is_clean(), "{target}");
+        }
+
+        // Flash: comparators -> encoder -> register, nothing fed back.
+        let golden = build_flash(&FlashAdcConfig::default());
+        let targets = golden.mixed.digital().mutant_targets();
+        assert!(!targets.is_empty());
+        for target in &targets {
+            let mut mixed = golden.mixed.clone();
+            mixed.digital_mut().flip_state(target.component, target.bit);
+            assert!(mixed.analog_is_clean(), "{target}");
+        }
+        let mut mixed = golden.mixed.clone();
+        let _ = mixed.digital_mut().component_mut(golden.encoder);
+        assert!(mixed.analog_is_clean());
+    }
+
+    #[test]
     fn flash_converts_dc_levels_correctly() {
         // Code = number of thresholds below vin = floor(vin * 8 / v_ref),
         // clamped to 7.

@@ -23,7 +23,7 @@ use amsfi_analog::{blocks, AnalogCircuit, AnalogSolver, BlockId, NodeKind};
 use amsfi_digital::{cells, Netlist, Simulator};
 use amsfi_faults::PulseShape;
 use amsfi_mixed::MixedSimulator;
-use amsfi_waves::{measure, Fnv1a, ForkableSim, Time, Trace};
+use amsfi_waves::{measure, Fnv1a, Follow, ForkableSim, SimTape, Time, Trace};
 use std::sync::Arc;
 
 /// Parameters of the PLL test bench. [`PllConfig::default`] reproduces the
@@ -265,6 +265,14 @@ impl ForkableSim for PllBench {
 
     fn install_observer(&mut self, observer: amsfi_waves::SimObserver) {
         self.mixed.set_observer(observer);
+    }
+
+    fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, amsfi_digital::SimError> {
+        ForkableSim::lead_to(&mut self.mixed, t)
+    }
+
+    fn follow(&mut self, tape: &SimTape) -> Result<Follow, amsfi_digital::SimError> {
+        ForkableSim::follow(&mut self.mixed, tape)
     }
 }
 
@@ -560,6 +568,53 @@ mod tests {
         scratch.advance_to(stop).unwrap();
         scratch.advance_to(end).unwrap();
         assert_eq!(fork.snapshot_trace(), scratch.snapshot_trace());
+    }
+
+    #[test]
+    fn only_faults_in_the_loop_reach_the_analog_half() {
+        let mut cfg = fast_config();
+        cfg.payload = true;
+        let golden = build(&cfg);
+        assert!(golden.mixed.analog_is_clean());
+        let targets = golden.mixed.digital().mutant_targets();
+        assert_eq!(targets.len(), 22);
+        // The PFD and the divider feed `up`/`dn`; the payload hangs off
+        // `f_out` and feeds nothing back.
+        let mut behind_the_cut = 0;
+        for target in &targets {
+            let mut bench = golden.clone();
+            bench
+                .mixed
+                .digital_mut()
+                .flip_state(target.component, target.bit);
+            let in_loop = target.component == golden.pfd || target.component == golden.divider;
+            assert_eq!(bench.mixed.analog_is_clean(), !in_loop, "{target}");
+            behind_the_cut += usize::from(!in_loop);
+        }
+        assert_eq!(behind_the_cut, 16);
+
+        // A component handed out for arming counts as written, wherever the
+        // fault it is armed with would go; so does a forced clock edge
+        // (`f_out` clocks the divider) and an armed analog saboteur.
+        let mut bench = golden.clone();
+        let _ = bench.mixed.digital_mut().component_mut(golden.payload[2]);
+        assert!(bench.mixed.analog_is_clean());
+        let _ = bench.mixed.digital_mut().component_mut(golden.divider);
+        assert!(!bench.mixed.analog_is_clean());
+
+        let mut bench = golden.clone();
+        let f_out = bench.mixed.digital().signal_id(names::F_OUT).unwrap();
+        let one = amsfi_waves::LogicVector::filled(amsfi_waves::Logic::One, 1);
+        bench
+            .mixed
+            .digital_mut()
+            .inject_value(f_out, one, Time::ZERO);
+        assert!(!bench.mixed.analog_is_clean());
+
+        let mut bench = golden.clone();
+        let pulse = amsfi_faults::TrapezoidPulse::from_ma_ps(10.0, 100, 300, 500).unwrap();
+        bench.arm_saboteur(Arc::new(pulse), Time::from_us(1));
+        assert!(!bench.mixed.analog_is_clean());
     }
 
     #[test]

@@ -268,6 +268,27 @@ mod tests {
     }
 
     #[test]
+    fn the_decimator_is_behind_the_cut_and_the_quantizer_latch_is_not() {
+        let golden = build(&SdmConfig::default());
+        assert!(golden.mixed.analog_is_clean());
+        let latch = golden.mixed.digital().component_id("ff").unwrap();
+        let targets = golden.mixed.digital().mutant_targets();
+        assert!(targets.iter().any(|t| t.component == golden.decimator));
+        assert!(targets.iter().any(|t| t.component == latch));
+        for target in &targets {
+            let mut mixed = golden.mixed.clone();
+            mixed.digital_mut().flip_state(target.component, target.bit);
+            // `bit_q` out of the latch is the feedback DAC's input; the
+            // decimator only reads it.
+            assert_eq!(
+                mixed.analog_is_clean(),
+                target.component == golden.decimator,
+                "{target}"
+            );
+        }
+    }
+
+    #[test]
     fn dc_levels_give_proportional_ones_density() {
         for (vin, expect) in [(0.6, 4u64), (1.25, 8), (2.5, 16), (3.75, 24), (4.4, 28)] {
             let cfg = SdmConfig {

@@ -265,6 +265,20 @@ pub struct Simulator {
     budget: SimBudget,
     observer: Option<SimObserver>,
     scratch: SimScratch,
+    /// Components written from outside the netlist since construction:
+    /// the fault sites [`Simulator::outside_writes_reach`] starts from.
+    /// Empty on every simulator nothing was injected into, so a clone of
+    /// one allocates nothing for it.
+    touched_components: Vec<usize>,
+    /// Signals forced from outside through [`Simulator::inject_value`].
+    touched_signals: Vec<usize>,
+}
+
+/// Adds `idx` to a (tiny, duplicate-free) list of fault sites.
+fn note(sites: &mut Vec<usize>, idx: usize) {
+    if !sites.contains(&idx) {
+        sites.push(idx);
+    }
 }
 
 impl Simulator {
@@ -329,6 +343,8 @@ impl Simulator {
             budget: SimBudget::unlimited(),
             observer: None,
             scratch: SimScratch::default(),
+            touched_components: Vec::new(),
+            touched_signals: Vec::new(),
         };
         for c in 0..sim.components.len() {
             sim.wheel.push(Time::ZERO, EventKind::Wake { component: c });
@@ -456,6 +472,19 @@ impl Simulator {
     ///
     /// Panics if `at` is earlier than [`Simulator::now`].
     pub fn inject_value(&mut self, signal: SignalId, value: LogicVector, at: Time) {
+        note(&mut self.touched_signals, signal.0);
+        self.inject_boundary(signal, value, at);
+    }
+
+    /// [`Simulator::inject_value`] for a co-simulation kernel's own traffic
+    /// across its analog-to-digital boundary: the value is part of the
+    /// circuit's fault-free behaviour, so it is not noted as an outside
+    /// write (see [`Simulator::outside_writes_reach`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than [`Simulator::now`].
+    pub fn inject_boundary(&mut self, signal: SignalId, value: LogicVector, at: Time) {
         assert!(
             at >= self.now(),
             "cannot inject at {at}: simulator already at {}",
@@ -509,6 +538,7 @@ impl Simulator {
     ///
     /// Panics if the id is out of range.
     pub fn component_mut(&mut self, component: ComponentId) -> &mut dyn crate::Component {
+        note(&mut self.touched_components, component.0);
         &mut *self.components[component.0].comp
     }
 
@@ -526,6 +556,7 @@ impl Simulator {
     /// [`DigitalSaboteur::arm`](crate::DigitalSaboteur::arm) to inject a
     /// wire fault into an already-running simulator.
     pub fn wake_component(&mut self, component: ComponentId, at: Time) {
+        note(&mut self.touched_components, component.0);
         let at = at.max(self.now());
         self.wheel.push(
             at,
@@ -533,6 +564,52 @@ impl Simulator {
                 component: component.0,
             },
         );
+    }
+
+    /// Whether anything written into this simulator from outside its
+    /// netlist since it was built — [`flip_state`](Simulator::flip_state),
+    /// [`force_state`](Simulator::force_state), a component handed out by
+    /// [`component_mut`](Simulator::component_mut), a
+    /// [`wake_component`](Simulator::wake_component) or an
+    /// [`inject_value`](Simulator::inject_value) — can propagate to one of
+    /// `signals`: structural fan-out over each component's outputs and each
+    /// signal's readers, whatever the cells compute. `false` is a proof
+    /// that those signals carry their fault-free values for good, given
+    /// fault-free values on every signal driven from outside by
+    /// [`inject_boundary`](Simulator::inject_boundary).
+    pub fn outside_writes_reach(&self, signals: &[SignalId]) -> bool {
+        if self.touched_components.is_empty() && self.touched_signals.is_empty() {
+            return false;
+        }
+        if (self.touched_signals.iter()).any(|&s| signals.contains(&SignalId(s))) {
+            return true;
+        }
+        let mut reached = vec![false; self.components.len()];
+        let mut frontier: Vec<usize> = Vec::new();
+        let mut visit = |c: usize, frontier: &mut Vec<usize>| {
+            if !std::mem::replace(&mut reached[c], true) {
+                frontier.push(c);
+            }
+        };
+        for &c in &self.touched_components {
+            visit(c, &mut frontier);
+        }
+        for &s in &self.touched_signals {
+            for &r in &self.signals[s].readers {
+                visit(r, &mut frontier);
+            }
+        }
+        while let Some(c) = frontier.pop() {
+            for out in self.components[c].outputs.iter() {
+                if signals.contains(out) {
+                    return true;
+                }
+                for &r in &self.signals[out.0].readers {
+                    visit(r, &mut frontier);
+                }
+            }
+        }
+        false
     }
 
     /// A hash of the simulator's structure — signal names and widths,
@@ -1301,6 +1378,52 @@ mod tests {
         let mut sim = clocked_counter();
         ForkableSim::install_budget(&mut sim, SimBudget::unlimited().with_max_steps(3));
         assert!(ForkableSim::advance_to(&mut sim, Time::from_us(1)).is_err());
+    }
+
+    #[test]
+    fn outside_writes_reach_their_fan_out_and_nothing_else() {
+        // a -> inv1 -> b -> inv2 -> c, and a side branch a -> inv3 -> d.
+        let mut net = Netlist::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| net.signal(n, 1));
+        net.add("src", step(Time::from_ns(10), Logic::One), &[], &[a]);
+        let inv1 = net.add("inv1", Inv(Time::from_ns(1)), &[a], &[b]);
+        let inv2 = net.add("inv2", Inv(Time::from_ns(1)), &[b], &[c]);
+        net.add("inv3", Inv(Time::from_ns(1)), &[a], &[d]);
+        let golden = Simulator::new(net);
+        assert!(!golden.outside_writes_reach(&[a, b, c, d]));
+
+        // Every way in from outside is a fault site...
+        type Write = fn(&mut Simulator, ComponentId);
+        let writes: [Write; 4] = [
+            |sim, c| sim.flip_state(c, 0),
+            |sim, c| sim.force_state(c, 1),
+            |sim, c| {
+                let _ = sim.component_mut(c);
+            },
+            |sim, c| sim.wake_component(c, Time::ZERO),
+        ];
+        for write in writes {
+            let mut sim = golden.clone();
+            write(&mut sim, inv1);
+            // ...reaching its own outputs and what reads them, not its
+            // inputs and not a sibling branch.
+            assert!(sim.outside_writes_reach(&[b]));
+            assert!(sim.outside_writes_reach(&[d, c]));
+            assert!(!sim.outside_writes_reach(&[a, d]));
+            write(&mut sim, inv2);
+            assert!(!sim.outside_writes_reach(&[a, d]));
+        }
+
+        // A forced signal reaches itself and its readers' outputs; the
+        // co-simulation kernel's own boundary traffic is no fault site.
+        let one = || LogicVector::filled(Logic::One, 1);
+        let mut sim = golden.clone();
+        sim.inject_boundary(a, one(), Time::ZERO);
+        assert!(!sim.outside_writes_reach(&[a, b, c, d]));
+        sim.inject_value(b, one(), Time::ZERO);
+        assert!(sim.outside_writes_reach(&[b]));
+        assert!(sim.outside_writes_reach(&[c]));
+        assert!(!sim.outside_writes_reach(&[a, d]));
     }
 
     #[test]

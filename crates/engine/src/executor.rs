@@ -25,7 +25,8 @@ use amsfi_core::{
 use amsfi_digital::{BatchReport, LaneOutcome};
 use amsfi_telemetry::{Event, GuardKind, KernelMetrics, Telemetry};
 use amsfi_waves::{
-    CancelToken, Checkpoint, ForkableSim, SimBudget, SimObserver, Time, Trace, LANES,
+    CancelToken, Checkpoint, Follow, ForkableSim, SimBudget, SimObserver, SimTape, Time, Trace,
+    LANES,
 };
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -345,6 +346,9 @@ pub struct CaseCtx {
     telemetry: Telemetry,
     timer: Mutex<(Instant, Option<Stage>)>,
     observer: Mutex<Option<SimObserver>>,
+    /// Set by [`Campaign::forked`]'s fork closure when the attempt's trace
+    /// came from following a tape.
+    followed: AtomicBool,
 }
 
 impl CaseCtx {
@@ -364,6 +368,7 @@ impl CaseCtx {
             telemetry,
             timer: Mutex::new((Instant::now(), None)),
             observer: Mutex::new(observer),
+            followed: AtomicBool::new(false),
         }
     }
 
@@ -380,6 +385,7 @@ impl CaseCtx {
             telemetry: Telemetry::disabled(),
             timer: Mutex::new((Instant::now(), None)),
             observer: Mutex::new(None),
+            followed: AtomicBool::new(false),
         }
     }
 
@@ -467,15 +473,16 @@ pub type CaseRunner = Arc<dyn Fn(&CaseCtx) -> Result<Trace, BoxError> + Send + S
 pub trait AnySnapshot: Send {
     /// Deep-clones the snapshot.
     fn clone_snapshot(&self) -> Snapshot;
-    /// Downcast access for the campaign's fork closure.
-    fn as_any(&self) -> &dyn Any;
+    /// Downcast access for the campaign's fork closure, which consumes the
+    /// copy the engine made for it.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<T: Any + Clone + Send> AnySnapshot for T {
     fn clone_snapshot(&self) -> Snapshot {
         Box::new(self.clone())
     }
-    fn as_any(&self) -> &dyn Any {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -507,10 +514,45 @@ pub struct ForkSpec {
     pub golden: Arc<
         dyn for<'a> Fn(&CaseCtx, &mut SnapshotSink<'a>) -> Result<Trace, BoxError> + Send + Sync,
     >,
-    /// Forks one faulty run from a snapshot taken at the case's injection
-    /// instant and returns its full-length trace.
+    /// Resumes one faulty run from its own copy of the snapshot taken at
+    /// the case's injection instant and returns its full-length trace. The
+    /// [`TapeSlot`] is the calling worker's.
     #[allow(clippy::type_complexity)]
-    pub fork: Arc<dyn Fn(&CaseCtx, &Snapshot) -> Result<Trace, BoxError> + Send + Sync>,
+    pub fork: Arc<dyn Fn(&CaseCtx, Snapshot, &TapeSlot) -> Result<Trace, BoxError> + Send + Sync>,
+}
+
+/// What one engine worker keeps for a [`ForkSpec`] between the cases it
+/// forks: the tape of the last run that led (see
+/// [`ForkableSim::lead_to`]) with the snapshot instant it led from, for the
+/// worker's later forks of that snapshot to follow. One tape, not one per
+/// stop: a worker's claims move through the stops roughly in order, and a
+/// case that finds the wrong tape leads again.
+#[derive(Default)]
+pub struct TapeSlot(Mutex<Option<(Time, SimTape)>>);
+
+impl fmt::Debug for TapeSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("TapeSlot(..)")
+    }
+}
+
+impl TapeSlot {
+    /// The tape led from the snapshot at `stop`. A tape from any other stop
+    /// is dropped on the way: the run asking is about to record its own.
+    fn tape_from(&self, stop: Time) -> Option<SimTape> {
+        let mut slot = self.0.lock().expect("tape slot poisoned");
+        match &*slot {
+            Some((at, tape)) if *at == stop => Some(Arc::clone(tape)),
+            _ => {
+                *slot = None;
+                None
+            }
+        }
+    }
+
+    fn publish(&self, stop: Time, tape: SimTape) {
+        *self.0.lock().expect("tape slot poisoned") = Some((stop, tape));
+    }
 }
 
 impl fmt::Debug for ForkSpec {
@@ -707,29 +749,44 @@ impl Campaign {
             )
         };
 
+        // A fork leads or follows where its kernel can prove it may (the
+        // from-scratch `runner` above never does: it stays the oracle). A
+        // tape reaches the worker's slot only from a run that went all the
+        // way: an attempt that errs, is cancelled or times out returns
+        // before `publish`.
         let fork = {
             let inject = Arc::clone(&inject);
             Arc::new(
-                move |ctx: &CaseCtx, snap: &Snapshot| -> Result<Trace, BoxError> {
-                    let cp = snap
-                        .as_any()
-                        .downcast_ref::<Checkpoint<S>>()
-                        .ok_or_else(|| {
-                            Box::new(SnapshotRestoreError(
-                                "snapshot does not hold this campaign's simulator type".to_owned(),
-                            )) as BoxError
-                        })?;
+                move |ctx: &CaseCtx, snap: Snapshot, tapes: &TapeSlot| -> Result<Trace, BoxError> {
+                    let cp = snap.into_any().downcast::<Checkpoint<S>>().map_err(|_| {
+                        Box::new(ForkPathError::Restore(
+                            "snapshot does not hold this campaign's simulator type".to_owned(),
+                        )) as BoxError
+                    })?;
                     let i = ctx
                         .index()
                         .ok_or("the golden run is never forked from a snapshot")?;
                     ctx.stage(Stage::Simulate);
-                    let mut sim = cp.fork();
+                    let stop = cp.at();
+                    let mut sim = cp.into_sim();
                     sim.install_budget(ctx.budget().clone());
                     if let Some(observer) = ctx.take_observer() {
                         sim.install_observer(observer);
                     }
                     inject(&mut sim, i)?;
-                    sim.advance_to(t_end).map_err(sim_err)?;
+                    let followed = match tapes.tape_from(stop) {
+                        Some(tape) => sim.follow(&tape).map_err(sim_err)?,
+                        None => Follow::Refused,
+                    };
+                    match followed {
+                        Follow::Done => ctx.followed.store(true, Ordering::Relaxed),
+                        Follow::LeftGrid => return Err(Box::new(ForkPathError::LeftGrid)),
+                        Follow::Refused => {
+                            if let Some(tape) = sim.lead_to(t_end).map_err(sim_err)? {
+                                tapes.publish(stop, tape);
+                            }
+                        }
+                    }
                     Ok(sim.snapshot_trace())
                 },
             )
@@ -751,20 +808,40 @@ impl Campaign {
     }
 }
 
-/// A checkpoint snapshot could not be restored for this campaign (wrong
-/// simulator type or structural drift). The engine treats this as
-/// non-retryable — restoring the same snapshot again is deterministic —
-/// and degrades gracefully by re-running the case from scratch.
+/// A forked run could not finish on the fork path. Both ways are
+/// deterministic — the same snapshot and the same tape would fail the same
+/// way again — so the engine does not retry: the case degrades gracefully
+/// to its from-scratch runner.
 #[derive(Debug, Clone)]
-pub struct SnapshotRestoreError(pub String);
+pub enum ForkPathError {
+    /// The checkpoint snapshot could not be restored for this campaign
+    /// (wrong simulator type or structural drift).
+    Restore(String),
+    /// The run followed a tape and left its step grid
+    /// ([`Follow::LeftGrid`]).
+    LeftGrid,
+}
 
-impl fmt::Display for SnapshotRestoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot restore failed: {}", self.0)
+impl ForkPathError {
+    /// The `reason` field of the `checkpoint`/`fallback` event.
+    fn reason(&self) -> &'static str {
+        match self {
+            ForkPathError::Restore(_) => "restore",
+            ForkPathError::LeftGrid => "left-grid",
+        }
     }
 }
 
-impl std::error::Error for SnapshotRestoreError {}
+impl fmt::Display for ForkPathError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ForkPathError::Restore(why) => write!(f, "snapshot restore failed: {why}"),
+            ForkPathError::LeftGrid => f.write_str("the run left the grid of the tape it followed"),
+        }
+    }
+}
+
+impl std::error::Error for ForkPathError {}
 
 /// Everything an engine run produces.
 #[derive(Debug)]
@@ -873,7 +950,12 @@ fn sealed_verdict(classifier: &Arc<Mutex<OnlineClassifier>>) -> Option<CaseOutco
 
 /// How one attempt ended (before retry/policy handling).
 enum Attempt {
-    Ok(Trace),
+    /// A full-horizon trace; `followed` when a fork took part of it off its
+    /// worker's tape instead of simulating it.
+    Ok {
+        trace: Trace,
+        followed: bool,
+    },
     /// The attempt's online classifier sealed the verdict mid-simulation
     /// and cancelled the budget token (`--early-abort`): a final,
     /// *classified* outcome — not retried. `steps` is the attempt's
@@ -887,21 +969,26 @@ enum Attempt {
     /// parseable [`SimFailure`]): a deterministic, *classified* outcome —
     /// not retried, not skipped.
     SimFailed(SimFailure),
-    /// A checkpoint snapshot could not be restored; non-retryable, the
-    /// case falls back to its from-scratch runner.
-    RestoreFailed(String),
+    /// The fork path could not finish the case (see [`ForkPathError`]);
+    /// non-retryable, the case falls back to its from-scratch runner.
+    OffForkPath(ForkPathError),
     TimedOut,
 }
 
 impl Attempt {
-    /// How a panic-isolated runner call ended.
-    fn of(out: std::thread::Result<Result<Trace, BoxError>>) -> Attempt {
+    /// How a panic-isolated runner call on `ctx` ended.
+    fn of(out: std::thread::Result<Result<Trace, BoxError>>, ctx: &CaseCtx) -> Attempt {
         match out {
-            Ok(Ok(trace)) => Attempt::Ok(trace),
-            Ok(Err(e)) if e.is::<SnapshotRestoreError>() => Attempt::RestoreFailed(e.to_string()),
-            Ok(Err(e)) => match SimFailure::from_error(e.as_ref()) {
-                Some(failure) => Attempt::SimFailed(failure),
-                None => Attempt::Failed(e.to_string()),
+            Ok(Ok(trace)) => Attempt::Ok {
+                trace,
+                followed: ctx.followed.load(Ordering::Relaxed),
+            },
+            Ok(Err(e)) => match e.downcast::<ForkPathError>() {
+                Ok(off) => Attempt::OffForkPath(*off),
+                Err(e) => match SimFailure::from_error(e.as_ref()) {
+                    Some(failure) => Attempt::SimFailed(failure),
+                    None => Attempt::Failed(e.to_string()),
+                },
             },
             Err(payload) => Attempt::Failed(panic_message(payload)),
         }
@@ -942,11 +1029,14 @@ impl<'a> Plan<'a> {
 }
 
 /// One worker's deep clone of the golden run's snapshot ladder (empty
-/// unless the plan is [`Plan::Fork`]). Snapshots are `Send` but not `Sync`
-/// (simulator internals hold `Send`-only trait objects), so workers cannot
-/// share references; the per-stop `Arc<Mutex<..>>` lets the per-case fork
-/// runner be `'static` for the timeout machinery.
-type SnapshotCache = BTreeMap<Time, Arc<Mutex<Snapshot>>>;
+/// unless the plan is [`Plan::Fork`]) and its [`TapeSlot`]. Snapshots are
+/// `Send` but not `Sync` (simulator internals hold `Send`-only trait
+/// objects), so workers cannot share references; the `Arc`s let the
+/// per-case fork runner be `'static` for the timeout machinery.
+struct ForkCache {
+    snapshots: BTreeMap<Time, Arc<Mutex<Snapshot>>>,
+    tapes: Arc<TapeSlot>,
+}
 
 /// The campaign-execution engine. Construct with a config, then call
 /// [`Engine::run`] per campaign.
@@ -1062,12 +1152,13 @@ impl Engine {
             }
             Plan::Scalar | Plan::Fork(_) => 1,
         };
-        let worker_caches: Vec<SnapshotCache> = (0..workers)
-            .map(|_| {
-                snaps
+        let worker_caches: Vec<ForkCache> = (0..workers)
+            .map(|_| ForkCache {
+                snapshots: snaps
                     .iter()
                     .map(|(t, s)| (*t, Arc::new(Mutex::new(s.clone_snapshot()))))
-                    .collect()
+                    .collect(),
+                tapes: Arc::default(),
             })
             .collect();
 
@@ -1236,15 +1327,16 @@ impl Engine {
                     })
                 }));
                 ctx.finish();
-                Attempt::of(out)
+                Attempt::of(out, &ctx)
             }
             Plan::Scalar | Plan::Batch(_) => {
                 self.attempt_case(&campaign.runner, None, stats, None).0
             }
         };
         match attempt {
-            Attempt::Ok(trace) => Ok((trace, snaps)),
-            Attempt::Failed(e) | Attempt::RestoreFailed(e) => Err(EngineError::Golden(e)),
+            Attempt::Ok { trace, .. } => Ok((trace, snaps)),
+            Attempt::Failed(e) => Err(EngineError::Golden(e)),
+            Attempt::OffForkPath(e) => Err(EngineError::Golden(e.to_string())),
             // A guard trip on the fault-free run means the budget (or the
             // model) cannot cover the horizon.
             Attempt::SimFailed(f) => Err(EngineError::Golden(f.to_string())),
@@ -1290,13 +1382,13 @@ impl Engine {
             }
             if matches!(
                 last,
-                // A guard trip, sealed verdict or failed restore is
-                // deterministic; retrying would reproduce it. All end the
-                // loop like a success.
-                Attempt::Ok(_)
+                // A guard trip, sealed verdict or fork that left its path
+                // is deterministic; retrying would reproduce it. All end
+                // the loop like a success.
+                Attempt::Ok { .. }
                     | Attempt::Sealed { .. }
                     | Attempt::SimFailed(_)
-                    | Attempt::RestoreFailed(_)
+                    | Attempt::OffForkPath(_)
             ) {
                 return (last, attempt + 1);
             }
@@ -1386,7 +1478,7 @@ impl Engine {
                 let ctx = CaseCtx::attached(index, attempt, stats, budget, telemetry, observer);
                 let out = catch_unwind(AssertUnwindSafe(|| runner(&ctx)));
                 ctx.finish();
-                Attempt::of(out)
+                Attempt::of(out, &ctx)
             }
         };
         let outcome = self.drive_attempt(call, &token);
@@ -1457,7 +1549,7 @@ impl Engine {
                         match late {
                             // The attempt finished in the race window
                             // between expiry and cancellation; keep it.
-                            Attempt::Ok(trace) => Attempt::Ok(trace),
+                            late @ Attempt::Ok { .. } => late,
                             _ => Attempt::TimedOut,
                         }
                     }
@@ -1657,18 +1749,19 @@ impl Run<'_> {
     fn fork_runner(
         &self,
         spec: &ForkSpec,
-        cache: &SnapshotCache,
+        cache: &ForkCache,
         index: usize,
     ) -> Option<(CaseRunner, Time)> {
         let at = self.campaign.cases[index].injected_at.min(spec.t_end);
-        let hit = cache.range(..=at).next_back().map(|(t, snap)| {
-            let snap = Arc::clone(snap);
+        let hit = cache.snapshots.range(..=at).next_back().map(|(t, snap)| {
+            let (snap, tapes) = (Arc::clone(snap), Arc::clone(&cache.tapes));
             let fork = Arc::clone(&spec.fork);
             let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
-                // Deep-clone under a short lock so a timed-out (abandoned)
-                // attempt cannot wedge later retries of the same case.
+                // The one deep clone a forked case pays for, under a short
+                // lock so a timed-out (abandoned) attempt cannot wedge
+                // later retries of the same case. The fork owns the copy.
                 let owned = snap.lock().expect("snapshot poisoned").clone_snapshot();
-                fork(ctx, &owned)
+                fork(ctx, owned, &tapes)
             });
             (runner, *t)
         });
@@ -1702,22 +1795,36 @@ impl Run<'_> {
         };
         let early = self.early(index);
         let (mut attempt, mut attempts) = engine.attempt_case(&runner, Some(index), stats, early);
-        // Graceful degradation: a snapshot that cannot be restored fails
-        // deterministically, so instead of burning the retry budget on the
-        // fork path the case re-runs from scratch.
-        if matches!(attempt, Attempt::RestoreFailed(_)) && forked_at.is_some() {
+        // Graceful degradation: a snapshot that cannot be restored, or a
+        // follower off its tape's grid, fails deterministically, so instead
+        // of burning the retry budget on the fork path the case re-runs
+        // from scratch.
+        if let (Attempt::OffForkPath(off), Some(_)) = (&attempt, forked_at) {
+            let reason = off.reason();
             forked_at = None;
             stats.record_fallbacks(1);
-            if let Some(metrics) = tele.metrics() {
+            if let (ForkPathError::Restore(_), Some(metrics)) = (off, tele.metrics()) {
                 metrics.restore_fallbacks.inc();
             }
-            tele.emit_with(|| Event::new("checkpoint", "fallback").with_case(index));
+            tele.emit_with(|| {
+                Event::new("checkpoint", "fallback")
+                    .with_case(index)
+                    .with_field("reason", reason)
+            });
             let (fallback, n) = engine.attempt_case(&campaign.runner, Some(index), stats, early);
             attempt = fallback;
             attempts += n;
         }
+        // The stop a follower's tape was led from: its own snapshot's.
+        let followed_from = match attempt {
+            Attempt::Ok { followed: true, .. } => forked_at,
+            _ => None,
+        };
+        if followed_from.is_some() {
+            stats.record_followed();
+        }
         let outcome = match attempt {
-            Attempt::Ok(trace) => self.book(index, self.classify(&trace), forked_at),
+            Attempt::Ok { trace, .. } => self.book(index, self.classify(&trace), forked_at),
             Attempt::Sealed { outcome, steps } => {
                 self.book_sealed(index, *outcome, steps, forked_at)
             }
@@ -1735,9 +1842,8 @@ impl Run<'_> {
                 });
                 self.book(index, CaseOutcome::from_sim_failure(failure), forked_at)
             }
-            Attempt::Failed(error) | Attempt::RestoreFailed(error) => {
-                self.give_up(index, attempts, error)
-            }
+            Attempt::Failed(error) => self.give_up(index, attempts, error),
+            Attempt::OffForkPath(off) => self.give_up(index, attempts, off.to_string()),
             Attempt::TimedOut => {
                 let timeout = engine.config.timeout.unwrap_or_default();
                 self.give_up(index, attempts, format!("timed out after {timeout:?}"))
@@ -1753,6 +1859,9 @@ impl Run<'_> {
                 .with_dur_us(dur_us)
                 .with_field("label", &campaign.cases[index].label)
                 .with_field("attempts", attempts);
+            if let Some(stop) = followed_from {
+                event = event.with_field("followed", stop.as_fs());
+            }
             event = match &outcome {
                 Ok(JournalEntry::Done(result)) => event.with_field("class", result.outcome.class),
                 Ok(JournalEntry::Skipped(_)) => event.with_field("outcome", "skipped"),
@@ -2410,8 +2519,8 @@ mod tests {
         let mut campaign = forked_campaign("toy-fallback", 6);
         // Sabotage restore: every fork now fails the way a snapshot of the
         // wrong simulator type (or drifted structure) would.
-        campaign.fork.as_mut().unwrap().fork = Arc::new(|_ctx, _snap| {
-            Err(Box::new(SnapshotRestoreError("structural drift".to_owned())) as BoxError)
+        campaign.fork.as_mut().unwrap().fork = Arc::new(|_ctx, _snap, _tapes| {
+            Err(Box::new(ForkPathError::Restore("structural drift".to_owned())) as BoxError)
         });
         let report = Engine::new(
             EngineConfig::default()
@@ -2431,6 +2540,148 @@ mod tests {
         for (a, b) in scratch.result.cases.iter().zip(&report.result.cases) {
             assert_eq!(a, b, "case {}", a.case);
         }
+    }
+
+    /// A [`TickSim`] whose kernel shares all of itself: any run may lead
+    /// and any may follow — unless it is armed to fail on the way.
+    #[derive(Debug, Clone)]
+    struct TapeSim {
+        inner: TickSim,
+        budget: SimBudget,
+        arm: TapeArm,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum TapeArm {
+        Quiet,
+        /// `lead_to` errs.
+        Breaks,
+        /// `lead_to` spins until its budget's token is cancelled.
+        Wedges,
+    }
+
+    impl ForkableSim for TapeSim {
+        type Error = amsfi_waves::GuardViolation;
+
+        fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
+            let Ok(()) = self.inner.advance_to(t);
+            Ok(())
+        }
+
+        fn current_time(&self) -> Time {
+            self.inner.now
+        }
+
+        fn snapshot_trace(&self) -> Trace {
+            self.inner.trace.clone()
+        }
+
+        fn structural_fingerprint(&self) -> u64 {
+            0x7A9E
+        }
+
+        fn install_budget(&mut self, budget: SimBudget) {
+            self.budget = budget;
+        }
+
+        fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, Self::Error> {
+            match self.arm {
+                TapeArm::Quiet => {}
+                TapeArm::Breaks => {
+                    return Err(amsfi_waves::GuardViolation::NonFinite {
+                        signal: "out".to_owned(),
+                        t: self.inner.now,
+                    })
+                }
+                TapeArm::Wedges => loop {
+                    self.budget.note_step(self.inner.now)?;
+                    std::thread::sleep(Duration::from_millis(1));
+                },
+            }
+            self.advance_to(t)?;
+            Ok(Some(Arc::new(())))
+        }
+
+        fn follow(&mut self, _: &SimTape) -> Result<Follow, Self::Error> {
+            self.advance_to(Time::from_ns(40))?;
+            Ok(Follow::Done)
+        }
+    }
+
+    /// One case per entry of `arms`, injected at the paired instant (ns).
+    fn tape_campaign(name: &str, arms: Vec<(i64, TapeArm)>) -> Campaign {
+        let t_end = Time::from_ns(40);
+        let cases = arms
+            .iter()
+            .enumerate()
+            .map(|(i, (at, _))| FaultCase::new(format!("tape{i}"), Time::from_ns(*at)))
+            .collect();
+        Campaign::forked(
+            name,
+            ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]),
+            cases,
+            t_end,
+            |_ctx: &CaseCtx| {
+                Ok(TapeSim {
+                    inner: TickSim {
+                        now: Time::ZERO,
+                        ticks: 0,
+                        stuck: false,
+                        invert_next: false,
+                        trace: Trace::new(),
+                    },
+                    budget: SimBudget::unlimited(),
+                    arm: TapeArm::Quiet,
+                })
+            },
+            move |sim: &mut TapeSim, i| {
+                sim.inner.invert_next = true;
+                sim.arm = arms[i].1;
+                Ok(())
+            },
+        )
+    }
+
+    #[test]
+    fn only_an_attempt_that_went_all_the_way_publishes_its_tape() {
+        use TapeArm::{Breaks, Quiet, Wedges};
+        let campaign = tape_campaign(
+            "toy-tape-failures",
+            vec![(5, Breaks), (5, Wedges), (5, Quiet), (5, Quiet), (5, Quiet)],
+        );
+        let report = Engine::new(
+            EngineConfig::default()
+                .with_workers(1)
+                .with_checkpoint(true)
+                .with_timeout(Duration::from_millis(40)),
+        )
+        .run(&campaign)
+        .unwrap();
+        // The erring and the timed-out (cancelled) leaders left nothing in
+        // the worker's slot: the first quiet case leads, two follow.
+        assert_eq!(report.stats.timeouts, 1);
+        assert_eq!(report.skipped.len(), 1);
+        assert_eq!(report.result.cases.len(), 4);
+        assert_eq!((report.stats.followed, report.stats.fallbacks), (2, 0));
+    }
+
+    #[test]
+    fn a_worker_holds_the_tape_of_one_stop_at_a_time() {
+        use TapeArm::Quiet;
+        let run = |instants: [i64; 4]| {
+            let arms = instants.iter().map(|&at| (at, Quiet)).collect();
+            let config = EngineConfig::default()
+                .with_workers(1)
+                .with_checkpoint(true);
+            let report = Engine::new(config)
+                .run(&tape_campaign("toy-tape-stops", arms))
+                .unwrap();
+            report.stats.followed
+        };
+        // Instant-major: one leader per stop. Interleaved: each case finds
+        // the other stop's tape, drops it and leads again.
+        assert_eq!(run([5, 5, 14, 14]), 2);
+        assert_eq!(run([5, 14, 5, 14]), 0);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod stats;
 
 pub use executor::{
     AnySnapshot, BatchSpec, Campaign, CaseCtx, CaseRunner, Engine, EngineConfig, EngineError,
-    EngineReport, ErrorPolicy, ForkSpec, LaneHooks, PrefixFork, RecordSink, Snapshot,
-    SnapshotRestoreError, SnapshotSink, WorkerSlot,
+    EngineReport, ErrorPolicy, ForkPathError, ForkSpec, LaneHooks, PrefixFork, RecordSink,
+    Snapshot, SnapshotSink, TapeSlot, WorkerSlot,
 };
 pub use journal::{Journal, JournalEntry, JournalError, JournalMeta, QuarantinedCase, SkippedCase};
 pub use shard::Shard;

@@ -66,6 +66,8 @@ pub struct EngineStats {
     quarantined: AtomicUsize,
     /// Cases that did not finish on the run's planned execution path.
     fallbacks: AtomicUsize,
+    /// Forked cases that followed a tape.
+    followed: AtomicUsize,
     /// Cases pre-counted into `done`/`total` because a previous run already
     /// settled them (resumed `Done` + previously quarantined). They are part
     /// of the summary denominator but must not inflate the live rate.
@@ -97,6 +99,7 @@ impl EngineStats {
             skipped: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
             fallbacks: AtomicUsize::new(0),
+            followed: AtomicUsize::new(0),
             seeded: AtomicUsize::new(0),
             stage_ns: Default::default(),
             metrics,
@@ -144,6 +147,10 @@ impl EngineStats {
         self.fallbacks.fetch_add(cases, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_followed(&self) {
+        self.followed.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -171,6 +178,7 @@ impl EngineStats {
             skipped: self.skipped.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            followed: self.followed.load(Ordering::Relaxed),
             seeded: self.seeded.load(Ordering::Relaxed),
             stage_ns: [
                 self.stage_ns[0].load(Ordering::Relaxed),
@@ -213,8 +221,15 @@ pub struct StatsSnapshot {
     pub quarantined: usize,
     /// Cases that did not finish on the run's planned execution path
     /// ([`EngineReport::path`](crate::EngineReport)): those of a batch group
-    /// or a lane re-run scalar, and forks whose snapshot would not restore.
+    /// or a lane re-run scalar, forks whose snapshot would not restore and
+    /// followers that left their tape's grid.
     pub fallbacks: usize,
+    /// Forked cases whose fault provably stayed out of part of the
+    /// simulator (a mixed bench's analog half) and that took that part off
+    /// the tape of an earlier fork of the same snapshot instead of
+    /// simulating it (see `amsfi_waves::ForkableSim::follow`). On the
+    /// planned path: not a subset of `fallbacks`.
+    pub followed: usize,
     /// Of `done`, how many were settled by a previous run (resumed
     /// completions and prior quarantines). Excluded from [`rate`](Self::rate).
     pub seeded: usize,

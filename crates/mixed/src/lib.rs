@@ -20,6 +20,8 @@
 
 mod boundary;
 mod sim;
+mod tape;
 
 pub use boundary::{DetectedEdge, Digitizer, LevelDriver};
 pub use sim::MixedSimulator;
+pub use tape::AnalogTape;

@@ -1,6 +1,7 @@
 //! The lock-step mixed-mode co-simulation kernel.
 
 use crate::boundary::{Digitizer, LevelDriver};
+use crate::tape::{AnalogTape, TapedEdge};
 
 /// Telemetry batching stride for the shared sync-step counter: the sync
 /// loop touches the contended atomic once per this many steps.
@@ -9,9 +10,10 @@ const SYNC_METRICS_STRIDE: u32 = 64;
 use amsfi_analog::{AnalogSolver, NodeId};
 use amsfi_digital::{SignalId, SimError, Simulator};
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, LogicVector, SimBudget,
-    SimObserver, Time, Trace,
+    Checkpoint, CheckpointMismatch, Fnv1a, Follow, ForkableSim, GuardViolation, LogicVector,
+    SimBudget, SimObserver, SimTape, Time, Trace,
 };
+use std::sync::Arc;
 
 /// Co-simulates a digital [`Simulator`] and an analog [`AnalogSolver`] with
 /// synchronised time, exchanging values through [`LevelDriver`]s
@@ -77,6 +79,10 @@ pub struct MixedSimulator {
     /// Each digitized node's value at the start of the sync step in flight
     /// (scratch: refilled every step).
     prev: Vec<f64>,
+    /// The tape this run's analog half was replayed from, once
+    /// [`MixedSimulator::follow`] has run: `analog` then still stands at
+    /// the fork point and the tape's waves are this run's analog trace.
+    followed: Option<Arc<AnalogTape>>,
 }
 
 impl MixedSimulator {
@@ -93,6 +99,7 @@ impl MixedSimulator {
             budget: SimBudget::unlimited(),
             observer: None,
             prev: Vec::new(),
+            followed: None,
         }
     }
 
@@ -254,6 +261,8 @@ impl MixedSimulator {
     }
 
     /// Mutable access to the digital half (for mutant injection mid-run).
+    /// The half keeps note of what is written into it this way; see
+    /// [`MixedSimulator::analog_is_clean`].
     pub fn digital_mut(&mut self) -> &mut Simulator {
         &mut self.digital
     }
@@ -264,15 +273,46 @@ impl MixedSimulator {
     }
 
     /// Mutable access to the analog half (for parametric faults mid-run).
+    /// A reconfigured block is noted (see
+    /// [`MixedSimulator::analog_is_clean`]); [`AnalogSolver::set_value`] is
+    /// this kernel's own boundary entry and is not — do not inject with it.
     pub fn analog_mut(&mut self) -> &mut AnalogSolver {
         &mut self.analog
     }
 
-    /// The union of both domains' traces.
+    /// The union of both domains' traces. After [`MixedSimulator::follow`]
+    /// the analog half's is the tape's: the waves the leader recorded.
     pub fn merged_trace(&self) -> Trace {
+        let analog = match &self.followed {
+            Some(tape) => &tape.waves,
+            None => self.analog.trace(),
+        };
         let mut t = self.digital.trace().clone();
-        t.absorb(self.analog.trace().clone());
+        t.absorb(analog.clone());
         t
+    }
+
+    /// Whether the analog half is provably the fault-free one: no block of
+    /// it was reconfigured from outside ([`AnalogSolver::touched`]), and
+    /// nothing written into the digital half from outside can propagate to
+    /// a signal a level driver reads
+    /// ([`Simulator::outside_writes_reach`]). The analog half of such a run
+    /// depends on the fault only through the synchronisation grid — where
+    /// the digital half's events cut the solver's steps.
+    pub fn analog_is_clean(&self) -> bool {
+        if self.analog.touched() {
+            return false;
+        }
+        let driven: Vec<SignalId> = self.drivers.iter().map(|d| d.signal).collect();
+        !self.digital.outside_writes_reach(&driven)
+    }
+
+    /// Whether this run may record its analog half for others or take it
+    /// from a recording: the half is clean, nobody watches it grow (an
+    /// observer's watermark contract is about a trace in the making), and
+    /// the run is an ordinary one past its first seeding.
+    fn may_share_analog(&self) -> bool {
+        self.seeded && self.observer.is_none() && self.followed.is_none() && self.analog_is_clean()
     }
 
     /// A hash of the co-simulation's structure: both kernels' structural
@@ -346,7 +386,125 @@ impl MixedSimulator {
     /// the step budget or deadline is exhausted, the analog solver proposes
     /// a timestep below the `min_dt` floor, or an analog node goes
     /// non-finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics when asked to run on after [`MixedSimulator::follow`]: the
+    /// analog half was never advanced.
     pub fn run_until(&mut self, t_end: Time) -> Result<(), SimError> {
+        self.sync_loop(t_end, None)
+    }
+
+    /// [`MixedSimulator::run_until`] that, when the analog half
+    /// [is clean](MixedSimulator::analog_is_clean) and unobserved, records
+    /// it on the way: the tape any other fork of the same snapshot with a
+    /// clean analog half may [`follow`](MixedSimulator::follow). `None`
+    /// when this run cannot prove that much; it has advanced all the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`MixedSimulator::run_until`]; a failed run returns no tape.
+    pub fn lead_to(&mut self, t_end: Time) -> Result<Option<Arc<AnalogTape>>, SimError> {
+        if !self.may_share_analog() {
+            return self.run_until(t_end).map(|()| None);
+        }
+        let mut tape = AnalogTape::new(self.now, t_end);
+        self.sync_loop(t_end, Some(&mut tape))?;
+        tape.waves = self.analog.trace().clone();
+        Ok(Some(Arc::new(tape)))
+    }
+
+    /// Advances from `tape`'s start to its end on the digital half alone:
+    /// the synchronisation loop of [`MixedSimulator::run_until`] with the
+    /// solver's step replaced by what `tape` recorded of it — the proposed
+    /// timestep going in, the digitizer edges coming out.
+    ///
+    /// Sound when both runs were forked from one snapshot and both have a
+    /// clean analog half: the two analog halves then integrate the same
+    /// circuit from the same state under the same driver levels and differ
+    /// at most in their step grids. That last part is not assumed. Every
+    /// step recomputes where it lands from this run's own digital events
+    /// and must hit the tape's instant, else the run stops with
+    /// [`Follow::LeftGrid`]. [`Follow::Refused`] — the run is not at the
+    /// tape's start, or may not share its analog half — leaves it untouched.
+    ///
+    /// After [`Follow::Done`] the run is spent: [`merged_trace`] is
+    /// complete, the digital half stands at the tape's end, and the analog
+    /// solver still at its start.
+    ///
+    /// [`merged_trace`]: MixedSimulator::merged_trace
+    ///
+    /// # Errors
+    ///
+    /// As [`MixedSimulator::run_until`], less the analog guards: the
+    /// leader's run passed those.
+    pub fn follow(&mut self, tape: &Arc<AnalogTape>) -> Result<Follow, SimError> {
+        if self.now != tape.start || !self.may_share_analog() {
+            return Ok(Follow::Refused);
+        }
+        self.digital.run_until(self.now)?;
+        let mut edges = tape.edges.iter().peekable();
+        for (k, &(landed, proposed)) in tape.steps.iter().enumerate() {
+            self.note_sync_step(proposed)?;
+            if self.sync_target(proposed, tape.end) != landed {
+                return Ok(Follow::LeftGrid);
+            }
+            while let Some(edge) = edges.next_if(|edge| edge.step == k) {
+                let value = LogicVector::filled(edge.level, 1);
+                self.digital.inject_boundary(edge.signal, value, edge.at);
+            }
+            self.now = landed;
+            self.digital.run_until(landed)?;
+        }
+        self.followed = Some(Arc::clone(tape));
+        Ok(Follow::Done)
+    }
+
+    /// Counts one synchronisation step against the budget. The proposed
+    /// step is inspected *before* the event clamp so a collapsing analog
+    /// timestep is caught even when dense digital activity would shrink
+    /// the step anyway.
+    fn note_sync_step(&mut self, proposed: Time) -> Result<(), SimError> {
+        self.budget.check_dt(proposed, self.now)?;
+        self.budget.note_step(self.now)?;
+        // Batched at the budget's local step count: one contended RMW
+        // per SYNC_METRICS_STRIDE sync steps instead of one per step.
+        if self
+            .budget
+            .steps_used()
+            .is_multiple_of(u64::from(SYNC_METRICS_STRIDE))
+        {
+            if let Some(metrics) = self.budget.metrics() {
+                metrics.sync_steps.add(u64::from(SYNC_METRICS_STRIDE));
+            }
+        }
+        Ok(())
+    }
+
+    /// Where the synchronisation step starting now lands: the solver's
+    /// proposal, cut at the horizon and at the next digital event.
+    fn sync_target(&self, proposed: Time, t_end: Time) -> Time {
+        let t_next = self
+            .now
+            .saturating_add(proposed.min(self.max_sync_step))
+            .min(t_end);
+        match self.digital.next_event_time() {
+            Some(te) if te > self.now => t_next.min(te),
+            _ => t_next,
+        }
+    }
+
+    /// The synchronisation loop, recording the analog half onto `tape`
+    /// when there is one.
+    fn sync_loop(
+        &mut self,
+        t_end: Time,
+        mut tape: Option<&mut AnalogTape>,
+    ) -> Result<(), SimError> {
+        assert!(
+            self.followed.is_none() || t_end <= self.now,
+            "a run that followed a tape is spent at the tape's end"
+        );
         if !self.seeded {
             self.seeded = true;
             // Seed the digital side with the initial level of every
@@ -354,7 +512,7 @@ impl MixedSimulator {
             for dz in &mut self.digitizers {
                 let level = dz.initial_level(self.analog.value(dz.node));
                 self.digital
-                    .inject_value(dz.signal, LogicVector::filled(level, 1), self.now);
+                    .inject_boundary(dz.signal, LogicVector::filled(level, 1), self.now);
             }
         }
         // Flush digital activity at the current instant (power-on deltas,
@@ -367,31 +525,14 @@ impl MixedSimulator {
                 let level = d.level(self.digital.value(d.signal)[d.bit]);
                 self.analog.set_value(d.node, level);
             }
-            // Guard checks: the proposed step is inspected *before* the
-            // event clamp so a collapsing analog timestep is caught even
-            // when dense digital activity would shrink the step anyway.
             let proposed = self.analog.propose_dt();
-            self.budget.check_dt(proposed, self.now)?;
-            self.budget.note_step(self.now)?;
-            // Batched at the budget's local step count: one contended RMW
-            // per SYNC_METRICS_STRIDE sync steps instead of one per step.
-            if self
-                .budget
-                .steps_used()
-                .is_multiple_of(u64::from(SYNC_METRICS_STRIDE))
-            {
-                if let Some(metrics) = self.budget.metrics() {
-                    metrics.sync_steps.add(u64::from(SYNC_METRICS_STRIDE));
+            self.note_sync_step(proposed)?;
+            let t_next = self.sync_target(proposed, t_end);
+            if let Some(tape) = tape.as_deref_mut() {
+                if tape.steps.is_empty() {
+                    tape.reserve(proposed.min(self.max_sync_step));
                 }
-            }
-            let mut t_next = self
-                .now
-                .saturating_add(proposed.min(self.max_sync_step))
-                .min(t_end);
-            if let Some(te) = self.digital.next_event_time() {
-                if te > self.now {
-                    t_next = t_next.min(te);
-                }
+                tape.steps.push((t_next, proposed));
             }
             // Snapshot digitized nodes, integrate, then look for crossings.
             let t0 = self.now;
@@ -410,22 +551,31 @@ impl MixedSimulator {
             }
             for (dz, &v0) in self.digitizers.iter_mut().zip(&self.prev) {
                 let v1 = self.analog.value(dz.node);
+                // An edge lands strictly inside `(t0, t_next]`: the digital
+                // side, standing at `t0`, has not passed it.
                 if let Some(edge) = dz.check(t0, v0, t_next, v1) {
-                    // A hysteresis-delayed detection can interpolate to an
-                    // instant the digital side has already passed; clamp to
-                    // the current step (error bounded by one sync step).
-                    let at = edge.at.max(t0);
-                    self.digital
-                        .inject_value(dz.signal, LogicVector::filled(edge.level, 1), at);
+                    if let Some(tape) = tape.as_deref_mut() {
+                        tape.edges.push(TapedEdge {
+                            step: tape.steps.len() - 1,
+                            signal: dz.signal,
+                            at: edge.at,
+                            level: edge.level,
+                        });
+                    }
+                    self.digital.inject_boundary(
+                        dz.signal,
+                        LogicVector::filled(edge.level, 1),
+                        edge.at,
+                    );
                 }
             }
             self.now = t_next;
             self.digital.run_until(self.now)?;
             // Poll the observer at the end of the sync step. Finality
-            // contract: both kernels have fully drained activity below
-            // `now`, and the only thing that can still land *at* `now` is
-            // a clamped digitizer edge in the next iteration — which is why
-            // the watermark instant itself is not advertised as final.
+            // contract: both kernels have fully drained activity up to
+            // `now`, and the next step's digitizer edges land strictly
+            // after it; the watermark instant itself is still not
+            // advertised as final.
             if let Some(observer) = self.observer.as_mut() {
                 observer.poll(self.now, &[self.digital.trace(), self.analog.trace()]);
             }
@@ -467,6 +617,18 @@ impl ForkableSim for MixedSimulator {
 
     fn install_observer(&mut self, observer: SimObserver) {
         self.set_observer(observer);
+    }
+
+    fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, SimError> {
+        let tape = MixedSimulator::lead_to(self, t)?;
+        Ok(tape.map(|tape| tape as SimTape))
+    }
+
+    fn follow(&mut self, tape: &SimTape) -> Result<Follow, SimError> {
+        match Arc::clone(tape).downcast::<AnalogTape>() {
+            Ok(tape) => MixedSimulator::follow(self, &tape),
+            Err(_) => Ok(Follow::Refused),
+        }
     }
 }
 
@@ -625,6 +787,157 @@ mod tests {
         assert_eq!(fork.merged_trace(), golden.merged_trace());
         let q = fork.digital().signal_id("q").unwrap();
         assert_eq!(fork.digital().value(q), scratch.digital().value(q));
+    }
+
+    /// A monitored [`sine_counter`] run to 437 ns (off every step grid),
+    /// snapshotted there.
+    fn counter_checkpoint() -> Checkpoint<MixedSimulator> {
+        let mut golden = sine_counter(10e6);
+        golden.digital_mut().monitor_name("clk");
+        golden.digital_mut().monitor_name("q");
+        golden.analog_mut().monitor_name("sine");
+        golden.run_until(Time::from_ns(437)).unwrap();
+        golden.checkpoint()
+    }
+
+    /// A fork of `cp` with an SEU in bit `bit` of the counter.
+    fn flipped(cp: &Checkpoint<MixedSimulator>, bit: usize) -> MixedSimulator {
+        let mut fork = cp.fork();
+        let ctr = fork.digital().component_id("ctr").unwrap();
+        fork.digital_mut().flip_state(ctr, bit);
+        fork
+    }
+
+    #[test]
+    fn follower_replays_the_leaders_analog_half() {
+        let cp = counter_checkpoint();
+        let end = Time::from_us(2);
+        let mut leader = flipped(&cp, 0);
+        let tape = leader.lead_to(end).unwrap().expect("a clean analog half");
+        assert_eq!((tape.start, tape.end), (cp.at(), end));
+        // Leading is an ordinary run that also writes a tape.
+        let mut plain = flipped(&cp, 0);
+        plain.run_until(end).unwrap();
+        assert_eq!(leader.merged_trace(), plain.merged_trace());
+        assert_eq!(
+            tape.steps.len() as u64,
+            plain.analog().steps_taken() - cp.fork().analog().steps_taken()
+        );
+
+        // Another fault from the same snapshot: the same trace as the full
+        // run, without one solver step.
+        let mut follower = flipped(&cp, 3);
+        assert_eq!(follower.follow(&tape).unwrap(), Follow::Done);
+        let mut full = flipped(&cp, 3);
+        full.run_until(end).unwrap();
+        assert_eq!(follower.merged_trace(), full.merged_trace());
+        assert_ne!(follower.merged_trace(), leader.merged_trace());
+        assert_eq!(follower.now(), end);
+        assert_eq!(
+            follower.analog().steps_taken(),
+            cp.fork().analog().steps_taken()
+        );
+        let q = full.digital().signal_id("q").unwrap();
+        assert_eq!(follower.digital().value(q), full.digital().value(q));
+    }
+
+    #[test]
+    fn a_run_that_cannot_prove_its_analog_half_clean_neither_leads_nor_follows() {
+        let cp = counter_checkpoint();
+        let end = Time::from_us(2);
+        let tape = flipped(&cp, 0).lead_to(end).unwrap().expect("a tape");
+        type Spoil = fn(&mut MixedSimulator);
+        let spoils: [Spoil; 3] = [
+            // Not at the tape's start.
+            |sim| sim.run_until(Time::from_ns(500)).unwrap(),
+            // Watched: the observer is promised a trace in the making.
+            |sim| sim.set_observer(SimObserver::new(|_, _| {})),
+            // A block reconfigured from outside.
+            |sim| {
+                let src = sim.analog().circuit().block_id("src").unwrap();
+                let _ = sim.analog_mut().block_mut(src);
+            },
+        ];
+        for (i, spoil) in spoils.into_iter().enumerate() {
+            let mut sim = flipped(&cp, 1);
+            spoil(&mut sim);
+            let before = sim.now();
+            assert_eq!(sim.follow(&tape).unwrap(), Follow::Refused, "spoil {i}");
+            assert_eq!(sim.now(), before, "a refusal leaves the run where it was");
+            // It still runs; only the start-time mismatch may lead afresh.
+            assert_eq!(sim.lead_to(end).unwrap().is_some(), i == 0, "spoil {i}");
+            assert_eq!(sim.now(), end);
+        }
+    }
+
+    /// A divider whose clock-to-output delay depends on its state: an SEU
+    /// moves its later events in time, and with them the sync grid.
+    #[derive(Debug, Clone)]
+    struct JitteryDivider {
+        count: u64,
+        prev_clk: Logic,
+    }
+
+    impl amsfi_digital::Component for JitteryDivider {
+        fn eval(&mut self, ctx: &mut amsfi_digital::EvalContext<'_>) {
+            let clk = ctx.input_bit(0);
+            if self.prev_clk == Logic::Zero && clk == Logic::One {
+                self.count = (self.count + 1) % 16;
+                let delay = Time::from_ps(700 * (1 + self.count as i64 % 4));
+                ctx.drive_bit(0, Logic::from_bool(self.count >= 8), delay);
+            }
+            self.prev_clk = clk;
+        }
+
+        fn state_bits(&self) -> usize {
+            4
+        }
+
+        fn flip_state_bit(&mut self, bit: usize) {
+            self.count ^= 1 << bit;
+        }
+    }
+
+    #[test]
+    fn follower_whose_events_move_leaves_the_grid() {
+        let mut ckt = AnalogCircuit::new();
+        let sine = ckt.node("sine", NodeKind::Voltage);
+        ckt.add("src", blocks::SineSource::new(10e6, 2.5, 2.5), &[], &[sine]);
+        let mut net = Netlist::new();
+        let clk = net.signal("clk", 1);
+        let out = net.signal("out", 1);
+        let div = net.add(
+            "div",
+            JitteryDivider {
+                count: 0,
+                prev_clk: Logic::Unknown,
+            },
+            &[clk],
+            &[out],
+        );
+        let mut golden = MixedSimulator::new(
+            Simulator::new(net),
+            AnalogSolver::new(ckt, Time::from_ns(2)),
+        );
+        golden.bind_digitizer("sine", "clk", 2.5, 0.2);
+        golden.digital_mut().monitor_name("out");
+        golden.run_until(Time::from_ns(437)).unwrap();
+        let cp = golden.checkpoint();
+        let end = Time::from_us(2);
+        let fork = |bit| {
+            let mut sim = cp.fork();
+            sim.digital_mut().flip_state(div, bit);
+            sim
+        };
+
+        let tape = fork(2).lead_to(end).unwrap().expect("no driver to reach");
+        // The same fault again lands on every step of its own tape...
+        assert_eq!(fork(2).follow(&tape).unwrap(), Follow::Done);
+        // ...another count drives `out` 700 ps later, where the leader's
+        // run had no event to cut a solver step at.
+        let mut follower = fork(0);
+        assert_eq!(follower.follow(&tape).unwrap(), Follow::LeftGrid);
+        assert!(follower.now() < end);
     }
 
     #[test]

@@ -499,8 +499,11 @@ fn print_report(report: &EngineReport) {
     }
     println!("{}", report.stats);
     print!("{}", report.stats.stage_table());
-    let fallbacks = report.stats.fallbacks;
-    println!("path: {}, fallbacks: {fallbacks}", report.path);
+    let (followed, fallbacks) = (report.stats.followed, report.stats.fallbacks);
+    println!(
+        "path: {}, followed: {followed}, fallbacks: {fallbacks}",
+        report.path
+    );
 }
 
 fn print_skips(skipped: &[amsfi_engine::SkippedCase]) {

@@ -16,7 +16,9 @@
 //! explicit stitching step.
 
 use crate::{SimBudget, SimObserver, Time, Trace};
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// The FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -114,6 +116,26 @@ impl fmt::Display for CheckpointMismatch {
 
 impl std::error::Error for CheckpointMismatch {}
 
+/// What a leading run recorded of the half of itself its fault could not
+/// reach, for later forks of the same snapshot to replay (see
+/// [`ForkableSim::lead_to`]). The kernel that wrote it knows the type; to
+/// everything that carries it from leader to follower it is opaque.
+pub type SimTape = Arc<dyn Any + Send + Sync>;
+
+/// How [`ForkableSim::follow`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Follow {
+    /// The simulator stands at the tape's end, having checked every step
+    /// against the tape: its trace is what a full run would have recorded.
+    Done,
+    /// The simulator could not prove it may follow this tape and did not
+    /// move: advance it the ordinary way.
+    Refused,
+    /// The run left the tape's step grid part-way. Its state is neither
+    /// run's: discard it and simulate the case in full.
+    LeftGrid,
+}
+
 /// A simulation kernel that can be snapshotted mid-run and forked.
 ///
 /// Implementors are `Clone`, and the clone must capture *all* run-relevant
@@ -176,6 +198,35 @@ pub trait ForkableSim: Clone + Send {
     fn install_observer(&mut self, observer: SimObserver) {
         let _ = observer;
     }
+
+    /// [`ForkableSim::advance_to`], recording on the way whatever part of
+    /// the simulator no fault armed on it can reach — when there is such a
+    /// part, and the kernel can prove it. Any fork of the same snapshot
+    /// with the same proof may then [`follow`](ForkableSim::follow) the
+    /// returned tape instead of simulating that part again. The default
+    /// only advances: a kernel with nothing to share returns no tape.
+    ///
+    /// # Errors
+    ///
+    /// As [`ForkableSim::advance_to`]; a run that fails leaves no tape.
+    fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, Self::Error> {
+        self.advance_to(t).map(|()| None)
+    }
+
+    /// Advances to the end of `tape` — recorded by
+    /// [`lead_to`](ForkableSim::lead_to) on another fork of the snapshot
+    /// this simulator was forked from — simulating only what the tape does
+    /// not hold and checking, step by step, that the recording fits this
+    /// run too. See [`Follow`] for the three ways it ends; the default
+    /// refuses.
+    ///
+    /// # Errors
+    ///
+    /// As [`ForkableSim::advance_to`].
+    fn follow(&mut self, tape: &SimTape) -> Result<Follow, Self::Error> {
+        let _ = tape;
+        Ok(Follow::Refused)
+    }
 }
 
 /// A point-in-time snapshot of a [`ForkableSim`], validated on restore.
@@ -212,6 +263,12 @@ impl<S: ForkableSim> Checkpoint<S> {
     /// Produces an independent simulator resumed from the snapshot.
     pub fn fork(&self) -> S {
         self.state.clone()
+    }
+
+    /// [`Checkpoint::fork`] for a checkpoint nobody needs afterwards: the
+    /// snapshotted simulator itself, with no second copy made.
+    pub fn into_sim(self) -> S {
+        self.state
     }
 
     /// Like [`Checkpoint::fork`], but validates that the snapshot matches
