@@ -98,6 +98,12 @@ rm -rf "$tmp"
 # difference fails.
 AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-bench --release --test batch_diff
 
+# The same oracle on the one cell the fuzzer's netlists do not hold: the
+# bit-sliced word CPU against the scalar one, lane by lane, over random
+# programs (all eight opcodes), upsets, forced program counters and reset
+# pulses.
+AMSFI_CPU_PROP_CASES=400 cargo test -q -p amsfi-circuits --release --test props word_cpu
+
 # --batch CLI e2e. Both batch campaigns journal case-for-case what the
 # scalar run journals, and so does cpu under a step cap no case reaches
 # (every lane's budget is then armed, so the word machine's shared step

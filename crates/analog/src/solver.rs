@@ -50,7 +50,8 @@ pub struct AnalogSolver {
     steps_taken: u64,
     budget: SimBudget,
     observer: Option<SimObserver>,
-    /// Set once a block was reconfigured from outside the circuit.
+    /// Set once a block was reconfigured or a node forced from outside the
+    /// circuit.
     touched: bool,
 }
 
@@ -81,9 +82,10 @@ impl AnalogSolver {
         }
     }
 
-    /// Whether a block was reconfigured from outside since the solver was
-    /// built — [`set_param`](AnalogSolver::set_param), or a block handed
-    /// out by [`block_mut`](AnalogSolver::block_mut) (an armed saboteur).
+    /// Whether the circuit was written to from outside since the solver was
+    /// built — [`set_param`](AnalogSolver::set_param), a block handed out
+    /// by [`block_mut`](AnalogSolver::block_mut) (an armed saboteur), or a
+    /// node forced with [`set_value`](AnalogSolver::set_value).
     /// `false` means the circuit still is the one it was built as: the
     /// mixed kernel shares its integration between forks only then.
     pub fn touched(&self) -> bool {
@@ -140,13 +142,22 @@ impl AnalogSolver {
         self.values[node.0]
     }
 
-    /// Forces a voltage node to a value (used by the mixed-mode kernel for
-    /// digital-to-analog boundaries; also handy in tests).
+    /// Forces a voltage node to a value: a write from outside the circuit,
+    /// noted like a reconfigured block ([`AnalogSolver::touched`]).
     ///
     /// # Panics
     ///
     /// Panics if the node is a current node.
     pub fn set_value(&mut self, node: NodeId, volts: f64) {
+        self.touched = true;
+        self.drive_boundary(node, volts);
+    }
+
+    /// The mixed kernel's zero-order hold of a digital-to-analog boundary
+    /// node: [`AnalogSolver::set_value`] without the note, because the
+    /// level it writes is part of the co-simulation, not a fault.
+    #[doc(hidden)]
+    pub fn drive_boundary(&mut self, node: NodeId, volts: f64) {
         assert_eq!(
             self.kinds[node.0],
             NodeKind::Voltage,

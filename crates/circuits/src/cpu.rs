@@ -9,7 +9,7 @@
 //! overwrites, and failures that corrupt the output stream.
 
 use amsfi_digital::{Component, EvalContext, PortSpec, WordComponent, WordEvalContext};
-use amsfi_waves::{Logic, LogicPlanes, Time, LANES};
+use amsfi_waves::{Logic, LogicPlanes, Time};
 use std::fmt;
 
 /// One instruction of the tiny ISA.
@@ -217,47 +217,87 @@ impl Component for TinyCpu {
         Some(Box::new(WordTinyCpu {
             program: self.program.clone(),
             delay: self.delay,
-            acc: [self.acc; LANES],
-            pc: [self.pc; LANES],
+            acc: splat(self.acc),
+            pc: splat(self.pc),
             nonzero: if self.nonzero { u64::MAX } else { 0 },
-            ram: [self.ram; LANES],
-            out: [self.out; LANES],
+            ram: self.ram.map(splat),
+            out: splat(self.out),
             prev_clk: LogicPlanes::splat(self.prev_clk),
-            out_planes: pack(&[self.out; LANES]),
-            pc_planes: pack(&[self.pc; LANES]),
-            out_stale: false,
-            pc_stale: false,
         }))
     }
 }
 
-/// The word-parallel (64-lane) processor: per-lane architectural state,
-/// shared program ROM, one evaluation per clock event for all lanes.
+/// One 8-bit register of all 64 lanes, bit-sliced: bit `lane` of plane `b`
+/// is bit `b` of that lane's value.
+type Planes = [u64; 8];
+
+/// Every lane holding `value`.
+fn splat(value: u8) -> Planes {
+    std::array::from_fn(|b| if (value >> b) & 1 == 1 { u64::MAX } else { 0 })
+}
+
+/// Lanes of `mask` take `value`, the others keep theirs.
+fn blend(reg: &mut Planes, mask: u64, value: &Planes) {
+    for (r, v) in reg.iter_mut().zip(value) {
+        *r = (*r & !mask) | (v & mask);
+    }
+}
+
+/// `x + y + carry_in` per lane, wrapping: a ripple-carry adder over the
+/// planes. Subtraction is the same adder on `!y` with the carry set
+/// (`x - y = x + !y + 1` in two's complement), so no borrow chain exists.
+fn add(x: &Planes, y: &Planes, carry_in: u64) -> Planes {
+    let mut carry = carry_in;
+    std::array::from_fn(|b| {
+        let half = x[b] ^ y[b];
+        let sum = half ^ carry;
+        carry = (x[b] & y[b]) | (carry & half);
+        sum
+    })
+}
+
+/// Lanes whose value is not zero.
+fn any(reg: &Planes) -> u64 {
+    reg.iter().fold(0, |m, p| m | p)
+}
+
+/// One lane's value.
+fn lane_value(reg: &Planes, lane: usize) -> u8 {
+    reg.iter()
+        .enumerate()
+        .fold(0, |v, (b, p)| v | (((p >> lane) & 1) as u8) << b)
+}
+
+/// Lanes whose bit differs from lane `reference`'s.
+fn bit_differs(plane: u64, reference: usize) -> u64 {
+    plane ^ 0u64.wrapping_sub((plane >> reference) & 1)
+}
+
+/// Lanes whose value differs from lane `reference`'s.
+fn differs(reg: &Planes, reference: usize) -> u64 {
+    reg.iter().fold(0, |m, &p| m | bit_differs(p, reference))
+}
+
+/// The word-parallel (64-lane) processor, bit-sliced: a lane is a bit of
+/// every state plane, the program ROM is shared.
 ///
-/// Instruction execution stays a per-lane scalar loop (the ISA semantics do
-/// not plane-vectorize), but it only runs for lanes on a rising edge; what
-/// 64 scalar instances would pay around it — 64 `LogicVector` port drives
-/// per edge, 64 input stagings — collapses into masked plane operations.
-///
-/// Both ports are driven on every evaluation (either clock edge), but the
-/// registers behind them only move when a lane executes, resets or is
-/// struck, so the port planes are state: re-packed from the per-lane
-/// registers when stale, lent to the drive otherwise.
+/// A rising edge peels the executing lanes into groups of equal `pc`. A
+/// group shares its instruction, so that is fetched and decoded once and
+/// applied to the whole group as mask-blended plane arithmetic; the cost of
+/// an edge follows the number of distinct `pc`s among the lanes, not the
+/// number of lanes. Both ports are driven on every evaluation, straight
+/// from the state planes.
 #[derive(Clone)]
 struct WordTinyCpu {
     program: Vec<Insn>,
     delay: Time,
-    acc: [u8; LANES],
-    pc: [u8; LANES],
+    acc: Planes,
+    /// Planes `PC_BITS..` stay zero, as the scalar `pc: u8` stays below 64.
+    pc: Planes,
     nonzero: u64,
-    ram: [[u8; RAM_SIZE]; LANES],
-    out: [u8; LANES],
+    ram: [Planes; RAM_SIZE],
+    out: Planes,
     prev_clk: LogicPlanes,
-    /// `out` / `pc` as port planes, valid unless the matching flag is set.
-    out_planes: [LogicPlanes; 8],
-    pc_planes: [LogicPlanes; 8],
-    out_stale: bool,
-    pc_stale: bool,
 }
 
 impl fmt::Debug for WordTinyCpu {
@@ -270,80 +310,38 @@ impl fmt::Debug for WordTinyCpu {
 }
 
 impl WordTinyCpu {
-    /// Mirrors [`TinyCpu::execute_one`] for one lane.
-    fn execute_one(&mut self, lane: usize) {
-        let pc = self.pc[lane];
+    /// Mirrors [`TinyCpu::execute_one`] for the lanes of `group`, which all
+    /// hold `pc`.
+    fn execute_group(&mut self, group: u64, pc: u8) {
         let insn = self.program[pc as usize % self.program.len()];
         let mut next_pc = pc.wrapping_add(1);
         if next_pc as usize >= self.program.len() {
             next_pc = 0;
         }
-        let bit = 1u64 << lane;
+        // The lanes of the group that leave the straight line, and where to.
+        let (mut taken, mut target) = (0, 0);
         match insn {
-            Insn::Ldi(v) => {
-                self.acc[lane] = v;
-                self.nonzero = (self.nonzero & !bit) | if v != 0 { bit } else { 0 };
-            }
-            Insn::Lda(a) => {
-                self.acc[lane] = self.ram[lane][a as usize];
-                self.nonzero = (self.nonzero & !bit) | if self.acc[lane] != 0 { bit } else { 0 };
-            }
-            Insn::Sta(a) => self.ram[lane][a as usize] = self.acc[lane],
-            Insn::Add(a) => {
-                self.acc[lane] = self.acc[lane].wrapping_add(self.ram[lane][a as usize]);
-                self.nonzero = (self.nonzero & !bit) | if self.acc[lane] != 0 { bit } else { 0 };
-            }
+            Insn::Ldi(v) => self.load(group, splat(v)),
+            Insn::Lda(a) => self.load(group, self.ram[a as usize]),
+            Insn::Sta(a) => blend(&mut self.ram[a as usize], group, &self.acc),
+            Insn::Add(a) => self.load(group, add(&self.acc, &self.ram[a as usize], 0)),
             Insn::Sub(a) => {
-                self.acc[lane] = self.acc[lane].wrapping_sub(self.ram[lane][a as usize]);
-                self.nonzero = (self.nonzero & !bit) | if self.acc[lane] != 0 { bit } else { 0 };
+                let negated = self.ram[a as usize].map(|p| !p);
+                self.load(group, add(&self.acc, &negated, u64::MAX));
             }
-            Insn::Jmp(a) => next_pc = a,
-            Insn::Jnz(a) => {
-                if self.nonzero & bit != 0 {
-                    next_pc = a;
-                }
-            }
-            Insn::Out => {
-                self.out[lane] = self.acc[lane];
-                self.out_stale = true;
-            }
+            Insn::Jmp(a) => (taken, target) = (group, a),
+            Insn::Jnz(a) => (taken, target) = (group & self.nonzero, a),
+            Insn::Out => blend(&mut self.out, group, &self.acc),
         }
-        self.pc[lane] = next_pc;
-        self.pc_stale = true;
+        blend(&mut self.pc, group, &splat(next_pc));
+        blend(&mut self.pc, taken, &splat(target));
     }
-}
 
-/// Transposes an 8×8 bit matrix held row-major in a `u64` (row `i` is byte
-/// `i`, column `j` its bit `j`): three masked swap rounds of 1×1, 2×2 and
-/// 4×4 blocks across the diagonal.
-fn transpose8(mut x: u64) -> u64 {
-    let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
-    x ^= t ^ (t << 7);
-    t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
-    x ^= t ^ (t << 14);
-    t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
-    x ^ t ^ (t << 28)
-}
-
-/// Bit masks of one per-lane register: bit `lane` of `ones[b]` is bit `b`
-/// of `values[lane]`. Eight lanes at a time are one 8×8 transposition,
-/// whose byte `b` then is bit `b` of those eight lanes.
-fn pack_ones(values: &[u8; LANES]) -> [u64; 8] {
-    let mut ones = [0u64; 8];
-    for (group, lanes) in values.chunks_exact(8).enumerate() {
-        let rows = u64::from_le_bytes(lanes.try_into().expect("chunk of eight"));
-        let columns = transpose8(rows);
-        for (bit, ones) in ones.iter_mut().enumerate() {
-            *ones |= ((columns >> (8 * bit)) & 0xFF) << (8 * group);
-        }
+    /// `acc <- value` with the flag update every loaded value carries.
+    fn load(&mut self, group: u64, value: Planes) {
+        blend(&mut self.acc, group, &value);
+        self.nonzero = (self.nonzero & !group) | (any(&value) & group);
     }
-    ones
-}
-
-/// Packs one per-lane register into port planes (a port narrower than
-/// eight bits drives a prefix).
-fn pack(values: &[u8; LANES]) -> [LogicPlanes; 8] {
-    pack_ones(values).map(LogicPlanes::from_bool_mask)
 }
 
 impl WordComponent for WordTinyCpu {
@@ -353,70 +351,58 @@ impl WordComponent for WordTinyCpu {
         let mask = ctx.eval_mask();
         let rising = mask & !self.prev_clk.is_high_mask() & clk.is_high_mask();
         if rising != 0 {
-            let mut reset = rising & rst.is_high_mask();
-            let mut exec = rising & !reset;
-            while reset != 0 {
-                let lane = reset.trailing_zeros() as usize;
-                reset &= reset - 1;
-                self.acc[lane] = 0;
-                self.pc[lane] = 0;
-                self.nonzero &= !(1 << lane);
-                self.out[lane] = 0;
-                self.out_stale = true;
-                self.pc_stale = true;
+            let reset = rising & rst.is_high_mask();
+            if reset != 0 {
+                let zero = splat(0);
+                blend(&mut self.acc, reset, &zero);
+                blend(&mut self.pc, reset, &zero);
+                blend(&mut self.out, reset, &zero);
+                self.nonzero &= !reset;
             }
+            let mut exec = rising & !reset;
             while exec != 0 {
                 let lane = exec.trailing_zeros() as usize;
-                exec &= exec - 1;
-                self.execute_one(lane);
+                let group = exec & !differs(&self.pc, lane);
+                exec &= !group;
+                self.execute_group(group, lane_value(&self.pc, lane));
             }
         }
         self.prev_clk = self.prev_clk.select(mask, clk);
-        if std::mem::take(&mut self.out_stale) {
-            self.out_planes = pack(&self.out);
-        }
-        if std::mem::take(&mut self.pc_stale) {
-            self.pc_planes = pack(&self.pc);
-        }
-        ctx.drive(0, &self.out_planes, self.delay);
-        ctx.drive(1, &self.pc_planes[..PC_BITS], self.delay);
+        ctx.drive(0, &self.out.map(LogicPlanes::from_bool_mask), self.delay);
+        let pc = self.pc.map(LogicPlanes::from_bool_mask);
+        ctx.drive(1, &pc[..PC_BITS], self.delay);
     }
 
     fn flip_state_bit(&mut self, lane: usize, bit: usize) {
-        if bit < 8 {
-            self.acc[lane] ^= 1 << bit;
+        let plane = if bit < 8 {
+            &mut self.acc[bit]
         } else if bit < 8 + PC_BITS {
-            self.pc[lane] ^= 1 << (bit - 8);
-            self.pc_stale = true;
+            &mut self.pc[bit - 8]
         } else if bit == 8 + PC_BITS {
-            self.nonzero ^= 1 << lane;
+            &mut self.nonzero
         } else {
             let b = bit - 8 - PC_BITS - 1;
-            self.ram[lane][b / 8] ^= 1 << (b % 8);
-        }
+            &mut self.ram[b / 8][b % 8]
+        };
+        *plane ^= 1 << lane;
     }
 
     fn force_state(&mut self, lane: usize, value: u64) {
-        self.pc[lane] = (value as u8) % self.program.len() as u8;
-        self.pc_stale = true;
+        let pc = (value as u8) % self.program.len() as u8;
+        blend(&mut self.pc, 1 << lane, &splat(pc));
     }
 
     fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
-        let b = reference;
-        let mut equal = 0u64;
-        let mut m = candidates;
-        while m != 0 {
-            let a = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let same = self.acc[a] == self.acc[b]
-                && self.pc[a] == self.pc[b]
-                && (self.nonzero >> a) & 1 == (self.nonzero >> b) & 1
-                && self.ram[a] == self.ram[b]
-                && self.out[a] == self.out[b]
-                && self.prev_clk.lane(a) == self.prev_clk.lane(b);
-            equal |= u64::from(same) << a;
+        let clk = self.prev_clk;
+        let mut unequal =
+            clk.diverged_mask(clk.broadcast_lane(reference)) | bit_differs(self.nonzero, reference);
+        for reg in [&self.acc, &self.pc, &self.out]
+            .into_iter()
+            .chain(&self.ram)
+        {
+            unequal |= differs(reg, reference);
         }
-        equal
+        candidates & !unequal
     }
 }
 
@@ -463,6 +449,7 @@ pub fn checksum_program() -> Vec<Insn> {
 mod tests {
     use super::*;
     use amsfi_digital::{cells, Netlist, Simulator};
+    use amsfi_waves::LANES;
 
     fn cpu_bench(program: Vec<Insn>) -> (Simulator, amsfi_digital::ComponentId) {
         let mut net = Netlist::new();
@@ -662,19 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn transposed_pack_equals_the_bit_by_bit_one() {
-        /// The definition: plane `bit` collects bit `bit` of every lane.
-        fn naive(values: &[u8; LANES], width: usize) -> Vec<LogicPlanes> {
-            (0..width)
-                .map(|bit| {
-                    let mut ones = 0u64;
-                    for (lane, v) in values.iter().enumerate() {
-                        ones |= u64::from((v >> bit) & 1) << lane;
-                    }
-                    LogicPlanes::from_bool_mask(ones)
-                })
-                .collect()
-        }
+    fn lanes_equal_to_agrees_with_field_wise_equality_of_scalar_cpus() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state ^= state << 13;
@@ -682,23 +657,65 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut inputs = vec![[0u8; LANES], [0xFF; LANES]];
-        // One lane, then one bit, set alone: every row and column position.
-        for lane in 0..LANES {
-            let mut v = [0u8; LANES];
-            v[lane] = 0xFF;
-            inputs.push(v);
-        }
-        for bit in 0..8 {
-            inputs.push([1 << bit; LANES]);
-        }
-        for _ in 0..500 {
-            inputs.push(std::array::from_fn(|_| next() as u8));
-        }
-        for values in &inputs {
-            let packed = pack(values);
-            for width in 1..=8 {
-                assert_eq!(&packed[..width], naive(values, width), "{values:?}");
+        let base = TinyCpu::new(checksum_program(), Time::ZERO);
+        for round in 0..50 {
+            // Lanes are copies of a few prototypes, most of them one or two
+            // state bits (or a clock level) away from each other.
+            let mut scalars: Vec<TinyCpu> = Vec::new();
+            for lane in 0..LANES {
+                let mut cpu = if lane == 0 || next() % 4 == 0 {
+                    base.clone()
+                } else {
+                    scalars[next() as usize % lane].clone()
+                };
+                for _ in 0..next() % 3 {
+                    cpu.flip_state_bit(next() as usize % cpu.state_bits());
+                }
+                if next() % 8 == 0 {
+                    cpu.out ^= 1 << (next() % 8);
+                }
+                if next() % 8 == 0 {
+                    cpu.prev_clk = Logic::ALL[next() as usize % Logic::ALL.len()];
+                }
+                scalars.push(cpu);
+            }
+            let gather = |field: &dyn Fn(&TinyCpu) -> u8| -> Planes {
+                std::array::from_fn(|b| {
+                    scalars
+                        .iter()
+                        .enumerate()
+                        .fold(0, |m, (lane, c)| m | u64::from((field(c) >> b) & 1) << lane)
+                })
+            };
+            let clks: Vec<Logic> = scalars.iter().map(|c| c.prev_clk).collect();
+            let word = WordTinyCpu {
+                program: base.program.clone(),
+                delay: base.delay,
+                acc: gather(&|c| c.acc),
+                pc: gather(&|c| c.pc),
+                nonzero: gather(&|c| c.nonzero as u8)[0],
+                ram: std::array::from_fn(|a| gather(&|c| c.ram[a])),
+                out: gather(&|c| c.out),
+                prev_clk: LogicPlanes::from_lanes(&clks),
+            };
+            for reference in [0, 31, LANES - 1, next() as usize % LANES] {
+                let candidates = next() | 1 << reference;
+                let r = &scalars[reference];
+                let mut expect = 0u64;
+                for (lane, c) in scalars.iter().enumerate() {
+                    let same = c.acc == r.acc
+                        && c.pc == r.pc
+                        && c.nonzero == r.nonzero
+                        && c.ram == r.ram
+                        && c.out == r.out
+                        && c.prev_clk == r.prev_clk;
+                    expect |= u64::from(same) << lane;
+                }
+                assert_eq!(
+                    word.clone().lanes_equal_to(reference, candidates),
+                    candidates & expect,
+                    "round {round}, reference {reference}"
+                );
             }
         }
     }

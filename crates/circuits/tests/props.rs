@@ -1,8 +1,10 @@
 //! Property-based tests for the case-study circuits.
 
 use amsfi_circuits::adc::{self, AdcInput};
+use amsfi_circuits::cpu::{Insn, TinyCpu};
 use amsfi_circuits::pfd::SequentialPfd;
-use amsfi_digital::{cells, Netlist, Simulator};
+use amsfi_digital::{cells, DigitalSaboteur, InjectTarget, Netlist, Simulator, WordBatchSimulator};
+use amsfi_faults::{DigitalFault, DigitalFaultKind};
 use amsfi_waves::{Logic, Time};
 use proptest::prelude::*;
 
@@ -109,6 +111,141 @@ proptest! {
             } else {
                 prop_assert!(d > u, "fb faster: up {u} vs dn {d}");
             }
+        }
+    }
+}
+
+/// The CPU bench of the `cpu` / `cpu-set` campaigns around an arbitrary
+/// program, with `pc` monitored beside `out`.
+fn cpu_bench(program: Vec<Insn>) -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let out = net.signal("out", 8);
+    let pc = net.signal("pc", 6);
+    net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    net.add(
+        "cpu",
+        TinyCpu::new(program, Time::ZERO),
+        &[clk, rst],
+        &[out, pc],
+    );
+    net.insert_saboteur(rst, Box::new(DigitalSaboteur::new(1)));
+    let mut sim = Simulator::new(net);
+    sim.monitor_name("out");
+    sim.monitor_name("pc");
+    sim
+}
+
+/// A program from raw `(opcode, operand)` draws: all eight opcodes, RAM
+/// words 0..=5 in use (the other ten stay dead), jumps anywhere inside.
+fn cpu_program(raw: &[(u8, u8)]) -> Vec<Insn> {
+    let len = raw.len() as u8;
+    raw.iter()
+        .map(|&(op, x)| match op {
+            0 => Insn::Ldi(x),
+            1 => Insn::Lda(x % 6),
+            2 => Insn::Sta(x % 6),
+            3 => Insn::Add(x % 6),
+            4 => Insn::Sub(x % 6),
+            5 => Insn::Jmp(x % len),
+            6 => Insn::Jnz(x % len),
+            _ => Insn::Out,
+        })
+        .collect()
+}
+
+/// One lane's fault from a raw `(kind, payload)` draw, applied the same way
+/// to a scalar simulator and to a word lane: an upset of an accumulator
+/// bit, a program-counter bit or the flag, two upsets anywhere in the 143
+/// state bits (mostly RAM, live and dead), a forced program counter (values
+/// past the program's end included), or a 1–12 ns pulse on `rst` — against
+/// the 10 ns clock some of those cover a rising edge and some do not.
+fn cpu_inject(sim: &mut dyn InjectTarget, kind: u8, payload: u64, at: Time) {
+    let cpu = sim.component_id("cpu").expect("the bench has a cpu");
+    match kind {
+        0 => sim.flip_state(cpu, (payload % 8) as usize),
+        1 => sim.flip_state(cpu, 8 + (payload % 6) as usize),
+        2 => sim.flip_state(cpu, 14),
+        3 | 4 => {
+            sim.flip_state(cpu, (payload % 143) as usize);
+            sim.flip_state(cpu, ((payload >> 8) % 143) as usize);
+        }
+        5 => sim.force_state(cpu, payload % 256),
+        _ => {
+            let width = Time::from_ns(1 + (payload % 12) as i64);
+            let sab = sim.component_id("saboteur(rst)").expect("instrumented");
+            sim.component_mut(sab)
+                .as_any_mut()
+                .downcast_mut::<DigitalSaboteur>()
+                .expect("a digital saboteur")
+                .arm(DigitalFault::new(DigitalFaultKind::SetPulse { width }, at));
+            sim.wake_component(sab, at);
+        }
+    }
+}
+
+/// Cases of the word-against-scalar CPU property; `ci.sh` widens it.
+fn cpu_cases() -> u32 {
+    std::env::var("AMSFI_CPU_PROP_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cpu_cases()))]
+
+    /// The bit-sliced word CPU against the scalar one, lane by lane, over
+    /// what the checksum program never does: `Sub`, `Jmp` legs taken at
+    /// random, fetches at `pc >= len`, lanes spread over many `pc`s at once.
+    #[test]
+    fn word_cpu_lanes_equal_their_scalar_runs(
+        raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
+        faults in prop::collection::vec(
+            (0u8..8, any::<u64>(), 100_000_000i64..2_500_000_000, any::<bool>()),
+            1..=WordBatchSimulator::MAX_LANES,
+        ),
+    ) {
+        const T_END: Time = Time::from_us(3);
+        let program = cpu_program(&raw);
+        // Half the instants sit on a clock edge (rising at 5 + 10 k ns,
+        // falling at 10 k ns), the others anywhere on the femtosecond grid.
+        let faults: Vec<(u8, u64, Time)> = faults
+            .into_iter()
+            .map(|(kind, payload, at_fs, on_edge)| {
+                let at_fs = if on_edge { at_fs - at_fs % 5_000_000 } else { at_fs };
+                (kind, payload, Time::from_fs(at_fs))
+            })
+            .collect();
+
+        let mut batch = WordBatchSimulator::new(cpu_bench(program.clone()), T_END);
+        for &(_, _, at) in &faults {
+            batch.add_lane(at);
+        }
+        let report = batch
+            .run(
+                |lane, sim| {
+                    let (kind, payload, at) = faults[lane];
+                    cpu_inject(sim, kind, payload, at);
+                    Ok(())
+                },
+                |_, _| {},
+            )
+            .unwrap();
+
+        for (lane, &(kind, payload, at)) in faults.iter().enumerate() {
+            let mut scalar = cpu_bench(program.clone());
+            scalar.run_until(at).unwrap();
+            cpu_inject(&mut scalar, kind, payload, at);
+            scalar.run_until(T_END).unwrap();
+            prop_assert_eq!(
+                report.lane_trace(lane),
+                Some(&scalar.into_trace()),
+                "lane {} (kind {}, payload {:#x} @ {}): {:?}",
+                lane, kind, payload, at, report.outcomes[lane]
+            );
         }
     }
 }

@@ -1490,8 +1490,7 @@ impl WordBatchSimulator {
         self
     }
 
-    /// Feeds the lanes-active/lane-occupancy histograms and lane-seal
-    /// counter.
+    /// Feeds the lane-occupancy histogram and lane-seal counter.
     pub fn set_metrics(&mut self, metrics: Arc<KernelMetrics>) {
         self.metrics = Some(metrics);
     }
@@ -1646,7 +1645,6 @@ impl WordBatchSimulator {
                 .filter(|l| matches!(l.state, WordLaneState::Running | WordLaneState::Pending))
                 .count();
             if let Some(metrics) = &metrics {
-                metrics.lanes_active.observe(active as u64);
                 // Mutant lanes only: the golden lane is live by
                 // construction, and excluding it keeps every observation
                 // within the 63-slot mutant capacity (so the log₂ p50

@@ -273,9 +273,8 @@ impl MixedSimulator {
     }
 
     /// Mutable access to the analog half (for parametric faults mid-run).
-    /// A reconfigured block is noted (see
-    /// [`MixedSimulator::analog_is_clean`]); [`AnalogSolver::set_value`] is
-    /// this kernel's own boundary entry and is not — do not inject with it.
+    /// A reconfigured block or a forced node is noted (see
+    /// [`MixedSimulator::analog_is_clean`]).
     pub fn analog_mut(&mut self) -> &mut AnalogSolver {
         &mut self.analog
     }
@@ -292,8 +291,8 @@ impl MixedSimulator {
         t
     }
 
-    /// Whether the analog half is provably the fault-free one: no block of
-    /// it was reconfigured from outside ([`AnalogSolver::touched`]), and
+    /// Whether the analog half is provably the fault-free one: nothing in
+    /// it was written from outside ([`AnalogSolver::touched`]), and
     /// nothing written into the digital half from outside can propagate to
     /// a signal a level driver reads
     /// ([`Simulator::outside_writes_reach`]). The analog half of such a run
@@ -523,7 +522,7 @@ impl MixedSimulator {
             // values as of the step start.
             for d in &self.drivers {
                 let level = d.level(self.digital.value(d.signal)[d.bit]);
-                self.analog.set_value(d.node, level);
+                self.analog.drive_boundary(d.node, level);
             }
             let proposed = self.analog.propose_dt();
             self.note_sync_step(proposed)?;
@@ -868,6 +867,60 @@ mod tests {
             assert_eq!(sim.lead_to(end).unwrap().is_some(), i == 0, "spoil {i}");
             assert_eq!(sim.now(), end);
         }
+    }
+
+    #[test]
+    fn a_forced_node_spoils_the_analog_half_and_the_kernels_own_hold_does_not() {
+        // Digital clock -> level driver -> RC -> digitizer -> counter: the
+        // zero-order hold writes `vin` on every sync step of every run here.
+        let mut net = Netlist::new();
+        let clk = net.signal("clk", 1);
+        let fb = net.signal("fb", 1);
+        let rst = net.signal("rst", 1);
+        let en = net.signal("en", 1);
+        let q = net.signal("q", 16);
+        net.add("ck", cells::ClockGen::new(Time::from_ns(100)), &[], &[clk]);
+        net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+        net.add("e", cells::ConstVector::bit(Logic::One), &[], &[en]);
+        net.add(
+            "ctr",
+            cells::Counter::new(16, Time::ZERO),
+            &[fb, rst, en],
+            &[q],
+        );
+        let mut ckt = AnalogCircuit::new();
+        let vin = ckt.node("vin", NodeKind::Voltage);
+        let vout = ckt.node("vout", NodeKind::Voltage);
+        ckt.add("rc", blocks::RcLowPass::new(1e3, 5e-12), &[vin], &[vout]);
+        let mut golden = MixedSimulator::new(
+            Simulator::new(net),
+            AnalogSolver::new(ckt, Time::from_ns(2)),
+        );
+        golden.bind_driver("clk", "vin", 0.0, 5.0);
+        golden.bind_digitizer("vout", "fb", 2.5, 0.2);
+        golden.digital_mut().monitor_name("q");
+        golden.analog_mut().monitor_name("vout");
+        golden.run_until(Time::from_ns(437)).unwrap();
+        let cp = golden.checkpoint();
+        let end = Time::from_us(2);
+
+        // Untouched forks lead and follow, hold and all.
+        let tape = flipped(&cp, 0).lead_to(end).unwrap().expect("a tape");
+        let mut follower = flipped(&cp, 3);
+        assert_eq!(follower.follow(&tape).unwrap(), Follow::Done);
+        let mut full = flipped(&cp, 3);
+        full.run_until(end).unwrap();
+        assert_eq!(follower.merged_trace(), full.merged_trace());
+        assert!(full.digital().value(q).to_u64().unwrap() > 10, "fb clocks");
+
+        // A node forced from outside is a write the kernel cannot account
+        // for: that fork shares nothing, in either direction.
+        let mut poked = flipped(&cp, 3);
+        assert!(poked.analog_is_clean());
+        poked.analog_mut().set_value(vout, 1.0);
+        assert!(!poked.analog_is_clean());
+        assert_eq!(poked.follow(&tape).unwrap(), Follow::Refused);
+        assert!(poked.lead_to(end).unwrap().is_none());
     }
 
     /// A divider whose clock-to-output delay depends on its state: an SEU

@@ -273,9 +273,6 @@ pub struct KernelMetrics {
     /// Approximate bytes of golden trace kept resident and shared across
     /// workers (counted once per engine run).
     pub golden_trace_bytes: Counter,
-    /// Distribution of live (still-simulating) mutant-lane counts observed
-    /// at each batch lock-step boundary (`amsfi run --batch`).
-    pub lanes_active: LogHistogram,
     /// Mutant lanes retired early because their full machine state
     /// reconverged with the golden machine's (batch reconvergence seal).
     pub lane_seals: Counter,
@@ -418,8 +415,6 @@ impl KernelMetrics {
             &[],
             self.lane_seals.get(),
         );
-        prom_type(&mut out, "amsfi_lanes_active", "histogram");
-        prom_histogram(&mut out, "amsfi_lanes_active", &[], &self.lanes_active);
         prom_type(&mut out, "amsfi_lane_occupancy", "histogram");
         prom_histogram(&mut out, "amsfi_lane_occupancy", &[], &self.lane_occupancy);
 

@@ -296,7 +296,6 @@ impl KernelMetrics {
             );
         }
         snap.set_hist("case_latency_us", HistSnapshot::of(&self.case_latency_us));
-        snap.set_hist("lanes_active", HistSnapshot::of(&self.lanes_active));
         snap.set_hist("lane_occupancy", HistSnapshot::of(&self.lane_occupancy));
         snap
     }

@@ -487,7 +487,12 @@ impl LogicPlanes {
     /// reference word the divergence mask is taken against.
     #[must_use]
     pub fn broadcast_lane(&self, lane: usize) -> LogicPlanes {
-        LogicPlanes::splat(self.lane(lane))
+        assert!(lane < LANES, "lane {lane} out of range");
+        // Plane by plane, without decoding the value: 0 - bit is the bit
+        // on every lane.
+        LogicPlanes {
+            planes: self.planes.map(|p| 0u64.wrapping_sub((p >> lane) & 1)),
+        }
     }
 
     /// Builds a word of strong `'1'`/`'0'` from a boolean lane mask: lane
@@ -1014,6 +1019,23 @@ mod tests {
         w.set_lane(63, Logic::WeakOne);
         assert_eq!(w.broadcast_lane(63), LogicPlanes::splat(Logic::WeakOne));
         assert_eq!(w.broadcast_lane(0), LogicPlanes::splat(Logic::Zero));
+
+        // Every value from every probed lane, among lanes holding the others.
+        for (i, &v) in Logic::ALL.iter().enumerate() {
+            for lane in [0, 31, 63] {
+                let mut w = LogicPlanes::from_lanes(
+                    &(0..LANES)
+                        .map(|k| Logic::ALL[(i + 1 + k) % 9])
+                        .collect::<Vec<_>>(),
+                );
+                w.set_lane(lane, v);
+                assert_eq!(
+                    w.broadcast_lane(lane),
+                    LogicPlanes::splat(v),
+                    "{v} @ {lane}"
+                );
+            }
+        }
 
         let ones = 0xDEAD_BEEF_0123_4567u64;
         let b = LogicPlanes::from_bool_mask(ones);
