@@ -107,9 +107,10 @@ AMSFI_CPU_PROP_CASES=400 cargo test -q -p amsfi-circuits --release --test props 
 # --batch CLI e2e. Both batch campaigns journal case-for-case what the
 # scalar run journals, and so does cpu under a step cap no case reaches
 # (every lane's budget is then armed, so the word machine's shared step
-# counter runs). The cpu run must really have taken the batch path: a
-# silent fall-back to scalar is a 30x slowdown that byte identity cannot
-# see, so its event stream has to hold batch spans and no fallback. A
+# counter runs). Both must really have taken the batch path, every lane
+# booked from the word machine: a silent fall-back to scalar — of a group
+# or of one lane — is a slowdown that byte identity cannot see, so their
+# event streams have to hold batch spans and no fallback of either kind. A
 # campaign without a batch spec falls back whole, says so once, and
 # journals what the plain run does. `--word` is gone (exit 64: usage).
 tmp=$(mktemp -d)
@@ -126,8 +127,11 @@ batch_equals_plain() { # <tag> <campaign and options...>
 batch_equals_plain cpu cpu
 batch_equals_plain cpu-set cpu-set
 batch_equals_plain cpu-guarded cpu --max-steps 100000000
-grep -q '"kind":"span","name":"batch"' "$tmp/cpu.jsonl"
-test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/cpu.jsonl")" -eq 0
+for tag in cpu cpu-set; do
+    grep -q '"kind":"span","name":"batch"' "$tmp/$tag.jsonl"
+    test "$(grep -c '"name":"fallback"' "$tmp/$tag.jsonl")" -eq 0
+    test "$(grep -c '"name":"lane_fallback"' "$tmp/$tag.jsonl")" -eq 0
+done
 batch_equals_plain pll pll-digital --limit 6
 test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/pll.jsonl")" -eq 1
 grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"

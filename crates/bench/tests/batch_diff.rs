@@ -9,8 +9,8 @@
 //! counter, up to three more cells of the sequential library — register,
 //! latch, shift register, LFSR, clock divider, TMR register behind a
 //! majority voter — and one or two spliced saboteurs), a random non-empty
-//! subset of its signals to monitor (so a lane follows golden on some
-//! slots and leaves it on others, or on none) plus a random fault list
+//! subset of its signals to monitor (so a lane differs from golden on some
+//! slots and not on others, or on none) plus a random fault list
 //! mixing mutant bit-flips (SEUs inside any of those cells) with saboteur
 //! faults — SET pulses (including zero-width and clock-edge-aligned ones),
 //! stuck-ats and wire bit-flips — a quarter of them at instants where a
@@ -25,9 +25,10 @@
 //! leg then runs the seed's cases as one word group straight on the
 //! kernel, from an unstarted simulator and from ones advanced to the first
 //! injection instant and to a random instant before it, against per-case
-//! scalar traces: golden and every lane byte-equal (a lane reported
-//! `Clean` only where the scalar trace *is* the golden one), seal instants
-//! equal between the word runs.
+//! scalar traces: golden byte-equal, every lane's mismatch toggles the ones
+//! its scalar trace shows against golden (a lane reported `Clean` only
+//! where it shows none), every other lane — observed, so recording —
+//! byte-equal, seal instants equal between the word runs.
 //!
 //! Every divergence this harness has found gets a minimized regression
 //! test committed next to the fix (see `seed_regressions` below); the
@@ -43,10 +44,10 @@ use amsfi_digital::{
 };
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig};
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
-use amsfi_waves::{Logic, LogicVector, Time, Trace};
+use amsfi_waves::{Logic, LogicVector, MismatchToggles, SimObserver, Time, Trace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const T_END: Time = Time::from_us(2);
 
@@ -434,20 +435,39 @@ fn fuzz_campaign(seed: u64) -> Campaign {
 type Arm<'a> = Box<dyn Fn(&mut dyn InjectTarget) -> Result<(), String> + 'a>;
 
 /// Runs `lanes` as one word group on top of `golden`, wherever that
-/// simulator currently is.
-fn word_group(golden: Simulator, lanes: &[(Time, Arm<'_>)]) -> BatchReport {
+/// simulator currently is. Odd lanes carry a no-op observer, and so still
+/// record a trace of their own: returned beside the report, the last one
+/// each observer was shown.
+fn word_group(golden: Simulator, lanes: &[(Time, Arm<'_>)]) -> (BatchReport, Vec<Trace>) {
     let mut word = WordBatchSimulator::new(golden, T_END);
     for (at, _) in lanes {
         word.add_lane(*at);
     }
-    word.run(|lane, target| (lanes[lane].1)(target), |_, _| {})
-        .expect("the golden lane runs to the horizon")
+    let seen: Vec<Arc<Mutex<Trace>>> = lanes.iter().map(|_| Arc::default()).collect();
+    let report = word
+        .run(
+            |lane, target| (lanes[lane].1)(target),
+            |lane, target| {
+                if lane % 2 == 1 {
+                    let keep = Arc::clone(&seen[lane]);
+                    let observer = SimObserver::new(move |_, view| {
+                        *keep.lock().unwrap() = view.to_trace();
+                    });
+                    target.set_observer(observer.with_stride(u32::MAX));
+                }
+            },
+        )
+        .expect("the golden lane runs to the horizon");
+    let seen = seen.iter().map(|t| t.lock().unwrap().clone()).collect();
+    (report, seen)
 }
 
 /// The kernel-level leg: the word group `lanes` handed an unstarted
 /// simulator and ones advanced to each of `starts` (all at or before the
-/// first injection) must reproduce the scalar golden trace and every
-/// lane's scalar trace byte for byte, and seal every lane at one instant.
+/// first injection) must reproduce the scalar golden trace byte for byte,
+/// every lane's mismatch toggles against it as its scalar trace shows them
+/// (a lane reported `Clean` only where it shows none) and, on the observed
+/// lanes, that trace itself; and seal every lane at one instant.
 fn check_word_group(
     what: &str,
     build: &dyn Fn() -> Simulator,
@@ -476,22 +496,32 @@ fn check_word_group(
     });
     let reports = std::iter::once(("from power-on".to_owned(), from_power_on)).chain(seeded);
     let mut sealed: Option<Vec<Option<Time>>> = None;
-    for (leg, report) in reports {
+    for (leg, (report, seen)) in reports {
         assert_eq!(report.golden, golden, "{what}, {leg}: golden trace");
         let mut seals = Vec::new();
         for (lane, outcome) in report.outcomes.iter().enumerate() {
-            match outcome {
-                LaneOutcome::Completed { trace, sealed_at } => {
-                    assert_eq!(trace, &scalar[lane], "{what}, {leg}: lane {lane} trace");
-                    seals.push(*sealed_at);
-                }
-                // No trace was built: the scalar one must be golden's.
-                LaneOutcome::Clean { sealed_at } => {
-                    assert_eq!(scalar[lane], golden, "{what}, {leg}: clean lane {lane}");
-                    seals.push(*sealed_at);
+            let sealed_at = match outcome {
+                LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
+                    *sealed_at
                 }
                 LaneOutcome::Failed { error } => panic!("{what}, {leg}: lane {lane}: {error}"),
+            };
+            assert_eq!(
+                report.lane_toggles(lane),
+                Some(&MismatchToggles::between(&golden, &scalar[lane])),
+                "{what}, {leg}: lane {lane} toggles"
+            );
+            if lane % 2 == 1 {
+                let mut trace = seen[lane].clone();
+                if let Some(at) = sealed_at {
+                    trace.splice_golden_suffix(&golden, at);
+                }
+                assert_eq!(
+                    trace, scalar[lane],
+                    "{what}, {leg}: observed lane {lane} trace"
+                );
             }
+            seals.push(sealed_at);
         }
         let expected = sealed.get_or_insert_with(|| seals.clone());
         assert_eq!(&seals, expected, "{what}, {leg}: seal instants");
@@ -600,14 +630,18 @@ fn differential_fuzz_scalar_vs_batch_vs_word() {
 /// the oracle first went green over them. Seeds 1 and 13 (and 3
 /// again) are the first whose lanes leave golden *inside the time point
 /// their injection re-opens*, on a slot the golden run has just recorded a
-/// transition on: the lane's copy of the golden wave must include that
-/// transition for its own push to overwrite. Seed 1 overwrites it with a
+/// transition on: the lane's toggle there is taken against golden's value
+/// settled at that instant, and an observed lane's own push overwrites
+/// golden's transition in the trace it cloned. Seed 1 overwrites it with a
 /// new value; seeds 3 and 13 also with the value before it, which leaves
-/// the redundant transition the scalar kernel leaves. Dropping the
-/// same-instant record from the copy fails seed 3.
+/// the redundant transition the scalar kernel leaves. Seed 35 is the first
+/// with a lane that never records a bit the golden run does (a clock stuck
+/// at 0 leaves a register's output `'U'`): that bit has no faulty wave to
+/// compare, a mismatch over the whole window, so the lane must report it
+/// silent — its toggles alone read as a mismatch from golden's first edge.
 #[test]
 fn seed_regressions() {
-    for seed in [1, 3, 7, 11, 13, 19, 23, 42] {
+    for seed in [1, 3, 7, 11, 13, 19, 23, 35, 42] {
         check_seed(seed);
     }
 }

@@ -599,6 +599,8 @@ mod tests {
     #[test]
     fn word_batch_matches_scalar_for_cpu_seus() {
         use amsfi_digital::{LaneOutcome, WordBatchSimulator};
+        use amsfi_waves::{MismatchToggles, SimObserver, Trace};
+        use std::sync::{Arc, Mutex};
         const T_END: Time = Time::from_us(4);
         // Representative mutant surface: acc, pc, the flag, a live RAM bit
         // (table entry) and a dead RAM bit (masked upset).
@@ -614,13 +616,24 @@ mod tests {
                 cases.push((at, bit));
             }
         }
+        // Odd lanes carry a no-op observer, and so record a trace of their
+        // own: the last one it is shown is the lane's full-horizon trace.
+        let seen: Vec<Arc<Mutex<Trace>>> = cases.iter().map(|_| Arc::default()).collect();
         let report = batch
             .run(
                 |lane, sim| {
                     sim.flip_state(cpu, cases[lane].1);
                     Ok(())
                 },
-                |_, _| {},
+                |lane, sim| {
+                    if lane % 2 == 1 {
+                        let keep = Arc::clone(&seen[lane]);
+                        let observer = SimObserver::new(move |_, view| {
+                            *keep.lock().unwrap() = view.to_trace();
+                        });
+                        sim.set_observer(observer.with_stride(u32::MAX));
+                    }
+                },
             )
             .unwrap();
 
@@ -631,13 +644,27 @@ mod tests {
             scalar.run_until(T_END).unwrap();
             let scalar_trace = scalar.into_trace();
             assert_eq!(
-                report.lane_trace(lane),
-                Some(&scalar_trace),
+                report.lane_toggles(lane),
+                Some(&MismatchToggles::between(&report.golden, &scalar_trace)),
                 "lane {lane} (bit {bit} @ {at}): {:?}",
                 report.outcomes[lane]
             );
-            // The dead RAM bit never shows on a monitored signal: no trace
-            // is built for it at all.
+            if lane % 2 == 1 {
+                let mut trace = seen[lane].lock().unwrap().clone();
+                if let LaneOutcome::Completed {
+                    sealed_at: Some(at),
+                    ..
+                }
+                | LaneOutcome::Clean {
+                    sealed_at: Some(at),
+                } = report.outcomes[lane]
+                {
+                    trace.splice_golden_suffix(&report.golden, at);
+                }
+                assert_eq!(trace, scalar_trace, "lane {lane}: observed trace");
+            }
+            // The dead RAM bit never shows on a monitored signal: nothing
+            // is noted for it at all.
             if bit == 15 + 9 * 8 {
                 assert!(
                     matches!(report.outcomes[lane], LaneOutcome::Clean { .. }),

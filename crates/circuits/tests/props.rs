@@ -3,10 +3,13 @@
 use amsfi_circuits::adc::{self, AdcInput};
 use amsfi_circuits::cpu::{Insn, TinyCpu};
 use amsfi_circuits::pfd::SequentialPfd;
-use amsfi_digital::{cells, DigitalSaboteur, InjectTarget, Netlist, Simulator, WordBatchSimulator};
+use amsfi_digital::{
+    cells, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist, Simulator, WordBatchSimulator,
+};
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
-use amsfi_waves::{Logic, Time};
+use amsfi_waves::{Logic, MismatchToggles, SimObserver, Time, Trace};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -197,9 +200,10 @@ fn cpu_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cpu_cases()))]
 
-    /// The bit-sliced word CPU against the scalar one, lane by lane, over
-    /// what the checksum program never does: `Sub`, `Jmp` legs taken at
-    /// random, fetches at `pc >= len`, lanes spread over many `pc`s at once.
+    /// The bit-sliced word CPU against the scalar one, lane by lane — every
+    /// lane's mismatch toggles, an observed lane's trace — over what the
+    /// checksum program never does: `Sub`, `Jmp` legs taken at random,
+    /// fetches at `pc >= len`, lanes spread over many `pc`s at once.
     #[test]
     fn word_cpu_lanes_equal_their_scalar_runs(
         raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
@@ -224,6 +228,10 @@ proptest! {
         for &(_, _, at) in &faults {
             batch.add_lane(at);
         }
+        // Odd lanes carry a no-op observer, and so still record: the last
+        // trace it is shown, completed with the golden suffix if the lane
+        // sealed, is the lane's full-horizon trace.
+        let seen: Vec<Arc<Mutex<Trace>>> = faults.iter().map(|_| Arc::default()).collect();
         let report = batch
             .run(
                 |lane, sim| {
@@ -231,7 +239,15 @@ proptest! {
                     cpu_inject(sim, kind, payload, at);
                     Ok(())
                 },
-                |_, _| {},
+                |lane, sim| {
+                    if lane % 2 == 1 {
+                        let keep = Arc::clone(&seen[lane]);
+                        let observer = SimObserver::new(move |_, view| {
+                            *keep.lock().unwrap() = view.to_trace();
+                        });
+                        sim.set_observer(observer.with_stride(u32::MAX));
+                    }
+                },
             )
             .unwrap();
 
@@ -240,12 +256,22 @@ proptest! {
             scalar.run_until(at).unwrap();
             cpu_inject(&mut scalar, kind, payload, at);
             scalar.run_until(T_END).unwrap();
+            let scalar = scalar.into_trace();
             prop_assert_eq!(
-                report.lane_trace(lane),
-                Some(&scalar.into_trace()),
+                report.lane_toggles(lane),
+                Some(&MismatchToggles::between(&report.golden, &scalar)),
                 "lane {} (kind {}, payload {:#x} @ {}): {:?}",
                 lane, kind, payload, at, report.outcomes[lane]
             );
+            if lane % 2 == 1 {
+                let mut trace = seen[lane].lock().unwrap().clone();
+                if let LaneOutcome::Completed { sealed_at: Some(at), .. }
+                | LaneOutcome::Clean { sealed_at: Some(at) } = report.outcomes[lane]
+                {
+                    trace.splice_golden_suffix(&report.golden, at);
+                }
+                prop_assert_eq!(&trace, &scalar, "lane {}: observed trace", lane);
+            }
         }
     }
 }

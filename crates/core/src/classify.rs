@@ -10,8 +10,8 @@
 
 use crate::failure::SimFailure;
 use amsfi_waves::{
-    AnalogStream, AnalogWave, DigitalStream, DigitalWave, StreamState, Time, Tolerance, Trace,
-    TraceView,
+    AnalogStream, AnalogWave, DigitalSlot, DigitalStream, DigitalWave, MismatchToggles,
+    StreamState, Time, ToggleStream, Tolerance, Trace, TraceView,
 };
 use std::fmt;
 
@@ -258,16 +258,16 @@ impl Divergence {
     /// signal has not mismatched. Observations only occur where a wave
     /// changes, so a mismatch open at the bound has persisted through it.
     pub(crate) fn as_of(spec: &ClassifySpec, state: &StreamState) -> Option<Divergence> {
-        let (closed, open) = (state.intervals(), state.open_since());
-        let first = closed.first().map(|iv| iv.from).or(open)?;
-        let mut total = closed.iter().map(|iv| iv.duration()).sum();
+        let (closed, open) = (state.closed(), state.open_since());
+        let first = closed.map(|c| c.first).or(open)?;
+        let mut total = closed.map_or(Time::ZERO, |c| c.total);
         let last = match open {
             Some(open) => {
                 let held = state.processed_to().max(open);
                 total += held - open;
                 held
             }
-            None => closed.last().map_or(first, |iv| iv.to),
+            None => closed.map_or(first, |c| c.last),
         };
         Some(Divergence {
             first,
@@ -418,6 +418,95 @@ pub fn classify(spec: &ClassifySpec, golden: &Trace, faulty: &Trace) -> CaseOutc
     match poisoned {
         Some((name, t)) => sim_failure_outcome(name, t),
         None => outcome,
+    }
+}
+
+/// Classifies a digital run known only by where it differs from `golden` —
+/// its [`MismatchToggles`], as the word kernel notes them — with the verdict
+/// [`classify`] gives the run's trace. Names resolve against `golden`; one
+/// golden never recorded, or one the run left silent, is a mismatch over
+/// the whole window, as [`classify`] has it.
+///
+/// # Panics
+///
+/// If `spec.digital_skew` is not zero: a skewed comparison reads golden at
+/// `t ± skew`, which toggles do not carry.
+pub fn classify_mismatch(
+    spec: &ClassifySpec,
+    golden: &Trace,
+    toggles: &MismatchToggles,
+) -> CaseOutcome {
+    MismatchClassifier::new(spec, golden).classify(toggles)
+}
+
+/// [`classify_mismatch`] for many runs against one golden trace: the spec's
+/// names are resolved to golden's digital slots once.
+#[derive(Debug, Clone)]
+pub struct MismatchClassifier<'a> {
+    spec: &'a ClassifySpec,
+    /// Per monitored name, in spec order: the slot golden recorded it
+    /// under, if it did.
+    slots: Vec<Option<DigitalSlot>>,
+    /// Behind every slot some name resolves to, indexed by slot, the
+    /// stream the run being classified is fed to.
+    streams: Vec<Option<ToggleStream>>,
+}
+
+impl<'a> MismatchClassifier<'a> {
+    /// Resolves `spec`'s names against `golden`.
+    ///
+    /// # Panics
+    ///
+    /// As [`classify_mismatch`].
+    pub fn new(spec: &'a ClassifySpec, golden: &Trace) -> Self {
+        assert_eq!(
+            spec.digital_skew,
+            Time::ZERO,
+            "toggles carry no skewed comparison"
+        );
+        let slots: Vec<Option<DigitalSlot>> = spec
+            .signals()
+            .map(|(name, _)| golden.recorded_digital_slot(name))
+            .collect();
+        let width = slots.iter().flatten().map(|s| s.index() + 1).max();
+        let mut streams = vec![None; width.unwrap_or(0)];
+        for slot in slots.iter().flatten() {
+            streams[slot.index()] = Some(Self::stream(spec));
+        }
+        MismatchClassifier {
+            spec,
+            slots,
+            streams,
+        }
+    }
+
+    fn stream(spec: &ClassifySpec) -> ToggleStream {
+        let (from, to) = spec.window;
+        ToggleStream::new(from, to, spec.merge_gap)
+    }
+
+    /// The verdict of one run with these toggles.
+    pub fn classify(&mut self, toggles: &MismatchToggles) -> CaseOutcome {
+        let spec = self.spec;
+        for stream in self.streams.iter_mut().flatten() {
+            *stream = Self::stream(spec);
+        }
+        toggles.feed(&mut self.streams);
+        let streams = &mut self.streams;
+        fold(
+            spec.signals()
+                .zip(&self.slots)
+                .map(|((name, is_output), slot)| {
+                    let stream = slot
+                        .filter(|&slot| !toggles.is_silent(slot))
+                        .and_then(|slot| streams[slot.index()].as_mut());
+                    let divergence = match stream {
+                        Some(stream) => Divergence::as_of(spec, stream.finish()),
+                        None => Some(Divergence::full_window(spec)),
+                    };
+                    (name, is_output, divergence)
+                }),
+        )
     }
 }
 

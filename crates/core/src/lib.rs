@@ -83,7 +83,10 @@ pub mod report;
 pub use campaign::{
     run_campaign, run_campaign_parallel, CampaignResult, CaseResult, FaultCase, RunError,
 };
-pub use classify::{classify, CaseOutcome, ClassifySpec, FaultClass, ParseFaultClassError};
+pub use classify::{
+    classify, classify_mismatch, CaseOutcome, ClassifySpec, FaultClass, MismatchClassifier,
+    ParseFaultClassError,
+};
 pub use failure::{ParseSimFailureError, SimFailure};
 pub use fork::injection_stops;
 pub use identity::{fingerprint, CampaignTag};

@@ -104,7 +104,7 @@ impl SigState {
     /// True once the signal has mismatched at all.
     fn diverged(&self) -> bool {
         self.state()
-            .is_none_or(|st| st.open_since().is_some() || !st.intervals().is_empty())
+            .is_none_or(|st| st.open_since().is_some() || st.closed().is_some())
     }
 }
 
@@ -361,7 +361,7 @@ impl OnlineClassifier {
             // mismatch opened, or when the last closed interval
             // re-converged.
             let open = st.open_since();
-            if let Some(t) = open.max(st.intervals().last().map(|iv| iv.to)) {
+            if let Some(t) = open.max(st.closed().map(|c| c.last)) {
                 quiet_since = quiet_since.max(t);
             }
             any_open |= open.is_some();

@@ -1,7 +1,11 @@
 //! Property-based tests for the campaign engine.
 
-use amsfi_core::{classify, plan, report, ClassifySpec, FaultClass, OnlineClassifier};
-use amsfi_waves::{CancelToken, DigitalWave, Logic, Time, Tolerance, Trace, TraceView};
+use amsfi_core::{
+    classify, classify_mismatch, plan, report, ClassifySpec, FaultClass, OnlineClassifier,
+};
+use amsfi_waves::{
+    CancelToken, DigitalWave, Logic, MismatchToggles, Time, Tolerance, Trace, TraceView,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -158,6 +162,57 @@ proptest! {
         prop_assert!(sealed.sealed_at.is_some());
         prop_assert!(sealed.error_end <= post_hoc.error_end);
         prop_assert!(sealed.total_mismatch <= post_hoc.total_mismatch);
+    }
+
+    /// A run booked from its mismatch toggles gets the verdict its trace
+    /// gets, over random digital traces holding every value, and spec names
+    /// of every standing: recorded by both runs, by golden only (the run
+    /// left it silent), by the run only, registered by golden but never
+    /// recorded (golden-silent), monitored by neither, and named twice.
+    #[test]
+    fn classify_mismatch_equals_classify(
+        golden_script in prop::collection::vec((0usize..5, 0i64..2_000, 0usize..9), 0..40),
+        faulty_script in prop::collection::vec((0usize..5, 0i64..2_000, 0usize..9), 0..40),
+        outputs in prop::collection::vec(0usize..7, 1..5),
+        internals in prop::collection::vec(0usize..7, 0..4),
+        from_ns in 0i64..1_500,
+        span_ns in 0i64..2_500,
+        gap_ns in 0i64..150,
+        recovery_ns in 0i64..500,
+    ) {
+        // Signals 0..5 may be recorded; "s5" is registered by golden and
+        // never recorded, "s6" is monitored by neither run.
+        let names: Vec<String> = (0..7).map(|i| format!("s{i}")).collect();
+        let record = |script: &[(usize, i64, usize)], golden: bool| {
+            let mut script = script.to_vec();
+            script.sort_by_key(|&(_, t, _)| t);
+            let mut trace = Trace::new();
+            if golden {
+                trace.digital_slot(&names[5]);
+            }
+            for (signal, t, level) in script {
+                trace
+                    .record_digital(&names[signal], Time::from_ns(t), Logic::ALL[level])
+                    .unwrap();
+            }
+            trace
+        };
+        let golden = record(&golden_script, true);
+        let faulty = record(&faulty_script, false);
+        let pick = |picks: &[usize]| picks.iter().map(|&i| names[i].clone()).collect();
+        let mut spec = ClassifySpec::new(
+            (Time::from_ns(from_ns), Time::from_ns(from_ns + span_ns)),
+            pick(&outputs),
+        )
+        .with_internals(pick(&internals));
+        spec.merge_gap = Time::from_ns(gap_ns);
+        spec.recovery = Time::from_ns(recovery_ns);
+
+        let toggles = MismatchToggles::between(&golden, &faulty);
+        prop_assert_eq!(
+            classify_mismatch(&spec, &golden, &toggles),
+            classify(&spec, &golden, &faulty)
+        );
     }
 
     #[test]

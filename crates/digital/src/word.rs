@@ -38,35 +38,32 @@
 //!   future. Reconvergence retires the lane by clearing its bit from the
 //!   live mask: signals diverged from golden fall out of a
 //!   one-XOR-per-bit plane probe, components compare per-lane state, and
-//!   pending events must show equal participation. A sealed lane's trace
-//!   is completed with the golden suffix
-//!   ([`Trace::splice_digital_suffix`]), which reproduces byte for byte
-//!   what simulating to the horizon would have recorded.
+//!   pending events must show equal participation. From then on the lane
+//!   differs from golden nowhere.
 //!
-//! A lane costs what it differs. The golden lane extends the trace the
-//! scalar simulator recorded. A mutant lane records nothing of its own
-//! while it *follows* golden: per monitored bit, until the time point its
-//! settled value first differs from the golden lane's, its wave would be a
-//! copy of the golden one, so it takes that copy only then (golden is
-//! pushed last in a time point, so the copy is the wave as the lane's own
-//! recording would have left it) and records its own changes from there.
-//! At the horizon the bits it still follows take the finished golden wave,
-//! and a lane that never left golden anywhere has no trace at all
-//! ([`LaneOutcome::Clean`]). Per-lane budgets are sorted once, when
-//! installed, into those that can never trip (no work), step caps (one
-//! shared step counter, one compare per time point against the earliest
-//! trip) and cancellable ones (asked every time point); observers sit
-//! behind a lane mask. A budget trip retires only that lane
-//! ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
-//! scalar, preserving byte identity.
+//! A lane costs what it differs, and records no trace. The golden lane
+//! extends the trace the scalar simulator recorded; every other lane keeps
+//! only what the digital comparison reads off its trace
+//! ([`MismatchToggles`]): per monitored bit, the instants its settled
+//! value, reduced to X01, starts or stops differing from the golden lane's
+//! — one plane XOR per changed bit, against a per-bit mask of the lanes
+//! that differ now — and the bits it never recorded although golden did. A
+//! lane that never differed has nothing ([`LaneOutcome::Clean`]). Only a
+//! lane with an observer records a trace of its own, to show it. Per-lane
+//! budgets are sorted once, when installed, into those that can never trip
+//! (no work), step caps (one shared step counter, one compare per time
+//! point against the earliest trip) and cancellable ones (asked every time
+//! point); observers sit behind a lane mask. A budget trip retires only
+//! that lane ([`LaneOutcome::Failed`]) and the campaign engine re-runs the
+//! case scalar, preserving byte identity.
 
 use crate::component::{Action, Component, EvalContext, Pool};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
 use amsfi_waves::{
-    DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector, SimBudget, SimObserver,
-    Time, Trace, LANES,
+    DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector, MismatchToggles,
+    SimBudget, SimObserver, Time, Trace, LANES,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -570,14 +567,17 @@ struct WordSignal {
     width: usize,
     planes: Vec<LogicPlanes>,
     readers: Vec<usize>,
-    /// Trace slot of each bit (valid in every lane's trace, which all share
-    /// the golden one's slots); empty when the signal is not monitored.
+    /// Trace slot of each bit (valid in the golden trace and every clone of
+    /// it); empty when the signal is not monitored.
     slots: Vec<DigitalSlot>,
-    /// Per slot, the lanes that record that bit in a wave of their own: the
-    /// golden lane always, a mutant lane from the time point its settled
-    /// value first differs from golden's. Every other recording lane
-    /// *follows* golden there — its wave would be a copy of the golden one.
-    own: Vec<u64>,
+    /// Per slot, the recording lanes whose settled value, reduced to X01,
+    /// differs from the golden lane's.
+    mismatched: Vec<u64>,
+    /// The lanes whose trace would hold this signal: it changed on them at
+    /// some time point, or on golden after they froze (a sealed lane's
+    /// future is golden's). A monitored signal records every bit on a
+    /// change, so untouched is silent.
+    touched: u64,
 }
 
 struct WordSlot {
@@ -619,13 +619,13 @@ struct WordSimulator {
     events_processed: u64,
     /// Lanes still simulating (sealed/failed/unused lanes are frozen).
     live: u64,
-    /// Lanes whose trace is being recorded (golden + activated mutants).
+    /// Lanes being compared with golden (golden + activated mutants).
     recording: u64,
-    /// Mutant lanes that own at least one slot (see [`WordSignal::own`]),
-    /// and so a trace with the golden trace's slots. The trace of any other
-    /// lane is empty: all it would hold is the golden trace.
-    diverged: u64,
-    /// Per-lane traces; index [`GOLDEN_LANE`] is the golden trace.
+    /// Per-lane mismatch toggles against the golden lane.
+    toggles: Vec<MismatchToggles>,
+    /// Per-lane traces: index [`GOLDEN_LANE`] is the golden trace, an
+    /// observed lane's is a clone of it from its activation on, every
+    /// other one stays empty.
     traces: Vec<Trace>,
     /// Machine-wide (golden) budget: a trip here aborts the whole word run.
     budget: SimBudget,
@@ -684,7 +684,11 @@ impl WordSimulator {
                 name: s.name,
                 width: s.width,
                 readers: s.readers,
-                own: vec![1 << GOLDEN_LANE; s.slots.len()],
+                mismatched: vec![0; s.slots.len()],
+                touched: match s.slots.first() {
+                    Some(&slot) if seed.trace.digital_at(slot).is_some() => u64::MAX,
+                    _ => 0,
+                },
                 slots: s.slots,
             })
             .collect();
@@ -705,9 +709,9 @@ impl WordSimulator {
                 }
             })
             .collect();
-        // The golden lane records into the scalar simulator's trace and a
-        // mutant lane's trace takes its slots from it, so the signals'
-        // slots index into every trace that is ever recorded to.
+        // The golden lane records into the scalar simulator's trace and an
+        // observed lane's trace is a clone of it, so the signals' slots
+        // index into every trace that is ever recorded to.
         let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new()).collect();
         traces[GOLDEN_LANE] = seed.trace;
         let mut sim = WordSimulator {
@@ -718,7 +722,7 @@ impl WordSimulator {
             events_processed: 0,
             live: u64::MAX,
             recording: 1 << GOLDEN_LANE,
-            diverged: 0,
+            toggles: (0..LANES).map(|_| MismatchToggles::new()).collect(),
             traces,
             budget: seed.budget,
             golden_observer: seed.observer,
@@ -1015,43 +1019,44 @@ impl WordSimulator {
                 break;
             }
         }
-        // Record per-lane transitions of monitored signals that settled to
-        // a new value at t, ascending signal id like the scalar kernel. A
-        // lane that owns the slot pushes its value when it changed; a lane
-        // that follows golden there pushes nothing, unless its settled
-        // value now differs from golden's: then it first takes a copy of
-        // the golden wave. The golden lane is the last of a word, so it is
-        // pushed last, and that copy is the golden wave as it stood when
-        // this pass over `t` began — what the lane's own recording would
-        // have produced up to here, including the transition at `t` itself
-        // when `t` is a time point re-opened by an injection.
+        // Compare every monitored bit that settled to a new value at t with
+        // the golden lane, ascending signal id like the scalar kernel: a
+        // recording lane whose X01 difference from golden flips notes a
+        // toggle. Golden, and a lane with an observer, also record the
+        // transition in their trace.
         let rec = self.recording & self.live;
-        let (mutants, golden) = self.traces.split_at_mut(GOLDEN_LANE);
+        let recorders = rec & (self.observed | 1 << GOLDEN_LANE);
+        let frozen = !self.live;
         let mut changed_list = std::mem::take(&mut self.scratch.changed_list);
         changed_list.sort_unstable();
         for &sig in &changed_list {
             let lanes = std::mem::replace(&mut self.scratch.changed[sig], 0);
             let state = &mut self.signals[sig];
-            for ((&slot, planes), own) in state.slots.iter().zip(&state.planes).zip(&mut state.own)
+            if state.slots.is_empty() {
+                continue;
+            }
+            state.touched |= lanes;
+            if lanes >> GOLDEN_LANE & 1 != 0 {
+                state.touched |= frozen;
+            }
+            for ((&slot, planes), mismatched) in state
+                .slots
+                .iter()
+                .zip(&state.planes)
+                .zip(&mut state.mismatched)
             {
-                let differs = planes.diverged_mask(planes.broadcast_lane(GOLDEN_LANE));
-                let mut leaving = differs & rec & !*own;
-                *own |= leaving;
-                while leaving != 0 {
-                    let lane = leaving.trailing_zeros() as usize;
-                    leaving &= leaving - 1;
-                    if self.diverged & (1 << lane) == 0 {
-                        self.diverged |= 1 << lane;
-                        mutants[lane] = golden[0].same_slots();
-                    }
-                    mutants[lane].copy_digital(slot, &golden[0]);
+                let mut flips = (planes.x01_diverged_from(GOLDEN_LANE) ^ *mismatched) & rec;
+                *mismatched ^= flips;
+                while flips != 0 {
+                    let lane = flips.trailing_zeros() as usize;
+                    flips &= flips - 1;
+                    self.toggles[lane].flip(slot, t);
                 }
-                let mut m = lanes & rec & *own;
+                let mut m = lanes & recorders;
                 while m != 0 {
                     let lane = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let trace = mutants.get_mut(lane).unwrap_or(&mut golden[0]);
-                    trace
+                    self.traces[lane]
                         .push_digital(slot, t, planes.lane(lane))
                         .expect("time is monotonic");
                 }
@@ -1114,43 +1119,24 @@ impl WordSimulator {
         self.scratch.actions = actions;
     }
 
-    /// Gives lane `lane` a wave of its own behind every slot: a copy of the
-    /// golden trace as it stands.
-    fn own_every_slot(&mut self, lane: usize) {
-        self.traces[lane] = self.traces[GOLDEN_LANE].clone();
-        self.diverged |= 1 << lane;
-        for signal in &mut self.signals {
-            for own in &mut signal.own {
-                *own |= 1 << lane;
-            }
-        }
-    }
-
-    /// Completes lane `lane`'s trace over the full horizon, once the golden
-    /// lane has reached it: a slot the lane owns is spliced with the golden
-    /// suffix if the lane sealed, a slot it followed golden on to the end
-    /// takes the whole golden wave. A lane that followed on every slot has
-    /// no trace to complete — it is the golden one.
-    fn lane_outcome(
-        &self,
-        lane: usize,
-        mut trace: Trace,
-        sealed_at: Option<Time>,
-        golden: &Trace,
-    ) -> LaneOutcome {
-        if self.diverged & (1 << lane) == 0 {
-            return LaneOutcome::Clean { sealed_at };
-        }
-        for signal in &self.signals {
-            for (&slot, own) in signal.slots.iter().zip(&signal.own) {
-                if own & (1 << lane) == 0 {
-                    trace.copy_digital(slot, golden);
-                } else if let Some(at) = sealed_at {
-                    trace.splice_digital_suffix(slot, golden, at);
+    /// How lane `lane` ended, once the golden lane has reached the horizon:
+    /// its toggles, plus every slot golden recorded that the lane's trace
+    /// would have left silent.
+    fn lane_outcome(&mut self, lane: usize, sealed_at: Option<Time>) -> LaneOutcome {
+        let mut toggles = std::mem::take(&mut self.toggles[lane]);
+        let golden = &self.traces[GOLDEN_LANE];
+        for signal in self.signals.iter().filter(|s| s.touched >> lane & 1 == 0) {
+            for &slot in &signal.slots {
+                if golden.digital_at(slot).is_some() {
+                    toggles.mark_silent(slot);
                 }
             }
         }
-        LaneOutcome::Completed { trace, sealed_at }
+        if toggles.is_empty() {
+            LaneOutcome::Clean { sealed_at }
+        } else {
+            LaneOutcome::Completed { toggles, sealed_at }
+        }
     }
 
     /// The lanes of `candidates` whose complete future-relevant machine
@@ -1323,9 +1309,9 @@ impl InjectTarget for WordLaneCtx<'_> {
     }
 
     fn set_observer(&mut self, observer: SimObserver) {
-        // An observer is shown the lane's whole trace at every time point,
-        // so an observed lane owns every slot from here on.
-        self.sim.own_every_slot(self.lane);
+        // An observer is shown the lane's whole trace at every time point:
+        // the golden trace as it stands, the lane's own from here on.
+        self.sim.traces[self.lane] = self.sim.traces[GOLDEN_LANE].clone();
         self.sim.observed |= 1 << self.lane;
         self.sim.lane_observers[self.lane] = Some(observer);
     }
@@ -1334,19 +1320,19 @@ impl InjectTarget for WordLaneCtx<'_> {
 /// How one mutant lane ended.
 #[derive(Debug)]
 pub enum LaneOutcome {
-    /// The lane produced a full-horizon trace. `sealed_at` is the instant
-    /// its state reconverged with the golden machine's, if it did; the
-    /// trace is then the lane prefix spliced with the golden suffix and is
-    /// byte-identical to a full scalar run of the same fault case.
+    /// The lane ran to the horizon, or sealed, and differs from the golden
+    /// trace ([`BatchReport::golden`]) on some monitored bit: `toggles` is
+    /// what the comparison reads off the full-horizon trace a scalar run of
+    /// the same fault case records. `sealed_at` is the instant its state
+    /// reconverged with the golden machine's, if it did.
     Completed {
-        /// The lane's full-length trace.
-        trace: Trace,
+        /// Where the lane's X01 values differ from golden's.
+        toggles: MismatchToggles,
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
     },
-    /// The lane produced a full-horizon trace that is the golden trace
-    /// ([`BatchReport::golden`]), transition for transition: its fault never
-    /// showed on a monitored signal, so no trace was built for it.
+    /// The lane never differed from golden on a monitored bit: it
+    /// classifies as the golden trace does.
     Clean {
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
@@ -1369,13 +1355,13 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// The full-horizon trace of lane `lane` — for a
-    /// [`LaneOutcome::Clean`] lane that is the golden trace — or `None`
-    /// if the lane failed.
-    pub fn lane_trace(&self, lane: usize) -> Option<&Trace> {
+    /// Lane `lane`'s mismatch toggles against [`BatchReport::golden`] —
+    /// none for a [`LaneOutcome::Clean`] lane — or `None` if it failed.
+    pub fn lane_toggles(&self, lane: usize) -> Option<&MismatchToggles> {
+        static NONE: MismatchToggles = MismatchToggles::new();
         match &self.outcomes[lane] {
-            LaneOutcome::Completed { trace, .. } => Some(trace),
-            LaneOutcome::Clean { .. } => Some(&self.golden),
+            LaneOutcome::Completed { toggles, .. } => Some(toggles),
+            LaneOutcome::Clean { .. } => Some(&NONE),
             LaneOutcome::Failed { .. } => None,
         }
     }
@@ -1384,7 +1370,7 @@ impl BatchReport {
 enum WordLaneState {
     Pending,
     Running,
-    Sealed { trace: Trace, at: Time },
+    Sealed { at: Time },
     Failed(String),
 }
 
@@ -1607,8 +1593,8 @@ impl WordBatchSimulator {
             collect_failures(&mut sim, &mut lanes);
 
             // Activate the lanes whose injection instant this stop is: from
-            // here on the lane is recorded (following golden, slot by slot,
-            // until it differs), and setup + inject run on it.
+            // here on the lane is compared with golden, and setup + inject
+            // run on it.
             let mut activated = false;
             while let Some(lane_id) = due.next_if(|&lane_id| lanes[lane_id].inject_at == t) {
                 let lane = &mut lanes[lane_id];
@@ -1658,11 +1644,10 @@ impl WordBatchSimulator {
             }
         }
         // The golden lane must reach the horizon even if every mutant lane
-        // retired early: sealed traces splice in its suffix.
+        // retired early: the golden trace is the report's.
         sim.run_until(t_end)?;
         collect_failures(&mut sim, &mut lanes);
 
-        let golden_trace = std::mem::take(&mut sim.traces[GOLDEN_LANE]);
         let outcomes = lanes
             .into_iter()
             .enumerate()
@@ -1672,18 +1657,13 @@ impl WordBatchSimulator {
                 WordLaneState::Pending => LaneOutcome::Failed {
                     error: "the lane never reached its injection instant".to_owned(),
                 },
-                WordLaneState::Running => {
-                    let trace = std::mem::take(&mut sim.traces[lane_id]);
-                    sim.lane_outcome(lane_id, trace, None, &golden_trace)
-                }
-                WordLaneState::Sealed { trace, at } => {
-                    sim.lane_outcome(lane_id, trace, Some(at), &golden_trace)
-                }
+                WordLaneState::Running => sim.lane_outcome(lane_id, None),
+                WordLaneState::Sealed { at } => sim.lane_outcome(lane_id, Some(at)),
                 WordLaneState::Failed(error) => LaneOutcome::Failed { error },
             })
             .collect();
         Ok(BatchReport {
-            golden: golden_trace,
+            golden: std::mem::take(&mut sim.traces[GOLDEN_LANE]),
             outcomes,
         })
     }
@@ -1731,8 +1711,7 @@ fn seal_reconverged(
     while m != 0 {
         let lane_id = m.trailing_zeros() as usize;
         m &= m - 1;
-        let trace = std::mem::take(&mut sim.traces[lane_id]);
-        lanes[lane_id].state = WordLaneState::Sealed { trace, at: t };
+        lanes[lane_id].state = WordLaneState::Sealed { at: t };
         sim.live &= !(1 << lane_id);
         sim.recording &= !(1 << lane_id);
         if let Some(metrics) = metrics {
@@ -1748,6 +1727,8 @@ mod tests {
     use crate::{DigitalSaboteur, Netlist};
     use amsfi_faults::{DigitalFault, DigitalFaultKind};
     use amsfi_waves::Logic;
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
 
     /// A clocked 8-bit counter, optionally with a saboteur on `en`: SET
     /// pulses on the enable either suppress a count (sampled) or wash out
@@ -1806,11 +1787,41 @@ mod tests {
             .expect("counter present")
     }
 
-    /// The lane's full-horizon trace; panics with the lane's error.
-    fn lane_trace(report: &BatchReport, lane: usize) -> &Trace {
-        report
-            .lane_trace(lane)
-            .unwrap_or_else(|| panic!("lane {lane}: {:?}", report.outcomes[lane]))
+    /// The traces the observers of [`observe_odd`] were last shown, by lane.
+    type Seen = Arc<Mutex<BTreeMap<usize, Trace>>>;
+
+    /// Installs on every odd lane a no-op observer that keeps the last
+    /// trace it is shown: the observed leg, on which a lane still records.
+    fn observe_odd(seen: &Seen, lane: usize, target: &mut dyn InjectTarget) {
+        if lane % 2 == 1 {
+            let seen = Arc::clone(seen);
+            let observer = SimObserver::new(move |_, view| {
+                seen.lock().unwrap().insert(lane, view.to_trace());
+            });
+            target.set_observer(observer.with_stride(u32::MAX));
+        }
+    }
+
+    /// Lane `lane` against the scalar run of its case: its toggles are the
+    /// ones that run's trace shows against golden, and an observed lane's
+    /// own recording, completed with the golden suffix if it sealed, is
+    /// that trace. Panics with the lane's error.
+    fn assert_lane(report: &BatchReport, seen: &Seen, lane: usize, scalar: &Trace) {
+        let toggles = report
+            .lane_toggles(lane)
+            .unwrap_or_else(|| panic!("lane {lane}: {:?}", report.outcomes[lane]));
+        assert_eq!(
+            toggles,
+            &MismatchToggles::between(&report.golden, scalar),
+            "lane {lane}: toggles"
+        );
+        if lane % 2 == 1 {
+            let mut trace = seen.lock().unwrap()[&lane].clone();
+            if let Some(at) = sealed_at(&report.outcomes[lane]) {
+                trace.splice_golden_suffix(&report.golden, at);
+            }
+            assert_eq!(&trace, scalar, "lane {lane}: observed trace");
+        }
     }
 
     fn sealed_at(outcome: &LaneOutcome) -> Option<Time> {
@@ -1846,23 +1857,19 @@ mod tests {
                 cases.push((at, bit));
             }
         }
+        let seen = Seen::default();
         let report = batch
             .run(
                 |lane, sim| {
                     sim.flip_state(target.component, cases[lane].1);
                     Ok(())
                 },
-                |_, _| {},
+                |lane, sim| observe_odd(&seen, lane, sim),
             )
             .unwrap();
 
         for (lane, &(at, bit)) in cases.iter().enumerate() {
-            let scalar = scalar_flip(at, bit, T_END);
-            assert_eq!(
-                lane_trace(&report, lane),
-                &scalar,
-                "lane {lane} (flip bit {bit} @ {at})"
-            );
+            assert_lane(&report, &seen, lane, &scalar_flip(at, bit, T_END));
         }
     }
 
@@ -1940,18 +1947,21 @@ mod tests {
         for armed_at in [Time::ZERO, Time::from_ns(37)] {
             let mut batch =
                 WordBatchSimulator::new(build_sab(None), T_END).with_seal_stride(Time::from_ns(50));
+            batch.add_lane(armed_at);
             let lane = batch.add_lane(armed_at);
+            let seen = Seen::default();
             let report = batch
                 .run(
                     |_, sim| {
                         arm_en(sim, &fault);
                         Ok(())
                     },
-                    |_, _| {},
+                    |lane, sim| observe_odd(&seen, lane, sim),
                 )
                 .unwrap();
 
-            assert_eq!(lane_trace(&report, lane), &scalar_trace);
+            assert_lane(&report, &seen, lane - 1, &scalar_trace);
+            assert_lane(&report, &seen, lane, &scalar_trace);
             let sealed = sealed_at(&report.outcomes[lane]).expect("washed-out pulse must seal");
             assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
             seals.push(sealed);
@@ -1969,13 +1979,14 @@ mod tests {
         let mut batch = WordBatchSimulator::new(golden, T_END);
         let late = batch.add_lane(Time::from_ns(700));
         let behind = batch.add_lane(Time::from_ns(499));
+        let seen = Seen::default();
         let report = batch
             .run(
                 |_, sim| {
                     sim.flip_state(target.component, 2);
                     Ok(())
                 },
-                |_, _| {},
+                |lane, sim| observe_odd(&seen, lane, sim),
             )
             .unwrap();
         assert!(
@@ -1983,9 +1994,11 @@ mod tests {
             "{:?}",
             report.outcomes[behind]
         );
-        assert_eq!(
-            lane_trace(&report, late),
-            &scalar_flip(Time::from_ns(700), 2, T_END)
+        assert_lane(
+            &report,
+            &seen,
+            late,
+            &scalar_flip(Time::from_ns(700), 2, T_END),
         );
     }
 
@@ -2032,6 +2045,7 @@ mod tests {
         let cancellable = batch.add_lane(ns(100));
         let canceller = batch.add_lane(ns(500));
         let token = amsfi_waves::CancelToken::new();
+        let seen = Seen::default();
         let report = batch
             .run(
                 |_, sim| {
@@ -2039,6 +2053,7 @@ mod tests {
                     Ok(())
                 },
                 |lane, sim| {
+                    observe_odd(&seen, lane, sim);
                     if lane == strict {
                         sim.set_budget(SimBudget::unlimited().with_max_steps(3));
                     } else if lane == roomy {
@@ -2092,11 +2107,7 @@ mod tests {
             (floor_only, 300),
             (canceller, 500),
         ] {
-            assert_eq!(
-                lane_trace(&report, lane),
-                &scalar_flip(ns(at), 7, T_END),
-                "lane {lane} beside the tripped ones"
-            );
+            assert_lane(&report, &seen, lane, &scalar_flip(ns(at), 7, T_END));
         }
     }
 
@@ -2132,13 +2143,14 @@ mod tests {
             word.add_lane(fault.at);
         }
         let stops = word.stops(Time::ZERO);
+        let seen = Seen::default();
         let report = word
             .run(
                 |lane, target| {
                     arm_en(target, &faults[lane]);
                     Ok(())
                 },
-                |_, _| {},
+                |lane, target| observe_odd(&seen, lane, target),
             )
             .unwrap();
 
@@ -2168,7 +2180,7 @@ mod tests {
             );
             let mut scalar = build_sab(Some(fault.clone()));
             scalar.run_until(T_END).unwrap();
-            assert_eq!(lane_trace(&report, lane), scalar.trace(), "lane {lane}");
+            assert_lane(&report, &seen, lane, scalar.trace());
             seals.push(expected);
         }
         // The oracle is not vacuous: on and off the stride grid (133 ns is

@@ -20,13 +20,13 @@ use crate::stats::{EngineStats, Stage, StatsSnapshot};
 use crate::BoxError;
 use amsfi_core::{
     classify, injection_stops, CampaignResult, CaseOutcome, CaseResult, ClassifySpec, FaultCase,
-    OnlineClassifier, SimFailure,
+    MismatchClassifier, OnlineClassifier, SimFailure,
 };
 use amsfi_digital::{BatchReport, LaneOutcome};
 use amsfi_telemetry::{Event, GuardKind, KernelMetrics, Telemetry};
 use amsfi_waves::{
-    CancelToken, Checkpoint, Follow, ForkableSim, SimBudget, SimObserver, SimTape, Time, Trace,
-    LANES,
+    CancelToken, Checkpoint, Follow, ForkableSim, MismatchToggles, SimBudget, SimObserver, SimTape,
+    Time, Trace, LANES,
 };
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -606,8 +606,8 @@ pub struct PrefixFork {
 /// machine and returns the kernel's own [`BatchReport`]: that machine's
 /// trace with one [`LaneOutcome`] per index, in order. The engine checks the
 /// golden-lane trace against the campaign's golden run once per group —
-/// lanes are compared against the one, [`LaneOutcome::Clean`] stands for the
-/// other — and degrades the group to the scalar path when they differ.
+/// lanes' mismatch toggles are taken against the one, verdicts are the
+/// other's — and degrades the group to the scalar path when they differ.
 /// `slot` is the calling worker's [`WorkerSlot`].
 /// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
@@ -1012,9 +1012,24 @@ enum Plan<'a> {
 impl<'a> Plan<'a> {
     fn resolve(config: &EngineConfig, campaign: &'a Campaign) -> Self {
         match (&campaign.batch, &campaign.fork) {
-            (Some(spec), _) if config.batch => Plan::Batch(spec),
+            (Some(spec), _) if config.batch && Self::refuses_batch(campaign).is_none() => {
+                Plan::Batch(spec)
+            }
             (_, Some(spec)) if config.checkpoint => Plan::Fork(spec),
             _ => Plan::Scalar,
+        }
+    }
+
+    /// Why `campaign` cannot run as word groups, if it cannot. A lane is
+    /// booked from where its X01 values differ from golden's at the same
+    /// instant; a skewed comparison also reads golden at `t ± skew`.
+    fn refuses_batch(campaign: &Campaign) -> Option<&'static str> {
+        if campaign.batch.is_none() {
+            Some("campaign has no batch spec")
+        } else if campaign.spec.digital_skew > Time::ZERO {
+            Some("digital_skew needs lane traces")
+        } else {
+            None
         }
     }
 
@@ -1119,10 +1134,8 @@ impl Engine {
                 .with_field("shard", cfg.shard.index)
                 .with_field("shards", cfg.shard.count)
         });
-        if cfg.batch && !matches!(plan, Plan::Batch(_)) {
-            tele.emit_with(|| {
-                Event::new("batch", "fallback").with_field("reason", "campaign has no batch spec")
-            });
+        if let Some(reason) = Plan::refuses_batch(campaign).filter(|_| cfg.batch) {
+            tele.emit_with(|| Event::new("batch", "fallback").with_field("reason", reason));
         }
 
         // The golden run is mandatory even when everything is resumed —
@@ -1625,10 +1638,59 @@ impl Run<'_> {
     /// Classifies a full-horizon trace against the golden run, on the
     /// classify stage's clock.
     fn classify(&self, trace: &Trace) -> CaseOutcome {
+        self.on_classify_clock(|| classify(&self.campaign.spec, &self.golden, trace))
+    }
+
+    /// Draws verdicts on the classify stage's clock.
+    fn on_classify_clock<T>(&self, draw: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
-        let outcome = classify(&self.campaign.spec, &self.golden, trace);
+        let drawn = draw();
         self.stats.record_stage(Stage::Classify, t0.elapsed());
-        outcome
+        drawn
+    }
+
+    /// The verdicts of a word group's completed lanes, drawn on one classify
+    /// clock as the group was simulated on one simulate clock: one per
+    /// distinct toggle list, and per completed lane, in lane order, which.
+    ///
+    /// A verdict is drawn from a lane's mismatch toggles, taken against the
+    /// group's golden lane, by a [`MismatchClassifier`] that resolves the
+    /// spec's names against that lane's trace once. It is a function of the
+    /// toggles, and lanes of one group often repeat each other's (SET pulses
+    /// of different widths latched at one clock edge): a repeat is booked
+    /// with a copy, as a clean lane is with `clean_verdict`'s.
+    fn drawn_verdicts(
+        &self,
+        golden: &Trace,
+        outcomes: &[LaneOutcome],
+    ) -> (Vec<CaseOutcome>, Vec<usize>) {
+        let completed: Vec<&MismatchToggles> = outcomes
+            .iter()
+            .filter_map(|outcome| match outcome {
+                LaneOutcome::Completed { toggles, .. } => Some(toggles),
+                _ => None,
+            })
+            .collect();
+        if completed.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        self.on_classify_clock(|| {
+            let mut classifier = MismatchClassifier::new(&self.campaign.spec, golden);
+            // The distinct lists, each beside its verdict.
+            let (mut distinct, mut verdicts) = (Vec::new(), Vec::new());
+            let picks = completed
+                .into_iter()
+                .map(|toggles| {
+                    let seen = distinct.iter().position(|&seen| seen == toggles);
+                    seen.unwrap_or_else(|| {
+                        distinct.push(toggles);
+                        verdicts.push(classifier.classify(toggles));
+                        verdicts.len() - 1
+                    })
+                })
+                .collect();
+            (verdicts, picks)
+        })
     }
 
     /// Books a verdict an online classifier sealed mid-simulation, with an
@@ -1883,13 +1945,15 @@ impl Run<'_> {
     /// verdicts, retry accounting and quarantine exactly as a scalar run
     /// would.
     ///
-    /// The group's golden-lane trace must equal the campaign's golden run:
-    /// lanes were simulated against the former and are classified against
-    /// the latter, and a [`LaneOutcome::Clean`] lane is booked with
-    /// `clean_verdict`, golden classified against itself. A group whose
-    /// golden lane differs, or whose machine fails as a whole — its own
-    /// error, a panic, or under [`EngineConfig::with_timeout`] the wall
-    /// clock its cases would have had one by one — is re-run scalar instead.
+    /// A completed lane is booked from [`Run::drawn_verdicts`]: its toggles
+    /// are taken against the group's golden lane, whose trace must equal
+    /// the campaign's golden run — the verdict is then the one the lane's
+    /// trace draws against the latter — and a [`LaneOutcome::Clean`] lane
+    /// is booked with `clean_verdict`, golden classified against itself. A
+    /// group whose golden lane differs, or whose machine fails as a whole —
+    /// its own error, a panic, or under [`EngineConfig::with_timeout`] the
+    /// wall clock its cases would have had one by one — is re-run scalar
+    /// instead.
     fn execute_batch(
         &self,
         spec: &BatchSpec,
@@ -1924,7 +1988,7 @@ impl Run<'_> {
             (spec.run)(&ctx, group, &mut hooks, slot)
         }));
         ctx.finish();
-        let outcomes = match out {
+        let report = match out {
             Ok(Ok(report)) if report.outcomes.len() != group.len() => Err(format!(
                 "batch returned {} outcomes for {} lanes",
                 report.outcomes.len(),
@@ -1933,12 +1997,12 @@ impl Run<'_> {
             Ok(Ok(report)) if report.golden != *self.golden => {
                 Err("golden lane differs from the golden run".to_owned())
             }
-            Ok(Ok(report)) => Ok(report.outcomes),
+            Ok(Ok(report)) => Ok(report),
             Ok(Err(e)) => Err(e.to_string()),
             Err(payload) => Err(panic_message(payload)),
         };
-        let outcomes = match outcomes {
-            Ok(outcomes) => outcomes,
+        let BatchReport { golden, outcomes } = match report {
+            Ok(report) => report,
             Err(reason) => {
                 // Whatever the spec parked in the slot may be half-updated:
                 // the worker's next group starts from nothing.
@@ -1955,10 +2019,13 @@ impl Run<'_> {
                 return Ok(());
             }
         };
-        for ((&index, outcome), classifier) in group.iter().zip(outcomes).zip(&classifiers) {
+        let (verdicts, picks) = self.drawn_verdicts(&golden, &outcomes);
+        let mut picks = picks.into_iter();
+        for ((&index, outcome), classifier) in group.iter().zip(&outcomes).zip(&classifiers) {
             let entry = match outcome {
-                LaneOutcome::Completed { trace, .. } => {
-                    self.book(index, self.classify(&trace), None)?
+                LaneOutcome::Completed { .. } => {
+                    let verdict = &verdicts[picks.next().expect("a verdict per completed lane")];
+                    self.book(index, verdict.clone(), None)?
                 }
                 LaneOutcome::Clean { .. } => {
                     let verdict = self
@@ -1974,7 +2041,7 @@ impl Run<'_> {
                             tele.emit_with(|| {
                                 Event::new("batch", "lane_fallback")
                                     .with_case(index)
-                                    .with_field("reason", &error)
+                                    .with_field("reason", error)
                             });
                             self.execute_one(index, None)?
                         }

@@ -17,7 +17,9 @@
 //!   to the equally capped scalar ones, and inside a group trips exactly
 //!   the lanes that run longer than the cap;
 //! * a group whose golden lane is not the campaign's golden run is re-run
-//!   scalar: the verdict of a lane reported trace-free rests on that;
+//!   scalar: the verdict of a lane reported as toggles rests on that;
+//! * a campaign with an edge-skew tolerance runs scalar under `--batch`,
+//!   and says why;
 //! * `--batch --checkpoint` captures no snapshots when the batch spec
 //!   engages, and still forks when the campaign has none;
 //! * under `--timeout` a word machine that never returns is cut off after
@@ -31,7 +33,7 @@ use amsfi_engine::{
     campaigns, BatchSpec, Campaign, CaseCtx, Engine, EngineConfig, EngineReport, PrefixFork,
     RecordSink, Shard, Telemetry, WorkerSlot,
 };
-use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
+use amsfi_waves::{Logic, LogicVector, MismatchToggles, SimBudget, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -172,6 +174,36 @@ fn batch_flag_without_batch_spec_falls_back_to_scalar() {
     for (a, b) in scalar.result.cases.iter().zip(&fallback.result.cases) {
         assert_eq!(a, b);
     }
+}
+
+#[test]
+fn a_skewed_comparison_runs_scalar_and_says_why() {
+    // A word lane is booked from where its X01 values differ from golden's
+    // at the same instant; an edge-skew tolerance also reads golden at
+    // `t ± skew`, which that does not carry. Such a campaign resolves to
+    // the scalar plan, once, with the reason in the event stream.
+    let base = counter_campaign(&[0, 3, 7], &times(), None);
+    let campaign = Campaign {
+        spec: base.spec.clone().with_digital_skew(Time::from_ns(2)),
+        ..base
+    };
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(2))
+            .run(&campaign)
+            .expect("scalar run")
+            .result,
+    );
+    let (batch, text) = run_with_events("batch-skew", batch_config(2), &campaign);
+    assert_eq!(expected, report::cases_csv(&batch.result));
+    assert_eq!((batch.path, batch.stats.fallbacks), ("scalar", 0));
+    let fallbacks = events_of(&text, "batch", "fallback");
+    assert_eq!(fallbacks.len(), 1, "one fallback event:\n{text}");
+    assert!(
+        fallbacks[0].contains("\"reason\":\"digital_skew needs lane traces\""),
+        "{}",
+        fallbacks[0]
+    );
+    assert!(events_of(&text, "span", "batch").is_empty(), "{text}");
 }
 
 #[test]
@@ -543,12 +575,12 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
             } else if lived + 8 < cap {
                 match (free, capped) {
                     (
-                        LaneOutcome::Completed { trace, sealed_at },
+                        LaneOutcome::Completed { toggles, sealed_at },
                         LaneOutcome::Completed {
-                            trace: t,
+                            toggles: t,
                             sealed_at: s,
                         },
-                    ) => assert!(trace == t && sealed_at == s, "{name}, lane {lane}"),
+                    ) => assert!(toggles == t && sealed_at == s, "{name}, lane {lane}"),
                     (LaneOutcome::Clean { sealed_at }, LaneOutcome::Clean { sealed_at: s }) => {
                         assert_eq!(sealed_at, s, "{name}, lane {lane}")
                     }
@@ -715,15 +747,15 @@ fn run_word_spec(
     (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot).expect("word group")
 }
 
-/// The lanes' traces of `group` run unguarded on `slot`.
+/// The lanes' mismatch toggles of `group` run unguarded on `slot`.
 fn run_word_group(
     campaign: &Campaign,
     group: &[usize],
     slot: &mut WorkerSlot,
-) -> Vec<amsfi_waves::Trace> {
+) -> Vec<MismatchToggles> {
     let run = run_word_spec(campaign, group, slot, &SimBudget::unlimited);
     (0..group.len())
-        .map(|lane| run.lane_trace(lane).expect("lane failed").clone())
+        .map(|lane| run.lane_toggles(lane).expect("lane failed").clone())
         .collect()
 }
 

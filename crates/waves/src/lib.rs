@@ -56,6 +56,7 @@ mod logic;
 pub mod measure;
 mod stream;
 mod time;
+mod toggles;
 mod trace;
 pub mod vcd;
 mod vector;
@@ -70,9 +71,11 @@ pub use fork::{Checkpoint, CheckpointMismatch, Fnv1a, Follow, ForkableSim, SimTa
 pub use guard::{CancelToken, GuardViolation, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
 pub use stream::{
-    AnalogStream, DigitalStream, SimObserver, StreamState, TraceView, OBSERVER_STRIDE,
+    AnalogStream, ClosedMismatch, DigitalStream, SimObserver, StreamState, ToggleStream, TraceView,
+    OBSERVER_STRIDE,
 };
 pub use time::Time;
+pub use toggles::MismatchToggles;
 pub use trace::{AnalogSlot, DigitalSlot, Trace};
 pub use vector::{LogicVector, ParseLogicVectorError};
 pub use wave::{AnalogWave, DigitalWave, PushOutOfOrderError};

@@ -514,6 +514,18 @@ impl LogicPlanes {
             | (self.planes[3] ^ other.planes[3])
     }
 
+    /// Lanes whose value reduces ([`Logic::to_x01`]) to another strong value
+    /// than lane `lane`'s: the divergence the digital comparators see, in
+    /// which `'1'` equals `'H'` and every metalogical value is `'X'`. Two
+    /// lanes agree exactly when their [`is_low_mask`](Self::is_low_mask)
+    /// and [`is_high_mask`](Self::is_high_mask) bits do.
+    pub const fn x01_diverged_from(&self, lane: usize) -> u64 {
+        let (low, high) = (self.is_low_mask(), self.is_high_mask());
+        let low_there = 0u64.wrapping_sub((low >> lane) & 1);
+        let high_there = 0u64.wrapping_sub((high >> lane) & 1);
+        (low ^ low_there) | (high ^ high_there)
+    }
+
     fn classes(&self) -> ClassMasks {
         let [p0, p1, p2, p3] = self.planes;
         let n3 = !p3;
@@ -1058,5 +1070,23 @@ mod tests {
         assert_eq!(faulty.diverged_mask(golden), 1 | (1 << 17) | (1 << 63));
         // The mask is symmetric.
         assert_eq!(golden.diverged_mask(faulty), faulty.diverged_mask(golden));
+    }
+
+    #[test]
+    fn x01_divergence_is_to_x01_inequality_over_all_pairs() {
+        for (i, &reference) in Logic::ALL.iter().enumerate() {
+            for lane in [0, 40, 63] {
+                let mut w = LogicPlanes::from_lanes(
+                    &(0..LANES)
+                        .map(|k| Logic::ALL[(i + k) % 9])
+                        .collect::<Vec<_>>(),
+                );
+                w.set_lane(lane, reference);
+                let expected = (0..LANES)
+                    .filter(|&k| w.lane(k).to_x01() != reference.to_x01())
+                    .fold(0u64, |m, k| m | 1 << k);
+                assert_eq!(w.x01_diverged_from(lane), expected, "{reference} @ {lane}");
+            }
+        }
     }
 }

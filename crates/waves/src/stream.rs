@@ -95,19 +95,30 @@ impl AnalogValueCursor {
 const UNSET: Time = Time::from_fs(i64::MIN);
 
 /// The domain-independent half of a streaming comparison, embedded in
-/// [`DigitalStream`] and [`AnalogStream`]: the window, the incremental
-/// interval builder and the finality bound.
+/// [`DigitalStream`], [`AnalogStream`] and [`ToggleStream`]: the window,
+/// the incremental interval builder and the finality bound.
 ///
 /// The builder is the incremental equivalent of the batch one: a
 /// mismatching observation extends to the next observation, and intervals
 /// closer than `merge_gap` fuse. Feeding the same `(time, matched)`
-/// sequence produces byte-identical intervals.
+/// sequence produces byte-identical intervals. What a verdict reads of them
+/// is kept up to date as they close ([`StreamState::closed`]); the list
+/// itself only by a stream that reports it.
 #[derive(Debug, Clone)]
 pub struct StreamState {
     from: Time,
     to: Time,
     merge_gap: Time,
-    intervals: Vec<MismatchInterval>,
+    /// Every closed interval before `latest`, for a stream whose `finish`
+    /// returns them all; `None` for one read through `closed` alone.
+    earlier: Option<Vec<MismatchInterval>>,
+    /// The most recently closed interval: the one a new mismatch may fuse
+    /// with.
+    latest: Option<MismatchInterval>,
+    /// Start of the first closed interval (meaningful once `latest` is
+    /// set) and the summed length of all of them.
+    first: Time,
+    total: Time,
     /// The previous observation mismatched at this time; its interval stays
     /// open until the next observation closes (and bounds) it.
     open: Option<Time>,
@@ -116,13 +127,27 @@ pub struct StreamState {
     finished: bool,
 }
 
+/// What the closed mismatch intervals of a [`StreamState`] amount to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedMismatch {
+    /// Start of the first interval.
+    pub first: Time,
+    /// End of the last interval.
+    pub last: Time,
+    /// Summed length of all of them.
+    pub total: Time,
+}
+
 impl StreamState {
-    fn new(from: Time, to: Time, merge_gap: Time) -> Self {
+    fn new(from: Time, to: Time, merge_gap: Time, listed: bool) -> Self {
         StreamState {
             from,
             to,
             merge_gap,
-            intervals: Vec::new(),
+            earlier: listed.then(Vec::new),
+            latest: None,
+            first: UNSET,
+            total: Time::ZERO,
             open: None,
             last_obs: UNSET,
             limit: UNSET,
@@ -130,6 +155,7 @@ impl StreamState {
         }
     }
 
+    #[inline]
     fn observe(&mut self, t: Time, matched: bool) {
         if let Some(from) = self.open.take() {
             self.push(from, t);
@@ -140,10 +166,25 @@ impl StreamState {
         self.last_obs = t;
     }
 
+    #[inline]
     fn push(&mut self, from: Time, end: Time) {
-        match self.intervals.last_mut() {
-            Some(last) if from - last.to <= self.merge_gap => last.to = last.to.max(end),
-            _ => self.intervals.push(MismatchInterval { from, to: end }),
+        match &mut self.latest {
+            Some(latest) if from - latest.to <= self.merge_gap => {
+                let to = latest.to.max(end);
+                self.total += to - latest.to;
+                latest.to = to;
+            }
+            _ => {
+                self.total += end - from;
+                match self.latest.replace(MismatchInterval { from, to: end }) {
+                    None => self.first = from,
+                    Some(done) => {
+                        if let Some(earlier) = &mut self.earlier {
+                            earlier.push(done);
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -167,24 +208,33 @@ impl StreamState {
         [self.to, self.from].map(|t| (!self.finished && t > self.last_obs).then_some(t))
     }
 
-    /// Closes a still-open mismatch at its own time (it was the final
-    /// observation, so it extends no further) and returns the completed
-    /// comparison.
-    fn seal(&mut self) -> SignalComparison {
+    /// Closes a still-open mismatch at its own time: it was the final
+    /// observation, so it extends no further.
+    fn close(&mut self) {
         if let Some(from) = self.open.take() {
             self.push(from, from);
         }
         self.finished = true;
+    }
+
+    /// [`StreamState::close`], returning every interval of a listed stream.
+    fn seal(&mut self) -> SignalComparison {
+        self.close();
+        let earlier = self.earlier.iter().flatten();
         SignalComparison {
-            mismatches: self.intervals.clone(),
+            mismatches: earlier.chain(&self.latest).copied().collect(),
         }
     }
 
-    /// Mismatch intervals closed so far (an open mismatch is not included
-    /// until the observation that bounds it — see
-    /// [`StreamState::open_since`]).
-    pub fn intervals(&self) -> &[MismatchInterval] {
-        &self.intervals
+    /// The mismatch intervals closed so far, summed up; `None` while none
+    /// has (an open mismatch is not included until the observation that
+    /// bounds it — see [`StreamState::open_since`]).
+    pub fn closed(&self) -> Option<ClosedMismatch> {
+        self.latest.map(|latest| ClosedMismatch {
+            first: self.first,
+            last: latest.to,
+            total: self.total,
+        })
     }
 
     /// Start of the currently open (still mismatching) interval, if any.
@@ -254,7 +304,7 @@ impl DigitalStream {
             }
         }
         DigitalStream {
-            state: StreamState::new(from, to, merge_gap),
+            state: StreamState::new(from, to, merge_gap, true),
             skew,
             sources,
             nsources: n,
@@ -330,6 +380,80 @@ impl DigitalStream {
     }
 }
 
+/// A digital comparator fed where the comparison flips instead of the two
+/// waves: the instants at which the faulty value, reduced to X01, starts or
+/// stops differing from the golden one — a slot's entries of
+/// [`MismatchToggles`](crate::MismatchToggles). Both waves start
+/// `'U'`, so the comparison starts matched.
+///
+/// It arrives at the [`StreamState`] [`DigitalStream::finish`] leaves with
+/// zero skew (and a non-negative merge gap): that stream observes at
+/// `from`, at every transition of either wave inside the window and at
+/// `to`, and an observation that repeats the previous result changes no
+/// interval. This one observes at `from`, at each toggle in `(from, to]`
+/// and at `to`. It keeps the intervals' summary, not their list.
+#[derive(Debug, Clone)]
+pub struct ToggleStream {
+    state: StreamState,
+    mismatched: bool,
+}
+
+impl ToggleStream {
+    /// A stream comparing over `[from, to]` with the given merge gap.
+    pub fn new(from: Time, to: Time, merge_gap: Time) -> Self {
+        ToggleStream {
+            state: StreamState::new(from, to, merge_gap, false),
+            mismatched: false,
+        }
+    }
+
+    /// Feeds one instant at which the comparison flips. Instants must be
+    /// strictly increasing.
+    #[inline]
+    pub fn toggle(&mut self, t: Time) {
+        let (from, to) = (self.state.from, self.state.to);
+        if from < t && t <= to {
+            // Inside the window the only end owed before `t` is `from`.
+            if self.state.last_obs < from {
+                self.state.observe(from, !self.mismatched);
+            }
+            self.mismatched = !self.mismatched;
+            self.state.observe(t, !self.mismatched);
+        } else {
+            self.observe_ends(Some(t));
+            self.mismatched = !self.mismatched;
+        }
+    }
+
+    /// Observes the window ends still owed (those strictly before `until`,
+    /// when given): `from` then `to`, or for an inverted window `to` then
+    /// `from` — the order [`DigitalStream::finish`] observes them in.
+    fn observe_ends(&mut self, until: Option<Time>) {
+        let (from, to) = (self.state.from, self.state.to);
+        for end in [from.min(to), from.max(to)] {
+            if end > self.state.last_obs && until.is_none_or(|t| end < t) {
+                self.state.observe(end, !self.mismatched);
+            }
+        }
+    }
+
+    /// Closes the window once every toggle is fed and returns the completed
+    /// comparison state. Idempotent.
+    pub fn finish(&mut self) -> &StreamState {
+        if !self.state.finished {
+            self.observe_ends(None);
+            self.state.raise(self.state.to);
+            self.state.close();
+        }
+        &self.state
+    }
+
+    /// The comparison state as of the last toggle fed.
+    pub fn state(&self) -> &StreamState {
+        &self.state
+    }
+}
+
 /// A streaming analog comparator: equivalent to the batch
 /// `compare_analog`, but incremental and O(n).
 #[derive(Debug, Clone)]
@@ -347,7 +471,7 @@ impl AnalogStream {
     /// merge gap (the exact parameters of the batch path).
     pub fn new(from: Time, to: Time, tolerance: Tolerance, merge_gap: Time) -> Self {
         AnalogStream {
-            state: StreamState::new(from, to, merge_gap),
+            state: StreamState::new(from, to, merge_gap, true),
             tolerance,
             g_idx: 0,
             f_idx: 0,
@@ -436,6 +560,16 @@ impl<'a> TraceView<'a> {
     /// The named analog waveform from the first part recording it.
     pub fn analog(&self, name: &str) -> Option<&'a AnalogWave> {
         self.parts.iter().find_map(|t| t.analog(name))
+    }
+
+    /// An owned copy of what the view shows — every part's waves, the first
+    /// part's where names clash — to keep past the hook it was shown to.
+    pub fn to_trace(&self) -> Trace {
+        let mut out = Trace::new();
+        for &part in self.parts.iter().rev() {
+            out.absorb(part.clone());
+        }
+        out
     }
 }
 
@@ -622,7 +756,7 @@ mod tests {
         s.advance(&g, &f, Time::from_ns(500));
         assert_eq!(s.state().open_since(), Some(Time::from_ns(100)));
         assert_eq!(s.state().processed_to(), Time::from_ns(500));
-        assert!(s.state().intervals().is_empty(), "not closed yet");
+        assert!(s.state().closed().is_none(), "not closed yet");
         let cmp = s.finish(&g, &f);
         assert_eq!(cmp.first_divergence(), Some(Time::from_ns(100)));
         assert_eq!(cmp.last_divergence(), Some(Time::from_ns(1000)));
@@ -673,5 +807,11 @@ mod tests {
         assert!(view.digital("d").is_some());
         assert_eq!(view.analog("v").unwrap().value_at(Time::ZERO), 1.5);
         assert!(view.digital("nope").is_none());
+
+        b.record_digital("d", Time::ZERO, Logic::Zero).unwrap();
+        let parts = [&a, &b];
+        let owned = TraceView::new(&parts).to_trace();
+        assert_eq!(owned.digital("d"), a.digital("d"), "the first part wins");
+        assert_eq!(owned.analog("v"), b.analog("v"));
     }
 }

@@ -14,8 +14,16 @@ use std::sync::Arc;
 
 /// Handle to one digital signal of a [`Trace`], from
 /// [`Trace::digital_slot`]. Valid for that trace and every clone of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DigitalSlot(u32);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DigitalSlot(pub(crate) u32);
+
+impl DigitalSlot {
+    /// The slot's position among its trace's digital slots, in registration
+    /// order: dense from zero, for tables indexed by slot.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Handle to one analog signal of a [`Trace`], from
 /// [`Trace::analog_slot`]. Valid for that trace and every clone of it.
@@ -95,10 +103,19 @@ impl<W: Wave> Table<W> {
         &mut self.slots[slot as usize].1
     }
 
-    fn get(&self, name: &str) -> Option<&W> {
-        let at = self.position(name).ok()?;
-        let wave = &self.slots[self.by_name[at] as usize].1;
+    /// The slot of `name`, if registered.
+    fn slot_of(&self, name: &str) -> Option<u32> {
+        self.position(name).ok().map(|at| self.by_name[at])
+    }
+
+    /// The wave behind `slot`, if it has recorded.
+    fn recorded_at(&self, slot: u32) -> Option<&W> {
+        let wave = &self.slots[slot as usize].1;
         (!wave.is_silent()).then_some(wave)
+    }
+
+    fn get(&self, name: &str) -> Option<&W> {
+        self.recorded_at(self.slot_of(name)?)
     }
 
     /// `(name, wave)` of every signal that recorded, sorted by name.
@@ -107,28 +124,6 @@ impl<W: Wave> Table<W> {
             let (name, wave) = &self.slots[slot as usize];
             (!wave.is_silent()).then_some((&**name, wave))
         })
-    }
-
-    /// The same slots under the same names, none of which has recorded.
-    fn same_slots(&self) -> Self {
-        Table {
-            slots: self
-                .slots
-                .iter()
-                .map(|(name, _)| (Arc::clone(name), W::default()))
-                .collect(),
-            by_name: self.by_name.clone(),
-        }
-    }
-
-    /// Appends `golden`'s records strictly after `at` to the wave of `slot`.
-    fn splice_slot_suffix(&mut self, slot: u32, golden: &W, at: Time) {
-        let all = golden.records();
-        let lane = self.wave_mut(slot);
-        for &(t, v) in &all[all.partition_point(|&(t, _)| t <= at)..] {
-            lane.append(t, v)
-                .expect("golden suffix record precedes lane prefix end");
-        }
     }
 
     /// Appends `golden`'s records strictly after `at` to the same-named
@@ -143,7 +138,12 @@ impl<W: Wave> Table<W> {
                 Some((known, _)) if known == name => hint as u32,
                 _ => self.slot(name),
             };
-            self.splice_slot_suffix(slot, wave, at);
+            let all = wave.records();
+            let lane = self.wave_mut(slot);
+            for &(t, v) in &all[all.partition_point(|&(t, _)| t <= at)..] {
+                lane.append(t, v)
+                    .expect("golden suffix record precedes lane prefix end");
+            }
         }
     }
 
@@ -368,34 +368,29 @@ impl Trace {
         self.analog.splice_suffix(&golden.analog, at);
     }
 
-    /// A trace with this one's slots — every [`DigitalSlot`] and
-    /// [`AnalogSlot`] of `self` is valid for it — none of which has
-    /// recorded yet. A word-kernel lane that follows the golden machine
-    /// starts from this when it first leaves it, and takes over from the
-    /// golden trace only the waves it needs
-    /// ([`Trace::copy_digital`]).
-    #[must_use]
-    pub fn same_slots(&self) -> Trace {
-        Trace {
-            digital: self.digital.same_slots(),
-            analog: self.analog.same_slots(),
-        }
+    /// The digital wave behind `slot`, if it has recorded — what
+    /// [`Trace::digital`] returns for the slot's name.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `slot` comes from an unrelated trace.
+    pub fn digital_at(&self, slot: DigitalSlot) -> Option<&DigitalWave> {
+        self.digital.recorded_at(slot.0)
     }
 
-    /// Replaces the wave behind `slot` by `from`'s wave behind the same
-    /// slot, transitions and all. `from` must share this trace's slots
-    /// (a clone, or [`Trace::same_slots`]).
-    pub fn copy_digital(&mut self, slot: DigitalSlot, from: &Trace) {
-        self.digital
-            .wave_mut(slot.0)
-            .clone_from(&from.digital.slots[slot.0 as usize].1);
+    /// The slot of the named digital signal, if it has recorded: the slot
+    /// behind which [`Trace::digital`] finds `name`.
+    pub fn recorded_digital_slot(&self, name: &str) -> Option<DigitalSlot> {
+        let slot = self.digital.slot_of(name)?;
+        self.digital.recorded_at(slot).map(|_| DigitalSlot(slot))
     }
 
-    /// [`Trace::splice_golden_suffix`] for the one wave behind `slot`.
-    /// `golden` must share this trace's slots.
-    pub fn splice_digital_suffix(&mut self, slot: DigitalSlot, golden: &Trace, at: Time) {
-        self.digital
-            .splice_slot_suffix(slot.0, &golden.digital.slots[slot.0 as usize].1, at);
+    /// Every digital slot, recorded or silent, in registration order, with
+    /// its name and wave.
+    pub(crate) fn digital_slots(&self) -> impl Iterator<Item = (DigitalSlot, &str, &DigitalWave)> {
+        (0u32..)
+            .zip(&self.digital.slots)
+            .map(|(slot, (name, wave))| (DigitalSlot(slot), &**name, wave))
     }
 
     /// Approximate resident size of the recorded data in bytes: payload
@@ -478,46 +473,6 @@ mod tests {
         tr.record_digital("s", Time::from_ns(5), Logic::One)
             .unwrap();
         assert!(tr.record_digital("s", Time::ZERO, Logic::Zero).is_err());
-    }
-
-    #[test]
-    fn a_lane_trace_assembled_slot_by_slot_equals_the_spliced_clone() {
-        let mut golden = Trace::new();
-        let a = golden.digital_slot("a");
-        let b = golden.digital_slot("b");
-        let idle = golden.digital_slot("idle");
-        for (t, v) in [(0, Logic::Zero), (10, Logic::One), (20, Logic::Zero)] {
-            golden.push_digital(a, Time::from_ns(t), v).unwrap();
-            golden
-                .push_digital(b, Time::from_ns(t), v.flipped())
-                .unwrap();
-        }
-        let at = Time::from_ns(10);
-
-        // Today's lane: a clone cut at `at`, diverged on `a`, spliced.
-        let mut cloned = Trace::new();
-        for name in ["a", "b", "idle"] {
-            cloned.digital_slot(name);
-        }
-        cloned.push_digital(a, Time::ZERO, Logic::Zero).unwrap();
-        cloned
-            .push_digital(a, Time::from_ns(5), Logic::One)
-            .unwrap();
-        cloned.push_digital(b, Time::ZERO, Logic::One).unwrap();
-        cloned.push_digital(b, at, Logic::Zero).unwrap();
-        cloned.splice_golden_suffix(&golden, at);
-
-        // The same lane following golden on `b`: only `a` is its own.
-        let mut lane = golden.same_slots();
-        assert!(lane.is_empty() && lane.digital("a").is_none());
-        lane.push_digital(a, Time::ZERO, Logic::Zero).unwrap();
-        lane.push_digital(a, Time::from_ns(5), Logic::One).unwrap();
-        lane.splice_digital_suffix(a, &golden, at);
-        lane.copy_digital(b, &golden);
-        lane.copy_digital(idle, &golden);
-        assert_eq!(lane, cloned);
-        assert_eq!(lane.digital("b"), golden.digital("b"));
-        assert_eq!(lane.digital_names().collect::<Vec<_>>(), ["a", "b"]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use amsfi_waves::{
     baseline, compare_analog, compare_digital_with_skew, measure, vcd, AnalogStream, AnalogWave,
-    DigitalStream, DigitalWave, Logic, LogicVector, Time, Tolerance, Trace,
+    DigitalStream, DigitalWave, Logic, LogicVector, MismatchToggles, Time, ToggleStream, Tolerance,
+    Trace,
 };
 use proptest::prelude::*;
 
@@ -426,5 +427,58 @@ proptest! {
         let back = Time::from_secs_f64(t.as_secs_f64());
         // f64 has 52 mantissa bits; round trip is exact to ~128 fs at 0.5 s.
         prop_assert!((back - t).abs() <= Time::from_fs(256));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The comparison fed a slot's mismatch toggles is the one
+    /// `DigitalStream` makes of the two waves with zero skew: over waves
+    /// holding every value (weak levels read as strong, metalogical ones as
+    /// `'X'`), pushed with same-instant overwrites, through windows before,
+    /// inside, across and after the toggles, inverted ones included, at
+    /// zero and positive merge gaps. A faulty run that never recorded is
+    /// all `'U'` to both.
+    #[test]
+    fn toggle_fed_stream_equals_the_digital_stream(
+        g_pushes in prop::collection::vec((0i64..400, arb_logic()), 0..30),
+        f_pushes in prop::collection::vec((0i64..400, arb_logic()), 0..30),
+        from_ns in -50i64..450,
+        span_ns in -100i64..450,
+        gap_ns in prop::sample::select(vec![0i64, 0, 1, 7, 40]),
+    ) {
+        // Out-of-order draws are sorted; equal instants stay, and the later
+        // push overwrites the earlier.
+        let record = |pushes: &[(i64, Logic)]| {
+            let mut pushes = pushes.to_vec();
+            pushes.sort_by_key(|&(t, _)| t);
+            let mut trace = Trace::new();
+            let slot = trace.digital_slot("s");
+            for (t, v) in pushes {
+                trace.push_digital(slot, Time::from_ns(t), v).unwrap();
+            }
+            (trace, slot)
+        };
+        let ((golden, slot), (faulty, _)) = (record(&g_pushes), record(&f_pushes));
+        let wave = |trace: &Trace| trace.digital("s").cloned().unwrap_or_default();
+        let (g, f) = (wave(&golden), wave(&faulty));
+        let (from, to) = (Time::from_ns(from_ns), Time::from_ns(from_ns + span_ns));
+        let gap = Time::from_ns(gap_ns);
+
+        let mut digital = DigitalStream::new(from, to, gap, Time::ZERO);
+        let cmp = digital.finish(&g, &f);
+        let mut toggled = ToggleStream::new(from, to, gap);
+        for t in MismatchToggles::between(&golden, &faulty).of_slot(slot) {
+            toggled.toggle(t);
+        }
+        let (a, b) = (digital.state(), toggled.finish());
+        prop_assert_eq!(a.closed(), b.closed());
+        prop_assert_eq!(a.open_since(), b.open_since());
+        prop_assert_eq!(a.processed_to(), b.processed_to());
+        prop_assert_eq!(b.closed().map(|c| c.first), cmp.first_divergence());
+        prop_assert_eq!(b.closed().map(|c| c.last), cmp.last_divergence());
+        prop_assert_eq!(b.closed().map_or(Time::ZERO, |c| c.total), cmp.total_mismatch());
+        prop_assert_eq!(&cmp, &baseline::compare_digital_with_skew(&g, &f, from, to, gap, Time::ZERO));
     }
 }
