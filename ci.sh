@@ -125,13 +125,18 @@ batch_equals_plain() { # <tag> <campaign and options...>
     cmp "$tmp/$tag.plain.sorted" "$tmp/$tag.batch.sorted"
 }
 batch_equals_plain cpu cpu
-batch_equals_plain cpu-set cpu-set
+batch_equals_plain cpu-set cpu-set --workers 2
 batch_equals_plain cpu-guarded cpu --max-steps 100000000
 for tag in cpu cpu-set; do
     grep -q '"kind":"span","name":"batch"' "$tmp/$tag.jsonl"
     test "$(grep -c '"name":"fallback"' "$tmp/$tag.jsonl")" -eq 0
     test "$(grep -c '"name":"lane_fallback"' "$tmp/$tag.jsonl")" -eq 0
 done
+# cpu-set's washed-out pulses seal within nanoseconds, and a sealed lane
+# takes its group's next case: two workers' groups of 126 must report
+# refills. A refill path that silently stops firing is a slowdown byte
+# identity cannot see either.
+grep '"kind":"span","name":"batch"' "$tmp/cpu-set.jsonl" | grep -q '"refills":"[1-9]'
 batch_equals_plain pll pll-digital --limit 6
 test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/pll.jsonl")" -eq 1
 grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"

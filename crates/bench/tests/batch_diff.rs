@@ -28,7 +28,13 @@
 //! scalar traces: golden byte-equal, every lane's mismatch toggles the ones
 //! its scalar trace shows against golden (a lane reported `Clean` only
 //! where it shows none), every other lane — observed, so recording —
-//! byte-equal, seal instants equal between the word runs.
+//! byte-equal, seal instants equal between the word runs. A refill leg
+//! then runs a longer list on the seed's netlist through the engine the
+//! same way — 192 cases, mostly short SET pulses that wash out — so that
+//! sealed lanes take later cases: on one worker in a single group of more
+//! cases than a word has lanes, the rest spilling to further machines; on
+//! three in groups of 63, whose later cases still sit on lanes earlier
+//! ones freed.
 //!
 //! Every divergence this harness has found gets a minimized regression
 //! test committed next to the fix (see `seed_regressions` below); the
@@ -37,7 +43,7 @@
 //! seed) — ci.sh runs a widened smoke, the default stays test-suite
 //! cheap.
 
-use amsfi_core::{ClassifySpec, FaultCase};
+use amsfi_core::{report, ClassifySpec, FaultCase};
 use amsfi_digital::{
     cells, BatchReport, ComponentId, DigitalSaboteur, InjectTarget, LaneOutcome, Netlist, SignalId,
     Simulator, WordBatchSimulator,
@@ -409,15 +415,60 @@ fn fuzz_faults(seed: u64) -> FuzzFaults {
     }
 }
 
-/// Builds the seed's campaign: same `build`/`inject` closure pair on the
-/// scalar and batch paths, via [`Campaign::forked_batch`].
-fn fuzz_campaign(seed: u64) -> Campaign {
+/// Cases in the refill leg's list: one worker's group holds more cases
+/// than a word has lanes. (Three workers' groups do only from 757 cases
+/// on, which would triple the test's time.)
+const REFILL_CASES: usize = 192;
+
+/// The refill leg's fault list for a seed's netlist: three cases in four a
+/// SET pulse shorter than the clock's half period on one of its saboteurs —
+/// most wash out, and their lane seals and takes a later case — the rest
+/// mutant flips, at instants a quarter of which sit on a clock toggle.
+fn refill_faults(seed: u64) -> FuzzFaults {
+    let (probe, shape) = build_sim(seed);
+    let targets: Vec<(ComponentId, usize)> = probe
+        .mutant_targets()
+        .iter()
+        .map(|t| (t.component, t.bit))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4ef1_11ed_1a4e_5eed);
+    let hp = shape.half_period.as_fs();
+    let mut cases = Vec::with_capacity(REFILL_CASES);
+    let mut injects = Vec::with_capacity(REFILL_CASES);
+    for _ in 0..REFILL_CASES {
+        let mut at = Time::from_ns(rng.random_range(100..1800i64));
+        if rng.random_range(0..4u32) == 0 {
+            at = Time::from_fs((at.as_fs() / hp) * hp);
+        }
+        if rng.random_range(0..4u32) != 0 {
+            let name = shape.saboteurs[rng.random_range(0..shape.saboteurs.len())].clone();
+            let width = Time::from_fs(rng.random_range(0..hp));
+            let kind = DigitalFaultKind::SetPulse { width };
+            cases.push(FaultCase::new(format!("{name} {kind} @ {at}"), at));
+            injects.push(FuzzInject::Sab(name, DigitalFault::new(kind, at)));
+        } else {
+            let ti = rng.random_range(0..targets.len());
+            cases.push(FaultCase::new(format!("flip target {ti} @ {at}"), at));
+            injects.push(FuzzInject::Flip(ti));
+        }
+    }
+    FuzzFaults {
+        targets,
+        cases,
+        injects,
+        monitored: shape.monitored,
+    }
+}
+
+/// Builds the seed's campaign over `faults`: same `build`/`inject` closure
+/// pair on the scalar and batch paths, via [`Campaign::forked_batch`].
+fn fuzz_campaign(seed: u64, faults: FuzzFaults) -> Campaign {
     let FuzzFaults {
         targets,
         cases,
         injects,
         monitored,
-    } = fuzz_faults(seed);
+    } = faults;
     let spec = ClassifySpec::new((Time::ZERO, T_END), monitored);
 
     let (targets, injects) = (Arc::new(targets), Arc::new(injects));
@@ -561,38 +612,73 @@ fn check_seeded_word(seed: u64) {
 
 /// The engine-level oracle: scalar vs `--batch`, byte-identical
 /// everything, at worker counts that produce different lane groupings.
-/// Before it, the kernel-level leg ([`check_seeded_word`]).
-fn check_seed(seed: u64) {
-    check_seeded_word(seed);
-    let campaign = fuzz_campaign(seed);
+fn check_engine(what: &str, campaign: &Campaign) {
     let scalar = Engine::new(EngineConfig::default().with_workers(1))
-        .run(&campaign)
-        .unwrap_or_else(|e| panic!("seed {seed}: scalar run failed: {e}"));
+        .run(campaign)
+        .unwrap_or_else(|e| panic!("{what}: scalar run failed: {e}"));
     for workers in [1usize, 3] {
         let batch = Engine::new(
             EngineConfig::default()
                 .with_workers(workers)
                 .with_batch(true),
         )
-        .run(&campaign)
-        .unwrap_or_else(|e| panic!("seed {seed}: batch run failed: {e}"));
+        .run(campaign)
+        .unwrap_or_else(|e| panic!("{what}: batch run failed: {e}"));
         assert_eq!(
             scalar.result.golden, batch.result.golden,
-            "seed {seed}, {workers} workers: golden trace diverged on the batch path"
+            "{what}, {workers} workers: golden trace diverged on the batch path"
         );
         assert_eq!(
             scalar.result.cases.len(),
             batch.result.cases.len(),
-            "seed {seed}, {workers} workers: case count diverged on the batch path"
+            "{what}, {workers} workers: case count diverged on the batch path"
         );
         for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
             assert_eq!(
                 a, b,
-                "seed {seed}, {workers} workers: case {} diverged between scalar and batch",
+                "{what}, {workers} workers: case {} diverged between scalar and batch",
                 a.case.label
             );
         }
+        assert_eq!(
+            report::cases_csv(&scalar.result),
+            report::cases_csv(&batch.result),
+            "{what}, {workers} workers: cases.csv"
+        );
     }
+}
+
+/// One seed: the kernel-level leg ([`check_seeded_word`]), then the engine
+/// oracle on its fault list.
+fn check_seed(seed: u64) {
+    check_seeded_word(seed);
+    check_engine(
+        &format!("seed {seed}"),
+        &fuzz_campaign(seed, fuzz_faults(seed)),
+    );
+}
+
+/// The engine oracle on a seed's refill list ([`refill_faults`]). Returns
+/// how many of its cases ran on a lane a sealed case had freed, when run
+/// as one word batch.
+fn check_refill(seed: u64) -> usize {
+    let faults = refill_faults(seed);
+    let mut word = WordBatchSimulator::new(build_sim(seed).0, T_END);
+    for case in &faults.cases {
+        word.add_lane(case.injected_at);
+    }
+    let refills = word
+        .run(
+            |lane, target| apply(target, &faults.injects[lane], &faults.targets),
+            |_, _| {},
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: refill batch failed: {e}"))
+        .refills;
+    check_engine(
+        &format!("seed {seed}, refill"),
+        &fuzz_campaign(seed, faults),
+    );
+    refills
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -603,14 +689,19 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Scalar against the engine's `--batch` runs and against word groups
-/// straight on the kernel, over the `AMSFI_FUZZ_*` seed window.
+/// straight on the kernel, over the `AMSFI_FUZZ_*` seed window, each seed
+/// with its refill leg. Those must have seated cases on freed lanes
+/// somewhere in the window.
 #[test]
 fn differential_fuzz_scalar_vs_batch_vs_word() {
     let base = env_u64("AMSFI_FUZZ_BASE", 0);
     let seeds = env_u64("AMSFI_FUZZ_SEEDS", 8);
+    let mut refills = 0;
     for seed in base..base + seeds {
         check_seed(seed);
+        refills += check_refill(seed);
     }
+    assert!(seeds == 0 || refills > 0, "no refill leg refilled a lane");
 }
 
 /// Seeds that found (or nearly found) bugs during development stay

@@ -1,10 +1,10 @@
 //! Word-parallel digital fault simulation: one event wheel, 64 lanes per
 //! gate evaluation.
 //!
-//! A batch of fault cases runs as one PPSFP-style machine — the golden
-//! (fault-free) run plus up to 63 mutant lanes, advancing together along a
-//! common stop grid (every injection instant, seal-check points, the
-//! horizon) — instead of one scalar simulation per case:
+//! A batch of fault cases runs as PPSFP-style machines — the golden
+//! (fault-free) run plus up to 63 mutant lanes at a time, advancing
+//! together along a common stop grid (every injection instant, seal-check
+//! points, the horizon) — instead of one scalar simulation per case:
 //!
 //! * **Plane-valued signal store** — each signal bit holds a
 //!   [`LogicPlanes`] word: lane `l` of the planes is lane `l` of the batch,
@@ -40,6 +40,12 @@
 //!   one-XOR-per-bit plane probe, components compare per-lane state, and
 //!   pending events must show equal participation. From then on the lane
 //!   differs from golden nowhere.
+//! * **Refill** — a batch may hold any number of cases. A sealed lane *is*
+//!   the golden machine again, so while cases still wait it stays live as a
+//!   golden shadow and takes the next case whose instant comes; a case
+//!   whose instant finds no free lane spills to a next machine, built from
+//!   the same forward-only scalar golden cursor. One machine thus serves
+//!   every case that seals early plus 63 that do not.
 //!
 //! A lane costs what it differs, and records no trace. The golden lane
 //! extends the trace the scalar simulator recorded; every other lane keeps
@@ -573,11 +579,14 @@ struct WordSignal {
     /// Per slot, the recording lanes whose settled value, reduced to X01,
     /// differs from the golden lane's.
     mismatched: Vec<u64>,
-    /// The lanes whose trace would hold this signal: it changed on them at
-    /// some time point, or on golden after they froze (a sealed lane's
-    /// future is golden's). A monitored signal records every bit on a
+    /// The lanes whose trace would hold this signal so far: it changed on
+    /// them at some time point. A monitored signal records every bit on a
     /// change, so untouched is silent.
     touched: u64,
+    /// The last time point at which the golden lane changed this signal:
+    /// a case that sealed before it records the signal there too (a
+    /// sealed lane's future is golden's).
+    golden_changed: Time,
 }
 
 struct WordSlot {
@@ -617,7 +626,9 @@ struct WordSimulator {
     wheel: Wheel<WordEventKind>,
     delta_limit: usize,
     events_processed: u64,
-    /// Lanes still simulating (sealed/failed/unused lanes are frozen).
+    /// Lanes still simulating: golden, running cases, and free lanes kept
+    /// for a waiting case (a golden shadow). Failed lanes and lanes no case
+    /// will take are frozen.
     live: u64,
     /// Lanes being compared with golden (golden + activated mutants).
     recording: u64,
@@ -689,6 +700,7 @@ impl WordSimulator {
                     Some(&slot) if seed.trace.digital_at(slot).is_some() => u64::MAX,
                     _ => 0,
                 },
+                golden_changed: Time::ZERO,
                 slots: s.slots,
             })
             .collect();
@@ -1026,7 +1038,6 @@ impl WordSimulator {
         // transition in their trace.
         let rec = self.recording & self.live;
         let recorders = rec & (self.observed | 1 << GOLDEN_LANE);
-        let frozen = !self.live;
         let mut changed_list = std::mem::take(&mut self.scratch.changed_list);
         changed_list.sort_unstable();
         for &sig in &changed_list {
@@ -1037,7 +1048,7 @@ impl WordSimulator {
             }
             state.touched |= lanes;
             if lanes >> GOLDEN_LANE & 1 != 0 {
-                state.touched |= frozen;
+                state.golden_changed = t;
             }
             for ((&slot, planes), mismatched) in state
                 .slots
@@ -1119,13 +1130,38 @@ impl WordSimulator {
         self.scratch.actions = actions;
     }
 
-    /// How lane `lane` ended, once the golden lane has reached the horizon:
-    /// its toggles, plus every slot golden recorded that the lane's trace
-    /// would have left silent.
-    fn lane_outcome(&mut self, lane: usize, sealed_at: Option<Time>) -> LaneOutcome {
-        let mut toggles = std::mem::take(&mut self.toggles[lane]);
+    /// What the case on lane `lane` leaves behind at `at`, its seal instant
+    /// or the horizon: its toggles, and the monitored signals it has not
+    /// touched.
+    fn retire(&mut self, lane: usize, at: Time) -> Retired {
+        let untouched = (0..self.signals.len())
+            .filter(|&s| {
+                let signal = &self.signals[s];
+                !signal.slots.is_empty() && signal.touched >> lane & 1 == 0
+            })
+            .collect();
+        Retired {
+            at,
+            toggles: std::mem::take(&mut self.toggles[lane]),
+            untouched,
+        }
+    }
+
+    /// How a retired case ended, once the golden lane has reached the
+    /// horizon: its toggles, plus every slot golden recorded that the
+    /// case's trace would have left silent — a signal it never touched and
+    /// golden did not change after `retired.at` either.
+    fn outcome(&self, retired: Retired, sealed_at: Option<Time>) -> LaneOutcome {
+        let Retired {
+            at,
+            mut toggles,
+            untouched,
+        } = retired;
         let golden = &self.traces[GOLDEN_LANE];
-        for signal in self.signals.iter().filter(|s| s.touched >> lane & 1 == 0) {
+        for signal in untouched.iter().map(|&s| &self.signals[s]) {
+            if signal.golden_changed > at {
+                continue;
+            }
             for &slot in &signal.slots {
                 if golden.digital_at(slot).is_some() {
                     toggles.mark_silent(slot);
@@ -1136,6 +1172,29 @@ impl WordSimulator {
             LaneOutcome::Clean { sealed_at }
         } else {
             LaneOutcome::Completed { toggles, sealed_at }
+        }
+    }
+
+    /// Makes sealed lane `lane` what a lane whose case has not started is:
+    /// no budget, observer or trace, no mismatch, and touched exactly
+    /// where golden is. Its machine state already equals golden's.
+    fn vacate(&mut self, lane: usize) {
+        let bit = 1u64 << lane;
+        self.polled &= !bit;
+        self.lane_budgets[lane] = None;
+        if self.step_caps.iter().any(|cap| cap.lane == lane) {
+            self.step_caps.retain(|cap| cap.lane != lane);
+            self.next_trip = self.earliest_trip();
+        }
+        self.observed &= !bit;
+        self.lane_observers[lane] = None;
+        self.traces[lane] = Trace::new();
+        for signal in &mut self.signals {
+            for mismatched in &mut signal.mismatched {
+                *mismatched &= !bit;
+            }
+            let golden = signal.touched >> GOLDEN_LANE & 1;
+            signal.touched = (signal.touched & !bit) | (golden << lane);
         }
     }
 
@@ -1352,6 +1411,10 @@ pub struct BatchReport {
     pub golden: Trace,
     /// Per-lane outcomes, indexed like the `add_lane` calls.
     pub outcomes: Vec<LaneOutcome>,
+    /// Word machines the batch ran: one, plus one per spill.
+    pub machines: usize,
+    /// Cases that ran on a lane an earlier, sealed case had freed.
+    pub refills: usize,
 }
 
 impl BatchReport {
@@ -1367,26 +1430,46 @@ impl BatchReport {
     }
 }
 
-enum WordLaneState {
+/// Where one `add_lane` case stands.
+enum CaseState {
+    /// Not started: waiting for its instant, in this machine or a later one.
     Pending,
-    Running,
-    Sealed { at: Time },
-    Failed(String),
+    /// Simulating on lane `lane` of the current machine.
+    Running {
+        lane: usize,
+    },
+    /// Sealed; resolved once its machine's golden lane reaches the horizon.
+    Sealed(Retired),
+    Done(LaneOutcome),
 }
 
-struct WordLane {
+struct WordCase {
     inject_at: Time,
-    state: WordLaneState,
+    state: CaseState,
 }
 
-/// The batch kernel: up to [`WordBatchSimulator::MAX_LANES`] mutant lanes
-/// plus the golden machine in one 64-lane word, sharing a single event
-/// wheel.
+/// What a case leaves behind when its lane retires (see
+/// [`WordSimulator::retire`]).
+struct Retired {
+    at: Time,
+    toggles: MismatchToggles,
+    /// Indices of the monitored signals the case has not touched.
+    untouched: Vec<usize>,
+}
+
+/// The batch kernel: any number of cases on word machines of
+/// [`WordBatchSimulator::MAX_LANES`] mutant lanes plus the golden machine,
+/// each machine one 64-lane word sharing a single event wheel.
 ///
-/// A lane is the golden machine until its injection instant, where the
-/// `inject` closure arms its fault through [`InjectTarget`] — positioned
-/// exactly where the scalar forked runner injects, which is what makes a
-/// lane's trace byte-identical to a scalar run of the same case.
+/// A lane is the golden machine until its case's injection instant, where
+/// the `inject` closure arms its fault through [`InjectTarget`] —
+/// positioned exactly where the scalar forked runner injects, which is
+/// what makes a lane's toggles those of a scalar run of the same case. A
+/// lane whose case seals is the golden machine again and takes the next
+/// case whose instant comes; a case whose instant finds no free lane runs
+/// on a later machine. Which lane and which machine a case runs on never
+/// changes its toggles; the stops of its machine decide when its seal is
+/// seen.
 ///
 /// # Examples
 ///
@@ -1426,12 +1509,12 @@ struct WordLane {
 /// ```
 pub struct WordBatchSimulator {
     /// The fault-free scalar machine: it simulates the prefix all lanes
-    /// share, and [`WordBatchSimulator::run`] lifts it to 64 lanes at the
-    /// first injection instant.
+    /// share, and [`WordBatchSimulator::run`] lifts it to 64 lanes at each
+    /// machine's first injection instant.
     golden: Simulator,
     t_end: Time,
     seal_stride: Option<Time>,
-    lanes: Vec<WordLane>,
+    cases: Vec<WordCase>,
     metrics: Option<Arc<KernelMetrics>>,
 }
 
@@ -1439,7 +1522,7 @@ impl std::fmt::Debug for WordBatchSimulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WordBatchSimulator")
             .field("t_end", &self.t_end)
-            .field("lanes", &self.lanes.len())
+            .field("lanes", &self.cases.len())
             .finish_non_exhaustive()
     }
 }
@@ -1460,7 +1543,7 @@ impl WordBatchSimulator {
             golden,
             t_end,
             seal_stride: None,
-            lanes: Vec::new(),
+            cases: Vec::new(),
             metrics: None,
         }
     }
@@ -1481,66 +1564,35 @@ impl WordBatchSimulator {
         self.metrics = Some(metrics);
     }
 
-    /// Adds a mutant lane injected at `inject_at` (clamped to the horizon)
-    /// and returns its lane id. A lane whose instant the simulator has
+    /// Adds a case injected at `inject_at` (clamped to the horizon) and
+    /// returns its id, the `lane` the [`WordBatchSimulator::run`] closures
+    /// are called with. Any number of cases may be added; more than
+    /// [`WordBatchSimulator::MAX_LANES`] share lanes as theirs seal, or
+    /// run on further machines. A case whose instant the simulator has
     /// already passed cannot be positioned: it ends as
     /// [`LaneOutcome::Failed`] without simulating.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch already holds
-    /// [`WordBatchSimulator::MAX_LANES`] lanes.
     pub fn add_lane(&mut self, inject_at: Time) -> usize {
-        assert!(
-            self.lanes.len() < Self::MAX_LANES,
-            "a word batch holds at most {} mutant lanes",
-            Self::MAX_LANES
-        );
         let inject_at = inject_at.min(self.t_end);
         let now = self.golden.now();
         let state = if inject_at < now {
-            WordLaneState::Failed(format!(
-                "injection instant {inject_at} precedes the simulator's position {now}"
-            ))
+            CaseState::Done(LaneOutcome::Failed {
+                error: format!(
+                    "injection instant {inject_at} precedes the simulator's position {now}"
+                ),
+            })
         } else {
-            WordLaneState::Pending
+            CaseState::Pending
         };
-        self.lanes.push(WordLane { inject_at, state });
-        self.lanes.len() - 1
+        self.cases.push(WordCase { inject_at, state });
+        self.cases.len() - 1
     }
 
-    /// The lock-step stop grid from `start` on: every injection instant,
-    /// seal-check points, and the horizon. Ascending and deduplicated.
-    /// Seal checks sit on multiples of the stride counted from time zero,
-    /// not from `start`, so lanes seal at the same instants wherever the
-    /// golden simulator was handed over.
-    fn stops(&self, start: Time) -> Vec<Time> {
-        let mut stops: Vec<Time> = self
-            .lanes
-            .iter()
-            .filter(|l| matches!(l.state, WordLaneState::Pending))
-            .map(|l| l.inject_at)
-            .collect();
-        let stride = self
-            .seal_stride
-            .unwrap_or_else(|| (self.t_end / 64).max(Time::from_fs(1)));
-        let mut t = start - start % stride + stride;
-        while t < self.t_end {
-            stops.push(t);
-            t += stride;
-        }
-        stops.push(self.t_end);
-        stops.sort_unstable();
-        stops.dedup();
-        stops
-    }
-
-    /// Runs the batch to the horizon. `inject(lane, target)` arms lane
+    /// Runs the batch to the horizon. `inject(lane, target)` arms case
     /// `lane`'s fault on a machine positioned exactly at its injection
     /// instant — the same contract as the scalar forked runner's inject
-    /// closure. `setup(lane, target)` runs first and is where per-lane
+    /// closure. `setup(lane, target)` runs first and is where per-case
     /// budgets and observers are installed. Only a golden/machine-wide
-    /// failure is an error; per-lane failures land in the lane's
+    /// failure is an error; per-case failures land in the case's
     /// [`LaneOutcome`] and never abort the batch.
     ///
     /// # Errors
@@ -1552,154 +1604,273 @@ impl WordBatchSimulator {
     /// [`Simulator::inject_value`]). The campaign engine falls back to
     /// scalar for the whole group.
     pub fn run(
-        mut self,
+        self,
         mut inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
         mut setup: impl FnMut(usize, &mut dyn InjectTarget),
     ) -> Result<BatchReport, SimError> {
-        // Only added mutants and golden simulate; the other lanes freeze.
-        let mut used = 1u64 << GOLDEN_LANE;
-        // The lanes still to activate, in injection order (lane order
-        // within one instant): every instant is a stop of the grid, so the
-        // run walks this list once, front to back.
-        let mut order: Vec<usize> = Vec::with_capacity(self.lanes.len());
-        for (lane_id, lane) in self.lanes.iter().enumerate() {
-            if matches!(lane.state, WordLaneState::Pending) {
-                used |= 1 << lane_id;
-                order.push(lane_id);
-            }
-        }
-        order.sort_by_key(|&lane_id| self.lanes[lane_id].inject_at);
-        let first = order
-            .first()
-            .map_or(self.t_end, |&lane_id| self.lanes[lane_id].inject_at);
-        // Up to the first injection every lane is the golden machine: the
-        // scalar kernel simulates that stretch once, at scalar cost, and
-        // the word machine takes over where lanes can start to differ.
-        self.golden.run_until(first)?;
-        let stops = self.stops(self.golden.now());
         let WordBatchSimulator {
             golden,
             t_end,
-            mut lanes,
+            seal_stride,
+            mut cases,
             metrics,
-            ..
         } = self;
-        let mut sim = WordSimulator::from_scalar(golden)?;
-        sim.live = used;
-        let mut due = order.into_iter().peekable();
-
-        for &t in &stops {
-            sim.run_until(t)?;
-            collect_failures(&mut sim, &mut lanes);
-
-            // Activate the lanes whose injection instant this stop is: from
-            // here on the lane is compared with golden, and setup + inject
-            // run on it.
-            let mut activated = false;
-            while let Some(lane_id) = due.next_if(|&lane_id| lanes[lane_id].inject_at == t) {
-                let lane = &mut lanes[lane_id];
-                sim.recording |= 1 << lane_id;
-                let mut ctx = WordLaneCtx {
-                    sim: &mut sim,
-                    lane: lane_id,
-                };
-                setup(lane_id, &mut ctx);
-                match inject(lane_id, &mut ctx) {
-                    Ok(()) => {
-                        lane.state = WordLaneState::Running;
-                        activated = true;
-                    }
-                    Err(e) => {
-                        sim.fail_lane(lane_id, e.clone());
-                        sim.lane_failures[lane_id] = None;
-                        lane.state = WordLaneState::Failed(e);
-                    }
-                }
+        let stride = seal_stride.unwrap_or_else(|| (t_end / 64).max(Time::from_fs(1)));
+        // The cases still to activate, in injection order (call order
+        // within one instant): every instant is a stop of its machine's
+        // grid, so a machine walks its share of this list once, front to
+        // back, and hands the cases it found no lane for to the next.
+        let mut queue: Vec<usize> = (0..cases.len())
+            .filter(|&c| matches!(cases[c].state, CaseState::Pending))
+            .collect();
+        queue.sort_by_key(|&c| cases[c].inject_at);
+        // A later machine counts its steps from its own first instant, as
+        // a batch handed the cursor there would.
+        let budget = golden.budget().clone();
+        let mut cursor = Some(golden);
+        let (mut machines, mut refills) = (0, 0);
+        let mut golden_trace: Option<Trace> = None;
+        while let Some(mut scalar) = cursor.take() {
+            let first = queue.first().map_or(t_end, |&c| cases[c].inject_at);
+            // Up to the first injection every lane is the golden machine:
+            // the scalar kernel simulates that stretch once, at scalar
+            // cost, and the word machine takes over where lanes can start
+            // to differ.
+            scalar.run_until(first)?;
+            if queue.len() > Self::MAX_LANES {
+                // Cases may spill: the next machine forks here too.
+                cursor = Some(scalar.clone());
             }
-            // Drain the injection wakes scheduled at the stop itself, so
-            // the corrupted state propagates before the seal probe — the
-            // same re-opened time point a scalar run processes.
-            if activated {
-                sim.run_until(t)?;
-                collect_failures(&mut sim, &mut lanes);
+            if machines > 0 {
+                scalar.set_budget(budget.clone());
             }
-
-            seal_reconverged(&mut sim, &mut lanes, metrics.as_deref(), t);
-
-            let active = lanes
-                .iter()
-                .filter(|l| matches!(l.state, WordLaneState::Running | WordLaneState::Pending))
-                .count();
-            if let Some(metrics) = &metrics {
-                // Mutant lanes only: the golden lane is live by
-                // construction, and excluding it keeps every observation
-                // within the 63-slot mutant capacity (so the log₂ p50
-                // never reads past the word width).
-                metrics
-                    .lane_occupancy
-                    .observe(u64::from(sim.live.count_ones().saturating_sub(1)));
-            }
-            if active == 0 {
+            let instants = queue.iter().map(|&c| cases[c].inject_at);
+            let stops = stop_grid(instants, scalar.now(), stride, t_end);
+            let mut sim = WordSimulator::from_scalar(scalar)?;
+            let pass = run_machine(
+                &mut sim,
+                &mut cases,
+                &queue,
+                &stops,
+                metrics.as_deref(),
+                &mut inject,
+                &mut setup,
+            )?;
+            machines += 1;
+            refills += pass.refills;
+            queue = pass.spilled;
+            let golden = std::mem::take(&mut sim.traces[GOLDEN_LANE]);
+            debug_assert!(
+                golden_trace.as_ref().is_none_or(|g| *g == golden),
+                "the machines of one batch ran different golden machines"
+            );
+            golden_trace = Some(golden);
+            if queue.is_empty() {
                 break;
             }
         }
-        // The golden lane must reach the horizon even if every mutant lane
-        // retired early: the golden trace is the report's.
-        sim.run_until(t_end)?;
-        collect_failures(&mut sim, &mut lanes);
-
-        let outcomes = lanes
+        let outcomes = cases
             .into_iter()
-            .enumerate()
-            .map(|(lane_id, lane)| match lane.state {
-                // Every pending lane's instant is a stop of the grid, so
-                // none is left; the arm reports instead of panicking.
-                WordLaneState::Pending => LaneOutcome::Failed {
+            .map(|case| match case.state {
+                CaseState::Done(outcome) => outcome,
+                // Every machine settles the cases it seats, and one that
+                // can spill keeps the cursor for the next; the arm reports
+                // instead of panicking.
+                _ => LaneOutcome::Failed {
                     error: "the lane never reached its injection instant".to_owned(),
                 },
-                WordLaneState::Running => sim.lane_outcome(lane_id, None),
-                WordLaneState::Sealed { at } => sim.lane_outcome(lane_id, Some(at)),
-                WordLaneState::Failed(error) => LaneOutcome::Failed { error },
             })
             .collect();
         Ok(BatchReport {
-            golden: std::mem::take(&mut sim.traces[GOLDEN_LANE]),
+            golden: golden_trace.expect("a batch runs at least one machine"),
             outcomes,
+            machines,
+            refills,
         })
     }
 }
 
+/// The lock-step stop grid of a machine handed over at `start`: every
+/// injection instant of its cases, seal-check points every `stride`, and
+/// the horizon. Ascending and deduplicated. Seal checks sit on multiples of
+/// the stride counted from time zero, not from `start`, so lanes seal at
+/// the same instants wherever the golden simulator was handed over.
+fn stop_grid(
+    instants: impl Iterator<Item = Time>,
+    start: Time,
+    stride: Time,
+    t_end: Time,
+) -> Vec<Time> {
+    let mut stops: Vec<Time> = instants.collect();
+    let mut t = start - start % stride + stride;
+    while t < t_end {
+        stops.push(t);
+        t += stride;
+    }
+    stops.push(t_end);
+    stops.sort_unstable();
+    stops.dedup();
+    stops
+}
+
+/// What one machine of a batch hands back.
+struct Pass {
+    /// The cases whose instant found no free lane, in injection order.
+    spilled: Vec<usize>,
+    /// Cases seated on a lane a sealed case had freed.
+    refills: usize,
+}
+
+/// Runs one word machine over `queue` (case ids in injection order) along
+/// `stops` to the horizon, and settles every case it seats.
+///
+/// The mutant lanes start as golden shadows, as many as there are cases to
+/// take them. A case takes a free lane at its instant — one no case has
+/// held yet if there is one. A lane whose case seals is free again: it
+/// stays live while more cases wait than lanes are free, and freezes when
+/// none would take it. A case whose instant finds no free lane is handed
+/// back, still pending, for the next machine.
+fn run_machine(
+    sim: &mut WordSimulator,
+    cases: &mut [WordCase],
+    queue: &[usize],
+    stops: &[Time],
+    metrics: Option<&KernelMetrics>,
+    inject: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
+    setup: &mut impl FnMut(usize, &mut dyn InjectTarget),
+) -> Result<Pass, SimError> {
+    let mut free = (1u64 << queue.len().min(WordBatchSimulator::MAX_LANES)) - 1;
+    sim.live = free | 1 << GOLDEN_LANE;
+    // The case on each lane, and the lanes some case has held.
+    let mut occupant = [usize::MAX; LANES];
+    let mut used = 0u64;
+    let mut pass = Pass {
+        spilled: Vec::new(),
+        refills: 0,
+    };
+    let mut waiting = queue.len();
+    let mut due = queue.iter().copied().peekable();
+
+    for &t in stops {
+        sim.run_until(t)?;
+        collect_failures(sim, cases, &occupant);
+
+        // Seat the cases whose injection instant this stop is: from here on
+        // the lane is compared with golden, and setup + inject run on it.
+        let mut activated = false;
+        while let Some(case) = due.next_if(|&c| cases[c].inject_at == t) {
+            waiting -= 1;
+            if free == 0 {
+                pass.spilled.push(case);
+                continue;
+            }
+            let fresh = free & !used;
+            let pick = if fresh != 0 { fresh } else { free };
+            let lane = pick.trailing_zeros() as usize;
+            free &= !(1 << lane);
+            if used >> lane & 1 != 0 {
+                pass.refills += 1;
+            }
+            used |= 1 << lane;
+            occupant[lane] = case;
+            sim.recording |= 1 << lane;
+            let mut ctx = WordLaneCtx {
+                sim: &mut *sim,
+                lane,
+            };
+            setup(case, &mut ctx);
+            cases[case].state = match inject(case, &mut ctx) {
+                Ok(()) => {
+                    activated = true;
+                    CaseState::Running { lane }
+                }
+                Err(error) => {
+                    sim.fail_lane(lane, error.clone());
+                    sim.lane_failures[lane] = None;
+                    CaseState::Done(LaneOutcome::Failed { error })
+                }
+            };
+        }
+        // Drain the injection wakes scheduled at the stop itself, so the
+        // corrupted state propagates before the seal probe — the same
+        // re-opened time point a scalar run processes.
+        if activated {
+            sim.run_until(t)?;
+            collect_failures(sim, cases, &occupant);
+        }
+
+        let mut sealed = seal_reconverged(sim, metrics);
+        free |= sealed;
+        while sealed != 0 {
+            let lane = sealed.trailing_zeros() as usize;
+            sealed &= sealed - 1;
+            cases[occupant[lane]].state = CaseState::Sealed(sim.retire(lane, t));
+            sim.vacate(lane);
+        }
+        while free.count_ones() as usize > waiting {
+            let lane = 63 - free.leading_zeros() as usize;
+            free &= !(1 << lane);
+            sim.live &= !(1 << lane);
+        }
+
+        if let Some(metrics) = metrics {
+            // Mutant lanes only: the golden lane is live by construction,
+            // and excluding it keeps every observation within the 63-slot
+            // mutant capacity (so the log₂ p50 never reads past the word
+            // width).
+            metrics
+                .lane_occupancy
+                .observe(u64::from(sim.live.count_ones().saturating_sub(1)));
+        }
+        if waiting == 0 && sim.recording == 1 << GOLDEN_LANE {
+            break;
+        }
+    }
+    // The golden lane must reach the horizon even if every case retired
+    // early: the golden trace is the report's, and what the sealed cases
+    // would have recorded after their seal is read off it.
+    let t_end = *stops.last().expect("the grid ends at the horizon");
+    sim.run_until(t_end)?;
+    collect_failures(sim, cases, &occupant);
+    for &case in queue {
+        let state = std::mem::replace(&mut cases[case].state, CaseState::Pending);
+        cases[case].state = match state {
+            CaseState::Running { lane } => {
+                let retired = sim.retire(lane, t_end);
+                CaseState::Done(sim.outcome(retired, None))
+            }
+            CaseState::Sealed(retired) => {
+                let at = retired.at;
+                CaseState::Done(sim.outcome(retired, Some(at)))
+            }
+            other => other,
+        };
+    }
+    Ok(pass)
+}
+
 /// Moves per-lane failures recorded inside the word machine (budget trips)
-/// into the lane table.
-fn collect_failures(sim: &mut WordSimulator, lanes: &mut [WordLane]) {
+/// to the cases on those lanes.
+fn collect_failures(sim: &mut WordSimulator, cases: &mut [WordCase], occupant: &[usize; LANES]) {
     let mut m = std::mem::take(&mut sim.failed);
     while m != 0 {
-        let lane_id = m.trailing_zeros() as usize;
+        let lane = m.trailing_zeros() as usize;
         m &= m - 1;
-        if let Some(error) = sim.lane_failures[lane_id].take() {
-            lanes[lane_id].state = WordLaneState::Failed(error);
+        if let Some(error) = sim.lane_failures[lane].take() {
+            cases[occupant[lane]].state = CaseState::Done(LaneOutcome::Failed { error });
         }
     }
 }
 
 /// Seals every running lane whose machine state has reconverged with the
-/// golden lane's at stop `t`: plane-XOR probe over *all* signals first (one
+/// golden lane's: plane-XOR probe over *all* signals first (one
 /// `diverged_mask` per signal bit covers every lane at once), then
 /// per-component and pending-event confirmation for the clean candidates.
-fn seal_reconverged(
-    sim: &mut WordSimulator,
-    lanes: &mut [WordLane],
-    metrics: Option<&KernelMetrics>,
-    t: Time,
-) {
-    let mut candidates = 0u64;
-    for (lane_id, lane) in lanes.iter().enumerate() {
-        if matches!(lane.state, WordLaneState::Running) {
-            candidates |= 1 << lane_id;
-        }
-    }
+/// Returns the sealed lanes, which are no longer recorded.
+fn seal_reconverged(sim: &mut WordSimulator, metrics: Option<&KernelMetrics>) -> u64 {
+    let candidates = sim.recording & !(1 << GOLDEN_LANE);
     if candidates == 0 {
-        return;
+        return 0;
     }
     let mut diverged = 0u64;
     for sig in &sim.signals {
@@ -1707,23 +1878,18 @@ fn seal_reconverged(
             diverged |= plane.diverged_mask(plane.broadcast_lane(GOLDEN_LANE));
         }
     }
-    let mut m = sim.lanes_eq_golden(candidates & !diverged);
-    while m != 0 {
-        let lane_id = m.trailing_zeros() as usize;
-        m &= m - 1;
-        lanes[lane_id].state = WordLaneState::Sealed { at: t };
-        sim.live &= !(1 << lane_id);
-        sim.recording &= !(1 << lane_id);
-        if let Some(metrics) = metrics {
-            metrics.lane_seals.inc();
-        }
+    let sealed = sim.lanes_eq_golden(candidates & !diverged);
+    sim.recording &= !sealed;
+    if let Some(metrics) = metrics {
+        metrics.lane_seals.add(u64::from(sealed.count_ones()));
     }
+    sealed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::{ClockGen, ConstVector, Counter};
+    use crate::cells::{ClockGen, ConstVector, Counter, Stimulus};
     use crate::{DigitalSaboteur, Netlist};
     use amsfi_faults::{DigitalFault, DigitalFaultKind};
     use amsfi_waves::Logic;
@@ -1768,9 +1934,11 @@ mod tests {
     /// Arms the `en` saboteur of one lane in place, as a campaign's inject
     /// closure does.
     fn arm_en(target: &mut dyn InjectTarget, fault: &DigitalFault) {
-        let sab = target
-            .component_id("saboteur(en)")
-            .expect("saboteur present");
+        arm(target, "saboteur(en)", fault);
+    }
+
+    fn arm(target: &mut dyn InjectTarget, saboteur: &str, fault: &DigitalFault) {
+        let sab = target.component_id(saboteur).expect("saboteur present");
         target
             .component_mut(sab)
             .as_any_mut()
@@ -2142,7 +2310,7 @@ mod tests {
         for fault in &faults {
             word.add_lane(fault.at);
         }
-        let stops = word.stops(Time::ZERO);
+        let stops = stop_grid(faults.iter().map(|f| f.at), Time::ZERO, ns(50), T_END);
         let seen = Seen::default();
         let report = word
             .run(
@@ -2197,5 +2365,104 @@ mod tests {
                 Some(ns(1050)),
             ]
         );
+    }
+
+    /// The counter with saboteurs on `en` and on `late`, an input that
+    /// rises at 1.5 µs and so is first recorded then; `q` and the spliced
+    /// `late__sab` are monitored.
+    fn build_late() -> Simulator {
+        let mut net = Netlist::new();
+        let clk = net.signal("clk", 1);
+        let rst = net.signal("rst", 1);
+        let en = net.signal("en", 1);
+        let late = net.signal("late", 1);
+        let q = net.signal("q", 8);
+        net.add("ck", ClockGen::new(Time::from_ns(20)), &[], &[clk]);
+        net.add("r", ConstVector::bit(Logic::Zero), &[], &[rst]);
+        net.add("e", ConstVector::bit(Logic::One), &[], &[en]);
+        let rise = Stimulus::bits([(Time::from_ns(1500), true)]);
+        net.add("l", rise, &[], &[late]);
+        net.add("ctr", Counter::new(8, Time::ZERO), &[clk, rst, en], &[q]);
+        net.insert_saboteur(en, Box::new(DigitalSaboteur::new(1)));
+        net.insert_saboteur(late, Box::new(DigitalSaboteur::new(1)));
+        let mut sim = Simulator::new(net);
+        sim.monitor_name("q");
+        sim.monitor_name("late__sab");
+        sim
+    }
+
+    #[test]
+    fn a_case_on_a_reused_lane_ends_as_on_a_fresh_one() {
+        // A washed-out pulse on `en` (case 0) seals at 50 ns while 62
+        // counter upsets hold every other lane to the horizon. Case 63 can
+        // only run on case 0's lane, and case 64, after it, finds no lane
+        // and spills to a second machine. Golden first records `late__sab`
+        // at 1.5 µs: after case 0 sealed (so, sealed, it records it then
+        // too) and after case 63 took the lane (which holds it at 'U': a
+        // slot it never records).
+        const T_END: Time = Time::from_us(2);
+        let ns = Time::from_ns;
+        enum Inject {
+            Flip(usize),
+            Arm(&'static str, DigitalFaultKind),
+        }
+        let set = |width| Inject::Arm("saboteur(en)", DigitalFaultKind::SetPulse { width });
+        let mut cases = vec![(ns(42), set(ns(4)))];
+        cases.extend((0..62).map(|i| (ns(45), Inject::Flip(i % 8))));
+        let stuck = DigitalFaultKind::StuckAt(Logic::Uninitialized);
+        cases.push((ns(305), Inject::Arm("saboteur(late)", stuck)));
+        cases.push((ns(322), set(ns(2))));
+
+        let counter = counter_target(&build_late());
+        let apply = |target: &mut dyn InjectTarget, (at, inject): &(Time, Inject)| match inject {
+            Inject::Flip(bit) => target.flip_state(counter.component, *bit),
+            Inject::Arm(saboteur, kind) => {
+                arm(target, saboteur, &DigitalFault::new(kind.clone(), *at));
+            }
+        };
+        let batch = |cases: &[&(Time, Inject)]| {
+            let mut word = WordBatchSimulator::new(build_late(), T_END).with_seal_stride(ns(50));
+            for (at, _) in cases {
+                word.add_lane(*at);
+            }
+            let arm_lane = |lane: usize, target: &mut dyn InjectTarget| {
+                apply(target, cases[lane]);
+                Ok(())
+            };
+            // A cap the first pulse lives well within, and the clock edges
+            // from its seal to the next free lane's case would not: a lane
+            // must drop its case's budget when the case seals.
+            let cap_first = |lane: usize, target: &mut dyn InjectTarget| {
+                if cases[lane].0 == ns(42) {
+                    target.set_budget(SimBudget::unlimited().with_max_steps(10));
+                }
+            };
+            word.run(arm_lane, cap_first).unwrap()
+        };
+
+        let report = batch(&cases.iter().collect::<Vec<_>>());
+        assert_eq!((report.machines, report.refills), (2, 1));
+        for (i, case) in cases.iter().enumerate() {
+            let fresh = batch(&[case]);
+            assert_eq!(report.golden, fresh.golden);
+            assert_eq!(report.lane_toggles(i), fresh.lane_toggles(0), "case {i}");
+            assert_eq!(
+                sealed_at(&report.outcomes[i]),
+                sealed_at(&fresh.outcomes[0]),
+                "case {i}"
+            );
+            let mut scalar = build_late();
+            scalar.run_until(case.0).unwrap();
+            apply(&mut scalar, case);
+            scalar.run_until(T_END).unwrap();
+            let expected = MismatchToggles::between(&report.golden, scalar.trace());
+            assert_eq!(report.lane_toggles(i), Some(&expected), "case {i}");
+        }
+        assert!(matches!(
+            report.outcomes[0],
+            LaneOutcome::Clean { sealed_at: Some(at) } if at == ns(50)
+        ));
+        let late = report.golden.recorded_digital_slot("late__sab").unwrap();
+        assert!(report.lane_toggles(63).unwrap().is_silent(late));
     }
 }

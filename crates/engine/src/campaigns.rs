@@ -28,7 +28,7 @@ use std::sync::Arc;
 impl Campaign {
     /// [`Campaign::forked`] for pure-digital campaigns, plus a
     /// [`BatchSpec`] so `--batch` runs case groups bit-parallel through
-    /// one plane-valued [`WordBatchSimulator`].
+    /// one plane-valued [`WordBatchSimulator`] each.
     ///
     /// All three execution paths (scalar from-scratch, checkpoint fork,
     /// batch) share the same `build`/`inject` closures and position the
@@ -42,9 +42,9 @@ impl Campaign {
     /// The batch spec keeps one golden scalar cursor per engine worker (in
     /// the worker's [`WorkerSlot`]): groups arrive in ascending injection
     /// order, the cursor rolls forward to each group's first injection
-    /// instant and the group's machine is built from a clone of it, so a
-    /// worker simulates the fault-free prefix once per campaign instead of
-    /// once per group.
+    /// instant and the group's batch is handed a clone of it (which its
+    /// word machines fork from in turn), so a worker simulates the
+    /// fault-free prefix once per campaign instead of once per group.
     pub fn forked_batch<B, I>(
         name: impl Into<String>,
         spec: ClassifySpec,

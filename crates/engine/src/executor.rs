@@ -37,6 +37,19 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+/// The most cases one batch group holds: eight words of mutant lanes. The
+/// word kernel seats a group's cases on 63 lanes as earlier ones seal and
+/// spills the rest to further machines, so a group costs a machine per 63
+/// cases that do not seal early, not per 63 cases.
+const BATCH_UNIT: usize = 8 * (LANES - 1);
+
+/// How many batch groups each of several workers gets to claim, once the
+/// campaign is big enough: work stealing evens the workers' finishing
+/// times out only to within one group, so groups shrink (in whole words)
+/// as workers are added rather than leave a few workers with one long
+/// group each.
+const GROUPS_PER_WORKER: usize = 4;
+
 /// What the engine does when a case exhausts its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorPolicy {
@@ -111,11 +124,12 @@ pub struct EngineConfig {
     /// coordinator, so a partially-completed shard resumes instead of
     /// re-running (and double-reporting) finished cases.
     pub completed: Vec<usize>,
-    /// Run cases bit-parallel: workers claim *groups* of up to
+    /// Run cases bit-parallel: workers claim *groups* of up to eight times
     /// [`amsfi_waves::LANES`]` - 1` cases and simulate them as the mutant
-    /// lanes of one word machine — one event wheel evaluating all lanes as
+    /// lanes of word machines — one event wheel evaluating all lanes as
     /// plane arithmetic, the last lane of the word carrying the golden
-    /// machine (see [`BatchSpec`]). Per-lane verdicts stay byte-identical
+    /// machine, a lane whose case seals taking the next (see
+    /// [`BatchSpec`]). Per-lane verdicts stay byte-identical
     /// to scalar runs; a lane that fails in isolation falls back to the
     /// scalar path for that case alone. Campaigns without a
     /// [`Campaign::batch`] spec fall back to the scalar path entirely, and
@@ -600,12 +614,14 @@ pub struct PrefixFork {
 /// How a campaign supports bit-parallel group execution (enabled per run
 /// with [`EngineConfig::with_batch`]).
 ///
-/// `run(ctx, group, hooks, slot)` simulates all cases in `group` (at most
-/// [`amsfi_waves::LANES`]` - 1` indices into [`Campaign::cases`]: 63 mutant
-/// lanes beside the in-word golden lane) lock-step against one golden
-/// machine and returns the kernel's own [`BatchReport`]: that machine's
-/// trace with one [`LaneOutcome`] per index, in order. The engine checks the
-/// golden-lane trace against the campaign's golden run once per group —
+/// `run(ctx, group, hooks, slot)` simulates all cases in `group` (indices
+/// into [`Campaign::cases`] in ascending injection order, at most eight
+/// words' worth: each machine has 63 mutant lanes beside the in-word golden
+/// lane and seats a case on a lane an earlier case sealed on) lock-step
+/// against the golden machine and returns the kernel's own
+/// [`BatchReport`]: the golden trace with one [`LaneOutcome`] per index, in
+/// order. The engine checks the golden-lane trace against the campaign's
+/// golden run once per group —
 /// lanes' mismatch toggles are taken against the one, verdicts are the
 /// other's — and degrades the group to the scalar path when they differ.
 /// `slot` is the calling worker's [`WorkerSlot`].
@@ -1153,15 +1169,24 @@ impl Engine {
         });
 
         // Workers claim *units* of `per` pending cases: one case, or when
-        // batching one group. Groups are cut from the list sorted by
-        // ascending injection instant, so the lanes of one group activate
-        // off a shared golden prefix, and hold one case fewer than the word
-        // has lanes: the last lane carries the golden machine.
+        // batching one group of up to `BATCH_UNIT` cases. Groups are cut
+        // from the list sorted by ascending injection instant, so the lanes
+        // of one group activate off a shared golden prefix, and a lane
+        // whose case seals takes the group's next one. A lone worker takes
+        // the largest groups; several get `GROUPS_PER_WORKER` each, rounded
+        // up to whole words, and never less than one group each.
         let workers = cfg.effective_workers().min(pending.len()).max(1);
         let per = match plan {
             Plan::Batch(_) => {
                 pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
-                pending.len().div_ceil(workers).clamp(1, LANES - 1)
+                let groups = if workers == 1 {
+                    1
+                } else {
+                    workers * GROUPS_PER_WORKER
+                };
+                let share = pending.len().div_ceil(workers);
+                let words = pending.len().div_ceil(groups).next_multiple_of(LANES - 1);
+                words.min(BATCH_UNIT).min(share).max(1)
             }
             Plan::Scalar | Plan::Fork(_) => 1,
         };
@@ -2001,7 +2026,12 @@ impl Run<'_> {
             Ok(Err(e)) => Err(e.to_string()),
             Err(payload) => Err(panic_message(payload)),
         };
-        let BatchReport { golden, outcomes } = match report {
+        let BatchReport {
+            golden,
+            outcomes,
+            machines,
+            refills,
+        } = match report {
             Ok(report) => report,
             Err(reason) => {
                 // Whatever the spec parked in the slot may be half-updated:
@@ -2053,7 +2083,9 @@ impl Run<'_> {
         tele.emit_with(|| {
             let mut event = Event::new("span", "batch")
                 .with_dur_us(group_t0.elapsed().as_micros() as u64)
-                .with_field("lanes", group.len());
+                .with_field("lanes", group.len())
+                .with_field("machines", machines)
+                .with_field("refills", refills);
             if let Some(fork) = slot.fork {
                 let cursor = if fork.reused { "reused" } else { "rebuilt" };
                 event = event

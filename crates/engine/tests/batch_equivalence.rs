@@ -134,6 +134,14 @@ fn events_of<'a>(text: &'a str, kind: &str, name: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// The `"<field>":"<n>"` count a JSONL event line carries.
+fn count_field(line: &str, field: &str) -> usize {
+    let (_, rest) = line
+        .split_once(&format!("\"{field}\":\""))
+        .unwrap_or_else(|| panic!("no {field} in {line}"));
+    rest.split('"').next().unwrap().parse().expect("a count")
+}
+
 fn batch_config(workers: usize) -> EngineConfig {
     EngineConfig::default()
         .with_workers(workers)
@@ -215,10 +223,7 @@ fn batch_with_checkpoint_builds_no_snapshot_ladder() {
     let snapshots = |text: &str| -> usize {
         let golden = events_of(text, "span", "golden");
         assert_eq!(golden.len(), 1, "one golden span:\n{text}");
-        let (_, rest) = golden[0]
-            .split_once("\"snapshots\":\"")
-            .expect("golden span counts snapshots");
-        rest.split('"').next().unwrap().parse().expect("a count")
+        count_field(golden[0], "snapshots")
     };
     let campaign = counter_campaign(&[0, 3, 7], &times(), None);
     let expected = report::cases_csv(
@@ -342,6 +347,29 @@ fn cpu_set_campaign_word_runs_byte_identically() {
 }
 
 #[test]
+fn cpu_set_groups_refill_sealed_lanes_and_spill_to_more_machines() {
+    // 504 catalog cases are one group for one worker: three in four pulses
+    // wash out and seal within nanoseconds, so the group's lanes take many
+    // more cases than the word has, and the rest still need a second
+    // machine. Every answer must be the scalar one.
+    let campaign = campaigns::build("cpu-set", Some(504)).expect("cpu-set campaign");
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(2))
+            .run(&campaign)
+            .expect("scalar run")
+            .result,
+    );
+    let (word, text) = run_with_events("cpu-set-refill", batch_config(1), &campaign);
+    assert_eq!(expected, report::cases_csv(&word.result));
+    assert_eq!((word.path, word.stats.fallbacks), ("batch", 0));
+    let spans = events_of(&text, "span", "batch");
+    assert_eq!(spans.len(), 1, "{text}");
+    assert_eq!(count_field(spans[0], "lanes"), 504, "{}", spans[0]);
+    assert!(count_field(spans[0], "machines") >= 2, "{}", spans[0]);
+    assert!(count_field(spans[0], "refills") >= 1, "{}", spans[0]);
+}
+
+#[test]
 fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
     // A word machine that never returns on its own: it spins until its
     // group's budget says stop — capped, so that a budget without a
@@ -387,16 +415,16 @@ fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
 
 #[test]
 fn a_kept_cursor_runs_on_its_current_groups_deadline() {
-    // 128 cases are groups of 63, 63 and 2 for one worker. The sink holds
-    // the first record up until the first group's deadline (63 x 10 ms) has
+    // 576 cases are groups of 504 and 72 for one worker. The sink holds the
+    // first record up until the first group's deadline (504 x 10 ms) has
     // passed: the worker's cursor, kept for the second group, must by then
     // run under that group's budget, not trip the expired one.
-    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 16);
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 72);
     let (campaign, _) = counted_campaign(&times, build_counter);
     let held = AtomicUsize::new(0);
     let sink = RecordSink::new(move |_, _| {
         if held.fetch_add(1, Ordering::Relaxed) == 0 {
-            std::thread::sleep(Duration::from_millis(700));
+            std::thread::sleep(Duration::from_millis(5200));
         }
     });
     let cfg = batch_config(1)
@@ -612,7 +640,7 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
         }
         sim
     }
-    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 16);
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 72);
     let bits: Vec<usize> = (0..8).collect();
     let base = counter_campaign(&bits, &times, None);
     let expected = report::cases_csv(
@@ -639,10 +667,10 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
 
     let (report, text) = run_with_events("golden-lane", batch_config(1), &campaign);
     assert_eq!(expected, report::cases_csv(&report.result));
-    // 128 cases in groups of 63, 63 and 2: the golden run, the odd cursor,
-    // the first group's 63 cases scalar, and one sound cursor for the rest
+    // 576 cases in groups of 504 and 72: the golden run, the odd cursor,
+    // the first group's 504 cases scalar, and one sound cursor for the rest
     // (the slot is emptied with the fallback).
-    assert_eq!(calls.load(Ordering::Relaxed), 1 + 1 + 63 + 1);
+    assert_eq!(calls.load(Ordering::Relaxed), 1 + 1 + 504 + 1);
 
     let fallbacks = events_of(&text, "batch", "fallback");
     assert_eq!(fallbacks.len(), 1, "one group falls back:\n{text}");
@@ -712,11 +740,12 @@ fn counted_campaign(times: &[Time], build: fn() -> Simulator) -> (Campaign, Arc<
 
 #[test]
 fn word_builds_once_per_worker_and_says_so_in_the_events() {
-    // 8 bits x 63 instants = 8 full groups on one worker.
-    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 63);
+    // 8 bits x 189 instants = 3 full groups of 504 on one worker. A counter
+    // upset never reconverges, so each group takes 8 full machines.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 189);
     let (campaign, builds) = counted_campaign(&times, build_counter);
     let (report, text) = run_with_events("cursor-events", batch_config(1), &campaign);
-    assert_eq!(report.result.cases.len(), 504);
+    assert_eq!(report.result.cases.len(), 1512);
     assert_eq!(
         builds.load(Ordering::Relaxed),
         2,
@@ -724,13 +753,34 @@ fn word_builds_once_per_worker_and_says_so_in_the_events() {
     );
 
     let spans = events_of(&text, "span", "batch");
-    assert_eq!(spans.len(), 8, "one batch span per group:\n{text}");
-    assert!(spans.iter().all(|l| l.contains("\"from_fs\":")));
+    assert_eq!(spans.len(), 3, "one batch span per group:\n{text}");
+    for span in &spans {
+        assert!(span.contains("\"from_fs\":"), "{span}");
+        let machines = (count_field(span, "machines"), count_field(span, "refills"));
+        assert_eq!(machines, (8, 0), "{span}");
+    }
     let rebuilt = spans
         .iter()
         .filter(|l| l.contains("\"cursor\":\"rebuilt\""));
     let reused = spans.iter().filter(|l| l.contains("\"cursor\":\"reused\""));
-    assert_eq!((rebuilt.count(), reused.count()), (1, 7));
+    assert_eq!((rebuilt.count(), reused.count()), (1, 2));
+}
+
+#[test]
+fn several_workers_claim_several_groups_of_whole_words_each() {
+    // The same 1512 cases on three workers: four groups each, rounded up to
+    // whole words, are twelve groups of 126 — not three of 504, which would
+    // leave work stealing nothing to even out.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 189);
+    let (campaign, _) = counted_campaign(&times, build_counter);
+    let (report, text) = run_with_events("groups-per-worker", batch_config(3), &campaign);
+    assert_eq!((report.path, report.stats.fallbacks), ("batch", 0));
+    let spans = events_of(&text, "span", "batch");
+    assert_eq!(spans.len(), 12, "{text}");
+    for span in spans {
+        let group = (count_field(span, "lanes"), count_field(span, "machines"));
+        assert_eq!(group, (126, 2), "{span}");
+    }
 }
 
 /// Runs `group` through the campaign's batch spec on `slot`, as one engine
@@ -811,9 +861,9 @@ fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
         sim.inject_value(en, LogicVector::filled(Logic::One, 1), Time::from_ns(1500));
         sim
     }
-    // 8 bits x 16 instants = 128 cases: groups of 63, 63 and 2 on one
-    // worker, which would reuse its cursor if a failure did not clear it.
-    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(900), 16);
+    // 8 bits x 72 instants = 576 cases: groups of 504 and 72 on one worker,
+    // which would reuse its cursor if a failure did not clear it.
+    let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(900), 72);
     let (campaign, builds) = counted_campaign(&times, build_with_external);
     let scalar = Engine::new(EngineConfig::default().with_workers(1))
         .run(&campaign)
@@ -837,5 +887,5 @@ fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
     );
     // The golden run, one cursor per group (none is kept after its group
     // failed), and every case again on the scalar path.
-    assert_eq!(builds.load(Ordering::Relaxed), 1 + 3 + 128);
+    assert_eq!(builds.load(Ordering::Relaxed), 1 + 2 + 576);
 }

@@ -609,20 +609,20 @@ fn resumed_summary_counts_quarantined_cases_exactly_once() {
 #[test]
 fn event_stream_accounts_for_every_case() {
     type Flags = fn(EngineConfig) -> EngineConfig;
-    // 66 cases are two groups (63 + 3) for the batch run's one worker.
-    let plans: [(&str, Flags, usize); 3] = [
-        ("scalar", |cfg| cfg, 6),
-        ("fork", |cfg| cfg.with_checkpoint(true), 6),
-        ("batch", |cfg| cfg.with_batch(true), 66),
+    // 520 cases are two groups (504 + 16) for the batch run's one worker.
+    let plans: [(&str, Flags, &str, usize); 3] = [
+        ("scalar", |cfg| cfg, "cpu", 6),
+        ("fork", |cfg| cfg.with_checkpoint(true), "cpu", 6),
+        ("batch", |cfg| cfg.with_batch(true), "cpu-set", 520),
     ];
-    for (path, flags, n) in plans {
+    for (path, flags, name, n) in plans {
         let events_path = unique_path(path).with_extension("jsonl");
         let telemetry = Telemetry::builder()
             .events_path(&events_path)
             .capacity(1 << 16)
             .build()
             .expect("open events stream");
-        let campaign = campaigns::build("cpu", Some(n)).expect("catalog campaign");
+        let campaign = campaigns::build(name, Some(n)).expect("catalog campaign");
         let cfg = EngineConfig::default()
             .with_workers(1)
             .with_max_steps(100_000_000)
@@ -651,7 +651,9 @@ fn event_stream_accounts_for_every_case() {
                     let group = field(&event, "lanes").expect("batch span without lanes");
                     lanes += group.parse::<usize>().expect("a lane count");
                 }
-                ("campaign", "cpu") => assert_eq!(field(&event, "path").as_deref(), Some(path)),
+                ("campaign", campaign) if campaign == name => {
+                    assert_eq!(field(&event, "path").as_deref(), Some(path));
+                }
                 _ => {}
             }
             *seen
@@ -662,10 +664,11 @@ fn event_stream_accounts_for_every_case() {
         // The run's frame, then the spans of what each plan's runner
         // reports: a scratch case builds and simulates, a fork only
         // simulates, a group advances its worker's golden cursor (built
-        // once) and runs the word machine.
-        let groups = n.div_ceil(63);
+        // once) and runs its word machines.
+        let groups = n.div_ceil(504);
+        let campaign_event = format!("campaign {name}");
         let mut expected = vec![
-            ("campaign cpu", 1),
+            (campaign_event.as_str(), 1),
             ("campaign end", 1),
             ("span golden", 1),
             ("worker start", 1),

@@ -67,10 +67,11 @@ USAGE:
                              (campaigns without fork support fall back
                              to from-scratch runs)
           --batch            bit-parallel digital simulation: workers
-                             claim groups of up to 63 cases and run them
-                             through one word-parallel event wheel
+                             claim groups of up to 504 cases and run them
+                             through word-parallel event wheels
                              (plane-valued signals, 63 mutant lanes + an
-                             in-word golden lane), with per-lane verdicts
+                             in-word golden lane; a lane whose case seals
+                             takes the next), with per-lane verdicts
                              byte-identical to scalar runs (campaigns
                              without batch support fall back to scalar
                              runs)

@@ -60,7 +60,7 @@
 //! stay flushed per record as always, and [`Coordinator::run`] returns
 //! once the last lease settles — as opposed to
 //! [`Coordinator::request_shutdown`], which stops the accept loop at
-//! the next poll and relies on crash recovery for anything in flight.
+//! once and relies on crash recovery for anything in flight.
 
 use crate::manifest::{self, SubmitManifest};
 use crate::proto::{self, Frame, ProtoError, PROTOCOL_VERSION};
@@ -73,7 +73,7 @@ use amsfi_telemetry::{
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -331,11 +331,42 @@ struct Shared {
     active_conns: AtomicUsize,
     epoch: u64,
     start: Instant,
+    /// True while [`Coordinator::run`] sits in its accept loop; the reaper
+    /// runs exactly as long.
+    accepting: AtomicBool,
+    /// Where the listener accepts: [`Shared::wake_if_stopped`] connects
+    /// here.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("coordinator state poisoned")
+    }
+
+    /// The accept loop's exit condition: shut down, or drain complete
+    /// (nothing is leased, everything streamed so far is merged and
+    /// flushed). Takes the state lock.
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+            || (self.draining.load(Ordering::SeqCst) && self.lock().leases.is_empty())
+    }
+
+    /// Unblocks the accept loop, which sleeps in `accept` between
+    /// connections, if its exit condition holds: one connection to its own
+    /// listener, dropped unread. Called with the state unlocked after
+    /// whatever may have made the condition true — a shutdown, a drain
+    /// request, a lease settling — and on every reaper tick, so a wake
+    /// that could not connect (reported as a `wake_failed` event) costs at
+    /// most one `reap_interval`. Before and after the loop there is nothing
+    /// to wake: it checks the condition before its first accept.
+    fn wake_if_stopped(&self) {
+        if !self.accepting.load(Ordering::SeqCst) || !self.stopped() {
+            return;
+        }
+        if let Err(e) = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)) {
+            self.event("wake_failed", |ev| ev.with_field("error", e));
+        }
     }
 
     fn event(&self, name: &str, build: impl FnOnce(Event) -> Event) {
@@ -376,6 +407,14 @@ impl Coordinator {
         // pre-crash lease id without tracking them individually.
         let epoch = manifest::bump_epoch(&cfg.journal_dir)?;
         let listener = TcpListener::bind(addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            let loopback = match wake_addr {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            };
+            wake_addr.set_ip(loopback);
+        }
         let state = State {
             next_lease: epoch << 32,
             ..State::default()
@@ -389,6 +428,8 @@ impl Coordinator {
             active_conns: AtomicUsize::new(0),
             epoch,
             start: Instant::now(),
+            accepting: AtomicBool::new(false),
+            wake_addr,
         });
         if shared.cfg.recover {
             recover_campaigns(&shared);
@@ -434,10 +475,11 @@ impl Coordinator {
         self.shared.lock().drained()
     }
 
-    /// Asks [`Coordinator::run`] to return after its next accept poll.
-    /// Abrupt: in-flight leases are abandoned to crash recovery.
+    /// Asks [`Coordinator::run`] to return now. Abrupt: in-flight leases
+    /// are abandoned to crash recovery.
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_if_stopped();
     }
 
     /// Begins a graceful drain: no further leases are granted, and
@@ -490,7 +532,7 @@ impl Coordinator {
     /// Fatal listener failure only; per-connection trouble is contained
     /// in that connection's handler thread.
     pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        self.shared.accepting.store(true, Ordering::SeqCst);
         let reaper = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || reaper_loop(&shared))
@@ -500,16 +542,14 @@ impl Coordinator {
             std::thread::spawn(move || progress_loop(&shared, interval))
         });
 
+        // Whatever makes `stopped` true wakes the blocking accept below
+        // (`Shared::wake_if_stopped`).
         let result = loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break Ok(());
-            }
-            if self.shared.draining.load(Ordering::SeqCst) && self.shared.lock().leases.is_empty() {
-                // Drain complete: nothing is leased, everything streamed
-                // so far is merged and flushed.
+            if self.shared.stopped() {
                 break Ok(());
             }
             match self.listener.accept() {
+                Ok(_) if self.shared.stopped() => break Ok(()),
                 Ok((stream, peer)) => {
                     let shared = Arc::clone(&self.shared);
                     // Handler threads are detached on purpose: one may sit
@@ -521,13 +561,11 @@ impl Coordinator {
                     // to drain.
                     std::thread::spawn(move || handle_conn(&shared, stream, peer));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
                 Err(e) => break Err(e),
             }
         };
 
+        self.shared.accepting.store(false, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         reaper.join().ok();
         if let Some(p) = progress {
@@ -765,6 +803,7 @@ fn begin_drain(shared: &Shared) {
         shared.metrics.drain_requests.inc();
         shared.event("drain", |e| e);
     }
+    shared.wake_if_stopped();
 }
 
 /// Returns a leased shard to the pool. `timeout` distinguishes the
@@ -797,7 +836,7 @@ fn release_lease(shared: &Shared, state: &mut State, lease_id: u64, why: &str, t
 }
 
 fn reaper_loop(shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while shared.accepting.load(Ordering::SeqCst) {
         std::thread::sleep(shared.cfg.reap_interval);
         let now = Instant::now();
         let mut state = shared.lock();
@@ -821,6 +860,7 @@ fn reaper_loop(shared: &Shared) {
         }
         drop(state);
         scan_stragglers(shared, now);
+        shared.wake_if_stopped();
     }
 }
 
@@ -1670,6 +1710,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
             Frame::ShardDone { lease, metrics } => {
                 store_worker_metrics(shared, conn, metrics);
                 finish_shard(shared, conn, lease);
+                shared.wake_if_stopped();
             }
             Frame::TopRequest => {
                 let reply = Frame::Top {
@@ -1680,8 +1721,8 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
                 }
             }
             Frame::ShardAbort { lease, reason } => {
-                let mut state = shared.lock();
-                release_lease(shared, &mut state, lease, &reason, false);
+                release_lease(shared, &mut shared.lock(), lease, &reason, false);
+                shared.wake_if_stopped();
             }
             Frame::StatusRequest => {
                 let reply = status_frame(shared);
@@ -1727,6 +1768,7 @@ fn handle_conn(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
     state.workers.remove(&conn);
     state.conns.remove(&conn);
     drop(state);
+    shared.wake_if_stopped();
     if registered {
         shared.metrics.workers_connected.dec();
     }

@@ -876,6 +876,25 @@ fn slow_lane_is_flagged_as_straggler_but_lease_is_left_alone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The accept loop blocks in `accept`, not in a poll: a shutdown with no
+/// connection open must wake it and end `run` at once.
+#[test]
+fn run_returns_promptly_on_shutdown_with_no_connection_open() {
+    let dir = unique_dir("shutdown-wake");
+    let mut cfg = CoordinatorConfig::new(&dir, toy_source(4));
+    // The reaper is joined on the way out; keep its nap short.
+    cfg.reap_interval = Duration::from_millis(20);
+    let cluster = start_cluster(cfg);
+    // Let `run` reach its accept.
+    std::thread::sleep(Duration::from_millis(100));
+    cluster.coordinator.request_shutdown();
+    wait_until("run to return", Duration::from_secs(1), || {
+        cluster.run.is_finished()
+    });
+    cluster.run.join().unwrap().expect("clean shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Graceful drain: a `drain` frame freezes leasing immediately (workers
 /// see `no_work drained=1`), in-flight leases are allowed to end, and
 /// the coordinator exits cleanly with its journals flushed.
