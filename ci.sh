@@ -93,10 +93,17 @@ rm -rf "$tmp"
 # the sequential cell library) + fault lists (clock-line saboteurs,
 # edge-snapped SET pulses, stuck-ats, mutant flips inside every cell) run
 # scalar and with --batch at 1 and 3 workers, then as word groups straight
-# on the kernel (the word machine handed a scalar cursor advanced to the
+# on the kernel (the word machine handed a scalar simulator advanced to the
 # first injection instant and to a random instant before it); any byte
 # difference fails.
 AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-bench --release --test batch_diff
+
+# The fork path's differential fuzzer: random loop-filter strikes and SEUs
+# on the fast PLL with its payload, --checkpoint at 1 and 3 workers (forks
+# off the one golden ladder, concurrently) against from-scratch runs; any
+# cases.csv byte difference fails.
+AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-engine --release --test fork_equivalence \
+    forked_pll_runs_equal_scratch_runs
 
 # The same oracle on the one cell the fuzzer's netlists do not hold: the
 # bit-sliced word CPU against the scalar one, lane by lane, over random
@@ -145,10 +152,11 @@ grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"
 # must report what the from-scratch run reports (journals differ by
 # design: `forked=<t_fs>`). The run has to say that cases followed and
 # none fell back: a refactor that silently stops following is a slowdown
-# byte identity cannot see.
+# byte identity cannot see. Three workers fork off the one golden ladder
+# at once, each following its own leaders.
 ./target/release/amsfi run pll-digital --out "$tmp/cut.plain" --progress-secs 0
-./target/release/amsfi run pll-digital --checkpoint --out "$tmp/cut.fork" \
-    --progress-secs 0 >"$tmp/cut.txt"
+./target/release/amsfi run pll-digital --checkpoint --workers 3 \
+    --out "$tmp/cut.fork" --progress-secs 0 >"$tmp/cut.txt"
 cmp "$tmp/cut.plain/cases.csv" "$tmp/cut.fork/cases.csv"
 grep -Eq '^path: fork, followed: [1-9][0-9]*, fallbacks: 0$' "$tmp/cut.txt"
 set +e
@@ -230,14 +238,15 @@ rm -rf "$tmp"
 
 # PR 13 benchmark gate: the stand-alone benchmark crate's self-test
 # (workload names == BENCHMARK.json, exact counts repeat, a corrupted
-# verdict is caught), then short cpu-seu-word and cpu-set-word runs that
-# must agree with the committed reference digests — the oracle every
-# word-kernel speedup is measured under. cpu-set-word is the late, dense
-# SET list whose groups fork from the worker's golden cursor (PR 14);
+# verdict is caught), then short runs that must agree with the committed
+# reference digests — the oracle every speedup is measured under.
+# cpu-seu-word and cpu-set-word are the word kernel, the latter the late,
+# dense SET list whose groups fork from the golden run's snapshots;
 # cpu-seu-scalar is the scalar kernel on its own — event wheel, lent
-# inputs, pooled drive values (PR 15).
+# inputs, pooled drive values (PR 15); pll-mixed-fork is the fork path —
+# analog solver, mixed sync, the golden ladder and the mixed cut.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in cpu-seu-word cpu-set-word cpu-seu-scalar; do
+for workload in cpu-seu-word cpu-set-word cpu-seu-scalar pll-mixed-fork; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1 \
         | grep -q '"correct": true'

@@ -1,8 +1,8 @@
 //! Differential fuzz harness: the batch (word-parallel) machine against
 //! the scalar kernel, its standing oracle — through the engine at worker
 //! counts that group the lanes differently, and at kernel level, where
-//! word groups fork from a golden scalar cursor: the word machine handed a
-//! simulator settled anywhere in `[0, first injection]`.
+//! word groups fork from a golden scalar snapshot: the word machine handed
+//! a simulator settled anywhere in `[0, first injection]`.
 //!
 //! Each seed deterministically generates a random netlist (a DAG of
 //! n-ary gates over clock/constant/stimulus bits, a D flip-flop, a
@@ -542,7 +542,7 @@ fn check_word_group(
     let from_power_on = word_group(build(), lanes);
     let seeded = starts.iter().map(|&start| {
         let mut sim = build();
-        sim.run_until(start).expect("cursor prefix");
+        sim.run_until(start).expect("golden prefix");
         (format!("seeded at {start}"), word_group(sim, lanes))
     });
     let reports = std::iter::once(("from power-on".to_owned(), from_power_on)).chain(seeded);
@@ -781,9 +781,9 @@ fn seed_point_bench() -> Simulator {
 }
 
 /// Seed points that straddle each kind of state the word machine takes
-/// over from the scalar cursor. The machine is lifted to 64 lanes at the
+/// over from the scalar simulator. The machine is lifted to 64 lanes at the
 /// group's first injection instant, so that instant is what sits inside
-/// the straddled window; `starts` vary where the scalar cursor was when
+/// the straddled window; `starts` vary where the scalar simulator was when
 /// the group got it.
 #[test]
 fn seed_point_regressions() {
@@ -833,9 +833,9 @@ fn seed_point_regressions() {
         &[flip(ns(104), ff), flip(ns(106), ctr0)],
         &[ns(103), ns(104)],
     );
-    // (c) 500 ns: flip-flop and counter (lane-farm clones of the cursor's
-    // instances) hold run-time state, and a cursor handed over at 250 ns
-    // still has stimulus edges ahead of it.
+    // (c) 500 ns: flip-flop and counter (lane-farm clones of the scalar
+    // simulator's instances) hold run-time state, and a simulator handed
+    // over at 250 ns still has stimulus edges ahead of it.
     check_word_group(
         "lane-farm cells with run-time state",
         &seed_point_bench,

@@ -128,8 +128,8 @@ struct ComponentSlot {
 /// eval set, changed set and action list per delta cycle and a vector per
 /// drive value; keeping them on the simulator turns the per-delta cost into
 /// a handful of clears. The contents are transient (empty between time
-/// points, or storage without meaning), so a clone — a checkpoint fork, a
-/// word-group cursor — starts with an empty scratch.
+/// points, or storage without meaning), so a clone — a checkpoint, a fork
+/// of one — starts with an empty scratch.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// One bit per component: the eval set of the current delta cycle.
@@ -250,7 +250,7 @@ pub(crate) struct WordSeed {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// Shared by clones: fixed once monitoring is attached, and a lane, a
-    /// fork or a cursor clone is taken long after.
+    /// checkpoint or a fork is taken long after.
     signals: Arc<Vec<SignalState>>,
     /// The current value of each signal: the store evaluations read their
     /// inputs from, kept apart from `signals` so it can be lent as a slice.

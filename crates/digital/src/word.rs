@@ -15,9 +15,9 @@
 //!   lanes to disagree on, so the scalar kernel simulates that stretch and
 //!   the word machine is seeded from it there: signal values splatted,
 //!   component state handed over, still-valid pending events re-queued in
-//!   firing order. A caller running many batches (the campaign engine's
-//!   per-worker golden cursor) hands each one a clone already advanced, and
-//!   the prefix is simulated once rather than once per batch.
+//!   firing order. A caller running many batches (the campaign engine,
+//!   from its golden run's snapshots) hands each one a clone already
+//!   advanced, and the prefix is simulated once rather than once per batch.
 //! * **One shared event wheel** — events carry `(planes value, lane mask)`.
 //!   A drive applies to exactly the lanes whose mask bit is set *and*
 //!   whose per-lane inertial generation still matches, so one event
@@ -43,8 +43,8 @@
 //! * **Refill** — a batch may hold any number of cases. A sealed lane *is*
 //!   the golden machine again, so while cases still wait it stays live as a
 //!   golden shadow and takes the next case whose instant comes; a case
-//!   whose instant finds no free lane spills to a next machine, built from
-//!   the same forward-only scalar golden cursor. One machine thus serves
+//!   whose instant finds no free lane spills to a next machine, forked from
+//!   the batch's own forward-only scalar simulator. One machine thus serves
 //!   every case that seals early plus 63 that do not.
 //!
 //! A lane costs what it differs, and records no trace. The golden lane
@@ -1625,7 +1625,7 @@ impl WordBatchSimulator {
             .collect();
         queue.sort_by_key(|&c| cases[c].inject_at);
         // A later machine counts its steps from its own first instant, as
-        // a batch handed the cursor there would.
+        // a batch handed a snapshot taken there would.
         let budget = golden.budget().clone();
         let mut cursor = Some(golden);
         let (mut machines, mut refills) = (0, 0);

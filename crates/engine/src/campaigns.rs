@@ -10,7 +10,7 @@
 //! labels are `"<target> @ <time>"`, which those binaries' per-resource and
 //! per-target tables are grouped by.
 
-use crate::executor::{BatchSpec, Campaign, CaseCtx, LaneHooks, PrefixFork, WorkerSlot};
+use crate::executor::{BatchSpec, Campaign, CaseCtx, LaneHooks, Snapshot};
 use crate::stats::Stage;
 use crate::BoxError;
 use amsfi_circuits::adc::{self, AdcInput};
@@ -22,7 +22,7 @@ use amsfi_digital::{
     WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
-use amsfi_waves::{ForkableSim, Logic, Time, Tolerance};
+use amsfi_waves::{Checkpoint, ForkableSim, Logic, Time, Tolerance};
 use std::sync::Arc;
 
 impl Campaign {
@@ -39,12 +39,10 @@ impl Campaign {
     /// [`InjectTarget`], the mid-run mutation surface both kernels
     /// implement.
     ///
-    /// The batch spec keeps one golden scalar cursor per engine worker (in
-    /// the worker's [`WorkerSlot`]): groups arrive in ascending injection
-    /// order, the cursor rolls forward to each group's first injection
-    /// instant and the group's batch is handed a clone of it (which its
-    /// word machines fork from in turn), so a worker simulates the
-    /// fault-free prefix once per campaign instead of once per group.
+    /// The batch spec never builds a simulator: each group is handed its
+    /// own copy of the fork spec's golden-run snapshot at (or before) the
+    /// group's first injection instant, which its word machines fork from
+    /// in turn, so the fault-free prefix is simulated once per run.
     pub fn forked_batch<B, I>(
         name: impl Into<String>,
         spec: ClassifySpec,
@@ -57,44 +55,26 @@ impl Campaign {
         B: Fn(&CaseCtx) -> Result<Simulator, BoxError> + Send + Sync + 'static,
         I: Fn(&mut dyn InjectTarget, usize) -> Result<(), BoxError> + Send + Sync + 'static,
     {
-        let build = Arc::new(build);
         let inject = Arc::new(inject);
         let case_stops: Vec<Time> = cases.iter().map(|c| c.injected_at.min(t_end)).collect();
 
         let batch_run = {
-            let build = Arc::clone(&build);
             let inject = Arc::clone(&inject);
             Arc::new(
                 move |ctx: &CaseCtx,
                       group: &[usize],
                       hooks: LaneHooks<'_>,
-                      slot: &mut WorkerSlot|
+                      rung: Snapshot|
                       -> Result<BatchReport, BoxError> {
-                    // Reuse the worker's cursor unless it is already past
-                    // this group's first instant: it only runs forwards,
-                    // so a group behind it gets a new one from `build`.
-                    let first = group.iter().map(|&i| case_stops[i]).min().unwrap_or(t_end);
-                    let parked = slot
-                        .state
-                        .take()
-                        .and_then(|s| s.downcast::<Simulator>().ok());
-                    let (mut cursor, reused) = match parked {
-                        Some(cursor) if cursor.current_time() <= first => (cursor, true),
-                        _ => (Box::new(build(ctx)?), false),
-                    };
-                    // This group's budget, on a kept cursor too: the
-                    // deadline it carries otherwise is an earlier group's.
-                    cursor.install_budget(ctx.budget().clone());
-                    ctx.stage(Stage::Simulate);
-                    cursor
-                        .advance_to(first)
-                        .map_err(|e| Box::new(e) as BoxError)?;
-                    let mut golden = (*cursor).clone();
-                    slot.state = Some(cursor);
-                    slot.fork = Some(PrefixFork { at: first, reused });
-                    // A fresh budget: the group's steps count from the fork
-                    // instant, as a checkpoint fork's do.
+                    let mut golden = rung
+                        .into_any()
+                        .downcast::<Checkpoint<Simulator>>()
+                        .map_err(|_| "snapshot does not hold this campaign's simulator type")?
+                        .into_sim();
+                    // The group's own budget, not the golden run's: its steps
+                    // count from the fork instant, as a checkpoint fork's do.
                     golden.install_budget(ctx.budget().clone());
+                    ctx.stage(Stage::Simulate);
                     let mut word = WordBatchSimulator::new(golden, t_end);
                     if let Some(metrics) = ctx.budget().metrics() {
                         word.set_metrics(Arc::clone(metrics));
@@ -117,20 +97,10 @@ impl Campaign {
             )
         };
 
-        let mut campaign = Campaign::forked(
-            name,
-            spec,
-            cases,
-            t_end,
-            {
-                let build = Arc::clone(&build);
-                move |ctx: &CaseCtx| build(ctx)
-            },
-            {
-                let inject = Arc::clone(&inject);
-                move |sim: &mut Simulator, i: usize| inject(sim, i)
-            },
-        );
+        let mut campaign = Campaign::forked(name, spec, cases, t_end, build, {
+            let inject = Arc::clone(&inject);
+            move |sim: &mut Simulator, i: usize| inject(sim, i)
+        });
         campaign.batch = Some(BatchSpec { run: batch_run });
         campaign
     }

@@ -133,8 +133,8 @@ pub struct EngineConfig {
     /// to scalar runs; a lane that fails in isolation falls back to the
     /// scalar path for that case alone. Campaigns without a
     /// [`Campaign::batch`] spec fall back to the scalar path entirely, and
-    /// with one, [`EngineConfig::checkpoint`] is moot: a group forks off
-    /// its worker's golden cursor, not off a snapshot.
+    /// with one, [`EngineConfig::checkpoint`] is moot: every group forks
+    /// from the golden run's snapshot at its first instant either way.
     pub batch: bool,
 }
 
@@ -388,8 +388,8 @@ impl CaseCtx {
 
     /// A context with no stats sink, an unlimited budget and no telemetry,
     /// for calling a campaign's runner or [`BatchSpec`] outside an engine
-    /// run (`batch_equivalence.rs` drives one word group on a
-    /// [`WorkerSlot`] with it).
+    /// run (`batch_equivalence.rs` drives a golden run and a word group
+    /// forked from it with one).
     pub fn detached(index: Option<usize>) -> Self {
         CaseCtx {
             index,
@@ -480,10 +480,10 @@ impl CaseCtx {
 /// (abandoned) thread and must not borrow from the engine's stack.
 pub type CaseRunner = Arc<dyn Fn(&CaseCtx) -> Result<Trace, BoxError> + Send + Sync>;
 
-/// A type-erased simulator checkpoint held by the engine's per-worker
-/// caches. Snapshots are `Send` (they move between threads) but not
-/// `Sync` — simulator component trait objects are `Send`-only — so the
-/// engine deep-clones them instead of sharing references.
+/// A type-erased simulator checkpoint: a rung of the golden run's ladder.
+/// Snapshots are `Send` (they move between threads) but not `Sync` —
+/// simulator component trait objects are `Send`-only — so the engine
+/// deep-clones them under a lock instead of sharing references.
 pub trait AnySnapshot: Send {
     /// Deep-clones the snapshot.
     fn clone_snapshot(&self) -> Snapshot;
@@ -504,11 +504,12 @@ impl<T: Any + Clone + Send> AnySnapshot for T {
 /// An owned, type-erased checkpoint (see [`AnySnapshot`]).
 pub type Snapshot = Box<dyn AnySnapshot>;
 
-/// Emits `(time, snapshot)` pairs during the checkpointed golden run.
+/// Emits `(time, snapshot)` pairs during the snapshotting golden run.
 pub type SnapshotSink<'a> = dyn FnMut(Time, Snapshot) + 'a;
 
 /// How a campaign supports golden-prefix checkpoint & fork execution
-/// (enabled per run with [`EngineConfig::with_checkpoint`]).
+/// (enabled per run with [`EngineConfig::with_checkpoint`]; batch groups
+/// fork from it too).
 ///
 /// Most campaigns should not build this by hand: [`Campaign::forked`]
 /// derives both the from-scratch runner and this spec from one pair of
@@ -517,16 +518,18 @@ pub type SnapshotSink<'a> = dyn FnMut(Time, Snapshot) + 'a;
 /// so adaptive-step solvers take identical step grids).
 #[derive(Clone)]
 pub struct ForkSpec {
-    /// The distinct injection instants the golden run snapshots at,
-    /// ascending (see [`amsfi_core::injection_stops`]).
+    /// The distinct injection instants every run stops at, ascending (see
+    /// [`amsfi_core::injection_stops`]).
     pub stops: Vec<Time>,
     /// The simulation horizon every run advances to.
     pub t_end: Time,
-    /// Runs the golden simulation, handing a snapshot to the sink at every
-    /// stop, and returns the golden trace.
+    /// Runs the golden simulation through every stop, handing the sink a
+    /// snapshot at each stop in the ascending `keep`; returns its trace.
     #[allow(clippy::type_complexity)]
     pub golden: Arc<
-        dyn for<'a> Fn(&CaseCtx, &mut SnapshotSink<'a>) -> Result<Trace, BoxError> + Send + Sync,
+        dyn for<'a> Fn(&CaseCtx, &[Time], &mut SnapshotSink<'a>) -> Result<Trace, BoxError>
+            + Send
+            + Sync,
     >,
     /// Resumes one faulty run from its own copy of the snapshot taken at
     /// the case's injection instant and returns its full-length trace. The
@@ -584,47 +587,20 @@ impl fmt::Debug for ForkSpec {
 /// classification) for that lane.
 pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObserver>);
 
-/// What one engine worker thread keeps for a [`BatchSpec`] between the
-/// groups it claims. Each worker owns one, starts with it empty, claims its
-/// groups in ascending injection order, and empties it again whenever a
-/// group errs or panics — so whatever a spec parks here is never seen
-/// after a failure and never by another thread.
-#[derive(Debug, Default)]
-pub struct WorkerSlot {
-    /// Spec-owned state carried to the worker's next group (the spec of
-    /// [`Campaign::forked_batch`](crate::campaigns): its golden cursor).
-    pub state: Option<Box<dyn Any>>,
-    /// Set by a spec that forks its groups off a shared golden prefix:
-    /// where the last group forked. Telemetry only (the `span`/`batch`
-    /// event's `from_fs` and `cursor` fields).
-    pub fork: Option<PrefixFork>,
-}
-
-/// Where one group's machine left its worker's shared golden prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixFork {
-    /// The instant the group forked at: the golden run up to here was not
-    /// simulated again for this group.
-    pub at: Time,
-    /// Whether the prefix came from the worker's previous group (`true`)
-    /// or had to be rebuilt from power-on (`false`).
-    pub reused: bool,
-}
-
 /// How a campaign supports bit-parallel group execution (enabled per run
-/// with [`EngineConfig::with_batch`]).
+/// with [`EngineConfig::with_batch`], on a campaign with a [`ForkSpec`]).
 ///
-/// `run(ctx, group, hooks, slot)` simulates all cases in `group` (indices
+/// `run(ctx, group, hooks, rung)` simulates all cases in `group` (indices
 /// into [`Campaign::cases`] in ascending injection order, at most eight
 /// words' worth: each machine has 63 mutant lanes beside the in-word golden
 /// lane and seats a case on a lane an earlier case sealed on) lock-step
 /// against the golden machine and returns the kernel's own
 /// [`BatchReport`]: the golden trace with one [`LaneOutcome`] per index, in
-/// order. The engine checks the golden-lane trace against the campaign's
-/// golden run once per group —
+/// order, forking from `rung`: its own copy of the golden run's snapshot
+/// at the group's first injection instant. The engine checks the
+/// golden-lane trace against the campaign's golden run once per group —
 /// lanes' mismatch toggles are taken against the one, verdicts are the
 /// other's — and degrades the group to the scalar path when they differ.
-/// `slot` is the calling worker's [`WorkerSlot`].
 /// Campaigns should not build this by hand:
 /// [`Campaign::forked_batch`](crate::campaigns) derives it from the same
 /// build/inject closures as the scalar paths, which is what guarantees
@@ -634,7 +610,7 @@ pub struct BatchSpec {
     /// Runs one case group lock-step; see [`BatchSpec`].
     #[allow(clippy::type_complexity)]
     pub run: Arc<
-        dyn Fn(&CaseCtx, &[usize], LaneHooks<'_>, &mut WorkerSlot) -> Result<BatchReport, BoxError>
+        dyn Fn(&CaseCtx, &[usize], LaneHooks<'_>, Snapshot) -> Result<BatchReport, BoxError>
             + Send
             + Sync,
     >,
@@ -659,7 +635,7 @@ pub struct Campaign {
     /// Produces the trace for one case; see [`CaseRunner`].
     pub runner: CaseRunner,
     /// Checkpoint & fork support; `None` means `--checkpoint` falls back
-    /// to the from-scratch runner.
+    /// to the from-scratch runner, and `--batch` to the scalar one.
     pub fork: Option<ForkSpec>,
     /// Bit-parallel group support; `None` means `--batch` falls back to
     /// the scalar runner.
@@ -751,13 +727,18 @@ impl Campaign {
             let build = Arc::clone(&build);
             let stops = Arc::clone(&stops_shared);
             Arc::new(
-                move |ctx: &CaseCtx, sink: &mut SnapshotSink<'_>| -> Result<Trace, BoxError> {
+                move |ctx: &CaseCtx,
+                      keep: &[Time],
+                      sink: &mut SnapshotSink<'_>|
+                      -> Result<Trace, BoxError> {
                     let mut sim = build(ctx)?;
                     sim.install_budget(ctx.budget().clone());
                     ctx.stage(Stage::Simulate);
                     for &stop in stops.iter() {
                         sim.advance_to(stop).map_err(sim_err)?;
-                        sink(stop, Box::new(Checkpoint::capture(&sim)));
+                        if keep.binary_search(&stop).is_ok() {
+                            sink(stop, Box::new(Checkpoint::capture(&sim)));
+                        }
                     }
                     sim.advance_to(t_end).map_err(sim_err)?;
                     Ok(sim.snapshot_trace())
@@ -1012,36 +993,39 @@ impl Attempt {
 }
 
 /// The path the cases of one run take, resolved once from the config flags
-/// and what the campaign supports. Batch wins over fork: a group forks off
-/// its worker's golden cursor and its scalar fallbacks run from scratch, so
-/// under a batch plan nothing would read a snapshot ladder.
+/// and what the campaign supports. Batch wins over fork: both fork from
+/// the golden run's snapshots, a group at its first instant and a case at
+/// its own, and a group's scalar fallbacks run from scratch.
 #[derive(Clone, Copy)]
 enum Plan<'a> {
     /// Every case from scratch through [`Campaign::runner`].
     Scalar,
     /// Every case forked off a golden-prefix snapshot.
     Fork(&'a ForkSpec),
-    /// Groups of cases as the lanes of one word machine.
-    Batch(&'a BatchSpec),
+    /// Groups of cases as the lanes of one word machine, forked likewise.
+    Batch(&'a BatchSpec, &'a ForkSpec),
 }
 
 impl<'a> Plan<'a> {
     fn resolve(config: &EngineConfig, campaign: &'a Campaign) -> Self {
         match (&campaign.batch, &campaign.fork) {
-            (Some(spec), _) if config.batch && Self::refuses_batch(campaign).is_none() => {
-                Plan::Batch(spec)
+            (Some(b), Some(f)) if config.batch && Self::refuses_batch(campaign).is_none() => {
+                Plan::Batch(b, f)
             }
             (_, Some(spec)) if config.checkpoint => Plan::Fork(spec),
             _ => Plan::Scalar,
         }
     }
 
-    /// Why `campaign` cannot run as word groups, if it cannot. A lane is
-    /// booked from where its X01 values differ from golden's at the same
-    /// instant; a skewed comparison also reads golden at `t ± skew`.
+    /// Why `campaign` cannot run as word groups, if it cannot. Groups fork
+    /// from the fork spec's golden run. A lane is booked from where its X01
+    /// values differ from golden's at the same instant; a skewed
+    /// comparison also reads golden at `t ± skew`.
     fn refuses_batch(campaign: &Campaign) -> Option<&'static str> {
         if campaign.batch.is_none() {
             Some("campaign has no batch spec")
+        } else if campaign.fork.is_none() {
+            Some("campaign has no fork spec")
         } else if campaign.spec.digital_skew > Time::ZERO {
             Some("digital_skew needs lane traces")
         } else {
@@ -1054,20 +1038,14 @@ impl<'a> Plan<'a> {
         match self {
             Plan::Scalar => "scalar",
             Plan::Fork(_) => "fork",
-            Plan::Batch(_) => "batch",
+            Plan::Batch(..) => "batch",
         }
     }
 }
 
-/// One worker's deep clone of the golden run's snapshot ladder (empty
-/// unless the plan is [`Plan::Fork`]) and its [`TapeSlot`]. Snapshots are
-/// `Send` but not `Sync` (simulator internals hold `Send`-only trait
-/// objects), so workers cannot share references; the `Arc`s let the
-/// per-case fork runner be `'static` for the timeout machinery.
-struct ForkCache {
-    snapshots: BTreeMap<Time, Arc<Mutex<Snapshot>>>,
-    tapes: Arc<TapeSlot>,
-}
+/// The golden run's snapshots by instant, read by every worker; the `Arc`s
+/// let the per-case fork runner be `'static` for the timeout machinery.
+type Ladder = BTreeMap<Time, Arc<Mutex<Snapshot>>>;
 
 /// The campaign-execution engine. Construct with a config, then call
 /// [`Engine::run`] per campaign.
@@ -1154,30 +1132,18 @@ impl Engine {
             tele.emit_with(|| Event::new("batch", "fallback").with_field("reason", reason));
         }
 
-        // The golden run is mandatory even when everything is resumed —
-        // the report's golden trace is not journaled (it can be huge).
-        let golden_t0 = Instant::now();
-        let (golden, snaps) = self.golden_run(campaign, plan, &stats)?;
-        if let Some(metrics) = tele.metrics() {
-            metrics.golden_trace_bytes.add(golden.approx_bytes());
-        }
-        tele.emit_with(|| {
-            Event::new("span", "golden")
-                .with_dur_us(golden_t0.elapsed().as_micros() as u64)
-                .with_field("snapshots", snaps.len())
-                .with_field("checkpoint", matches!(plan, Plan::Fork(_)))
-        });
-
         // Workers claim *units* of `per` pending cases: one case, or when
         // batching one group of up to `BATCH_UNIT` cases. Groups are cut
         // from the list sorted by ascending injection instant, so the lanes
         // of one group activate off a shared golden prefix, and a lane
         // whose case seals takes the group's next one. A lone worker takes
         // the largest groups; several get `GROUPS_PER_WORKER` each, rounded
-        // up to whole words, and never less than one group each.
+        // up to whole words, and never less than one group each. The golden
+        // run keeps a snapshot where a unit starts: at every injection stop
+        // for forks, at each group's first instant for groups.
         let workers = cfg.effective_workers().min(pending.len()).max(1);
-        let per = match plan {
-            Plan::Batch(_) => {
+        let (per, keep) = match plan {
+            Plan::Batch(_, spec) => {
                 pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
                 let groups = if workers == 1 {
                     1
@@ -1186,26 +1152,41 @@ impl Engine {
                 };
                 let share = pending.len().div_ceil(workers);
                 let words = pending.len().div_ceil(groups).next_multiple_of(LANES - 1);
-                words.min(BATCH_UNIT).min(share).max(1)
+                let per = words.min(BATCH_UNIT).min(share).max(1);
+                let firsts = pending.chunks(per).map(|unit| unit[0]);
+                (
+                    per,
+                    firsts
+                        .map(|i| campaign.cases[i].injected_at.min(spec.t_end))
+                        .collect(),
+                )
             }
-            Plan::Scalar | Plan::Fork(_) => 1,
+            Plan::Fork(spec) => (1, spec.stops.clone()),
+            Plan::Scalar => (1, Vec::new()),
         };
-        let worker_caches: Vec<ForkCache> = (0..workers)
-            .map(|_| ForkCache {
-                snapshots: snaps
-                    .iter()
-                    .map(|(t, s)| (*t, Arc::new(Mutex::new(s.clone_snapshot()))))
-                    .collect(),
-                tapes: Arc::default(),
-            })
-            .collect();
 
-        // One shared golden trace for the whole run: the online classifiers
-        // on every worker hold `Arc` clones instead of deep copies.
+        // The golden run is mandatory even when everything is resumed —
+        // the report's golden trace is not journaled (it can be huge).
+        let golden_t0 = Instant::now();
+        let (golden, ladder) = self.golden_run(campaign, plan, &keep, &stats)?;
+        if let Some(metrics) = tele.metrics() {
+            metrics.golden_trace_bytes.add(golden.approx_bytes());
+        }
+        tele.emit_with(|| {
+            Event::new("span", "golden")
+                .with_dur_us(golden_t0.elapsed().as_micros() as u64)
+                .with_field("snapshots", ladder.len())
+                .with_field("checkpoint", matches!(plan, Plan::Fork(_)))
+        });
+
+        // One shared golden trace and snapshot ladder for the whole run:
+        // the online classifiers on every worker hold `Arc` clones of the
+        // one, forks and groups clone their rung of the other.
         let run = Run {
             engine: self,
             campaign,
             golden: Arc::new(golden),
+            ladder,
             stats,
             journal,
             clean_verdict: OnceLock::new(),
@@ -1239,10 +1220,8 @@ impl Engine {
                 })
             });
 
-            let handles: Vec<_> = worker_caches
-                .into_iter()
-                .enumerate()
-                .map(|(worker_id, cache)| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker_id| {
                     let (run, pending) = (&run, &pending);
                     let (next, stop, fatal, fresh) = (&next, &stop, &fatal, &fresh);
                     scope.spawn(move || {
@@ -1252,7 +1231,8 @@ impl Engine {
                             // stamped by distributed trace context.
                             Event::new("worker", "start").with_field("thread", worker_id)
                         });
-                        let mut slot = WorkerSlot::default();
+                        // All a worker keeps between claims.
+                        let tapes = Arc::new(TapeSlot::default());
                         // The entries of the unit in hand.
                         let mut done = Vec::new();
                         let mut claimed = 0usize;
@@ -1268,8 +1248,8 @@ impl Engine {
                                 Ok(())
                             };
                             let outcome = match plan {
-                                Plan::Batch(s) => run.execute_batch(s, unit, &mut slot, &mut done),
-                                Plan::Fork(spec) => one(run.fork_runner(spec, &cache, unit[0])),
+                                Plan::Batch(b, f) => run.execute_batch(b, f, unit, &mut done),
+                                Plan::Fork(spec) => one(run.fork_runner(spec, &tapes, unit[0])),
                                 Plan::Scalar => one(None),
                             };
                             match outcome {
@@ -1341,38 +1321,41 @@ impl Engine {
         })
     }
 
-    /// The fault-free run every case is classified against, plus — under
-    /// [`Plan::Fork`] — a snapshot at every injection stop. A failure is
-    /// fatal under any policy: nothing can be classified without it.
+    /// The fault-free run every case is classified against, plus — under a
+    /// plan that forks — the ladder of its snapshots at the `keep`
+    /// instants. A failure is fatal under any policy: nothing can be
+    /// classified without it.
     fn golden_run(
         &self,
         campaign: &Campaign,
         plan: Plan<'_>,
+        keep: &[Time],
         stats: &Arc<EngineStats>,
-    ) -> Result<(Trace, BTreeMap<Time, Snapshot>), EngineError> {
-        let mut snaps = BTreeMap::new();
+    ) -> Result<(Trace, Ladder), EngineError> {
+        let mut ladder = Ladder::new();
         let attempt = match plan {
-            // The snapshot sink borrows this stack, so the checkpointed
-            // golden run is inline: panic-isolated, but without retry,
-            // timeout or step metering.
-            Plan::Fork(spec) => {
+            // The snapshot sink borrows this stack, so the snapshotting
+            // golden run is inline: panic-isolated and bounded by the
+            // attempt timeout, but without retry or step metering.
+            Plan::Fork(spec) | Plan::Batch(_, spec) => {
                 let telemetry = self.config.telemetry.clone();
-                let budget = self.case_budget();
+                let mut budget = self.case_budget();
+                if let Some(timeout) = self.config.timeout {
+                    budget = budget.with_cancel(CancelToken::with_deadline(timeout));
+                }
                 let ctx = CaseCtx::attached(None, 0, Arc::clone(stats), budget, telemetry, None);
                 let out = catch_unwind(AssertUnwindSafe(|| {
-                    (spec.golden)(&ctx, &mut |t, snap| {
-                        snaps.insert(t, snap);
+                    (spec.golden)(&ctx, keep, &mut |t, snap| {
+                        ladder.insert(t, Arc::new(Mutex::new(snap)));
                     })
                 }));
                 ctx.finish();
                 Attempt::of(out, &ctx)
             }
-            Plan::Scalar | Plan::Batch(_) => {
-                self.attempt_case(&campaign.runner, None, stats, None).0
-            }
+            Plan::Scalar => self.attempt_case(&campaign.runner, None, stats, None).0,
         };
         match attempt {
-            Attempt::Ok { trace, .. } => Ok((trace, snaps)),
+            Attempt::Ok { trace, .. } => Ok((trace, ladder)),
             Attempt::Failed(e) => Err(EngineError::Golden(e)),
             Attempt::OffForkPath(e) => Err(EngineError::Golden(e.to_string())),
             // A guard trip on the fault-free run means the budget (or the
@@ -1611,6 +1594,8 @@ struct Run<'a> {
     engine: &'a Engine,
     campaign: &'a Campaign,
     golden: Arc<Trace>,
+    /// The golden run's snapshots; empty on the scalar plan.
+    ladder: Ladder,
     stats: Arc<EngineStats>,
     journal: Option<Journal>,
     /// What golden classifies as against itself: the verdict of every lane
@@ -1829,29 +1814,12 @@ impl Run<'_> {
         })
     }
 
-    /// Wraps the fork closure and case `index`'s snapshot — the one taken
-    /// at the largest stop not after its injection instant — into a runner,
-    /// returned with that stop. `None` when the cache holds no such
-    /// snapshot: the case then runs from scratch.
-    fn fork_runner(
-        &self,
-        spec: &ForkSpec,
-        cache: &ForkCache,
-        index: usize,
-    ) -> Option<(CaseRunner, Time)> {
+    /// The rung a run of case `index` forks from — the golden run's
+    /// snapshot at the largest kept instant not after the case's injection
+    /// instant — with that instant; counted as a snapshot hit or miss.
+    fn rung(&self, spec: &ForkSpec, index: usize) -> Option<(Time, &Arc<Mutex<Snapshot>>)> {
         let at = self.campaign.cases[index].injected_at.min(spec.t_end);
-        let hit = cache.snapshots.range(..=at).next_back().map(|(t, snap)| {
-            let (snap, tapes) = (Arc::clone(snap), Arc::clone(&cache.tapes));
-            let fork = Arc::clone(&spec.fork);
-            let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
-                // The one deep clone a forked case pays for, under a short
-                // lock so a timed-out (abandoned) attempt cannot wedge
-                // later retries of the same case. The fork owns the copy.
-                let owned = snap.lock().expect("snapshot poisoned").clone_snapshot();
-                fork(ctx, owned, &tapes)
-            });
-            (runner, *t)
-        });
+        let hit = self.ladder.range(..=at).next_back().map(|(t, s)| (*t, s));
         if let Some(metrics) = self.engine.config.telemetry.metrics() {
             if hit.is_some() {
                 metrics.snapshot_hits.inc();
@@ -1860,6 +1828,31 @@ impl Run<'_> {
             }
         }
         hit
+    }
+
+    /// Wraps the fork closure and case `index`'s [rung](Run::rung) into a
+    /// runner, returned with the rung's instant; `None` runs it from scratch.
+    fn fork_runner(
+        &self,
+        spec: &ForkSpec,
+        tapes: &Arc<TapeSlot>,
+        index: usize,
+    ) -> Option<(CaseRunner, Time)> {
+        self.rung(spec, index).map(|(at, snap)| {
+            let (snap, tapes) = (Arc::clone(snap), Arc::clone(tapes));
+            let fork = Arc::clone(&spec.fork);
+            let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
+                // The one deep clone a forked case pays for, under a short
+                // lock so a timed-out (abandoned) attempt cannot wedge
+                // later retries of the same case. The fork owns the copy.
+                fork(
+                    ctx,
+                    snap.lock().expect("snapshot poisoned").clone_snapshot(),
+                    &tapes,
+                )
+            });
+            (runner, at)
+        })
     }
 
     /// Runs one case end-to-end: attempts (with retries), classification,
@@ -1961,7 +1954,8 @@ impl Run<'_> {
     }
 
     /// Runs one case group bit-parallel through the campaign's
-    /// [`BatchSpec`] and books every lane, pushing the entries onto `done`.
+    /// [`BatchSpec`], from a copy of the group's [rung](Run::rung), and
+    /// books every lane, pushing the entries onto `done`.
     ///
     /// Lanes are armed like scalar attempts ([`Engine::arm`]): with
     /// `--early-abort` a sealed verdict wins over whatever the cancelled
@@ -1982,14 +1976,14 @@ impl Run<'_> {
     fn execute_batch(
         &self,
         spec: &BatchSpec,
+        fork: &ForkSpec,
         group: &[usize],
-        slot: &mut WorkerSlot,
         done: &mut Vec<(usize, JournalEntry)>,
     ) -> Result<(), EngineError> {
         let engine = self.engine;
         let tele = &engine.config.telemetry;
         let group_t0 = Instant::now();
-        slot.fork = None;
+        let rung = self.rung(fork, group[0]);
         let mut classifiers: Vec<Option<Arc<Mutex<OnlineClassifier>>>> = vec![None; group.len()];
         // The machine-wide budget: a trip here fails the whole group. Its
         // deadline can never expire where the scalar path would not time
@@ -2009,8 +2003,12 @@ impl Run<'_> {
             }
             None => (engine.metered_budget(), None),
         };
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            (spec.run)(&ctx, group, &mut hooks, slot)
+        let out = catch_unwind(AssertUnwindSafe(|| match rung {
+            Some((_, snap)) => {
+                let rung = snap.lock().expect("snapshot poisoned").clone_snapshot();
+                (spec.run)(&ctx, group, &mut hooks, rung)
+            }
+            None => Err("no snapshot to fork the group from".into()),
         }));
         ctx.finish();
         let report = match out {
@@ -2034,9 +2032,6 @@ impl Run<'_> {
         } = match report {
             Ok(report) => report,
             Err(reason) => {
-                // Whatever the spec parked in the slot may be half-updated:
-                // the worker's next group starts from nothing.
-                *slot = WorkerSlot::default();
                 self.stats.record_fallbacks(group.len());
                 tele.emit_with(|| {
                     Event::new("batch", "fallback")
@@ -2086,11 +2081,8 @@ impl Run<'_> {
                 .with_field("lanes", group.len())
                 .with_field("machines", machines)
                 .with_field("refills", refills);
-            if let Some(fork) = slot.fork {
-                let cursor = if fork.reused { "reused" } else { "rebuilt" };
-                event = event
-                    .with_field("from_fs", fork.at.as_fs())
-                    .with_field("cursor", cursor);
+            if let Some((from, _)) = rung {
+                event = event.with_field("from_fs", from.as_fs());
             }
             event
         });
@@ -2174,6 +2166,18 @@ mod tests {
         trace: Trace,
     }
 
+    impl TickSim {
+        fn new() -> Self {
+            TickSim {
+                now: Time::ZERO,
+                ticks: 0,
+                stuck: false,
+                invert_next: false,
+                trace: Trace::new(),
+            }
+        }
+    }
+
     impl ForkableSim for TickSim {
         type Error = std::convert::Infallible;
 
@@ -2224,15 +2228,7 @@ mod tests {
             spec,
             cases,
             t_end,
-            |_ctx: &CaseCtx| {
-                Ok(TickSim {
-                    now: Time::ZERO,
-                    ticks: 0,
-                    stuck: false,
-                    invert_next: false,
-                    trace: Trace::new(),
-                })
-            },
+            |_ctx: &CaseCtx| Ok(TickSim::new()),
             |sim: &mut TickSim, i| {
                 if i.is_multiple_of(2) {
                     sim.stuck = true;
@@ -2336,15 +2332,7 @@ mod tests {
             spec,
             cases,
             t_end,
-            |_ctx: &CaseCtx| {
-                Ok(TickSim {
-                    now: Time::ZERO,
-                    ticks: 0,
-                    stuck: false,
-                    invert_next: false,
-                    trace: Trace::new(),
-                })
-            },
+            |_ctx: &CaseCtx| Ok(TickSim::new()),
             move |_sim: &mut TickSim, _i| {
                 if tries_in.fetch_add(1, Ordering::Relaxed) < 2 {
                     return Err("flaky fork".into());
@@ -2642,12 +2630,26 @@ mod tests {
     }
 
     /// A [`TickSim`] whose kernel shares all of itself: any run may lead
-    /// and any may follow — unless it is armed to fail on the way.
-    #[derive(Debug, Clone)]
+    /// and any may follow — unless it is armed to fail on the way. It
+    /// counts its deep clones.
+    #[derive(Debug)]
     struct TapeSim {
         inner: TickSim,
         budget: SimBudget,
         arm: TapeArm,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for TapeSim {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            TapeSim {
+                inner: self.inner.clone(),
+                budget: self.budget.clone(),
+                clones: Arc::clone(&self.clones),
+                ..*self
+            }
+        }
     }
 
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -2655,7 +2657,9 @@ mod tests {
         Quiet,
         /// `lead_to` errs.
         Breaks,
-        /// `lead_to` spins until its budget's token is cancelled.
+        /// `advance_to` spins until its budget says stop — for at most
+        /// 4 s, so that a budget without a deadline fails a test instead
+        /// of hanging it.
         Wedges,
     }
 
@@ -2663,6 +2667,11 @@ mod tests {
         type Error = amsfi_waves::GuardViolation;
 
         fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
+            let t0 = Instant::now();
+            while self.arm == TapeArm::Wedges && t0.elapsed() < Duration::from_secs(4) {
+                self.budget.note_step(self.inner.now)?;
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let Ok(()) = self.inner.advance_to(t);
             Ok(())
         }
@@ -2684,18 +2693,11 @@ mod tests {
         }
 
         fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, Self::Error> {
-            match self.arm {
-                TapeArm::Quiet => {}
-                TapeArm::Breaks => {
-                    return Err(amsfi_waves::GuardViolation::NonFinite {
-                        signal: "out".to_owned(),
-                        t: self.inner.now,
-                    })
-                }
-                TapeArm::Wedges => loop {
-                    self.budget.note_step(self.inner.now)?;
-                    std::thread::sleep(Duration::from_millis(1));
-                },
+            if self.arm == TapeArm::Breaks {
+                return Err(amsfi_waves::GuardViolation::NonFinite {
+                    signal: "out".to_owned(),
+                    t: self.inner.now,
+                });
             }
             self.advance_to(t)?;
             Ok(Some(Arc::new(())))
@@ -2707,30 +2709,32 @@ mod tests {
         }
     }
 
-    /// One case per entry of `arms`, injected at the paired instant (ns).
-    fn tape_campaign(name: &str, arms: Vec<(i64, TapeArm)>) -> Campaign {
+    /// One case per entry of `arms`, injected at the paired instant (ns),
+    /// on simulators built armed as `golden`; with their clone count.
+    fn tape_campaign(
+        name: &str,
+        golden: TapeArm,
+        arms: Vec<(i64, TapeArm)>,
+    ) -> (Campaign, Arc<AtomicUsize>) {
         let t_end = Time::from_ns(40);
         let cases = arms
             .iter()
             .enumerate()
             .map(|(i, (at, _))| FaultCase::new(format!("tape{i}"), Time::from_ns(*at)))
             .collect();
-        Campaign::forked(
+        let clones = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&clones);
+        let campaign = Campaign::forked(
             name,
             ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]),
             cases,
             t_end,
-            |_ctx: &CaseCtx| {
+            move |_ctx: &CaseCtx| {
                 Ok(TapeSim {
-                    inner: TickSim {
-                        now: Time::ZERO,
-                        ticks: 0,
-                        stuck: false,
-                        invert_next: false,
-                        trace: Trace::new(),
-                    },
+                    inner: TickSim::new(),
                     budget: SimBudget::unlimited(),
-                    arm: TapeArm::Quiet,
+                    arm: golden,
+                    clones: Arc::clone(&counter),
                 })
             },
             move |sim: &mut TapeSim, i| {
@@ -2738,14 +2742,16 @@ mod tests {
                 sim.arm = arms[i].1;
                 Ok(())
             },
-        )
+        );
+        (campaign, clones)
     }
 
     #[test]
     fn only_an_attempt_that_went_all_the_way_publishes_its_tape() {
         use TapeArm::{Breaks, Quiet, Wedges};
-        let campaign = tape_campaign(
+        let (campaign, _) = tape_campaign(
             "toy-tape-failures",
+            Quiet,
             vec![(5, Breaks), (5, Wedges), (5, Quiet), (5, Quiet), (5, Quiet)],
         );
         let report = Engine::new(
@@ -2773,7 +2779,7 @@ mod tests {
                 .with_workers(1)
                 .with_checkpoint(true);
             let report = Engine::new(config)
-                .run(&tape_campaign("toy-tape-stops", arms))
+                .run(&tape_campaign("toy-tape-stops", Quiet, arms).0)
                 .unwrap();
             report.stats.followed
         };
@@ -2796,5 +2802,41 @@ mod tests {
             .run(&campaign)
             .unwrap_err();
         assert!(matches!(err, EngineError::Golden(_)), "{err}");
+    }
+
+    #[test]
+    fn the_timeout_bounds_a_snapshotting_golden_run_on_every_forking_plan() {
+        use TapeArm::{Quiet, Wedges};
+        let (mut campaign, _) = tape_campaign("toy-wedged-golden", Wedges, vec![(5, Quiet)]);
+        campaign.batch = Some(BatchSpec {
+            run: Arc::new(|_, _, _, _| Err("no group starts".into())),
+        });
+        let config = EngineConfig::default()
+            .with_workers(1)
+            .with_timeout(Duration::from_millis(100));
+        for config in [
+            config.clone().with_checkpoint(true),
+            config.with_batch(true),
+        ] {
+            let t0 = Instant::now();
+            let err = Engine::new(config).run(&campaign).unwrap_err();
+            assert!(matches!(err, EngineError::Golden(_)), "{err}");
+            assert!(t0.elapsed() < Duration::from_secs(3), "{:?}", t0.elapsed());
+        }
+    }
+
+    #[test]
+    fn checkpoint_workers_share_one_ladder() {
+        // Nine cases over three stops on three workers: one deep clone per
+        // rung, when the golden run captures it, and one per forked case —
+        // no worker copies the ladder.
+        let arms = (0..9).map(|i| (5 + (i % 3) * 9, TapeArm::Quiet)).collect();
+        let (campaign, clones) = tape_campaign("toy-one-ladder", TapeArm::Quiet, arms);
+        let config = EngineConfig::default()
+            .with_workers(3)
+            .with_checkpoint(true);
+        let report = Engine::new(config).run(&campaign).unwrap();
+        assert_eq!((report.path, report.stats.fallbacks), ("fork", 0));
+        assert_eq!(clones.load(Ordering::Relaxed), 3 + 9);
     }
 }

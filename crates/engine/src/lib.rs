@@ -22,7 +22,7 @@
 //!   per-stage (build / simulate / classify) wall-clock breakdown with
 //!   latency percentiles ([`stats`]), and structured [`telemetry`] — JSONL
 //!   span/guard/retry/quarantine events plus kernel metrics (solver steps,
-//!   proposed-`dt` distribution, snapshot-cache hits) exportable as
+//!   proposed-`dt` distribution, snapshot-ladder hits) exportable as
 //!   Prometheus text via [`EngineConfig::with_telemetry`].
 //!
 //! The `amsfi` CLI binary (in the `amsfi-serve` crate, which also adds
@@ -40,8 +40,8 @@ pub mod stats;
 
 pub use executor::{
     AnySnapshot, BatchSpec, Campaign, CaseCtx, CaseRunner, Engine, EngineConfig, EngineError,
-    EngineReport, ErrorPolicy, ForkPathError, ForkSpec, LaneHooks, PrefixFork, RecordSink,
-    Snapshot, SnapshotSink, TapeSlot, WorkerSlot,
+    EngineReport, ErrorPolicy, ForkPathError, ForkSpec, LaneHooks, RecordSink, Snapshot,
+    SnapshotSink, TapeSlot,
 };
 pub use journal::{Journal, JournalEntry, JournalError, JournalMeta, QuarantinedCase, SkippedCase};
 pub use shard::Shard;

@@ -9,31 +9,33 @@
 //!   the scalar run;
 //! * batch + `--early-abort` seals the same verdict classes the full
 //!   post-hoc run derives;
-//! * word groups fork from one golden scalar cursor per worker: the
-//!   answers stay byte-identical on whole, sharded and partly completed
-//!   case lists, the prefix is paid per worker and not per group, and a
-//!   cursor is never run backwards or kept after a failure;
+//! * word groups fork from the golden run's snapshots, one per group
+//!   start: the answers stay byte-identical on whole, sharded and partly
+//!   completed case lists, and the prefix is paid once per run — `build`
+//!   runs for the golden run alone;
 //! * lane guards: a step cap on every lane leaves the word answers equal
 //!   to the equally capped scalar ones, and inside a group trips exactly
 //!   the lanes that run longer than the cap;
 //! * a group whose golden lane is not the campaign's golden run is re-run
 //!   scalar: the verdict of a lane reported as toggles rests on that;
-//! * a campaign with an edge-skew tolerance runs scalar under `--batch`,
-//!   and says why;
-//! * `--batch --checkpoint` captures no snapshots when the batch spec
-//!   engages, and still forks when the campaign has none;
+//! * a campaign with an edge-skew tolerance, or without a fork spec, runs
+//!   scalar under `--batch`, and says why;
+//! * `--batch --checkpoint` snapshots the golden run at each group's
+//!   start when the batch spec engages, and at every injection stop when
+//!   the campaign has none;
 //! * under `--timeout` a word machine that never returns is cut off after
-//!   the wall clock its cases would have had one by one, and re-run scalar;
+//!   the wall clock its cases would have had one by one, and re-run
+//!   scalar, and a group runs on its own deadline, not the golden run's;
 //! * on every plan (scalar, fork, batch) every pending case is booked
 //!   exactly once, and the report names the plan and counts who left it.
 
 use amsfi_core::{plan, report, CaseResult, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, BatchReport, InjectTarget, LaneOutcome, Netlist, Simulator};
 use amsfi_engine::{
-    campaigns, BatchSpec, Campaign, CaseCtx, Engine, EngineConfig, EngineReport, PrefixFork,
-    RecordSink, Shard, Telemetry, WorkerSlot,
+    campaigns, BatchSpec, Campaign, CaseCtx, Engine, EngineConfig, EngineReport, RecordSink, Shard,
+    Telemetry,
 };
-use amsfi_waves::{Logic, LogicVector, MismatchToggles, SimBudget, Time};
+use amsfi_waves::{Logic, LogicVector, SimBudget, Time};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,16 +62,25 @@ fn build_counter() -> Simulator {
     sim
 }
 
+/// Every bit of the counter.
+const ALL_BITS: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
 /// A counter SEU campaign over `bits x times`, built through
 /// [`Campaign::forked_batch`]. `poison` makes that case's inject closure
 /// fail deterministically (chaos lane).
 fn counter_campaign(bits: &[usize], times: &[Time], poison: Option<usize>) -> Campaign {
-    let targets = build_counter().mutant_targets();
-    let ctr = targets
-        .iter()
-        .find(|t| t.component_name == "ctr")
-        .expect("counter target")
-        .component;
+    counted_campaign(bits, times, poison, build_counter).0
+}
+
+/// [`counter_campaign`] over the simulator `build` makes (which must hold a
+/// counter "ctr"), plus how often the engine called `build`.
+fn counted_campaign(
+    bits: &[usize],
+    times: &[Time],
+    poison: Option<usize>,
+    build: fn() -> Simulator,
+) -> (Campaign, Arc<AtomicUsize>) {
+    let ctr = build().component_id("ctr").expect("counter instance");
     let mut cases = Vec::new();
     let mut setup = Vec::new();
     for &at in times {
@@ -82,13 +93,17 @@ fn counter_campaign(bits: &[usize], times: &[Time], poison: Option<usize>) -> Ca
         (Time::ZERO, T_END),
         (0..8).map(|i| format!("q[{i}]")).collect(),
     );
-    let setup = Arc::new(setup);
-    Campaign::forked_batch(
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&builds);
+    let campaign = Campaign::forked_batch(
         "batch-equivalence",
         spec,
         cases,
         T_END,
-        |_ctx: &CaseCtx| Ok(build_counter()),
+        move |_ctx: &CaseCtx| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(build())
+        },
         move |sim: &mut dyn InjectTarget, i| {
             if poison == Some(i) {
                 return Err("chaos: injector wiring fault".into());
@@ -96,7 +111,8 @@ fn counter_campaign(bits: &[usize], times: &[Time], poison: Option<usize>) -> Ca
             sim.flip_state(ctr, setup[i]);
             Ok(())
         },
-    )
+    );
+    (campaign, builds)
 }
 
 fn times() -> Vec<Time> {
@@ -188,38 +204,43 @@ fn batch_flag_without_batch_spec_falls_back_to_scalar() {
 fn a_skewed_comparison_runs_scalar_and_says_why() {
     // A word lane is booked from where its X01 values differ from golden's
     // at the same instant; an edge-skew tolerance also reads golden at
-    // `t ± skew`, which that does not carry. Such a campaign resolves to
-    // the scalar plan, once, with the reason in the event stream.
+    // `t ± skew`, which that does not carry. And groups fork from the fork
+    // spec's golden run. A campaign with a skew, or without a fork spec,
+    // resolves to the scalar plan, once, with the reason in the event
+    // stream.
     let base = counter_campaign(&[0, 3, 7], &times(), None);
-    let campaign = Campaign {
+    let skewed = Campaign {
         spec: base.spec.clone().with_digital_skew(Time::from_ns(2)),
-        ..base
+        ..base.clone()
     };
-    let expected = report::cases_csv(
-        &Engine::new(EngineConfig::default().with_workers(2))
-            .run(&campaign)
-            .expect("scalar run")
-            .result,
-    );
-    let (batch, text) = run_with_events("batch-skew", batch_config(2), &campaign);
-    assert_eq!(expected, report::cases_csv(&batch.result));
-    assert_eq!((batch.path, batch.stats.fallbacks), ("scalar", 0));
-    let fallbacks = events_of(&text, "batch", "fallback");
-    assert_eq!(fallbacks.len(), 1, "one fallback event:\n{text}");
-    assert!(
-        fallbacks[0].contains("\"reason\":\"digital_skew needs lane traces\""),
-        "{}",
-        fallbacks[0]
-    );
-    assert!(events_of(&text, "span", "batch").is_empty(), "{text}");
+    let unforked = Campaign { fork: None, ..base };
+    for (campaign, reason) in [
+        (skewed, "digital_skew needs lane traces"),
+        (unforked, "campaign has no fork spec"),
+    ] {
+        let expected = report::cases_csv(
+            &Engine::new(EngineConfig::default().with_workers(2))
+                .run(&campaign)
+                .expect("scalar run")
+                .result,
+        );
+        let (batch, text) = run_with_events("batch-skew", batch_config(2), &campaign);
+        assert_eq!(expected, report::cases_csv(&batch.result));
+        assert_eq!((batch.path, batch.stats.fallbacks), ("scalar", 0));
+        let fallbacks = events_of(&text, "batch", "fallback");
+        assert_eq!(fallbacks.len(), 1, "one fallback event:\n{text}");
+        let reason = format!("\"reason\":\"{reason}\"");
+        assert!(fallbacks[0].contains(&reason), "{}", fallbacks[0]);
+        assert!(events_of(&text, "span", "batch").is_empty(), "{text}");
+    }
 }
 
 #[test]
-fn batch_with_checkpoint_builds_no_snapshot_ladder() {
-    // Batch groups fork off their worker's golden cursor and their scalar
+fn batch_with_checkpoint_keeps_one_rung_per_group_start() {
+    // Groups fork from the golden run's snapshots and their scalar
     // fallbacks run from scratch: with a batch spec engaged, `--checkpoint`
-    // must not make the golden run capture (and every worker clone) a
-    // snapshot per injection instant that nothing reads.
+    // must not make the golden run capture a snapshot per injection
+    // instant, only one per group start.
     let snapshots = |text: &str| -> usize {
         let golden = events_of(text, "span", "golden");
         assert_eq!(golden.len(), 1, "one golden span:\n{text}");
@@ -234,9 +255,11 @@ fn batch_with_checkpoint_builds_no_snapshot_ladder() {
     );
     let cfg = || batch_config(2).with_checkpoint(true);
 
+    // Nine cases on two workers: groups of five and four, which start at
+    // the first and the second instant.
     let (batch, text) = run_with_events("batch-checkpoint", cfg(), &campaign);
     assert_eq!(expected, report::cases_csv(&batch.result));
-    assert_eq!(snapshots(&text), 0);
+    assert_eq!(snapshots(&text), 2);
     assert!(!events_of(&text, "span", "batch").is_empty(), "{text}");
 
     // Without a batch spec the same flags are a checkpointed scalar run.
@@ -380,7 +403,7 @@ fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
         .expect("scalar run");
     let wedged = Campaign {
         batch: Some(BatchSpec {
-            run: Arc::new(|ctx, _group, _hooks, _slot| {
+            run: Arc::new(|ctx, _group, _hooks, _rung| {
                 let t0 = Instant::now();
                 while !ctx.budget().cancel_token().should_stop()
                     && t0.elapsed() < Duration::from_secs(4)
@@ -414,22 +437,22 @@ fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
 }
 
 #[test]
-fn a_kept_cursor_runs_on_its_current_groups_deadline() {
-    // 576 cases are groups of 504 and 72 for one worker. The sink holds the
-    // first record up until the first group's deadline (504 x 10 ms) has
-    // passed: the worker's cursor, kept for the second group, must by then
-    // run under that group's budget, not trip the expired one.
+fn a_group_runs_on_its_own_deadline_not_the_golden_runs() {
+    // 576 cases are groups of 504 and 72 for one worker. Each group's
+    // snapshot carries the budget of the golden run that captured it,
+    // whose deadline (one 50 ms timeout from the golden run's start) the
+    // sink lets pass by holding the first record: the second group must
+    // run under its own budget (72 x 50 ms), not trip the expired one.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 72);
-    let (campaign, _) = counted_campaign(&times, build_counter);
+    let campaign = counter_campaign(&ALL_BITS, &times, None);
     let held = AtomicUsize::new(0);
     let sink = RecordSink::new(move |_, _| {
         if held.fetch_add(1, Ordering::Relaxed) == 0 {
-            std::thread::sleep(Duration::from_millis(5200));
+            std::thread::sleep(Duration::from_millis(300));
         }
     });
     let cfg = batch_config(1)
-        .with_timeout(Duration::from_millis(10))
-        .with_retries(5)
+        .with_timeout(Duration::from_millis(50))
         .with_record_sink(sink);
     let report = Engine::new(cfg).run(&campaign).expect("word run");
     assert_eq!((report.path, report.stats.fallbacks), ("batch", 0));
@@ -489,14 +512,14 @@ fn every_pending_case_is_booked_exactly_once_on_every_plan() {
     }
 }
 
-// ---- The worker's golden cursor: word groups fork from one scalar prefix ----
+// ---- One golden ladder: word groups fork from the golden run's snapshots ----
 
 #[test]
 fn word_cases_csv_is_byte_identical_on_whole_sharded_and_resumed_lists() {
     for (name, limit) in [("cpu", 160), ("cpu-set", 200)] {
         let campaign = campaigns::build(name, Some(limit)).expect("catalog campaign");
-        // The later half only: every group starts late, on a cursor that
-        // has the whole first half of the golden run to cover at once.
+        // The later half only: every group starts late, from a snapshot
+        // the golden run took past the whole first half of its cases.
         let first_half: Vec<usize> = (0..limit / 2).collect();
         let shard = Shard::new(1, 3).expect("shard 1/3");
         type Subset = fn(EngineConfig, &[usize], Shard) -> EngineConfig;
@@ -576,9 +599,8 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
         let campaign = campaigns::build(name, None).expect("catalog campaign");
         // Early and late injections in one word.
         let group: Vec<usize> = (0..campaign.cases.len()).step_by(stride).take(63).collect();
-        let fresh = &mut WorkerSlot::default();
-        let free = run_word_spec(&campaign, &group, fresh, &SimBudget::unlimited);
-        let capped = run_word_spec(&campaign, &group, fresh, &|| {
+        let free = run_word_spec(&campaign, &group, &SimBudget::unlimited);
+        let capped = run_word_spec(&campaign, &group, &|| {
             SimBudget::unlimited().with_max_steps(cap)
         });
         assert_eq!(free.golden, capped.golden);
@@ -628,21 +650,12 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
 
 #[test]
 fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
-    // `build` monitors one signal more on its second call. With one worker
-    // the first call is the golden run and the second the worker's cursor,
-    // so the first group's golden lane carries a wave the campaign's golden
-    // run has not. Lanes of that group were compared against the wrong
-    // golden; the engine must notice, say why, and run the group scalar.
-    fn build_nth(call: usize) -> Simulator {
-        let mut sim = build_counter();
-        if call == 1 {
-            sim.monitor_name("clk");
-        }
-        sim
-    }
+    // A spec whose first group reports a golden lane with one wave more than
+    // the campaign's golden run has. Lanes of that group were compared
+    // against the wrong golden; the engine must notice, say why, and run
+    // the group scalar.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 72);
-    let bits: Vec<usize> = (0..8).collect();
-    let base = counter_campaign(&bits, &times, None);
+    let base = counter_campaign(&ALL_BITS, &times, None);
     let expected = report::cases_csv(
         &Engine::new(EngineConfig::default().with_workers(1))
             .run(&base)
@@ -650,27 +663,26 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
             .result,
     );
 
-    let ctr = build_counter().component_id("ctr").expect("counter");
-    let calls = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&calls);
-    let campaign = Campaign::forked_batch(
-        "golden-lane-check",
-        base.spec.clone(),
-        base.cases.clone(),
-        T_END,
-        move |_ctx: &CaseCtx| Ok(build_nth(counter.fetch_add(1, Ordering::Relaxed))),
-        move |sim: &mut dyn InjectTarget, i| {
-            sim.flip_state(ctr, i % 8);
-            Ok(())
-        },
-    );
+    let inner = Arc::clone(&base.batch.as_ref().expect("batch spec").run);
+    let calls = AtomicUsize::new(0);
+    let campaign = Campaign {
+        batch: Some(BatchSpec {
+            run: Arc::new(move |ctx, group, hooks, rung| {
+                let mut report = inner(ctx, group, hooks, rung)?;
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    report.golden.record_digital("extra", T_END, Logic::One)?;
+                }
+                Ok(report)
+            }),
+        }),
+        ..base
+    };
 
     let (report, text) = run_with_events("golden-lane", batch_config(1), &campaign);
     assert_eq!(expected, report::cases_csv(&report.result));
-    // 576 cases in groups of 504 and 72: the golden run, the odd cursor,
-    // the first group's 504 cases scalar, and one sound cursor for the rest
-    // (the slot is emptied with the fallback).
-    assert_eq!(calls.load(Ordering::Relaxed), 1 + 1 + 504 + 1);
+    // 576 cases in groups of 504 and 72: the first group's cases re-ran
+    // scalar.
+    assert_eq!((report.path, report.stats.fallbacks), ("batch", 504));
 
     let fallbacks = events_of(&text, "batch", "fallback");
     assert_eq!(fallbacks.len(), 1, "one group falls back:\n{text}");
@@ -693,88 +705,65 @@ fn digital_events(campaign: &Campaign, cfg: EngineConfig) -> u64 {
 }
 
 #[test]
-fn word_prefix_cost_is_paid_per_worker_not_per_group() {
-    // Not a wall-clock test: kernel events are counted. A word run that
-    // re-simulated the golden prefix for every group would process at
-    // least one golden horizon per group; the cursor pays one per worker,
-    // and each group only its own suffix.
+fn word_prefix_cost_is_paid_once_per_run() {
+    // Not a wall-clock test: kernel events are counted. The golden run, the
+    // one pass over the fault-free prefix, is unmetered, so what is counted
+    // is the groups' own suffixes — not a golden horizon per word of cases.
     let campaign = campaigns::build("cpu-set", None).expect("cpu-set campaign");
-    let groups = campaign.cases.len().div_ceil(63) as u64;
-    assert!(groups >= 8, "need a campaign of many groups, got {groups}");
+    let words = campaign.cases.len().div_ceil(63) as u64;
+    assert!(words >= 8, "need a campaign of many words, got {words}");
     let golden_only = campaigns::build("cpu-set", Some(0)).expect("empty cpu-set");
     let horizon = digital_events(&golden_only, EngineConfig::default().with_workers(1));
     assert!(horizon > 0);
 
-    let word = digital_events(&campaign, batch_config(1)) - horizon;
-    assert!(
-        word * 10 < groups * horizon * 4,
-        "{word} events over {groups} groups is not under 40 % of {groups} x {horizon}"
-    );
-}
-
-/// An 8-bit x `times` counter SEU campaign over the simulator `build`
-/// makes (which must hold a counter "ctr"), plus how often the engine
-/// called `build`.
-fn counted_campaign(times: &[Time], build: fn() -> Simulator) -> (Campaign, Arc<AtomicUsize>) {
-    let bits: Vec<usize> = (0..8).collect();
-    let base = counter_campaign(&bits, times, None);
-    let ctr = build().component_id("ctr").expect("counter instance");
-    let builds = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&builds);
-    let campaign = Campaign::forked_batch(
-        "counted-builds",
-        base.spec,
-        base.cases,
-        T_END,
-        move |_ctx: &CaseCtx| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            Ok(build())
-        },
-        move |sim: &mut dyn InjectTarget, i| {
-            sim.flip_state(ctr, i % 8);
-            Ok(())
-        },
-    );
-    (campaign, builds)
+    for workers in [1, 3] {
+        let word = digital_events(&campaign, batch_config(workers));
+        assert!(
+            word * 10 < words * horizon * 4,
+            "{workers} worker(s): {word} events over {words} words is not under 40 % of \
+             {words} x {horizon}"
+        );
+    }
 }
 
 #[test]
-fn word_builds_once_per_worker_and_says_so_in_the_events() {
+fn word_builds_once_per_run_and_says_so_in_the_events() {
     // 8 bits x 189 instants = 3 full groups of 504 on one worker. A counter
-    // upset never reconverges, so each group takes 8 full machines.
+    // upset never reconverges, so each group takes 8 full machines. Every
+    // group forks from the golden run's snapshot at its first instant, so
+    // `build` runs once, for the golden run.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 189);
-    let (campaign, builds) = counted_campaign(&times, build_counter);
-    let (report, text) = run_with_events("cursor-events", batch_config(1), &campaign);
+    let (campaign, builds) = counted_campaign(&ALL_BITS, &times, None, build_counter);
+    let (report, text) = run_with_events("word-builds", batch_config(1), &campaign);
     assert_eq!(report.result.cases.len(), 1512);
     assert_eq!(
         builds.load(Ordering::Relaxed),
-        2,
-        "one build for the golden run, one for the worker's cursor"
+        1,
+        "one build, for the golden run"
     );
 
+    let golden = events_of(&text, "span", "golden");
+    assert_eq!(count_field(golden[0], "snapshots"), 3, "one per group");
     let spans = events_of(&text, "span", "batch");
     assert_eq!(spans.len(), 3, "one batch span per group:\n{text}");
-    for span in &spans {
-        assert!(span.contains("\"from_fs\":"), "{span}");
+    for (g, span) in spans.iter().enumerate() {
+        // Group `g` starts with case `504 g`, of instant `63 g`.
+        assert_eq!(count_field(span, "from_fs") as i64, times[63 * g].as_fs());
         let machines = (count_field(span, "machines"), count_field(span, "refills"));
         assert_eq!(machines, (8, 0), "{span}");
     }
-    let rebuilt = spans
-        .iter()
-        .filter(|l| l.contains("\"cursor\":\"rebuilt\""));
-    let reused = spans.iter().filter(|l| l.contains("\"cursor\":\"reused\""));
-    assert_eq!((rebuilt.count(), reused.count()), (1, 2));
 }
 
 #[test]
 fn several_workers_claim_several_groups_of_whole_words_each() {
     // The same 1512 cases on three workers: four groups each, rounded up to
     // whole words, are twelve groups of 126 — not three of 504, which would
-    // leave work stealing nothing to even out.
+    // leave work stealing nothing to even out. Still one build per run.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(1900), 189);
-    let (campaign, _) = counted_campaign(&times, build_counter);
+    let (campaign, builds) = counted_campaign(&ALL_BITS, &times, None, build_counter);
     let (report, text) = run_with_events("groups-per-worker", batch_config(3), &campaign);
     assert_eq!((report.path, report.stats.fallbacks), ("batch", 0));
+    assert_eq!(builds.load(Ordering::Relaxed), 1);
     let spans = events_of(&text, "span", "batch");
     assert_eq!(spans.len(), 12, "{text}");
     for span in spans {
@@ -783,61 +772,26 @@ fn several_workers_claim_several_groups_of_whole_words_each() {
     }
 }
 
-/// Runs `group` through the campaign's batch spec on `slot`, as one engine
-/// worker would, with `budget()` installed on every lane (the machine
-/// itself unguarded).
+/// Runs `group` through the campaign's batch spec from the golden run's
+/// snapshot at its first instant, as the engine would, with `budget()`
+/// installed on every lane (the machine itself unguarded).
 fn run_word_spec(
     campaign: &Campaign,
     group: &[usize],
-    slot: &mut WorkerSlot,
     budget: &dyn Fn() -> SimBudget,
 ) -> BatchReport {
+    let fork = campaign.fork.as_ref().expect("fork spec");
+    let ctx = CaseCtx::detached(None);
+    let first = [campaign.cases[group[0]].injected_at];
+    let mut rung = None;
+    (fork.golden)(&ctx, &first, &mut |_, snap| rung = Some(snap)).expect("golden run");
     let spec = campaign.batch.as_ref().expect("batch spec");
     let mut hooks = |_lane: usize| (budget(), None);
-    (spec.run)(&CaseCtx::detached(None), group, &mut hooks, slot).expect("word group")
-}
-
-/// The lanes' mismatch toggles of `group` run unguarded on `slot`.
-fn run_word_group(
-    campaign: &Campaign,
-    group: &[usize],
-    slot: &mut WorkerSlot,
-) -> Vec<MismatchToggles> {
-    let run = run_word_spec(campaign, group, slot, &SimBudget::unlimited);
-    (0..group.len())
-        .map(|lane| run.lane_toggles(lane).expect("lane failed").clone())
-        .collect()
+    (spec.run)(&ctx, group, &mut hooks, rung.expect("a snapshot")).expect("word group")
 }
 
 #[test]
-fn worker_cursor_rolls_forward_and_is_rebuilt_rather_than_run_backwards() {
-    let times = [Time::from_ns(300), Time::from_ns(700), Time::from_ns(1100)];
-    let campaign = counter_campaign(&[0, 5], &times, None);
-    let (early, middle, late) = ([0usize, 1], [2usize, 3], [4usize, 5]);
-    let fresh = |group: &[usize]| run_word_group(&campaign, group, &mut WorkerSlot::default());
-
-    let mut slot = WorkerSlot::default();
-    assert_eq!(
-        run_word_group(&campaign, &middle, &mut slot),
-        fresh(&middle)
-    );
-    let at = |t: Time, reused: bool| Some(PrefixFork { at: t, reused });
-    assert_eq!(slot.fork, at(times[1], false));
-    // Forward: the parked cursor is advanced and cloned.
-    assert_eq!(run_word_group(&campaign, &late, &mut slot), fresh(&late));
-    assert_eq!(slot.fork, at(times[2], true));
-    // Behind the cursor: a new one is built, the old one is not rewound.
-    assert_eq!(run_word_group(&campaign, &early, &mut slot), fresh(&early));
-    assert_eq!(slot.fork, at(times[0], false));
-    // A slot holding something that is not this campaign's cursor is
-    // treated as empty.
-    slot.state = Some(Box::new("not a simulator"));
-    assert_eq!(run_word_group(&campaign, &late, &mut slot), fresh(&late));
-    assert_eq!(slot.fork, at(times[2], false));
-}
-
-#[test]
-fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
+fn unseedable_groups_fall_back_to_scalar() {
     // An external drive pending past the first injection has no 64-lane
     // form: every group must degrade to the scalar path (which honours
     // the drive) instead of panicking or dropping it.
@@ -861,10 +815,9 @@ fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
         sim.inject_value(en, LogicVector::filled(Logic::One, 1), Time::from_ns(1500));
         sim
     }
-    // 8 bits x 72 instants = 576 cases: groups of 504 and 72 on one worker,
-    // which would reuse its cursor if a failure did not clear it.
+    // 8 bits x 72 instants = 576 cases: groups of 504 and 72 on one worker.
     let times = plan::uniform_times(Time::from_ns(100), Time::from_ns(900), 72);
-    let (campaign, builds) = counted_campaign(&times, build_with_external);
+    let (campaign, builds) = counted_campaign(&ALL_BITS, &times, None, build_with_external);
     let scalar = Engine::new(EngineConfig::default().with_workers(1))
         .run(&campaign)
         .expect("scalar run");
@@ -885,7 +838,8 @@ fn unseedable_groups_fall_back_to_scalar_and_never_keep_their_cursor() {
         report::cases_csv(&scalar.result),
         report::cases_csv(&word.result)
     );
-    // The golden run, one cursor per group (none is kept after its group
-    // failed), and every case again on the scalar path.
-    assert_eq!(builds.load(Ordering::Relaxed), 1 + 2 + 576);
+    // The golden run, and every case again on the scalar path: a group
+    // never builds.
+    assert_eq!(word.stats.fallbacks, 576);
+    assert_eq!(builds.load(Ordering::Relaxed), 1 + 576);
 }

@@ -610,12 +610,14 @@ fn resumed_summary_counts_quarantined_cases_exactly_once() {
 fn event_stream_accounts_for_every_case() {
     type Flags = fn(EngineConfig) -> EngineConfig;
     // 520 cases are two groups (504 + 16) for the batch run's one worker.
-    let plans: [(&str, Flags, &str, usize); 3] = [
-        ("scalar", |cfg| cfg, "cpu", 6),
-        ("fork", |cfg| cfg.with_checkpoint(true), "cpu", 6),
-        ("batch", |cfg| cfg.with_batch(true), "cpu-set", 520),
+    // The golden run keeps a snapshot per injection stop for forks (`cpu`
+    // has three) and per group start for groups.
+    let plans: [(&str, Flags, &str, usize, usize); 3] = [
+        ("scalar", |cfg| cfg, "cpu", 6, 0),
+        ("fork", |cfg| cfg.with_checkpoint(true), "cpu", 6, 3),
+        ("batch", |cfg| cfg.with_batch(true), "cpu-set", 520, 2),
     ];
-    for (path, flags, name, n) in plans {
+    for (path, flags, name, n, kept) in plans {
         let events_path = unique_path(path).with_extension("jsonl");
         let telemetry = Telemetry::builder()
             .events_path(&events_path)
@@ -640,6 +642,7 @@ fn event_stream_accounts_for_every_case() {
         let mut seen: BTreeMap<String, usize> = BTreeMap::new();
         let mut case_spans: BTreeSet<u64> = BTreeSet::new();
         let mut lanes = 0usize;
+        let mut rungs = None;
         for line in text.lines() {
             let event = Event::parse(line)
                 .unwrap_or_else(|e| panic!("{path}: malformed event record {line:?}: {e}"));
@@ -648,9 +651,12 @@ fn event_stream_accounts_for_every_case() {
                     assert!(case_spans.insert(event.case.expect("case span without an index")));
                 }
                 ("span", "batch") => {
+                    let keys: Vec<&str> = event.fields.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(keys, ["lanes", "machines", "refills", "from_fs"], "{line}");
                     let group = field(&event, "lanes").expect("batch span without lanes");
                     lanes += group.parse::<usize>().expect("a lane count");
                 }
+                ("span", "golden") => rungs = field(&event, "snapshots"),
                 ("campaign", campaign) if campaign == name => {
                     assert_eq!(field(&event, "path").as_deref(), Some(path));
                 }
@@ -663,8 +669,8 @@ fn event_stream_accounts_for_every_case() {
 
         // The run's frame, then the spans of what each plan's runner
         // reports: a scratch case builds and simulates, a fork only
-        // simulates, a group advances its worker's golden cursor (built
-        // once) and runs its word machines.
+        // simulates, and so does a group, which forks its word machines
+        // from the golden run's snapshot at its first instant.
         let groups = n.div_ceil(504);
         let campaign_event = format!("campaign {name}");
         let mut expected = vec![
@@ -689,7 +695,7 @@ fn event_stream_accounts_for_every_case() {
                 ("span case/simulate", n),
             ],
             _ => vec![
-                ("span golden/build", 2),
+                ("span golden/build", 1),
                 ("span golden/simulate", 1 + groups),
                 ("span batch", groups),
             ],
@@ -705,7 +711,12 @@ fn event_stream_accounts_for_every_case() {
             assert!(case_spans.into_iter().eq(0..n as u64), "{path}: case spans");
         }
 
+        // Every fork and every group finds its rung in the one ladder.
         let metrics = telemetry.metrics().expect("enabled telemetry has metrics");
+        assert_eq!(rungs, Some(kept.to_string()), "{path}");
+        let forks = if path == "fork" { n } else { kept };
+        let lookups = (metrics.snapshot_hits.get(), metrics.snapshot_misses.get());
+        assert_eq!(lookups, (forks as u64, 0), "{path}");
         let dump = format!("{}{}", report.stats.prometheus(), metrics.to_prometheus());
         // A sample line is `name[{labels}] value`.
         for line in dump.lines().filter(|l| !l.starts_with('#')) {

@@ -1,6 +1,8 @@
-//! PR 2 acceptance property: for random injection instants on the PLL,
-//! a `--checkpoint` engine run (fork at tᵢ from the golden prefix) produces
-//! traces and classifications byte-identical to the from-scratch run.
+//! PR 2 acceptance property, fuzzed: for random injection instants on the
+//! PLL, random loop-filter strikes and random SEUs, a `--checkpoint` engine
+//! run (fork at tᵢ from the golden prefix) at one and at three workers
+//! produces a `cases.csv` byte-identical to the from-scratch run's.
+//! `AMSFI_FUZZ_SEEDS` sets how many random campaigns are drawn.
 //!
 //! Identity holds by construction — both paths advance the simulator
 //! through the same distinct-injection-instant stop sequence, so the
@@ -25,78 +27,31 @@ use amsfi_waves::{Logic, Time, Tolerance};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A fast-PLL campaign striking the loop filter with one paper pulse at
-/// each of the given instants, built through [`Campaign::forked`].
-fn pll_campaign(times: &[Time], t_end: Time) -> Campaign {
-    let pulse = TrapezoidPulse::from_ma_ps(10.0, 100, 100, 300).expect("paper pulse");
-    let cases = times
-        .iter()
-        .enumerate()
-        .map(|(i, &at)| FaultCase::new(format!("icp @ {at} #{i}"), at))
-        .collect();
-    let spec = ClassifySpec::new((Time::ZERO, t_end), vec![names::F_OUT.to_owned()])
-        .with_internals(vec![names::VCTRL.to_owned(), names::FB.to_owned()])
-        .with_tolerance(Tolerance::new(0.05, 0.01))
-        .with_digital_skew(Time::from_ns(2));
-    let times: Arc<Vec<Time>> = Arc::new(times.to_vec());
-    Campaign::forked(
-        "pll-fork-equivalence",
-        spec,
-        cases,
-        t_end,
-        |_ctx: &CaseCtx| {
-            let mut bench = pll::build(&PllConfig::fast());
-            bench.monitor_standard();
-            Ok(bench)
-        },
-        move |bench: &mut pll::PllBench, i| {
-            bench.arm_saboteur(Arc::new(pulse), times[i]);
-            Ok(())
-        },
-    )
+/// What one case of a fast-PLL-with-payload campaign does at its instant:
+/// a strike on the loop filter, or an SEU in one of the 22 memorised bits
+/// — 6 in the loop (PFD, divider), 16 in the payload behind the cut.
+#[derive(Clone, Copy)]
+enum PllFault {
+    Strike(TrapezoidPulse),
+    Flip(usize),
 }
 
-/// The fast PLL with its payload. At every instant: one strike on the loop
-/// filter and an SEU in each of the 22 memorised bits — 6 in the loop (PFD,
-/// divider), 16 in the payload behind the cut — ordered within the instant
-/// by a shuffle drawn from `seed`, so any of them may come first and lead.
-fn pll_payload_campaign(instants: &[Time], seed: u64, t_end: Time) -> Campaign {
-    #[derive(Clone, Copy)]
-    enum Fault {
-        Strike,
-        Flip(usize),
-    }
+/// The fast PLL with its payload, one case per `(instant, fault)`, built
+/// through [`Campaign::forked`].
+fn pll_fault_campaign(name: &str, faults: Vec<(Time, PllFault)>, t_end: Time) -> Campaign {
     let config = PllConfig {
         payload: true,
         ..PllConfig::fast()
     };
     let targets = pll::build(&config).mixed.digital().mutant_targets();
     assert_eq!(targets.len(), 22);
-    let pulse = TrapezoidPulse::from_ma_ps(10.0, 100, 100, 300).expect("paper pulse");
-    let mut state = seed | 1;
-    let mut draw = |below: usize| {
-        // xorshift64: any fixed permutation per seed will do.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state % below as u64) as usize
-    };
-    let mut cases = Vec::new();
-    let mut faults = Vec::new();
-    for &at in instants {
-        let mut here: Vec<Fault> = (0..targets.len()).map(Fault::Flip).collect();
-        here.push(Fault::Strike);
-        for i in (1..here.len()).rev() {
-            here.swap(i, draw(i + 1));
-        }
-        for fault in here {
-            cases.push(match fault {
-                Fault::Strike => FaultCase::new(format!("icp {pulse}"), at),
-                Fault::Flip(gi) => FaultCase::new(format!("{} @ {at}", targets[gi]), at),
-            });
-            faults.push((fault, at));
-        }
-    }
+    let cases = faults
+        .iter()
+        .map(|&(at, fault)| match fault {
+            PllFault::Strike(pulse) => FaultCase::new(format!("icp {pulse}"), at),
+            PllFault::Flip(gi) => FaultCase::new(format!("{} @ {at}", targets[gi]), at),
+        })
+        .collect();
     let mut outputs: Vec<String> = (0..8).map(|i| format!("{}[{i}]", names::COUNT)).collect();
     outputs.push(names::SHIFT_OUT.to_owned());
     let spec = ClassifySpec::new((Time::ZERO, t_end), outputs)
@@ -104,7 +59,7 @@ fn pll_payload_campaign(instants: &[Time], seed: u64, t_end: Time) -> Campaign {
         .with_tolerance(Tolerance::new(0.05, 0.01))
         .with_digital_skew(Time::from_ns(2));
     Campaign::forked(
-        "pll-cut-equivalence",
+        name,
         spec,
         cases,
         t_end,
@@ -115,8 +70,8 @@ fn pll_payload_campaign(instants: &[Time], seed: u64, t_end: Time) -> Campaign {
         },
         move |bench: &mut pll::PllBench, i| {
             match faults[i] {
-                (Fault::Strike, at) => bench.arm_saboteur(Arc::new(pulse), at),
-                (Fault::Flip(gi), _) => {
+                (at, PllFault::Strike(pulse)) => bench.arm_saboteur(Arc::new(pulse), at),
+                (_, PllFault::Flip(gi)) => {
                     let t = &targets[gi];
                     bench.mixed.digital_mut().flip_state(t.component, t.bit);
                 }
@@ -124,6 +79,32 @@ fn pll_payload_campaign(instants: &[Time], seed: u64, t_end: Time) -> Campaign {
             Ok(())
         },
     )
+}
+
+/// The fast PLL with its payload. At every instant: one paper-pulse strike
+/// on the loop filter and an SEU in each of the 22 memorised bits, ordered
+/// within the instant by a shuffle drawn from `seed`, so any of them may
+/// come first and lead.
+fn pll_payload_campaign(instants: &[Time], seed: u64, t_end: Time) -> Campaign {
+    let pulse = TrapezoidPulse::from_ma_ps(10.0, 100, 100, 300).expect("paper pulse");
+    let mut state = seed | 1;
+    let mut draw = |below: usize| {
+        // xorshift64: any fixed permutation per seed will do.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below as u64) as usize
+    };
+    let mut faults = Vec::new();
+    for &at in instants {
+        let mut here: Vec<PllFault> = (0..22).map(PllFault::Flip).collect();
+        here.push(PllFault::Strike(pulse));
+        for i in (1..here.len()).rev() {
+            here.swap(i, draw(i + 1));
+        }
+        faults.extend(here.into_iter().map(|fault| (at, fault)));
+    }
+    pll_fault_campaign("pll-cut-equivalence", faults, t_end)
 }
 
 fn assert_same_cases(oracle: &EngineReport, report: &EngineReport, what: &str) {
@@ -136,6 +117,22 @@ fn assert_same_cases(oracle: &EngineReport, report: &EngineReport, what: &str) {
     for (a, b) in oracle.result.cases.iter().zip(&report.result.cases) {
         assert_eq!(a, b, "{what}: case {} diverged between paths", a.case);
     }
+}
+
+/// `campaign` forked at one and at three workers, each run checked against
+/// the from-scratch run.
+fn forked_runs(campaign: &Campaign) -> [EngineReport; 2] {
+    let scratch = Engine::new(EngineConfig::default().with_workers(2))
+        .run(campaign)
+        .expect("scratch run");
+    [1, 3].map(|workers| {
+        let config = EngineConfig::default().with_workers(workers);
+        let forked = Engine::new(config.with_checkpoint(true))
+            .run(campaign)
+            .expect("checkpointed run");
+        assert_same_cases(&scratch, &forked, &format!("{workers} worker(s)"));
+        forked
+    })
 }
 
 /// A divider whose clock-to-output delay depends on its state: an SEU moves
@@ -307,40 +304,56 @@ proptest! {
         let t_end = Time::from_us(6);
         let instants: Vec<Time> = instants_fs.iter().map(|&fs| Time::from_fs(fs)).collect();
         let campaign = pll_payload_campaign(&instants, seed, t_end);
-        let scratch = Engine::new(EngineConfig::default().with_workers(2))
-            .run(&campaign)
-            .expect("scratch run");
-        for workers in [1, 3] {
-            let forked = Engine::new(
-                EngineConfig::default().with_workers(workers).with_checkpoint(true),
-            )
-            .run(&campaign)
-            .expect("checkpointed run");
-            assert_same_cases(&scratch, &forked, &format!("{workers} worker(s)"));
-            prop_assert!(forked.stats.followed >= 1, "{workers} worker(s): nobody followed");
+        for forked in forked_runs(&campaign) {
+            prop_assert!(forked.stats.followed >= 1, "nobody followed");
             prop_assert_eq!(forked.stats.fallbacks, 0);
         }
     }
+}
 
+proptest! {
+    // Three random campaigns, or `AMSFI_FUZZ_SEEDS` (ci.sh widens it).
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("AMSFI_FUZZ_SEEDS").map_or(3, |n| n.parse().expect("a campaign count"))
+    ))]
+
+    /// Random faults on the fast PLL with its payload, forked at one and at
+    /// three workers — concurrent forks off the one golden ladder — against
+    /// the from-scratch runs: every case result, and so `cases.csv`, equal.
     #[test]
     fn forked_pll_runs_equal_scratch_runs(
-        times_ns in prop::collection::vec(1_000i64..5_500, 1..=3),
+        instants_fs in prop::collection::vec(1_000_000_000i64..5_500_000_000, 1..=3),
+        draws in prop::collection::vec(
+            (
+                (0usize..3, 0u32..3),
+                (any::<bool>(), 10i64..=200),
+                (40i64..=180, 40i64..=180, 80i64..=1_000),
+                0usize..22,
+            ),
+            3..=6,
+        ),
     ) {
-        let t_end = Time::from_us(6);
-        let times: Vec<Time> = times_ns.iter().map(|&ns| Time::from_ns(ns)).collect();
-        let campaign = pll_campaign(&times, t_end);
-        let scratch = Engine::new(EngineConfig::default().with_workers(2))
-            .run(&campaign)
-            .expect("scratch run");
-        let forked = Engine::new(
-            EngineConfig::default().with_workers(2).with_checkpoint(true),
-        )
-        .run(&campaign)
-        .expect("checkpointed run");
-        prop_assert_eq!(&scratch.result.golden, &forked.result.golden);
-        prop_assert_eq!(scratch.result.cases.len(), forked.result.cases.len());
-        for (a, b) in scratch.result.cases.iter().zip(&forked.result.cases) {
-            prop_assert_eq!(a, b, "case {} diverged between paths", a.case);
+        // Per case one of the instants, then one time in three an SEU on
+        // one of the 22 bits, otherwise a trapezoid on the loop filter:
+        // sign, 1-20 mA, rise and fall 40-180 ps, a plateau of 80-1000 ps.
+        let faults = draws
+            .iter()
+            .map(|&((pick, kind), (negative, deci_ma), (rt, ft, plateau), bit)| {
+                let at = Time::from_fs(instants_fs[pick % instants_fs.len()]);
+                let fault = if kind == 0 {
+                    PllFault::Flip(bit)
+                } else {
+                    let pa = deci_ma as f64 / if negative { -10.0 } else { 10.0 };
+                    let pulse = TrapezoidPulse::from_ma_ps(pa, rt, ft, rt + plateau)
+                        .expect("a valid trapezoid");
+                    PllFault::Strike(pulse)
+                };
+                (at, fault)
+            })
+            .collect();
+        let campaign = pll_fault_campaign("pll-fork-fuzz", faults, Time::from_us(6));
+        for forked in forked_runs(&campaign) {
+            prop_assert_eq!(forked.stats.fallbacks, 0);
         }
     }
 }
