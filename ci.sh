@@ -144,6 +144,15 @@ done
 # refills. A refill path that silently stops firing is a slowdown byte
 # identity cannot see either.
 grep '"kind":"span","name":"batch"' "$tmp/cpu-set.jsonl" | grep -q '"refills":"[1-9]'
+# A resumed run's report merges the journal's records with the cases it
+# re-runs, moved in case order: cut a complete batch journal to its first
+# half and resume it; cases.csv must equal the uninterrupted run's.
+./target/release/amsfi run cpu-set --batch --journal "$tmp/whole.journal" \
+    --out "$tmp/whole" --progress-secs 0
+head -n "$(($(wc -l <"$tmp/whole.journal") / 2))" "$tmp/whole.journal" >"$tmp/half.journal"
+./target/release/amsfi run cpu-set --batch --journal "$tmp/half.journal" --resume \
+    --out "$tmp/resumed" --progress-secs 0
+cmp "$tmp/whole/cases.csv" "$tmp/resumed/cases.csv"
 batch_equals_plain pll pll-digital --limit 6
 test "$(grep -c '"kind":"batch","name":"fallback"' "$tmp/pll.jsonl")" -eq 1
 grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"

@@ -11,21 +11,22 @@ use crate::classify::{classify, CaseOutcome, ClassifySpec, FaultClass};
 use amsfi_waves::{Time, Trace};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One fault case of a campaign: an opaque index interpreted by the caller's
 /// run closure, plus presentation metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultCase {
     /// Human-readable target/fault description (appears in reports).
-    pub label: String,
+    /// Shared: every result and journal entry of the case holds this one.
+    pub label: Arc<str>,
     /// Injection instant, used for latency statistics.
     pub injected_at: Time,
 }
 
 impl FaultCase {
     /// Creates a case.
-    pub fn new(label: impl Into<String>, injected_at: Time) -> Self {
+    pub fn new(label: impl Into<Arc<str>>, injected_at: Time) -> Self {
         FaultCase {
             label: label.into(),
             injected_at,
@@ -300,7 +301,7 @@ mod tests {
         assert_eq!(result.mean_latency(), Some(Time::from_ns(50)));
         let failures: Vec<_> = result.with_class(FaultClass::Failure).collect();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].case.label, "bit4");
+        assert_eq!(&*failures[0].case.label, "bit4");
     }
 
     #[test]

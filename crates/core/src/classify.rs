@@ -14,6 +14,7 @@ use amsfi_waves::{
     StreamState, Time, ToggleStream, Tolerance, Trace, TraceView,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// The dependability verdict for one injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -197,8 +198,9 @@ pub struct CaseOutcome {
     /// Total mismatched time summed over all output signals.
     pub total_mismatch: Time,
     /// Monitored signals (outputs and internals) that diverged at least
-    /// once, sorted.
-    pub affected: Vec<String>,
+    /// once, sorted. Shared: the cases a verdict is booked for hold one
+    /// list between them.
+    pub affected: Arc<[String]>,
     /// When `class` is [`FaultClass::SimFailure`], the structured reason.
     pub failure: Option<SimFailure>,
     /// Simulation time at which an online classifier sealed this verdict and
@@ -231,7 +233,7 @@ impl CaseOutcome {
             error_onset: t,
             error_end: None,
             total_mismatch: Time::ZERO,
-            affected: Vec::new(),
+            affected: Arc::default(),
             failure: Some(failure),
             sealed_at: None,
         }
@@ -395,7 +397,7 @@ pub(crate) fn fold<'a>(
         error_onset: onset,
         error_end: end,
         total_mismatch: total,
-        affected,
+        affected: affected.into(),
         failure: None,
         sealed_at: None,
     }
@@ -516,7 +518,7 @@ fn sim_failure_outcome(signal: &str, t: Time) -> CaseOutcome {
         signal: signal.to_owned(),
         t,
     });
-    outcome.affected = vec![signal.to_owned()];
+    outcome.affected = Arc::new([signal.to_owned()]);
     outcome
 }
 
@@ -560,7 +562,7 @@ mod tests {
         let out = classify(&spec(), &golden(), &faulty);
         assert_eq!(out.class, FaultClass::Failure);
         assert_eq!(out.error_onset, Some(Time::from_ns(100)));
-        assert_eq!(out.affected, vec!["out".to_owned()]);
+        assert_eq!(*out.affected, ["out"]);
     }
 
     #[test]
@@ -580,7 +582,7 @@ mod tests {
         let out = classify(&spec(), &golden(), &faulty);
         assert_eq!(out.class, FaultClass::Latent);
         assert_eq!(out.error_onset, None, "no output divergence");
-        assert_eq!(out.affected, vec!["state".to_owned()]);
+        assert_eq!(*out.affected, ["state"]);
     }
 
     #[test]
@@ -640,7 +642,7 @@ mod tests {
         s.outputs = vec!["outt".to_owned()]; // typo: never recorded anywhere
         let out = classify(&s, &golden(), &golden());
         assert_eq!(out.class, FaultClass::Failure);
-        assert_eq!(out.affected, vec!["outt".to_owned()]);
+        assert_eq!(*out.affected, ["outt"]);
         assert_eq!(out.error_onset, Some(s.window.0));
         assert_eq!(out.error_end, Some(s.window.1));
     }
@@ -653,7 +655,7 @@ mod tests {
         s.internals = vec!["statee".to_owned()];
         let out = classify(&s, &golden(), &golden());
         assert_eq!(out.class, FaultClass::Latent);
-        assert_eq!(out.affected, vec!["statee".to_owned()]);
+        assert_eq!(*out.affected, ["statee"]);
     }
 
     #[test]
@@ -688,7 +690,7 @@ mod tests {
         let out = classify(&s, &golden, &faulty);
         assert_eq!(out.class, FaultClass::SimFailure);
         assert_eq!(out.error_onset, Some(Time::from_us(3)));
-        assert_eq!(out.affected, vec!["out".to_owned()]);
+        assert_eq!(*out.affected, ["out"]);
         assert_eq!(
             out.failure,
             Some(SimFailure::NonFinite {

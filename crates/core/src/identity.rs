@@ -91,7 +91,7 @@ mod tests {
         b[2].injected_at = Time::from_us(6);
         assert_ne!(fingerprint("toy", &a), fingerprint("toy", &b));
         let mut c = cases();
-        c[1].label.push('!');
+        c[1].label = format!("{}!", c[1].label).into();
         assert_ne!(fingerprint("toy", &a), fingerprint("toy", &c));
     }
 

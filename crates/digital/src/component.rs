@@ -150,6 +150,17 @@ impl<'a> EvalContext<'a> {
         self.push_drive(false, output, delay, |v| v.assign_u64(value, width));
     }
 
+    /// [`EvalContext::drive`] with every bit of `value` flipped
+    /// ([`Logic::flipped`]).
+    pub fn drive_flipped(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        self.push_drive(false, output, delay, |v| {
+            v.clone_from(value);
+            for bit in 0..v.width() {
+                v.flip_bit(bit);
+            }
+        });
+    }
+
     /// Drives with transport semantics: earlier pending transactions from
     /// this driver are preserved (used by stimulus sources that pre-schedule
     /// a whole waveform).
@@ -196,11 +207,19 @@ pub trait ComponentClone {
     /// downcast to the concrete type — e.g. to arm a
     /// [`DigitalSaboteur`](crate::DigitalSaboteur) in place mid-run.
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+
+    /// The component as `Any`, read-only — e.g. for
+    /// [`Component::eq_state`] to compare with another of its type.
+    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 impl<T: Component + Clone + 'static> ComponentClone for T {
     fn clone_box(&self) -> Box<dyn Component> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
@@ -265,6 +284,16 @@ pub trait Component: ComponentClone + Send + std::fmt::Debug {
     /// The current encoded state, if this component has one and it fits in
     /// 64 bits. Used by latent-fault detection at the end of a run.
     fn state_value(&self) -> Option<u64> {
+        None
+    }
+
+    /// Whether this component's state equals `other`'s, compared by value;
+    /// `None` (the default) when the component offers no typed compare, and
+    /// the word kernel then compares the `Debug` renderings — the criterion
+    /// of [`Simulator::state_digest`](crate::Simulator::state_digest), which
+    /// an implementation must agree with.
+    fn eq_state(&self, other: &dyn Component) -> Option<bool> {
+        let _ = other;
         None
     }
 

@@ -10,7 +10,7 @@
 use crate::component::{Component, EvalContext};
 use crate::netlist::PortSpec;
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
-use amsfi_waves::{Logic, LogicVector, Time};
+use amsfi_waves::Time;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -41,7 +41,9 @@ enum Phase {
 /// A saboteur with no fault is fully transparent, so instrumented and
 /// pristine circuits behave identically — the property that makes
 /// "instrument once, inject many" campaigns sound.
-#[derive(Debug, Clone)]
+/// Equality is over every field, exactly what `Debug` shows, so a typed
+/// compare agrees with the `Debug`-rendered state digest.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DigitalSaboteur {
     width: usize,
     fault: Option<DigitalFault>,
@@ -93,10 +95,6 @@ impl DigitalSaboteur {
         self.armed = true;
     }
 
-    fn inverted(&self, input: &LogicVector) -> LogicVector {
-        input.iter().map(Logic::flipped).collect()
-    }
-
     /// Returns the saboteur to the pristine transparent state once its
     /// fault has run its course. A retired saboteur is bit-for-bit
     /// indistinguishable (including `Debug` output) from one that was
@@ -137,11 +135,11 @@ impl Component for DigitalSaboteur {
                     }
                     DigitalFaultKind::SetPulse { width } => {
                         self.phase = Phase::Active;
-                        ctx.drive(0, &self.inverted(input), Time::ZERO);
+                        ctx.drive_flipped(0, input, Time::ZERO);
                         ctx.wake(width);
                     }
                     DigitalFaultKind::BitFlip => {
-                        ctx.drive(0, &self.inverted(input), Time::ZERO);
+                        ctx.drive_flipped(0, input, Time::ZERO);
                         self.retire();
                     }
                     DigitalFaultKind::ForceState { value } => {
@@ -159,7 +157,7 @@ impl Component for DigitalSaboteur {
                         ctx.drive(0, input, Time::ZERO);
                         self.retire();
                     } else {
-                        ctx.drive(0, &self.inverted(input), Time::ZERO);
+                        ctx.drive_flipped(0, input, Time::ZERO);
                     }
                 }
                 _ => unreachable!("point faults never stay active"),
@@ -170,6 +168,10 @@ impl Component for DigitalSaboteur {
     fn port_spec(&self) -> PortSpec {
         PortSpec::new(&[("in", self.width)], &[("out", self.width)])
     }
+
+    fn eq_state(&self, other: &dyn Component) -> Option<bool> {
+        Some(other.as_any().downcast_ref::<Self>() == Some(self))
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +179,7 @@ mod tests {
     use super::*;
     use crate::cells::{ClockGen, Stimulus};
     use crate::{Netlist, Simulator};
+    use amsfi_waves::Logic;
 
     fn clocked_bench(fault: Option<DigitalFault>) -> Simulator {
         let mut net = Netlist::new();

@@ -72,6 +72,7 @@ use amsfi_waves::{
     SimBudget, SimObserver, Time, Trace, LANES,
 };
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The lane index reserved for the golden (fault-free) machine.
@@ -473,16 +474,26 @@ impl WordComponent for LaneFarm {
 
     fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
         // Same criterion as `Simulator::state_digest`: `Debug`-rendered
-        // state equality. The reference lane is rendered once; each
-        // candidate is compared against that text as it renders.
-        self.rendered.clear();
-        let _ = write!(self.rendered, "{:?}", self.lanes[reference]);
+        // state equality, or the component's typed compare where it offers
+        // one (which agrees with it). Otherwise the reference lane is
+        // rendered once; each candidate is compared against that text as
+        // it renders.
+        let reference = &*self.lanes[reference];
+        let mut rendered = false;
         let mut equal = 0u64;
         let mut m = candidates;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            if debug_renders_as(&self.lanes[lane], &self.rendered) {
+            let same = self.lanes[lane].eq_state(reference).unwrap_or_else(|| {
+                if !rendered {
+                    self.rendered.clear();
+                    let _ = write!(self.rendered, "{reference:?}");
+                    rendered = true;
+                }
+                debug_renders_as(&self.lanes[lane], &self.rendered)
+            });
+            if same {
                 equal |= 1 << lane;
             }
         }
@@ -659,6 +670,9 @@ struct WordSimulator {
     /// Lanes with an entry in `lane_failures` not yet collected.
     failed: u64,
     lane_failures: Vec<Option<String>>,
+    /// The monitored signals each retired case has not touched, case after
+    /// case: a [`Retired`] holds its range of them.
+    untouched: Vec<usize>,
     scratch: WordScratch,
 }
 
@@ -747,6 +761,7 @@ impl WordSimulator {
             lane_observers: (0..LANES).map(|_| None).collect(),
             failed: 0,
             lane_failures: (0..LANES).map(|_| None).collect(),
+            untouched: Vec::new(),
             scratch: WordScratch::default(),
         };
         // The wheel takes the still-valid pending events in firing order,
@@ -1134,16 +1149,17 @@ impl WordSimulator {
     /// or the horizon: its toggles, and the monitored signals it has not
     /// touched.
     fn retire(&mut self, lane: usize, at: Time) -> Retired {
-        let untouched = (0..self.signals.len())
-            .filter(|&s| {
-                let signal = &self.signals[s];
-                !signal.slots.is_empty() && signal.touched >> lane & 1 == 0
-            })
-            .collect();
+        let from = self.untouched.len();
+        let untouched = self
+            .signals
+            .iter()
+            .enumerate()
+            .filter(|(_, signal)| !signal.slots.is_empty() && signal.touched >> lane & 1 == 0);
+        self.untouched.extend(untouched.map(|(s, _)| s));
         Retired {
             at,
             toggles: std::mem::take(&mut self.toggles[lane]),
-            untouched,
+            untouched: from..self.untouched.len(),
         }
     }
 
@@ -1158,7 +1174,7 @@ impl WordSimulator {
             untouched,
         } = retired;
         let golden = &self.traces[GOLDEN_LANE];
-        for signal in untouched.iter().map(|&s| &self.signals[s]) {
+        for signal in self.untouched[untouched].iter().map(|&s| &self.signals[s]) {
             if signal.golden_changed > at {
                 continue;
             }
@@ -1453,8 +1469,9 @@ struct WordCase {
 struct Retired {
     at: Time,
     toggles: MismatchToggles,
-    /// Indices of the monitored signals the case has not touched.
-    untouched: Vec<usize>,
+    /// Where in [`WordSimulator::untouched`] of its machine the monitored
+    /// signals the case has not touched are listed.
+    untouched: Range<usize>,
 }
 
 /// The batch kernel: any number of cases on word machines of

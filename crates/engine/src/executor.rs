@@ -29,7 +29,7 @@ use amsfi_waves::{
     Time, Trace, LANES,
 };
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -1074,13 +1074,14 @@ impl Engine {
     pub fn run(&self, campaign: &Campaign) -> Result<EngineReport, EngineError> {
         let cfg = &self.config;
         let total = campaign.cases.len();
-        let meta = campaign.meta();
 
         // Open (or resume) the journal and work out what is left to do.
+        // `campaign.meta()` hashes every label: only the journal header and
+        // the `campaign` event read it, so it is worked out where they do.
         let mut entries: BTreeMap<usize, JournalEntry> = BTreeMap::new();
         let journal = match &cfg.journal {
             Some(path) => {
-                let (journal, existing) = Journal::open(path, &meta, cfg.resume)?;
+                let (journal, existing) = Journal::open(path, &campaign.meta(), cfg.resume)?;
                 entries = existing;
                 Some(journal)
             }
@@ -1124,7 +1125,10 @@ impl Engine {
                 .with_field("workers", cfg.effective_workers())
                 .with_field("checkpoint", cfg.checkpoint)
                 .with_field("path", plan.name())
-                .with_field("fingerprint", format!("{:016x}", meta.fingerprint))
+                .with_field(
+                    "fingerprint",
+                    format!("{:016x}", campaign.meta().fingerprint),
+                )
                 .with_field("shard", cfg.shard.index)
                 .with_field("shards", cfg.shard.count)
         });
@@ -1194,7 +1198,8 @@ impl Engine {
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let fatal: OnceLock<EngineError> = OnceLock::new();
-        let fresh: Mutex<Vec<(usize, JournalEntry)>> = Mutex::new(Vec::new());
+        let fresh: Mutex<Vec<(usize, JournalEntry)>> =
+            Mutex::new(Vec::with_capacity(pending.len()));
 
         std::thread::scope(|scope| {
             let progress = cfg.progress.map(|interval| {
@@ -1296,12 +1301,18 @@ impl Engine {
             return Err(error);
         }
 
-        // Merge resumed + fresh entries; fresh results win (a resumed skip
-        // that was re-attempted is superseded either way).
-        for (index, entry) in fresh.into_inner().expect("results poisoned") {
-            entries.insert(index, entry);
-        }
-        let (mut result, skipped, quarantined) = journal::assemble(&entries);
+        // Every entry is moved into the report once, in case-index order.
+        // Resumed and fresh entries merge with fresh results winning (a
+        // resumed skip that was re-attempted is superseded either way); a
+        // run that resumed nothing has only its fresh entries to sort.
+        let mut fresh = fresh.into_inner().expect("results poisoned");
+        let (mut result, skipped, quarantined) = if entries.is_empty() {
+            fresh.sort_unstable_by_key(|&(index, _)| index);
+            journal::assemble_owned(fresh.into_iter().map(|(_, entry)| entry))
+        } else {
+            entries.extend(fresh);
+            journal::assemble_owned(entries.into_values())
+        };
         result.golden = Arc::try_unwrap(run.golden).unwrap_or_else(|shared| (*shared).clone());
         let stats = run.stats.snapshot();
         tele.emit_with(|| {
@@ -1667,33 +1678,32 @@ impl Run<'_> {
     /// group's golden lane, by a [`MismatchClassifier`] that resolves the
     /// spec's names against that lane's trace once. It is a function of the
     /// toggles, and lanes of one group often repeat each other's (SET pulses
-    /// of different widths latched at one clock edge): a repeat is booked
-    /// with a copy, as a clean lane is with `clean_verdict`'s.
+    /// of different widths latched at one clock edge): a repeat, found by
+    /// the hash of its list and confirmed equal, is booked with a shared
+    /// copy, as a clean lane is with `clean_verdict`'s.
     fn drawn_verdicts(
         &self,
         golden: &Trace,
         outcomes: &[LaneOutcome],
     ) -> (Vec<CaseOutcome>, Vec<usize>) {
-        let completed: Vec<&MismatchToggles> = outcomes
+        let mut completed = outcomes
             .iter()
             .filter_map(|outcome| match outcome {
                 LaneOutcome::Completed { toggles, .. } => Some(toggles),
                 _ => None,
             })
-            .collect();
-        if completed.is_empty() {
+            .peekable();
+        if completed.peek().is_none() {
             return (Vec::new(), Vec::new());
         }
         self.on_classify_clock(|| {
             let mut classifier = MismatchClassifier::new(&self.campaign.spec, golden);
-            // The distinct lists, each beside its verdict.
-            let (mut distinct, mut verdicts) = (Vec::new(), Vec::new());
+            // Each distinct list, keyed to the index of its verdict.
+            let mut distinct: HashMap<&MismatchToggles, usize> = HashMap::new();
+            let mut verdicts = Vec::new();
             let picks = completed
-                .into_iter()
                 .map(|toggles| {
-                    let seen = distinct.iter().position(|&seen| seen == toggles);
-                    seen.unwrap_or_else(|| {
-                        distinct.push(toggles);
+                    *distinct.entry(toggles).or_insert_with(|| {
                         verdicts.push(classifier.classify(toggles));
                         verdicts.len() - 1
                     })
@@ -1763,7 +1773,7 @@ impl Run<'_> {
         match config.error_policy {
             ErrorPolicy::FailFast => Err(EngineError::Case {
                 index,
-                label: case.label,
+                label: case.label.to_string(),
                 attempts,
                 error,
             }),

@@ -58,7 +58,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The format version this module writes and understands.
 pub const JOURNAL_VERSION: &str = "v2";
@@ -439,20 +439,35 @@ pub fn merge(
 /// Builds a [`CampaignResult`] (with an empty golden trace) plus the skip
 /// and quarantine lists from merged journal entries — what the `amsfi
 /// merge` subcommand reports on. Cases appear in index order, so two merges
-/// of the same shards produce byte-identical reports.
+/// of the same shards produce byte-identical reports. The entries are
+/// copied; [`assemble_owned`] moves them instead.
 pub fn assemble(
     entries: &BTreeMap<usize, JournalEntry>,
 ) -> (CampaignResult, Vec<SkippedCase>, Vec<QuarantinedCase>) {
-    let mut cases = Vec::new();
+    assemble_owned(entries.values().cloned())
+}
+
+/// [`assemble`] from entries already in case-index order, each moved into
+/// the report as it comes.
+pub fn assemble_owned(
+    entries: impl IntoIterator<Item = JournalEntry>,
+) -> (CampaignResult, Vec<SkippedCase>, Vec<QuarantinedCase>) {
     let mut skipped = Vec::new();
     let mut quarantined = Vec::new();
-    for entry in entries.values() {
-        match entry {
-            JournalEntry::Done(result) => cases.push(result.clone()),
-            JournalEntry::Skipped(skip) => skipped.push(skip.clone()),
-            JournalEntry::Quarantined(q) => quarantined.push(q.clone()),
-        }
-    }
+    let cases = entries
+        .into_iter()
+        .filter_map(|entry| match entry {
+            JournalEntry::Done(result) => Some(result),
+            JournalEntry::Skipped(skip) => {
+                skipped.push(skip);
+                None
+            }
+            JournalEntry::Quarantined(q) => {
+                quarantined.push(q);
+                None
+            }
+        })
+        .collect();
     (
         CampaignResult {
             golden: Trace::new(),
@@ -687,12 +702,12 @@ fn parse_record(line: &str) -> Option<JournalEntry> {
             "mismatch" => mismatch = Some(Time::from_fs(value.parse::<i64>().ok()?)),
             "affected" => {
                 affected = Some(if value == "-" {
-                    Vec::new()
+                    Arc::default()
                 } else {
                     value
                         .split('|')
                         .map(unescape)
-                        .collect::<Option<Vec<String>>>()?
+                        .collect::<Option<Arc<[String]>>>()?
                 });
             }
             "attempts" => attempts = Some(value.parse::<u32>().ok()?),
@@ -771,9 +786,9 @@ mod tests {
                 error_end: (i % 2 == 1).then(|| Time::from_ns(900)),
                 total_mismatch: Time::from_ns(800 * (i % 2) as i64),
                 affected: if i % 2 == 1 {
-                    vec!["out".to_owned()]
+                    Arc::new(["out".to_owned()])
                 } else {
-                    Vec::new()
+                    Arc::default()
                 },
                 failure: None,
                 sealed_at: (i % 3 == 1).then(|| Time::from_ns(950)),
@@ -847,7 +862,7 @@ mod tests {
             .unwrap();
         let mut done = sample_result(1);
         done.case = cases[1].clone();
-        done.outcome.affected = vec!["a b".to_owned(), "c|d".to_owned()];
+        done.outcome.affected = Arc::new(["a b".to_owned(), "c|d".to_owned()]);
         journal.record_case(1, &done, None).unwrap();
         drop(journal);
 
@@ -856,7 +871,7 @@ mod tests {
         match &entries[&0] {
             JournalEntry::Skipped(s) => {
                 assert_eq!(s.error, error);
-                assert_eq!(s.case.label, label);
+                assert_eq!(&*s.case.label, label);
             }
             other => panic!("expected Skipped, got {other:?}"),
         }
@@ -945,8 +960,8 @@ mod tests {
         assert!(quarantined.is_empty());
         assert_eq!(result.cases.len(), 4);
         // Index order regardless of which shard wrote what.
-        assert_eq!(result.cases[0].case.label, "bit0 @ 5 us");
-        assert_eq!(result.cases[3].case.label, "bit3 @ 5 us");
+        assert_eq!(&*result.cases[0].case.label, "bit0 @ 5 us");
+        assert_eq!(&*result.cases[3].case.label, "bit3 @ 5 us");
         for path in &paths {
             std::fs::remove_file(path).ok();
         }
@@ -1125,7 +1140,7 @@ mod tests {
                 match &entries[&0] {
                     JournalEntry::Skipped(s) => {
                         prop_assert_eq!(&s.error, &error);
-                        prop_assert_eq!(&s.case.label, &label);
+                        prop_assert_eq!(&*s.case.label, label.as_str());
                         prop_assert_eq!(s.attempts, attempts);
                     }
                     other => prop_assert!(false, "expected Skipped, got {:?}", other),

@@ -5,8 +5,8 @@
 use amsfi_core::report;
 use amsfi_core::{ClassifySpec, FaultCase};
 use amsfi_engine::{
-    campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, ErrorPolicy, Event,
-    Shard, Telemetry,
+    campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, EngineReport,
+    ErrorPolicy, Event, Journal, JournalEntry, Shard, SkippedCase, Telemetry,
 };
 use amsfi_waves::{ForkableSim, Logic, SimObserver, Time, Trace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -741,4 +741,108 @@ fn event_stream_accounts_for_every_case() {
             );
         }
     }
+}
+
+/// The report `Engine::run` builds by moving its entries agrees with
+/// `journal::assemble` over the matching slice of one from-scratch run's
+/// journal: after resuming a journal that holds completed, quarantined and
+/// skipped records (the skipped case re-runs and its fresh result wins), on
+/// one shard of three, and with cases handed in as completed elsewhere.
+#[test]
+fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let mut campaign = toy_campaign(12, Arc::clone(&calls));
+    // Case 2 is poison: every attempt errors deterministically.
+    let inner = Arc::clone(&campaign.runner);
+    campaign.runner = Arc::new(move |ctx: &CaseCtx| {
+        if ctx.index() == Some(2) {
+            return Err("rigged failure".into());
+        }
+        inner(ctx)
+    });
+    let config = || {
+        EngineConfig::default()
+            .with_workers(2)
+            .with_quarantine(true)
+    };
+
+    let scratch_path = unique_path("assembly-scratch");
+    let scratch = Engine::new(config().with_journal(&scratch_path))
+        .run(&campaign)
+        .unwrap();
+    let (_, scratch_entries) = journal::load(&scratch_path).unwrap();
+    assert_eq!(scratch.quarantined.len(), 1);
+    let check = |what: &str, report: &EngineReport, keep: &dyn Fn(usize) -> bool| {
+        let entries: BTreeMap<usize, JournalEntry> = scratch_entries
+            .iter()
+            .filter(|(&index, _)| keep(index))
+            .map(|(&index, entry)| (index, entry.clone()))
+            .collect();
+        let (result, skipped, quarantined) = journal::assemble(&entries);
+        assert_eq!(
+            report::cases_csv(&report.result),
+            report::cases_csv(&result),
+            "{what}"
+        );
+        assert_eq!(report.skipped, skipped, "{what}");
+        assert_eq!(report.quarantined, quarantined, "{what}");
+    };
+    check("from scratch", &scratch, &|_| true);
+
+    // What a killed run leaves: cases 0..6 settled (2 in quarantine) and
+    // case 7 skipped after a transient error.
+    let path = unique_path("assembly-resume");
+    let (killed, _) = Journal::open(&path, &campaign.meta(), false).unwrap();
+    for (&index, entry) in scratch_entries.range(..6) {
+        match entry {
+            JournalEntry::Done(result) => killed.record_case(index, result, None).unwrap(),
+            JournalEntry::Quarantined(q) => killed.record_quarantine(q).unwrap(),
+            JournalEntry::Skipped(_) => unreachable!("the reference skips nothing"),
+        }
+    }
+    killed
+        .record_skip(&SkippedCase {
+            index: 7,
+            case: campaign.cases[7].clone(),
+            attempts: 1,
+            error: "transient".to_owned(),
+        })
+        .unwrap();
+    drop(killed);
+    calls.store(0, Ordering::Relaxed);
+    let resumed = Engine::new(config().with_journal(&path).with_resume(true))
+        .run(&campaign)
+        .unwrap();
+    assert_eq!(resumed.resumed, 5);
+    assert_eq!(calls.load(Ordering::Relaxed), 6, "cases 6..12 ran, 7 again");
+    check("resumed", &resumed, &|_| true);
+    // And the journal the resumed run completed assembles to the same.
+    let (_, entries) = journal::load(&path).unwrap();
+    let (result, skipped, quarantined) = journal::assemble(&entries);
+    assert_eq!(
+        report::cases_csv(&result),
+        report::cases_csv(&resumed.result)
+    );
+    assert_eq!(
+        (skipped, quarantined),
+        (resumed.skipped, resumed.quarantined)
+    );
+
+    let shard = Shard::new(1, 3).unwrap();
+    let owned: BTreeSet<usize> = shard.case_indices(12).collect();
+    let sharded = Engine::new(config().with_shard(shard))
+        .run(&campaign)
+        .unwrap();
+    check("shard 1/3", &sharded, &|index| owned.contains(&index));
+
+    let completed = [0, 5, 7, 11];
+    let rest = Engine::new(config().with_completed(completed.to_vec()))
+        .run(&campaign)
+        .unwrap();
+    check("with_completed", &rest, &|index| {
+        !completed.contains(&index)
+    });
+
+    std::fs::remove_file(&scratch_path).ok();
+    std::fs::remove_file(&path).ok();
 }

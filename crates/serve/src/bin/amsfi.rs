@@ -771,7 +771,7 @@ fn report_cmd(args: &[String]) -> ExitCode {
                     Some(JournalEntry::Quarantined(q)) => {
                         (q.case.label.clone(), "quarantined".to_owned())
                     }
-                    None => ("?".to_owned(), "?".to_owned()),
+                    None => ("?".into(), "?".to_owned()),
                 };
                 let workers = if distributed {
                     let names: Vec<&str> = breakdown.workers.iter().map(String::as_str).collect();

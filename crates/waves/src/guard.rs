@@ -112,39 +112,63 @@ impl std::error::Error for GuardViolation {}
 ///
 /// Clones share the flag: the engine keeps one clone and hands another to
 /// the attempt; [`CancelToken::cancel`] on either side is observed by all.
-/// The default token never cancels and has no deadline, so an unconfigured
-/// budget costs one relaxed load per step.
-#[derive(Debug, Clone, Default)]
+/// [`CancelToken::new`] never cancels on its own and has no deadline, so an
+/// unconfigured budget costs one relaxed load per step.
+#[derive(Debug, Clone)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    /// `None` only for the built-in token of a budget nobody attached one
+    /// to: nothing else holds it, so nothing can cancel it, and it costs no
+    /// allocation.
+    flag: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken::new()
+    }
 }
 
 impl CancelToken {
     /// A token that never expires on its own (cancellable only via
     /// [`CancelToken::cancel`]).
     pub fn new() -> Self {
-        CancelToken::default()
+        CancelToken {
+            flag: Some(Arc::new(AtomicBool::new(false))),
+            deadline: None,
+        }
     }
 
     /// A token that additionally expires `timeout` from now.
     pub fn with_deadline(timeout: Duration) -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
             deadline: Some(Instant::now() + timeout),
+            ..CancelToken::new()
+        }
+    }
+
+    /// The token of a budget without one: no flag to share, no deadline.
+    const fn never() -> Self {
+        CancelToken {
+            flag: None,
+            deadline: None,
         }
     }
 
     /// Requests cancellation; observed by every clone of this token.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
+        if let Some(flag) = &self.flag {
+            flag.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Whether [`CancelToken::cancel`] has been called (does not consult
     /// the deadline — that costs a clock read; see
     /// [`CancelToken::expired`]).
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.flag
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 
     /// Whether the deadline (if any) has passed. Reads the clock.
@@ -167,30 +191,54 @@ impl CancelToken {
 /// [`SimBudget::check_finite`] on freshly computed values. The budget is
 /// `Clone` so snapshotting a kernel snapshots its budget; the engine
 /// installs a fresh budget per attempt, so consumed steps never leak
-/// across cases.
-#[derive(Debug, Default)]
+/// across cases. [`SimBudget::unlimited`] allocates nothing: the engine
+/// hands one to every case and word lane.
+#[derive(Debug)]
 pub struct SimBudget {
     max_steps: Option<u64>,
     min_dt: Option<Time>,
+    /// [`CancelToken::never`] unless [`SimBudget::with_cancel`] attached
+    /// one: only then can anyone else hold a clone of it, or can it carry a
+    /// deadline.
     cancel: CancelToken,
-    /// Whether `cancel` came from [`SimBudget::with_cancel`]: only then can
-    /// anyone else hold a clone of it, or can it carry a deadline.
-    cancellable: bool,
     steps: u64,
     probe: u32,
     armed: bool,
-    /// Observability-only: total steps noted by this budget *and every
-    /// clone of it* within one attempt (the engine reads it after the
-    /// attempt for the `steps_used` histogram). Shared via `Arc` because
-    /// kernels clone their budget into sub-kernels and snapshots. To keep
-    /// the hot path free of contended atomics, steps accumulate locally in
-    /// `pending` and flush in [`CLOCK_STRIDE`]-sized batches (and on drop).
-    attempt_steps: Arc<AtomicU64>,
+    /// Observability-only, present with a metric registry attached; see
+    /// [`Metered`].
+    metered: Option<Metered>,
     /// Steps noted locally but not yet flushed to `attempt_steps`.
     pending: u32,
-    /// Observability-only metric registry; attaching it does *not* arm the
-    /// budget, so guard semantics are identical with telemetry on or off.
-    metrics: Option<Arc<KernelMetrics>>,
+}
+
+/// What a budget with telemetry attached carries.
+#[derive(Debug, Clone)]
+struct Metered {
+    /// The registry; attaching it does *not* arm the budget, so guard
+    /// semantics are identical with telemetry on or off.
+    metrics: Arc<KernelMetrics>,
+    /// Total steps noted by this budget *and every clone of it* within one
+    /// attempt (the engine reads it after the attempt for the `steps_used`
+    /// histogram). Shared via `Arc` because kernels clone their budget into
+    /// sub-kernels and snapshots. To keep the hot path free of contended
+    /// atomics, steps accumulate locally in `pending` and flush in
+    /// [`CLOCK_STRIDE`]-sized batches (and on drop).
+    attempt_steps: Arc<AtomicU64>,
+}
+
+impl Default for SimBudget {
+    fn default() -> Self {
+        SimBudget {
+            max_steps: None,
+            min_dt: None,
+            cancel: CancelToken::never(),
+            steps: 0,
+            probe: 0,
+            armed: false,
+            metered: None,
+            pending: 0,
+        }
+    }
 }
 
 impl Clone for SimBudget {
@@ -199,16 +247,14 @@ impl Clone for SimBudget {
             max_steps: self.max_steps,
             min_dt: self.min_dt,
             cancel: self.cancel.clone(),
-            cancellable: self.cancellable,
             steps: self.steps,
             probe: self.probe,
             armed: self.armed,
-            attempt_steps: Arc::clone(&self.attempt_steps),
+            metered: self.metered.clone(),
             // Unflushed steps stay with the instance that noted them: the
             // original will flush them exactly once. A clone that copied
             // `pending` would double-count on its own flush.
             pending: 0,
-            metrics: self.metrics.clone(),
         }
     }
 }
@@ -246,7 +292,6 @@ impl SimBudget {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self.cancellable = true;
         self.armed = true;
         self
     }
@@ -257,13 +302,20 @@ impl SimBudget {
     /// simulation behaviour.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<KernelMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        let attempt_steps = match self.metered.take() {
+            Some(metered) => metered.attempt_steps,
+            None => Arc::default(),
+        };
+        self.metered = Some(Metered {
+            metrics,
+            attempt_steps,
+        });
         self
     }
 
     /// The attached metric registry, if telemetry is enabled.
     pub fn metrics(&self) -> Option<&Arc<KernelMetrics>> {
-        self.metrics.as_ref()
+        self.metered.as_ref().map(|m| &m.metrics)
     }
 
     /// Total steps noted by this budget and all of its clones (the
@@ -275,7 +327,11 @@ impl SimBudget {
     /// noted the steps have been dropped (which is how the engine reads
     /// it: after the attempt thread is joined).
     pub fn attempt_steps(&self) -> u64 {
-        self.attempt_steps.load(Ordering::Relaxed) + u64::from(self.pending)
+        let flushed = self
+            .metered
+            .as_ref()
+            .map_or(0, |m| m.attempt_steps.load(Ordering::Relaxed));
+        flushed + u64::from(self.pending)
     }
 
     /// Whether any guard is configured. `false` for
@@ -291,7 +347,7 @@ impl SimBudget {
     /// count — a kernel stepping many budgets at once may then keep that
     /// count itself instead of calling `note_step` on each.
     pub fn is_cancellable(&self) -> bool {
-        self.cancellable
+        self.cancel.flag.is_some()
     }
 
     /// The configured step cap, if any.
@@ -304,7 +360,8 @@ impl SimBudget {
         self.min_dt
     }
 
-    /// The attached cancellation token.
+    /// The attached cancellation token. Without one, a token nothing can
+    /// cancel: [`CancelToken::cancel`] on it is a no-op.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
     }
@@ -324,7 +381,7 @@ impl SimBudget {
     /// or [`GuardViolation::Deadline`].
     pub fn note_step(&mut self, now: Time) -> Result<(), GuardViolation> {
         self.steps += 1;
-        if self.metrics.is_some() {
+        if self.metered.is_some() {
             // Batched: one contended RMW per CLOCK_STRIDE steps (flushed
             // below with the clock probe, and on drop), not one per step.
             self.pending += 1;
@@ -354,8 +411,11 @@ impl SimBudget {
     /// Publishes locally accumulated steps to the shared attempt counter.
     fn flush_pending(&mut self) {
         if self.pending > 0 {
-            self.attempt_steps
-                .fetch_add(u64::from(self.pending), Ordering::Relaxed);
+            if let Some(metered) = &self.metered {
+                metered
+                    .attempt_steps
+                    .fetch_add(u64::from(self.pending), Ordering::Relaxed);
+            }
             self.pending = 0;
         }
     }
@@ -448,6 +508,13 @@ mod tests {
             GuardViolation::Cancelled { .. }
         ));
         assert!(b.cancel_token().is_cancelled());
+
+        // A budget nobody attached a token to shares no flag: its own token
+        // cannot be cancelled from outside, and clones stay independent.
+        let mut plain = SimBudget::unlimited();
+        plain.cancel_token().cancel();
+        plain.note_step(Time::ZERO).unwrap();
+        assert!(!plain.is_cancellable() && !plain.cancel_token().should_stop());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! toggles as it goes instead of recording a trace to compare afterwards.
 
 use crate::{DigitalSlot, DigitalWave, Time, ToggleStream, Trace};
+use std::hash::{Hash, Hasher};
 
 /// Per digital slot, the instants at which a run's X01 value starts or stops
 /// differing from the golden run's, plus the slots the run never recorded
@@ -39,6 +40,11 @@ use crate::{DigitalSlot, DigitalWave, Time, ToggleStream, Trace};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MismatchToggles {
+    /// The XOR of one mixed term per toggle and per silent slot: a function
+    /// of the contents alone, in whatever order they were noted (undoing a
+    /// toggle takes its term out again). Two lists that differ almost
+    /// always differ here first, and hashing a list reads nothing else.
+    digest: u64,
     /// Toggle instants in femtoseconds and their slots, side by side: plain
     /// integers, so that telling two runs' toggles apart is a memory
     /// compare.
@@ -52,6 +58,7 @@ impl MismatchToggles {
     /// No toggles: a run that classifies as the golden run does.
     pub const fn new() -> Self {
         MismatchToggles {
+            digest: 0,
             times: Vec::new(),
             slots: Vec::new(),
             silent: Vec::new(),
@@ -75,11 +82,13 @@ impl MismatchToggles {
             if self.slots[at] == slot {
                 self.times.remove(at);
                 self.slots.remove(at);
+                self.digest ^= term(t, slot);
                 return;
             }
         }
         self.times.insert(at, t);
         self.slots.insert(at, slot);
+        self.digest ^= term(t, slot);
     }
 
     /// Notes that the run never recorded on `slot` although the golden run
@@ -87,6 +96,7 @@ impl MismatchToggles {
     pub fn mark_silent(&mut self, slot: DigitalSlot) {
         if let Err(at) = self.silent.binary_search(&slot) {
             self.silent.insert(at, slot);
+            self.digest ^= term(SILENT, slot.0);
         }
     }
 
@@ -152,9 +162,32 @@ impl MismatchToggles {
             }
         }
         toggles.sort_unstable();
+        let terms = toggles.iter().map(|&(t, slot)| term(t, slot));
+        let silent = out.silent.iter().map(|slot| term(SILENT, slot.0));
+        out.digest = terms.chain(silent).fold(0, |digest, term| digest ^ term);
         (out.times, out.slots) = toggles.into_iter().unzip();
         out
     }
+}
+
+/// Equal lists hash equal, as [`PartialEq`] requires: the digest is a
+/// function of the contents.
+impl Hash for MismatchToggles {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// The instant a silent slot's digest term is taken at: no toggle's.
+const SILENT: i64 = i64::MIN;
+
+/// One toggle's (or silent slot's) digest term: the SplitMix64 finaliser
+/// of instant and slot, so that terms XOR into a well-spread digest.
+fn term(t: i64, slot: u32) -> u64 {
+    let mut z = (t as u64).wrapping_add(u64::from(slot).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -196,6 +229,30 @@ mod tests {
     }
 
     #[test]
+    fn the_digest_is_a_function_of_the_contents() {
+        let mut trace = Trace::new();
+        let (a, b) = (trace.digital_slot("a"), trace.digital_slot("b"));
+        let (t1, t2) = (Time::from_ns(1), Time::from_ns(2));
+        let mut noted = MismatchToggles::new();
+        noted.flip(a, t1);
+        noted.flip(b, t2);
+        noted.flip(a, t2);
+        noted.mark_silent(b);
+        // Noted in another order, with a toggle made and undone.
+        let mut again = MismatchToggles::new();
+        again.mark_silent(b);
+        again.flip(a, t1);
+        again.flip(a, t2);
+        again.flip(b, t2);
+        again.flip(b, t2);
+        assert_ne!(noted, again);
+        again.flip(b, t2);
+        assert_eq!(noted, again);
+        assert_eq!(noted.digest, again.digest);
+        assert_ne!(noted.digest, MismatchToggles::new().digest);
+    }
+
+    #[test]
     fn between_reads_x01_and_silence() {
         let mut golden = Trace::new();
         let mut faulty = Trace::new();
@@ -230,5 +287,12 @@ mod tests {
         );
         assert!(toggles.is_silent(r) && !toggles.is_silent(q) && !toggles.is_silent(idle));
         assert!(MismatchToggles::between(&golden, &golden).is_empty());
+        // The same list noted toggle by toggle is equal, digest included.
+        let mut noted = MismatchToggles::new();
+        noted.flip(r, Time::from_ns(3));
+        noted.flip(q, Time::from_ns(10));
+        noted.flip(q, Time::from_ns(20));
+        noted.mark_silent(r);
+        assert_eq!(noted, toggles);
     }
 }
