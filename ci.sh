@@ -111,6 +111,12 @@ AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-engine --release --test fork_equival
 # pulses.
 AMSFI_CPU_PROP_CASES=400 cargo test -q -p amsfi-circuits --release --test props word_cpu
 
+# The online classifier fed a word lane's toggles seals at the watermark,
+# and with the outcome, that the one fed the lane's trace does: the core
+# property, widened to 3 000 random cases.
+AMSFI_FUZZ_SEEDS=3000 cargo test -q -p amsfi-core --release --test props \
+    toggle_fed_seal_equals_trace_fed_seal
+
 # --batch CLI e2e. Both batch campaigns journal case-for-case what the
 # scalar run journals, and so does cpu under a step cap no case reaches
 # (every lane's budget is then armed, so the word machine's shared step
@@ -175,6 +181,28 @@ set -e
 test "$rc" -eq 64
 ./target/release/amsfi list >"$tmp/list.txt"
 grep -q "cpu.*batch" "$tmp/list.txt"
+rm -rf "$tmp"
+
+# --batch --early-abort CLI e2e: a word lane records no trace; its
+# classifier is fed the lane's mismatch toggles at the machine's stops
+# and retires the lane when it seals. On both batch campaigns the class,
+# onset and affected columns of cases.csv equal the plain --batch run's,
+# no lane falls back to scalar, and the early-abort journal holds sealed
+# verdicts — or the toggle-fed seal went unexercised.
+tmp=$(mktemp -d)
+for campaign in cpu cpu-set; do
+    for mode in plain early; do
+        flag=
+        test "$mode" = early && flag=--early-abort
+        ./target/release/amsfi run "$campaign" --batch $flag \
+            --journal "$tmp/$campaign.$mode.journal" --events "$tmp/$campaign.$mode.jsonl" \
+            --out "$tmp/$campaign.$mode" --progress-secs 0
+        cut -d, -f1-4,7 "$tmp/$campaign.$mode/cases.csv" >"$tmp/$campaign.$mode.cols"
+        test "$(grep -c '"name":"lane_fallback"' "$tmp/$campaign.$mode.jsonl")" -eq 0
+    done
+    cmp "$tmp/$campaign.plain.cols" "$tmp/$campaign.early.cols"
+    grep -Eq ' sealed_at=[0-9]+ ' "$tmp/$campaign.early.journal"
+done
 rm -rf "$tmp"
 
 # PR 8 CLI e2e: crash-safe serve with real processes. `amsfi status`

@@ -19,7 +19,9 @@
 //! The campaign then runs through the engine scalar and with `--batch` at
 //! several worker counts (worker count changes the lane grouping), and
 //! **any** difference in the golden trace or any `CaseResult` is a bug in
-//! the word kernel. The batch runs exercise the native plane cells (gates,
+//! the word kernel; with `--batch --early-abort`, a lane whose classifier
+//! sealed (fed its toggles) must carry the scalar run's class, onset and
+//! affected set, and lower bounds of its error end and mismatch time. The batch runs exercise the native plane cells (gates,
 //! clock, stimulus, constants) and the lane-farm fallback (every
 //! sequential cell, the voter, saboteurs) in one machine. The kernel-level
 //! leg then runs the seed's cases as one word group straight on the
@@ -27,8 +29,8 @@
 //! injection instant and to a random instant before it, against per-case
 //! scalar traces: golden byte-equal, every lane's mismatch toggles the ones
 //! its scalar trace shows against golden (a lane reported `Clean` only
-//! where it shows none), every other lane — observed, so recording —
-//! byte-equal, seal instants equal between the word runs. A refill leg
+//! where it shows none), seal instants equal between the word runs. A
+//! refill leg
 //! then runs a longer list on the seed's netlist through the engine the
 //! same way — 192 cases, mostly short SET pulses that wash out — so that
 //! sealed lanes take later cases: on one worker in a single group of more
@@ -50,10 +52,10 @@ use amsfi_digital::{
 };
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig};
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
-use amsfi_waves::{Logic, LogicVector, MismatchToggles, SimObserver, Time, Trace};
+use amsfi_waves::{Logic, LogicVector, MismatchToggles, Time, Trace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const T_END: Time = Time::from_us(2);
 
@@ -469,7 +471,10 @@ fn fuzz_campaign(seed: u64, faults: FuzzFaults) -> Campaign {
         injects,
         monitored,
     } = faults;
-    let spec = ClassifySpec::new((Time::ZERO, T_END), monitored);
+    // A settle window as long as the run: random netlists keep no promise
+    // about how long a diverged episode lasts, so under `--early-abort`
+    // only the seals that need none fire (permanent, window complete).
+    let spec = ClassifySpec::new((Time::ZERO, T_END), monitored).with_settle(T_END);
 
     let (targets, injects) = (Arc::new(targets), Arc::new(injects));
     Campaign::forked_batch(
@@ -486,39 +491,22 @@ fn fuzz_campaign(seed: u64, faults: FuzzFaults) -> Campaign {
 type Arm<'a> = Box<dyn Fn(&mut dyn InjectTarget) -> Result<(), String> + 'a>;
 
 /// Runs `lanes` as one word group on top of `golden`, wherever that
-/// simulator currently is. Odd lanes carry a no-op observer, and so still
-/// record a trace of their own: returned beside the report, the last one
-/// each observer was shown.
-fn word_group(golden: Simulator, lanes: &[(Time, Arm<'_>)]) -> (BatchReport, Vec<Trace>) {
+/// simulator currently is.
+fn word_group(golden: Simulator, lanes: &[(Time, Arm<'_>)]) -> BatchReport {
     let mut word = WordBatchSimulator::new(golden, T_END);
     for (at, _) in lanes {
         word.add_lane(*at);
     }
-    let seen: Vec<Arc<Mutex<Trace>>> = lanes.iter().map(|_| Arc::default()).collect();
-    let report = word
-        .run(
-            |lane, target| (lanes[lane].1)(target),
-            |lane, target| {
-                if lane % 2 == 1 {
-                    let keep = Arc::clone(&seen[lane]);
-                    let observer = SimObserver::new(move |_, view| {
-                        *keep.lock().unwrap() = view.to_trace();
-                    });
-                    target.set_observer(observer.with_stride(u32::MAX));
-                }
-            },
-        )
-        .expect("the golden lane runs to the horizon");
-    let seen = seen.iter().map(|t| t.lock().unwrap().clone()).collect();
-    (report, seen)
+    word.run(|lane, target| (lanes[lane].1)(target), |_, _| {})
+        .expect("the golden lane runs to the horizon")
 }
 
 /// The kernel-level leg: the word group `lanes` handed an unstarted
 /// simulator and ones advanced to each of `starts` (all at or before the
-/// first injection) must reproduce the scalar golden trace byte for byte,
-/// every lane's mismatch toggles against it as its scalar trace shows them
-/// (a lane reported `Clean` only where it shows none) and, on the observed
-/// lanes, that trace itself; and seal every lane at one instant.
+/// first injection) must reproduce the scalar golden trace byte for byte
+/// and every lane's mismatch toggles against it as its scalar trace shows
+/// them (a lane reported `Clean` only where it shows none); and seal every
+/// lane at one instant.
 fn check_word_group(
     what: &str,
     build: &dyn Fn() -> Simulator,
@@ -547,7 +535,7 @@ fn check_word_group(
     });
     let reports = std::iter::once(("from power-on".to_owned(), from_power_on)).chain(seeded);
     let mut sealed: Option<Vec<Option<Time>>> = None;
-    for (leg, (report, seen)) in reports {
+    for (leg, report) in reports {
         assert_eq!(report.golden, golden, "{what}, {leg}: golden trace");
         let mut seals = Vec::new();
         for (lane, outcome) in report.outcomes.iter().enumerate() {
@@ -562,16 +550,6 @@ fn check_word_group(
                 Some(&MismatchToggles::between(&golden, &scalar[lane])),
                 "{what}, {leg}: lane {lane} toggles"
             );
-            if lane % 2 == 1 {
-                let mut trace = seen[lane].clone();
-                if let Some(at) = sealed_at {
-                    trace.splice_golden_suffix(&golden, at);
-                }
-                assert_eq!(
-                    trace, scalar[lane],
-                    "{what}, {leg}: observed lane {lane} trace"
-                );
-            }
             seals.push(sealed_at);
         }
         let expected = sealed.get_or_insert_with(|| seals.clone());
@@ -611,8 +589,10 @@ fn check_seeded_word(seed: u64) {
 }
 
 /// The engine-level oracle: scalar vs `--batch`, byte-identical
-/// everything, at worker counts that produce different lane groupings.
-fn check_engine(what: &str, campaign: &Campaign) {
+/// everything, at worker counts that produce different lane groupings; and
+/// `--batch --early-abort` holding the seal contract against the scalar
+/// run. Returns how many lanes the early-abort run sealed.
+fn check_engine(what: &str, campaign: &Campaign) -> usize {
     let scalar = Engine::new(EngineConfig::default().with_workers(1))
         .run(campaign)
         .unwrap_or_else(|e| panic!("{what}: scalar run failed: {e}"));
@@ -646,16 +626,52 @@ fn check_engine(what: &str, campaign: &Campaign) {
             "{what}, {workers} workers: cases.csv"
         );
     }
+    let early = Engine::new(
+        EngineConfig::default()
+            .with_workers(1)
+            .with_batch(true)
+            .with_early_abort(true),
+    )
+    .run(campaign)
+    .unwrap_or_else(|e| panic!("{what}: early-abort batch run failed: {e}"));
+    let mut sealed = 0;
+    for (a, b) in scalar.result.cases.iter().zip(&early.result.cases) {
+        let label = &a.case.label;
+        if b.outcome.sealed_at.is_none() {
+            assert_eq!(a, b, "{what}, early abort: unsealed case {label}");
+            continue;
+        }
+        sealed += 1;
+        let (a, b) = (&a.outcome, &b.outcome);
+        assert_eq!(a.class, b.class, "{what}, early abort: {label} class");
+        assert_eq!(
+            a.error_onset, b.error_onset,
+            "{what}, early abort: {label} onset"
+        );
+        assert_eq!(
+            a.affected, b.affected,
+            "{what}, early abort: {label} affected"
+        );
+        assert!(
+            b.error_end <= a.error_end,
+            "{what}, early abort: {label} end"
+        );
+        assert!(
+            b.total_mismatch <= a.total_mismatch,
+            "{what}, early abort: {label} mismatch"
+        );
+    }
+    sealed
 }
 
 /// One seed: the kernel-level leg ([`check_seeded_word`]), then the engine
-/// oracle on its fault list.
-fn check_seed(seed: u64) {
+/// oracle on its fault list. Returns the lanes early abort sealed.
+fn check_seed(seed: u64) -> usize {
     check_seeded_word(seed);
     check_engine(
         &format!("seed {seed}"),
         &fuzz_campaign(seed, fuzz_faults(seed)),
-    );
+    )
 }
 
 /// The engine oracle on a seed's refill list ([`refill_faults`]). Returns
@@ -690,18 +706,19 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 /// Scalar against the engine's `--batch` runs and against word groups
 /// straight on the kernel, over the `AMSFI_FUZZ_*` seed window, each seed
-/// with its refill leg. Those must have seated cases on freed lanes
-/// somewhere in the window.
+/// with its refill leg. Those must have seated cases on freed lanes, and
+/// early abort sealed lanes, somewhere in the window.
 #[test]
 fn differential_fuzz_scalar_vs_batch_vs_word() {
     let base = env_u64("AMSFI_FUZZ_BASE", 0);
     let seeds = env_u64("AMSFI_FUZZ_SEEDS", 8);
-    let mut refills = 0;
+    let (mut refills, mut sealed) = (0, 0);
     for seed in base..base + seeds {
-        check_seed(seed);
+        sealed += check_seed(seed);
         refills += check_refill(seed);
     }
     assert!(seeds == 0 || refills > 0, "no refill leg refilled a lane");
+    assert!(seeds == 0 || sealed > 0, "early abort sealed no lane");
 }
 
 /// Seeds that found (or nearly found) bugs during development stay
@@ -722,10 +739,9 @@ fn differential_fuzz_scalar_vs_batch_vs_word() {
 /// again) are the first whose lanes leave golden *inside the time point
 /// their injection re-opens*, on a slot the golden run has just recorded a
 /// transition on: the lane's toggle there is taken against golden's value
-/// settled at that instant, and an observed lane's own push overwrites
-/// golden's transition in the trace it cloned. Seed 1 overwrites it with a
-/// new value; seeds 3 and 13 also with the value before it, which leaves
-/// the redundant transition the scalar kernel leaves. Seed 35 is the first
+/// settled at that instant. Seed 1's lane moves that bit to a new value;
+/// seeds 3 and 13 also back to the value before it, which leaves the
+/// redundant transition the scalar kernel leaves. Seed 35 is the first
 /// with a lane that never records a bit the golden run does (a clock stuck
 /// at 0 leaves a register's output `'U'`): that bit has no faulty wave to
 /// compare, a mismatch over the whole window, so the lane must report it

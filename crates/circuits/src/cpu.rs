@@ -599,8 +599,7 @@ mod tests {
     #[test]
     fn word_batch_matches_scalar_for_cpu_seus() {
         use amsfi_digital::{LaneOutcome, WordBatchSimulator};
-        use amsfi_waves::{MismatchToggles, SimObserver, Trace};
-        use std::sync::{Arc, Mutex};
+        use amsfi_waves::MismatchToggles;
         const T_END: Time = Time::from_us(4);
         // Representative mutant surface: acc, pc, the flag, a live RAM bit
         // (table entry) and a dead RAM bit (masked upset).
@@ -616,24 +615,13 @@ mod tests {
                 cases.push((at, bit));
             }
         }
-        // Odd lanes carry a no-op observer, and so record a trace of their
-        // own: the last one it is shown is the lane's full-horizon trace.
-        let seen: Vec<Arc<Mutex<Trace>>> = cases.iter().map(|_| Arc::default()).collect();
         let report = batch
             .run(
                 |lane, sim| {
                     sim.flip_state(cpu, cases[lane].1);
                     Ok(())
                 },
-                |lane, sim| {
-                    if lane % 2 == 1 {
-                        let keep = Arc::clone(&seen[lane]);
-                        let observer = SimObserver::new(move |_, view| {
-                            *keep.lock().unwrap() = view.to_trace();
-                        });
-                        sim.set_observer(observer.with_stride(u32::MAX));
-                    }
-                },
+                |_, _| {},
             )
             .unwrap();
 
@@ -649,20 +637,6 @@ mod tests {
                 "lane {lane} (bit {bit} @ {at}): {:?}",
                 report.outcomes[lane]
             );
-            if lane % 2 == 1 {
-                let mut trace = seen[lane].lock().unwrap().clone();
-                if let LaneOutcome::Completed {
-                    sealed_at: Some(at),
-                    ..
-                }
-                | LaneOutcome::Clean {
-                    sealed_at: Some(at),
-                } = report.outcomes[lane]
-                {
-                    trace.splice_golden_suffix(&report.golden, at);
-                }
-                assert_eq!(trace, scalar_trace, "lane {lane}: observed trace");
-            }
             // The dead RAM bit never shows on a monitored signal: nothing
             // is noted for it at all.
             if bit == 15 + 9 * 8 {

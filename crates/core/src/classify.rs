@@ -184,6 +184,21 @@ impl ClassifySpec {
         let (from, to) = self.window;
         AnalogStream::new(from, to, self.analog_tolerance, self.merge_gap)
     }
+
+    pub(crate) fn toggle_stream(&self) -> ToggleStream {
+        let (from, to) = self.window;
+        ToggleStream::new(from, to, self.merge_gap)
+    }
+
+    /// Per monitored name, in [`ClassifySpec::signals`] order, the digital
+    /// slot `golden` recorded it under, if it did.
+    pub(crate) fn golden_slots<'a>(
+        &'a self,
+        golden: &'a Trace,
+    ) -> impl Iterator<Item = Option<DigitalSlot>> + 'a {
+        self.signals()
+            .map(|(name, _)| golden.recorded_digital_slot(name))
+    }
 }
 
 /// Everything measured about one fault-injection run.
@@ -466,14 +481,11 @@ impl<'a> MismatchClassifier<'a> {
             Time::ZERO,
             "toggles carry no skewed comparison"
         );
-        let slots: Vec<Option<DigitalSlot>> = spec
-            .signals()
-            .map(|(name, _)| golden.recorded_digital_slot(name))
-            .collect();
+        let slots: Vec<Option<DigitalSlot>> = spec.golden_slots(golden).collect();
         let width = slots.iter().flatten().map(|s| s.index() + 1).max();
         let mut streams = vec![None; width.unwrap_or(0)];
         for slot in slots.iter().flatten() {
-            streams[slot.index()] = Some(Self::stream(spec));
+            streams[slot.index()] = Some(spec.toggle_stream());
         }
         MismatchClassifier {
             spec,
@@ -482,16 +494,11 @@ impl<'a> MismatchClassifier<'a> {
         }
     }
 
-    fn stream(spec: &ClassifySpec) -> ToggleStream {
-        let (from, to) = spec.window;
-        ToggleStream::new(from, to, spec.merge_gap)
-    }
-
     /// The verdict of one run with these toggles.
     pub fn classify(&mut self, toggles: &MismatchToggles) -> CaseOutcome {
         let spec = self.spec;
         for stream in self.streams.iter_mut().flatten() {
-            *stream = Self::stream(spec);
+            *stream = spec.toggle_stream();
         }
         toggles.feed(&mut self.streams);
         let streams = &mut self.streams;

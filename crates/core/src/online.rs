@@ -43,11 +43,15 @@
 //!    observation window; the outcome equals the post-hoc one by
 //!    construction.
 //!
+//! A word lane records no trace: shown its toggles at the machine's stops,
+//! the classifier feeds a [`ToggleStream`] per monitored golden slot.
+//!
 //! Anything the streaming comparison cannot decide soundly makes the
 //! classifier *inert* rather than wrong: a non-finite sample anywhere in
 //! the window (the post-hoc classifier short-circuits those into
-//! [`FaultClass::SimFailure`] with its own precedence order), or a
-//! monitored signal the faulty trace has not recorded yet. An inert
+//! [`FaultClass::SimFailure`] with its own precedence order), or toggles
+//! under a digital skew. A monitored signal the faulty run has not
+//! recorded yet (a slot a lane has not touched) blocks every seal. An inert
 //! classifier simply never seals and the case runs to completion —
 //! sim-failures and timeouts always stay terminal.
 //!
@@ -60,7 +64,10 @@
 use crate::classify::{
     first_non_finite, fold, resolve, CaseOutcome, ClassifySpec, Divergence, FaultClass, Resolved,
 };
-use amsfi_waves::{AnalogStream, CancelToken, DigitalStream, StreamState, Time, Trace, TraceView};
+use amsfi_waves::{
+    AnalogStream, CancelToken, DigitalSlot, DigitalStream, MismatchToggles, StreamState, Time,
+    ToggleStream, Trace, TraceView,
+};
 use std::sync::Arc;
 
 /// Streaming comparison state for one monitored signal.
@@ -70,6 +77,8 @@ enum SigStream {
     Digital(DigitalStream),
     /// Analog golden-vs-faulty merge cursor.
     Analog(AnalogStream),
+    /// A word lane's mismatch toggles on this golden slot.
+    Toggles(DigitalSlot, ToggleStream),
     /// The golden trace records this name in *neither* domain. The post-hoc
     /// classifier reports a definitive full-window mismatch for such a
     /// signal no matter what the faulty run does, so the online one may
@@ -97,6 +106,7 @@ impl SigState {
         match self.stream.as_ref()? {
             SigStream::Digital(s) => Some(s.state()),
             SigStream::Analog(s) => Some(s.state()),
+            SigStream::Toggles(_, s) => Some(s.state()),
             SigStream::MissingInGolden => None,
         }
     }
@@ -131,6 +141,8 @@ pub struct OnlineClassifier {
     /// costs more than early abort saves. Throttling to `settle / 8`
     /// bounds the added seal latency at 12.5 % of the settle window.
     next_check: Time,
+    /// How many of a word lane's toggles the streams have been fed.
+    fed: usize,
     /// Set when streaming comparison can no longer decide the case soundly
     /// (non-finite samples). The case then always runs to completion.
     inert: bool,
@@ -141,21 +153,18 @@ impl OnlineClassifier {
     /// Builds a classifier for one fault case.
     ///
     /// `injected_at` is the injection instant (quiescence is only
-    /// meaningful after it); `settle` is how long every signal's comparison
-    /// state must hold unchanged before the verdict seals — `None` uses the
-    /// spec's own [`ClassifySpec::settle`] hint, falling back to the
-    /// recovery margin. The settle window is clamped to at least the merge
-    /// gap (a mismatch inside the gap would merge into a "closed" interval)
-    /// and one femtosecond. `token` is cancelled on seal.
+    /// meaningful after it); the settle window is the spec's
+    /// [`ClassifySpec::settle`], else its recovery margin, clamped to at
+    /// least the merge gap (a mismatch inside the gap would merge into a
+    /// "closed" interval) and one femtosecond. `token` is cancelled on seal.
     pub fn new(
         spec: &ClassifySpec,
         golden: Arc<Trace>,
         injected_at: Time,
-        settle: Option<Time>,
         token: CancelToken,
     ) -> Self {
-        let settle = settle
-            .or(spec.settle)
+        let settle = spec
+            .settle
             .unwrap_or(spec.recovery)
             .max(spec.merge_gap)
             .max(Time::RESOLUTION);
@@ -185,6 +194,7 @@ impl OnlineClassifier {
             token,
             signals,
             next_check: Time::ZERO,
+            fed: 0,
             inert,
             sealed: None,
         }
@@ -195,18 +205,13 @@ impl OnlineClassifier {
         self.sealed.as_ref()
     }
 
-    /// Consumes the classifier, returning the sealed outcome if any.
-    pub fn into_sealed(self) -> Option<CaseOutcome> {
-        self.sealed
-    }
-
     /// True when the classifier has given up on sealing (non-finite data);
     /// the case will run to completion and be classified post-hoc.
     pub fn is_inert(&self) -> bool {
         self.inert
     }
 
-    /// Ingests all faulty-trace data that is final below `watermark`.
+    /// Ingests all faulty-trace data (or toggles) final below `watermark`.
     ///
     /// The finality contract matches the kernel observer hooks: every
     /// record in `view` strictly below `watermark` is frozen; the instant
@@ -229,6 +234,27 @@ impl OnlineClassifier {
             return;
         }
         self.next_check = watermark.saturating_add(self.settle / 8);
+        let ready = match view.toggles() {
+            Some((toggles, untouched)) => self.feed_toggles(watermark, toggles, untouched),
+            None => self.feed_trace(watermark, view),
+        };
+        if !ready {
+            return;
+        }
+        let outcome = self
+            .try_seal_complete(view)
+            .or_else(|| self.try_seal_permanent())
+            .or_else(|| self.try_seal_quiescent());
+        if let Some(mut outcome) = outcome {
+            outcome.sealed_at = Some(watermark);
+            self.token.cancel();
+            self.sealed = Some(outcome);
+        }
+    }
+
+    /// Advances the streams over traces; true when all started, none inert.
+    fn feed_trace(&mut self, watermark: Time, view: &TraceView<'_>) -> bool {
+        let (from, to) = self.spec.window;
         for sig in &mut self.signals {
             let resolved = resolve(&self.golden, view, &sig.name);
             if sig.stream.is_none() {
@@ -270,18 +296,50 @@ impl OnlineClassifier {
                 _ => {}
             }
         }
-        if self.inert || self.signals.iter().any(|s| s.stream.is_none()) {
-            return;
+        !self.inert && self.signals.iter().all(|s| s.stream.is_some())
+    }
+
+    /// Advances the streams over a word lane's toggles, on the golden slots
+    /// the names resolve to; true when the lane has touched every one.
+    fn feed_toggles(
+        &mut self,
+        watermark: Time,
+        toggles: &MismatchToggles,
+        untouched: &[DigitalSlot],
+    ) -> bool {
+        self.inert |= self.spec.digital_skew != Time::ZERO; // toggles carry no skew
+        if self.signals.iter().any(|s| s.stream.is_none()) {
+            let slots = self.spec.golden_slots(&self.golden);
+            for (sig, slot) in self.signals.iter_mut().zip(slots) {
+                let stream = slot.map(|slot| SigStream::Toggles(slot, self.spec.toggle_stream()));
+                sig.stream = Some(stream.unwrap_or(SigStream::MissingInGolden));
+            }
         }
-        let outcome = self
-            .try_seal_complete(view)
-            .or_else(|| self.try_seal_permanent())
-            .or_else(|| self.try_seal_quiescent());
-        if let Some(mut outcome) = outcome {
-            outcome.sealed_at = Some(watermark);
-            self.token.cancel();
-            self.sealed = Some(outcome);
+        let upto = watermark - Time::RESOLUTION;
+        let fresh = toggles
+            .iter()
+            .skip(self.fed)
+            .take_while(|&(t, _)| t <= upto);
+        for (t, slot) in fresh {
+            self.fed += 1;
+            for sig in &mut self.signals {
+                match &mut sig.stream {
+                    Some(SigStream::Toggles(s, stream)) if *s == slot => stream.toggle(t),
+                    _ => {}
+                }
+            }
         }
+        let mut started = !self.inert;
+        for sig in &mut self.signals {
+            if let Some(SigStream::Toggles(slot, stream)) = &mut sig.stream {
+                stream.advance(
+                    self.golden.digital_at(*slot).expect("a recorded slot"),
+                    upto,
+                );
+                started &= !untouched.contains(slot);
+            }
+        }
+        started
     }
 
     /// The lattice's verdict on every signal's divergence as of now.
@@ -315,6 +373,9 @@ impl OnlineClassifier {
                 }
                 (Some(SigStream::Analog(stream)), Resolved::Analog(golden, faulty)) => {
                     stream.finish(golden, faulty);
+                }
+                (Some(SigStream::Toggles(_, stream)), _) => {
+                    stream.finish();
                 }
                 _ => {}
             }
@@ -437,10 +498,9 @@ mod tests {
         let golden = Arc::new(golden());
         let token = CancelToken::new();
         let mut cl = OnlineClassifier::new(
-            &spec(),
+            &spec().with_settle(Time::from_ns(500)),
             Arc::clone(&golden),
             Time::from_ns(100),
-            Some(Time::from_ns(500)),
             token.clone(),
         );
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
@@ -456,10 +516,9 @@ mod tests {
     fn no_seal_before_injection_plus_settle() {
         let golden = Arc::new(golden());
         let mut cl = OnlineClassifier::new(
-            &spec(),
+            &spec().with_settle(Time::from_us(1)),
             golden,
             Time::from_us(5),
-            Some(Time::from_us(1)),
             CancelToken::new(),
         );
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
@@ -486,10 +545,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Transient);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(400)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            Some(Time::from_ns(400)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 25, 2 * US).expect("seals");
@@ -514,10 +572,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(500)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            Some(Time::from_ns(500)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 50, 11 * US).expect("seals");
@@ -546,10 +603,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_us(100)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            Some(Time::from_us(100)),
             CancelToken::new(),
         );
         let parts = [&faulty];
@@ -576,10 +632,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Transient);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(800)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            Some(Time::from_ns(800)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 25, 3 * US).expect("seals");
@@ -609,10 +664,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(500)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            Some(Time::from_ns(500)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 10, 11 * US).expect("eventually seals");
@@ -636,13 +690,8 @@ mod tests {
             .unwrap();
         faulty.record_analog("out", Time::from_us(10), 2.5).unwrap();
         let token = CancelToken::new();
-        let mut cl = OnlineClassifier::new(
-            &spec,
-            Arc::new(golden_t),
-            Time::from_us(1),
-            None,
-            token.clone(),
-        );
+        let mut cl =
+            OnlineClassifier::new(&spec, Arc::new(golden_t), Time::from_us(1), token.clone());
         assert!(drive(&mut cl, &faulty, 100, 12 * US).is_none());
         assert!(cl.is_inert());
         assert!(!token.is_cancelled());
@@ -656,13 +705,7 @@ mod tests {
             .record_analog("out", Time::from_us(5), f64::INFINITY)
             .unwrap();
         let spec = ClassifySpec::new((Time::ZERO, Time::from_us(10)), vec!["out".to_owned()]);
-        let cl = OnlineClassifier::new(
-            &spec,
-            Arc::new(golden_t),
-            Time::ZERO,
-            None,
-            CancelToken::new(),
-        );
+        let cl = OnlineClassifier::new(&spec, Arc::new(golden_t), Time::ZERO, CancelToken::new());
         assert!(cl.is_inert());
     }
 
@@ -674,10 +717,9 @@ mod tests {
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(100)),
             Arc::new(golden_t),
             Time::ZERO,
-            Some(Time::from_ns(100)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 100, 11 * US).expect("seals");
@@ -695,10 +737,9 @@ mod tests {
         let golden_t = golden();
         let faulty = Trace::new();
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(100)),
             Arc::new(golden_t),
             Time::ZERO,
-            Some(Time::from_ns(100)),
             CancelToken::new(),
         );
         assert!(drive(&mut cl, &faulty, 100, 12 * US).is_none());
@@ -714,12 +755,11 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         let mut cl = OnlineClassifier::new(
-            &spec,
+            // A settle window longer than the run: only the window-complete
+            // seal can fire.
+            &spec.with_settle(Time::from_us(100)),
             Arc::new(golden_t),
             Time::from_ns(50),
-            // A settle window longer than the run: only the
-            // window-complete seal can fire.
-            Some(Time::from_us(100)),
             CancelToken::new(),
         );
         let parts = [&faulty];
@@ -733,14 +773,42 @@ mod tests {
     }
 
     #[test]
+    fn toggle_fed_classifier_waits_for_every_slot_to_be_touched() {
+        // A word lane that differs nowhere, shown its (empty) toggles: it
+        // cannot seal while it has not touched `state`, which golden
+        // recorded, and seals no-effect once it has. A skewed comparison,
+        // which toggles cannot express, leaves the classifier inert.
+        let golden = Arc::new(golden());
+        let state = golden.recorded_digital_slot("state").unwrap();
+        let spec = spec().with_settle(Time::from_ns(500));
+        let none = MismatchToggles::new();
+        let mut cl = OnlineClassifier::new(
+            &spec,
+            Arc::clone(&golden),
+            Time::from_ns(100),
+            CancelToken::new(),
+        );
+        cl.observe(Time::from_us(2), &TraceView::of_toggles(&none, &[state]));
+        assert!(cl.sealed().is_none(), "an untouched slot blocks the seal");
+        cl.observe(Time::from_us(3), &TraceView::of_toggles(&none, &[]));
+        let sealed = cl.sealed().expect("seals once touched");
+        assert_eq!(sealed.class, FaultClass::NoEffect);
+        assert_eq!(sealed.sealed_at, Some(Time::from_us(3)));
+
+        let skewed = spec.with_digital_skew(Time::from_ns(1));
+        let mut cl = OnlineClassifier::new(&skewed, golden, Time::ZERO, CancelToken::new());
+        cl.observe(Time::from_us(3), &TraceView::of_toggles(&none, &[]));
+        assert!(cl.is_inert() && cl.sealed().is_none());
+    }
+
+    #[test]
     fn observations_after_seal_are_ignored() {
         let golden_t = golden();
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
         let mut cl = OnlineClassifier::new(
-            &spec(),
+            &spec().with_settle(Time::from_ns(100)),
             Arc::new(golden_t),
             Time::ZERO,
-            Some(Time::from_ns(100)),
             CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 50, US).expect("seals");

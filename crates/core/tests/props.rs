@@ -4,7 +4,8 @@ use amsfi_core::{
     classify, classify_mismatch, plan, report, ClassifySpec, FaultClass, OnlineClassifier,
 };
 use amsfi_waves::{
-    CancelToken, DigitalWave, Logic, MismatchToggles, Time, Tolerance, Trace, TraceView,
+    CancelToken, DigitalSlot, DigitalWave, Logic, MismatchToggles, Time, Tolerance, Trace,
+    TraceView,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -140,10 +141,9 @@ proptest! {
         let post_hoc = classify(&spec, &golden, &faulty);
 
         let mut cl = OnlineClassifier::new(
-            &spec,
+            &spec.with_settle(Time::from_ns(settle_ns)),
             Arc::new(golden),
             e0,
-            Some(Time::from_ns(settle_ns)),
             CancelToken::new(),
         );
         let mut t = Time::ZERO;
@@ -294,5 +294,198 @@ proptest! {
         let pw = [max_rt, max_rt * 2];
         let grid = plan::pulse_grid(&pa, &rt, &[100], &pw);
         prop_assert_eq!(grid.len(), pa.len() * rt.len() * pw.len());
+    }
+}
+
+/// Cases of [`toggle_fed_seal_equals_trace_fed_seal`]: the default, or the
+/// fuzzers' iteration count, which `ci.sh` widens.
+fn toggle_seal_cases() -> u32 {
+    std::env::var("AMSFI_FUZZ_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(ProptestConfig::default().cases)
+}
+
+/// A two-valued golden wave: `start` at `first_ns`, inverted at each of
+/// `edges_ns` after it.
+fn two_valued(first_ns: i64, start: bool, edges_ns: &[i64]) -> DigitalWave {
+    let mut edges: Vec<i64> = edges_ns
+        .iter()
+        .filter(|&&t| t > first_ns)
+        .copied()
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut wave = DigitalWave::new();
+    let mut v = Logic::from_bool(start);
+    wave.push(Time::from_ns(first_ns), v).unwrap();
+    for t in edges {
+        v = v.flipped();
+        wave.push(Time::from_ns(t), v).unwrap();
+    }
+    wave
+}
+
+/// A slot's faulty wave as a word lane leaves it: recorded from `touch` on
+/// — golden's value there, `'U'` while golden has not recorded — then
+/// golden's, inverted over each episode `[e0, e1)` that starts after both
+/// have recorded. It changes only where golden does or the comparison
+/// flips.
+fn touched_from(golden: &DigitalWave, touch: Time, episodes: &[(i64, i64)]) -> DigitalWave {
+    let recorded = golden.transitions().first().map_or(Time::MAX, |&(t, _)| t);
+    let episodes: Vec<(Time, Time)> = episodes
+        .iter()
+        .map(|&(e0, len)| (Time::from_ns(e0), Time::from_ns(e0 + len)))
+        .filter(|&(e0, _)| e0 > touch && e0 > recorded)
+        .collect();
+    let mut times: Vec<Time> = golden.transitions().iter().map(|&(t, _)| t).collect();
+    times.extend(episodes.iter().flat_map(|&(e0, e1)| [e0, e1]));
+    times.push(touch);
+    times.retain(|&t| t >= touch);
+    times.sort_unstable();
+    times.dedup();
+    let mut wave = DigitalWave::new();
+    for t in times {
+        let v = golden.value_at(t);
+        let inverted = episodes.iter().any(|&(e0, e1)| e0 <= t && t < e1);
+        wave.push(t, if inverted { v.flipped() } else { v })
+            .unwrap();
+    }
+    wave
+}
+
+/// `wave`'s records at or before `upto`.
+fn prefix(wave: &DigitalWave, upto: Time) -> impl Iterator<Item = (Time, Logic)> + '_ {
+    wave.transitions()
+        .iter()
+        .copied()
+        .take_while(move |&(t, _)| t <= upto)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(toggle_seal_cases()))]
+
+    /// A word lane's classifier, shown the prefix of the lane's mismatch
+    /// toggles and the slots it has not touched, seals at the watermark and
+    /// with the outcome the classifier shown the lane's trace prefix seals
+    /// — at zero skew, on digital signals: golden slots the faulty run
+    /// touches from power-on, from later on (a `'U'` stretch first) or
+    /// never (silent, which blocks both), a name golden registered but never
+    /// recorded and one it never registered (the faulty run may record
+    /// either), in any mix of outputs and internals, under random windows,
+    /// merge gaps, recovery margins, settle windows and watermark steps.
+    /// Waves are two-valued: a faulty run that moves between two values
+    /// both unequal to golden's (a metalogical one against a strong one)
+    /// changes without a toggle, where the trace-fed stream restarts its
+    /// quiescence clock and the toggle-fed one cannot.
+    #[test]
+    fn toggle_fed_seal_equals_trace_fed_seal(
+        waves in prop::collection::vec(
+            (0i64..300, any::<bool>(), prop::collection::vec(0i64..4_000, 0..12)),
+            3,
+        ),
+        touches in prop::collection::vec((0usize..4, 0i64..2_000), 3),
+        episodes in prop::collection::vec(
+            prop::collection::vec((0i64..4_000, 1i64..1_500), 0..3),
+            3,
+        ),
+        extra_touches in prop::collection::vec((any::<bool>(), 0i64..3_000), 2),
+        outputs in prop::collection::vec(0usize..5, 1..4),
+        internals in prop::collection::vec(0usize..5, 0..3),
+        from_ns in 0i64..1_000,
+        span_ns in 200i64..4_000,
+        gap_ns in 0i64..150,
+        recovery_ns in 0i64..500,
+        settle_ns in 1i64..1_500,
+        injected_ns in 0i64..2_000,
+        step_ns in 20i64..700,
+    ) {
+        let names = ["a", "b", "c", "idle", "ghost"];
+        let mut golden = Trace::new();
+        let mut faulty = Trace::new();
+        let idle = golden.digital_slot("idle");
+        let mut slots: Vec<(DigitalSlot, DigitalWave)> = vec![(idle, DigitalWave::new())];
+        for (i, (first, start, edges)) in waves.iter().enumerate() {
+            let g = two_valued(*first, *start, edges);
+            let slot = golden.digital_slot(names[i]);
+            for &(t, v) in g.transitions() {
+                golden.push_digital(slot, t, v).unwrap();
+            }
+            // 0: silent; 1: from power-on; otherwise from a later instant.
+            let (mode, at) = touches[i];
+            let f = match mode {
+                0 => DigitalWave::new(),
+                1 => touched_from(&g, Time::ZERO, &episodes[i]),
+                _ => touched_from(&g, Time::from_ns(at), &episodes[i]),
+            };
+            for &(t, v) in f.transitions() {
+                faulty.record_digital(names[i], t, v).unwrap();
+            }
+            slots.push((slot, f));
+        }
+        // The faulty run may record the names golden did not.
+        let mut faulty_only = Vec::new();
+        for (name, &(records, ns)) in ["idle", "ghost"].into_iter().zip(&extra_touches) {
+            if !records {
+                continue;
+            }
+            let wave = two_valued(ns, true, &[ns + 500]);
+            for &(t, v) in wave.transitions() {
+                faulty.record_digital(name, t, v).unwrap();
+            }
+            faulty_only.push((name, wave));
+        }
+
+        let pick = |picks: &[usize]| picks.iter().map(|&i| names[i].to_owned()).collect();
+        let mut spec = ClassifySpec::new(
+            (Time::from_ns(from_ns), Time::from_ns(from_ns + span_ns)),
+            pick(&outputs),
+        )
+        .with_internals(pick(&internals))
+        .with_settle(Time::from_ns(settle_ns));
+        spec.merge_gap = Time::from_ns(gap_ns);
+        spec.recovery = Time::from_ns(recovery_ns);
+
+        let all = MismatchToggles::between(&golden, &faulty);
+        let golden = Arc::new(golden);
+        let injected = Time::from_ns(injected_ns);
+        let mut by_trace =
+            OnlineClassifier::new(&spec, Arc::clone(&golden), injected, CancelToken::new());
+        let mut by_toggles =
+            OnlineClassifier::new(&spec, Arc::clone(&golden), injected, CancelToken::new());
+        let mut shown = MismatchToggles::new();
+        let mut fed = all.iter().peekable();
+        let mut w = Time::ZERO;
+        while w <= Time::from_ns(from_ns + span_ns + 2 * step_ns) {
+            // What a kernel holds at watermark `w`: every record and every
+            // toggle at or before it.
+            let mut so_far = Trace::new();
+            for (i, (_, f)) in slots.iter().enumerate().skip(1) {
+                for (t, v) in prefix(f, w) {
+                    so_far.record_digital(names[i - 1], t, v).unwrap();
+                }
+            }
+            for (name, wave) in &faulty_only {
+                for (t, v) in prefix(wave, w) {
+                    so_far.record_digital(name, t, v).unwrap();
+                }
+            }
+            while let Some((t, slot)) = fed.next_if(|&(t, _)| t <= w) {
+                shown.flip(slot, t);
+            }
+            let untouched: Vec<DigitalSlot> = slots
+                .iter()
+                .filter(|(_, f)| prefix(f, w).next().is_none())
+                .map(|&(slot, _)| slot)
+                .collect();
+            let parts = [&so_far];
+            by_trace.observe(w, &TraceView::new(&parts));
+            by_toggles.observe(w, &TraceView::of_toggles(&shown, &untouched));
+            prop_assert_eq!(by_toggles.sealed(), by_trace.sealed(), "at {}", w);
+            if by_trace.sealed().is_some() {
+                break;
+            }
+            w += Time::from_ns(step_ns);
+        }
     }
 }

@@ -54,22 +54,21 @@
 //! value, reduced to X01, starts or stops differing from the golden lane's
 //! — one plane XOR per changed bit, against a per-bit mask of the lanes
 //! that differ now — and the bits it never recorded although golden did. A
-//! lane that never differed has nothing ([`LaneOutcome::Clean`]). Only a
-//! lane with an observer records a trace of its own, to show it. Per-lane
-//! budgets are sorted once, when installed, into those that can never trip
-//! (no work), step caps (one shared step counter, one compare per time
-//! point against the earliest trip) and cancellable ones (asked every time
-//! point); observers sit behind a lane mask. A budget trip retires only
-//! that lane ([`LaneOutcome::Failed`]) and the campaign engine re-runs the
-//! case scalar, preserving byte identity.
+//! lane that never differed has nothing ([`LaneOutcome::Clean`]); a
+//! watched case is shown them at the machine's stops. Per-lane budgets are
+//! sorted once, when installed: a step cap becomes a value of one shared
+//! step counter (one compare per time point against the earliest trip), a
+//! cancel token is asked at the stops. A budget trip retires only that
+//! lane ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
+//! scalar, preserving byte identity.
 
 use crate::component::{Action, Component, EvalContext, Pool};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
 use amsfi_waves::{
-    DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector, MismatchToggles,
-    SimBudget, SimObserver, Time, Trace, LANES,
+    CancelToken, DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector,
+    MismatchToggles, SimBudget, SimObserver, Time, Trace, TraceView, LANES,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -584,8 +583,8 @@ struct WordSignal {
     width: usize,
     planes: Vec<LogicPlanes>,
     readers: Vec<usize>,
-    /// Trace slot of each bit (valid in the golden trace and every clone of
-    /// it); empty when the signal is not monitored.
+    /// Golden-trace slot of each bit; empty when the signal is not
+    /// monitored.
     slots: Vec<DigitalSlot>,
     /// Per slot, the recording lanes whose settled value, reduced to X01,
     /// differs from the golden lane's.
@@ -645,10 +644,8 @@ struct WordSimulator {
     recording: u64,
     /// Per-lane mismatch toggles against the golden lane.
     toggles: Vec<MismatchToggles>,
-    /// Per-lane traces: index [`GOLDEN_LANE`] is the golden trace, an
-    /// observed lane's is a clone of it from its activation on, every
-    /// other one stays empty.
-    traces: Vec<Trace>,
+    /// The golden lane's trace, the one trace the machine records.
+    trace: Trace,
     /// Machine-wide (golden) budget: a trip here aborts the whole word run.
     budget: SimBudget,
     golden_observer: Option<SimObserver>,
@@ -660,13 +657,8 @@ struct WordSimulator {
     /// per time point covers them all.
     step_caps: Vec<StepCap>,
     next_trip: u64,
-    /// Lanes whose budget carries a cancel token: only those need
-    /// [`SimBudget::note_step`] called on them, one by one.
-    polled: u64,
-    lane_budgets: Vec<Option<SimBudget>>,
-    /// Lanes with an observer installed.
-    observed: u64,
-    lane_observers: Vec<Option<SimObserver>>,
+    /// Per lane, the cancel token its budget carries, asked at stops.
+    cancels: Vec<Option<CancelToken>>,
     /// Lanes with an entry in `lane_failures` not yet collected.
     failed: u64,
     lane_failures: Vec<Option<String>>,
@@ -735,11 +727,6 @@ impl WordSimulator {
                 }
             })
             .collect();
-        // The golden lane records into the scalar simulator's trace and an
-        // observed lane's trace is a clone of it, so the signals' slots
-        // index into every trace that is ever recorded to.
-        let mut traces: Vec<Trace> = (0..LANES).map(|_| Trace::new()).collect();
-        traces[GOLDEN_LANE] = seed.trace;
         let mut sim = WordSimulator {
             signals,
             components,
@@ -749,16 +736,13 @@ impl WordSimulator {
             live: u64::MAX,
             recording: 1 << GOLDEN_LANE,
             toggles: (0..LANES).map(|_| MismatchToggles::new()).collect(),
-            traces,
+            trace: seed.trace,
             budget: seed.budget,
             golden_observer: seed.observer,
             steps: 0,
             step_caps: Vec::new(),
             next_trip: u64::MAX,
-            polled: 0,
-            lane_budgets: (0..LANES).map(|_| None).collect(),
-            observed: 0,
-            lane_observers: (0..LANES).map(|_| None).collect(),
+            cancels: vec![None; LANES],
             failed: 0,
             lane_failures: (0..LANES).map(|_| None).collect(),
             untouched: Vec::new(),
@@ -835,44 +819,31 @@ impl WordSimulator {
             if self.steps >= self.next_trip {
                 self.trip_step_caps(t);
             }
-            if self.polled & self.live != 0 {
-                self.note_polled_budgets(t);
-            }
             self.advance_time_point(t)?;
-            self.poll_observers(t);
+            if let Some(observer) = self.golden_observer.as_mut() {
+                observer.poll(t, &[&self.trace]);
+            }
         }
         if t_end > self.wheel.now() {
             self.wheel.advance(t_end);
         }
-        let now = self.wheel.now();
         if let Some(observer) = self.golden_observer.as_mut() {
-            observer.flush(now, &[&self.traces[GOLDEN_LANE]]);
-        }
-        let mut m = self.observed & self.recording;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(observer) = self.lane_observers[lane].as_mut() {
-                observer.flush(now, &[&self.traces[lane]]);
-            }
+            observer.flush(self.wheel.now(), &[&self.trace]);
         }
         Ok(())
     }
 
-    /// Installs lane `lane`'s budget, sorted once into what it can cost per
-    /// time point. An unarmed budget, or one whose only guard is a timestep
-    /// floor (this kernel proposes no timesteps), can never trip: nothing is
-    /// kept of it. A step cap without a cancel token depends on the count
-    /// alone, and the lane's count is the machine's from here on, so the
-    /// cap becomes a value of [`WordSimulator::steps`] to watch for. Only a
-    /// budget somebody else can cancel has to be asked every time point.
+    /// Installs lane `lane`'s budget, sorted once into what it can cost. A
+    /// timestep floor can never trip (this kernel proposes no timesteps). A
+    /// step cap depends on the count alone, and the lane's count is the
+    /// machine's from here on, so the cap becomes a value of
+    /// [`WordSimulator::steps`] to watch for. A cancel token is kept, to
+    /// be asked at the machine's stops.
     fn set_lane_budget(&mut self, lane: usize, budget: SimBudget) {
-        self.polled &= !(1 << lane);
         self.step_caps.retain(|cap| cap.lane != lane);
-        if budget.is_cancellable() {
-            self.polled |= 1 << lane;
-            self.lane_budgets[lane] = Some(budget);
-        } else if let Some(max) = budget.max_steps() {
+        let cancel = budget.cancel_token().clone();
+        self.cancels[lane] = budget.is_cancellable().then_some(cancel);
+        if let Some(max) = budget.max_steps() {
             // `note_step` counts first and trips on `count > max`.
             let left = max.saturating_sub(budget.steps_used()).saturating_add(1);
             self.step_caps.push(StepCap {
@@ -913,35 +884,6 @@ impl WordSimulator {
         });
         self.step_caps = caps;
         self.next_trip = self.earliest_trip();
-    }
-
-    /// Charges one step to every live lane whose budget carries a cancel
-    /// token; a trip retires that lane only.
-    fn note_polled_budgets(&mut self, t: Time) {
-        let mut m = self.polled & self.live;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(budget) = self.lane_budgets[lane].as_mut() {
-                if let Err(v) = budget.note_step(t) {
-                    self.fail_lane(lane, SimError::from(v).to_string());
-                }
-            }
-        }
-    }
-
-    fn poll_observers(&mut self, t: Time) {
-        if let Some(observer) = self.golden_observer.as_mut() {
-            observer.poll(t, &[&self.traces[GOLDEN_LANE]]);
-        }
-        let mut m = self.observed & self.recording;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let Some(observer) = self.lane_observers[lane].as_mut() {
-                observer.poll(t, &[&self.traces[lane]]);
-            }
-        }
     }
 
     fn mark_changed(&mut self, sig: usize, lanes: u64) {
@@ -1049,10 +991,8 @@ impl WordSimulator {
         // Compare every monitored bit that settled to a new value at t with
         // the golden lane, ascending signal id like the scalar kernel: a
         // recording lane whose X01 difference from golden flips notes a
-        // toggle. Golden, and a lane with an observer, also record the
-        // transition in their trace.
+        // toggle. Golden also records the transition in its trace.
         let rec = self.recording & self.live;
-        let recorders = rec & (self.observed | 1 << GOLDEN_LANE);
         let mut changed_list = std::mem::take(&mut self.scratch.changed_list);
         changed_list.sort_unstable();
         for &sig in &changed_list {
@@ -1062,7 +1002,8 @@ impl WordSimulator {
                 continue;
             }
             state.touched |= lanes;
-            if lanes >> GOLDEN_LANE & 1 != 0 {
+            let golden = lanes >> GOLDEN_LANE & 1 != 0;
+            if golden {
                 state.golden_changed = t;
             }
             for ((&slot, planes), mismatched) in state
@@ -1078,12 +1019,9 @@ impl WordSimulator {
                     flips &= flips - 1;
                     self.toggles[lane].flip(slot, t);
                 }
-                let mut m = lanes & recorders;
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    self.traces[lane]
-                        .push_digital(slot, t, planes.lane(lane))
+                if golden {
+                    self.trace
+                        .push_digital(slot, t, planes.lane(GOLDEN_LANE))
                         .expect("time is monotonic");
                 }
             }
@@ -1163,6 +1101,39 @@ impl WordSimulator {
         }
     }
 
+    /// Stop `t` for each running case: its watcher is shown the lane, and a
+    /// cancelled (by the watcher's seal, say) or expired token retires it.
+    fn stop_cases(
+        &mut self,
+        cases: &mut [WordCase],
+        occupant: &[usize; LANES],
+        t: Time,
+        untouched: &mut Vec<DigitalSlot>,
+    ) {
+        let mut m = self.recording & !(1 << GOLDEN_LANE);
+        while m != 0 {
+            let lane = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let CaseState::Running {
+                watcher: Some(watcher),
+                ..
+            } = &mut cases[occupant[lane]].state
+            {
+                untouched.clear();
+                for signal in self.signals.iter().filter(|s| s.touched >> lane & 1 == 0) {
+                    untouched.extend_from_slice(&signal.slots);
+                }
+                watcher.show(t, &TraceView::of_toggles(&self.toggles[lane], untouched));
+            }
+            let violation = match &self.cancels[lane] {
+                Some(token) if token.is_cancelled() => GuardViolation::Cancelled { t },
+                Some(token) if token.expired() => GuardViolation::Deadline { t },
+                _ => continue,
+            };
+            self.fail_lane(lane, SimError::from(violation).to_string());
+        }
+    }
+
     /// How a retired case ended, once the golden lane has reached the
     /// horizon: its toggles, plus every slot golden recorded that the
     /// case's trace would have left silent — a signal it never touched and
@@ -1173,7 +1144,7 @@ impl WordSimulator {
             mut toggles,
             untouched,
         } = retired;
-        let golden = &self.traces[GOLDEN_LANE];
+        let golden = &self.trace;
         for signal in self.untouched[untouched].iter().map(|&s| &self.signals[s]) {
             if signal.golden_changed > at {
                 continue;
@@ -1192,19 +1163,15 @@ impl WordSimulator {
     }
 
     /// Makes sealed lane `lane` what a lane whose case has not started is:
-    /// no budget, observer or trace, no mismatch, and touched exactly
-    /// where golden is. Its machine state already equals golden's.
+    /// no budget, no mismatch, and touched exactly where golden is. Its
+    /// machine state already equals golden's.
     fn vacate(&mut self, lane: usize) {
         let bit = 1u64 << lane;
-        self.polled &= !bit;
-        self.lane_budgets[lane] = None;
+        self.cancels[lane] = None;
         if self.step_caps.iter().any(|cap| cap.lane == lane) {
             self.step_caps.retain(|cap| cap.lane != lane);
             self.next_trip = self.earliest_trip();
         }
-        self.observed &= !bit;
-        self.lane_observers[lane] = None;
-        self.traces[lane] = Trace::new();
         for signal in &mut self.signals {
             for mismatched in &mut signal.mismatched {
                 *mismatched &= !bit;
@@ -1293,9 +1260,6 @@ pub trait InjectTarget {
 
     /// Installs the per-case budget.
     fn set_budget(&mut self, budget: SimBudget);
-
-    /// Installs the per-case observer.
-    fn set_observer(&mut self, observer: SimObserver);
 }
 
 impl InjectTarget for Simulator {
@@ -1321,10 +1285,6 @@ impl InjectTarget for Simulator {
 
     fn set_budget(&mut self, budget: SimBudget) {
         Simulator::set_budget(self, budget);
-    }
-
-    fn set_observer(&mut self, observer: SimObserver) {
-        Simulator::set_observer(self, observer);
     }
 }
 
@@ -1381,14 +1341,6 @@ impl InjectTarget for WordLaneCtx<'_> {
 
     fn set_budget(&mut self, budget: SimBudget) {
         self.sim.set_lane_budget(self.lane, budget);
-    }
-
-    fn set_observer(&mut self, observer: SimObserver) {
-        // An observer is shown the lane's whole trace at every time point:
-        // the golden trace as it stands, the lane's own from here on.
-        self.sim.traces[self.lane] = self.sim.traces[GOLDEN_LANE].clone();
-        self.sim.observed |= 1 << self.lane;
-        self.sim.lane_observers[self.lane] = Some(observer);
     }
 }
 
@@ -1450,9 +1402,10 @@ impl BatchReport {
 enum CaseState {
     /// Not started: waiting for its instant, in this machine or a later one.
     Pending,
-    /// Simulating on lane `lane` of the current machine.
+    /// Simulating on lane `lane` of the current machine, watched or not.
     Running {
         lane: usize,
+        watcher: Option<SimObserver>,
     },
     /// Sealed; resolved once its machine's golden lane reaches the horizon.
     Sealed(Retired),
@@ -1608,9 +1561,9 @@ impl WordBatchSimulator {
     /// `lane`'s fault on a machine positioned exactly at its injection
     /// instant — the same contract as the scalar forked runner's inject
     /// closure. `setup(lane, target)` runs first and is where per-case
-    /// budgets and observers are installed. Only a golden/machine-wide
-    /// failure is an error; per-case failures land in the case's
-    /// [`LaneOutcome`] and never abort the batch.
+    /// budgets are installed. Only a golden/machine-wide failure is an
+    /// error; per-case failures land in the case's [`LaneOutcome`] and
+    /// never abort the batch.
     ///
     /// # Errors
     ///
@@ -1622,8 +1575,27 @@ impl WordBatchSimulator {
     /// scalar for the whole group.
     pub fn run(
         self,
-        mut inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
+        inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
         mut setup: impl FnMut(usize, &mut dyn InjectTarget),
+    ) -> Result<BatchReport, SimError> {
+        self.run_watched(inject, |lane, target| {
+            setup(lane, target);
+            None
+        })
+    }
+
+    /// [`WordBatchSimulator::run`], where `setup` may return a watcher for
+    /// the case, shown the lane at each stop before the horizon, after the
+    /// reconvergence probe ([`TraceView::of_toggles`]). A token it cancels
+    /// there, carried by the case's budget, retires the lane at once.
+    ///
+    /// # Errors
+    ///
+    /// As [`WordBatchSimulator::run`].
+    pub fn run_watched(
+        self,
+        mut inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
+        mut setup: impl FnMut(usize, &mut dyn InjectTarget) -> Option<SimObserver>,
     ) -> Result<BatchReport, SimError> {
         let WordBatchSimulator {
             golden,
@@ -1676,7 +1648,7 @@ impl WordBatchSimulator {
             machines += 1;
             refills += pass.refills;
             queue = pass.spilled;
-            let golden = std::mem::take(&mut sim.traces[GOLDEN_LANE]);
+            let golden = std::mem::take(&mut sim.trace);
             debug_assert!(
                 golden_trace.as_ref().is_none_or(|g| *g == golden),
                 "the machines of one batch ran different golden machines"
@@ -1754,7 +1726,7 @@ fn run_machine(
     stops: &[Time],
     metrics: Option<&KernelMetrics>,
     inject: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
-    setup: &mut impl FnMut(usize, &mut dyn InjectTarget),
+    setup: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Option<SimObserver>,
 ) -> Result<Pass, SimError> {
     let mut free = (1u64 << queue.len().min(WordBatchSimulator::MAX_LANES)) - 1;
     sim.live = free | 1 << GOLDEN_LANE;
@@ -1767,6 +1739,8 @@ fn run_machine(
     };
     let mut waiting = queue.len();
     let mut due = queue.iter().copied().peekable();
+    let t_end = *stops.last().expect("the grid ends at the horizon");
+    let mut untouched = Vec::new();
 
     for &t in stops {
         sim.run_until(t)?;
@@ -1795,11 +1769,11 @@ fn run_machine(
                 sim: &mut *sim,
                 lane,
             };
-            setup(case, &mut ctx);
+            let watcher = setup(case, &mut ctx);
             cases[case].state = match inject(case, &mut ctx) {
                 Ok(()) => {
                     activated = true;
-                    CaseState::Running { lane }
+                    CaseState::Running { lane, watcher }
                 }
                 Err(error) => {
                     sim.fail_lane(lane, error.clone());
@@ -1824,6 +1798,9 @@ fn run_machine(
             cases[occupant[lane]].state = CaseState::Sealed(sim.retire(lane, t));
             sim.vacate(lane);
         }
+        if t < t_end {
+            sim.stop_cases(cases, &occupant, t, &mut untouched);
+        }
         while free.count_ones() as usize > waiting {
             let lane = 63 - free.leading_zeros() as usize;
             free &= !(1 << lane);
@@ -1846,13 +1823,12 @@ fn run_machine(
     // The golden lane must reach the horizon even if every case retired
     // early: the golden trace is the report's, and what the sealed cases
     // would have recorded after their seal is read off it.
-    let t_end = *stops.last().expect("the grid ends at the horizon");
     sim.run_until(t_end)?;
     collect_failures(sim, cases, &occupant);
     for &case in queue {
         let state = std::mem::replace(&mut cases[case].state, CaseState::Pending);
         cases[case].state = match state {
-            CaseState::Running { lane } => {
+            CaseState::Running { lane, .. } => {
                 let retired = sim.retire(lane, t_end);
                 CaseState::Done(sim.outcome(retired, None))
             }
@@ -1910,8 +1886,6 @@ mod tests {
     use crate::{DigitalSaboteur, Netlist};
     use amsfi_faults::{DigitalFault, DigitalFaultKind};
     use amsfi_waves::Logic;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
 
     /// A clocked 8-bit counter, optionally with a saboteur on `en`: SET
     /// pulses on the enable either suppress a count (sampled) or wash out
@@ -1972,26 +1946,10 @@ mod tests {
             .expect("counter present")
     }
 
-    /// The traces the observers of [`observe_odd`] were last shown, by lane.
-    type Seen = Arc<Mutex<BTreeMap<usize, Trace>>>;
-
-    /// Installs on every odd lane a no-op observer that keeps the last
-    /// trace it is shown: the observed leg, on which a lane still records.
-    fn observe_odd(seen: &Seen, lane: usize, target: &mut dyn InjectTarget) {
-        if lane % 2 == 1 {
-            let seen = Arc::clone(seen);
-            let observer = SimObserver::new(move |_, view| {
-                seen.lock().unwrap().insert(lane, view.to_trace());
-            });
-            target.set_observer(observer.with_stride(u32::MAX));
-        }
-    }
-
     /// Lane `lane` against the scalar run of its case: its toggles are the
-    /// ones that run's trace shows against golden, and an observed lane's
-    /// own recording, completed with the golden suffix if it sealed, is
-    /// that trace. Panics with the lane's error.
-    fn assert_lane(report: &BatchReport, seen: &Seen, lane: usize, scalar: &Trace) {
+    /// ones that run's trace shows against golden. Panics with the lane's
+    /// error.
+    fn assert_lane(report: &BatchReport, lane: usize, scalar: &Trace) {
         let toggles = report
             .lane_toggles(lane)
             .unwrap_or_else(|| panic!("lane {lane}: {:?}", report.outcomes[lane]));
@@ -2000,13 +1958,6 @@ mod tests {
             &MismatchToggles::between(&report.golden, scalar),
             "lane {lane}: toggles"
         );
-        if lane % 2 == 1 {
-            let mut trace = seen.lock().unwrap()[&lane].clone();
-            if let Some(at) = sealed_at(&report.outcomes[lane]) {
-                trace.splice_golden_suffix(&report.golden, at);
-            }
-            assert_eq!(&trace, scalar, "lane {lane}: observed trace");
-        }
     }
 
     fn sealed_at(outcome: &LaneOutcome) -> Option<Time> {
@@ -2042,19 +1993,18 @@ mod tests {
                 cases.push((at, bit));
             }
         }
-        let seen = Seen::default();
         let report = batch
             .run(
                 |lane, sim| {
                     sim.flip_state(target.component, cases[lane].1);
                     Ok(())
                 },
-                |lane, sim| observe_odd(&seen, lane, sim),
+                |_, _| {},
             )
             .unwrap();
 
         for (lane, &(at, bit)) in cases.iter().enumerate() {
-            assert_lane(&report, &seen, lane, &scalar_flip(at, bit, T_END));
+            assert_lane(&report, lane, &scalar_flip(at, bit, T_END));
         }
     }
 
@@ -2075,7 +2025,7 @@ mod tests {
         scalar.run_until(T_END).unwrap();
         word.run_until(T_END).unwrap();
 
-        assert_eq!(&word.traces[GOLDEN_LANE], scalar.trace());
+        assert_eq!(&word.trace, scalar.trace());
         for sig in &word.signals {
             let id = scalar.signal_id(&sig.name).unwrap();
             for (bit, planes) in sig.planes.iter().enumerate() {
@@ -2134,19 +2084,18 @@ mod tests {
                 WordBatchSimulator::new(build_sab(None), T_END).with_seal_stride(Time::from_ns(50));
             batch.add_lane(armed_at);
             let lane = batch.add_lane(armed_at);
-            let seen = Seen::default();
             let report = batch
                 .run(
                     |_, sim| {
                         arm_en(sim, &fault);
                         Ok(())
                     },
-                    |lane, sim| observe_odd(&seen, lane, sim),
+                    |_, _| {},
                 )
                 .unwrap();
 
-            assert_lane(&report, &seen, lane - 1, &scalar_trace);
-            assert_lane(&report, &seen, lane, &scalar_trace);
+            assert_lane(&report, lane - 1, &scalar_trace);
+            assert_lane(&report, lane, &scalar_trace);
             let sealed = sealed_at(&report.outcomes[lane]).expect("washed-out pulse must seal");
             assert!(sealed < Time::from_us(1), "sealed late: {sealed}");
             seals.push(sealed);
@@ -2164,14 +2113,13 @@ mod tests {
         let mut batch = WordBatchSimulator::new(golden, T_END);
         let late = batch.add_lane(Time::from_ns(700));
         let behind = batch.add_lane(Time::from_ns(499));
-        let seen = Seen::default();
         let report = batch
             .run(
                 |_, sim| {
                     sim.flip_state(target.component, 2);
                     Ok(())
                 },
-                |lane, sim| observe_odd(&seen, lane, sim),
+                |_, _| {},
             )
             .unwrap();
         assert!(
@@ -2179,12 +2127,7 @@ mod tests {
             "{:?}",
             report.outcomes[behind]
         );
-        assert_lane(
-            &report,
-            &seen,
-            late,
-            &scalar_flip(Time::from_ns(700), 2, T_END),
-        );
+        assert_lane(&report, late, &scalar_flip(Time::from_ns(700), 2, T_END));
     }
 
     #[test]
@@ -2230,7 +2173,6 @@ mod tests {
         let cancellable = batch.add_lane(ns(100));
         let canceller = batch.add_lane(ns(500));
         let token = amsfi_waves::CancelToken::new();
-        let seen = Seen::default();
         let report = batch
             .run(
                 |_, sim| {
@@ -2238,7 +2180,6 @@ mod tests {
                     Ok(())
                 },
                 |lane, sim| {
-                    observe_odd(&seen, lane, sim);
                     if lane == strict {
                         sim.set_budget(SimBudget::unlimited().with_max_steps(3));
                     } else if lane == roomy {
@@ -2292,7 +2233,7 @@ mod tests {
             (floor_only, 300),
             (canceller, 500),
         ] {
-            assert_lane(&report, &seen, lane, &scalar_flip(ns(at), 7, T_END));
+            assert_lane(&report, lane, &scalar_flip(ns(at), 7, T_END));
         }
     }
 
@@ -2328,14 +2269,13 @@ mod tests {
             word.add_lane(fault.at);
         }
         let stops = stop_grid(faults.iter().map(|f| f.at), Time::ZERO, ns(50), T_END);
-        let seen = Seen::default();
         let report = word
             .run(
                 |lane, target| {
                     arm_en(target, &faults[lane]);
                     Ok(())
                 },
-                |lane, target| observe_odd(&seen, lane, target),
+                |_, _| {},
             )
             .unwrap();
 
@@ -2365,7 +2305,7 @@ mod tests {
             );
             let mut scalar = build_sab(Some(fault.clone()));
             scalar.run_until(T_END).unwrap();
-            assert_lane(&report, &seen, lane, scalar.trace());
+            assert_lane(&report, lane, scalar.trace());
             seals.push(expected);
         }
         // The oracle is not vacuous: on and off the stride grid (133 ns is
@@ -2406,6 +2346,72 @@ mod tests {
         sim.monitor_name("q");
         sim.monitor_name("late__sab");
         sim
+    }
+
+    #[test]
+    fn a_watcher_is_shown_the_lane_and_may_retire_it() {
+        // Two counter upsets, each watched. One watcher keeps what it is
+        // shown: at every stop before the horizon, the toggles so far, and
+        // `late__sab` as untouched until golden (and with it the lane)
+        // first records it at 1.5 µs. The other cancels its budget's token
+        // once shown 1 µs, and the lane retires at that stop.
+        const T_END: Time = Time::from_us(2);
+        let ns = Time::from_ns;
+        let counter = counter_target(&build_late());
+        let mut word = WordBatchSimulator::new(build_late(), T_END).with_seal_stride(ns(250));
+        let kept = word.add_lane(ns(305));
+        let cancelled = word.add_lane(ns(305));
+        type Shown = Vec<(Time, MismatchToggles, Vec<DigitalSlot>)>;
+        let shown = Arc::new(std::sync::Mutex::new(Shown::new()));
+        let token = amsfi_waves::CancelToken::new();
+        let report = word
+            .run_watched(
+                |_, target| {
+                    target.flip_state(counter.component, 6);
+                    Ok(())
+                },
+                |lane, target| {
+                    if lane == kept {
+                        let shown = Arc::clone(&shown);
+                        Some(SimObserver::new(move |t, view| {
+                            let (toggles, untouched) = view.toggles().expect("a lane's toggles");
+                            let seen = (t, toggles.clone(), untouched.to_vec());
+                            shown.lock().unwrap().push(seen);
+                        }))
+                    } else {
+                        let cancel = token.clone();
+                        let hook = move |t, _: &TraceView<'_>| {
+                            if t >= ns(1000) {
+                                cancel.cancel();
+                            }
+                        };
+                        target.set_budget(SimBudget::unlimited().with_cancel(token.clone()));
+                        Some(SimObserver::new(hook))
+                    }
+                },
+            )
+            .unwrap();
+
+        let late = report.golden.recorded_digital_slot("late__sab").unwrap();
+        let all = report.lane_toggles(kept).expect("the kept lane completes");
+        let shown = shown.lock().unwrap();
+        let times: Vec<Time> = shown.iter().map(|(t, ..)| *t).collect();
+        let mut stops = vec![ns(305)];
+        stops.extend((2..8).map(|i| ns(250 * i)));
+        assert_eq!(times, stops);
+        for (t, toggles, untouched) in shown.iter() {
+            let prefix: Vec<_> = all.iter().filter(|(at, _)| at <= t).collect();
+            assert_eq!(toggles.iter().collect::<Vec<_>>(), prefix, "toggles at {t}");
+            let expected = if *t < ns(1500) { vec![late] } else { vec![] };
+            assert_eq!(*untouched, expected, "untouched at {t}");
+        }
+        assert!(!all.is_empty());
+        match &report.outcomes[cancelled] {
+            LaneOutcome::Failed { error } => {
+                assert_eq!(*error, format!("cancelled t={}", ns(1000).as_fs()));
+            }
+            other => panic!("the cancelled lane must retire: {other:?}"),
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 
 use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_digital::{cells, ComponentId, LaneOutcome, Netlist, Simulator, WordBatchSimulator};
-use amsfi_waves::{Logic, SimObserver, Time, LANES};
+use amsfi_waves::{CancelToken, Logic, SimBudget, SimObserver, Time, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Counts this thread's fresh allocations and its reallocations, so that
 /// tests running side by side do not see each other.
@@ -110,13 +112,10 @@ fn word_machine_steady_state_does_not_allocate() {
     // no simulation between them, so the difference of the two intervals is
     // the simulation alone.
     //
-    // Every other mutant lane carries an observer, so it owns a whole trace
-    // from its activation on (the `--early-abort` shape, and the one in
-    // which a lane records the most); the rest note mismatch toggles only.
-    // What the diverged phase pins is that neither costs an allocation per
-    // time point: a wave or a toggle list only grows, by doubling, once
-    // the lane has toggled for the first time. Lanes that never toggle are
-    // the next test's.
+    // Mutant lanes note mismatch toggles only. What the diverged phase
+    // pins is that this costs no allocation per time point: a toggle list
+    // only grows, by doubling, once the lane has toggled for the first
+    // time. Lanes that never toggle are the next test's.
     let warm_up = Time::from_us(2);
     let lock_step_end = warm_up + PHASE;
     let diverged_start = lock_step_end + Time::from_us(1);
@@ -148,7 +147,6 @@ fn word_machine_steady_state_does_not_allocate() {
         probes.push(word.add_lane(at));
     }
     assert_eq!(1 + probes.len() + mutants.len(), LANES - 1, "a full word");
-    let observed = |lane: usize| lane.is_multiple_of(2);
 
     let mut at_setup = vec![(0, 0); probes.len()];
     let report = word
@@ -160,11 +158,9 @@ fn word_machine_steady_state_does_not_allocate() {
                 }
                 None => Err("probe".to_owned()),
             },
-            |lane, target| {
+            |lane, _| {
                 if let Some(nth) = probes.iter().position(|&p| p == lane) {
                     at_setup[nth] = counts();
-                } else if mutants.contains(&lane) && observed(lane) {
-                    target.set_observer(SimObserver::new(|_, _| {}));
                 }
             },
         )
@@ -183,13 +179,11 @@ fn word_machine_steady_state_does_not_allocate() {
         };
         let before = toggles.iter().filter(|&(t, _)| t < diverged_start).count();
         assert!(before > 0, "lane {lane} first toggles inside the phase");
-        if !observed(lane) {
-            // Instants and slots are two vectors side by side.
-            toggle_lists += 1;
-            toggle_growth += 2 * doublings(before, toggles.iter().count());
-        }
+        // Instants and slots are two vectors side by side.
+        toggle_lists += 1;
+        toggle_growth += 2 * doublings(before, toggles.iter().count());
     }
-    assert!(toggle_lists > 10, "{toggle_lists} unobserved lanes toggle");
+    assert!(toggle_lists > 10, "{toggle_lists} lanes toggle");
     let simulation = |start: usize| {
         let between =
             |a: usize, b: usize| (at_setup[b].0 - at_setup[a].0, at_setup[b].1 - at_setup[a].1);
@@ -201,16 +195,97 @@ fn word_machine_steady_state_does_not_allocate() {
     let (fresh, grown) = simulation(0);
     assert_eq!(fresh, 0, "lock-step phase allocated");
     assert!(grown <= 14 * 2, "lock-step phase: {grown} reallocations");
-    // Diverged: golden and every observed lane record their own `out` and
-    // `pc`, every other lane that differs notes toggles.
+    // Diverged: golden records its `out` and `pc`, every lane that differs
+    // notes toggles.
     let (fresh, grown) = simulation(3);
     assert_eq!(fresh, 0, "diverged phase allocated");
-    let recorders = mutants.iter().filter(|&&lane| observed(lane)).count() as u64 + 1;
-    let waves = recorders * 14;
     assert!(
-        grown <= waves * 2 + toggle_growth,
-        "diverged phase: {grown} reallocations for {waves} waves and {toggle_lists} toggle \
+        grown <= 14 * 2 + toggle_growth,
+        "diverged phase: {grown} reallocations for 14 golden waves and {toggle_lists} toggle \
          lists that double {toggle_growth} times"
+    );
+}
+
+#[test]
+fn a_watched_lane_records_nothing() {
+    // The `--early-abort` shape: every mutant lane carries a watcher, shown
+    // its toggles at each stop of the machine, and a budget whose token
+    // the stops ask. Upsets in RAM words 0..=7
+    // keep every lane apart from golden to the horizon, so each is shown at
+    // every stop. The same cases run watched and unwatched, and what the
+    // allocator sees from the activation of the lanes (a probe's setup) to
+    // late in the run (another probe's) must be the same, whatever the
+    // length of the golden trace: a watched lane records and clones
+    // nothing. Cloning golden per watched lane and recording its own `out`
+    // and `pc`, as observed lanes once did, cost 960 more fresh allocations
+    // here — 16 per lane — and 1 338 more reallocations.
+    let activate = Time::from_us(2);
+    let late = activate + PHASE;
+    let t_end = late + Time::from_us(1);
+    let run = |watched: bool| {
+        let (golden, cpu) = cpu_bench(true);
+        let first_ram_bit = golden
+            .mutant_targets()
+            .iter()
+            .position(|t| t.label == "ram[0][0]")
+            .expect("the RAM is part of the mutant surface");
+        let mut word = WordBatchSimulator::new(golden, t_end);
+        // A failing lane ahead of the phase, so that the word machine has
+        // taken over and filled its pools before the first sample.
+        word.add_lane(Time::from_us(1));
+        let start = word.add_lane(activate);
+        let mutants: Vec<usize> = (0..WordBatchSimulator::MAX_LANES - 3)
+            .map(|_| word.add_lane(activate))
+            .collect();
+        let end = word.add_lane(late);
+        let shows = Arc::new(AtomicUsize::new(0));
+        // Built ahead of the run: what the kernel does with a watcher is
+        // measured, not the test's closures.
+        let mut watchers: Vec<Option<(SimObserver, SimBudget)>> = (0..=end)
+            .map(|lane| {
+                let shows = Arc::clone(&shows);
+                let watcher = SimObserver::new(move |_, view| {
+                    assert!(view.toggles().is_some(), "a lane is shown its toggles");
+                    shows.fetch_add(1, Ordering::Relaxed);
+                });
+                let budget = SimBudget::unlimited().with_cancel(CancelToken::new());
+                (watched && mutants.contains(&lane)).then_some((watcher, budget))
+            })
+            .collect();
+        let (mut before, mut after) = ((0, 0), (0, 0));
+        word.run_watched(
+            |lane, target| match mutants.iter().position(|&m| m == lane) {
+                Some(nth) => {
+                    target.flip_state(cpu, first_ram_bit + nth);
+                    Ok(())
+                }
+                None => Err("probe".to_owned()),
+            },
+            |lane, target| {
+                if lane == start {
+                    before = counts();
+                } else if lane == end {
+                    after = counts();
+                }
+                let (watcher, budget) = watchers[lane].take()?;
+                target.set_budget(budget);
+                Some(watcher)
+            },
+        )
+        .expect("the golden lane runs to the horizon");
+        let shown = shows.load(Ordering::Relaxed);
+        (
+            (after.0 - before.0, after.1 - before.1),
+            mutants.len(),
+            shown,
+        )
+    };
+    let (plain, lanes, _) = run(false);
+    let (watched, _, shown) = run(true);
+    assert!(shown >= lanes * 32, "{shown} shows for {lanes} lanes");
+    assert_eq!(
+        watched, plain,
+        "{lanes} watched lanes against unwatched: (fresh, reallocated)"
     );
 }
 

@@ -82,14 +82,12 @@ impl Campaign {
                     for &i in group {
                         word.add_lane(case_stops[i]);
                     }
-                    word.run(
+                    word.run_watched(
                         |lane, target| inject(target, group[lane]).map_err(|e| e.to_string()),
                         |lane, target| {
-                            let (budget, observer) = hooks(lane);
+                            let (budget, watcher) = hooks(lane);
                             target.set_budget(budget);
-                            if let Some(observer) = observer {
-                                target.set_observer(observer);
-                            }
+                            watcher
                         },
                     )
                     .map_err(|e| Box::new(e) as BoxError)

@@ -108,10 +108,6 @@ pub struct EngineConfig {
     /// [`amsfi_core::OnlineClassifier`]). Off by default: the default path
     /// stays post-hoc and bit-for-bit unchanged.
     pub early_abort: bool,
-    /// How long every monitored signal must match the golden run before an
-    /// early-abort verdict of no-effect/transient may seal. `None` derives
-    /// the settle window from the campaign's recovery threshold.
-    pub settle: Option<Time>,
     /// Called with every finished case's journal v2 record line (done,
     /// skipped or quarantined), as it is written. This is how a remote
     /// worker streams results to the distributed coordinator while the
@@ -181,7 +177,6 @@ impl Default for EngineConfig {
             quarantine: false,
             telemetry: Telemetry::disabled(),
             early_abort: false,
-            settle: None,
             record_sink: None,
             completed: Vec::new(),
             batch: false,
@@ -293,14 +288,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_early_abort(mut self, early_abort: bool) -> Self {
         self.early_abort = early_abort;
-        self
-    }
-
-    /// Overrides the early-abort settle window (see
-    /// [`EngineConfig::settle`]).
-    #[must_use]
-    pub fn with_settle(mut self, settle: Time) -> Self {
-        self.settle = Some(settle);
         self
     }
 
@@ -584,7 +571,7 @@ impl fmt::Debug for ForkSpec {
 /// Per-lane plumbing for a mutant lane about to be activated: called with
 /// the lane's position in the group, returns the [`SimBudget`] (guards,
 /// cancellation token, metrics) and optional [`SimObserver`] (streaming
-/// classification) for that lane.
+/// classification, shown the lane's toggles) for that lane.
 pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObserver>);
 
 /// How a campaign supports bit-parallel group execution (enabled per run
@@ -929,8 +916,9 @@ struct EarlyAbort<'a> {
 
 /// A streaming classifier wired up for one scalar attempt or one batch
 /// lane (see [`Engine::arm`]): the observer goes to the kernel and shows the
-/// classifier the trace as it grows, the token goes into the simulation's
-/// budget, and the classifier is asked for its sealed verdict afterwards.
+/// classifier the trace (a lane's toggles) as it grows, the token goes into
+/// the simulation's budget, and the classifier is asked for its sealed
+/// verdict afterwards.
 struct Armed {
     classifier: Arc<Mutex<OnlineClassifier>>,
     observer: SimObserver,
@@ -1461,7 +1449,6 @@ impl Engine {
             early.spec,
             Arc::clone(early.golden),
             early.injected_at,
-            self.config.settle,
             token.clone(),
         )));
         let observer = {
@@ -1969,10 +1956,12 @@ impl Run<'_> {
     ///
     /// Lanes are armed like scalar attempts ([`Engine::arm`]): with
     /// `--early-abort` a sealed verdict wins over whatever the cancelled
-    /// lane reported. A lane that fails without one falls back to the
-    /// scalar path for that case alone — which re-derives guard-trip
-    /// verdicts, retry accounting and quarantine exactly as a scalar run
-    /// would.
+    /// lane reported. Its classifier reads the lane's toggles through the
+    /// campaign's golden trace, whose slots are the group's: the group forks
+    /// from the golden run's own snapshots. A lane that fails without one
+    /// falls back to the scalar path for that case alone — which re-derives
+    /// guard-trip verdicts, retry accounting and quarantine exactly as a
+    /// scalar run would.
     ///
     /// A completed lane is booked from [`Run::drawn_verdicts`]: its toggles
     /// are taken against the group's golden lane, whose trace must equal

@@ -7,8 +7,8 @@
 //! * a lane that fails deterministically mid-batch is quarantined (under
 //!   `--quarantine`) *alone*: every other lane's verdict still matches
 //!   the scalar run;
-//! * batch + `--early-abort` seals the same verdict classes the full
-//!   post-hoc run derives;
+//! * batch + `--early-abort` seals, from a lane's toggles, the class,
+//!   onset and affected set the full post-hoc run derives;
 //! * word groups fork from the golden run's snapshots, one per group
 //!   start: the answers stay byte-identical on whole, sharded and partly
 //!   completed case lists, and the prefix is paid once per run — `build`
@@ -316,22 +316,50 @@ fn chaos_lane_is_quarantined_alone() {
     let _ = std::fs::remove_file(&journal);
 }
 
+/// Batch + `--early-abort` against the scalar post-hoc run, on the counter
+/// toy and the catalog's `cpu` and `cpu-set`: a lane whose classifier
+/// sealed — fed the lane's toggles at the word machine's stops — carries
+/// the scalar class, onset and affected set, and lower bounds of its error
+/// end and mismatch time; any other lane the scalar result itself. On the
+/// catalog campaigns some lanes must seal, or the toggle-fed seal goes
+/// unexercised.
 #[test]
 fn batch_early_abort_seals_scalar_classes() {
-    let campaign = counter_campaign(&[0, 3, 7], &times(), None);
-    let scalar = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&campaign)
-        .expect("scalar run");
-    let batch = Engine::new(batch_config(2).with_early_abort(true))
-        .run(&campaign)
-        .expect("batch early-abort run");
-    assert_eq!(scalar.result.cases.len(), batch.result.cases.len());
-    for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
-        assert_eq!(
-            a.outcome.class, b.outcome.class,
-            "case {} class diverged under batch early abort",
-            a.case
-        );
+    let catalog = |name| campaigns::build(name, None).expect("catalog campaign");
+    let runs = [
+        (counter_campaign(&[0, 3, 7], &times(), None), false),
+        (catalog("cpu"), true),
+        (catalog("cpu-set"), true),
+    ];
+    for (campaign, must_seal) in &runs {
+        let name = &campaign.name;
+        let scalar = Engine::new(EngineConfig::default().with_workers(2))
+            .run(campaign)
+            .expect("scalar run");
+        let batch = Engine::new(batch_config(2).with_early_abort(true))
+            .run(campaign)
+            .expect("batch early-abort run");
+        assert_eq!((batch.path, batch.stats.fallbacks), ("batch", 0), "{name}");
+        assert_eq!(scalar.result.cases.len(), batch.result.cases.len());
+        let mut sealed = 0;
+        for (a, b) in scalar.result.cases.iter().zip(&batch.result.cases) {
+            let case = &a.case;
+            if b.outcome.sealed_at.is_none() {
+                assert_eq!(a, b, "{name}: unsealed case {case}");
+                continue;
+            }
+            sealed += 1;
+            let (a, b) = (&a.outcome, &b.outcome);
+            assert_eq!(a.class, b.class, "{name}: case {case} class");
+            assert_eq!(a.error_onset, b.error_onset, "{name}: case {case} onset");
+            assert_eq!(a.affected, b.affected, "{name}: case {case} affected");
+            assert!(b.error_end <= a.error_end, "{name}: case {case} end");
+            assert!(
+                b.total_mismatch <= a.total_mismatch,
+                "{name}: case {case} mismatch"
+            );
+        }
+        assert!(sealed > 0 || !must_seal, "{name}: no lane sealed");
     }
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! amsfi list
 //! amsfi run <campaign> [--workers N] [--shard I/C] [--journal PATH]
-//!           [--resume] [--checkpoint] [--batch] [--early-abort] [--settle-ns N]
+//!           [--resume] [--checkpoint] [--batch] [--early-abort]
 //!           [--timeout-ms N] [--retries N]
 //!           [--backoff-ms N] [--policy fail-fast|skip] [--progress-secs N]
 //!           [--max-steps N] [--min-dt-fs N] [--quarantine]
@@ -78,10 +78,6 @@ USAGE:
           --early-abort      classify each case while it simulates and
                              abort it the moment its verdict is sealed;
                              journal records gain sealed_at=<t_fs>
-          --settle-ns N      early-abort settle window: how long every
-                             signal must match the golden run before a
-                             no-effect/transient verdict may seal
-                             (default: the campaign's recovery threshold)
           --timeout-ms N     per-attempt wall-clock timeout
           --retries N        extra attempts per failing case (default 0)
           --backoff-ms N     base retry backoff, doubled per retry (default 50)
@@ -316,9 +312,6 @@ fn run(args: &[String]) -> ExitCode {
                 "--checkpoint" => config.checkpoint = true,
                 "--batch" => config.batch = true,
                 "--early-abort" => config.early_abort = true,
-                "--settle-ns" => {
-                    config.settle = Some(Time::from_ns(opts.parse(arg)?));
-                }
                 "--timeout-ms" => {
                     config.timeout = Some(Duration::from_millis(opts.parse(arg)?));
                 }

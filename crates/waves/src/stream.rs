@@ -27,7 +27,8 @@
 //! safe bound is `min(watermark, last faulty sample)`.
 
 use crate::{
-    AnalogWave, DigitalWave, Logic, MismatchInterval, SignalComparison, Time, Tolerance, Trace,
+    AnalogWave, DigitalSlot, DigitalWave, Logic, MismatchInterval, MismatchToggles,
+    SignalComparison, Time, Tolerance, Trace,
 };
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -437,6 +438,26 @@ impl ToggleStream {
         }
     }
 
+    /// Raises the finality bound to `upto` (all toggles up to it fed). An
+    /// open mismatch is observed at golden's last edge up to it, as by
+    /// [`DigitalStream`], whose partial state this then is where the faulty
+    /// wave changes only at toggles or golden edges.
+    pub fn advance(&mut self, golden: &DigitalWave, upto: Time) {
+        let Some(cap) = self.state.raise(upto) else {
+            return;
+        };
+        if self.state.last_obs < self.state.from {
+            self.state.observe(self.state.from, !self.mismatched);
+        }
+        if self.state.open.is_some() {
+            let tr = golden.transitions();
+            let last = tr.partition_point(|&(t, _)| t <= cap).checked_sub(1);
+            if let Some(t) = last.map(|i| tr[i].0).filter(|&t| t > self.state.last_obs) {
+                self.state.observe(t, false);
+            }
+        }
+    }
+
     /// Closes the window once every toggle is fed and returns the completed
     /// comparison state. Idempotent.
     pub fn finish(&mut self) -> &StreamState {
@@ -448,7 +469,7 @@ impl ToggleStream {
         &self.state
     }
 
-    /// The comparison state as of the last toggle fed.
+    /// The comparison state as of the last finality bound.
     pub fn state(&self) -> &StreamState {
         &self.state
     }
@@ -538,18 +559,27 @@ impl AnalogStream {
 }
 
 /// A read-only view over the traces a (possibly composite) simulator has
-/// recorded so far. A mixed-signal kernel exposes its digital and analog
+/// recorded so far — or, for a word-machine lane, which records none, its
+/// mismatch toggles. A mixed-signal kernel exposes its digital and analog
 /// sub-traces as separate parts without merging (merging clones); lookups
 /// scan the parts in order.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceView<'a> {
     parts: &'a [&'a Trace],
+    lane: Option<(&'a MismatchToggles, &'a [DigitalSlot])>,
 }
 
 impl<'a> TraceView<'a> {
     /// A view over the given trace parts.
     pub fn new(parts: &'a [&'a Trace]) -> Self {
-        TraceView { parts }
+        TraceView { parts, lane: None }
+    }
+
+    /// A word lane's view: its toggles so far, and the monitored golden
+    /// slots it has not recorded yet (the signals it has not changed).
+    pub fn of_toggles(toggles: &'a MismatchToggles, untouched: &'a [DigitalSlot]) -> Self {
+        let lane = Some((toggles, untouched));
+        TraceView { parts: &[], lane }
     }
 
     /// The named digital waveform from the first part recording it.
@@ -562,14 +592,9 @@ impl<'a> TraceView<'a> {
         self.parts.iter().find_map(|t| t.analog(name))
     }
 
-    /// An owned copy of what the view shows — every part's waves, the first
-    /// part's where names clash — to keep past the hook it was shown to.
-    pub fn to_trace(&self) -> Trace {
-        let mut out = Trace::new();
-        for &part in self.parts.iter().rev() {
-            out.absorb(part.clone());
-        }
-        out
+    /// What [`TraceView::of_toggles`] was given; `None` for traces.
+    pub fn toggles(&self) -> Option<(&'a MismatchToggles, &'a [DigitalSlot])> {
+        self.lane
     }
 }
 
@@ -591,7 +616,6 @@ type ObserverHook = dyn FnMut(Time, &TraceView<'_>) + Send;
 /// duplicate an online classifier) but keep independent stride counters.
 #[derive(Clone)]
 pub struct SimObserver {
-    stride: u32,
     countdown: u32,
     hook: Arc<Mutex<ObserverHook>>,
 }
@@ -599,30 +623,21 @@ pub struct SimObserver {
 impl fmt::Debug for SimObserver {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimObserver")
-            .field("stride", &self.stride)
             .field("countdown", &self.countdown)
             .finish()
     }
 }
 
 impl SimObserver {
-    /// Wraps a hook with the default [`OBSERVER_STRIDE`].
+    /// Wraps a hook.
     pub fn new<F>(hook: F) -> Self
     where
         F: FnMut(Time, &TraceView<'_>) + Send + 'static,
     {
         SimObserver {
-            stride: OBSERVER_STRIDE,
             countdown: 0,
             hook: Arc::new(Mutex::new(hook)),
         }
-    }
-
-    /// Overrides the poll stride (clamped to at least 1).
-    #[must_use]
-    pub fn with_stride(mut self, stride: u32) -> Self {
-        self.stride = stride.max(1);
-        self
     }
 
     /// Stride-gated hook invocation: cheap enough for a kernel's inner
@@ -633,7 +648,7 @@ impl SimObserver {
             self.countdown -= 1;
             return;
         }
-        self.countdown = self.stride.saturating_sub(1);
+        self.countdown = OBSERVER_STRIDE - 1;
         self.flush(now, parts);
     }
 
@@ -641,9 +656,13 @@ impl SimObserver {
     /// of an `advance_to`). A poisoned hook (a previous invocation
     /// panicked) is skipped.
     pub fn flush(&mut self, now: Time, parts: &[&Trace]) {
+        self.show(now, &TraceView::new(parts));
+    }
+
+    /// [`SimObserver::flush`] with any view.
+    pub fn show(&mut self, now: Time, view: &TraceView<'_>) {
         if let Ok(mut hook) = self.hook.lock() {
-            let view = TraceView::new(parts);
-            hook(now, &view);
+            hook(now, view);
         }
     }
 }
@@ -786,13 +805,13 @@ mod tests {
     fn observer_stride_gates_hook_invocations() {
         let count = Arc::new(Mutex::new(0u32));
         let c = Arc::clone(&count);
-        let mut obs = SimObserver::new(move |_, _| *c.lock().unwrap() += 1).with_stride(4);
+        let mut obs = SimObserver::new(move |_, _| *c.lock().unwrap() += 1);
         let trace = Trace::new();
-        for i in 0..9 {
+        for i in 0..=2 * i64::from(OBSERVER_STRIDE) {
             obs.poll(Time::from_ns(i), &[&trace]);
         }
-        assert_eq!(*count.lock().unwrap(), 3, "polls 0, 4, 8 fire");
-        obs.flush(Time::from_ns(9), &[&trace]);
+        assert_eq!(*count.lock().unwrap(), 3, "polls 0, 64, 128 fire");
+        obs.flush(Time::from_ns(129), &[&trace]);
         assert_eq!(*count.lock().unwrap(), 4);
     }
 
@@ -807,11 +826,11 @@ mod tests {
         assert!(view.digital("d").is_some());
         assert_eq!(view.analog("v").unwrap().value_at(Time::ZERO), 1.5);
         assert!(view.digital("nope").is_none());
+        assert!(view.toggles().is_none());
 
         b.record_digital("d", Time::ZERO, Logic::Zero).unwrap();
         let parts = [&a, &b];
-        let owned = TraceView::new(&parts).to_trace();
-        assert_eq!(owned.digital("d"), a.digital("d"), "the first part wins");
-        assert_eq!(owned.analog("v"), b.analog("v"));
+        let view = TraceView::new(&parts);
+        assert_eq!(view.digital("d"), a.digital("d"), "the first part wins");
     }
 }

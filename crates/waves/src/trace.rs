@@ -37,8 +37,6 @@ trait Wave: Default {
     /// The `(time, value)` records, sorted by time.
     fn records(&self) -> &[(Time, Self::Value)];
 
-    fn append(&mut self, time: Time, value: Self::Value) -> Result<(), PushOutOfOrderError>;
-
     /// A slot whose wave never recorded is invisible to every reader.
     fn is_silent(&self) -> bool {
         self.records().is_empty()
@@ -51,10 +49,6 @@ impl Wave for DigitalWave {
     fn records(&self) -> &[(Time, Logic)] {
         self.transitions()
     }
-
-    fn append(&mut self, time: Time, value: Logic) -> Result<(), PushOutOfOrderError> {
-        self.push(time, value)
-    }
 }
 
 impl Wave for AnalogWave {
@@ -63,18 +57,14 @@ impl Wave for AnalogWave {
     fn records(&self) -> &[(Time, f64)] {
         self.samples()
     }
-
-    fn append(&mut self, time: Time, value: f64) -> Result<(), PushOutOfOrderError> {
-        self.push(time, value)
-    }
 }
 
 /// Waves of one kind: slot-indexed for recording, name-sorted for reading.
 #[derive(Debug, Clone, Default)]
 struct Table<W> {
     /// `(name, wave)` in registration order; a slot is an index here.
-    /// Names are shared with clones: a lane's or a fork's trace copies the
-    /// golden waves, not the strings.
+    /// Names are shared with clones: a fork's trace copies the golden
+    /// waves, not the strings.
     slots: Vec<(Arc<str>, W)>,
     /// Slot indices sorted by name.
     by_name: Vec<u32>,
@@ -126,27 +116,6 @@ impl<W: Wave> Table<W> {
         })
     }
 
-    /// Appends `golden`'s records strictly after `at` to the same-named
-    /// waves. A lane's table is a clone of the golden one, so the golden
-    /// slot index is tried before the name.
-    fn splice_suffix(&mut self, golden: &Table<W>, at: Time) {
-        for (hint, (name, wave)) in golden.slots.iter().enumerate() {
-            if wave.records().last().is_none_or(|&(t, _)| t <= at) {
-                continue;
-            }
-            let slot = match self.slots.get(hint) {
-                Some((known, _)) if known == name => hint as u32,
-                _ => self.slot(name),
-            };
-            let all = wave.records();
-            let lane = self.wave_mut(slot);
-            for &(t, v) in &all[all.partition_point(|&(t, _)| t <= at)..] {
-                lane.append(t, v)
-                    .expect("golden suffix record precedes lane prefix end");
-            }
-        }
-    }
-
     /// Payload vectors plus names of the signals that recorded.
     fn approx_bytes(&self) -> usize {
         self.recorded()
@@ -192,7 +161,7 @@ impl<W: Wave + PartialEq> PartialEq for Table<W> {
 /// ```
 ///
 /// A simulation kernel resolves each monitored name to a slot once and
-/// records through it. Slots survive [`Clone`] (a mutant lane's trace is a
+/// records through it. Slots survive [`Clone`] (a forked run's trace is a
 /// clone of the golden one), and a slot that never recorded is invisible:
 /// it is not listed, not counted, not compared and not exported.
 ///
@@ -204,9 +173,9 @@ impl<W: Wave + PartialEq> PartialEq for Table<W> {
 /// let idle = trace.digital_slot("idle");
 /// trace.push_digital(clk, Time::ZERO, Logic::Zero)?;
 ///
-/// let mut lane = trace.clone();
-/// lane.push_digital(clk, Time::from_ns(5), Logic::One)?;
-/// assert_eq!(lane.digital("clk").unwrap().len(), 2);
+/// let mut fork = trace.clone();
+/// fork.push_digital(clk, Time::from_ns(5), Logic::One)?;
+/// assert_eq!(fork.digital("clk").unwrap().len(), 2);
 /// assert_eq!(trace.digital_names().collect::<Vec<_>>(), ["clk"]);
 /// assert!(trace.digital("idle").is_none());
 /// # let _ = idle;
@@ -352,20 +321,6 @@ impl Trace {
     pub fn absorb(&mut self, other: Trace) {
         self.digital.absorb(other.digital);
         self.analog.absorb(other.analog);
-    }
-
-    /// Completes this trace (recorded up to time `at`) with `golden`'s
-    /// records strictly after `at`.
-    ///
-    /// This is the reconvergence-seal splice of the batch simulator: once a
-    /// mutant lane's full machine state is exactly equal to the golden
-    /// machine's at `at`, its future is the golden future, so the lane's
-    /// remaining waveform is the golden waveform. Because both sides record
-    /// only value *changes* and the values at `at` agree, the spliced trace
-    /// is identical to what simulating the lane to the end would record.
-    pub fn splice_golden_suffix(&mut self, golden: &Trace, at: Time) {
-        self.digital.splice_suffix(&golden.digital, at);
-        self.analog.splice_suffix(&golden.analog, at);
     }
 
     /// The digital wave behind `slot`, if it has recorded — what

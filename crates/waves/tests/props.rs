@@ -366,19 +366,9 @@ proptest! {
         }
         prop_assert_eq!(slotted.trace.is_empty(), steps.is_empty());
 
-        // The lanes hold the prefix; splicing the full run's suffix in
-        // after the last prefix instant completes them to the full run.
+        // The clones hold the prefix; recording the suffix through the
+        // cloned slots completes them to the full run.
         prop_assert_eq!(&slotted_lane.trace, &named_lane.trace);
-        let at = steps[..cut].last().map_or(Time::from_ns(-1), |&(t, _)| t);
-        if steps[cut..].first().is_none_or(|&(t, _)| t > at) {
-            let mut spliced = slotted_lane.trace.clone();
-            spliced.splice_golden_suffix(&slotted.trace, at);
-            prop_assert_eq!(&spliced, &named.trace);
-            let mut spliced = named_lane.trace.clone();
-            spliced.splice_golden_suffix(&slotted.trace, at);
-            prop_assert_eq!(&spliced, &named.trace);
-        }
-        // ... and recording the suffix through the cloned slots does too.
         for &(t, r) in &steps[cut..] {
             named_lane.record(t, r);
             slotted_lane.record(t, r);
