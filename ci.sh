@@ -188,7 +188,9 @@ rm -rf "$tmp"
 # and retires the lane when it seals. On both batch campaigns the class,
 # onset and affected columns of cases.csv equal the plain --batch run's,
 # no lane falls back to scalar, and the early-abort journal holds sealed
-# verdicts — or the toggle-fed seal went unexercised.
+# verdicts — or the toggle-fed seal went unexercised — each booked once:
+# as many `early_abort`/`sealed` events as `sealed_at=` records (cpu 300,
+# cpu-set 137), so a seal booked twice, or lost, fails.
 tmp=$(mktemp -d)
 for campaign in cpu cpu-set; do
     for mode in plain early; do
@@ -202,6 +204,8 @@ for campaign in cpu cpu-set; do
     done
     cmp "$tmp/$campaign.plain.cols" "$tmp/$campaign.early.cols"
     grep -Eq ' sealed_at=[0-9]+ ' "$tmp/$campaign.early.journal"
+    test "$(grep -c '"kind":"early_abort","name":"sealed"' "$tmp/$campaign.early.jsonl")" \
+        -eq "$(grep -c ' sealed_at=' "$tmp/$campaign.early.journal")"
 done
 rm -rf "$tmp"
 

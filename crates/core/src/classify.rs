@@ -189,15 +189,44 @@ impl ClassifySpec {
         let (from, to) = self.window;
         ToggleStream::new(from, to, self.merge_gap)
     }
+}
 
-    /// Per monitored name, in [`ClassifySpec::signals`] order, the digital
-    /// slot `golden` recorded it under, if it did.
-    pub(crate) fn golden_slots<'a>(
-        &'a self,
-        golden: &'a Trace,
-    ) -> impl Iterator<Item = Option<DigitalSlot>> + 'a {
-        self.signals()
-            .map(|(name, _)| golden.recorded_digital_slot(name))
+/// What every classifier of a campaign run compares with: the spec, the
+/// golden trace, and the digital slot the trace records each monitored
+/// name under, resolved once. Clones share all three.
+#[derive(Debug, Clone)]
+pub struct Golden {
+    pub(crate) spec: Arc<ClassifySpec>,
+    pub(crate) trace: Arc<Trace>,
+    /// Per monitored name, in [`ClassifySpec::signals`] order: the slot
+    /// the trace recorded it under, if it did.
+    pub(crate) slots: Arc<[Option<DigitalSlot>]>,
+}
+
+impl Golden {
+    /// Resolves `spec`'s names against `trace`.
+    pub fn new(spec: ClassifySpec, trace: Arc<Trace>) -> Self {
+        let slots = spec
+            .signals()
+            .map(|(name, _)| trace.recorded_digital_slot(name))
+            .collect();
+        let spec = Arc::new(spec);
+        Golden { spec, trace, slots }
+    }
+
+    /// How runs are compared with this one.
+    pub fn spec(&self) -> &ClassifySpec {
+        &self.spec
+    }
+
+    /// The golden trace.
+    pub fn trace(&self) -> &Arc<Trace> {
+        &self.trace
+    }
+
+    /// The golden trace, shared no more by this.
+    pub fn into_trace(self) -> Arc<Trace> {
+        self.trace
     }
 }
 
@@ -438,65 +467,44 @@ pub fn classify(spec: &ClassifySpec, golden: &Trace, faulty: &Trace) -> CaseOutc
     }
 }
 
-/// Classifies a digital run known only by where it differs from `golden` —
-/// its [`MismatchToggles`], as the word kernel notes them — with the verdict
-/// [`classify`] gives the run's trace. Names resolve against `golden`; one
-/// golden never recorded, or one the run left silent, is a mismatch over
-/// the whole window, as [`classify`] has it.
-///
-/// # Panics
-///
-/// If `spec.digital_skew` is not zero: a skewed comparison reads golden at
-/// `t ± skew`, which toggles do not carry.
-pub fn classify_mismatch(
-    spec: &ClassifySpec,
-    golden: &Trace,
-    toggles: &MismatchToggles,
-) -> CaseOutcome {
-    MismatchClassifier::new(spec, golden).classify(toggles)
-}
-
-/// [`classify_mismatch`] for many runs against one golden trace: the spec's
-/// names are resolved to golden's digital slots once.
+/// Classifies digital runs known only by where they differ from golden —
+/// their [`MismatchToggles`], as the word kernel notes them — with the
+/// verdict [`classify`] gives each run's trace. A name golden never
+/// recorded, or one the run left silent, is a mismatch over the whole
+/// window, as [`classify`] has it.
 #[derive(Debug, Clone)]
 pub struct MismatchClassifier<'a> {
-    spec: &'a ClassifySpec,
-    /// Per monitored name, in spec order: the slot golden recorded it
-    /// under, if it did.
-    slots: Vec<Option<DigitalSlot>>,
+    golden: &'a Golden,
     /// Behind every slot some name resolves to, indexed by slot, the
     /// stream the run being classified is fed to.
     streams: Vec<Option<ToggleStream>>,
 }
 
 impl<'a> MismatchClassifier<'a> {
-    /// Resolves `spec`'s names against `golden`.
+    /// A classifier of runs against `golden`.
     ///
     /// # Panics
     ///
-    /// As [`classify_mismatch`].
-    pub fn new(spec: &'a ClassifySpec, golden: &Trace) -> Self {
+    /// If the spec's `digital_skew` is not zero: a skewed comparison reads
+    /// golden at `t ± skew`, which toggles do not carry.
+    pub fn new(golden: &'a Golden) -> Self {
+        let spec = &golden.spec;
         assert_eq!(
             spec.digital_skew,
             Time::ZERO,
             "toggles carry no skewed comparison"
         );
-        let slots: Vec<Option<DigitalSlot>> = spec.golden_slots(golden).collect();
-        let width = slots.iter().flatten().map(|s| s.index() + 1).max();
+        let width = golden.slots.iter().flatten().map(|s| s.index() + 1).max();
         let mut streams = vec![None; width.unwrap_or(0)];
-        for slot in slots.iter().flatten() {
+        for slot in golden.slots.iter().flatten() {
             streams[slot.index()] = Some(spec.toggle_stream());
         }
-        MismatchClassifier {
-            spec,
-            slots,
-            streams,
-        }
+        MismatchClassifier { golden, streams }
     }
 
     /// The verdict of one run with these toggles.
     pub fn classify(&mut self, toggles: &MismatchToggles) -> CaseOutcome {
-        let spec = self.spec;
+        let spec = &self.golden.spec;
         for stream in self.streams.iter_mut().flatten() {
             *stream = spec.toggle_stream();
         }
@@ -504,7 +512,7 @@ impl<'a> MismatchClassifier<'a> {
         let streams = &mut self.streams;
         fold(
             spec.signals()
-                .zip(&self.slots)
+                .zip(self.golden.slots.iter())
                 .map(|((name, is_output), slot)| {
                     let stream = slot
                         .filter(|&slot| !toggles.is_silent(slot))

@@ -84,7 +84,7 @@ pub use campaign::{
     run_campaign, run_campaign_parallel, CampaignResult, CaseResult, FaultCase, RunError,
 };
 pub use classify::{
-    classify, classify_mismatch, CaseOutcome, ClassifySpec, FaultClass, MismatchClassifier,
+    classify, CaseOutcome, ClassifySpec, FaultClass, Golden, MismatchClassifier,
     ParseFaultClassError,
 };
 pub use failure::{ParseSimFailureError, SimFailure};

@@ -7,7 +7,8 @@
 //! `t_inject + 2 µs` will be simulated for another 28 µs just to confirm
 //! nothing else happens. [`OnlineClassifier`] consumes the faulty trace
 //! incrementally — fed by a [`SimObserver`](amsfi_waves::SimObserver)
-//! polling from the kernel step loops — and *seals* the verdict as soon as
+//! polling from a kernel's step loop, or by the word kernel at its stops —
+//! and *seals* the verdict as soon as
 //! one of three conditions holds. Each seal is an early exit of the one
 //! fold [`classify`](crate::classify) ends in: every signal's divergence
 //! as of now, through the same lattice.
@@ -43,35 +44,32 @@
 //!    observation window; the outcome equals the post-hoc one by
 //!    construction.
 //!
-//! A word lane records no trace: shown its toggles at the machine's stops,
-//! the classifier feeds a [`ToggleStream`] per monitored golden slot.
+//! A word lane records no trace: shown its toggles at the machine's stops
+//! ([`OnlineClassifier::observe_toggles`]), the classifier feeds a
+//! [`ToggleStream`] per monitored golden slot.
 //!
 //! Anything the streaming comparison cannot decide soundly makes the
 //! classifier *inert* rather than wrong: a non-finite sample anywhere in
 //! the window (the post-hoc classifier short-circuits those into
-//! [`FaultClass::SimFailure`] with its own precedence order), or toggles
-//! under a digital skew. A monitored signal the faulty run has not
-//! recorded yet (a slot a lane has not touched) blocks every seal. An inert
-//! classifier simply never seals and the case runs to completion —
-//! sim-failures and timeouts always stay terminal.
+//! [`FaultClass::SimFailure`](crate::FaultClass::SimFailure) with its own
+//! precedence order), or toggles under a digital skew. A monitored signal
+//! the faulty run has not recorded yet (a slot a lane has not touched)
+//! blocks every seal. An inert classifier simply never seals and the case
+//! runs to completion — sim-failures and timeouts always stay terminal.
 //!
-//! On seal the classifier cancels its [`CancelToken`], which the engine
-//! wires to the same cooperative-stop path the simulation budgets use; the
-//! kernel winds down at the next stride probe and the engine records the
-//! sealed outcome (with [`CaseOutcome::sealed_at`] set) instead of
-//! classifying post-hoc.
+//! Whoever feeds the classifier stops the simulation once it has sealed —
+//! the engine by cancelling the attempt's budget token, or by retiring the
+//! word lane — and records the sealed outcome (with
+//! [`CaseOutcome::sealed_at`] set) instead of classifying post-hoc.
 
-use crate::classify::{
-    first_non_finite, fold, resolve, CaseOutcome, ClassifySpec, Divergence, FaultClass, Resolved,
-};
+use crate::classify::{first_non_finite, fold, resolve, CaseOutcome, Divergence, Golden, Resolved};
 use amsfi_waves::{
-    AnalogStream, CancelToken, DigitalSlot, DigitalStream, MismatchToggles, StreamState, Time,
-    ToggleStream, Trace, TraceView,
+    AnalogStream, DigitalSlot, DigitalStream, MismatchToggles, StreamState, Time, ToggleStream,
+    TraceView,
 };
-use std::sync::Arc;
 
 /// Streaming comparison state for one monitored signal.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum SigStream {
     /// Digital golden-vs-faulty merge cursor.
     Digital(DigitalStream),
@@ -86,11 +84,10 @@ enum SigStream {
     MissingInGolden,
 }
 
-#[derive(Debug)]
+/// One monitored signal; its name and is-output flag are the spec's, at
+/// the same position.
+#[derive(Debug, Clone, Default)]
 struct SigState {
-    name: String,
-    /// True for functional outputs, false for internals.
-    output: bool,
     /// `None` until the faulty trace records this signal in the domain the
     /// golden trace uses: comparison cannot start, which blocks every seal.
     stream: Option<SigStream>,
@@ -123,17 +120,17 @@ impl SigState {
 /// lattice and seals the outcome as soon as no future observation can
 /// change it.
 ///
-/// Feed it watermarks from a kernel observer via
-/// [`OnlineClassifier::observe`]; once [`OnlineClassifier::sealed`] returns
-/// an outcome the attached [`CancelToken`] has been cancelled and further
-/// observations are ignored.
-#[derive(Debug)]
+/// Feed it watermarks with the faulty trace so far
+/// ([`OnlineClassifier::observe`]) or a word lane's toggles
+/// ([`OnlineClassifier::observe_toggles`]); once
+/// [`OnlineClassifier::sealed`] returns an outcome further observations
+/// are ignored.
+#[derive(Debug, Clone)]
 pub struct OnlineClassifier {
-    spec: ClassifySpec,
-    golden: Arc<Trace>,
+    golden: Golden,
     injected_at: Time,
     settle: Time,
-    token: CancelToken,
+    /// Per monitored name, in the spec's order.
     signals: Vec<SigState>,
     /// Observations below this watermark are skipped: kernels poll every
     /// few dozen sync steps (tens of ns of simulated time) while seals
@@ -150,48 +147,36 @@ pub struct OnlineClassifier {
 }
 
 impl OnlineClassifier {
-    /// Builds a classifier for one fault case.
+    /// Builds a classifier for one fault case against `golden`.
     ///
     /// `injected_at` is the injection instant (quiescence is only
     /// meaningful after it); the settle window is the spec's
-    /// [`ClassifySpec::settle`], else its recovery margin, clamped to at
-    /// least the merge gap (a mismatch inside the gap would merge into a
-    /// "closed" interval) and one femtosecond. `token` is cancelled on seal.
-    pub fn new(
-        spec: &ClassifySpec,
-        golden: Arc<Trace>,
-        injected_at: Time,
-        token: CancelToken,
-    ) -> Self {
+    /// [`ClassifySpec::settle`](crate::ClassifySpec::settle), else its
+    /// recovery margin, clamped to at least the merge gap (a mismatch
+    /// inside the gap would merge into a "closed" interval) and one
+    /// femtosecond.
+    pub fn new(golden: Golden, injected_at: Time) -> Self {
+        let spec = &golden.spec;
         let settle = spec
             .settle
             .unwrap_or(spec.recovery)
             .max(spec.merge_gap)
             .max(Time::RESOLUTION);
         let (from, to) = spec.window;
-        let signals: Vec<SigState> = spec
-            .signals()
-            .map(|(name, output)| SigState {
-                name: name.to_owned(),
-                output,
-                stream: None,
-                scanned: 0,
-            })
-            .collect();
         // A non-finite golden sample in the window makes the whole case a
         // sim-failure under post-hoc precedence rules; never seal.
-        let inert = signals.iter().any(|s| {
+        let inert = spec.signals().any(|(name, _)| {
             golden
-                .analog(&s.name)
+                .trace
+                .analog(name)
                 .and_then(|w| first_non_finite(w, from, to))
                 .is_some()
         });
+        let signals = spec.signals().map(|_| SigState::default()).collect();
         OnlineClassifier {
-            spec: spec.clone(),
             golden,
             injected_at,
             settle,
-            token,
             signals,
             next_check: Time::ZERO,
             fed: 0,
@@ -211,7 +196,7 @@ impl OnlineClassifier {
         self.inert
     }
 
-    /// Ingests all faulty-trace data (or toggles) final below `watermark`.
+    /// Ingests all faulty-trace data final below `watermark`.
     ///
     /// The finality contract matches the kernel observer hooks: every
     /// record in `view` strictly below `watermark` is frozen; the instant
@@ -220,10 +205,34 @@ impl OnlineClassifier {
     /// `min(watermark, last faulty sample)` (interpolation beyond the last
     /// sample is not final).
     pub fn observe(&mut self, watermark: Time, view: &TraceView<'_>) {
+        self.check(watermark, view, |cl| cl.feed_trace(watermark, view));
+    }
+
+    /// Ingests a word lane's toggles final below `watermark`: `toggles`
+    /// holds every one so far, `untouched` the monitored golden slots the
+    /// lane has not recorded yet (the signals it has not changed).
+    pub fn observe_toggles(
+        &mut self,
+        watermark: Time,
+        toggles: &MismatchToggles,
+        untouched: &[DigitalSlot],
+    ) {
+        // A lane's streams finish without the trace it never recorded.
+        let feed = |cl: &mut Self| cl.feed_toggles(watermark, toggles, untouched);
+        self.check(watermark, &TraceView::new(&[]), feed);
+    }
+
+    /// Feeds what `feed` shows, then seals the verdict if it can.
+    fn check(
+        &mut self,
+        watermark: Time,
+        view: &TraceView<'_>,
+        feed: impl FnOnce(&mut Self) -> bool,
+    ) {
         if self.sealed.is_some() || self.inert {
             return;
         }
-        let (from, to) = self.spec.window;
+        let (from, to) = self.golden.spec.window;
         if to < from {
             return; // degenerate window: leave it to the post-hoc path
         }
@@ -234,11 +243,7 @@ impl OnlineClassifier {
             return;
         }
         self.next_check = watermark.saturating_add(self.settle / 8);
-        let ready = match view.toggles() {
-            Some((toggles, untouched)) => self.feed_toggles(watermark, toggles, untouched),
-            None => self.feed_trace(watermark, view),
-        };
-        if !ready {
+        if !feed(self) {
             return;
         }
         let outcome = self
@@ -247,30 +252,30 @@ impl OnlineClassifier {
             .or_else(|| self.try_seal_quiescent());
         if let Some(mut outcome) = outcome {
             outcome.sealed_at = Some(watermark);
-            self.token.cancel();
             self.sealed = Some(outcome);
         }
     }
 
     /// Advances the streams over traces; true when all started, none inert.
     fn feed_trace(&mut self, watermark: Time, view: &TraceView<'_>) -> bool {
-        let (from, to) = self.spec.window;
-        for sig in &mut self.signals {
-            let resolved = resolve(&self.golden, view, &sig.name);
+        let Golden { spec, trace, .. } = &self.golden;
+        let (from, to) = spec.window;
+        for ((name, _), sig) in spec.signals().zip(&mut self.signals) {
+            let resolved = resolve(trace, view, name);
             if sig.stream.is_none() {
                 sig.stream = match resolved {
-                    Resolved::Digital(..) => Some(SigStream::Digital(self.spec.digital_stream())),
-                    Resolved::Analog(..) => Some(SigStream::Analog(self.spec.analog_stream())),
+                    Resolved::Digital(..) => Some(SigStream::Digital(spec.digital_stream())),
+                    Resolved::Analog(..) => Some(SigStream::Analog(spec.analog_stream())),
                     Resolved::Uncomparable => {
-                        let in_golden = self.golden.digital(&sig.name).is_some()
-                            || self.golden.analog(&sig.name).is_some();
+                        let in_golden =
+                            trace.digital(name).is_some() || trace.analog(name).is_some();
                         (!in_golden).then_some(SigStream::MissingInGolden)
                     }
                 };
             }
             match (&mut sig.stream, resolved) {
                 (Some(SigStream::Digital(stream)), Resolved::Digital(golden, faulty)) => {
-                    let upto = watermark - self.spec.digital_skew - Time::RESOLUTION;
+                    let upto = watermark - spec.digital_skew - Time::RESOLUTION;
                     stream.advance(golden, faulty, upto);
                 }
                 (Some(SigStream::Analog(stream)), Resolved::Analog(golden, faulty)) => {
@@ -307,11 +312,11 @@ impl OnlineClassifier {
         toggles: &MismatchToggles,
         untouched: &[DigitalSlot],
     ) -> bool {
-        self.inert |= self.spec.digital_skew != Time::ZERO; // toggles carry no skew
+        let Golden { spec, trace, slots } = &self.golden;
+        self.inert |= spec.digital_skew != Time::ZERO; // toggles carry no skew
         if self.signals.iter().any(|s| s.stream.is_none()) {
-            let slots = self.spec.golden_slots(&self.golden);
-            for (sig, slot) in self.signals.iter_mut().zip(slots) {
-                let stream = slot.map(|slot| SigStream::Toggles(slot, self.spec.toggle_stream()));
+            for (sig, slot) in self.signals.iter_mut().zip(slots.iter()) {
+                let stream = slot.map(|slot| SigStream::Toggles(slot, spec.toggle_stream()));
                 sig.stream = Some(stream.unwrap_or(SigStream::MissingInGolden));
             }
         }
@@ -332,42 +337,43 @@ impl OnlineClassifier {
         let mut started = !self.inert;
         for sig in &mut self.signals {
             if let Some(SigStream::Toggles(slot, stream)) = &mut sig.stream {
-                stream.advance(
-                    self.golden.digital_at(*slot).expect("a recorded slot"),
-                    upto,
-                );
+                stream.advance(trace.digital_at(*slot).expect("a recorded slot"), upto);
                 started &= !untouched.contains(slot);
             }
         }
         started
     }
 
-    /// The lattice's verdict on every signal's divergence as of now.
+    /// Every signal's divergence as of now, in the spec's order.
     /// `settled` counts a mismatch still open as unrecovered: held through a
     /// full settle window, it is predicted to persist to the window end.
-    fn verdict(&self, settled: bool) -> CaseOutcome {
-        fold(self.signals.iter().map(|sig| {
-            let divergence = match sig.state() {
-                Some(st) => Divergence::as_of(&self.spec, st).map(|d| Divergence {
-                    unrecovered: d.unrecovered || (settled && st.open_since().is_some()),
-                    ..d
-                }),
-                None => Some(Divergence::full_window(&self.spec)),
-            };
-            (sig.name.as_str(), sig.output, divergence)
-        }))
+    fn divergences(&self, settled: bool) -> impl Iterator<Item = (&str, bool, Option<Divergence>)> {
+        let spec = &self.golden.spec;
+        spec.signals()
+            .zip(&self.signals)
+            .map(move |((name, output), sig)| {
+                let divergence = match sig.state() {
+                    Some(st) => Divergence::as_of(spec, st).map(|d| Divergence {
+                        unrecovered: d.unrecovered || (settled && st.open_since().is_some()),
+                        ..d
+                    }),
+                    None => Some(Divergence::full_window(spec)),
+                };
+                (name, output, divergence)
+            })
     }
 
     /// Seal 3: every stream has processed the whole window — finish them
     /// all, and the verdict is the post-hoc one by construction.
     fn try_seal_complete(&mut self, view: &TraceView<'_>) -> Option<CaseOutcome> {
-        let to = self.spec.window.1;
+        let Golden { spec, trace, .. } = &self.golden;
+        let to = spec.window.1;
         let behind = |s: &SigState| s.state().is_some_and(|st| st.processed_to() < to);
         if self.signals.iter().any(behind) {
             return None;
         }
-        for sig in &mut self.signals {
-            match (&mut sig.stream, resolve(&self.golden, view, &sig.name)) {
+        for ((name, _), sig) in spec.signals().zip(&mut self.signals) {
+            match (&mut sig.stream, resolve(trace, view, name)) {
                 (Some(SigStream::Digital(stream)), Resolved::Digital(golden, faulty)) => {
                     stream.finish(golden, faulty);
                 }
@@ -380,18 +386,22 @@ impl OnlineClassifier {
                 _ => {}
             }
         }
-        Some(self.verdict(false))
+        Some(fold(self.divergences(false)))
     }
 
     /// Seal 1: all monitored signals have diverged (so the affected set is
     /// complete) and the lattice already says `Failure` — an output's
     /// divergence reaches the recovery horizon, so no future observation
-    /// can downgrade it.
+    /// can downgrade it. The check reads that rule of the lattice off the
+    /// divergences; the outcome, with its `affected` list, is built only
+    /// for the seal.
     fn try_seal_permanent(&self) -> Option<CaseOutcome> {
-        if !self.signals.iter().all(SigState::diverged) {
-            return None;
-        }
-        Some(self.verdict(false)).filter(|outcome| outcome.class == FaultClass::Failure)
+        let fails = |(_, output, d): (&str, bool, Option<Divergence>)| {
+            output && d.is_some_and(|d| d.unrecovered)
+        };
+        let failed =
+            self.signals.iter().all(SigState::diverged) && self.divergences(false).any(fails);
+        failed.then(|| fold(self.divergences(false)))
     }
 
     /// Seal 2: every signal's comparison state has held unchanged through
@@ -414,7 +424,7 @@ impl OnlineClassifier {
         // cross-coupled dynamics (one loop's re-lock) can disturb another
         // signal that currently looks settled. A signal missing from golden
         // is definitively diverged: it neither blocks nor delays quiescence.
-        let mut quiet_since = self.injected_at.max(self.spec.window.0);
+        let mut quiet_since = self.injected_at.max(self.golden.spec.window.0);
         let mut min_limit = Time::MAX;
         let mut any_open = false;
         for st in self.signals.iter().filter_map(SigState::state) {
@@ -441,15 +451,16 @@ impl OnlineClassifier {
         if any_open && !self.signals.iter().all(SigState::diverged) {
             return None;
         }
-        Some(self.verdict(true))
+        Some(fold(self.divergences(true)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify;
-    use amsfi_waves::Logic;
+    use crate::classify::{classify, ClassifySpec, FaultClass};
+    use amsfi_waves::{Logic, Trace};
+    use std::sync::Arc;
 
     const US: i64 = 1_000;
 
@@ -471,6 +482,11 @@ mod tests {
 
     fn golden() -> Trace {
         trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)])
+    }
+
+    /// A classifier of a case injected at `injected_at` against `golden`.
+    fn online(spec: ClassifySpec, golden: &Trace, injected_at: Time) -> OnlineClassifier {
+        OnlineClassifier::new(Golden::new(spec, Arc::new(golden.clone())), injected_at)
     }
 
     /// Drives the classifier over `faulty` with watermarks every `step_ns`
@@ -495,32 +511,25 @@ mod tests {
 
     #[test]
     fn clean_case_seals_no_effect_after_settle() {
-        let golden = Arc::new(golden());
-        let token = CancelToken::new();
-        let mut cl = OnlineClassifier::new(
-            &spec().with_settle(Time::from_ns(500)),
-            Arc::clone(&golden),
+        let golden = golden();
+        let mut cl = online(
+            spec().with_settle(Time::from_ns(500)),
+            &golden,
             Time::from_ns(100),
-            token.clone(),
         );
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
         let sealed = drive(&mut cl, &faulty, 50, 2 * US).expect("seals well before window end");
         assert_eq!(sealed.class, FaultClass::NoEffect);
         assert!(sealed.sealed_at.unwrap() < Time::from_us(2));
-        assert!(token.is_cancelled(), "seal cancels the token");
+        assert_eq!(cl.sealed(), Some(&sealed), "the seal stays");
         // The sealed verdict matches the post-hoc classifier.
         assert_eq!(sealed.class, classify(&spec(), &golden, &faulty).class);
     }
 
     #[test]
     fn no_seal_before_injection_plus_settle() {
-        let golden = Arc::new(golden());
-        let mut cl = OnlineClassifier::new(
-            &spec().with_settle(Time::from_us(1)),
-            golden,
-            Time::from_us(5),
-            CancelToken::new(),
-        );
+        let spec = spec().with_settle(Time::from_us(1));
+        let mut cl = online(spec, &golden(), Time::from_us(5));
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
         let parts = [&faulty];
         cl.observe(Time::from_us(4), &TraceView::new(&parts));
@@ -544,11 +553,10 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Transient);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(400)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec.with_settle(Time::from_ns(400)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 25, 2 * US).expect("seals");
         assert_eq!(sealed.class, post_hoc.class);
@@ -571,11 +579,10 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(500)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec.with_settle(Time::from_ns(500)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 50, 11 * US).expect("seals");
         assert_eq!(sealed.class, FaultClass::Failure);
@@ -602,11 +609,10 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_us(100)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec.with_settle(Time::from_us(100)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let parts = [&faulty];
         cl.observe(Time::from_us(5), &TraceView::new(&parts));
@@ -631,11 +637,10 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Transient);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(800)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec.with_settle(Time::from_ns(800)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 25, 3 * US).expect("seals");
         assert_eq!(sealed.class, post_hoc.class);
@@ -663,11 +668,10 @@ mod tests {
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(500)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec.with_settle(Time::from_ns(500)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 10, 11 * US).expect("eventually seals");
         assert_eq!(sealed.class, post_hoc.class);
@@ -689,12 +693,10 @@ mod tests {
             .record_analog("out", Time::from_us(3), f64::NAN)
             .unwrap();
         faulty.record_analog("out", Time::from_us(10), 2.5).unwrap();
-        let token = CancelToken::new();
-        let mut cl =
-            OnlineClassifier::new(&spec, Arc::new(golden_t), Time::from_us(1), token.clone());
+        let mut cl = online(spec, &golden_t, Time::from_us(1));
         assert!(drive(&mut cl, &faulty, 100, 12 * US).is_none());
         assert!(cl.is_inert());
-        assert!(!token.is_cancelled());
+        assert!(cl.sealed().is_none());
     }
 
     #[test]
@@ -705,7 +707,7 @@ mod tests {
             .record_analog("out", Time::from_us(5), f64::INFINITY)
             .unwrap();
         let spec = ClassifySpec::new((Time::ZERO, Time::from_us(10)), vec!["out".to_owned()]);
-        let cl = OnlineClassifier::new(&spec, Arc::new(golden_t), Time::ZERO, CancelToken::new());
+        let cl = online(spec, &golden_t, Time::ZERO);
         assert!(cl.is_inert());
     }
 
@@ -716,12 +718,7 @@ mod tests {
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
         let post_hoc = classify(&spec, &golden_t, &faulty);
         assert_eq!(post_hoc.class, FaultClass::Failure);
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(100)),
-            Arc::new(golden_t),
-            Time::ZERO,
-            CancelToken::new(),
-        );
+        let mut cl = online(spec.with_settle(Time::from_ns(100)), &golden_t, Time::ZERO);
         let sealed = drive(&mut cl, &faulty, 100, 11 * US).expect("seals");
         assert_eq!(sealed.class, FaultClass::Failure);
         assert_eq!(sealed.error_onset, post_hoc.error_onset);
@@ -734,14 +731,8 @@ mod tests {
         // a full-window mismatch (Failure), but online the stream stays
         // unresolved and must not guess.
         let spec = ClassifySpec::new((Time::ZERO, Time::from_us(10)), vec!["out".to_owned()]);
-        let golden_t = golden();
         let faulty = Trace::new();
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(100)),
-            Arc::new(golden_t),
-            Time::ZERO,
-            CancelToken::new(),
-        );
+        let mut cl = online(spec.with_settle(Time::from_ns(100)), &golden(), Time::ZERO);
         assert!(drive(&mut cl, &faulty, 100, 12 * US).is_none());
     }
 
@@ -754,13 +745,12 @@ mod tests {
             &[(0, Logic::Zero), (150, Logic::One)],
         );
         let post_hoc = classify(&spec, &golden_t, &faulty);
-        let mut cl = OnlineClassifier::new(
-            // A settle window longer than the run: only the window-complete
-            // seal can fire.
-            &spec.with_settle(Time::from_us(100)),
-            Arc::new(golden_t),
+        // A settle window longer than the run: only the window-complete
+        // seal can fire.
+        let mut cl = online(
+            spec.with_settle(Time::from_us(100)),
+            &golden_t,
             Time::from_ns(50),
-            CancelToken::new(),
         );
         let parts = [&faulty];
         cl.observe(Time::from_us(11), &TraceView::new(&parts));
@@ -778,38 +768,31 @@ mod tests {
         // cannot seal while it has not touched `state`, which golden
         // recorded, and seals no-effect once it has. A skewed comparison,
         // which toggles cannot express, leaves the classifier inert.
-        let golden = Arc::new(golden());
+        let golden = golden();
         let state = golden.recorded_digital_slot("state").unwrap();
         let spec = spec().with_settle(Time::from_ns(500));
         let none = MismatchToggles::new();
-        let mut cl = OnlineClassifier::new(
-            &spec,
-            Arc::clone(&golden),
-            Time::from_ns(100),
-            CancelToken::new(),
-        );
-        cl.observe(Time::from_us(2), &TraceView::of_toggles(&none, &[state]));
+        let mut cl = online(spec.clone(), &golden, Time::from_ns(100));
+        cl.observe_toggles(Time::from_us(2), &none, &[state]);
         assert!(cl.sealed().is_none(), "an untouched slot blocks the seal");
-        cl.observe(Time::from_us(3), &TraceView::of_toggles(&none, &[]));
+        cl.observe_toggles(Time::from_us(3), &none, &[]);
         let sealed = cl.sealed().expect("seals once touched");
         assert_eq!(sealed.class, FaultClass::NoEffect);
         assert_eq!(sealed.sealed_at, Some(Time::from_us(3)));
 
         let skewed = spec.with_digital_skew(Time::from_ns(1));
-        let mut cl = OnlineClassifier::new(&skewed, golden, Time::ZERO, CancelToken::new());
-        cl.observe(Time::from_us(3), &TraceView::of_toggles(&none, &[]));
+        let mut cl = online(skewed, &golden, Time::ZERO);
+        cl.observe_toggles(Time::from_us(3), &none, &[]);
         assert!(cl.is_inert() && cl.sealed().is_none());
     }
 
     #[test]
     fn observations_after_seal_are_ignored() {
-        let golden_t = golden();
         let faulty = trace_with(&[(0, Logic::Zero)], &[(0, Logic::Zero)]);
-        let mut cl = OnlineClassifier::new(
-            &spec().with_settle(Time::from_ns(100)),
-            Arc::new(golden_t),
+        let mut cl = online(
+            spec().with_settle(Time::from_ns(100)),
+            &golden(),
             Time::ZERO,
-            CancelToken::new(),
         );
         let sealed = drive(&mut cl, &faulty, 50, US).expect("seals");
         let parts = [&faulty];

@@ -1,11 +1,10 @@
 //! Property-based tests for the campaign engine.
 
 use amsfi_core::{
-    classify, classify_mismatch, plan, report, ClassifySpec, FaultClass, OnlineClassifier,
+    classify, plan, report, ClassifySpec, FaultClass, Golden, MismatchClassifier, OnlineClassifier,
 };
 use amsfi_waves::{
-    CancelToken, DigitalSlot, DigitalWave, Logic, MismatchToggles, Time, Tolerance, Trace,
-    TraceView,
+    DigitalSlot, DigitalWave, Logic, MismatchToggles, Time, Tolerance, Trace, TraceView,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -140,12 +139,8 @@ proptest! {
         .with_digital_skew(Time::from_ns(skew_ns));
         let post_hoc = classify(&spec, &golden, &faulty);
 
-        let mut cl = OnlineClassifier::new(
-            &spec.with_settle(Time::from_ns(settle_ns)),
-            Arc::new(golden),
-            e0,
-            CancelToken::new(),
-        );
+        let golden = Golden::new(spec.with_settle(Time::from_ns(settle_ns)), Arc::new(golden));
+        let mut cl = OnlineClassifier::new(golden, e0);
         let mut t = Time::ZERO;
         let sealed = loop {
             let parts = [&faulty];
@@ -209,10 +204,9 @@ proptest! {
         spec.recovery = Time::from_ns(recovery_ns);
 
         let toggles = MismatchToggles::between(&golden, &faulty);
-        prop_assert_eq!(
-            classify_mismatch(&spec, &golden, &toggles),
-            classify(&spec, &golden, &faulty)
-        );
+        let post_hoc = classify(&spec, &golden, &faulty);
+        let golden = Golden::new(spec, Arc::new(golden));
+        prop_assert_eq!(MismatchClassifier::new(&golden).classify(&toggles), post_hoc);
     }
 
     #[test]
@@ -447,12 +441,10 @@ proptest! {
         spec.recovery = Time::from_ns(recovery_ns);
 
         let all = MismatchToggles::between(&golden, &faulty);
-        let golden = Arc::new(golden);
+        let golden = Golden::new(spec, Arc::new(golden));
         let injected = Time::from_ns(injected_ns);
-        let mut by_trace =
-            OnlineClassifier::new(&spec, Arc::clone(&golden), injected, CancelToken::new());
-        let mut by_toggles =
-            OnlineClassifier::new(&spec, Arc::clone(&golden), injected, CancelToken::new());
+        let mut by_trace = OnlineClassifier::new(golden.clone(), injected);
+        let mut by_toggles = OnlineClassifier::new(golden, injected);
         let mut shown = MismatchToggles::new();
         let mut fed = all.iter().peekable();
         let mut w = Time::ZERO;
@@ -480,7 +472,7 @@ proptest! {
                 .collect();
             let parts = [&so_far];
             by_trace.observe(w, &TraceView::new(&parts));
-            by_toggles.observe(w, &TraceView::of_toggles(&shown, &untouched));
+            by_toggles.observe_toggles(w, &shown, &untouched);
             prop_assert_eq!(by_toggles.sealed(), by_trace.sealed(), "at {}", w);
             if by_trace.sealed().is_some() {
                 break;

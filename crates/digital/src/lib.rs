@@ -59,6 +59,6 @@ pub use netlist::{ComponentId, MutantTarget, Netlist, PortSpec, SignalId};
 pub use saboteur::DigitalSaboteur;
 pub use sim::{SimError, Simulator};
 pub use word::{
-    BatchReport, InjectTarget, LaneOutcome, WordBatchSimulator, WordComponent, WordEvalContext,
-    GOLDEN_LANE,
+    BatchReport, InjectTarget, LaneOutcome, LaneWatch, WordBatchSimulator, WordComponent,
+    WordEvalContext, GOLDEN_LANE,
 };

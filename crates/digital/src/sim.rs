@@ -219,7 +219,6 @@ pub(crate) struct WordSeed {
     pub(crate) now: Time,
     pub(crate) delta_limit: usize,
     pub(crate) budget: SimBudget,
-    pub(crate) observer: Option<SimObserver>,
     /// The trace recorded up to `now`, which the signals' slots index into.
     pub(crate) trace: Trace,
     pub(crate) signals: Vec<WordSeedSignal>,
@@ -744,18 +743,22 @@ impl Simulator {
     }
 
     /// Tears the simulator down into the pieces the word-parallel kernel
-    /// is built from (crate-internal; see [`crate::WordBatchSimulator`]).
-    pub(crate) fn into_word_seed(self) -> WordSeed {
+    /// is built from (crate-internal; see [`crate::WordBatchSimulator`]),
+    /// unless an observer is installed: no word machine shows one the trace.
+    pub(crate) fn into_word_seed(self) -> Result<WordSeed, SimError> {
+        if self.observer.is_some() {
+            let why = "an observer is installed, which the word machine would not show";
+            return Err(SimError::Unseedable(why.to_owned()));
+        }
         let pending = self
             .pending_events()
             .into_iter()
             .map(|(time, _, kind)| (time, kind))
             .collect();
-        WordSeed {
+        Ok(WordSeed {
             now: self.wheel.now(),
             delta_limit: self.delta_limit,
             budget: self.budget,
-            observer: self.observer,
             trace: self.trace,
             signals: Arc::unwrap_or_clone(self.signals)
                 .into_iter()
@@ -779,7 +782,7 @@ impl Simulator {
                 })
                 .collect(),
             pending,
-        }
+        })
     }
 
     /// Runs until simulation time `t_end`, processing every event scheduled
@@ -1439,5 +1442,25 @@ mod tests {
             amsfi_waves::LogicVector::filled(Logic::One, 1),
             Time::from_ns(5),
         );
+    }
+
+    #[test]
+    fn a_word_machine_refuses_an_observed_simulator() {
+        // A word machine shows no observer the golden trace: handed an
+        // observed simulator, the batch is refused, not run unobserved.
+        let mut net = Netlist::new();
+        let a = net.signal("a", 1);
+        let b = net.signal("b", 1);
+        net.add("src", step(Time::from_ns(10), Logic::One), &[], &[a]);
+        net.add("inv", Inv(Time::from_ns(1)), &[a], &[b]);
+        let mut sim = Simulator::new(net);
+        sim.monitor_name("b");
+        sim.set_observer(SimObserver::new(|_, _| {}));
+        let mut batch = crate::WordBatchSimulator::new(sim, Time::from_us(1));
+        batch.add_lane(Time::from_ns(20));
+        match batch.run(|_, _| Ok(()), |_, _| {}) {
+            Err(SimError::Unseedable(why)) => assert!(why.contains("observer"), "{why}"),
+            other => panic!("expected an unseedable error, got {other:?}"),
+        }
     }
 }

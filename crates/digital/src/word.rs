@@ -54,8 +54,9 @@
 //! value, reduced to X01, starts or stops differing from the golden lane's
 //! — one plane XOR per changed bit, against a per-bit mask of the lanes
 //! that differ now — and the bits it never recorded although golden did. A
-//! lane that never differed has nothing ([`LaneOutcome::Clean`]); a
-//! watched case is shown them at the machine's stops. Per-lane budgets are
+//! lane that never differed has nothing ([`LaneOutcome::Clean`]); a watch
+//! is shown them at the machine's stops, and may retire the lane there
+//! ([`WordBatchSimulator::run_watched`]). Per-lane budgets are
 //! sorted once, when installed: a step cap becomes a value of one shared
 //! step counter (one compare per time point against the earliest trip), a
 //! cancel token is asked at the stops. A budget trip retires only that
@@ -68,7 +69,7 @@ use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
 use amsfi_waves::{
     CancelToken, DigitalSlot, GuardViolation, KernelMetrics, LogicPlanes, LogicVector,
-    MismatchToggles, SimBudget, SimObserver, Time, Trace, TraceView, LANES,
+    MismatchToggles, SimBudget, Time, Trace, LANES,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -648,7 +649,6 @@ struct WordSimulator {
     trace: Trace,
     /// Machine-wide (golden) budget: a trip here aborts the whole word run.
     budget: SimBudget,
-    golden_observer: Option<SimObserver>,
     /// Time points processed: the one step counter every step-capped lane
     /// is measured against.
     steps: u64,
@@ -690,9 +690,10 @@ impl WordSimulator {
     /// # Errors
     ///
     /// [`SimError::Unseedable`] on a pending external drive: those bypass
-    /// the per-output driver bookkeeping lanes are told apart by.
+    /// the per-output driver bookkeeping lanes are told apart by. Also on
+    /// an installed observer, which no word machine shows the trace to.
     fn from_scalar(sim: Simulator) -> Result<Self, SimError> {
-        let seed: WordSeed = sim.into_word_seed();
+        let seed: WordSeed = sim.into_word_seed()?;
         let signals = seed
             .signals
             .into_iter()
@@ -738,7 +739,6 @@ impl WordSimulator {
             toggles: (0..LANES).map(|_| MismatchToggles::new()).collect(),
             trace: seed.trace,
             budget: seed.budget,
-            golden_observer: seed.observer,
             steps: 0,
             step_caps: Vec::new(),
             next_trip: u64::MAX,
@@ -820,15 +820,9 @@ impl WordSimulator {
                 self.trip_step_caps(t);
             }
             self.advance_time_point(t)?;
-            if let Some(observer) = self.golden_observer.as_mut() {
-                observer.poll(t, &[&self.trace]);
-            }
         }
         if t_end > self.wheel.now() {
             self.wheel.advance(t_end);
-        }
-        if let Some(observer) = self.golden_observer.as_mut() {
-            observer.flush(self.wheel.now(), &[&self.trace]);
         }
         Ok(())
     }
@@ -1101,31 +1095,29 @@ impl WordSimulator {
         }
     }
 
-    /// Stop `t` for each running case: its watcher is shown the lane, and a
-    /// cancelled (by the watcher's seal, say) or expired token retires it.
+    /// Stop `t` for each running case: `watch`, if given, is shown the
+    /// lane, and retires it by returning `true`, as a cancelled or expired
+    /// token does.
     fn stop_cases(
         &mut self,
-        cases: &mut [WordCase],
         occupant: &[usize; LANES],
         t: Time,
+        mut watch: Option<&mut LaneWatch<'_>>,
         untouched: &mut Vec<DigitalSlot>,
     ) {
         let mut m = self.recording & !(1 << GOLDEN_LANE);
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            if let CaseState::Running {
-                watcher: Some(watcher),
-                ..
-            } = &mut cases[occupant[lane]].state
-            {
+            let retire = watch.as_deref_mut().is_some_and(|watch| {
                 untouched.clear();
                 for signal in self.signals.iter().filter(|s| s.touched >> lane & 1 == 0) {
                     untouched.extend_from_slice(&signal.slots);
                 }
-                watcher.show(t, &TraceView::of_toggles(&self.toggles[lane], untouched));
-            }
+                watch(occupant[lane], t, &self.toggles[lane], untouched)
+            });
             let violation = match &self.cancels[lane] {
+                _ if retire => GuardViolation::Cancelled { t },
                 Some(token) if token.is_cancelled() => GuardViolation::Cancelled { t },
                 Some(token) if token.expired() => GuardViolation::Deadline { t },
                 _ => continue,
@@ -1364,8 +1356,9 @@ pub enum LaneOutcome {
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
     },
-    /// The lane's simulation failed: guard trip, cooperative cancellation
-    /// (early abort), or injection error. Other lanes are unaffected.
+    /// The lane's simulation failed: guard trip, cooperative cancellation,
+    /// retirement by a watch (early abort), or injection error. Other lanes
+    /// are unaffected.
     Failed {
         /// Display form of the lane's error.
         error: String,
@@ -1402,10 +1395,9 @@ impl BatchReport {
 enum CaseState {
     /// Not started: waiting for its instant, in this machine or a later one.
     Pending,
-    /// Simulating on lane `lane` of the current machine, watched or not.
+    /// Simulating on lane `lane` of the current machine.
     Running {
         lane: usize,
-        watcher: Option<SimObserver>,
     },
     /// Sealed; resolved once its machine's golden lane reaches the horizon.
     Sealed(Retired),
@@ -1576,26 +1568,36 @@ impl WordBatchSimulator {
     pub fn run(
         self,
         inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
-        mut setup: impl FnMut(usize, &mut dyn InjectTarget),
+        setup: impl FnMut(usize, &mut dyn InjectTarget),
     ) -> Result<BatchReport, SimError> {
-        self.run_watched(inject, |lane, target| {
-            setup(lane, target);
-            None
-        })
+        self.run_with(inject, setup, None)
     }
 
-    /// [`WordBatchSimulator::run`], where `setup` may return a watcher for
-    /// the case, shown the lane at each stop before the horizon, after the
-    /// reconvergence probe ([`TraceView::of_toggles`]). A token it cancels
-    /// there, carried by the case's budget, retires the lane at once.
+    /// [`WordBatchSimulator::run`], where `watch(lane, t, toggles,
+    /// untouched)` is shown each running case at each stop before the
+    /// horizon, after the reconvergence probe: its toggles so far, and the
+    /// monitored golden slots it has not recorded yet (the signals it has
+    /// not changed). Returning `true` retires the case's lane at that stop,
+    /// as a cancelled token in its budget would: the case ends
+    /// [`LaneOutcome::Failed`].
     ///
     /// # Errors
     ///
     /// As [`WordBatchSimulator::run`].
     pub fn run_watched(
         self,
+        inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
+        setup: impl FnMut(usize, &mut dyn InjectTarget),
+        mut watch: impl FnMut(usize, Time, &MismatchToggles, &[DigitalSlot]) -> bool,
+    ) -> Result<BatchReport, SimError> {
+        self.run_with(inject, setup, Some(&mut watch))
+    }
+
+    fn run_with(
+        self,
         mut inject: impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
-        mut setup: impl FnMut(usize, &mut dyn InjectTarget) -> Option<SimObserver>,
+        mut setup: impl FnMut(usize, &mut dyn InjectTarget),
+        mut watch: Option<&mut LaneWatch<'_>>,
     ) -> Result<BatchReport, SimError> {
         let WordBatchSimulator {
             golden,
@@ -1605,6 +1607,10 @@ impl WordBatchSimulator {
             metrics,
         } = self;
         let stride = seal_stride.unwrap_or_else(|| (t_end / 64).max(Time::from_fs(1)));
+        let mut arm = |case, target: &mut dyn InjectTarget| {
+            setup(case, target);
+            inject(case, target)
+        };
         // The cases still to activate, in injection order (call order
         // within one instant): every instant is a stop of its machine's
         // grid, so a machine walks its share of this list once, front to
@@ -1642,8 +1648,8 @@ impl WordBatchSimulator {
                 &queue,
                 &stops,
                 metrics.as_deref(),
-                &mut inject,
-                &mut setup,
+                &mut arm,
+                watch.as_deref_mut(),
             )?;
             machines += 1;
             refills += pass.refills;
@@ -1702,6 +1708,9 @@ fn stop_grid(
     stops
 }
 
+/// What [`WordBatchSimulator::run_watched`] shows each running case.
+pub type LaneWatch<'a> = dyn FnMut(usize, Time, &MismatchToggles, &[DigitalSlot]) -> bool + 'a;
+
 /// What one machine of a batch hands back.
 struct Pass {
     /// The cases whose instant found no free lane, in injection order.
@@ -1718,15 +1727,16 @@ struct Pass {
 /// held yet if there is one. A lane whose case seals is free again: it
 /// stays live while more cases wait than lanes are free, and freezes when
 /// none would take it. A case whose instant finds no free lane is handed
-/// back, still pending, for the next machine.
+/// back, still pending, for the next machine. `arm` sets a seated case up
+/// and injects its fault.
 fn run_machine(
     sim: &mut WordSimulator,
     cases: &mut [WordCase],
     queue: &[usize],
     stops: &[Time],
     metrics: Option<&KernelMetrics>,
-    inject: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
-    setup: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Option<SimObserver>,
+    arm: &mut impl FnMut(usize, &mut dyn InjectTarget) -> Result<(), String>,
+    mut watch: Option<&mut LaneWatch<'_>>,
 ) -> Result<Pass, SimError> {
     let mut free = (1u64 << queue.len().min(WordBatchSimulator::MAX_LANES)) - 1;
     sim.live = free | 1 << GOLDEN_LANE;
@@ -1769,11 +1779,10 @@ fn run_machine(
                 sim: &mut *sim,
                 lane,
             };
-            let watcher = setup(case, &mut ctx);
-            cases[case].state = match inject(case, &mut ctx) {
+            cases[case].state = match arm(case, &mut ctx) {
                 Ok(()) => {
                     activated = true;
-                    CaseState::Running { lane, watcher }
+                    CaseState::Running { lane }
                 }
                 Err(error) => {
                     sim.fail_lane(lane, error.clone());
@@ -1799,7 +1808,7 @@ fn run_machine(
             sim.vacate(lane);
         }
         if t < t_end {
-            sim.stop_cases(cases, &occupant, t, &mut untouched);
+            sim.stop_cases(&occupant, t, watch.as_deref_mut(), &mut untouched);
         }
         while free.count_ones() as usize > waiting {
             let lane = 63 - free.leading_zeros() as usize;
@@ -1828,7 +1837,7 @@ fn run_machine(
     for &case in queue {
         let state = std::mem::replace(&mut cases[case].state, CaseState::Pending);
         cases[case].state = match state {
-            CaseState::Running { lane, .. } => {
+            CaseState::Running { lane } => {
                 let retired = sim.retire(lane, t_end);
                 CaseState::Done(sim.outcome(retired, None))
             }
@@ -2350,67 +2359,52 @@ mod tests {
 
     #[test]
     fn a_watcher_is_shown_the_lane_and_may_retire_it() {
-        // Two counter upsets, each watched. One watcher keeps what it is
-        // shown: at every stop before the horizon, the toggles so far, and
-        // `late__sab` as untouched until golden (and with it the lane)
-        // first records it at 1.5 µs. The other cancels its budget's token
-        // once shown 1 µs, and the lane retires at that stop.
+        // Two counter upsets, both watched. What the watch is shown of one
+        // is kept: at every stop before the horizon, the toggles so far,
+        // and `late__sab` as untouched until golden (and with it the lane)
+        // first records it at 1.5 µs. The other is retired once shown 1 µs,
+        // and the lane retires at that stop.
         const T_END: Time = Time::from_us(2);
         let ns = Time::from_ns;
         let counter = counter_target(&build_late());
         let mut word = WordBatchSimulator::new(build_late(), T_END).with_seal_stride(ns(250));
         let kept = word.add_lane(ns(305));
-        let cancelled = word.add_lane(ns(305));
-        type Shown = Vec<(Time, MismatchToggles, Vec<DigitalSlot>)>;
-        let shown = Arc::new(std::sync::Mutex::new(Shown::new()));
-        let token = amsfi_waves::CancelToken::new();
+        let retired = word.add_lane(ns(305));
+        let mut shown: Vec<(Time, MismatchToggles, Vec<DigitalSlot>)> = Vec::new();
         let report = word
             .run_watched(
                 |_, target| {
                     target.flip_state(counter.component, 6);
                     Ok(())
                 },
-                |lane, target| {
+                |_, _| {},
+                |lane, t, toggles, untouched| {
                     if lane == kept {
-                        let shown = Arc::clone(&shown);
-                        Some(SimObserver::new(move |t, view| {
-                            let (toggles, untouched) = view.toggles().expect("a lane's toggles");
-                            let seen = (t, toggles.clone(), untouched.to_vec());
-                            shown.lock().unwrap().push(seen);
-                        }))
-                    } else {
-                        let cancel = token.clone();
-                        let hook = move |t, _: &TraceView<'_>| {
-                            if t >= ns(1000) {
-                                cancel.cancel();
-                            }
-                        };
-                        target.set_budget(SimBudget::unlimited().with_cancel(token.clone()));
-                        Some(SimObserver::new(hook))
+                        shown.push((t, toggles.clone(), untouched.to_vec()));
                     }
+                    lane == retired && t >= ns(1000)
                 },
             )
             .unwrap();
 
         let late = report.golden.recorded_digital_slot("late__sab").unwrap();
         let all = report.lane_toggles(kept).expect("the kept lane completes");
-        let shown = shown.lock().unwrap();
         let times: Vec<Time> = shown.iter().map(|(t, ..)| *t).collect();
         let mut stops = vec![ns(305)];
         stops.extend((2..8).map(|i| ns(250 * i)));
         assert_eq!(times, stops);
-        for (t, toggles, untouched) in shown.iter() {
+        for (t, toggles, untouched) in &shown {
             let prefix: Vec<_> = all.iter().filter(|(at, _)| at <= t).collect();
             assert_eq!(toggles.iter().collect::<Vec<_>>(), prefix, "toggles at {t}");
             let expected = if *t < ns(1500) { vec![late] } else { vec![] };
             assert_eq!(*untouched, expected, "untouched at {t}");
         }
         assert!(!all.is_empty());
-        match &report.outcomes[cancelled] {
+        match &report.outcomes[retired] {
             LaneOutcome::Failed { error } => {
                 assert_eq!(*error, format!("cancelled t={}", ns(1000).as_fs()));
             }
-            other => panic!("the cancelled lane must retire: {other:?}"),
+            other => panic!("the retired lane must end at that stop: {other:?}"),
         }
     }
 

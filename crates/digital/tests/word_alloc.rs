@@ -7,12 +7,12 @@
 //! doubling.
 
 use amsfi_circuits::cpu::{checksum_program, TinyCpu};
-use amsfi_digital::{cells, ComponentId, LaneOutcome, Netlist, Simulator, WordBatchSimulator};
-use amsfi_waves::{CancelToken, Logic, SimBudget, SimObserver, Time, LANES};
+use amsfi_digital::{
+    cells, ComponentId, InjectTarget, LaneOutcome, Netlist, Simulator, WordBatchSimulator,
+};
+use amsfi_waves::{Logic, Time, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Counts this thread's fresh allocations and its reallocations, so that
 /// tests running side by side do not see each other.
@@ -208,9 +208,8 @@ fn word_machine_steady_state_does_not_allocate() {
 
 #[test]
 fn a_watched_lane_records_nothing() {
-    // The `--early-abort` shape: every mutant lane carries a watcher, shown
-    // its toggles at each stop of the machine, and a budget whose token
-    // the stops ask. Upsets in RAM words 0..=7
+    // The `--early-abort` shape: a watch is shown every running lane's
+    // toggles at each stop of the machine. Upsets in RAM words 0..=7
     // keep every lane apart from golden to the horizon, so each is shown at
     // every stop. The same cases run watched and unwatched, and what the
     // allocator sees from the activation of the lanes (a probe's setup) to
@@ -238,42 +237,32 @@ fn a_watched_lane_records_nothing() {
             .map(|_| word.add_lane(activate))
             .collect();
         let end = word.add_lane(late);
-        let shows = Arc::new(AtomicUsize::new(0));
-        // Built ahead of the run: what the kernel does with a watcher is
-        // measured, not the test's closures.
-        let mut watchers: Vec<Option<(SimObserver, SimBudget)>> = (0..=end)
-            .map(|lane| {
-                let shows = Arc::clone(&shows);
-                let watcher = SimObserver::new(move |_, view| {
-                    assert!(view.toggles().is_some(), "a lane is shown its toggles");
-                    shows.fetch_add(1, Ordering::Relaxed);
-                });
-                let budget = SimBudget::unlimited().with_cancel(CancelToken::new());
-                (watched && mutants.contains(&lane)).then_some((watcher, budget))
-            })
-            .collect();
         let (mut before, mut after) = ((0, 0), (0, 0));
-        word.run_watched(
-            |lane, target| match mutants.iter().position(|&m| m == lane) {
+        let mut shown = 0;
+        let inject =
+            |lane, target: &mut dyn InjectTarget| match mutants.iter().position(|&m| m == lane) {
                 Some(nth) => {
                     target.flip_state(cpu, first_ram_bit + nth);
                     Ok(())
                 }
                 None => Err("probe".to_owned()),
-            },
-            |lane, target| {
-                if lane == start {
-                    before = counts();
-                } else if lane == end {
-                    after = counts();
-                }
-                let (watcher, budget) = watchers[lane].take()?;
-                target.set_budget(budget);
-                Some(watcher)
-            },
-        )
-        .expect("the golden lane runs to the horizon");
-        let shown = shows.load(Ordering::Relaxed);
+            };
+        let setup = |lane, _: &mut dyn InjectTarget| {
+            if lane == start {
+                before = counts();
+            } else if lane == end {
+                after = counts();
+            }
+        };
+        let report = if watched {
+            word.run_watched(inject, setup, |_, _, _, _| {
+                shown += 1;
+                false
+            })
+        } else {
+            word.run(inject, setup)
+        };
+        report.expect("the golden lane runs to the horizon");
         (
             (after.0 - before.0, after.1 - before.1),
             mutants.len(),

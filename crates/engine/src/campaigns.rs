@@ -10,7 +10,7 @@
 //! labels are `"<target> @ <time>"`, which those binaries' per-resource and
 //! per-target tables are grouped by.
 
-use crate::executor::{BatchSpec, Campaign, CaseCtx, LaneHooks, Snapshot};
+use crate::executor::{BatchSpec, Campaign, CaseCtx, Snapshot};
 use crate::stats::Stage;
 use crate::BoxError;
 use amsfi_circuits::adc::{self, AdcInput};
@@ -18,11 +18,11 @@ use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::pll::{self, names};
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchReport, DigitalSaboteur, InjectTarget, MutantTarget, Netlist, Simulator,
+    cells, BatchReport, DigitalSaboteur, InjectTarget, LaneWatch, MutantTarget, Netlist, Simulator,
     WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
-use amsfi_waves::{Checkpoint, ForkableSim, Logic, Time, Tolerance};
+use amsfi_waves::{Checkpoint, ForkableSim, Logic, SimBudget, Time, Tolerance};
 use std::sync::Arc;
 
 impl Campaign {
@@ -63,7 +63,8 @@ impl Campaign {
             Arc::new(
                 move |ctx: &CaseCtx,
                       group: &[usize],
-                      hooks: LaneHooks<'_>,
+                      budget: SimBudget,
+                      watch: Option<&mut LaneWatch<'_>>,
                       rung: Snapshot|
                       -> Result<BatchReport, BoxError> {
                     let mut golden = rung
@@ -82,15 +83,16 @@ impl Campaign {
                     for &i in group {
                         word.add_lane(case_stops[i]);
                     }
-                    word.run_watched(
-                        |lane, target| inject(target, group[lane]).map_err(|e| e.to_string()),
-                        |lane, target| {
-                            let (budget, watcher) = hooks(lane);
-                            target.set_budget(budget);
-                            watcher
-                        },
-                    )
-                    .map_err(|e| Box::new(e) as BoxError)
+                    let inject = |lane, target: &mut dyn InjectTarget| {
+                        inject(target, group[lane]).map_err(|e| e.to_string())
+                    };
+                    let setup =
+                        |_, target: &mut dyn InjectTarget| target.set_budget(budget.clone());
+                    let report = match watch {
+                        Some(watch) => word.run_watched(inject, setup, watch),
+                        None => word.run(inject, setup),
+                    };
+                    report.map_err(|e| Box::new(e) as BoxError)
                 },
             )
         };

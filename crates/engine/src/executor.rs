@@ -20,13 +20,13 @@ use crate::stats::{EngineStats, Stage, StatsSnapshot};
 use crate::BoxError;
 use amsfi_core::{
     classify, injection_stops, CampaignResult, CaseOutcome, CaseResult, ClassifySpec, FaultCase,
-    MismatchClassifier, OnlineClassifier, SimFailure,
+    Golden, MismatchClassifier, OnlineClassifier, SimFailure,
 };
-use amsfi_digital::{BatchReport, LaneOutcome};
+use amsfi_digital::{BatchReport, LaneOutcome, LaneWatch};
 use amsfi_telemetry::{Event, GuardKind, KernelMetrics, Telemetry};
 use amsfi_waves::{
-    CancelToken, Checkpoint, Follow, ForkableSim, MismatchToggles, SimBudget, SimObserver, SimTape,
-    Time, Trace, LANES,
+    CancelToken, Checkpoint, DigitalSlot, Follow, ForkableSim, MismatchToggles, SimBudget,
+    SimObserver, SimTape, Time, Trace, LANES,
 };
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -568,23 +568,19 @@ impl fmt::Debug for ForkSpec {
     }
 }
 
-/// Per-lane plumbing for a mutant lane about to be activated: called with
-/// the lane's position in the group, returns the [`SimBudget`] (guards,
-/// cancellation token, metrics) and optional [`SimObserver`] (streaming
-/// classification, shown the lane's toggles) for that lane.
-pub type LaneHooks<'a> = &'a mut dyn FnMut(usize) -> (SimBudget, Option<SimObserver>);
-
 /// How a campaign supports bit-parallel group execution (enabled per run
 /// with [`EngineConfig::with_batch`], on a campaign with a [`ForkSpec`]).
 ///
-/// `run(ctx, group, hooks, rung)` simulates all cases in `group` (indices
+/// `run(ctx, group, budget, watch, rung)` simulates all cases in `group` (indices
 /// into [`Campaign::cases`] in ascending injection order, at most eight
 /// words' worth: each machine has 63 mutant lanes beside the in-word golden
 /// lane and seats a case on a lane an earlier case sealed on) lock-step
 /// against the golden machine and returns the kernel's own
 /// [`BatchReport`]: the golden trace with one [`LaneOutcome`] per index, in
 /// order, forking from `rung`: its own copy of the golden run's snapshot
-/// at the group's first injection instant. The engine checks the
+/// at the group's first injection instant. Every lane runs under `budget`,
+/// and the group under `watch` (`true` once a lane's verdict has sealed)
+/// when given. The engine checks the
 /// golden-lane trace against the campaign's golden run once per group —
 /// lanes' mismatch toggles are taken against the one, verdicts are the
 /// other's — and degrades the group to the scalar path when they differ.
@@ -597,7 +593,13 @@ pub struct BatchSpec {
     /// Runs one case group lock-step; see [`BatchSpec`].
     #[allow(clippy::type_complexity)]
     pub run: Arc<
-        dyn Fn(&CaseCtx, &[usize], LaneHooks<'_>, Snapshot) -> Result<BatchReport, BoxError>
+        dyn Fn(
+                &CaseCtx,
+                &[usize],
+                SimBudget,
+                Option<&mut LaneWatch<'_>>,
+                Snapshot,
+            ) -> Result<BatchReport, BoxError>
             + Send
             + Sync,
     >,
@@ -904,33 +906,14 @@ impl From<JournalError> for EngineError {
     }
 }
 
-/// What arming an online classifier for one case takes under
-/// [`EngineConfig::with_early_abort`]: how the campaign classifies, the
-/// run's shared golden trace and the case's injection instant.
-#[derive(Clone, Copy)]
-struct EarlyAbort<'a> {
-    spec: &'a ClassifySpec,
-    golden: &'a Arc<Trace>,
-    injected_at: Time,
-}
-
-/// A streaming classifier wired up for one scalar attempt or one batch
-/// lane (see [`Engine::arm`]): the observer goes to the kernel and shows the
-/// classifier the trace (a lane's toggles) as it grows, the token goes into
-/// the simulation's budget, and the classifier is asked for its sealed
-/// verdict afterwards.
+/// A streaming classifier wired up for one scalar or forked attempt (see
+/// [`Engine::arm`]): the observer goes to the kernel and shows the
+/// classifier the trace as it grows, the token goes into the simulation's
+/// budget, and the classifier is asked for its sealed verdict afterwards.
 struct Armed {
     classifier: Arc<Mutex<OnlineClassifier>>,
     observer: SimObserver,
     token: CancelToken,
-}
-
-/// The verdict `classifier` sealed mid-simulation, if it did.
-fn sealed_verdict(classifier: &Arc<Mutex<OnlineClassifier>>) -> Option<CaseOutcome> {
-    classifier
-        .lock()
-        .ok()
-        .and_then(|guard| guard.sealed().cloned())
 }
 
 /// How one attempt ended (before retry/policy handling).
@@ -1177,7 +1160,7 @@ impl Engine {
         let run = Run {
             engine: self,
             campaign,
-            golden: Arc::new(golden),
+            golden: Golden::new(campaign.spec.clone(), Arc::new(golden)),
             ladder,
             stats,
             journal,
@@ -1301,7 +1284,8 @@ impl Engine {
             entries.extend(fresh);
             journal::assemble_owned(entries.into_values())
         };
-        result.golden = Arc::try_unwrap(run.golden).unwrap_or_else(|shared| (*shared).clone());
+        let golden = Arc::try_unwrap(run.golden.into_trace());
+        result.golden = golden.unwrap_or_else(|shared| (*shared).clone());
         let stats = run.stats.snapshot();
         tele.emit_with(|| {
             Event::new("campaign", "end")
@@ -1374,7 +1358,7 @@ impl Engine {
         runner: &CaseRunner,
         index: Option<usize>,
         stats: &Arc<EngineStats>,
-        early: Option<EarlyAbort<'_>>,
+        early: Option<&OnlineClassifier>,
     ) -> (Attempt, u32) {
         let note = |kind: &str, attempt: u32| {
             self.config.telemetry.emit_with(|| {
@@ -1438,24 +1422,21 @@ impl Engine {
         }
     }
 
-    /// Builds the `--early-abort` streaming classifier of one simulation —
-    /// a scalar attempt or a batch lane alike. It cancels `token` (which
-    /// expires on its own after `deadline`, if given) the moment the
-    /// verdict seals: early abort rides the cooperative-stop plumbing the
-    /// timeout watchdog uses.
-    fn arm(&self, early: EarlyAbort<'_>, deadline: Option<Duration>) -> Armed {
+    /// Builds the `--early-abort` streaming classifier of one scalar or
+    /// forked attempt. Its observer cancels `token` (which expires on its
+    /// own after `deadline`, if given) the moment the verdict seals: early
+    /// abort rides the cooperative-stop plumbing the timeout watchdog uses.
+    fn arm(classifier: OnlineClassifier, deadline: Option<Duration>) -> Armed {
         let token = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
-        let classifier = Arc::new(Mutex::new(OnlineClassifier::new(
-            early.spec,
-            Arc::clone(early.golden),
-            early.injected_at,
-            token.clone(),
-        )));
+        let classifier = Arc::new(Mutex::new(classifier));
         let observer = {
-            let classifier = Arc::clone(&classifier);
+            let (classifier, token) = (Arc::clone(&classifier), token.clone());
             SimObserver::new(move |t, view| {
                 if let Ok(mut classifier) = classifier.lock() {
                     classifier.observe(t, view);
+                    if classifier.sealed().is_some() {
+                        token.cancel();
+                    }
                 }
             })
         };
@@ -1473,10 +1454,10 @@ impl Engine {
         index: Option<usize>,
         attempt: u32,
         stats: &Arc<EngineStats>,
-        early: Option<EarlyAbort<'_>>,
+        early: Option<&OnlineClassifier>,
     ) -> Attempt {
         let runner = Arc::clone(runner);
-        let armed = early.map(|early| self.arm(early, self.config.timeout));
+        let armed = early.map(|early| Self::arm(early.clone(), self.config.timeout));
         let token = match &armed {
             Some(armed) => Some(armed.token.clone()),
             None => self.config.timeout.map(CancelToken::with_deadline),
@@ -1510,7 +1491,7 @@ impl Engine {
         // guard trip (normalised to a timeout above), and with a fast
         // solver the run may even have finished `Ok` in the race window.
         // Either way the sealed outcome is the verdict.
-        match classifier.as_ref().and_then(sealed_verdict) {
+        match classifier.and_then(|c| c.lock().ok()?.sealed().cloned()) {
             Some(sealed) => Attempt::Sealed {
                 outcome: Box::new(sealed),
                 steps,
@@ -1591,7 +1572,8 @@ impl Engine {
 struct Run<'a> {
     engine: &'a Engine,
     campaign: &'a Campaign,
-    golden: Arc<Trace>,
+    /// The golden trace with the campaign's spec resolved against it.
+    golden: Golden,
     /// The golden run's snapshots; empty on the scalar plan.
     ladder: Ladder,
     stats: Arc<EngineStats>,
@@ -1646,7 +1628,7 @@ impl Run<'_> {
     /// Classifies a full-horizon trace against the golden run, on the
     /// classify stage's clock.
     fn classify(&self, trace: &Trace) -> CaseOutcome {
-        self.on_classify_clock(|| classify(&self.campaign.spec, &self.golden, trace))
+        self.on_classify_clock(|| classify(self.golden.spec(), self.golden.trace(), trace))
     }
 
     /// Draws verdicts on the classify stage's clock.
@@ -1662,17 +1644,14 @@ impl Run<'_> {
     /// distinct toggle list, and per completed lane, in lane order, which.
     ///
     /// A verdict is drawn from a lane's mismatch toggles, taken against the
-    /// group's golden lane, by a [`MismatchClassifier`] that resolves the
-    /// spec's names against that lane's trace once. It is a function of the
+    /// group's golden lane, whose trace equals the run's golden, by a
+    /// [`MismatchClassifier`] over the run's one resolution of the spec's
+    /// names. It is a function of the
     /// toggles, and lanes of one group often repeat each other's (SET pulses
     /// of different widths latched at one clock edge): a repeat, found by
     /// the hash of its list and confirmed equal, is booked with a shared
     /// copy, as a clean lane is with `clean_verdict`'s.
-    fn drawn_verdicts(
-        &self,
-        golden: &Trace,
-        outcomes: &[LaneOutcome],
-    ) -> (Vec<CaseOutcome>, Vec<usize>) {
+    fn drawn_verdicts(&self, outcomes: &[LaneOutcome]) -> (Vec<CaseOutcome>, Vec<usize>) {
         let mut completed = outcomes
             .iter()
             .filter_map(|outcome| match outcome {
@@ -1684,7 +1663,7 @@ impl Run<'_> {
             return (Vec::new(), Vec::new());
         }
         self.on_classify_clock(|| {
-            let mut classifier = MismatchClassifier::new(&self.campaign.spec, golden);
+            let mut classifier = MismatchClassifier::new(&self.golden);
             // Each distinct list, keyed to the index of its verdict.
             let mut distinct: HashMap<&MismatchToggles, usize> = HashMap::new();
             let mut verdicts = Vec::new();
@@ -1801,14 +1780,12 @@ impl Run<'_> {
         }
     }
 
-    /// What an online classifier for case `index` is armed with; `None`
-    /// without [`EngineConfig::with_early_abort`].
-    fn early(&self, index: usize) -> Option<EarlyAbort<'_>> {
-        self.engine.config.early_abort.then(|| EarlyAbort {
-            spec: &self.campaign.spec,
-            golden: &self.golden,
-            injected_at: self.campaign.cases[index].injected_at,
-        })
+    /// A fresh online classifier for case `index` (each attempt arms a copy);
+    /// `None` without [`EngineConfig::with_early_abort`].
+    fn early(&self, index: usize) -> Option<OnlineClassifier> {
+        let at = self.campaign.cases[index].injected_at;
+        let classifier = || OnlineClassifier::new(self.golden.clone(), at);
+        self.engine.config.early_abort.then(classifier)
     }
 
     /// The rung a run of case `index` forks from — the golden run's
@@ -1871,6 +1848,7 @@ impl Run<'_> {
             None => (Arc::clone(&campaign.runner), None),
         };
         let early = self.early(index);
+        let early = early.as_ref();
         let (mut attempt, mut attempts) = engine.attempt_case(&runner, Some(index), stats, early);
         // Graceful degradation: a snapshot that cannot be restored, or a
         // follower off its tape's grid, fails deterministically, so instead
@@ -1954,14 +1932,15 @@ impl Run<'_> {
     /// [`BatchSpec`], from a copy of the group's [rung](Run::rung), and
     /// books every lane, pushing the entries onto `done`.
     ///
-    /// Lanes are armed like scalar attempts ([`Engine::arm`]): with
-    /// `--early-abort` a sealed verdict wins over whatever the cancelled
-    /// lane reported. Its classifier reads the lane's toggles through the
-    /// campaign's golden trace, whose slots are the group's: the group forks
-    /// from the golden run's own snapshots. A lane that fails without one
-    /// falls back to the scalar path for that case alone — which re-derives
-    /// guard-trip verdicts, retry accounting and quarantine exactly as a
-    /// scalar run would.
+    /// With `--early-abort` the group runs under one watch over the lanes'
+    /// classifiers, plain values of this call: shown a lane at a stop, it
+    /// feeds the lane's classifier, and a seal retires the lane, whose
+    /// sealed verdict is booked. A classifier reads the lane's toggles
+    /// through the run's golden trace, whose slots are the group's: the
+    /// group forks from the golden run's own snapshots. A lane that fails
+    /// without a seal falls back to the scalar path for that case alone —
+    /// which re-derives guard-trip verdicts, retry accounting and
+    /// quarantine exactly as a scalar run would.
     ///
     /// A completed lane is booked from [`Run::drawn_verdicts`]: its toggles
     /// are taken against the group's golden lane, whose trace must equal
@@ -1983,7 +1962,11 @@ impl Run<'_> {
         let tele = &engine.config.telemetry;
         let group_t0 = Instant::now();
         let rung = self.rung(fork, group[0]);
-        let mut classifiers: Vec<Option<Arc<Mutex<OnlineClassifier>>>> = vec![None; group.len()];
+        // Each lane's online classifier under `--early-abort`, none otherwise.
+        let mut classifiers: Vec<OnlineClassifier> = group
+            .iter()
+            .filter_map(|&index| self.early(index))
+            .collect();
         // The machine-wide budget: a trip here fails the whole group. Its
         // deadline can never expire where the scalar path would not time
         // out, and with no timeout there is no token for the kernel to poll.
@@ -1993,19 +1976,16 @@ impl Run<'_> {
             budget = budget.with_cancel(CancelToken::with_deadline(timeout.saturating_mul(lanes)));
         }
         let ctx = CaseCtx::attached(None, 0, Arc::clone(&self.stats), budget, tele.clone(), None);
-        let mut hooks = |lane: usize| match self.early(group[lane]) {
-            Some(early) => {
-                let armed = engine.arm(early, None);
-                classifiers[lane] = Some(armed.classifier);
-                let budget = engine.metered_budget().with_cancel(armed.token);
-                (budget, Some(armed.observer))
-            }
-            None => (engine.metered_budget(), None),
+        let mut watch = |lane: usize, t, toggles: &MismatchToggles, untouched: &[DigitalSlot]| {
+            let classifier = &mut classifiers[lane];
+            classifier.observe_toggles(t, toggles, untouched);
+            classifier.sealed().is_some()
         };
+        let watch: Option<&mut LaneWatch<'_>> = engine.config.early_abort.then_some(&mut watch);
         let out = catch_unwind(AssertUnwindSafe(|| match rung {
             Some((_, snap)) => {
                 let rung = snap.lock().expect("snapshot poisoned").clone_snapshot();
-                (spec.run)(&ctx, group, &mut hooks, rung)
+                (spec.run)(&ctx, group, engine.metered_budget(), watch, rung)
             }
             None => Err("no snapshot to fork the group from".into()),
         }));
@@ -2016,7 +1996,7 @@ impl Run<'_> {
                 report.outcomes.len(),
                 group.len()
             )),
-            Ok(Ok(report)) if report.golden != *self.golden => {
+            Ok(Ok(report)) if report.golden != **self.golden.trace() => {
                 Err("golden lane differs from the golden run".to_owned())
             }
             Ok(Ok(report)) => Ok(report),
@@ -2024,10 +2004,10 @@ impl Run<'_> {
             Err(payload) => Err(panic_message(payload)),
         };
         let BatchReport {
-            golden,
             outcomes,
             machines,
             refills,
+            ..
         } = match report {
             Ok(report) => report,
             Err(reason) => {
@@ -2043,9 +2023,9 @@ impl Run<'_> {
                 return Ok(());
             }
         };
-        let (verdicts, picks) = self.drawn_verdicts(&golden, &outcomes);
+        let (verdicts, picks) = self.drawn_verdicts(&outcomes);
         let mut picks = picks.into_iter();
-        for ((&index, outcome), classifier) in group.iter().zip(&outcomes).zip(&classifiers) {
+        for (lane, (&index, outcome)) in group.iter().zip(&outcomes).enumerate() {
             let entry = match outcome {
                 LaneOutcome::Completed { .. } => {
                     let verdict = &verdicts[picks.next().expect("a verdict per completed lane")];
@@ -2054,12 +2034,12 @@ impl Run<'_> {
                 LaneOutcome::Clean { .. } => {
                     let verdict = self
                         .clean_verdict
-                        .get_or_init(|| self.classify(&self.golden));
+                        .get_or_init(|| self.classify(self.golden.trace()));
                     self.book(index, verdict.clone(), None)?
                 }
                 LaneOutcome::Failed { error } => {
-                    match classifier.as_ref().and_then(sealed_verdict) {
-                        Some(sealed) => self.book_sealed(index, sealed, 0, None)?,
+                    match classifiers.get(lane).and_then(OnlineClassifier::sealed) {
+                        Some(sealed) => self.book_sealed(index, sealed.clone(), 0, None)?,
                         None => {
                             self.stats.record_fallbacks(1);
                             tele.emit_with(|| {
@@ -2808,7 +2788,7 @@ mod tests {
         use TapeArm::{Quiet, Wedges};
         let (mut campaign, _) = tape_campaign("toy-wedged-golden", Wedges, vec![(5, Quiet)]);
         campaign.batch = Some(BatchSpec {
-            run: Arc::new(|_, _, _, _| Err("no group starts".into())),
+            run: Arc::new(|_, _, _, _, _| Err("no group starts".into())),
         });
         let config = EngineConfig::default()
             .with_workers(1)

@@ -431,7 +431,7 @@ fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
         .expect("scalar run");
     let wedged = Campaign {
         batch: Some(BatchSpec {
-            run: Arc::new(|ctx, _group, _hooks, _rung| {
+            run: Arc::new(|ctx, _group, _budget, _watch, _rung| {
                 let t0 = Instant::now();
                 while !ctx.budget().cancel_token().should_stop()
                     && t0.elapsed() < Duration::from_secs(4)
@@ -627,10 +627,12 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
         let campaign = campaigns::build(name, None).expect("catalog campaign");
         // Early and late injections in one word.
         let group: Vec<usize> = (0..campaign.cases.len()).step_by(stride).take(63).collect();
-        let free = run_word_spec(&campaign, &group, &SimBudget::unlimited);
-        let capped = run_word_spec(&campaign, &group, &|| {
-            SimBudget::unlimited().with_max_steps(cap)
-        });
+        let free = run_word_spec(&campaign, &group, SimBudget::unlimited());
+        let capped = run_word_spec(
+            &campaign,
+            &group,
+            SimBudget::unlimited().with_max_steps(cap),
+        );
         assert_eq!(free.golden, capped.golden);
 
         let (mut tripped, mut spared) = (0, 0);
@@ -695,8 +697,8 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
     let calls = AtomicUsize::new(0);
     let campaign = Campaign {
         batch: Some(BatchSpec {
-            run: Arc::new(move |ctx, group, hooks, rung| {
-                let mut report = inner(ctx, group, hooks, rung)?;
+            run: Arc::new(move |ctx, group, budget, watch, rung| {
+                let mut report = inner(ctx, group, budget, watch, rung)?;
                 if calls.fetch_add(1, Ordering::Relaxed) == 0 {
                     report.golden.record_digital("extra", T_END, Logic::One)?;
                 }
@@ -801,21 +803,16 @@ fn several_workers_claim_several_groups_of_whole_words_each() {
 }
 
 /// Runs `group` through the campaign's batch spec from the golden run's
-/// snapshot at its first instant, as the engine would, with `budget()`
+/// snapshot at its first instant, as the engine would, with `budget`
 /// installed on every lane (the machine itself unguarded).
-fn run_word_spec(
-    campaign: &Campaign,
-    group: &[usize],
-    budget: &dyn Fn() -> SimBudget,
-) -> BatchReport {
+fn run_word_spec(campaign: &Campaign, group: &[usize], budget: SimBudget) -> BatchReport {
     let fork = campaign.fork.as_ref().expect("fork spec");
     let ctx = CaseCtx::detached(None);
     let first = [campaign.cases[group[0]].injected_at];
     let mut rung = None;
     (fork.golden)(&ctx, &first, &mut |_, snap| rung = Some(snap)).expect("golden run");
     let spec = campaign.batch.as_ref().expect("batch spec");
-    let mut hooks = |_lane: usize| (budget(), None);
-    (spec.run)(&ctx, group, &mut hooks, rung.expect("a snapshot")).expect("word group")
+    (spec.run)(&ctx, group, budget, None, rung.expect("a snapshot")).expect("word group")
 }
 
 #[test]

@@ -27,8 +27,7 @@
 //! safe bound is `min(watermark, last faulty sample)`.
 
 use crate::{
-    AnalogWave, DigitalSlot, DigitalWave, Logic, MismatchInterval, MismatchToggles,
-    SignalComparison, Time, Tolerance, Trace,
+    AnalogWave, DigitalWave, Logic, MismatchInterval, SignalComparison, Time, Tolerance, Trace,
 };
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -559,27 +558,18 @@ impl AnalogStream {
 }
 
 /// A read-only view over the traces a (possibly composite) simulator has
-/// recorded so far — or, for a word-machine lane, which records none, its
-/// mismatch toggles. A mixed-signal kernel exposes its digital and analog
+/// recorded so far. A mixed-signal kernel exposes its digital and analog
 /// sub-traces as separate parts without merging (merging clones); lookups
 /// scan the parts in order.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceView<'a> {
     parts: &'a [&'a Trace],
-    lane: Option<(&'a MismatchToggles, &'a [DigitalSlot])>,
 }
 
 impl<'a> TraceView<'a> {
     /// A view over the given trace parts.
     pub fn new(parts: &'a [&'a Trace]) -> Self {
-        TraceView { parts, lane: None }
-    }
-
-    /// A word lane's view: its toggles so far, and the monitored golden
-    /// slots it has not recorded yet (the signals it has not changed).
-    pub fn of_toggles(toggles: &'a MismatchToggles, untouched: &'a [DigitalSlot]) -> Self {
-        let lane = Some((toggles, untouched));
-        TraceView { parts: &[], lane }
+        TraceView { parts }
     }
 
     /// The named digital waveform from the first part recording it.
@@ -590,11 +580,6 @@ impl<'a> TraceView<'a> {
     /// The named analog waveform from the first part recording it.
     pub fn analog(&self, name: &str) -> Option<&'a AnalogWave> {
         self.parts.iter().find_map(|t| t.analog(name))
-    }
-
-    /// What [`TraceView::of_toggles`] was given; `None` for traces.
-    pub fn toggles(&self) -> Option<(&'a MismatchToggles, &'a [DigitalSlot])> {
-        self.lane
     }
 }
 
@@ -656,13 +641,8 @@ impl SimObserver {
     /// of an `advance_to`). A poisoned hook (a previous invocation
     /// panicked) is skipped.
     pub fn flush(&mut self, now: Time, parts: &[&Trace]) {
-        self.show(now, &TraceView::new(parts));
-    }
-
-    /// [`SimObserver::flush`] with any view.
-    pub fn show(&mut self, now: Time, view: &TraceView<'_>) {
         if let Ok(mut hook) = self.hook.lock() {
-            hook(now, view);
+            hook(now, &TraceView::new(parts));
         }
     }
 }
@@ -826,7 +806,6 @@ mod tests {
         assert!(view.digital("d").is_some());
         assert_eq!(view.analog("v").unwrap().value_at(Time::ZERO), 1.5);
         assert!(view.digital("nope").is_none());
-        assert!(view.toggles().is_none());
 
         b.record_digital("d", Time::ZERO, Logic::Zero).unwrap();
         let parts = [&a, &b];
