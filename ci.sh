@@ -52,10 +52,12 @@ cargo build --release -p amsfi-bench --bin pr4_telemetry_bench
 ./target/release/pr4_telemetry_bench
 
 # PR 5 early-abort bench: checkpointed vs checkpointed + --early-abort on
-# the pll-sweep / pll-digital / cpu catalog campaigns at 8 workers,
-# emitting results/bench/BENCH_pr5.json (paired trimmed-mean speedups and
-# per-campaign oracle ceilings); asserts (class, onset, affected) verdicts
-# are byte-identical and early abort is never slower.
+# the pll-sweep / pll-digital / cpu catalog campaigns at 8 workers, plus
+# pll-digital at 1 worker (measured, not gated: an observed fork neither
+# leads nor follows), emitting results/bench/BENCH_pr5.json (paired
+# trimmed-mean speedups, per-campaign oracle ceilings, followed counts);
+# asserts (class, onset, affected) verdicts are byte-identical and early
+# abort is never slower at 8 workers.
 cargo build --release -p amsfi-bench --bin pr5_early_abort_bench
 ./target/release/pr5_early_abort_bench
 
@@ -206,6 +208,32 @@ for campaign in cpu cpu-set; do
     grep -Eq ' sealed_at=[0-9]+ ' "$tmp/$campaign.early.journal"
     test "$(grep -c '"kind":"early_abort","name":"sealed"' "$tmp/$campaign.early.jsonl")" \
         -eq "$(grep -c ' sealed_at=' "$tmp/$campaign.early.journal")"
+done
+rm -rf "$tmp"
+
+# --early-abort CLI e2e on the scalar and fork plans (`cpu` from scratch,
+# `pll-sweep --checkpoint`): a watch that seals retires its run inside the
+# kernel. Each early-abort run must really seal — at least one
+# `early_abort`/`sealed` event, one per `sealed_at=` record — time out and
+# retry nothing, and keep the class, onset and affected columns of the
+# plain run's cases.csv. A watch that is never asked is a slowdown byte
+# identity cannot see.
+tmp=$(mktemp -d)
+for run in "cpu" "pll-sweep --checkpoint"; do
+    name=${run%% *}
+    for mode in plain early; do
+        flag=
+        test "$mode" = early && flag=--early-abort
+        ./target/release/amsfi run $run $flag \
+            --journal "$tmp/$name.$mode.journal" --events "$tmp/$name.$mode.jsonl" \
+            --out "$tmp/$name.$mode" --progress-secs 0
+        cut -d, -f1-4,7 "$tmp/$name.$mode/cases.csv" >"$tmp/$name.$mode.cols"
+    done
+    cmp "$tmp/$name.plain.cols" "$tmp/$name.early.cols"
+    sealed=$(grep -c '"kind":"early_abort","name":"sealed"' "$tmp/$name.early.jsonl")
+    test "$sealed" -ge 1
+    test "$sealed" -eq "$(grep -c ' sealed_at=' "$tmp/$name.early.journal")"
+    test "$(grep -Ec '"kind":"(timeout|retry)"' "$tmp/$name.early.jsonl")" -eq 0
 done
 rm -rf "$tmp"
 

@@ -49,7 +49,7 @@ pub struct AnalogSolver {
     record_interval: Time,
     steps_taken: u64,
     budget: SimBudget,
-    observer: Option<SimObserver>,
+    observer: SimObserver,
     /// Set once a block was reconfigured or a node forced from outside the
     /// circuit.
     touched: bool,
@@ -77,7 +77,7 @@ impl AnalogSolver {
             record_interval: Time::from_ns(100),
             steps_taken: 0,
             budget: SimBudget::unlimited(),
-            observer: None,
+            observer: SimObserver::default(),
             touched: false,
         }
     }
@@ -347,14 +347,6 @@ impl AnalogSolver {
         &self.budget
     }
 
-    /// Installs a [`SimObserver`] polled (at its stride) after each guarded
-    /// integration step in [`AnalogSolver::advance`], with the post-step
-    /// time as the finality watermark: every trace record strictly below it
-    /// is frozen. Replaces any previous observer.
-    pub fn set_observer(&mut self, observer: SimObserver) {
-        self.observer = Some(observer);
-    }
-
     /// The first node currently holding a NaN or infinite value, if any —
     /// the solver-level divergence probe the guards (and the mixed-mode
     /// kernel) scan after every step.
@@ -387,8 +379,8 @@ impl AnalogSolver {
     ///
     /// # Errors
     ///
-    /// The first [`GuardViolation`] encountered; the solver stops at the
-    /// step where the guard fired.
+    /// The first [`GuardViolation`] encountered (a retirement included); the
+    /// solver stops at the step where the guard fired.
     pub fn advance(&mut self, t_end: Time) -> Result<(), GuardViolation> {
         while self.now < t_end {
             let proposed = self.propose_dt();
@@ -402,14 +394,9 @@ impl AnalogSolver {
                     t: self.now,
                 });
             }
-            if let Some(observer) = self.observer.as_mut() {
-                observer.poll(self.now, &[&self.trace]);
-            }
+            self.observer.poll(self.now, &[&self.trace])?;
         }
-        if let Some(observer) = self.observer.as_mut() {
-            observer.flush(self.now, &[&self.trace]);
-        }
-        Ok(())
+        self.observer.flush(self.now, &[&self.trace])
     }
 
     fn record(&mut self) {
@@ -457,8 +444,13 @@ impl ForkableSim for AnalogSolver {
         self.set_budget(budget);
     }
 
+    /// Installs a [`SimObserver`] polled (at its stride) after each guarded
+    /// integration step in [`AnalogSolver::advance`], with the post-step
+    /// time as the finality watermark: every trace record strictly below it
+    /// is frozen; a hook that returns `true` retires the run there. Replaces
+    /// any previous observer.
     fn install_observer(&mut self, observer: SimObserver) {
-        self.set_observer(observer);
+        self.observer = observer;
     }
 }
 
@@ -831,5 +823,37 @@ mod tests {
         solver.run_until(Time::from_ns(4));
         assert_eq!(solver.value(vout), 3.0);
         assert!(solver.set_param(amp, "zeta", 1.0).is_err());
+    }
+
+    #[test]
+    fn a_hook_that_returns_true_retires_the_run_at_that_poll() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut calls = 0;
+        let mut solver = ramp_bench();
+        solver.install_observer(SimObserver::new(move |t, _| {
+            calls += 1;
+            tx.send(t).unwrap();
+            calls == 2
+        }));
+        let err = solver.advance(Time::from_us(10)).unwrap_err();
+        let shown: Vec<Time> = rx.try_iter().collect();
+        assert_eq!(shown.len(), 2, "the hook is not asked again");
+        assert_eq!(err, GuardViolation::Retired { t: shown[1] });
+        assert_eq!(
+            solver.now(),
+            shown[1],
+            "the run stops at the poll's instant"
+        );
+    }
+
+    #[test]
+    fn a_hook_that_never_retires_leaves_the_trace_as_an_unobserved_run() {
+        let mut plain = ramp_bench();
+        plain.advance(Time::from_us(10)).unwrap();
+        let mut watched = ramp_bench();
+        watched.install_observer(SimObserver::new(|_, _| false));
+        watched.advance(Time::from_us(10)).unwrap();
+        assert_eq!(watched.trace(), plain.trace());
+        assert_eq!(watched.steps_taken(), plain.steps_taken());
     }
 }

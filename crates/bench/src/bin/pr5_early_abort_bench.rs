@@ -9,7 +9,9 @@
 //!
 //! Hard gates: (1) every (class, onset, affected) verdict is identical
 //! with and without early abort, and (2) early abort is never slower than
-//! the small measurement-noise allowance.
+//! the small measurement-noise allowance, at eight workers. At one worker
+//! `pll-digital` is measured, not gated: an observed fork neither leads
+//! nor follows an analog tape, so early abort costs time there (`followed`).
 //!
 //! The headline 1.5x wall-clock target from the issue is *verdict-latency
 //! bound* on `pll-sweep`: 15 of its 24 cases are failures whose output
@@ -27,7 +29,12 @@ use amsfi_engine::{campaigns, Campaign, Engine, EngineConfig};
 use amsfi_waves::Time;
 use std::time::Duration;
 
-const CAMPAIGNS: [&str; 3] = ["pll-sweep", "pll-digital", "cpu"];
+const RUNS: [(&str, usize); 4] = [
+    ("pll-sweep", 8),
+    ("pll-digital", 8),
+    ("pll-digital", 1),
+    ("cpu", 8),
+];
 /// Interleaved base/early-abort round pairs per campaign.
 const ROUNDS: usize = 3;
 /// Campaign runs per CPU sample (see pr4: single runs quantize badly).
@@ -37,9 +44,9 @@ const MAX_ATTEMPTS: usize = 3;
 /// Never-slower gate: allow 3% measurement noise below 1.0x.
 const NEVER_SLOWER_MIN: f64 = 0.97;
 
-fn base_config() -> EngineConfig {
+fn base_config(workers: usize) -> EngineConfig {
     EngineConfig::default()
-        .with_workers(8)
+        .with_workers(workers)
         .with_checkpoint(true)
         .with_max_steps(100_000_000)
 }
@@ -183,6 +190,9 @@ fn oracle_speedup(campaign: &Campaign, base: &[CaseResult]) -> f64 {
 
 struct CampaignRow {
     name: &'static str,
+    workers: usize,
+    /// Forks that followed a tape, without and with early abort.
+    followed: [usize; 2],
     cases: usize,
     sealed: usize,
     saved_sim_pct: f64,
@@ -195,10 +205,11 @@ fn main() {
         "PR 5 — early-verdict streaming classification (checkpoint vs checkpoint + early abort)",
     );
     let mut rows = Vec::new();
-    for name in CAMPAIGNS {
+    for (name, workers) in RUNS {
+        let gated = workers > 1;
         let campaign = campaigns::build(name, None).expect("catalog campaign");
-        let base_cfg = base_config();
-        let ea_cfg = base_config().with_early_abort(true);
+        let base_cfg = base_config(workers);
+        let ea_cfg = base_config(workers).with_early_abort(true);
 
         // Gate 1: verdict parity, checked on dedicated runs before timing.
         let base_run = Engine::new(base_cfg.clone()).run(&campaign).expect("base");
@@ -230,7 +241,7 @@ fn main() {
         // Gate 2: never slower, best of up to MAX_ATTEMPTS measurements.
         let mut m = measure(&campaign, &base_cfg, &ea_cfg);
         for _ in 1..MAX_ATTEMPTS {
-            if m.speedup >= 1.0 {
+            if !gated || m.speedup >= 1.0 {
                 break;
             }
             let again = measure(&campaign, &base_cfg, &ea_cfg);
@@ -238,17 +249,21 @@ fn main() {
                 m = again;
             }
         }
+        let followed = [base_run.stats.followed, ea_run.stats.followed];
         println!(
-            "  {name:>12}: {} cases, {} sealed early ({saved_sim_pct:.1}% sim time saved), \
-             speedup {:.3}x ({}), oracle ceiling {:.3}x",
+            "  {name:>12} x{workers}: {} cases, {} sealed early ({saved_sim_pct:.1}% sim time \
+             saved), speedup {:.3}x ({}), oracle ceiling {:.3}x, followed {:?}",
             campaign.cases.len(),
             sealed,
             m.speedup,
             m.basis,
-            oracle
+            oracle,
+            followed
         );
         rows.push(CampaignRow {
             name,
+            workers,
+            followed,
             cases: campaign.cases.len(),
             sealed,
             saved_sim_pct,
@@ -261,12 +276,15 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
         entries.push_str(&format!(
-            "    {{\n      \"campaign\": \"{}\",\n      \"cases\": {},\n      \
+            "    {{\n      \"campaign\": \"{}\",\n      \"workers\": {},\n      \
+             \"followed\": {:?},\n      \"cases\": {},\n      \
              \"sealed_early\": {},\n      \"saved_sim_pct\": {:.2},\n      \
              \"base_s\": {:.6},\n      \"early_abort_s\": {:.6},\n      \
              \"speedup\": {:.4},\n      \"speedup_basis\": \"{}\",\n      \
              \"oracle_ceiling\": {:.4}\n    }}{sep}\n",
             r.name,
+            r.workers,
+            r.followed,
             r.cases,
             r.sealed,
             r.saved_sim_pct,
@@ -278,7 +296,7 @@ fn main() {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"pr5_early_abort\",\n  \"workers\": 8,\n  \"rounds\": {ROUNDS},\n  \
+        "{{\n  \"bench\": \"pr5_early_abort\",\n  \"rounds\": {ROUNDS},\n  \
          \"runs_per_sample\": {RUNS_PER_SAMPLE},\n  \"never_slower_min\": {NEVER_SLOWER_MIN},\n  \
          \"verdict_parity\": \"class+onset+affected identical on every case\",\n  \
          \"note\": \"pll-sweep speedup is verdict-latency bound: most of its failures \
@@ -296,12 +314,12 @@ fn main() {
 
     for r in &rows {
         assert!(
-            r.m.speedup >= NEVER_SLOWER_MIN,
+            r.workers == 1 || r.m.speedup >= NEVER_SLOWER_MIN,
             "{}: early abort is slower than the full run ({:.3}x < {NEVER_SLOWER_MIN}x)",
             r.name,
             r.m.speedup
         );
         assert!(r.sealed > 0, "{}: no case sealed early", r.name);
     }
-    println!("  all campaigns: verdicts identical, early abort never slower");
+    println!("  all campaigns: verdicts identical, early abort never slower at 8 workers");
 }

@@ -543,7 +543,7 @@ fn check_word_group(
                 LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
                     *sealed_at
                 }
-                LaneOutcome::Failed { error } => panic!("{what}, {leg}: lane {lane}: {error}"),
+                other => panic!("{what}, {leg}: lane {lane}: {other:?}"),
             };
             assert_eq!(
                 report.lane_toggles(lane),

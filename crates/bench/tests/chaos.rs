@@ -92,7 +92,7 @@ struct RelapseSim {
     ticks: u64,
     fault: Option<(u64, u64, u64)>,
     trace: Trace,
-    observer: Option<SimObserver>,
+    observer: SimObserver,
 }
 
 impl RelapseSim {
@@ -102,13 +102,13 @@ impl RelapseSim {
             ticks: 0,
             fault: None,
             trace: Trace::new(),
-            observer: None,
+            observer: SimObserver::default(),
         }
     }
 }
 
 impl ForkableSim for RelapseSim {
-    type Error = std::convert::Infallible;
+    type Error = GuardViolation;
 
     fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
         while self.now + Time::from_ns(1) <= t {
@@ -121,14 +121,9 @@ impl ForkableSim for RelapseSim {
             self.trace
                 .record_digital("flag", self.now, Logic::from_bool(flag))
                 .unwrap();
-            if let Some(observer) = &mut self.observer {
-                observer.poll(self.now, &[&self.trace]);
-            }
+            self.observer.poll(self.now, &[&self.trace])?;
         }
-        if let Some(observer) = &mut self.observer {
-            observer.flush(self.now, &[&self.trace]);
-        }
-        Ok(())
+        self.observer.flush(self.now, &[&self.trace])
     }
 
     fn current_time(&self) -> Time {
@@ -144,7 +139,7 @@ impl ForkableSim for RelapseSim {
     }
 
     fn install_observer(&mut self, observer: SimObserver) {
-        self.observer = Some(observer);
+        self.observer = observer;
     }
 }
 

@@ -264,7 +264,7 @@ impl ForkableSim for PllBench {
     }
 
     fn install_observer(&mut self, observer: amsfi_waves::SimObserver) {
-        self.mixed.set_observer(observer);
+        self.mixed.install_observer(observer);
     }
 
     fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, amsfi_digital::SimError> {

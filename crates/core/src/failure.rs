@@ -147,7 +147,8 @@ impl FromStr for SimFailure {
 impl From<GuardViolation> for SimFailure {
     /// Lifts a kernel-level guard violation into the campaign taxonomy.
     /// Cooperative cancellation is reported as a deadline: the only caller
-    /// of `cancel()` is the engine's timeout watchdog.
+    /// of `cancel()` is the engine's timeout watchdog. (A retired run is
+    /// booked with its watch's verdict, never through this taxonomy.)
     fn from(v: GuardViolation) -> Self {
         match v {
             GuardViolation::NonFinite { signal, t } => SimFailure::NonFinite { signal, t },
@@ -157,9 +158,9 @@ impl From<GuardViolation> for SimFailure {
             GuardViolation::TimestepCollapse { dt, min_dt, t } => {
                 SimFailure::TimestepCollapse { dt, min_dt, t }
             }
-            GuardViolation::Deadline { t } | GuardViolation::Cancelled { t } => {
-                SimFailure::Deadline { t }
-            }
+            GuardViolation::Deadline { t }
+            | GuardViolation::Cancelled { t }
+            | GuardViolation::Retired { t } => SimFailure::Deadline { t },
         }
     }
 }

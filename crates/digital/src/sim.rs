@@ -28,8 +28,8 @@ pub enum SimError {
         /// The configured delta limit.
         limit: usize,
     },
-    /// The installed [`SimBudget`] tripped: step budget exhausted, deadline
-    /// passed, cooperative cancellation, or a numerical guard.
+    /// The installed [`SimBudget`] tripped (step budget, deadline,
+    /// cancellation, a numerical guard) or [`SimObserver`] retired the run.
     Guard(GuardViolation),
     /// The word-parallel kernel cannot take this simulator over: it holds
     /// state that has no 64-lane form (see
@@ -262,7 +262,7 @@ pub struct Simulator {
     events_processed: u64,
     netlist_names: Arc<std::collections::HashMap<String, SignalId>>,
     budget: SimBudget,
-    observer: Option<SimObserver>,
+    observer: SimObserver,
     scratch: SimScratch,
     /// Components written from outside the netlist since construction:
     /// the fault sites [`Simulator::outside_writes_reach`] starts from.
@@ -340,7 +340,7 @@ impl Simulator {
             events_processed: 0,
             netlist_names: Arc::new(names),
             budget: SimBudget::unlimited(),
-            observer: None,
+            observer: SimObserver::default(),
             scratch: SimScratch::default(),
             touched_components: Vec::new(),
             touched_signals: Vec::new(),
@@ -366,14 +366,6 @@ impl Simulator {
     /// The installed budget.
     pub fn budget(&self) -> &SimBudget {
         &self.budget
-    }
-
-    /// Installs a [`SimObserver`] polled (at its stride) after each fully
-    /// drained time point, with that instant as the finality watermark:
-    /// every trace record strictly below it is frozen. Replaces any
-    /// previous observer.
-    pub fn set_observer(&mut self, observer: SimObserver) {
-        self.observer = Some(observer);
     }
 
     /// Marks a signal for tracing. Must be called before the first
@@ -746,7 +738,7 @@ impl Simulator {
     /// is built from (crate-internal; see [`crate::WordBatchSimulator`]),
     /// unless an observer is installed: no word machine shows one the trace.
     pub(crate) fn into_word_seed(self) -> Result<WordSeed, SimError> {
-        if self.observer.is_some() {
+        if self.observer.is_watching() {
             let why = "an observer is installed, which the word machine would not show";
             return Err(SimError::Unseedable(why.to_owned()));
         }
@@ -792,7 +784,7 @@ impl Simulator {
     ///
     /// Returns [`SimError::DeltaOverflow`] if a time point does not converge
     /// (zero-delay combinational loop), or [`SimError::Guard`] if the
-    /// installed [`SimBudget`] trips (step budget, deadline, cancellation).
+    /// installed [`SimBudget`] trips or [`SimObserver`] retires the run.
     pub fn run_until(&mut self, t_end: Time) -> Result<(), SimError> {
         let before = self.events_processed;
         let result = self.drain_until(t_end);
@@ -814,16 +806,12 @@ impl Simulator {
             }
             self.budget.note_step(t)?;
             self.advance_time_point(t)?;
-            if let Some(observer) = self.observer.as_mut() {
-                observer.poll(t, &[&self.trace]);
-            }
+            self.observer.poll(t, &[&self.trace])?;
         }
         if t_end > self.now() {
             self.wheel.advance(t_end);
         }
-        if let Some(observer) = self.observer.as_mut() {
-            observer.flush(self.wheel.now(), &[&self.trace]);
-        }
+        self.observer.flush(self.wheel.now(), &[&self.trace])?;
         Ok(())
     }
 
@@ -985,8 +973,12 @@ impl ForkableSim for Simulator {
         self.set_budget(budget);
     }
 
+    /// Installs a [`SimObserver`] polled (at its stride) after each fully
+    /// drained time point, with that instant as the finality watermark:
+    /// every trace record strictly below it is frozen; a hook that returns
+    /// `true` retires the run there. Replaces any previous observer.
     fn install_observer(&mut self, observer: SimObserver) {
-        self.set_observer(observer);
+        self.observer = observer;
     }
 }
 
@@ -1455,12 +1447,81 @@ mod tests {
         net.add("inv", Inv(Time::from_ns(1)), &[a], &[b]);
         let mut sim = Simulator::new(net);
         sim.monitor_name("b");
-        sim.set_observer(SimObserver::new(|_, _| {}));
+        sim.install_observer(SimObserver::new(|_, _| false));
         let mut batch = crate::WordBatchSimulator::new(sim, Time::from_us(1));
         batch.add_lane(Time::from_ns(20));
         match batch.run(|_, _| Ok(()), |_, _| {}) {
             Err(SimError::Unseedable(why)) => assert!(why.contains("observer"), "{why}"),
             other => panic!("expected an unseedable error, got {other:?}"),
         }
+    }
+
+    /// A free-running clock into an inverter: a time point every 5 ns.
+    fn clocked() -> Simulator {
+        let mut net = Netlist::new();
+        let clk = net.signal("clk", 1);
+        let out = net.signal("out", 1);
+        net.add(
+            "clk",
+            crate::cells::ClockGen::new(Time::from_ns(10)),
+            &[],
+            &[clk],
+        );
+        net.add("inv", Inv(Time::from_ns(1)), &[clk], &[out]);
+        let mut sim = Simulator::new(net);
+        sim.monitor_name("out");
+        sim
+    }
+
+    /// A hook that retires the run on its `n`-th call, sending each
+    /// watermark it is shown down `tx`.
+    fn retiring_on(n: u32, tx: std::sync::mpsc::Sender<Time>) -> SimObserver {
+        let mut calls = 0;
+        SimObserver::new(move |t, _| {
+            calls += 1;
+            tx.send(t).unwrap();
+            calls == n
+        })
+    }
+
+    #[test]
+    fn a_hook_that_returns_true_retires_the_run_at_that_poll() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut sim = clocked();
+        sim.install_observer(retiring_on(3, tx));
+        let err = sim.run_until(Time::from_us(10)).unwrap_err();
+        let shown: Vec<Time> = rx.try_iter().collect();
+        assert_eq!(shown.len(), 3, "the hook is not asked again");
+        let t = shown[2];
+        assert_eq!(err, SimError::Guard(GuardViolation::Retired { t }));
+        assert_eq!(sim.now(), t, "the run stops at the poll's instant");
+    }
+
+    #[test]
+    fn a_hook_that_never_retires_leaves_the_trace_as_an_unobserved_run() {
+        let mut plain = clocked();
+        plain.run_until(Time::from_us(10)).unwrap();
+        let mut watched = clocked();
+        let polls = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let seen = Arc::clone(&polls);
+        watched.install_observer(SimObserver::new(move |_, _| {
+            seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            false
+        }));
+        watched.run_until(Time::from_us(10)).unwrap();
+        assert!(polls.load(std::sync::atomic::Ordering::Relaxed) > 1);
+        assert_eq!(watched.trace(), plain.trace());
+        assert_eq!(watched.state_digest(), plain.state_digest());
+    }
+
+    #[test]
+    fn a_clone_of_an_observed_simulator_carries_no_observer() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut sim = clocked();
+        sim.install_observer(retiring_on(1, tx));
+        let mut copy = sim.clone();
+        copy.run_until(Time::from_us(1)).unwrap();
+        assert_eq!(rx.try_iter().count(), 0, "the copy is not watched");
+        assert!(sim.run_until(Time::from_us(1)).is_err(), "the original is");
     }
 }

@@ -56,12 +56,12 @@
 //! that differ now — and the bits it never recorded although golden did. A
 //! lane that never differed has nothing ([`LaneOutcome::Clean`]); a watch
 //! is shown them at the machine's stops, and may retire the lane there
-//! ([`WordBatchSimulator::run_watched`]). Per-lane budgets are
-//! sorted once, when installed: a step cap becomes a value of one shared
-//! step counter (one compare per time point against the earliest trip), a
-//! cancel token is asked at the stops. A budget trip retires only that
-//! lane ([`LaneOutcome::Failed`]) and the campaign engine re-runs the case
-//! scalar, preserving byte identity.
+//! ([`WordBatchSimulator::run_watched`], [`LaneOutcome::Retired`]).
+//! Per-lane budgets are sorted once, when installed: a step cap becomes a
+//! value of one shared step counter (one compare per time point against
+//! the earliest trip), a cancel token is asked at the stops. A budget trip
+//! retires only that lane ([`LaneOutcome::Failed`]) and the campaign engine
+//! re-runs the case scalar, preserving byte identity.
 
 use crate::component::{Action, Component, EvalContext, Pool};
 use crate::netlist::{ComponentId, SignalId};
@@ -659,9 +659,9 @@ struct WordSimulator {
     next_trip: u64,
     /// Per lane, the cancel token its budget carries, asked at stops.
     cancels: Vec<Option<CancelToken>>,
-    /// Lanes with an entry in `lane_failures` not yet collected.
-    failed: u64,
-    lane_failures: Vec<Option<String>>,
+    /// Lanes with an outcome in `endings` not yet collected.
+    ended: u64,
+    endings: Vec<Option<LaneOutcome>>,
     /// The monitored signals each retired case has not touched, case after
     /// case: a [`Retired`] holds its range of them.
     untouched: Vec<usize>,
@@ -743,8 +743,8 @@ impl WordSimulator {
             step_caps: Vec::new(),
             next_trip: u64::MAX,
             cancels: vec![None; LANES],
-            failed: 0,
-            lane_failures: (0..LANES).map(|_| None).collect(),
+            ended: 0,
+            endings: (0..LANES).map(|_| None).collect(),
             untouched: Vec::new(),
             scratch: WordScratch::default(),
         };
@@ -782,10 +782,10 @@ impl WordSimulator {
         Ok(sim)
     }
 
-    /// Retires lane `lane` with an error: frozen, no longer recorded.
-    fn fail_lane(&mut self, lane: usize, error: String) {
-        self.lane_failures[lane] = Some(error);
-        self.failed |= 1 << lane;
+    /// Retires lane `lane` early with `outcome`: frozen, no longer recorded.
+    fn end_lane(&mut self, lane: usize, outcome: LaneOutcome) {
+        self.endings[lane] = Some(outcome);
+        self.ended |= 1 << lane;
         self.live &= !(1 << lane);
         self.recording &= !(1 << lane);
     }
@@ -799,7 +799,7 @@ impl WordSimulator {
     /// whole word run — per-lane faults cannot be untangled from a
     /// non-converging word delta cycle, and nothing can be compared
     /// against a broken golden lane. Per-*lane* budget trips retire only
-    /// that lane (recorded in `lane_failures`).
+    /// that lane (recorded in `endings`).
     fn run_until(&mut self, t_end: Time) -> Result<(), SimError> {
         let before = self.events_processed;
         let result = self.drain_until(t_end);
@@ -873,7 +873,8 @@ impl WordSimulator {
                 steps: cap.steps,
                 t,
             };
-            self.fail_lane(cap.lane, SimError::from(violation).to_string());
+            let error = SimError::from(violation).to_string();
+            self.end_lane(cap.lane, LaneOutcome::Failed { error });
             false
         });
         self.step_caps = caps;
@@ -1096,8 +1097,8 @@ impl WordSimulator {
     }
 
     /// Stop `t` for each running case: `watch`, if given, is shown the
-    /// lane, and retires it by returning `true`, as a cancelled or expired
-    /// token does.
+    /// lane, and retires it by returning `true` ([`LaneOutcome::Retired`]);
+    /// a cancelled or expired token fails it.
     fn stop_cases(
         &mut self,
         occupant: &[usize; LANES],
@@ -1116,13 +1117,17 @@ impl WordSimulator {
                 }
                 watch(occupant[lane], t, &self.toggles[lane], untouched)
             });
+            if retire {
+                self.end_lane(lane, LaneOutcome::Retired);
+                continue;
+            }
             let violation = match &self.cancels[lane] {
-                _ if retire => GuardViolation::Cancelled { t },
                 Some(token) if token.is_cancelled() => GuardViolation::Cancelled { t },
                 Some(token) if token.expired() => GuardViolation::Deadline { t },
                 _ => continue,
             };
-            self.fail_lane(lane, SimError::from(violation).to_string());
+            let error = SimError::from(violation).to_string();
+            self.end_lane(lane, LaneOutcome::Failed { error });
         }
     }
 
@@ -1356,9 +1361,10 @@ pub enum LaneOutcome {
         /// Reconvergence-seal instant, `None` if the lane ran to the end.
         sealed_at: Option<Time>,
     },
+    /// A watch retired the lane (early abort): the watch holds its verdict.
+    Retired,
     /// The lane's simulation failed: guard trip, cooperative cancellation,
-    /// retirement by a watch (early abort), or injection error. Other lanes
-    /// are unaffected.
+    /// or injection error. Other lanes are unaffected.
     Failed {
         /// Display form of the lane's error.
         error: String,
@@ -1380,13 +1386,14 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Lane `lane`'s mismatch toggles against [`BatchReport::golden`] —
-    /// none for a [`LaneOutcome::Clean`] lane — or `None` if it failed.
+    /// none for a [`LaneOutcome::Clean`] lane — or `None` if it retired or
+    /// failed.
     pub fn lane_toggles(&self, lane: usize) -> Option<&MismatchToggles> {
         static NONE: MismatchToggles = MismatchToggles::new();
         match &self.outcomes[lane] {
             LaneOutcome::Completed { toggles, .. } => Some(toggles),
             LaneOutcome::Clean { .. } => Some(&NONE),
-            LaneOutcome::Failed { .. } => None,
+            LaneOutcome::Retired | LaneOutcome::Failed { .. } => None,
         }
     }
 }
@@ -1577,9 +1584,8 @@ impl WordBatchSimulator {
     /// untouched)` is shown each running case at each stop before the
     /// horizon, after the reconvergence probe: its toggles so far, and the
     /// monitored golden slots it has not recorded yet (the signals it has
-    /// not changed). Returning `true` retires the case's lane at that stop,
-    /// as a cancelled token in its budget would: the case ends
-    /// [`LaneOutcome::Failed`].
+    /// not changed). Returning `true` retires the case's lane at that stop:
+    /// the case ends [`LaneOutcome::Retired`].
     ///
     /// # Errors
     ///
@@ -1754,7 +1760,7 @@ fn run_machine(
 
     for &t in stops {
         sim.run_until(t)?;
-        collect_failures(sim, cases, &occupant);
+        collect_endings(sim, cases, &occupant);
 
         // Seat the cases whose injection instant this stop is: from here on
         // the lane is compared with golden, and setup + inject run on it.
@@ -1779,25 +1785,19 @@ fn run_machine(
                 sim: &mut *sim,
                 lane,
             };
-            cases[case].state = match arm(case, &mut ctx) {
-                Ok(()) => {
-                    activated = true;
-                    CaseState::Running { lane }
-                }
-                Err(error) => {
-                    sim.fail_lane(lane, error.clone());
-                    sim.lane_failures[lane] = None;
-                    CaseState::Done(LaneOutcome::Failed { error })
-                }
-            };
+            match arm(case, &mut ctx) {
+                Ok(()) => activated = true,
+                Err(error) => sim.end_lane(lane, LaneOutcome::Failed { error }),
+            }
+            cases[case].state = CaseState::Running { lane };
         }
         // Drain the injection wakes scheduled at the stop itself, so the
         // corrupted state propagates before the seal probe — the same
         // re-opened time point a scalar run processes.
         if activated {
             sim.run_until(t)?;
-            collect_failures(sim, cases, &occupant);
         }
+        collect_endings(sim, cases, &occupant);
 
         let mut sealed = seal_reconverged(sim, metrics);
         free |= sealed;
@@ -1833,7 +1833,7 @@ fn run_machine(
     // early: the golden trace is the report's, and what the sealed cases
     // would have recorded after their seal is read off it.
     sim.run_until(t_end)?;
-    collect_failures(sim, cases, &occupant);
+    collect_endings(sim, cases, &occupant);
     for &case in queue {
         let state = std::mem::replace(&mut cases[case].state, CaseState::Pending);
         cases[case].state = match state {
@@ -1851,15 +1851,15 @@ fn run_machine(
     Ok(pass)
 }
 
-/// Moves per-lane failures recorded inside the word machine (budget trips)
-/// to the cases on those lanes.
-fn collect_failures(sim: &mut WordSimulator, cases: &mut [WordCase], occupant: &[usize; LANES]) {
-    let mut m = std::mem::take(&mut sim.failed);
+/// Moves the outcomes of lanes that ended inside the word machine (budget
+/// trips, watch retirements, injection errors) to the cases on them.
+fn collect_endings(sim: &mut WordSimulator, cases: &mut [WordCase], occupant: &[usize; LANES]) {
+    let mut m = std::mem::take(&mut sim.ended);
     while m != 0 {
         let lane = m.trailing_zeros() as usize;
         m &= m - 1;
-        if let Some(error) = sim.lane_failures[lane].take() {
-            cases[occupant[lane]].state = CaseState::Done(LaneOutcome::Failed { error });
+        if let Some(outcome) = sim.endings[lane].take() {
+            cases[occupant[lane]].state = CaseState::Done(outcome);
         }
     }
 }
@@ -1974,7 +1974,7 @@ mod tests {
             LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
                 *sealed_at
             }
-            LaneOutcome::Failed { error } => panic!("{error}"),
+            other => panic!("{other:?}"),
         }
     }
 
@@ -2371,6 +2371,7 @@ mod tests {
         let kept = word.add_lane(ns(305));
         let retired = word.add_lane(ns(305));
         let mut shown: Vec<(Time, MismatchToggles, Vec<DigitalSlot>)> = Vec::new();
+        let mut last_asked = Time::ZERO;
         let report = word
             .run_watched(
                 |_, target| {
@@ -2381,6 +2382,8 @@ mod tests {
                 |lane, t, toggles, untouched| {
                     if lane == kept {
                         shown.push((t, toggles.clone(), untouched.to_vec()));
+                    } else {
+                        last_asked = t;
                     }
                     lane == retired && t >= ns(1000)
                 },
@@ -2400,12 +2403,8 @@ mod tests {
             assert_eq!(*untouched, expected, "untouched at {t}");
         }
         assert!(!all.is_empty());
-        match &report.outcomes[retired] {
-            LaneOutcome::Failed { error } => {
-                assert_eq!(*error, format!("cancelled t={}", ns(1000).as_fs()));
-            }
-            other => panic!("the retired lane must end at that stop: {other:?}"),
-        }
+        assert!(matches!(report.outcomes[retired], LaneOutcome::Retired));
+        assert_eq!(last_asked, ns(1000), "the retired lane ends at that stop");
     }
 
     #[test]

@@ -346,7 +346,9 @@ pub struct CaseCtx {
     budget: SimBudget,
     telemetry: Telemetry,
     timer: Mutex<(Instant, Option<Stage>)>,
-    observer: Mutex<Option<SimObserver>>,
+    observer: Mutex<SimObserver>,
+    /// Where the observer's classifier leaves its sealed verdict.
+    sealed: Option<Arc<OnceLock<CaseOutcome>>>,
     /// Set by [`Campaign::forked`]'s fork closure when the attempt's trace
     /// came from following a tape.
     followed: AtomicBool,
@@ -359,8 +361,9 @@ impl CaseCtx {
         stats: Arc<EngineStats>,
         budget: SimBudget,
         telemetry: Telemetry,
-        observer: Option<SimObserver>,
+        early: Option<OnlineClassifier>,
     ) -> Self {
+        let (observer, sealed) = early.map(watch).unzip();
         CaseCtx {
             index,
             attempt,
@@ -368,7 +371,8 @@ impl CaseCtx {
             budget,
             telemetry,
             timer: Mutex::new((Instant::now(), None)),
-            observer: Mutex::new(observer),
+            observer: Mutex::new(observer.unwrap_or_default()),
+            sealed,
             followed: AtomicBool::new(false),
         }
     }
@@ -385,20 +389,19 @@ impl CaseCtx {
             budget: SimBudget::unlimited(),
             telemetry: Telemetry::disabled(),
             timer: Mutex::new((Instant::now(), None)),
-            observer: Mutex::new(None),
+            observer: Mutex::default(),
+            sealed: None,
             followed: AtomicBool::new(false),
         }
     }
 
-    /// Takes the attempt's streaming trace observer, armed by the engine
-    /// under [`EngineConfig::with_early_abort`] (`None` otherwise, and on
-    /// every call after the first). Runners hand it to their kernel —
-    /// [`Campaign::forked`] does this automatically via
-    /// [`ForkableSim::install_observer`] right after installing the
-    /// budget — so the engine's online classifier sees the trace grow and
-    /// can cancel the attempt's budget token the moment a verdict seals.
-    pub fn take_observer(&self) -> Option<SimObserver> {
-        self.observer.lock().expect("observer slot poisoned").take()
+    /// Takes the attempt's streaming trace observer under
+    /// [`EngineConfig::with_early_abort`] (an empty one otherwise, and on
+    /// every call after the first). Runners hand it to their kernel, as
+    /// [`Campaign::forked`] does; once the case's online classifier seals,
+    /// the kernel retires the run, and the runner passes that error on.
+    pub fn take_observer(&self) -> SimObserver {
+        std::mem::take(&mut self.observer.lock().expect("observer slot poisoned"))
     }
 
     /// Which case to inject; `None` asks for the golden (fault-free) run.
@@ -689,9 +692,7 @@ impl Campaign {
             Arc::new(move |ctx: &CaseCtx| {
                 let mut sim = build(ctx)?;
                 sim.install_budget(ctx.budget().clone());
-                if let Some(observer) = ctx.take_observer() {
-                    sim.install_observer(observer);
-                }
+                sim.install_observer(ctx.take_observer());
                 ctx.stage(Stage::Simulate);
                 match ctx.index() {
                     None => {
@@ -756,9 +757,7 @@ impl Campaign {
                     let stop = cp.at();
                     let mut sim = cp.into_sim();
                     sim.install_budget(ctx.budget().clone());
-                    if let Some(observer) = ctx.take_observer() {
-                        sim.install_observer(observer);
-                    }
+                    sim.install_observer(ctx.take_observer());
                     inject(&mut sim, i)?;
                     let followed = match tapes.tape_from(stop) {
                         Some(tape) => sim.follow(&tape).map_err(sim_err)?,
@@ -906,14 +905,23 @@ impl From<JournalError> for EngineError {
     }
 }
 
-/// A streaming classifier wired up for one scalar or forked attempt (see
-/// [`Engine::arm`]): the observer goes to the kernel and shows the
-/// classifier the trace as it grows, the token goes into the simulation's
-/// budget, and the classifier is asked for its sealed verdict afterwards.
-struct Armed {
-    classifier: Arc<Mutex<OnlineClassifier>>,
-    observer: SimObserver,
-    token: CancelToken,
+/// The `--early-abort` watch of one scalar or forked attempt: shown the
+/// trace as it grows, it retires the run once `classifier` seals, leaving
+/// the verdict in the slot returned with it.
+fn watch(mut classifier: OnlineClassifier) -> (SimObserver, Arc<OnceLock<CaseOutcome>>) {
+    let sealed = Arc::new(OnceLock::new());
+    let slot = Arc::clone(&sealed);
+    let observer = SimObserver::new(move |t, view| {
+        classifier.observe(t, view);
+        match classifier.sealed() {
+            Some(verdict) => {
+                slot.get_or_init(|| verdict.clone());
+                true
+            }
+            None => false,
+        }
+    });
+    (observer, sealed)
 }
 
 /// How one attempt ended (before retry/policy handling).
@@ -925,9 +933,9 @@ enum Attempt {
         followed: bool,
     },
     /// The attempt's online classifier sealed the verdict mid-simulation
-    /// and cancelled the budget token (`--early-abort`): a final,
+    /// and its watch retired the run (`--early-abort`): a final,
     /// *classified* outcome — not retried. `steps` is the attempt's
-    /// simulation-step tally at abort, used to estimate the saving.
+    /// simulation-step tally at retirement, used to estimate the saving.
     Sealed {
         outcome: Box<CaseOutcome>,
         steps: u64,
@@ -944,8 +952,16 @@ enum Attempt {
 }
 
 impl Attempt {
-    /// How a panic-isolated runner call on `ctx` ended.
+    /// How a panic-isolated runner call on `ctx` ended. A run that ended
+    /// in an error after its watch sealed a verdict was retired by it.
     fn of(out: std::thread::Result<Result<Trace, BoxError>>, ctx: &CaseCtx) -> Attempt {
+        let sealed = ctx.sealed.as_ref().and_then(|sealed| sealed.get());
+        if let (Ok(Err(_)), Some(sealed)) = (&out, sealed) {
+            return Attempt::Sealed {
+                outcome: Box::new(sealed.clone()),
+                steps: ctx.budget.attempt_steps(),
+            };
+        }
         match out {
             Ok(Ok(trace)) => Attempt::Ok {
                 trace,
@@ -1346,7 +1362,7 @@ impl Engine {
             Attempt::SimFailed(f) => Err(EngineError::Golden(f.to_string())),
             Attempt::TimedOut => Err(EngineError::Golden("timed out".to_owned())),
             Attempt::Sealed { .. } => {
-                unreachable!("the golden run never arms an online classifier")
+                unreachable!("the golden run is never watched")
             }
         }
     }
@@ -1401,8 +1417,8 @@ impl Engine {
     }
 
     /// The simulation budget from the engine knobs, without a cancel token:
-    /// whoever runs under it attaches a fresh one where a deadline or an
-    /// online classifier calls for it.
+    /// whoever runs under it attaches a fresh one where a deadline calls
+    /// for it.
     fn case_budget(&self) -> SimBudget {
         let mut budget = SimBudget::unlimited();
         if let Some(max_steps) = self.config.max_steps {
@@ -1422,31 +1438,6 @@ impl Engine {
         }
     }
 
-    /// Builds the `--early-abort` streaming classifier of one scalar or
-    /// forked attempt. Its observer cancels `token` (which expires on its
-    /// own after `deadline`, if given) the moment the verdict seals: early
-    /// abort rides the cooperative-stop plumbing the timeout watchdog uses.
-    fn arm(classifier: OnlineClassifier, deadline: Option<Duration>) -> Armed {
-        let token = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
-        let classifier = Arc::new(Mutex::new(classifier));
-        let observer = {
-            let (classifier, token) = (Arc::clone(&classifier), token.clone());
-            SimObserver::new(move |t, view| {
-                if let Ok(mut classifier) = classifier.lock() {
-                    classifier.observe(t, view);
-                    if classifier.sealed().is_some() {
-                        token.cancel();
-                    }
-                }
-            })
-        };
-        Armed {
-            classifier,
-            observer,
-            token,
-        }
-    }
-
     /// One attempt: panic-isolated, optionally under a wall-clock timeout.
     fn run_attempt(
         &self,
@@ -1457,12 +1448,8 @@ impl Engine {
         early: Option<&OnlineClassifier>,
     ) -> Attempt {
         let runner = Arc::clone(runner);
-        let armed = early.map(|early| Self::arm(early.clone(), self.config.timeout));
-        let token = match &armed {
-            Some(armed) => Some(armed.token.clone()),
-            None => self.config.timeout.map(CancelToken::with_deadline),
-        };
-        let (classifier, observer) = armed.map(|a| (a.classifier, a.observer)).unzip();
+        let early = early.cloned();
+        let token = self.config.timeout.map(CancelToken::with_deadline);
         let budget = match &token {
             Some(token) => self.metered_budget().with_cancel(token.clone()),
             None => self.metered_budget(),
@@ -1475,38 +1462,27 @@ impl Engine {
             let stats = Arc::clone(stats);
             let telemetry = self.config.telemetry.clone();
             move || {
-                let ctx = CaseCtx::attached(index, attempt, stats, budget, telemetry, observer);
+                let ctx = CaseCtx::attached(index, attempt, stats, budget, telemetry, early);
                 let out = catch_unwind(AssertUnwindSafe(|| runner(&ctx)));
                 ctx.finish();
                 Attempt::of(out, &ctx)
             }
         };
-        let outcome = self.drive_attempt(call, &token);
-        let steps = budget_probe.attempt_steps();
+        let outcome = self.drive_attempt(call, token);
         if let Some(metrics) = self.config.telemetry.metrics() {
-            metrics.steps_used.observe(steps);
+            metrics.steps_used.observe(budget_probe.attempt_steps());
         }
-        // A sealed verdict wins over whatever the aborted simulation
-        // reported — the cancellation typically surfaces as a deadline
-        // guard trip (normalised to a timeout above), and with a fast
-        // solver the run may even have finished `Ok` in the race window.
-        // Either way the sealed outcome is the verdict.
-        match classifier.and_then(|c| c.lock().ok()?.sealed().cloned()) {
-            Some(sealed) => Attempt::Sealed {
-                outcome: Box::new(sealed),
-                steps,
-            },
-            None => outcome,
-        }
+        outcome
     }
 
-    /// Runs `call` inline, or on a watchdog thread when a timeout is set.
+    /// Runs `call` inline, or on a watchdog thread when a timeout is set
+    /// (and `token` is the attempt's deadline token).
     fn drive_attempt(
         &self,
         call: impl FnOnce() -> Attempt + Send + 'static,
-        token: &Option<CancelToken>,
+        token: Option<CancelToken>,
     ) -> Attempt {
-        let Some(timeout) = self.config.timeout else {
+        let (Some(timeout), Some(token)) = (self.config.timeout, token) else {
             return call();
         };
         // The attempt runs on its own thread so a wedged solver cannot
@@ -1532,24 +1508,21 @@ impl Engine {
                     // a moment before the engine's own timer expired. Same
                     // timeout, same report — otherwise the winner of that
                     // race decides between `timed out` and `sim-failure`.
-                    Attempt::SimFailed(SimFailure::Deadline { .. }) if token.is_some() => {
-                        Attempt::TimedOut
-                    }
+                    Attempt::SimFailed(SimFailure::Deadline { .. }) => Attempt::TimedOut,
                     outcome => outcome,
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(token) = &token {
-                    token.cancel();
-                }
+                token.cancel();
                 let grace = timeout.clamp(Duration::from_millis(50), Duration::from_secs(2));
                 match rx.recv_timeout(grace) {
                     Ok(late) => {
                         let _ = handle.join();
                         match late {
-                            // The attempt finished in the race window
-                            // between expiry and cancellation; keep it.
-                            late @ Attempt::Ok { .. } => late,
+                            // The attempt finished, or its watch retired
+                            // it, in the race window between expiry and
+                            // cancellation; keep it.
+                            late @ (Attempt::Ok { .. } | Attempt::Sealed { .. }) => late,
                             _ => Attempt::TimedOut,
                         }
                     }
@@ -1934,13 +1907,13 @@ impl Run<'_> {
     ///
     /// With `--early-abort` the group runs under one watch over the lanes'
     /// classifiers, plain values of this call: shown a lane at a stop, it
-    /// feeds the lane's classifier, and a seal retires the lane, whose
-    /// sealed verdict is booked. A classifier reads the lane's toggles
-    /// through the run's golden trace, whose slots are the group's: the
-    /// group forks from the golden run's own snapshots. A lane that fails
-    /// without a seal falls back to the scalar path for that case alone —
-    /// which re-derives guard-trip verdicts, retry accounting and
-    /// quarantine exactly as a scalar run would.
+    /// feeds the lane's classifier, and a seal retires the lane
+    /// ([`LaneOutcome::Retired`]), whose sealed verdict is booked. A
+    /// classifier reads the lane's toggles through the run's golden trace,
+    /// whose slots are the group's: the group forks from the golden run's
+    /// own snapshots. A lane that fails falls back to the scalar path for
+    /// that case alone — which re-derives guard-trip verdicts, retry
+    /// accounting and quarantine exactly as a scalar run would.
     ///
     /// A completed lane is booked from [`Run::drawn_verdicts`]: its toggles
     /// are taken against the group's golden lane, whose trace must equal
@@ -2037,19 +2010,20 @@ impl Run<'_> {
                         .get_or_init(|| self.classify(self.golden.trace()));
                     self.book(index, verdict.clone(), None)?
                 }
+                LaneOutcome::Retired => {
+                    let sealed = classifiers[lane]
+                        .sealed()
+                        .expect("a retired lane's verdict");
+                    self.book_sealed(index, sealed.clone(), 0, None)?
+                }
                 LaneOutcome::Failed { error } => {
-                    match classifiers.get(lane).and_then(OnlineClassifier::sealed) {
-                        Some(sealed) => self.book_sealed(index, sealed.clone(), 0, None)?,
-                        None => {
-                            self.stats.record_fallbacks(1);
-                            tele.emit_with(|| {
-                                Event::new("batch", "lane_fallback")
-                                    .with_case(index)
-                                    .with_field("reason", error)
-                            });
-                            self.execute_one(index, None)?
-                        }
-                    }
+                    self.stats.record_fallbacks(1);
+                    tele.emit_with(|| {
+                        Event::new("batch", "lane_fallback")
+                            .with_case(index)
+                            .with_field("reason", error)
+                    });
+                    self.execute_one(index, None)?
                 }
             };
             done.push((index, entry));

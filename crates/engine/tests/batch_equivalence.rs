@@ -642,7 +642,7 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
                 LaneOutcome::Completed { sealed_at, .. } | LaneOutcome::Clean { sealed_at } => {
                     sealed_at.unwrap_or(horizon)
                 }
-                LaneOutcome::Failed { error } => panic!("{name}, unguarded lane {lane}: {error}"),
+                other => panic!("{name}, unguarded lane {lane}: {other:?}"),
             };
             let lived = ((end - at).as_fs() / tick.as_fs()) as u64;
             if lived > cap + 8 {

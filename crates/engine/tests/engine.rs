@@ -8,11 +8,12 @@ use amsfi_engine::{
     campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, EngineReport,
     ErrorPolicy, Event, Journal, JournalEntry, Shard, SkippedCase, Telemetry,
 };
-use amsfi_waves::{ForkableSim, Logic, SimObserver, Time, Trace};
+use amsfi_waves::{ForkableSim, GuardViolation, Logic, SimBudget, SimObserver, Time, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn unique_path(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -71,7 +72,9 @@ struct TickSim {
     /// exactly the shape the quiescent seal fires on.
     flag_ticks: u64,
     trace: Trace,
-    observer: Option<SimObserver>,
+    observer: SimObserver,
+    /// Where installed budgets note whether they hold a cancel token.
+    budgets: Option<Arc<Mutex<Vec<bool>>>>,
 }
 
 impl TickSim {
@@ -83,13 +86,14 @@ impl TickSim {
             invert_next: false,
             flag_ticks: 0,
             trace: Trace::new(),
-            observer: None,
+            observer: SimObserver::default(),
+            budgets: None,
         }
     }
 }
 
 impl ForkableSim for TickSim {
-    type Error = std::convert::Infallible;
+    type Error = GuardViolation;
 
     fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
         while self.now + Time::from_ns(1) <= t {
@@ -113,14 +117,9 @@ impl ForkableSim for TickSim {
             self.trace
                 .record_digital("flag", self.now, Logic::from_bool(flag))
                 .unwrap();
-            if let Some(observer) = &mut self.observer {
-                observer.poll(self.now, &[&self.trace]);
-            }
+            self.observer.poll(self.now, &[&self.trace])?;
         }
-        if let Some(observer) = &mut self.observer {
-            observer.flush(self.now, &[&self.trace]);
-        }
-        Ok(())
+        self.observer.flush(self.now, &[&self.trace])
     }
 
     fn current_time(&self) -> Time {
@@ -135,8 +134,14 @@ impl ForkableSim for TickSim {
         0x7E57
     }
 
+    fn install_budget(&mut self, budget: SimBudget) {
+        if let Some(budgets) = &self.budgets {
+            budgets.lock().unwrap().push(budget.is_cancellable());
+        }
+    }
+
     fn install_observer(&mut self, observer: SimObserver) {
-        self.observer = Some(observer);
+        self.observer = observer;
     }
 }
 
@@ -173,7 +178,9 @@ fn forked_toy_campaign(n: usize, injects: Arc<AtomicUsize>) -> Campaign {
 /// quiescent rule one settle window after injection. Odd indices pulse it
 /// for one tick — a closed interval, sealed `Transient` one settle window
 /// after it re-converges. Both seal around 200 ns into the 600 ns window.
-fn ea_toy_campaign(n: usize) -> Campaign {
+/// Each budget a run installs notes in `budgets` whether it holds a cancel
+/// token.
+fn ea_toy_campaign(n: usize, budgets: &Arc<Mutex<Vec<bool>>>) -> Campaign {
     let t_end = Time::from_ns(600);
     let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["flag".to_owned()]);
     let cases = (0..n)
@@ -184,7 +191,16 @@ fn ea_toy_campaign(n: usize) -> Campaign {
         spec,
         cases,
         t_end,
-        |_ctx: &CaseCtx| Ok(TickSim::fresh()),
+        {
+            let budgets = Arc::clone(budgets);
+            move |_ctx: &CaseCtx| {
+                let budgets = Some(Arc::clone(&budgets));
+                Ok(TickSim {
+                    budgets,
+                    ..TickSim::fresh()
+                })
+            }
+        },
         move |sim: &mut TickSim, i| {
             sim.flag_ticks = if i.is_multiple_of(2) { u64::MAX } else { 1 };
             Ok(())
@@ -198,7 +214,7 @@ fn ea_toy_campaign(n: usize) -> Campaign {
 #[test]
 fn early_abort_kill_and_resume_round_trips_sealed_at() {
     let path = unique_path("ea-resume");
-    let campaign = ea_toy_campaign(12);
+    let campaign = ea_toy_campaign(12, &Arc::default());
     let config = || {
         EngineConfig::default()
             .with_workers(2)
@@ -266,6 +282,93 @@ fn early_abort_kill_and_resume_round_trips_sealed_at() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A watch retires its run itself: without `--timeout` no budget of an
+/// `--early-abort` run holds a cancel token — on the scalar plan or the
+/// forked one, golden run included — and under it every one holds the
+/// timeout's.
+#[test]
+fn an_early_abort_budget_holds_a_cancel_token_only_under_a_timeout() {
+    for checkpoint in [false, true] {
+        for timeout in [None, Some(Duration::from_secs(600))] {
+            let budgets = Arc::default();
+            let campaign = ea_toy_campaign(4, &budgets);
+            let mut config = EngineConfig::default()
+                .with_workers(1)
+                .with_checkpoint(checkpoint)
+                .with_early_abort(true);
+            if let Some(timeout) = timeout {
+                config = config.with_timeout(timeout);
+            }
+            let report = Engine::new(config).run(&campaign).unwrap();
+            let what = format!("checkpoint {checkpoint}, timeout {timeout:?}");
+            assert!(
+                report
+                    .result
+                    .cases
+                    .iter()
+                    .all(|c| c.outcome.sealed_at.is_some()),
+                "{what}: every case seals"
+            );
+            let budgets = budgets.lock().unwrap();
+            assert_eq!(budgets.len(), 5, "{what}: golden and four cases");
+            assert!(
+                budgets
+                    .iter()
+                    .all(|&cancellable| cancellable == timeout.is_some()),
+                "{what}: {budgets:?}"
+            );
+        }
+    }
+}
+
+/// `--early-abort` under a generous `--timeout` books exactly what it books
+/// without one — on the scalar plan and both forked benches, at one worker
+/// and at three — and no attempt times out or is retried: a retired run is
+/// never taken for a cancelled one.
+#[test]
+fn early_abort_books_the_same_under_a_generous_timeout() {
+    let runs = [
+        ("cpu", 48, false),
+        ("cpu", 48, true),
+        ("pll-sweep", 12, true),
+    ];
+    for (name, limit, checkpoint) in runs {
+        let campaign = campaigns::build(name, Some(limit)).expect("catalog campaign");
+        for workers in [1, 3] {
+            let journal = |timeout: Option<Duration>| {
+                let path = unique_path("ea-timeout");
+                let mut config = EngineConfig::default()
+                    .with_workers(workers)
+                    .with_checkpoint(checkpoint)
+                    .with_early_abort(true)
+                    .with_journal(&path);
+                if let Some(timeout) = timeout {
+                    config = config.with_timeout(timeout);
+                }
+                let report = Engine::new(config).run(&campaign).expect("engine run");
+                let stats = (report.stats.timeouts, report.stats.retries);
+                assert_eq!(
+                    stats,
+                    (0, 0),
+                    "{name}, timeout {timeout:?}: timeouts, retries"
+                );
+                let text = std::fs::read_to_string(&path).expect("read journal");
+                std::fs::remove_file(&path).ok();
+                let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+                lines.sort();
+                lines
+            };
+            let plain = journal(None);
+            assert!(
+                plain.iter().any(|line| line.contains(" sealed_at=")),
+                "{name}: some case seals"
+            );
+            let what = format!("{name}, checkpoint {checkpoint}, {workers} worker(s)");
+            assert_eq!(journal(Some(Duration::from_secs(600))), plain, "{what}");
+        }
+    }
 }
 
 /// PR 2 tentpole end-to-end: a checkpointed run can be killed (simulated by

@@ -75,7 +75,7 @@ pub struct MixedSimulator {
     max_sync_step: Time,
     seeded: bool,
     budget: SimBudget,
-    observer: Option<SimObserver>,
+    observer: SimObserver,
     /// Each digitized node's value at the start of the sync step in flight
     /// (scratch: refilled every step).
     prev: Vec<f64>,
@@ -97,7 +97,7 @@ impl MixedSimulator {
             max_sync_step: Time::MAX,
             seeded: false,
             budget: SimBudget::unlimited(),
-            observer: None,
+            observer: SimObserver::default(),
             prev: Vec::new(),
             followed: None,
         }
@@ -132,16 +132,6 @@ impl MixedSimulator {
             self.digital.set_budget(digital_budget);
         }
         self.budget = budget;
-    }
-
-    /// Installs a [`SimObserver`] polled (at its stride) at the end of each
-    /// synchronisation step with the step boundary as the finality
-    /// watermark, over a view of *both* kernels' traces. The observer stays
-    /// on the co-simulation loop — the sub-kernels keep their own (empty)
-    /// observers, so a view is never polled with only half the signals.
-    /// Replaces any previous observer.
-    pub fn set_observer(&mut self, observer: SimObserver) {
-        self.observer = Some(observer);
     }
 
     /// The installed budget.
@@ -311,7 +301,8 @@ impl MixedSimulator {
     /// observer's watermark contract is about a trace in the making), and
     /// the run is an ordinary one past its first seeding.
     fn may_share_analog(&self) -> bool {
-        self.seeded && self.observer.is_none() && self.followed.is_none() && self.analog_is_clean()
+        let watched = self.observer.is_watching();
+        self.seeded && !watched && self.followed.is_none() && self.analog_is_clean()
     }
 
     /// A hash of the co-simulation's structure: both kernels' structural
@@ -384,7 +375,7 @@ impl MixedSimulator {
     /// reports [`SimError::Guard`] when the installed [`SimBudget`] trips:
     /// the step budget or deadline is exhausted, the analog solver proposes
     /// a timestep below the `min_dt` floor, or an analog node goes
-    /// non-finite.
+    /// non-finite — or when the installed [`SimObserver`] retires the run.
     ///
     /// # Panics
     ///
@@ -575,13 +566,11 @@ impl MixedSimulator {
             // `now`, and the next step's digitizer edges land strictly
             // after it; the watermark instant itself is still not
             // advertised as final.
-            if let Some(observer) = self.observer.as_mut() {
-                observer.poll(self.now, &[self.digital.trace(), self.analog.trace()]);
-            }
+            self.observer
+                .poll(self.now, &[self.digital.trace(), self.analog.trace()])?;
         }
-        if let Some(observer) = self.observer.as_mut() {
-            observer.flush(self.now, &[self.digital.trace(), self.analog.trace()]);
-        }
+        self.observer
+            .flush(self.now, &[self.digital.trace(), self.analog.trace()])?;
         Ok(())
     }
 }
@@ -614,8 +603,15 @@ impl ForkableSim for MixedSimulator {
         self.set_budget(budget);
     }
 
+    /// Installs a [`SimObserver`] polled (at its stride) at the end of each
+    /// synchronisation step with the step boundary as the finality
+    /// watermark, over a view of *both* kernels' traces. The observer stays
+    /// on the co-simulation loop — the sub-kernels keep their own (empty)
+    /// observers, so a view is never polled with only half the signals; a
+    /// hook that returns `true` retires the run there. Replaces any
+    /// previous observer.
     fn install_observer(&mut self, observer: SimObserver) {
-        self.set_observer(observer);
+        self.observer = observer;
     }
 
     fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, SimError> {
@@ -850,7 +846,7 @@ mod tests {
             // Not at the tape's start.
             |sim| sim.run_until(Time::from_ns(500)).unwrap(),
             // Watched: the observer is promised a trace in the making.
-            |sim| sim.set_observer(SimObserver::new(|_, _| {})),
+            |sim| sim.install_observer(SimObserver::new(|_, _| false)),
             // A block reconfigured from outside.
             |sim| {
                 let src = sim.analog().circuit().block_id("src").unwrap();
@@ -1020,6 +1016,46 @@ mod tests {
             SimError::Guard(GuardViolation::StepBudgetExhausted { .. })
         ));
         assert!(mixed.now() < Time::from_us(2));
+    }
+
+    #[test]
+    fn a_hook_that_returns_true_retires_the_run_at_that_poll() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut calls = 0;
+        let mut mixed = sine_counter(10e6);
+        mixed.digital_mut().monitor_name("clk");
+        mixed.install_observer(SimObserver::new(move |t, view| {
+            calls += 1;
+            assert!(
+                view.digital("clk").is_some(),
+                "the hook sees the digital half"
+            );
+            tx.send(t).unwrap();
+            calls == 2
+        }));
+        let err = mixed.run_until(Time::from_us(2)).unwrap_err();
+        let shown: Vec<Time> = rx.try_iter().collect();
+        assert_eq!(shown.len(), 2, "the hook is not asked again");
+        assert_eq!(
+            err,
+            SimError::Guard(GuardViolation::Retired { t: shown[1] })
+        );
+        assert_eq!(mixed.now(), shown[1], "the run stops at the poll's instant");
+    }
+
+    #[test]
+    fn a_hook_that_never_retires_leaves_the_trace_as_an_unobserved_run() {
+        let run = |watched: bool| {
+            let mut mixed = sine_counter(10e6);
+            mixed.digital_mut().monitor_name("clk");
+            mixed.analog_mut().monitor_name("sine");
+            if watched {
+                mixed.install_observer(SimObserver::new(|_, _| false));
+            }
+            mixed.run_until(Time::from_us(2)).unwrap();
+            mixed.merged_trace()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

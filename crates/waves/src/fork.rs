@@ -190,11 +190,12 @@ pub trait ForkableSim: Clone + Send {
 
     /// Installs a periodic [`SimObserver`] that subsequent `advance_to`
     /// calls poll from their step loops (at instants where every recorded
-    /// value strictly below the current time is final). Replaces any
-    /// previous observer wholesale — in particular one inherited through
-    /// [`Checkpoint::fork`] — so an observer never outlives its attempt.
-    /// The default implementation ignores the observer (for toy
-    /// simulators); the real kernels override it.
+    /// value strictly below the current time is final). A hook that
+    /// returns `true` ends the call there with
+    /// [`GuardViolation::Retired`](crate::GuardViolation::Retired), in the
+    /// kernel's error type. Replaces any previous observer. The default
+    /// implementation ignores the observer (for toy simulators); the real
+    /// kernels override it.
     fn install_observer(&mut self, observer: SimObserver) {
         let _ = observer;
     }

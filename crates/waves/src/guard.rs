@@ -81,6 +81,11 @@ pub enum GuardViolation {
         /// Simulation time reached when cancellation was observed.
         t: Time,
     },
+    /// A [`SimObserver`](crate::SimObserver) hook retired the run.
+    Retired {
+        /// The watermark of the poll whose hook retired the run.
+        t: Time,
+    },
 }
 
 impl fmt::Display for GuardViolation {
@@ -101,6 +106,7 @@ impl fmt::Display for GuardViolation {
             ),
             GuardViolation::Deadline { t } => write!(f, "deadline t={}", t.as_fs()),
             GuardViolation::Cancelled { t } => write!(f, "cancelled t={}", t.as_fs()),
+            GuardViolation::Retired { t } => write!(f, "retired t={}", t.as_fs()),
         }
     }
 }

@@ -27,10 +27,10 @@
 //! safe bound is `min(watermark, last faulty sample)`.
 
 use crate::{
-    AnalogWave, DigitalWave, Logic, MismatchInterval, SignalComparison, Time, Tolerance, Trace,
+    AnalogWave, DigitalWave, GuardViolation, Logic, MismatchInterval, SignalComparison, Time,
+    Tolerance, Trace,
 };
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Default number of kernel steps between [`SimObserver`] hook invocations.
 ///
@@ -585,8 +585,8 @@ impl<'a> TraceView<'a> {
 
 /// The callback a [`SimObserver`] invokes: current simulation time (the
 /// *watermark* — everything strictly below it is final) plus a view of the
-/// traces recorded so far.
-type ObserverHook = dyn FnMut(Time, &TraceView<'_>) + Send;
+/// traces recorded so far. Returning `true` retires the run.
+type ObserverHook = dyn FnMut(Time, &TraceView<'_>) -> bool + Send;
 
 /// A periodic observation hook a simulation kernel polls from its step
 /// loop.
@@ -596,13 +596,21 @@ type ObserverHook = dyn FnMut(Time, &TraceView<'_>) + Send;
 /// iteration) at a point where every recorded value strictly below the
 /// current time is final. The hook itself only runs every
 /// [`OBSERVER_STRIDE`] polls, so the per-step cost is a counter decrement.
-///
-/// Clones share the underlying hook (so a kernel snapshot does not
-/// duplicate an online classifier) but keep independent stride counters.
-#[derive(Clone)]
+/// A hook that returns `true` *retires* the run: that poll returns
+/// [`GuardViolation::Retired`], which the kernel propagates like any guard
+/// trip. An unwatched kernel holds the default observer, with no hook; so
+/// does a copy of a kernel (a clone is empty: a snapshot is not the run
+/// the hook watches).
+#[derive(Default)]
 pub struct SimObserver {
     countdown: u32,
-    hook: Arc<Mutex<ObserverHook>>,
+    hook: Option<Box<ObserverHook>>,
+}
+
+impl Clone for SimObserver {
+    fn clone(&self) -> Self {
+        SimObserver::default()
+    }
 }
 
 impl fmt::Debug for SimObserver {
@@ -617,32 +625,42 @@ impl SimObserver {
     /// Wraps a hook.
     pub fn new<F>(hook: F) -> Self
     where
-        F: FnMut(Time, &TraceView<'_>) + Send + 'static,
+        F: FnMut(Time, &TraceView<'_>) -> bool + Send + 'static,
     {
         SimObserver {
             countdown: 0,
-            hook: Arc::new(Mutex::new(hook)),
+            hook: Some(Box::new(hook)),
         }
+    }
+
+    /// Whether a hook is installed.
+    pub fn is_watching(&self) -> bool {
+        self.hook.is_some()
     }
 
     /// Stride-gated hook invocation: cheap enough for a kernel's inner
     /// loop. `now` is the watermark; `parts` are the traces recorded so
-    /// far.
-    pub fn poll(&mut self, now: Time, parts: &[&Trace]) {
+    /// far. [`GuardViolation::Retired`] at `now` if the hook retires the run.
+    #[inline]
+    pub fn poll(&mut self, now: Time, parts: &[&Trace]) -> Result<(), GuardViolation> {
+        if self.hook.is_none() {
+            return Ok(());
+        }
         if self.countdown > 0 {
             self.countdown -= 1;
-            return;
+            return Ok(());
         }
         self.countdown = OBSERVER_STRIDE - 1;
-        self.flush(now, parts);
+        self.flush(now, parts)
     }
 
     /// Ungated hook invocation (used at natural boundaries such as the end
-    /// of an `advance_to`). A poisoned hook (a previous invocation
-    /// panicked) is skipped.
-    pub fn flush(&mut self, now: Time, parts: &[&Trace]) {
-        if let Ok(mut hook) = self.hook.lock() {
-            hook(now, &TraceView::new(parts));
+    /// of an `advance_to`), with [`SimObserver::poll`]'s result.
+    pub fn flush(&mut self, now: Time, parts: &[&Trace]) -> Result<(), GuardViolation> {
+        let view = TraceView::new(parts);
+        match self.hook.as_mut().map(|hook| hook(now, &view)) {
+            Some(true) => Err(GuardViolation::Retired { t: now }),
+            _ => Ok(()),
         }
     }
 }
@@ -783,16 +801,39 @@ mod tests {
 
     #[test]
     fn observer_stride_gates_hook_invocations() {
-        let count = Arc::new(Mutex::new(0u32));
-        let c = Arc::clone(&count);
-        let mut obs = SimObserver::new(move |_, _| *c.lock().unwrap() += 1);
+        let mut calls = 0u32;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut obs = SimObserver::new(move |t, _| {
+            calls += 1;
+            tx.send(t).unwrap();
+            calls == 4
+        });
         let trace = Trace::new();
         for i in 0..=2 * i64::from(OBSERVER_STRIDE) {
-            obs.poll(Time::from_ns(i), &[&trace]);
+            assert_eq!(obs.poll(Time::from_ns(i), &[&trace]), Ok(()));
         }
-        assert_eq!(*count.lock().unwrap(), 3, "polls 0, 64, 128 fire");
-        obs.flush(Time::from_ns(129), &[&trace]);
-        assert_eq!(*count.lock().unwrap(), 4);
+        let seen: Vec<_> = rx.try_iter().collect();
+        assert_eq!(
+            seen,
+            [0, 64, 128].map(Time::from_ns),
+            "polls 0, 64, 128 fire"
+        );
+        let retired = obs.flush(Time::from_ns(129), &[&trace]);
+        assert_eq!(
+            retired,
+            Err(GuardViolation::Retired {
+                t: Time::from_ns(129)
+            })
+        );
+    }
+
+    #[test]
+    fn a_clone_of_an_observer_watches_nothing() {
+        let mut obs = SimObserver::new(|_, _| true);
+        let mut copy = obs.clone();
+        assert!(!copy.is_watching());
+        assert_eq!(copy.flush(Time::ZERO, &[]), Ok(()));
+        assert!(obs.flush(Time::ZERO, &[]).is_err());
     }
 
     #[test]
