@@ -312,10 +312,12 @@ rm -rf "$tmp"
 # cpu-seu-word and cpu-set-word are the word kernel, the latter the late,
 # dense SET list whose groups fork from the golden run's snapshots;
 # cpu-seu-scalar is the scalar kernel on its own — event wheel, lent
-# inputs, pooled drive values (PR 15); pll-mixed-fork is the fork path —
-# analog solver, mixed sync, the golden ladder and the mixed cut.
+# inputs, drive values in one arena, idle zero-delay re-drives never
+# queued; pll-mixed-fork is the fork path — analog solver, mixed sync,
+# the golden ladder and the mixed cut; cpu-seu-serve is the scalar
+# kernel behind a coordinator and a loopback worker.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in cpu-seu-word cpu-set-word cpu-seu-scalar pll-mixed-fork; do
+for workload in cpu-seu-word cpu-set-word cpu-seu-scalar pll-mixed-fork cpu-seu-serve; do
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1 \
         | grep -q '"correct": true'

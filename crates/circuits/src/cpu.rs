@@ -541,6 +541,30 @@ mod tests {
     }
 
     #[test]
+    fn golden_run_traffic_is_pinned() {
+        // The campaigns' 20 us golden run, every signal monitored. The
+        // trace and the end state are what any kernel change must keep;
+        // the event count is what the scalar kernel pays for them, pinned
+        // so that queuing idle re-drives again fails here and not only in
+        // a benchmark. A change that lowers it on purpose updates it.
+        let (mut sim, _) = cpu_bench(checksum_program());
+        for name in ["clk", "rst", "pc"] {
+            sim.monitor_name(name);
+        }
+        sim.run_until(Time::from_us(20)).unwrap();
+        let mut h = amsfi_waves::Fnv1a::new();
+        h.write_str(&amsfi_waves::vcd::to_vcd(sim.trace(), ""));
+        assert_eq!(h.finish(), 0x6171_b458_9816_8062, "the trace moved");
+        assert_eq!(
+            sim.state_digest(),
+            0x8740_45bb_d20b_5f50,
+            "the end state moved"
+        );
+        // 16 009 while every idle re-drive of `out` and `pc` was queued.
+        assert_eq!(sim.events_processed(), 10_206, "the event traffic moved");
+    }
+
+    #[test]
     fn table_seu_corrupts_the_stream() {
         let (mut golden, _) = cpu_bench(checksum_program());
         let (mut faulty, cpu) = cpu_bench(checksum_program());

@@ -24,8 +24,8 @@ pub(crate) enum Action {
         transport: bool,
         /// Output port index.
         output: usize,
-        /// New value, in a pooled vector.
-        value: LogicVector,
+        /// The [`Arena`] slot holding the new value.
+        value: u32,
         /// Delay from now.
         delay: Time,
     },
@@ -36,62 +36,98 @@ pub(crate) enum Action {
     },
 }
 
-/// Recycled heap-backed values: a consumer hands back the vector it is
-/// done with and the next producer refills it, so a kernel's steady state
-/// never asks the allocator for a drive value. Bounded, because values can
-/// also arrive from outside a pool (externally injected drives).
-#[derive(Debug)]
-pub(crate) struct Pool<V>(Vec<V>);
+/// The drive values of a scalar kernel's pending actions and events, each
+/// named by a `u32` slot, so an action or an event is a few words to move
+/// instead of a vector. A slot is taken when a drive is requested and
+/// freed when its event is applied or cancelled; its storage stays for the
+/// next drive, so a kernel's steady state never asks the allocator for a
+/// drive value.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Arena {
+    slots: Vec<LogicVector>,
+    free: Vec<u32>,
+}
 
-impl<V> Default for Pool<V> {
-    fn default() -> Self {
-        Pool(Vec::new())
+impl Arena {
+    /// A slot to write a value into: a freed one (contents unspecified)
+    /// when there is one, otherwise a new, empty one.
+    pub(crate) fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending drives");
+            self.slots.push(LogicVector::default());
+            slot
+        })
+    }
+
+    /// A slot holding `value`.
+    pub(crate) fn put(&mut self, value: LogicVector) -> u32 {
+        let slot = self.take();
+        self.slots[slot as usize] = value;
+        slot
+    }
+
+    /// Hands `slot` back for the next [`Arena::take`].
+    pub(crate) fn free(&mut self, slot: u32) {
+        debug_assert!(!self.free.contains(&slot), "slot {slot} freed twice");
+        self.free.push(slot);
     }
 }
 
-impl<V: Default> Pool<V> {
-    /// More values than this are never outstanding in one time point of
-    /// the circuits at hand; anything beyond is simply dropped.
-    const CAPACITY: usize = 64;
+impl std::ops::Index<u32> for Arena {
+    type Output = LogicVector;
 
-    /// A value to overwrite: recycled (contents unspecified) when there is
-    /// one, otherwise fresh and empty.
-    pub(crate) fn take(&mut self) -> V {
-        self.0.pop().unwrap_or_default()
+    fn index(&self, slot: u32) -> &LogicVector {
+        &self.slots[slot as usize]
     }
+}
 
-    /// Hands `value`'s storage back for the next [`Pool::take`].
-    pub(crate) fn give(&mut self, value: V) {
-        if self.0.len() < Self::CAPACITY {
-            self.0.push(value);
-        }
+impl std::ops::IndexMut<u32> for Arena {
+    fn index_mut(&mut self, slot: u32) -> &mut LogicVector {
+        &mut self.slots[slot as usize]
     }
 }
 
 /// The evaluation context handed to [`Component::eval`]: the signal store
 /// seen through the component's input ports, and a queue of requested
-/// actions whose drive values live in pooled vectors.
+/// actions whose drive values live in the simulator's arena.
+///
+/// A scalar simulator also shows the context its component's outputs, so
+/// that an idle zero-delay re-drive — inertial, the eval's first drive on
+/// that output, nothing queued for the output signal, and the value it
+/// already holds — is dropped before it takes a slot: queued, it would be
+/// applied in the next delta and change nothing, and its cancellation
+/// would find nothing to cancel.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     now: Time,
-    /// The signal values `ports` index into.
+    /// The signal values `ports` and `outputs` index into.
     values: &'a [LogicVector],
     /// The component's input ports, in port order.
     ports: &'a [SignalId],
     pub(crate) actions: Vec<Action>,
-    pool: &'a mut Pool<LogicVector>,
+    arena: &'a mut Arena,
+    /// The component's output ports, or none at all when the caller keeps
+    /// no per-signal count of queued writes (then no drive is dropped).
+    outputs: &'a [SignalId],
+    /// Per signal, the writes queued for it in the caller's wheel.
+    queued: &'a [u32],
+    /// The outputs below 64 this eval has driven so far.
+    driven: u64,
+    /// Whether this eval dropped an idle re-drive.
+    pub(crate) dropped: bool,
 }
 
 impl<'a> EvalContext<'a> {
     /// Builds a context over `values` seen through `ports`, recycling a
     /// previously drained action list so the simulators' hot loops do not
-    /// allocate one per eval.
+    /// allocate one per eval. Every drive is queued until
+    /// [`EvalContext::with_outputs`] shows the context its outputs.
     pub(crate) fn new(
         now: Time,
         values: &'a [LogicVector],
         ports: &'a [SignalId],
         actions: Vec<Action>,
-        pool: &'a mut Pool<LogicVector>,
+        arena: &'a mut Arena,
     ) -> Self {
         debug_assert!(actions.is_empty(), "recycled action list must be drained");
         EvalContext {
@@ -99,8 +135,21 @@ impl<'a> EvalContext<'a> {
             values,
             ports,
             actions,
-            pool,
+            arena,
+            outputs: &[],
+            queued: &[],
+            driven: 0,
+            dropped: false,
         }
+    }
+
+    /// Shows the context the component's `outputs` and, per signal, the
+    /// number of writes `queued` for it, which lets it drop idle
+    /// zero-delay re-drives.
+    pub(crate) fn with_outputs(mut self, outputs: &'a [SignalId], queued: &'a [u32]) -> Self {
+        self.outputs = outputs;
+        self.queued = queued;
+        self
     }
 
     /// Current simulation time.
@@ -131,6 +180,9 @@ impl<'a> EvalContext<'a> {
     /// cancelling any pending transaction from this driver (inertial delay,
     /// the VHDL default).
     pub fn drive(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        if self.idle(output, delay, |held| held == value) {
+            return;
+        }
         self.push_drive(false, output, delay, |v| v.clone_from(value));
     }
 
@@ -141,18 +193,41 @@ impl<'a> EvalContext<'a> {
 
     /// [`EvalContext::drive`] with `width` bits of `value`.
     pub fn drive_filled(&mut self, output: usize, value: Logic, width: usize, delay: Time) {
+        let same = |held: &LogicVector| held.width() == width && held.iter().all(|b| b == value);
+        if self.idle(output, delay, same) {
+            return;
+        }
         self.push_drive(false, output, delay, |v| v.assign_filled(value, width));
     }
 
     /// [`EvalContext::drive`] with the low `width` bits of `value`, LSB at
     /// index 0.
     pub fn drive_u64(&mut self, output: usize, value: u64, width: usize, delay: Time) {
+        let same = |held: &LogicVector| {
+            let mut rest = value;
+            held.width() == width
+                && held.iter().all(|b| {
+                    let bit = Logic::from_bool(rest & 1 == 1);
+                    rest >>= 1;
+                    b == bit
+                })
+        };
+        if self.idle(output, delay, same) {
+            return;
+        }
         self.push_drive(false, output, delay, |v| v.assign_u64(value, width));
     }
 
     /// [`EvalContext::drive`] with every bit of `value` flipped
     /// ([`Logic::flipped`]).
     pub fn drive_flipped(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        let same = |held: &LogicVector| {
+            held.width() == value.width()
+                && held.iter().zip(value.iter()).all(|(h, v)| h == v.flipped())
+        };
+        if self.idle(output, delay, same) {
+            return;
+        }
         self.push_drive(false, output, delay, |v| {
             v.clone_from(value);
             for bit in 0..v.width() {
@@ -165,15 +240,48 @@ impl<'a> EvalContext<'a> {
     /// this driver are preserved (used by stimulus sources that pre-schedule
     /// a whole waveform).
     pub fn drive_transport(&mut self, output: usize, value: &LogicVector, delay: Time) {
+        self.note_driven(output);
         self.push_drive(true, output, delay, |v| v.clone_from(value));
     }
 
     /// Scalar convenience for [`EvalContext::drive_transport`].
     pub fn drive_transport_bit(&mut self, output: usize, value: Logic, delay: Time) {
+        self.note_driven(output);
         self.push_drive(true, output, delay, |v| v.assign_filled(value, 1));
     }
 
-    /// Queues a drive whose value `write` puts into a pooled vector.
+    /// Notes a drive on `output` and returns whether it was the eval's
+    /// first.
+    fn note_driven(&mut self, output: usize) -> bool {
+        let Some(bit) = 1u64.checked_shl(output as u32) else {
+            return false;
+        };
+        let first = self.driven & bit == 0;
+        self.driven |= bit;
+        first
+    }
+
+    /// Whether an inertial drive of `output` after `delay`, whose value
+    /// `same` tells equal to a held one or not, is idle and so dropped:
+    /// the idle-drive rule of the type's documentation.
+    fn idle(
+        &mut self,
+        output: usize,
+        delay: Time,
+        same: impl FnOnce(&LogicVector) -> bool,
+    ) -> bool {
+        let first = self.note_driven(output);
+        let idle = first
+            && delay == Time::ZERO
+            && self
+                .outputs
+                .get(output)
+                .is_some_and(|sig| self.queued[sig.0] == 0 && same(&self.values[sig.0]));
+        self.dropped |= idle;
+        idle
+    }
+
+    /// Queues a drive whose value `write` puts into an arena slot.
     fn push_drive(
         &mut self,
         transport: bool,
@@ -181,8 +289,8 @@ impl<'a> EvalContext<'a> {
         delay: Time,
         write: impl FnOnce(&mut LogicVector),
     ) {
-        let mut value = self.pool.take();
-        write(&mut value);
+        let value = self.arena.take();
+        write(&mut self.arena[value]);
         self.actions.push(Action::Drive {
             transport,
             output,
@@ -326,13 +434,13 @@ mod tests {
     fn context_collects_actions() {
         // The port list picks the component's input out of the store.
         let store = vec![LogicVector::new(4), LogicVector::filled(Logic::One, 1)];
-        let mut pool = Pool::default();
+        let mut arena = Arena::default();
         let mut ctx = EvalContext::new(
             Time::from_ns(5),
             &store,
             &[SignalId(1)],
             Vec::new(),
-            &mut pool,
+            &mut arena,
         );
         let mut p = Probe;
         p.eval(&mut ctx);
@@ -347,7 +455,7 @@ mod tests {
             } => {
                 assert!(!transport);
                 assert_eq!(*output, 0);
-                assert_eq!(value[0], Logic::Zero);
+                assert_eq!(ctx.arena[*value][0], Logic::Zero);
                 assert_eq!(*delay, Time::from_ns(1));
             }
             other => panic!("unexpected action {other:?}"),

@@ -7,7 +7,7 @@
 //! engine strike an SEU at an exact simulation instant and have the corrupted
 //! state propagate on the next delta.
 
-use crate::component::{Action, EvalContext, Pool};
+use crate::component::{Action, Arena, EvalContext};
 use crate::netlist::{ComponentDecl, ComponentId, Netlist, SignalDecl, SignalId};
 use crate::wheel::Wheel;
 use amsfi_waves::{
@@ -65,12 +65,14 @@ impl From<GuardViolation> for SimError {
     }
 }
 
+/// A pending event. A drive's value lives in the simulator's [`Arena`],
+/// named by its slot.
 #[derive(Debug, Clone, PartialEq)]
 enum EventKind {
     Drive {
         component: usize,
         output: usize,
-        value: LogicVector,
+        value: u32,
         generation: u64,
     },
     Wake {
@@ -80,7 +82,7 @@ enum EventKind {
     /// kernel's digitizers). External drives bypass driver generations.
     External {
         signal: usize,
-        value: LogicVector,
+        value: u32,
     },
 }
 
@@ -124,13 +126,11 @@ struct ComponentSlot {
     out_generation: Vec<u64>,
 }
 
-/// Reusable hot-loop buffers. A time point historically allocated a fresh
-/// eval set, changed set and action list per delta cycle and a vector per
-/// drive value; keeping them on the simulator turns the per-delta cost into
-/// a handful of clears. The contents are transient (empty between time
-/// points, or storage without meaning), so a clone — a checkpoint, a fork
-/// of one — starts with an empty scratch.
-#[derive(Debug, Default)]
+/// Reusable hot-loop buffers, sized once with the simulator: keeping them
+/// on it turns the per-delta cost into a handful of clears. Between time
+/// points the bitsets are clear and the action list is empty, so a clone
+/// — a checkpoint, a fork of one — copies two or three words.
+#[derive(Debug, Clone)]
 struct SimScratch {
     /// One bit per component: the eval set of the current delta cycle.
     eval: Vec<u64>,
@@ -138,22 +138,15 @@ struct SimScratch {
     changed: Vec<u64>,
     /// Recycled action list handed to each [`EvalContext`].
     actions: Vec<Action>,
-    /// Drive-value vectors between uses: an applied or cancelled event
-    /// returns its vector (on a change, the signal's displaced old value)
-    /// here and the next drive takes it.
-    pool: Pool<LogicVector>,
-}
-
-impl Clone for SimScratch {
-    fn clone(&self) -> Self {
-        SimScratch::default()
-    }
 }
 
 impl SimScratch {
-    fn ensure(&mut self, signals: usize, components: usize) {
-        self.changed.resize(signals.div_ceil(64), 0);
-        self.eval.resize(components.div_ceil(64), 0);
+    fn new(signals: usize, components: usize) -> Self {
+        SimScratch {
+            eval: vec![0; components.div_ceil(64)],
+            changed: vec![0; signals.div_ceil(64)],
+            actions: Vec::new(),
+        }
     }
 }
 
@@ -257,6 +250,12 @@ pub struct Simulator {
     components: Vec<ComponentSlot>,
     /// Pending events and the simulation clock.
     wheel: Wheel<EventKind>,
+    /// The values of the pending drive and external events.
+    arena: Arena,
+    /// Per signal, the drive and external events for it in the wheel,
+    /// cancelled drives included: an eval drops an idle zero-delay
+    /// re-drive only onto a signal with none (see [`EvalContext`]).
+    queued: Vec<u32>,
     trace: Trace,
     delta_limit: usize,
     events_processed: u64,
@@ -285,7 +284,7 @@ impl Simulator {
     /// power-on evaluation at time zero.
     pub fn new(netlist: Netlist) -> Self {
         let mut names = std::collections::HashMap::new();
-        let values = netlist
+        let values: Vec<LogicVector> = netlist
             .signals
             .iter()
             .map(|decl| LogicVector::new(decl.width))
@@ -310,6 +309,7 @@ impl Simulator {
                 }
             })
             .collect();
+        let scratch = SimScratch::new(netlist.signals.len(), netlist.components.len());
         let components: Vec<ComponentSlot> = netlist
             .components
             .into_iter()
@@ -331,17 +331,19 @@ impl Simulator {
             })
             .collect();
         let mut sim = Simulator {
+            queued: vec![0; values.len()],
             signals: Arc::new(signals),
             values,
             components,
             wheel: Wheel::new(Time::ZERO),
+            arena: Arena::default(),
             trace: Trace::new(),
             delta_limit: 10_000,
             events_processed: 0,
             netlist_names: Arc::new(names),
             budget: SimBudget::unlimited(),
             observer: SimObserver::default(),
-            scratch: SimScratch::default(),
+            scratch,
             touched_components: Vec::new(),
             touched_signals: Vec::new(),
         };
@@ -432,7 +434,9 @@ impl Simulator {
         self.trace
     }
 
-    /// Total number of events applied so far (a throughput statistic).
+    /// Events taken off the wheel so far, cancelled inertial drives
+    /// included (a throughput statistic). An idle zero-delay re-drive
+    /// dropped before it was queued (see [`EvalContext`]) is not one.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -481,6 +485,8 @@ impl Simulator {
             "cannot inject at {at}: simulator already at {}",
             self.now()
         );
+        let value = self.arena.put(value);
+        self.queued[signal.0] += 1;
         self.wheel.push(
             at,
             EventKind::External {
@@ -655,7 +661,7 @@ impl Simulator {
                         NormalEvent::Drive {
                             component: *component,
                             output: *output,
-                            value: value.clone(),
+                            value: self.arena[*value].clone(),
                         }
                     }
                     EventKind::Wake { component } => NormalEvent::Wake {
@@ -663,7 +669,7 @@ impl Simulator {
                     },
                     EventKind::External { signal, value } => NormalEvent::External {
                         signal: *signal,
-                        value: value.clone(),
+                        value: self.arena[*value].clone(),
                     },
                 };
                 Some((time, seq, kind))
@@ -815,25 +821,26 @@ impl Simulator {
         Ok(())
     }
 
-    /// Applies `value` to signal `sig`, marking it and its readers when the
-    /// signal changes; the vector that is left over goes to the pool.
-    fn apply_value(&mut self, sig: usize, mut value: LogicVector) {
+    /// Applies the value in arena slot `value` to signal `sig`, marking it
+    /// and its readers when the signal changes (the slot then keeps the
+    /// displaced old value's storage), and frees the slot.
+    fn apply_value(&mut self, sig: usize, value: u32) {
         let current = &mut self.values[sig];
-        if *current != value {
-            std::mem::swap(current, &mut value);
+        let new = &mut self.arena[value];
+        if *current != *new {
+            std::mem::swap(current, new);
             bitset_insert(&mut self.scratch.changed, sig);
             for &r in &self.signals[sig].readers {
                 bitset_insert(&mut self.scratch.eval, r);
             }
         }
-        self.scratch.pool.give(value);
+        self.arena.free(value);
     }
 
     /// Processes every event and delta cycle at time `t`.
     fn advance_time_point(&mut self, t: Time) -> Result<(), SimError> {
         self.wheel.advance(t);
-        self.scratch
-            .ensure(self.signals.len(), self.components.len());
+        // Clear after a time point an error cut short.
         self.scratch.changed.fill(0);
         let mut delta = 0usize;
         loop {
@@ -850,18 +857,19 @@ impl Simulator {
                         generation,
                     } => {
                         let slot = &self.components[component];
+                        let sig = slot.outputs[output].0;
+                        self.queued[sig] -= 1;
                         if slot.out_generation[output] != generation {
                             // Cancelled by a later inertial drive.
-                            self.scratch.pool.give(value);
+                            self.arena.free(value);
                             continue;
                         }
-                        let sig = slot.outputs[output].0;
                         debug_assert_eq!(
                             self.signals[sig].width,
-                            value.width(),
+                            self.arena[value].width(),
                             "component {:?} drove width {} onto signal {:?} of width {}",
                             slot.name,
-                            value.width(),
+                            self.arena[value].width(),
                             self.signals[sig].name,
                             self.signals[sig].width
                         );
@@ -870,7 +878,10 @@ impl Simulator {
                     EventKind::Wake { component } => {
                         bitset_insert(&mut self.scratch.eval, component);
                     }
-                    EventKind::External { signal, value } => self.apply_value(signal, value),
+                    EventKind::External { signal, value } => {
+                        self.queued[signal] -= 1;
+                        self.apply_value(signal, value);
+                    }
                 }
             }
             if !any_event && self.scratch.eval.iter().all(|w| *w == 0) {
@@ -880,16 +891,21 @@ impl Simulator {
             // eval bitset is detached while draining so the loop body can
             // borrow the simulator mutably; draining zeroes it for reuse.
             let mut eval_words = std::mem::take(&mut self.scratch.eval);
-            bitset_drain(&mut eval_words, |c| self.eval_component(c, t));
+            let mut dropped = false;
+            bitset_drain(&mut eval_words, |c| dropped |= self.eval_component(c, t));
             self.scratch.eval = eval_words;
             delta += 1;
-            if delta > self.delta_limit {
+            // A dropped idle re-drive, had it been queued, would have
+            // been applied in one more delta of its own when nothing else
+            // is due: the delta limit counts that delta too.
+            let settled = !self.wheel.has_current();
+            if delta + usize::from(settled && dropped) > self.delta_limit {
                 return Err(SimError::DeltaOverflow {
                     time: t,
                     limit: self.delta_limit,
                 });
             }
-            if !self.wheel.has_current() {
+            if settled {
                 break;
             }
         }
@@ -908,17 +924,20 @@ impl Simulator {
     }
 
     /// Evaluates component `c` at time `t`, its inputs lent from the signal
-    /// store, and schedules its actions.
-    fn eval_component(&mut self, c: usize, t: Time) {
+    /// store, and schedules its actions; returns whether the eval dropped
+    /// an idle re-drive.
+    fn eval_component(&mut self, c: usize, t: Time) -> bool {
         let slot = &mut self.components[c];
         let mut ctx = EvalContext::new(
             t,
             &self.values,
             &slot.inputs,
             std::mem::take(&mut self.scratch.actions),
-            &mut self.scratch.pool,
-        );
+            &mut self.arena,
+        )
+        .with_outputs(&slot.outputs, &self.queued);
         slot.comp.eval(&mut ctx);
+        let dropped = ctx.dropped;
         let mut actions = ctx.actions;
         for action in actions.drain(..) {
             match action {
@@ -931,6 +950,7 @@ impl Simulator {
                     if !transport {
                         slot.out_generation[output] += 1;
                     }
+                    self.queued[slot.outputs[output].0] += 1;
                     self.wheel.push(
                         t + delay,
                         EventKind::Drive {
@@ -947,6 +967,7 @@ impl Simulator {
             }
         }
         self.scratch.actions = actions;
+        dropped
     }
 }
 
@@ -1453,6 +1474,182 @@ mod tests {
         match batch.run(|_, _| Ok(()), |_, _| {}) {
             Err(SimError::Unseedable(why)) => assert!(why.contains("observer"), "{why}"),
             other => panic!("expected an unseedable error, got {other:?}"),
+        }
+    }
+
+    /// One requested drive: value, delay in ns, transport.
+    type ScriptDrive = (Logic, i64, bool);
+
+    /// A driver of one scalar output playing a script: at each `(at ns,
+    /// drives)` step it requests `drives` in order, and it wakes itself
+    /// for the next step.
+    #[derive(Debug, Clone)]
+    struct Script(Vec<(i64, Vec<ScriptDrive>)>);
+
+    impl Component for Script {
+        fn eval(&mut self, ctx: &mut EvalContext<'_>) {
+            let now = ctx.now();
+            for (at, drives) in &self.0 {
+                if Time::from_ns(*at) == now {
+                    for &(value, delay, transport) in drives {
+                        let delay = Time::from_ns(delay);
+                        if transport {
+                            ctx.drive_transport_bit(0, value, delay);
+                        } else {
+                            ctx.drive_bit(0, value, delay);
+                        }
+                    }
+                }
+            }
+            if let Some((at, _)) = self.0.iter().find(|(at, _)| Time::from_ns(*at) > now) {
+                ctx.wake(Time::from_ns(*at) - now);
+            }
+        }
+    }
+
+    fn scripted(script: Script) -> Simulator {
+        let mut net = Netlist::new();
+        let out = net.signal("out", 1);
+        net.add("s", script, &[], &[out]);
+        let mut sim = Simulator::new(net);
+        sim.monitor(out);
+        sim
+    }
+
+    /// `sim` with a write on `out` queued far beyond the horizon of these
+    /// tests: the idle-drive rule never applies to a signal with a write
+    /// queued, so up to the horizon this is the unskipped meaning of the
+    /// same drives.
+    fn unskipped(mut sim: Simulator) -> Simulator {
+        let out = sim.signal_id("out").unwrap();
+        let far = Time::from_ms(1);
+        sim.inject_boundary(out, LogicVector::filled(Logic::Unknown, 1), far);
+        sim
+    }
+
+    /// Runs `sim` and its unskipped twin to `horizon`, checks that both
+    /// traced and hold the same, and returns how many drives `sim`
+    /// dropped unqueued.
+    fn dropped_against_unskipped(sim: &mut Simulator, horizon: Time) -> u64 {
+        let mut reference = unskipped(sim.clone());
+        let (before, reference_before) = (sim.events_processed(), reference.events_processed());
+        sim.run_until(horizon).unwrap();
+        reference.run_until(horizon).unwrap();
+        assert_eq!(sim.trace(), reference.trace());
+        assert_eq!(sim.values, reference.values);
+        let ran = sim.events_processed() - before;
+        (reference.events_processed() - reference_before) - ran
+    }
+
+    fn one_transition_to_one(sim: &Simulator) -> bool {
+        let wave = sim.trace().digital("out").unwrap();
+        wave.transitions().iter().any(|&(_, v)| v == Logic::One)
+    }
+
+    const ZERO_NOW: ScriptDrive = (Logic::Zero, 0, false);
+
+    #[test]
+    fn an_idle_zero_delay_re_drive_is_dropped() {
+        // Power-on drives 0; at 2 ns the driver re-drives the 0 it holds.
+        let mut sim = scripted(Script(vec![(0, vec![ZERO_NOW]), (2, vec![ZERO_NOW])]));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 1);
+    }
+
+    #[test]
+    fn a_held_value_re_drive_still_cancels_a_delayed_transaction() {
+        // 1 is due at 6 ns; the held 0 re-driven at 2 ns cancels it.
+        let mut sim = scripted(Script(vec![
+            (0, vec![ZERO_NOW]),
+            (1, vec![(Logic::One, 5, false)]),
+            (2, vec![ZERO_NOW]),
+        ]));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 0);
+        assert!(!one_transition_to_one(&sim), "the cancelled 1 never shows");
+    }
+
+    #[test]
+    fn an_inject_at_the_current_instant_is_overwritten_by_the_held_re_drive() {
+        // The driver holds 0 and re-drives it at 4 ns; a 1 forced onto
+        // its output at 4 ns is applied first and then overwritten.
+        let mut sim = scripted(Script(vec![(0, vec![ZERO_NOW]), (4, vec![ZERO_NOW])]));
+        sim.run_until(Time::from_ns(3)).unwrap();
+        let out = sim.signal_id("out").unwrap();
+        sim.inject_value(out, LogicVector::filled(Logic::One, 1), Time::from_ns(4));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 0);
+        assert_eq!(sim.value(out)[0], Logic::Zero);
+    }
+
+    #[test]
+    fn a_second_drive_on_an_output_in_one_eval_is_judged_on_its_own() {
+        // At 1 ns: 1 after 5 ns, then the held 0 now, which is no longer
+        // the eval's first drive on `out` and so cancels the 1.
+        let mut sim = scripted(Script(vec![
+            (0, vec![ZERO_NOW]),
+            (1, vec![(Logic::One, 5, false), ZERO_NOW]),
+        ]));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 0);
+        assert!(!one_transition_to_one(&sim));
+        // The other way round the held 0 goes first and is dropped; the
+        // 1 after it is queued and shows.
+        let mut sim = scripted(Script(vec![
+            (0, vec![ZERO_NOW]),
+            (1, vec![ZERO_NOW, (Logic::One, 5, false)]),
+        ]));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 1);
+        assert!(one_transition_to_one(&sim));
+    }
+
+    #[test]
+    fn transport_and_delayed_drives_are_never_dropped() {
+        let mut sim = scripted(Script(vec![
+            (0, vec![ZERO_NOW]),
+            (1, vec![(Logic::Zero, 0, true)]),
+            (2, vec![(Logic::Zero, 1, false)]),
+            (4, vec![(Logic::Zero, 1, true)]),
+        ]));
+        assert_eq!(dropped_against_unskipped(&mut sim, Time::from_ns(10)), 0);
+    }
+
+    #[test]
+    fn a_checkpoint_carries_the_queued_writes_so_a_fork_drops_nothing_pending() {
+        // Stopped at 3 ns with the 1 of 1 ns pending for 6 ns: the fork's
+        // held 0 at 4 ns must still cancel it.
+        let mut sim = scripted(Script(vec![
+            (0, vec![ZERO_NOW]),
+            (1, vec![(Logic::One, 5, false)]),
+            (4, vec![ZERO_NOW]),
+        ]));
+        sim.run_until(Time::from_ns(3)).unwrap();
+        let cp = sim.checkpoint();
+        let mut fork = cp.fork();
+        let mut restored = scripted(Script(Vec::new()));
+        restored.restore(&cp).unwrap();
+        for mut twin in [fork.clone(), restored] {
+            assert_eq!(dropped_against_unskipped(&mut twin, Time::from_ns(10)), 0);
+            assert!(!one_transition_to_one(&twin));
+        }
+        fork.run_until(Time::from_ns(10)).unwrap();
+        sim.run_until(Time::from_ns(10)).unwrap();
+        assert_eq!(fork.trace(), sim.trace());
+        assert_eq!(fork.state_digest(), sim.state_digest());
+    }
+
+    #[test]
+    fn the_delta_limit_counts_the_delta_a_dropped_re_drive_would_take() {
+        // Queued, the power-on re-drive of the 'U' that `out` holds would
+        // be applied in a second delta: one delta is too few either way.
+        let drive_u = || scripted(Script(vec![(0, vec![(Logic::Uninitialized, 0, false)])]));
+        for limit in [1, 2] {
+            let mut sim = drive_u();
+            sim.set_delta_limit(limit);
+            let mut reference = unskipped(drive_u());
+            reference.set_delta_limit(limit);
+            let (got, want) = (
+                sim.run_until(Time::from_ns(1)),
+                reference.run_until(Time::from_ns(1)),
+            );
+            assert_eq!(got, want, "limit {limit}");
+            assert_eq!(got.is_err(), limit == 1);
         }
     }
 

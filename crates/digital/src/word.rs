@@ -63,7 +63,7 @@
 //! retires only that lane ([`LaneOutcome::Failed`]) and the campaign engine
 //! re-runs the case scalar, preserving byte identity.
 
-use crate::component::{Action, Component, EvalContext, Pool};
+use crate::component::{Action, Arena, Component, EvalContext};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
@@ -263,6 +263,37 @@ impl<'a> WordEvalContext<'a> {
     }
 }
 
+/// Recycled drive-value vectors: an applied event hands back the vector
+/// it is done with and the next drive refills it, so the word kernel's
+/// steady state never asks the allocator for a drive value. Bounded,
+/// because a burst of pending drives is not worth keeping storage for.
+#[derive(Debug)]
+struct Pool<V>(Vec<V>);
+
+impl<V> Default for Pool<V> {
+    fn default() -> Self {
+        Pool(Vec::new())
+    }
+}
+
+impl<V: Default> Pool<V> {
+    /// Vectors beyond this many are dropped rather than kept.
+    const CAPACITY: usize = 64;
+
+    /// A value to overwrite: recycled (contents unspecified) when there is
+    /// one, otherwise fresh and empty.
+    fn take(&mut self) -> V {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Hands `value`'s storage back for the next [`Pool::take`].
+    fn give(&mut self, value: V) {
+        if self.0.len() < Self::CAPACITY {
+            self.0.push(value);
+        }
+    }
+}
+
 /// Returns a drive-value vector to `pool` for the next drive to take.
 fn recycle(pool: &mut Pool<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
     value.clear();
@@ -276,10 +307,12 @@ fn recycle(pool: &mut Pool<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
 /// Per merge round `r`, the `r`-th action of every evaluated lane is
 /// grouped by `(kind, output, delay)`; lanes sharing a group become one
 /// word action with per-lane values packed into planes. Per-lane action
-/// *order* is preserved (round `r` schedules before round `r + 1`), which
-/// keeps each lane's inertial-cancellation sequence identical to a scalar
-/// run; cross-lane grouping order is irrelevant because lanes are
-/// independent.
+/// *order* is preserved (round `r` schedules before round `r + 1`), so
+/// each lane queues every drive its clone requests, in request order: a
+/// scalar run's inertial cancellation, plus the idle zero-delay re-drives
+/// a scalar simulator drops unqueued (a farm's contexts see no outputs),
+/// which change no value. Cross-lane grouping order is irrelevant because
+/// lanes are independent.
 struct LaneFarm {
     lanes: Vec<Box<dyn Component>>,
     /// The evaluated lane's input values, one per port, and the identity
@@ -287,8 +320,8 @@ struct LaneFarm {
     staged: Vec<LogicVector>,
     staged_ports: Vec<SignalId>,
     lane_actions: Vec<Vec<Action>>,
-    /// The scalar drive values of all lanes' contexts, between uses.
-    pool: Pool<LogicVector>,
+    /// The scalar drive values of all lanes' contexts.
+    arena: Arena,
     /// The merge groups of the round in flight (kept for its capacity).
     groups: Vec<FarmGroup>,
     /// The reference lane's `Debug` rendering during a seal probe.
@@ -310,7 +343,7 @@ impl LaneFarm {
             staged: Vec::new(),
             staged_ports: Vec::new(),
             lane_actions: (0..LANES).map(|_| Vec::new()).collect(),
-            pool: Pool::default(),
+            arena: Arena::default(),
             groups: Vec::new(),
             rendered: String::new(),
         }
@@ -357,7 +390,7 @@ impl WordComponent for LaneFarm {
                 &self.staged,
                 &self.staged_ports,
                 recycled,
-                &mut self.pool,
+                &mut self.arena,
             );
             self.lanes[lane].eval(&mut sctx);
             self.lane_actions[lane] = sctx.actions;
@@ -395,6 +428,7 @@ impl WordComponent for LaneFarm {
                             }
                             _ => None,
                         });
+                        let value = &self.arena[*value];
                         let (group_mask, group_value) = match slot {
                             Some(found) => found,
                             None => {
@@ -458,7 +492,7 @@ impl WordComponent for LaneFarm {
             m &= m - 1;
             for action in self.lane_actions[lane].drain(..) {
                 if let Action::Drive { value, .. } = action {
-                    self.pool.give(value);
+                    self.arena.free(value);
                 }
             }
         }

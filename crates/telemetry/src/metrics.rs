@@ -234,7 +234,10 @@ pub const STAGE_NAMES: [&str; 3] = ["build", "simulate", "classify"];
 pub struct KernelMetrics {
     /// Analog integration steps taken (`AnalogSolver::step`).
     pub solver_steps: Counter,
-    /// Digital events processed (`Simulator::run_until` deltas).
+    /// Digital events taken off an event wheel: each
+    /// `Simulator::run_until`'s `events_processed` delta (cancelled
+    /// inertial drives count, idle zero-delay re-drives the scalar kernel
+    /// never queues do not) and each word machine's word events.
     pub digital_events: Counter,
     /// Mixed-signal synchronization iterations.
     pub sync_steps: Counter,
