@@ -42,6 +42,9 @@ test -s "$tmp/e.jsonl"
 test -s "$tmp/m.prom"
 grep -q amsfi_solver_steps_total "$tmp/m.prom"
 grep -q amsfi_stage_latency_microseconds "$tmp/m.prom"
+# A couple of dozen events into an 8192-slot queue: any drop means the
+# queue is broken.
+grep -qx 'amsfi_events_dropped_total 0' "$tmp/m.prom"
 ./target/release/amsfi report "$tmp/j.log" --events "$tmp/e.jsonl"
 rm -rf "$tmp"
 

@@ -366,7 +366,7 @@ fn run(args: &[String]) -> ExitCode {
     };
 
     // Telemetry is enabled as soon as either export is requested:
-    // `--metrics` alone runs metrics-only (no event ring, no drainer).
+    // `--metrics` alone runs metrics-only (no event queue, no drainer).
     let telemetry = if events.is_some() || metrics_out.is_some() {
         let mut builder = Telemetry::builder();
         if let Some(path) = &events {

@@ -256,7 +256,7 @@ fn retryable(e: &WorkerError) -> bool {
 pub fn run(mut cfg: WorkerConfig) -> Result<WorkerReport, WorkerError> {
     if cfg.ship_metrics && !cfg.telemetry.is_enabled() {
         // No events file requested, but metrics shipping needs a live
-        // kernel registry: build one with no event ring attached.
+        // kernel registry: build one with no event queue attached.
         if let Ok(metrics_only) = Telemetry::builder().build() {
             cfg.telemetry = metrics_only;
         }

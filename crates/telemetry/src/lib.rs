@@ -1,13 +1,12 @@
-//! `amsfi-telemetry` — structured tracing, kernel metrics and a JSONL run
+//! `amsfi-telemetry` — structured events, kernel metrics and a JSONL run
 //! ledger for the amsfi fault-injection campaign stack.
 //!
 //! Hand-rolled and dependency-free, following the same vendoring
 //! discipline as the workspace's `rand`/`proptest`/`criterion` shims: no
 //! network, no serde, no tracing ecosystem. Three pieces:
 //!
-//! * **Spans & events** ([`Event`], [`Span`], [`span!`]) — a thread-local
-//!   span stack with monotonic timing feeding a lock-free bounded MPSC
-//!   ring buffer ([`ring::EventRing`]); a background drainer writes an
+//! * **Events** ([`Event`]) — timestamped records sent into a bounded
+//!   `std::sync::mpsc` queue; a background drainer writes them as an
 //!   append-only JSONL event stream.
 //! * **Kernel metrics** ([`KernelMetrics`], [`LogHistogram`], [`Counter`])
 //!   — allocation-free counters and base-2 log-scale histograms for hot
@@ -28,10 +27,7 @@
 //! // Enabled without an event sink: metrics only.
 //! let tele = Telemetry::builder().build().unwrap();
 //! tele.metrics().unwrap().solver_steps.inc();
-//! {
-//!     let mut span = tele.span("simulate");
-//!     span.set("case", 3);
-//! } // span closes (and would be written, had an events path been set)
+//! tele.emit(Event::new("span", "simulate").with_case(3)); // no sink: discarded
 //! tele.close();
 //! ```
 
@@ -41,40 +37,44 @@
 
 mod event;
 pub mod metrics;
-pub mod ring;
 pub mod snapshot;
 
 pub use event::{Event, ParseEventError};
 pub use metrics::{
-    prom_escape_label, prom_histogram, prom_histogram_counts, prom_sample, prom_type, Counter,
-    Gauge, GuardKind, KernelMetrics, LogHistogram, ServeMetrics, HIST_BUCKETS, STAGE_NAMES,
+    prom_histogram_counts, prom_render, prom_sample, prom_type, Counter, Gauge, GuardKind,
+    KernelMetrics, LogHistogram, Series, ServeMetrics,
 };
 pub use snapshot::{HistSnapshot, MetricsSnapshot};
 
-use ring::EventRing;
-use std::cell::RefCell;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-thread_local! {
-    /// The per-thread span stack; span paths are `/`-joined names.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// How long `close()`/`flush()` will wait for the drainer to catch up.
+/// How long `flush()` will wait for the drainer to catch up.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// What the drainer takes off the event queue.
+enum Msg {
+    /// An event to write.
+    Event(Event),
+    /// A [`Telemetry::flush`] call: answered once every message queued
+    /// ahead of it is written and the writer flushed.
+    Flush(mpsc::Sender<()>),
+}
 
 struct Shared {
     metrics: Arc<KernelMetrics>,
-    ring: Option<Arc<EventRing>>,
+    /// The event queue, when an events path is configured.
+    events: Option<SyncSender<Msg>>,
     start: Instant,
     shutdown: Arc<AtomicBool>,
-    drainer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    drainer: Mutex<Option<JoinHandle<()>>>,
     /// Trace-context pairs stamped onto every emitted event (worker name,
     /// campaign, shard, epoch...). Set by the distributed worker around
     /// each lease so multi-process event streams can be joined.
@@ -99,7 +99,7 @@ impl Shared {
 impl fmt::Debug for Shared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
-            .field("events", &self.ring.is_some())
+            .field("events", &self.events.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -108,9 +108,9 @@ impl fmt::Debug for Shared {
 ///
 /// Either *disabled* (every operation is a no-op behind one branch) or
 /// *enabled* with a [`KernelMetrics`] registry and, optionally, a JSONL
-/// event stream drained by a background thread. Call [`Telemetry::close`]
-/// before reading the event file — it joins the drainer after a final
-/// drain.
+/// event stream drained by a background thread. [`Telemetry::flush`]
+/// makes the file complete up to the call; [`Telemetry::close`] stops the
+/// drainer after a final drain.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     shared: Option<Arc<Shared>>,
@@ -120,7 +120,7 @@ impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.shared {
             None => f.write_str("Telemetry(disabled)"),
-            Some(s) => write!(f, "Telemetry(enabled, events={})", s.ring.is_some()),
+            Some(s) => write!(f, "Telemetry(enabled, events={})", s.events.is_some()),
         }
     }
 }
@@ -139,6 +139,24 @@ impl Telemetry {
         }
     }
 
+    /// An enabled handle over an event queue (if any) and its drainer.
+    fn enabled(
+        events: Option<SyncSender<Msg>>,
+        drainer: Option<JoinHandle<()>>,
+        shutdown: Arc<AtomicBool>,
+    ) -> Self {
+        Telemetry {
+            shared: Some(Arc::new(Shared {
+                metrics: Arc::new(KernelMetrics::new()),
+                events,
+                start: Instant::now(),
+                shutdown,
+                drainer: Mutex::new(drainer),
+                context: Mutex::new(Vec::new()),
+            })),
+        }
+    }
+
     /// True when this handle records anything at all.
     pub fn is_enabled(&self) -> bool {
         self.shared.is_some()
@@ -149,28 +167,24 @@ impl Telemetry {
         self.shared.as_ref().map(|s| &s.metrics)
     }
 
-    /// Microseconds since this handle was built (0 when disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        self.shared
-            .as_ref()
-            .map_or(0, |s| s.start.elapsed().as_micros() as u64)
-    }
-
     /// Emits an event to the JSONL stream, stamping its timestamp. A
-    /// no-op unless enabled *with* an events path; the event is dropped
-    /// (and counted) if the ring is full.
+    /// no-op unless enabled *with* an events path. Never blocks: when the
+    /// queue is full (or closed) the event is dropped and counted in
+    /// `events_dropped`.
     pub fn emit(&self, mut ev: Event) {
         if let Some(shared) = &self.shared {
-            if let Some(ring) = &shared.ring {
+            if let Some(events) = &shared.events {
                 ev.t_us = shared.start.elapsed().as_micros() as u64;
                 shared.stamp_context(&mut ev);
-                ring.push(ev);
+                if events.try_send(Msg::Event(ev)).is_err() {
+                    shared.metrics.events_dropped.inc();
+                }
             }
         }
     }
 
     /// Replaces the trace context: key/value pairs appended to every
-    /// subsequent event (spans included) until the next `set_context` /
+    /// subsequent event until the next `set_context` /
     /// [`clear_context`](Self::clear_context). Explicit event fields with
     /// the same key win over context pairs. No-op when disabled.
     ///
@@ -199,60 +213,47 @@ impl Telemetry {
     /// costs nothing when telemetry is off.
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if let Some(shared) = &self.shared {
-            if shared.ring.is_some() {
-                let ev = build();
-                self.emit(ev);
+            if shared.events.is_some() {
+                self.emit(build());
             }
         }
     }
 
-    /// Opens a [`Span`]: a RAII guard that emits a `span` record with its
-    /// `/`-joined thread-local path and duration when dropped. Returns an
-    /// inert guard when no event stream is configured.
-    pub fn span(&self, name: &'static str) -> Span {
-        let active = self.shared.as_ref().filter(|s| s.ring.is_some()).cloned();
-        let path = match &active {
-            Some(_) => SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                stack.push(name);
-                stack.join("/")
-            }),
-            None => String::new(),
-        };
-        Span {
-            shared: active,
-            path,
-            start: Instant::now(),
-            case: None,
-            fields: Vec::new(),
-        }
-    }
-
-    /// Blocks until the drainer has caught up with the ring (bounded by
-    /// an internal timeout). No-op when disabled.
+    /// Returns once every event emitted before the call is written to the
+    /// event file and the writer flushed, or after an internal timeout.
+    /// No-op when disabled, without an events path, or after
+    /// [`close`](Self::close).
     pub fn flush(&self) {
-        if let Some(shared) = &self.shared {
-            if let Some(ring) = &shared.ring {
-                let deadline = Instant::now() + FLUSH_TIMEOUT;
-                while !ring.is_empty() && Instant::now() < deadline {
+        let Some(events) = self.shared.as_ref().and_then(|s| s.events.as_ref()) else {
+            return;
+        };
+        let deadline = Instant::now() + FLUSH_TIMEOUT;
+        let (done, written) = mpsc::channel();
+        // The queue is FIFO: the marker reaches the drainer after every
+        // event accepted before it.
+        let mut msg = Msg::Flush(done);
+        loop {
+            match events.try_send(msg) {
+                Ok(()) => break,
+                Err(TrySendError::Full(back)) if Instant::now() < deadline => {
+                    msg = back;
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                Err(_) => return,
             }
         }
+        let _ = written.recv_timeout(deadline.saturating_duration_since(Instant::now()));
     }
 
-    /// Shuts down the event drainer: signals it, joins it after a final
-    /// drain, and folds the ring's drop count into the metrics.
+    /// Shuts down the event drainer: signals it and joins it after a
+    /// final drain. Events emitted afterwards are dropped and counted.
     /// Idempotent; a no-op when disabled.
     pub fn close(&self) {
         if let Some(shared) = &self.shared {
-            shared.shutdown.store(true, Ordering::Relaxed);
+            shared.shutdown.store(true, Ordering::Release);
             let handle = shared.drainer.lock().ok().and_then(|mut d| d.take());
             if let Some(handle) = handle {
                 let _ = handle.join();
-            }
-            if let Some(ring) = &shared.ring {
-                shared.metrics.events_dropped.add(ring.dropped());
             }
         }
     }
@@ -273,7 +274,8 @@ impl TelemetryBuilder {
         self
     }
 
-    /// Ring-buffer capacity (rounded up to a power of two).
+    /// Event-queue capacity: how many events may wait for the drainer
+    /// before further ones are dropped (at least one).
     #[must_use]
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
@@ -283,141 +285,89 @@ impl TelemetryBuilder {
     /// Builds the handle, spawning the drainer thread if an events path
     /// was configured.
     pub fn build(self) -> std::io::Result<Telemetry> {
-        let metrics = Arc::new(KernelMetrics::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (ring, drainer) = match self.events {
+        let (events, drainer) = match self.events {
             Some(path) => {
-                let file = File::create(&path)?;
-                let ring = Arc::new(EventRing::new(self.capacity));
-                let handle = spawn_drainer(
-                    Arc::clone(&ring),
-                    Arc::clone(&shutdown),
-                    BufWriter::new(file),
-                );
-                (Some(ring), Some(handle))
+                let writer = BufWriter::new(File::create(&path)?);
+                let (events, queue) = mpsc::sync_channel(self.capacity.max(1));
+                let drainer = spawn_drainer(queue, Arc::clone(&shutdown), writer);
+                (Some(events), Some(drainer))
             }
             None => (None, None),
         };
-        Ok(Telemetry {
-            shared: Some(Arc::new(Shared {
-                metrics,
-                ring,
-                start: Instant::now(),
-                shutdown,
-                drainer: Mutex::new(drainer),
-                context: Mutex::new(Vec::new()),
-            })),
-        })
+        Ok(Telemetry::enabled(events, drainer, shutdown))
     }
 }
 
+/// Drains the queue in batches: everything waiting, then one writer
+/// flush, then a 1 ms sleep — an emit never wakes the drainer. Stops after
+/// the batch that follows `close`, or once every handle is gone.
 fn spawn_drainer(
-    ring: Arc<EventRing>,
+    queue: Receiver<Msg>,
     shutdown: Arc<AtomicBool>,
     mut writer: BufWriter<File>,
-) -> std::thread::JoinHandle<()> {
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("amsfi-telemetry".into())
         .spawn(move || {
             let mut broken = false;
             loop {
-                let mut wrote = false;
-                while let Some(ev) = ring.pop() {
-                    wrote = true;
-                    if !broken && writeln!(writer, "{}", ev.to_json()).is_err() {
-                        // Keep draining so producers never stall, but stop
-                        // writing and warn once.
-                        eprintln!("amsfi-telemetry: event sink write failed; discarding events");
-                        broken = true;
+                // Read before draining: every event emitted before `close`
+                // set the flag is in this batch.
+                let stop = shutdown.load(Ordering::Acquire);
+                let disconnected = loop {
+                    match queue.try_recv() {
+                        Ok(Msg::Event(ev)) => {
+                            if !broken && writeln!(writer, "{}", ev.to_json()).is_err() {
+                                // Keep draining so producers never stall, but
+                                // stop writing and warn once.
+                                eprintln!(
+                                    "amsfi-telemetry: event sink write failed; discarding events"
+                                );
+                                broken = true;
+                            }
+                        }
+                        Ok(Msg::Flush(done)) => {
+                            if !broken {
+                                let _ = writer.flush();
+                            }
+                            let _ = done.send(());
+                        }
+                        Err(TryRecvError::Empty) => break false,
+                        Err(TryRecvError::Disconnected) => break true,
                     }
-                }
-                if wrote && !broken {
+                };
+                if !broken {
                     let _ = writer.flush();
                 }
-                if shutdown.load(Ordering::Relaxed) && ring.is_empty() {
+                if stop || disconnected {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(1));
-            }
-            if !broken {
-                let _ = writer.flush();
             }
         })
         .expect("spawn telemetry drainer")
 }
 
-/// RAII span guard returned by [`Telemetry::span`] / [`span!`].
-///
-/// On drop it pops itself off the thread-local span stack and emits a
-/// `span` record carrying the full path (`golden/simulate`), the case
-/// index (if set), the wall-clock duration in microseconds, and any
-/// fields attached via [`Span::set`].
-#[derive(Debug)]
-#[must_use = "a span measures the scope it is alive in"]
-pub struct Span {
-    shared: Option<Arc<Shared>>,
-    path: String,
-    start: Instant,
-    case: Option<usize>,
-    fields: Vec<(String, String)>,
-}
-
-impl Span {
-    /// Attaches a key/value field to the eventual span record.
-    pub fn set(&mut self, key: &str, value: impl fmt::Display) {
-        if self.shared.is_some() {
-            self.fields.push((key.to_string(), value.to_string()));
-        }
-    }
-
-    /// Tags the span with a campaign case index.
-    pub fn case(&mut self, index: usize) {
-        if self.shared.is_some() {
-            self.case = Some(index);
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(shared) = self.shared.take() else {
-            return;
-        };
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        if let Some(ring) = &shared.ring {
-            let mut ev = Event::new("span", std::mem::take(&mut self.path));
-            ev.t_us = shared.start.elapsed().as_micros() as u64;
-            ev.dur_us = Some(self.start.elapsed().as_micros() as u64);
-            ev.case = self.case.map(|c| c as u64);
-            ev.fields = std::mem::take(&mut self.fields);
-            shared.stamp_context(&mut ev);
-            ring.push(ev);
-        }
-    }
-}
-
-/// Opens a [`Span`] with optional `key = value` fields:
-///
-/// ```
-/// # let tele = amsfi_telemetry::Telemetry::disabled();
-/// let case_id = 7;
-/// let _span = amsfi_telemetry::span!(tele, "simulate", case = case_id);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($tele:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        #[allow(unused_mut)]
-        let mut span = $tele.span($name);
-        $(span.set(stringify!($key), &$val);)*
-        span
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn temp_events(tag: &str) -> (PathBuf, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("amsfi-telemetry-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.jsonl");
+        (dir, path)
+    }
+
+    fn read_events(path: &std::path::Path) -> Vec<Event> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|l| Event::parse(l).expect("valid JSONL"))
+            .collect()
+    }
 
     #[test]
     fn disabled_handle_is_inert() {
@@ -426,9 +376,6 @@ mod tests {
         assert!(tele.metrics().is_none());
         tele.emit(Event::new("span", "x"));
         tele.emit_with(|| unreachable!("must not build events when disabled"));
-        let mut span = tele.span("x");
-        span.set("k", "v");
-        drop(span);
         tele.flush();
         tele.close();
     }
@@ -440,29 +387,25 @@ mod tests {
         tele.metrics().unwrap().solver_steps.add(3);
         tele.emit(Event::new("span", "x")); // silently discarded: no sink
         assert_eq!(tele.metrics().unwrap().solver_steps.get(), 3);
+        assert_eq!(tele.metrics().unwrap().events_dropped.get(), 0);
         tele.close();
     }
 
     #[test]
     fn trace_context_stamps_events_and_spans() {
-        let dir = std::env::temp_dir().join(format!("amsfi-telemetry-ctx-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
+        let (dir, path) = temp_events("ctx");
         let tele = Telemetry::builder().events_path(&path).build().unwrap();
 
         tele.set_context(&[("worker", "w1"), ("campaign", "osc")]);
         tele.emit(Event::new("tick", "a"));
         // An explicit field with the same key wins over the context.
         tele.emit(Event::new("tick", "b").with_field("campaign", "explicit"));
-        {
-            let _span = span!(tele, "simulate");
-        }
+        tele.emit(Event::new("span", "simulate").with_dur_us(5));
         tele.clear_context();
         tele.emit(Event::new("tick", "c"));
         tele.close();
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<Event> = text.lines().map(|l| Event::parse(l).unwrap()).collect();
+        let events = read_events(&path);
         assert_eq!(events.len(), 4);
         let field = |ev: &Event, k: &str| {
             ev.fields
@@ -490,37 +433,88 @@ mod tests {
 
     #[test]
     fn events_stream_to_jsonl_in_order() {
-        let dir = std::env::temp_dir().join(format!("amsfi-telemetry-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
+        let (dir, path) = temp_events("order");
         let tele = Telemetry::builder().events_path(&path).build().unwrap();
         for i in 0..10usize {
             tele.emit(Event::new("tick", "n").with_case(i));
         }
-        {
-            let _outer = span!(tele, "outer");
-            let mut inner = span!(tele, "inner", attempt = 1);
-            inner.case(42);
-        }
         tele.close();
         tele.close(); // idempotent
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<Event> = text
-            .lines()
-            .map(|l| Event::parse(l).expect("valid JSONL"))
-            .collect();
-        assert_eq!(events.len(), 12);
-        for (i, ev) in events.iter().take(10).enumerate() {
+        let events = read_events(&path);
+        assert_eq!(events.len(), 10);
+        for (i, ev) in events.iter().enumerate() {
             assert_eq!(ev.kind, "tick");
             assert_eq!(ev.case, Some(i as u64));
         }
-        // Spans close inner-first and carry nested paths.
-        assert_eq!(events[10].name, "outer/inner");
-        assert_eq!(events[10].case, Some(42));
-        assert_eq!(events[10].fields, vec![("attempt".into(), "1".into())]);
-        assert!(events[10].dur_us.is_some());
-        assert_eq!(events[11].name, "outer");
+        assert_eq!(tele.metrics().unwrap().events_dropped.get(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flush_returns_once_the_events_are_in_the_file() {
+        let (dir, path) = temp_events("flush");
+        let tele = Telemetry::builder().events_path(&path).build().unwrap();
+        for round in 1..=3usize {
+            for i in 0..100usize {
+                tele.emit(Event::new("tick", "n").with_case(i));
+            }
+            tele.flush();
+            // Read while the drainer is still running: no `close` yet.
+            assert_eq!(read_events(&path).len(), 100 * round);
+        }
+        tele.close();
+        tele.flush(); // after close: returns at once
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_full_queue_drops_and_counts_without_blocking() {
+        // No drainer: the queue fills and stays full.
+        let (events, queue) = mpsc::sync_channel(2);
+        let tele = Telemetry::enabled(Some(events), None, Arc::default());
+        for i in 0..5usize {
+            tele.emit(Event::new("tick", "n").with_case(i));
+        }
+        let dropped = || tele.metrics().unwrap().events_dropped.get();
+        assert_eq!(dropped(), 3);
+        let mut kept = Vec::new();
+        while let Ok(Msg::Event(ev)) = queue.try_recv() {
+            kept.push(ev.case);
+        }
+        assert_eq!(kept, [Some(0), Some(1)]);
+        // A closed queue counts too.
+        drop(queue);
+        tele.emit(Event::new("tick", "late"));
+        assert_eq!(dropped(), 4);
+    }
+
+    #[test]
+    fn concurrent_emitters_lose_nothing() {
+        const THREADS: usize = 4;
+        const EACH: usize = 200;
+        let (dir, path) = temp_events("mpsc");
+        let tele = Telemetry::builder()
+            .events_path(&path)
+            .capacity(THREADS * EACH)
+            .build()
+            .unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let tele = tele.clone();
+                scope.spawn(move || {
+                    for i in 0..EACH {
+                        tele.emit(Event::new("tick", "n").with_case(t * 1000 + i));
+                    }
+                });
+            }
+        });
+        tele.close();
+        let mut seen: Vec<u64> = read_events(&path).iter().filter_map(|ev| ev.case).collect();
+        assert_eq!(seen.len(), THREADS * EACH);
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), THREADS * EACH, "duplicate or lost events");
         assert_eq!(tele.metrics().unwrap().events_dropped.get(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

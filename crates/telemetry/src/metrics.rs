@@ -3,8 +3,9 @@
 //! Everything here is allocation-free on the hot path — an observation is
 //! one or two relaxed atomic adds — so the simulation kernels can record
 //! solver steps, proposed timesteps and guard trips on every iteration
-//! without measurable cost. The registry renders itself in Prometheus
-//! text exposition format for `amsfi run --metrics <path>`.
+//! without measurable cost. Each registry lists its series once (a
+//! [`Series`] list); [`prom_render`] turns any list into Prometheus text
+//! exposition format for `amsfi run --metrics <path>`.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -75,7 +76,7 @@ impl Gauge {
 
 /// Number of buckets in a [`LogHistogram`]: one per power of two of the
 /// `u64` range, plus a dedicated zero bucket.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// A fixed-bucket base-2 log-scale histogram of `u64` observations.
 ///
@@ -144,21 +145,26 @@ impl LogHistogram {
     /// The value at percentile `p` (0–100), resolved to the containing
     /// bucket's upper bound. Returns 0 for an empty histogram.
     pub fn percentile(&self, p: f64) -> u64 {
-        let counts = self.counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Self::upper_bound(i);
-            }
-        }
-        u64::MAX
+        percentile(&self.counts(), p)
     }
+}
+
+/// The value at percentile `p` (0–100) of a bucket-count array, resolved
+/// to the containing bucket's upper bound; 0 when empty.
+pub(crate) fn percentile(counts: &[u64; HIST_BUCKETS], p: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
+    let mut cum = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        cum += c;
+        if cum >= rank {
+            return LogHistogram::upper_bound(i);
+        }
+    }
+    u64::MAX
 }
 
 impl fmt::Debug for LogHistogram {
@@ -190,7 +196,7 @@ pub enum GuardKind {
 }
 
 impl GuardKind {
-    /// All kinds, in stable order.
+    /// All kinds, in declaration order (which indexes the trip counters).
     pub const ALL: [GuardKind; 5] = [
         GuardKind::NonFinite,
         GuardKind::StepBudget,
@@ -209,21 +215,11 @@ impl GuardKind {
             GuardKind::Panic => "panic",
         }
     }
-
-    fn idx(self) -> usize {
-        match self {
-            GuardKind::NonFinite => 0,
-            GuardKind::StepBudget => 1,
-            GuardKind::TimestepCollapse => 2,
-            GuardKind::Deadline => 3,
-            GuardKind::Panic => 4,
-        }
-    }
 }
 
 /// Stage names, index-aligned with `amsfi_engine::Stage` and the
 /// `stage_latency_us` histogram array.
-pub const STAGE_NAMES: [&str; 3] = ["build", "simulate", "classify"];
+const STAGE_NAMES: [&str; 3] = ["build", "simulate", "classify"];
 
 /// The fixed metric registry shared by the kernels and the engine.
 ///
@@ -257,12 +253,12 @@ pub struct KernelMetrics {
     pub journal_records: Counter,
     /// Journal bytes written.
     pub journal_bytes: Counter,
-    /// Per-stage latency distributions, microseconds; indexed like
-    /// [`STAGE_NAMES`].
+    /// Per-stage latency distributions, microseconds; indexed build,
+    /// simulate, classify.
     pub stage_latency_us: [LogHistogram; 3],
     /// End-to-end per-case latency distribution, microseconds.
     pub case_latency_us: LogHistogram,
-    /// Events dropped because the ring buffer was full.
+    /// Events dropped because the event queue was full or closed.
     pub events_dropped: Counter,
     /// Cases aborted early because an online classifier sealed the verdict
     /// before the simulation horizon.
@@ -296,12 +292,12 @@ impl KernelMetrics {
 
     /// Records one guard trip of the given kind.
     pub fn guard_trip(&self, kind: GuardKind) {
-        self.guard_trips[kind.idx()].inc();
+        self.guard_trips[kind as usize].inc();
     }
 
     /// Trip count for one guard kind.
     pub fn guard_trips(&self, kind: GuardKind) -> u64 {
-        self.guard_trips[kind.idx()].get()
+        self.guard_trips[kind as usize].get()
     }
 
     /// Total guard trips across all kinds.
@@ -309,144 +305,52 @@ impl KernelMetrics {
         self.guard_trips.iter().map(Counter::get).sum()
     }
 
+    /// The registry's series in export order: the one list both
+    /// [`to_prometheus`](Self::to_prometheus) and
+    /// [`snapshot`](Self::snapshot) walk. One row per series: Prometheus
+    /// family, snapshot name, source.
+    #[rustfmt::skip]
+    pub(crate) fn series(&self) -> Vec<Series<'_>> {
+        let count = |family, snapshot, c: &Counter| Series::counter(family, c.get()).ship(snapshot);
+        let hist = |family, snapshot, h| Series::histogram(family, h).ship(snapshot);
+        let mut list = vec![
+            count("amsfi_solver_steps_total", "solver_steps", &self.solver_steps),
+            count("amsfi_digital_events_total", "digital_events", &self.digital_events),
+            count("amsfi_sync_steps_total", "sync_steps", &self.sync_steps),
+        ];
+        list.extend(GuardKind::ALL.map(|kind| {
+            Series::counter("amsfi_guard_trips_total", self.guard_trips(kind))
+                .label("kind", kind.label())
+                .ship(format!("guard_{}", kind.label()))
+        }));
+        list.extend([
+            count("amsfi_snapshot_cache_total", "snapshot_hits", &self.snapshot_hits).label("outcome", "hit"),
+            count("amsfi_snapshot_cache_total", "snapshot_misses", &self.snapshot_misses).label("outcome", "miss"),
+            count("amsfi_restore_fallbacks_total", "restore_fallbacks", &self.restore_fallbacks),
+            count("amsfi_journal_records_total", "journal_records", &self.journal_records),
+            count("amsfi_journal_bytes_total", "journal_bytes", &self.journal_bytes),
+            count("amsfi_events_dropped_total", "events_dropped", &self.events_dropped),
+            count("amsfi_early_aborts_total", "early_aborts", &self.early_aborts),
+            count("amsfi_saved_sim_femtoseconds_total", "saved_sim_fs", &self.saved_sim_fs),
+            count("amsfi_saved_steps_total", "saved_steps", &self.saved_steps),
+            Series::gauge("amsfi_golden_trace_bytes", self.golden_trace_bytes.get()).ship("golden_trace_bytes"),
+            count("amsfi_lane_seals_total", "lane_seals", &self.lane_seals),
+            hist("amsfi_lane_occupancy", "lane_occupancy", &self.lane_occupancy),
+            hist("amsfi_proposed_dt_femtoseconds", "proposed_dt_fs", &self.proposed_dt_fs),
+            hist("amsfi_budget_steps_used", "steps_used", &self.steps_used),
+        ]);
+        list.extend(STAGE_NAMES.iter().zip(&self.stage_latency_us).map(|(stage, h)| {
+            Series::histogram("amsfi_stage_latency_microseconds", h)
+                .label("stage", *stage)
+                .ship(format!("stage_latency_us_{stage}"))
+        }));
+        list.push(hist("amsfi_case_latency_microseconds", "case_latency_us", &self.case_latency_us));
+        list
+    }
+
     /// Renders the registry in Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        prom_type(&mut out, "amsfi_solver_steps_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_solver_steps_total",
-            &[],
-            self.solver_steps.get(),
-        );
-        prom_type(&mut out, "amsfi_digital_events_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_digital_events_total",
-            &[],
-            self.digital_events.get(),
-        );
-        prom_type(&mut out, "amsfi_sync_steps_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_sync_steps_total",
-            &[],
-            self.sync_steps.get(),
-        );
-        prom_type(&mut out, "amsfi_guard_trips_total", "counter");
-        for kind in GuardKind::ALL {
-            prom_sample(
-                &mut out,
-                "amsfi_guard_trips_total",
-                &[("kind", kind.label())],
-                self.guard_trips(kind),
-            );
-        }
-        prom_type(&mut out, "amsfi_snapshot_cache_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_snapshot_cache_total",
-            &[("outcome", "hit")],
-            self.snapshot_hits.get(),
-        );
-        prom_sample(
-            &mut out,
-            "amsfi_snapshot_cache_total",
-            &[("outcome", "miss")],
-            self.snapshot_misses.get(),
-        );
-        prom_type(&mut out, "amsfi_restore_fallbacks_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_restore_fallbacks_total",
-            &[],
-            self.restore_fallbacks.get(),
-        );
-        prom_type(&mut out, "amsfi_journal_records_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_journal_records_total",
-            &[],
-            self.journal_records.get(),
-        );
-        prom_type(&mut out, "amsfi_journal_bytes_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_journal_bytes_total",
-            &[],
-            self.journal_bytes.get(),
-        );
-        prom_type(&mut out, "amsfi_events_dropped_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_events_dropped_total",
-            &[],
-            self.events_dropped.get(),
-        );
-        prom_type(&mut out, "amsfi_early_aborts_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_early_aborts_total",
-            &[],
-            self.early_aborts.get(),
-        );
-        prom_type(&mut out, "amsfi_saved_sim_femtoseconds_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_saved_sim_femtoseconds_total",
-            &[],
-            self.saved_sim_fs.get(),
-        );
-        prom_type(&mut out, "amsfi_saved_steps_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_saved_steps_total",
-            &[],
-            self.saved_steps.get(),
-        );
-        prom_type(&mut out, "amsfi_golden_trace_bytes", "gauge");
-        prom_sample(
-            &mut out,
-            "amsfi_golden_trace_bytes",
-            &[],
-            self.golden_trace_bytes.get(),
-        );
-        prom_type(&mut out, "amsfi_lane_seals_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_lane_seals_total",
-            &[],
-            self.lane_seals.get(),
-        );
-        prom_type(&mut out, "amsfi_lane_occupancy", "histogram");
-        prom_histogram(&mut out, "amsfi_lane_occupancy", &[], &self.lane_occupancy);
-
-        prom_type(&mut out, "amsfi_proposed_dt_femtoseconds", "histogram");
-        prom_histogram(
-            &mut out,
-            "amsfi_proposed_dt_femtoseconds",
-            &[],
-            &self.proposed_dt_fs,
-        );
-        prom_type(&mut out, "amsfi_budget_steps_used", "histogram");
-        prom_histogram(&mut out, "amsfi_budget_steps_used", &[], &self.steps_used);
-        prom_type(&mut out, "amsfi_stage_latency_microseconds", "histogram");
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            prom_histogram(
-                &mut out,
-                "amsfi_stage_latency_microseconds",
-                &[("stage", name)],
-                &self.stage_latency_us[i],
-            );
-        }
-        prom_type(&mut out, "amsfi_case_latency_microseconds", "histogram");
-        prom_histogram(
-            &mut out,
-            "amsfi_case_latency_microseconds",
-            &[],
-            &self.case_latency_us,
-        );
-        out
+        prom_render(&self.series())
     }
 }
 
@@ -508,117 +412,126 @@ impl ServeMetrics {
 
     /// Renders the registry in Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        prom_type(&mut out, "amsfi_serve_workers_connected", "gauge");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_workers_connected",
-            &[],
-            self.workers_connected.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_workers_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_workers_total",
-            &[],
-            self.workers_total.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_campaigns_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_campaigns_total",
-            &[("state", "submitted")],
-            self.campaigns_submitted.get(),
-        );
-        prom_sample(
-            &mut out,
-            "amsfi_serve_campaigns_total",
-            &[("state", "completed")],
-            self.campaigns_completed.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_shards_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_shards_total",
-            &[("state", "leased")],
-            self.shards_leased.get(),
-        );
-        prom_sample(
-            &mut out,
-            "amsfi_serve_shards_total",
-            &[("state", "completed")],
-            self.shards_completed.get(),
-        );
-        prom_sample(
-            &mut out,
-            "amsfi_serve_shards_total",
-            &[("state", "resharded")],
-            self.shards_resharded.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_lease_timeouts_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_lease_timeouts_total",
-            &[],
-            self.lease_timeouts.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_cases_merged_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_cases_merged_total",
-            &[],
-            self.cases_merged.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_records_rejected_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_records_rejected_total",
-            &[],
-            self.records_rejected.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_frames_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_frames_total",
-            &[("dir", "rx")],
-            self.frames_rx.get(),
-        );
-        prom_sample(
-            &mut out,
-            "amsfi_serve_frames_total",
-            &[("dir", "tx")],
-            self.frames_tx.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_campaigns_recovered_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_campaigns_recovered_total",
-            &[],
-            self.campaigns_recovered.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_cases_recovered_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_cases_recovered_total",
-            &[],
-            self.cases_recovered.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_drain_requests_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_drain_requests_total",
-            &[],
-            self.drain_requests.get(),
-        );
-        prom_type(&mut out, "amsfi_serve_stragglers_flagged_total", "counter");
-        prom_sample(
-            &mut out,
-            "amsfi_serve_stragglers_flagged_total",
-            &[],
-            self.stragglers_flagged.get(),
-        );
-        out
+        let count = |family, c: &Counter| Series::counter(family, c.get());
+        prom_render(&[
+            Series::gauge(
+                "amsfi_serve_workers_connected",
+                self.workers_connected.get(),
+            ),
+            count("amsfi_serve_workers_total", &self.workers_total),
+            count("amsfi_serve_campaigns_total", &self.campaigns_submitted)
+                .label("state", "submitted"),
+            count("amsfi_serve_campaigns_total", &self.campaigns_completed)
+                .label("state", "completed"),
+            count("amsfi_serve_shards_total", &self.shards_leased).label("state", "leased"),
+            count("amsfi_serve_shards_total", &self.shards_completed).label("state", "completed"),
+            count("amsfi_serve_shards_total", &self.shards_resharded).label("state", "resharded"),
+            count("amsfi_serve_lease_timeouts_total", &self.lease_timeouts),
+            count("amsfi_serve_cases_merged_total", &self.cases_merged),
+            count("amsfi_serve_records_rejected_total", &self.records_rejected),
+            count("amsfi_serve_frames_total", &self.frames_rx).label("dir", "rx"),
+            count("amsfi_serve_frames_total", &self.frames_tx).label("dir", "tx"),
+            count(
+                "amsfi_serve_campaigns_recovered_total",
+                &self.campaigns_recovered,
+            ),
+            count("amsfi_serve_cases_recovered_total", &self.cases_recovered),
+            count("amsfi_serve_drain_requests_total", &self.drain_requests),
+            count(
+                "amsfi_serve_stragglers_flagged_total",
+                &self.stragglers_flagged,
+            ),
+        ])
     }
+}
+
+/// What a [`Series`] reads: its Prometheus type and its value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Reading<'a> {
+    Counter(u64),
+    Gauge(u64),
+    Histogram(&'a LogHistogram),
+}
+
+/// One row of a registry's series list: a Prometheus family, at most one
+/// label, the name it ships under in a
+/// [`MetricsSnapshot`](crate::MetricsSnapshot) (kernel series only) and
+/// its reading. A registry builds its list once per export;
+/// [`prom_render`] writes any list.
+#[derive(Debug)]
+pub struct Series<'a> {
+    family: &'static str,
+    label: Option<(&'static str, String)>,
+    pub(crate) snapshot: Option<String>,
+    pub(crate) reading: Reading<'a>,
+}
+
+impl<'a> Series<'a> {
+    fn new(family: &'static str, reading: Reading<'a>) -> Self {
+        Series {
+            family,
+            label: None,
+            snapshot: None,
+            reading,
+        }
+    }
+
+    /// A counter sample.
+    pub fn counter(family: &'static str, value: u64) -> Self {
+        Self::new(family, Reading::Counter(value))
+    }
+
+    /// A gauge sample.
+    pub fn gauge(family: &'static str, value: u64) -> Self {
+        Self::new(family, Reading::Gauge(value))
+    }
+
+    /// A histogram's `_bucket`/`_sum`/`_count` samples.
+    pub fn histogram(family: &'static str, h: &'a LogHistogram) -> Self {
+        Self::new(family, Reading::Histogram(h))
+    }
+
+    /// Adds the series' label.
+    #[must_use]
+    pub fn label(mut self, name: &'static str, value: impl Into<String>) -> Self {
+        self.label = Some((name, value.into()));
+        self
+    }
+
+    /// Names the series in the metrics snapshot a worker ships.
+    fn ship(mut self, name: impl Into<String>) -> Self {
+        self.snapshot = Some(name.into());
+        self
+    }
+}
+
+/// Renders a series list in Prometheus text exposition format, with a
+/// `# TYPE` line wherever the family changes.
+pub fn prom_render(series: &[Series<'_>]) -> String {
+    let mut out = String::with_capacity(64 * series.len());
+    let mut family = "";
+    for s in series {
+        if s.family != family {
+            family = s.family;
+            let ty = match s.reading {
+                Reading::Counter(_) => "counter",
+                Reading::Gauge(_) => "gauge",
+                Reading::Histogram(_) => "histogram",
+            };
+            prom_type(&mut out, family, ty);
+        }
+        let label = s
+            .label
+            .as_ref()
+            .map(|(name, value)| (*name, value.as_str()));
+        match s.reading {
+            Reading::Counter(v) | Reading::Gauge(v) => {
+                prom_sample(&mut out, family, label.as_slice(), v);
+            }
+            Reading::Histogram(h) => prom_histogram(&mut out, family, label.as_slice(), h),
+        }
+    }
+    out
 }
 
 /// Writes a `# TYPE` header line.
@@ -629,7 +542,13 @@ pub fn prom_type(out: &mut String, name: &str, ty: &str) {
 /// Writes one sample line with optional labels.
 pub fn prom_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: u64) {
     out.push_str(name);
-    push_labels(out, labels);
+    for (i, (k, v)) in labels.iter().enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        let _ = write!(out, "{k}=\"{}\"", prom_escape_label(v));
+    }
+    if !labels.is_empty() {
+        out.push('}');
+    }
     let _ = writeln!(out, " {value}");
 }
 
@@ -639,7 +558,7 @@ pub fn prom_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value:
 /// inputs (they arrive over the wire), so this is load-bearing, not
 /// cosmetic: an unescaped `"` would let one worker corrupt the whole
 /// fleet export.
-pub fn prom_escape_label(value: &str) -> String {
+fn prom_escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -652,29 +571,16 @@ pub fn prom_escape_label(value: &str) -> String {
     out
 }
 
-fn push_labels(out: &mut String, labels: &[(&str, &str)]) {
-    if labels.is_empty() {
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", prom_escape_label(v));
-    }
-    out.push('}');
-}
-
 /// Writes the cumulative `_bucket`/`_sum`/`_count` series for one
 /// histogram (the caller writes the shared `# TYPE` header).
-pub fn prom_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], h: &LogHistogram) {
+fn prom_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], h: &LogHistogram) {
     prom_histogram_counts(out, name, labels, &h.counts(), h.sum());
 }
 
-/// Like [`prom_histogram`] but over a raw bucket-count array — used by
-/// the coordinator's fleet export, which renders worker histograms it
-/// received as snapshots rather than live [`LogHistogram`]s.
+/// Writes the cumulative `_bucket`/`_sum`/`_count` series of one
+/// histogram given as a bucket-count array (the caller writes the shared
+/// `# TYPE` header) — the coordinator's fleet export renders the worker
+/// histograms it received as snapshots this way.
 pub fn prom_histogram_counts(
     out: &mut String,
     name: &str,
@@ -699,14 +605,8 @@ pub fn prom_histogram_counts(
     let mut ls: Vec<(&str, &str)> = labels.to_vec();
     ls.push(("le", "+Inf"));
     prom_sample(out, &format!("{name}_bucket"), &ls, total);
-    out.push_str(name);
-    out.push_str("_sum");
-    push_labels(out, labels);
-    let _ = writeln!(out, " {sum}");
-    out.push_str(name);
-    out.push_str("_count");
-    push_labels(out, labels);
-    let _ = writeln!(out, " {total}");
+    prom_sample(out, &format!("{name}_sum"), labels, sum);
+    prom_sample(out, &format!("{name}_count"), labels, total);
 }
 
 #[cfg(test)]

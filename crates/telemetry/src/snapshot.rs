@@ -23,7 +23,7 @@
 //!   journal-escaped frame value without growth and survives hostile
 //!   truncation as a decode error, never a panic.
 
-use crate::metrics::{GuardKind, KernelMetrics, LogHistogram, HIST_BUCKETS, STAGE_NAMES};
+use crate::metrics::{percentile, KernelMetrics, LogHistogram, Reading, HIST_BUCKETS};
 use std::fmt;
 
 /// A sparse, serializable copy of one [`LogHistogram`]: the non-empty
@@ -39,9 +39,12 @@ pub struct HistSnapshot {
 impl HistSnapshot {
     /// Captures a live histogram.
     pub fn of(h: &LogHistogram) -> Self {
-        let counts = h.counts();
+        Self::sparse(h.sum(), &h.counts())
+    }
+
+    fn sparse(sum: u64, counts: &[u64; HIST_BUCKETS]) -> Self {
         HistSnapshot {
-            sum: h.sum(),
+            sum,
             buckets: counts
                 .iter()
                 .enumerate()
@@ -72,20 +75,7 @@ impl HistSnapshot {
     /// bucket's upper bound; 0 when empty. Same contract as
     /// [`LogHistogram::percentile`].
     pub fn percentile(&self, p: f64) -> u64 {
-        let counts = self.counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return LogHistogram::upper_bound(i);
-            }
-        }
-        u64::MAX
+        percentile(&self.counts(), p)
     }
 
     /// Adds `other`'s buckets and sum into `self` (bucket-wise sum —
@@ -97,13 +87,7 @@ impl HistSnapshot {
                 counts[i as usize] += c;
             }
         }
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.buckets = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u8, c))
-            .collect();
+        *self = Self::sparse(self.sum.wrapping_add(other.sum), &counts);
     }
 }
 
@@ -266,37 +250,19 @@ impl MetricsSnapshot {
 }
 
 impl KernelMetrics {
-    /// Samples the registry into a shippable [`MetricsSnapshot`]. Names
-    /// are stable identifiers shared with the fleet Prometheus export.
+    /// Samples the registry into a shippable [`MetricsSnapshot`]: every
+    /// series of the Prometheus export, under its snapshot name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        snap.set_counter("solver_steps", self.solver_steps.get());
-        snap.set_counter("digital_events", self.digital_events.get());
-        snap.set_counter("sync_steps", self.sync_steps.get());
-        for kind in GuardKind::ALL {
-            snap.set_counter(&format!("guard_{}", kind.label()), self.guard_trips(kind));
+        for series in self.series() {
+            let Some(name) = &series.snapshot else {
+                continue;
+            };
+            match series.reading {
+                Reading::Counter(v) | Reading::Gauge(v) => snap.set_counter(name, v),
+                Reading::Histogram(h) => snap.set_hist(name, HistSnapshot::of(h)),
+            }
         }
-        snap.set_counter("snapshot_hits", self.snapshot_hits.get());
-        snap.set_counter("snapshot_misses", self.snapshot_misses.get());
-        snap.set_counter("restore_fallbacks", self.restore_fallbacks.get());
-        snap.set_counter("journal_records", self.journal_records.get());
-        snap.set_counter("journal_bytes", self.journal_bytes.get());
-        snap.set_counter("golden_trace_bytes", self.golden_trace_bytes.get());
-        snap.set_counter("events_dropped", self.events_dropped.get());
-        snap.set_counter("early_aborts", self.early_aborts.get());
-        snap.set_counter("saved_sim_fs", self.saved_sim_fs.get());
-        snap.set_counter("saved_steps", self.saved_steps.get());
-        snap.set_counter("lane_seals", self.lane_seals.get());
-        snap.set_hist("proposed_dt_fs", HistSnapshot::of(&self.proposed_dt_fs));
-        snap.set_hist("steps_used", HistSnapshot::of(&self.steps_used));
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            snap.set_hist(
-                &format!("stage_latency_us_{name}"),
-                HistSnapshot::of(&self.stage_latency_us[i]),
-            );
-        }
-        snap.set_hist("case_latency_us", HistSnapshot::of(&self.case_latency_us));
-        snap.set_hist("lane_occupancy", HistSnapshot::of(&self.lane_occupancy));
         snap
     }
 }
@@ -304,6 +270,7 @@ impl KernelMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GuardKind;
 
     #[test]
     fn empty_snapshot_round_trips() {
