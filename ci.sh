@@ -103,6 +103,13 @@ rm -rf "$tmp"
 # difference fails.
 AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-bench --release --test batch_diff
 
+# The word kernel's idle-drive rule against a twin that queues every drive:
+# random per-lane drive scripts (value, delay 0 or 1 ns, transport, order
+# in one eval, hand-over instant) must leave planes, golden trace and the
+# lanes equal to golden the same at every stop.
+AMSFI_FUZZ_SEEDS=400 cargo test -q -p amsfi-digital --release --lib \
+    word::tests::idle_rule_word_machines_match_their_unskipped_twins
+
 # The fork path's differential fuzzer: random loop-filter strikes and SEUs
 # on the fast PLL with its payload, --checkpoint at 1 and 3 workers (forks
 # off the one golden ladder, concurrently) against from-scratch runs; any

@@ -565,6 +565,74 @@ mod tests {
     }
 
     #[test]
+    fn word_golden_run_traffic_is_pinned() {
+        // The word kernel's twin of the pin above: one word machine over
+        // the same 20 us run, SEU lanes from 2 us on. The golden trace and
+        // every lane's toggles are what any kernel change must keep (the
+        // trace digest is the scalar run's); the event count is what the
+        // word kernel pays for them, pinned so that queuing idle re-drives
+        // again fails here and not only in a benchmark.
+        use amsfi_digital::WordBatchSimulator;
+        use amsfi_waves::{KernelMetrics, MismatchToggles, SimBudget};
+        const T_END: Time = Time::from_us(20);
+        let bits = [0usize, 3, 9, 14, 15 + 8, 15 + 9 * 8];
+        let times = [Time::from_us(2), Time::from_us(7)];
+        let bench = || {
+            let (mut sim, cpu) = cpu_bench(checksum_program());
+            for name in ["clk", "rst", "pc"] {
+                sim.monitor_name(name);
+            }
+            (sim, cpu)
+        };
+
+        // The prefix is the scalar kernel's: the word machine, which takes
+        // over at the first instant, is metered alone.
+        let (mut golden, cpu) = bench();
+        golden.run_until(times[0]).unwrap();
+        let metrics = std::sync::Arc::new(KernelMetrics::new());
+        golden.set_budget(SimBudget::unlimited().with_metrics(metrics.clone()));
+        let mut batch = WordBatchSimulator::new(golden, T_END);
+        let mut cases = Vec::new();
+        for &at in &times {
+            for &bit in &bits {
+                batch.add_lane(at);
+                cases.push((at, bit));
+            }
+        }
+        let report = batch
+            .run(
+                |lane, sim| {
+                    sim.flip_state(cpu, cases[lane].1);
+                    Ok(())
+                },
+                |_, _| {},
+            )
+            .unwrap();
+        assert_eq!(report.machines, 1);
+
+        let mut h = amsfi_waves::Fnv1a::new();
+        h.write_str(&amsfi_waves::vcd::to_vcd(&report.golden, ""));
+        assert_eq!(h.finish(), 0x6171_b458_9816_8062, "the golden trace moved");
+        for (lane, &(at, bit)) in cases.iter().enumerate() {
+            let (mut scalar, cpu) = bench();
+            scalar.run_until(at).unwrap();
+            scalar.flip_state(cpu, bit);
+            scalar.run_until(T_END).unwrap();
+            assert_eq!(
+                report.lane_toggles(lane),
+                Some(&MismatchToggles::between(&report.golden, scalar.trace())),
+                "lane {lane} (bit {bit} @ {at})"
+            );
+        }
+        // 14 416 while every idle re-drive of `out` and `pc` was queued.
+        assert_eq!(
+            metrics.digital_events.get(),
+            9_374,
+            "the word event traffic moved"
+        );
+    }
+
+    #[test]
     fn table_seu_corrupts_the_stream() {
         let (mut golden, _) = cpu_bench(checksum_program());
         let (mut faulty, cpu) = cpu_bench(checksum_program());

@@ -87,25 +87,17 @@ impl std::ops::IndexMut<u32> for Arena {
     }
 }
 
-/// The evaluation context handed to [`Component::eval`]: the signal store
-/// seen through the component's input ports, and a queue of requested
-/// actions whose drive values live in the simulator's arena.
-///
-/// A scalar simulator also shows the context its component's outputs, so
-/// that an idle zero-delay re-drive — inertial, the eval's first drive on
-/// that output, nothing queued for the output signal, and the value it
-/// already holds — is dropped before it takes a slot: queued, it would be
-/// applied in the next delta and change nothing, and its cancellation
-/// would find nothing to cancel.
-#[derive(Debug)]
-pub struct EvalContext<'a> {
-    now: Time,
-    /// The signal values `ports` and `outputs` index into.
-    values: &'a [LogicVector],
-    /// The component's input ports, in port order.
-    ports: &'a [SignalId],
-    pub(crate) actions: Vec<Action>,
-    arena: &'a mut Arena,
+/// The idle-drive rule of one evaluation, which the scalar
+/// [`EvalContext`] and the word kernel's evaluation context both apply, so
+/// that the two kernels drop the same drives: an inertial zero-delay drive
+/// that is the eval's first on its output (below 64), onto a signal with
+/// no write queued, of the value the signal already holds, is dropped
+/// before it takes any storage. Queued, it would be applied in the next
+/// delta and change nothing, and its cancellation would find nothing to
+/// cancel. A transport drive is never dropped but marks its output as
+/// driven.
+#[derive(Debug, Default)]
+pub(crate) struct IdleRule<'a> {
     /// The component's output ports, or none at all when the caller keeps
     /// no per-signal count of queued writes (then no drive is dropped).
     outputs: &'a [SignalId],
@@ -115,6 +107,68 @@ pub struct EvalContext<'a> {
     driven: u64,
     /// Whether this eval dropped an idle re-drive.
     pub(crate) dropped: bool,
+}
+
+impl<'a> IdleRule<'a> {
+    /// The rule over a component's `outputs` and, per signal, the number
+    /// of writes `queued` for it.
+    pub(crate) fn new(outputs: &'a [SignalId], queued: &'a [u32]) -> Self {
+        IdleRule {
+            outputs,
+            queued,
+            driven: 0,
+            dropped: false,
+        }
+    }
+
+    /// Notes a drive on `output` and returns whether it was the eval's
+    /// first.
+    pub(crate) fn note_driven(&mut self, output: usize) -> bool {
+        let Some(bit) = 1u64.checked_shl(output as u32) else {
+            return false;
+        };
+        let first = self.driven & bit == 0;
+        self.driven |= bit;
+        first
+    }
+
+    /// Whether an inertial drive of `output` after `delay` is idle and so
+    /// dropped; `holds(signal)` tells whether the output's signal already
+    /// holds the drive's value.
+    pub(crate) fn idle(
+        &mut self,
+        output: usize,
+        delay: Time,
+        holds: impl FnOnce(usize) -> bool,
+    ) -> bool {
+        let first = self.note_driven(output);
+        let idle = first
+            && delay == Time::ZERO
+            && self
+                .outputs
+                .get(output)
+                .is_some_and(|sig| self.queued[sig.0] == 0 && holds(sig.0));
+        self.dropped |= idle;
+        idle
+    }
+}
+
+/// The evaluation context handed to [`Component::eval`]: the signal store
+/// seen through the component's input ports, and a queue of requested
+/// actions whose drive values live in the simulator's arena.
+///
+/// A scalar simulator also shows the context its component's outputs, so
+/// that it drops idle zero-delay re-drives (the `IdleRule`).
+#[derive(Debug)]
+pub struct EvalContext<'a> {
+    now: Time,
+    /// The signal values `ports` and the idle rule's outputs index into.
+    values: &'a [LogicVector],
+    /// The component's input ports, in port order.
+    ports: &'a [SignalId],
+    pub(crate) actions: Vec<Action>,
+    arena: &'a mut Arena,
+    pub(crate) rule: IdleRule<'a>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -136,10 +190,7 @@ impl<'a> EvalContext<'a> {
             ports,
             actions,
             arena,
-            outputs: &[],
-            queued: &[],
-            driven: 0,
-            dropped: false,
+            rule: IdleRule::default(),
         }
     }
 
@@ -147,8 +198,7 @@ impl<'a> EvalContext<'a> {
     /// number of writes `queued` for it, which lets it drop idle
     /// zero-delay re-drives.
     pub(crate) fn with_outputs(mut self, outputs: &'a [SignalId], queued: &'a [u32]) -> Self {
-        self.outputs = outputs;
-        self.queued = queued;
+        self.rule = IdleRule::new(outputs, queued);
         self
     }
 
@@ -240,45 +290,25 @@ impl<'a> EvalContext<'a> {
     /// this driver are preserved (used by stimulus sources that pre-schedule
     /// a whole waveform).
     pub fn drive_transport(&mut self, output: usize, value: &LogicVector, delay: Time) {
-        self.note_driven(output);
+        self.rule.note_driven(output);
         self.push_drive(true, output, delay, |v| v.clone_from(value));
     }
 
     /// Scalar convenience for [`EvalContext::drive_transport`].
     pub fn drive_transport_bit(&mut self, output: usize, value: Logic, delay: Time) {
-        self.note_driven(output);
+        self.rule.note_driven(output);
         self.push_drive(true, output, delay, |v| v.assign_filled(value, 1));
     }
 
-    /// Notes a drive on `output` and returns whether it was the eval's
-    /// first.
-    fn note_driven(&mut self, output: usize) -> bool {
-        let Some(bit) = 1u64.checked_shl(output as u32) else {
-            return false;
-        };
-        let first = self.driven & bit == 0;
-        self.driven |= bit;
-        first
-    }
-
     /// Whether an inertial drive of `output` after `delay`, whose value
-    /// `same` tells equal to a held one or not, is idle and so dropped:
-    /// the idle-drive rule of the type's documentation.
+    /// `same` tells equal to a held one or not, is idle and so dropped.
     fn idle(
         &mut self,
         output: usize,
         delay: Time,
         same: impl FnOnce(&LogicVector) -> bool,
     ) -> bool {
-        let first = self.note_driven(output);
-        let idle = first
-            && delay == Time::ZERO
-            && self
-                .outputs
-                .get(output)
-                .is_some_and(|sig| self.queued[sig.0] == 0 && same(&self.values[sig.0]));
-        self.dropped |= idle;
-        idle
+        self.rule.idle(output, delay, |sig| same(&self.values[sig]))
     }
 
     /// Queues a drive whose value `write` puts into an arena slot.

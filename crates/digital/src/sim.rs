@@ -937,7 +937,7 @@ impl Simulator {
         )
         .with_outputs(&slot.outputs, &self.queued);
         slot.comp.eval(&mut ctx);
-        let dropped = ctx.dropped;
+        let dropped = ctx.rule.dropped;
         let mut actions = ctx.actions;
         for action in actions.drain(..) {
             match action {

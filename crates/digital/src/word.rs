@@ -63,7 +63,7 @@
 //! retires only that lane ([`LaneOutcome::Failed`]) and the campaign engine
 //! re-runs the case scalar, preserving byte identity.
 
-use crate::component::{Action, Arena, Component, EvalContext};
+use crate::component::{Action, Arena, Component, EvalContext, IdleRule};
 use crate::netlist::{ComponentId, SignalId};
 use crate::sim::{debug_renders_as, NormalEvent, SimError, Simulator, WordSeed};
 use crate::wheel::Wheel;
@@ -133,6 +133,11 @@ enum WordAction {
 /// The evaluation context handed to [`WordComponent::eval`]: the
 /// plane-valued signal store seen through the component's input ports, the
 /// lanes being evaluated, and a queue of masked actions.
+///
+/// It drops idle zero-delay re-drives by the scalar kernel's rule (see
+/// [`EvalContext`]), a drive's value being the held one when it equals the
+/// held planes on every lane of its mask. A lane farm's merged drives are
+/// all queued.
 #[derive(Debug)]
 pub struct WordEvalContext<'a> {
     now: Time,
@@ -142,6 +147,8 @@ pub struct WordEvalContext<'a> {
     actions: Vec<WordAction>,
     /// Recycled drive-value vectors (see [`WordScratch::pool`]).
     pool: &'a mut Pool<Vec<LogicPlanes>>,
+    /// The idle-drive rule over the component's outputs.
+    rule: IdleRule<'a>,
 }
 
 impl<'a> WordEvalContext<'a> {
@@ -188,6 +195,21 @@ impl<'a> WordEvalContext<'a> {
     /// mask) with inertial semantics: each masked lane's pending
     /// transactions on this output are cancelled.
     pub fn drive_masked(&mut self, output: usize, value: &[LogicPlanes], delay: Time, mask: u64) {
+        if mask == 0 {
+            return;
+        }
+        let signals = self.signals;
+        let holds = |sig: usize| {
+            let held = &signals[sig].planes;
+            held.len() == value.len()
+                && held
+                    .iter()
+                    .zip(value)
+                    .all(|(h, v)| h.diverged_mask(*v) & mask == 0)
+        };
+        if self.rule.idle(output, delay, holds) {
+            return;
+        }
         let mut owned = self.pooled();
         owned.extend_from_slice(value);
         self.push_drive(false, output, owned, delay, mask);
@@ -207,6 +229,10 @@ impl<'a> WordEvalContext<'a> {
         delay: Time,
         mask: u64,
     ) {
+        if mask == 0 {
+            return;
+        }
+        self.rule.note_driven(output);
         let mut owned = self.pooled();
         owned.extend_from_slice(value);
         self.push_drive(true, output, owned, delay, mask);
@@ -225,15 +251,10 @@ impl<'a> WordEvalContext<'a> {
         delay: Time,
         mask: u64,
     ) {
-        debug_assert_eq!(
-            mask & !self.eval_mask,
-            0,
-            "drive mask must be a subset of the eval mask"
+        debug_assert!(
+            mask != 0 && mask & !self.eval_mask == 0,
+            "drive mask must be a non-empty subset of the eval mask"
         );
-        if mask == 0 {
-            recycle(self.pool, value);
-            return;
-        }
         self.actions.push(WordAction::Drive {
             transport,
             output,
@@ -310,9 +331,10 @@ fn recycle(pool: &mut Pool<Vec<LogicPlanes>>, mut value: Vec<LogicPlanes>) {
 /// *order* is preserved (round `r` schedules before round `r + 1`), so
 /// each lane queues every drive its clone requests, in request order: a
 /// scalar run's inertial cancellation, plus the idle zero-delay re-drives
-/// a scalar simulator drops unqueued (a farm's contexts see no outputs),
-/// which change no value. Cross-lane grouping order is irrelevant because
-/// lanes are independent.
+/// the scalar and word kernels drop unqueued (a farm's scalar contexts see
+/// no outputs, and its merged drives do not go through the rule), which
+/// change no value. Cross-lane grouping order is irrelevant because lanes
+/// are independent.
 struct LaneFarm {
     lanes: Vec<Box<dyn Component>>,
     /// The evaluated lane's input values, one per port, and the identity
@@ -644,7 +666,8 @@ struct WordSlot {
 }
 
 /// Reusable hot-loop buffers of the word kernel, mirroring the scalar
-/// simulator's `SimScratch` but with per-entry lane masks instead of bits.
+/// simulator's `SimScratch` but with per-entry lane masks instead of bits,
+/// and sized once with the machine like it.
 #[derive(Default)]
 struct WordScratch {
     /// Per-signal changed-lane mask for the current time point.
@@ -669,6 +692,9 @@ struct WordSimulator {
     components: Vec<WordSlot>,
     /// Pending events and the simulation clock.
     wheel: Wheel<WordEventKind>,
+    /// Per signal, the drives queued for it in the wheel, cancelled ones
+    /// included: the idle-drive rule's queued check.
+    queued: Vec<u32>,
     delta_limit: usize,
     events_processed: u64,
     /// Lanes still simulating: golden, running cases, and free lanes kept
@@ -728,7 +754,7 @@ impl WordSimulator {
     /// an installed observer, which no word machine shows the trace to.
     fn from_scalar(sim: Simulator) -> Result<Self, SimError> {
         let seed: WordSeed = sim.into_word_seed()?;
-        let signals = seed
+        let signals: Vec<WordSignal> = seed
             .signals
             .into_iter()
             .map(|s| WordSignal {
@@ -762,10 +788,12 @@ impl WordSimulator {
                 }
             })
             .collect();
+        let (signal_count, component_count) = (signals.len(), components.len());
         let mut sim = WordSimulator {
             signals,
             components,
             wheel: Wheel::new(seed.now),
+            queued: vec![0; signal_count],
             delta_limit: seed.delta_limit,
             events_processed: 0,
             live: u64::MAX,
@@ -780,7 +808,11 @@ impl WordSimulator {
             ended: 0,
             endings: (0..LANES).map(|_| None).collect(),
             untouched: Vec::new(),
-            scratch: WordScratch::default(),
+            scratch: WordScratch {
+                changed: vec![0; signal_count],
+                eval: vec![0; component_count],
+                ..WordScratch::default()
+            },
         };
         // The wheel takes the still-valid pending events in firing order,
         // on every lane. Renumbering them from zero keeps `LaneGens` exact:
@@ -794,12 +826,15 @@ impl WordSimulator {
                     component,
                     output,
                     value,
-                } => WordEventKind::Drive {
-                    component,
-                    output,
-                    value: value.iter().map(LogicPlanes::splat).collect(),
-                    mask: u64::MAX,
-                },
+                } => {
+                    sim.queued[sim.components[component].outputs[output].0] += 1;
+                    WordEventKind::Drive {
+                        component,
+                        output,
+                        value: value.iter().map(LogicPlanes::splat).collect(),
+                        mask: u64::MAX,
+                    }
+                }
                 NormalEvent::Wake { component } => WordEventKind::Wake {
                     component,
                     mask: u64::MAX,
@@ -933,8 +968,6 @@ impl WordSimulator {
     /// lanes, then records per-lane transitions of monitored signals.
     fn advance_time_point(&mut self, t: Time) -> Result<(), SimError> {
         self.wheel.advance(t);
-        self.scratch.changed.resize(self.signals.len(), 0);
-        self.scratch.eval.resize(self.components.len(), 0);
         let mut delta = 0usize;
         loop {
             let mut any_event = false;
@@ -948,13 +981,14 @@ impl WordSimulator {
                         value,
                         mask,
                     } => {
+                        let sig = self.components[component].outputs[output].0;
+                        self.queued[sig] -= 1;
                         let valid = self.components[component].out_gens[output].valid(seq, mask)
                             & self.live;
                         if valid == 0 {
                             recycle(&mut self.scratch.pool, value);
                             continue;
                         }
-                        let sig = self.components[component].outputs[output].0;
                         debug_assert_eq!(
                             self.signals[sig].width,
                             value.len(),
@@ -998,22 +1032,26 @@ impl WordSimulator {
             // the scalar kernel's ascending bitset drain.
             let mut eval_list = std::mem::take(&mut self.scratch.eval_list);
             eval_list.sort_unstable();
+            let mut dropped = false;
             for &c in &eval_list {
                 let mask = std::mem::replace(&mut self.scratch.eval[c], 0);
                 if mask != 0 {
-                    self.eval_component(c, t, mask);
+                    dropped |= self.eval_component(c, t, mask);
                 }
             }
             eval_list.clear();
             self.scratch.eval_list = eval_list;
             delta += 1;
-            if delta > self.delta_limit {
+            // As in the scalar kernel, the delta limit counts the delta a
+            // dropped idle re-drive would have been applied in.
+            let settled = !self.wheel.has_current();
+            if delta + usize::from(settled && dropped) > self.delta_limit {
                 return Err(SimError::DeltaOverflow {
                     time: t,
                     limit: self.delta_limit,
                 });
             }
-            if !self.wheel.has_current() {
+            if settled {
                 break;
             }
         }
@@ -1061,9 +1099,10 @@ impl WordSimulator {
     }
 
     /// Evaluates component `c` for the lanes in `mask` and schedules its
-    /// masked actions with per-lane inertial bookkeeping.
-    fn eval_component(&mut self, c: usize, t: Time, mask: u64) {
-        let mut actions = {
+    /// masked actions with per-lane inertial bookkeeping; returns whether
+    /// the eval dropped an idle re-drive.
+    fn eval_component(&mut self, c: usize, t: Time, mask: u64) -> bool {
+        let (mut actions, dropped) = {
             let slot = &mut self.components[c];
             let mut ctx = WordEvalContext {
                 now: t,
@@ -1072,9 +1111,10 @@ impl WordSimulator {
                 ports: &slot.inputs,
                 actions: std::mem::take(&mut self.scratch.actions),
                 pool: &mut self.scratch.pool,
+                rule: IdleRule::new(&slot.outputs, &self.queued),
             };
             slot.comp.eval(&mut ctx);
-            ctx.actions
+            (ctx.actions, ctx.rule.dropped)
         };
         for action in actions.drain(..) {
             match action {
@@ -1085,6 +1125,7 @@ impl WordSimulator {
                     delay,
                     mask: lanes,
                 } => {
+                    self.queued[self.components[c].outputs[output].0] += 1;
                     let seq = self.wheel.push(
                         t + delay,
                         WordEventKind::Drive {
@@ -1110,6 +1151,7 @@ impl WordSimulator {
             }
         }
         self.scratch.actions = actions;
+        dropped
     }
 
     /// What the case on lane `lane` leaves behind at `at`, its seal instant
@@ -2514,5 +2556,351 @@ mod tests {
         ));
         let late = report.golden.recorded_digital_slot("late__sab").unwrap();
         assert!(report.lane_toggles(63).unwrap().is_silent(late));
+    }
+
+    /// One requested word drive: value, delay in ns, transport, lanes.
+    type WordDrive = (LogicPlanes, i64, bool, u64);
+
+    /// A driver of one scalar output playing a script: at each `(at ns,
+    /// drives)` step it requests `drives` in order, each on its lanes of
+    /// the eval mask, and it wakes itself for the next step. Its scalar
+    /// form plays the golden lane's part of the same drives, and its word
+    /// form is native, so its drives go through the idle-drive rule.
+    #[derive(Debug, Clone)]
+    struct WordScript(Vec<(i64, Vec<WordDrive>)>);
+
+    impl WordScript {
+        fn drives_at(&self, now: Time) -> impl Iterator<Item = &WordDrive> {
+            let steps = self
+                .0
+                .iter()
+                .filter(move |(at, _)| Time::from_ns(*at) == now);
+            steps.flat_map(|(_, drives)| drives)
+        }
+
+        fn next_step(&self, now: Time) -> Option<Time> {
+            let later = self.0.iter().map(|(at, _)| Time::from_ns(*at));
+            later.filter(|&at| at > now).min()
+        }
+    }
+
+    impl WordComponent for WordScript {
+        fn eval(&mut self, ctx: &mut WordEvalContext<'_>) {
+            let (now, mask) = (ctx.now(), ctx.eval_mask());
+            for &(value, delay, transport, lanes) in self.drives_at(now) {
+                let delay = Time::from_ns(delay);
+                if transport {
+                    ctx.drive_transport_masked(0, &[value], delay, lanes & mask);
+                } else {
+                    ctx.drive_bit_masked(0, value, delay, lanes & mask);
+                }
+            }
+            if let Some(at) = self.next_step(now) {
+                ctx.wake(at - now);
+            }
+        }
+
+        fn lanes_equal_to(&mut self, _reference: usize, candidates: u64) -> u64 {
+            candidates
+        }
+    }
+
+    impl Component for WordScript {
+        fn eval(&mut self, ctx: &mut EvalContext<'_>) {
+            let now = ctx.now();
+            for &(value, delay, transport, lanes) in self.drives_at(now) {
+                if lanes >> GOLDEN_LANE & 1 == 0 {
+                    continue;
+                }
+                let (value, delay) = (value.lane(GOLDEN_LANE), Time::from_ns(delay));
+                if transport {
+                    ctx.drive_transport_bit(0, value, delay);
+                } else {
+                    ctx.drive_bit(0, value, delay);
+                }
+            }
+            if let Some(at) = self.next_step(now) {
+                ctx.wake(at - now);
+            }
+        }
+
+        fn word_component(&self) -> Option<Box<dyn WordComponent>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    fn scripted(script: WordScript) -> Simulator {
+        let mut net = Netlist::new();
+        let out = net.signal("out", 1);
+        net.add("s", script, &[], &[out]);
+        let mut sim = Simulator::new(net);
+        sim.monitor(out);
+        sim
+    }
+
+    /// The word machine taking over `sim`, and its unskipped twin: the
+    /// same machine with one more write counted as queued for `out`, one
+    /// that never comes due. The idle-drive rule never applies to a
+    /// signal with a write queued, so the twin queues every drive. (A
+    /// far-future transport drive of the script's own would not do: its
+    /// later inertial drives cancel it on their lanes, and the twin's
+    /// lanes would then differ from golden in what they have pending.)
+    fn word_and_unskipped(sim: Simulator) -> (WordSimulator, WordSimulator) {
+        let out = sim.signal_id("out").unwrap().0;
+        let word = WordSimulator::from_scalar(sim.clone()).unwrap();
+        let mut twin = WordSimulator::from_scalar(sim).unwrap();
+        twin.queued[out] += 1;
+        (word, twin)
+    }
+
+    /// Runs the word machine taking over `sim`, its unskipped twin and
+    /// `sim` itself through `stops`; checks at each that the two machines
+    /// hold the same planes, trace and lanes equal to golden, and that the
+    /// golden trace is the scalar one; returns how many drives the machine
+    /// dropped unqueued.
+    fn word_dropped_against_unskipped(sim: Simulator, stops: &[Time]) -> u64 {
+        let mut scalar = sim.clone();
+        let (mut word, mut twin) = word_and_unskipped(sim);
+        let mutants = !(1 << GOLDEN_LANE);
+        for &t in stops {
+            word.run_until(t).unwrap();
+            twin.run_until(t).unwrap();
+            scalar.run_until(t).unwrap();
+            for (signal, other) in word.signals.iter().zip(&twin.signals) {
+                assert_eq!(signal.planes, other.planes, "{} at {t}", signal.name);
+            }
+            assert_eq!(word.trace, twin.trace, "at {t}");
+            assert_eq!(&word.trace, scalar.trace(), "at {t}");
+            let (eq, twin_eq) = (word.lanes_eq_golden(mutants), twin.lanes_eq_golden(mutants));
+            assert_eq!(eq, twin_eq, "lanes equal to golden at {t}");
+        }
+        twin.events_processed - word.events_processed
+    }
+
+    fn stops_to(ns: i64) -> Vec<Time> {
+        (0..=ns).map(Time::from_ns).collect()
+    }
+
+    /// Whether the golden trace of `out` ever shows a 1, and whether any
+    /// lane holds one now.
+    fn shows_one(word: &WordSimulator) -> (bool, bool) {
+        let wave = word.trace.digital("out").unwrap();
+        let traced = wave.transitions().iter().any(|&(_, v)| v == Logic::One);
+        let out = &word.signals[0].planes[0];
+        (traced, out.is_high_mask() != 0)
+    }
+
+    /// `script` on a word machine run to 10 ns.
+    fn run_word(script: WordScript) -> WordSimulator {
+        let mut word = WordSimulator::from_scalar(scripted(script)).unwrap();
+        word.run_until(Time::from_ns(10)).unwrap();
+        word
+    }
+
+    const ALL: u64 = u64::MAX;
+    const WORD_ZERO_NOW: WordDrive = (LogicPlanes::splat(Logic::Zero), 0, false, ALL);
+    const WORD_ONE: LogicPlanes = LogicPlanes::splat(Logic::One);
+
+    #[test]
+    fn an_idle_word_re_drive_is_dropped() {
+        // Power-on drives 0; at 2 ns every lane re-drives the 0 it holds.
+        let script = WordScript(vec![(0, vec![WORD_ZERO_NOW]), (2, vec![WORD_ZERO_NOW])]);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script), &stops_to(10)),
+            1
+        );
+    }
+
+    #[test]
+    fn a_held_value_word_re_drive_still_cancels_a_delayed_transaction() {
+        // 1 is due at 6 ns; the held 0 re-driven at 2 ns cancels it.
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (1, vec![(WORD_ONE, 5, false, ALL)]),
+            (2, vec![WORD_ZERO_NOW]),
+        ]);
+        let stops = stops_to(10);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script.clone()), &stops),
+            0
+        );
+        assert_eq!(shows_one(&run_word(script)), (false, false));
+    }
+
+    #[test]
+    fn a_second_word_drive_on_an_output_in_one_eval_is_judged_on_its_own() {
+        // At 1 ns: 1 after 5 ns, then the held 0 now, which is no longer
+        // the eval's first drive on `out` and so cancels the 1.
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (1, vec![(WORD_ONE, 5, false, ALL), WORD_ZERO_NOW]),
+        ]);
+        let stops = stops_to(10);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script.clone()), &stops),
+            0
+        );
+        assert_eq!(shows_one(&run_word(script)), (false, false));
+        // The other way round the held 0 goes first and is dropped; the
+        // 1 after it is queued and shows.
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (1, vec![WORD_ZERO_NOW, (WORD_ONE, 5, false, ALL)]),
+        ]);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script.clone()), &stops),
+            1
+        );
+        assert_eq!(shows_one(&run_word(script)), (true, true));
+    }
+
+    #[test]
+    fn word_transport_and_delayed_drives_are_never_dropped() {
+        let zero = LogicPlanes::splat(Logic::Zero);
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (1, vec![(zero, 0, true, ALL)]),
+            (2, vec![(zero, 1, false, ALL)]),
+            (4, vec![(zero, 1, true, ALL)]),
+        ]);
+        let stops = stops_to(10);
+        assert_eq!(word_dropped_against_unskipped(scripted(script), &stops), 0);
+        // A transport drive counts as the eval's drive on its output too:
+        // the held 0 re-driven after a transport 1 is queued and cancels it.
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (2, vec![(WORD_ONE, 0, true, ALL), WORD_ZERO_NOW]),
+        ]);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script.clone()), &stops),
+            0
+        );
+        assert_eq!(shows_one(&run_word(script)), (false, false));
+    }
+
+    #[test]
+    fn a_word_drive_idle_on_some_of_its_lanes_only_is_queued() {
+        // At 2 ns lane 0 is driven 1, every other lane the 0 it holds.
+        let mixed = LogicPlanes::from_bool_mask(1);
+        let script = |lanes| {
+            WordScript(vec![
+                (0, vec![WORD_ZERO_NOW]),
+                (2, vec![(mixed, 0, false, lanes)]),
+            ])
+        };
+        let stops = stops_to(10);
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script(ALL)), &stops),
+            0
+        );
+        assert_eq!(run_word(script(ALL)).signals[0].planes[0], mixed);
+        // Without lane 0 in its mask the drive is idle on all of them.
+        assert_eq!(
+            word_dropped_against_unskipped(scripted(script(!1)), &stops),
+            1
+        );
+    }
+
+    #[test]
+    fn a_word_machine_handed_a_pending_drive_does_not_drop_the_re_drive_that_cancels_it() {
+        // Handed over at 3 ns with the 1 of 1 ns pending for 6 ns: the held
+        // 0 re-driven at 4 ns must still cancel it.
+        let script = WordScript(vec![
+            (0, vec![WORD_ZERO_NOW]),
+            (1, vec![(WORD_ONE, 5, false, ALL)]),
+            (4, vec![WORD_ZERO_NOW]),
+        ]);
+        let mut sim = scripted(script);
+        sim.run_until(Time::from_ns(3)).unwrap();
+        let stops = stops_to(10).split_off(4);
+        assert_eq!(word_dropped_against_unskipped(sim.clone(), &stops), 0);
+        let mut word = WordSimulator::from_scalar(sim).unwrap();
+        word.run_until(Time::from_ns(10)).unwrap();
+        assert_eq!(shows_one(&word), (false, false));
+    }
+
+    #[test]
+    fn the_word_delta_limit_counts_the_delta_a_dropped_re_drive_would_take() {
+        // Queued, the power-on re-drive of the 'U' that `out` holds would
+        // be applied in a second delta: one delta is too few for the word
+        // machine, its twin and the scalar kernel alike.
+        let drive_u = LogicPlanes::splat(Logic::Uninitialized);
+        for limit in [1, 2] {
+            let mut sim = scripted(WordScript(vec![(0, vec![(drive_u, 0, false, ALL)])]));
+            sim.set_delta_limit(limit);
+            let (mut word, mut twin) = word_and_unskipped(sim.clone());
+            let horizon = Time::from_ns(1);
+            let got = word.run_until(horizon);
+            assert_eq!(got, twin.run_until(horizon), "limit {limit}");
+            assert_eq!(got, sim.run_until(horizon), "limit {limit}");
+            assert_eq!(got.is_err(), limit == 1);
+        }
+    }
+
+    /// A xorshift64 stream for the random scripts below.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A random script on one output: steps at 0–5 ns of one to three
+    /// drives each, a drive's value held or not per lane, its delay 0 or
+    /// 1 ns, inertial or transport, on all lanes, golden alone or a random
+    /// set.
+    fn random_script(next: &mut impl FnMut() -> u64) -> WordScript {
+        let values = [Logic::Zero, Logic::One, Logic::Unknown];
+        let mut steps = Vec::new();
+        for at in 0..6 {
+            if at > 0 && next().is_multiple_of(2) {
+                continue;
+            }
+            let drives = (0..=next() % 3)
+                .map(|_| {
+                    let value = match next() % 4 {
+                        3 => LogicPlanes::from_bool_mask(next()),
+                        k => LogicPlanes::splat(values[k as usize]),
+                    };
+                    let lanes = match next() % 4 {
+                        0 | 1 => ALL,
+                        2 => 1 << GOLDEN_LANE,
+                        _ => next(),
+                    };
+                    (value, (next() % 2) as i64, next().is_multiple_of(4), lanes)
+                })
+                .collect();
+            steps.push((at, drives));
+        }
+        WordScript(steps)
+    }
+
+    #[test]
+    fn idle_rule_word_machines_match_their_unskipped_twins() {
+        // Random scripts, handed over at 0–3 ns: the machine that drops
+        // idle re-drives and its twin that queues them hold the same planes,
+        // trace and lanes equal to golden at every stop. AMSFI_FUZZ_SEEDS
+        // sets how many (ci.sh widens it).
+        let cases = std::env::var("AMSFI_FUZZ_SEEDS").map_or(48, |n| n.parse().expect("a count"));
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        let mut dropped = 0;
+        for case in 0..cases {
+            let script = random_script(&mut next);
+            let handover = (next() % 4) as i64;
+            let mut sim = scripted(script.clone());
+            if handover > 0 {
+                sim.run_until(Time::from_ns(handover)).unwrap();
+            }
+            let stops = stops_to(10).split_off(handover as usize);
+            let run = std::panic::AssertUnwindSafe(|| word_dropped_against_unskipped(sim, &stops));
+            let result = std::panic::catch_unwind(run);
+            match result {
+                Ok(n) => dropped += n,
+                Err(_) => panic!("case {case}, handed over at {handover} ns: {script:?}"),
+            }
+        }
+        assert!(dropped > 0, "no script had an idle re-drive to drop");
     }
 }

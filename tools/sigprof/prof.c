@@ -1,6 +1,7 @@
 /* LD_PRELOAD sampling profiler: one program counter per SIGPROF tick of
  * process CPU time, written as offsets into the main executable when the
- * process exits. x86-64 Linux. See README.md. */
+ * process exits, next to the process's executable mappings in the same
+ * offsets. x86-64 Linux. See README.md. */
 #define _GNU_SOURCE
 #include <link.h>
 #include <signal.h>
@@ -35,12 +36,32 @@ __attribute__((constructor)) static void start(void) {
     timer(1000); /* asks for 1 kHz; the kernel rounds up to its own tick */
 }
 
+/* Writes "START END OBJECT" per executable mapping of this process to
+ * SAMPLES.maps, in the samples' offsets, so a sample outside the main
+ * executable can be named by the shared object it fell in. */
+static void write_maps(const char *samples) {
+    char path[4096], line[4352], perms[8], object[4096];
+    unsigned long start, end;
+    snprintf(path, sizeof path, "%s.maps", samples);
+    FILE *in = fopen("/proc/self/maps", "r"), *out = fopen(path, "w");
+    while (in && out && fgets(line, sizeof line, in)) {
+        object[0] = 0;
+        if (sscanf(line, "%lx-%lx %7s %*s %*s %*s %4095[^\n]", &start, &end, perms, object) >= 3
+            && perms[2] == 'x')
+            fprintf(out, "%#lx %#lx %s\n", start - bias, end - bias, object[0] ? object : "[anon]");
+    }
+    if (in) fclose(in);
+    if (out) fclose(out);
+}
+
 __attribute__((destructor)) static void stop(void) {
     const char *path = getenv("SIGPROF_OUT");
-    FILE *out = fopen(path ? path : "sigprof.out", "w");
+    if (!path) path = "sigprof.out";
+    FILE *out = fopen(path, "w");
     timer(0);
     if (!out) return;
     if (count > MAX_SAMPLES) count = MAX_SAMPLES;
     for (unsigned long k = 0; k < count; k++) fprintf(out, "%#lx\n", pcs[k] - bias);
     fclose(out);
+    write_maps(path);
 }
