@@ -20,6 +20,9 @@ wait_for_coordinator() {
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# API docs build without warnings: a broken or private intra-doc link, or a
+# unit in brackets parsed as one, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo test -q
 
 # PR 3 guard-overhead bench: guarded vs unguarded fast-PLL sweep, emitting
@@ -201,7 +204,7 @@ rm -rf "$tmp"
 # onset and affected columns of cases.csv equal the plain --batch run's,
 # no lane falls back to scalar, and the early-abort journal holds sealed
 # verdicts — or the toggle-fed seal went unexercised — each booked once:
-# as many `early_abort`/`sealed` events as `sealed_at=` records (cpu 300,
+# as many `early_abort`/`sealed` events as `sealed_at=` records (cpu 36,
 # cpu-set 137), so a seal booked twice, or lost, fails.
 tmp=$(mktemp -d)
 for campaign in cpu cpu-set; do

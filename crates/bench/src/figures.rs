@@ -76,7 +76,7 @@ pub struct Fig1 {
     pub de: DoubleExponential,
     /// The trapezoid fitted to `de`.
     pub fitted: TrapezoidPulse,
-    /// Largest pointwise current difference between `de` and `fitted` [A].
+    /// Largest pointwise current difference between `de` and `fitted` \[A\].
     pub max_diff: f64,
     /// `fig1_pulse_fit.csv`.
     pub csv: String,
@@ -135,7 +135,7 @@ pub struct Fig6 {
     pub perturbed_cycles: usize,
     /// The worst such period.
     pub worst_period: Option<Time>,
-    /// Mean generated frequency over the 19 µs before the strike [Hz].
+    /// Mean generated frequency over the 19 µs before the strike \[Hz\].
     pub locked_hz: f64,
     /// `fig6_fout_periods.csv`: per-cycle periods around the injection.
     pub periods_csv: String,
@@ -197,9 +197,9 @@ pub fn fig6() -> Fig6 {
 pub struct Disturbance {
     /// Row label (the pulse parameters).
     pub label: String,
-    /// Injected charge [pC].
+    /// Injected charge \[pC\].
     pub charge_pc: f64,
-    /// Peak VCO-input deviation [V].
+    /// Peak VCO-input deviation \[V\].
     pub peak: f64,
     /// Time the deviation stays above 20 mV.
     pub duration: Time,
@@ -237,7 +237,7 @@ pub struct Fig7 {
     /// Disturbance under the trapezoid derived from it (the Fig. 1b
     /// procedure).
     pub with_trapezoid: Disturbance,
-    /// Largest difference between the two struck VCO-input traces [V].
+    /// Largest difference between the two struck VCO-input traces \[V\].
     pub cross_peak: f64,
     /// `fig7_model_comparison.csv`.
     pub csv: String,

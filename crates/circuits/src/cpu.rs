@@ -215,6 +215,7 @@ impl Component for TinyCpu {
 
     fn word_component(&self) -> Option<Box<dyn WordComponent>> {
         Some(Box::new(WordTinyCpu {
+            read_words: read_words(&self.program),
             program: self.program.clone(),
             delay: self.delay,
             acc: splat(self.acc),
@@ -225,6 +226,16 @@ impl Component for TinyCpu {
             prev_clk: LogicPlanes::splat(self.prev_clk),
         }))
     }
+}
+
+/// The RAM words some instruction of `program` reads, one bit per address.
+/// Any instruction may execute (an upset `pc` can land anywhere), so every
+/// one counts, reachable from reset or not.
+fn read_words(program: &[Insn]) -> u16 {
+    program.iter().fold(0, |words, insn| match *insn {
+        Insn::Lda(a) | Insn::Add(a) | Insn::Sub(a) => words | 1 << a,
+        Insn::Ldi(_) | Insn::Sta(_) | Insn::Jmp(_) | Insn::Jnz(_) | Insn::Out => words,
+    })
 }
 
 /// One 8-bit register of all 64 lanes, bit-sliced: bit `lane` of plane `b`
@@ -290,6 +301,8 @@ fn differs(reg: &Planes, reference: usize) -> u64 {
 #[derive(Clone)]
 struct WordTinyCpu {
     program: Vec<Insn>,
+    /// [`read_words`] of `program`: the RAM words whose value has a future.
+    read_words: u16,
     delay: Time,
     acc: Planes,
     /// Planes `PC_BITS..` stay zero, as the scalar `pc: u8` stays below 64.
@@ -392,14 +405,18 @@ impl WordComponent for WordTinyCpu {
         blend(&mut self.pc, 1 << lane, &splat(pc));
     }
 
+    /// Compares everything a later evaluation reads: the registers, the
+    /// clock level and the RAM words of [`read_words`]. A word no
+    /// instruction reads only ever gets overwritten, so lanes differing
+    /// there alone have the same future.
     fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64 {
         let clk = self.prev_clk;
         let mut unequal =
             clk.diverged_mask(clk.broadcast_lane(reference)) | bit_differs(self.nonzero, reference);
-        for reg in [&self.acc, &self.pc, &self.out]
-            .into_iter()
-            .chain(&self.ram)
-        {
+        let read_ram = (self.ram.iter().enumerate())
+            .filter(|&(a, _)| self.read_words >> a & 1 == 1)
+            .map(|(_, word)| word);
+        for reg in [&self.acc, &self.pc, &self.out].into_iter().chain(read_ram) {
             unequal |= differs(reg, reference);
         }
         candidates & !unequal
@@ -572,7 +589,7 @@ mod tests {
         // trace digest is the scalar run's); the event count is what the
         // word kernel pays for them, pinned so that queuing idle re-drives
         // again fails here and not only in a benchmark.
-        use amsfi_digital::WordBatchSimulator;
+        use amsfi_digital::{LaneOutcome, WordBatchSimulator};
         use amsfi_waves::{KernelMetrics, MismatchToggles, SimBudget};
         const T_END: Time = Time::from_us(20);
         let bits = [0usize, 3, 9, 14, 15 + 8, 15 + 9 * 8];
@@ -623,6 +640,15 @@ mod tests {
                 Some(&MismatchToggles::between(&report.golden, scalar.trace())),
                 "lane {lane} (bit {bit} @ {at})"
             );
+            // RAM word 9 is never read: the lane is the golden machine in
+            // everything that has a future, and seals at its injection stop.
+            if bit == 15 + 9 * 8 {
+                assert!(
+                    matches!(report.outcomes[lane], LaneOutcome::Clean { sealed_at: Some(t) } if t == at),
+                    "lane {lane} (bit {bit} @ {at}): {:?}",
+                    report.outcomes[lane]
+                );
+            }
         }
         // 14 416 while every idle re-drive of `out` and `pc` was queued.
         assert_eq!(
@@ -742,7 +768,11 @@ mod tests {
     }
 
     #[test]
-    fn lanes_equal_to_agrees_with_field_wise_equality_of_scalar_cpus() {
+    fn lanes_equal_to_compares_what_a_later_evaluation_reads() {
+        // Random programs over random lanes: a lane equals the reference
+        // exactly when its registers, flag, clock level and every RAM word
+        // some instruction loads are equal. A word no instruction loads may
+        // differ.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             state ^= state << 13;
@@ -750,8 +780,32 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let base = TinyCpu::new(checksum_program(), Time::ZERO);
-        for round in 0..50 {
+        // Lanes told apart by one field only, per field (acc, pc, flag,
+        // out, clock, read word, unread word), and how many compared equal.
+        let mut single = [(0u32, 0u32); 7];
+        for round in 0..200 {
+            let len = 1 + next() % 24;
+            let program: Vec<Insn> = (0..len)
+                .map(|_| {
+                    let a = (next() % RAM_SIZE as u64) as u8;
+                    match next() % 8 {
+                        0 => Insn::Ldi(next() as u8),
+                        1 => Insn::Lda(a),
+                        2 => Insn::Sta(a),
+                        3 => Insn::Add(a),
+                        4 => Insn::Sub(a),
+                        5 => Insn::Jmp((next() % len) as u8),
+                        6 => Insn::Jnz((next() % len) as u8),
+                        _ => Insn::Out,
+                    }
+                })
+                .collect();
+            let read = |word: usize| {
+                program.iter().any(|insn| {
+                    matches!(*insn, Insn::Lda(a) | Insn::Add(a) | Insn::Sub(a) if a as usize == word)
+                })
+            };
+            let base = TinyCpu::new(program.clone(), Time::ZERO);
             // Lanes are copies of a few prototypes, most of them one or two
             // state bits (or a clock level) away from each other.
             let mut scalars: Vec<TinyCpu> = Vec::new();
@@ -782,6 +836,7 @@ mod tests {
             };
             let clks: Vec<Logic> = scalars.iter().map(|c| c.prev_clk).collect();
             let word = WordTinyCpu {
+                read_words: read_words(&program),
                 program: base.program.clone(),
                 delay: base.delay,
                 acc: gather(&|c| c.acc),
@@ -793,24 +848,56 @@ mod tests {
             };
             for reference in [0, 31, LANES - 1, next() as usize % LANES] {
                 let candidates = next() | 1 << reference;
+                let equal = word.clone().lanes_equal_to(reference, candidates);
                 let r = &scalars[reference];
                 let mut expect = 0u64;
                 for (lane, c) in scalars.iter().enumerate() {
-                    let same = c.acc == r.acc
-                        && c.pc == r.pc
-                        && c.nonzero == r.nonzero
-                        && c.ram == r.ram
-                        && c.out == r.out
-                        && c.prev_clk == r.prev_clk;
+                    let ram_differs = |read_or_not| {
+                        (0..RAM_SIZE).any(|a| c.ram[a] != r.ram[a] && read(a) == read_or_not)
+                    };
+                    let differs = [
+                        c.acc != r.acc,
+                        c.pc != r.pc,
+                        c.nonzero != r.nonzero,
+                        c.out != r.out,
+                        c.prev_clk != r.prev_clk,
+                        ram_differs(true),
+                        ram_differs(false),
+                    ];
+                    let same = !differs[..6].contains(&true);
                     expect |= u64::from(same) << lane;
+                    if candidates >> lane & 1 == 1 && differs.iter().filter(|&&d| d).count() == 1 {
+                        let field = differs.iter().position(|&d| d).unwrap();
+                        single[field].0 += 1;
+                        single[field].1 += (equal >> lane & 1) as u32;
+                    }
                 }
                 assert_eq!(
-                    word.clone().lanes_equal_to(reference, candidates),
+                    equal,
                     candidates & expect,
                     "round {round}, reference {reference}"
                 );
             }
         }
+        // Every field was the one difference of some lane: an unread word
+        // alone always compares equal, any other field alone never does.
+        for (field, &(seen, equal)) in single.iter().enumerate() {
+            assert!(seen > 0, "field {field} never differed alone");
+            let expect = if field == 6 { seen } else { 0 };
+            assert_eq!(equal, expect, "field {field}: {seen} lanes");
+        }
+    }
+
+    #[test]
+    fn only_words_some_instruction_loads_are_read() {
+        // The checksum program loads its table and loop counter, words
+        // 0..=4, and never touches 5..=15.
+        assert_eq!(read_words(&checksum_program()), 0b1_1111);
+        // A store alone does not make a word read; a load anywhere in the
+        // ROM does, reachable or not.
+        assert_eq!(read_words(&[Insn::Sta(7), Insn::Jmp(0)]), 0);
+        let program = [Insn::Jmp(0), Insn::Lda(9), Insn::Add(12), Insn::Sub(15)];
+        assert_eq!(read_words(&program), 1 << 9 | 1 << 12 | 1 << 15);
     }
 
     #[test]

@@ -200,13 +200,15 @@ proptest! {
     /// The bit-sliced word CPU against the scalar one, lane by lane — every
     /// lane's mismatch toggles — over what the
     /// checksum program never does: `Sub`, `Jmp` legs taken at random,
-    /// fetches at `pc >= len`, lanes spread over many `pc`s at once.
+    /// fetches at `pc >= len`, lanes spread over many `pc`s at once. Up to
+    /// twice as many faults as a word has lanes: a lane sealed while it
+    /// still differs in a word no instruction reads takes a later fault.
     #[test]
     fn word_cpu_lanes_equal_their_scalar_runs(
         raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
         faults in prop::collection::vec(
             (0u8..8, any::<u64>(), 100_000_000i64..2_500_000_000, any::<bool>()),
-            1..=WordBatchSimulator::MAX_LANES,
+            1..=2 * WordBatchSimulator::MAX_LANES,
         ),
     ) {
         const T_END: Time = Time::from_us(3);

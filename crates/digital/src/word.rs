@@ -25,27 +25,29 @@
 //! * **Word evaluation** — a component is evaluated once per delta with the
 //!   union of per-lane wake/change masks; cells with a native
 //!   [`WordComponent`] implementation evaluate all lanes in a handful of
-//!   plane operations, everything else falls back to a [`LaneFarm`] of 64
+//!   plane operations, everything else falls back to a `LaneFarm` of 64
 //!   scalar clones (still one wheel, one store).
 //! * **Exact eval masks** — a lane is included in an evaluation only if one
 //!   of *its* input lanes changed or a wake targets it. This is a
 //!   correctness requirement, not an optimisation: a spurious evaluation
 //!   would bump that lane's inertial generations and cancel pending
 //!   transactions the scalar reference would have kept.
-//! * **Seal by mask** — when a lane's *complete* machine state (every
-//!   signal value, every component's memorised state, the valid pending
-//!   events) equals the golden lane's at a stop, its future is the golden
-//!   future. Reconvergence retires the lane by clearing its bit from the
-//!   live mask: signals diverged from golden fall out of a
-//!   one-XOR-per-bit plane probe, components compare per-lane state, and
-//!   pending events must show equal participation. From then on the lane
-//!   differs from golden nowhere.
+//! * **Seal by mask** — when a lane's future-relevant machine state (every
+//!   signal value, every component state a later evaluation can read, the
+//!   valid pending events) equals the golden lane's at a stop, its future
+//!   is the golden future. Reconvergence retires the lane by clearing its
+//!   bit from the live mask: signals diverged from golden fall out of a
+//!   one-XOR-per-bit plane probe, components compare per-lane state
+//!   ([`WordComponent::lanes_equal_to`]), and pending events must show
+//!   equal participation. From then on the lane differs from golden in
+//!   nothing any evaluation reads.
 //! * **Refill** — a batch may hold any number of cases. A sealed lane *is*
-//!   the golden machine again, so while cases still wait it stays live as a
-//!   golden shadow and takes the next case whose instant comes; a case
-//!   whose instant finds no free lane spills to a next machine, forked from
-//!   the batch's own forward-only scalar simulator. One machine thus serves
-//!   every case that seals early plus 63 that do not.
+//!   the golden machine again, in everything a later evaluation reads, so
+//!   while cases still wait it stays live as a golden shadow and takes the
+//!   next case whose instant comes; a case whose instant finds no free lane
+//!   spills to a next machine, forked from the batch's own forward-only
+//!   scalar simulator. One machine thus serves every case that seals early
+//!   plus 63 that do not.
 //!
 //! A lane costs what it differs, and records no trace. The golden lane
 //! extends the trace the scalar simulator recorded; every other lane keeps
@@ -97,13 +99,22 @@ pub trait WordComponent: Send + std::fmt::Debug {
         let _ = (lane, value);
     }
 
-    /// The lanes of `candidates` that hold exactly the same component state
-    /// as lane `reference` — the per-component leg of the
+    /// The lanes of `candidates` whose future-relevant component state
+    /// equals lane `reference`'s — the per-component leg of the
     /// reconvergence-seal comparison, one call per seal probe.
+    ///
+    /// Future-relevant state is every piece of state that a later
+    /// evaluation can read. State that is only ever overwritten (a RAM word
+    /// no instruction loads) may differ: from equal inputs, such lanes drive,
+    /// wake and reach their next state exactly as lane `reference` does, and
+    /// no later evaluation reads the difference. A lane that is vacated after
+    /// a seal keeps it, and the next case seated there books what a fresh
+    /// lane would. Comparing more than this only delays a seal; comparing
+    /// less corrupts one.
     fn lanes_equal_to(&mut self, reference: usize, candidates: u64) -> u64;
 
     /// The scalar component instance backing one lane, if this word
-    /// component is a [`LaneFarm`] of clones. Native plane implementations
+    /// component is a `LaneFarm` of clones. Native plane implementations
     /// return `None`; callers needing in-place configuration (e.g. arming a
     /// saboteur) go through this.
     fn lane_component_mut(&mut self, lane: usize) -> Option<&mut dyn Component> {
@@ -1237,7 +1248,9 @@ impl WordSimulator {
 
     /// Makes sealed lane `lane` what a lane whose case has not started is:
     /// no budget, no mismatch, and touched exactly where golden is. Its
-    /// machine state already equals golden's.
+    /// future-relevant machine state already equals golden's. State no
+    /// later evaluation reads may still differ and is left as it is (see
+    /// [`WordComponent::lanes_equal_to`]).
     fn vacate(&mut self, lane: usize) {
         let bit = 1u64 << lane;
         self.cancels[lane] = None;
@@ -1254,12 +1267,13 @@ impl WordSimulator {
         }
     }
 
-    /// The lanes of `candidates` whose complete future-relevant machine
-    /// state equals the golden lane's: every component's per-lane state
-    /// matches and every pending event shows equal (valid) participation
-    /// with equal values. Signal equality is checked by the caller's plane
-    /// probe. Conservative: equivalent-but-differently-scheduled futures
-    /// are not recognised, which can only delay a seal, never corrupt one.
+    /// The lanes of `candidates` whose future-relevant machine state equals
+    /// the golden lane's: every component's future-relevant per-lane state
+    /// matches ([`WordComponent::lanes_equal_to`]) and every pending event
+    /// shows equal (valid) participation with equal values. Signal
+    /// equality is checked by the caller's plane probe. Conservative:
+    /// equivalent-but-differently-scheduled futures are not recognised,
+    /// which can only delay a seal, never corrupt one.
     fn lanes_eq_golden(&mut self, candidates: u64) -> u64 {
         let mut equal = candidates;
         for slot in &mut self.components {

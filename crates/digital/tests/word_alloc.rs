@@ -6,7 +6,7 @@
 //! word lane's toggle list growing (`realloc`), which is bounded by
 //! doubling.
 
-use amsfi_circuits::cpu::{checksum_program, TinyCpu};
+use amsfi_circuits::cpu::{checksum_program, Insn, TinyCpu};
 use amsfi_digital::{
     cells, ComponentId, InjectTarget, LaneOutcome, Netlist, Simulator, WordBatchSimulator,
 };
@@ -70,6 +70,21 @@ const PHASE: Time = Time::from_ns(5_000);
 
 /// The TinyCpu checksum bench: clock, idle reset, processor.
 fn cpu_bench(monitor: bool) -> (Simulator, ComponentId) {
+    cpu_bench_running(checksum_program(), monitor)
+}
+
+/// The checksum program with an unreachable tail that loads every RAM
+/// word. It runs as the checksum program does, but every word is one some
+/// instruction reads, so a lane upset in any RAM word keeps a difference a
+/// later evaluation could read, and never seals.
+fn every_word_read() -> Vec<Insn> {
+    let mut program = checksum_program();
+    program.extend((0..16).map(Insn::Lda));
+    program
+}
+
+/// The checksum bench running `program` instead.
+fn cpu_bench_running(program: Vec<Insn>, monitor: bool) -> (Simulator, ComponentId) {
     let mut net = Netlist::new();
     let clk = net.signal("clk", 1);
     let rst = net.signal("rst", 1);
@@ -79,7 +94,7 @@ fn cpu_bench(monitor: bool) -> (Simulator, ComponentId) {
     net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
     let cpu = net.add(
         "cpu",
-        TinyCpu::new(checksum_program(), Time::ZERO),
+        TinyCpu::new(program, Time::ZERO),
         &[clk, rst],
         &[out, pc],
     );
@@ -122,7 +137,7 @@ fn word_machine_steady_state_does_not_allocate() {
     let diverged_end = diverged_start + PHASE;
     let t_end = diverged_end + Time::from_us(1);
 
-    let (golden, cpu) = cpu_bench(true);
+    let (golden, cpu) = cpu_bench_running(every_word_read(), true);
     let first_ram_bit = golden
         .mutant_targets()
         .iter()
@@ -138,8 +153,9 @@ fn word_machine_steady_state_does_not_allocate() {
     for at in [warm_up, lock_step_end, lock_step_end] {
         probes.push(word.add_lane(at));
     }
-    // RAM words 0..=7, every bit: table, loop counter and dead words. None
-    // is ever rewritten, so none of these lanes reconverges and seals.
+    // RAM words 0..=6, every bit: table, loop counter and words only the
+    // unreachable tail loads. None is ever rewritten, so none of these
+    // lanes reconverges and seals.
     for _ in 0..WordBatchSimulator::MAX_LANES - 7 {
         mutants.push(word.add_lane(lock_step_end));
     }
@@ -209,20 +225,21 @@ fn word_machine_steady_state_does_not_allocate() {
 #[test]
 fn a_watched_lane_records_nothing() {
     // The `--early-abort` shape: a watch is shown every running lane's
-    // toggles at each stop of the machine. Upsets in RAM words 0..=7
-    // keep every lane apart from golden to the horizon, so each is shown at
-    // every stop. The same cases run watched and unwatched, and what the
-    // allocator sees from the activation of the lanes (a probe's setup) to
-    // late in the run (another probe's) must be the same, whatever the
-    // length of the golden trace: a watched lane records and clones
-    // nothing. Cloning golden per watched lane and recording its own `out`
-    // and `pc`, as observed lanes once did, cost 960 more fresh allocations
-    // here — 16 per lane — and 1 338 more reallocations.
+    // toggles at each stop of the machine. Upsets in RAM words 0..=7 (the
+    // unreachable tail loads 5..=7) keep every lane apart from golden to
+    // the horizon, so each is shown at every stop. The same cases run
+    // watched and unwatched, and what the allocator sees from the
+    // activation of the lanes (a probe's setup) to late in the run
+    // (another probe's) must be the same, whatever the length of the
+    // golden trace: a watched lane records and clones nothing. Cloning
+    // golden per watched lane and recording its own `out` and `pc`, as
+    // observed lanes once did, cost 960 more fresh allocations here — 16
+    // per lane — and 1 338 more reallocations.
     let activate = Time::from_us(2);
     let late = activate + PHASE;
     let t_end = late + Time::from_us(1);
     let run = |watched: bool| {
-        let (golden, cpu) = cpu_bench(true);
+        let (golden, cpu) = cpu_bench_running(every_word_read(), true);
         let first_ram_bit = golden
             .mutant_targets()
             .iter()
@@ -280,14 +297,15 @@ fn a_watched_lane_records_nothing() {
 
 #[test]
 fn lanes_that_never_leave_golden_do_not_allocate() {
-    // A full word of upsets in RAM words the program never reads: the
-    // lanes stay apart from golden to the horizon (nothing rewrites the
-    // word, so none seals) yet never differ on a monitored bit. Activating
-    // them, the re-opened time point and 1000 clock edges touch the
-    // allocator only to grow a golden wave — no lane notes a toggle, at
-    // activation or later — and every one of them ends `Clean`.
+    // A full word of upsets in RAM words only the program's unreachable
+    // tail loads: the lanes stay apart from golden to the horizon (the
+    // words are read, and nothing rewrites them, so none seals) yet never
+    // differ on a monitored bit. Activating them, the re-opened time point
+    // and 1000 clock edges touch the allocator only to grow a golden wave
+    // — no lane notes a toggle, at activation or later — and every one of
+    // them ends `Clean`.
     let activate = Time::from_us(2);
-    let (golden, cpu) = cpu_bench(true);
+    let (golden, cpu) = cpu_bench_running(every_word_read(), true);
     let first_dead_bit = golden
         .mutant_targets()
         .iter()

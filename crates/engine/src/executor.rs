@@ -9,7 +9,7 @@
 //! budget with exponential backoff, an optional wall-clock timeout, and
 //! panic isolation — one diverging solver no longer kills a million-case
 //! campaign. Every route to a verdict ends in one booking step that counts
-//! the case and streams it to the results [`journal`](crate::journal), so a
+//! the case and streams it to the results [`journal`], so a
 //! run can be killed at any instant and resumed.
 
 use crate::journal::{

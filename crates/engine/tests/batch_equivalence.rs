@@ -16,6 +16,8 @@
 //! * lane guards: a step cap on every lane leaves the word answers equal
 //!   to the equally capped scalar ones, and inside a group trips exactly
 //!   the lanes that run longer than the cap;
+//! * a lane sealed on state no instruction reads takes a later case, which
+//!   books the scalar verdict;
 //! * a group whose golden lane is not the campaign's golden run is re-run
 //!   scalar: the verdict of a lane reported as toggles rests on that;
 //! * a campaign with an edge-skew tolerance, or without a fork spec, runs
@@ -29,6 +31,7 @@
 //! * on every plan (scalar, fork, batch) every pending case is booked
 //!   exactly once, and the report names the plan and counts who left it.
 
+use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_core::{plan, report, CaseResult, ClassifySpec, FaultCase};
 use amsfi_digital::{cells, BatchReport, InjectTarget, LaneOutcome, Netlist, Simulator};
 use amsfi_engine::{
@@ -420,6 +423,79 @@ fn cpu_set_groups_refill_sealed_lanes_and_spill_to_more_machines() {
     assert!(count_field(spans[0], "refills") >= 1, "{}", spans[0]);
 }
 
+/// The CPU bench of the `cpu` campaign: a 100 MHz clock, reset tied low,
+/// the processor running its checksum program, `out` monitored.
+fn build_cpu() -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let out = net.signal("out", 8);
+    let pc = net.signal("pc", 6);
+    net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    net.add(
+        "cpu",
+        TinyCpu::new(checksum_program(), Time::ZERO),
+        &[clk, rst],
+        &[out, pc],
+    );
+    let mut sim = Simulator::new(net);
+    sim.monitor_name("out");
+    sim
+}
+
+#[test]
+fn dead_word_upsets_seal_at_once_and_hand_their_lanes_to_later_cases() {
+    // The checksum program never reads RAM words 5..=15. A word of upsets
+    // there at 2 us seals at that stop, each lane still holding its flipped
+    // dead bit, and the 63 cases at 3 us take those lanes instead of a
+    // second machine: eight flip dead bits again (on a lane whose own dead
+    // bit differs, or the same bit flipped back), 55 hit the live state —
+    // accumulator, program counter, flag, table and loop counter. Every
+    // answer must be the scalar one, whatever dead bit its lane kept.
+    const T_END: Time = Time::from_us(6);
+    let (early, late) = (Time::from_us(2), Time::from_us(3));
+    let (live, dead) = (0..55, 55..118);
+    let mut bits = Vec::new();
+    let mut cases = Vec::new();
+    for (at, range) in [(early, dead.clone()), (late, 55..63), (late, live)] {
+        for bit in range {
+            cases.push(FaultCase::new(format!("cpu bit{bit} @ {at}"), at));
+            bits.push(bit);
+        }
+    }
+    assert_eq!((cases.len(), dead.len()), (126, 63));
+    let cpu = build_cpu().component_id("cpu").expect("the processor");
+    let campaign = Campaign::forked_batch(
+        "dead-word-refill",
+        ClassifySpec::new(
+            (early, T_END),
+            (0..8).map(|i| format!("out[{i}]")).collect(),
+        ),
+        cases,
+        T_END,
+        |_: &CaseCtx| Ok(build_cpu()),
+        move |sim: &mut dyn InjectTarget, i| {
+            sim.flip_state(cpu, bits[i]);
+            Ok(())
+        },
+    );
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(2))
+            .run(&campaign)
+            .expect("scalar run")
+            .result,
+    );
+    let (word, text) = run_with_events("dead-word-refill", batch_config(1), &campaign);
+    assert_eq!(expected, report::cases_csv(&word.result));
+    assert_eq!((word.path, word.stats.fallbacks), ("batch", 0));
+    let spans = events_of(&text, "span", "batch");
+    assert_eq!(spans.len(), 1, "{text}");
+    assert_eq!(count_field(spans[0], "lanes"), 126, "{}", spans[0]);
+    assert_eq!(count_field(spans[0], "machines"), 1, "{}", spans[0]);
+    assert!(count_field(spans[0], "refills") >= 1, "{}", spans[0]);
+}
+
 #[test]
 fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
     // A word machine that never returns on its own: it spins until its
@@ -621,12 +697,22 @@ fn a_step_cap_trips_the_lanes_that_outrun_it_and_no_others() {
     // cap must trip exactly one step past it; lanes well under must come
     // out as if unguarded. (A few steps either side are left open: pulse
     // edges and the re-opened injection instant are time points too.)
+    //
+    // The `cpu` cases are upsets of the table and loop counter (RAM words
+    // 0..=4, state bits 15..55 of 143): nothing restores them, so those at
+    // 2 us live to the horizon, past the cap, and those at 3 us stay under
+    // it. A word the program never reads seals at once.
     let tick = Time::from_ns(5);
     let horizon = Time::from_us(20);
-    for (name, cap, stride) in [("cpu", 3_500u64, 71), ("cpu-set", 600, 11)] {
+    let live_ram: fn(usize) -> bool = |i| (15..55).contains(&(i % 143));
+    let every_11th: fn(usize) -> bool = |i| i.is_multiple_of(11);
+    for (name, cap, pick) in [("cpu", 3_500u64, live_ram), ("cpu-set", 600, every_11th)] {
         let campaign = campaigns::build(name, None).expect("catalog campaign");
         // Early and late injections in one word.
-        let group: Vec<usize> = (0..campaign.cases.len()).step_by(stride).take(63).collect();
+        let group: Vec<usize> = (0..campaign.cases.len())
+            .filter(|&i| pick(i))
+            .take(63)
+            .collect();
         let free = run_word_spec(&campaign, &group, SimBudget::unlimited());
         let capped = run_word_spec(
             &campaign,

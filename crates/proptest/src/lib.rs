@@ -226,7 +226,7 @@ pub mod collection {
         }
     }
 
-    /// The output of [`vec`].
+    /// The output of [`vec()`].
     #[derive(Debug)]
     pub struct VecStrategy<S> {
         element: S,

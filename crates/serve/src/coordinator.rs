@@ -39,9 +39,8 @@
 //!
 //! # Crash recovery
 //!
-//! Every accepted submission is persisted as a
-//! [`SubmitManifest`](crate::manifest::SubmitManifest) next to its
-//! journal. On startup (unless [`CoordinatorConfig::recover`] is off)
+//! Every accepted submission is persisted as a [`SubmitManifest`] next
+//! to its journal. On startup (unless [`CoordinatorConfig::recover`] is off)
 //! the coordinator scans the journal directory, re-resolves each
 //! manifest against its catalog, verifies the case count and
 //! fingerprint still match, and replays the merged journal back into

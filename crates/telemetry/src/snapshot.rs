@@ -1,5 +1,5 @@
 //! Shippable metric snapshots: a serializable, mergeable view of a
-//! [`KernelMetrics`](crate::KernelMetrics) registry.
+//! [`KernelMetrics`] registry.
 //!
 //! The distributed campaign service needs each worker's counters and
 //! log₂ histograms to survive the process boundary: a worker samples its
