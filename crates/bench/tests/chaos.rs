@@ -9,7 +9,7 @@
 
 use amsfi_bench::SquarePulse;
 use amsfi_circuits::pll::{self, names, PllConfig};
-use amsfi_core::{ClassifySpec, FaultCase, FaultClass, SimFailure};
+use amsfi_core::{ClassifySpec, FaultCase, FaultClass};
 use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, ErrorPolicy};
 use amsfi_waves::{
     ForkableSim, GuardViolation, Logic, SimBudget, SimObserver, Time, Tolerance, Trace,
@@ -244,7 +244,7 @@ fn forced_divergence_is_classified_not_fatal() {
     let poisoned = &report.result.cases[1];
     assert_eq!(poisoned.outcome.class, FaultClass::SimFailure);
     match &poisoned.outcome.failure {
-        Some(SimFailure::NonFinite { signal, .. }) => assert_eq!(signal, names::VCTRL),
+        Some(GuardViolation::NonFinite { signal, .. }) => assert_eq!(signal, names::VCTRL),
         other => panic!("expected a non-finite guard trip, got {other:?}"),
     }
     for (i, case) in report.result.cases.iter().enumerate() {

@@ -8,10 +8,9 @@
 //! Section 4.1 tolerance "in order to avoid non significant error
 //! identifications".
 
-use crate::failure::SimFailure;
 use amsfi_waves::{
-    AnalogStream, AnalogWave, DigitalSlot, DigitalStream, DigitalWave, MismatchToggles,
-    StreamState, Time, ToggleStream, Tolerance, Trace, TraceView,
+    AnalogStream, AnalogWave, DigitalSlot, DigitalStream, DigitalWave, GuardViolation,
+    MismatchToggles, StreamState, Time, ToggleStream, Tolerance, Trace, TraceView,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -30,9 +29,9 @@ pub enum FaultClass {
     /// An output is still wrong at (or near) the end of the window.
     Failure,
     /// The case did not produce a comparable trace: the simulation itself
-    /// failed (non-finite samples, exhausted budget, collapsed timestep,
-    /// deadline or panic — see [`SimFailure`]). Reported as its own class
-    /// so infrastructure failures are never mistaken for error propagation.
+    /// failed (non-finite samples, exhausted budget, collapsed timestep or
+    /// deadline — see [`GuardViolation`]). Reported as its own class so
+    /// infrastructure failures are never mistaken for error propagation.
     SimFailure,
 }
 
@@ -246,7 +245,7 @@ pub struct CaseOutcome {
     /// list between them.
     pub affected: Arc<[String]>,
     /// When `class` is [`FaultClass::SimFailure`], the structured reason.
-    pub failure: Option<SimFailure>,
+    pub failure: Option<GuardViolation>,
     /// Simulation time at which an online classifier sealed this verdict and
     /// aborted the case early (`None` for post-hoc classification, which
     /// always observes the full window). When set, [`CaseOutcome::error_end`]
@@ -263,18 +262,18 @@ impl CaseOutcome {
 
     /// The verdict for a case whose *simulation* failed: class
     /// [`FaultClass::SimFailure`] carrying the structured reason, with the
-    /// failure instant (when the taxonomy records one) as the onset.
-    pub fn from_sim_failure(failure: SimFailure) -> CaseOutcome {
+    /// failure instant as the onset.
+    pub fn from_sim_failure(failure: GuardViolation) -> CaseOutcome {
         let t = match &failure {
-            SimFailure::NonFinite { t, .. }
-            | SimFailure::StepBudgetExhausted { t, .. }
-            | SimFailure::TimestepCollapse { t, .. }
-            | SimFailure::Deadline { t } => Some(*t),
-            SimFailure::Panicked { .. } => None,
+            GuardViolation::NonFinite { t, .. }
+            | GuardViolation::StepBudgetExhausted { t, .. }
+            | GuardViolation::TimestepCollapse { t, .. }
+            | GuardViolation::Deadline { t }
+            | GuardViolation::Retired { t } => *t,
         };
         CaseOutcome {
             class: FaultClass::SimFailure,
-            error_onset: t,
+            error_onset: Some(t),
             error_end: None,
             total_mismatch: Time::ZERO,
             affected: Arc::default(),
@@ -529,7 +528,7 @@ impl<'a> MismatchClassifier<'a> {
 
 /// The verdict for a trace poisoned by a non-finite sample on `signal`.
 fn sim_failure_outcome(signal: &str, t: Time) -> CaseOutcome {
-    let mut outcome = CaseOutcome::from_sim_failure(SimFailure::NonFinite {
+    let mut outcome = CaseOutcome::from_sim_failure(GuardViolation::NonFinite {
         signal: signal.to_owned(),
         t,
     });
@@ -708,7 +707,7 @@ mod tests {
         assert_eq!(*out.affected, ["out"]);
         assert_eq!(
             out.failure,
-            Some(SimFailure::NonFinite {
+            Some(GuardViolation::NonFinite {
                 signal: "out".to_owned(),
                 t: Time::from_us(3)
             })

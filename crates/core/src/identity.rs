@@ -8,6 +8,7 @@
 //! of them.
 
 use crate::campaign::FaultCase;
+use amsfi_waves::Fnv1a;
 use std::fmt;
 
 /// FNV-1a over the campaign name and every case's label and injection time.
@@ -17,23 +18,16 @@ use std::fmt;
 /// remote workers that rebuilt the campaign from its name — verify they
 /// are slicing the same fault list.
 pub fn fingerprint(name: &str, cases: &[FaultCase]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(PRIME);
-    };
-    eat(name.as_bytes());
+    let mut h = Fnv1a::new();
+    h.write_str(name);
+    h.eat();
     for case in cases {
-        eat(case.label.as_bytes());
-        eat(&case.injected_at.as_fs().to_le_bytes());
+        h.write_str(&case.label);
+        h.eat();
+        h.write(&case.injected_at.as_fs().to_le_bytes());
+        h.eat();
     }
-    h
+    h.finish()
 }
 
 /// The compact identity of one campaign: name, case count and fault-list
@@ -93,6 +87,13 @@ mod tests {
         let mut c = cases();
         c[1].label = format!("{}!", c[1].label).into();
         assert_ne!(fingerprint("toy", &a), fingerprint("toy", &c));
+    }
+
+    /// Journal headers, `amsfi merge` and the serve handshake compare this
+    /// value across builds: it must not move.
+    #[test]
+    fn fingerprint_of_a_fixed_list_is_pinned() {
+        assert_eq!(fingerprint("toy", &cases()), 0x78d4_8343_665b_aa8c);
     }
 
     #[test]

@@ -72,7 +72,6 @@
 
 mod campaign;
 mod classify;
-mod failure;
 mod fork;
 pub mod identity;
 mod online;
@@ -87,7 +86,6 @@ pub use classify::{
     classify, CaseOutcome, ClassifySpec, FaultClass, Golden, MismatchClassifier,
     ParseFaultClassError,
 };
-pub use failure::{ParseSimFailureError, SimFailure};
 pub use fork::injection_stops;
 pub use identity::{fingerprint, CampaignTag};
 pub use online::OnlineClassifier;

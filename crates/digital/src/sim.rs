@@ -1385,7 +1385,7 @@ mod tests {
         let err = sim.run_until(Time::from_us(1)).unwrap_err();
         assert!(matches!(
             err,
-            SimError::Guard(GuardViolation::Cancelled { .. })
+            SimError::Guard(GuardViolation::Deadline { .. })
         ));
     }
 

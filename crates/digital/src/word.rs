@@ -1208,12 +1208,10 @@ impl WordSimulator {
                 self.end_lane(lane, LaneOutcome::Retired);
                 continue;
             }
-            let violation = match &self.cancels[lane] {
-                Some(token) if token.is_cancelled() => GuardViolation::Cancelled { t },
-                Some(token) if token.expired() => GuardViolation::Deadline { t },
-                _ => continue,
-            };
-            let error = SimError::from(violation).to_string();
+            if !matches!(&self.cancels[lane], Some(token) if token.should_stop()) {
+                continue;
+            }
+            let error = SimError::from(GuardViolation::Deadline { t }).to_string();
             self.end_lane(lane, LaneOutcome::Failed { error });
         }
     }
@@ -2324,7 +2322,7 @@ mod tests {
         // the very next time point, the one the canceller's flip re-opens.
         assert_eq!(
             error(cancellable),
-            format!("cancelled t={}", ns(500).as_fs())
+            format!("deadline t={}", ns(500).as_fs())
         );
         for (lane, at) in [
             (free, 100),

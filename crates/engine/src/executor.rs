@@ -20,13 +20,13 @@ use crate::stats::{EngineStats, Stage, StatsSnapshot};
 use crate::BoxError;
 use amsfi_core::{
     classify, injection_stops, CampaignResult, CaseOutcome, CaseResult, ClassifySpec, FaultCase,
-    Golden, MismatchClassifier, OnlineClassifier, SimFailure,
+    Golden, MismatchClassifier, OnlineClassifier,
 };
 use amsfi_digital::{BatchReport, LaneOutcome, LaneWatch};
 use amsfi_telemetry::{Event, GuardKind, KernelMetrics, Telemetry};
 use amsfi_waves::{
-    CancelToken, Checkpoint, DigitalSlot, Follow, ForkableSim, MismatchToggles, SimBudget,
-    SimObserver, SimTape, Time, Trace, LANES,
+    CancelToken, Checkpoint, DigitalSlot, Follow, ForkableSim, GuardViolation, MismatchToggles,
+    SimBudget, SimObserver, SimTape, Time, Trace, LANES,
 };
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -418,7 +418,7 @@ impl CaseCtx {
     /// deadline token from the engine config). Runners install a clone on
     /// their kernel — [`Campaign::forked`] does this automatically via
     /// [`ForkableSim::install_budget`] — so guard trips surface as
-    /// structured [`SimFailure`] verdicts instead of hung attempts.
+    /// structured [`GuardViolation`] verdicts instead of hung attempts.
     pub fn budget(&self) -> &SimBudget {
         &self.budget
     }
@@ -942,9 +942,9 @@ enum Attempt {
     },
     Failed(String),
     /// The kernel tripped a [`SimBudget`] guard (or otherwise surfaced a
-    /// parseable [`SimFailure`]): a deterministic, *classified* outcome —
-    /// not retried, not skipped.
-    SimFailed(SimFailure),
+    /// parseable [`GuardViolation`]): a deterministic, *classified* outcome
+    /// — not retried, not skipped.
+    SimFailed(GuardViolation),
     /// The fork path could not finish the case (see [`ForkPathError`]);
     /// non-retryable, the case falls back to its from-scratch runner.
     OffForkPath(ForkPathError),
@@ -969,7 +969,7 @@ impl Attempt {
             },
             Ok(Err(e)) => match e.downcast::<ForkPathError>() {
                 Ok(off) => Attempt::OffForkPath(*off),
-                Err(e) => match SimFailure::from_error(e.as_ref()) {
+                Err(e) => match GuardViolation::from_error(e.as_ref()) {
                     Some(failure) => Attempt::SimFailed(failure),
                     None => Attempt::Failed(e.to_string()),
                 },
@@ -1508,7 +1508,7 @@ impl Engine {
                     // a moment before the engine's own timer expired. Same
                     // timeout, same report — otherwise the winner of that
                     // race decides between `timed out` and `sim-failure`.
-                    Attempt::SimFailed(SimFailure::Deadline { .. }) => Attempt::TimedOut,
+                    Attempt::SimFailed(GuardViolation::Deadline { .. }) => Attempt::TimedOut,
                     outcome => outcome,
                 }
             }
@@ -2043,14 +2043,15 @@ impl Run<'_> {
     }
 }
 
-/// Which metrics/event bucket a structured simulation failure lands in.
-fn guard_kind(failure: &SimFailure) -> GuardKind {
+/// Which metrics/event bucket a structured simulation failure lands in. A
+/// retired run never gets here ([`Attempt::of`] books its watch's verdict);
+/// like a deadline, it is a run stopped from outside the kernel.
+fn guard_kind(failure: &GuardViolation) -> GuardKind {
     match failure {
-        SimFailure::NonFinite { .. } => GuardKind::NonFinite,
-        SimFailure::StepBudgetExhausted { .. } => GuardKind::StepBudget,
-        SimFailure::TimestepCollapse { .. } => GuardKind::TimestepCollapse,
-        SimFailure::Deadline { .. } => GuardKind::Deadline,
-        SimFailure::Panicked { .. } => GuardKind::Panic,
+        GuardViolation::NonFinite { .. } => GuardKind::NonFinite,
+        GuardViolation::StepBudgetExhausted { .. } => GuardKind::StepBudget,
+        GuardViolation::TimestepCollapse { .. } => GuardKind::TimestepCollapse,
+        GuardViolation::Deadline { .. } | GuardViolation::Retired { .. } => GuardKind::Deadline,
     }
 }
 
@@ -2439,7 +2440,6 @@ mod tests {
     #[test]
     fn guard_violation_classifies_as_sim_failure() {
         use amsfi_core::FaultClass;
-        use amsfi_waves::GuardViolation;
         let mut campaign = toy_campaign("toy-guard", 3);
         campaign.spec.outputs.clear();
         campaign.runner = Arc::new(|ctx: &CaseCtx| {
@@ -2462,7 +2462,7 @@ mod tests {
         assert_eq!(failed.outcome.class, FaultClass::SimFailure);
         assert_eq!(
             failed.outcome.failure,
-            Some(amsfi_core::SimFailure::NonFinite {
+            Some(GuardViolation::NonFinite {
                 signal: "vctrl".to_owned(),
                 t: Time::from_ns(70)
             })
@@ -2471,7 +2471,6 @@ mod tests {
 
     #[test]
     fn cooperative_cancel_reclaims_the_attempt_thread() {
-        use amsfi_waves::GuardViolation;
         // The slow case polls its budget's cancel token like a guarded
         // kernel; `live` counts attempt closures still on their thread.
         let live = Arc::new(AtomicUsize::new(0));
@@ -2486,7 +2485,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 live_in.fetch_sub(1, Ordering::SeqCst);
-                return Err(Box::new(GuardViolation::Cancelled { t: Time::ZERO }) as BoxError);
+                return Err(Box::new(GuardViolation::Deadline { t: Time::ZERO }) as BoxError);
             }
             Ok(Trace::new())
         });

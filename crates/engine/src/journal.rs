@@ -38,7 +38,7 @@
 //!   plain skip (the extra key is ignored), so quarantined journals stay
 //!   readable by older tooling.
 //! * `simfail=<taxonomy>` on a `case` record carries the structured
-//!   [`SimFailure`] for cases classified `sim-failure`, so the failure
+//!   [`GuardViolation`] for cases classified `sim-failure`, so the failure
 //!   taxonomy round-trips through resume and merge.
 //! * `sealed_at=<t>` on a `case` record means an online classifier sealed
 //!   the verdict at `t` fs and the simulation was aborted early
@@ -51,8 +51,8 @@
 //!   while corruption anywhere else is still reported as an error.
 
 use crate::shard::Shard;
-use amsfi_core::{CampaignResult, CaseOutcome, CaseResult, FaultCase, FaultClass, SimFailure};
-use amsfi_waves::{Time, Trace};
+use amsfi_core::{CampaignResult, CaseOutcome, CaseResult, FaultCase, FaultClass};
+use amsfi_waves::{GuardViolation, Time, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -714,7 +714,7 @@ fn parse_record(line: &str) -> Option<JournalEntry> {
             "label" => label = Some(unescape(value)?),
             "error" => error = Some(unescape(value)?),
             "quarantine" => quarantine = Some(unescape(value)?),
-            "simfail" => simfail = Some(unescape(value)?.parse::<SimFailure>().ok()?),
+            "simfail" => simfail = Some(unescape(value)?.parse::<GuardViolation>().ok()?),
             "sealed_at" => sealed_at = Some(Time::from_fs(value.parse::<i64>().ok()?)),
             // Unknown keys (e.g. `forked`) are informational: skip them so
             // newer writers stay readable by this parser.
@@ -1032,18 +1032,46 @@ mod tests {
         let cases = sample_cases();
         let meta = JournalMeta::of("toy", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
-        let mut result = sample_result(0);
-        result.outcome.class = FaultClass::SimFailure;
-        result.outcome.failure = Some(SimFailure::NonFinite {
-            signal: "vctrl out".to_owned(),
-            t: Time::from_ns(170),
-        });
-        journal.record_case(0, &result, None).unwrap();
+        // Every violation a case can be booked with (a retired run is
+        // booked with its watch's verdict instead).
+        let failures = [
+            GuardViolation::NonFinite {
+                signal: "vctrl out=1".to_owned(),
+                t: Time::from_ns(170),
+            },
+            GuardViolation::StepBudgetExhausted {
+                steps: 1_000_001,
+                t: Time::from_us(3),
+            },
+            GuardViolation::TimestepCollapse {
+                dt: Time::from_fs(3),
+                min_dt: Time::from_ps(1),
+                t: Time::from_ns(9),
+            },
+            GuardViolation::Deadline {
+                t: Time::from_us(1),
+            },
+        ];
+        let results: Vec<CaseResult> = failures
+            .into_iter()
+            .enumerate()
+            .map(|(i, failure)| {
+                let mut result = sample_result(i);
+                result.outcome.class = FaultClass::SimFailure;
+                result.outcome.failure = Some(failure);
+                result
+            })
+            .collect();
+        for (i, result) in results.iter().enumerate() {
+            journal.record_case(i, result, None).unwrap();
+        }
         drop(journal);
         let (_, entries) = load(&path).unwrap();
-        match &entries[&0] {
-            JournalEntry::Done(r) => assert_eq!(r, &result),
-            other => panic!("expected Done, got {other:?}"),
+        for (i, result) in results.iter().enumerate() {
+            match &entries[&i] {
+                JournalEntry::Done(r) => assert_eq!(r, result),
+                other => panic!("expected Done, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).ok();
     }

@@ -10,7 +10,7 @@
 //!   simulation no longer kills the whole run ([`executor`]);
 //! * per-attempt simulation budgets (step cap, timestep floor, deadline
 //!   token) installed on every kernel, so guard trips come back as
-//!   structured [`amsfi_core::SimFailure`] verdicts, and poison-case
+//!   structured [`amsfi_waves::GuardViolation`] verdicts, and poison-case
 //!   quarantine that keeps deterministic failures out of every `--resume`;
 //! * an append-only, line-based results [`journal`] with checkpoint/resume:
 //!   rerunning a campaign with an existing journal skips completed cases

@@ -72,7 +72,6 @@ pub struct MixedSimulator {
     now: Time,
     drivers: Vec<LevelDriver>,
     digitizers: Vec<Digitizer>,
-    max_sync_step: Time,
     seeded: bool,
     budget: SimBudget,
     observer: SimObserver,
@@ -94,7 +93,6 @@ impl MixedSimulator {
             now: Time::ZERO,
             drivers: Vec::new(),
             digitizers: Vec::new(),
-            max_sync_step: Time::MAX,
             seeded: false,
             budget: SimBudget::unlimited(),
             observer: SimObserver::default(),
@@ -146,17 +144,6 @@ impl MixedSimulator {
         for dz in &mut self.digitizers {
             dz.set_interpolation(enabled);
         }
-    }
-
-    /// Caps the synchronisation step (defaults to the analog solver's own
-    /// adaptive step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not positive.
-    pub fn set_max_sync_step(&mut self, step: Time) {
-        assert!(step > Time::ZERO, "sync step must be positive");
-        self.max_sync_step = step;
     }
 
     /// Connects digital `signal` to analog voltage `node` with the given
@@ -307,16 +294,14 @@ impl MixedSimulator {
 
     /// A hash of the co-simulation's structure: both kernels' structural
     /// fingerprints plus every boundary binding (driver rails, digitizer
-    /// thresholds and hysteresis) and the synchronisation-step cap. A
-    /// [`Checkpoint`] refuses to restore across differing fingerprints.
+    /// thresholds and hysteresis). A [`Checkpoint`] refuses to restore
+    /// across differing fingerprints.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_str("amsfi-mixed");
         h.eat();
         h.write_u64(self.digital.fingerprint());
         h.write_u64(self.analog.fingerprint());
-        h.eat();
-        h.write_u64(self.max_sync_step.as_fs() as u64);
         h.eat();
         h.write_u64(self.drivers.len() as u64);
         h.eat();
@@ -474,10 +459,7 @@ impl MixedSimulator {
     /// Where the synchronisation step starting now lands: the solver's
     /// proposal, cut at the horizon and at the next digital event.
     fn sync_target(&self, proposed: Time, t_end: Time) -> Time {
-        let t_next = self
-            .now
-            .saturating_add(proposed.min(self.max_sync_step))
-            .min(t_end);
+        let t_next = self.now.saturating_add(proposed).min(t_end);
         match self.digital.next_event_time() {
             Some(te) if te > self.now => t_next.min(te),
             _ => t_next,
@@ -520,7 +502,7 @@ impl MixedSimulator {
             let t_next = self.sync_target(proposed, t_end);
             if let Some(tape) = tape.as_deref_mut() {
                 if tape.steps.is_empty() {
-                    tape.reserve(proposed.min(self.max_sync_step));
+                    tape.reserve(proposed);
                 }
                 tape.steps.push((t_next, proposed));
             }

@@ -178,9 +178,10 @@ impl fmt::Debug for LogHistogram {
     }
 }
 
-/// The guard-violation taxonomy tracked by [`KernelMetrics`]; mirrors
-/// `amsfi_core::SimFailure` without depending on it (telemetry sits below
-/// everything in the crate graph).
+/// The labels under which [`KernelMetrics`] counts guard trips, one per
+/// kind of `amsfi_waves::GuardViolation` a case can be booked with
+/// (telemetry sits below everything in the crate graph, so the engine maps
+/// one to the other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuardKind {
     /// A signal or node went NaN/Inf.
@@ -191,18 +192,15 @@ pub enum GuardKind {
     TimestepCollapse,
     /// The wall-clock deadline expired or the attempt was cancelled.
     Deadline,
-    /// The case runner panicked.
-    Panic,
 }
 
 impl GuardKind {
     /// All kinds, in declaration order (which indexes the trip counters).
-    pub const ALL: [GuardKind; 5] = [
+    pub const ALL: [GuardKind; 4] = [
         GuardKind::NonFinite,
         GuardKind::StepBudget,
         GuardKind::TimestepCollapse,
         GuardKind::Deadline,
-        GuardKind::Panic,
     ];
 
     /// Stable label used in metric labels and event names.
@@ -212,7 +210,6 @@ impl GuardKind {
             GuardKind::StepBudget => "step-budget",
             GuardKind::TimestepCollapse => "timestep-collapse",
             GuardKind::Deadline => "deadline",
-            GuardKind::Panic => "panic",
         }
     }
 }
@@ -241,7 +238,7 @@ pub struct KernelMetrics {
     pub proposed_dt_fs: LogHistogram,
     /// Distribution of per-attempt budget steps consumed.
     pub steps_used: LogHistogram,
-    guard_trips: [Counter; 5],
+    guard_trips: [Counter; 4],
     /// Snapshot-cache hits in the forked executor.
     pub snapshot_hits: Counter,
     /// Snapshot-cache misses in the forked executor (fork requested but no

@@ -85,7 +85,6 @@ amsfi_guard_trips_total{kind="non-finite"} 1
 amsfi_guard_trips_total{kind="step-budget"} 2
 amsfi_guard_trips_total{kind="timestep-collapse"} 3
 amsfi_guard_trips_total{kind="deadline"} 4
-amsfi_guard_trips_total{kind="panic"} 5
 # TYPE amsfi_snapshot_cache_total counter
 amsfi_snapshot_cache_total{outcome="hit"} 104
 amsfi_snapshot_cache_total{outcome="miss"} 105
@@ -178,7 +177,6 @@ const KERNEL_SNAPSHOT: &str = "digital_events=102;\
     golden_trace_bytes=113;\
     guard_deadline=4;\
     guard_non-finite=1;\
-    guard_panic=5;\
     guard_step-budget=2;\
     guard_timestep-collapse=3;\
     journal_bytes=108;\

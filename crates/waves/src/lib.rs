@@ -68,7 +68,7 @@ pub use compare::{
     SignalComparison, Tolerance,
 };
 pub use fork::{Checkpoint, CheckpointMismatch, Fnv1a, Follow, ForkableSim, SimTape};
-pub use guard::{CancelToken, GuardViolation, SimBudget, CLOCK_STRIDE};
+pub use guard::{CancelToken, GuardViolation, ParseGuardViolationError, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
 pub use stream::{
     AnalogStream, ClosedMismatch, DigitalStream, SimObserver, StreamState, ToggleStream, TraceView,

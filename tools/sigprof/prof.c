@@ -36,19 +36,21 @@ __attribute__((constructor)) static void start(void) {
     timer(1000); /* asks for 1 kHz; the kernel rounds up to its own tick */
 }
 
-/* Writes "START END OBJECT" per executable mapping of this process to
- * SAMPLES.maps, in the samples' offsets, so a sample outside the main
- * executable can be named by the shared object it fell in. */
+/* Writes "START END OFFSET OBJECT" per executable mapping of this process
+ * to SAMPLES.maps, START and END in the samples' offsets and OFFSET the
+ * mapping's offset into its file, so a sample outside the main executable
+ * can be named by the shared object it fell in and its file offset there. */
 static void write_maps(const char *samples) {
     char path[4096], line[4352], perms[8], object[4096];
-    unsigned long start, end;
+    unsigned long start, end, offset;
     snprintf(path, sizeof path, "%s.maps", samples);
     FILE *in = fopen("/proc/self/maps", "r"), *out = fopen(path, "w");
     while (in && out && fgets(line, sizeof line, in)) {
         object[0] = 0;
-        if (sscanf(line, "%lx-%lx %7s %*s %*s %*s %4095[^\n]", &start, &end, perms, object) >= 3
+        if (sscanf(line, "%lx-%lx %7s %lx %*s %*s %4095[^\n]", &start, &end, perms, &offset, object) >= 4
             && perms[2] == 'x')
-            fprintf(out, "%#lx %#lx %s\n", start - bias, end - bias, object[0] ? object : "[anon]");
+            fprintf(out, "%#lx %#lx %#lx %s\n", start - bias, end - bias, offset,
+                    object[0] ? object : "[anon]");
     }
     if (in) fclose(in);
     if (out) fclose(out);
