@@ -188,7 +188,7 @@ grep -q '"reason":"campaign has no batch spec"' "$tmp/pll.jsonl"
 ./target/release/amsfi run pll-digital --checkpoint --workers 3 \
     --out "$tmp/cut.fork" --progress-secs 0 >"$tmp/cut.txt"
 cmp "$tmp/cut.plain/cases.csv" "$tmp/cut.fork/cases.csv"
-grep -Eq '^path: fork, followed: [1-9][0-9]*, fallbacks: 0$' "$tmp/cut.txt"
+grep -Eq '^path: fork, followed: [1-9][0-9]*, fallbacks: 0, inert: 0$' "$tmp/cut.txt"
 set +e
 ./target/release/amsfi run cpu --batch --word --progress-secs 0
 rc=$?

@@ -192,6 +192,18 @@ impl Component for TinyCpu {
         }
     }
 
+    /// A RAM word no instruction loads (`read_words`) only ever gets
+    /// overwritten. The re-evaluation an upset schedules re-drives `out`
+    /// and `pc` with what they hold; zero-delay, that changes nothing, but
+    /// a delayed drive would cancel one still pending from the last clock
+    /// edge, so with a delay every bit counts as read.
+    fn state_bit_is_read(&self, bit: usize) -> bool {
+        let Some(ram_bit) = bit.checked_sub(8 + PC_BITS + 1) else {
+            return true;
+        };
+        self.delay > Time::ZERO || read_words(&self.program) >> (ram_bit / 8) & 1 == 1
+    }
+
     fn state_label(&self, bit: usize) -> String {
         if bit < 8 {
             format!("acc[{bit}]")
@@ -469,6 +481,13 @@ mod tests {
     use amsfi_waves::LANES;
 
     fn cpu_bench(program: Vec<Insn>) -> (Simulator, amsfi_digital::ComponentId) {
+        delayed_cpu_bench(program, Time::ZERO)
+    }
+
+    fn delayed_cpu_bench(
+        program: Vec<Insn>,
+        delay: Time,
+    ) -> (Simulator, amsfi_digital::ComponentId) {
         let mut net = Netlist::new();
         let clk = net.signal("clk", 1);
         let rst = net.signal("rst", 1);
@@ -476,12 +495,7 @@ mod tests {
         let pc = net.signal("pc", 6);
         net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
         net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
-        let cpu = net.add(
-            "cpu",
-            TinyCpu::new(program, Time::ZERO),
-            &[clk, rst],
-            &[out, pc],
-        );
+        let cpu = net.add("cpu", TinyCpu::new(program, delay), &[clk, rst], &[out, pc]);
         let mut sim = Simulator::new(net);
         sim.monitor_name("out");
         (sim, cpu)
@@ -682,6 +696,30 @@ mod tests {
         faulty.flip_state(cpu, ram9_bit0);
         faulty.run_until(Time::from_us(10)).unwrap();
         assert_eq!(golden.trace(), faulty.trace(), "dead RAM upset must mask");
+    }
+
+    #[test]
+    fn a_delayed_cpu_reads_every_bit() {
+        // The upset's re-evaluation re-drives `pc` 3 ns on, which cancels
+        // the drive the rising edge 1 ns earlier left pending: `pc` moves a
+        // nanosecond late, although the RAM word is never read.
+        let delay = Time::from_ns(3);
+        let ram9_bit0 = 8 + 6 + 1 + 9 * 8;
+        let (mut golden, _) = delayed_cpu_bench(checksum_program(), delay);
+        let (mut faulty, cpu) = delayed_cpu_bench(checksum_program(), delay);
+        for sim in [&mut golden, &mut faulty] {
+            sim.monitor_name("pc");
+        }
+        golden.run_until(Time::from_us(3)).unwrap();
+        faulty.run_until(Time::from_ns(2_006)).unwrap();
+        faulty.flip_state(cpu, ram9_bit0);
+        faulty.run_until(Time::from_us(3)).unwrap();
+        assert_ne!(golden.trace(), faulty.trace());
+
+        let delayed = TinyCpu::new(checksum_program(), delay);
+        assert!((0..delayed.state_bits()).all(|bit| delayed.state_bit_is_read(bit)));
+        let zero_delay = TinyCpu::new(checksum_program(), Time::ZERO);
+        assert!(!zero_delay.state_bit_is_read(ram9_bit0));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use amsfi_circuits::adc::{self, AdcInput};
 use amsfi_circuits::cpu::{Insn, TinyCpu};
 use amsfi_circuits::pfd::SequentialPfd;
-use amsfi_digital::{cells, DigitalSaboteur, InjectTarget, Netlist, Simulator, WordBatchSimulator};
+use amsfi_digital::{
+    cells, Component, DigitalSaboteur, InjectTarget, Netlist, Simulator, WordBatchSimulator,
+};
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
 use amsfi_waves::{Logic, MismatchToggles, Time};
 use proptest::prelude::*;
@@ -250,6 +252,67 @@ proptest! {
                 "lane {} (kind {}, payload {:#x} @ {}): {:?}",
                 lane, kind, payload, at, report.outcomes[lane]
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// What a campaign stops at its injection, simulated anyway: every bit
+    /// the processor declares unread, flipped at its own instant of a run
+    /// of a random program, leaves the trace golden's to the horizon.
+    #[test]
+    fn a_flipped_unread_bit_leaves_the_trace_golden(
+        raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
+        seed in any::<u64>(),
+    ) {
+        const T_END: Time = Time::from_us(3);
+        let program = cpu_program(&raw);
+        let mut golden = cpu_bench(program.clone());
+        golden.run_until(T_END).unwrap();
+        let golden = golden.into_trace();
+
+        let declared = TinyCpu::new(program.clone(), Time::ZERO);
+        let unread: Vec<usize> =
+            (0..declared.state_bits()).filter(|&bit| !declared.state_bit_is_read(bit)).collect();
+        // The generator's programs touch RAM words 0..=5 only.
+        prop_assert!(unread.len() >= 10 * 8);
+        let mut state = seed | 1;
+        for bit in unread {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // On a clock edge (every 5 ns) half the time, anywhere otherwise.
+            let at_fs = 100_000_000 + (state % 2_400_000_000) as i64;
+            let at_fs = if state >> 63 == 1 { at_fs - at_fs % 5_000_000 } else { at_fs };
+            let mut sim = cpu_bench(program.clone());
+            sim.run_until(Time::from_fs(at_fs)).unwrap();
+            let cpu = sim.component_id("cpu").expect("the bench has a cpu");
+            sim.flip_state(cpu, bit);
+            prop_assert!(!sim.injection_matters());
+            sim.run_until(T_END).unwrap();
+            prop_assert!(sim.trace() == &golden, "bit {} @ {} fs", bit, at_fs);
+        }
+    }
+
+    /// The scalar and word definitions of "unread" agree: a bit is declared
+    /// unread exactly when the word CPU finds a lane with that bit flipped
+    /// equal to the reference lane, at any instant of any program.
+    #[test]
+    fn unread_bits_are_the_flips_the_word_cpu_finds_equal(
+        raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
+        at_ns in 0i64..2_000,
+    ) {
+        let mut sim = cpu_bench(cpu_program(&raw));
+        sim.run_until(Time::from_ns(at_ns)).unwrap();
+        let cpu = sim.component_id("cpu").expect("the bench has a cpu");
+        let cpu = sim.component_mut(cpu);
+        for bit in 0..cpu.state_bits() {
+            let mut word = cpu.word_component().expect("the CPU is bit-sliced");
+            word.flip_state_bit(1, bit);
+            let equal = word.lanes_equal_to(0, 0b11) == 0b11;
+            prop_assert_eq!(equal, !cpu.state_bit_is_read(bit), "bit {}", bit);
         }
     }
 }

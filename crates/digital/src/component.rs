@@ -407,6 +407,20 @@ pub trait Component: ComponentClone + Send + std::fmt::Debug {
         let _ = bit;
     }
 
+    /// Whether a later evaluation can read memorised bit `bit` (`true`, the
+    /// default, when the component cannot say otherwise).
+    ///
+    /// `false` is a promise about the whole future: a simulator whose only
+    /// difference from another is this bit flipped — plus the re-evaluation
+    /// [`Simulator::flip_state`](crate::Simulator::flip_state) schedules at
+    /// the flip instant — drives every signal as the other does, so its
+    /// trace is the other's. A campaign stops such a case at its injection
+    /// (see [`Simulator::injection_matters`](crate::Simulator::injection_matters)).
+    fn state_bit_is_read(&self, bit: usize) -> bool {
+        let _ = bit;
+        true
+    }
+
     /// A human-readable label for a memorised bit (used in campaign reports).
     fn state_label(&self, bit: usize) -> String {
         format!("bit{bit}")
@@ -507,5 +521,9 @@ mod tests {
         p.flip_state_bit(0);
         p.force_state(42);
         assert_eq!(p.state_bits(), 0);
+        assert!(
+            p.state_bit_is_read(0),
+            "a bit is read unless declared otherwise"
+        );
     }
 }

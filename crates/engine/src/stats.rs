@@ -68,6 +68,8 @@ pub struct EngineStats {
     fallbacks: AtomicUsize,
     /// Forked cases that followed a tape.
     followed: AtomicUsize,
+    /// Cases stopped at an injection that cannot matter.
+    inert: AtomicUsize,
     /// Cases pre-counted into `done`/`total` because a previous run already
     /// settled them (resumed `Done` + previously quarantined). They are part
     /// of the summary denominator but must not inflate the live rate.
@@ -100,6 +102,7 @@ impl EngineStats {
             quarantined: AtomicUsize::new(0),
             fallbacks: AtomicUsize::new(0),
             followed: AtomicUsize::new(0),
+            inert: AtomicUsize::new(0),
             seeded: AtomicUsize::new(0),
             stage_ns: Default::default(),
             metrics,
@@ -151,6 +154,10 @@ impl EngineStats {
         self.followed.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_inert(&self) {
+        self.inert.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -179,6 +186,7 @@ impl EngineStats {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             followed: self.followed.load(Ordering::Relaxed),
+            inert: self.inert.load(Ordering::Relaxed),
             seeded: self.seeded.load(Ordering::Relaxed),
             stage_ns: [
                 self.stage_ns[0].load(Ordering::Relaxed),
@@ -230,6 +238,10 @@ pub struct StatsSnapshot {
     /// simulating it (see `amsfi_waves::ForkableSim::follow`). On the
     /// planned path: not a subset of `fallbacks`.
     pub followed: usize,
+    /// Scalar or forked cases stopped at their injection because nothing
+    /// it wrote can matter (`amsfi_waves::ForkableSim::injection_matters`)
+    /// and booked as golden against itself, unsimulated past that instant.
+    pub inert: usize,
     /// Of `done`, how many were settled by a previous run (resumed
     /// completions and prior quarantines). Excluded from [`rate`](Self::rate).
     pub seeded: usize,
@@ -490,6 +502,7 @@ mod tests {
             quarantined: 11,
             fallbacks: 12,
             followed: 13,
+            inert: 18,
             seeded: 14,
             stage_ns: [15, 16, 17],
             stage_pctl_us: [[1, 2, 3], [4, 5, 6], [7, 8, 9]],

@@ -1,14 +1,20 @@
 //! End-to-end engine behaviour: checkpoint/resume after a kill, shard-merge
-//! determinism, fail-fast runs leaving a resumable journal, and the event
-//! stream and metric dumps a run leaves behind.
+//! determinism, fail-fast runs leaving a resumable journal, the event
+//! stream and metric dumps a run leaves behind, and cases stopped at an
+//! injection that cannot matter, against a reference runner that
+//! simulates every case.
 
+use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_core::report;
 use amsfi_core::{ClassifySpec, FaultCase};
+use amsfi_digital::{cells, ComponentId, Netlist, Simulator};
 use amsfi_engine::{
     campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, EngineReport,
     ErrorPolicy, Event, Journal, JournalEntry, Shard, SkippedCase, Telemetry,
 };
-use amsfi_waves::{ForkableSim, GuardViolation, Logic, SimBudget, SimObserver, Time, Trace};
+use amsfi_waves::{
+    ForkableSim, GuardViolation, Logic, LogicVector, SimBudget, SimObserver, Time, Trace,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -948,4 +954,159 @@ fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
 
     std::fs::remove_file(&scratch_path).ok();
     std::fs::remove_file(&path).ok();
+}
+
+/// The `cpu` catalog campaign's bench: a 100 MHz clock, reset tied low and
+/// the processor running its checksum program, `out` monitored. Built here
+/// rather than taken from the catalog, for a reference runner that shares
+/// no code with the engine's.
+fn cpu_bench() -> Simulator {
+    let mut net = Netlist::new();
+    let clk = net.signal("clk", 1);
+    let rst = net.signal("rst", 1);
+    let out = net.signal("out", 8);
+    let pc = net.signal("pc", 6);
+    net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
+    net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
+    let cpu = TinyCpu::new(checksum_program(), Time::ZERO);
+    net.add("cpu", cpu, &[clk, rst], &[out, pc]);
+    let mut sim = Simulator::new(net);
+    sim.monitor_name("out");
+    sim
+}
+
+/// The `cpu` campaign's horizon.
+const CPU_T_END: Time = Time::from_us(20);
+
+#[test]
+fn every_plan_books_what_the_reference_runner_simulates() {
+    // `amsfi_core::run_campaign` simulates every case to the horizon: case
+    // `i` flips target `i % 143` at its instant. The engine stops the 88
+    // flips of a RAM word no instruction loads at their injection on the
+    // scalar and fork plans, and seals them on the batch plan.
+    let campaign = campaigns::build("cpu", None).expect("cpu is in the catalog");
+    let targets = cpu_bench().mutant_targets();
+    let reference = amsfi_core::run_campaign(&campaign.spec, campaign.cases.clone(), |index| {
+        let mut sim = cpu_bench();
+        if let Some(i) = index {
+            sim.run_until(campaign.cases[i].injected_at)?;
+            let target = &targets[i % targets.len()];
+            sim.flip_state(target.component, target.bit);
+        }
+        sim.run_until(CPU_T_END)?;
+        Ok(sim.into_trace())
+    })
+    .expect("the reference run completes");
+    let reference = report::cases_csv(&reference);
+
+    let unread = campaign.cases.len() / targets.len() * 88;
+    type Flags = fn(EngineConfig) -> EngineConfig;
+    let plans: [(&str, Flags, usize); 3] = [
+        ("scalar", |cfg| cfg, unread),
+        ("fork", |cfg| cfg.with_checkpoint(true), unread),
+        ("batch", |cfg| cfg.with_batch(true), 0),
+    ];
+    for (path, flags, inert) in plans {
+        let config = flags(EngineConfig::default().with_workers(2));
+        let run = Engine::new(config).run(&campaign).expect("engine run");
+        assert_eq!((run.path, run.stats.inert), (path, inert));
+        assert_eq!(report::cases_csv(&run.result), reference, "{path}");
+    }
+}
+
+#[test]
+fn only_a_flip_of_an_unread_bit_stops_a_case_at_its_injection() {
+    // Each row injects into the cpu bench at 2.5 us; only the first writes
+    // nothing a later evaluation reads. Every other mutation counts, even
+    // one that changes no value, so its case simulates to the horizon.
+    type Inject = fn(&mut Simulator);
+    fn cpu(sim: &Simulator) -> ComponentId {
+        sim.component_id("cpu").expect("the bench has a cpu")
+    }
+    /// Flips `ram[15][0]`: the checksum program loads words 0..=4 only.
+    fn unread(sim: &mut Simulator) {
+        sim.flip_state(cpu(sim), 15 + 15 * 8);
+    }
+    let rows: [(&str, Inject, usize); 7] = [
+        ("flip of an unread bit", unread, 1),
+        ("flip of a read bit", |sim| sim.flip_state(cpu(sim), 0), 0),
+        ("force_state", |sim| sim.force_state(cpu(sim), 0), 0),
+        (
+            "component_mut",
+            |sim| {
+                let _ = sim.component_mut(cpu(sim));
+            },
+            0,
+        ),
+        (
+            "wake_component",
+            |sim| sim.wake_component(cpu(sim), sim.now()),
+            0,
+        ),
+        (
+            "inject_value",
+            |sim| {
+                let rst = sim.signal_id("rst").expect("the bench has rst");
+                sim.inject_value(rst, LogicVector::filled(Logic::Zero, 1), sim.now());
+            },
+            0,
+        ),
+        (
+            "flip of an unread bit, then a wake",
+            |sim| {
+                unread(sim);
+                sim.wake_component(cpu(sim), sim.now());
+            },
+            0,
+        ),
+    ];
+    let spec = ClassifySpec::new((Time::from_us(2), CPU_T_END), vec!["out".to_owned()]);
+    for (what, inject, inert) in rows {
+        let cases = vec![FaultCase::new(what, Time::from_ns(2_500))];
+        let campaign = Campaign::forked(
+            "mutations",
+            spec.clone(),
+            cases,
+            CPU_T_END,
+            |_: &CaseCtx| Ok(cpu_bench()),
+            move |sim: &mut Simulator, _| {
+                inject(sim);
+                Ok(())
+            },
+        );
+        for checkpoint in [false, true] {
+            let config = EngineConfig::default().with_checkpoint(checkpoint);
+            let run = Engine::new(config).run(&campaign).expect("engine run");
+            assert_eq!(run.stats.inert, inert, "{what}, checkpoint {checkpoint}");
+        }
+    }
+}
+
+#[test]
+fn a_capped_or_watched_case_runs_in_full() {
+    // Under a step cap the injection's wake is a step a full run takes, so
+    // the case may trip the cap; under `--early-abort` the watch books the
+    // verdict it seals. Neither takes the shortcut, and the capped run
+    // books what the uncapped one does.
+    let campaign = campaigns::build("cpu", Some(143)).expect("cpu is in the catalog");
+    let plain = Engine::new(EngineConfig::default()).run(&campaign).unwrap();
+    assert_eq!(plain.stats.inert, 88);
+    let configs = [
+        ("capped", EngineConfig::default().with_max_steps(u64::MAX)),
+        (
+            "capped fork",
+            EngineConfig::default()
+                .with_max_steps(u64::MAX)
+                .with_checkpoint(true),
+        ),
+        ("watched", EngineConfig::default().with_early_abort(true)),
+    ];
+    for (what, config) in configs {
+        let run = Engine::new(config).run(&campaign).unwrap();
+        assert_eq!(run.stats.inert, 0, "{what}");
+        if what != "watched" {
+            let csv = report::cases_csv(&run.result);
+            assert_eq!(csv, report::cases_csv(&plain.result), "{what}");
+        }
+    }
 }

@@ -493,9 +493,10 @@ fn print_report(report: &EngineReport) {
     }
     println!("{}", report.stats);
     print!("{}", report.stats.stage_table());
-    let (followed, fallbacks) = (report.stats.followed, report.stats.fallbacks);
+    let stats = &report.stats;
+    let (followed, fallbacks, inert) = (stats.followed, stats.fallbacks, stats.inert);
     println!(
-        "path: {}, followed: {followed}, fallbacks: {fallbacks}",
+        "path: {}, followed: {followed}, fallbacks: {fallbacks}, inert: {inert}",
         report.path
     );
 }
