@@ -196,6 +196,15 @@ set -e
 test "$rc" -eq 64
 ./target/release/amsfi list >"$tmp/list.txt"
 grep -q "cpu.*batch" "$tmp/list.txt"
+# The dry run of `inject` that books an upset of unread state before its
+# prefix runs: `list` counts what it books on cpu, and the scalar and fork
+# plans must book exactly that many. A probe that silently stops firing
+# is a slowdown byte identity cannot see.
+grep -Eq '^  cpu .* inert 264/429 ' "$tmp/list.txt"
+for flag in "" --checkpoint; do
+    ./target/release/amsfi run cpu $flag --progress-secs 0 >"$tmp/inert.txt"
+    grep -q 'inert: 264$' "$tmp/inert.txt"
+done
 rm -rf "$tmp"
 
 # --batch --early-abort CLI e2e: a word lane records no trace; its

@@ -4,7 +4,8 @@ use amsfi_circuits::adc::{self, AdcInput};
 use amsfi_circuits::cpu::{Insn, TinyCpu};
 use amsfi_circuits::pfd::SequentialPfd;
 use amsfi_digital::{
-    cells, Component, DigitalSaboteur, InjectTarget, Netlist, Simulator, WordBatchSimulator,
+    cells, Component, DigitalSaboteur, InjectProbe, InjectTarget, Netlist, Simulator,
+    WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind};
 use amsfi_waves::{Logic, MismatchToggles, Time};
@@ -120,6 +121,11 @@ proptest! {
 /// The CPU bench of the `cpu` / `cpu-set` campaigns around an arbitrary
 /// program, with `pc` monitored beside `out`.
 fn cpu_bench(program: Vec<Insn>) -> Simulator {
+    delayed_cpu_bench(program, Time::ZERO)
+}
+
+/// [`cpu_bench`] with a processor that drives its outputs `delay` late.
+fn delayed_cpu_bench(program: Vec<Insn>, delay: Time) -> Simulator {
     let mut net = Netlist::new();
     let clk = net.signal("clk", 1);
     let rst = net.signal("rst", 1);
@@ -127,12 +133,7 @@ fn cpu_bench(program: Vec<Insn>) -> Simulator {
     let pc = net.signal("pc", 6);
     net.add("ck", cells::ClockGen::new(Time::from_ns(10)), &[], &[clk]);
     net.add("r", cells::ConstVector::bit(Logic::Zero), &[], &[rst]);
-    net.add(
-        "cpu",
-        TinyCpu::new(program, Time::ZERO),
-        &[clk, rst],
-        &[out, pc],
-    );
+    net.add("cpu", TinyCpu::new(program, delay), &[clk, rst], &[out, pc]);
     net.insert_saboteur(rst, Box::new(DigitalSaboteur::new(1)));
     let mut sim = Simulator::new(net);
     sim.monitor_name("out");
@@ -259,9 +260,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// What a campaign stops at its injection, simulated anyway: every bit
-    /// the processor declares unread, flipped at its own instant of a run
-    /// of a random program, leaves the trace golden's to the horizon.
+    /// What a campaign books unrun, simulated anyway: every bit the
+    /// processor declares unread, which the probe finds inert, flipped at
+    /// its own instant of a run of a random program, leaves the trace
+    /// golden's to the horizon.
     #[test]
     fn a_flipped_unread_bit_leaves_the_trace_golden(
         raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
@@ -269,6 +271,8 @@ proptest! {
     ) {
         const T_END: Time = Time::from_us(3);
         let program = cpu_program(&raw);
+        let pristine = cpu_bench(program.clone());
+        let cpu = pristine.component_id("cpu").expect("the bench has a cpu");
         let mut golden = cpu_bench(program.clone());
         golden.run_until(T_END).unwrap();
         let golden = golden.into_trace();
@@ -287,12 +291,45 @@ proptest! {
             let at_fs = 100_000_000 + (state % 2_400_000_000) as i64;
             let at_fs = if state >> 63 == 1 { at_fs - at_fs % 5_000_000 } else { at_fs };
             let mut sim = cpu_bench(program.clone());
+            let mut probe = InjectProbe::new(&pristine);
+            probe.flip_state(cpu, bit);
+            prop_assert!(probe.is_inert(), "bit {}", bit);
             sim.run_until(Time::from_fs(at_fs)).unwrap();
-            let cpu = sim.component_id("cpu").expect("the bench has a cpu");
             sim.flip_state(cpu, bit);
-            prop_assert!(!sim.injection_matters());
             sim.run_until(T_END).unwrap();
             prop_assert!(sim.trace() == &golden, "bit {} @ {} fs", bit, at_fs);
+        }
+    }
+
+    /// The probe asks a freshly built cell, not the one at the injection
+    /// instant, so a cell's answer must be its configuration's alone: after
+    /// a run to any instant of any program, with or without a drive delay
+    /// and some upsets on the way, every bit reads as a fresh cell's does.
+    #[test]
+    fn whether_a_bit_is_read_does_not_change_as_the_cell_runs(
+        raw in prop::collection::vec((0u8..8, any::<u8>()), 1..=64),
+        delayed in any::<bool>(),
+        at_ns in 0i64..2_000,
+        flips in prop::collection::vec(0usize..143, 0..4),
+    ) {
+        let delay = if delayed { Time::from_ns(3) } else { Time::ZERO };
+        let program = cpu_program(&raw);
+        let fresh = TinyCpu::new(program.clone(), delay);
+        let mut sim = delayed_cpu_bench(program, delay);
+        let cpu = sim.component_id("cpu").expect("the bench has a cpu");
+        sim.run_until(Time::from_ns(at_ns / 2)).unwrap();
+        for bit in flips {
+            sim.flip_state(cpu, bit);
+        }
+        sim.run_until(Time::from_ns(at_ns)).unwrap();
+        let cell = sim.component_mut(cpu);
+        for bit in 0..fresh.state_bits() {
+            prop_assert_eq!(
+                cell.state_bit_is_read(bit),
+                fresh.state_bit_is_read(bit),
+                "bit {}",
+                bit
+            );
         }
     }
 

@@ -414,8 +414,12 @@ pub trait Component: ComponentClone + Send + std::fmt::Debug {
     /// difference from another is this bit flipped — plus the re-evaluation
     /// [`Simulator::flip_state`](crate::Simulator::flip_state) schedules at
     /// the flip instant — drives every signal as the other does, so its
-    /// trace is the other's. A campaign stops such a case at its injection
-    /// (see [`Simulator::injection_matters`](crate::Simulator::injection_matters)).
+    /// trace is the other's. A campaign books such a case without running
+    /// it (see [`InjectProbe`](crate::InjectProbe)).
+    ///
+    /// The answer must depend on the cell's configuration only, never on
+    /// its state or on time: the probe asks a freshly built cell, not the
+    /// one at the injection instant.
     fn state_bit_is_read(&self, bit: usize) -> bool {
         let _ = bit;
         true

@@ -49,6 +49,7 @@
 pub mod cells;
 mod component;
 mod netlist;
+mod probe;
 mod saboteur;
 mod sim;
 mod wheel;
@@ -56,6 +57,7 @@ pub mod word;
 
 pub use component::{Component, ComponentClone, EvalContext};
 pub use netlist::{ComponentId, MutantTarget, Netlist, PortSpec, SignalId};
+pub use probe::InjectProbe;
 pub use saboteur::DigitalSaboteur;
 pub use sim::{SimError, Simulator};
 pub use word::{

@@ -445,7 +445,9 @@ impl Simulator {
     /// re-evaluation so the corrupted state propagates immediately. A bit
     /// the component declares unread
     /// ([`Component::state_bit_is_read`](crate::Component::state_bit_is_read))
-    /// is not recorded as an outside write: nothing can read it.
+    /// is not recorded as an outside write (see
+    /// [`outside_writes_reach`](Simulator::outside_writes_reach)): nothing
+    /// can read it.
     pub fn flip_state(&mut self, component: ComponentId, bit: usize) {
         let comp = &mut self.components[component.0].comp;
         if comp.state_bit_is_read(bit) {
@@ -460,22 +462,6 @@ impl Simulator {
     pub fn force_state(&mut self, component: ComponentId, value: u64) {
         self.components[component.0].comp.force_state(value);
         self.wake_component(component, self.now());
-    }
-
-    /// Whether anything written into this simulator from outside its
-    /// netlist since it was built can make its future differ from the
-    /// fault-free one: whether any outside write was recorded (see
-    /// [`outside_writes_reach`](Simulator::outside_writes_reach)). Only a
-    /// [`flip_state`](Simulator::flip_state) of a bit its component
-    /// declares unread goes unrecorded; every
-    /// [`force_state`](Simulator::force_state),
-    /// [`component_mut`](Simulator::component_mut),
-    /// [`wake_component`](Simulator::wake_component) and
-    /// [`inject_value`](Simulator::inject_value) counts, whatever it wrote.
-    /// `false` therefore proves that the rest of this run records the
-    /// trace an untouched copy would.
-    pub fn injection_matters(&self) -> bool {
-        !self.touched_components.is_empty() || !self.touched_signals.is_empty()
     }
 
     /// Forces `signal` to `value` at time `at` (which must not precede the
@@ -560,6 +546,15 @@ impl Simulator {
     pub fn component_mut(&mut self, component: ComponentId) -> &mut dyn crate::Component {
         note(&mut self.touched_components, component.0);
         &mut *self.components[component.0].comp
+    }
+
+    /// Shared access to a component instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub(crate) fn component(&self, component: ComponentId) -> &dyn crate::Component {
+        &*self.components[component.0].comp
     }
 
     /// Looks up a component instance by name.
@@ -1029,10 +1024,6 @@ impl ForkableSim for Simulator {
     /// `true` retires the run there. Replaces any previous observer.
     fn install_observer(&mut self, observer: SimObserver) {
         self.observer = observer;
-    }
-
-    fn injection_matters(&self) -> bool {
-        Simulator::injection_matters(self)
     }
 }
 

@@ -18,12 +18,12 @@ use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_circuits::pll::{self, names};
 use amsfi_core::{plan, ClassifySpec, FaultCase};
 use amsfi_digital::{
-    cells, BatchReport, DigitalSaboteur, InjectTarget, LaneWatch, MutantTarget, Netlist, Simulator,
-    WordBatchSimulator,
+    cells, BatchReport, DigitalSaboteur, InjectProbe, InjectTarget, LaneWatch, MutantTarget,
+    Netlist, Simulator, WordBatchSimulator,
 };
 use amsfi_faults::{DigitalFault, DigitalFaultKind, TrapezoidPulse};
 use amsfi_waves::{Checkpoint, ForkableSim, Logic, SimBudget, Time, Tolerance};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 impl Campaign {
     /// [`Campaign::forked`] for pure-digital campaigns, plus a
@@ -43,6 +43,12 @@ impl Campaign {
     /// own copy of the fork spec's golden-run snapshot at (or before) the
     /// group's first injection instant, which its word machines fork from
     /// in turn, so the fault-free prefix is simulated once per run.
+    ///
+    /// Before a scalar or forked case runs, the engine may run `inject`
+    /// once on an [`InjectProbe`] ([`BatchSpec::inert`]) over a simulator
+    /// `build` made on the first ask and that nothing advances. So `inject`
+    /// must write the same things for the same index on every call: a case
+    /// whose dry run writes only unread state is booked golden unrun.
     pub fn forked_batch<B, I>(
         name: impl Into<String>,
         spec: ClassifySpec,
@@ -55,8 +61,25 @@ impl Campaign {
         B: Fn(&CaseCtx) -> Result<Simulator, BoxError> + Send + Sync + 'static,
         I: Fn(&mut dyn InjectTarget, usize) -> Result<(), BoxError> + Send + Sync + 'static,
     {
+        let build = Arc::new(build);
         let inject = Arc::new(inject);
         let case_stops: Vec<Time> = cases.iter().map(|c| c.injected_at.min(t_end)).collect();
+
+        // The fault-free bench as built, made by the first probe (a batch
+        // run never asks) and never advanced; `None` if `build` failed.
+        let pristine: Arc<OnceLock<Option<Mutex<Simulator>>>> = Arc::default();
+        let inert = {
+            let (build, inject) = (Arc::clone(&build), Arc::clone(&inject));
+            Arc::new(move |i: usize| {
+                let built = || build(&CaseCtx::detached(None)).ok().map(Mutex::new);
+                let Some(pristine) = pristine.get_or_init(built) else {
+                    return false;
+                };
+                let pristine = pristine.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut probe = InjectProbe::new(&pristine);
+                inject(&mut probe, i).is_ok() && probe.is_inert()
+            })
+        };
 
         let batch_run = {
             let inject = Arc::clone(&inject);
@@ -97,11 +120,18 @@ impl Campaign {
             )
         };
 
-        let mut campaign = Campaign::forked(name, spec, cases, t_end, build, {
-            let inject = Arc::clone(&inject);
-            move |sim: &mut Simulator, i: usize| inject(sim, i)
+        let mut campaign = Campaign::forked(
+            name,
+            spec,
+            cases,
+            t_end,
+            move |ctx: &CaseCtx| build(ctx),
+            move |sim: &mut Simulator, i: usize| inject(sim, i),
+        );
+        campaign.batch = Some(BatchSpec {
+            inert,
+            run: batch_run,
         });
-        campaign.batch = Some(BatchSpec { run: batch_run });
         campaign
     }
 }

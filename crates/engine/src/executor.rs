@@ -593,6 +593,12 @@ impl fmt::Debug for ForkSpec {
 /// batch and scalar traces are byte-identical.
 #[derive(Clone)]
 pub struct BatchSpec {
+    /// Whether case `i`'s upset hits only state no later evaluation reads,
+    /// from a dry run of its `inject` on an
+    /// [`InjectProbe`](amsfi_digital::InjectProbe). The scalar and fork
+    /// plans book such a case with golden's verdict without running it; a
+    /// group's lanes seal it at its injection stop instead.
+    pub inert: Arc<dyn Fn(usize) -> bool + Send + Sync>,
     /// Runs one case group lock-step; see [`BatchSpec`].
     #[allow(clippy::type_complexity)]
     pub run: Arc<
@@ -657,20 +663,17 @@ impl Campaign {
     ///   already attached, the same for every case.
     /// * `inject(sim, i)` arms fault case `i` on a simulator positioned
     ///   exactly at that case's injection instant. It is the only place a
-    ///   case's fault may be written: a fault that `build` put into the
-    ///   simulator from [`CaseCtx::index`] is invisible to
-    ///   [`ForkableSim::injection_matters`], so with an `inject` that
-    ///   writes nothing its case would be booked golden (and the fork path,
-    ///   which never calls `build` per case, would lose it anyway).
+    ///   case's fault may be written: the fork path never calls `build` per
+    ///   case, so a fault `build` put into the simulator from
+    ///   [`CaseCtx::index`] would be lost there.
     ///
     /// Both execution paths advance the simulator through every distinct
     /// injection stop up to the case's own injection time (the golden run
     /// through all of them), then to `t_end`. Sharing the stop sequence is
     /// what keeps adaptive-step analog/mixed kernels on identical step
-    /// grids in both paths; see [`amsfi_waves::ForkableSim`]. Both stop a
-    /// case right after `inject` when the simulator proves nothing injected
-    /// can matter ([`ForkableSim::injection_matters`]), unless the attempt
-    /// is step-capped or watched; the engine then books golden's verdict.
+    /// grids in both paths; see [`amsfi_waves::ForkableSim`]. Every case
+    /// runs in full: only [`Campaign::forked_batch`](crate::campaigns)
+    /// adds the dry run of `inject` that books an inert case unrun.
     pub fn forked<S, B, I>(
         name: impl Into<String>,
         spec: ClassifySpec,
@@ -714,7 +717,6 @@ impl Campaign {
                             sim.advance_to(stop).map_err(sim_err)?;
                         }
                         inject(&mut sim, i)?;
-                        stop_if_inert(ctx, &sim)?;
                     }
                 }
                 sim.advance_to(t_end).map_err(sim_err)?;
@@ -746,12 +748,9 @@ impl Campaign {
         };
 
         // A fork leads or follows where its kernel can prove it may (the
-        // from-scratch `runner` above never does). Both stop a case whose
-        // injection cannot matter; the oracle that always simulates is
-        // `amsfi_core::run_campaign`, held against every plan in
-        // `tests/engine.rs`. A tape reaches the worker's slot only from a
-        // run that went all the way: an attempt that errs, is cancelled or
-        // times out returns before `publish`.
+        // from-scratch `runner` above never does). A tape reaches the
+        // worker's slot only from a run that went all the way: an attempt
+        // that errs, is cancelled or times out returns before `publish`.
         let fork = {
             let inject = Arc::clone(&inject);
             Arc::new(
@@ -770,7 +769,6 @@ impl Campaign {
                     sim.install_budget(ctx.budget().clone());
                     sim.install_observer(ctx.take_observer());
                     inject(&mut sim, i)?;
-                    stop_if_inert(ctx, &sim)?;
                     let followed = match tapes.tape_from(stop) {
                         Some(tape) => sim.follow(&tape).map_err(sim_err)?,
                         None => Follow::Refused,
@@ -839,33 +837,6 @@ impl fmt::Display for ForkPathError {
 }
 
 impl std::error::Error for ForkPathError {}
-
-/// How a [`Campaign::forked`] run stops a case whose injection cannot
-/// matter ([`ForkableSim::injection_matters`]): the rest of the run would
-/// record the golden trace, so the engine books the case as golden
-/// classified against itself.
-#[derive(Debug)]
-struct Inert;
-
-impl fmt::Display for Inert {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("the injection cannot change the run")
-    }
-}
-
-impl std::error::Error for Inert {}
-
-/// Stops the run with [`Inert`] when nothing injected into `sim` can
-/// matter and the attempt may stop there. A capped attempt runs on: a full
-/// run takes the injection's wake as a step and may trip the cap. So does
-/// a watched one: its watch books the verdict it seals, with `sealed_at`.
-fn stop_if_inert<S: ForkableSim>(ctx: &CaseCtx, sim: &S) -> Result<(), BoxError> {
-    let may_stop = ctx.budget.max_steps().is_none() && ctx.sealed.is_none();
-    if may_stop && !sim.injection_matters() {
-        return Err(Box::new(Inert));
-    }
-    Ok(())
-}
 
 /// Everything an engine run produces.
 #[derive(Debug)]
@@ -987,9 +958,6 @@ enum Attempt {
     /// The fork path could not finish the case (see [`ForkPathError`]);
     /// non-retryable, the case falls back to its from-scratch runner.
     OffForkPath(ForkPathError),
-    /// The run stopped at its injection, which cannot matter (see
-    /// [`Inert`]): booked as golden against itself, not retried.
-    Inert,
     TimedOut,
 }
 
@@ -1009,7 +977,6 @@ impl Attempt {
                 trace,
                 followed: ctx.followed.load(Ordering::Relaxed),
             },
-            Ok(Err(e)) if e.is::<Inert>() => Attempt::Inert,
             Ok(Err(e)) => match e.downcast::<ForkPathError>() {
                 Ok(off) => Attempt::OffForkPath(*off),
                 Err(e) => match GuardViolation::from_error(e.as_ref()) {
@@ -1404,8 +1371,8 @@ impl Engine {
             // model) cannot cover the horizon.
             Attempt::SimFailed(f) => Err(EngineError::Golden(f.to_string())),
             Attempt::TimedOut => Err(EngineError::Golden("timed out".to_owned())),
-            Attempt::Sealed { .. } | Attempt::Inert => {
-                unreachable!("the golden run is never watched and injects nothing")
+            Attempt::Sealed { .. } => {
+                unreachable!("the golden run is never watched")
             }
         }
     }
@@ -1445,14 +1412,13 @@ impl Engine {
             }
             if matches!(
                 last,
-                // A guard trip, sealed verdict, fork that left its path or
-                // inert injection is deterministic; retrying would
-                // reproduce it. All end the loop like a success.
+                // A guard trip, sealed verdict or fork that left its path
+                // is deterministic; retrying would reproduce it. All end
+                // the loop like a success.
                 Attempt::Ok { .. }
                     | Attempt::Sealed { .. }
                     | Attempt::SimFailed(_)
                     | Attempt::OffForkPath(_)
-                    | Attempt::Inert
             ) {
                 return (last, attempt + 1);
             }
@@ -1566,9 +1532,7 @@ impl Engine {
                             // The attempt finished, or its watch retired
                             // it, in the race window between expiry and
                             // cancellation; keep it.
-                            late @ (Attempt::Ok { .. }
-                            | Attempt::Sealed { .. }
-                            | Attempt::Inert) => late,
+                            late @ (Attempt::Ok { .. } | Attempt::Sealed { .. }) => late,
                             _ => Attempt::TimedOut,
                         }
                     }
@@ -1599,7 +1563,7 @@ struct Run<'a> {
     journal: Option<Journal>,
     /// What golden classifies as against itself: the verdict of every lane
     /// a batch group reports as [`LaneOutcome::Clean`] and of every case
-    /// stopped at an [`Inert`] injection, worked out by the first.
+    /// [`Run::inert`] books unrun, worked out by the first.
     clean_verdict: OnceLock<CaseOutcome>,
 }
 
@@ -1853,8 +1817,26 @@ impl Run<'_> {
         })
     }
 
+    /// Whether case `index` may be booked with golden's verdict unrun: its
+    /// campaign's dry run of `inject` ([`BatchSpec::inert`]) wrote only
+    /// state no later evaluation reads. A capped attempt asks nothing: a
+    /// full run takes the injection's wake as a step and may trip the cap.
+    /// Nor does a watched one: its watch books the verdict it seals, with
+    /// `sealed_at`. A probe that panics answers live; the run repeats it.
+    fn inert(&self, index: usize) -> bool {
+        let config = &self.engine.config;
+        let Some(batch) = &self.campaign.batch else {
+            return false;
+        };
+        config.max_steps.is_none()
+            && !config.early_abort
+            && catch_unwind(AssertUnwindSafe(|| (batch.inert)(index))).unwrap_or(false)
+    }
+
     /// Runs one case end-to-end: attempts (with retries), classification,
     /// journaling, counter updates. `Err` only under [`ErrorPolicy::FailFast`].
+    /// An [inert](Run::inert) case is booked before any of that: no build,
+    /// no prefix, no rung clone.
     ///
     /// `forked` carries the checkpoint-fork runner and the snapshot instant
     /// (see [`Run::fork_runner`]); `None` uses the campaign's from-scratch
@@ -1864,9 +1846,55 @@ impl Run<'_> {
         index: usize,
         forked: Option<(CaseRunner, Time)>,
     ) -> Result<JournalEntry, EngineError> {
+        let campaign = self.campaign;
+        let tele = &self.engine.config.telemetry;
+        let case_t0 = Instant::now();
+        let inert = self.inert(index);
+        let (outcome, attempts, followed_from) = if inert {
+            self.stats.record_inert();
+            let forked_at = forked.map(|(_, at)| at);
+            let booked = self.book(index, self.clean_verdict().clone(), forked_at);
+            (booked, 0, None)
+        } else {
+            self.simulate_one(index, forked)
+        };
+        let dur_us = case_t0.elapsed().as_micros() as u64;
+        if let Some(metrics) = tele.metrics() {
+            metrics.case_latency_us.observe(dur_us);
+        }
+        tele.emit_with(|| {
+            let mut event = Event::new("span", "case")
+                .with_case(index)
+                .with_dur_us(dur_us)
+                .with_field("label", &campaign.cases[index].label)
+                .with_field("attempts", attempts);
+            if let Some(stop) = followed_from {
+                event = event.with_field("followed", stop.as_fs());
+            }
+            if inert {
+                event = event.with_field("inert", true);
+            }
+            event = match &outcome {
+                Ok(JournalEntry::Done(result)) => event.with_field("class", result.outcome.class),
+                Ok(JournalEntry::Skipped(_)) => event.with_field("outcome", "skipped"),
+                Ok(JournalEntry::Quarantined(_)) => event.with_field("outcome", "quarantined"),
+                Err(_) => event.with_field("outcome", "fatal"),
+            };
+            event
+        });
+        outcome
+    }
+
+    /// The simulated route of [`Run::execute_one`]: the case's entry, the
+    /// attempts it took and, for a fork that followed a tape, the stop the
+    /// tape was led from.
+    fn simulate_one(
+        &self,
+        index: usize,
+        forked: Option<(CaseRunner, Time)>,
+    ) -> (Result<JournalEntry, EngineError>, u32, Option<Time>) {
         let (engine, campaign, stats) = (self.engine, self.campaign, &self.stats);
         let tele = &engine.config.telemetry;
-        let case_t0 = Instant::now();
         let (runner, mut forked_at) = match forked {
             Some((runner, at)) => (runner, Some(at)),
             None => (Arc::clone(&campaign.runner), None),
@@ -1902,13 +1930,8 @@ impl Run<'_> {
         if followed_from.is_some() {
             stats.record_followed();
         }
-        let inert = matches!(attempt, Attempt::Inert);
         let outcome = match attempt {
             Attempt::Ok { trace, .. } => self.book(index, self.classify(&trace), forked_at),
-            Attempt::Inert => {
-                stats.record_inert();
-                self.book(index, self.clean_verdict().clone(), forked_at)
-            }
             Attempt::Sealed { outcome, steps } => {
                 self.book_sealed(index, *outcome, steps, forked_at)
             }
@@ -1933,31 +1956,7 @@ impl Run<'_> {
                 self.give_up(index, attempts, format!("timed out after {timeout:?}"))
             }
         };
-        let dur_us = case_t0.elapsed().as_micros() as u64;
-        if let Some(metrics) = tele.metrics() {
-            metrics.case_latency_us.observe(dur_us);
-        }
-        tele.emit_with(|| {
-            let mut event = Event::new("span", "case")
-                .with_case(index)
-                .with_dur_us(dur_us)
-                .with_field("label", &campaign.cases[index].label)
-                .with_field("attempts", attempts);
-            if let Some(stop) = followed_from {
-                event = event.with_field("followed", stop.as_fs());
-            }
-            if inert {
-                event = event.with_field("inert", true);
-            }
-            event = match &outcome {
-                Ok(JournalEntry::Done(result)) => event.with_field("class", result.outcome.class),
-                Ok(JournalEntry::Skipped(_)) => event.with_field("outcome", "skipped"),
-                Ok(JournalEntry::Quarantined(_)) => event.with_field("outcome", "quarantined"),
-                Err(_) => event.with_field("outcome", "fatal"),
-            };
-            event
-        });
-        outcome
+        (outcome, attempts, followed_from)
     }
 
     /// Runs one case group bit-parallel through the campaign's
@@ -2817,6 +2816,7 @@ mod tests {
         use TapeArm::{Quiet, Wedges};
         let (mut campaign, _) = tape_campaign("toy-wedged-golden", Wedges, vec![(5, Quiet)]);
         campaign.batch = Some(BatchSpec {
+            inert: Arc::new(|_| false),
             run: Arc::new(|_, _, _, _, _| Err("no group starts".into())),
         });
         let config = EngineConfig::default()

@@ -68,7 +68,7 @@ pub struct EngineStats {
     fallbacks: AtomicUsize,
     /// Forked cases that followed a tape.
     followed: AtomicUsize,
-    /// Cases stopped at an injection that cannot matter.
+    /// Cases booked unrun: their injection wrote only unread state.
     inert: AtomicUsize,
     /// Cases pre-counted into `done`/`total` because a previous run already
     /// settled them (resumed `Done` + previously quarantined). They are part
@@ -238,9 +238,9 @@ pub struct StatsSnapshot {
     /// simulating it (see `amsfi_waves::ForkableSim::follow`). On the
     /// planned path: not a subset of `fallbacks`.
     pub followed: usize,
-    /// Scalar or forked cases stopped at their injection because nothing
-    /// it wrote can matter (`amsfi_waves::ForkableSim::injection_matters`)
-    /// and booked as golden against itself, unsimulated past that instant.
+    /// Scalar or forked cases booked as golden against itself without
+    /// running, because a dry run of their injection wrote only state no
+    /// later evaluation reads (`BatchSpec::inert`).
     pub inert: usize,
     /// Of `done`, how many were settled by a previous run (resumed
     /// completions and prior quarantines). Excluded from [`rate`](Self::rate).

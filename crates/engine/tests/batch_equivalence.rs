@@ -516,6 +516,7 @@ fn a_wedged_group_is_cut_off_by_the_timeout_and_rerun_scalar() {
                 }
                 Err("wedged word machine stopped".into())
             }),
+            ..campaign.batch.clone().expect("batch spec")
         }),
         ..campaign
     };
@@ -779,7 +780,8 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
             .result,
     );
 
-    let inner = Arc::clone(&base.batch.as_ref().expect("batch spec").run);
+    let spec = base.batch.clone().expect("batch spec");
+    let inner = Arc::clone(&spec.run);
     let calls = AtomicUsize::new(0);
     let campaign = Campaign {
         batch: Some(BatchSpec {
@@ -790,6 +792,7 @@ fn a_group_whose_golden_lane_differs_falls_back_to_scalar() {
                 }
                 Ok(report)
             }),
+            ..spec
         }),
         ..base
     };

@@ -1,20 +1,18 @@
 //! End-to-end engine behaviour: checkpoint/resume after a kill, shard-merge
 //! determinism, fail-fast runs leaving a resumable journal, the event
-//! stream and metric dumps a run leaves behind, and cases stopped at an
-//! injection that cannot matter, against a reference runner that
-//! simulates every case.
+//! stream and metric dumps a run leaves behind, and cases booked unrun
+//! because their injection writes only unread state, against a reference
+//! runner that simulates every case.
 
 use amsfi_circuits::cpu::{checksum_program, TinyCpu};
 use amsfi_core::report;
 use amsfi_core::{ClassifySpec, FaultCase};
-use amsfi_digital::{cells, ComponentId, Netlist, Simulator};
+use amsfi_digital::{cells, ComponentId, InjectTarget, Netlist, Simulator};
 use amsfi_engine::{
-    campaigns, journal, Campaign, CaseCtx, Engine, EngineConfig, EngineError, EngineReport,
-    ErrorPolicy, Event, Journal, JournalEntry, Shard, SkippedCase, Telemetry,
+    campaigns, journal, BoxError, Campaign, CaseCtx, Engine, EngineConfig, EngineError,
+    EngineReport, ErrorPolicy, Event, Journal, JournalEntry, Shard, SkippedCase, Telemetry,
 };
-use amsfi_waves::{
-    ForkableSim, GuardViolation, Logic, LogicVector, SimBudget, SimObserver, Time, Trace,
-};
+use amsfi_waves::{ForkableSim, GuardViolation, Logic, SimBudget, SimObserver, Time, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -1016,68 +1014,141 @@ fn every_plan_books_what_the_reference_runner_simulates() {
 
 #[test]
 fn only_a_flip_of_an_unread_bit_stops_a_case_at_its_injection() {
-    // Each row injects into the cpu bench at 2.5 us; only the first writes
-    // nothing a later evaluation reads. Every other mutation counts, even
-    // one that changes no value, so its case simulates to the horizon.
-    type Inject = fn(&mut Simulator);
-    fn cpu(sim: &Simulator) -> ComponentId {
+    // Each row's cases inject into the cpu bench at 2.5 us, one inject per
+    // case; the engine dry-runs each on a probe first and books the inert
+    // ones unrun. Only a flip of a bit nothing reads leaves a case inert:
+    // every other write counts, even one that changes no value. (No row
+    // for `Simulator::inject_value`: `InjectTarget` has no such call.)
+    type Inject = fn(&mut dyn InjectTarget) -> Result<(), BoxError>;
+    fn cpu(sim: &dyn InjectTarget) -> ComponentId {
         sim.component_id("cpu").expect("the bench has a cpu")
     }
     /// Flips `ram[15][0]`: the checksum program loads words 0..=4 only.
-    fn unread(sim: &mut Simulator) {
+    fn unread(sim: &mut dyn InjectTarget) -> Result<(), BoxError> {
         sim.flip_state(cpu(sim), 15 + 15 * 8);
+        Ok(())
     }
-    let rows: [(&str, Inject, usize); 7] = [
-        ("flip of an unread bit", unread, 1),
-        ("flip of a read bit", |sim| sim.flip_state(cpu(sim), 0), 0),
-        ("force_state", |sim| sim.force_state(cpu(sim), 0), 0),
+    /// Swaps in a processor whose every bit is read: on the probe, only
+    /// its throwaway copy of the pristine cell.
+    fn delayed(sim: &mut dyn InjectTarget) -> Result<(), BoxError> {
+        let cell = sim.component_mut(cpu(sim)).as_any_mut();
+        *cell.downcast_mut::<TinyCpu>().ok_or("not the cpu")? =
+            TinyCpu::new(checksum_program(), Time::from_ns(3));
+        Ok(())
+    }
+    let rows: [(&str, Vec<Inject>, usize); 9] = [
+        ("flip of an unread bit", vec![unread], 1),
+        (
+            "flip of a read bit",
+            vec![|sim| {
+                sim.flip_state(cpu(sim), 0);
+                Ok(())
+            }],
+            0,
+        ),
+        (
+            "force_state",
+            vec![|sim| {
+                sim.force_state(cpu(sim), 0);
+                Ok(())
+            }],
+            0,
+        ),
         (
             "component_mut",
-            |sim| {
+            vec![|sim| {
                 let _ = sim.component_mut(cpu(sim));
-            },
+                Ok(())
+            }],
             0,
         ),
         (
             "wake_component",
-            |sim| sim.wake_component(cpu(sim), sim.now()),
+            vec![|sim| {
+                sim.wake_component(cpu(sim), Time::from_ns(2_500));
+                Ok(())
+            }],
             0,
         ),
         (
-            "inject_value",
-            |sim| {
-                let rst = sim.signal_id("rst").expect("the bench has rst");
-                sim.inject_value(rst, LogicVector::filled(Logic::Zero, 1), sim.now());
-            },
+            "set_budget",
+            vec![|sim| {
+                sim.set_budget(SimBudget::unlimited());
+                Ok(())
+            }],
             0,
         ),
         (
             "flip of an unread bit, then a wake",
-            |sim| {
-                unread(sim);
-                sim.wake_component(cpu(sim), sim.now());
-            },
+            vec![|sim| {
+                unread(sim)?;
+                sim.wake_component(cpu(sim), Time::from_ns(2_500));
+                Ok(())
+            }],
             0,
         ),
+        // The run errs as the probe did, and the case is skipped.
+        (
+            "an inject that errs",
+            vec![|sim| {
+                let cell = sim.component_id("nope").ok_or("no such cell")?;
+                sim.flip_state(cell, 0);
+                Ok(())
+            }],
+            0,
+        ),
+        // The first case's write leaves the pristine cell as it was.
+        (
+            "component_mut, then an unread bit",
+            vec![delayed, unread],
+            1,
+        ),
     ];
-    let spec = ClassifySpec::new((Time::from_us(2), CPU_T_END), vec!["out".to_owned()]);
-    for (what, inject, inert) in rows {
-        let cases = vec![FaultCase::new(what, Time::from_ns(2_500))];
-        let campaign = Campaign::forked(
+    let outputs = (0..8).map(|i| format!("out[{i}]")).collect();
+    let spec = ClassifySpec::new((Time::from_us(2), CPU_T_END), outputs);
+    for (what, injects, inert) in rows {
+        let cases = (0..injects.len())
+            .map(|i| FaultCase::new(format!("{what} {i}"), Time::from_ns(2_500)))
+            .collect();
+        let campaign = Campaign::forked_batch(
             "mutations",
             spec.clone(),
             cases,
             CPU_T_END,
             |_: &CaseCtx| Ok(cpu_bench()),
-            move |sim: &mut Simulator, _| {
-                inject(sim);
-                Ok(())
-            },
+            move |sim: &mut dyn InjectTarget, i| injects[i](sim),
         );
         for checkpoint in [false, true] {
-            let config = EngineConfig::default().with_checkpoint(checkpoint);
+            let path = unique_path("mutations");
+            let config = EngineConfig::default()
+                .with_workers(1)
+                .with_checkpoint(checkpoint)
+                .with_journal(&path);
             let run = Engine::new(config).run(&campaign).expect("engine run");
-            assert_eq!(run.stats.inert, inert, "{what}, checkpoint {checkpoint}");
+            let leg = format!("{what}, checkpoint {checkpoint}");
+            assert_eq!(run.stats.inert, inert, "{leg}");
+            let errs = what == "an inject that errs";
+            assert_eq!(run.skipped.len(), usize::from(errs), "{leg}");
+            if errs {
+                assert!(run.skipped[0].error.contains("no such cell"), "{leg}");
+            }
+            // An inert fork is booked from its rung's instant, as one that
+            // ran would be.
+            let forked = if checkpoint { "2500000000" } else { "-" };
+            let text = std::fs::read_to_string(&path).expect("read journal");
+            std::fs::remove_file(&path).ok();
+            let done: Vec<&str> = text.lines().filter(|l| l.starts_with("case ")).collect();
+            assert_eq!(
+                done.len(),
+                campaign.cases.len() - usize::from(errs),
+                "{leg}"
+            );
+            for line in done {
+                assert!(
+                    line.contains(&format!(" forked={forked} ")),
+                    "{leg}: {line}"
+                );
+            }
         }
     }
 }

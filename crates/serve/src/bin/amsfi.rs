@@ -240,18 +240,22 @@ fn list() {
     for (name, description) in campaigns::catalog() {
         // Execution paths this campaign supports beyond the always-available
         // scalar runner, so operators can see which flags will engage
-        // (--checkpoint / --batch) before launching.
-        let paths = campaigns::build(name, None).map_or_else(String::new, |c| {
+        // (--checkpoint / --batch) before launching, and how many cases the
+        // scalar and fork plans book unrun (`BatchSpec::inert`).
+        let (paths, inert) = campaigns::build(name, None).map_or_else(Default::default, |c| {
             let mut paths = vec!["scalar"];
             if c.fork.is_some() {
                 paths.push("forked");
             }
-            if c.batch.is_some() {
+            let inert = c.batch.map_or_else(String::new, |batch| {
                 paths.push("batch");
-            }
-            format!("[{}]", paths.join(", "))
+                let n = c.cases.len();
+                let booked = (0..n).filter(|&i| (batch.inert)(i)).count();
+                format!("inert {booked}/{n}")
+            });
+            (format!("[{}]", paths.join(", ")), inert)
         });
-        println!("  {name:<12} {paths:<30} {description}");
+        println!("  {name:<12} {paths:<24} {inert:<16} {description}");
     }
 }
 

@@ -57,7 +57,8 @@
 //! coordinator into drain mode: lease requests are answered `no_work
 //! drained=1`, in-flight shards finish streaming and merging, journals
 //! stay flushed per record as always, and [`Coordinator::run`] returns
-//! once the last lease settles — as opposed to
+//! once the last lease settles and each connected worker's next lease
+//! request is answered (bounded, as for `--until-drained`) — as opposed to
 //! [`Coordinator::request_shutdown`], which stops the accept loop at
 //! once and relies on crash recovery for anything in flight.
 
@@ -324,9 +325,9 @@ struct Shared {
     metrics: Arc<ServeMetrics>,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    /// Set once a drained `--until-drained` coordinator has left its
-    /// accept loop: each worker's handler answers its next lease request
-    /// and closes, and a submit is refused.
+    /// Set once a drained `--until-drained` coordinator, or one a drain
+    /// ended, has left its accept loop: each worker's handler answers its
+    /// next lease request and closes, and a submit is refused.
     closing: AtomicBool,
     /// Handler threads currently alive; shutdown waits (bounded) for
     /// zero so no thread still appends to a journal a successor process
@@ -537,9 +538,9 @@ impl Coordinator {
     }
 
     /// Serves connections until drained (when configured), shut down, or
-    /// a fatal listener error. A drained `--until-drained` coordinator
-    /// answers each connected worker's next lease request before it
-    /// closes, waiting at most two retry intervals
+    /// a fatal listener error. A drained `--until-drained` coordinator,
+    /// like one a drain ended, answers each connected worker's next lease
+    /// request before it closes, waiting at most two retry intervals
     /// ([`CoordinatorConfig::retry_ms`]) plus 100 ms, and never longer
     /// than [`CoordinatorConfig::io_timeout`].
     ///
@@ -587,13 +588,15 @@ impl Coordinator {
         if let Some(p) = progress {
             p.join().ok();
         }
-        // A worker may ask for work after the last shard is done: it slept
-        // on a `no_work` retry (shorter than `retry_ms`), or its request
-        // was in flight. Answer each connected worker's next request
-        // (`no_work drained=1`, so an `--exit-when-done` worker leaves with
-        // success) before severing what is left. `status`/`top` clients
-        // and a worker silent past that window are not waited for.
-        if self.shared.cfg.until_drained && self.shared.lock().drained() {
+        // A worker may ask for work after the last shard is done, or after
+        // a drain: it slept on a `no_work` retry (shorter than `retry_ms`),
+        // or its request was in flight. Answer each connected worker's next
+        // request (`no_work drained=1`, so an `--exit-when-done` worker
+        // leaves with success) before severing what is left. `status`/`top`
+        // clients and a worker silent past that window are not waited for.
+        let graceful = self.shared.draining.load(Ordering::SeqCst)
+            || (self.shared.cfg.until_drained && self.shared.lock().drained());
+        if graceful {
             self.shared.closing.store(true, Ordering::SeqCst);
             let cfg = &self.shared.cfg;
             let mut wait = Duration::from_millis(2 * cfg.retry_ms + 100);

@@ -1146,3 +1146,74 @@ fn a_lease_request_after_the_last_shard_is_answered_drained() {
     assert!(refused.is_err(), "a closed coordinator took a campaign");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `drain` frame's exit answers a held request as a drained
+/// `--until-drained` one does: a registered worker whose next lease
+/// request is still on its way when the drain ends the run is answered
+/// `no_work drained=1`, not severed — whether the campaign had completed,
+/// or that worker's own shard was resharded just before the drain.
+#[test]
+fn a_lease_request_held_across_a_drain_is_answered_drained() {
+    const CASES: usize = 4;
+    for resharded in [false, true] {
+        let dir = unique_dir("drain-poll");
+        let mut cfg = CoordinatorConfig::new(&dir, toy_source(CASES));
+        cfg.reap_interval = Duration::from_millis(25);
+        cfg.lease_timeout = Duration::from_millis(250);
+        cfg.retry_ms = 1000;
+        let cluster = start_cluster(cfg);
+        cluster
+            .coordinator
+            .submit("toy", 1, None, false, false)
+            .expect("submit toy campaign");
+
+        let mut late = TcpStream::connect(&cluster.addr).expect("late worker connects");
+        let hello = Frame::Hello {
+            worker: "late".to_owned(),
+            protocol: PROTOCOL_VERSION,
+        };
+        write_frame(&mut late, &hello).unwrap();
+        assert!(matches!(
+            read_frame(&mut late).unwrap(),
+            Frame::Welcome { .. }
+        ));
+        if resharded {
+            // It takes the one shard and falls silent until the reaper
+            // hands the shard back.
+            write_frame(&mut late, &Frame::LeaseRequest).unwrap();
+            assert!(matches!(
+                read_frame(&mut late).unwrap(),
+                Frame::Lease { .. }
+            ));
+            let metrics = cluster.coordinator.metrics();
+            wait_until("the shard to be resharded", Duration::from_secs(10), || {
+                metrics.shards_resharded.get() >= 1
+            });
+        } else {
+            amsfi_serve::worker::run(worker_config(&cluster.addr, "w0", CASES))
+                .expect("the worker that ran the campaign exits cleanly");
+            assert!(cluster.coordinator.drained());
+        }
+        cluster.coordinator.request_drain();
+
+        // Until the coordinator has made up its mind: a link it severs reads
+        // as end of stream at once; one it keeps open stays silent.
+        late.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        let severed = matches!(std::io::Read::read(&mut late, &mut byte), Ok(0));
+        late.set_read_timeout(None).unwrap();
+
+        let reply =
+            write_frame(&mut late, &Frame::LeaseRequest).and_then(|()| read_frame(&mut late));
+        match reply {
+            Ok(Frame::NoWork { drained, .. }) => assert!(drained, "the coordinator drained"),
+            other => {
+                panic!("lease request (resharded: {resharded}, link severed: {severed}): {other:?}")
+            }
+        }
+        drop(late);
+        cluster.run.join().unwrap().expect("coordinator drains");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

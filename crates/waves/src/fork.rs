@@ -200,19 +200,6 @@ pub trait ForkableSim: Clone + Send {
         let _ = observer;
     }
 
-    /// Whether a fault injected into this simulator can make the rest of
-    /// the run differ from the fault-free one. `false` is a proof that
-    /// advancing to any horizon records the fault-free trace, so a
-    /// campaign may stop the case at its injection. The default, `true`,
-    /// claims nothing; a kernel overrides it only where it can tell. A
-    /// kernel sees only what was written through its own mutation methods
-    /// after it was built, so a campaign must write each case's fault that
-    /// way (`Campaign::forked`'s `inject`), never build it into the
-    /// simulator.
-    fn injection_matters(&self) -> bool {
-        true
-    }
-
     /// [`ForkableSim::advance_to`], recording on the way whatever part of
     /// the simulator no fault armed on it can reach — when there is such a
     /// part, and the kernel can prove it. Any fork of the same snapshot
