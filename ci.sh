@@ -40,7 +40,7 @@ tmp=$(mktemp -d)
 ./target/release/amsfi run pll-digital --limit 6 --checkpoint \
     --max-steps 100000000 --min-dt-fs 1 --quarantine \
     --journal "$tmp/j.log" --events "$tmp/e.jsonl" --metrics "$tmp/m.prom" \
-    --progress-secs 1
+    --progress-secs 0.5
 test -s "$tmp/e.jsonl"
 test -s "$tmp/m.prom"
 grep -q amsfi_solver_steps_total "$tmp/m.prom"
@@ -205,6 +205,15 @@ for flag in "" --checkpoint; do
     ./target/release/amsfi run cpu $flag --progress-secs 0 >"$tmp/inert.txt"
     grep -q 'inert: 264$' "$tmp/inert.txt"
 done
+# Every campaign is one build/inject pair, so `list` shows each forked. On
+# adc-flash a strike arms the input saboteur in place at its instant: the
+# forked run books byte for byte what the run from scratch books.
+test "$(grep -c '^  ' "$tmp/list.txt")" -eq "$(grep -c '^  .*\[scalar, forked' "$tmp/list.txt")"
+./target/release/amsfi run adc-flash --limit 16 --out "$tmp/adc.plain" --progress-secs 0
+./target/release/amsfi run adc-flash --limit 16 --checkpoint --out "$tmp/adc.fork" \
+    --progress-secs 0 >"$tmp/adc.txt"
+grep -q '^path: fork, ' "$tmp/adc.txt"
+cmp "$tmp/adc.plain/cases.csv" "$tmp/adc.fork/cases.csv"
 rm -rf "$tmp"
 
 # --batch --early-abort CLI e2e: a word lane records no trace; its

@@ -66,27 +66,23 @@ fn campaign_worker_scaling(c: &mut Criterion) {
 /// engine-vs-legacy throughput comparison.
 fn counter_campaign() -> Campaign {
     let at = Time::from_us(5);
-    Campaign {
-        name: "bench-counter".to_owned(),
-        spec: ClassifySpec::new(
+    let targets = build_counter().1;
+    Campaign::forked(
+        "bench-counter",
+        ClassifySpec::new(
             (Time::ZERO, Time::from_us(50)),
             (0..16).map(|i| format!("q[{i}]")).collect(),
         ),
-        cases: (0..16)
+        (0..16)
             .map(|i| FaultCase::new(format!("bit{i}"), at))
             .collect(),
-        runner: Arc::new(move |ctx: &CaseCtx| {
-            let (mut sim, targets) = build_counter();
-            if let Some(i) = ctx.index() {
-                sim.run_until(at)?;
-                sim.flip_state(targets[i].component, targets[i].bit);
-            }
-            sim.run_until(Time::from_us(50))?;
-            Ok(sim.into_trace())
-        }),
-        fork: None,
-        batch: None,
-    }
+        Time::from_us(50),
+        |_ctx: &CaseCtx| Ok(build_counter().0),
+        move |sim: &mut Simulator, i| {
+            sim.flip_state(targets[i].component, targets[i].bit);
+            Ok(())
+        },
+    )
 }
 
 /// The PLL injection-time sweep built through [`Campaign::forked`]: 24

@@ -69,7 +69,7 @@ fn merged_csv(path: &Path, cases: usize) -> String {
     let (meta, entries) = journal::load(path).expect("merged journal loads");
     assert_eq!(meta.cases, cases);
     assert_eq!(entries.len(), cases, "every case merged exactly once");
-    let (result, skipped, quarantined) = journal::assemble(&entries);
+    let (result, skipped, quarantined) = journal::assemble(entries.values());
     assert!(skipped.is_empty() && quarantined.is_empty());
     report::cases_csv(&result)
 }

@@ -60,29 +60,6 @@ fn pll_chaos_campaign(n: usize, poison: &'static [usize]) -> Campaign {
     )
 }
 
-/// A cheap trace-synthesising campaign for the journal chaos tests.
-fn toy_campaign(name: &str, n: usize, panic_at: Option<usize>) -> Campaign {
-    let spec = ClassifySpec::new((Time::ZERO, Time::from_ns(1000)), vec!["out".to_owned()]);
-    let cases = (0..n)
-        .map(|i| FaultCase::new(format!("case{i}"), Time::from_ns(100)))
-        .collect();
-    Campaign {
-        name: name.to_owned(),
-        spec,
-        cases,
-        runner: Arc::new(move |ctx: &CaseCtx| {
-            if panic_at.is_some() && ctx.index() == panic_at {
-                panic!("solver exploded mid-campaign");
-            }
-            let mut trace = Trace::new();
-            trace.record_digital("out", Time::ZERO, Logic::Zero)?;
-            Ok(trace)
-        }),
-        fork: None,
-        batch: None,
-    }
-}
-
 /// A tick-per-nanosecond sim whose monitored "flag" signal follows a fault
 /// program in tick numbers: high over `[pulse_from, pulse_to)`, then high
 /// again forever from `relapse_at`. Golden (no program) keeps it low.
@@ -141,6 +118,31 @@ impl ForkableSim for RelapseSim {
     fn install_observer(&mut self, observer: SimObserver) {
         self.observer = observer;
     }
+}
+
+/// A cheap [`RelapseSim`] campaign for the journal chaos tests: no case
+/// touches the flag, and `on_inject(i)` runs as case `i` is armed.
+fn toy_campaign(
+    name: &str,
+    n: usize,
+    on_inject: impl Fn(usize) + Send + Sync + 'static,
+) -> Campaign {
+    let t_end = Time::from_ns(1000);
+    let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["flag".to_owned()]);
+    let cases = (0..n)
+        .map(|i| FaultCase::new(format!("case{i}"), Time::from_ns(100)))
+        .collect();
+    Campaign::forked(
+        name,
+        spec,
+        cases,
+        t_end,
+        |_ctx: &CaseCtx| Ok(RelapseSim::fresh()),
+        move |_sim: &mut RelapseSim, i| {
+            on_inject(i);
+            Ok(())
+        },
+    )
 }
 
 /// The early-abort chaos campaign: case 0 pulses the flag for 10 ticks and
@@ -280,17 +282,13 @@ fn divergence_in_checkpoint_mode_matches_from_scratch() {
 fn mid_campaign_panic_is_quarantined_and_never_rerun() {
     let attempts = Arc::new(AtomicU32::new(0));
     let campaign = {
-        let mut campaign = toy_campaign("chaos-panic", 5, None);
         let attempts = Arc::clone(&attempts);
-        let inner = Arc::clone(&campaign.runner);
-        campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-            if ctx.index() == Some(3) {
+        toy_campaign("chaos-panic", 5, move |i| {
+            if i == 3 {
                 attempts.fetch_add(1, Ordering::SeqCst);
                 panic!("solver exploded mid-campaign");
             }
-            inner(ctx)
-        });
-        campaign
+        })
     };
     let path = temp_journal("panic");
     // One worker: the journal ends with case 4, not with the quarantine.
@@ -324,7 +322,7 @@ fn mid_campaign_panic_is_quarantined_and_never_rerun() {
 
 #[test]
 fn torn_journal_tail_recovers_on_resume() {
-    let campaign = toy_campaign("chaos-torn", 6, None);
+    let campaign = toy_campaign("chaos-torn", 6, |_| {});
     let path = temp_journal("torn");
     let config = EngineConfig::default().with_workers(1).with_journal(&path);
     Engine::new(config.clone()).run(&campaign).unwrap();

@@ -364,6 +364,31 @@ pub struct FlashAdcBench {
 /// Signal names of the flash bench: sampled output code.
 pub const FLASH_CODE: &str = "code_q";
 
+/// Arms the input saboteur `saboteur` of a built converter's `mixed`
+/// simulator in place, `pulse` starting at `at`. On a simulator paused at
+/// `at` this is what building with the fault armed does (test
+/// `arming_in_place_equals_arming_at_build`), so a campaign can fork every
+/// strike from one fault-free prefix. Arming is behavioural, not
+/// structural: checkpoints transfer between armed and disarmed benches.
+///
+/// # Panics
+///
+/// If `saboteur` is not an [`AnalogSaboteur`](blocks::AnalogSaboteur).
+pub fn arm_saboteur(
+    mixed: &mut MixedSimulator,
+    saboteur: BlockId,
+    pulse: Arc<dyn PulseShape>,
+    at: Time,
+) {
+    mixed
+        .analog_mut()
+        .block_mut(saboteur)
+        .as_any_mut()
+        .downcast_mut::<blocks::AnalogSaboteur>()
+        .expect("saboteur block id points at an AnalogSaboteur")
+        .arm(pulse, at);
+}
+
 /// Builds the 3-bit flash ADC bench.
 pub fn build_flash(config: &FlashAdcConfig) -> FlashAdcBench {
     let mut ckt = AnalogCircuit::new();
@@ -678,6 +703,42 @@ mod tests {
         // After the pulse the next sample is clean again.
         bench.mixed.run_until(Time::from_ns(360_000)).unwrap();
         assert_eq!(bench.mixed.digital().value(sig).to_u64(), Some(3));
+    }
+
+    #[test]
+    fn arming_in_place_equals_arming_at_build() {
+        // A 1 V lift across the 2 950 ns and 3 050 ns sampling edges.
+        let at = Time::from_ns(2_900);
+        let end = Time::from_ns(3_500);
+        let pulse = TrapezoidPulse::from_ma_ps(10.0, 100, 100, 200_000).unwrap();
+        let cfg = FlashAdcConfig {
+            input: AdcInput::Dc(2.2),
+            ..FlashAdcConfig::default()
+        };
+        let run = |cfg: &FlashAdcConfig, arm: Option<&dyn Fn(&mut FlashAdcBench)>| {
+            let mut bench = build_flash(cfg);
+            bench.mixed.digital_mut().monitor_name(FLASH_CODE);
+            bench.mixed.run_until(at).unwrap();
+            if let Some(arm) = arm {
+                arm(&mut bench);
+            }
+            bench.mixed.run_until(end).unwrap();
+            (bench.mixed.merged_trace(), bench.mixed.fingerprint())
+        };
+
+        // Reference: saboteur armed when the bench is built.
+        let built = run(&cfg.clone().with_fault(pulse, at), None);
+        // Same pulse armed mid-run on a disarmed bench, pausing at the
+        // injection instant so both runs share the stop sequence.
+        let arm = |bench: &mut FlashAdcBench| {
+            arm_saboteur(&mut bench.mixed, bench.saboteur, Arc::new(pulse), at);
+        };
+        let armed = run(&cfg, Some(&arm));
+
+        assert_ne!(built.0, run(&cfg, None).0, "the strike must show");
+        assert_eq!(armed.0, built.0);
+        // Arming is behavioural, not structural: checkpoints transfer.
+        assert_eq!(armed.1, built.1);
     }
 
     #[test]

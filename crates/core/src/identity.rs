@@ -9,7 +9,6 @@
 
 use crate::campaign::FaultCase;
 use amsfi_waves::Fnv1a;
-use std::fmt;
 
 /// FNV-1a over the campaign name and every case's label and injection time.
 ///
@@ -28,41 +27,6 @@ pub fn fingerprint(name: &str, cases: &[FaultCase]) -> u64 {
         h.eat();
     }
     h.finish()
-}
-
-/// The compact identity of one campaign: name, case count and fault-list
-/// [`fingerprint`]. Two parties holding equal tags are guaranteed to be
-/// slicing the same fault list (same name, same labels, same injection
-/// times, same order), so their per-case results merge safely.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CampaignTag {
-    /// Campaign name (informational, but part of the fingerprint).
-    pub name: String,
-    /// Total number of cases in the full (unsharded) campaign.
-    pub cases: usize,
-    /// The fault-list [`fingerprint`].
-    pub fingerprint: u64,
-}
-
-impl CampaignTag {
-    /// Builds the tag for a campaign's case list.
-    pub fn of(name: &str, cases: &[FaultCase]) -> Self {
-        CampaignTag {
-            name: name.to_owned(),
-            cases: cases.len(),
-            fingerprint: fingerprint(name, cases),
-        }
-    }
-}
-
-impl fmt::Display for CampaignTag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?} ({} cases, fingerprint {:016x})",
-            self.name, self.cases, self.fingerprint
-        )
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +58,5 @@ mod tests {
     #[test]
     fn fingerprint_of_a_fixed_list_is_pinned() {
         assert_eq!(fingerprint("toy", &cases()), 0x78d4_8343_665b_aa8c);
-    }
-
-    #[test]
-    fn tag_round_trips_equality() {
-        let a = CampaignTag::of("toy", &cases());
-        let b = CampaignTag::of("toy", &cases());
-        assert_eq!(a, b);
-        assert_eq!(a.cases, 4);
-        assert!(a.to_string().contains("fingerprint"));
     }
 }

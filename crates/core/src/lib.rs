@@ -87,6 +87,6 @@ pub use classify::{
     ParseFaultClassError,
 };
 pub use fork::injection_stops;
-pub use identity::{fingerprint, CampaignTag};
+pub use identity::fingerprint;
 pub use online::OnlineClassifier;
 pub use propagation::{PropagationEdge, PropagationModel};

@@ -1,9 +1,9 @@
 //! The named case-study campaigns the `amsfi` CLI can run.
 //!
-//! Each builder returns a self-contained [`Campaign`]: the fault list, the
-//! classification spec, and a runner closure that rebuilds the circuit per
-//! case (simulator state is not shareable across threads, and rebuilding is
-//! what the engine's build/simulate stage split measures).
+//! Each builder returns a self-contained [`Campaign`] made by
+//! [`Campaign::forked`] (or [`Campaign::forked_batch`]): the fault list, the
+//! classification spec, a `build` closure that makes the fault-free circuit
+//! and an `inject` closure that arms one case on it at its instant.
 //!
 //! `cpu` and `pll-digital` are also what the `ext_cpu_campaign` and
 //! `ext_digital_campaign` study binaries in `crates/bench` run: their case
@@ -322,24 +322,21 @@ fn adc_flash() -> Campaign {
     let times = plan::random_times(Time::from_us(2), Time::from_us(8), 8, 11);
     let probe = adc::build_flash(&base);
     let targets = probe.mixed.digital().mutant_targets();
+    let saboteur = probe.saboteur;
 
-    // First the analog-surface strikes, then an equally sized block of
-    // digital SEUs (cycling over the register bits), as in the standalone
-    // `ext_adc_sensitivity` study.
+    // First the analog-surface strikes, pulse-major, then an equally sized
+    // block of digital SEUs (cycling over the register bits), as in the
+    // standalone `ext_adc_sensitivity` study.
     let mut cases = Vec::new();
-    let mut setup = Vec::new();
-    for (pi, p) in pulses.iter().enumerate() {
-        for (ti, &at) in times.iter().enumerate() {
+    for p in &pulses {
+        for &at in &times {
             cases.push(FaultCase::new(format!("input {p}"), at));
-            setup.push(AdcCase::Strike(pi, ti));
         }
     }
-    let n_analog = cases.len();
-    for i in 0..n_analog {
-        let gi = i % targets.len();
-        let ti = i % times.len();
-        cases.push(FaultCase::new(targets[gi].to_string(), times[ti]));
-        setup.push(AdcCase::Flip(gi, ti));
+    let strikes = cases.len();
+    for i in 0..strikes {
+        let target = &targets[i % targets.len()];
+        cases.push(FaultCase::new(target.to_string(), times[i % times.len()]));
     }
 
     let outputs = (0..3)
@@ -347,51 +344,32 @@ fn adc_flash() -> Campaign {
         .collect();
     let spec = ClassifySpec::new((Time::from_us(1), T_END), outputs);
 
-    let pulses = Arc::new(pulses);
-    let times = Arc::new(times);
-    let targets = Arc::new(targets);
-    let setup = Arc::new(setup);
-    Campaign {
-        name: "adc-flash".to_owned(),
+    // Over the bench's `MixedSimulator`. A strike arms the input saboteur
+    // in place on a simulator already at its instant (equivalent by
+    // `amsfi_circuits::adc` test `arming_in_place_equals_arming_at_build`),
+    // as `pll-sweep` does.
+    Campaign::forked(
+        "adc-flash",
         spec,
         cases,
-        runner: Arc::new(move |ctx: &CaseCtx| {
+        T_END,
+        move |ctx: &CaseCtx| {
             ctx.stage(Stage::Build);
-            let mut cfg = base.clone();
-            let flip = match ctx.index().map(|i| setup[i]) {
-                Some(AdcCase::Strike(pi, ti)) => {
-                    cfg = cfg.with_fault(pulses[pi], times[ti]);
-                    None
-                }
-                Some(AdcCase::Flip(gi, ti)) => Some((gi, ti)),
-                None => None,
-            };
-            let mut bench = adc::build_flash(&cfg);
+            let mut bench = adc::build_flash(&base);
             bench.mixed.digital_mut().monitor_name(adc::FLASH_CODE);
-            ctx.stage(Stage::Simulate);
-            if let Some((gi, ti)) = flip {
-                bench.mixed.run_until(times[ti])?;
-                let t = &targets[gi];
-                bench.mixed.digital_mut().flip_state(t.component, t.bit);
+            Ok(bench.mixed)
+        },
+        move |mixed: &mut _, i| {
+            if i < strikes {
+                let (pulse, at) = (pulses[i / times.len()], times[i % times.len()]);
+                adc::arm_saboteur(mixed, saboteur, Arc::new(pulse), at);
+            } else {
+                let target = &targets[(i - strikes) % targets.len()];
+                mixed.digital_mut().flip_state(target.component, target.bit);
             }
-            bench.mixed.run_until(T_END)?;
-            Ok(bench.mixed.merged_trace())
-        }),
-        // Strikes are armed at config level (before build), so this
-        // campaign cannot fork from a shared golden prefix; `--checkpoint`
-        // falls back to the from-scratch runner.
-        fork: None,
-        batch: None,
-    }
-}
-
-/// How one `adc-flash` case perturbs the converter.
-#[derive(Clone, Copy)]
-enum AdcCase {
-    /// Current strike `pulses[.0]` on the input node at `times[.1]`.
-    Strike(usize, usize),
-    /// Bit-flip of `targets[.0]` at `times[.1]`.
-    Flip(usize, usize),
+            Ok(())
+        },
+    )
 }
 
 /// The CPU bench of `cpu` and `cpu-set`: a 100 MHz clock, reset tied low —

@@ -85,10 +85,8 @@ pub struct EngineConfig {
     pub resume: bool,
     /// Emit a progress line to stderr this often; `None` disables.
     pub progress: Option<Duration>,
-    /// Run cases by forking from golden-prefix checkpoints instead of
-    /// re-simulating the fault-free prefix per case. Requires the campaign
-    /// to carry a [`ForkSpec`]; campaigns without one fall back to their
-    /// from-scratch runner.
+    /// Run cases by forking from golden-prefix checkpoints (see
+    /// [`ForkSpec`]) instead of re-simulating the fault-free prefix per case.
     pub checkpoint: bool,
     /// Per-attempt simulation step cap (see [`SimBudget::with_max_steps`]).
     /// `None` leaves the step count unguarded.
@@ -333,7 +331,7 @@ impl EngineConfig {
     }
 }
 
-/// Per-attempt context handed to a campaign's run closure.
+/// Per-attempt context handed to a campaign's run closures.
 ///
 /// Tells the closure which case to inject (`None` = golden run) and lets it
 /// attribute wall-clock time to pipeline stages via [`CaseCtx::stage`]. The
@@ -404,7 +402,8 @@ impl CaseCtx {
         std::mem::take(&mut self.observer.lock().expect("observer slot poisoned"))
     }
 
-    /// Which case to inject; `None` asks for the golden (fault-free) run.
+    /// Which case to inject; `None` for the golden (fault-free) run and for
+    /// a batch group.
     pub fn index(&self) -> Option<usize> {
         self.index
     }
@@ -463,8 +462,9 @@ impl CaseCtx {
     }
 }
 
-/// Shared simulation callback: produces the trace for `ctx.index()`
-/// (golden when `None`).
+/// Shared simulation callback: produces the trace of one attempt — case
+/// `ctx.index()`'s, or the golden run's, which the engine wraps from
+/// [`ForkSpec::golden`].
 ///
 /// `Arc` + `'static` because a timed-out attempt keeps running on its
 /// (abandoned) thread and must not borrow from the engine's stack.
@@ -497,15 +497,15 @@ pub type Snapshot = Box<dyn AnySnapshot>;
 /// Emits `(time, snapshot)` pairs during the snapshotting golden run.
 pub type SnapshotSink<'a> = dyn FnMut(Time, Snapshot) + 'a;
 
-/// How a campaign supports golden-prefix checkpoint & fork execution
-/// (enabled per run with [`EngineConfig::with_checkpoint`]; batch groups
-/// fork from it too).
+/// A campaign's golden run, and how its cases fork from that run's
+/// snapshots (per run with [`EngineConfig::with_checkpoint`]; batch groups
+/// fork from them too).
 ///
-/// Most campaigns should not build this by hand: [`Campaign::forked`]
-/// derives both the from-scratch runner and this spec from one pair of
-/// build/inject closures, which is what guarantees forked and from-scratch
-/// traces are byte-identical (they share the `advance_to` stop sequence,
-/// so adaptive-step solvers take identical step grids).
+/// Campaigns should not build this by hand: [`Campaign::forked`] derives
+/// both the from-scratch runner and this spec from one pair of build/inject
+/// closures, which is what guarantees forked and from-scratch traces are
+/// byte-identical (they share the `advance_to` stop sequence, so
+/// adaptive-step solvers take identical step grids).
 #[derive(Clone)]
 pub struct ForkSpec {
     /// The distinct injection instants every run stops at, ascending (see
@@ -572,7 +572,7 @@ impl fmt::Debug for ForkSpec {
 }
 
 /// How a campaign supports bit-parallel group execution (enabled per run
-/// with [`EngineConfig::with_batch`], on a campaign with a [`ForkSpec`]).
+/// with [`EngineConfig::with_batch`]).
 ///
 /// `run(ctx, group, budget, watch, rung)` simulates all cases in `group` (indices
 /// into [`Campaign::cases`] in ascending injection order, at most eight
@@ -630,11 +630,10 @@ pub struct Campaign {
     pub spec: ClassifySpec,
     /// The full (unsharded) case list.
     pub cases: Vec<FaultCase>,
-    /// Produces the trace for one case; see [`CaseRunner`].
+    /// Produces the trace of one case from scratch; see [`CaseRunner`].
     pub runner: CaseRunner,
-    /// Checkpoint & fork support; `None` means `--checkpoint` falls back
-    /// to the from-scratch runner, and `--batch` to the scalar one.
-    pub fork: Option<ForkSpec>,
+    /// The golden run, and checkpoint & fork of cases off its snapshots.
+    pub fork: ForkSpec,
     /// Bit-parallel group support; `None` means `--batch` falls back to
     /// the scalar runner.
     pub batch: Option<BatchSpec>,
@@ -701,24 +700,16 @@ impl Campaign {
             let (build, inject) = (Arc::clone(&build), Arc::clone(&inject));
             let (stops, case_stops) = (Arc::clone(&stops_shared), Arc::clone(&case_stops));
             Arc::new(move |ctx: &CaseCtx| {
+                let i = ctx.index().ok_or("the golden run is the fork spec's")?;
                 let mut sim = build(ctx)?;
                 sim.install_budget(ctx.budget().clone());
                 sim.install_observer(ctx.take_observer());
                 ctx.stage(Stage::Simulate);
-                match ctx.index() {
-                    None => {
-                        for &stop in stops.iter() {
-                            sim.advance_to(stop).map_err(sim_err)?;
-                        }
-                    }
-                    Some(i) => {
-                        let at = case_stops[i];
-                        for &stop in stops.iter().take_while(|&&s| s <= at) {
-                            sim.advance_to(stop).map_err(sim_err)?;
-                        }
-                        inject(&mut sim, i)?;
-                    }
+                let at = case_stops[i];
+                for &stop in stops.iter().take_while(|&&s| s <= at) {
+                    sim.advance_to(stop).map_err(sim_err)?;
                 }
+                inject(&mut sim, i)?;
                 sim.advance_to(t_end).map_err(sim_err)?;
                 Ok(sim.snapshot_trace())
             })
@@ -792,12 +783,12 @@ impl Campaign {
             spec,
             cases,
             runner,
-            fork: Some(ForkSpec {
+            fork: ForkSpec {
                 stops,
                 t_end,
                 golden,
                 fork,
-            }),
+            },
             batch: None,
         }
     }
@@ -998,31 +989,26 @@ enum Plan<'a> {
     /// Every case from scratch through [`Campaign::runner`].
     Scalar,
     /// Every case forked off a golden-prefix snapshot.
-    Fork(&'a ForkSpec),
+    Fork,
     /// Groups of cases as the lanes of one word machine, forked likewise.
-    Batch(&'a BatchSpec, &'a ForkSpec),
+    Batch(&'a BatchSpec),
 }
 
 impl<'a> Plan<'a> {
     fn resolve(config: &EngineConfig, campaign: &'a Campaign) -> Self {
-        match (&campaign.batch, &campaign.fork) {
-            (Some(b), Some(f)) if config.batch && Self::refuses_batch(campaign).is_none() => {
-                Plan::Batch(b, f)
-            }
-            (_, Some(spec)) if config.checkpoint => Plan::Fork(spec),
+        match &campaign.batch {
+            Some(b) if config.batch && Self::refuses_batch(campaign).is_none() => Plan::Batch(b),
+            _ if config.checkpoint => Plan::Fork,
             _ => Plan::Scalar,
         }
     }
 
-    /// Why `campaign` cannot run as word groups, if it cannot. Groups fork
-    /// from the fork spec's golden run. A lane is booked from where its X01
-    /// values differ from golden's at the same instant; a skewed
-    /// comparison also reads golden at `t ± skew`.
+    /// Why `campaign` cannot run as word groups, if it cannot. A lane is
+    /// booked from where its X01 values differ from golden's at the same
+    /// instant; a skewed comparison also reads golden at `t ± skew`.
     fn refuses_batch(campaign: &Campaign) -> Option<&'static str> {
         if campaign.batch.is_none() {
             Some("campaign has no batch spec")
-        } else if campaign.fork.is_none() {
-            Some("campaign has no fork spec")
         } else if campaign.spec.digital_skew > Time::ZERO {
             Some("digital_skew needs lane traces")
         } else {
@@ -1034,8 +1020,8 @@ impl<'a> Plan<'a> {
     fn name(self) -> &'static str {
         match self {
             Plan::Scalar => "scalar",
-            Plan::Fork(_) => "fork",
-            Plan::Batch(..) => "batch",
+            Plan::Fork => "fork",
+            Plan::Batch(_) => "batch",
         }
     }
 }
@@ -1144,7 +1130,7 @@ impl Engine {
         // for forks, at each group's first instant for groups.
         let workers = cfg.effective_workers().min(pending.len()).max(1);
         let (per, keep) = match plan {
-            Plan::Batch(_, spec) => {
+            Plan::Batch(_) => {
                 pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
                 let groups = if workers == 1 {
                     1
@@ -1158,18 +1144,18 @@ impl Engine {
                 (
                     per,
                     firsts
-                        .map(|i| campaign.cases[i].injected_at.min(spec.t_end))
+                        .map(|i| campaign.cases[i].injected_at.min(campaign.fork.t_end))
                         .collect(),
                 )
             }
-            Plan::Fork(spec) => (1, spec.stops.clone()),
+            Plan::Fork => (1, campaign.fork.stops.clone()),
             Plan::Scalar => (1, Vec::new()),
         };
 
         // The golden run is mandatory even when everything is resumed —
         // the report's golden trace is not journaled (it can be huge).
         let golden_t0 = Instant::now();
-        let (golden, ladder) = self.golden_run(campaign, plan, &keep, &stats)?;
+        let (golden, ladder) = self.golden_run(campaign, keep, &stats)?;
         if let Some(metrics) = tele.metrics() {
             metrics.golden_trace_bytes.add(golden.approx_bytes());
         }
@@ -1177,7 +1163,7 @@ impl Engine {
             Event::new("span", "golden")
                 .with_dur_us(golden_t0.elapsed().as_micros() as u64)
                 .with_field("snapshots", ladder.len())
-                .with_field("checkpoint", matches!(plan, Plan::Fork(_)))
+                .with_field("checkpoint", matches!(plan, Plan::Fork))
         });
 
         // One shared golden trace and snapshot ladder for the whole run:
@@ -1250,8 +1236,8 @@ impl Engine {
                                 Ok(())
                             };
                             let outcome = match plan {
-                                Plan::Batch(b, f) => run.execute_batch(b, f, unit, &mut done),
-                                Plan::Fork(spec) => one(run.fork_runner(spec, &tapes, unit[0])),
+                                Plan::Batch(spec) => run.execute_batch(spec, unit, &mut done),
+                                Plan::Fork => one(run.fork_runner(&tapes, unit[0])),
                                 Plan::Scalar => one(None),
                             };
                             match outcome {
@@ -1305,10 +1291,10 @@ impl Engine {
         let mut fresh = fresh.into_inner().expect("results poisoned");
         let (mut result, skipped, quarantined) = if entries.is_empty() {
             fresh.sort_unstable_by_key(|&(index, _)| index);
-            journal::assemble_owned(fresh.into_iter().map(|(_, entry)| entry))
+            journal::assemble(fresh.into_iter().map(|(_, entry)| entry))
         } else {
             entries.extend(fresh);
-            journal::assemble_owned(entries.into_values())
+            journal::assemble(entries.into_values())
         };
         let golden = Arc::try_unwrap(run.golden.into_trace());
         result.golden = golden.unwrap_or_else(|shared| (*shared).clone());
@@ -1330,41 +1316,35 @@ impl Engine {
         })
     }
 
-    /// The fault-free run every case is classified against, plus — under a
-    /// plan that forks — the ladder of its snapshots at the `keep`
-    /// instants. A failure is fatal under any policy: nothing can be
+    /// The fault-free run every case is classified against, plus the ladder
+    /// of its snapshots at the `keep` instants (none on the scalar plan):
+    /// one [attempt](Engine::run_attempt) of [`ForkSpec::golden`], under the
+    /// budget, deadline and watchdog a case attempt gets. It is never
+    /// retried, and a failure is fatal under any policy: nothing can be
     /// classified without it.
     fn golden_run(
         &self,
         campaign: &Campaign,
-        plan: Plan<'_>,
-        keep: &[Time],
+        keep: Vec<Time>,
         stats: &Arc<EngineStats>,
     ) -> Result<(Trace, Ladder), EngineError> {
-        let mut ladder = Ladder::new();
-        let attempt = match plan {
-            // The snapshot sink borrows this stack, so the snapshotting
-            // golden run is inline: panic-isolated and bounded by the
-            // attempt timeout, but without retry or step metering.
-            Plan::Fork(spec) | Plan::Batch(_, spec) => {
-                let telemetry = self.config.telemetry.clone();
-                let mut budget = self.case_budget();
-                if let Some(timeout) = self.config.timeout {
-                    budget = budget.with_cancel(CancelToken::with_deadline(timeout));
-                }
-                let ctx = CaseCtx::attached(None, 0, Arc::clone(stats), budget, telemetry, None);
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    (spec.golden)(&ctx, keep, &mut |t, snap| {
-                        ladder.insert(t, Arc::new(Mutex::new(snap)));
-                    })
-                }));
-                ctx.finish();
-                Attempt::of(out, &ctx)
-            }
-            Plan::Scalar => self.attempt_case(&campaign.runner, None, stats, None).0,
+        // Shared with the attempt, which may outlive this call on an
+        // abandoned watchdog thread; read only after an attempt that ended.
+        let ladder: Arc<Mutex<Ladder>> = Arc::default();
+        let runner: CaseRunner = {
+            let (golden, ladder) = (Arc::clone(&campaign.fork.golden), Arc::clone(&ladder));
+            Arc::new(move |ctx: &CaseCtx| {
+                golden(ctx, &keep, &mut |t, snap| {
+                    let mut ladder = ladder.lock().expect("ladder poisoned");
+                    ladder.insert(t, Arc::new(Mutex::new(snap)));
+                })
+            })
         };
-        match attempt {
-            Attempt::Ok { trace, .. } => Ok((trace, ladder)),
+        match self.run_attempt(&runner, None, 0, stats, None) {
+            Attempt::Ok { trace, .. } => {
+                let ladder = std::mem::take(&mut *ladder.lock().expect("ladder poisoned"));
+                Ok((trace, ladder))
+            }
             Attempt::Failed(e) => Err(EngineError::Golden(e)),
             Attempt::OffForkPath(e) => Err(EngineError::Golden(e.to_string())),
             // A guard trip on the fault-free run means the budget (or the
@@ -1377,22 +1357,20 @@ impl Engine {
         }
     }
 
-    /// The retry loop around [`Engine::run_attempt`]. Returns the final
-    /// attempt outcome and how many attempts were made.
+    /// The retry loop around [`Engine::run_attempt`] for case `index`.
+    /// Returns the final attempt outcome and how many attempts were made.
     fn attempt_case(
         &self,
         runner: &CaseRunner,
-        index: Option<usize>,
+        index: usize,
         stats: &Arc<EngineStats>,
         early: Option<&OnlineClassifier>,
     ) -> (Attempt, u32) {
         let note = |kind: &str, attempt: u32| {
             self.config.telemetry.emit_with(|| {
-                let event = Event::new(kind, "attempt").with_field("attempt", attempt);
-                match index {
-                    Some(index) => event.with_case(index),
-                    None => event,
-                }
+                Event::new(kind, "attempt")
+                    .with_field("attempt", attempt)
+                    .with_case(index)
             });
         };
         let mut last = Attempt::Failed("no attempt made".to_owned());
@@ -1405,7 +1383,7 @@ impl Engine {
                     std::thread::sleep(backoff);
                 }
             }
-            last = self.run_attempt(runner, index, attempt, stats, early);
+            last = self.run_attempt(runner, Some(index), attempt, stats, early);
             if let Attempt::TimedOut = last {
                 stats.record_timeout();
                 note("timeout", attempt);
@@ -1426,10 +1404,11 @@ impl Engine {
         (last, self.config.retries + 1)
     }
 
-    /// The simulation budget from the engine knobs, without a cancel token:
+    /// The simulation budget from the engine knobs, reporting into the
+    /// run's metric registry when there is one. It holds no cancel token:
     /// whoever runs under it attaches a fresh one where a deadline calls
     /// for it.
-    fn case_budget(&self) -> SimBudget {
+    fn budget(&self) -> SimBudget {
         let mut budget = SimBudget::unlimited();
         if let Some(max_steps) = self.config.max_steps {
             budget = budget.with_max_steps(max_steps);
@@ -1437,15 +1416,10 @@ impl Engine {
         if let Some(min_dt) = self.config.min_dt {
             budget = budget.with_min_dt(min_dt);
         }
-        budget
-    }
-
-    /// [`Engine::case_budget`] reporting into the run's metric registry.
-    fn metered_budget(&self) -> SimBudget {
-        match self.config.telemetry.metrics() {
-            Some(metrics) => self.case_budget().with_metrics(Arc::clone(metrics)),
-            None => self.case_budget(),
+        if let Some(metrics) = self.config.telemetry.metrics() {
+            budget = budget.with_metrics(Arc::clone(metrics));
         }
+        budget
     }
 
     /// One attempt: panic-isolated, optionally under a wall-clock timeout.
@@ -1461,8 +1435,8 @@ impl Engine {
         let early = early.cloned();
         let token = self.config.timeout.map(CancelToken::with_deadline);
         let budget = match &token {
-            Some(token) => self.metered_budget().with_cancel(token.clone()),
-            None => self.metered_budget(),
+            Some(token) => self.budget().with_cancel(token.clone()),
+            None => self.budget(),
         };
         // The probe shares the attempt's step tally (it is behind an `Arc`),
         // so the engine can observe steps even when the attempt thread is
@@ -1680,10 +1654,9 @@ impl Run<'_> {
         let window_end = self.campaign.spec.window.1;
         let class = outcome.class;
         let sealed_at = outcome.sealed_at.unwrap_or(window_end);
-        // The simulation time the abort skipped. Runs advance to
-        // the fork spec's horizon when there is one; campaigns
-        // without a fork spec stop at the observation window's end.
-        let horizon = self.campaign.fork.as_ref().map_or(window_end, |f| f.t_end);
+        // The simulation time the abort skipped: every run advances to
+        // the fork spec's horizon.
+        let horizon = self.campaign.fork.t_end;
         let saved = if horizon > sealed_at {
             horizon - sealed_at
         } else {
@@ -1779,8 +1752,10 @@ impl Run<'_> {
     /// The rung a run of case `index` forks from — the golden run's
     /// snapshot at the largest kept instant not after the case's injection
     /// instant — with that instant; counted as a snapshot hit or miss.
-    fn rung(&self, spec: &ForkSpec, index: usize) -> Option<(Time, &Arc<Mutex<Snapshot>>)> {
-        let at = self.campaign.cases[index].injected_at.min(spec.t_end);
+    fn rung(&self, index: usize) -> Option<(Time, &Arc<Mutex<Snapshot>>)> {
+        let at = self.campaign.cases[index]
+            .injected_at
+            .min(self.campaign.fork.t_end);
         let hit = self.ladder.range(..=at).next_back().map(|(t, s)| (*t, s));
         if let Some(metrics) = self.engine.config.telemetry.metrics() {
             if hit.is_some() {
@@ -1794,15 +1769,10 @@ impl Run<'_> {
 
     /// Wraps the fork closure and case `index`'s [rung](Run::rung) into a
     /// runner, returned with the rung's instant; `None` runs it from scratch.
-    fn fork_runner(
-        &self,
-        spec: &ForkSpec,
-        tapes: &Arc<TapeSlot>,
-        index: usize,
-    ) -> Option<(CaseRunner, Time)> {
-        self.rung(spec, index).map(|(at, snap)| {
+    fn fork_runner(&self, tapes: &Arc<TapeSlot>, index: usize) -> Option<(CaseRunner, Time)> {
+        self.rung(index).map(|(at, snap)| {
             let (snap, tapes) = (Arc::clone(snap), Arc::clone(tapes));
-            let fork = Arc::clone(&spec.fork);
+            let fork = Arc::clone(&self.campaign.fork.fork);
             let runner: CaseRunner = Arc::new(move |ctx: &CaseCtx| {
                 // The one deep clone a forked case pays for, under a short
                 // lock so a timed-out (abandoned) attempt cannot wedge
@@ -1901,7 +1871,7 @@ impl Run<'_> {
         };
         let early = self.early(index);
         let early = early.as_ref();
-        let (mut attempt, mut attempts) = engine.attempt_case(&runner, Some(index), stats, early);
+        let (mut attempt, mut attempts) = engine.attempt_case(&runner, index, stats, early);
         // Graceful degradation: a snapshot that cannot be restored, or a
         // follower off its tape's grid, fails deterministically, so instead
         // of burning the retry budget on the fork path the case re-runs
@@ -1918,7 +1888,7 @@ impl Run<'_> {
                     .with_case(index)
                     .with_field("reason", reason)
             });
-            let (fallback, n) = engine.attempt_case(&campaign.runner, Some(index), stats, early);
+            let (fallback, n) = engine.attempt_case(&campaign.runner, index, stats, early);
             attempt = fallback;
             attempts += n;
         }
@@ -1985,14 +1955,13 @@ impl Run<'_> {
     fn execute_batch(
         &self,
         spec: &BatchSpec,
-        fork: &ForkSpec,
         group: &[usize],
         done: &mut Vec<(usize, JournalEntry)>,
     ) -> Result<(), EngineError> {
         let engine = self.engine;
         let tele = &engine.config.telemetry;
         let group_t0 = Instant::now();
-        let rung = self.rung(fork, group[0]);
+        let rung = self.rung(group[0]);
         // Each lane's online classifier under `--early-abort`, none otherwise.
         let mut classifiers: Vec<OnlineClassifier> = group
             .iter()
@@ -2001,7 +1970,7 @@ impl Run<'_> {
         // The machine-wide budget: a trip here fails the whole group. Its
         // deadline can never expire where the scalar path would not time
         // out, and with no timeout there is no token for the kernel to poll.
-        let mut budget = engine.metered_budget();
+        let mut budget = engine.budget();
         if let Some(timeout) = engine.config.timeout {
             let lanes = u32::try_from(group.len()).unwrap_or(u32::MAX);
             budget = budget.with_cancel(CancelToken::with_deadline(timeout.saturating_mul(lanes)));
@@ -2016,7 +1985,7 @@ impl Run<'_> {
         let out = catch_unwind(AssertUnwindSafe(|| match rung {
             Some((_, snap)) => {
                 let rung = snap.lock().expect("snapshot poisoned").clone_snapshot();
-                (spec.run)(&ctx, group, engine.metered_budget(), watch, rung)
+                (spec.run)(&ctx, group, engine.budget(), watch, rung)
             }
             None => Err("no snapshot to fork the group from".into()),
         }));
@@ -2125,47 +2094,8 @@ mod tests {
     use super::*;
     use amsfi_waves::{Logic, Time};
 
-    /// A deterministic toy campaign: case index decides the digital value
-    /// pattern on signal "out"; odd indices diverge transiently, index 4
-    /// fails outright, everything else matches the golden run.
-    fn toy_campaign(name: &str, n: usize) -> Campaign {
-        let window = (Time::from_ns(0), Time::from_ns(1000));
-        let spec = ClassifySpec::new(window, vec!["out".to_owned()]);
-        let cases = (0..n)
-            .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(100)))
-            .collect();
-        Campaign {
-            name: name.to_owned(),
-            spec,
-            cases,
-            runner: Arc::new(|ctx: &CaseCtx| {
-                ctx.stage(Stage::Build);
-                let mut trace = Trace::new();
-                trace.record_digital("out", Time::from_ns(0), Logic::Zero)?;
-                ctx.stage(Stage::Simulate);
-                match ctx.index() {
-                    None => {}
-                    Some(4) => {
-                        // Still wrong at end of window: failure.
-                        trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                    }
-                    Some(i) if i % 2 == 1 => {
-                        // Wrong then recovered: transient.
-                        trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                        trace.record_digital("out", Time::from_ns(400), Logic::Zero)?;
-                    }
-                    Some(_) => {}
-                }
-                Ok(trace)
-            }),
-            fork: None,
-            batch: None,
-        }
-    }
-
-    /// A `Campaign::forked` toy over a tick-per-nanosecond counter: even
-    /// case indices stick "out" high (failure), odd ones flip one tick
-    /// (transient).
+    /// A `Campaign::forked` toy over a tick-per-nanosecond counter whose
+    /// "out" carries the tick parity; `inject` arms case `i`.
     #[derive(Debug, Clone)]
     struct TickSim {
         now: Time,
@@ -2173,6 +2103,7 @@ mod tests {
         stuck: bool,
         invert_next: bool,
         trace: Trace,
+        budget: SimBudget,
     }
 
     impl TickSim {
@@ -2183,6 +2114,7 @@ mod tests {
                 stuck: false,
                 invert_next: false,
                 trace: Trace::new(),
+                budget: SimBudget::unlimited(),
             }
         }
     }
@@ -2220,6 +2152,48 @@ mod tests {
         fn structural_fingerprint(&self) -> u64 {
             0x71C5
         }
+
+        fn install_budget(&mut self, budget: SimBudget) {
+            self.budget = budget;
+        }
+    }
+
+    /// [`TickSim`] `cases`, built by `build` and armed by `inject`, over a
+    /// 40 ns horizon.
+    fn tick_campaign(
+        name: &str,
+        cases: Vec<FaultCase>,
+        build: impl Fn(&CaseCtx) -> Result<TickSim, BoxError> + Send + Sync + 'static,
+        inject: impl Fn(&mut TickSim, usize) -> Result<(), BoxError> + Send + Sync + 'static,
+    ) -> Campaign {
+        let t_end = Time::from_ns(40);
+        let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]);
+        Campaign::forked(name, spec, cases, t_end, build, inject)
+    }
+
+    /// `n` cases injected at 5 ns.
+    fn at_5ns(n: usize) -> Vec<FaultCase> {
+        (0..n)
+            .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(5)))
+            .collect()
+    }
+
+    fn fresh(ctx: &CaseCtx) -> Result<TickSim, BoxError> {
+        ctx.stage(Stage::Build);
+        Ok(TickSim::new())
+    }
+
+    /// A deterministic toy campaign: index 4 sticks "out" high (failure),
+    /// odd indices flip one tick (transient), the rest change nothing.
+    fn toy_campaign(name: &str, n: usize) -> Campaign {
+        tick_campaign(name, at_5ns(n), fresh, |sim, i| {
+            if i == 4 {
+                sim.stuck = true;
+            } else if i % 2 == 1 {
+                sim.invert_next = true;
+            }
+            Ok(())
+        })
     }
 
     fn forked_campaign(name: &str, n: usize) -> Campaign {
@@ -2230,23 +2204,14 @@ mod tests {
     }
 
     fn forked_cases(name: &str, cases: Vec<FaultCase>) -> Campaign {
-        let t_end = Time::from_ns(40);
-        let spec = ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]);
-        Campaign::forked(
-            name,
-            spec,
-            cases,
-            t_end,
-            |_ctx: &CaseCtx| Ok(TickSim::new()),
-            |sim: &mut TickSim, i| {
-                if i.is_multiple_of(2) {
-                    sim.stuck = true;
-                } else {
-                    sim.invert_next = true;
-                }
-                Ok(())
-            },
-        )
+        tick_campaign(name, cases, fresh, |sim, i| {
+            if i.is_multiple_of(2) {
+                sim.stuck = true;
+            } else {
+                sim.invert_next = true;
+            }
+            Ok(())
+        })
     }
 
     #[test]
@@ -2312,19 +2277,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flag_without_fork_spec_falls_back_to_scratch() {
-        let campaign = toy_campaign("toy-nofork", 6);
-        let report = Engine::new(
-            EngineConfig::default()
-                .with_workers(2)
-                .with_checkpoint(true),
-        )
-        .run(&campaign)
-        .unwrap();
-        assert_eq!(report.result.cases.len(), 6);
-    }
-
-    #[test]
     fn checkpoint_mode_retries_through_a_flaky_fork() {
         use std::sync::atomic::AtomicU32;
         let t_end = Time::from_ns(20);
@@ -2384,17 +2336,11 @@ mod tests {
 
     #[test]
     fn failing_case_is_skipped_and_recorded() {
-        let mut campaign = toy_campaign("toy-skip", 6);
-        campaign.runner = Arc::new(|ctx: &CaseCtx| {
-            if ctx.index() == Some(2) {
-                return Err("solver diverged".into());
-            }
-            if ctx.index() == Some(3) {
-                panic!("numerical panic");
-            }
-            Ok(Trace::new())
+        let campaign = tick_campaign("toy-skip", at_5ns(6), fresh, |_, i| match i {
+            2 => Err("solver diverged".into()),
+            3 => panic!("numerical panic"),
+            _ => Ok(()),
         });
-        campaign.spec.outputs.clear();
         let report = Engine::new(
             EngineConfig::default()
                 .with_workers(2)
@@ -2418,12 +2364,9 @@ mod tests {
 
     #[test]
     fn fail_fast_surfaces_the_case_error() {
-        let mut campaign = toy_campaign("toy-ff", 6);
-        campaign.runner = Arc::new(|ctx: &CaseCtx| {
-            if ctx.index() == Some(1) {
-                return Err("boom".into());
-            }
-            Ok(Trace::new())
+        let campaign = tick_campaign("toy-ff", at_5ns(6), fresh, |_, i| match i {
+            1 => Err("boom".into()),
+            _ => Ok(()),
         });
         let err = Engine::new(
             EngineConfig::default()
@@ -2445,14 +2388,12 @@ mod tests {
     fn retries_eventually_succeed_and_are_counted() {
         use std::sync::atomic::AtomicU32;
         let tries = Arc::new(AtomicU32::new(0));
-        let mut campaign = toy_campaign("toy-retry", 1);
         let tries_in = Arc::clone(&tries);
-        campaign.spec.outputs.clear();
-        campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-            if ctx.index().is_some() && tries_in.fetch_add(1, Ordering::Relaxed) < 2 {
+        let campaign = tick_campaign("toy-retry", at_5ns(1), fresh, move |_, _| {
+            if tries_in.fetch_add(1, Ordering::Relaxed) < 2 {
                 return Err("flaky".into());
             }
-            Ok(Trace::new())
+            Ok(())
         });
         let report = Engine::new(
             EngineConfig::default()
@@ -2470,13 +2411,11 @@ mod tests {
 
     #[test]
     fn timeout_abandons_the_attempt() {
-        let mut campaign = toy_campaign("toy-timeout", 2);
-        campaign.spec.outputs.clear();
-        campaign.runner = Arc::new(|ctx: &CaseCtx| {
-            if ctx.index() == Some(1) {
+        let campaign = tick_campaign("toy-timeout", at_5ns(2), fresh, |_, i| {
+            if i == 1 {
                 std::thread::sleep(Duration::from_millis(400));
             }
-            Ok(Trace::new())
+            Ok(())
         });
         let report = Engine::new(
             EngineConfig::default()
@@ -2495,16 +2434,14 @@ mod tests {
     #[test]
     fn guard_violation_classifies_as_sim_failure() {
         use amsfi_core::FaultClass;
-        let mut campaign = toy_campaign("toy-guard", 3);
-        campaign.spec.outputs.clear();
-        campaign.runner = Arc::new(|ctx: &CaseCtx| {
-            if ctx.index() == Some(1) {
+        let campaign = tick_campaign("toy-guard", at_5ns(3), fresh, |_, i| {
+            if i == 1 {
                 return Err(Box::new(GuardViolation::NonFinite {
                     signal: "vctrl".to_owned(),
                     t: Time::from_ns(70),
-                }) as BoxError);
+                }));
             }
-            Ok(Trace::new())
+            Ok(())
         });
         let report = Engine::new(EngineConfig::default().with_workers(2).with_retries(3))
             .run(&campaign)
@@ -2529,20 +2466,18 @@ mod tests {
         // The slow case polls its budget's cancel token like a guarded
         // kernel; `live` counts attempt closures still on their thread.
         let live = Arc::new(AtomicUsize::new(0));
-        let mut campaign = toy_campaign("toy-cancel", 2);
-        campaign.spec.outputs.clear();
         let live_in = Arc::clone(&live);
-        campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-            if ctx.index() == Some(1) {
+        let campaign = tick_campaign("toy-cancel", at_5ns(2), fresh, move |sim, i| {
+            if i == 1 {
                 live_in.fetch_add(1, Ordering::SeqCst);
-                let token = ctx.budget().cancel_token().clone();
+                let token = sim.budget.cancel_token().clone();
                 while !token.should_stop() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 live_in.fetch_sub(1, Ordering::SeqCst);
-                return Err(Box::new(GuardViolation::Deadline { t: Time::ZERO }) as BoxError);
+                return Err(Box::new(GuardViolation::Deadline { t: Time::ZERO }));
             }
-            Ok(Trace::new())
+            Ok(())
         });
         let report = Engine::new(
             EngineConfig::default()
@@ -2563,15 +2498,13 @@ mod tests {
     fn quarantine_records_poison_and_resume_skips_it() {
         use std::sync::atomic::AtomicU32;
         let attempts = Arc::new(AtomicU32::new(0));
-        let mut campaign = toy_campaign("toy-poison", 4);
-        campaign.spec.outputs.clear();
         let attempts_in = Arc::clone(&attempts);
-        campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-            if ctx.index() == Some(2) {
+        let campaign = tick_campaign("toy-poison", at_5ns(4), fresh, move |_, i| {
+            if i == 2 {
                 attempts_in.fetch_add(1, Ordering::SeqCst);
                 return Err("deterministic divergence".into());
             }
-            Ok(Trace::new())
+            Ok(())
         });
         let path = std::env::temp_dir().join(format!(
             "amsfi-executor-poison-{}.journal",
@@ -2613,7 +2546,7 @@ mod tests {
         let mut campaign = forked_campaign("toy-fallback", 6);
         // Sabotage restore: every fork now fails the way a snapshot of the
         // wrong simulator type (or drifted structure) would.
-        campaign.fork.as_mut().unwrap().fork = Arc::new(|_ctx, _snap, _tapes| {
+        campaign.fork.fork = Arc::new(|_ctx, _snap, _tapes| {
             Err(Box::new(ForkPathError::Restore("structural drift".to_owned())) as BoxError)
         });
         let report = Engine::new(
@@ -2642,7 +2575,6 @@ mod tests {
     #[derive(Debug)]
     struct TapeSim {
         inner: TickSim,
-        budget: SimBudget,
         arm: TapeArm,
         clones: Arc<AtomicUsize>,
     }
@@ -2652,7 +2584,6 @@ mod tests {
             self.clones.fetch_add(1, Ordering::Relaxed);
             TapeSim {
                 inner: self.inner.clone(),
-                budget: self.budget.clone(),
                 clones: Arc::clone(&self.clones),
                 ..*self
             }
@@ -2676,7 +2607,7 @@ mod tests {
         fn advance_to(&mut self, t: Time) -> Result<(), Self::Error> {
             let t0 = Instant::now();
             while self.arm == TapeArm::Wedges && t0.elapsed() < Duration::from_secs(4) {
-                self.budget.note_step(self.inner.now)?;
+                self.inner.budget.note_step(self.inner.now)?;
                 std::thread::sleep(Duration::from_millis(1));
             }
             let Ok(()) = self.inner.advance_to(t);
@@ -2696,7 +2627,7 @@ mod tests {
         }
 
         fn install_budget(&mut self, budget: SimBudget) {
-            self.budget = budget;
+            self.inner.budget = budget;
         }
 
         fn lead_to(&mut self, t: Time) -> Result<Option<SimTape>, Self::Error> {
@@ -2739,7 +2670,6 @@ mod tests {
             move |_ctx: &CaseCtx| {
                 Ok(TapeSim {
                     inner: TickSim::new(),
-                    budget: SimBudget::unlimited(),
                     arm: golden,
                     clones: Arc::clone(&counter),
                 })
@@ -2798,17 +2728,59 @@ mod tests {
 
     #[test]
     fn golden_failure_is_fatal() {
-        let mut campaign = toy_campaign("toy-golden", 2);
-        campaign.runner = Arc::new(|ctx: &CaseCtx| {
-            if ctx.index().is_none() {
-                return Err("no golden".into());
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&builds);
+        let build = move |ctx: &CaseCtx| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            match ctx.index() {
+                None => Err("no golden".into()),
+                Some(_) => Ok(TickSim::new()),
             }
-            Ok(Trace::new())
+        };
+        let campaign = tick_campaign("toy-golden", at_5ns(2), build, |_, _| Ok(()));
+        let config = EngineConfig::default()
+            .with_retries(2)
+            .with_backoff(Duration::ZERO);
+        for config in [config.clone(), config.with_checkpoint(true)] {
+            builds.store(0, Ordering::Relaxed);
+            let err = Engine::new(config).run(&campaign).unwrap_err();
+            assert!(matches!(err, EngineError::Golden(_)), "{err}");
+            assert_eq!(builds.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn a_golden_run_that_never_polls_is_abandoned_at_its_deadline_on_every_plan() {
+        // The golden build sleeps without looking at its token: only the
+        // attempt's watchdog can stop the wait, on every plan alike.
+        let build = |ctx: &CaseCtx| {
+            if ctx.index().is_none() {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            Ok(TickSim::new())
+        };
+        let mut campaign = tick_campaign("toy-sleepy-golden", at_5ns(2), build, |_, _| Ok(()));
+        campaign.batch = Some(BatchSpec {
+            inert: Arc::new(|_| false),
+            run: Arc::new(|_, _, _, _, _| Err("no group starts".into())),
         });
-        let err = Engine::new(EngineConfig::default())
-            .run(&campaign)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Golden(_)), "{err}");
+        let config = EngineConfig::default()
+            .with_workers(1)
+            .with_timeout(Duration::from_millis(40));
+        for config in [
+            config.clone(),
+            config.clone().with_checkpoint(true),
+            config.with_batch(true),
+        ] {
+            let t0 = Instant::now();
+            let err = Engine::new(config).run(&campaign).unwrap_err();
+            let took = t0.elapsed();
+            assert!(
+                matches!(&err, EngineError::Golden(why) if why == "timed out"),
+                "{err}"
+            );
+            assert!(took < Duration::from_millis(250), "{took:?}");
+        }
     }
 
     #[test]

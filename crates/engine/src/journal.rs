@@ -97,6 +97,13 @@ pub enum JournalEntry {
     Quarantined(QuarantinedCase),
 }
 
+/// A copy, for [`assemble`] over borrowed entries.
+impl From<&JournalEntry> for JournalEntry {
+    fn from(entry: &JournalEntry) -> Self {
+        entry.clone()
+    }
+}
+
 /// A case abandoned under [`crate::ErrorPolicy::SkipAndRecord`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkippedCase {
@@ -277,26 +284,6 @@ impl Journal {
         self.append_line(&case_line(index, result, forked))
     }
 
-    /// Appends one skipped case and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JournalError::Io`] on write failure.
-    pub fn record_skip(&self, skip: &SkippedCase) -> Result<(), JournalError> {
-        self.append_line(&skip_line(skip))
-    }
-
-    /// Appends one quarantined (poison) case and flushes. Written as a
-    /// `skip` record with an extra `quarantine=<reason>` key, so readers
-    /// that predate quarantine degrade gracefully to a plain skip.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JournalError::Io`] on write failure.
-    pub fn record_quarantine(&self, q: &QuarantinedCase) -> Result<(), JournalError> {
-        self.append_line(&quarantine_line(q))
-    }
-
     /// Appends one pre-formatted record line and flushes.
     ///
     /// This is how the distributed coordinator live-merges records that a
@@ -437,26 +424,19 @@ pub fn merge(
 }
 
 /// Builds a [`CampaignResult`] (with an empty golden trace) plus the skip
-/// and quarantine lists from merged journal entries — what the `amsfi
-/// merge` subcommand reports on. Cases appear in index order, so two merges
-/// of the same shards produce byte-identical reports. The entries are
-/// copied; [`assemble_owned`] moves them instead.
-pub fn assemble(
-    entries: &BTreeMap<usize, JournalEntry>,
-) -> (CampaignResult, Vec<SkippedCase>, Vec<QuarantinedCase>) {
-    assemble_owned(entries.values().cloned())
-}
-
-/// [`assemble`] from entries already in case-index order, each moved into
-/// the report as it comes.
-pub fn assemble_owned(
-    entries: impl IntoIterator<Item = JournalEntry>,
+/// and quarantine lists from merged journal entries in case-index order —
+/// what the `amsfi merge` subcommand reports on, so two merges of the same
+/// shards produce byte-identical reports. Owned entries are moved into the
+/// report as they come, borrowed ones copied: a caller holding a map passes
+/// `into_values()` or `values()`.
+pub fn assemble<E: Into<JournalEntry>>(
+    entries: impl IntoIterator<Item = E>,
 ) -> (CampaignResult, Vec<SkippedCase>, Vec<QuarantinedCase>) {
     let mut skipped = Vec::new();
     let mut quarantined = Vec::new();
     let cases = entries
         .into_iter()
-        .filter_map(|entry| match entry {
+        .filter_map(|entry| match entry.into() {
             JournalEntry::Done(result) => Some(result),
             JournalEntry::Skipped(skip) => {
                 skipped.push(skip);
@@ -507,9 +487,10 @@ fn is_settled(entries: &BTreeMap<usize, JournalEntry>, index: usize) -> bool {
     )
 }
 
-/// Formats the journal v2 `case` record for one classified case — exactly
-/// the line [`Journal::record_case`] appends. Public so remote workers can
-/// stream records that merge byte-identically with locally written ones.
+/// Formats the journal v2 `case` record for one classified case. Every
+/// record reaches a journal through [`Journal::append_line`]; public so
+/// remote workers can stream records that merge byte-identically with
+/// locally written ones.
 pub fn case_line(index: usize, result: &CaseResult, forked: Option<Time>) -> String {
     let o = &result.outcome;
     let simfail = match &o.failure {
@@ -553,7 +534,9 @@ pub fn skip_line(skip: &SkippedCase) -> String {
     )
 }
 
-/// Formats the journal v2 quarantine record for one poison case.
+/// Formats the journal v2 quarantine record for one poison case: a `skip`
+/// record with an extra `quarantine=<reason>` key, so readers that predate
+/// quarantine degrade gracefully to a plain skip.
 pub fn quarantine_line(q: &QuarantinedCase) -> String {
     format!(
         "skip {} at={} attempts={} label={} error={} quarantine={}",
@@ -805,15 +788,17 @@ mod tests {
         assert!(existing.is_empty());
         for i in 0..3 {
             let forked = (i > 0).then(|| Time::from_us(5));
-            journal.record_case(i, &sample_result(i), forked).unwrap();
+            journal
+                .append_line(&case_line(i, &sample_result(i), forked))
+                .unwrap();
         }
         journal
-            .record_skip(&SkippedCase {
+            .append_line(&skip_line(&SkippedCase {
                 index: 3,
                 case: cases[3].clone(),
                 attempts: 2,
                 error: "solver blew\nup".to_owned(),
-            })
+            }))
             .unwrap();
         drop(journal);
 
@@ -853,17 +838,17 @@ mod tests {
         let meta = JournalMeta::of("hostile name=x", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
         journal
-            .record_skip(&SkippedCase {
+            .append_line(&skip_line(&SkippedCase {
                 index: 0,
                 case: cases[0].clone(),
                 attempts: 1,
                 error: error.to_owned(),
-            })
+            }))
             .unwrap();
         let mut done = sample_result(1);
         done.case = cases[1].clone();
         done.outcome.affected = Arc::new(["a b".to_owned(), "c|d".to_owned()]);
-        journal.record_case(1, &done, None).unwrap();
+        journal.append_line(&case_line(1, &done, None)).unwrap();
         drop(journal);
 
         // Re-open with resume: exactly what a killed run does.
@@ -918,22 +903,24 @@ mod tests {
         let meta = JournalMeta::of("toy", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
         journal
-            .record_skip(&SkippedCase {
+            .append_line(&skip_line(&SkippedCase {
                 index: 1,
                 case: cases[1].clone(),
                 attempts: 1,
                 error: "first try".to_owned(),
-            })
+            }))
             .unwrap();
-        journal.record_case(1, &sample_result(1), None).unwrap();
+        journal
+            .append_line(&case_line(1, &sample_result(1), None))
+            .unwrap();
         // A stray later skip must not demote the completed case.
         journal
-            .record_skip(&SkippedCase {
+            .append_line(&skip_line(&SkippedCase {
                 index: 1,
                 case: cases[1].clone(),
                 attempts: 1,
                 error: "late duplicate".to_owned(),
-            })
+            }))
             .unwrap();
         drop(journal);
         let (_, entries) = load(&path).unwrap();
@@ -949,13 +936,15 @@ mod tests {
         for (shard, path) in paths.iter().enumerate() {
             let (journal, _) = Journal::open(path, &meta, false).unwrap();
             for i in (shard..4).step_by(2) {
-                journal.record_case(i, &sample_result(i), None).unwrap();
+                journal
+                    .append_line(&case_line(i, &sample_result(i), None))
+                    .unwrap();
             }
         }
         let (meta_back, entries) = merge(&paths).unwrap();
         assert_eq!(meta_back, meta);
         assert_eq!(entries.len(), 4);
-        let (result, skipped, quarantined) = assemble(&entries);
+        let (result, skipped, quarantined) = assemble(entries.into_values());
         assert!(skipped.is_empty());
         assert!(quarantined.is_empty());
         assert_eq!(result.cases.len(), 4);
@@ -979,14 +968,14 @@ mod tests {
             attempts: 4,
             reason: "non-finite signal=vctrl t=170000000000".to_owned(),
         };
-        journal.record_quarantine(&q).unwrap();
+        journal.append_line(&quarantine_line(&q)).unwrap();
         journal
-            .record_skip(&SkippedCase {
+            .append_line(&skip_line(&SkippedCase {
                 index: 1,
                 case: cases[1].clone(),
                 attempts: 1,
                 error: "transient flake".to_owned(),
-            })
+            }))
             .unwrap();
         drop(journal);
 
@@ -995,7 +984,7 @@ mod tests {
         // Plain skips stay pending (they are retried on resume); the
         // quarantined poison case is not.
         assert_eq!(pending(&entries, 4, Shard::FULL), vec![0, 1, 3]);
-        let (_, skipped, quarantined) = assemble(&entries);
+        let (_, skipped, quarantined) = assemble(entries.into_values());
         assert_eq!(skipped.len(), 1);
         assert_eq!(quarantined, vec![q]);
 
@@ -1011,14 +1000,16 @@ mod tests {
         let cases = sample_cases();
         let meta = JournalMeta::of("toy", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
-        journal.record_case(1, &sample_result(1), None).unwrap();
         journal
-            .record_quarantine(&QuarantinedCase {
+            .append_line(&case_line(1, &sample_result(1), None))
+            .unwrap();
+        journal
+            .append_line(&quarantine_line(&QuarantinedCase {
                 index: 1,
                 case: cases[1].clone(),
                 attempts: 4,
                 reason: "late duplicate".to_owned(),
-            })
+            }))
             .unwrap();
         drop(journal);
         let (_, entries) = load(&path).unwrap();
@@ -1063,7 +1054,7 @@ mod tests {
             })
             .collect();
         for (i, result) in results.iter().enumerate() {
-            journal.record_case(i, result, None).unwrap();
+            journal.append_line(&case_line(i, result, None)).unwrap();
         }
         drop(journal);
         let (_, entries) = load(&path).unwrap();
@@ -1083,8 +1074,12 @@ mod tests {
         let cases = sample_cases();
         let meta = JournalMeta::of("toy", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
-        journal.record_case(0, &sample_result(0), None).unwrap();
-        journal.record_case(1, &sample_result(1), None).unwrap();
+        journal
+            .append_line(&case_line(0, &sample_result(0), None))
+            .unwrap();
+        journal
+            .append_line(&case_line(1, &sample_result(1), None))
+            .unwrap();
         drop(journal);
 
         // Simulate a kill mid-write: append a truncated record with some
@@ -1115,7 +1110,9 @@ mod tests {
         let cases = sample_cases();
         let meta = JournalMeta::of("toy", &cases);
         let (journal, _) = Journal::open(&path, &meta, false).unwrap();
-        journal.record_case(0, &sample_result(0), None).unwrap();
+        journal
+            .append_line(&case_line(0, &sample_result(0), None))
+            .unwrap();
         drop(journal);
         let (_, entries) = load(&path).unwrap();
         assert_eq!(pending(&entries, 4, Shard::FULL), vec![1, 2, 3]);
@@ -1155,12 +1152,12 @@ mod tests {
                 let meta = JournalMeta::of("prop", &cases);
                 let (journal, _) = Journal::open(&path, &meta, false).unwrap();
                 journal
-                    .record_skip(&SkippedCase {
+                    .append_line(&skip_line(&SkippedCase {
                         index: 0,
                         case: cases[0].clone(),
                         attempts,
                         error: error.clone(),
-                    })
+                    }))
                     .unwrap();
                 drop(journal);
                 let (_, entries) = load(&path).unwrap();

@@ -20,8 +20,8 @@
 //!   books the scalar verdict;
 //! * a group whose golden lane is not the campaign's golden run is re-run
 //!   scalar: the verdict of a lane reported as toggles rests on that;
-//! * a campaign with an edge-skew tolerance, or without a fork spec, runs
-//!   scalar under `--batch`, and says why;
+//! * a campaign with an edge-skew tolerance runs scalar under `--batch`,
+//!   and says why;
 //! * `--batch --checkpoint` snapshots the golden run at each group's
 //!   start when the batch spec engages, and at every injection stop when
 //!   the campaign has none;
@@ -207,35 +207,28 @@ fn batch_flag_without_batch_spec_falls_back_to_scalar() {
 fn a_skewed_comparison_runs_scalar_and_says_why() {
     // A word lane is booked from where its X01 values differ from golden's
     // at the same instant; an edge-skew tolerance also reads golden at
-    // `t ± skew`, which that does not carry. And groups fork from the fork
-    // spec's golden run. A campaign with a skew, or without a fork spec,
+    // `t ± skew`, which that does not carry. A campaign with a skew
     // resolves to the scalar plan, once, with the reason in the event
     // stream.
     let base = counter_campaign(&[0, 3, 7], &times(), None);
-    let skewed = Campaign {
+    let campaign = Campaign {
         spec: base.spec.clone().with_digital_skew(Time::from_ns(2)),
-        ..base.clone()
+        ..base
     };
-    let unforked = Campaign { fork: None, ..base };
-    for (campaign, reason) in [
-        (skewed, "digital_skew needs lane traces"),
-        (unforked, "campaign has no fork spec"),
-    ] {
-        let expected = report::cases_csv(
-            &Engine::new(EngineConfig::default().with_workers(2))
-                .run(&campaign)
-                .expect("scalar run")
-                .result,
-        );
-        let (batch, text) = run_with_events("batch-skew", batch_config(2), &campaign);
-        assert_eq!(expected, report::cases_csv(&batch.result));
-        assert_eq!((batch.path, batch.stats.fallbacks), ("scalar", 0));
-        let fallbacks = events_of(&text, "batch", "fallback");
-        assert_eq!(fallbacks.len(), 1, "one fallback event:\n{text}");
-        let reason = format!("\"reason\":\"{reason}\"");
-        assert!(fallbacks[0].contains(&reason), "{}", fallbacks[0]);
-        assert!(events_of(&text, "span", "batch").is_empty(), "{text}");
-    }
+    let expected = report::cases_csv(
+        &Engine::new(EngineConfig::default().with_workers(2))
+            .run(&campaign)
+            .expect("scalar run")
+            .result,
+    );
+    let (batch, text) = run_with_events("batch-skew", batch_config(2), &campaign);
+    assert_eq!(expected, report::cases_csv(&batch.result));
+    assert_eq!((batch.path, batch.stats.fallbacks), ("scalar", 0));
+    let fallbacks = events_of(&text, "batch", "fallback");
+    assert_eq!(fallbacks.len(), 1, "one fallback event:\n{text}");
+    let reason = r#""reason":"digital_skew needs lane traces""#;
+    assert!(fallbacks[0].contains(reason), "{}", fallbacks[0]);
+    assert!(events_of(&text, "span", "batch").is_empty(), "{text}");
 }
 
 #[test]
@@ -895,7 +888,7 @@ fn several_workers_claim_several_groups_of_whole_words_each() {
 /// snapshot at its first instant, as the engine would, with `budget`
 /// installed on every lane (the machine itself unguarded).
 fn run_word_spec(campaign: &Campaign, group: &[usize], budget: SimBudget) -> BatchReport {
-    let fork = campaign.fork.as_ref().expect("fork spec");
+    let fork = &campaign.fork;
     let ctx = CaseCtx::detached(None);
     let first = [campaign.cases[group[0]].injected_at];
     let mut rung = None;

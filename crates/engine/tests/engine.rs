@@ -28,37 +28,33 @@ fn unique_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// A deterministic toy campaign over `n` cases; `calls` counts faulty-case
-/// runner invocations so tests can prove the resume path skipped work.
+/// A deterministic toy campaign over `n` [`TickSim`] cases at 5 ns;
+/// `calls` counts case injections so tests can prove the resume path
+/// skipped work, and every injection of case `poison` errs before it counts.
 /// Classification: index 4 fails, odd indices are transient, the rest clean.
-fn toy_campaign(n: usize, calls: Arc<AtomicUsize>) -> Campaign {
-    let window = (Time::from_ns(0), Time::from_ns(1000));
-    Campaign {
-        name: "toy".to_owned(),
-        spec: ClassifySpec::new(window, vec!["out".to_owned()]),
-        cases: (0..n)
-            .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(100)))
+fn toy_campaign(n: usize, calls: Arc<AtomicUsize>, poison: Option<usize>) -> Campaign {
+    let t_end = Time::from_ns(40);
+    Campaign::forked(
+        "toy",
+        ClassifySpec::new((Time::ZERO, t_end), vec!["out".to_owned()]),
+        (0..n)
+            .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(5)))
             .collect(),
-        runner: Arc::new(move |ctx: &CaseCtx| {
-            let mut trace = Trace::new();
-            trace.record_digital("out", Time::from_ns(0), Logic::Zero)?;
-            match ctx.index() {
-                None => {}
-                Some(i) => {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    if i == 4 {
-                        trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                    } else if i % 2 == 1 {
-                        trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                        trace.record_digital("out", Time::from_ns(400), Logic::Zero)?;
-                    }
-                }
+        t_end,
+        |_ctx: &CaseCtx| Ok(TickSim::fresh()),
+        move |sim: &mut TickSim, i| {
+            if Some(i) == poison {
+                return Err("rigged failure".into());
             }
-            Ok(trace)
-        }),
-        fork: None,
-        batch: None,
-    }
+            calls.fetch_add(1, Ordering::Relaxed);
+            if i == 4 {
+                sim.stuck = true;
+            } else if i % 2 == 1 {
+                sim.invert_next = true;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// A tick-per-nanosecond counter for checkpointed campaigns; "out" carries
@@ -453,7 +449,7 @@ fn checkpointed_kill_and_resume_round_trip() {
 fn kill_and_resume_round_trip() {
     let path = unique_path("resume");
     let calls = Arc::new(AtomicUsize::new(0));
-    let campaign = toy_campaign(12, Arc::clone(&calls));
+    let campaign = toy_campaign(12, Arc::clone(&calls), None);
 
     // Reference: one uninterrupted run, no journal.
     let clean = Engine::new(EngineConfig::default().with_workers(2))
@@ -515,7 +511,7 @@ fn kill_and_resume_round_trip() {
 #[test]
 fn shard_journals_merge_into_the_single_shard_result() {
     let calls = Arc::new(AtomicUsize::new(0));
-    let campaign = toy_campaign(11, Arc::clone(&calls));
+    let campaign = toy_campaign(11, Arc::clone(&calls), None);
     let clean = Engine::new(EngineConfig::default()).run(&campaign).unwrap();
 
     let paths = [unique_path("shard0"), unique_path("shard1")];
@@ -528,7 +524,7 @@ fn shard_journals_merge_into_the_single_shard_result() {
 
     let (meta, entries) = journal::merge(&paths).unwrap();
     assert_eq!(meta, campaign.meta());
-    let (merged, skipped, quarantined) = journal::assemble(&entries);
+    let (merged, skipped, quarantined) = journal::assemble(entries.values());
     assert!(skipped.is_empty());
     assert!(quarantined.is_empty());
     assert_eq!(
@@ -548,23 +544,21 @@ fn fail_fast_leaves_a_resumable_journal() {
     let healed = Arc::new(AtomicBool::new(false));
     let window = (Time::from_ns(0), Time::from_ns(1000));
     let healed_in = Arc::clone(&healed);
-    let campaign = Campaign {
-        name: "flaky".to_owned(),
-        spec: ClassifySpec::new(window, vec!["out".to_owned()]),
-        cases: (0..8)
+    let campaign = Campaign::forked(
+        "flaky",
+        ClassifySpec::new(window, vec!["out".to_owned()]),
+        (0..8)
             .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(100)))
             .collect(),
-        runner: Arc::new(move |ctx: &CaseCtx| {
-            if ctx.index() == Some(5) && !healed_in.load(Ordering::Relaxed) {
+        window.1,
+        |_ctx: &CaseCtx| Ok(TickSim::fresh()),
+        move |_sim: &mut TickSim, i| {
+            if i == 5 && !healed_in.load(Ordering::Relaxed) {
                 return Err("transient infrastructure failure".into());
             }
-            let mut trace = Trace::new();
-            trace.record_digital("out", Time::from_ns(0), Logic::Zero)?;
-            Ok(trace)
-        }),
-        fork: None,
-        batch: None,
-    };
+            Ok(())
+        },
+    );
 
     // Sequential fail-fast run: cases 0..=4 are journaled, 5 aborts.
     let err = Engine::new(
@@ -602,12 +596,12 @@ fn fail_fast_leaves_a_resumable_journal() {
 #[test]
 fn resume_refuses_a_journal_from_another_campaign() {
     let path = unique_path("foreign");
-    let campaign_a = toy_campaign(4, Arc::new(AtomicUsize::new(0)));
+    let campaign_a = toy_campaign(4, Arc::new(AtomicUsize::new(0)), None);
     Engine::new(EngineConfig::default().with_journal(&path))
         .run(&campaign_a)
         .unwrap();
 
-    let mut campaign_b = toy_campaign(4, Arc::new(AtomicUsize::new(0)));
+    let mut campaign_b = toy_campaign(4, Arc::new(AtomicUsize::new(0)), None);
     campaign_b.cases[1].injected_at = Time::from_ns(999);
     let err = Engine::new(
         EngineConfig::default()
@@ -648,7 +642,7 @@ fn named_campaign_shards_and_merges() {
 
     let (meta, entries) = journal::merge(&paths).unwrap();
     assert_eq!(meta, campaign.meta());
-    let (merged, _, _) = journal::assemble(&entries);
+    let (merged, _, _) = journal::assemble(entries.values());
     assert_eq!(
         report::summary_table(&merged),
         report::summary_table(&clean.result)
@@ -666,15 +660,8 @@ fn named_campaign_shards_and_merges() {
 fn resumed_summary_counts_quarantined_cases_exactly_once() {
     let path = unique_path("quarantine-accounting");
     let calls = Arc::new(AtomicUsize::new(0));
-    let mut campaign = toy_campaign(5, Arc::clone(&calls));
     // Case 2 is poison: every attempt errors deterministically.
-    let inner = Arc::clone(&campaign.runner);
-    campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-        if ctx.index() == Some(2) {
-            return Err("rigged failure".into());
-        }
-        inner(ctx)
-    });
+    let campaign = toy_campaign(5, Arc::clone(&calls), Some(2));
 
     let config = EngineConfig::default()
         .with_workers(2)
@@ -858,15 +845,8 @@ fn event_stream_accounts_for_every_case() {
 #[test]
 fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
     let calls = Arc::new(AtomicUsize::new(0));
-    let mut campaign = toy_campaign(12, Arc::clone(&calls));
     // Case 2 is poison: every attempt errors deterministically.
-    let inner = Arc::clone(&campaign.runner);
-    campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-        if ctx.index() == Some(2) {
-            return Err("rigged failure".into());
-        }
-        inner(ctx)
-    });
+    let campaign = toy_campaign(12, Arc::clone(&calls), Some(2));
     let config = || {
         EngineConfig::default()
             .with_workers(2)
@@ -885,7 +865,7 @@ fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
             .filter(|(&index, _)| keep(index))
             .map(|(&index, entry)| (index, entry.clone()))
             .collect();
-        let (result, skipped, quarantined) = journal::assemble(&entries);
+        let (result, skipped, quarantined) = journal::assemble(entries.values());
         assert_eq!(
             report::cases_csv(&report.result),
             report::cases_csv(&result),
@@ -902,18 +882,22 @@ fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
     let (killed, _) = Journal::open(&path, &campaign.meta(), false).unwrap();
     for (&index, entry) in scratch_entries.range(..6) {
         match entry {
-            JournalEntry::Done(result) => killed.record_case(index, result, None).unwrap(),
-            JournalEntry::Quarantined(q) => killed.record_quarantine(q).unwrap(),
+            JournalEntry::Done(result) => killed
+                .append_line(&journal::case_line(index, result, None))
+                .unwrap(),
+            JournalEntry::Quarantined(q) => {
+                killed.append_line(&journal::quarantine_line(q)).unwrap()
+            }
             JournalEntry::Skipped(_) => unreachable!("the reference skips nothing"),
         }
     }
     killed
-        .record_skip(&SkippedCase {
+        .append_line(&journal::skip_line(&SkippedCase {
             index: 7,
             case: campaign.cases[7].clone(),
             attempts: 1,
             error: "transient".to_owned(),
-        })
+        }))
         .unwrap();
     drop(killed);
     calls.store(0, Ordering::Relaxed);
@@ -925,7 +909,7 @@ fn report_assembly_matches_the_journal_on_resume_shard_and_completed() {
     check("resumed", &resumed, &|_| true);
     // And the journal the resumed run completed assembles to the same.
     let (_, entries) = journal::load(&path).unwrap();
-    let (result, skipped, quarantined) = journal::assemble(&entries);
+    let (result, skipped, quarantined) = journal::assemble(entries.values());
     assert_eq!(
         report::cases_csv(&result),
         report::cases_csv(&resumed.result)

@@ -14,17 +14,23 @@
 //! of its snapshot (DESIGN.md "Mixed cut"), and must still book what the
 //! from-scratch run books — whichever case led, and also when the follower
 //! cannot stay on the tape's grid and falls back.
+//!
+//! The catalog's `adc-flash` is held to it too, trace by trace, on a few of
+//! its input strikes and register SEUs.
 
 use amsfi_analog::{blocks, AnalogCircuit, AnalogSolver, NodeKind};
 use amsfi_circuits::pll::{self, names, PllConfig};
-use amsfi_core::{ClassifySpec, FaultCase};
+use amsfi_core::{report, ClassifySpec, FaultCase};
 use amsfi_digital::{Component, EvalContext, Netlist, Simulator};
 use amsfi_engine::telemetry::Telemetry;
-use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, EngineReport};
+use amsfi_engine::{
+    campaigns, Campaign, CaseCtx, Engine, EngineConfig, EngineReport, Shard, TapeSlot,
+};
 use amsfi_faults::TrapezoidPulse;
 use amsfi_mixed::MixedSimulator;
 use amsfi_waves::{Logic, Time, Tolerance};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What one case of a fast-PLL-with-payload campaign does at its instant:
@@ -256,6 +262,67 @@ fn follower_off_the_grid_falls_back_and_still_matches_scratch() {
         .filter(|l| l.contains(r#""followed":"437123457""#))
         .count();
     assert_eq!(followed, 2, "{events}");
+}
+
+#[test]
+fn adc_flash_forks_trace_what_scratch_runs_trace() {
+    // 96 input strikes, pulse-major over 8 instants, then 96 register SEUs
+    // cycling over the same instants. Picked in stop order, with two SEUs
+    // per stop where the list has them back to back, so the second may
+    // follow the first one's tape through the worker's one slot.
+    let campaign = campaigns::build("adc-flash", None).expect("catalog campaign");
+    let strikes = campaign.cases.len() / 2;
+    let mut picks = vec![0, 13, 50, 95, 96, 104, 101, 109, 191];
+    picks.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
+    let spec = &campaign.fork;
+    let mut ladder = BTreeMap::new();
+    let golden = (spec.golden)(&CaseCtx::detached(None), &spec.stops, &mut |t, snap| {
+        ladder.insert(t, snap);
+    })
+    .expect("golden run");
+    let tapes = TapeSlot::default();
+    let mut moved = [false; 2];
+    for i in picks {
+        let case = &campaign.cases[i];
+        let scratch = (campaign.runner)(&CaseCtx::detached(Some(i))).expect("scratch run");
+        let rung = ladder[&case.injected_at].clone_snapshot();
+        let forked = (spec.fork)(&CaseCtx::detached(Some(i)), rung, &tapes).expect("forked run");
+        assert!(scratch == forked, "case {i} ({}) diverged", case.label);
+        moved[usize::from(i >= strikes)] |= forked != golden;
+    }
+    assert_eq!(moved, [true, true], "a strike and an SEU must each show");
+
+    // And through the engine, on either plan: one stripe of the list, and
+    // the register SEUs at one instant, which cannot reach the analog half
+    // (the flash back end feeds nothing back), so on one worker the first
+    // leads and the others follow its tape.
+    let n = campaign.cases.len();
+    let one_stop: Vec<usize> = (strikes..n).step_by(8).collect();
+    let elsewhere = (0..n).filter(|i| !one_stop.contains(i)).collect();
+    for (config, followers) in [
+        (
+            EngineConfig::default().with_shard(Shard::new(0, 12).expect("a shard")),
+            None,
+        ),
+        (
+            EngineConfig::default().with_completed(elsewhere),
+            Some(one_stop.len() - 1),
+        ),
+    ] {
+        let config = config.with_workers(1);
+        let scratch = Engine::new(config.clone()).run(&campaign).expect("scratch");
+        let forked = Engine::new(config.with_checkpoint(true))
+            .run(&campaign)
+            .expect("checkpointed run");
+        assert_eq!((forked.path, forked.stats.fallbacks), ("fork", 0));
+        if let Some(followers) = followers {
+            assert_eq!(forked.stats.followed, followers);
+        }
+        assert_eq!(
+            report::cases_csv(&scratch.result),
+            report::cases_csv(&forked.result)
+        );
+    }
 }
 
 #[test]

@@ -64,8 +64,6 @@ USAGE:
           --journal PATH     stream results to PATH (checkpoint file)
           --resume           continue an existing journal
           --checkpoint       fork cases from golden-prefix checkpoints
-                             (campaigns without fork support fall back
-                             to from-scratch runs)
           --batch            bit-parallel digital simulation: workers
                              claim groups of up to 504 cases and run them
                              through word-parallel event wheels
@@ -82,11 +80,10 @@ USAGE:
           --retries N        extra attempts per failing case (default 0)
           --backoff-ms N     base retry backoff, doubled per retry (default 50)
           --policy P         fail-fast | skip (default skip)
-          --progress-secs N  progress cadence in seconds (default 2, 0 = off);
-                             each tick goes to stderr and, with --events,
-                             to the JSONL stream as a `progress` record
-          --progress-ms N    progress cadence in milliseconds (fine-grained
-                             alias of --progress-secs)
+          --progress-secs N  progress cadence in seconds, decimals allowed
+                             (default 2, 0 = off); each tick goes to stderr
+                             and, with --events, to the JSONL stream as a
+                             `progress` record
           --events PATH      stream structured JSONL events (spans, guard
                              trips, retries, quarantines, worker lifecycle)
                              to PATH
@@ -238,15 +235,12 @@ fn main() -> ExitCode {
 fn list() {
     println!("available campaigns:");
     for (name, description) in campaigns::catalog() {
-        // Execution paths this campaign supports beyond the always-available
-        // scalar runner, so operators can see which flags will engage
-        // (--checkpoint / --batch) before launching, and how many cases the
-        // scalar and fork plans book unrun (`BatchSpec::inert`).
+        // Execution paths this campaign supports, so operators can see
+        // whether --batch will engage before launching (every campaign runs
+        // scalar and forked), and how many cases the scalar and fork plans
+        // book unrun (`BatchSpec::inert`).
         let (paths, inert) = campaigns::build(name, None).map_or_else(Default::default, |c| {
-            let mut paths = vec!["scalar"];
-            if c.fork.is_some() {
-                paths.push("forked");
-            }
+            let mut paths = vec!["scalar", "forked"];
             let inert = c.batch.map_or_else(String::new, |batch| {
                 paths.push("batch");
                 let n = c.cases.len();
@@ -290,6 +284,14 @@ impl<'a> Options<'a> {
             .parse()
             .map_err(|e| format!("bad value for {flag}: {e}"))
     }
+
+    /// A progress cadence in (possibly fractional) seconds; `0` is off.
+    fn progress(&mut self, flag: &str) -> Result<Option<Duration>, String> {
+        let secs: f64 = self.parse(flag)?;
+        let every =
+            Duration::try_from_secs_f64(secs).map_err(|e| format!("bad value for {flag}: {e}"))?;
+        Ok((!every.is_zero()).then_some(every))
+    }
 }
 
 fn run(args: &[String]) -> ExitCode {
@@ -330,14 +332,7 @@ fn run(args: &[String]) -> ExitCode {
                         other => return Err(format!("bad value for --policy: {other:?}")),
                     };
                 }
-                "--progress-secs" => {
-                    let secs: u64 = opts.parse(arg)?;
-                    config.progress = (secs > 0).then(|| Duration::from_secs(secs));
-                }
-                "--progress-ms" => {
-                    let ms: u64 = opts.parse(arg)?;
-                    config.progress = (ms > 0).then(|| Duration::from_millis(ms));
-                }
+                "--progress-secs" => config.progress = opts.progress(arg)?,
                 "--events" => events = Some(PathBuf::from(opts.value(arg)?)),
                 "--metrics" => metrics_out = Some(PathBuf::from(opts.value(arg)?)),
                 "--max-steps" => config.max_steps = Some(opts.parse(arg)?),
@@ -463,7 +458,7 @@ fn merge(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (result, skipped, quarantined) = journal::assemble(&entries);
+    let (result, skipped, quarantined) = journal::assemble(entries.values());
     println!(
         "campaign {}: {} of {} case(s) across {} journal(s)",
         meta.name,
@@ -687,7 +682,7 @@ fn report_cmd(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let (result, skipped, quarantined) = journal::assemble(&entries);
+        let (result, skipped, quarantined) = journal::assemble(entries.values());
         println!(
             "campaign {}: {} of {} case(s) journaled",
             meta.name,
@@ -879,10 +874,7 @@ fn serve(args: &[String]) -> ExitCode {
                 }
                 "--retry-ms" => cfg.retry_ms = opts.parse(arg)?,
                 "--until-drained" => cfg.until_drained = true,
-                "--progress-secs" => {
-                    let secs: u64 = opts.parse(arg)?;
-                    cfg.progress = (secs > 0).then(|| Duration::from_secs(secs));
-                }
+                "--progress-secs" => cfg.progress = opts.progress(arg)?,
                 "--metrics" => cfg.metrics_path = Some(PathBuf::from(opts.value(arg)?)),
                 "--events" => events = Some(PathBuf::from(opts.value(arg)?)),
                 "--straggler-factor" => cfg.straggler_factor = opts.parse(arg)?,

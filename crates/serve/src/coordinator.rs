@@ -528,13 +528,14 @@ impl Coordinator {
         }
     }
 
-    /// A snapshot of a campaign's merged entries, for tests and tools.
-    pub fn merged_entries(&self, id: u64) -> Option<BTreeMap<usize, JournalEntry>> {
+    /// A snapshot of a campaign's merged entries in case-index order, for
+    /// tests and tools ([`journal::assemble`] takes them as they are).
+    pub fn merged_entries(&self, id: u64) -> Option<Vec<JournalEntry>> {
         self.shared
             .lock()
             .campaigns
             .get(&id)
-            .map(|c| c.entries.clone())
+            .map(|c| c.entries.values().cloned().collect())
     }
 
     /// Serves connections until drained (when configured), shut down, or

@@ -5,14 +5,15 @@
 //! merged report byte-identical to an undisturbed single-process run,
 //! with exactly one journal record per case.
 
-use amsfi_core::{ClassifySpec, FaultCase};
+mod common;
+
 use amsfi_engine::journal::{self, JournalEntry};
-use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, Stage};
+use amsfi_engine::{Engine, EngineConfig};
 use amsfi_serve::{
     CampaignSource, ChaosProxy, Coordinator, CoordinatorConfig, FaultPlan, FaultSchedule,
     FrameFault, WorkerConfig,
 };
-use amsfi_waves::{Logic, Time, Trace};
+use common::toy_campaign;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,44 +22,10 @@ use std::time::Duration;
 const CASES: usize = 12;
 const SHARDS: usize = 3;
 
-/// Same deterministic toy campaign as `tests/distributed.rs`.
-fn toy_campaign(n: usize) -> Campaign {
-    let window = (Time::from_ns(0), Time::from_ns(1000));
-    let spec = ClassifySpec::new(window, vec!["out".to_owned()]);
-    let cases = (0..n)
-        .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(100)))
-        .collect();
-    Campaign {
-        name: "toy".to_owned(),
-        spec,
-        cases,
-        runner: Arc::new(|ctx: &CaseCtx| {
-            ctx.stage(Stage::Build);
-            let mut trace = Trace::new();
-            trace.record_digital("out", Time::from_ns(0), Logic::Zero)?;
-            ctx.stage(Stage::Simulate);
-            match ctx.index() {
-                None => {}
-                Some(4) => {
-                    trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                }
-                Some(i) if i % 2 == 1 => {
-                    trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                    trace.record_digital("out", Time::from_ns(400), Logic::Zero)?;
-                }
-                Some(_) => {}
-            }
-            Ok(trace)
-        }),
-        fork: None,
-        batch: None,
-    }
-}
-
 fn toy_source() -> CampaignSource {
     Arc::new(move |name, limit| {
         (name == "toy").then(|| {
-            let mut campaign = toy_campaign(CASES);
+            let mut campaign = toy_campaign(CASES, |_| {});
             if let Some(limit) = limit {
                 campaign.cases.truncate(limit);
             }
@@ -78,7 +45,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 
 fn reference_csv() -> String {
     let report = Engine::new(EngineConfig::default().with_workers(2))
-        .run(&toy_campaign(CASES))
+        .run(&toy_campaign(CASES, |_| {}))
         .expect("single-process reference run");
     amsfi_core::report::cases_csv(&report.result)
 }
@@ -131,7 +98,7 @@ fn campaign_through_chaos(tag: &str, schedule: FaultSchedule) -> (String, usize,
     assert_eq!(meta.cases, CASES);
     assert_eq!(entries.len(), CASES, "all cases merged");
     assert!(entries.values().all(|e| matches!(e, JournalEntry::Done(_))));
-    let (result, _, _) = journal::assemble(&entries);
+    let (result, _, _) = journal::assemble(entries.values());
     let csv = amsfi_core::report::cases_csv(&result);
 
     let text = std::fs::read_to_string(&info.journal).unwrap();

@@ -3,12 +3,13 @@
 //! campaign, a zombie worker is killed mid-shard, and the final merged
 //! journal must match a single-process run **byte for byte**.
 
-use amsfi_core::{ClassifySpec, FaultCase};
+mod common;
+
 use amsfi_engine::journal::{self, JournalEntry};
-use amsfi_engine::{Campaign, CaseCtx, Engine, EngineConfig, RecordSink, Stage};
+use amsfi_engine::{Engine, EngineConfig, RecordSink};
 use amsfi_serve::proto::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use amsfi_serve::{CampaignSource, Coordinator, CoordinatorConfig, WorkerConfig};
-use amsfi_waves::{Logic, Time, Trace};
+use common::toy_campaign;
 use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -16,46 +17,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A fast, fully deterministic campaign: index 4 sticks (failure), odd
-/// indices glitch and recover (transient), the rest are untouched
-/// (no-effect). Same shape as the engine's own executor tests.
-fn toy_campaign(n: usize) -> Campaign {
-    let window = (Time::from_ns(0), Time::from_ns(1000));
-    let spec = ClassifySpec::new(window, vec!["out".to_owned()]);
-    let cases = (0..n)
-        .map(|i| FaultCase::new(format!("bit{i}"), Time::from_ns(100)))
-        .collect();
-    Campaign {
-        name: "toy".to_owned(),
-        spec,
-        cases,
-        runner: Arc::new(|ctx: &CaseCtx| {
-            ctx.stage(Stage::Build);
-            let mut trace = Trace::new();
-            trace.record_digital("out", Time::from_ns(0), Logic::Zero)?;
-            ctx.stage(Stage::Simulate);
-            match ctx.index() {
-                None => {}
-                Some(4) => {
-                    trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                }
-                Some(i) if i % 2 == 1 => {
-                    trace.record_digital("out", Time::from_ns(200), Logic::One)?;
-                    trace.record_digital("out", Time::from_ns(400), Logic::Zero)?;
-                }
-                Some(_) => {}
-            }
-            Ok(trace)
-        }),
-        fork: None,
-        batch: None,
-    }
-}
-
 fn toy_source(n: usize) -> CampaignSource {
     Arc::new(move |name, limit| {
         (name == "toy").then(|| {
-            let mut campaign = toy_campaign(n);
+            let mut campaign = toy_campaign(n, |_| {});
             if let Some(limit) = limit {
                 campaign.cases.truncate(limit);
             }
@@ -64,11 +29,11 @@ fn toy_source(n: usize) -> CampaignSource {
     })
 }
 
-/// Like [`toy_source`], but every *faulty* simulation (golden runs carry
-/// no index) bumps a shared counter, and while `gate` is raised the
-/// runner blocks — which lets a test freeze a worker mid-shard, kill the
-/// coordinator underneath it, and then let the shard finish against a
-/// dead link. The counter is the "no case simulated twice" oracle.
+/// Like [`toy_source`], but every case injection bumps a shared counter,
+/// and while `gate` is raised the injection blocks — which lets a test
+/// freeze a worker mid-shard, kill the coordinator underneath it, and then
+/// let the shard finish against a dead link. The counter is the "no case
+/// simulated twice" oracle.
 fn gated_counting_source(n: usize) -> (CampaignSource, Arc<AtomicUsize>, Arc<AtomicBool>) {
     let simulated = Arc::new(AtomicUsize::new(0));
     let gate = Arc::new(AtomicBool::new(false));
@@ -76,17 +41,12 @@ fn gated_counting_source(n: usize) -> (CampaignSource, Arc<AtomicUsize>, Arc<Ato
         let (simulated, gate) = (Arc::clone(&simulated), Arc::clone(&gate));
         Arc::new(move |name, limit| {
             (name == "toy").then(|| {
-                let mut campaign = toy_campaign(n);
-                let inner = Arc::clone(&campaign.runner);
                 let (simulated, gate) = (Arc::clone(&simulated), Arc::clone(&gate));
-                campaign.runner = Arc::new(move |ctx: &CaseCtx| {
-                    if ctx.index().is_some() {
-                        simulated.fetch_add(1, Ordering::SeqCst);
-                        while gate.load(Ordering::SeqCst) {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                let mut campaign = toy_campaign(n, move |_| {
+                    simulated.fetch_add(1, Ordering::SeqCst);
+                    while gate.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(2));
                     }
-                    inner(ctx)
                 });
                 if let Some(limit) = limit {
                     campaign.cases.truncate(limit);
@@ -123,7 +83,7 @@ fn single_process_reference(n: usize) -> (BTreeMap<usize, String>, String) {
             .with_workers(2)
             .with_record_sink(sink),
     )
-    .run(&toy_campaign(n))
+    .run(&toy_campaign(n, |_| {}))
     .expect("single-process reference run");
     assert_eq!(report.result.cases.len(), n);
     let csv = amsfi_core::report::cases_csv(&report.result);
@@ -142,7 +102,7 @@ fn merged_csv(journal_path: &Path, expect_cases: usize) -> String {
         entries.values().all(|e| matches!(e, JournalEntry::Done(_))),
         "no skips or quarantines expected from the toy campaign"
     );
-    let (result, skipped, quarantined) = journal::assemble(&entries);
+    let (result, skipped, quarantined) = journal::assemble(entries.values());
     assert!(skipped.is_empty() && quarantined.is_empty());
     amsfi_core::report::cases_csv(&result)
 }
