@@ -48,6 +48,9 @@ grep -q amsfi_stage_latency_microseconds "$tmp/m.prom"
 # A couple of dozen events into an 8192-slot queue: any drop means the
 # queue is broken.
 grep -qx 'amsfi_events_dropped_total 0' "$tmp/m.prom"
+# The six cases share one instant, and --limit truncates before the stops
+# are computed: the golden run keeps one snapshot.
+grep -q '"name":"golden".*"snapshots":"1"' "$tmp/e.jsonl"
 ./target/release/amsfi report "$tmp/j.log" --events "$tmp/e.jsonl"
 rm -rf "$tmp"
 
@@ -214,6 +217,13 @@ test "$(grep -c '^  ' "$tmp/list.txt")" -eq "$(grep -c '^  .*\[scalar, forked' "
     --progress-secs 0 >"$tmp/adc.txt"
 grep -q '^path: fork, ' "$tmp/adc.txt"
 cmp "$tmp/adc.plain/cases.csv" "$tmp/adc.fork/cases.csv"
+# Whole: cases are claimed in instant order, so on one worker the first of
+# the 96 SEUs at each of the 8 instants leads and the other 88 follow it.
+./target/release/amsfi run adc-flash --out "$tmp/adc.all" --progress-secs 0 >/dev/null
+./target/release/amsfi run adc-flash --checkpoint --workers 1 --out "$tmp/adc.allfork" \
+    --progress-secs 0 >"$tmp/adc.txt"
+grep -q '^path: fork, followed: 88, fallbacks: 0,' "$tmp/adc.txt"
+cmp "$tmp/adc.all/cases.csv" "$tmp/adc.allfork/cases.csv"
 rm -rf "$tmp"
 
 # --batch --early-abort CLI e2e: a word lane records no trace; its

@@ -10,6 +10,7 @@
 //! transient at negligible cost.
 
 use crate::block::{AnalogBlock, AnalogContext};
+use crate::{AnalogSolver, BlockId};
 use amsfi_faults::PulseShape;
 use amsfi_waves::Time;
 use std::sync::Arc;
@@ -77,7 +78,7 @@ impl AnalogSaboteur {
     /// `at`. The in-place form of [`AnalogSaboteur::with_pulse_arc`], for
     /// saboteurs already lowered into a solver — campaigns build the
     /// circuit once, disarmed, then arm the per-case pulse through
-    /// [`AnalogSolver::block_mut`](crate::AnalogSolver::block_mut).
+    /// [`AnalogSolver::arm_saboteur`].
     pub fn arm(&mut self, pulse: Arc<dyn PulseShape>, at: Time) {
         self.pulse = Some((pulse, at));
     }
@@ -85,6 +86,24 @@ impl AnalogSaboteur {
     /// The armed injection time, if any.
     pub fn injection_time(&self) -> Option<Time> {
         self.pulse.as_ref().map(|&(_, at)| at)
+    }
+}
+
+impl AnalogSolver {
+    /// Arms (or re-arms) the [`AnalogSaboteur`] lowered as `block` in
+    /// place: inject `pulse` starting at `at`. On a solver paused at `at`
+    /// this is what building with the saboteur armed does, so a campaign
+    /// can fork every strike from one fault-free prefix.
+    ///
+    /// # Panics
+    ///
+    /// If `block` is not an [`AnalogSaboteur`].
+    pub fn arm_saboteur(&mut self, block: BlockId, pulse: Arc<dyn PulseShape>, at: Time) {
+        self.block_mut(block)
+            .as_any_mut()
+            .downcast_mut::<AnalogSaboteur>()
+            .expect("saboteur block id points at an AnalogSaboteur")
+            .arm(pulse, at);
     }
 }
 

@@ -18,10 +18,7 @@ const SOLVER_METRICS_STRIDE: u32 = 64;
 /// Telemetry sampling stride for the proposed-`dt` histogram: record every
 /// N-th proposal (including the first) instead of all of them.
 const DT_SAMPLE_STRIDE: u64 = 16;
-use amsfi_waves::{
-    AnalogSlot, Checkpoint, CheckpointMismatch, Fnv1a, ForkableSim, GuardViolation, SimBudget,
-    SimObserver, Time, Trace,
-};
+use amsfi_waves::{AnalogSlot, ForkableSim, GuardViolation, SimBudget, SimObserver, Time, Trace};
 
 #[derive(Debug, Clone)]
 struct Monitor {
@@ -218,60 +215,6 @@ impl AnalogSolver {
         &mut *self.circuit.blocks[block.0].block
     }
 
-    /// A hash of the solver's structure — node names, kinds and initial
-    /// values, block names and port bindings, and the base step — but none
-    /// of its mutable run state. A [`Checkpoint`] refuses to restore across
-    /// differing fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str("amsfi-analog");
-        h.eat();
-        h.write_u64(self.base_dt.as_fs() as u64);
-        h.eat();
-        h.write_u64(self.circuit.nodes.len() as u64);
-        h.eat();
-        for n in &self.circuit.nodes {
-            h.write_str(&n.name);
-            h.eat();
-            h.write_u64(matches!(n.kind, NodeKind::Current) as u64);
-            h.write_u64(n.initial.to_bits());
-            h.eat();
-        }
-        h.write_u64(self.circuit.blocks.len() as u64);
-        h.eat();
-        for b in &self.circuit.blocks {
-            h.write_str(&b.name);
-            h.eat();
-            for port in b.inputs.iter().chain(&b.outputs) {
-                h.write_u64(port.0 as u64);
-            }
-            h.write_u64(b.inputs.len() as u64);
-            h.eat();
-        }
-        h.finish()
-    }
-
-    /// Snapshots the complete solver — node values, block state, adaptive
-    /// recording state and the trace so far — for golden-prefix forking.
-    pub fn checkpoint(&self) -> Checkpoint<AnalogSolver> {
-        Checkpoint::capture(self)
-    }
-
-    /// Replaces this solver's state with `checkpoint`'s, validating the
-    /// structural fingerprint first.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointMismatch`] when the checkpoint was captured from a
-    /// structurally different circuit.
-    pub fn restore(
-        &mut self,
-        checkpoint: &Checkpoint<AnalogSolver>,
-    ) -> Result<(), CheckpointMismatch> {
-        *self = checkpoint.restore_into(self)?;
-        Ok(())
-    }
-
     /// The step the solver would take at `now`: the base step clamped by
     /// every block's [`max_step`](crate::AnalogBlock::max_step) hint.
     pub fn propose_dt(&self) -> Time {
@@ -436,10 +379,6 @@ impl ForkableSim for AnalogSolver {
         self.trace.clone()
     }
 
-    fn structural_fingerprint(&self) -> u64 {
-        self.fingerprint()
-    }
-
     fn install_budget(&mut self, budget: SimBudget) {
         self.set_budget(budget);
     }
@@ -459,6 +398,7 @@ mod tests {
     use super::*;
     use crate::block::{AnalogBlock, AnalogContext};
     use crate::circuit::NodeKind;
+    use amsfi_waves::Checkpoint;
 
     /// dv/dt = k (a ramp) — exact under any stepping.
     #[derive(Debug, Clone)]
@@ -624,7 +564,7 @@ mod tests {
 
         let mut golden = ramp_bench();
         golden.run_until(stop);
-        let cp = golden.checkpoint();
+        let cp = Checkpoint::capture(&golden);
         golden.run_until(end);
 
         let mut scratch = ramp_bench();
@@ -637,42 +577,6 @@ mod tests {
         assert_eq!(fork.trace(), scratch.trace());
         assert_eq!(fork.trace(), golden.trace());
         assert_eq!(fork.steps_taken(), scratch.steps_taken());
-    }
-
-    #[test]
-    fn restore_rejects_a_foreign_circuit() {
-        let mut solver = ramp_bench();
-        solver.run_until(Time::from_ns(100));
-        let cp = solver.checkpoint();
-
-        let mut other_ckt = AnalogCircuit::new();
-        other_ckt.node("different", NodeKind::Current);
-        let mut other = AnalogSolver::new(other_ckt, Time::from_ns(10));
-        assert!(other.restore(&cp).is_err());
-
-        let mut twin = ramp_bench();
-        twin.run_until(Time::from_us(1));
-        twin.restore(&cp).unwrap();
-        assert_eq!(twin.now(), Time::from_ns(100));
-    }
-
-    #[test]
-    fn fingerprint_is_structural_not_stateful() {
-        let a = ramp_bench();
-        let mut b = ramp_bench();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.run_until(Time::from_us(1));
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "run state must not matter"
-        );
-        // The base step is structural: it shapes the integration grid.
-        let mut ckt = AnalogCircuit::new();
-        let out = ckt.node("out", NodeKind::Voltage);
-        ckt.add("ramp", Ramp { k: 1e6, v: 0.0 }, &[], &[out]);
-        let coarser = AnalogSolver::new(ckt, Time::from_ns(20));
-        assert_ne!(a.fingerprint(), coarser.fingerprint());
     }
 
     #[test]
@@ -761,9 +665,8 @@ mod tests {
         let mut solver = ramp_bench();
         solver.set_budget(SimBudget::unlimited().with_max_steps(5));
         solver.advance(Time::from_ns(50)).unwrap();
-        let cp = solver.checkpoint();
         // The fork inherits the consumed budget; a fresh install resets it.
-        let mut fork = cp.fork();
+        let mut fork = Checkpoint::capture(&solver).fork();
         assert_eq!(fork.budget().steps_used(), 5);
         fork.install_budget(SimBudget::unlimited().with_max_steps(5));
         assert_eq!(fork.budget().steps_used(), 0);

@@ -111,10 +111,6 @@ impl ForkableSim for RelapseSim {
         self.trace.clone()
     }
 
-    fn structural_fingerprint(&self) -> u64 {
-        0x5EA1
-    }
-
     fn install_observer(&mut self, observer: SimObserver) {
         self.observer = observer;
     }

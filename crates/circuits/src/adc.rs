@@ -364,31 +364,6 @@ pub struct FlashAdcBench {
 /// Signal names of the flash bench: sampled output code.
 pub const FLASH_CODE: &str = "code_q";
 
-/// Arms the input saboteur `saboteur` of a built converter's `mixed`
-/// simulator in place, `pulse` starting at `at`. On a simulator paused at
-/// `at` this is what building with the fault armed does (test
-/// `arming_in_place_equals_arming_at_build`), so a campaign can fork every
-/// strike from one fault-free prefix. Arming is behavioural, not
-/// structural: checkpoints transfer between armed and disarmed benches.
-///
-/// # Panics
-///
-/// If `saboteur` is not an [`AnalogSaboteur`](blocks::AnalogSaboteur).
-pub fn arm_saboteur(
-    mixed: &mut MixedSimulator,
-    saboteur: BlockId,
-    pulse: Arc<dyn PulseShape>,
-    at: Time,
-) {
-    mixed
-        .analog_mut()
-        .block_mut(saboteur)
-        .as_any_mut()
-        .downcast_mut::<blocks::AnalogSaboteur>()
-        .expect("saboteur block id points at an AnalogSaboteur")
-        .arm(pulse, at);
-}
-
 /// Builds the 3-bit flash ADC bench.
 pub fn build_flash(config: &FlashAdcConfig) -> FlashAdcBench {
     let mut ckt = AnalogCircuit::new();
@@ -723,7 +698,7 @@ mod tests {
                 arm(&mut bench);
             }
             bench.mixed.run_until(end).unwrap();
-            (bench.mixed.merged_trace(), bench.mixed.fingerprint())
+            bench.mixed.merged_trace()
         };
 
         // Reference: saboteur armed when the bench is built.
@@ -731,14 +706,15 @@ mod tests {
         // Same pulse armed mid-run on a disarmed bench, pausing at the
         // injection instant so both runs share the stop sequence.
         let arm = |bench: &mut FlashAdcBench| {
-            arm_saboteur(&mut bench.mixed, bench.saboteur, Arc::new(pulse), at);
+            bench
+                .mixed
+                .analog_mut()
+                .arm_saboteur(bench.saboteur, Arc::new(pulse), at);
         };
         let armed = run(&cfg, Some(&arm));
 
-        assert_ne!(built.0, run(&cfg, None).0, "the strike must show");
-        assert_eq!(armed.0, built.0);
-        // Arming is behavioural, not structural: checkpoints transfer.
-        assert_eq!(armed.1, built.1);
+        assert_ne!(built, run(&cfg, None), "the strike must show");
+        assert_eq!(armed, built);
     }
 
     #[test]

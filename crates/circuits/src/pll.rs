@@ -23,7 +23,7 @@ use amsfi_analog::{blocks, AnalogCircuit, AnalogSolver, BlockId, NodeKind};
 use amsfi_digital::{cells, Netlist, Simulator};
 use amsfi_faults::PulseShape;
 use amsfi_mixed::MixedSimulator;
-use amsfi_waves::{measure, Fnv1a, Follow, ForkableSim, SimTape, Time, Trace};
+use amsfi_waves::{measure, Follow, ForkableSim, SimTape, Time, Trace};
 use std::sync::Arc;
 
 /// Parameters of the PLL test bench. [`PllConfig::default`] reproduces the
@@ -220,17 +220,11 @@ impl PllBench {
 
     /// Arms (or re-arms) the built-in saboteur on the `icp` node in place:
     /// inject `pulse` at `at`. Campaigns build the bench once, disarmed,
-    /// and arm the per-case pulse on a forked copy — the instrumented and
-    /// pristine circuits are structurally identical, so checkpoints
-    /// transfer between them.
+    /// and arm the per-case pulse on a forked copy.
     pub fn arm_saboteur(&mut self, pulse: Arc<dyn PulseShape>, at: Time) {
         self.mixed
             .analog_mut()
-            .block_mut(self.saboteur)
-            .as_any_mut()
-            .downcast_mut::<blocks::AnalogSaboteur>()
-            .expect("saboteur block id points at an AnalogSaboteur")
-            .arm(pulse, at);
+            .arm_saboteur(self.saboteur, pulse, at);
     }
 }
 
@@ -247,16 +241,6 @@ impl ForkableSim for PllBench {
 
     fn snapshot_trace(&self) -> Trace {
         self.mixed.merged_trace()
-    }
-
-    fn structural_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str("amsfi-pll-bench");
-        h.eat();
-        h.write_u64(self.mixed.fingerprint());
-        h.eat();
-        h.write_u64(self.nominal_period.as_fs() as u64);
-        h.finish()
     }
 
     fn install_budget(&mut self, budget: amsfi_waves::SimBudget) {
@@ -544,11 +528,6 @@ mod tests {
         armed.run_until(end).unwrap();
 
         assert_eq!(armed.trace(), built.trace());
-        // Arming is behavioural, not structural: checkpoints transfer.
-        assert_eq!(
-            armed.structural_fingerprint(),
-            built.structural_fingerprint()
-        );
     }
 
     #[test]

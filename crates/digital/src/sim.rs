@@ -11,8 +11,8 @@ use crate::component::{Action, Arena, EvalContext};
 use crate::netlist::{ComponentDecl, ComponentId, Netlist, SignalDecl, SignalId};
 use crate::wheel::Wheel;
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, DigitalSlot, Fnv1a, ForkableSim, GuardViolation, LogicVector,
-    SimBudget, SimObserver, Time, Trace,
+    DigitalSlot, Fnv1a, ForkableSim, GuardViolation, LogicVector, SimBudget, SimObserver, Time,
+    Trace,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -633,34 +633,6 @@ impl Simulator {
         false
     }
 
-    /// A hash of the simulator's structure — signal names and widths,
-    /// component names and port arities — but none of its mutable run
-    /// state. Two simulators lowered from the same netlist agree; a
-    /// [`Checkpoint`] refuses to restore across differing fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str("amsfi-digital");
-        h.eat();
-        h.write_u64(self.signals.len() as u64);
-        h.eat();
-        for s in self.signals.iter() {
-            h.write_str(&s.name);
-            h.eat();
-            h.write_u64(s.width as u64);
-            h.eat();
-        }
-        h.write_u64(self.components.len() as u64);
-        h.eat();
-        for c in &self.components {
-            h.write_str(&c.name);
-            h.eat();
-            h.write_u64(c.inputs.len() as u64);
-            h.write_u64(c.outputs.len() as u64);
-            h.eat();
-        }
-        h.finish()
-    }
-
     /// The pending events of both wheel levels normalised to
     /// future-relevant form: stale
     /// inertial drives (whose generation no longer matches the output's
@@ -740,28 +712,6 @@ impl Simulator {
             h.eat();
         }
         h.finish()
-    }
-
-    /// Snapshots the complete simulator — pending event queue, component
-    /// state, signal values and the trace recorded so far — for
-    /// golden-prefix forking.
-    pub fn checkpoint(&self) -> Checkpoint<Simulator> {
-        Checkpoint::capture(self)
-    }
-
-    /// Replaces this simulator's state with `checkpoint`'s, validating the
-    /// structural fingerprint first.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointMismatch`] when the checkpoint was captured from a
-    /// structurally different netlist.
-    pub fn restore(
-        &mut self,
-        checkpoint: &Checkpoint<Simulator>,
-    ) -> Result<(), CheckpointMismatch> {
-        *self = checkpoint.restore_into(self)?;
-        Ok(())
     }
 
     /// Tears the simulator down into the pieces the word-parallel kernel
@@ -1010,10 +960,6 @@ impl ForkableSim for Simulator {
         self.trace.clone()
     }
 
-    fn structural_fingerprint(&self) -> u64 {
-        self.fingerprint()
-    }
-
     fn install_budget(&mut self, budget: SimBudget) {
         self.set_budget(budget);
     }
@@ -1031,7 +977,7 @@ impl ForkableSim for Simulator {
 mod tests {
     use super::*;
     use crate::component::Component;
-    use amsfi_waves::Logic;
+    use amsfi_waves::{Checkpoint, Logic};
 
     /// Inverter with a configurable delay.
     #[derive(Debug, Clone)]
@@ -1274,7 +1220,7 @@ mod tests {
 
         let mut golden = clocked_counter();
         golden.run_until(Time::from_ns(205)).unwrap();
-        let cp = golden.checkpoint();
+        let cp = Checkpoint::capture(&golden);
         assert_eq!(cp.at(), Time::from_ns(205));
         golden.run_until(Time::from_us(1)).unwrap();
 
@@ -1329,15 +1275,10 @@ mod tests {
     #[test]
     fn checkpoint_with_pending_delta_events_forks_to_an_identical_trace() {
         for mut sim in with_fifo_pending() {
-            let cp = sim.checkpoint();
-            let mut fork = cp.fork();
-            let mut restored = clocked_counter();
-            restored.restore(&cp).unwrap();
+            let mut fork = Checkpoint::capture(&sim).fork();
             sim.run_until(Time::from_us(1)).unwrap();
             fork.run_until(Time::from_us(1)).unwrap();
-            restored.run_until(Time::from_us(1)).unwrap();
             assert_eq!(fork.trace(), sim.trace());
-            assert_eq!(restored.trace(), sim.trace());
             assert_eq!(fork.events_processed(), sim.events_processed());
             assert_eq!(fork.state_digest(), sim.state_digest());
             // The fault took effect: the run differs from the golden one.
@@ -1345,37 +1286,6 @@ mod tests {
             golden.run_until(Time::from_us(1)).unwrap();
             assert_ne!(golden.trace(), sim.trace());
         }
-    }
-
-    #[test]
-    fn restore_rejects_a_foreign_netlist() {
-        let mut sim = clocked_counter();
-        sim.run_until(Time::from_ns(100)).unwrap();
-        let cp = sim.checkpoint();
-
-        let mut net = Netlist::new();
-        let a = net.signal("a", 1);
-        net.add("src", step(Time::from_ns(10), Logic::One), &[], &[a]);
-        let mut other = Simulator::new(net);
-        assert!(other.restore(&cp).is_err());
-        // Restoring into a same-structure simulator rewinds it.
-        let mut twin = clocked_counter();
-        twin.run_until(Time::from_us(2)).unwrap();
-        twin.restore(&cp).unwrap();
-        assert_eq!(twin.now(), Time::from_ns(100));
-    }
-
-    #[test]
-    fn fingerprint_is_structural_not_stateful() {
-        let a = clocked_counter();
-        let mut b = clocked_counter();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.run_until(Time::from_us(1)).unwrap();
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "run state must not matter"
-        );
     }
 
     #[test]
@@ -1644,14 +1554,10 @@ mod tests {
             (4, vec![ZERO_NOW]),
         ]));
         sim.run_until(Time::from_ns(3)).unwrap();
-        let cp = sim.checkpoint();
-        let mut fork = cp.fork();
-        let mut restored = scripted(Script(Vec::new()));
-        restored.restore(&cp).unwrap();
-        for mut twin in [fork.clone(), restored] {
-            assert_eq!(dropped_against_unskipped(&mut twin, Time::from_ns(10)), 0);
-            assert!(!one_transition_to_one(&twin));
-        }
+        let mut fork = Checkpoint::capture(&sim).fork();
+        let mut twin = fork.clone();
+        assert_eq!(dropped_against_unskipped(&mut twin, Time::from_ns(10)), 0);
+        assert!(!one_transition_to_one(&twin));
         fork.run_until(Time::from_ns(10)).unwrap();
         sim.run_until(Time::from_ns(10)).unwrap();
         assert_eq!(fork.trace(), sim.trace());

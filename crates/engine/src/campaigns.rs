@@ -171,19 +171,18 @@ pub fn catalog() -> [(&'static str, &'static str); 5] {
 /// Builds a named campaign, optionally truncated to its first `limit`
 /// cases (handy for smoke tests; the truncation changes the campaign
 /// fingerprint, so differently-limited journals never merge by accident).
+/// Each builder truncates before it makes the campaign, so the golden run
+/// stops only at the instants the remaining cases use.
 pub fn build(name: &str, limit: Option<usize>) -> Option<Campaign> {
-    let mut campaign = match name {
-        "pll-sweep" => pll_sweep(),
-        "pll-digital" => pll_digital(),
-        "adc-flash" => adc_flash(),
-        "cpu" => cpu(),
-        "cpu-set" => cpu_set(),
+    let limit = limit.unwrap_or(usize::MAX);
+    Some(match name {
+        "pll-sweep" => pll_sweep(limit),
+        "pll-digital" => pll_digital(limit),
+        "adc-flash" => adc_flash(limit),
+        "cpu" => cpu(limit),
+        "cpu-set" => cpu_set(limit),
         _ => return None,
-    };
-    if let Some(limit) = limit {
-        campaign.cases.truncate(limit);
-    }
-    Some(campaign)
+    })
 }
 
 /// The exhaustive SEU fault list `targets x times`, injection-time major:
@@ -221,13 +220,14 @@ fn fig8_pulses() -> Vec<(TrapezoidPulse, String)> {
     pulses
 }
 
-fn pll_sweep() -> Campaign {
+fn pll_sweep(limit: usize) -> Campaign {
     const T_END: Time = Time::from_us(200);
     const T_INJECT: Time = Time::from_us(170);
     let pulses = fig8_pulses();
     let cases = pulses
         .iter()
         .map(|(_, label)| FaultCase::new(format!("icp {label}"), T_INJECT))
+        .take(limit)
         .collect();
     let spec = ClassifySpec::new((Time::from_us(165), T_END), vec![names::F_OUT.to_owned()])
         .with_internals(vec![names::VCTRL.to_owned(), names::FB.to_owned()])
@@ -262,7 +262,7 @@ fn pll_sweep() -> Campaign {
     )
 }
 
-fn pll_digital() -> Campaign {
+fn pll_digital(limit: usize) -> Campaign {
     const T_END: Time = Time::from_us(30);
     let mut config = pll::PllConfig::fast();
     config.payload = true;
@@ -271,7 +271,8 @@ fn pll_digital() -> Campaign {
     let targets = probe.mixed.digital().mutant_targets();
     let times = plan::uniform_times(Time::from_us(12), Time::from_us(16), 4);
 
-    let cases = seu_cases(&targets, &times);
+    let mut cases = seu_cases(&targets, &times);
+    cases.truncate(limit);
 
     let mut outputs: Vec<String> = (0..8).map(|i| format!("{}[{i}]", names::COUNT)).collect();
     outputs.push(names::SHIFT_OUT.to_owned());
@@ -303,7 +304,7 @@ fn pll_digital() -> Campaign {
     )
 }
 
-fn adc_flash() -> Campaign {
+fn adc_flash(limit: usize) -> Campaign {
     const T_END: Time = Time::from_us(10);
     let base = adc::FlashAdcConfig {
         input: AdcInput::Sine {
@@ -338,6 +339,7 @@ fn adc_flash() -> Campaign {
         let target = &targets[i % targets.len()];
         cases.push(FaultCase::new(target.to_string(), times[i % times.len()]));
     }
+    cases.truncate(limit);
 
     let outputs = (0..3)
         .map(|i| format!("{}[{i}]", adc::FLASH_CODE))
@@ -362,7 +364,9 @@ fn adc_flash() -> Campaign {
         move |mixed: &mut _, i| {
             if i < strikes {
                 let (pulse, at) = (pulses[i / times.len()], times[i % times.len()]);
-                adc::arm_saboteur(mixed, saboteur, Arc::new(pulse), at);
+                mixed
+                    .analog_mut()
+                    .arm_saboteur(saboteur, Arc::new(pulse), at);
             } else {
                 let target = &targets[(i - strikes) % targets.len()];
                 mixed.digital_mut().flip_state(target.component, target.bit);
@@ -397,11 +401,12 @@ fn cpu_bench(saboteur: bool) -> Simulator {
     sim
 }
 
-fn cpu() -> Campaign {
+fn cpu(limit: usize) -> Campaign {
     const T_END: Time = Time::from_us(20);
     let targets = cpu_bench(false).mutant_targets();
     let times = plan::uniform_times(Time::from_us(2), Time::from_us(4), 3);
-    let cases = seu_cases(&targets, &times);
+    let mut cases = seu_cases(&targets, &times);
+    cases.truncate(limit);
     let spec = ClassifySpec::new(
         (Time::from_us(2), T_END),
         (0..8).map(|i| format!("out[{i}]")).collect(),
@@ -439,7 +444,7 @@ fn cpu() -> Campaign {
 /// `cpu-set-word` workload). The SEU `cpu` campaign's corrupted-register
 /// lanes genuinely need the whole observation window for their verdicts
 /// (`cpu-seu-word`); see DESIGN.md "Bit-parallel simulation".
-fn cpu_set() -> Campaign {
+fn cpu_set(limit: usize) -> Campaign {
     const T_END: Time = Time::from_us(20);
     // 160 instants stepping ~40.9 ns sweep the pulse phase across the 20 ns
     // clock period; widths 1–4 ns keep the expected unmasked fraction
@@ -459,6 +464,7 @@ fn cpu_set() -> Campaign {
             faults.push(DigitalFault::new(DigitalFaultKind::SetPulse { width }, at));
         }
     }
+    cases.truncate(limit);
     let spec = ClassifySpec::new(
         (Time::from_us(12), T_END),
         (0..8).map(|i| format!("out[{i}]")).collect(),
@@ -512,6 +518,17 @@ mod tests {
         assert_eq!(limited.cases.len(), 4);
         assert_eq!(full.cases.len(), 24);
         assert_ne!(full.meta(), limited.meta());
+    }
+
+    #[test]
+    fn a_limited_campaign_stops_only_where_its_cases_inject() {
+        for (name, _) in catalog() {
+            for limit in [1, 2, 5, 17] {
+                let campaign = build(name, Some(limit)).unwrap();
+                let stops = amsfi_core::injection_stops(&campaign.cases, campaign.fork.t_end);
+                assert_eq!(campaign.fork.stops, stops, "{name} --limit {limit}");
+            }
+        }
     }
 
     #[test]

@@ -532,8 +532,8 @@ pub struct ForkSpec {
 /// forks: the tape of the last run that led (see
 /// [`ForkableSim::lead_to`]) with the snapshot instant it led from, for the
 /// worker's later forks of that snapshot to follow. One tape, not one per
-/// stop: a worker's claims move through the stops roughly in order, and a
-/// case that finds the wrong tape leads again.
+/// stop: a worker claims cases in ascending injection order, and a case
+/// that finds the wrong tape leads again.
 #[derive(Default)]
 pub struct TapeSlot(Mutex<Option<(Time, SimTape)>>);
 
@@ -746,11 +746,10 @@ impl Campaign {
             let inject = Arc::clone(&inject);
             Arc::new(
                 move |ctx: &CaseCtx, snap: Snapshot, tapes: &TapeSlot| -> Result<Trace, BoxError> {
-                    let cp = snap.into_any().downcast::<Checkpoint<S>>().map_err(|_| {
-                        Box::new(ForkPathError::Restore(
-                            "snapshot does not hold this campaign's simulator type".to_owned(),
-                        )) as BoxError
-                    })?;
+                    let cp = snap
+                        .into_any()
+                        .downcast::<Checkpoint<S>>()
+                        .map_err(|_| "snapshot does not hold this campaign's simulator type")?;
                     let i = ctx
                         .index()
                         .ok_or("the golden run is never forked from a snapshot")?;
@@ -766,7 +765,7 @@ impl Campaign {
                     };
                     match followed {
                         Follow::Done => ctx.followed.store(true, Ordering::Relaxed),
-                        Follow::LeftGrid => return Err(Box::new(ForkPathError::LeftGrid)),
+                        Follow::LeftGrid => return Err(Box::new(LeftGrid)),
                         Follow::Refused => {
                             if let Some(tape) = sim.lead_to(t_end).map_err(sim_err)? {
                                 tapes.publish(stop, tape);
@@ -794,40 +793,20 @@ impl Campaign {
     }
 }
 
-/// A forked run could not finish on the fork path. Both ways are
-/// deterministic — the same snapshot and the same tape would fail the same
-/// way again — so the engine does not retry: the case degrades gracefully
-/// to its from-scratch runner.
-#[derive(Debug, Clone)]
-pub enum ForkPathError {
-    /// The checkpoint snapshot could not be restored for this campaign
-    /// (wrong simulator type or structural drift).
-    Restore(String),
-    /// The run followed a tape and left its step grid
-    /// ([`Follow::LeftGrid`]).
-    LeftGrid,
-}
+/// A forked run followed a tape and left its step grid part-way
+/// ([`Follow::LeftGrid`]). That is deterministic — the same snapshot and
+/// the same tape would leave it the same way again — so the engine does
+/// not retry: the case re-runs from its from-scratch runner.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeftGrid;
 
-impl ForkPathError {
-    /// The `reason` field of the `checkpoint`/`fallback` event.
-    fn reason(&self) -> &'static str {
-        match self {
-            ForkPathError::Restore(_) => "restore",
-            ForkPathError::LeftGrid => "left-grid",
-        }
-    }
-}
-
-impl fmt::Display for ForkPathError {
+impl fmt::Display for LeftGrid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ForkPathError::Restore(why) => write!(f, "snapshot restore failed: {why}"),
-            ForkPathError::LeftGrid => f.write_str("the run left the grid of the tape it followed"),
-        }
+        f.write_str("the run left the grid of the tape it followed")
     }
 }
 
-impl std::error::Error for ForkPathError {}
+impl std::error::Error for LeftGrid {}
 
 /// Everything an engine run produces.
 #[derive(Debug)]
@@ -946,9 +925,9 @@ enum Attempt {
     /// parseable [`GuardViolation`]): a deterministic, *classified* outcome
     /// — not retried, not skipped.
     SimFailed(GuardViolation),
-    /// The fork path could not finish the case (see [`ForkPathError`]);
-    /// non-retryable, the case falls back to its from-scratch runner.
-    OffForkPath(ForkPathError),
+    /// A forked run left its tape's grid (see [`LeftGrid`]); not
+    /// retried, the case falls back to its from-scratch runner.
+    LeftGrid,
     TimedOut,
 }
 
@@ -968,12 +947,10 @@ impl Attempt {
                 trace,
                 followed: ctx.followed.load(Ordering::Relaxed),
             },
-            Ok(Err(e)) => match e.downcast::<ForkPathError>() {
-                Ok(off) => Attempt::OffForkPath(*off),
-                Err(e) => match GuardViolation::from_error(e.as_ref()) {
-                    Some(failure) => Attempt::SimFailed(failure),
-                    None => Attempt::Failed(e.to_string()),
-                },
+            Ok(Err(e)) if e.is::<LeftGrid>() => Attempt::LeftGrid,
+            Ok(Err(e)) => match GuardViolation::from_error(e.as_ref()) {
+                Some(failure) => Attempt::SimFailed(failure),
+                None => Attempt::Failed(e.to_string()),
             },
             Err(payload) => Attempt::Failed(panic_message(payload)),
         }
@@ -1120,18 +1097,20 @@ impl Engine {
         }
 
         // Workers claim *units* of `per` pending cases: one case, or when
-        // batching one group of up to `BATCH_UNIT` cases. Groups are cut
-        // from the list sorted by ascending injection instant, so the lanes
-        // of one group activate off a shared golden prefix, and a lane
-        // whose case seals takes the group's next one. A lone worker takes
-        // the largest groups; several get `GROUPS_PER_WORKER` each, rounded
-        // up to whole words, and never less than one group each. The golden
-        // run keeps a snapshot where a unit starts: at every injection stop
-        // for forks, at each group's first instant for groups.
+        // batching one group of up to `BATCH_UNIT` cases. Units are cut
+        // from the list sorted by ascending injection instant, so the forks
+        // of one stop run back to back (a worker keeps one stop's tape),
+        // the lanes of one group activate off a shared golden prefix, and
+        // a lane whose case seals takes the group's next one. A lone worker
+        // takes the largest groups; several get `GROUPS_PER_WORKER` each,
+        // rounded up to whole words, and never less than one group each.
+        // The golden run keeps a snapshot where a unit starts: at every
+        // injection stop for forks, at each group's first instant for
+        // groups.
         let workers = cfg.effective_workers().min(pending.len()).max(1);
+        pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
         let (per, keep) = match plan {
             Plan::Batch(_) => {
-                pending.sort_by_key(|&i| (campaign.cases[i].injected_at, i));
                 let groups = if workers == 1 {
                     1
                 } else {
@@ -1346,7 +1325,7 @@ impl Engine {
                 Ok((trace, ladder))
             }
             Attempt::Failed(e) => Err(EngineError::Golden(e)),
-            Attempt::OffForkPath(e) => Err(EngineError::Golden(e.to_string())),
+            Attempt::LeftGrid => Err(EngineError::Golden(LeftGrid.to_string())),
             // A guard trip on the fault-free run means the budget (or the
             // model) cannot cover the horizon.
             Attempt::SimFailed(f) => Err(EngineError::Golden(f.to_string())),
@@ -1396,7 +1375,7 @@ impl Engine {
                 Attempt::Ok { .. }
                     | Attempt::Sealed { .. }
                     | Attempt::SimFailed(_)
-                    | Attempt::OffForkPath(_)
+                    | Attempt::LeftGrid
             ) {
                 return (last, attempt + 1);
             }
@@ -1872,21 +1851,16 @@ impl Run<'_> {
         let early = self.early(index);
         let early = early.as_ref();
         let (mut attempt, mut attempts) = engine.attempt_case(&runner, index, stats, early);
-        // Graceful degradation: a snapshot that cannot be restored, or a
-        // follower off its tape's grid, fails deterministically, so instead
-        // of burning the retry budget on the fork path the case re-runs
-        // from scratch.
-        if let (Attempt::OffForkPath(off), Some(_)) = (&attempt, forked_at) {
-            let reason = off.reason();
+        // Graceful degradation: a follower off its tape's grid fails
+        // deterministically, so instead of burning the retry budget on the
+        // fork path the case re-runs from scratch.
+        if let (Attempt::LeftGrid, Some(_)) = (&attempt, forked_at) {
             forked_at = None;
             stats.record_fallbacks(1);
-            if let (ForkPathError::Restore(_), Some(metrics)) = (off, tele.metrics()) {
-                metrics.restore_fallbacks.inc();
-            }
             tele.emit_with(|| {
                 Event::new("checkpoint", "fallback")
                     .with_case(index)
-                    .with_field("reason", reason)
+                    .with_field("reason", "left-grid")
             });
             let (fallback, n) = engine.attempt_case(&campaign.runner, index, stats, early);
             attempt = fallback;
@@ -1920,7 +1894,7 @@ impl Run<'_> {
                 self.book(index, CaseOutcome::from_sim_failure(failure), forked_at)
             }
             Attempt::Failed(error) => self.give_up(index, attempts, error),
-            Attempt::OffForkPath(off) => self.give_up(index, attempts, off.to_string()),
+            Attempt::LeftGrid => self.give_up(index, attempts, LeftGrid.to_string()),
             Attempt::TimedOut => {
                 let timeout = engine.config.timeout.unwrap_or_default();
                 self.give_up(index, attempts, format!("timed out after {timeout:?}"))
@@ -2147,10 +2121,6 @@ mod tests {
 
         fn snapshot_trace(&self) -> Trace {
             self.trace.clone()
-        }
-
-        fn structural_fingerprint(&self) -> u64 {
-            0x71C5
         }
 
         fn install_budget(&mut self, budget: SimBudget) {
@@ -2544,11 +2514,8 @@ mod tests {
             .run(&forked_campaign("toy-fallback", 6))
             .unwrap();
         let mut campaign = forked_campaign("toy-fallback", 6);
-        // Sabotage restore: every fork now fails the way a snapshot of the
-        // wrong simulator type (or drifted structure) would.
-        campaign.fork.fork = Arc::new(|_ctx, _snap, _tapes| {
-            Err(Box::new(ForkPathError::Restore("structural drift".to_owned())) as BoxError)
-        });
+        // Every fork now leaves the grid of the tape it followed.
+        campaign.fork.fork = Arc::new(|_ctx, _snap, _tapes| Err(Box::new(LeftGrid) as BoxError));
         let report = Engine::new(
             EngineConfig::default()
                 .with_workers(2)
@@ -2567,6 +2534,33 @@ mod tests {
         for (a, b) in scratch.result.cases.iter().zip(&report.result.cases) {
             assert_eq!(a, b, "case {}", a.case);
         }
+    }
+
+    #[test]
+    fn a_snapshot_of_another_simulator_type_is_a_case_error() {
+        // A `TickSim` golden run handing its snapshots to a `TapeSim` fork.
+        let mut campaign = forked_campaign("toy-foreign-snapshot", 6);
+        let (other, _) = tape_campaign(
+            "toy-foreign-fork",
+            TapeArm::Quiet,
+            vec![(5, TapeArm::Quiet)],
+        );
+        campaign.fork.fork = Arc::clone(&other.fork.fork);
+        let report = Engine::new(
+            EngineConfig::default()
+                .with_workers(2)
+                .with_checkpoint(true)
+                .with_retries(1),
+        )
+        .run(&campaign)
+        .unwrap();
+        // Retried like any failing case, then skipped: never a fallback.
+        assert_eq!((report.path, report.stats.fallbacks), ("fork", 0));
+        assert_eq!(report.stats.retries, 6);
+        assert_eq!(report.skipped.len(), 6);
+        assert!(report.result.cases.is_empty());
+        assert_eq!(report.skipped[0].attempts, 2);
+        assert!(report.skipped[0].error.contains("simulator type"));
     }
 
     /// A [`TickSim`] whose kernel shares all of itself: any run may lead
@@ -2620,10 +2614,6 @@ mod tests {
 
         fn snapshot_trace(&self) -> Trace {
             self.inner.trace.clone()
-        }
-
-        fn structural_fingerprint(&self) -> u64 {
-            0x7A9E
         }
 
         fn install_budget(&mut self, budget: SimBudget) {
@@ -2709,6 +2699,14 @@ mod tests {
 
     #[test]
     fn a_worker_holds_the_tape_of_one_stop_at_a_time() {
+        let slot = TapeSlot::default();
+        let at = |ns| Time::from_ns(ns);
+        slot.publish(at(5), Arc::new(()));
+        assert!(slot.tape_from(at(5)).is_some());
+        // Asking for another stop's tape drops the one held.
+        assert!(slot.tape_from(at(14)).is_none());
+        assert!(slot.tape_from(at(5)).is_none());
+
         use TapeArm::Quiet;
         let run = |instants: [i64; 4]| {
             let arms = instants.iter().map(|&at| (at, Quiet)).collect();
@@ -2720,10 +2718,9 @@ mod tests {
                 .unwrap();
             report.stats.followed
         };
-        // Instant-major: one leader per stop. Interleaved: each case finds
-        // the other stop's tape, drops it and leads again.
+        // Claimed in instant order either way: one leader per stop.
         assert_eq!(run([5, 5, 14, 14]), 2);
-        assert_eq!(run([5, 14, 5, 14]), 0);
+        assert_eq!(run([5, 14, 5, 14]), 2);
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub mod stats;
 
 pub use executor::{
     AnySnapshot, BatchSpec, Campaign, CaseCtx, CaseRunner, Engine, EngineConfig, EngineError,
-    EngineReport, ErrorPolicy, ForkPathError, ForkSpec, RecordSink, Snapshot, SnapshotSink,
-    TapeSlot,
+    EngineReport, ErrorPolicy, ForkSpec, RecordSink, Snapshot, SnapshotSink, TapeSlot,
 };
 pub use journal::{Journal, JournalEntry, JournalError, JournalMeta, QuarantinedCase, SkippedCase};
 pub use shard::Shard;

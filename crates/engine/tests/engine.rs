@@ -130,10 +130,6 @@ impl ForkableSim for TickSim {
         self.trace.clone()
     }
 
-    fn structural_fingerprint(&self) -> u64 {
-        0x7E57
-    }
-
     fn install_budget(&mut self, budget: SimBudget) {
         if let Some(budgets) = &self.budgets {
             budgets.lock().unwrap().push(budget.is_cancellable());
@@ -704,11 +700,11 @@ fn resumed_summary_counts_quarantined_cases_exactly_once() {
 fn event_stream_accounts_for_every_case() {
     type Flags = fn(EngineConfig) -> EngineConfig;
     // 520 cases are two groups (504 + 16) for the batch run's one worker.
-    // The golden run keeps a snapshot per injection stop for forks (`cpu`
-    // has three) and per group start for groups.
+    // The golden run keeps a snapshot per injection stop for forks (the
+    // first six `cpu` cases share one) and per group start for groups.
     let plans: [(&str, Flags, &str, usize, usize); 3] = [
         ("scalar", |cfg| cfg, "cpu", 6, 0),
-        ("fork", |cfg| cfg.with_checkpoint(true), "cpu", 6, 3),
+        ("fork", |cfg| cfg.with_checkpoint(true), "cpu", 6, 1),
         ("batch", |cfg| cfg.with_batch(true), "cpu-set", 520, 2),
     ];
     for (path, flags, name, n, kept) in plans {

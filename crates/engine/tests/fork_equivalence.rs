@@ -292,10 +292,11 @@ fn adc_flash_forks_trace_what_scratch_runs_trace() {
     }
     assert_eq!(moved, [true, true], "a strike and an SEU must each show");
 
-    // And through the engine, on either plan: one stripe of the list, and
-    // the register SEUs at one instant, which cannot reach the analog half
-    // (the flash back end feeds nothing back), so on one worker the first
-    // leads and the others follow its tape.
+    // And through the engine, on either plan: one stripe of the list, the
+    // register SEUs at one instant, and all of them in catalog order. An
+    // SEU cannot reach the analog half (the flash back end feeds nothing
+    // back), and a worker claims cases in instant order, so on one worker
+    // the first SEU at each instant leads and the others follow its tape.
     let n = campaign.cases.len();
     let one_stop: Vec<usize> = (strikes..n).step_by(8).collect();
     let elsewhere = (0..n).filter(|i| !one_stop.contains(i)).collect();
@@ -307,6 +308,11 @@ fn adc_flash_forks_trace_what_scratch_runs_trace() {
         (
             EngineConfig::default().with_completed(elsewhere),
             Some(one_stop.len() - 1),
+        ),
+        (
+            // 96 SEUs over 8 instants: 8 lead, 88 follow.
+            EngineConfig::default().with_completed((0..strikes).collect()),
+            Some(n - strikes - spec.stops.len()),
         ),
     ] {
         let config = config.with_workers(1);

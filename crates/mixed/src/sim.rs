@@ -10,8 +10,7 @@ const SYNC_METRICS_STRIDE: u32 = 64;
 use amsfi_analog::{AnalogSolver, NodeId};
 use amsfi_digital::{SignalId, SimError, Simulator};
 use amsfi_waves::{
-    Checkpoint, CheckpointMismatch, Fnv1a, Follow, ForkableSim, GuardViolation, LogicVector,
-    SimBudget, SimObserver, SimTape, Time, Trace,
+    Follow, ForkableSim, GuardViolation, LogicVector, SimBudget, SimObserver, SimTape, Time, Trace,
 };
 use std::sync::Arc;
 
@@ -292,66 +291,6 @@ impl MixedSimulator {
         self.seeded && !watched && self.followed.is_none() && self.analog_is_clean()
     }
 
-    /// A hash of the co-simulation's structure: both kernels' structural
-    /// fingerprints plus every boundary binding (driver rails, digitizer
-    /// thresholds and hysteresis). A [`Checkpoint`] refuses to restore
-    /// across differing fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_str("amsfi-mixed");
-        h.eat();
-        h.write_u64(self.digital.fingerprint());
-        h.write_u64(self.analog.fingerprint());
-        h.eat();
-        h.write_u64(self.drivers.len() as u64);
-        h.eat();
-        for d in &self.drivers {
-            h.write_str(self.digital.signal_name(d.signal));
-            h.eat();
-            h.write_u64(d.bit as u64);
-            h.eat();
-            h.write_str(self.analog.circuit().node_name(d.node));
-            h.eat();
-            h.write_u64(d.v_low.to_bits());
-            h.write_u64(d.v_high.to_bits());
-            h.eat();
-        }
-        h.write_u64(self.digitizers.len() as u64);
-        h.eat();
-        for dz in &self.digitizers {
-            h.write_str(self.analog.circuit().node_name(dz.node));
-            h.eat();
-            h.write_str(self.digital.signal_name(dz.signal));
-            h.eat();
-            h.write_u64(dz.threshold.to_bits());
-            h.write_u64(dz.hysteresis.to_bits());
-            h.eat();
-        }
-        h.finish()
-    }
-
-    /// Snapshots the complete co-simulation — both kernels (event queue,
-    /// solver state, traces), digitizer hysteresis/arming state and the
-    /// one-time seeding flag — for golden-prefix forking.
-    pub fn checkpoint(&self) -> Checkpoint<MixedSimulator> {
-        Checkpoint::capture(self)
-    }
-
-    /// Replaces this co-simulation's state with `checkpoint`'s, validating
-    /// the structural fingerprint first.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointMismatch`] when the checkpoint was captured from a
-    /// structurally different testbench.
-    pub fn restore(
-        &mut self,
-        checkpoint: &Checkpoint<MixedSimulator>,
-    ) -> Result<(), CheckpointMismatch> {
-        *self = checkpoint.restore_into(self)?;
-        Ok(())
-    }
-
     /// Runs both domains, synchronised, until `t_end`.
     ///
     /// # Errors
@@ -577,10 +516,6 @@ impl ForkableSim for MixedSimulator {
         self.merged_trace()
     }
 
-    fn structural_fingerprint(&self) -> u64 {
-        self.fingerprint()
-    }
-
     fn install_budget(&mut self, budget: SimBudget) {
         self.set_budget(budget);
     }
@@ -614,7 +549,7 @@ mod tests {
     use super::*;
     use amsfi_analog::{blocks, AnalogCircuit, NodeKind};
     use amsfi_digital::{cells, Netlist};
-    use amsfi_waves::{measure, Logic};
+    use amsfi_waves::{measure, Checkpoint, Logic};
 
     /// Analog sine → digitizer → digital counter.
     fn sine_counter(freq_hz: f64) -> MixedSimulator {
@@ -748,7 +683,7 @@ mod tests {
         golden.digital_mut().monitor_name("clk");
         golden.analog_mut().monitor_name("sine");
         golden.run_until(stop).unwrap();
-        let cp = golden.checkpoint();
+        let cp = Checkpoint::capture(&golden);
         golden.run_until(end).unwrap();
 
         let mut scratch = sine_counter(10e6);
@@ -774,7 +709,7 @@ mod tests {
         golden.digital_mut().monitor_name("q");
         golden.analog_mut().monitor_name("sine");
         golden.run_until(Time::from_ns(437)).unwrap();
-        golden.checkpoint()
+        Checkpoint::capture(&golden)
     }
 
     /// A fork of `cp` with an SEU in bit `bit` of the counter.
@@ -879,7 +814,7 @@ mod tests {
         golden.digital_mut().monitor_name("q");
         golden.analog_mut().monitor_name("vout");
         golden.run_until(Time::from_ns(437)).unwrap();
-        let cp = golden.checkpoint();
+        let cp = Checkpoint::capture(&golden);
         let end = Time::from_us(2);
 
         // Untouched forks lead and follow, hold and all.
@@ -953,7 +888,7 @@ mod tests {
         golden.bind_digitizer("sine", "clk", 2.5, 0.2);
         golden.digital_mut().monitor_name("out");
         golden.run_until(Time::from_ns(437)).unwrap();
-        let cp = golden.checkpoint();
+        let cp = Checkpoint::capture(&golden);
         let end = Time::from_us(2);
         let fork = |bit| {
             let mut sim = cp.fork();
@@ -969,23 +904,6 @@ mod tests {
         let mut follower = fork(0);
         assert_eq!(follower.follow(&tape).unwrap(), Follow::LeftGrid);
         assert!(follower.now() < end);
-    }
-
-    #[test]
-    fn restore_validates_the_testbench_structure() {
-        let mut mixed = sine_counter(10e6);
-        mixed.run_until(Time::from_ns(100)).unwrap();
-        let cp = mixed.checkpoint();
-
-        // A different digitizer threshold is a different structure.
-        let mut other = sine_counter(10e6);
-        other.digitizers[0].threshold = 3.0;
-        assert!(other.restore(&cp).is_err());
-
-        let mut twin = sine_counter(10e6);
-        twin.run_until(Time::from_us(1)).unwrap();
-        twin.restore(&cp).unwrap();
-        assert_eq!(twin.now(), Time::from_ns(100));
     }
 
     #[test]

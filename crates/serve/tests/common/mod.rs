@@ -27,10 +27,6 @@ impl ForkableSim for ToySim {
     fn snapshot_trace(&self) -> Trace {
         self.trace.clone()
     }
-
-    fn structural_fingerprint(&self) -> u64 {
-        0x70E
-    }
 }
 
 /// A fast, fully deterministic campaign of `n` cases at 100 ns: index 4

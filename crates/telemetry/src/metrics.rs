@@ -244,8 +244,6 @@ pub struct KernelMetrics {
     /// Snapshot-cache misses in the forked executor (fork requested but no
     /// usable cached prefix).
     pub snapshot_misses: Counter,
-    /// Checkpoint restores that failed and fell back to a scratch run.
-    pub restore_fallbacks: Counter,
     /// Journal records appended.
     pub journal_records: Counter,
     /// Journal bytes written.
@@ -323,7 +321,6 @@ impl KernelMetrics {
         list.extend([
             count("amsfi_snapshot_cache_total", "snapshot_hits", &self.snapshot_hits).label("outcome", "hit"),
             count("amsfi_snapshot_cache_total", "snapshot_misses", &self.snapshot_misses).label("outcome", "miss"),
-            count("amsfi_restore_fallbacks_total", "restore_fallbacks", &self.restore_fallbacks),
             count("amsfi_journal_records_total", "journal_records", &self.journal_records),
             count("amsfi_journal_bytes_total", "journal_bytes", &self.journal_bytes),
             count("amsfi_events_dropped_total", "events_dropped", &self.events_dropped),

@@ -13,7 +13,6 @@ fn populated_kernel() -> KernelMetrics {
         &m.sync_steps,
         &m.snapshot_hits,
         &m.snapshot_misses,
-        &m.restore_fallbacks,
         &m.journal_records,
         &m.journal_bytes,
         &m.events_dropped,
@@ -88,24 +87,22 @@ amsfi_guard_trips_total{kind="deadline"} 4
 # TYPE amsfi_snapshot_cache_total counter
 amsfi_snapshot_cache_total{outcome="hit"} 104
 amsfi_snapshot_cache_total{outcome="miss"} 105
-# TYPE amsfi_restore_fallbacks_total counter
-amsfi_restore_fallbacks_total 106
 # TYPE amsfi_journal_records_total counter
-amsfi_journal_records_total 107
+amsfi_journal_records_total 106
 # TYPE amsfi_journal_bytes_total counter
-amsfi_journal_bytes_total 108
+amsfi_journal_bytes_total 107
 # TYPE amsfi_events_dropped_total counter
-amsfi_events_dropped_total 109
+amsfi_events_dropped_total 108
 # TYPE amsfi_early_aborts_total counter
-amsfi_early_aborts_total 110
+amsfi_early_aborts_total 109
 # TYPE amsfi_saved_sim_femtoseconds_total counter
-amsfi_saved_sim_femtoseconds_total 111
+amsfi_saved_sim_femtoseconds_total 110
 # TYPE amsfi_saved_steps_total counter
-amsfi_saved_steps_total 112
+amsfi_saved_steps_total 111
 # TYPE amsfi_golden_trace_bytes gauge
-amsfi_golden_trace_bytes 113
+amsfi_golden_trace_bytes 112
 # TYPE amsfi_lane_seals_total counter
-amsfi_lane_seals_total 114
+amsfi_lane_seals_total 113
 # TYPE amsfi_lane_occupancy histogram
 amsfi_lane_occupancy_bucket{le="0"} 0
 amsfi_lane_occupancy_bucket{le="1"} 0
@@ -172,19 +169,18 @@ amsfi_case_latency_microseconds_count 2
 "#;
 
 const KERNEL_SNAPSHOT: &str = "digital_events=102;\
-    early_aborts=110;\
-    events_dropped=109;\
-    golden_trace_bytes=113;\
+    early_aborts=109;\
+    events_dropped=108;\
+    golden_trace_bytes=112;\
     guard_deadline=4;\
     guard_non-finite=1;\
     guard_step-budget=2;\
     guard_timestep-collapse=3;\
-    journal_bytes=108;\
-    journal_records=107;\
-    lane_seals=114;\
-    restore_fallbacks=106;\
-    saved_sim_fs=111;\
-    saved_steps=112;\
+    journal_bytes=107;\
+    journal_records=106;\
+    lane_seals=113;\
+    saved_sim_fs=110;\
+    saved_steps=111;\
     snapshot_hits=104;\
     snapshot_misses=105;\
     solver_steps=101;\

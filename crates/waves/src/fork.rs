@@ -5,9 +5,8 @@
 //! campaign of N cases over a horizon T only needs the golden prefix
 //! `[0, tᵢ)` simulated once per distinct injection instant. [`ForkableSim`]
 //! is the capability contract a simulation kernel implements to take part;
-//! [`Checkpoint`] is the snapshot itself, stamped with a structural
-//! [fingerprint](ForkableSim::structural_fingerprint) so restoring into a
-//! mismatched circuit is a reported error, not silent corruption.
+//! [`Checkpoint`] is the snapshot itself: a clone of the campaign's own
+//! golden run and the instant it was taken.
 //!
 //! Because a snapshot clones the *whole* simulator — event queue, solver
 //! step state, digitizer hysteresis and the trace recorded so far — a fork
@@ -17,7 +16,6 @@
 
 use crate::{SimBudget, SimObserver, Time, Trace};
 use std::any::Any;
-use std::fmt;
 use std::sync::Arc;
 
 /// The FNV-1a offset basis (64-bit).
@@ -25,7 +23,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// An incremental FNV-1a hasher for structural fingerprints.
+/// An incremental FNV-1a hasher for identities and digests.
 ///
 /// The same idiom the engine journal uses for campaign fingerprints: hash
 /// bytes, and call [`Fnv1a::eat`] between fields so `("ab", "c")` and
@@ -94,28 +92,6 @@ impl Default for Fnv1a {
     }
 }
 
-/// A checkpoint was restored into a simulator with a different structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointMismatch {
-    /// Fingerprint baked into the checkpoint at capture time.
-    pub expected: u64,
-    /// Fingerprint of the simulator the restore targeted.
-    pub found: u64,
-}
-
-impl fmt::Display for CheckpointMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "checkpoint fingerprint {:016x} does not match target circuit {:016x}: \
-             refusing to restore into a different structure",
-            self.expected, self.found
-        )
-    }
-}
-
-impl std::error::Error for CheckpointMismatch {}
-
 /// What a leading run recorded of the half of itself its fault could not
 /// reach, for later forks of the same snapshot to replay (see
 /// [`ForkableSim::lead_to`]). The kernel that wrote it knows the type; to
@@ -171,12 +147,6 @@ pub trait ForkableSim: Clone + Send {
     /// The trace of monitored signals recorded so far.
     fn snapshot_trace(&self) -> Trace;
 
-    /// A hash of the simulator's *structure* (nodes, components, bindings
-    /// — not mutable run state). Two simulators built from the same
-    /// description report the same fingerprint; a checkpoint only restores
-    /// into a matching structure.
-    fn structural_fingerprint(&self) -> u64;
-
     /// Installs a per-attempt [`SimBudget`] that subsequent `advance_to`
     /// calls must observe (step budget, timestep floor, NaN/Inf guard,
     /// cooperative cancellation). Replaces any previous budget wholesale —
@@ -230,14 +200,13 @@ pub trait ForkableSim: Clone + Send {
     }
 }
 
-/// A point-in-time snapshot of a [`ForkableSim`], validated on restore.
+/// A point-in-time snapshot of a [`ForkableSim`].
 ///
 /// Capture is a deep clone; forking clones again, so one checkpoint serves
 /// arbitrarily many faulty runs.
 #[derive(Debug, Clone)]
 pub struct Checkpoint<S: ForkableSim> {
     state: S,
-    fingerprint: u64,
     at: Time,
 }
 
@@ -246,7 +215,6 @@ impl<S: ForkableSim> Checkpoint<S> {
     pub fn capture(sim: &S) -> Self {
         Checkpoint {
             state: sim.clone(),
-            fingerprint: sim.structural_fingerprint(),
             at: sim.current_time(),
         }
     }
@@ -254,11 +222,6 @@ impl<S: ForkableSim> Checkpoint<S> {
     /// Simulation time at which the snapshot was taken.
     pub fn at(&self) -> Time {
         self.at
-    }
-
-    /// Structural fingerprint of the snapshotted simulator.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Produces an independent simulator resumed from the snapshot.
@@ -270,24 +233,6 @@ impl<S: ForkableSim> Checkpoint<S> {
     /// snapshotted simulator itself, with no second copy made.
     pub fn into_sim(self) -> S {
         self.state
-    }
-
-    /// Like [`Checkpoint::fork`], but validates that the snapshot matches
-    /// `target`'s structure first — the safe entry point when checkpoint
-    /// and simulator were built in different places.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointMismatch`] when the fingerprints differ.
-    pub fn restore_into(&self, target: &S) -> Result<S, CheckpointMismatch> {
-        let found = target.structural_fingerprint();
-        if found != self.fingerprint {
-            return Err(CheckpointMismatch {
-                expected: self.fingerprint,
-                found,
-            });
-        }
-        Ok(self.fork())
     }
 }
 
@@ -303,16 +248,14 @@ mod tests {
         now: Time,
         ticks: u64,
         trace: Trace,
-        shape: u64,
     }
 
     impl Ticker {
-        fn new(shape: u64) -> Self {
+        fn new() -> Self {
             Ticker {
                 now: Time::ZERO,
                 ticks: 0,
                 trace: Trace::new(),
-                shape,
             }
         }
     }
@@ -341,15 +284,11 @@ mod tests {
         fn snapshot_trace(&self) -> Trace {
             self.trace.clone()
         }
-
-        fn structural_fingerprint(&self) -> u64 {
-            self.shape
-        }
     }
 
     #[test]
     fn fork_resumes_with_prefix_trace() {
-        let mut sim = Ticker::new(7);
+        let mut sim = Ticker::new();
         sim.advance_to(Time::from_ns(5)).unwrap();
         let cp = Checkpoint::capture(&sim);
         assert_eq!(cp.at(), Time::from_ns(5));
@@ -371,33 +310,16 @@ mod tests {
 
     #[test]
     fn forked_run_equals_scratch_run() {
-        let mut golden = Ticker::new(1);
+        let mut golden = Ticker::new();
         golden.advance_to(Time::from_ns(8)).unwrap();
         let cp = Checkpoint::capture(&golden);
         let mut fork = cp.fork();
         fork.advance_to(Time::from_ns(30)).unwrap();
 
-        let mut scratch = Ticker::new(1);
+        let mut scratch = Ticker::new();
         scratch.advance_to(Time::from_ns(8)).unwrap();
         scratch.advance_to(Time::from_ns(30)).unwrap();
         assert_eq!(fork.snapshot_trace(), scratch.snapshot_trace());
-    }
-
-    #[test]
-    fn restore_validates_the_fingerprint() {
-        let sim = Ticker::new(42);
-        let cp = Checkpoint::capture(&sim);
-        assert_eq!(cp.fingerprint(), 42);
-        assert!(cp.restore_into(&Ticker::new(42)).is_ok());
-        let err = cp.restore_into(&Ticker::new(43)).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointMismatch {
-                expected: 42,
-                found: 43
-            }
-        );
-        assert!(err.to_string().contains("fingerprint"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use compare::{
     baseline, compare_analog, compare_digital, compare_digital_with_skew, MismatchInterval,
     SignalComparison, Tolerance,
 };
-pub use fork::{Checkpoint, CheckpointMismatch, Fnv1a, Follow, ForkableSim, SimTape};
+pub use fork::{Checkpoint, Fnv1a, Follow, ForkableSim, SimTape};
 pub use guard::{CancelToken, GuardViolation, ParseGuardViolationError, SimBudget, CLOCK_STRIDE};
 pub use logic::{Logic, LogicPlanes, LANES};
 pub use stream::{
